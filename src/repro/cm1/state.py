@@ -7,6 +7,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+#: Storage dtype of every model field, hence of every full block payload.
+FIELD_DTYPE = np.dtype(np.float32)
 
 #: Field names a full state may carry, with a one-line description each.
 KNOWN_FIELDS: Dict[str, str] = {
@@ -43,7 +45,7 @@ class ModelState:
 
     def add(self, name: str, values: np.ndarray) -> None:
         """Add a field, validating its shape and converting to float32."""
-        arr = np.asarray(values, dtype=np.float32)
+        arr = np.asarray(values, dtype=FIELD_DTYPE)
         if tuple(arr.shape) != tuple(self.shape):
             raise ValueError(
                 f"field {name!r} has shape {arr.shape}, expected {self.shape}"

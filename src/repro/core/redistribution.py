@@ -6,15 +6,19 @@ exchange the block payloads with non-blocking point-to-point messages —
 modelled here by one personalised all-to-all.
 
 Strategies return their assignment as a pair of parallel NumPy arrays
-``(block_ids, dest_ranks)`` — the vectorizable form the exchange planner
-consumes: per rank, every block's destination is resolved with one
-``np.searchsorted`` over the id-sorted assignment, the movers are grouped by
-destination with one stable ``argsort``/``bincount`` pass, and the per-
-destination send lists are sliced out of the grouped order — no per-block
-dict lookups anywhere on the planning path.  The per-destination payload
-lists carry blocks in exactly the order the historical dict-based planner
-produced (input order within each destination), so the exchange's payload
-bytes and modelled seconds are unchanged.
+``(block_ids, dest_ranks)``, and the exchange is planned in one global pass
+over all ranks: the per-rank lists are flattened, every destination is
+resolved with one ``np.searchsorted`` over the id-sorted assignment, the
+movers' payload bytes are accumulated into the ``P x P`` byte matrix, the
+communicator charges that matrix (``charge_alltoallv``), and the new per-rank
+lists are sliced out of one ``np.lexsort`` by (destination, block id).
+Nothing is copied or serialised: a block is re-created (``with_owner``) only
+where its owner changes, and its payload array is carried by reference.
+
+*Wire size* has one definition, payload bytes (``Block.nbytes``): the matrix
+total, ``info["moved_bytes"]``, ``StepReport.payload_bytes`` and the
+communicator's ``stats["alltoallv"]["bytes"]`` are the same number, the one
+the scenario's exchange bandwidth is calibrated on.
 
 Two strategies from the paper are provided, plus the no-op:
 
@@ -73,7 +77,8 @@ class RedistributionStrategy(abc.ABC):
 
         Returns the new per-rank block lists (sorted by block id) and timing
         info (measured wall-clock, modelled communication seconds, exchanged
-        bytes).
+        payload bytes).  Blocks the assignment does not list stay on the rank
+        that holds them; block ids are globally unique.
         """
         nranks = comm.nranks
         assigned_ids, assigned_dests = self.assign_owners(
@@ -81,70 +86,49 @@ class RedistributionStrategy(abc.ABC):
         )
         assigned_ids = np.asarray(assigned_ids, dtype=np.int64)
         assigned_dests = np.asarray(assigned_dests, dtype=np.int64)
-        order = np.argsort(assigned_ids, kind="stable")
-        ids_sorted = assigned_ids[order]
-        dests_sorted = assigned_dests[order]
-        before = comm.communication_seconds()
+        by_id = np.argsort(assigned_ids, kind="stable")
+        ids_sorted = assigned_ids[by_id]
+        dests_sorted = assigned_dests[by_id]
         with Timer() as timer:
-            send_lists: List[List[object]] = [
-                [None] * nranks for _ in range(nranks)
-            ]
-            kept: List[List[Block]] = [[] for _ in range(nranks)]
-            moved_bytes = 0
-            moved_blocks = 0
-            for rank, blocks in enumerate(per_rank_blocks):
-                if not blocks:
-                    continue
-                block_ids = np.fromiter(
-                    (b.block_id for b in blocks), dtype=np.int64, count=len(blocks)
+            flat = [block for blocks in per_rank_blocks for block in blocks]
+            nblocks = len(flat)
+            src = np.repeat(
+                np.arange(len(per_rank_blocks), dtype=np.int64),
+                [len(blocks) for blocks in per_rank_blocks],
+            )
+            block_ids = np.fromiter(
+                (b.block_id for b in flat), dtype=np.int64, count=nblocks
+            )
+            owners = np.fromiter((b.owner for b in flat), dtype=np.int64, count=nblocks)
+            dest = src
+            if ids_sorted.size:
+                pos = np.minimum(
+                    np.searchsorted(ids_sorted, block_ids), ids_sorted.size - 1
                 )
-                if ids_sorted.size:
-                    pos = np.minimum(
-                        np.searchsorted(ids_sorted, block_ids), ids_sorted.size - 1
-                    )
-                    assigned = ids_sorted[pos] == block_ids
-                    dest = np.where(assigned, dests_sorted[pos], rank)
-                else:
-                    dest = np.full(len(blocks), rank, dtype=np.int64)
-                staying = dest == rank
-                kept[rank] = [
-                    blocks[i] if blocks[i].owner == rank else blocks[i].with_owner(rank)
-                    for i in np.flatnonzero(staying)
-                ]
-                movers = np.flatnonzero(~staying)
-                if not movers.size:
-                    continue
-                mover_dest = dest[movers]
-                # Stable sort groups movers by destination while preserving
-                # input order within each destination (the order the payload
-                # lists have always carried).
-                grouped = movers[np.argsort(mover_dest, kind="stable")]
-                counts = np.bincount(mover_dest, minlength=nranks)
-                bounds = np.concatenate(([0], np.cumsum(counts)))
-                for dest_rank in np.flatnonzero(counts):
-                    payload = [
-                        blocks[i].with_owner(int(dest_rank))
-                        for i in grouped[bounds[dest_rank] : bounds[dest_rank + 1]]
-                    ]
-                    send_lists[rank][dest_rank] = payload
-                moved_blocks += int(movers.size)
-                moved_bytes += int(sum(blocks[i].nbytes for i in movers))
-            received = comm.alltoallv(send_lists)
-            new_blocks: List[List[Block]] = []
-            for rank in range(nranks):
-                mine = list(kept[rank])
-                for src in range(nranks):
-                    payload = received[rank][src]
-                    if payload:
-                        mine.extend(payload)
-                mine.sort(key=lambda b: b.block_id)
-                new_blocks.append(mine)
-        modelled = comm.communication_seconds() - before
+                dest = np.where(ids_sorted[pos] == block_ids, dests_sorted[pos], src)
+            if nblocks and (dest.min() < 0 or dest.max() >= nranks):
+                raise ValueError(f"block destination outside [0, {nranks})")
+            movers = np.flatnonzero(dest != src)
+            mover_bytes = np.fromiter(
+                (flat[i].nbytes for i in movers.tolist()), np.int64, movers.size
+            )
+            matrix = np.zeros((nranks, nranks), dtype=np.int64)
+            np.add.at(matrix, (src[movers], dest[movers]), mover_bytes)
+            modelled = comm.charge_alltoallv(matrix)
+            stale = np.flatnonzero(owners != dest)
+            for i, owner in zip(stale.tolist(), dest[stale].tolist()):
+                flat[i] = flat[i].with_owner(owner)
+            order = np.lexsort((block_ids, dest))
+            bounds = np.searchsorted(dest[order], np.arange(nranks + 1)).tolist()
+            ordered = [flat[i] for i in order.tolist()]
+            new_blocks = [
+                ordered[bounds[rank] : bounds[rank + 1]] for rank in range(nranks)
+            ]
         info = {
             "measured": timer.elapsed,
             "modelled": modelled,
-            "moved_bytes": float(moved_bytes),
-            "moved_blocks": float(moved_blocks),
+            "moved_bytes": float(mover_bytes.sum()),
+            "moved_blocks": float(movers.size),
         }
         return new_blocks, info
 

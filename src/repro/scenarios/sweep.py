@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cm1.state import FIELD_DTYPE
 from repro.grid.decomposition import factorize_ranks, split_axis
 from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
@@ -52,8 +53,8 @@ from repro.utils.procpool import default_process_workers, shared_process_pool
 
 __all__ = ["model_scaling_point", "model_scaling_sweep"]
 
-#: Bytes per grid point (float64 fields, matching the data path).
-_BYTES_PER_POINT = 8
+#: Bytes per grid point of a full block, as the data path stores and moves it.
+_BYTES_PER_POINT = FIELD_DTYPE.itemsize
 
 #: Wire bytes per (block id, score) pair — one float64 row of the ``(n, 2)``
 #: arrays :func:`parallel_sort_pairs` actually gathers and broadcasts.
@@ -202,6 +203,7 @@ def model_scaling_point(
         "metric": score_metric.name,
         "percent": float(percent),
         "nreduced": nreduced,
+        "moved_blocks": int(moved.size),
         "moved_bytes": moved_bytes,
         "modelled_steps": steps,
         "modelled_total": float(sum(steps.values())),

@@ -39,17 +39,22 @@ _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError, RecursionErro
 
 
 def _payload_nbytes(obj: Any) -> int:
-    """Approximate the wire size of a Python payload.
+    """Wire size of a Python payload in bytes.
 
-    NumPy arrays count their buffer size; other objects are priced by their
-    pickle length (which is what a real mpi4py lowercase call would send).
-    Unpicklable payloads are priced at :data:`UNPICKLABLE_PAYLOAD_NBYTES`.
+    Buffers count their length, and a list/tuple whose items all expose an
+    integer ``nbytes`` (NumPy arrays, ``Block`` payloads) costs the sum of
+    those: wire size is payload bytes, and bulk data is never serialised
+    just to be measured.  Anything else is priced by its pickle length (what
+    a real mpi4py lowercase call would send); unpicklable payloads are
+    priced at :data:`UNPICKLABLE_PAYLOAD_NBYTES`.
     """
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
-    if isinstance(obj, (list, tuple)) and obj and all(isinstance(x, np.ndarray) for x in obj):
+    if isinstance(obj, (list, tuple)) and obj and all(
+        isinstance(getattr(x, "nbytes", None), (int, np.integer)) for x in obj
+    ):
         return int(sum(x.nbytes for x in obj))
     try:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
@@ -236,17 +241,12 @@ class BSPCommunicator:
 
         ``send_lists[i][j]`` is the payload rank ``i`` sends to rank ``j``
         (``None`` meaning nothing).  Returns ``recv[j][i]`` = payload received
-        by ``j`` from ``i``.  This is the primitive the block-redistribution
-        step uses: each rank posts non-blocking sends/receives for the blocks
-        it gives away / takes over.
+        by ``j`` from ``i``.  Payloads are sized by :func:`_payload_nbytes`
+        and the resulting byte matrix is charged by :meth:`charge_alltoallv`.
         """
         self._check_values(send_lists, "send_lists")
-        # int64 byte matrix: the cost model prices it with one vectorised
-        # row/column-sum pass, which is what keeps 10k-virtual-rank sweeps
-        # out of O(P^2) Python loops.
         matrix = np.zeros((self._nranks, self._nranks), dtype=np.int64)
         recv: List[List[Any]] = [[None] * self._nranks for _ in range(self._nranks)]
-        total_bytes = 0
         for i, row in enumerate(send_lists):
             if len(row) != self._nranks:
                 raise ValueError(
@@ -255,14 +255,26 @@ class BSPCommunicator:
             for j, payload in enumerate(row):
                 if payload is None:
                     continue
-                nbytes = _payload_nbytes(payload)
-                matrix[i, j] = nbytes
-                total_bytes += nbytes
+                matrix[i, j] = _payload_nbytes(payload)
                 recv[j][i] = payload
+        self.charge_alltoallv(matrix)
+        return recv
+
+    def charge_alltoallv(self, send_matrix_bytes: np.ndarray) -> float:
+        """Charge a personalised all-to-all given its ``P x P`` byte matrix.
+
+        ``send_matrix_bytes[i, j]`` is the payload bytes rank ``i`` sends to
+        rank ``j``.  The one place an all-to-all is priced: the redistribution
+        step plans its exchange as such a matrix, :meth:`alltoallv` sizes its
+        payloads into one.  Returns the modelled seconds charged; the bytes
+        recorded are the off-diagonal total, which is what the cost model
+        charges (a rank sends nothing to itself).
+        """
+        matrix = np.asarray(send_matrix_bytes)
         cost = self.cost_model.alltoallv(matrix, self._nranks)
         self.clocks.synchronize(cost)
-        self._record("alltoallv", total_bytes, cost)
-        return recv
+        self._record("alltoallv", int(matrix.sum() - matrix.trace()), cost)
+        return cost
 
     # -- diagnostics -----------------------------------------------------------------
 

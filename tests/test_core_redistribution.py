@@ -1,0 +1,261 @@
+"""The redistribution planner against its per-rank oracle, for arbitrary layouts.
+
+``oracle_redistribute`` is the per-rank list-of-lists planner the global pass
+in ``repro.core.redistribution`` replaced: it builds ``send_lists``, exchanges
+them through the public ``BSPCommunicator.alltoallv``, transposes, and sorts
+every rank's list.  It lives here because only these tests use it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import List
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.redistribution import (
+    NoRedistribution,
+    RandomShuffle,
+    RedistributionStep,
+    RoundRobin,
+)
+from repro.core.step import IterationContext
+from repro.grid.block import Block, BlockExtent, level_shape
+from repro.simmpi.communicator import BSPCommunicator
+from repro.simmpi.costmodel import NetworkCostModel
+
+EXTENT = BlockExtent((0, 0, 0), (5, 4, 3))
+
+
+def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_pairs, iteration):
+    """The planner as it stood before the global pass, rank by rank.
+
+    ``comm`` must be fresh: the modelled seconds are read off its ``stats``.
+    """
+    nranks = comm.nranks
+    if isinstance(strategy, NoRedistribution):
+        out = [
+            [b if b.owner == rank else b.with_owner(rank) for b in blocks]
+            for rank, blocks in enumerate(per_rank_blocks)
+        ]
+        return out, {"modelled": 0.0, "moved_bytes": 0.0, "moved_blocks": 0.0}
+    assigned_ids, assigned_dests = strategy.assign_owners(sorted_pairs, nranks, iteration)
+    assigned_ids = np.asarray(assigned_ids, dtype=np.int64)
+    assigned_dests = np.asarray(assigned_dests, dtype=np.int64)
+    order = np.argsort(assigned_ids, kind="stable")
+    ids_sorted = assigned_ids[order]
+    dests_sorted = assigned_dests[order]
+    send_lists = [[None] * nranks for _ in range(nranks)]
+    kept = [[] for _ in range(nranks)]
+    moved_bytes = 0
+    moved_blocks = 0
+    for rank, blocks in enumerate(per_rank_blocks):
+        if not blocks:
+            continue
+        block_ids = np.fromiter(
+            (b.block_id for b in blocks), dtype=np.int64, count=len(blocks)
+        )
+        if ids_sorted.size:
+            pos = np.minimum(
+                np.searchsorted(ids_sorted, block_ids), ids_sorted.size - 1
+            )
+            assigned = ids_sorted[pos] == block_ids
+            dest = np.where(assigned, dests_sorted[pos], rank)
+        else:
+            dest = np.full(len(blocks), rank, dtype=np.int64)
+        staying = dest == rank
+        kept[rank] = [
+            blocks[i] if blocks[i].owner == rank else blocks[i].with_owner(rank)
+            for i in np.flatnonzero(staying)
+        ]
+        movers = np.flatnonzero(~staying)
+        if not movers.size:
+            continue
+        mover_dest = dest[movers]
+        # Stable sort groups movers by destination while preserving input
+        # order within each destination.
+        grouped = movers[np.argsort(mover_dest, kind="stable")]
+        counts = np.bincount(mover_dest, minlength=nranks)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        for dest_rank in np.flatnonzero(counts):
+            send_lists[rank][dest_rank] = [
+                blocks[i].with_owner(int(dest_rank))
+                for i in grouped[bounds[dest_rank] : bounds[dest_rank + 1]]
+            ]
+        moved_blocks += int(movers.size)
+        moved_bytes += int(sum(blocks[i].nbytes for i in movers))
+    received = comm.alltoallv(send_lists)
+    new_blocks = []
+    for rank in range(nranks):
+        mine = list(kept[rank])
+        for src in range(nranks):
+            payload = received[rank][src]
+            if payload:
+                mine.extend(payload)
+        mine.sort(key=lambda b: b.block_id)
+        new_blocks.append(mine)
+    info = {
+        "modelled": comm.stats["alltoallv"]["seconds"],
+        "moved_bytes": float(moved_bytes),
+        "moved_blocks": float(moved_blocks),
+    }
+    return new_blocks, info
+
+
+@dataclass(frozen=True)
+class RecordingNetwork(NetworkCostModel):
+    """Cost model that keeps every byte matrix it was asked to price."""
+
+    matrices: List[np.ndarray] = field(default_factory=list, compare=False)
+
+    def alltoallv(self, send_matrix_bytes, nranks: int) -> float:
+        self.matrices.append(np.array(send_matrix_bytes))
+        return super().alltoallv(send_matrix_bytes, nranks)
+
+
+@dataclass
+class Layout:
+    nranks: int
+    per_rank_blocks: List[List[Block]]
+    sorted_pairs: list
+
+
+@st.composite
+def layouts(draw) -> Layout:
+    """Any layout a pipeline step could hand over, and several it would not.
+
+    Uneven and empty ranks, per-rank lists in arbitrary id order, ``owner``
+    fields that disagree with the holding rank (or name no rank at all),
+    blocks on every ladder level, and score pairs that list only some of the
+    held blocks plus ids nobody holds.
+    """
+    nranks = draw(st.integers(1, 6))
+    block_ids = draw(st.lists(st.integers(0, 60), unique=True, max_size=24))
+    per_rank_blocks: List[List[Block]] = [[] for _ in range(nranks)]
+    for block_id in block_ids:
+        level = draw(st.sampled_from((0, 1, 2)))
+        data = np.full(level_shape(level, EXTENT.shape), block_id, dtype=np.float32)
+        block = Block(
+            block_id,
+            EXTENT,
+            data,
+            owner=draw(st.integers(0, nranks + 2)),
+            reduced=level > 0,
+            level=level,
+        )
+        per_rank_blocks[draw(st.integers(0, nranks - 1))].append(block)
+    listed = draw(st.lists(st.integers(0, 70), unique=True, max_size=30))
+    scores = draw(
+        st.lists(st.integers(0, 4), min_size=len(listed), max_size=len(listed))
+    )
+    sorted_pairs = sorted(
+        ((i, float(s)) for i, s in zip(listed, scores)), key=lambda p: (p[1], p[0])
+    )
+    return Layout(nranks, per_rank_blocks, sorted_pairs)
+
+
+def signature(per_rank_blocks):
+    """What must match between planner and oracle: ids, owners, order."""
+    return [[(b.block_id, b.owner) for b in blocks] for blocks in per_rank_blocks]
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [NoRedistribution(), RandomShuffle(seed=11), RoundRobin()],
+    ids=lambda s: s.name,
+)
+class TestPlannerAgainstOracle:
+    """One test body shared by every strategy."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(layout=layouts(), iteration=st.integers(0, 3))
+    def test_equivalence_conservation_and_byte_totals(self, strategy, layout, iteration):
+        network = RecordingNetwork()
+        comm = BSPCommunicator(layout.nranks, cost_model=network)
+        context = IterationContext(
+            iteration=iteration,
+            percent=0.0,
+            nranks=layout.nranks,
+            per_rank_blocks=[list(blocks) for blocks in layout.per_rank_blocks],
+            sorted_pairs=layout.sorted_pairs,
+        )
+        report = RedistributionStep(strategy, comm).execute(context)
+        out = context.per_rank_blocks
+        expected, info = oracle_redistribute(
+            strategy,
+            BSPCommunicator(layout.nranks),
+            layout.per_rank_blocks,
+            layout.sorted_pairs,
+            iteration,
+        )
+
+        # Planner ≡ oracle: ids, owners, order, payload identity, counters.
+        assert signature(out) == signature(expected)
+        for mine, theirs in zip(out, expected):
+            assert all(a.data is b.data for a, b in zip(mine, theirs))
+        assert report.payload_bytes == info["moved_bytes"]
+        assert report.counters["moved_blocks"] == info["moved_blocks"]
+        assert report.modelled_max == info["modelled"]
+
+        # Conservation: same blocks, same payload bytes, owner = holder.
+        before = [b for blocks in layout.per_rank_blocks for b in blocks]
+        after = [b for blocks in out for b in blocks]
+        assert sorted(b.block_id for b in after) == sorted(b.block_id for b in before)
+        assert sum(b.nbytes for b in after) == sum(b.nbytes for b in before)
+        assert {id(b.data) for b in after} == {id(b.data) for b in before}
+        for rank, blocks in enumerate(out):
+            assert all(b.owner == rank for b in blocks)
+
+        # One definition of bytes moved.
+        matrix_bytes = sum(int(m.sum()) for m in network.matrices)
+        recorded = comm.stats.get("alltoallv", {"bytes": 0.0})["bytes"]
+        assert matrix_bytes == recorded == report.payload_bytes
+
+
+def _tiny_exchange():
+    blocks = [
+        Block(i, EXTENT, np.zeros(EXTENT.shape, dtype=np.float32), owner=i % 2)
+        for i in range(6)
+    ]
+    per_rank_blocks = [blocks[0::2], blocks[1::2], []]
+    pairs = [(i, float(i)) for i in range(6)]
+    return per_rank_blocks, pairs
+
+
+def test_modelled_seconds_do_not_depend_on_communicator_history():
+    """Regression: the exchange's cost used to be read back as
+    ``(S + c) - S`` off the communicator's running total, so the same
+    exchange reported different floats after unrelated collectives."""
+    per_rank_blocks, pairs = _tiny_exchange()
+    fresh = BSPCommunicator(3)
+    used = BSPCommunicator(3)
+    for _ in range(7):
+        used.allgather([np.zeros(3), np.zeros(5), np.zeros(7)])
+    _, on_fresh = RoundRobin().redistribute(fresh, per_rank_blocks, pairs, 0)
+    _, on_used = RoundRobin().redistribute(used, per_rank_blocks, pairs, 0)
+    assert on_fresh["modelled"] == on_used["modelled"] > 0.0
+
+
+def test_out_of_range_destination_rejected():
+    class Astray(RoundRobin):
+        def assign_owners(self, sorted_pairs, nranks, iteration):
+            ids, dests = super().assign_owners(sorted_pairs, nranks, iteration)
+            return ids, dests + nranks
+
+    per_rank_blocks, pairs = _tiny_exchange()
+    with pytest.raises(ValueError, match="destination"):
+        Astray().redistribute(BSPCommunicator(3), per_rank_blocks, pairs, 0)
+
+
+def test_no_pickling_on_the_redistribution_path(monkeypatch):
+    import pickle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pickle.dumps reached from redistribution")
+
+    monkeypatch.setattr(pickle, "dumps", forbidden)
+    per_rank_blocks, pairs = _tiny_exchange()
+    _, info = RoundRobin().redistribute(BSPCommunicator(3), per_rank_blocks, pairs, 0)
+    assert info["moved_bytes"] > 0

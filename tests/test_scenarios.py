@@ -461,6 +461,20 @@ class TestModelScalingSweep:
         assert all_reduced["moved_bytes"] == 0
         assert all_reduced["modelled_steps"]["redistribution"] == 0.0
 
+    def test_block_bytes_match_the_data_path(self):
+        """The sweep prices a moved full block at what the engine moves for
+        it (regression: it assumed float64 fields, the data path is float32)."""
+        config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
+        sizes = {
+            b.nbytes
+            for blocks in ExperimentScenario(config).blocks_for(0)
+            for b in blocks
+        }
+        assert len(sizes) == 1  # tiny divides evenly: every block is alike
+        point = model_scaling_point(config, percent=0.0)
+        assert point["moved_blocks"] > 0
+        assert point["moved_bytes"] == point["moved_blocks"] * sizes.pop()
+
     def test_point_validates_arguments(self):
         config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
         with pytest.raises(ValueError, match="percent"):

@@ -252,6 +252,27 @@ class TestBSPCommunicator:
         with pytest.raises(ValueError):
             comm.alltoallv([[None], [None, None]])
 
+    def test_charge_alltoallv_is_what_alltoallv_charges(self):
+        """The list form sizes its payloads and delegates to the matrix form:
+        same cost, same clocks, same stats; self-sends are never counted."""
+        a, b = np.zeros(10), np.zeros(25)
+        by_lists = BSPCommunicator(2)
+        by_lists.alltoallv([[a, b], [[a, a], None]])
+        by_matrix = BSPCommunicator(2)
+        cost = by_matrix.charge_alltoallv(np.array([[80, 200], [160, 0]]))
+        assert cost == by_matrix.cost_model.alltoallv([[80, 200], [160, 0]], 2)
+        assert by_matrix.stats == by_lists.stats
+        assert by_matrix.stats["alltoallv"] == {
+            "calls": 1.0, "bytes": 360.0, "seconds": cost,
+        }
+        assert by_matrix.clocks.times() == by_lists.clocks.times() == [cost, cost]
+
+    def test_charge_alltoallv_shape_validated(self):
+        comm = BSPCommunicator(3)
+        with pytest.raises(ValueError, match="shape"):
+            comm.charge_alltoallv(np.zeros((2, 2), dtype=np.int64))
+        assert comm.stats == {}
+
     def test_clock_advances_with_collectives(self):
         comm = BSPCommunicator(4)
         before = comm.clocks.max_time()
@@ -282,6 +303,23 @@ class TestBSPCommunicator:
         arr = np.zeros(100, dtype=np.float64)
         assert _payload_nbytes(arr) == 800
         assert _payload_nbytes("hello") > 0
+
+    def test_payload_nbytes_sums_items_exposing_nbytes(self, monkeypatch):
+        """A list of arrays or blocks costs its payload bytes and is never
+        pickled to be measured; a list without ``nbytes`` items still is."""
+        import pickle
+
+        from repro.grid.block import Block, BlockExtent
+
+        extent = BlockExtent((0, 0, 0), (3, 4, 5))
+        full = Block(0, extent, np.zeros((3, 4, 5), dtype=np.float32))
+        corners = Block(1, extent, np.zeros((2, 2, 2), dtype=np.float32), reduced=True)
+        framed = _payload_nbytes([(1, 2.0), (3, 4.0)])
+        with monkeypatch.context() as patched:
+            patched.setattr(pickle, "dumps", None)
+            assert _payload_nbytes([full, corners]) == 240 + 32
+            assert _payload_nbytes((np.zeros(3), full)) == 24 + 240
+        assert framed == len(pickle.dumps([(1, 2.0), (3, 4.0)], pickle.HIGHEST_PROTOCOL))
 
     def test_payload_nbytes_unpicklable_uses_estimate(self):
         import threading
