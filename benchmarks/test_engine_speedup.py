@@ -39,8 +39,8 @@ from repro.utils.benchjson import record_bench
 MIN_SPEEDUP = 3.0
 
 #: Minimum end-to-end wall-clock ratio of the streaming execution path
-#: (mmap replay + pipelined engine) over the one-shot sequential path
-#: (live CM1 simulation + sequential engine) on a multi-snapshot fig11 run.
+#: (mmap replay of stored snapshots) over the one-shot path (live CM1
+#: simulation) on a multi-snapshot fig11 run; the engine is the same.
 MIN_STREAMING_SPEEDUP = 1.3
 
 
@@ -295,41 +295,35 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
 
 
 def test_fig11_multisnapshot_streaming_speedup(tmp_path):
-    """The streaming execution path this PR introduces — a raw-layout mmap
-    replay feeding the pipelined engine — beats the pre-existing one-shot
-    path (live CM1 simulation + sequential engine) ≥1.3x end to end on a
-    multi-snapshot fig11 run.
+    """The streaming execution path — a raw-layout mmap replay feeding the
+    engine — beats the one-shot path (live CM1 simulation feeding the same
+    engine) ≥1.3x end to end on a multi-snapshot fig11 run.
 
     Both sides do the complete job of "turn a scenario config into per-
-    iteration fig11 results": the baseline simulates every CM1 snapshot and
-    runs the five steps strictly in sequence (the pre-PR behaviour of
-    ``python -m repro run``); the gated path replays the snapshots through
-    read-only ``np.memmap`` views of a raw-layout :class:`DatasetStore` —
-    zero deserialisation, no re-simulation — and schedules the stage graph
-    with :class:`PipelinedEngine`.  On a single-core runner the win is
-    dominated by the replay cache (the stage overlap needs spare cores to
-    pay off in wall-clock); the engine-only overlap is recorded separately
-    as an ungated trend measurement so multi-core runners show it.
+    iteration fig11 results": the baseline simulates every CM1 snapshot
+    (the behaviour of ``python -m repro run``); the gated path replays the
+    snapshots through read-only ``np.memmap`` views of a raw-layout
+    :class:`DatasetStore` — zero deserialisation, no re-simulation.  The
+    five steps run strictly in sequence on both sides, so the ratio
+    measures the replay and nothing else.
 
     The speedup must not come from doing less: every per-iteration result
-    of the streaming run is asserted identical to the sequential run first.
+    of the replayed run is asserted identical to the simulated run first.
     """
     config = get_scenario("blue_waters_64").build(nsnapshots=4)
     store_dir = tmp_path / "fig11-replay"
 
-    def run_with(scenario, pipelined):
-        pipeline = scenario.build_pipeline(
-            metric="VAR", redistribution="round_robin", pipelined=pipelined
-        )
+    def run_on(scenario):
+        pipeline = scenario.build_pipeline(metric="VAR", redistribution="round_robin")
         return pipeline.run(scenario.iteration_blocks(), percent_override=50.0)
 
     def cold_run():
         # Fresh scenario: simulates CM1 from scratch, like a one-shot CLI run.
-        return run_with(ExperimentScenario(config), pipelined=False)
+        return run_on(ExperimentScenario(config))
 
     def warm_run():
         dataset = CM1Dataset.load(store_dir, mmap=True)
-        return run_with(ExperimentScenario(config, dataset=dataset), pipelined=True)
+        return run_on(ExperimentScenario(config, dataset=dataset))
 
     # Warm the replay store once; persisting is charged to neither side
     # (serve mode pays it on the first request only).
@@ -356,9 +350,9 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
     record_bench(
         gate="fig11_streaming_speedup",
         scenario="blue_waters_64",
-        backend="pipelined+mmap-replay",
+        backend="mmap-replay",
         seconds=warm_seconds,
-        baseline_backend="sequential+simulate",
+        baseline_backend="simulate",
         baseline_seconds=cold_seconds,
         passed=speedup >= MIN_STREAMING_SPEEDUP,
         snapshots=4,
@@ -371,36 +365,6 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
         f"streaming fig11 speedup {speedup:.2f}x below required "
         f"{MIN_STREAMING_SPEEDUP}x (one-shot {cold_seconds:.3f}s, "
         f"streaming {warm_seconds:.3f}s)"
-    )
-
-    # Engine-only overlap trend (ungated): same blocks, sequential vs
-    # pipelined.  On a single core this hovers around 1.0x — the stage
-    # overlap converts wall-clock to concurrency only when cores are spare —
-    # so it is recorded for the history file, not asserted.
-    scenario = cached_scenario(name="blue_waters_64")
-    blocks = [scenario.blocks_for(i % len(scenario.dataset)) for i in range(4)]
-    engine_seconds = {}
-    for pipelined in (False, True):
-        pipeline = scenario.build_pipeline(
-            metric="VAR", redistribution="round_robin", pipelined=pipelined
-        )
-        engine_seconds[pipelined] = _best_of(
-            lambda: pipeline.run(blocks, percent_override=50.0), repeats=2
-        )
-    record_bench(
-        gate="fig11_pipelined_engine_overlap",
-        scenario="blue_waters_64",
-        backend="pipelined",
-        seconds=engine_seconds[True],
-        baseline_backend="sequential",
-        baseline_seconds=engine_seconds[False],
-        snapshots=4,
-    )
-    print(
-        f"engine-only 4-snapshot run: sequential "
-        f"{engine_seconds[False] * 1e3:.0f} ms, pipelined "
-        f"{engine_seconds[True] * 1e3:.0f} ms "
-        f"({engine_seconds[False] / engine_seconds[True]:.2f}x)"
     )
 
 

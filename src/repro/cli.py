@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -437,6 +438,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sigterm_as_sigint(signum, frame) -> None:
+    """Run SIGINT's current handler for SIGTERM (one shutdown path for both)."""
+    handler = signal.getsignal(signal.SIGINT)
+    if not callable(handler):  # SIGINT ignored or default: a background launch
+        handler = signal.default_int_handler
+    handler(signal.SIGINT, frame)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import tempfile
@@ -463,6 +472,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if cache_dir is None:
         cache_dir = Path(tempfile.mkdtemp(prefix="repro-serve-cache-"))
         print(f"replay cache at {cache_dir}", file=sys.stderr)
+    # ``proc.terminate()`` / a container stop must drain and run ``app.close()``
+    # and the pool's atexit teardown exactly like Ctrl-C, or the process
+    # tier's workers and manager are orphaned.  Forked children keep the
+    # default disposition so the pool can still terminate them.
+    signal.signal(signal.SIGTERM, _sigterm_as_sigint)
+    os.register_at_fork(
+        after_in_child=lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    )
     try:
         asyncio.run(
             serve_forever(

@@ -39,14 +39,7 @@ from repro.core.backends import (
     registered_steps,
     resolve_step_factory,
 )
-from repro.core.step import (
-    STAGE_GRAPH,
-    IterationContext,
-    PipelineStep,
-    StageSpec,
-    StepReport,
-    stage_spec,
-)
+from repro.core.step import IterationContext, PipelineStep, StepReport
 from repro.core.scoring_step import (
     ParallelScoringStep,
     ProcessScoringStep,
@@ -74,7 +67,7 @@ from repro.core.rendering_step import (
     RenderingStep,
     VectorizedRenderingStep,
 )
-from repro.core.engine import ExecutionEngine, PipelinedEngine
+from repro.core.engine import ExecutionEngine
 from repro.core.monitor import PerformanceMonitor
 from repro.core.results import IterationResult, PipelineRunResult
 from repro.core.pipeline import InSituPipeline
@@ -97,9 +90,6 @@ __all__ = [
     "IterationContext",
     "PipelineStep",
     "StepReport",
-    "StageSpec",
-    "STAGE_GRAPH",
-    "stage_spec",
     "ScoringStep",
     "VectorizedScoringStep",
     "ParallelScoringStep",
@@ -129,7 +119,6 @@ __all__ = [
     "ProcessRenderingStep",
     "ENGINE_BACKENDS",
     "ExecutionEngine",
-    "PipelinedEngine",
     "PerformanceMonitor",
     "IterationResult",
     "PipelineRunResult",

@@ -85,16 +85,6 @@ class PipelineConfig:
         When True (default) the controller reacts to modelled platform
         seconds; when False it reacts to measured wall-clock (useful for
         pure-software runs without the platform model).
-    pipelined:
-        When True the pipeline runs on the
-        :class:`~repro.core.engine.PipelinedEngine`, which overlaps
-        consecutive iterations (snapshot ``t + 1`` is scored, sorted and
-        redistributed while ``t`` renders) whenever the percentage schedule
-        is known up front — a fixed ``percent_override`` or adaptation
-        disabled.  Runs that need the Algorithm 1 feedback loop fall back to
-        strictly sequential iterations (the controller consumes iteration
-        ``t``'s result before picking ``t + 1``'s percentage), so results
-        are identical either way.
     quality_ladder:
         How the reduction step distributes the selected (lowest-scored)
         blocks over the reduction ladder, as ordered ``(level, fraction)``
@@ -108,27 +98,18 @@ class PipelineConfig:
         default ``((2, 1.0),)`` sends every selected block to the corner
         rung — bit-for-bit the pre-ladder binary behavior.
     engine:
-        Execution backend of the step sequence, resolved through the backend
-        registry (:mod:`repro.core.backends`), which third-party backends can
-        extend.  ``"vectorized"`` (default) runs every data-parallel step
-        over stacked :class:`~repro.grid.batch.BlockBatch` arrays — one
-        ``score_batch`` call per shape group in scoring, one
-        ``np.lexsort`` pass in the sorting collective, one
-        ``reduce_to_corners_batch`` corner gather per shape group in
-        reduction, one searchsorted/bincount pass in the redistribution
-        planner, and one ``count_active_cells_batch`` call per shape group
-        in counting-mode rendering.  ``"serial"`` iterates blocks one at a
-        time (the reference implementation); ``"parallel"`` additionally
-        fans the per-rank work out over ``concurrent.futures`` thread pools
-        (per-shape score chunks, whole ranks for reduction and rendering),
-        which is how metrics whose scoring is inherently per-block
-        (user-supplied scalar metrics) scale with cores.  All backends
-        produce identical scores, sort orders, reduction and redistribution
-        decisions, active-cell/triangle counts, and modelled timings;
-        measured wall-clock naturally differs (the vectorized and parallel
-        steps attribute one global pass proportionally to per-rank work),
-        so runs driven by ``use_modelled_time=False`` are backend- and
-        machine-dependent.
+        Backend of the one :class:`~repro.core.engine.ExecutionEngine` — the
+        engine always runs iterations strictly in sequence on one
+        communicator; this field only selects how its five steps are
+        implemented: ``"vectorized"`` (default), ``"serial"`` (the reference),
+        ``"parallel"`` (thread pools), ``"process"`` (a shared-memory process
+        pool), or any backend a third party registered in
+        :mod:`repro.core.backends` (which, with :mod:`repro.core.engine`,
+        describes each).
+        All backends produce identical scores, sort orders, reduction and
+        redistribution decisions, active-cell/triangle counts, and modelled
+        timings; measured wall-clock naturally differs, so runs driven by
+        ``use_modelled_time=False`` are backend- and machine-dependent.
     """
 
     metric: str = "VAR"
@@ -139,7 +120,6 @@ class PipelineConfig:
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     shuffle_seed: int = 2016
     use_modelled_time: bool = True
-    pipelined: bool = False
     engine: str = "vectorized"
     quality_ladder: Tuple[Tuple[int, float], ...] = ((2, 1.0),)
 

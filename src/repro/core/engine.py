@@ -1,8 +1,15 @@
 """The execution engine: an ordered list of PipelineSteps plus a backend.
 
-The engine owns the communicator, the metric, and the redistribution
-strategy, and runs the five concrete steps of the paper's Figure 2 as a
-uniform :class:`PipelineStep` sequence over an :class:`IterationContext`.
+There is one engine and it owns one communicator.  The engine also owns the
+metric and the redistribution strategy, and runs the five concrete steps of
+the paper's Figure 2 strictly in order — score, sort, reduce, redistribute,
+render — as a uniform :class:`PipelineStep` sequence over one
+:class:`IterationContext` at a time.  Iterations never overlap: Algorithm 1
+picks iteration ``t + 1``'s percentage from iteration ``t``'s time, so the
+paper's pipeline is sequential across iterations by construction.  Every
+step that communicates is bound to ``engine.comm``, so ``engine.comm.stats``
+is the complete record of what a run charged to the network.
+
 The steps themselves are not hard-wired: every ``(step, backend)`` pair is
 resolved through the backend registry (:mod:`repro.core.backends`), so
 third-party backends register factories instead of editing this module, and
@@ -34,15 +41,12 @@ scores, sort orders, reduction decisions, moved bytes, active-cell and
 triangle counts, modelled seconds) — measured wall-clock is the one quantity
 that legitimately differs; the vectorised backend is simply faster, because
 the per-block Python overhead of every hot loop collapses into a handful of
-NumPy calls.  Later scaling work (async engines, sharded ranks, alternative
-accelerator backends) plugs in by registering step factories for a new
-backend name.
+NumPy calls.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.backends import (
     STEP_NAMES,
@@ -53,17 +57,13 @@ from repro.core.backends import (
 from repro.core.config import PipelineConfig
 from repro.core.redistribution import make_strategy
 from repro.core.results import IterationResult
-from repro.core.step import IterationContext, PipelineStep, stage_spec
+from repro.core.step import IterationContext, PipelineStep
 from repro.grid.block import Block
 from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
 
-__all__ = ["ENGINE_BACKENDS", "ExecutionEngine", "PipelinedEngine"]
-
-#: One iteration's worth of input to the engine: the per-rank block lists,
-#: the reduction percentage, and the iteration number.
-IterationInput = Tuple[Sequence[Sequence[Block]], float, int]
+__all__ = ["ENGINE_BACKENDS", "ExecutionEngine"]
 
 
 def __getattr__(name: str):
@@ -87,7 +87,9 @@ class ExecutionEngine:
     nranks:
         Number of virtual ranks; defaults to ``platform.ncores``.
     comm:
-        Optional pre-built communicator (mainly for tests).
+        Optional pre-built communicator; a fresh :class:`BSPCommunicator`
+        over ``platform.network`` is created when omitted.  Either way it is
+        the one communicator every step is bound to.
     backend:
         Override of ``config.engine`` (any backend registered in
         :mod:`repro.core.backends` — ``"serial"``, ``"vectorized"``,
@@ -118,20 +120,24 @@ class ExecutionEngine:
             raise ValueError(
                 f"communicator has {self.comm.nranks} ranks, expected {self.nranks}"
             )
-        #: Whether every stage shares ``self.comm`` (legacy behaviour, kept
-        #: when the caller supplies a communicator to inspect) or each stage
-        #: gets a private one (the default — and the precondition for the
-        #: pipelined engine's bitwise parity, since a collective step reports
-        #: modelled seconds as deltas of its communicator's accumulated
-        #: total, and the rounding of that subtraction depends on what else
-        #: accumulated in between).
-        self._shared_stage_comm = comm is not None
         self.metric = create_metric(config.metric)
         self.strategy = make_strategy(config.redistribution, seed=config.shuffle_seed)
         #: The ordered step sequence of the paper's Figure 2 (the sixth step,
         #: adaptation, is the controller that *consumes* these results),
-        #: every entry resolved through the backend registry.
-        self.steps: List[PipelineStep] = self._build_steps()
+        #: every entry resolved through the backend registry and bound to
+        #: ``self.comm``.
+        context = StepBuildContext(
+            config=config,
+            platform=platform,
+            comm=self.comm,
+            metric=self.metric,
+            strategy=self.strategy,
+            nranks=self.nranks,
+            backend=self.backend,
+        )
+        self.steps: List[PipelineStep] = [
+            build_step(name, self.backend, context) for name in STEP_NAMES
+        ]
         (
             self.scoring,
             self.sorting,
@@ -140,60 +146,7 @@ class ExecutionEngine:
             self.rendering,
         ) = self.steps
 
-    # -- step construction --------------------------------------------------------
-
-    def _build_context(self, comm: BSPCommunicator) -> StepBuildContext:
-        """The factory context for building steps against ``comm``."""
-        return StepBuildContext(
-            config=self.config,
-            platform=self.platform,
-            comm=comm,
-            metric=self.metric,
-            strategy=self.strategy,
-            nranks=self.nranks,
-            backend=self.backend,
-        )
-
-    def _stage_comm(self) -> BSPCommunicator:
-        """The communicator one stage should be bound to."""
-        if self._shared_stage_comm:
-            return self.comm
-        return BSPCommunicator(self.nranks, cost_model=self.platform.network)
-
-    def _build_steps(self) -> List[PipelineStep]:
-        """Resolve every Figure-2 step through the registry.
-
-        Each stage is bound to its own communicator (see
-        ``_shared_stage_comm``), so a stage's accumulated communication
-        history is independent of the other stages' — which is what makes
-        the sequential and pipelined engines bitwise-identical.
-        """
-        return [
-            build_step(name, self.backend, self._build_context(self._stage_comm()))
-            for name in STEP_NAMES
-        ]
-
     # -- execution ----------------------------------------------------------------
-
-    def make_context(
-        self,
-        per_rank_blocks: Sequence[Sequence[Block]],
-        percent: float,
-        iteration: int,
-    ) -> IterationContext:
-        """Validate one iteration's input and wrap it in a fresh context."""
-        if len(per_rank_blocks) != self.nranks:
-            raise ValueError(
-                f"expected blocks for {self.nranks} ranks, got {len(per_rank_blocks)}"
-            )
-        if not (0.0 <= percent <= 100.0):
-            raise ValueError(f"percent must be in [0, 100], got {percent}")
-        return IterationContext(
-            iteration=int(iteration),
-            percent=float(percent),
-            nranks=self.nranks,
-            per_rank_blocks=[list(blocks) for blocks in per_rank_blocks],
-        )
 
     def run_iteration(
         self,
@@ -201,8 +154,20 @@ class ExecutionEngine:
         percent: float,
         iteration: int,
     ) -> IterationContext:
-        """Run every step on one iteration's blocks and return the context."""
-        context = self.make_context(per_rank_blocks, percent, iteration)
+        """Validate one iteration's input, run every step on it in order and
+        return the completed context."""
+        if len(per_rank_blocks) != self.nranks:
+            raise ValueError(
+                f"expected blocks for {self.nranks} ranks, got {len(per_rank_blocks)}"
+            )
+        if not (0.0 <= percent <= 100.0):
+            raise ValueError(f"percent must be in [0, 100], got {percent}")
+        context = IterationContext(
+            iteration=int(iteration),
+            percent=float(percent),
+            nranks=self.nranks,
+            per_rank_blocks=[list(blocks) for blocks in per_rank_blocks],
+        )
         for step in self.steps:
             context.reports[step.name] = step.execute(context)
         return context
@@ -231,153 +196,3 @@ class ExecutionEngine:
             moved_bytes=float(redistribution.payload_bytes) if redistribution else 0.0,
             step_reports=dict(reports),
         )
-
-
-class PipelinedEngine(ExecutionEngine):
-    """Execution engine that overlaps consecutive iterations.
-
-    The sequential engine finishes every stage of snapshot ``t`` before
-    touching snapshot ``t + 1``; this engine schedules the stage graph
-    (:data:`~repro.core.step.STAGE_GRAPH`) instead: stage ``s`` of iteration
-    ``i`` starts as soon as
-
-    * every same-iteration stage it depends on (``after``) has finished, and
-    * stage ``s`` of iteration ``i - 1`` has finished (stages are serial
-      across iterations — step objects carry per-stage state).
-
-    In steady state that means snapshot ``t + 1`` is scored, sorted, reduced
-    and redistributed while snapshot ``t`` renders, so wall-clock approaches
-    the slowest stage instead of the sum of all stages.  The scheduler runs
-    one worker thread per stage; the stages themselves are NumPy-heavy
-    (vectorised batches, batched coder metrics, marching cubes), which
-    releases the GIL for real overlap.
-
-    Results are bitwise-identical to the sequential engine: stages for one
-    iteration run in the same dependency order, stages are serial across
-    iterations, and each stage owns a *private* communicator — collective
-    steps report modelled seconds as deltas of their communicator's
-    accumulated total, and collective costs depend only on payload sizes,
-    never on clock state, so isolating the communicators changes nothing in
-    any report while allowing sorting of ``t + 1`` to overlap the exchange
-    of ``t``.
-
-    Only feedback-free runs can overlap: the adaptation controller needs the
-    full result of iteration ``t`` before choosing the percentage of
-    ``t + 1``, so :class:`~repro.core.pipeline.InSituPipeline` uses this
-    engine when the percentage schedule is known up front (fixed percentage,
-    or adaptation disabled).
-    """
-
-    def _stage_comm(self) -> BSPCommunicator:
-        """Always a private communicator per stage.
-
-        Sharing one communicator across overlapped stages would race on its
-        virtual clocks, so an explicitly supplied ``comm`` is used only for
-        rank-count validation here.
-        """
-        return BSPCommunicator(self.nranks, cost_model=self.platform.network)
-
-    def run_iterations(
-        self,
-        inputs: Sequence[IterationInput],
-        on_complete: Optional[Callable[[int, IterationContext], None]] = None,
-    ) -> List[IterationContext]:
-        """Run many iterations with stages overlapped across iterations.
-
-        Parameters
-        ----------
-        inputs:
-            One ``(per_rank_blocks, percent, iteration)`` tuple per
-            iteration, in iteration order.
-        on_complete:
-            Optional callback invoked as ``on_complete(index, context)``
-            when *all* stages of an iteration have finished.  Callbacks fire
-            in iteration order (the streaming contract the serve mode's
-            per-iteration JSON rows rely on) from scheduler threads.  A
-            callback that raises *cancels the run*: in-flight stages drain
-            without doing further work, no later callback fires, and the
-            exception is re-raised here — the hook the serve tier's
-            request deadlines use to abort a pipelined run between
-            iterations without deadlocking the stage workers.
-
-        Returns
-        -------
-        list of IterationContext
-            The completed contexts, in iteration order.  Raises the first
-            stage error after unwinding the scheduler, if any stage failed.
-        """
-        items = list(inputs)
-        contexts = [
-            self.make_context(blocks, percent, iteration)
-            for blocks, percent, iteration in items
-        ]
-        n = len(contexts)
-        if n == 0:
-            return []
-        nstages = len(self.steps)
-        specs = [stage_spec(step.name) for step in self.steps]
-        index_of = {spec.name: s for s, spec in enumerate(specs)}
-        done = [[threading.Event() for _ in range(n)] for _ in range(nstages)]
-        remaining = [nstages] * n
-        complete_lock = threading.Lock()
-        next_to_report = [0]
-        stop = threading.Event()
-        errors: List[BaseException] = []
-
-        def mark_stage_done(s: int, i: int) -> None:
-            done[s][i].set()
-            with complete_lock:
-                remaining[i] -= 1
-                if remaining[i] > 0:
-                    return
-                # Fire completion callbacks strictly in iteration order.
-                while (
-                    next_to_report[0] < n
-                    and remaining[next_to_report[0]] == 0
-                ):
-                    idx = next_to_report[0]
-                    next_to_report[0] += 1
-                    if on_complete is not None and not stop.is_set():
-                        try:
-                            on_complete(idx, contexts[idx])
-                        except BaseException as exc:
-                            # A raising callback poisons the run exactly
-                            # like a failing stage: remaining stages drain
-                            # (events still fire) and the error re-raises
-                            # after every worker unwound.
-                            errors.append(exc)
-                            stop.set()
-
-        def stage_worker(s: int, step: PipelineStep) -> None:
-            for i in range(n):
-                for dep in specs[s].after:
-                    dep_index = index_of.get(dep)
-                    if dep_index is not None:
-                        done[dep_index][i].wait()
-                if not stop.is_set():
-                    try:
-                        contexts[i].reports[step.name] = step.execute(contexts[i])
-                    except BaseException as exc:  # propagate after unwinding
-                        errors.append(exc)
-                        stop.set()
-                # The event is set even on failure/stop so downstream stage
-                # workers drain instead of deadlocking; ``stop`` keeps them
-                # from doing real work on a poisoned run.
-                mark_stage_done(s, i)
-
-        threads = [
-            threading.Thread(
-                target=stage_worker,
-                args=(s, step),
-                name=f"pipeline-{step.name}",
-                daemon=True,
-            )
-            for s, step in enumerate(self.steps)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return contexts

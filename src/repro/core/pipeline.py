@@ -6,10 +6,14 @@ adapt.  It takes per-rank block lists as input (one call per simulation
 iteration), which is how the simulation — or the dataset replayer standing in
 for it — hands data to the in situ layer.
 
-The five data steps live in an :class:`~repro.core.engine.ExecutionEngine`
-(selected by ``PipelineConfig.engine``: serial, vectorized, or parallel —
-the backend picks both the scoring and the rendering implementation); the
-pipeline adds the adaptation controller and the performance monitor on top.
+The five data steps live in the one :class:`~repro.core.engine.ExecutionEngine`
+(its backend selected by ``PipelineConfig.engine``: serial, vectorized,
+parallel, or process — the backend picks both the scoring and the rendering
+implementation) and share the engine's one communicator, exposed here as
+``pipeline.comm``; the pipeline adds the adaptation controller and the
+performance monitor on top.  Iterations run strictly one after the other —
+the controller needs iteration ``t``'s time before it can pick iteration
+``t + 1``'s percentage.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.adaptation import AdaptationController
 from repro.core.config import PipelineConfig
-from repro.core.engine import ExecutionEngine, PipelinedEngine
+from repro.core.engine import ExecutionEngine
 from repro.core.monitor import PerformanceMonitor
 from repro.core.results import IterationResult, PipelineRunResult
-from repro.core.step import IterationContext
 from repro.grid.block import Block
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
@@ -43,8 +46,9 @@ class InSituPipeline:
     nranks:
         Number of virtual ranks; defaults to ``platform.ncores``.
     comm:
-        Optional pre-built communicator (mainly for tests); a fresh
-        :class:`BSPCommunicator` is created when omitted.
+        Optional pre-built communicator; a fresh :class:`BSPCommunicator`
+        is created when omitted.  Every step charges its collectives to it,
+        so ``pipeline.comm.stats`` describes the run either way.
     """
 
     def __init__(
@@ -56,8 +60,7 @@ class InSituPipeline:
     ) -> None:
         self.config = config
         self.platform = platform
-        engine_cls = PipelinedEngine if config.pipelined else ExecutionEngine
-        self.engine = engine_cls(config, platform, nranks=nranks, comm=comm)
+        self.engine = ExecutionEngine(config, platform, nranks=nranks, comm=comm)
         self.nranks = self.engine.nranks
         self.comm = self.engine.comm
         # Step handles, kept as attributes for introspection and tests.
@@ -104,29 +107,19 @@ class InSituPipeline:
         nblocks = sum(len(blocks) for blocks in per_rank_blocks)
 
         context = self.engine.run_iteration(per_rank_blocks, percent, iteration)
-        result = self._finish_iteration(
-            context, nblocks, adapt=percent_override is None
-        )
-        return result, list(context.render_results or [])
-
-    def _finish_iteration(
-        self, context: IterationContext, nblocks: int, adapt: bool
-    ) -> IterationResult:
-        """Record one completed iteration (step 6 of Figure 2 lives here).
-
-        Condenses the context into an :class:`IterationResult`, feeds the
-        monitor, and — unless the percentage was forced — lets the adaptation
-        controller observe the full-pipeline time.
-        """
         result = self.engine.iteration_result(context, nblocks=nblocks)
         self.monitor.record_iteration(result)
-        observed = (
-            result.modelled_total if self.config.use_modelled_time else result.measured_total
-        )
-        if adapt:
-            self.controller.observe(context.percent, observed)
+        # Step 6 of Figure 2: unless the percentage was forced, the
+        # controller observes the full-pipeline time.
+        if percent_override is None:
+            observed = (
+                result.modelled_total
+                if self.config.use_modelled_time
+                else result.measured_total
+            )
+            self.controller.observe(percent, observed)
         self._iteration_index += 1
-        return result
+        return result, list(context.render_results or [])
 
     # -- convenience -----------------------------------------------------------------
 
@@ -143,16 +136,11 @@ class InSituPipeline:
         :class:`IterationResult` as soon as it is recorded, in iteration
         order — the hook the serve mode's streaming responses use.
 
-        When the pipeline was configured with ``pipelined=True`` and the
-        percentage schedule is known up front (``percent_override`` given,
-        or adaptation disabled), the iterations are overlapped on the
-        :class:`~repro.core.engine.PipelinedEngine`; otherwise they run
-        strictly in sequence, which the Algorithm 1 feedback loop requires.
+        An exception raised by the callback (the serve tier's deadline and
+        disconnect checks) or by a step propagates unchanged and ends the
+        run between iterations: the monitor keeps the iterations completed
+        so far and a following call continues at the next iteration index.
         """
-        if self._can_overlap(percent_override):
-            return self._run_pipelined(
-                iteration_blocks, percent_override, on_iteration
-            )
         for per_rank_blocks in iteration_blocks:
             result, _ = self.process_iteration(
                 per_rank_blocks, percent_override=percent_override
@@ -161,58 +149,12 @@ class InSituPipeline:
                 on_iteration(result)
         return self.monitor.to_run_result(self.config_summary())
 
-    def _can_overlap(self, percent_override: Optional[float]) -> bool:
-        """Whether iterations may overlap: pipelined engine + no feedback."""
-        return isinstance(self.engine, PipelinedEngine) and (
-            percent_override is not None or not self.config.adaptation.enabled
-        )
-
-    def _run_pipelined(
-        self,
-        iteration_blocks: Sequence[Sequence[Sequence[Block]]],
-        percent_override: Optional[float],
-        on_iteration: Optional[Callable[[IterationResult], None]],
-    ) -> PipelineRunResult:
-        """Overlapped run path (percentages resolved before any stage runs).
-
-        With a fixed override the percentage is the same for every
-        iteration; with adaptation disabled the controller echoes its
-        percentage back, so ``next_percent`` never moves either way and the
-        whole schedule is known up front.  Completion callbacks from the
-        engine arrive strictly in iteration order, so the monitor /
-        controller bookkeeping matches the sequential path exactly.
-        """
-        assert isinstance(self.engine, PipelinedEngine)
-        percent = (
-            float(percent_override)
-            if percent_override is not None
-            else float(self.controller.next_percent)
-        )
-        inputs = [
-            (per_rank_blocks, percent, self._iteration_index + offset)
-            for offset, per_rank_blocks in enumerate(iteration_blocks)
-        ]
-        nblocks_list = [
-            sum(len(blocks) for blocks in per_rank_blocks)
-            for per_rank_blocks, _, _ in inputs
-        ]
-        adapt = percent_override is None
-
-        def complete(index: int, context: IterationContext) -> None:
-            result = self._finish_iteration(context, nblocks_list[index], adapt)
-            if on_iteration is not None:
-                on_iteration(result)
-
-        self.engine.run_iterations(inputs, on_complete=complete)
-        return self.monitor.to_run_result(self.config_summary())
-
     def config_summary(self) -> Dict[str, object]:
         """Compact description of the run configuration (for reports)."""
         return {
             "metric": self.config.metric,
             "redistribution": self.config.redistribution,
             "engine": self.engine.backend,
-            "pipelined": self.config.pipelined,
             "nranks": self.nranks,
             "platform": self.platform.name,
             "isosurface_level": self.config.isosurface_level,

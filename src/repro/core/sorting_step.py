@@ -96,27 +96,30 @@ class SortingStep:
         (sorted_pairs, info)
             ``sorted_pairs`` is the global ascending (score, id) order (the
             same list every rank holds after the broadcast); ``info`` carries
-            measured wall-clock and modelled communication seconds.
+            measured wall-clock, and the modelled seconds and payload bytes
+            this step's own collectives (one gather, one broadcast) were
+            charged — their sum, so the numbers are the same on a fresh and
+            on a long-used communicator.
         """
-        before = self.comm.communication_seconds()
-        with Timer() as timer:
+        with self.comm.charges() as charged, Timer() as timer:
             per_rank_sorted = self._sort(per_rank_pairs)
-        modelled = self.comm.communication_seconds() - before
         sorted_pairs = self._require_rank_agreement(per_rank_sorted)
-        info = {"measured": timer.elapsed, "modelled": modelled}
+        info = {
+            "measured": timer.elapsed,
+            "modelled": sum(seconds for _, _, seconds in charged),
+            "payload_bytes": sum(nbytes for _, nbytes, _ in charged),
+        }
         return sorted_pairs, info
 
     def execute(self, context: IterationContext) -> StepReport:
         """Run the step over the context's pairs (PipelineStep contract)."""
-        bytes_before = sum(e["bytes"] for e in self.comm.stats.values())
         sorted_pairs, info = self.run(context.require_pairs())
-        payload = sum(e["bytes"] for e in self.comm.stats.values()) - bytes_before
         context.sorted_pairs = sorted_pairs
         return StepReport.collective(
             self.name,
             measured=float(info["measured"]),
             modelled=float(info["modelled"]),
-            payload_bytes=float(payload),
+            payload_bytes=float(info["payload_bytes"]),
             counters={"npairs": float(len(sorted_pairs))},
         )
 

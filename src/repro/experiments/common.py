@@ -261,16 +261,13 @@ class ExperimentScenario:
         adaptation: Optional[AdaptationConfig] = None,
         render_mode: str = "count",
         engine: Optional[str] = None,
-        pipelined: bool = False,
         quality_ladder: Optional[tuple] = None,
     ) -> InSituPipeline:
         """Build a pipeline wired to this scenario's platform and rank count.
 
         ``engine`` selects the execution backend ("serial", "vectorized",
-        or "parallel");
-        the default follows :class:`PipelineConfig` (vectorized).
-        ``pipelined=True`` runs feedback-free multi-iteration calls on the
-        overlapping :class:`~repro.core.engine.PipelinedEngine`.
+        "parallel" or "process"); the default follows
+        :class:`PipelineConfig` (vectorized).
         ``quality_ladder`` forwards a reduction quality ladder (``(level,
         fraction)`` rungs); ``None`` keeps the all-corners default.
         """
@@ -284,7 +281,6 @@ class ExperimentScenario:
             if adaptation is not None
             else AdaptationConfig(enabled=False, target_seconds=1.0),
             shuffle_seed=self.config.seed,
-            pipelined=pipelined,
             **({} if engine is None else {"engine": engine}),
             **({} if quality_ladder is None else {"quality_ladder": quality_ladder}),
         )

@@ -129,7 +129,6 @@ def run_scenario_in_worker(
             adaptation=adaptation,
             render_mode=request.get("render_mode", "count"),
             engine=backend,
-            pipelined=bool(request.get("pipelined", True)),
         )
 
         def on_iteration(result: IterationResult) -> None:

@@ -15,8 +15,8 @@ the protocol is tiny:
 ``POST /run``
     JSON body selecting a registered scenario and optional overrides
     (``ranks``, ``snapshots``, ``seed``, ``metric``, ``redistribution``,
-    ``percent``, ``target``, ``render_mode``, ``backend``, ``pipelined``,
-    ``timeout_s``).  The response streams NDJSON: one ``start`` event (with
+    ``percent``, ``target``, ``render_mode``, ``backend``, ``timeout_s``).
+    The response streams NDJSON: one ``start`` event (with
     the cache verdict), one ``iteration`` event per completed pipeline
     iteration *as it completes*, and a final ``summary`` event matching
     ``python -m repro run``'s machine-readable contract — or a terminal
@@ -57,7 +57,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -105,7 +105,6 @@ class RunRequest:
     target: Optional[float] = None
     render_mode: str = "count"
     backend: Optional[str] = None
-    pipelined: bool = True
     timeout_s: Optional[float] = None
 
     @classmethod
@@ -116,12 +115,7 @@ class RunRequest:
         scenario = payload.get("scenario")
         if not isinstance(scenario, str) or not scenario.strip():
             raise ValueError("'scenario' (a registered name) is required")
-        known = {
-            "scenario", "ranks", "snapshots", "seed", "metric",
-            "redistribution", "percent", "target", "render_mode", "backend",
-            "pipelined", "timeout_s",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
         request = cls(
@@ -143,7 +137,6 @@ class RunRequest:
                 if payload.get("backend") is None
                 else str(payload["backend"]).strip().lower()
             ),
-            pipelined=bool(payload.get("pipelined", True)),
             timeout_s=(
                 None
                 if payload.get("timeout_s") is None
@@ -374,7 +367,6 @@ class ServeApp:
                 adaptation=adaptation,
                 render_mode=request.render_mode,
                 engine=request.backend,
-                pipelined=request.pipelined,
             )
 
             def on_iteration(result) -> None:

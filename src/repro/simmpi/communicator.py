@@ -16,7 +16,8 @@ preferred.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +99,7 @@ class BSPCommunicator:
             )
         self._track = bool(track_stats)
         self.stats: Dict[str, Dict[str, float]] = {}
+        self._charges: Optional[List[Tuple[str, float, float]]] = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -117,6 +119,8 @@ class BSPCommunicator:
             )
 
     def _record(self, op: str, nbytes: float, seconds: float) -> None:
+        if self._charges is not None:
+            self._charges.append((op, nbytes, seconds))
         if not self._track:
             return
         entry = self.stats.setdefault(op, {"calls": 0.0, "bytes": 0.0, "seconds": 0.0})
@@ -277,6 +281,21 @@ class BSPCommunicator:
         return cost
 
     # -- diagnostics -----------------------------------------------------------------
+
+    @contextmanager
+    def charges(self) -> Iterator[List[Tuple[str, float, float]]]:
+        """Collect the ``(op, bytes, seconds)`` of every collective in the block.
+
+        How a step that issues several collectives reports exactly what *it*
+        was charged: summing the yielded entries does not depend on what the
+        communicator accumulated before, whereas a difference of
+        :meth:`communication_seconds` totals rounds as ``(S + c) - S``.
+        """
+        self._charges = charged = []
+        try:
+            yield charged
+        finally:
+            self._charges = None
 
     def communication_seconds(self) -> float:
         """Total modelled seconds spent in communication so far."""

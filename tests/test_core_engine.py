@@ -16,7 +16,7 @@ from repro.core.backends import (
     resolve_step_factory,
 )
 from repro.core.config import AdaptationConfig, PipelineConfig
-from repro.core.engine import ENGINE_BACKENDS, ExecutionEngine, PipelinedEngine
+from repro.core.engine import ENGINE_BACKENDS, ExecutionEngine
 from repro.core.reduction_step import (
     ParallelReductionStep,
     ReductionStep,
@@ -33,14 +33,9 @@ from repro.core.scoring_step import (
     VectorizedScoringStep,
 )
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
-from repro.core.step import (
-    STAGE_GRAPH,
-    IterationContext,
-    PipelineStep,
-    StepReport,
-    stage_spec,
-)
+from repro.core.step import IterationContext, PipelineStep, StepReport
 from repro.perfmodel.platform import PlatformModel
+from repro.simmpi.communicator import BSPCommunicator
 
 
 class TestStepReport:
@@ -141,6 +136,29 @@ class TestEngineConstruction:
     def test_backends_constant(self):
         assert ENGINE_BACKENDS == ("serial", "vectorized", "parallel", "process")
 
+    @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_every_step_shares_the_engine_communicator(self, backend, supplied):
+        platform = PlatformModel.blue_waters(4)
+        comm = BSPCommunicator(4, cost_model=platform.network) if supplied else None
+        engine = ExecutionEngine(
+            PipelineConfig(engine=backend), platform, comm=comm
+        )
+        if supplied:
+            assert engine.comm is comm
+        bound = [step for step in engine.steps if hasattr(step, "comm")]
+        assert {step.name for step in bound} == {"sorting", "redistribution"}
+        assert all(step.comm is engine.comm for step in bound)
+
+    def test_supplied_communicator_rank_count_is_validated(self):
+        platform = PlatformModel.blue_waters(4)
+        with pytest.raises(ValueError):
+            ExecutionEngine(
+                PipelineConfig(),
+                platform,
+                comm=BSPCommunicator(5, cost_model=platform.network),
+            )
+
 
 class TestBackendRegistry:
     """The registry is the single source of step implementations."""
@@ -218,8 +236,6 @@ class TestBackendRegistry:
     def test_build_step_uses_context(self, tiny_scenario):
         from repro.core.redistribution import make_strategy
         from repro.metrics.registry import create_metric
-        from repro.simmpi.communicator import BSPCommunicator
-
         config = PipelineConfig()
         comm = BSPCommunicator(
             tiny_scenario.nranks, cost_model=tiny_scenario.platform.network
@@ -491,171 +507,6 @@ def test_backends_identical_in_mesh_mode(tiny_scenario):
     serial = trace("serial")
     assert trace("vectorized") == serial
     assert trace("parallel") == serial
-
-
-class TestStageGraph:
-    """The explicit dependency graph behind the pipelined scheduler."""
-
-    def test_graph_matches_step_sequence(self):
-        assert tuple(spec.name for spec in STAGE_GRAPH) == STEP_NAMES
-
-    def test_linear_chain(self):
-        """Each stage depends exactly on its predecessor (Figure 2 order)."""
-        assert STAGE_GRAPH[0].after == ()
-        for prev, spec in zip(STAGE_GRAPH, STAGE_GRAPH[1:]):
-            assert spec.after == (prev.name,)
-
-    def test_dependencies_are_data_driven(self):
-        """Every declared dependency is justified by a read of state the
-        dependency (or an earlier stage) writes."""
-        written = set()
-        for spec in STAGE_GRAPH:
-            assert spec.reads, spec.name
-            assert spec.writes, spec.name
-            if spec.after:
-                assert set(spec.reads) & written, spec.name
-            written |= set(spec.writes)
-
-    def test_all_stages_serial_across_iterations(self):
-        for spec in STAGE_GRAPH:
-            assert spec.serial_across_iterations
-
-    def test_stage_spec_lookup(self):
-        assert stage_spec("scoring") is STAGE_GRAPH[0]
-        assert stage_spec("rendering").after == ("redistribution",)
-
-    def test_unknown_stage_gets_conservative_spec(self):
-        spec = stage_spec("composition")
-        assert spec.after == STEP_NAMES
-        assert spec.serial_across_iterations
-
-
-class TestPipelinedEngine:
-    def _inputs(self, scenario, percents=(50.0, 25.0, 75.0)):
-        return [
-            (scenario.blocks_for(i % 3), percent, i)
-            for i, percent in enumerate(percents)
-        ]
-
-    def _engine(self, scenario, cls=PipelinedEngine):
-        return cls(
-            PipelineConfig(redistribution="round_robin"),
-            scenario.platform,
-            nranks=scenario.nranks,
-        )
-
-    @staticmethod
-    def _observable(context):
-        return (
-            context.iteration,
-            context.percent,
-            context.per_rank_pairs,
-            context.sorted_pairs,
-            sorted(context.reduced_ids),
-            {
-                name: (
-                    report.modelled_per_rank,
-                    report.payload_bytes,
-                    report.counters,
-                    report.per_rank_counters,
-                )
-                for name, report in context.reports.items()
-            },
-        )
-
-    def test_matches_sequential_engine_bitwise(self, tiny_scenario):
-        inputs = self._inputs(tiny_scenario)
-        sequential = self._engine(tiny_scenario, cls=ExecutionEngine)
-        overlapped = self._engine(tiny_scenario)
-        expected = [
-            self._observable(sequential.run_iteration(*item)) for item in inputs
-        ]
-        contexts = overlapped.run_iterations(inputs)
-        assert [self._observable(c) for c in contexts] == expected
-
-    def test_on_complete_fires_in_iteration_order(self, tiny_scenario):
-        engine = self._engine(tiny_scenario)
-        seen = []
-
-        def on_complete(index, context):
-            # At callback time the iteration is fully processed.
-            assert set(context.reports) == set(STEP_NAMES)
-            seen.append(index)
-
-        engine.run_iterations(self._inputs(tiny_scenario), on_complete=on_complete)
-        assert seen == [0, 1, 2]
-
-    def test_empty_inputs(self, tiny_scenario):
-        assert self._engine(tiny_scenario).run_iterations([]) == []
-
-    def test_input_validation_happens_up_front(self, tiny_scenario):
-        engine = self._engine(tiny_scenario)
-        with pytest.raises(ValueError):
-            engine.run_iterations([([[]], 0.0, 0)])  # wrong rank count
-        with pytest.raises(ValueError):
-            engine.run_iterations([(tiny_scenario.blocks_for(0), 120.0, 0)])
-
-    def test_stage_error_propagates_without_deadlock(self, tiny_scenario):
-        engine = self._engine(tiny_scenario)
-        calls = []
-
-        def boom(context):
-            calls.append(context.iteration)
-            raise RuntimeError("poisoned stage")
-
-        engine.steps[2].execute = boom  # reduction, mid-chain
-        completed = []
-        with pytest.raises(RuntimeError, match="poisoned stage"):
-            engine.run_iterations(
-                self._inputs(tiny_scenario),
-                on_complete=lambda i, c: completed.append(i),
-            )
-        # The failing stage ran at most once per iteration before the stop
-        # flag drained the scheduler, and no poisoned iteration was reported
-        # complete after the failure.
-        assert calls and calls[0] == 0
-        assert completed == []
-
-    def test_raising_on_complete_cancels_run_without_deadlock(self, tiny_scenario):
-        """A raising ``on_complete`` poisons the run like a failing stage:
-        the scheduler drains (no deadlocked stage threads) and the callback's
-        exception re-raises; later iterations are never reported complete."""
-
-        class Cancel(Exception):
-            pass
-
-        completed = []
-
-        def cancel_after_first(index, context):
-            completed.append(index)
-            raise Cancel(f"stop at {index}")
-
-        engine = self._engine(tiny_scenario)
-        with pytest.raises(Cancel, match="stop at 0"):
-            engine.run_iterations(
-                self._inputs(tiny_scenario), on_complete=cancel_after_first
-            )
-        assert completed == [0]
-
-    def test_private_communicators_per_stage(self, tiny_scenario):
-        """Overlapped stages must not share virtual network clocks."""
-        engine = self._engine(tiny_scenario)
-        comms = {id(step.comm) for step in engine.steps if hasattr(step, "comm")}
-        assert len(comms) == sum(1 for s in engine.steps if hasattr(s, "comm"))
-
-    def test_explicit_comm_still_validates_rank_count(self, tiny_scenario):
-        from repro.simmpi.communicator import BSPCommunicator
-
-        wrong = BSPCommunicator(
-            tiny_scenario.nranks + 1, cost_model=tiny_scenario.platform.network
-        )
-        with pytest.raises(ValueError):
-            PipelinedEngine(
-                PipelineConfig(),
-                tiny_scenario.platform,
-                nranks=tiny_scenario.nranks,
-                comm=wrong,
-            )
 
 
 class TestMonitorStepReportQueries:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.backends import STEP_NAMES, engine_backends
 from repro.core.config import AdaptationConfig, PipelineConfig
 from repro.core.pipeline import InSituPipeline
 from repro.core.results import IterationResult
 from repro.perfmodel.platform import PlatformModel
+from repro.simmpi.communicator import BSPCommunicator
 
 
 class TestPipelineConfig:
@@ -133,8 +135,6 @@ class TestPipelineIntegration:
         assert any(r.mesh is not None for r in renders)
 
     def test_nranks_mismatch_with_comm(self, tiny_scenario):
-        from repro.simmpi.communicator import BSPCommunicator
-
         with pytest.raises(ValueError):
             InSituPipeline(
                 PipelineConfig(),
@@ -142,6 +142,151 @@ class TestPipelineIntegration:
                 nranks=4,
                 comm=BSPCommunicator(8),
             )
+
+def _record_step_calls(pipeline):
+    """Wrap every step's ``execute`` to log ``(iteration, step name)``."""
+    calls = []
+    for step in pipeline.engine.steps:
+        def execute(context, _step=step, _inner=step.execute):
+            calls.append((context.iteration, _step.name))
+            return _inner(context)
+
+        step.execute = execute
+    return calls
+
+
+class TestRunCallbacks:
+    """``run(on_iteration=...)`` — the contract the serve tier streams and
+    cancels through."""
+
+    def test_callbacks_fire_in_order_with_every_report(self, tiny_scenario):
+        pipeline = tiny_scenario.build_pipeline(redistribution="round_robin")
+        seen = []
+
+        def on_iteration(result):
+            # At callback time the iteration is fully processed and recorded.
+            assert tuple(result.step_reports) == STEP_NAMES
+            assert pipeline.monitor.niterations == result.iteration + 1
+            seen.append(result.iteration)
+
+        run = pipeline.run(
+            tiny_scenario.iteration_blocks(),
+            percent_override=50.0,
+            on_iteration=on_iteration,
+        )
+        assert seen == [0, 1, 2]
+        assert [r.iteration for r in run.iterations] == seen
+
+    def test_raising_callback_cancels_between_iterations(self, tiny_scenario):
+        class Cancel(Exception):
+            pass
+
+        pipeline = tiny_scenario.build_pipeline(redistribution="round_robin")
+        calls = _record_step_calls(pipeline)
+        error = Cancel("stop at 1")
+
+        def cancel_at_one(result):
+            if result.iteration == 1:
+                raise error
+
+        with pytest.raises(Cancel) as raised:
+            pipeline.run(
+                tiny_scenario.iteration_blocks(),
+                percent_override=50.0,
+                on_iteration=cancel_at_one,
+            )
+        assert raised.value is error
+        # Iterations 0 and 1 ran every step; no step of iteration 2 started.
+        assert calls == [(i, name) for i in (0, 1) for name in STEP_NAMES]
+        assert pipeline.monitor.niterations == 2
+        # The pipeline is still usable and continues at the next index.
+        run = pipeline.run([tiny_scenario.blocks_for(2)], percent_override=50.0)
+        assert [r.iteration for r in run.iterations] == [0, 1, 2]
+
+    def test_raising_step_leaves_completed_iterations(self, tiny_scenario):
+        pipeline = tiny_scenario.build_pipeline(redistribution="round_robin")
+        reduction = pipeline.engine.reduction
+        inner = reduction.execute
+
+        def poisoned(context):
+            if context.iteration == 1:
+                raise RuntimeError("poisoned stage")
+            return inner(context)
+
+        reduction.execute = poisoned
+        calls = _record_step_calls(pipeline)
+        completed = []
+        with pytest.raises(RuntimeError, match="poisoned stage"):
+            pipeline.run(
+                tiny_scenario.iteration_blocks(),
+                percent_override=50.0,
+                on_iteration=lambda result: completed.append(result.iteration),
+            )
+        assert completed == [0]
+        assert pipeline.monitor.niterations == 1
+        assert calls[len(STEP_NAMES):] == [
+            (1, "scoring"), (1, "sorting"), (1, "reduction"),
+        ]
+
+
+def _report_fields(run):
+    return [
+        {
+            name: (
+                report.modelled_per_rank,
+                report.payload_bytes,
+                report.counters,
+                report.per_rank_counters,
+            )
+            for name, report in result.step_reports.items()
+        }
+        for result in run.iterations
+    ]
+
+
+class TestOneCommunicator:
+    """Every step charges the pipeline's one communicator, and what a step
+    reports does not depend on who built that communicator."""
+
+    def test_no_second_engine_to_select(self, tiny_scenario):
+        with pytest.raises(TypeError):
+            tiny_scenario.build_pipeline(pipelined=True)
+        with pytest.raises(TypeError):
+            PipelineConfig(pipelined=True)
+        assert "pipelined" not in tiny_scenario.build_pipeline().config_summary()
+
+    def test_default_run_fills_pipeline_comm_stats(self, tiny_scenario):
+        pipeline = tiny_scenario.build_pipeline(redistribution="round_robin")
+        run = pipeline.run(tiny_scenario.iteration_blocks(), percent_override=50.0)
+        stats = pipeline.comm.stats
+        assert set(stats) == {"gather", "bcast", "alltoallv"}
+        reported = sum(
+            result.step_reports[step].payload_bytes
+            for result in run.iterations
+            for step in ("sorting", "redistribution")
+        )
+        assert reported > 0
+        assert sum(entry["bytes"] for entry in stats.values()) == reported
+        assert stats["alltoallv"]["bytes"] == sum(
+            result.moved_bytes for result in run.iterations
+        )
+
+    @pytest.mark.parametrize("backend", engine_backends())
+    def test_supplied_communicator_changes_no_report(self, tiny_scenario, backend):
+        config = tiny_scenario.build_pipeline(
+            redistribution="round_robin", engine=backend
+        ).config
+        platform, nranks = tiny_scenario.platform, tiny_scenario.nranks
+        default = InSituPipeline(config, platform, nranks=nranks)
+        comm = BSPCommunicator(nranks, cost_model=platform.network)
+        supplied = InSituPipeline(config, platform, nranks=nranks, comm=comm)
+        assert supplied.comm is comm
+        blocks = tiny_scenario.iteration_blocks()
+        assert len(blocks) == 3
+        assert _report_fields(
+            supplied.run(blocks, percent_override=50.0)
+        ) == _report_fields(default.run(blocks, percent_override=50.0))
+        assert comm.stats == default.comm.stats
 
 
 class TestIterationResult:

@@ -21,6 +21,7 @@ from repro.core.redistribution import (
     RedistributionStep,
     RoundRobin,
 )
+from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.step import IterationContext
 from repro.grid.block import Block, BlockExtent, level_shape
 from repro.simmpi.communicator import BSPCommunicator
@@ -236,6 +237,30 @@ def test_modelled_seconds_do_not_depend_on_communicator_history():
     _, on_fresh = RoundRobin().redistribute(fresh, per_rank_blocks, pairs, 0)
     _, on_used = RoundRobin().redistribute(used, per_rank_blocks, pairs, 0)
     assert on_fresh["modelled"] == on_used["modelled"] > 0.0
+
+
+@pytest.mark.parametrize("step_cls", [SortingStep, VectorizedSortingStep])
+def test_sorting_seconds_do_not_depend_on_communicator_history(step_cls):
+    """The sorting twin: its gather + broadcast used to be read back as a
+    difference of the communicator's running total."""
+    per_rank_pairs = [[(0, 2.0), (3, 0.5)], [(1, 0.5)], [(2, 1.0), (4, 3.0)]]
+    fresh = BSPCommunicator(3)
+    used = BSPCommunicator(3)
+    for _ in range(7):
+        used.allgather([np.zeros(3), np.zeros(5), np.zeros(7)])
+    on_fresh, on_used = (
+        step_cls(comm).execute(
+            IterationContext(0, 50.0, 3, [[], [], []], per_rank_pairs=per_rank_pairs)
+        )
+        for comm in (fresh, used)
+    )
+    assert on_fresh.modelled_per_rank == on_used.modelled_per_rank
+    assert on_fresh.modelled_max > 0.0
+    assert on_fresh.payload_bytes == on_used.payload_bytes > 0.0
+    # Exactly the two collectives it issued, nothing from the history.
+    assert on_used.modelled_max == (
+        used.stats["gather"]["seconds"] + used.stats["bcast"]["seconds"]
+    )
 
 
 def test_out_of_range_destination_rejected():

@@ -1,0 +1,29 @@
+"""Every name a ``repro`` module exports through ``__all__`` must resolve."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import repro
+
+
+def _modules_with_all():
+    names = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if not info.name.endswith(".__main__")  # importing it runs the CLI
+    ]
+    return [n for n in names if hasattr(importlib.import_module(n), "__all__")]
+
+
+@pytest.mark.parametrize("module_name", _modules_with_all())
+def test_all_names_resolve_and_are_unique(module_name):
+    module = importlib.import_module(module_name)
+    exported = list(module.__all__)
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    # getattr, not dir(): some modules resolve exports lazily (ENGINE_BACKENDS).
+    missing = [name for name in exported if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ exports undefined names: {missing}"

@@ -218,37 +218,6 @@ def _iteration_observables(
     return context.per_rank_pairs, context.sorted_pairs, owners, reports
 
 
-def _run_observables(scenario: ExperimentScenario, pipelined: bool):
-    """Decision-bearing outputs of a full multi-iteration run."""
-    pipeline = scenario.build_pipeline(
-        metric="VAR", redistribution="round_robin", pipelined=pipelined
-    )
-    assert pipeline.config_summary()["pipelined"] is pipelined
-    run = pipeline.run(scenario.iteration_blocks(), percent_override=50.0)
-    return [
-        (
-            result.iteration,
-            result.percent_reduced,
-            result.nblocks,
-            result.nreduced,
-            result.moved_bytes,
-            dict(result.modelled_steps),
-            result.modelled_total,
-            result.load_imbalance,
-            {
-                name: (
-                    report.modelled_per_rank,
-                    report.payload_bytes,
-                    report.counters,
-                    report.per_rank_counters,
-                )
-                for name, report in result.step_reports.items()
-            },
-        )
-        for result in run.iterations
-    ]
-
-
 @pytest.mark.parametrize("name", scenario_names())
 class TestRegistryParitySweep:
     """Every registered workload must run identically on every backend."""
@@ -272,15 +241,6 @@ class TestRegistryParitySweep:
             assert owners == ref_owners, backend
             for step, ref in ref_reports.items():
                 assert reports[step] == ref, (backend, step)
-
-    def test_pipelined_engine_parity(self, name):
-        """The overlapping engine is bitwise-identical to the sequential one
-        on a full multi-iteration run: scores, owner maps, step reports."""
-        scenario = tiny_scenario(name)
-        sequential = _run_observables(scenario, pipelined=False)
-        overlapped = _run_observables(scenario, pipelined=True)
-        assert len(sequential) == len(scenario.iteration_blocks())
-        assert overlapped == sequential
 
     def test_quality_ladder_backend_parity(self, name):
         """With a non-trivial mipmap ladder (half the selection to level 2,

@@ -12,6 +12,7 @@ import asyncio
 import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -225,18 +226,22 @@ class TestRunRequest:
     def test_minimal_payload(self):
         request = RunRequest.from_payload({"scenario": "tiny"})
         assert request.scenario == "tiny"
-        assert request.pipelined is True
+        assert not hasattr(request, "pipelined")
 
     def test_full_payload(self):
         request = RunRequest.from_payload(
             {
                 "scenario": "tiny", "ranks": 4, "snapshots": 3, "seed": 7,
                 "metric": "VAR", "redistribution": "shuffle", "percent": 40.0,
-                "render_mode": "mesh", "backend": "serial", "pipelined": False,
+                "render_mode": "mesh", "backend": "serial",
             }
         )
         assert request.ranks == 4 and request.backend == "serial"
-        assert request.pipelined is False
+
+    def test_removed_pipelined_field_is_unknown(self):
+        """No silent-ignore shim: the field went away with the engine."""
+        with pytest.raises(ValueError, match=r"unknown request fields: \['pipelined'\]"):
+            RunRequest.from_payload({"scenario": "tiny", "pipelined": False})
 
     def test_timeout_parsed(self):
         request = RunRequest.from_payload({"scenario": "tiny", "timeout_s": 2.5})
@@ -320,7 +325,13 @@ def _assert_run_stream(events, iterations):
         }
     summary = events[-1]
     assert summary["run"]["iterations"] == iterations
-    assert summary["config"]["pipelined"] in (True, False)
+    assert set(summary["run"]) == {
+        "config", "iterations", "rendering_mean", "rendering_min",
+        "rendering_max", "total_mean", "percent_final",
+    }
+    assert summary["run"]["config"] == summary["config"]
+    assert "pipelined" not in summary["config"]
+    assert summary["config"]["engine"] in ("serial", "vectorized", "parallel", "process")
 
 
 class TestServeApp:
@@ -365,6 +376,13 @@ class TestServeApp:
                 )
                 assert status == 400
                 assert "metric" in json.loads(raw)["error"]
+                status, raw = await _request(
+                    port, "POST", "/run", {"scenario": "tiny", "pipelined": True}
+                )
+                assert status == 400
+                assert json.loads(raw)["error"] == (
+                    "unknown request fields: ['pipelined']"
+                )
 
         asyncio.run(body())
 
@@ -586,7 +604,6 @@ class TestServeApp:
                             "scenario": "tiny",
                             "snapshots": 12,
                             "backend": "serial",
-                            "pipelined": False,
                         },
                     )
                 )
@@ -676,11 +693,11 @@ class TestServeAppProcessTier:
 # -- the real subprocess entry point ------------------------------------------
 
 
-def _spawn_serve(env, *extra_args):
+def _spawn_serve(env, *extra_args, **popen_kwargs):
     """Start ``python -m repro serve`` and return ``(proc, port)``."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", *extra_args],
-        stderr=subprocess.PIPE, text=True, env=env,
+        stderr=subprocess.PIPE, text=True, env=env, **popen_kwargs,
     )
     port = None
     deadline = time.monotonic() + 60
@@ -693,6 +710,24 @@ def _spawn_serve(env, *extra_args):
             break
     assert port is not None, "server never reported its port"
     return proc, port
+
+
+def _live_group_members(pgid):
+    """PIDs of the live (non-zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            # "pid (comm) state ppid pgrp ..." — comm may contain spaces.
+            state, _ppid, pgrp = (
+                (entry / "stat").read_text().rsplit(")", 1)[1].split()[:3]
+            )
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we were looking
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
 
 
 def _post_run_events(port, payload, timeout=120):
@@ -776,12 +811,45 @@ class TestServeSubprocess:
             proc.terminate()
             proc.wait(timeout=30)
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs a Linux /proc"
+    )
+    def test_sigterm_shuts_the_process_tier_down_cleanly(self, env, tmp_path):
+        """``terminate()`` used to kill the server without ``app.close()`` or
+        the pool's atexit teardown, orphaning the pool workers and the
+        manager.  SIGTERM now takes SIGINT's path: exit 0, nothing left."""
+        shm = Path("/dev/shm")
+        shm_before = set(os.listdir(shm)) if shm.is_dir() else set()
+        # Its own session, so the server and everything it forks share one
+        # process group that can be inspected (and swept) afterwards.
+        proc, port = _spawn_serve(
+            env,
+            "--cache-dir", str(tmp_path / "cache"),
+            "--workers", "2",
+            "--execution", "process",
+            start_new_session=True,
+        )
+        try:
+            _assert_run_stream(_post_run_events(port, TINY_RUN), iterations=2)
+            assert len(_live_group_members(proc.pid)) > 1  # workers + manager
+            proc.terminate()
+            assert proc.wait(timeout=30) == 0
+            settle = time.monotonic() + 2.0
+            while _live_group_members(proc.pid) and time.monotonic() < settle:
+                time.sleep(0.02)
+            assert _live_group_members(proc.pid) == []
+            if shm.is_dir():
+                assert set(os.listdir(shm)) - shm_before == set()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+
     def test_sigint_mid_run_exits_promptly(self, env, tmp_path):
         """The shutdown fix: SIGINT while a run is streaming must cancel the
         run at its next iteration boundary and exit inside the grace period,
         not wait out the remaining iterations (or hang in executor teardown).
         """
-        import signal
         import socket as socket_module
 
         proc, port = _spawn_serve(
