@@ -15,11 +15,15 @@ overhead dominates the serial scoring and rendering loops.
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cm1.dataset import CM1Dataset
+from repro.compress.fpzip_like import FpzipLikeCompressor
 from repro.core.config import AdaptationConfig
 from repro.core.rendering_step import (
     ParallelRenderingStep,
@@ -30,6 +34,7 @@ from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.experiments.common import ExperimentScenario, cached_scenario
 from repro.experiments.fig10_adaptation import PAPER_FIG10_TARGETS
 from repro.experiments.fig11_full_pipeline import PAPER_FIG11_TARGETS
+from repro.grid.batch import group_positions_by_shape
 from repro.metrics.registry import create_metric
 from repro.scenarios import get_scenario
 from repro.utils.benchjson import record_bench
@@ -37,6 +42,11 @@ from repro.utils.benchjson import record_bench
 #: Minimum serial/vectorized wall-clock ratio the engine must deliver on the
 #: gated hot paths (scoring and counting-mode rendering).
 MIN_SPEEDUP = 3.0
+
+#: Minimum oracle/kernel wall-clock ratio of the FPZIP size path: the fused,
+#: cache-blocked residual-code kernel against the whole-batch implementation
+#: it replaced (3.4x measured on these blocks).
+MIN_SIZE_KERNEL_SPEEDUP = 2.0
 
 #: Minimum end-to-end wall-clock ratio of the streaming execution path
 #: (mmap replay of stored snapshots) over the one-shot path (live CM1
@@ -108,6 +118,66 @@ def test_vectorized_scoring_speedup(fine_scenario_64, metric_name, repeats):
         f"vectorized {metric_name} scoring speedup {speedup:.2f}x below required "
         f"{MIN_SPEEDUP}x (serial {serial_seconds:.3f}s, vectorized "
         f"{vector_seconds:.3f}s)"
+    )
+
+
+def _replaced_size_path():
+    """``oracle_compressed_size_batch`` — the pre-kernel size path, kept
+    verbatim beside the coder's tests — loaded from ``tests/`` by file path
+    (neither directory is a package)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "test_compress.py"
+    spec = importlib.util.spec_from_file_location("fpzip_size_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.oracle_compressed_size_batch
+
+
+def test_fpzip_size_kernel_speedup(fine_scenario_64):
+    """The fused residual-code kernel sizes the stacked scenario blocks ≥2x
+    faster than the implementation it replaced, with identical sizes.
+
+    Isolates ``compressed_size_batch`` from the scoring step around it (the
+    stacking, score scatter and block clones that ``scoring_speedup_FPZIP``
+    also times), so a regression of the kernel itself — a lost ``out=``, a
+    chunk budget that falls out of cache — shows here first.
+    """
+    oracle = _replaced_size_path()
+    blocks = [b for rank in fine_scenario_64.blocks_for(0) for b in rank]
+    groups = [
+        np.stack([blocks[i].data for i in indices])
+        for indices in group_positions_by_shape(blocks)
+    ]
+    coder = FpzipLikeCompressor()
+    # Identical sizes first (the speedup must not come from doing less).
+    for group in groups:
+        assert coder.compressed_size_batch(group).tolist() == oracle(group).tolist()
+    for _attempt in range(3):
+        oracle_seconds = _best_of(lambda: [oracle(g) for g in groups])
+        kernel_seconds = _best_of(
+            lambda: [coder.compressed_size_batch(g) for g in groups]
+        )
+        speedup = oracle_seconds / kernel_seconds
+        if speedup >= MIN_SIZE_KERNEL_SPEEDUP:
+            break
+    record_bench(
+        gate="fpzip_size_kernel",
+        scenario="blue_waters_64_fine",
+        backend="kernel",
+        seconds=kernel_seconds,
+        baseline_backend="oracle",
+        baseline_seconds=oracle_seconds,
+        passed=speedup >= MIN_SIZE_KERNEL_SPEEDUP,
+        npoints=int(sum(g.size for g in groups)),
+    )
+    print(
+        f"\nFPZIP sizes of {len(blocks)} stacked blocks: "
+        f"replaced path {oracle_seconds * 1e3:.1f} ms, "
+        f"fused kernel {kernel_seconds * 1e3:.1f} ms, speedup {speedup:.1f}x"
+    )
+    assert speedup >= MIN_SIZE_KERNEL_SPEEDUP, (
+        f"FPZIP size kernel speedup {speedup:.2f}x below required "
+        f"{MIN_SIZE_KERNEL_SPEEDUP}x (oracle {oracle_seconds:.4f}s, kernel "
+        f"{kernel_seconds:.4f}s)"
     )
 
 

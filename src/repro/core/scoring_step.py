@@ -82,12 +82,13 @@ class ScoringStep:
             ``per_rank_pairs[r]`` is the list of ``(block_id, score)`` pairs of
             rank ``r``; ``per_rank_blocks`` is the input with scores attached
             to the blocks; ``info`` holds measured and modelled per-rank
-            seconds.
+            seconds and the total number of points scored (``npoints``).
         """
         per_rank_pairs: List[List[ScorePair]] = []
         scored_blocks: List[List[Block]] = []
         measured: List[float] = []
         modelled: List[float] = []
+        total_points = 0
         for blocks in per_rank_blocks:
             with Timer() as timer:
                 scores = self._score_rank(blocks)
@@ -98,6 +99,7 @@ class ScoringStep:
                     block.with_score(score) for block, score in zip(blocks, scores)
                 ]
             npoints = sum(int(block.data.size) for block in blocks)
+            total_points += npoints
             per_rank_pairs.append(pairs)
             scored_blocks.append(scored)
             measured.append(timer.elapsed)
@@ -109,6 +111,7 @@ class ScoringStep:
             "modelled_per_rank": modelled,
             "measured_max": max(measured) if measured else 0.0,
             "modelled_max": max(modelled) if modelled else 0.0,
+            "npoints": total_points,
         }
         return per_rank_pairs, scored_blocks, info
 
@@ -118,14 +121,11 @@ class ScoringStep:
         context.per_rank_pairs = pairs
         context.per_rank_blocks = scored
         nblocks = sum(len(p) for p in pairs)
-        npoints = sum(
-            int(block.data.size) for blocks in scored for block in blocks
-        )
         return StepReport(
             step=self.name,
             measured_per_rank=list(info["measured_per_rank"]),
             modelled_per_rank=list(info["modelled_per_rank"]),
-            counters={"nblocks": float(nblocks), "npoints": float(npoints)},
+            counters={"nblocks": float(nblocks), "npoints": float(info["npoints"])},
         )
 
 
@@ -162,7 +162,7 @@ class VectorizedScoringStep(ScoringStep):
         for indices in group_positions_by_shape(blocks):
             stacked = np.stack([blocks[i].data for i in indices])
             scores[indices] = self.metric.score_batch(stacked)
-        return [float(s) for s in scores]
+        return scores.tolist()
 
     def run(
         self, per_rank_blocks: Sequence[Sequence[Block]]
@@ -218,6 +218,7 @@ class VectorizedScoringStep(ScoringStep):
             "modelled_per_rank": modelled,
             "measured_max": max(measured) if measured else 0.0,
             "modelled_max": max(modelled) if modelled else 0.0,
+            "npoints": total_points,
         }
         return per_rank_pairs, scored_blocks, info
 
@@ -307,7 +308,7 @@ class ParallelScoringStep(VectorizedScoringStep):
 
         for chunk, chunk_scores in zip(chunks, self.pool.map(score_chunk, chunks)):
             scores[chunk] = np.asarray(chunk_scores, dtype=np.float64)
-        return [float(s) for s in scores]
+        return scores.tolist()
 
 
 # -- process-pool workers -----------------------------------------------------
@@ -419,4 +420,4 @@ class ProcessScoringStep(VectorizedScoringStep):
         finally:
             for segment in shared:
                 segment.dispose()
-        return [float(s) for s in scores]
+        return scores.tolist()

@@ -12,6 +12,7 @@ approximation over the original region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -22,6 +23,8 @@ import numpy as np
 REDUCTION_LEVELS: Tuple[int, ...] = (0, 1, 2)
 
 
+# Pure in small ints and asked per block per iteration: memoised (errors are not).
+@lru_cache(maxsize=1024)
 def axis_sample_indices(n: int) -> Tuple[int, ...]:
     """Level-1 sample indices along an axis of length ``n``.
 
@@ -38,6 +41,7 @@ def axis_sample_indices(n: int) -> Tuple[int, ...]:
     return tuple(samples)
 
 
+@lru_cache(maxsize=1024)
 def level_shape(level: int, full_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
     """Payload shape of a block of ``full_shape`` at reduction ``level``."""
     if level == 0:
@@ -255,11 +259,12 @@ class Block:
         """
         level = int(level)
         data = np.asarray(data)
-        expected = level_shape(level, self.extent.shape)
-        if tuple(data.shape) != expected:
+        full_shape = self.extent.shape
+        expected = level_shape(level, full_shape)
+        if data.shape != expected:
             raise ValueError(
                 f"level-{level} block data must have shape {expected} for "
-                f"extent shape {self.extent.shape}, got {data.shape}"
+                f"extent shape {full_shape}, got {data.shape}"
             )
         return self._clone_with(data=data, reduced=level > 0, level=level)
 

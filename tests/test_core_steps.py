@@ -24,7 +24,13 @@ from repro.core.reduction_step import (
     validate_quality_ladder,
 )
 from repro.core.rendering_step import RenderingStep
-from repro.core.scoring_step import ScoringStep
+from repro.core.scoring_step import (
+    ParallelScoringStep,
+    ProcessScoringStep,
+    ScoringStep,
+    VectorizedScoringStep,
+)
+from repro.core.step import IterationContext
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 
 
@@ -68,6 +74,30 @@ class TestScoringStep:
         for (bid, score), blk in zip(pairs[0], per_rank_blocks[0]):
             assert bid == blk.block_id
             assert score == pytest.approx(metric.score_block(blk.data))
+
+    @pytest.mark.parametrize(
+        "step_class",
+        [ScoringStep, VectorizedScoringStep, ParallelScoringStep, ProcessScoringStep],
+    )
+    def test_npoints_counted_once_and_reported(
+        self, step_class, per_rank_blocks, platform
+    ):
+        """``run`` hands the point total to ``execute`` in ``info`` (one
+        contract on all four backends); scores are plain Python floats."""
+        expected = sum(b.data.size for blocks in per_rank_blocks for b in blocks)
+        step = step_class(create_metric("VAR"), platform)
+        pairs, scored, info = step.run(per_rank_blocks)
+        assert info["npoints"] == expected
+        assert all(type(score) is float for rank in pairs for _, score in rank)
+        assert all(type(b.score) is float for rank in scored for b in rank)
+        context = IterationContext(
+            iteration=0, percent=0.0, nranks=4, per_rank_blocks=per_rank_blocks
+        )
+        counters = step.execute(context).counters
+        assert counters == {
+            "nblocks": float(sum(len(b) for b in per_rank_blocks)),
+            "npoints": float(expected),
+        }
 
 
 class TestSortingStep:

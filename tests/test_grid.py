@@ -408,6 +408,18 @@ class TestReductionLadder:
         with pytest.raises(ValueError):
             level_shape(3, (6, 5, 4))
 
+    def test_ladder_geometry_memo_does_not_cache_errors(self):
+        """The geometry is memoised; an invalid argument raises every time
+        and a repeated valid call returns the one immutable tuple."""
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                axis_sample_indices(0)
+            with pytest.raises(ValueError):
+                level_shape(3, (6, 5, 4))
+        assert axis_sample_indices(7) is axis_sample_indices(7)
+        assert level_shape(1, (7, 7, 7)) is level_shape(1, (7, 7, 7))
+        assert isinstance(level_shape(0, (6, 5, 4)), tuple)
+
     def test_level2_is_exactly_corners(self):
         data = np.random.default_rng(3).normal(size=(6, 5, 4))
         np.testing.assert_array_equal(reduce_to_level(data, 2), reduce_to_corners(data))

@@ -11,6 +11,10 @@ down with strict (bitwise) equality.
 
 from __future__ import annotations
 
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -117,6 +121,45 @@ class TestFloat16Parity:
             scalar = [metric.score_block(b) for b in blocks]
             batched = metric.score_batch(np.stack(blocks))
             assert np.asarray(batched, dtype=np.float64).tolist() == scalar, name
+
+
+class TestFpzipReentrancy:
+    """``ParallelScoringStep`` calls ``score_batch`` on one shared metric from
+    several pool threads and ``ProcessScoringStep`` pickles the metric into
+    every task, so the coder's scratch buffers must belong to the call."""
+
+    def test_one_metric_shared_by_four_threads(self):
+        metric = default_registry().create("FPZIP")
+        shapes = [(7, 6, 5), (9, 4, 5), (7, 6, 5), (3, 8, 8)]
+        batches = [
+            np.stack(random_blocks(np.float32, shape=shape, nblocks=40, seed=seed))
+            for seed, shape in enumerate(shapes)
+        ]
+        expected = [metric.score_batch(batch).tolist() for batch in batches]
+        rounds = 50
+
+        def score_repeatedly(batch):
+            return [metric.score_batch(batch).tolist() for _ in range(rounds)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(score_repeatedly, b) for b in batches]
+                observed = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for answers, single_threaded in zip(observed, expected):
+            assert answers == [single_threaded] * rounds
+
+    def test_metric_stays_small_on_the_wire(self):
+        metric = default_registry().create("FPZIP")
+        assert len(pickle.dumps(metric)) < 1024
+        batch = np.stack(random_blocks(np.float32))
+        before = metric.score_batch(batch).tolist()
+        assert len(pickle.dumps(metric)) < 1024
+        clone = pickle.loads(pickle.dumps(metric))
+        assert clone.score_batch(batch).tolist() == before
 
 
 class TestNanHandling:

@@ -189,11 +189,11 @@ class TestStormFamilies:
 
 
 def _iteration_observables(
-    scenario: ExperimentScenario, backend: str, quality_ladder=None
+    scenario: ExperimentScenario, backend: str, quality_ladder=None, metric="VAR"
 ):
     """Decision-bearing outputs of one 50%-reduction iteration."""
     pipeline = scenario.build_pipeline(
-        metric="VAR",
+        metric=metric,
         redistribution="round_robin",
         engine=backend,
         quality_ladder=quality_ladder,
@@ -268,6 +268,23 @@ class TestRegistryParitySweep:
             ref_reports["reduction"][2]["points_copied"]
             > corners[3]["reduction"][2]["points_copied"]
         )
+
+
+@pytest.mark.parametrize(
+    "ladder", [None, ((2, 0.5), (1, 0.5))], ids=["corners", "two_rung"]
+)
+def test_fpzip_four_backend_parity_on_tiny(ladder):
+    """The sweep above scores with VAR.  The coder metric is the one whose
+    kernel owns scratch buffers, and the thread backend calls one shared
+    metric from several workers while the process backend pickles it into
+    every task — so FPZIP scores, order, owners and reports are pinned
+    across all four backends too, with and without the two-rung ladder."""
+    scenario = tiny_scenario("tiny")
+    ref = _iteration_observables(scenario, "serial", ladder, metric="FPZIP")
+    assert ref[1] and len({score for _, score in ref[1]}) > 1
+    for backend in BACKENDS[1:]:
+        observed = _iteration_observables(scenario, backend, ladder, metric="FPZIP")
+        assert observed == ref, backend
 
 
 class TestDeterminism:
