@@ -4,7 +4,7 @@ loops ≥3x on the hot data-parallel steps — scoring, for the array metrics
 paper's Table I and the one its figures plot), and counting-mode rendering
 (the load proxy the large virtual-rank experiments run) — and, now that
 sorting, reduction, and redistribution are batched too, on the *entire*
-fig11 pipeline end to end.  All three backends must reproduce the
+fig11 pipeline end to end.  Every backend must reproduce the
 fig10/fig11 runs identically, down to every field of every step report.
 
 The speedup scenario uses the paper's 64-rank configuration with a finer
@@ -25,11 +25,7 @@ import pytest
 from repro.cm1.dataset import CM1Dataset
 from repro.compress.fpzip_like import FpzipLikeCompressor
 from repro.core.config import AdaptationConfig
-from repro.core.rendering_step import (
-    ParallelRenderingStep,
-    RenderingStep,
-    VectorizedRenderingStep,
-)
+from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.experiments.common import ExperimentScenario, cached_scenario
 from repro.experiments.fig10_adaptation import PAPER_FIG10_TARGETS
@@ -37,7 +33,6 @@ from repro.experiments.fig11_full_pipeline import PAPER_FIG11_TARGETS
 from repro.grid.batch import group_positions_by_shape
 from repro.metrics.registry import create_metric
 from repro.scenarios import get_scenario
-from repro.utils.benchjson import record_bench
 
 #: Minimum serial/vectorized wall-clock ratio the engine must deliver on the
 #: gated hot paths (scoring and counting-mode rendering).
@@ -100,15 +95,6 @@ def test_vectorized_scoring_speedup(fine_scenario_64, metric_name, repeats):
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:
             break
-    record_bench(
-        gate=f"scoring_speedup_{metric_name}",
-        scenario="blue_waters_64_fine",
-        backend="vectorized",
-        seconds=vector_seconds,
-        baseline_backend="serial",
-        baseline_seconds=serial_seconds,
-        passed=speedup >= MIN_SPEEDUP,
-    )
     print(
         f"\nscoring 4096 blocks / 64 ranks ({metric_name}): "
         f"serial {serial_seconds * 1e3:.1f} ms, "
@@ -159,16 +145,6 @@ def test_fpzip_size_kernel_speedup(fine_scenario_64):
         speedup = oracle_seconds / kernel_seconds
         if speedup >= MIN_SIZE_KERNEL_SPEEDUP:
             break
-    record_bench(
-        gate="fpzip_size_kernel",
-        scenario="blue_waters_64_fine",
-        backend="kernel",
-        seconds=kernel_seconds,
-        baseline_backend="oracle",
-        baseline_seconds=oracle_seconds,
-        passed=speedup >= MIN_SIZE_KERNEL_SPEEDUP,
-        npoints=int(sum(g.size for g in groups)),
-    )
     print(
         f"\nFPZIP sizes of {len(blocks)} stacked blocks: "
         f"replaced path {oracle_seconds * 1e3:.1f} ms, "
@@ -188,14 +164,12 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
     vectorised backend replaces the per-block ``count_active_cells`` calls
     with one stacked ``count_active_cells_batch`` pass per shape group.  The
     speedup must not come from doing less: counts, triangle estimates, and
-    modelled seconds are asserted identical (for all three backends) before
-    the wall-clock gate.
+    modelled seconds are asserted identical before the wall-clock gate.
     """
     blocks = fine_scenario_64.blocks_for(0)
     platform = fine_scenario_64.platform
     serial = RenderingStep(platform, render_mode="count")
     vector = VectorizedRenderingStep(platform, render_mode="count")
-    parallel = ParallelRenderingStep(platform, render_mode="count")
 
     def observable(step):
         results, info = step.run(blocks, 0)
@@ -209,7 +183,6 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
 
     reference = observable(serial)
     assert observable(vector) == reference
-    assert observable(parallel) == reference
 
     for _attempt in range(3):
         serial_seconds = _best_of(lambda: serial.run(blocks, 0))
@@ -217,15 +190,6 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:
             break
-    record_bench(
-        gate="rendering_speedup",
-        scenario="blue_waters_64_fine",
-        backend="vectorized",
-        seconds=vector_seconds,
-        baseline_backend="serial",
-        baseline_seconds=serial_seconds,
-        passed=speedup >= MIN_SPEEDUP,
-    )
     print(
         f"\nrendering (count) 4096 blocks / 64 ranks: "
         f"serial {serial_seconds * 1e3:.1f} ms, "
@@ -243,9 +207,8 @@ def test_reduction_ladder_quality_vs_cost(fine_scenario_64):
     strided reduction must reconstruct with strictly lower TRILIN error than
     corner reduction while shipping at most 1/4 of the full-block payload.
 
-    The tracked quantity is the level-1/corner error ratio (lower is
-    better), recorded through ``record_bench`` so ``compare_trend.py`` flags
-    a ladder-quality regression across runs exactly like a wall-clock one.
+    The printed quantity is the level-1/corner error ratio (lower is
+    better).
     """
     import numpy as np
 
@@ -260,16 +223,12 @@ def test_reduction_ladder_quality_vs_cost(fine_scenario_64):
         )
     level1_sum = corner_sum = 0.0
     level1_points = full_points = 0
-    worst_fraction = 0.0  # largest single-block level-1 payload fraction
     for shape, group in by_shape.items():
         stacked = np.stack(group)
         level1_sum += float(reduction_error_batch(stacked, level=1).sum())
         corner_sum += float(reduction_error_batch(stacked, level=2).sum())
         level1_points += len(group) * int(np.prod(level_shape(1, shape)))
         full_points += len(group) * int(np.prod(shape))
-        worst_fraction = max(
-            worst_fraction, float(np.prod(level_shape(1, shape)) / np.prod(shape))
-        )
     level1_mean = level1_sum / len(blocks)
     corner_mean = corner_sum / len(blocks)
     error_ratio = level1_mean / corner_mean
@@ -280,22 +239,6 @@ def test_reduction_ladder_quality_vs_cost(fine_scenario_64):
     payload_fraction = level1_points / full_points
 
     full_shape = blocks[0].extent.shape
-
-    passed = level1_mean < corner_mean and payload_fraction <= 0.25
-    record_bench(
-        gate="reduction_ladder_quality",
-        scenario="blue_waters_64_fine",
-        backend="level1",
-        seconds=error_ratio,
-        baseline_backend="corners",
-        baseline_seconds=1.0,
-        passed=passed,
-        payload_fraction=payload_fraction,
-        worst_block_payload_fraction=worst_fraction,
-        level1_mean_error=level1_mean,
-        corner_mean_error=corner_mean,
-        nblocks=len(blocks),
-    )
     print(
         f"\nreduction ladder quality ({len(blocks)} blocks, "
         f"block shape {full_shape}): level-1 error {level1_mean:.4g}, "
@@ -343,15 +286,6 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:
             break
-    record_bench(
-        gate="fig11_pipeline_speedup",
-        scenario="blue_waters_64_fine",
-        backend="vectorized",
-        seconds=vector_seconds,
-        baseline_backend="serial",
-        baseline_seconds=serial_seconds,
-        passed=speedup >= MIN_SPEEDUP,
-    )
     print(
         f"\nfig11 full pipeline 4096 blocks / 64 ranks: "
         f"serial {serial_seconds * 1e3:.1f} ms, "
@@ -417,16 +351,6 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
         speedup = cold_seconds / warm_seconds
         if speedup >= MIN_STREAMING_SPEEDUP:
             break
-    record_bench(
-        gate="fig11_streaming_speedup",
-        scenario="blue_waters_64",
-        backend="mmap-replay",
-        seconds=warm_seconds,
-        baseline_backend="simulate",
-        baseline_seconds=cold_seconds,
-        passed=speedup >= MIN_STREAMING_SPEEDUP,
-        snapshots=4,
-    )
     print(
         f"\nfig11 4-snapshot run: one-shot {cold_seconds * 1e3:.0f} ms, "
         f"streaming {warm_seconds * 1e3:.0f} ms, speedup {speedup:.1f}x"

@@ -1,7 +1,7 @@
 """Process-backend and scaling-sweep performance gates.
 
-Three gates guard the PR 7 performance story, each recording a
-machine-readable entry in ``benchmarks/output/BENCH_engine.json``:
+Three gates guard the PR 7 performance story (assertions only — numbers
+are recorded and trended by ``bench/``, the one tracked benchmark):
 
 * the vectorised :meth:`NetworkCostModel.alltoallv` must price a 4096-rank
   byte matrix ≥10x faster than the reference Python loop — the optimisation
@@ -9,12 +9,12 @@ machine-readable entry in ``benchmarks/output/BENCH_engine.json``:
 * a cost-model-driven weak-scaling sweep of ``blue_waters_64`` must reach
   10,000 virtual ranks well inside five minutes;
 * on a GIL-bound scalar metric (:class:`PythonVarianceMetric` — the shape
-  of a user-supplied scorer written without NumPy), the process backend's
-  scoring must beat the thread backend's wherever there is more than one
-  core to win on.  Single-core runners cannot exhibit that speedup (both
-  backends degenerate to serial execution plus overhead), so there the gate
-  asserts bitwise parity and records the measured ratio without enforcing
-  it.
+  of a user-supplied scorer written without NumPy), the process fan-out of
+  the scoring step must beat the same step run inline wherever there is more
+  than one core to win on.  Single-core runners cannot exhibit that speedup
+  (the fan-out degenerates to serial execution plus overhead), so there the
+  gate asserts bitwise parity and prints the measured ratio without
+  enforcing it.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.scoring_step import ParallelScoringStep, ProcessScoringStep
+from repro.core.scoring_step import VectorizedScoringStep
 from repro.experiments.common import ExperimentScenario, cached_scenario
 from repro.metrics.statistics import PythonVarianceMetric
 from repro.scenarios.sweep import model_scaling_sweep
 from repro.simmpi.costmodel import NetworkCostModel
-from repro.utils.benchjson import record_bench
 from repro.utils.procpool import default_process_workers
 
 #: Required vectorised/loop ratio for the alltoallv pricing at P=4096.
@@ -39,8 +38,10 @@ MIN_ALLTOALLV_SPEEDUP = 10.0
 #: Wall-clock budget (seconds) for the 10k-virtual-rank weak-scaling sweep.
 SWEEP_BUDGET_SECONDS = 300.0
 
-#: Required process/thread ratio for GIL-bound scoring on multi-core hosts.
-MIN_GIL_SPEEDUP = 1.2
+#: Required inline/process ratio for GIL-bound scoring on multi-core hosts.
+#: (The gate used to demand 1.2x over a thread pool, which itself ran this
+#: metric 1.1–1.25x slower than inline; 1.1x over inline is no weaker.)
+MIN_GIL_SPEEDUP = 1.1
 
 
 def _effective_workers() -> int:
@@ -71,15 +72,6 @@ def test_vectorized_alltoallv_speedup():
 
     assert vec_cost == loop_cost  # identical floats, not merely close
     speedup = loop_seconds / vec_seconds
-    record_bench(
-        gate="alltoallv_vectorized",
-        scenario=f"random_matrix_P{nranks}",
-        backend="vectorized",
-        seconds=vec_seconds,
-        baseline_backend="loop",
-        baseline_seconds=loop_seconds,
-        passed=speedup >= MIN_ALLTOALLV_SPEEDUP,
-    )
     print(
         f"\nalltoallv P={nranks}: loop {loop_seconds:.2f}s, "
         f"vectorized {vec_seconds * 1e3:.1f} ms, speedup {speedup:.0f}x"
@@ -120,15 +112,6 @@ def test_weak_scaling_sweep_reaches_10k_ranks_in_minutes():
     totals = [p["modelled_total"] for p in points]
     assert max(totals) < 2.0 * min(totals)
 
-    record_bench(
-        gate="weak_scaling_sweep_10k",
-        scenario="blue_waters_64[weak@10000]",
-        backend="cost_model",
-        seconds=elapsed,
-        passed=elapsed < SWEEP_BUDGET_SECONDS,
-        budget_seconds=SWEEP_BUDGET_SECONDS,
-        max_ranks=10000,
-    )
     print(f"\nweak-scaling sweep to 10k ranks: {elapsed:.1f}s")
     assert elapsed < SWEEP_BUDGET_SECONDS, (
         f"10k-rank weak-scaling sweep took {elapsed:.0f}s, "
@@ -137,60 +120,49 @@ def test_weak_scaling_sweep_reaches_10k_ranks_in_minutes():
 
 
 def test_process_beats_threads_on_gil_bound_scoring(fine_scenario_64):
-    """GIL-bound scalar scoring: process backend vs thread backend.
+    """GIL-bound scalar scoring: the process fan-out vs the same step inline.
 
     ``PythonVarianceMetric`` holds the GIL for its entire per-block loop, so
-    thread workers serialise; worker processes do not.  Bitwise score parity
-    is asserted unconditionally; the ≥1.2x wall-clock gate applies only
-    where a second core exists to win.
+    nothing inside one interpreter can overlap it (the thread-pool rung that
+    used to be this gate's baseline ran it slower than inline and is gone);
+    worker processes can.  Bitwise score parity is asserted unconditionally;
+    the wall-clock gate applies only where a second core exists to win.
     """
     blocks = fine_scenario_64.blocks_for(0)
     platform = fine_scenario_64.platform
     metric = PythonVarianceMetric()
-    threads = ParallelScoringStep(metric, platform)
-    procs = ProcessScoringStep(metric, platform)
+    inline = VectorizedScoringStep(metric, platform)
+    procs = VectorizedScoringStep(metric, platform, processes=True)
 
-    thread_pairs, _, _ = threads.run(blocks)
+    inline_pairs, _, _ = inline.run(blocks)
     process_pairs, _, _ = procs.run(blocks)
-    assert process_pairs == thread_pairs  # bitwise parity before timing
+    assert process_pairs == inline_pairs  # bitwise parity before timing
 
-    def best_of(step, repeats=3):
-        best = float("inf")
+    def interleaved_best(repeats=3):
+        best = {inline: float("inf"), procs: float("inf")}
         for _ in range(repeats):
-            start = time.perf_counter()
-            step.run(blocks)
-            best = min(best, time.perf_counter() - start)
-        return best
+            for step in (inline, procs):
+                start = time.perf_counter()
+                step.run(blocks)
+                best[step] = min(best[step], time.perf_counter() - start)
+        return best[inline], best[procs]
 
     workers = _effective_workers()
     gated = workers >= 2
     for _attempt in range(3):
-        thread_seconds = best_of(threads)
-        process_seconds = best_of(procs)
-        speedup = thread_seconds / process_seconds
+        inline_seconds, process_seconds = interleaved_best()
+        speedup = inline_seconds / process_seconds
         if not gated or speedup >= MIN_GIL_SPEEDUP:
             break
 
-    record_bench(
-        gate="gil_bound_scoring",
-        scenario="blue_waters_64_fine",
-        backend="process",
-        seconds=process_seconds,
-        baseline_backend="parallel",
-        baseline_seconds=thread_seconds,
-        passed=(speedup >= MIN_GIL_SPEEDUP) if gated else None,
-        workers=workers,
-        gated=gated,
-        metric="PYVAR",
-    )
     print(
         f"\nGIL-bound scoring 4096 blocks / {workers} worker(s): "
-        f"threads {thread_seconds * 1e3:.0f} ms, "
+        f"inline {inline_seconds * 1e3:.0f} ms, "
         f"process {process_seconds * 1e3:.0f} ms, ratio {speedup:.2f}x"
     )
     if gated:
         assert speedup >= MIN_GIL_SPEEDUP, (
-            f"process backend {speedup:.2f}x vs threads on GIL-bound scoring "
-            f"with {workers} workers (threads {thread_seconds:.3f}s, "
+            f"process fan-out {speedup:.2f}x vs inline on GIL-bound scoring "
+            f"with {workers} workers (inline {inline_seconds:.3f}s, "
             f"process {process_seconds:.3f}s); required {MIN_GIL_SPEEDUP}x"
         )

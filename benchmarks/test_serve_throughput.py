@@ -12,8 +12,7 @@ win that margin.
 Core-count-aware, like the PR 7 process gates: with W effective workers the
 ideal batch speedup is W, so the required ratio is
 ``min(MIN_SERVE_SPEEDUP, 0.6 * W)`` — on a single-core runner both tiers
-degenerate to serial execution and the ratio is recorded as an ungated
-trend line.  Streamed-event parity between the tiers is asserted before any
+degenerate to serial execution and the ratio is printed, not enforced.  Streamed-event parity between the tiers is asserted before any
 timing (the process tier must change *where* runs execute, never what they
 produce), and a timeout-cancelled run on each tier must leave zero owned
 shm segments behind.
@@ -32,7 +31,6 @@ import pytest
 
 from repro.grid.shm import live_owned_segments
 from repro.serve.server import ServeApp
-from repro.utils.benchjson import record_bench
 from repro.utils.procpool import default_process_workers, shutdown_shared_pool
 
 #: Required process/thread batch-throughput ratio at full core count.
@@ -173,19 +171,6 @@ def test_process_tier_beats_thread_tier_on_concurrent_replays(
     # event's execution field and the live cache counters may differ).
     assert process_result["events"] == thread_result["events"]
 
-    record_bench(
-        gate="serve_tier_throughput",
-        scenario=f"{PAYLOAD['scenario']}[x{N_RUNS} concurrent]",
-        backend="process",
-        seconds=process_result["seconds"],
-        baseline_backend="thread",
-        baseline_seconds=thread_result["seconds"],
-        passed=(speedup >= required) if gated else None,
-        workers=workers,
-        gated=gated,
-        required_speedup=required,
-        metric=PAYLOAD["metric"],
-    )
     print(
         f"\nserve tiers, {N_RUNS} concurrent PYVAR replays / "
         f"{workers} worker(s): thread {thread_result['seconds']:.2f}s, "

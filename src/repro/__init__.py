@@ -8,7 +8,7 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
   redistribute → render → adapt, Algorithm 1), built from composable
   :class:`~repro.core.step.PipelineStep` objects run by an
   :class:`~repro.core.engine.ExecutionEngine` with interchangeable
-  ``serial`` / ``vectorized`` / ``parallel`` backends
+  ``serial`` / ``vectorized`` / ``process`` backends
   (``PipelineConfig(engine=...)``);
 * :mod:`repro.grid.batch` — :class:`~repro.grid.batch.BlockBatch`, the
   structure-of-arrays container the vectorized backend scores in bulk;
@@ -107,8 +107,8 @@ def quickstart_pipeline(
     This is the programmatic equivalent of ``examples/quickstart.py``: a small
     synthetic storm, a handful of virtual ranks, and the full six-step
     pipeline with adaptation enabled.  ``engine`` selects the execution
-    backend ("vectorized", "serial", or "parallel"); all give identical
-    results.
+    backend ("vectorized", "serial", "process", or the "parallel" alias of
+    "vectorized"); all give identical results.
     """
     from repro.experiments.common import ExperimentScenario
 

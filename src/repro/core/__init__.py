@@ -20,8 +20,10 @@ Each of the five data steps implements the :class:`PipelineStep` contract
 (:mod:`repro.core.step`): ``execute(context) -> StepReport``.  The
 :class:`ExecutionEngine` (:mod:`repro.core.engine`) resolves each step's
 implementation through the backend registry (:mod:`repro.core.backends`) for
-a ``"serial"``, ``"vectorized"``, or ``"parallel"`` backend — selected
-through ``PipelineConfig.engine``, extensible by third-party registrations —
+a ``"serial"`` (oracle), ``"vectorized"`` (default) or ``"process"``
+(process-pool fan-out) backend — selected through ``PipelineConfig.engine``,
+extensible by third-party registrations; ``"parallel"`` is an alias of
+``"vectorized"`` —
 and :class:`InSituPipeline` layers the adaptation controller and the
 :class:`PerformanceMonitor` on top.  The monitor records per-iteration,
 per-step timings in both measured wall-clock and modelled platform seconds,
@@ -40,15 +42,9 @@ from repro.core.backends import (
     resolve_step_factory,
 )
 from repro.core.step import IterationContext, PipelineStep, StepReport
-from repro.core.scoring_step import (
-    ParallelScoringStep,
-    ProcessScoringStep,
-    ScoringStep,
-    VectorizedScoringStep,
-)
+from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.reduction_step import (
-    ParallelReductionStep,
     ReductionStep,
     VectorizedReductionStep,
     select_blocks_to_reduce,
@@ -61,12 +57,7 @@ from repro.core.redistribution import (
     RoundRobin,
     make_strategy,
 )
-from repro.core.rendering_step import (
-    ParallelRenderingStep,
-    ProcessRenderingStep,
-    RenderingStep,
-    VectorizedRenderingStep,
-)
+from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.engine import ExecutionEngine
 from repro.core.monitor import PerformanceMonitor
 from repro.core.results import IterationResult, PipelineRunResult
@@ -92,13 +83,10 @@ __all__ = [
     "StepReport",
     "ScoringStep",
     "VectorizedScoringStep",
-    "ParallelScoringStep",
-    "ProcessScoringStep",
     "SortingStep",
     "VectorizedSortingStep",
     "ReductionStep",
     "VectorizedReductionStep",
-    "ParallelReductionStep",
     "select_blocks_to_reduce",
     "STEP_NAMES",
     "StepBuildContext",
@@ -115,8 +103,6 @@ __all__ = [
     "make_strategy",
     "RenderingStep",
     "VectorizedRenderingStep",
-    "ParallelRenderingStep",
-    "ProcessRenderingStep",
     "ENGINE_BACKENDS",
     "ExecutionEngine",
     "PerformanceMonitor",

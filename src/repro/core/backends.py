@@ -5,12 +5,16 @@ implementations; it resolves each of the paper's five steps through this
 registry, keyed by ``(step_name, backend)``.  A :data:`StepFactory` is a
 callable receiving a :class:`StepBuildContext` (the engine's already-built
 collaborators: config, platform, communicator, metric, strategy) and
-returning the step instance.  The built-in backends — ``"serial"``,
-``"vectorized"``, ``"parallel"``, ``"process"`` — register their twenty
-factories at import time; :func:`engine_backends` derives the authoritative
-backend tuple from
-the registrations, so ``ENGINE_BACKENDS`` is a *view* of the registry rather
-than a second source of truth.
+returning the step instance.  The built-in backends register from one table
+at import time (see the bottom of this module): ``"serial"`` is the per-block
+oracle every parity sweep compares against, ``"vectorized"`` (the default)
+the batched classes, ``"process"`` the same batched classes with scoring and
+counting-mode rendering fanned out over the shared process pool (for GIL-bound
+or Python-heavy scorers such as ``PYVAR`` and ``LZ``), and ``"parallel"`` an
+alias of ``"vectorized"`` kept for the tracked benchmark's metric names.
+:func:`engine_backends` derives the authoritative backend tuple from the
+registrations, so ``ENGINE_BACKENDS`` is a *view* of the registry rather than
+a second source of truth.
 
 Third-party backends plug in without editing the engine::
 
@@ -40,23 +44,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.redistribution import RedistributionStep, RedistributionStrategy
-from repro.core.reduction_step import (
-    ParallelReductionStep,
-    ReductionStep,
-    VectorizedReductionStep,
-)
-from repro.core.rendering_step import (
-    ParallelRenderingStep,
-    ProcessRenderingStep,
-    RenderingStep,
-    VectorizedRenderingStep,
-)
-from repro.core.scoring_step import (
-    ParallelScoringStep,
-    ProcessScoringStep,
-    ScoringStep,
-    VectorizedScoringStep,
-)
+from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
+from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
+from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.step import PipelineStep
 
@@ -196,137 +186,56 @@ def build_step(step_name: str, backend: str, context: StepBuildContext) -> Pipel
 # -- built-in registrations -----------------------------------------------------
 #
 # Registration order defines engine_backends() — serial first (it is also the
-# fallback), then vectorized (the default), then parallel.
+# fallback), then vectorized (the default), parallel, process.  Sorting is a
+# rooted collective (rank 0 sorts, everyone receives one broadcast), the
+# exchange planner one searchsorted/bincount pass and the exchange itself a
+# collective, and the reduction gather reads a few values per selected block:
+# none of the three has per-rank work worth shipping to another process, so
+# only scoring and rendering differ on the process backend.
 
-register_step_backend(
-    "scoring", "serial", lambda ctx: ScoringStep(ctx.metric, ctx.platform)
-)
-register_step_backend("sorting", "serial", lambda ctx: SortingStep(ctx.comm))
-register_step_backend(
-    "reduction",
-    "serial",
-    lambda ctx: ReductionStep(ctx.platform, quality_ladder=ctx.config.quality_ladder),
-)
-register_step_backend(
-    "redistribution",
-    "serial",
-    lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
-)
-register_step_backend(
-    "rendering",
-    "serial",
-    lambda ctx: RenderingStep(
+
+def _rendering(step_class, **options) -> StepFactory:
+    """Factory of a rendering step class configured from the run's config."""
+    return lambda ctx: step_class(
         ctx.platform,
         isosurface_level=ctx.config.isosurface_level,
         render_mode=ctx.config.render_mode,
-    ),
-)
+        **options,
+    )
 
-register_step_backend(
-    "scoring",
-    "vectorized",
-    lambda ctx: VectorizedScoringStep(ctx.metric, ctx.platform),
-)
-register_step_backend(
-    "sorting", "vectorized", lambda ctx: VectorizedSortingStep(ctx.comm)
-)
-register_step_backend(
-    "reduction",
-    "vectorized",
-    lambda ctx: VectorizedReductionStep(
+
+_SERIAL: Dict[str, StepFactory] = {
+    "scoring": lambda ctx: ScoringStep(ctx.metric, ctx.platform),
+    "sorting": lambda ctx: SortingStep(ctx.comm),
+    "reduction": lambda ctx: ReductionStep(
         ctx.platform, quality_ladder=ctx.config.quality_ladder
     ),
-)
-register_step_backend(
-    "redistribution",
-    "vectorized",
-    lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
-)
-register_step_backend(
-    "rendering",
-    "vectorized",
-    lambda ctx: VectorizedRenderingStep(
-        ctx.platform,
-        isosurface_level=ctx.config.isosurface_level,
-        render_mode=ctx.config.render_mode,
-    ),
-)
-
-register_step_backend(
-    "scoring",
-    "parallel",
-    lambda ctx: ParallelScoringStep(ctx.metric, ctx.platform),
-)
-# The sort is a rooted collective (rank 0 sorts, everyone receives the same
-# broadcast), so the parallel backend shares the NumPy path — there is no
-# per-rank work to fan out over a pool.
-register_step_backend(
-    "sorting", "parallel", lambda ctx: VectorizedSortingStep(ctx.comm)
-)
-register_step_backend(
-    "reduction",
-    "parallel",
-    lambda ctx: ParallelReductionStep(
+    "redistribution": lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
+    "rendering": _rendering(RenderingStep),
+}
+_VECTORIZED: Dict[str, StepFactory] = {
+    **_SERIAL,
+    "scoring": lambda ctx: VectorizedScoringStep(ctx.metric, ctx.platform),
+    "sorting": lambda ctx: VectorizedSortingStep(ctx.comm),
+    "reduction": lambda ctx: VectorizedReductionStep(
         ctx.platform, quality_ladder=ctx.config.quality_ladder
     ),
-)
-# The exchange planner is already one searchsorted/bincount pass shared by
-# every backend; the exchange itself is a collective.
-register_step_backend(
-    "redistribution",
-    "parallel",
-    lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
-)
-register_step_backend(
-    "rendering",
-    "parallel",
-    lambda ctx: ParallelRenderingStep(
-        ctx.platform,
-        isosurface_level=ctx.config.isosurface_level,
-        render_mode=ctx.config.render_mode,
+    "rendering": _rendering(VectorizedRenderingStep),
+}
+_PROCESS: Dict[str, StepFactory] = {
+    **_VECTORIZED,
+    "scoring": lambda ctx: VectorizedScoringStep(
+        ctx.metric, ctx.platform, processes=True
     ),
-)
+    "rendering": _rendering(VectorizedRenderingStep, processes=True),
+}
 
-# -- the "process" backend ------------------------------------------------------
-#
-# The two data-parallel hot steps fan out over the shared process pool with
-# payloads crossing zero-copy through grid.shm segments; the other three
-# steps deliberately reuse existing implementations:
-#
-# * sorting is a rooted collective (rank 0 sorts, everyone receives one
-#   broadcast) — there is no per-rank work to ship to another process;
-# * reduction reads 8 corner values per selected block, so shipping payloads
-#   to workers costs orders of magnitude more than the gather itself —
-#   the vectorised in-process pass is the faster "process" implementation;
-# * redistribution is a collective exchange plus a searchsorted/bincount
-#   planner that is already a single NumPy pass.
-
-register_step_backend(
-    "scoring",
-    "process",
-    lambda ctx: ProcessScoringStep(ctx.metric, ctx.platform),
-)
-register_step_backend(
-    "sorting", "process", lambda ctx: VectorizedSortingStep(ctx.comm)
-)
-register_step_backend(
-    "reduction",
-    "process",
-    lambda ctx: VectorizedReductionStep(
-        ctx.platform, quality_ladder=ctx.config.quality_ladder
-    ),
-)
-register_step_backend(
-    "redistribution",
-    "process",
-    lambda ctx: RedistributionStep(ctx.strategy, ctx.comm),
-)
-register_step_backend(
-    "rendering",
-    "process",
-    lambda ctx: ProcessRenderingStep(
-        ctx.platform,
-        isosurface_level=ctx.config.isosurface_level,
-        render_mode=ctx.config.render_mode,
-    ),
-)
+for _backend, _factories in (
+    ("serial", _SERIAL),
+    ("vectorized", _VECTORIZED),
+    # An alias: BENCHMARK.json declares core.*.parallel_ms, so the name stays.
+    ("parallel", _VECTORIZED),
+    ("process", _PROCESS),
+):
+    for _step_name in STEP_NAMES:
+        register_step_backend(_step_name, _backend, _factories[_step_name])

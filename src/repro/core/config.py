@@ -101,9 +101,11 @@ class PipelineConfig:
         Backend of the one :class:`~repro.core.engine.ExecutionEngine` — the
         engine always runs iterations strictly in sequence on one
         communicator; this field only selects how its five steps are
-        implemented: ``"vectorized"`` (default), ``"serial"`` (the reference),
-        ``"parallel"`` (thread pools), ``"process"`` (a shared-memory process
-        pool), or any backend a third party registered in
+        implemented: ``"vectorized"`` (default), ``"serial"`` (the per-block
+        oracle), ``"process"`` (scoring and counting fanned out over a
+        shared-memory process pool, for GIL-bound or Python-heavy scorers),
+        ``"parallel"`` (an alias of ``"vectorized"``, kept for the tracked
+        benchmark's metric names), or any backend a third party registered in
         :mod:`repro.core.backends` (which, with :mod:`repro.core.engine`,
         describes each).
         All backends produce identical scores, sort orders, reduction and

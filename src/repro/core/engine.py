@@ -30,11 +30,17 @@ The ``backend`` selects how all five data-parallel steps are implemented:
   ``reduce_to_corners_batch`` fancy-index pass, redistribution plans the
   exchange with one ``searchsorted``/``bincount`` pass, and counting-mode
   rendering runs one ``count_active_cells_batch`` call per shape group;
-* ``"parallel"`` — the same grouping fanned out over ``concurrent.futures``
-  thread pools where per-rank work exists: per-shape score chunks for batch
-  metrics, chunked per-block scoring for scalar user metrics, whole ranks
-  for reduction and rendering (per-shape mesh chunks in mesh mode); the
-  collectives (sorting, redistribution) share the vectorised path.
+* ``"process"`` — the ``vectorized`` classes with the two hot data-parallel
+  steps fanned out over a shared process pool, payloads crossing through
+  shared memory (:func:`~repro.grid.fanout.map_shape_groups`): scoring chunks
+  and counting-mode rendering chunks.  This is the backend for GIL-bound or
+  Python-heavy scorers (``PYVAR``, ``LZ``, scalar user metrics), which no
+  batching inside one interpreter can speed up; sorting, reduction,
+  redistribution and mesh-mode rendering are the vectorised path;
+* ``"parallel"`` — an alias of ``"vectorized"``.  It used to fan the same
+  groups out over thread pools, lost every recorded probe against the inline
+  path (README, "Why the thread-pool backend was deleted"), and survives as
+  a name only because the tracked benchmark declares ``core.*.parallel_ms``.
 
 All backends produce bitwise-identical decisions and modelled results (ids,
 scores, sort orders, reduction decisions, moved bytes, active-cell and
@@ -93,7 +99,8 @@ class ExecutionEngine:
     backend:
         Override of ``config.engine`` (any backend registered in
         :mod:`repro.core.backends` — ``"serial"``, ``"vectorized"``,
-        ``"parallel"``, or a third-party registration).
+        ``"process"``, the ``"parallel"`` alias, or a third-party
+        registration).
     """
 
     def __init__(

@@ -9,21 +9,21 @@ the most aggressive level, better-scored selected blocks keep a level-1
 strided downsample.  Every rank takes the same decision locally, then reduces
 only the blocks it owns.
 
-Like scoring and rendering, the step comes in three implementations of one
-contract, selected through the backend registry:
+One reference class and one batched class implement the contract, selected
+through the backend registry:
 
-* :class:`ReductionStep` — the reference loop: every block is tested against
-  the reduced-id set and reduced one :func:`~repro.grid.reduction.reduce_block`
-  call at a time;
-* :class:`VectorizedReductionStep` — the selected blocks of *all* ranks are
-  grouped by payload shape/dtype (the
-  :func:`~repro.grid.batch.group_positions_by_shape` key every stacked hot
-  path shares) and each group's corners are gathered with one
-  :func:`~repro.grid.reduction.reduce_to_corners_batch` fancy-index pass;
-* :class:`ParallelReductionStep` — the per-rank batched pass fanned out over
-  a ``concurrent.futures`` thread pool across ranks.
+* :class:`ReductionStep` (``serial``, the oracle) — the reference loop: every
+  block is tested against the reduced-id set and reduced one
+  :func:`~repro.grid.reduction.reduce_block` call at a time;
+* :class:`VectorizedReductionStep` (every other backend) — the selected blocks
+  of *all* ranks are grouped by target level and payload shape/dtype
+  (:func:`~repro.grid.batch.stacked_shape_groups`, the grouping every stacked
+  hot path shares) and each group is gathered with one
+  :func:`~repro.grid.reduction.reduce_to_level_batch` fancy-index pass.  The
+  gather reads a few values per block, so shipping payloads to a pool costs
+  far more than the gather itself: there is no fanned-out variant.
 
-All backends produce bitwise-identical reduced payloads and modelled seconds
+Both produce bitwise-identical reduced payloads and modelled seconds
 (the modelled cost is derived from
 :attr:`~repro.perfmodel.platform.PlatformModel.seconds_per_reduced_block`);
 measured wall-clock is the one quantity that legitimately differs.
@@ -32,17 +32,19 @@ measured wall-clock is the one quantity that legitimately differs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro.core.step import IterationContext, StepReport
-from repro.grid.batch import group_positions_by_shape
+from repro.core.step import (
+    IterationContext,
+    StepReport,
+    flatten_ranks,
+    share_elapsed,
+    step_info,
+)
+from repro.grid.batch import stacked_shape_groups
 from repro.grid.block import Block
 from repro.grid.reduction import reduce_block, reduce_to_level_batch
 from repro.perfmodel.platform import PlatformModel
-from repro.utils.pool import LazyThreadPool
 from repro.utils.timer import Timer
 
 ScorePair = Tuple[int, float]
@@ -224,15 +226,13 @@ class ReductionStep:
             measured.append(timer.elapsed)
             modelled.append(self._reduction_seconds(reduced_count, points_copied))
             points_total += points_copied
-        info = {
-            "measured_per_rank": measured,
-            "modelled_per_rank": modelled,
-            "measured_max": max(measured) if measured else 0.0,
-            "modelled_max": max(modelled) if modelled else 0.0,
-            "nreduced": len(reduced_ids),
-            "points_copied": points_total,
-            "reduction_levels": levels,
-        }
+        info = step_info(
+            measured,
+            modelled,
+            nreduced=len(reduced_ids),
+            points_copied=points_total,
+            reduction_levels=levels,
+        )
         return out, reduced_ids, info
 
     def execute(self, context: IterationContext) -> StepReport:
@@ -243,14 +243,10 @@ class ReductionStep:
         context.per_rank_blocks = out
         context.reduced_ids = reduced_ids
         context.reduction_levels = dict(info["reduction_levels"])
-        return StepReport(
-            step=self.name,
-            measured_per_rank=list(info["measured_per_rank"]),
-            modelled_per_rank=list(info["modelled_per_rank"]),
-            counters={
-                "nreduced": float(info["nreduced"]),
-                "points_copied": float(info["points_copied"]),
-            },
+        return StepReport.per_rank(
+            self.name,
+            info,
+            {"nreduced": info["nreduced"], "points_copied": info["points_copied"]},
         )
 
 
@@ -259,12 +255,13 @@ class VectorizedReductionStep(ReductionStep):
 
     The reduction is embarrassingly parallel, so — like the vectorised
     scoring step — the batch spans *across* ranks: every selected block of
-    the iteration is grouped by payload shape/dtype, each group's payloads
-    are stacked, and the corner values of the whole group are gathered with
-    one :func:`~repro.grid.reduction.reduce_to_corners_batch` fancy-index
-    pass (bitwise equal to :func:`~repro.grid.reduction.reduce_to_corners`
-    per block).  A typical iteration has exactly one group: the full-block
-    shape of the decomposition.
+    the iteration is bucketed by target ladder level and grouped by payload
+    shape/dtype, each group's payloads are stacked, and the retained values
+    of the whole group are gathered with one
+    :func:`~repro.grid.reduction.reduce_to_level_batch` fancy-index pass
+    (bitwise equal to :func:`~repro.grid.reduction.reduce_block` per block).
+    A typical iteration has exactly one group per rung: the full-block shape
+    of the decomposition.
 
     Measured wall-clock of the single pass is attributed to ranks
     proportionally to their selected-block counts (the convention the
@@ -272,29 +269,16 @@ class VectorizedReductionStep(ReductionStep):
     exactly as in the serial step.
     """
 
-    name = "reduction"
-
-    def _selected_positions(
-        self, blocks: Sequence[Block], reduced_ids: "Set[int] | Dict[int, int]"
-    ) -> List[int]:
-        """Positions of the blocks the decision set selects (one scan)."""
-        return [
-            i for i, block in enumerate(blocks) if block.block_id in reduced_ids
-        ]
-
     def _apply_selected(
         self,
         blocks: Sequence[Block],
         selected: Sequence[int],
         levels: Dict[int, int],
     ) -> List[Block]:
-        """Reduced copies of ``blocks[selected]``, batched by target and shape.
+        """``blocks`` with ``blocks[selected]`` reduced to their target levels.
 
         Blocks already at (or beyond) their target level are left as-is (the
-        same no-op :func:`~repro.grid.reduction.reduce_block` performs); the
-        rest are bucketed by target ladder level, grouped by payload
-        shape/dtype within each bucket, and gathered with one
-        :func:`~repro.grid.reduction.reduce_to_level_batch` pass per group.
+        same no-op :func:`~repro.grid.reduction.reduce_block` performs).
         """
         out = list(blocks)
         by_level: Dict[int, List[int]] = {}
@@ -304,11 +288,12 @@ class VectorizedReductionStep(ReductionStep):
                 by_level.setdefault(target, []).append(i)
         for target in sorted(by_level):
             targets = by_level[target]
-            for positions in group_positions_by_shape([blocks[i] for i in targets]):
-                indices = [targets[p] for p in positions]
-                stacked = np.stack([blocks[i].data for i in indices])
+            for positions, stacked in stacked_shape_groups(
+                [blocks[i] for i in targets]
+            ):
                 payloads = reduce_to_level_batch(stacked, target)
-                for row, i in enumerate(indices):
+                for row, position in enumerate(positions):
+                    i = targets[position]
                     out[i] = blocks[i].with_level_payload(payloads[row], target)
         return out
 
@@ -320,120 +305,27 @@ class VectorizedReductionStep(ReductionStep):
     ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
         """Reduce every rank's selected blocks in one cross-rank pass."""
         levels = select_reduction_levels(sorted_pairs, percent, self.quality_ladder)
-        reduced_ids = set(levels)
         with Timer() as timer:
-            all_blocks: List[Block] = []
-            rank_slices: List[Tuple[int, int]] = []
-            rank_selected: List[List[int]] = []
-            for blocks in per_rank_blocks:
-                offset = len(all_blocks)
-                rank_slices.append((offset, offset + len(blocks)))
-                rank_selected.append(
-                    [offset + i for i in self._selected_positions(blocks, levels)]
-                )
-                all_blocks.extend(blocks)
+            all_blocks, rank_slices = flatten_ranks(per_rank_blocks)
+            rank_selected = [
+                [i for i in range(lo, hi) if all_blocks[i].block_id in levels]
+                for lo, hi in rank_slices
+            ]
             selected = [i for positions in rank_selected for i in positions]
             new_all = self._apply_selected(all_blocks, selected, levels)
-        elapsed = timer.elapsed
-
-        out: List[List[Block]] = []
-        measured: List[float] = []
-        modelled: List[float] = []
-        points_total = 0
         rank_counts = [len(positions) for positions in rank_selected]
-        total_count = sum(rank_counts)
-        for (lo, hi), positions, reduced_count in zip(
-            rank_slices, rank_selected, rank_counts
-        ):
-            out.append(new_all[lo:hi])
-            points_copied = sum(int(new_all[i].data.size) for i in positions)
-            measured.append(
-                elapsed * (reduced_count / total_count) if total_count else 0.0
-            )
-            modelled.append(self._reduction_seconds(reduced_count, points_copied))
-            points_total += points_copied
-        info = {
-            "measured_per_rank": measured,
-            "modelled_per_rank": modelled,
-            "measured_max": max(measured) if measured else 0.0,
-            "modelled_max": max(modelled) if modelled else 0.0,
-            "nreduced": len(reduced_ids),
-            "points_copied": points_total,
-            "reduction_levels": levels,
-        }
-        return out, reduced_ids, info
-
-
-class ParallelReductionStep(VectorizedReductionStep):
-    """The batched reduction pass fanned out over a thread pool across ranks.
-
-    Ranks reduce independently (the decision set is already global), so the
-    pool maps whole ranks to workers, each worker running the per-rank
-    shape-grouped batch pass of :class:`VectorizedReductionStep`.  Per-rank
-    ``measured`` seconds are each task's own wall-clock (tasks run
-    concurrently, so their sum exceeds the step's elapsed time); everything
-    decision-bearing is bitwise identical to the other backends.
-    """
-
-    name = "reduction"
-
-    def __init__(
-        self,
-        platform: Optional[PlatformModel] = None,
-        max_workers: Optional[int] = None,
-        quality_ladder: QualityLadder = DEFAULT_QUALITY_LADDER,
-    ) -> None:
-        super().__init__(platform, quality_ladder=quality_ladder)
-        self._workers = LazyThreadPool(
-            max_workers, thread_name_prefix="reduction-worker"
+        rank_points = [
+            sum(int(new_all[i].data.size) for i in positions)
+            for positions in rank_selected
+        ]
+        info = step_info(
+            share_elapsed(timer.elapsed, rank_counts),
+            [
+                self._reduction_seconds(count, points)
+                for count, points in zip(rank_counts, rank_points)
+            ],
+            nreduced=len(levels),
+            points_copied=sum(rank_points),
+            reduction_levels=levels,
         )
-        self.max_workers = self._workers.max_workers
-
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """The step's worker pool, created on first use and reused across
-        iterations (the step lives as long as its engine)."""
-        return self._workers.executor
-
-    def run(
-        self,
-        per_rank_blocks: Sequence[Sequence[Block]],
-        sorted_pairs: Sequence[ScorePair],
-        percent: float,
-    ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
-        """Reduce every rank's selected blocks, one pool task per rank."""
-        levels = select_reduction_levels(sorted_pairs, percent, self.quality_ladder)
-        reduced_ids = set(levels)
-
-        def reduce_rank(
-            blocks: Sequence[Block],
-        ) -> Tuple[List[Block], int, int, float]:
-            with Timer() as timer:
-                selected = self._selected_positions(blocks, levels)
-                new_blocks = self._apply_selected(blocks, selected, levels)
-                points_copied = sum(
-                    int(new_blocks[i].data.size) for i in selected
-                )
-            return new_blocks, len(selected), points_copied, timer.elapsed
-
-        out: List[List[Block]] = []
-        measured: List[float] = []
-        modelled: List[float] = []
-        points_total = 0
-        for new_blocks, reduced_count, points_copied, elapsed in self.pool.map(
-            reduce_rank, per_rank_blocks
-        ):
-            out.append(new_blocks)
-            measured.append(elapsed)
-            modelled.append(self._reduction_seconds(reduced_count, points_copied))
-            points_total += points_copied
-        info = {
-            "measured_per_rank": measured,
-            "modelled_per_rank": modelled,
-            "measured_max": max(measured) if measured else 0.0,
-            "modelled_max": max(modelled) if modelled else 0.0,
-            "nreduced": len(reduced_ids),
-            "points_copied": points_total,
-            "reduction_levels": levels,
-        }
-        return out, reduced_ids, info
+        return [new_all[lo:hi] for lo, hi in rank_slices], set(levels), info

@@ -6,51 +6,40 @@ times (the rendering ends with a synchronous composition, so the slowest
 process drives the total — the load-imbalance effect the redistribution step
 attacks).
 
-Like the scoring step, the rendering step comes in four implementations of
-one contract, selected by ``PipelineConfig.engine``:
+Like the scoring step, the rendering step is one reference class and one
+batched class, selected by ``PipelineConfig.engine``:
 
-* :class:`RenderingStep` — the reference loop: every rank's blocks go through
-  ``IsosurfaceScript.process`` one block at a time;
-* :class:`VectorizedRenderingStep` — counting mode groups each rank's blocks
-  by payload shape (the :class:`~repro.grid.batch.BlockBatch` layout; all
-  reduced 2×2×2 blocks form one stacked group) and counts every group with a
-  single vectorised ``count_active_cells_batch`` pass.  Mesh mode extracts
-  real geometry, which cannot be stacked, and falls back to the reference
-  per-block extraction;
-* :class:`ParallelRenderingStep` — the vectorised per-rank batch path fanned
-  out over a ``concurrent.futures`` thread pool across ranks; in mesh mode
-  the work items are per-shape block chunks, reassembled in block order;
-* :class:`ProcessRenderingStep` — counting mode fanned out over the shared
-  process pool, payloads crossing zero-copy through
-  :class:`~repro.grid.shm.SharedBlockBatch` segments (mesh mode falls back
-  to the vectorised path).
+* :class:`RenderingStep` (``serial``, the oracle) — every rank's blocks go
+  through ``IsosurfaceScript.process`` one block at a time;
+* :class:`VectorizedRenderingStep` (``vectorized``, the default) — counting
+  mode counts every block of the iteration in one cross-rank
+  :meth:`~repro.viz.catalyst.IsosurfaceScript.count_blocks_batched` pass (one
+  ``count_active_cells_batch`` call per stacked shape group; all reduced
+  2×2×2 blocks form one group).  Built with ``processes=True`` (the
+  ``process`` backend) the same pass is chunked over the shared process pool
+  through shared memory.  Mesh mode extracts real per-block geometry, which
+  cannot be stacked — and pickling meshes back from a worker costs more than
+  the extraction — so it always runs the reference per-block extraction.
 
-All backends produce identical counts, triangle estimates, and modelled
-seconds — measured wall-clock is the one quantity that legitimately differs.
+Both produce identical counts, triangle estimates, and modelled seconds —
+measured wall-clock is the one quantity that legitimately differs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.step import IterationContext, StepReport
-from repro.grid.batch import group_positions_by_shape
-from repro.grid.block import Block
-from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
-from repro.perfmodel.platform import PlatformModel
-from repro.utils.pool import LazyThreadPool
-from repro.utils.procpool import (
-    chunk_bounds,
-    default_process_workers,
-    shared_process_pool,
+from repro.core.step import (
+    IterationContext,
+    StepReport,
+    flatten_ranks,
+    share_elapsed,
+    step_info,
 )
+from repro.grid.block import Block
+from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
 from repro.viz.catalyst import CatalystPipeline, IsosurfaceScript, RenderResult
-from repro.viz.marching_cubes import count_active_cells_batch
-from repro.viz.mesh import TriangleMesh
 
 
 class RenderingStep:
@@ -112,28 +101,23 @@ class RenderingStep:
                     nblocks=len(blocks),
                 )
             )
-        info = {
-            "measured_per_rank": measured,
-            "modelled_per_rank": modelled,
-            "triangles_per_rank": triangles,
-            "measured_max": max(measured) if measured else 0.0,
-            "modelled_max": max(modelled) if modelled else 0.0,
-            "total_triangles": int(sum(triangles)),
-        }
+        info = step_info(
+            measured,
+            modelled,
+            triangles_per_rank=triangles,
+            total_triangles=int(sum(triangles)),
+        )
         return results, info
 
     def execute(self, context: IterationContext) -> StepReport:
         """Render the context's blocks (PipelineStep contract)."""
         results, info = self.run(context.per_rank_blocks, context.iteration)
         context.render_results = results
-        return StepReport(
-            step=self.name,
-            measured_per_rank=list(info["measured_per_rank"]),
-            modelled_per_rank=list(info["modelled_per_rank"]),
-            counters={"total_triangles": float(info["total_triangles"])},
-            per_rank_counters={
-                "triangles": [float(t) for t in info["triangles_per_rank"]]
-            },
+        return StepReport.per_rank(
+            self.name,
+            info,
+            {"total_triangles": info["total_triangles"]},
+            {"triangles": info["triangles_per_rank"]},
         )
 
 
@@ -142,35 +126,42 @@ class VectorizedRenderingStep(RenderingStep):
 
     Counting mode — the cheap load proxy the large virtual-rank experiments
     run — batches *across* ranks, exactly like the vectorised scoring step:
-    every block of the iteration is grouped by payload shape (the
-    :class:`~repro.grid.batch.BlockBatch` layout; all reduced 2×2×2 blocks
-    form one stacked group) and each group is counted with a single
-    ``count_active_cells_batch`` pass, so the whole iteration costs a
-    handful of NumPy calls instead of one Python iteration per block.
-    Counts, triangle estimates, and modelled seconds are bitwise identical
-    to :class:`RenderingStep`'s; only measured wall-clock differs, and the
-    single pass's elapsed time is attributed to ranks proportionally to
-    their payload point counts (the convention the scoring step set).  Mesh
-    mode extracts per-block geometry, which cannot be stacked, and is
-    identical to the reference loop.
+    every block of the iteration is counted in one
+    :meth:`~repro.viz.catalyst.IsosurfaceScript.count_blocks_batched` pass, so
+    the whole iteration costs a handful of NumPy calls instead of one Python
+    iteration per block; ``processes=True`` chunks that pass over the shared
+    process pool.  Counts, triangle estimates, and modelled seconds are
+    bitwise identical to :class:`RenderingStep`'s; only measured wall-clock
+    differs, and the single pass's elapsed time is attributed to ranks
+    proportionally to their payload point counts (the convention the scoring
+    step set).  Mesh mode is the reference loop.
     """
+
+    def __init__(
+        self,
+        platform: PlatformModel,
+        isosurface_level: float = 45.0,
+        render_mode: str = "count",
+        render_image: bool = False,
+        processes: bool = False,
+    ) -> None:
+        super().__init__(
+            platform,
+            isosurface_level=isosurface_level,
+            render_mode=render_mode,
+            render_image=render_image,
+        )
+        self.processes = bool(processes)
 
     def _render_all(
         self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
     ) -> List[RenderResult]:
         if self.script.mode != "count":
-            return [
-                self.script.process_batch(blocks, iteration)
-                for blocks in per_rank_blocks
-            ]
-        all_blocks: List[Block] = []
-        rank_slices: List[Tuple[int, int]] = []
-        for blocks in per_rank_blocks:
-            rank_slices.append((len(all_blocks), len(all_blocks) + len(blocks)))
-            all_blocks.extend(blocks)
+            return super()._render_all(per_rank_blocks, iteration)
+        all_blocks, rank_slices = flatten_ranks(per_rank_blocks)
         results: List[RenderResult] = []
         with Timer() as timer:
-            counts = self._count_all(all_blocks)
+            counts = self.script.count_blocks_batched(all_blocks, self.processes)
             for (lo, hi), blocks in zip(rank_slices, per_rank_blocks):
                 result = RenderResult(
                     script_name=self.script.name, iteration=iteration
@@ -179,211 +170,7 @@ class VectorizedRenderingStep(RenderingStep):
                     result.npoints += int(block.data.size)
                     self.script.record_count(result, block.block_id, cells)
                 results.append(result)
-        elapsed = timer.elapsed
-        total_points = sum(result.npoints for result in results)
-        for result in results:
-            result.measured_seconds = (
-                elapsed * (result.npoints / total_points) if total_points else 0.0
-            )
+        shares = share_elapsed(timer.elapsed, [result.npoints for result in results])
+        for result, seconds in zip(results, shares):
+            result.measured_seconds = seconds
         return results
-
-    def _count_all(self, blocks: Sequence[Block]) -> np.ndarray:
-        """Per-block active-cell counts (the counting-mode backend hook)."""
-        return self.script.count_blocks_batched(blocks)
-
-
-class ParallelRenderingStep(VectorizedRenderingStep):
-    """The batched rendering path fanned out over a thread pool.
-
-    Ranks are independent at the rendering step (the paper's synchronous
-    composition happens *after* the per-rank work this step prices), so the
-    pool maps whole ranks to workers:
-
-    * counting mode: one :meth:`IsosurfaceScript.process_batch` task per rank
-      (itself the vectorised per-shape-group pass);
-    * mesh mode: each rank's blocks are split into per-shape chunks, every
-      chunk's blocks are extracted by one task (a single detection pass per
-      block), and the per-block meshes are reassembled *in block order* — so
-      the merged per-rank mesh, the counts, and the optional rasterized image
-      are identical to the serial backend's.
-
-    NumPy-heavy extraction releases the GIL for most of its work, so threads
-    (which share the block payloads for free) beat a process pool and its
-    per-payload pickling — the same trade the parallel scoring step makes.
-    Per-rank ``measured_seconds`` are each task's own wall-clock (tasks run
-    concurrently, so their sum exceeds the step's elapsed time).
-    """
-
-    def __init__(
-        self,
-        platform: PlatformModel,
-        isosurface_level: float = 45.0,
-        render_mode: str = "count",
-        render_image: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            platform,
-            isosurface_level=isosurface_level,
-            render_mode=render_mode,
-            render_image=render_image,
-        )
-        self._workers = LazyThreadPool(
-            max_workers, thread_name_prefix="rendering-worker"
-        )
-        self.max_workers = self._workers.max_workers
-
-    @property
-    def pool(self) -> ThreadPoolExecutor:
-        """The step's worker pool, created on first use and reused across
-        iterations (the step lives as long as its engine)."""
-        return self._workers.executor
-
-    def _render_all(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> List[RenderResult]:
-        if self.script.mode == "count":
-            return list(
-                self.pool.map(
-                    lambda blocks: self.script.process_batch(blocks, iteration),
-                    per_rank_blocks,
-                )
-            )
-        return self._render_all_mesh(per_rank_blocks, iteration)
-
-    # -- mesh mode: per-shape chunks across all ranks ------------------------
-
-    def _render_all_mesh(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> List[RenderResult]:
-        tasks: List[Tuple[int, List[int]]] = []
-        for rank, blocks in enumerate(per_rank_blocks):
-            tasks.extend(
-                (rank, positions)
-                for positions in group_positions_by_shape(blocks)
-            )
-
-        def extract_chunk(task: Tuple[int, List[int]]):
-            rank, positions = task
-            blocks = per_rank_blocks[rank]
-            with Timer() as timer:
-                extracted = [
-                    (pos, self.script.extract_block(blocks[pos]))
-                    for pos in positions
-                ]
-            return rank, extracted, timer.elapsed
-
-        per_rank_meshes: List[Dict[int, TriangleMesh]] = [
-            {} for _ in per_rank_blocks
-        ]
-        per_rank_cells: List[Dict[int, int]] = [{} for _ in per_rank_blocks]
-        elapsed: List[float] = [0.0 for _ in per_rank_blocks]
-        for rank, extracted, seconds in self.pool.map(extract_chunk, tasks):
-            elapsed[rank] += seconds
-            for pos, (mesh, cells) in extracted:
-                per_rank_meshes[rank][pos] = mesh
-                per_rank_cells[rank][pos] = cells
-
-        results: List[RenderResult] = []
-        for rank, blocks in enumerate(per_rank_blocks):
-            result = RenderResult(script_name=self.script.name, iteration=iteration)
-            meshes: List[TriangleMesh] = []
-            with Timer() as timer:
-                for pos, block in enumerate(blocks):
-                    result.npoints += int(block.data.size)
-                    mesh = per_rank_meshes[rank][pos]
-                    result.per_block_active_cells[block.block_id] = (
-                        per_rank_cells[rank][pos]
-                    )
-                    result.per_block_triangles[block.block_id] = mesh.ntriangles
-                    meshes.append(mesh)
-                self.script.finalize_mesh(result, meshes)
-            result.measured_seconds = elapsed[rank] + timer.elapsed
-            results.append(result)
-        return results
-
-
-def _count_shared_batch(
-    level: float, handle: ShmBatchHandle, lo: int, hi: int
-) -> np.ndarray:
-    """Process-pool worker: active-cell counts for rows ``[lo, hi)`` of a
-    shared stacked payload.  ``count_active_cells_batch`` treats every block
-    independently, so counts do not depend on the chunk boundaries."""
-    view = SharedBlockBatch.attach(handle)
-    try:
-        return count_active_cells_batch(view.data[lo:hi], level)
-    finally:
-        view.close()
-
-
-class ProcessRenderingStep(VectorizedRenderingStep):
-    """Counting-mode rendering fanned out over the shared process pool.
-
-    The cross-rank assembly of :class:`VectorizedRenderingStep` is kept; only
-    the per-block counting moves to worker processes.  Each shape group's
-    stacked payload crosses the boundary once through a
-    :class:`~repro.grid.shm.SharedBlockBatch` segment and workers count
-    contiguous row ranges of the shared view, so the task queue carries only
-    handles and bounds.  Counts — and everything derived from them — are
-    bitwise identical to the other backends'.
-
-    Mesh mode extracts real per-block geometry; the meshes cannot be stacked
-    into a shared segment, and pickling them back to the parent costs more
-    than the extraction itself, so mesh mode falls back to the inherited
-    vectorised path (a documented serial fallback, like the sorting /
-    reduction / redistribution steps of this backend).
-    """
-
-    def __init__(
-        self,
-        platform: PlatformModel,
-        isosurface_level: float = 45.0,
-        render_mode: str = "count",
-        render_image: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            platform,
-            isosurface_level=isosurface_level,
-            render_mode=render_mode,
-            render_image=render_image,
-        )
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = int(max_workers or default_process_workers())
-
-    @property
-    def pool(self) -> ProcessPoolExecutor:
-        """The engine-wide shared process pool (created on first use)."""
-        return shared_process_pool()
-
-    def _count_all(self, blocks: Sequence[Block]) -> np.ndarray:
-        counts = np.zeros(len(blocks), dtype=np.int64)
-        shared: List[SharedBlockBatch] = []
-        pending: List[Tuple[List[int], Future]] = []
-        try:
-            for indices in group_positions_by_shape(blocks):
-                segment = SharedBlockBatch.create(
-                    np.stack([blocks[i].data for i in indices])
-                )
-                shared.append(segment)
-                handle = segment.handle()
-                for lo, hi in chunk_bounds(len(indices), 2 * self.max_workers):
-                    pending.append(
-                        (
-                            indices[lo:hi],
-                            self.pool.submit(
-                                _count_shared_batch,
-                                self.script.level,
-                                handle,
-                                lo,
-                                hi,
-                            ),
-                        )
-                    )
-            for chunk, future in pending:
-                counts[chunk] = np.asarray(future.result(), dtype=np.int64)
-        finally:
-            for segment in shared:
-                segment.dispose()
-        return counts

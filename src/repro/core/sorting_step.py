@@ -16,7 +16,7 @@ backend registry:
   (:func:`~repro.simmpi.sort.parallel_sort_pairs_numpy`).  The communication
   payloads are identical byte for byte, so ``StepReport.modelled`` and
   ``payload_bytes`` are unchanged, and the sorted list is bitwise equal.
-  The parallel backend uses this implementation too: the sort is a rooted
+  Every batched backend uses this implementation: the sort is a rooted
   collective, so there is no per-rank work to fan out over a pool.
 
 Whatever the implementation, the step verifies that every rank holds the

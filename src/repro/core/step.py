@@ -7,9 +7,13 @@ render) is a :class:`PipelineStep`: an object with a ``name`` and an
 ordered list of steps; :class:`~repro.core.monitor.PerformanceMonitor`
 consumes the reports.  Because the contract is uniform, steps can be swapped
 (serial vs. vectorised scoring) or extended without touching the
-orchestration code.  The sequence is a linear chain — each step consumes
-context state the previous one wrote (see :class:`IterationContext`) — and
-the engine runs it in list order, one iteration at a time; there is no
+orchestration code.  What the batched steps share beyond the contract — the
+cross-rank flatten, the attribution of one pass's wall-clock to ranks, the
+``info`` dict of ``run`` and its conversion to a report — is written once
+here (:func:`flatten_ranks`, :func:`share_elapsed`, :func:`step_info`,
+:meth:`StepReport.per_rank`).  The sequence is a linear chain — each step
+consumes context state the previous one wrote (see :class:`IterationContext`)
+— and the engine runs it in list order, one iteration at a time; there is no
 separate dependency table to keep in step with the code.
 """
 
@@ -22,6 +26,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Set,
     Tuple,
     runtime_checkable,
@@ -80,6 +85,26 @@ class StepReport:
         return max(self.modelled_per_rank) if self.modelled_per_rank else 0.0
 
     @classmethod
+    def per_rank(
+        cls,
+        step: str,
+        info: Dict[str, object],
+        counters: Dict[str, float],
+        per_rank_counters: Optional[Dict[str, Sequence[float]]] = None,
+    ) -> "StepReport":
+        """Report of a per-rank step from its ``run``'s :func:`step_info`."""
+        return cls(
+            step=step,
+            measured_per_rank=list(info["measured_per_rank"]),
+            modelled_per_rank=list(info["modelled_per_rank"]),
+            counters={name: float(value) for name, value in counters.items()},
+            per_rank_counters={
+                name: [float(value) for value in series]
+                for name, series in (per_rank_counters or {}).items()
+            },
+        )
+
+    @classmethod
     def collective(
         cls,
         step: str,
@@ -96,6 +121,40 @@ class StepReport:
             payload_bytes=float(payload_bytes),
             counters=dict(counters or {}),
         )
+
+
+def step_info(
+    measured: List[float], modelled: List[float], **extra: object
+) -> Dict[str, object]:
+    """The ``info`` dict a per-rank step's ``run`` returns: the per-rank
+    measured/modelled seconds, their maxima, and the step's own ``extra``."""
+    return {
+        "measured_per_rank": measured,
+        "modelled_per_rank": modelled,
+        "measured_max": max(measured) if measured else 0.0,
+        "modelled_max": max(modelled) if modelled else 0.0,
+        **extra,
+    }
+
+
+def flatten_ranks(
+    per_rank_blocks: Sequence[Sequence["Block"]],
+) -> Tuple[List["Block"], List[Tuple[int, int]]]:
+    """All ranks' blocks as one list, plus each rank's ``(lo, hi)`` slice of it
+    (the batched steps work across ranks and cut the result back per rank)."""
+    all_blocks: List["Block"] = []
+    rank_slices: List[Tuple[int, int]] = []
+    for blocks in per_rank_blocks:
+        rank_slices.append((len(all_blocks), len(all_blocks) + len(blocks)))
+        all_blocks.extend(blocks)
+    return all_blocks, rank_slices
+
+
+def share_elapsed(elapsed: float, weights: Sequence[float]) -> List[float]:
+    """One cross-rank pass's wall-clock, attributed to the ranks in proportion
+    to ``weights`` (their share of the pass's work; all zero when there is none)."""
+    total = sum(weights)
+    return [elapsed * (weight / total) if total else 0.0 for weight in weights]
 
 
 @dataclass

@@ -265,8 +265,8 @@ class ExperimentScenario:
     ) -> InSituPipeline:
         """Build a pipeline wired to this scenario's platform and rank count.
 
-        ``engine`` selects the execution backend ("serial", "vectorized",
-        "parallel" or "process"); the default follows
+        ``engine`` selects the execution backend ("serial", "vectorized" or
+        "process"; "parallel" aliases "vectorized"); the default follows
         :class:`PipelineConfig` (vectorized).
         ``quality_ladder`` forwards a reduction quality ladder (``(level,
         fraction)`` rungs); ``None`` keeps the all-corners default.

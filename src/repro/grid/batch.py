@@ -16,20 +16,20 @@ mixed shapes or dtypes cannot share one stacked array; use
 :func:`partition_by_shape` to split an arbitrary block list into homogeneous
 batches while remembering each block's original position.
 
-Both hot data-parallel steps consume this layout: the vectorised scoring
-step stacks cross-rank shape groups for ``metric.score_batch``, and the
-vectorised rendering path groups blocks by the same shape/dtype key before
-one ``count_active_cells_batch`` pass per stacked group (a post-reduction
-block list yields at most a handful of groups — typically the full-block
-shapes plus one 2×2×2 group holding every reduced block).  Both hot paths
-stack payloads only; :func:`partition_by_shape` additionally carries the
-metadata arrays for consumers that need a full :class:`BlockBatch`.
+Every batched step consumes this layout through :func:`stacked_shape_groups`
+(the one place block payloads are stacked): scoring and counting-mode
+rendering via :func:`repro.grid.fanout.map_shape_groups`, the reduction for
+its gather.  A post-reduction block list yields at most a handful of groups —
+typically the full-block shapes plus one 2×2×2 group holding every reduced
+block.  The hot paths stack payloads only; :func:`partition_by_shape`
+additionally carries the metadata arrays for consumers that need a full
+:class:`BlockBatch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "group_positions_by_shape",
     "partition_by_shape",
     "reduce_to_level_batch",
+    "stacked_shape_groups",
 ]
 
 
@@ -232,8 +233,8 @@ class BlockBatch:
 def group_positions_by_shape(blocks: Sequence[Block]) -> List[List[int]]:
     """Group block positions by payload shape *and* dtype.
 
-    This is the batching key every stacked hot path shares (vectorised
-    scoring, counting-mode rendering, mesh-mode chunking): blocks whose
+    This is the batching key every stacked hot path shares (scoring,
+    counting-mode rendering, the reduction gather): blocks whose
     payloads share one shape/dtype stack without promotion.  Returns one
     position list per group, positions in input order; a typical
     pre-reduction rank list yields exactly one group, and all reduced
@@ -244,6 +245,20 @@ def group_positions_by_shape(blocks: Sequence[Block]) -> List[List[int]]:
         key = (tuple(block.data.shape), block.data.dtype)
         groups.setdefault(key, []).append(position)
     return list(groups.values())
+
+
+def stacked_shape_groups(
+    blocks: Sequence[Block],
+) -> Iterator[Tuple[List[int], np.ndarray]]:
+    """Yield ``(positions, stacked)`` for every shape/dtype group of ``blocks``.
+
+    ``stacked[row]`` is the payload of ``blocks[positions[row]]``.  Only the
+    payloads are stacked — the hot paths (scoring, counting, the reduction
+    gather) never read the batch metadata; use :func:`partition_by_shape`
+    when a full :class:`BlockBatch` is needed.
+    """
+    for positions in group_positions_by_shape(blocks):
+        yield positions, np.stack([blocks[i].data for i in positions])
 
 
 def partition_by_shape(

@@ -1,0 +1,94 @@
+"""The one fan-out: a row-wise kernel mapped over a block list's shape groups.
+
+Every batched hot path has the same outline — group the blocks by payload
+shape/dtype, stack each group into one ``(nblocks, sx, sy, sz)`` array, apply
+a kernel that yields one value per row, scatter the values back to block
+order.  :func:`map_shape_groups` is that outline, written once, with the two
+ways a kernel can be applied:
+
+* inline (the ``vectorized`` backend): one ``kernel(stacked)`` call per group;
+* ``processes=True`` (the ``process`` backend): each group's stacked payload is
+  copied once into a :class:`~repro.grid.shm.SharedBlockBatch` segment and
+  contiguous row ranges are applied by the shared process pool's workers, so
+  the task queue carries only the kernel, a segment handle and two integers.
+
+A kernel treats every row independently (the ``score_batch`` /
+``count_active_cells_batch`` contract), so neither the grouping nor the chunk
+boundaries can change a value: both modes return the same array, bit for bit,
+as a per-block loop.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import Future, wait
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
+
+from repro.grid.batch import stacked_shape_groups
+from repro.grid.block import Block
+from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
+from repro.utils.procpool import (
+    chunk_bounds,
+    default_process_workers,
+    shared_process_pool,
+)
+
+__all__ = ["map_shape_groups"]
+
+#: ``kernel(stacked) -> (len(stacked),)`` values, one per row.
+RowKernel = Callable[[np.ndarray], np.ndarray]
+
+
+def _apply_to_shared_rows(
+    kernel: RowKernel, handle: ShmBatchHandle, lo: int, hi: int
+) -> np.ndarray:
+    """Pool worker: ``kernel`` over rows ``[lo, hi)`` of a shared stacked payload."""
+    view = SharedBlockBatch.attach(handle)
+    try:
+        return np.asarray(kernel(view.data[lo:hi]))
+    finally:
+        view.close()
+
+
+def map_shape_groups(
+    blocks: Sequence[Block],
+    kernel: RowKernel,
+    dtype: np.dtype,
+    processes: bool = False,
+) -> np.ndarray:
+    """``kernel``'s per-block values over ``blocks``, in block order.
+
+    With ``processes=True`` the kernel is pickled into every task, so it must
+    be a module-level function, a ``functools.partial`` of one, or a bound
+    method of a picklable object.  The shared pool is always
+    :func:`~repro.utils.procpool.default_process_workers` wide and every group
+    is split into at most twice that many chunks.
+    """
+    out = np.empty(len(blocks), dtype=dtype)
+    if not processes:
+        for positions, stacked in stacked_shape_groups(blocks):
+            out[positions] = kernel(stacked)
+        return out
+    pool = shared_process_pool()
+    nchunks = 2 * default_process_workers()
+    segments: List[SharedBlockBatch] = []
+    pending: List[Tuple[List[int], Future]] = []
+    try:
+        for positions, stacked in stacked_shape_groups(blocks):
+            segment = SharedBlockBatch.create(stacked)
+            segments.append(segment)
+            handle = segment.handle()
+            for lo, hi in chunk_bounds(len(positions), nchunks):
+                future = pool.submit(_apply_to_shared_rows, kernel, handle, lo, hi)
+                pending.append((positions[lo:hi], future))
+        for chunk, future in pending:
+            out[chunk] = future.result()
+    finally:
+        # A failed chunk must not unlink the segments under its siblings:
+        # cancel what has not started and wait for what has, then dispose.
+        started = [future for _, future in pending if not future.cancel()]
+        wait(started)
+        for segment in segments:
+            segment.dispose()
+    return out

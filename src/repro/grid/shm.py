@@ -85,9 +85,10 @@ _OWNED_LOCK = threading.Lock()
 def live_owned_segments() -> Tuple[str, ...]:
     """Names of segments this process created and has not unlinked yet.
 
-    The leak-check tests assert this is empty after a pipeline run: every
-    step that creates shared payloads must dispose of them in a ``finally``
-    block, even when a worker raised.
+    The leak-check tests assert this is empty after a pipeline run: the one
+    fan-out that creates shared payloads
+    (:func:`repro.grid.fanout.map_shape_groups`) disposes of them in a
+    ``finally`` block, even when a worker raised.
     """
     with _OWNED_LOCK:
         return tuple(sorted(_OWNED))

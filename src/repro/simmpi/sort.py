@@ -14,7 +14,7 @@ The paper globally sorts the score pairs of all blocks by increasing score
   per-rank ``(n, 2)`` float64 arrays, one broadcast of the sorted ``(N, 2)``
   array) is identical call for call and byte for byte, so the modelled
   communication seconds are unchanged; the result list is bitwise equal to
-  :func:`parallel_sort_pairs`'s.  This is the vectorized/parallel backends'
+  :func:`parallel_sort_pairs`'s.  This is the batched backends'
   path.
 
 * :func:`sample_sort` — a classic sample sort that keeps the data distributed,

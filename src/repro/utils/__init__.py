@@ -1,9 +1,7 @@
 """Shared utilities: timers, histograms, validation, deterministic RNG helpers."""
 
 from repro.utils.timer import Timer, StepTimings
-from repro.utils.benchjson import default_bench_path, record_bench
 from repro.utils.histogram import fixed_range_histogram, probabilities, shannon_entropy
-from repro.utils.pool import LazyThreadPool
 from repro.utils.procpool import (
     chunk_bounds,
     default_process_workers,
@@ -21,10 +19,7 @@ from repro.utils.validation import (
 __all__ = [
     "Timer",
     "StepTimings",
-    "LazyThreadPool",
     "chunk_bounds",
-    "default_bench_path",
-    "record_bench",
     "default_process_workers",
     "shared_process_pool",
     "shutdown_shared_pool",

@@ -1,18 +1,17 @@
-"""Shared lazy process-pool helper for the process pipeline steps.
+"""The shared lazy process pool behind the ``process`` backend and serve tier.
 
-Mirror of :mod:`repro.utils.pool`, but for ``ProcessPoolExecutor``: where
-threads are the right pool for GIL-releasing NumPy kernels, processes are
-the right pool for *GIL-bound* per-block Python work (scalar user metrics,
-pure-Python scoring loops).  Worker processes are expensive to start, so a
-single module-level pool is shared by every process step in the engine and
-created lazily on first submit.
+Processes are the right pool for *GIL-bound* per-block Python work (scalar
+user metrics, pure-Python scoring loops) — GIL-releasing NumPy kernels are
+fastest run inline.  Worker processes are expensive to start, so a single
+module-level pool is shared by every fan-out
+(:func:`repro.grid.fanout.map_shape_groups`) and created lazily on first
+submit.
 
 The pool uses the ``fork`` start method where available: forked workers
 start in milliseconds and inherit the parent's imports, and every fork
-happens from the driver thread while no step threads hold locks (the
-process backend never nests inside the thread backend).  Payloads cross
-the boundary through :mod:`repro.grid.shm` segments, so tasks themselves
-only carry handles and small metadata.
+happens from the driver thread (no step starts threads of its own).
+Payloads cross the boundary through :mod:`repro.grid.shm` segments, so tasks
+themselves only carry handles and small metadata.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ _POOL_LOCK = threading.Lock()
 
 
 def default_process_workers() -> int:
-    """Worker count for the shared pool (same cap as the thread pools)."""
+    """Worker count for the shared pool."""
     return min(16, os.cpu_count() or 1)
 
 
@@ -113,8 +112,7 @@ atexit.register(shutdown_shared_pool)
 
 def chunk_bounds(n: int, nchunks: int) -> List[Tuple[int, int]]:
     """Split ``range(n)`` into at most ``nchunks`` contiguous, non-empty
-    ``(lo, hi)`` slices of near-equal size (same ``np.linspace`` splitting
-    the parallel steps use, so chunk boundaries never affect results)."""
+    ``(lo, hi)`` slices of near-equal size."""
     if n <= 0:
         return []
     nchunks = max(1, min(int(nchunks), n))

@@ -19,12 +19,13 @@ counts, and optionally the extracted mesh / rendered image.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grid.batch import group_positions_by_shape
 from repro.grid.block import Block, axis_sample_indices
+from repro.grid.fanout import map_shape_groups
 from repro.grid.reduction import reconstruct_block
 from repro.utils.timer import Timer
 from repro.viz.camera import Camera
@@ -172,26 +173,21 @@ class IsosurfaceScript(VisualizationScript):
         )
         return mesh, int(cells)
 
-    def count_blocks_batched(self, blocks: Sequence[Block]) -> np.ndarray:
+    def count_blocks_batched(
+        self, blocks: Sequence[Block], processes: bool = False
+    ) -> np.ndarray:
         """Active-cell counts of ``blocks``, in block order, via stacked batches.
 
-        The blocks are grouped by payload shape/dtype — the
-        :class:`~repro.grid.batch.BlockBatch` grouping; all reduced 2×2×2
-        blocks form one stacked group — and each group's payloads are stacked
-        into one ``(nblocks, sx, sy, sz)`` array counted with a single
-        vectorised :func:`~repro.viz.marching_cubes.count_active_cells_batch`
-        pass.  Like the vectorised scoring step, the hot path stacks only the
-        payloads and skips the batch metadata arrays (use
-        :func:`~repro.grid.batch.partition_by_shape` when a full
-        :class:`~repro.grid.batch.BlockBatch` is needed).  Counts are bitwise
-        identical to per-block
+        One :func:`~repro.grid.fanout.map_shape_groups` pass: the blocks are
+        grouped by payload shape/dtype (all reduced 2×2×2 blocks form one
+        group) and each stacked group is counted with a single vectorised
+        :func:`~repro.viz.marching_cubes.count_active_cells_batch` call —
+        inline, or chunked over the shared process pool when ``processes`` is
+        set.  Counts are bitwise identical to per-block
         :func:`~repro.viz.marching_cubes.count_active_cells` calls.
         """
-        counts = np.zeros(len(blocks), dtype=np.int64)
-        for indices in group_positions_by_shape(blocks):
-            stacked = np.stack([blocks[i].data for i in indices])
-            counts[indices] = count_active_cells_batch(stacked, self.level)
-        return counts
+        kernel = partial(count_active_cells_batch, level=self.level)
+        return map_shape_groups(blocks, kernel, np.int64, processes)
 
     def record_count(self, result: RenderResult, block_id: int, cells: int) -> None:
         """Record one block's counting-mode load estimate."""
@@ -233,28 +229,6 @@ class IsosurfaceScript(VisualizationScript):
                 meshes.append(mesh)
             if self.mode == "mesh":
                 self.finalize_mesh(result, meshes)
-        result.measured_seconds = timer.elapsed
-        return result
-
-    def process_batch(self, blocks: Sequence[Block], iteration: int) -> RenderResult:
-        """Batched counterpart of :meth:`process` (the vectorised backend).
-
-        Counting mode replaces the per-block Python loop with one
-        shape-grouped :meth:`count_blocks_batched` pass; every recorded count
-        and triangle estimate is bitwise identical to :meth:`process`'s.
-        Mesh mode extracts real per-block geometry, which cannot be stacked,
-        so it delegates to the reference loop (itself a single detection pass
-        per block).
-        """
-        if self.mode != "count":
-            return self.process(blocks, iteration)
-        result = RenderResult(script_name=self.name, iteration=iteration)
-        with Timer() as timer:
-            if blocks:
-                counts = self.count_blocks_batched(blocks)
-                for block, cells in zip(blocks, counts):
-                    result.npoints += int(block.data.size)
-                    self.record_count(result, block.block_id, cells)
         result.measured_seconds = timer.elapsed
         return result
 

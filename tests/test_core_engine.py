@@ -17,23 +17,13 @@ from repro.core.backends import (
 )
 from repro.core.config import AdaptationConfig, PipelineConfig
 from repro.core.engine import ENGINE_BACKENDS, ExecutionEngine
-from repro.core.reduction_step import (
-    ParallelReductionStep,
-    ReductionStep,
-    VectorizedReductionStep,
-)
-from repro.core.rendering_step import (
-    ParallelRenderingStep,
-    RenderingStep,
-    VectorizedRenderingStep,
-)
-from repro.core.scoring_step import (
-    ParallelScoringStep,
-    ScoringStep,
-    VectorizedScoringStep,
-)
+from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
+from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
+from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.step import IterationContext, PipelineStep, StepReport
+from repro.grid.shm import live_owned_segments
+from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
 
@@ -91,7 +81,8 @@ class TestEngineConstruction:
         par = ExecutionEngine(PipelineConfig(engine="parallel"), platform)
         assert type(serial.scoring) is ScoringStep
         assert type(vector.scoring) is VectorizedScoringStep
-        assert type(par.scoring) is ParallelScoringStep
+        # "parallel" is an alias of "vectorized" (kept for the benchmark's names).
+        assert type(par.scoring) is VectorizedScoringStep and not par.scoring.processes
         assert serial.backend == "serial"
         assert vector.backend == "vectorized"
         assert par.backend == "parallel"
@@ -103,7 +94,8 @@ class TestEngineConstruction:
         par = ExecutionEngine(PipelineConfig(engine="parallel"), platform)
         assert type(serial.rendering) is RenderingStep
         assert type(vector.rendering) is VectorizedRenderingStep
-        assert type(par.rendering) is ParallelRenderingStep
+        assert type(par.rendering) is VectorizedRenderingStep
+        assert not par.rendering.processes
 
     def test_backend_selects_sorting_step(self):
         platform = PlatformModel.blue_waters(4)
@@ -123,7 +115,7 @@ class TestEngineConstruction:
         par = ExecutionEngine(PipelineConfig(engine="parallel"), platform)
         assert type(serial.reduction) is ReductionStep
         assert type(vector.reduction) is VectorizedReductionStep
-        assert type(par.reduction) is ParallelReductionStep
+        assert type(par.reduction) is VectorizedReductionStep
         # The step derives its modelled cost from the engine's platform.
         assert vector.reduction.platform is platform
 
@@ -190,6 +182,30 @@ class TestBackendRegistry:
     def test_every_builtin_step_registered_per_backend(self):
         for backend in ("serial", "vectorized", "parallel", "process"):
             assert set(registered_steps(backend)) == set(STEP_NAMES)
+
+    def test_parallel_alias_and_process_overrides(self):
+        """``parallel`` builds exactly what ``vectorized`` builds; ``process``
+        builds the same classes with only scoring and rendering fanned out."""
+        platform = PlatformModel.blue_waters(4)
+
+        def built(backend):
+            engine = ExecutionEngine(PipelineConfig(engine=backend), platform)
+            return {
+                step.name: (type(step), getattr(step, "processes", None))
+                for step in engine.steps
+            }
+
+        vectorized = built("vectorized")
+        assert built("parallel") == vectorized
+        assert built("process") == {
+            **vectorized,
+            "scoring": (VectorizedScoringStep, True),
+            "rendering": (VectorizedRenderingStep, True),
+        }
+        for step_name in STEP_NAMES:
+            assert resolve_step_factory(step_name, "parallel") is (
+                resolve_step_factory(step_name, "vectorized")
+            )
 
     def test_resolve_unknown_step_raises(self):
         with pytest.raises(KeyError):
@@ -349,66 +365,62 @@ class TestBackendParity:
         assert traces["serial"] == traces["parallel"]
 
 
+class Spiky(ScoreMetric):
+    """A user-style scalar metric with no batch implementation (module-level,
+    so the process fan-out can pickle it)."""
+
+    name = "SPIKY"
+
+    def score_block(self, data):
+        return float(np.abs(np.asarray(data)).max())
+
+
+class RankNormalized(ScoreMetric):
+    """Cross-block semantics: chunking would change the peak."""
+
+    name = "RANKNORM"
+
+    def score_block(self, data):
+        return float(np.ptp(np.asarray(data)))
+
+    def score_blocks(self, blocks):
+        raw = [self.score_block(b) for b in blocks]
+        peak = max(raw) or 1.0
+        return [r / peak for r in raw]
+
+
 class TestParallelScoringStep:
-    """The parallel backend's chunking must never perturb scores."""
+    """The process fan-out's chunking must never perturb scores."""
+
+    @pytest.fixture(autouse=True)
+    def _several_chunks_per_group(self, monkeypatch):
+        # 2 * 3 chunks per shape group, whatever the box's core count.
+        monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 3)
+
+    def _assert_fanout_matches_serial(self, metric, scenario):
+        blocks = scenario.blocks_for(0)
+        serial = ScoringStep(metric, scenario.platform).run(blocks)[0]
+        fanned = VectorizedScoringStep(metric, scenario.platform, processes=True)
+        assert fanned.run(blocks)[0] == serial
+        assert live_owned_segments() == ()
 
     def test_scalar_metric_chunked_identically(self, tiny_scenario):
-        from repro.metrics.base import ScoreMetric
-
-        class Spiky(ScoreMetric):
-            """A user-style scalar metric with no batch implementation."""
-
-            name = "SPIKY"
-
-            def score_block(self, data):
-                return float(np.abs(np.asarray(data)).max())
-
-        blocks = tiny_scenario.blocks_for(0)
-        serial = ScoringStep(Spiky(), tiny_scenario.platform)
-        par = ParallelScoringStep(Spiky(), tiny_scenario.platform, max_workers=3)
-        assert serial.run(blocks)[0] == par.run(blocks)[0]
+        self._assert_fanout_matches_serial(Spiky(), tiny_scenario)
 
     def test_score_blocks_override_not_chunked(self, tiny_scenario):
-        from repro.metrics.base import ScoreMetric
-
-        class RankNormalized(ScoreMetric):
-            """Cross-block semantics: chunking would change the peak."""
-
-            name = "RANKNORM"
-
-            def score_block(self, data):
-                return float(np.ptp(np.asarray(data)))
-
-            def score_blocks(self, blocks):
-                raw = [self.score_block(b) for b in blocks]
-                peak = max(raw) or 1.0
-                return [r / peak for r in raw]
-
+        self._assert_fanout_matches_serial(RankNormalized(), tiny_scenario)
+        # ... nor batched across ranks by the inline step.
         blocks = tiny_scenario.blocks_for(0)
-        serial = ScoringStep(RankNormalized(), tiny_scenario.platform)
-        par = ParallelScoringStep(
-            RankNormalized(), tiny_scenario.platform, max_workers=3
+        platform = tiny_scenario.platform
+        assert (
+            VectorizedScoringStep(RankNormalized(), platform).run(blocks)[0]
+            == ScoringStep(RankNormalized(), platform).run(blocks)[0]
         )
-        assert serial.run(blocks)[0] == par.run(blocks)[0]
 
     def test_batch_metric_chunked_identically(self, tiny_scenario):
         from repro.metrics.registry import create_metric
 
-        blocks = tiny_scenario.blocks_for(0)
-        # max_workers=2 forces several chunks per shape group.
-        serial = ScoringStep(create_metric("FPZIP"), tiny_scenario.platform)
-        par = ParallelScoringStep(
-            create_metric("FPZIP"), tiny_scenario.platform, max_workers=2
-        )
-        assert serial.run(blocks)[0] == par.run(blocks)[0]
-
-    def test_max_workers_validated(self, tiny_scenario):
-        from repro.metrics.registry import create_metric
-
-        with pytest.raises(ValueError):
-            ParallelScoringStep(
-                create_metric("VAR"), tiny_scenario.platform, max_workers=0
-            )
+        self._assert_fanout_matches_serial(create_metric("FPZIP"), tiny_scenario)
 
 
 class TestRenderingBackends:
@@ -432,13 +444,12 @@ class TestRenderingBackends:
         platform = tiny_scenario.platform
         serial = RenderingStep(platform, render_mode=render_mode)
         vector = VectorizedRenderingStep(platform, render_mode=render_mode)
-        # max_workers=3 forces several chunks across the 4 ranks.
-        parallel = ParallelRenderingStep(
-            platform, render_mode=render_mode, max_workers=3
+        fanned = VectorizedRenderingStep(
+            platform, render_mode=render_mode, processes=True
         )
         reference = self._observable(serial, blocks)
         assert self._observable(vector, blocks) == reference
-        assert self._observable(parallel, blocks) == reference
+        assert self._observable(fanned, blocks) == reference
 
     def test_parity_with_reduced_blocks(self, tiny_scenario):
         from repro.grid.reduction import reduce_block
@@ -450,39 +461,21 @@ class TestRenderingBackends:
         platform = tiny_scenario.platform
         serial = RenderingStep(platform, render_mode="count")
         vector = VectorizedRenderingStep(platform, render_mode="count")
-        parallel = ParallelRenderingStep(platform, render_mode="count", max_workers=3)
+        fanned = VectorizedRenderingStep(platform, render_mode="count", processes=True)
         reference = self._observable(serial, blocks)
         assert self._observable(vector, blocks) == reference
-        assert self._observable(parallel, blocks) == reference
-
-    def test_parallel_mesh_preserves_merged_mesh(self, tiny_scenario):
-        """Mesh-mode chunking must reassemble per-block meshes in block order,
-        so the merged per-rank mesh is identical to the serial backend's."""
-        blocks = tiny_scenario.blocks_for(0)
-        platform = tiny_scenario.platform
-        serial_results, _ = RenderingStep(platform, render_mode="mesh").run(blocks, 0)
-        parallel_results, _ = ParallelRenderingStep(
-            platform, render_mode="mesh", max_workers=3
-        ).run(blocks, 0)
-        for serial_result, parallel_result in zip(serial_results, parallel_results):
-            np.testing.assert_array_equal(
-                parallel_result.mesh.vertices, serial_result.mesh.vertices
-            )
-            np.testing.assert_array_equal(
-                parallel_result.mesh.triangles, serial_result.mesh.triangles
-            )
+        assert self._observable(fanned, blocks) == reference
 
     def test_parallel_handles_empty_ranks(self, tiny_scenario):
         platform = tiny_scenario.platform
         blocks = [list(tiny_scenario.blocks_for(0)[0]), [], []]
         for mode in ("count", "mesh"):
-            serial = RenderingStep(platform, render_mode=mode)
-            parallel = ParallelRenderingStep(platform, render_mode=mode, max_workers=2)
-            assert self._observable(parallel, blocks) == self._observable(serial, blocks)
-
-    def test_max_workers_validated(self, tiny_scenario):
-        with pytest.raises(ValueError):
-            ParallelRenderingStep(tiny_scenario.platform, max_workers=0)
+            reference = self._observable(RenderingStep(platform, render_mode=mode), blocks)
+            for processes in (False, True):
+                batched = VectorizedRenderingStep(
+                    platform, render_mode=mode, processes=processes
+                )
+                assert self._observable(batched, blocks) == reference
 
 
 def test_backends_identical_in_mesh_mode(tiny_scenario):

@@ -16,7 +16,6 @@ from repro.core.redistribution import (
 )
 from repro.core.reduction_step import (
     DEFAULT_QUALITY_LADDER,
-    ParallelReductionStep,
     ReductionStep,
     VectorizedReductionStep,
     select_blocks_to_reduce,
@@ -24,12 +23,7 @@ from repro.core.reduction_step import (
     validate_quality_ladder,
 )
 from repro.core.rendering_step import RenderingStep
-from repro.core.scoring_step import (
-    ParallelScoringStep,
-    ProcessScoringStep,
-    ScoringStep,
-    VectorizedScoringStep,
-)
+from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.step import IterationContext
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 
@@ -76,16 +70,21 @@ class TestScoringStep:
             assert score == pytest.approx(metric.score_block(blk.data))
 
     @pytest.mark.parametrize(
-        "step_class",
-        [ScoringStep, VectorizedScoringStep, ParallelScoringStep, ProcessScoringStep],
+        "step_class, options",
+        [
+            (ScoringStep, {}),
+            (VectorizedScoringStep, {}),
+            (VectorizedScoringStep, {"processes": True}),
+        ],
+        ids=["ScoringStep", "VectorizedScoringStep", "processes"],
     )
     def test_npoints_counted_once_and_reported(
-        self, step_class, per_rank_blocks, platform
+        self, step_class, options, per_rank_blocks, platform
     ):
         """``run`` hands the point total to ``execute`` in ``info`` (one
-        contract on all four backends); scores are plain Python floats."""
+        contract on every backend); scores are plain Python floats."""
         expected = sum(b.data.size for blocks in per_rank_blocks for b in blocks)
-        step = step_class(create_metric("VAR"), platform)
+        step = step_class(create_metric("VAR"), platform, **options)
         pairs, scored, info = step.run(per_rank_blocks)
         assert info["npoints"] == expected
         assert all(type(score) is float for rank in pairs for _, score in rank)
@@ -212,7 +211,7 @@ class TestReductionSelection:
 
 
 class TestReductionBackends:
-    """Vectorized/parallel reduction must be bitwise identical to serial."""
+    """Vectorized reduction must be bitwise identical to serial."""
 
     def _pairs(self, per_rank_blocks):
         return sorted(
@@ -228,22 +227,19 @@ class TestReductionBackends:
     def test_backends_bitwise_identical(self, per_rank_blocks, platform, percent):
         pairs = self._pairs(per_rank_blocks)
         serial = ReductionStep(platform)
-        vector = VectorizedReductionStep(platform)
-        parallel = ParallelReductionStep(platform, max_workers=3)
         s_out, s_ids, s_info = serial.run(per_rank_blocks, pairs, percent)
-        for step in (vector, parallel):
-            out, ids, info = step.run(per_rank_blocks, pairs, percent)
-            assert ids == s_ids
-            assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
-            assert info["nreduced"] == s_info["nreduced"]
-            for s_blocks, blocks in zip(s_out, out):
-                assert [b.block_id for b in blocks] == [
-                    b.block_id for b in s_blocks
-                ]
-                for s_blk, blk in zip(s_blocks, blocks):
-                    assert blk.reduced == s_blk.reduced
-                    assert blk.data.dtype == s_blk.data.dtype
-                    np.testing.assert_array_equal(blk.data, s_blk.data)
+        out, ids, info = VectorizedReductionStep(platform).run(
+            per_rank_blocks, pairs, percent
+        )
+        assert ids == s_ids
+        assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
+        assert info["nreduced"] == s_info["nreduced"]
+        for s_blocks, blocks in zip(s_out, out):
+            assert [b.block_id for b in blocks] == [b.block_id for b in s_blocks]
+            for s_blk, blk in zip(s_blocks, blocks):
+                assert blk.reduced == s_blk.reduced
+                assert blk.data.dtype == s_blk.data.dtype
+                np.testing.assert_array_equal(blk.data, s_blk.data)
 
     def test_already_reduced_blocks_left_alone(self, per_rank_blocks, platform):
         from repro.grid.reduction import reduce_block
@@ -252,11 +248,7 @@ class TestReductionBackends:
             [reduce_block(b) for b in blocks] for blocks in per_rank_blocks
         ]
         pairs = self._pairs(per_rank_blocks)
-        for step in (
-            ReductionStep(platform),
-            VectorizedReductionStep(platform),
-            ParallelReductionStep(platform, max_workers=2),
-        ):
+        for step in (ReductionStep(platform), VectorizedReductionStep(platform)):
             out, _, info = step.run(pre_reduced, pairs, 100.0)
             for before, after in zip(pre_reduced, out):
                 # Reducing a reduced block is a no-op returning the block.
@@ -278,10 +270,6 @@ class TestReductionBackends:
         _, _, a = with_platform.run(per_rank_blocks, pairs, 50.0)
         _, _, b = without_platform.run(per_rank_blocks, pairs, 50.0)
         assert a["modelled_per_rank"] == b["modelled_per_rank"]
-
-    def test_max_workers_validated(self, platform):
-        with pytest.raises(ValueError):
-            ParallelReductionStep(platform, max_workers=0)
 
 
 class TestQualityLadder:
@@ -340,19 +328,17 @@ class TestQualityLadder:
         pairs = self._pairs(per_rank_blocks)
         serial = ReductionStep(platform, quality_ladder=ladder)
         s_out, s_ids, s_info = serial.run(per_rank_blocks, pairs, 60.0)
-        for step in (
-            VectorizedReductionStep(platform, quality_ladder=ladder),
-            ParallelReductionStep(platform, max_workers=3, quality_ladder=ladder),
-        ):
-            out, ids, info = step.run(per_rank_blocks, pairs, 60.0)
-            assert ids == s_ids
-            assert info["reduction_levels"] == s_info["reduction_levels"]
-            assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
-            assert info["points_copied"] == s_info["points_copied"]
-            for s_blocks, blocks in zip(s_out, out):
-                for s_blk, blk in zip(s_blocks, blocks):
-                    assert blk.level == s_blk.level
-                    np.testing.assert_array_equal(blk.data, s_blk.data)
+        out, ids, info = VectorizedReductionStep(platform, quality_ladder=ladder).run(
+            per_rank_blocks, pairs, 60.0
+        )
+        assert ids == s_ids
+        assert info["reduction_levels"] == s_info["reduction_levels"]
+        assert info["modelled_per_rank"] == s_info["modelled_per_rank"]
+        assert info["points_copied"] == s_info["points_copied"]
+        for s_blocks, blocks in zip(s_out, out):
+            for s_blk, blk in zip(s_blocks, blocks):
+                assert blk.level == s_blk.level
+                np.testing.assert_array_equal(blk.data, s_blk.data)
 
     def test_ladder_produces_mixed_levels(self, per_rank_blocks, platform):
         ladder = ((2, 0.5), (1, 0.5))

@@ -124,9 +124,10 @@ class TestFloat16Parity:
 
 
 class TestFpzipReentrancy:
-    """``ParallelScoringStep`` calls ``score_batch`` on one shared metric from
-    several pool threads and ``ProcessScoringStep`` pickles the metric into
-    every task, so the coder's scratch buffers must belong to the call."""
+    """Nothing stops a caller from sharing one metric between threads (the
+    serve thread tier runs pipelines side by side), and the process fan-out
+    pickles the metric into every task, so the coder's scratch buffers must
+    belong to the call."""
 
     def test_one_metric_shared_by_four_threads(self):
         metric = default_registry().create("FPZIP")

@@ -2,8 +2,9 @@
 
 The centrepiece is the registry-driven cross-backend parity sweep: it
 parameterises over *every* registered scenario (``scenario_names()``), so a
-newly registered workload automatically gets serial/vectorized/parallel
-parity coverage at tiny scale without anyone writing a test for it.
+newly registered workload automatically gets parity coverage on every
+registered backend (``engine_backends()``) at tiny scale without anyone
+writing a test for it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from repro.cm1 import (
     TurbulenceFieldStorm,
     make_storm,
 )
+from repro.core.backends import engine_backends
 from repro.experiments.common import ExperimentScenario, cached_scenario
+from repro.metrics.base import MetricCost, ScoreMetric
+from repro.metrics.registry import default_registry
 from repro.perfmodel.platform import PlatformModel
 from repro.scenarios import (
     ScenarioConfig,
@@ -40,7 +44,8 @@ from repro.scenarios import (
 )
 from repro.scenarios.registry import _REGISTRY
 
-BACKENDS = ("serial", "vectorized", "parallel", "process")
+#: The same registry ``repro list --json`` reports as parity-verified.
+BACKENDS = engine_backends()
 
 #: The four storm families this PR introduces, all required to be registered.
 NEW_FAMILIES = ("squall_line", "multicell_cluster", "turbulence_field", "decaying_storm")
@@ -189,7 +194,11 @@ class TestStormFamilies:
 
 
 def _iteration_observables(
-    scenario: ExperimentScenario, backend: str, quality_ladder=None, metric="VAR"
+    scenario: ExperimentScenario,
+    backend: str,
+    quality_ladder=None,
+    metric="VAR",
+    render_mode="count",
 ):
     """Decision-bearing outputs of one 50%-reduction iteration."""
     pipeline = scenario.build_pipeline(
@@ -197,6 +206,7 @@ def _iteration_observables(
         redistribution="round_robin",
         engine=backend,
         quality_ladder=quality_ladder,
+        render_mode=render_mode,
     )
     context = pipeline.engine.run_iteration(
         scenario.blocks_for(0), percent=50.0, iteration=0
@@ -275,8 +285,7 @@ class TestRegistryParitySweep:
 )
 def test_fpzip_four_backend_parity_on_tiny(ladder):
     """The sweep above scores with VAR.  The coder metric is the one whose
-    kernel owns scratch buffers, and the thread backend calls one shared
-    metric from several workers while the process backend pickles it into
+    kernel owns scratch buffers, and the process backend pickles it into
     every task — so FPZIP scores, order, owners and reports are pinned
     across all four backends too, with and without the two-rung ladder."""
     scenario = tiny_scenario("tiny")
@@ -285,6 +294,40 @@ def test_fpzip_four_backend_parity_on_tiny(ladder):
     for backend in BACKENDS[1:]:
         observed = _iteration_observables(scenario, backend, ladder, metric="FPZIP")
         assert observed == ref, backend
+
+
+class PeakMetric(ScoreMetric):
+    """A user-style scalar metric: no ``score_batch``, module-level so the
+    process backend can pickle it."""
+
+    name = "PEAK"
+    cost = MetricCost(per_point=4.9e-8)
+    supports_batch = False
+
+    def score_block(self, data):
+        return float(np.abs(np.asarray(data)).max())
+
+
+def test_scalar_user_metric_backend_parity_on_tiny(monkeypatch):
+    """A registered user metric without a batch path takes the per-block
+    route on every backend — in the workers on ``process`` — and must still
+    give every backend the same scores, order, owners and reports."""
+    monkeypatch.setitem(default_registry()._factories, "PEAK", PeakMetric)
+    scenario = tiny_scenario("tiny")
+    ref = _iteration_observables(scenario, "serial", metric="PEAK")
+    assert len({score for _, score in ref[1]}) > 1
+    for backend in BACKENDS[1:]:
+        assert _iteration_observables(scenario, backend, metric="PEAK") == ref, backend
+
+
+def test_mesh_mode_backend_parity_on_tiny():
+    """Mesh mode extracts real geometry per block on every backend (nothing
+    to stack, nothing worth pickling back from a worker): same triangles."""
+    scenario = tiny_scenario("tiny")
+    ref = _iteration_observables(scenario, "serial", render_mode="mesh")
+    assert ref[3]["rendering"][2]["total_triangles"] > 0
+    for backend in BACKENDS[1:]:
+        assert _iteration_observables(scenario, backend, render_mode="mesh") == ref, backend
 
 
 class TestDeterminism:

@@ -10,12 +10,14 @@ The process backend's correctness story rests on two properties tested here:
 
 from __future__ import annotations
 
+import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.scoring_step import ProcessScoringStep
+from repro.core.scoring_step import VectorizedScoringStep
 from repro.experiments.common import ExperimentScenario
 from repro.grid.block import Block, BlockExtent
 from repro.grid.shm import (
@@ -56,6 +58,28 @@ class ExplodingMetric(ScoreMetric):
 
     def score_block(self, data: np.ndarray) -> float:
         raise RuntimeError("metric exploded in worker")
+
+
+class RowLoggingMetric(ScoreMetric):
+    """Module-level (picklable) metric whose payloads carry their row index:
+    every scored row is appended to ``log_path``; row 0 raises when ``fail``."""
+
+    name = "ROWLOG"
+    cost = MetricCost(per_point=1e-9)
+    supports_batch = False
+
+    def __init__(self, log_path: str, fail: bool) -> None:
+        self.log_path = log_path
+        self.fail = fail
+
+    def score_block(self, data: np.ndarray) -> float:
+        row = int(data.flat[0])
+        if self.fail and row == 0:
+            raise RuntimeError("row 0 failed")
+        time.sleep(0.01)
+        with open(self.log_path, "a") as log:
+            log.write(f"{row}\n")
+        return float(row)
 
 
 class TestSharedBlockBatchLifecycle:
@@ -201,11 +225,49 @@ class TestLeakAccounting:
         """A metric that dies inside a worker must not leave segments behind
         (the step disposes its shared batches in a ``finally`` block)."""
         scenario = ExperimentScenario(get_scenario("tiny").tiny())
-        step = ProcessScoringStep(ExplodingMetric(), scenario.platform)
+        step = VectorizedScoringStep(
+            ExplodingMetric(), scenario.platform, processes=True
+        )
         before = live_owned_segments()
         with pytest.raises(RuntimeError, match="metric exploded"):
             step.run(scenario.blocks_for(0))
         assert live_owned_segments() == before
+
+    def test_failed_chunk_waits_for_siblings_before_unlinking(
+        self, tmp_path, monkeypatch
+    ):
+        """When one chunk fails, the fan-out cancels the chunks that have not
+        started and waits for the ones that have *before* it unlinks their
+        segment: nothing is still scoring once ``run`` has raised, and the
+        pool is healthy for the next run."""
+        monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 4)
+        platform = ExperimentScenario(get_scenario("tiny").tiny()).platform
+        blocks = [
+            Block(
+                block_id=i,
+                extent=BlockExtent((4 * i, 0, 0), (4 * i + 4, 4, 4)),
+                data=np.full((4, 4, 4), float(i)),
+            )
+            for i in range(40)
+        ]
+        log = tmp_path / "rows.log"
+        log.touch()
+        shm_before = set(os.listdir("/dev/shm"))
+        failing = VectorizedScoringStep(
+            RowLoggingMetric(str(log), fail=True), platform, processes=True
+        )
+        with pytest.raises(RuntimeError, match="row 0 failed"):
+            failing.run([blocks])
+        logged = log.read_text()
+        time.sleep(0.3)
+        assert log.read_text() == logged  # no sibling chunk is still running
+        assert live_owned_segments() == ()
+        assert set(os.listdir("/dev/shm")) == shm_before
+        healthy = VectorizedScoringStep(
+            RowLoggingMetric(str(log), fail=False), platform, processes=True
+        )
+        assert healthy.run([blocks])[0] == [[(i, float(i)) for i in range(40)]]
+        assert live_owned_segments() == ()
 
     def test_purge_owned_segments_disposes_everything(self):
         """The last-resort sweep (cancelled serve runs): every segment this

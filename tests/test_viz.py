@@ -305,7 +305,7 @@ class TestCatalyst:
         with pytest.raises(ValueError):
             IsosurfaceScript(mode="count", render_image=True)
 
-    def test_process_batch_matches_process(self, tiny_field):
+    def test_count_blocks_batched_matches_process(self, tiny_field):
         """The batched count path is indistinguishable from the per-block loop,
         on a mixed list of full and reduced (2×2×2) blocks."""
         blocks, _ = self._blocks(tiny_field)
@@ -314,26 +314,12 @@ class TestCatalyst:
         ]
         script = IsosurfaceScript(level=45.0, mode="count")
         reference = script.process(mixed, 1)
-        batched = script.process_batch(mixed, 1)
-        assert batched.per_block_active_cells == reference.per_block_active_cells
-        assert batched.per_block_triangles == reference.per_block_triangles
-        assert batched.npoints == reference.npoints
-        assert batched.iteration == reference.iteration
-
-    def test_process_batch_mesh_mode_delegates(self, tiny_field):
-        blocks, _ = self._blocks(tiny_field)
-        script = IsosurfaceScript(level=45.0, mode="mesh")
-        reference = script.process(blocks, 0)
-        batched = script.process_batch(blocks, 0)
-        assert batched.per_block_triangles == reference.per_block_triangles
-        assert batched.per_block_active_cells == reference.per_block_active_cells
-        assert batched.mesh.ntriangles == reference.mesh.ntriangles
-
-    def test_process_batch_empty_rank(self):
-        script = IsosurfaceScript(level=45.0, mode="count")
-        result = script.process_batch([], 2)
-        assert result.npoints == 0
-        assert result.per_block_triangles == {}
+        counts = script.count_blocks_batched(mixed)
+        assert counts.dtype == np.int64
+        assert dict(zip((b.block_id for b in mixed), counts.tolist())) == (
+            reference.per_block_active_cells
+        )
+        assert script.count_blocks_batched([]).shape == (0,)
 
     def test_reduced_block_geometry_stays_in_extent(self):
         """Reduced-block isosurface vertices never leave the block's extent."""
