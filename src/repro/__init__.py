@@ -10,8 +10,8 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
   :class:`~repro.core.engine.ExecutionEngine` with interchangeable
   ``serial`` / ``vectorized`` / ``process`` backends
   (``PipelineConfig(engine=...)``);
-* :mod:`repro.grid.batch` — :class:`~repro.grid.batch.BlockBatch`, the
-  structure-of-arrays container the vectorized backend scores in bulk;
+* :mod:`repro.grid.batch` — :class:`~repro.grid.batch.BlockColumns`, the
+  columnar iteration state the batched backends run on, and ``BlockBatch``;
 * :mod:`repro.cm1` — a synthetic CM1-like supercell simulation and its
   reflectivity (dBZ) diagnostic;
 * :mod:`repro.simmpi` — a simulated MPI runtime with a latency/bandwidth cost

@@ -10,44 +10,25 @@ paper's pipeline is sequential across iterations by construction.  Every
 step that communicates is bound to ``engine.comm``, so ``engine.comm.stats``
 is the complete record of what a run charged to the network.
 
-The steps themselves are not hard-wired: every ``(step, backend)`` pair is
-resolved through the backend registry (:mod:`repro.core.backends`), so
-third-party backends register factories instead of editing this module, and
-``ENGINE_BACKENDS`` is derived from the registry.
-
-The ``backend`` selects how all five data-parallel steps are implemented:
-
-* ``"serial"`` — every step iterates blocks one at a time (the reference
-  implementation, and the behaviour of the original hard-wired pipeline):
-  per-block scoring through ``metric.score_blocks``, a Python ``sorted``
-  over the gathered score tuples, per-block corner reduction, and per-block
-  rendering through ``IsosurfaceScript.process``;
-* ``"vectorized"`` — every step runs over stacked shape-homogeneous arrays
-  (the :class:`~repro.grid.batch.BlockBatch` data layout): scoring runs one
-  ``score_batch`` call per cross-rank shape group, the sorting collective
-  sorts with one ``np.lexsort`` over the gathered ``(score, id)`` arrays,
-  reduction gathers each shape group's corners with one
-  ``reduce_to_corners_batch`` fancy-index pass, redistribution plans the
-  exchange with one ``searchsorted``/``bincount`` pass, and counting-mode
-  rendering runs one ``count_active_cells_batch`` call per shape group;
-* ``"process"`` — the ``vectorized`` classes with the two hot data-parallel
-  steps fanned out over a shared process pool, payloads crossing through
-  shared memory (:func:`~repro.grid.fanout.map_shape_groups`): scoring chunks
-  and counting-mode rendering chunks.  This is the backend for GIL-bound or
-  Python-heavy scorers (``PYVAR``, ``LZ``, scalar user metrics), which no
-  batching inside one interpreter can speed up; sorting, reduction,
-  redistribution and mesh-mode rendering are the vectorised path;
-* ``"parallel"`` — an alias of ``"vectorized"``.  It used to fan the same
-  groups out over thread pools, lost every recorded probe against the inline
-  path (README, "Why the thread-pool backend was deleted"), and survives as
-  a name only because the tracked benchmark declares ``core.*.parallel_ms``.
+The steps are not hard-wired: every ``(step, backend)`` pair is resolved
+through the backend registry (:mod:`repro.core.backends`, which lists the
+built-in backends), so third-party backends register factories instead of
+editing this module, and ``ENGINE_BACKENDS`` is derived from the registry.
+The backend also decides the form the context's blocks take
+(:mod:`repro.core.step`): ``"serial"`` runs the reference classes, one block
+at a time over per-rank ``Block`` lists, and never stacks a payload; every
+other backend runs the batched classes on one columnar state
+(:class:`~repro.grid.batch.BlockColumns`) built from the incoming lists by the
+first step that asks — payloads stacked once into shape/dtype groups, one
+``score_batch`` / ``reduce_to_level_batch`` / ``count_active_cells_batch`` call
+per group — and builds no ``Block`` unless mesh-mode rendering or a caller
+reads ``context.per_rank_blocks``.  The redistribution planner is one class on
+every backend and plans on the metadata columns alone.
 
 All backends produce bitwise-identical decisions and modelled results (ids,
 scores, sort orders, reduction decisions, moved bytes, active-cell and
-triangle counts, modelled seconds) — measured wall-clock is the one quantity
-that legitimately differs; the vectorised backend is simply faster, because
-the per-block Python overhead of every hot loop collapses into a handful of
-NumPy calls.
+triangle counts, modelled seconds); measured wall-clock is the one quantity
+that legitimately differs.
 """
 
 from __future__ import annotations

@@ -7,13 +7,15 @@ modelled here by one personalised all-to-all.
 
 Strategies return their assignment as a pair of parallel NumPy arrays
 ``(block_ids, dest_ranks)``, and the exchange is planned in one global pass
-over all ranks: the per-rank lists are flattened, every destination is
-resolved with one ``np.searchsorted`` over the id-sorted assignment, the
-movers' payload bytes are accumulated into the ``P x P`` byte matrix, the
-communicator charges that matrix (``charge_alltoallv``), and the new per-rank
-lists are sliced out of one ``np.lexsort`` by (destination, block id).
-Nothing is copied or serialised: a block is re-created (``with_owner``) only
-where its owner changes, and its payload array is carried by reference.
+over the metadata columns of the iteration's columnar state
+(:class:`~repro.grid.batch.BlockColumns`) — on every backend, ``serial``
+included: every destination is resolved with one ``np.searchsorted`` over the
+id-sorted assignment, the movers' payload bytes are accumulated into the
+``P x P`` byte matrix, the communicator charges that matrix
+(``charge_alltoallv``), and the holder/owner columns and each rank's order (one
+``np.lexsort`` by destination, block id) are rewritten.  No payload is
+stacked, copied or serialised, and a ``Block`` is re-created only if somebody
+later asks for the lists, and only where its owner changed.
 
 *Wire size* has one definition, payload bytes (``Block.nbytes``): the matrix
 total, ``info["moved_bytes"]``, ``StepReport.payload_bytes`` and the
@@ -40,6 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.step import IterationContext, StepReport
+from repro.grid.batch import BlockColumns
 from repro.grid.block import Block
 from repro.simmpi.communicator import BSPCommunicator
 from repro.utils.random import derive_seed, rng_from_seed
@@ -73,64 +76,53 @@ class RedistributionStrategy(abc.ABC):
         sorted_pairs: Sequence[ScorePair],
         iteration: int,
     ) -> Tuple[List[List[Block]], Dict[str, float]]:
-        """Exchange blocks so every rank ends up with its assigned set.
+        """Exchange blocks so every rank ends up with its assigned set: the
+        new per-rank block lists (sorted by block id) and the timing info of
+        :meth:`redistribute_columns`, whose list-facing form this is."""
+        columns = BlockColumns(per_rank_blocks)
+        info = self.redistribute_columns(comm, columns, sorted_pairs, iteration)
+        return columns.to_ranks(), info
 
-        Returns the new per-rank block lists (sorted by block id) and timing
-        info (measured wall-clock, modelled communication seconds, exchanged
-        payload bytes).  Blocks the assignment does not list stay on the rank
-        that holds them; block ids are globally unique.
+    def redistribute_columns(
+        self,
+        comm: BSPCommunicator,
+        columns: BlockColumns,
+        sorted_pairs: Sequence[ScorePair],
+        iteration: int,
+    ) -> Dict[str, float]:
+        """Plan and charge the exchange on the metadata columns alone.
+
+        Rewrites ``columns``' holder/owner columns and per-rank order (by
+        block id) and returns the timing info (measured wall-clock, modelled
+        communication seconds, exchanged payload bytes and blocks).  Blocks
+        the assignment does not list stay on the rank that holds them; block
+        ids are globally unique.
         """
         nranks = comm.nranks
         assigned_ids, assigned_dests = self.assign_owners(
             sorted_pairs, nranks, iteration
         )
-        assigned_ids = np.asarray(assigned_ids, dtype=np.int64)
-        assigned_dests = np.asarray(assigned_dests, dtype=np.int64)
-        by_id = np.argsort(assigned_ids, kind="stable")
-        ids_sorted = assigned_ids[by_id]
-        dests_sorted = assigned_dests[by_id]
         with Timer() as timer:
-            flat = [block for blocks in per_rank_blocks for block in blocks]
-            nblocks = len(flat)
-            src = np.repeat(
-                np.arange(len(per_rank_blocks), dtype=np.int64),
-                [len(blocks) for blocks in per_rank_blocks],
+            src = columns.ranks
+            dest = columns.lookup(
+                np.asarray(assigned_ids, dtype=np.int64),
+                np.asarray(assigned_dests, dtype=np.int64),
+                src,
             )
-            block_ids = np.fromiter(
-                (b.block_id for b in flat), dtype=np.int64, count=nblocks
-            )
-            owners = np.fromiter((b.owner for b in flat), dtype=np.int64, count=nblocks)
-            dest = src
-            if ids_sorted.size:
-                pos = np.minimum(
-                    np.searchsorted(ids_sorted, block_ids), ids_sorted.size - 1
-                )
-                dest = np.where(ids_sorted[pos] == block_ids, dests_sorted[pos], src)
-            if nblocks and (dest.min() < 0 or dest.max() >= nranks):
+            if dest.size and (dest.min() < 0 or dest.max() >= nranks):
                 raise ValueError(f"block destination outside [0, {nranks})")
             movers = np.flatnonzero(dest != src)
-            mover_bytes = np.fromiter(
-                (flat[i].nbytes for i in movers.tolist()), np.int64, movers.size
-            )
+            mover_bytes = columns.nbytes[movers]
             matrix = np.zeros((nranks, nranks), dtype=np.int64)
             np.add.at(matrix, (src[movers], dest[movers]), mover_bytes)
             modelled = comm.charge_alltoallv(matrix)
-            stale = np.flatnonzero(owners != dest)
-            for i, owner in zip(stale.tolist(), dest[stale].tolist()):
-                flat[i] = flat[i].with_owner(owner)
-            order = np.lexsort((block_ids, dest))
-            bounds = np.searchsorted(dest[order], np.arange(nranks + 1)).tolist()
-            ordered = [flat[i] for i in order.tolist()]
-            new_blocks = [
-                ordered[bounds[rank] : bounds[rank + 1]] for rank in range(nranks)
-            ]
-        info = {
+            columns.move(dest, nranks)
+        return {
             "measured": timer.elapsed,
             "modelled": modelled,
             "moved_bytes": float(mover_bytes.sum()),
             "moved_blocks": float(movers.size),
         }
-        return new_blocks, info
 
 
 class NoRedistribution(RedistributionStrategy):
@@ -144,32 +136,25 @@ class NoRedistribution(RedistributionStrategy):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
-    def redistribute(
+    def redistribute_columns(
         self,
         comm: BSPCommunicator,
-        per_rank_blocks: Sequence[Sequence[Block]],
+        columns: BlockColumns,
         sorted_pairs: Sequence[ScorePair],
         iteration: int,
-    ) -> Tuple[List[List[Block]], Dict[str, float]]:
+    ) -> Dict[str, float]:
         # Skip the exchange entirely (no communication, no modelled cost),
         # but refresh the owner metadata exactly like the exchanging path
         # does for kept blocks — every strategy leaves ``block.owner`` equal
         # to the rank that actually holds the block.
         with Timer() as timer:
-            out = [
-                [
-                    block if block.owner == rank else block.with_owner(rank)
-                    for block in blocks
-                ]
-                for rank, blocks in enumerate(per_rank_blocks)
-            ]
-        info = {
+            columns.set_owners(columns.ranks)
+        return {
             "measured": timer.elapsed,
             "modelled": 0.0,
             "moved_bytes": 0.0,
             "moved_blocks": 0.0,
         }
-        return out, info
 
 
 class RandomShuffle(RedistributionStrategy):
@@ -239,10 +224,9 @@ class RedistributionStep:
 
     def execute(self, context: IterationContext) -> StepReport:
         """Exchange the context's blocks (PipelineStep contract)."""
-        new_blocks, info = self.strategy.redistribute(
-            self.comm, context.per_rank_blocks, context.require_sorted(), context.iteration
+        info = self.strategy.redistribute_columns(
+            self.comm, context.columns, context.require_sorted(), context.iteration
         )
-        context.per_rank_blocks = new_blocks
         return StepReport.collective(
             self.name,
             measured=float(info["measured"]),

@@ -9,22 +9,14 @@ the most aggressive level, better-scored selected blocks keep a level-1
 strided downsample.  Every rank takes the same decision locally, then reduces
 only the blocks it owns.
 
-One reference class and one batched class implement the contract, selected
-through the backend registry:
-
-* :class:`ReductionStep` (``serial``, the oracle) — the reference loop: every
-  block is tested against the reduced-id set and reduced one
-  :func:`~repro.grid.reduction.reduce_block` call at a time;
-* :class:`VectorizedReductionStep` (every other backend) — the selected blocks
-  of *all* ranks are grouped by target level and payload shape/dtype
-  (:func:`~repro.grid.batch.stacked_shape_groups`, the grouping every stacked
-  hot path shares) and each group is gathered with one
-  :func:`~repro.grid.reduction.reduce_to_level_batch` fancy-index pass.  The
-  gather reads a few values per block, so shipping payloads to a pool costs
-  far more than the gather itself: there is no fanned-out variant.
-
-Both produce bitwise-identical reduced payloads and modelled seconds
-(the modelled cost is derived from
+One reference class and one batched class implement the contract:
+:class:`ReductionStep` (``serial``, the oracle) tests every block against the
+reduced-id set and reduces one :func:`~repro.grid.reduction.reduce_block` call
+at a time; :class:`VectorizedReductionStep` (every other backend) gathers each
+(payload group, target level) of the iteration's columnar state at once.  The
+gather reads a few values per block, so shipping payloads to a pool would cost
+far more than it: there is no fanned-out form.  Both produce bitwise-identical
+reduced payloads and modelled seconds (priced through
 :attr:`~repro.perfmodel.platform.PlatformModel.seconds_per_reduced_block`);
 measured wall-clock is the one quantity that legitimately differs.
 """
@@ -34,16 +26,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.step import (
-    IterationContext,
-    StepReport,
-    flatten_ranks,
-    share_elapsed,
-    step_info,
-)
-from repro.grid.batch import stacked_shape_groups
+import numpy as np
+
+from repro.core.step import IterationContext, StepReport, share_elapsed, step_info
+from repro.grid.batch import BlockColumns
 from repro.grid.block import Block
-from repro.grid.reduction import reduce_block, reduce_to_level_batch
+from repro.grid.reduction import reduce_block
 from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
 
@@ -106,13 +94,16 @@ def select_reduction_levels(
 ) -> Dict[int, int]:
     """Map each selected block id to its target reduction-ladder level.
 
-    The selected set is exactly :func:`select_blocks_to_reduce`'s — the
-    ``percent``% lowest-scored blocks, counted with the same half-up
-    rounding.  Within that ascending-score prefix the ladder's rungs are
-    applied in order: the first rung's fraction of the selection (rounded
-    half-up) gets that rung's level, and so on, the last rung absorbing the
-    rounding remainder.  Every rank computes this from the globally sorted
-    list, so the decision is identical everywhere without communication.
+    ``sorted_pairs`` must be in ascending (score, id) order — the output of
+    the sorting step; the ``percent``% lowest-scored blocks are selected.  The
+    count is rounded half-up (``floor(x + 0.5)``): under Python's banker's
+    ``round()`` 5% of 10 blocks reduced 0 blocks while 5% of 30 reduced 2, and
+    the same percentage must round the same way whatever the count's parity.
+    Within that prefix the ladder's rungs are applied in order: the first
+    rung's fraction of the selection (rounded half-up) gets that rung's level,
+    and so on, the last rung absorbing the rounding remainder.  Every rank
+    computes this from the globally sorted list, so the decision is identical
+    everywhere without communication.
     """
     if not (0.0 <= percent <= 100.0):
         raise ValueError(f"percent must be in [0, 100], got {percent}")
@@ -133,21 +124,9 @@ def select_reduction_levels(
 
 
 def select_blocks_to_reduce(sorted_pairs: Sequence[ScorePair], percent: float) -> Set[int]:
-    """Ids of the ``percent``% lowest-scored blocks.
-
-    ``sorted_pairs`` must already be in ascending (score, id) order — the
-    output of the sorting step.  The count is rounded half-up to the nearest
-    block (``floor(x + 0.5)``): Python's ``round()`` does banker's rounding,
-    under which e.g. 5% of 10 blocks reduced 0 blocks while 5% of 30 reduced
-    2 — the same requested percentage must round the same way regardless of
-    the block count's parity.
-    """
-    if not (0.0 <= percent <= 100.0):
-        raise ValueError(f"percent must be in [0, 100], got {percent}")
-    nblocks = len(sorted_pairs)
-    count = int(math.floor(nblocks * percent / 100.0 + 0.5))
-    count = min(count, nblocks)
-    return {block_id for block_id, _ in sorted_pairs[:count]}
+    """Ids of the ``percent``% lowest-scored blocks: the ids
+    :func:`select_reduction_levels` maps, whatever the ladder."""
+    return set(select_reduction_levels(sorted_pairs, percent))
 
 
 class ReductionStep:
@@ -172,14 +151,10 @@ class ReductionStep:
     def _reduction_seconds(
         self, nreduced: int, points_copied: Optional[int] = None
     ) -> float:
-        """Modelled seconds for one rank to reduce ``nreduced`` blocks.
-
-        ``points_copied`` is the total payload points of the rank's reduced
-        blocks; when given, the cost scales with it (in corner-block units of
-        8 points), which prices a level-1 downsample by its real copy volume.
-        When every selected block goes to the corner rung the two forms are
-        bitwise identical.
-        """
+        """Modelled seconds for one rank to reduce ``nreduced`` blocks, scaled
+        by ``points_copied`` (the payload points of its reduced blocks, in
+        corner-block units of 8) when given — which prices a level-1 downsample
+        by its real copy volume, and all-corners bitwise as before."""
         if self.platform is not None:
             return self.platform.reduction_seconds(nreduced, points_copied)
         if points_copied is None:
@@ -237,12 +212,16 @@ class ReductionStep:
 
     def execute(self, context: IterationContext) -> StepReport:
         """Run the step over the context's blocks (PipelineStep contract)."""
-        out, reduced_ids, info = self.run(
+        out, _, info = self.run(
             context.per_rank_blocks, context.require_sorted(), context.percent
         )
         context.per_rank_blocks = out
-        context.reduced_ids = reduced_ids
-        context.reduction_levels = dict(info["reduction_levels"])
+        return self._record(context, info)
+
+    def _record(self, context: IterationContext, info: Dict[str, object]) -> StepReport:
+        """Write the ladder decision into ``context``; the step's report."""
+        context.reduction_levels = info["reduction_levels"]
+        context.reduced_ids = set(context.reduction_levels)
         return StepReport.per_rank(
             self.name,
             info,
@@ -253,15 +232,12 @@ class ReductionStep:
 class VectorizedReductionStep(ReductionStep):
     """Reduces the selected blocks of all ranks in shape-grouped batches.
 
-    The reduction is embarrassingly parallel, so — like the vectorised
-    scoring step — the batch spans *across* ranks: every selected block of
-    the iteration is bucketed by target ladder level and grouped by payload
-    shape/dtype, each group's payloads are stacked, and the retained values
-    of the whole group are gathered with one
-    :func:`~repro.grid.reduction.reduce_to_level_batch` fancy-index pass
-    (bitwise equal to :func:`~repro.grid.reduction.reduce_block` per block).
-    A typical iteration has exactly one group per rung: the full-block shape
-    of the decomposition.
+    The batch spans *across* ranks, on the columnar state: the ladder decision
+    is looked up per row, and :meth:`~repro.grid.batch.BlockColumns.reduce_to`
+    gathers the retained values of every (payload group, target level) at once
+    (bitwise equal to :func:`~repro.grid.reduction.reduce_block` per block;
+    rows already at or beyond their target are left as they are, the same
+    no-op).  A typical iteration has one gather per rung and full-block shape.
 
     Measured wall-clock of the single pass is attributed to ranks
     proportionally to their selected-block counts (the convention the
@@ -269,56 +245,22 @@ class VectorizedReductionStep(ReductionStep):
     exactly as in the serial step.
     """
 
-    def _apply_selected(
-        self,
-        blocks: Sequence[Block],
-        selected: Sequence[int],
-        levels: Dict[int, int],
-    ) -> List[Block]:
-        """``blocks`` with ``blocks[selected]`` reduced to their target levels.
-
-        Blocks already at (or beyond) their target level are left as-is (the
-        same no-op :func:`~repro.grid.reduction.reduce_block` performs).
-        """
-        out = list(blocks)
-        by_level: Dict[int, List[int]] = {}
-        for i in selected:
-            target = levels[blocks[i].block_id]
-            if blocks[i].level < target:
-                by_level.setdefault(target, []).append(i)
-        for target in sorted(by_level):
-            targets = by_level[target]
-            for positions, stacked in stacked_shape_groups(
-                [blocks[i] for i in targets]
-            ):
-                payloads = reduce_to_level_batch(stacked, target)
-                for row, position in enumerate(positions):
-                    i = targets[position]
-                    out[i] = blocks[i].with_level_payload(payloads[row], target)
-        return out
-
-    def run(
-        self,
-        per_rank_blocks: Sequence[Sequence[Block]],
-        sorted_pairs: Sequence[ScorePair],
-        percent: float,
-    ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
-        """Reduce every rank's selected blocks in one cross-rank pass."""
+    def _reduce_columns(
+        self, columns: BlockColumns, sorted_pairs: Sequence[ScorePair], percent: float
+    ) -> Dict[str, object]:
+        """Reduce the selected rows in one cross-rank pass; the step's ``info``."""
         levels = select_reduction_levels(sorted_pairs, percent, self.quality_ladder)
         with Timer() as timer:
-            all_blocks, rank_slices = flatten_ranks(per_rank_blocks)
-            rank_selected = [
-                [i for i in range(lo, hi) if all_blocks[i].block_id in levels]
-                for lo, hi in rank_slices
-            ]
-            selected = [i for positions in rank_selected for i in positions]
-            new_all = self._apply_selected(all_blocks, selected, levels)
-        rank_counts = [len(positions) for positions in rank_selected]
-        rank_points = [
-            sum(int(new_all[i].data.size) for i in positions)
-            for positions in rank_selected
-        ]
-        info = step_info(
+            targets = columns.lookup(
+                np.fromiter(levels.keys(), np.int64, len(levels)),
+                np.fromiter(levels.values(), np.int64, len(levels)),
+                0,
+            )
+            columns.reduce_to(targets)
+        selected = targets > 0
+        rank_counts = columns.per_rank_sum(selected)
+        rank_points = columns.per_rank_sum(np.where(selected, columns.npoints, 0))
+        return step_info(
             share_elapsed(timer.elapsed, rank_counts),
             [
                 self._reduction_seconds(count, points)
@@ -328,4 +270,22 @@ class VectorizedReductionStep(ReductionStep):
             points_copied=sum(rank_points),
             reduction_levels=levels,
         )
-        return [new_all[lo:hi] for lo, hi in rank_slices], set(levels), info
+
+    def run(
+        self,
+        per_rank_blocks: Sequence[Sequence[Block]],
+        sorted_pairs: Sequence[ScorePair],
+        percent: float,
+    ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
+        """Reduce every rank's selected blocks in one cross-rank pass
+        (list-facing form of :meth:`execute`)."""
+        columns = BlockColumns(per_rank_blocks)
+        info = self._reduce_columns(columns, sorted_pairs, percent)
+        return columns.to_ranks(), set(info["reduction_levels"]), info
+
+    def execute(self, context: IterationContext) -> StepReport:
+        """Reduce the context's columns (PipelineStep contract)."""
+        info = self._reduce_columns(
+            context.columns, context.require_sorted(), context.percent
+        )
+        return self._record(context, info)

@@ -7,35 +7,25 @@ process drives the total — the load-imbalance effect the redistribution step
 attacks).
 
 Like the scoring step, the rendering step is one reference class and one
-batched class, selected by ``PipelineConfig.engine``:
-
-* :class:`RenderingStep` (``serial``, the oracle) — every rank's blocks go
-  through ``IsosurfaceScript.process`` one block at a time;
-* :class:`VectorizedRenderingStep` (``vectorized``, the default) — counting
-  mode counts every block of the iteration in one cross-rank
-  :meth:`~repro.viz.catalyst.IsosurfaceScript.count_blocks_batched` pass (one
-  ``count_active_cells_batch`` call per stacked shape group; all reduced
-  2×2×2 blocks form one group).  Built with ``processes=True`` (the
-  ``process`` backend) the same pass is chunked over the shared process pool
-  through shared memory.  Mesh mode extracts real per-block geometry, which
-  cannot be stacked — and pickling meshes back from a worker costs more than
-  the extraction — so it always runs the reference per-block extraction.
-
-Both produce identical counts, triangle estimates, and modelled seconds —
-measured wall-clock is the one quantity that legitimately differs.
+batched class, selected by ``PipelineConfig.engine``: :class:`RenderingStep`
+(``serial``, the oracle) sends every rank's blocks through
+``IsosurfaceScript.process`` one block at a time;
+:class:`VectorizedRenderingStep` (``vectorized``, the default; ``process``
+with ``processes=True``) counts each payload group of the iteration's columnar
+state once in counting mode.  Mesh mode extracts real per-block geometry,
+which cannot be stacked — and pickling meshes back from a worker costs more
+than the extraction — so it materialises the blocks and runs the reference
+per-block extraction.  Both produce identical counts, triangle estimates, and
+modelled seconds — measured wall-clock is the one quantity that legitimately
+differs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.step import (
-    IterationContext,
-    StepReport,
-    flatten_ranks,
-    share_elapsed,
-    step_info,
-)
+from repro.core.step import IterationContext, StepReport, share_elapsed, step_info
+from repro.grid.batch import BlockColumns
 from repro.grid.block import Block
 from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
@@ -62,19 +52,6 @@ class RenderingStep:
         )
         self.pipeline = CatalystPipeline([self.script])
 
-    # -- rendering backend ---------------------------------------------------
-
-    def _render_all(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> List[RenderResult]:
-        """One :class:`RenderResult` per rank (the backend hook)."""
-        return [
-            self.pipeline.coprocess(blocks, iteration)[0]
-            for blocks in per_rank_blocks
-        ]
-
-    # -- step execution ------------------------------------------------------
-
     def run(
         self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
     ) -> Tuple[List[RenderResult], Dict[str, object]]:
@@ -87,31 +64,47 @@ class RenderingStep:
             per-rank and maximum modelled rendering seconds, plus per-rank
             triangle counts (used for load-imbalance analyses).
         """
-        results = self._render_all(per_rank_blocks, iteration)
+        results = [
+            self.pipeline.coprocess(blocks, iteration)[0] for blocks in per_rank_blocks
+        ]
+        return results, self._info(results, [len(blocks) for blocks in per_rank_blocks])
+
+    def _info(
+        self, results: Sequence[RenderResult], rank_nblocks: Sequence[int]
+    ) -> Dict[str, object]:
+        """Timing summary of one iteration's per-rank results."""
         modelled: List[float] = []
         measured: List[float] = []
         triangles: List[int] = []
-        for blocks, result in zip(per_rank_blocks, results):
+        for nblocks, result in zip(rank_nblocks, results):
             measured.append(result.measured_seconds)
             triangles.append(result.ntriangles)
             modelled.append(
                 self.platform.render.rank_seconds(
                     ntriangles=result.ntriangles,
                     npoints=result.npoints,
-                    nblocks=len(blocks),
+                    nblocks=nblocks,
                 )
             )
-        info = step_info(
+        return step_info(
             measured,
             modelled,
             triangles_per_rank=triangles,
             total_triangles=int(sum(triangles)),
         )
-        return results, info
 
     def execute(self, context: IterationContext) -> StepReport:
         """Render the context's blocks (PipelineStep contract)."""
         results, info = self.run(context.per_rank_blocks, context.iteration)
+        return self._record(context, results, info)
+
+    def _record(
+        self,
+        context: IterationContext,
+        results: List[RenderResult],
+        info: Dict[str, object],
+    ) -> StepReport:
+        """Write the results into ``context``; the step's report."""
         context.render_results = results
         return StepReport.per_rank(
             self.name,
@@ -125,16 +118,16 @@ class VectorizedRenderingStep(RenderingStep):
     """Rendering through the script's shape-grouped batch path.
 
     Counting mode — the cheap load proxy the large virtual-rank experiments
-    run — batches *across* ranks, exactly like the vectorised scoring step:
-    every block of the iteration is counted in one
-    :meth:`~repro.viz.catalyst.IsosurfaceScript.count_blocks_batched` pass, so
-    the whole iteration costs a handful of NumPy calls instead of one Python
-    iteration per block; ``processes=True`` chunks that pass over the shared
-    process pool.  Counts, triangle estimates, and modelled seconds are
-    bitwise identical to :class:`RenderingStep`'s; only measured wall-clock
-    differs, and the single pass's elapsed time is attributed to ranks
-    proportionally to their payload point counts (the convention the scoring
-    step set).  Mesh mode is the reference loop.
+    run — batches *across* ranks, on the columnar state: every payload group
+    is counted once (:meth:`~repro.viz.catalyst.IsosurfaceScript.count_groups`;
+    inline, or chunked over the shared process pool with ``processes=True``),
+    the triangle estimates are one ``np.rint``, and each rank's
+    :class:`~repro.viz.catalyst.RenderResult` is built from slices of those
+    arrays in the rank's block order.  Counts, triangle estimates, and
+    modelled seconds are bitwise identical to :class:`RenderingStep`'s; the
+    single pass's elapsed time is attributed to ranks proportionally to their
+    payload point counts (the convention the scoring step set).  Mesh mode
+    needs the blocks themselves and is the reference loop.
     """
 
     def __init__(
@@ -153,24 +146,46 @@ class VectorizedRenderingStep(RenderingStep):
         )
         self.processes = bool(processes)
 
-    def _render_all(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> List[RenderResult]:
-        if self.script.mode != "count":
-            return super()._render_all(per_rank_blocks, iteration)
-        all_blocks, rank_slices = flatten_ranks(per_rank_blocks)
-        results: List[RenderResult] = []
+    def _count_columns(
+        self, columns: BlockColumns, iteration: int
+    ) -> Tuple[List[RenderResult], Dict[str, object]]:
+        """Counting-mode results of every rank in one cross-rank pass."""
+        script = self.script
         with Timer() as timer:
-            counts = self.script.count_blocks_batched(all_blocks, self.processes)
-            for (lo, hi), blocks in zip(rank_slices, per_rank_blocks):
-                result = RenderResult(
-                    script_name=self.script.name, iteration=iteration
+            cells = script.count_groups(columns.groups, self.processes)
+            order = columns.order
+            triangles = script.triangles_from_cells(cells)[order].tolist()
+            results = [
+                RenderResult(
+                    script_name=script.name,
+                    iteration=iteration,
+                    npoints=npoints,
+                    per_block_triangles=dict(zip(ids, rank_triangles)),
+                    per_block_active_cells=dict(zip(ids, rank_cells)),
                 )
-                for block, cells in zip(blocks, counts[lo:hi]):
-                    result.npoints += int(block.data.size)
-                    self.script.record_count(result, block.block_id, cells)
-                results.append(result)
+                for ids, rank_triangles, rank_cells, npoints in zip(
+                    columns.split(columns.ids[order].tolist()),
+                    columns.split(triangles),
+                    columns.split(cells[order].tolist()),
+                    columns.per_rank_sum(columns.npoints),
+                )
+            ]
         shares = share_elapsed(timer.elapsed, [result.npoints for result in results])
         for result, seconds in zip(results, shares):
             result.measured_seconds = seconds
-        return results
+        return results, self._info(results, columns.rank_sizes())
+
+    def run(
+        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
+    ) -> Tuple[List[RenderResult], Dict[str, object]]:
+        """Render every rank's blocks (list-facing form of :meth:`execute`)."""
+        if self.script.mode != "count":
+            return super().run(per_rank_blocks, iteration)
+        return self._count_columns(BlockColumns(per_rank_blocks), iteration)
+
+    def execute(self, context: IterationContext) -> StepReport:
+        """Render the context's columns (PipelineStep contract)."""
+        if self.script.mode != "count":
+            return super().execute(context)
+        results, info = self._count_columns(context.columns, context.iteration)
+        return self._record(context, results, info)

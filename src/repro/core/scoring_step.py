@@ -7,21 +7,14 @@ sort (a collective), so the slowest rank determines the step's contribution to
 the iteration time.
 
 One reference class and one batched class implement the contract:
-
-* :class:`ScoringStep` (``serial``, the oracle) — routes every rank's blocks
-  through ``metric.score_blocks`` (a per-block loop by default, but user
-  metrics that override it take effect here);
-* :class:`VectorizedScoringStep` (``vectorized``, the default) — scores all
-  ranks' blocks in one cross-rank pass through
-  :func:`~repro.grid.fanout.map_shape_groups`: one ``metric.score_batch`` call
-  per stacked shape group.  Built with ``processes=True`` (the ``process``
-  backend) the same pass is chunked over the shared process pool with payloads
-  crossing zero-copy through shared memory — the choice for GIL-bound or
-  Python-heavy scorers (``PYVAR``, ``LZ``, scalar user metrics), which no
-  in-process batching can speed up.
-
-Both produce bitwise-identical scores, so the execution engine can pick any
-backend without perturbing any downstream decision.
+:class:`ScoringStep` (``serial``, the oracle) routes every rank's block list
+through ``metric.score_blocks`` (a per-block loop by default, but user metrics
+that override it take effect here) and clones every block to attach its score;
+:class:`VectorizedScoringStep` (``vectorized``, the default; ``process`` with
+``processes=True``) scores all ranks' blocks in one cross-rank pass over the
+iteration's columnar state and writes a ``scores`` column.  Both produce
+bitwise-identical scores, so the execution engine can pick any backend without
+perturbing any downstream decision.
 """
 
 from __future__ import annotations
@@ -31,17 +24,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.step import (
-    IterationContext,
-    StepReport,
-    flatten_ranks,
-    share_elapsed,
-    step_info,
-)
+from repro.core.step import IterationContext, StepReport, share_elapsed, step_info
+from repro.grid.batch import BlockColumns
 from repro.grid.block import Block
 from repro.grid.fanout import map_shape_groups
 from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
+from repro.simmpi.sort import pairs_from_wire
 from repro.utils.timer import Timer
 
 ScorePair = Tuple[int, float]
@@ -55,14 +44,6 @@ class ScoringStep:
     def __init__(self, metric: ScoreMetric, platform: PlatformModel) -> None:
         self.metric = metric
         self.platform = platform
-
-    # -- scoring backend ---------------------------------------------------------
-
-    def _score_rank(self, blocks: Sequence[Block]) -> List[float]:
-        """Scores of one rank's blocks, in block order."""
-        return [float(s) for s in self.metric.score_blocks([b.data for b in blocks])]
-
-    # -- step execution ----------------------------------------------------------
 
     def run(
         self, per_rank_blocks: Sequence[Sequence[Block]]
@@ -84,7 +65,8 @@ class ScoringStep:
         total_points = 0
         for blocks in per_rank_blocks:
             with Timer() as timer:
-                scores = self._score_rank(blocks)
+                raw = self.metric.score_blocks([b.data for b in blocks])
+                scores = [float(s) for s in raw]
                 pairs = [
                     (block.block_id, score) for block, score in zip(blocks, scores)
                 ]
@@ -122,27 +104,26 @@ def _score_rows(metric: ScoreMetric, stacked: np.ndarray) -> np.ndarray:
 class VectorizedScoringStep(ScoringStep):
     """Scores all ranks' blocks as stacked structure-of-arrays batches.
 
-    Because scoring is embarrassingly parallel, the step batches *across*
-    ranks: every block of the iteration goes through one
-    :func:`~repro.grid.fanout.map_shape_groups` pass — grouped by payload
-    shape/dtype (a handful of groups for a typical decomposition), each group
-    stacked into one ``(nblocks, sx, sy, sz)`` array and scored with
-    ``metric.score_batch``, scores scattered back to block order — so the
-    output is indistinguishable from :class:`ScoringStep`'s.
+    One :func:`~repro.grid.fanout.map_shape_groups` pass over the payload
+    groups of the columnar state (:class:`~repro.grid.batch.BlockColumns`) —
+    one ``metric.score_batch`` call per stacked shape/dtype group, a handful
+    for a typical decomposition — writes the ``scores`` column, and the pairs
+    leave as the ``(n_r, 2)`` arrays the sort gathers.  Being the first batched
+    step, its span carries the one payload stack of the iteration.
 
-    ``processes=True`` fans the same pass out over the shared process pool.
-    The metric is then pickled into every task (the built-in metrics are plain
-    dataclasses; user metrics must be module-level classes), and a metric
-    without ``score_batch`` is scored row by row inside the workers.
+    ``processes=True`` fans the same pass out over the shared process pool,
+    the stacked groups crossing through shared memory.  The metric is then
+    pickled into every task (the built-in metrics are plain dataclasses; user
+    metrics must be module-level classes), and a metric without
+    ``score_batch`` is scored row by row inside the workers — the choice for
+    GIL-bound or Python-heavy scorers (``PYVAR``, ``LZ``, scalar user metrics).
 
     A metric that overrides ``score_blocks`` without a ``score_batch`` may
     apply cross-block logic (e.g. normalisation over one rank's list), which
     neither the cross-rank pass nor chunking preserves; it is routed through
-    the per-rank reference step.
-
-    Measured wall-clock is attributed to ranks proportionally to their point
-    counts (the single pass does every rank's work at once); the modelled
-    per-rank seconds are computed exactly as in the serial step.
+    the per-rank reference step.  Measured wall-clock is attributed to ranks
+    in proportion to their point counts; the modelled per-rank seconds are
+    computed exactly as in the serial step.
     """
 
     def __init__(
@@ -151,47 +132,61 @@ class VectorizedScoringStep(ScoringStep):
         super().__init__(metric, platform)
         self.processes = bool(processes)
 
-    def _score_rank(self, blocks: Sequence[Block]) -> List[float]:
-        if self.metric.supports_batch:
-            kernel = self.metric.score_batch
-        elif self.processes:
-            kernel = partial(_score_rows, self.metric)
-        else:
-            # Stacking buys nothing when scoring loops per block in this
-            # process anyway; skip the payload copies.
-            return super()._score_rank(blocks)
-        return map_shape_groups(blocks, kernel, np.float64, self.processes).tolist()
-
-    def run(
-        self, per_rank_blocks: Sequence[Sequence[Block]]
-    ) -> Tuple[List[List[ScorePair]], List[List[Block]], Dict[str, object]]:
-        """Score every rank's blocks in one cross-rank pass."""
+    def _crosses_ranks(self) -> bool:
+        """Whether the metric may be scored in one pass over all ranks' blocks."""
         metric = self.metric
-        if not metric.supports_batch and (
-            type(metric).score_blocks is not ScoreMetric.score_blocks
-        ):
-            return ScoringStep(metric, self.platform).run(per_rank_blocks)
-        all_blocks, rank_slices = flatten_ranks(per_rank_blocks)
+        return metric.supports_batch or (
+            type(metric).score_blocks is ScoreMetric.score_blocks
+        )
+
+    def _score_columns(self, columns: BlockColumns) -> Dict[str, object]:
+        """Write the ``scores`` column in one cross-rank pass; the step's ``info``."""
+        metric = self.metric
         with Timer() as timer:
-            scores = self._score_rank(all_blocks)
-            scored_all = [
-                block.with_score(score) for block, score in zip(all_blocks, scores)
-            ]
-        rank_points = [
-            sum(int(block.data.size) for block in blocks)
-            for blocks in per_rank_blocks
-        ]
-        per_rank_pairs = [
-            [(block.block_id, score) for block, score in zip(blocks, scores[lo:hi])]
-            for (lo, hi), blocks in zip(rank_slices, per_rank_blocks)
-        ]
+            if metric.supports_batch or self.processes:
+                kernel = (
+                    metric.score_batch
+                    if metric.supports_batch
+                    else partial(_score_rows, metric)
+                )
+                scores = map_shape_groups(
+                    columns.groups, kernel, np.float64, self.processes
+                )
+            else:
+                # Stacking buys nothing when scoring loops per block in this
+                # process anyway; skip the payload copies.
+                scores = metric.score_blocks(columns.payloads())
+            columns.set_scores(scores)
+        rank_points = columns.per_rank_sum(columns.npoints)
         modelled = [
-            self.platform.scoring_seconds(metric, npoints, len(blocks))
-            for blocks, npoints in zip(per_rank_blocks, rank_points)
+            self.platform.scoring_seconds(metric, npoints, nblocks)
+            for npoints, nblocks in zip(rank_points, columns.rank_sizes())
         ]
-        info = step_info(
+        return step_info(
             share_elapsed(timer.elapsed, rank_points),
             modelled,
             npoints=sum(rank_points),
         )
-        return per_rank_pairs, [scored_all[lo:hi] for lo, hi in rank_slices], info
+
+    def run(
+        self, per_rank_blocks: Sequence[Sequence[Block]]
+    ) -> Tuple[List[List[ScorePair]], List[List[Block]], Dict[str, object]]:
+        """Score every rank's blocks in one cross-rank pass (list-facing form
+        of :meth:`execute`: columns in, the same body, lists out)."""
+        if not self._crosses_ranks():
+            return super().run(per_rank_blocks)
+        columns = BlockColumns(per_rank_blocks)
+        info = self._score_columns(columns)
+        pairs = [pairs_from_wire(wire) for wire in columns.pair_arrays()]
+        return pairs, columns.to_ranks(), info
+
+    def execute(self, context: IterationContext) -> StepReport:
+        """Score the context's columns (PipelineStep contract)."""
+        if not self._crosses_ranks():
+            return super().execute(context)
+        columns = context.columns
+        info = self._score_columns(columns)
+        context.set_pair_arrays(columns.pair_arrays())
+        return StepReport.per_rank(
+            self.name, info, {"nblocks": len(columns), "npoints": info["npoints"]}
+        )

@@ -13,7 +13,9 @@ backend registry:
   tuples (:func:`~repro.simmpi.sort.parallel_sort_pairs`);
 * :class:`VectorizedSortingStep` — the same collective with the root's sort
   done by ``np.lexsort`` over the gathered ``(score, id)`` arrays
-  (:func:`~repro.simmpi.sort.parallel_sort_pairs_numpy`).  The communication
+  (:func:`~repro.simmpi.sort.parallel_sort_pairs_numpy`); after a batched
+  scoring step it gathers the ``(n_r, 2)`` wire arrays as they are, so the
+  pairs become tuples once per iteration, on the way out.  The communication
   payloads are identical byte for byte, so ``StepReport.modelled`` and
   ``payload_bytes`` are unchanged, and the sorted list is bitwise equal.
   Every batched backend uses this implementation: the sort is a rooted
@@ -113,7 +115,7 @@ class SortingStep:
 
     def execute(self, context: IterationContext) -> StepReport:
         """Run the step over the context's pairs (PipelineStep contract)."""
-        sorted_pairs, info = self.run(context.require_pairs())
+        sorted_pairs, info = self.run(context.pairs_for_sort())
         context.sorted_pairs = sorted_pairs
         return StepReport.collective(
             self.name,
@@ -130,7 +132,8 @@ class VectorizedSortingStep(SortingStep):
     Bitwise-identical sorted list, identical modelled communication seconds
     and payload bytes (the wire format is unchanged); the root's Python
     ``sorted`` over tuples and the per-rank list materialisation collapse
-    into one ``np.lexsort`` and a single shared result list.
+    into one ``np.lexsort`` and a single shared result list.  Pairs that a
+    batched scoring step left in wire form are gathered as they are.
     """
 
     name = "sorting"

@@ -7,14 +7,23 @@ render) is a :class:`PipelineStep`: an object with a ``name`` and an
 ordered list of steps; :class:`~repro.core.monitor.PerformanceMonitor`
 consumes the reports.  Because the contract is uniform, steps can be swapped
 (serial vs. vectorised scoring) or extended without touching the
-orchestration code.  What the batched steps share beyond the contract — the
-cross-rank flatten, the attribution of one pass's wall-clock to ranks, the
-``info`` dict of ``run`` and its conversion to a report — is written once
-here (:func:`flatten_ranks`, :func:`share_elapsed`, :func:`step_info`,
-:meth:`StepReport.per_rank`).  The sequence is a linear chain — each step
-consumes context state the previous one wrote (see :class:`IterationContext`)
-— and the engine runs it in list order, one iteration at a time; there is no
-separate dependency table to keep in step with the code.
+orchestration code.  The sequence is a linear chain — each step consumes
+context state the previous one wrote — and the engine runs it in list order,
+one iteration at a time; there is no separate dependency table to keep in step
+with the code.  What the batched steps share beyond the contract is written
+once here (:func:`share_elapsed`, :func:`step_info`,
+:meth:`StepReport.per_rank`).
+
+The context carries the iteration's blocks in one of two forms, exactly one of
+them authoritative at a time: the per-rank lists of
+:class:`~repro.grid.block.Block` objects that the reference steps (and any
+list-based third-party step) read and assign as ``context.per_rank_blocks``,
+and the columnar state (:class:`~repro.grid.batch.BlockColumns`) that the
+batched steps read and write as ``context.columns``.  Each is built from the
+other on first access, so a ``serial`` engine never stacks a payload, a
+default engine never builds a ``Block``, and a pipeline mixing both kinds of
+step converts at the hand-offs.  The score pairs likewise exist as tuples
+(``context.per_rank_pairs``) or as the arrays the sort gathers.
 """
 
 from __future__ import annotations
@@ -31,6 +40,11 @@ from typing import (
     Tuple,
     runtime_checkable,
 )
+
+import numpy as np
+
+from repro.grid.batch import BlockColumns
+from repro.simmpi.sort import pairs_from_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.grid.block import Block
@@ -137,19 +151,6 @@ def step_info(
     }
 
 
-def flatten_ranks(
-    per_rank_blocks: Sequence[Sequence["Block"]],
-) -> Tuple[List["Block"], List[Tuple[int, int]]]:
-    """All ranks' blocks as one list, plus each rank's ``(lo, hi)`` slice of it
-    (the batched steps work across ranks and cut the result back per rank)."""
-    all_blocks: List["Block"] = []
-    rank_slices: List[Tuple[int, int]] = []
-    for blocks in per_rank_blocks:
-        rank_slices.append((len(all_blocks), len(all_blocks) + len(blocks)))
-        all_blocks.extend(blocks)
-    return all_blocks, rank_slices
-
-
 def share_elapsed(elapsed: float, weights: Sequence[float]) -> List[float]:
     """One cross-rank pass's wall-clock, attributed to the ranks in proportion
     to ``weights`` (their share of the pass's work; all zero when there is none)."""
@@ -157,34 +158,95 @@ def share_elapsed(elapsed: float, weights: Sequence[float]) -> List[float]:
     return [elapsed * (weight / total) if total else 0.0 for weight in weights]
 
 
-@dataclass
 class IterationContext:
     """Mutable state threaded through the steps of one iteration.
 
-    The scoring step fills ``per_rank_pairs`` and attaches scores to
-    ``per_rank_blocks``; sorting fills ``sorted_pairs``; reduction and
-    redistribution rewrite ``per_rank_blocks``; rendering fills
-    ``render_results``.  ``reports`` accumulates every step's
-    :class:`StepReport` keyed by step name, in execution order.
+    The scoring step fills the score pairs and attaches scores to the blocks;
+    sorting fills ``sorted_pairs``; reduction and redistribution rewrite the
+    blocks; rendering fills ``render_results``.  ``reports`` accumulates every
+    step's :class:`StepReport` keyed by step name, in execution order.
+
+    The blocks are reachable as ``per_rank_blocks`` (lists of ``Block``) and
+    as ``columns`` (:class:`~repro.grid.batch.BlockColumns`).  Reading one
+    view builds it from the other, once, and makes it the authoritative one;
+    assigning ``per_rank_blocks`` discards the columns.
     """
 
-    iteration: int
-    percent: float
-    nranks: int
-    per_rank_blocks: List[List["Block"]]
-    per_rank_pairs: Optional[List[List[ScorePair]]] = None
-    sorted_pairs: Optional[List[ScorePair]] = None
-    reduced_ids: Optional[Set[int]] = None
-    #: Target ladder level per reduced block id (the reduction step's quality
-    #: ladder decision; ``set(reduction_levels) == reduced_ids``).
-    reduction_levels: Optional[Dict[int, int]] = None
-    render_results: Optional[List["RenderResult"]] = None
-    reports: Dict[str, StepReport] = field(default_factory=dict)
+    def __init__(
+        self,
+        iteration: int,
+        percent: float,
+        nranks: int,
+        per_rank_blocks: List[List["Block"]],
+        per_rank_pairs: Optional[List[List[ScorePair]]] = None,
+        sorted_pairs: Optional[List[ScorePair]] = None,
+        reduced_ids: Optional[Set[int]] = None,
+        reduction_levels: Optional[Dict[int, int]] = None,
+        render_results: Optional[List["RenderResult"]] = None,
+        reports: Optional[Dict[str, StepReport]] = None,
+    ) -> None:
+        self.iteration = iteration
+        self.percent = percent
+        self.nranks = nranks
+        self._blocks: Optional[List[List["Block"]]] = per_rank_blocks
+        self._columns: Optional[BlockColumns] = None
+        self._pairs = per_rank_pairs
+        self._pair_arrays: Optional[List[np.ndarray]] = None
+        self.sorted_pairs = sorted_pairs
+        self.reduced_ids = reduced_ids
+        #: Target ladder level per reduced block id (the reduction step's
+        #: quality ladder decision; ``set(reduction_levels) == reduced_ids``).
+        self.reduction_levels = reduction_levels
+        self.render_results = render_results
+        self.reports: Dict[str, StepReport] = {} if reports is None else reports
+
+    @property
+    def per_rank_blocks(self) -> List[List["Block"]]:
+        """Per-rank ``Block`` lists (materialised from the columns when those
+        are authoritative: at most one clone per block)."""
+        if self._blocks is None:
+            self._blocks, self._columns = self._columns.to_ranks(), None
+        return self._blocks
+
+    @per_rank_blocks.setter
+    def per_rank_blocks(self, per_rank_blocks: List[List["Block"]]) -> None:
+        self._blocks, self._columns = per_rank_blocks, None
+
+    @property
+    def columns(self) -> BlockColumns:
+        """The columnar state (built from the lists when those are authoritative)."""
+        if self._columns is None:
+            self._columns, self._blocks = BlockColumns(self._blocks), None
+        return self._columns
 
     @property
     def nblocks(self) -> int:
         """Total number of blocks currently held across all ranks."""
-        return sum(len(blocks) for blocks in self.per_rank_blocks)
+        if self._columns is not None:
+            return len(self._columns)
+        return sum(len(blocks) for blocks in self._blocks)
+
+    @property
+    def per_rank_pairs(self) -> Optional[List[List[ScorePair]]]:
+        """Per-rank ``(block_id, score)`` tuples (built once from the wire
+        arrays when a batched scoring step left those)."""
+        if self._pairs is None and self._pair_arrays is not None:
+            self._pairs = [pairs_from_wire(wire) for wire in self._pair_arrays]
+        return self._pairs
+
+    @per_rank_pairs.setter
+    def per_rank_pairs(self, per_rank_pairs: List[List[ScorePair]]) -> None:
+        self._pairs, self._pair_arrays = per_rank_pairs, None
+
+    def set_pair_arrays(self, arrays: List[np.ndarray]) -> None:
+        """Record the score pairs in wire form: one ``(n_r, 2)`` float64
+        ``(id, score)`` array per rank, what the sort gathers."""
+        self._pairs, self._pair_arrays = None, arrays
+
+    def pairs_for_sort(self) -> Sequence[Sequence[ScorePair]]:
+        """The score pairs as they are at hand — wire arrays or tuples, the
+        sort functions take either — raising if scoring has not run yet."""
+        return self._pair_arrays if self._pair_arrays is not None else self.require_pairs()
 
     def require_pairs(self) -> List[List[ScorePair]]:
         """Score pairs, raising if the scoring step has not run yet."""

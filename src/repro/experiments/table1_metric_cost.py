@@ -63,17 +63,26 @@ def run_table1(
     scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=1)
     blocks = scenario.all_blocks(0)[: max(1, int(max_blocks))]
     points_per_core = {n: paper_points_per_core(n) for n in (64, 400)}
+    # One untimed block per metric, then the best of three interleaved passes:
+    # a single cold pass charges first-call warm-up to whichever metric runs
+    # first, and back-to-back passes share whatever else the box is doing.
+    scorers = [create_metric(name) for name in metrics]
+    for metric in scorers:
+        metric.score_block(blocks[0].data)
+    best = [float("inf")] * len(scorers)
+    for _ in range(3):
+        for index, metric in enumerate(scorers):
+            with Timer() as timer:
+                for block in blocks:
+                    metric.score_block(block.data)
+            best[index] = min(best[index], timer.elapsed)
     rows: List[Table1Row] = []
-    for name in metrics:
-        metric = create_metric(name)
-        with Timer() as timer:
-            for block in blocks:
-                metric.score_block(block.data)
+    for metric, measured in zip(scorers, best):
         cost64 = scenario.platform.metric_costs.get(metric.name, metric.cost)
         rows.append(
             Table1Row(
                 metric=metric.name,
-                measured_seconds=timer.elapsed,
+                measured_seconds=measured,
                 measured_blocks=len(blocks),
                 modelled_seconds_64=cost64.per_point * points_per_core[64],
                 modelled_seconds_400=cost64.per_point * points_per_core[400],

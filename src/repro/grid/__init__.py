@@ -8,9 +8,10 @@ The vocabulary follows Section IV-A of the paper:
 * a **block** is a subarray of a subdomain.  The number of blocks per
   subdomain and the size of every block are constant across processes.
 
-:mod:`repro.grid.batch` adds :class:`BlockBatch`, a structure-of-arrays view
-over many equally-shaped blocks that the vectorized execution engine scores
-in bulk (lossless ``from_blocks``/``to_blocks`` round-tripping).
+:mod:`repro.grid.batch` adds the structure-of-arrays layouts:
+:class:`BlockColumns`, one iteration's blocks as metadata columns plus stacked
+payload groups (the state the batched pipeline steps run on), and
+:class:`BlockBatch`, a lossless batch of equally-shaped blocks.
 """
 
 from repro.grid.rectilinear import RectilinearGrid
@@ -21,7 +22,12 @@ from repro.grid.block import (
     axis_sample_indices,
     level_shape,
 )
-from repro.grid.batch import BlockBatch, group_positions_by_shape, partition_by_shape
+from repro.grid.batch import (
+    BlockBatch,
+    BlockColumns,
+    group_positions_by_shape,
+    partition_by_shape,
+)
 from repro.grid.shm import (
     SharedBatchError,
     SharedBlockBatch,
@@ -55,6 +61,7 @@ __all__ = [
     "axis_sample_indices",
     "level_shape",
     "BlockBatch",
+    "BlockColumns",
     "group_positions_by_shape",
     "partition_by_shape",
     "SharedBatchError",

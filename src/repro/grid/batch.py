@@ -1,39 +1,41 @@
-"""BlockBatch: a structure-of-arrays view over a set of equally-shaped blocks.
+"""Structure-of-arrays layouts over blocks: ``BlockBatch`` and ``BlockColumns``.
 
 The per-block :class:`~repro.grid.block.Block` objects are the unit of
 *semantics* (scoring, reduction, redistribution decisions), but iterating them
-one ``np.ndarray`` at a time keeps every hot loop in Python.  A
-:class:`BlockBatch` stacks the payloads of many equally-shaped blocks into one
-``(nblocks, sx, sy, sz)`` array — plus parallel arrays for ids, extents,
-owners, and scores — so that metrics and other array-friendly kernels can run
-once over the whole batch instead of once per block.
+one ``np.ndarray`` at a time keeps every hot loop in Python.  Two layouts
+replace the loop by array passes:
 
-The conversion is lossless: ``BlockBatch.from_blocks(blocks).to_blocks()``
-reproduces the input blocks exactly (ids, extents, owners, homes, reduced
-flags, ladder levels, scores, field names, payload values, and payload
-dtype).  Blocks of
-mixed shapes or dtypes cannot share one stacked array; use
-:func:`partition_by_shape` to split an arbitrary block list into homogeneous
-batches while remembering each block's original position.
+* :class:`BlockColumns` — the iteration state of the batched pipeline steps:
+  *all* ranks' blocks as flat metadata columns (ids, holding rank, owners,
+  ladder levels, scores) plus the payloads as a short list of stacked
+  shape/dtype groups.  It is built once per iteration from the incoming
+  per-rank lists, the payloads are stacked once (and only if a kernel asks),
+  every batched step reads and writes columns, and ``Block`` objects are built
+  again only by :meth:`BlockColumns.to_ranks`, for the callers that ask for
+  lists — one clone per block that changed.
+* :class:`BlockBatch` — a self-contained, lossless batch of equally-shaped
+  blocks: ``BlockBatch.from_blocks(blocks).to_blocks()`` reproduces the blocks
+  exactly (ids, extents, owners, homes, reduced flags, ladder levels, scores,
+  field names, payload values and dtype).  Blocks of mixed shapes or dtypes
+  cannot share one stacked array; :func:`partition_by_shape` splits a list
+  into homogeneous batches while remembering each block's position.
 
-Every batched step consumes this layout through :func:`stacked_shape_groups`
-(the one place block payloads are stacked): scoring and counting-mode
-rendering via :func:`repro.grid.fanout.map_shape_groups`, the reduction for
-its gather.  A post-reduction block list yields at most a handful of groups —
-typically the full-block shapes plus one 2×2×2 group holding every reduced
-block.  The hot paths stack payloads only; :func:`partition_by_shape`
-additionally carries the metadata arrays for consumers that need a full
-:class:`BlockBatch`.
+:func:`stacked_shape_groups` is the one place a block list's payloads are
+stacked for the hot paths.  A post-reduction iteration has a handful of groups
+— typically the full-block shapes plus one 2×2×2 group holding every corner
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Sequence, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grid.block import Block, BlockExtent
+from repro.grid.block import Block, BlockExtent, check_level_payload
 from repro.grid.reduction import (  # re-exported: the ladder's batched twins
     expand_from_level_batch,
     reduce_to_level_batch,
@@ -41,12 +43,17 @@ from repro.grid.reduction import (  # re-exported: the ladder's batched twins
 
 __all__ = [
     "BlockBatch",
+    "BlockColumns",
     "expand_from_level_batch",
     "group_positions_by_shape",
     "partition_by_shape",
     "reduce_to_level_batch",
     "stacked_shape_groups",
 ]
+
+#: ``(rows, stacked)``: the int64 positions of a shape/dtype group's blocks and
+#: their payloads as one ``(len(rows), sx, sy, sz)`` array.
+ShapeGroup = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -247,18 +254,26 @@ def group_positions_by_shape(blocks: Sequence[Block]) -> List[List[int]]:
     return list(groups.values())
 
 
-def stacked_shape_groups(
-    blocks: Sequence[Block],
-) -> Iterator[Tuple[List[int], np.ndarray]]:
-    """Yield ``(positions, stacked)`` for every shape/dtype group of ``blocks``.
+def stacked_shape_groups(blocks: Sequence[Block]) -> List[ShapeGroup]:
+    """``(positions, stacked)`` for every shape/dtype group of ``blocks``.
 
-    ``stacked[row]`` is the payload of ``blocks[positions[row]]``.  Only the
-    payloads are stacked — the hot paths (scoring, counting, the reduction
-    gather) never read the batch metadata; use :func:`partition_by_shape`
-    when a full :class:`BlockBatch` is needed.
+    ``stacked[row]`` is the payload of ``blocks[positions[row]]``.  The one
+    place a block list's payloads are stacked for the hot paths (a
+    :class:`BlockColumns` calls it once per iteration, the list-facing
+    ``count_blocks_batched`` per call); every group is written straight into a
+    preallocated output — bitwise ``np.stack``, without its temporaries.
     """
+    groups: List[ShapeGroup] = []
     for positions in group_positions_by_shape(blocks):
-        yield positions, np.stack([blocks[i].data for i in positions])
+        first = blocks[positions[0]].data
+        stacked = np.empty((len(positions),) + first.shape, dtype=first.dtype)
+        np.concatenate(
+            [blocks[i].data for i in positions],
+            axis=0,
+            out=stacked.reshape((-1,) + first.shape[1:]),
+        )
+        groups.append((np.array(positions, dtype=np.int64), stacked))
+    return groups
 
 
 def partition_by_shape(
@@ -273,3 +288,199 @@ def partition_by_shape(
         (indices, BlockBatch.from_blocks([blocks[i] for i in indices]))
         for indices in group_positions_by_shape(blocks)
     ]
+
+
+def _template_column(name: str) -> cached_property:
+    """A :class:`BlockColumns` int64 column, read off the templates' ``name``
+    attribute when a step first asks for it."""
+    read = attrgetter(name)
+    return cached_property(
+        lambda self: np.fromiter(map(read, self.templates), np.int64, len(self))
+    )
+
+
+class BlockColumns:
+    """One iteration's blocks, all ranks, as flat columns plus payload groups.
+
+    Row ``i`` describes one block.  Rows never move: an exchange rewrites the
+    ``ranks``/``owners`` columns and the per-rank ``order``, a reduction the
+    ``levels`` column and the payload groups, scoring the ``scores`` column.
+    The ingested :class:`Block` objects are kept as immutable *templates*
+    (extent, home, field name, and the payload until a reduction replaces
+    it); :meth:`to_ranks` is the one place blocks are built from the columns.
+
+    Attributes
+    ----------
+    templates:
+        The ingested blocks, one per row; ``nranks`` ranks hold them.
+    ids, ranks, owners, levels, npoints, nbytes:
+        ``(n,)`` int64 columns: block id, holding rank, ``owner`` field,
+        ladder level, payload points and payload bytes.
+    scores:
+        ``(n,)`` float64 column once a scoring step wrote it, else ``None``
+        (the templates then keep whatever score they arrived with).
+    order, bounds:
+        Rank ``r`` holds rows ``order[bounds[r]:bounds[r + 1]]``, in that order.
+    """
+
+    def __init__(self, per_rank_blocks: Sequence[Sequence[Block]]) -> None:
+        self.templates: List[Block] = [b for blocks in per_rank_blocks for b in blocks]
+        n = len(self.templates)
+        counts = [len(blocks) for blocks in per_rank_blocks]
+        self.nranks = len(counts)
+        self.ranks = np.repeat(np.arange(self.nranks, dtype=np.int64), counts)
+        self.scores: Optional[np.ndarray] = None
+        self.order = np.arange(n, dtype=np.int64)
+        self.bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        self._groups: Optional[List[ShapeGroup]] = None
+        # Rows whose payload is a group row, no longer the template's array,
+        # and rows that differ from their template in any field.
+        self._replaced = np.zeros(n, dtype=bool)
+        self._dirty = np.zeros(n, dtype=bool)
+
+    ids = _template_column("block_id")
+    owners = _template_column("owner")
+    levels = _template_column("level")
+    npoints = _template_column("data.size")
+    nbytes = _template_column("data.nbytes")
+
+    def __len__(self) -> int:
+        return len(self.templates)
+
+    # -- payloads -------------------------------------------------------------
+
+    @property
+    def groups(self) -> List[ShapeGroup]:
+        """The payloads as ``(rows, stacked)`` shape/dtype groups.
+
+        Stacked from the templates when a batched kernel first asks — a step
+        that plans on the metadata columns alone never pays for it.
+        """
+        if self._groups is None:
+            self._groups = stacked_shape_groups(self.templates)
+        return self._groups
+
+    def payloads(self) -> List[np.ndarray]:
+        """Every row's current payload (the template's array unless replaced)."""
+        out = [block.data for block in self.templates]
+        if self._replaced.any():
+            for rows, stacked in self._groups:
+                for local in np.flatnonzero(self._replaced[rows]).tolist():
+                    out[rows[local]] = stacked[local]
+        return out
+
+    def reduce_to(self, targets: np.ndarray) -> None:
+        """Deepen every row to at least ladder level ``targets[row]``.
+
+        One :func:`~repro.grid.reduction.reduce_to_level_batch` gather per
+        (group, target level); rows already at or beyond their target keep
+        their payload.  The groups are re-formed by resulting shape/dtype, so
+        all corner payloads end up in one 2×2×2 group.
+        """
+        todo = targets > self.levels
+        if not todo.any():
+            return
+        pieces: Dict[tuple, List[ShapeGroup]] = {}
+        for rows, stacked in self.groups:
+            goal = np.where(todo[rows], targets[rows], 0)
+            for level in np.unique(goal).tolist():
+                local = np.flatnonzero(goal == level)
+                part = stacked if local.size == rows.size else stacked[local]
+                part = reduce_to_level_batch(part, level)
+                pieces.setdefault((part.shape[1:], part.dtype), []).append(
+                    (rows[local], part)
+                )
+        self._groups = [
+            parts[0]
+            if len(parts) == 1
+            else tuple(np.concatenate(column) for column in zip(*parts))
+            for parts in pieces.values()
+        ]
+        self.levels = np.where(todo, targets, self.levels)
+        self._replaced |= todo
+        self._dirty |= todo
+        for rows, stacked in self._groups:
+            self.npoints[rows] = stacked[0].size
+            self.nbytes[rows] = stacked[0].nbytes
+
+    # -- metadata writers -----------------------------------------------------
+
+    def set_scores(self, scores: np.ndarray) -> None:
+        """Attach one score per row."""
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self._dirty[:] = True
+
+    def set_owners(self, owners: np.ndarray) -> None:
+        """Rewrite the ``owner`` field of every row."""
+        self._dirty |= self.owners != owners
+        self.owners = owners
+
+    def move(self, dest: np.ndarray, nranks: int) -> None:
+        """Hand row ``i`` to rank ``dest[i]`` (holder and owner) of ``nranks``;
+        every rank's rows end up ordered by block id."""
+        self.set_owners(dest)
+        self.ranks = dest
+        self.nranks = int(nranks)
+        self.order = np.lexsort((self.ids, dest))
+        self.bounds = np.searchsorted(dest[self.order], np.arange(self.nranks + 1))
+
+    # -- readers ----------------------------------------------------------------
+
+    def lookup(self, keys: np.ndarray, values: np.ndarray, default) -> np.ndarray:
+        """Per row: ``values[k]`` of the first ``keys[k] == ids[row]``, else
+        ``default`` (a scalar or an ``(n,)`` array)."""
+        if not keys.size:
+            return np.broadcast_to(default, self.ids.shape)
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        pos = np.minimum(np.searchsorted(sorted_keys, self.ids), keys.size - 1)
+        return np.where(sorted_keys[pos] == self.ids, values[by_key][pos], default)
+
+    def rank_sizes(self) -> List[int]:
+        """Number of rows each rank holds."""
+        return np.diff(self.bounds).tolist()
+
+    def per_rank_sum(self, values: np.ndarray) -> List[int]:
+        """Sum of an integer (or boolean) per-row column over each rank's rows."""
+        sums = np.bincount(self.ranks, weights=values, minlength=self.nranks)
+        return sums.astype(np.int64).tolist()
+
+    def split(self, ordered: Sequence) -> list:
+        """Cut a sequence laid out in ``order`` (all of rank 0's rows, then
+        rank 1's, ...) into its per-rank slices."""
+        bounds = self.bounds.tolist()
+        return [ordered[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def pair_arrays(self) -> List[np.ndarray]:
+        """Per rank, the ``(n_r, 2)`` float64 ``(id, score)`` rows the sort gathers."""
+        wire = np.empty((len(self), 2), dtype=np.float64)
+        wire[:, 0] = self.ids[self.order]
+        wire[:, 1] = self.scores[self.order]
+        return self.split(wire)
+
+    def to_ranks(self) -> List[List[Block]]:
+        """Materialise the per-rank block lists.
+
+        A row nothing wrote to comes back as its template, the same object;
+        any other costs exactly one clone.  A replaced payload is checked
+        against the row's level and the template's extent on the way out.
+        """
+        blocks = list(self.templates)
+        rows = np.flatnonzero(self._dirty).tolist()
+        if rows:
+            owners = self.owners.tolist()
+            scores = None if self.scores is None else self.scores.tolist()
+            replaced = self._replaced.tolist()
+            if any(replaced):
+                payloads, levels = self.payloads(), self.levels.tolist()
+            for row in rows:
+                template = blocks[row]
+                updates: Dict[str, object] = {"owner": owners[row]}
+                if scores is not None:
+                    updates["score"] = scores[row]
+                if replaced[row]:
+                    level, data = levels[row], payloads[row]
+                    check_level_payload(level, template.extent.shape, data.shape)
+                    updates.update(data=data, reduced=level > 0, level=level)
+                blocks[row] = template._clone_with(**updates)
+        return self.split([blocks[row] for row in self.order.tolist()])

@@ -11,7 +11,7 @@ approximation over the original region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -51,6 +51,17 @@ def level_shape(level: int, full_shape: Tuple[int, int, int]) -> Tuple[int, int,
     if level == 2:
         return (2, 2, 2)
     raise ValueError(f"level must be one of {REDUCTION_LEVELS}, got {level}")
+
+
+def check_level_payload(level: int, full_shape: Tuple[int, int, int], data_shape) -> None:
+    """Raise unless ``data_shape`` is the payload shape of a level-``level``
+    block covering ``full_shape`` points."""
+    expected = level_shape(level, full_shape)
+    if tuple(data_shape) != expected:
+        raise ValueError(
+            f"level-{level} block data must have shape {expected} for "
+            f"extent shape {full_shape}, got {tuple(data_shape)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -167,12 +178,7 @@ class Block:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"block data must be 3-D, got shape {data.shape}")
-        expected = level_shape(level, self.extent.shape)
-        if tuple(data.shape) != expected:
-            raise ValueError(
-                f"level-{level} block data must have shape {expected} for "
-                f"extent shape {self.extent.shape}, got {data.shape}"
-            )
+        check_level_payload(level, self.extent.shape, data.shape)
         object.__setattr__(self, "data", data)
 
     @property
@@ -193,13 +199,11 @@ class Block:
     def _clone_with(self, **updates: object) -> "Block":
         """Copy of the block with some fields replaced, skipping re-validation.
 
-        Only safe for fields that don't participate in the payload/extent
-        consistency checks (owner, score): the payload was validated when the
-        block was built, and these copies happen once per block per pipeline
-        step, which makes ``dataclasses.replace``'s re-validation the hot
-        path's dominant cost.  The frozen-dataclass guard lives in
-        ``__setattr__``, so filling the fresh instance's ``__dict__`` directly
-        is both legal and the fastest copy Python offers.
+        The caller vouches for the new values (a new payload is checked with
+        :func:`check_level_payload` first); ``dataclasses.replace`` would
+        re-validate the whole block on every copy.  The frozen-dataclass guard
+        lives in ``__setattr__``, so filling the fresh instance's ``__dict__``
+        directly is both legal and the fastest copy Python offers.
         """
         clone = object.__new__(Block)
         clone.__dict__.update(self.__dict__)
@@ -216,56 +220,11 @@ class Block:
         """Return a copy of the block with ``score`` attached."""
         return self._clone_with(score=float(score))
 
-    def with_data(
-        self, data: np.ndarray, reduced: bool, level: Optional[int] = None
-    ) -> "Block":
-        """Return a copy of the block carrying a new payload.
-
-        Without an explicit ``level`` the ladder position is derived from
-        ``reduced`` (2 when reduced, 0 otherwise), matching the pre-ladder
-        semantics of this method.
-        """
-        if level is None:
-            level = 2 if reduced else 0
-        return replace(
-            self, data=np.asarray(data), reduced=bool(reduced), level=int(level)
-        )
-
-    def with_corner_payload(self, corners: np.ndarray) -> "Block":
-        """Return a reduced copy carrying 2×2×2 ``corners`` (fast path).
-
-        Equivalent to ``with_data(corners, reduced=True)`` but skipping the
-        dataclass ``replace``/re-validation machinery: the only constraint a
-        reduced block carries is the (2, 2, 2) payload shape, checked here
-        directly.  This is the clone the batched reduction step performs once
-        per reduced block per iteration, where ``replace``'s overhead is the
-        hot path's dominant cost (rows of a ``reduce_to_corners_batch``
-        result are already validated by construction).
-        """
-        corners = np.asarray(corners)
-        if corners.shape != (2, 2, 2):
-            raise ValueError(
-                f"reduced block data must have shape (2, 2, 2), got {corners.shape}"
-            )
-        return self._clone_with(data=corners, reduced=True, level=2)
-
     def with_level_payload(self, data: np.ndarray, level: int) -> "Block":
-        """Return a copy carrying a ``level``-rung payload (fast path).
-
-        The ladder generalisation of :meth:`with_corner_payload`: the payload
-        shape is checked against :func:`level_shape` directly and the
-        dataclass ``replace``/re-validation machinery is skipped — rows of a
-        batched ``reduce_to_level`` pass are already valid by construction.
-        """
+        """Return a copy carrying a ``level``-rung payload (shape checked)."""
         level = int(level)
         data = np.asarray(data)
-        full_shape = self.extent.shape
-        expected = level_shape(level, full_shape)
-        if data.shape != expected:
-            raise ValueError(
-                f"level-{level} block data must have shape {expected} for "
-                f"extent shape {full_shape}, got {data.shape}"
-            )
+        check_level_payload(level, self.extent.shape, data.shape)
         return self._clone_with(data=data, reduced=level > 0, level=level)
 
     def value_range(self) -> Tuple[float, float]:

@@ -1,16 +1,20 @@
-"""The one fan-out: a row-wise kernel mapped over a block list's shape groups.
+"""The one fan-out: a row-wise kernel mapped over stacked shape groups.
 
-Every batched hot path has the same outline — group the blocks by payload
-shape/dtype, stack each group into one ``(nblocks, sx, sy, sz)`` array, apply
-a kernel that yields one value per row, scatter the values back to block
-order.  :func:`map_shape_groups` is that outline, written once, with the two
-ways a kernel can be applied:
+Every batched hot path has the same outline — the blocks' payloads grouped by
+shape/dtype and stacked into ``(nblocks, sx, sy, sz)`` arrays, a kernel that
+yields one value per row, the values scattered back to block order.  The
+grouping and the stacking happen once per iteration, in the columnar state
+(:class:`~repro.grid.batch.BlockColumns`; list-facing callers use
+:func:`~repro.grid.batch.stacked_shape_groups`); :func:`map_shape_groups`
+takes the stacked groups and is the rest of the outline, written once, with
+the two ways a kernel can be applied:
 
 * inline (the ``vectorized`` backend): one ``kernel(stacked)`` call per group;
 * ``processes=True`` (the ``process`` backend): each group's stacked payload is
-  copied once into a :class:`~repro.grid.shm.SharedBlockBatch` segment and
-  contiguous row ranges are applied by the shared process pool's workers, so
-  the task queue carries only the kernel, a segment handle and two integers.
+  copied once into a :class:`~repro.grid.shm.SharedBlockBatch` segment — never
+  re-stacked — and contiguous row ranges are applied by the shared process
+  pool's workers, so the task queue carries only the kernel, a segment handle
+  and two integers.
 
 A kernel treats every row independently (the ``score_batch`` /
 ``count_active_cells_batch`` contract), so neither the grouping nor the chunk
@@ -25,8 +29,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.grid.batch import stacked_shape_groups
-from repro.grid.block import Block
+from repro.grid.batch import ShapeGroup
 from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
 from repro.utils.procpool import (
     chunk_bounds,
@@ -52,12 +55,13 @@ def _apply_to_shared_rows(
 
 
 def map_shape_groups(
-    blocks: Sequence[Block],
+    groups: Sequence[ShapeGroup],
     kernel: RowKernel,
     dtype: np.dtype,
     processes: bool = False,
 ) -> np.ndarray:
-    """``kernel``'s per-block values over ``blocks``, in block order.
+    """``kernel``'s per-block values over the blocks whose payloads are stacked
+    in ``groups`` (together they hold positions ``0 .. n - 1``), in block order.
 
     With ``processes=True`` the kernel is pickled into every task, so it must
     be a module-level function, a ``functools.partial`` of one, or a bound
@@ -65,17 +69,17 @@ def map_shape_groups(
     :func:`~repro.utils.procpool.default_process_workers` wide and every group
     is split into at most twice that many chunks.
     """
-    out = np.empty(len(blocks), dtype=dtype)
+    out = np.empty(sum(len(positions) for positions, _ in groups), dtype=dtype)
     if not processes:
-        for positions, stacked in stacked_shape_groups(blocks):
+        for positions, stacked in groups:
             out[positions] = kernel(stacked)
         return out
     pool = shared_process_pool()
     nchunks = 2 * default_process_workers()
     segments: List[SharedBlockBatch] = []
-    pending: List[Tuple[List[int], Future]] = []
+    pending: List[Tuple[np.ndarray, Future]] = []
     try:
-        for positions, stacked in stacked_shape_groups(blocks):
+        for positions, stacked in groups:
             segment = SharedBlockBatch.create(stacked)
             segments.append(segment)
             handle = segment.handle()

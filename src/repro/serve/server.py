@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import queue as queue_module
 import sys
 import threading
@@ -78,6 +79,9 @@ from repro.utils.procpool import (
 __all__ = ["EXECUTION_TIERS", "RunRequest", "ServeApp", "serve_forever"]
 
 _SENTINEL = object()
+#: Silent on every healthy request; with no handler configured the stdlib's
+#: last-resort handler writes ERROR records to stderr.
+_LOG = logging.getLogger("repro.serve")
 
 #: Valid values of ``ServeApp(execution=...)`` / ``serve --execution``.
 EXECUTION_TIERS = ("thread", "process")
@@ -494,7 +498,15 @@ class ServeApp:
                         "error": self._cancel_message(exc.reason, scope),
                     }
                 )
-            except Exception as exc:  # surfaced as an error event
+            except Exception as exc:  # surfaced as an error event, and logged
+                _LOG.exception(
+                    "run failed with %s (scenario=%s seed=%s metric=%s tier=%s)",
+                    type(exc).__name__,
+                    request.scenario,
+                    request.seed,
+                    request.metric,
+                    self.execution,
+                )
                 emit({"type": "error", "reason": "exception", "error": str(exc)})
             finally:
                 self._run_finished()

@@ -2,21 +2,18 @@
 
 The paper globally sorts the score pairs of all blocks by increasing score
 (ties broken by id) and broadcasts the sorted list back to every process
-(Section IV-C).  Two implementations are provided:
+(Section IV-C).  Both rooted implementations take each rank's pairs as tuples
+or already in wire form, an ``(n, 2)`` float64 array of ``(id, score)`` rows:
 
 * :func:`parallel_sort_pairs` — the paper's gather–sort–broadcast scheme on a
   :class:`~repro.simmpi.communicator.BSPCommunicator` (rank 0 sorts); this is
   what the serial engine backend uses and what the cost model prices.
-
 * :func:`parallel_sort_pairs_numpy` — the same scheme with the root's sort
-  done by ``np.lexsort`` over the gathered ``(score, id)`` arrays instead of
-  a Python ``sorted`` over tuples.  The communication pattern (one gather of
-  per-rank ``(n, 2)`` float64 arrays, one broadcast of the sorted ``(N, 2)``
-  array) is identical call for call and byte for byte, so the modelled
-  communication seconds are unchanged; the result list is bitwise equal to
-  :func:`parallel_sort_pairs`'s.  This is the batched backends'
-  path.
-
+  done by ``np.lexsort`` over the gathered arrays instead of a Python
+  ``sorted`` over tuples.  The communication pattern (one gather of per-rank
+  wire arrays, one broadcast of the sorted ``(N, 2)`` array) is identical call
+  for call and byte for byte, so the modelled communication seconds are
+  unchanged and the result list is bitwise equal.  The batched backends' path.
 * :func:`sample_sort` — a classic sample sort that keeps the data distributed,
   provided for the "larger scale / slower network" future-work ablation the
   paper mentions in its conclusion.
@@ -31,6 +28,11 @@ import numpy as np
 from repro.simmpi.communicator import BSPCommunicator
 
 ScorePair = Tuple[int, float]
+
+
+def pairs_from_wire(wire: np.ndarray) -> List[ScorePair]:
+    """The ``(id, score)`` tuples of an ``(n, 2)`` float64 wire array."""
+    return list(zip(wire[:, 0].astype(np.int64).tolist(), wire[:, 1].tolist()))
 
 
 def _sort_key(pairs: Sequence[ScorePair]) -> List[ScorePair]:
@@ -86,21 +88,19 @@ def parallel_sort_pairs_numpy(
 ) -> List[List[ScorePair]]:
     """NumPy variant of :func:`parallel_sort_pairs` (``np.lexsort`` at root).
 
-    Same gather–sort–broadcast scheme, same communication payloads (so the
-    cost model charges exactly the same modelled seconds), bitwise-identical
-    sorted output — only the root's sort runs as one ``np.lexsort`` over the
-    concatenated ``(score, id)`` arrays instead of a Python ``sorted`` over
-    a quarter-million tuples, and the sorted list is materialised *once*:
-    every rank receives the same list object, mirroring the broadcast's
-    shared buffer (the list is treated as read-only downstream, as the
-    per-rank copies of the Python path already were).
+    Same scheme, same communication payloads (so the cost model charges
+    exactly the same modelled seconds), bitwise-identical sorted output — only
+    the root's sort runs as one ``np.lexsort`` instead of a Python ``sorted``
+    over a quarter-million tuples, and the sorted list is materialised *once*:
+    every rank receives the same list object, mirroring the broadcast's shared
+    buffer (the list is treated as read-only downstream).
     """
     if len(per_rank_pairs) != comm.nranks:
         raise ValueError(
             f"expected pairs for {comm.nranks} ranks, got {len(per_rank_pairs)}"
         )
     # Identical wire format to parallel_sort_pairs: one (n, 2) float64 array
-    # of (id, score) rows per rank.
+    # of (id, score) rows per rank (a no-op for pairs already in that form).
     arrays = [
         np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
         for pairs in per_rank_pairs
@@ -112,11 +112,7 @@ def parallel_sort_pairs_numpy(
     # lexsort's last key is primary: ascending score, ties broken by id.
     order = np.lexsort((merged[:, 0], merged[:, 1]))
     sorted_arr = np.ascontiguousarray(merged[order])
-    received = comm.bcast(sorted_arr, root=0)
-    arr = received[0]
-    shared: List[ScorePair] = list(
-        zip(arr[:, 0].astype(np.int64).tolist(), arr[:, 1].tolist())
-    )
+    shared = pairs_from_wire(comm.bcast(sorted_arr, root=0)[0])
     return [shared for _ in range(comm.nranks)]
 
 

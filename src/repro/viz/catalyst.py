@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.grid.batch import ShapeGroup, stacked_shape_groups
 from repro.grid.block import Block, axis_sample_indices
 from repro.grid.fanout import map_shape_groups
 from repro.grid.reduction import reconstruct_block
@@ -176,18 +177,31 @@ class IsosurfaceScript(VisualizationScript):
     def count_blocks_batched(
         self, blocks: Sequence[Block], processes: bool = False
     ) -> np.ndarray:
-        """Active-cell counts of ``blocks``, in block order, via stacked batches.
+        """Active-cell counts of ``blocks``, in block order, via stacked batches
+        (the list-facing form of :meth:`count_groups`)."""
+        return self.count_groups(stacked_shape_groups(blocks), processes)
 
-        One :func:`~repro.grid.fanout.map_shape_groups` pass: the blocks are
-        grouped by payload shape/dtype (all reduced 2×2×2 blocks form one
-        group) and each stacked group is counted with a single vectorised
+    def count_groups(
+        self, groups: Sequence[ShapeGroup], processes: bool = False
+    ) -> np.ndarray:
+        """Active-cell counts of the blocks stacked in ``groups``, in block order.
+
+        One :func:`~repro.grid.fanout.map_shape_groups` pass: each stacked
+        shape/dtype group (all reduced 2×2×2 blocks form one) is counted with
+        a single vectorised
         :func:`~repro.viz.marching_cubes.count_active_cells_batch` call —
         inline, or chunked over the shared process pool when ``processes`` is
         set.  Counts are bitwise identical to per-block
         :func:`~repro.viz.marching_cubes.count_active_cells` calls.
         """
         kernel = partial(count_active_cells_batch, level=self.level)
-        return map_shape_groups(blocks, kernel, np.int64, processes)
+        return map_shape_groups(groups, kernel, np.int64, processes)
+
+    @staticmethod
+    def triangles_from_cells(cells: np.ndarray) -> np.ndarray:
+        """Counting-mode triangle estimates of an int64 active-cell array
+        (``int(round(...))`` per element: both round half to even)."""
+        return np.rint(cells * TRIANGLES_PER_ACTIVE_CELL).astype(np.int64)
 
     def record_count(self, result: RenderResult, block_id: int, cells: int) -> None:
         """Record one block's counting-mode load estimate."""

@@ -1,0 +1,365 @@
+"""The two representations of an iteration's blocks, pinned against each other.
+
+``IterationContext`` carries the blocks either as per-rank ``Block`` lists
+(what the reference steps and any list-based third-party step read) or as one
+columnar state (``repro.grid.batch.BlockColumns``, what the batched steps read
+and write).  One Hypothesis generator feeds every law below — pymor's idiom of
+one shared body over several implementations, and NIFTy's structural
+equivalences (*any* prefix of the pipeline may run batched and the rest on the
+reference classes; the outcome is the one both pure pipelines give):
+
+(a) ``BlockColumns(x).to_ranks()`` is ``x``;
+(b) batched ``steps[:k]`` then reference ``steps[k:]`` on one context, for every
+    ``k``, with or without a list-based step spliced in;
+(c) every batched class's list-facing ``run`` ≡ its ``execute``;
+(d) the vectorised triangle estimate ≡ ``int(round(...))`` per block;
+(e) a default iteration clones no ``Block`` and builds the state once.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.redistribution import RedistributionStep, make_strategy
+from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
+from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
+from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
+from repro.core.sorting_step import SortingStep, VectorizedSortingStep
+from repro.core.step import IterationContext, StepReport
+from repro.grid.batch import BlockColumns
+from repro.grid.block import Block, BlockExtent
+from repro.grid.reduction import reduce_block
+from repro.metrics.registry import create_metric
+from repro.perfmodel.platform import PlatformModel
+from repro.simmpi.communicator import BSPCommunicator
+from repro.viz import catalyst
+
+#: Full-block payload shapes, including length-1 axes and non-cubic blocks.
+SHAPES = [(4, 4, 4), (5, 3, 2), (1, 4, 3), (3, 1, 1), (2, 2, 2), (6, 5, 4), (1, 1, 1)]
+LADDERS = [((2, 1.0),), ((2, 0.5), (1, 0.5))]
+ISOVALUE = 0.25
+
+
+@dataclass
+class Case:
+    per_rank_blocks: List[List[Block]]
+    percent: float
+    ladder: tuple
+    strategy: str
+    metric: str
+
+    @property
+    def nranks(self) -> int:
+        return len(self.per_rank_blocks)
+
+    def lists(self) -> List[List[Block]]:
+        return [list(blocks) for blocks in self.per_rank_blocks]
+
+
+@st.composite
+def cases(draw) -> Case:
+    """1–6 ranks (empty and uneven ones included) holding 0–40 blocks of 1–4
+    shapes, two dtypes, ladder levels 0/1/2, with or without (NaN) scores."""
+    nranks = draw(st.integers(1, 6))
+    shapes = draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block_ids = draw(st.lists(st.integers(0, 90), unique=True, max_size=40))
+    per_rank_blocks: List[List[Block]] = [[] for _ in range(nranks)]
+    for block_id in block_ids:
+        shape = draw(st.sampled_from(shapes))
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        rank = draw(st.integers(0, nranks - 1))
+        block = Block(
+            block_id=block_id,
+            extent=BlockExtent((0, 0, 0), shape),
+            data=rng.normal(size=shape).astype(dtype),
+            owner=draw(st.integers(0, nranks - 1)),
+            home=rank,
+            score=draw(st.sampled_from([None, 0.5, -3.0, float("nan")])),
+            field_name=draw(st.sampled_from(["dbz", "w"])),
+        )
+        per_rank_blocks[rank].append(reduce_block(block, draw(st.integers(0, 2))))
+    return Case(
+        per_rank_blocks,
+        percent=draw(st.sampled_from([0.0, 37.5, 50.0, 100.0])),
+        ladder=draw(st.sampled_from(LADDERS)),
+        strategy=draw(st.sampled_from(["none", "shuffle", "round_robin"])),
+        metric=draw(st.sampled_from(["VAR", "PYVAR"])),
+    )
+
+
+# -- what must be equal ----------------------------------------------------------
+
+
+def block_signature(block: Block) -> tuple:
+    return (
+        block.block_id,
+        block.extent,
+        block.owner,
+        block.home,
+        block.level,
+        block.reduced,
+        repr(block.score),  # NaN-safe
+        block.field_name,
+        block.data.dtype.str,
+        block.data.shape,
+        np.ascontiguousarray(block.data).tobytes(),
+    )
+
+
+def blocks_signature(per_rank_blocks) -> list:
+    return [[block_signature(b) for b in blocks] for blocks in per_rank_blocks]
+
+
+def report_signature(report: StepReport) -> tuple:
+    """Every ``StepReport`` field except the measured wall-clock values."""
+    return (
+        report.step,
+        len(report.measured_per_rank),
+        report.modelled_per_rank,
+        report.payload_bytes,
+        list(report.counters.items()),
+        list(report.per_rank_counters.items()),
+    )
+
+
+def render_signature(results) -> list:
+    return [
+        (
+            r.script_name,
+            r.iteration,
+            r.npoints,
+            list(r.per_block_triangles.items()),  # key order included
+            list(r.per_block_active_cells.items()),
+        )
+        for r in results
+    ]
+
+
+def outcome(context: IterationContext) -> dict:
+    return {
+        "pairs": context.per_rank_pairs,
+        "sorted": context.sorted_pairs,
+        "reduced_ids": context.reduced_ids,
+        "levels": list(context.reduction_levels.items()),
+        "render": render_signature(context.render_results),
+        "reports": {n: report_signature(r) for n, r in context.reports.items()},
+        "blocks": blocks_signature(context.per_rank_blocks),
+    }
+
+
+# -- the two pipelines -----------------------------------------------------------
+
+
+def build_steps(case: Case, batched: bool, comm: BSPCommunicator = None) -> list:
+    """The five Figure-2 steps, batched or reference, on one communicator (a
+    fresh one unless given), as the engine builds them."""
+    platform = PlatformModel.blue_waters(case.nranks)
+    comm = comm or BSPCommunicator(case.nranks, cost_model=platform.network)
+    metric = create_metric(case.metric)
+    scoring, sorting, reduction, rendering = (
+        (VectorizedScoringStep, VectorizedSortingStep, VectorizedReductionStep, VectorizedRenderingStep)
+        if batched
+        else (ScoringStep, SortingStep, ReductionStep, RenderingStep)
+    )
+    return [
+        scoring(metric, platform),
+        sorting(comm),
+        reduction(platform, quality_ladder=case.ladder),
+        RedistributionStep(make_strategy(case.strategy, seed=5), comm),
+        rendering(platform, isosurface_level=ISOVALUE, render_mode="count"),
+    ]
+
+
+class ReverseEachRank:
+    """A list-based third-party step: reads the block lists, assigns new ones."""
+
+    name = "reverse"
+
+    def execute(self, context: IterationContext) -> StepReport:
+        context.per_rank_blocks = [blocks[::-1] for blocks in context.per_rank_blocks]
+        return StepReport.collective(self.name, measured=0.0, modelled=0.0)
+
+
+def run_steps(case: Case, steps: list) -> dict:
+    context = IterationContext(
+        iteration=2, percent=case.percent, nranks=case.nranks, per_rank_blocks=case.lists()
+    )
+    for step in steps:
+        context.reports[step.name] = step.execute(context)
+    return outcome(context)
+
+
+# -- (a) round trip ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+def test_round_trip_returns_the_very_blocks(case):
+    columns = BlockColumns(case.per_rank_blocks)
+    out = columns.to_ranks()
+    assert blocks_signature(out) == blocks_signature(case.per_rank_blocks)
+    # Nothing was written, so nothing is cloned: the same objects come back.
+    assert all(
+        a is b for mine, theirs in zip(out, case.per_rank_blocks) for a, b in zip(mine, theirs)
+    )
+    # The payloads only ever leave as groups that tile the rows exactly once.
+    rows = np.sort(np.concatenate([r for r, _ in columns.groups] or [np.empty(0, np.int64)]))
+    assert rows.tolist() == list(range(len(columns)))
+    flat = [b for blocks in case.per_rank_blocks for b in blocks]
+    for group_rows, stacked in columns.groups:
+        assert stacked.dtype == flat[group_rows[0]].data.dtype
+        for row, payload in zip(group_rows.tolist(), stacked):
+            assert payload.tobytes() == np.ascontiguousarray(flat[row].data).tobytes()
+
+
+# -- (b) every-prefix hand-off --------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases())
+def test_any_prefix_may_run_batched(case):
+    expected = run_steps(case, build_steps(case, batched=False))
+    for k in range(1, 6):
+        comm = BSPCommunicator(case.nranks, cost_model=PlatformModel.blue_waters(case.nranks).network)
+        steps = build_steps(case, True, comm)[:k] + build_steps(case, False, comm)[k:]
+        assert run_steps(case, steps) == expected, f"batched steps[:{k}]"
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases(), position=st.integers(0, 5))
+def test_a_list_based_step_may_sit_anywhere(case, position):
+    def spliced(batched: bool) -> list:
+        steps = build_steps(case, batched)
+        return steps[:position] + [ReverseEachRank()] + steps[position:]
+
+    assert run_steps(case, spliced(True)) == run_steps(case, spliced(False))
+
+
+# -- (c) run(lists) ≡ execute(context) ---------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cases())
+def test_list_facing_run_equals_execute(case):
+    scoring, sorting, reduction, redistribution, rendering = build_steps(case, batched=True)
+    lists = case.lists
+
+    def fresh(**state) -> IterationContext:
+        return IterationContext(2, case.percent, case.nranks, lists(), **state)
+
+    # scoring
+    pairs, scored, info = scoring.run(lists())
+    context = fresh()
+    report = scoring.execute(context)
+    assert context.per_rank_pairs == pairs
+    assert blocks_signature(context.per_rank_blocks) == blocks_signature(scored)
+    assert report.modelled_per_rank == info["modelled_per_rank"]
+    assert report.counters["npoints"] == info["npoints"]
+
+    # sorting (tuples in ≡ wire arrays in)
+    sorted_pairs, info = sorting.run(pairs)
+    context = fresh(per_rank_pairs=pairs)
+    report = sorting.execute(context)
+    assert context.sorted_pairs == sorted_pairs
+    assert report.modelled_per_rank == [info["modelled"]]
+    assert report.payload_bytes == info["payload_bytes"]
+
+    # reduction
+    reduced, reduced_ids, info = reduction.run(scored, sorted_pairs, case.percent)
+    context = fresh(sorted_pairs=sorted_pairs)
+    context.per_rank_blocks = scored
+    report = reduction.execute(context)
+    assert blocks_signature(context.per_rank_blocks) == blocks_signature(reduced)
+    assert context.reduced_ids == reduced_ids == set(info["reduction_levels"])
+    assert context.reduction_levels == info["reduction_levels"]
+    assert report.modelled_per_rank == info["modelled_per_rank"]
+    assert report.counters == {
+        "nreduced": float(info["nreduced"]),
+        "points_copied": float(info["points_copied"]),
+    }
+
+    # redistribution
+    moved, info = redistribution.strategy.redistribute(
+        BSPCommunicator(case.nranks), reduced, sorted_pairs, 2
+    )
+    context = fresh(sorted_pairs=sorted_pairs)
+    context.per_rank_blocks = reduced
+    redistribution.comm = BSPCommunicator(case.nranks)
+    report = redistribution.execute(context)
+    assert blocks_signature(context.per_rank_blocks) == blocks_signature(moved)
+    assert report.modelled_per_rank == [info["modelled"]]
+    assert report.payload_bytes == info["moved_bytes"]
+    assert report.counters == {"moved_blocks": info["moved_blocks"]}
+
+    # rendering
+    results, info = rendering.run(moved, 2)
+    context = fresh()
+    context.per_rank_blocks = moved
+    report = rendering.execute(context)
+    assert render_signature(context.render_results) == render_signature(results)
+    assert report.modelled_per_rank == info["modelled_per_rank"]
+    assert report.per_rank_counters == {
+        "triangles": [float(t) for t in info["triangles_per_rank"]]
+    }
+
+
+# -- (d) the vectorised triangle estimate --------------------------------------------------
+
+
+@pytest.mark.parametrize("per_cell", [5.0, 4.5, 2.5])
+def test_vectorised_triangle_estimate_rounds_like_the_per_block_one(per_cell, monkeypatch):
+    """``np.rint`` and Python's ``round`` both round half to even."""
+    monkeypatch.setattr(catalyst, "TRIANGLES_PER_ACTIVE_CELL", per_cell)
+    script = catalyst.IsosurfaceScript(mode="count")
+    cells = np.arange(1001, dtype=np.int64)
+    result = catalyst.RenderResult(script_name=script.name, iteration=0)
+    for block_id, count in enumerate(cells.tolist()):
+        script.record_count(result, block_id, count)
+    estimate = script.triangles_from_cells(cells)
+    assert estimate.dtype == np.int64
+    assert estimate.tolist() == list(result.per_block_triangles.values())
+
+
+# -- (e) structure: no clone, one state build ------------------------------------------------
+
+
+def test_default_iteration_clones_no_block_and_builds_the_state_once(
+    tiny_scenario, monkeypatch
+):
+    calls = {"clones": 0, "states": 0}
+    clone_with, init = Block._clone_with, BlockColumns.__init__
+
+    def counting_clone(self, **updates):
+        calls["clones"] += 1
+        return clone_with(self, **updates)
+
+    def counting_init(self, per_rank_blocks):
+        calls["states"] += 1
+        init(self, per_rank_blocks)
+
+    monkeypatch.setattr(Block, "_clone_with", counting_clone)
+    monkeypatch.setattr(BlockColumns, "__init__", counting_init)
+
+    pipeline = tiny_scenario.build_pipeline(metric="VAR", redistribution="round_robin")
+    assert pipeline.engine.backend == "vectorized" and pipeline.rendering.script.mode == "count"
+    blocks = tiny_scenario.blocks_for(0)
+    context = pipeline.engine.run_iteration(blocks, percent=50.0, iteration=0)
+    assert calls == {"clones": 0, "states": 1}
+    assert context.reports["reduction"].counters["nreduced"] > 0
+    assert context.reports["redistribution"].counters["moved_blocks"] > 0
+
+    # The edge that asks for Blocks pays for them: at most one clone each.
+    materialised = context.per_rank_blocks
+    nblocks = sum(len(rank_blocks) for rank_blocks in blocks)
+    assert 0 < calls["clones"] <= nblocks and calls["states"] == 1
+    assert sum(len(rank_blocks) for rank_blocks in materialised) == nblocks
+    assert context.per_rank_blocks is materialised and calls["clones"] <= nblocks
+    for rank, rank_blocks in enumerate(materialised):
+        assert all(b.owner == rank and b.score is not None for b in rank_blocks)
+        assert [b.block_id for b in rank_blocks] == sorted(b.block_id for b in rank_blocks)

@@ -1,10 +1,12 @@
 """One shared body for the fan-out: inline ≡ process pool ≡ a per-block loop.
 
-``map_shape_groups`` is the only place a row-wise kernel is mapped over a
-block list (scoring, counting-mode rendering, the bench probe's count call),
-so it is pinned the pymor way: a list of implementations run through one
-Hypothesis body, each required to return the per-block loop's values bit for
-bit, in block order, whatever the shapes, dtypes, ladder levels and chunking.
+``map_shape_groups`` is the only place a row-wise kernel is mapped over
+stacked shape groups (scoring, counting-mode rendering, the bench probe's
+count call) and ``stacked_shape_groups`` the only place a block list is
+stacked into them, so the pair is pinned the pymor way: a list of
+implementations run through one Hypothesis body, each required to return the
+per-block loop's values bit for bit, in block order, whatever the shapes,
+dtypes, ladder levels and chunking.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.scoring_step import _score_rows
+from repro.grid.batch import stacked_shape_groups
 from repro.grid.block import Block, BlockExtent
 from repro.grid.fanout import map_shape_groups
 from repro.grid.reduction import reduce_block
@@ -67,11 +70,14 @@ def block_lists(draw):
 def test_inline_and_process_fanout_equal_the_per_block_loop(blocks, workers):
     # 2 * workers chunks per shape group, capped at the group's size: groups
     # of 1..40 blocks make every chunk count from 1 to n occur.
+    groups = stacked_shape_groups(blocks)
+    for positions, stacked in groups:
+        assert stacked.tobytes() == np.stack([blocks[i].data for i in positions]).tobytes()
     with mock.patch("repro.grid.fanout.default_process_workers", lambda: workers):
         for name, (kernel, dtype, per_block) in KERNELS.items():
             expected = np.array([per_block(b.data) for b in blocks], dtype=dtype)
             for processes in (False, True):
-                values = map_shape_groups(blocks, kernel, dtype, processes)
+                values = map_shape_groups(groups, kernel, dtype, processes)
                 assert values.dtype == expected.dtype, (name, processes)
                 assert values.tobytes() == expected.tobytes(), (name, processes)
                 assert live_owned_segments() == ()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -505,6 +506,38 @@ class TestServeApp:
                 assert "synthetic failure" in events[-1]["error"]
 
         asyncio.run(body())
+
+    def test_unexpected_exception_is_logged_with_its_type(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """The error event tells the client *that* a run failed; the log record
+        is the only place the exception type, traceback and request land."""
+        from repro.metrics.statistics import VarianceMetric
+
+        def explode(self, batch):
+            raise ZeroDivisionError("synthetic metric failure")
+
+        monkeypatch.setattr(VarianceMetric, "score_batch", explode)
+
+        async def body():
+            async with serve_app(tmp_path) as (_, port):
+                _, raw = await _request(port, "POST", "/run", {**TINY_RUN, "seed": 77})
+                return _events(raw)
+
+        with caplog.at_level(logging.ERROR, logger="repro.serve"):
+            events = asyncio.run(body())
+        assert [e["type"] for e in events] == ["start", "error"]
+        assert events[-1] == {
+            "type": "error",
+            "reason": "exception",
+            "error": "synthetic metric failure",
+        }
+        (record,) = [r for r in caplog.records if r.name == "repro.serve"]
+        assert record.levelno == logging.ERROR
+        assert record.exc_info[0] is ZeroDivisionError
+        message = record.getMessage()
+        assert "ZeroDivisionError" in message
+        assert "scenario=tiny" in message and "seed=77" in message
 
     def test_health_reports_executor_depth(self, tmp_path):
         async def body():
