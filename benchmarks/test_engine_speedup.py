@@ -30,9 +30,10 @@ from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.experiments.common import ExperimentScenario, cached_scenario
 from repro.experiments.fig10_adaptation import PAPER_FIG10_TARGETS
 from repro.experiments.fig11_full_pipeline import PAPER_FIG11_TARGETS
-from repro.grid.batch import group_positions_by_shape
+from repro.grid.batch import group_positions_by_shape, stacked_shape_groups
 from repro.metrics.registry import create_metric
 from repro.scenarios import get_scenario
+from repro.viz.marching_cubes import count_active_cells_batch
 
 #: Minimum serial/vectorized wall-clock ratio the engine must deliver on the
 #: gated hot paths (scoring and counting-mode rendering).
@@ -42,6 +43,11 @@ MIN_SPEEDUP = 3.0
 #: cache-blocked residual-code kernel against the whole-batch implementation
 #: it replaced (3.4x measured on these blocks).
 MIN_SIZE_KERNEL_SPEEDUP = 2.0
+
+#: Minimum oracle/kernel wall-clock ratio of the batched active-cell count: the
+#: chunked byte-code kernel against the whole-batch float min/max kernel it
+#: replaced (5.5–6x measured on these blocks, 7–9x on `blue_waters_64`'s).
+MIN_COUNT_KERNEL_SPEEDUP = 2.5
 
 #: Minimum end-to-end wall-clock ratio of the streaming execution path
 #: (mmap replay of stored snapshots) over the one-shot path (live CM1
@@ -68,6 +74,16 @@ def _best_of(run, repeats: int = 5) -> float:
         run()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _best_of_interleaved(first, second, repeats: int = 5):
+    """Best wall-clock of each of two zero-argument runs, timed in turn (first,
+    second, first, second …) so a noisy spell on a shared runner hits both."""
+    best_first = best_second = float("inf")
+    for _ in range(repeats):
+        best_first = min(best_first, _best_of(first, 1))
+        best_second = min(best_second, _best_of(second, 1))
+    return best_first, best_second
 
 
 @pytest.mark.parametrize("metric_name,repeats", [("VAR", 5), ("FPZIP", 2)])
@@ -107,15 +123,15 @@ def test_vectorized_scoring_speedup(fine_scenario_64, metric_name, repeats):
     )
 
 
-def _replaced_size_path():
-    """``oracle_compressed_size_batch`` — the pre-kernel size path, kept
-    verbatim beside the coder's tests — loaded from ``tests/`` by file path
-    (neither directory is a package)."""
-    path = Path(__file__).resolve().parents[1] / "tests" / "test_compress.py"
-    spec = importlib.util.spec_from_file_location("fpzip_size_oracle", path)
+def _replaced_kernel(test_file: str, name: str):
+    """An ``oracle_*`` function — a replaced kernel, kept verbatim beside its
+    successor's tests — loaded from ``tests/`` by file path (neither directory
+    is a package)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / test_file
+    spec = importlib.util.spec_from_file_location(f"oracle_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.oracle_compressed_size_batch
+    return getattr(module, name)
 
 
 def test_fpzip_size_kernel_speedup(fine_scenario_64):
@@ -127,7 +143,7 @@ def test_fpzip_size_kernel_speedup(fine_scenario_64):
     also times), so a regression of the kernel itself — a lost ``out=``, a
     chunk budget that falls out of cache — shows here first.
     """
-    oracle = _replaced_size_path()
+    oracle = _replaced_kernel("test_compress.py", "oracle_compressed_size_batch")
     blocks = [b for rank in fine_scenario_64.blocks_for(0) for b in rank]
     groups = [
         np.stack([blocks[i].data for i in indices])
@@ -157,14 +173,52 @@ def test_fpzip_size_kernel_speedup(fine_scenario_64):
     )
 
 
+def test_count_kernel_speedup(fine_scenario_64):
+    """The byte-code ``count_active_cells_batch`` counts the stacked scenario
+    blocks ≥2.5x faster than the min/max kernel it replaced, with identical
+    counts.
+
+    Isolates the kernel from the rendering step around it (the result dicts
+    and the per-rank pricing ``rendering_speedup`` also times); the two sides
+    are timed interleaved.
+    """
+    oracle = _replaced_kernel("test_viz.py", "oracle_count_active_cells_batch")
+    blocks = [b for rank in fine_scenario_64.blocks_for(0) for b in rank]
+    groups = [stacked for _, stacked in stacked_shape_groups(blocks)]
+    level = 45.0
+    # Identical counts first (the speedup must not come from doing less).
+    for group in groups:
+        counts = count_active_cells_batch(group, level)
+        assert counts.tolist() == oracle(group, level).tolist()
+    for _attempt in range(3):
+        oracle_seconds, kernel_seconds = _best_of_interleaved(
+            lambda: [oracle(g, level) for g in groups],
+            lambda: [count_active_cells_batch(g, level) for g in groups],
+        )
+        speedup = oracle_seconds / kernel_seconds
+        if speedup >= MIN_COUNT_KERNEL_SPEEDUP:
+            break
+    print(
+        f"\nactive cells of {len(blocks)} stacked blocks: "
+        f"replaced kernel {oracle_seconds * 1e3:.1f} ms, "
+        f"byte-code kernel {kernel_seconds * 1e3:.1f} ms, speedup {speedup:.1f}x"
+    )
+    assert speedup >= MIN_COUNT_KERNEL_SPEEDUP, (
+        f"count kernel speedup {speedup:.2f}x below required "
+        f"{MIN_COUNT_KERNEL_SPEEDUP}x (oracle {oracle_seconds:.4f}s, kernel "
+        f"{kernel_seconds:.4f}s)"
+    )
+
+
 def test_vectorized_rendering_speedup(fine_scenario_64):
     """Batched count-mode rendering beats the serial per-block loop by ≥3x.
 
     Rendering is the step the paper's adaptation loop exists to control; the
     vectorised backend replaces the per-block ``count_active_cells`` calls
-    with one stacked ``count_active_cells_batch`` pass per shape group.  The
-    speedup must not come from doing less: counts, triangle estimates, and
-    modelled seconds are asserted identical before the wall-clock gate.
+    with one stacked ``count_active_cells_batch`` call per shape group (a
+    chunked byte-code pipeline, gated on its own above).  The speedup must
+    not come from doing less: counts, triangle estimates, and modelled
+    seconds are asserted identical before the wall-clock gate.
     """
     blocks = fine_scenario_64.blocks_for(0)
     platform = fine_scenario_64.platform

@@ -21,9 +21,10 @@ other backend runs the batched classes on one columnar state
 (:class:`~repro.grid.batch.BlockColumns`) built from the incoming lists by the
 first step that asks — payloads stacked once into shape/dtype groups, one
 ``score_batch`` / ``reduce_to_level_batch`` / ``count_active_cells_batch`` call
-per group — and builds no ``Block`` unless mesh-mode rendering or a caller
-reads ``context.per_rank_blocks``.  The redistribution planner is one class on
-every backend and plans on the metadata columns alone.
+per group (the coder-size and cell-count kernels work through a group in
+cache-sized row chunks) — and builds no ``Block`` unless mesh-mode rendering
+or a caller reads ``context.per_rank_blocks``.  The redistribution planner is
+one class on every backend and plans on the metadata columns alone.
 
 All backends produce bitwise-identical decisions and modelled results (ids,
 scores, sort orders, reduction decisions, moved bytes, active-cell and

@@ -12,7 +12,9 @@ batched class, selected by ``PipelineConfig.engine``: :class:`RenderingStep`
 ``IsosurfaceScript.process`` one block at a time;
 :class:`VectorizedRenderingStep` (``vectorized``, the default; ``process``
 with ``processes=True``) counts each payload group of the iteration's columnar
-state once in counting mode.  Mesh mode extracts real per-block geometry,
+state once in counting mode — one chunked byte-code
+:func:`~repro.viz.marching_cubes.count_active_cells_batch` call per group, no
+float temporaries.  Mesh mode extracts real per-block geometry,
 which cannot be stacked — and pickling meshes back from a worker costs more
 than the extraction — so it materialises the blocks and runs the reference
 per-block extraction.  Both produce identical counts, triangle estimates, and
@@ -67,27 +69,28 @@ class RenderingStep:
         results = [
             self.pipeline.coprocess(blocks, iteration)[0] for blocks in per_rank_blocks
         ]
-        return results, self._info(results, [len(blocks) for blocks in per_rank_blocks])
+        return results, self._info(
+            results,
+            [len(blocks) for blocks in per_rank_blocks],
+            [result.ntriangles for result in results],
+        )
 
     def _info(
-        self, results: Sequence[RenderResult], rank_nblocks: Sequence[int]
+        self,
+        results: Sequence[RenderResult],
+        rank_nblocks: Sequence[int],
+        triangles: List[int],
     ) -> Dict[str, object]:
-        """Timing summary of one iteration's per-rank results."""
-        modelled: List[float] = []
-        measured: List[float] = []
-        triangles: List[int] = []
-        for nblocks, result in zip(rank_nblocks, results):
-            measured.append(result.measured_seconds)
-            triangles.append(result.ntriangles)
-            modelled.append(
-                self.platform.render.rank_seconds(
-                    ntriangles=result.ntriangles,
-                    npoints=result.npoints,
-                    nblocks=nblocks,
-                )
+        """Timing summary of one iteration's per-rank results; ``triangles``
+        are the ranks' totals (``result.ntriangles`` re-sums a dict per read)."""
+        modelled = [
+            self.platform.render.rank_seconds(
+                ntriangles=ntriangles, npoints=result.npoints, nblocks=nblocks
             )
+            for nblocks, ntriangles, result in zip(rank_nblocks, triangles, results)
+        ]
         return step_info(
-            measured,
+            [result.measured_seconds for result in results],
             modelled,
             triangles_per_rank=triangles,
             total_triangles=int(sum(triangles)),
@@ -121,7 +124,8 @@ class VectorizedRenderingStep(RenderingStep):
     run — batches *across* ranks, on the columnar state: every payload group
     is counted once (:meth:`~repro.viz.catalyst.IsosurfaceScript.count_groups`;
     inline, or chunked over the shared process pool with ``processes=True``),
-    the triangle estimates are one ``np.rint``, and each rank's
+    the triangle estimates are one ``np.rint``, the ranks' totals one
+    ``per_rank_sum``, and each rank's
     :class:`~repro.viz.catalyst.RenderResult` is built from slices of those
     arrays in the rank's block order.  Counts, triangle estimates, and
     modelled seconds are bitwise identical to :class:`RenderingStep`'s; the
@@ -154,7 +158,7 @@ class VectorizedRenderingStep(RenderingStep):
         with Timer() as timer:
             cells = script.count_groups(columns.groups, self.processes)
             order = columns.order
-            triangles = script.triangles_from_cells(cells)[order].tolist()
+            triangles = script.triangles_from_cells(cells)
             results = [
                 RenderResult(
                     script_name=script.name,
@@ -165,7 +169,7 @@ class VectorizedRenderingStep(RenderingStep):
                 )
                 for ids, rank_triangles, rank_cells, npoints in zip(
                     columns.split(columns.ids[order].tolist()),
-                    columns.split(triangles),
+                    columns.split(triangles[order].tolist()),
                     columns.split(cells[order].tolist()),
                     columns.per_rank_sum(columns.npoints),
                 )
@@ -173,7 +177,9 @@ class VectorizedRenderingStep(RenderingStep):
         shares = share_elapsed(timer.elapsed, [result.npoints for result in results])
         for result, seconds in zip(results, shares):
             result.measured_seconds = seconds
-        return results, self._info(results, columns.rank_sizes())
+        return results, self._info(
+            results, columns.rank_sizes(), columns.per_rank_sum(triangles)
+        )
 
     def run(
         self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int

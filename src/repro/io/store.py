@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -16,6 +17,14 @@ from repro.io.manifest import LAYOUTS, DatasetManifest, IterationRecord
 #: every dtype the store sees and matches cache-line / SIMD-load alignment,
 #: so a memory-mapped field behaves like a freshly allocated array.
 RAW_ALIGNMENT = 64
+
+#: Held around every ``.npz`` read.  ``np.load`` parses each ``.npy`` header
+#: with ``ast.literal_eval``, and CPython before 3.11.8 / 3.12.2 keeps the AST
+#: converter's recursion depth in interpreter-wide state (gh-106905): two
+#: threads parsing at different stack depths fail each other with ``SystemError:
+#: AST constructor recursion depth mismatch`` — the thread tier's one-in-
+#: thousands ``error`` reply (every replayed iteration reloads the grid axes).
+_NPZ_READ_LOCK = threading.Lock()
 
 
 class DatasetStore:
@@ -167,7 +176,7 @@ class DatasetStore:
     def grid(self) -> RectilinearGrid:
         """Reload the rectilinear grid axes."""
         manifest = self.manifest()
-        with np.load(self.root / manifest.grid_axes_file) as data:
+        with _NPZ_READ_LOCK, np.load(self.root / manifest.grid_axes_file) as data:
             return RectilinearGrid(data["x"], data["y"], data["z"])
 
     def iterations(self) -> List[int]:
@@ -225,7 +234,7 @@ class DatasetStore:
         self, record: IterationRecord, names: List[str]
     ) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
-        with np.load(self.root / record.filename) as data:
+        with _NPZ_READ_LOCK, np.load(self.root / record.filename) as data:
             for name in names:
                 arr = np.asarray(data[name])
                 stored_dtype = record.dtypes.get(name)

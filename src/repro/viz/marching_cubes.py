@@ -117,47 +117,67 @@ def count_active_cells(field: np.ndarray, level: float) -> int:
     return int(np.count_nonzero(_active_cell_mask(f, level)))
 
 
+#: Payload bytes per row chunk of :func:`count_active_cells_batch`: the two byte
+#: scratch buffers stay in L2, yet the ~10 ufunc dispatches per chunk amortise.
+#: A measured constant, not a knob — one ``blue_waters_64`` snapshot (2 048
+#: blocks, 1.84 M float32), interleaved medians: 32 KB → 4.8 ms, 64 KB → 3.1,
+#: 128 KB → 2.2, 256 KB → 1.9, 512 KB → 1.8, 1 MB → 2.0, 4 MB → 3.0, unchunked
+#: → 2.7 (16.4 before) on a 2 MB L2; the scratch peaks at 0.05× the payload.
+_CHUNK_BYTES = 256 * 1024
+
+
 def count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
     """Per-block active-cell counts of a stacked ``(nblocks, sx, sy, sz)`` batch.
 
-    Vectorised counterpart of :func:`count_active_cells`: one min/max pass
-    over the stacked batch instead of one Python call per block.  Every entry
-    is bitwise identical to ``count_active_cells(batch[i], level)`` — the
-    comparisons are the same exact float64 min/max tests, only carried out
-    with a leading block axis — so the batched rendering backends cannot
-    perturb any count-derived decision.
+    Batched counterpart of :func:`count_active_cells` — every entry is bitwise
+    ``count_active_cells(batch[i], level)`` — as one byte-code pipeline over
+    cache-sized row chunks (:data:`_CHUNK_BYTES`).  Each point is classified
+    once, ``3 + (x >= level) - (x < level)``: 2 = below, 4 = at or above,
+    3 = neither (NaN).  Three shifted ORs over the *flat* chunk (``+1``,
+    ``+sz``, ``+sy*sz``) leave at every cell's first corner the OR of its
+    eight corner codes, which is 6 exactly when some corner is below, some at
+    or above and none NaN (a 3 sets the low bit): the scalar test
+    ``min < level <= max`` under NaN-propagating ``minimum``/``maximum``.  The
+    flat shifts run across row, plane and block ends; what they mix there
+    lands only on positions that are not cells (last plane/row/column), and
+    those are compared against 255, which no OR of codes reaches.  float32
+    payloads are compared in float32 when ``level`` is exactly representable
+    there (the cast to float64 preserves order), everything else in float64,
+    converted buffer-wise by the ufunc; ``batch`` is only read.
     """
     arr = np.asarray(batch)
     if arr.ndim != 4:
         raise ValueError(f"batch must be 4-D, got shape {arr.shape}")
-    nblocks = arr.shape[0]
-    if nblocks == 0 or min(arr.shape[1:]) < 2:
-        return np.zeros(nblocks, dtype=np.int64)
+    nblocks, sx, sy, sz = arr.shape
+    counts = np.zeros(nblocks, dtype=np.int64)
+    if nblocks == 0 or min(sx, sy, sz) < 2:
+        return counts
     level = float(level)
-    if arr.dtype != np.float32:
-        arr = np.asarray(arr, dtype=np.float64)
-    # Separable per-axis reduction: 3 ufunc calls (on shrinking
-    # intermediates) instead of 7 over the 8 corner views.  min/max select
-    # values exactly, so the cell minima/maxima — and therefore the counts —
-    # are bitwise identical to the 8-corner float64 reduction the scalar
-    # :func:`_active_cell_mask` performs.  float32 payloads stay in float32
-    # (the float32→float64 cast is value-preserving, so the selected
-    # extrema are the same numbers); the level comparisons then happen in
-    # float32 only when ``level`` is exactly representable there, otherwise
-    # the (much smaller) cell extrema are promoted to float64 first.
-    cell_min = np.minimum(arr[:, :-1], arr[:, 1:])
-    cell_max = np.maximum(arr[:, :-1], arr[:, 1:])
-    cell_min = np.minimum(cell_min[:, :, :-1], cell_min[:, :, 1:])
-    cell_max = np.maximum(cell_max[:, :, :-1], cell_max[:, :, 1:])
-    cell_min = np.minimum(cell_min[:, :, :, :-1], cell_min[:, :, :, 1:])
-    cell_max = np.maximum(cell_max[:, :, :, :-1], cell_max[:, :, :, 1:])
-    if cell_min.dtype == np.float32 and float(np.float32(level)) != level:
-        cell_min = cell_min.astype(np.float64)
-        cell_max = cell_max.astype(np.float64)
-    active = (cell_min < cell_min.dtype.type(level)) & (
-        cell_max >= cell_max.dtype.type(level)
-    )
-    return np.count_nonzero(active, axis=(1, 2, 3)).astype(np.int64)
+    narrow = arr.dtype == np.float32 and float(np.float32(level)) == level
+    loop = "ff->?" if narrow else "dd->?"
+    count = sx * sy * sz
+    want = np.full((sx, sy, sz), 255, dtype=np.uint8)
+    want[:-1, :-1, :-1] = 6
+    want = want.reshape(count)
+    rows = max(1, min(nblocks, _CHUNK_BYTES // (count * arr.itemsize)))
+    scratch = np.empty((2, rows * count), dtype=np.uint8)
+    for lo in range(0, nblocks, rows):
+        chunk = arr[lo : lo + rows]
+        code, spare = scratch[:, : chunk.size]
+        np.less(chunk, level, out=spare.view(bool).reshape(chunk.shape), signature=loop)
+        np.greater_equal(
+            chunk, level, out=code.view(bool).reshape(chunk.shape), signature=loop
+        )
+        np.subtract(code, spare, out=code)  # uint8 wraps: 255, 0, 1
+        np.add(code, 3, out=code)
+        for shift in (1, sz, sy * sz):
+            # Ping-pong: an in-place shifted OR would alias input and output.
+            np.bitwise_or(code[:-shift], code[shift:], out=spare[:-shift])
+            code, spare = spare, code
+        active = spare.view(bool).reshape(-1, count)
+        np.equal(code.reshape(-1, count), want, out=active)
+        counts[lo : lo + rows] = active.sum(axis=1, dtype=np.min_scalar_type(count))
+    return counts
 
 
 def extract_isosurface(

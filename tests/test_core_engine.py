@@ -477,6 +477,29 @@ class TestRenderingBackends:
                 )
                 assert self._observable(batched, blocks) == reference
 
+    def test_rank_triangle_totals_summed_once(self, tiny_scenario, monkeypatch):
+        """``RenderResult.ntriangles`` re-sums a dict on every read: the
+        reference step reads it once per rank, the batched step hands ``_info``
+        one ``per_rank_sum`` of the array it already has and never reads it."""
+        from repro.viz.catalyst import RenderResult
+
+        reads = []
+        total = RenderResult.ntriangles.fget
+        monkeypatch.setattr(
+            RenderResult,
+            "ntriangles",
+            property(lambda result: reads.append(result) or total(result)),
+        )
+        blocks = tiny_scenario.blocks_for(0)
+        platform = tiny_scenario.platform
+        _, reference = RenderingStep(platform, render_mode="count").run(blocks, 0)
+        assert len(reads) == len(blocks)
+        del reads[:]
+        _, info = VectorizedRenderingStep(platform, render_mode="count").run(blocks, 0)
+        assert reads == []
+        assert info["triangles_per_rank"] == reference["triangles_per_rank"]
+        assert info["modelled_per_rank"] == reference["modelled_per_rank"]
+
 
 def test_backends_identical_in_mesh_mode(tiny_scenario):
     """The backends also agree when rendering real marching-cubes geometry."""

@@ -88,6 +88,32 @@ class TestDatasetStore:
         np.testing.assert_allclose(loaded.get_field("dbz"), 2.0)
         assert loaded.iteration == 2
 
+    @pytest.mark.parametrize("layout", ["npz", "raw"])
+    def test_npy_headers_parsed_under_the_read_lock(self, tmp_path, monkeypatch, layout):
+        """``np.load`` runs ``ast.literal_eval`` on every ``.npy`` header, which
+        is not thread-safe before CPython 3.11.8 (gh-106905: the thread tier's
+        rare ``AST constructor recursion depth mismatch`` error reply), so the
+        store parses none outside its read lock."""
+        import ast
+
+        from repro.io import store as store_module
+
+        store = DatasetStore(tmp_path / "ds")
+        store.create(RectilinearGrid.uniform((6, 6, 4)), layout=layout)
+        store.append(self._domain(0, 1.0))
+        locked = []
+        literal_eval = ast.literal_eval
+
+        def probe(source):
+            locked.append(store_module._NPZ_READ_LOCK.locked())
+            return literal_eval(source)
+
+        monkeypatch.setattr(ast, "literal_eval", probe)
+        loaded = store.load_iteration(0)
+        np.testing.assert_allclose(loaded.get_field("dbz"), 1.0)
+        assert locked and all(locked)
+        assert not store_module._NPZ_READ_LOCK.locked()
+
     def test_nbytes_sums_on_disk_files(self, tmp_path):
         store = DatasetStore(tmp_path / "ds")
         store.create(RectilinearGrid.uniform((6, 6, 4)))
