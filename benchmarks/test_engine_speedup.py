@@ -30,7 +30,11 @@ from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.experiments.common import ExperimentScenario, cached_scenario
 from repro.experiments.fig10_adaptation import PAPER_FIG10_TARGETS
 from repro.experiments.fig11_full_pipeline import PAPER_FIG11_TARGETS
-from repro.grid.batch import group_positions_by_shape, stacked_shape_groups
+from repro.grid.batch import (
+    BlockColumns,
+    group_positions_by_shape,
+    stacked_shape_groups,
+)
 from repro.metrics.registry import create_metric
 from repro.scenarios import get_scenario
 from repro.viz.marching_cubes import count_active_cells_batch
@@ -48,6 +52,12 @@ MIN_SIZE_KERNEL_SPEEDUP = 2.0
 #: chunked byte-code kernel against the whole-batch float min/max kernel it
 #: replaced (5.5–6x measured on these blocks, 7–9x on `blue_waters_64`'s).
 MIN_COUNT_KERNEL_SPEEDUP = 2.5
+
+#: Minimum wall-clock ratio of one snapshot's hand-off to the columnar state:
+#: per-rank ``extract_blocks`` + the ingest pass over the ``Block`` objects
+#: against ``decompose`` + the arrival's ready-made columns and groups (6.4x
+#: measured on `blue_waters_64`).
+MIN_ARRIVAL_SPEEDUP = 4.0
 
 #: Minimum end-to-end wall-clock ratio of the streaming execution path
 #: (mmap replay of stored snapshots) over the one-shot path (live CM1
@@ -207,6 +217,51 @@ def test_count_kernel_speedup(fine_scenario_64):
         f"count kernel speedup {speedup:.2f}x below required "
         f"{MIN_COUNT_KERNEL_SPEEDUP}x (oracle {oracle_seconds:.4f}s, kernel "
         f"{kernel_seconds:.4f}s)"
+    )
+
+
+def test_prestacked_arrival_speedup(scenario_64):
+    """Handing the pipeline one snapshot pre-stacked — ``decompose`` plus the
+    columnar state's groups — is ≥4x faster than the per-``Block`` hand-off it
+    replaced: per-rank ``extract_blocks``, one ingest pass for the five metadata
+    columns and one ``stacked_shape_groups``.  ``blue_waters_64`` (2 048 blocks
+    of 8 shapes), same columns and bitwise the same groups first; the two sides
+    are timed interleaved."""
+    decomposition = scenario_64.decomposition
+    field = scenario_64.dataset.snapshot(0).get_field(scenario_64.config.field_name)
+    names = ("ids", "owners", "levels", "npoints", "nbytes")
+
+    def per_block():
+        columns = BlockColumns(
+            [decomposition.extract_blocks(r, field) for r in range(decomposition.nranks)]
+        )
+        return columns.groups, [getattr(columns, name) for name in names]
+
+    def prestacked():
+        columns = BlockColumns(decomposition.decompose(field))
+        return columns.groups, [getattr(columns, name) for name in names]
+
+    # The same state first (the speedup must not come from doing less).
+    (old_groups, old_columns), (new_groups, new_columns) = per_block(), prestacked()
+    assert [c.tolist() for c in new_columns] == [c.tolist() for c in old_columns]
+    assert len(new_groups) == len(old_groups)
+    for (rows, stacked), (old_rows, old_stacked) in zip(new_groups, old_groups):
+        assert rows.tolist() == old_rows.tolist() and stacked.dtype == old_stacked.dtype
+        assert stacked.shape == old_stacked.shape and stacked.tobytes() == old_stacked.tobytes()
+    for _attempt in range(3):
+        old_seconds, new_seconds = _best_of_interleaved(per_block, prestacked)
+        speedup = old_seconds / new_seconds
+        if speedup >= MIN_ARRIVAL_SPEEDUP:
+            break
+    print(
+        f"\none snapshot to columnar state, {decomposition.nblocks} blocks: "
+        f"per-Block {old_seconds * 1e3:.1f} ms, pre-stacked {new_seconds * 1e3:.1f} ms, "
+        f"speedup {speedup:.1f}x"
+    )
+    assert speedup >= MIN_ARRIVAL_SPEEDUP, (
+        f"pre-stacked arrival speedup {speedup:.2f}x below required "
+        f"{MIN_ARRIVAL_SPEEDUP}x (per-Block {old_seconds:.4f}s, pre-stacked "
+        f"{new_seconds:.4f}s)"
     )
 
 

@@ -11,7 +11,8 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
   ``serial`` / ``vectorized`` / ``process`` backends
   (``PipelineConfig(engine=...)``);
 * :mod:`repro.grid.batch` — :class:`~repro.grid.batch.BlockColumns`, the
-  columnar iteration state the batched backends run on, and ``BlockBatch``;
+  columnar iteration state the batched backends run on, fed pre-stacked by the
+  decomposition (``DecomposedField``), and ``BlockBatch``;
 * :mod:`repro.cm1` — a synthetic CM1-like supercell simulation and its
   reflectivity (dBZ) diagnostic;
 * :mod:`repro.simmpi` — a simulated MPI runtime with a latency/bandwidth cost

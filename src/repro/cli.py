@@ -342,7 +342,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         render_mode=args.render_mode,
         engine=backend,
     )
-    run = pipeline.run(scenario.iteration_blocks(), percent_override=args.percent)
+    run = pipeline.run(scenario.stream_iteration_blocks(), percent_override=args.percent)
 
     iteration_rows: List[Dict[str, object]] = [
         {

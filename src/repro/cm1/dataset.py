@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional
 
 from repro.cm1.config import CM1Config
 from repro.cm1.simulation import CM1Simulation
-from repro.grid.block import Block
+from repro.grid.batch import DecomposedField
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
 from repro.io.replay import equally_spaced
@@ -78,14 +78,10 @@ class CM1Dataset:
         decomposition: CartesianDecomposition,
         index: int,
         field_name: str = "dbz",
-    ) -> List[List[Block]]:
+    ) -> DecomposedField:
         """Blocks of snapshot ``index`` split across the decomposition's ranks."""
-        domain = self.snapshot(index)
-        field = domain.get_field(field_name)
-        return [
-            decomposition.extract_blocks(rank, field, field_name)
-            for rank in range(decomposition.nranks)
-        ]
+        field = self.snapshot(index).get_field(field_name)
+        return decomposition.decompose(field, field_name)
 
     # -- persistence ---------------------------------------------------------
 
@@ -132,7 +128,7 @@ class StoredCM1Dataset:
     ``select``, ``per_rank_blocks``) so experiment scenarios can be backed
     by a stored dataset instead of a live simulation.  With ``mmap=True``
     (raw-layout stores) snapshot fields are read-only memory-mapped views —
-    block extraction copies only the slices each rank needs.
+    the decomposition gathers the blocks straight off the map.
     """
 
     def __init__(
@@ -174,15 +170,11 @@ class StoredCM1Dataset:
         decomposition: CartesianDecomposition,
         index: int,
         field_name: str = "dbz",
-    ) -> List[List[Block]]:
+    ) -> DecomposedField:
         """Blocks of snapshot ``index`` split across the decomposition's ranks."""
         if not (0 <= index < len(self._iterations)):
             raise IndexError(f"snapshot index {index} out of range")
         domain = self.store.load_iteration(
             self._iterations[index], fields=[field_name], mmap=self.mmap
         )
-        field = domain.get_field(field_name)
-        return [
-            decomposition.extract_blocks(rank, field, field_name)
-            for rank in range(decomposition.nranks)
-        ]
+        return decomposition.decompose(domain.get_field(field_name), field_name)

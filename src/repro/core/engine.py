@@ -18,8 +18,9 @@ The backend also decides the form the context's blocks take
 (:mod:`repro.core.step`): ``"serial"`` runs the reference classes, one block
 at a time over per-rank ``Block`` lists, and never stacks a payload; every
 other backend runs the batched classes on one columnar state
-(:class:`~repro.grid.batch.BlockColumns`) built from the incoming lists by the
-first step that asks — payloads stacked once into shape/dtype groups, one
+(:class:`~repro.grid.batch.BlockColumns`) — the decomposition's pre-stacked
+:class:`~repro.grid.batch.DecomposedField` taken over as it arrives, or built
+from ``Block`` lists by the first step that asks: payloads stacked once, one
 ``score_batch`` / ``reduce_to_level_batch`` / ``count_active_cells_batch`` call
 per group (the coder-size and cell-count kernels work through a group in
 cache-sized row chunks) — and builds no ``Block`` unless mesh-mode rendering
@@ -34,7 +35,7 @@ that legitimately differs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro.core.backends import (
     STEP_NAMES,
@@ -46,6 +47,7 @@ from repro.core.config import PipelineConfig
 from repro.core.redistribution import make_strategy
 from repro.core.results import IterationResult
 from repro.core.step import IterationContext, PipelineStep
+from repro.grid.batch import DecomposedField
 from repro.grid.block import Block
 from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
@@ -139,12 +141,12 @@ class ExecutionEngine:
 
     def run_iteration(
         self,
-        per_rank_blocks: Sequence[Sequence[Block]],
+        per_rank_blocks: Union[DecomposedField, Sequence[Sequence[Block]]],
         percent: float,
         iteration: int,
     ) -> IterationContext:
         """Validate one iteration's input, run every step on it in order and
-        return the completed context."""
+        return the completed context (lists are copied, an arrival is immutable)."""
         if len(per_rank_blocks) != self.nranks:
             raise ValueError(
                 f"expected blocks for {self.nranks} ranks, got {len(per_rank_blocks)}"
@@ -155,7 +157,9 @@ class ExecutionEngine:
             iteration=int(iteration),
             percent=float(percent),
             nranks=self.nranks,
-            per_rank_blocks=[list(blocks) for blocks in per_rank_blocks],
+            per_rank_blocks=per_rank_blocks
+            if isinstance(per_rank_blocks, DecomposedField)
+            else [list(blocks) for blocks in per_rank_blocks],
         )
         for step in self.steps:
             context.reports[step.name] = step.execute(context)

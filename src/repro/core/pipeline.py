@@ -3,8 +3,10 @@
 :class:`InSituPipeline` wires the six steps of the paper's Figure 2 together
 over a set of virtual ranks: score → sort → reduce → redistribute → render →
 adapt.  It takes per-rank block lists as input (one call per simulation
-iteration), which is how the simulation — or the dataset replayer standing in
-for it — hands data to the in situ layer.
+iteration; pre-stacked by the decomposition as one
+:class:`~repro.grid.batch.DecomposedField`, or plain lists), which is how the
+simulation — or the dataset replayer standing in for it — hands data to the
+in situ layer.
 
 The five data steps live in the one :class:`~repro.core.engine.ExecutionEngine`
 (its backend selected by ``PipelineConfig.engine``: serial, vectorized,
@@ -18,13 +20,14 @@ the controller needs iteration ``t``'s time before it can pick iteration
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.adaptation import AdaptationController
 from repro.core.config import PipelineConfig
 from repro.core.engine import ExecutionEngine
 from repro.core.monitor import PerformanceMonitor
 from repro.core.results import IterationResult, PipelineRunResult
+from repro.grid.batch import DecomposedField
 from repro.grid.block import Block
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
@@ -78,7 +81,7 @@ class InSituPipeline:
 
     def process_iteration(
         self,
-        per_rank_blocks: Sequence[Sequence[Block]],
+        per_rank_blocks: Union[DecomposedField, Sequence[Sequence[Block]]],
         percent_override: Optional[float] = None,
     ) -> Tuple[IterationResult, List[RenderResult]]:
         """Run the full pipeline on one iteration's blocks.
@@ -87,7 +90,8 @@ class InSituPipeline:
         ----------
         per_rank_blocks:
             ``per_rank_blocks[r]`` is the list of blocks rank ``r`` received
-            from the simulation for this iteration.
+            from the simulation for this iteration; a
+            :class:`~repro.grid.batch.DecomposedField` is that, pre-stacked.
         percent_override:
             Fixed percentage of blocks to reduce, bypassing the adaptation
             controller (used by the fixed-percentage experiments).
@@ -104,7 +108,10 @@ class InSituPipeline:
             if percent_override is not None
             else float(self.controller.next_percent)
         )
-        nblocks = sum(len(blocks) for blocks in per_rank_blocks)
+        if isinstance(per_rank_blocks, DecomposedField):
+            nblocks = per_rank_blocks.nblocks
+        else:
+            nblocks = sum(len(blocks) for blocks in per_rank_blocks)
 
         context = self.engine.run_iteration(per_rank_blocks, percent, iteration)
         result = self.engine.iteration_result(context, nblocks=nblocks)
@@ -125,14 +132,15 @@ class InSituPipeline:
 
     def run(
         self,
-        iteration_blocks: Sequence[Sequence[Sequence[Block]]],
+        iteration_blocks: Iterable[Union[DecomposedField, Sequence[Sequence[Block]]]],
         percent_override: Optional[float] = None,
         on_iteration: Optional[Callable[[IterationResult], None]] = None,
     ) -> PipelineRunResult:
         """Process several iterations and return the aggregated run result.
 
-        ``iteration_blocks[i][r]`` is the block list of rank ``r`` at
-        iteration ``i``.  ``on_iteration`` (if given) is called with each
+        ``iteration_blocks`` yields each iteration's ``process_iteration``
+        input as the run advances (a generator decomposes snapshot ``i + 1``
+        after iteration ``i`` was reported).  ``on_iteration`` is called with each
         :class:`IterationResult` as soon as it is recorded, in iteration
         order — the hook the serve mode's streaming responses use.
 

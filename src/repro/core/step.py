@@ -22,7 +22,9 @@ and the columnar state (:class:`~repro.grid.batch.BlockColumns`) that the
 batched steps read and write as ``context.columns``.  Each is built from the
 other on first access, so a ``serial`` engine never stacks a payload, a
 default engine never builds a ``Block``, and a pipeline mixing both kinds of
-step converts at the hand-offs.  The score pairs likewise exist as tuples
+step converts at the hand-offs.  An iteration that arrives pre-stacked
+(:class:`~repro.grid.batch.DecomposedField`) starts on the columns, one that
+arrives as lists on the lists.  The score pairs likewise exist as tuples
 (``context.per_rank_pairs``) or as the arrays the sort gathers.
 """
 
@@ -38,12 +40,13 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
     runtime_checkable,
 )
 
 import numpy as np
 
-from repro.grid.batch import BlockColumns
+from repro.grid.batch import BlockColumns, DecomposedField
 from repro.simmpi.sort import pairs_from_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -169,7 +172,8 @@ class IterationContext:
     The blocks are reachable as ``per_rank_blocks`` (lists of ``Block``) and
     as ``columns`` (:class:`~repro.grid.batch.BlockColumns`).  Reading one
     view builds it from the other, once, and makes it the authoritative one;
-    assigning ``per_rank_blocks`` discards the columns.
+    assigning ``per_rank_blocks`` discards the columns.  A ``DecomposedField``
+    passed as ``per_rank_blocks`` becomes the columns; its blocks stay unbuilt.
     """
 
     def __init__(
@@ -177,7 +181,7 @@ class IterationContext:
         iteration: int,
         percent: float,
         nranks: int,
-        per_rank_blocks: List[List["Block"]],
+        per_rank_blocks: Union[DecomposedField, List[List["Block"]]],
         per_rank_pairs: Optional[List[List[ScorePair]]] = None,
         sorted_pairs: Optional[List[ScorePair]] = None,
         reduced_ids: Optional[Set[int]] = None,
@@ -190,6 +194,8 @@ class IterationContext:
         self.nranks = nranks
         self._blocks: Optional[List[List["Block"]]] = per_rank_blocks
         self._columns: Optional[BlockColumns] = None
+        if isinstance(per_rank_blocks, DecomposedField):
+            self._columns, self._blocks = BlockColumns(per_rank_blocks), None
         self._pairs = per_rank_pairs
         self._pair_arrays: Optional[List[np.ndarray]] = None
         self.sorted_pairs = sorted_pairs

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.cm1.config import CM1Config
 from repro.cm1.dataset import CM1Dataset
 from repro.core.config import AdaptationConfig, PipelineConfig
 from repro.core.pipeline import InSituPipeline
+from repro.grid.batch import BlockColumns
 from repro.grid.block import Block
 from repro.grid.decomposition import CartesianDecomposition, factorize_ranks
 from repro.perfmodel.calibration import PAPER_BASELINES, calibrate_render_model
@@ -124,7 +125,7 @@ class ExperimentScenario:
             blocks_per_subdomain=config.blocks_per_subdomain,
             rank_dims_override=(px, py, 1),
         )
-        self._blocks_cache: Dict[int, List[List[Block]]] = {}
+        self._blocks_cache: Dict[int, Sequence[Sequence[Block]]] = {}
         self.platform = self._calibrated_platform()
 
     # -- construction helpers ------------------------------------------------------
@@ -165,18 +166,25 @@ class ExperimentScenario:
         """Total number of blocks per iteration."""
         return self.decomposition.nblocks
 
-    def blocks_for(self, snapshot_index: int) -> List[List[Block]]:
-        """Per-rank block lists of one snapshot (cached)."""
+    def blocks_for(self, snapshot_index: int) -> Sequence[Sequence[Block]]:
+        """Per-rank block lists of one snapshot (cached; pre-stacked by the dataset)."""
         if snapshot_index not in self._blocks_cache:
             self._blocks_cache[snapshot_index] = self.dataset.per_rank_blocks(
                 self.decomposition, snapshot_index, self.config.field_name
             )
         return self._blocks_cache[snapshot_index]
 
-    def iteration_blocks(self, count: Optional[int] = None) -> List[List[List[Block]]]:
-        """Blocks of ``count`` equally spaced snapshots (default: all)."""
+    def stream_iteration_blocks(self, count: Optional[int] = None) -> Iterator[Sequence]:
+        """Yield the blocks of ``count`` equally spaced snapshots (default: all),
+        each read and decomposed only when asked for — a run fed this reports
+        iteration 0 before snapshot 1 is touched."""
         count = self.config.nsnapshots if count is None else count
-        return [self.blocks_for(i) for i in self.dataset.select(count)]
+        for index in self.dataset.select(count):
+            yield self.blocks_for(index)
+
+    def iteration_blocks(self, count: Optional[int] = None) -> List[Sequence]:
+        """Blocks of ``count`` equally spaced snapshots (default: all)."""
+        return list(self.stream_iteration_blocks(count))
 
     def all_blocks(self, snapshot_index: int = 0) -> List[Block]:
         """Flat list of every block of one snapshot."""
@@ -187,17 +195,17 @@ class ExperimentScenario:
     def reference_workload(self) -> Dict[str, int]:
         """Work counts of the slowest rank at iteration 0, p=0, no redistribution."""
         script = IsosurfaceScript(level=self.config.isosurface_level, mode="count")
-        per_rank = self.blocks_for(0)
-        worst = {"triangles": 0, "points": 0, "blocks": 0}
-        for blocks in per_rank:
-            result = script.process(blocks, iteration=0)
-            if result.ntriangles >= worst["triangles"]:
-                worst = {
-                    "triangles": result.ntriangles,
-                    "points": result.npoints,
-                    "blocks": len(blocks),
-                }
-        return worst
+        columns = BlockColumns(self.blocks_for(0))
+        triangles = columns.per_rank_sum(
+            script.triangles_from_cells(script.count_groups(columns.groups))
+        )
+        # Among equally loaded ranks the last one is the reference.
+        rank = max(range(len(triangles)), key=lambda r: (triangles[r], r))
+        return {
+            "triangles": triangles[rank],
+            "points": columns.per_rank_sum(columns.npoints)[rank],
+            "blocks": columns.rank_sizes()[rank],
+        }
 
     def _calibrated_platform(self) -> PlatformModel:
         platform = PlatformModel.blue_waters(self.config.ncores)
@@ -237,8 +245,7 @@ class ExperimentScenario:
         target = baselines.get(self.config.ncores)
         if target is None:
             target = baselines[64] * 64.0 / float(self.config.ncores)
-        per_rank = self.blocks_for(0)
-        total_bytes = sum(b.nbytes for blocks in per_rank for b in blocks)
+        total_bytes = int(BlockColumns(self.blocks_for(0)).nbytes.sum())
         nranks = max(self.nranks, 2)
         # Worst-rank send+receive volume of a full exchange (uniform estimate).
         worst_bytes = 2.0 * total_bytes * (nranks - 1) / nranks / nranks

@@ -9,8 +9,9 @@ The vocabulary follows Section IV-A of the paper:
   subdomain and the size of every block are constant across processes.
 
 :mod:`repro.grid.batch` adds the structure-of-arrays layouts:
-:class:`BlockColumns`, one iteration's blocks as metadata columns plus stacked
-payload groups (the state the batched pipeline steps run on), and
+:class:`DecomposedField`, one snapshot as ``decompose`` hands it over
+(pre-stacked), :class:`BlockColumns`, one iteration's blocks as metadata columns
+plus stacked payload groups (the state the batched pipeline steps run on), and
 :class:`BlockBatch`, a lossless batch of equally-shaped blocks.
 """
 
@@ -25,6 +26,7 @@ from repro.grid.block import (
 from repro.grid.batch import (
     BlockBatch,
     BlockColumns,
+    DecomposedField,
     group_positions_by_shape,
     partition_by_shape,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "level_shape",
     "BlockBatch",
     "BlockColumns",
+    "DecomposedField",
     "group_positions_by_shape",
     "partition_by_shape",
     "SharedBatchError",

@@ -1,18 +1,24 @@
-"""Structure-of-arrays layouts over blocks: ``BlockBatch`` and ``BlockColumns``.
+"""Structure-of-arrays layouts over blocks: ``DecomposedField``,
+``BlockColumns`` and ``BlockBatch``.
 
 The per-block :class:`~repro.grid.block.Block` objects are the unit of
 *semantics* (scoring, reduction, redistribution decisions), but iterating them
-one ``np.ndarray`` at a time keeps every hot loop in Python.  Two layouts
+one ``np.ndarray`` at a time keeps every hot loop in Python.  Three layouts
 replace the loop by array passes:
 
+* :class:`DecomposedField` — one snapshot as the decomposition hands it to the
+  pipeline (the *arrival*): a read-only per-block geometry table plus the
+  payloads already gathered into stacked shape/dtype groups.  It reads as the
+  per-rank ``Block`` lists it stands for, built only if an element is accessed.
 * :class:`BlockColumns` — the iteration state of the batched pipeline steps:
   *all* ranks' blocks as flat metadata columns (ids, holding rank, owners,
   ladder levels, scores) plus the payloads as a short list of stacked
-  shape/dtype groups.  It is built once per iteration from the incoming
-  per-rank lists, the payloads are stacked once (and only if a kernel asks),
-  every batched step reads and writes columns, and ``Block`` objects are built
-  again only by :meth:`BlockColumns.to_ranks`, for the callers that ask for
-  lists — one clone per block that changed.
+  shape/dtype groups.  It is built once per iteration — an arrival's columns
+  and groups taken as they are, or read off per-rank ``Block`` lists, their
+  payloads stacked once (and only if a kernel asks) — every batched step reads
+  and writes columns, and ``Block`` objects are built again only by
+  :meth:`BlockColumns.to_ranks`, for the callers that ask for lists — one
+  clone per block that changed.
 * :class:`BlockBatch` — a self-contained, lossless batch of equally-shaped
   blocks: ``BlockBatch.from_blocks(blocks).to_blocks()`` reproduces the blocks
   exactly (ids, extents, owners, homes, reduced flags, ladder levels, scores,
@@ -28,10 +34,11 @@ block.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +51,7 @@ from repro.grid.reduction import (  # re-exported: the ladder's batched twins
 __all__ = [
     "BlockBatch",
     "BlockColumns",
+    "DecomposedField",
     "expand_from_level_batch",
     "group_positions_by_shape",
     "partition_by_shape",
@@ -259,8 +267,9 @@ def stacked_shape_groups(blocks: Sequence[Block]) -> List[ShapeGroup]:
 
     ``stacked[row]`` is the payload of ``blocks[positions[row]]``.  The one
     place a block list's payloads are stacked for the hot paths (a
-    :class:`BlockColumns` calls it once per iteration, the list-facing
-    ``count_blocks_batched`` per call); every group is written straight into a
+    :class:`BlockColumns` built from lists calls it once per iteration, the
+    list-facing ``count_blocks_batched`` per call; a :class:`DecomposedField`
+    arrives with these very groups); every group is written straight into a
     preallocated output — bitwise ``np.stack``, without its temporaries.
     """
     groups: List[ShapeGroup] = []
@@ -290,6 +299,85 @@ def partition_by_shape(
     ]
 
 
+class DecomposedField(abc.Sequence):
+    """One snapshot cut into blocks, as the decomposition hands it over.
+
+    Row ``i`` is one block; rows run rank after rank, each rank's blocks in
+    local order: ``ids`` and ``homes`` (producing rank, non-decreasing) are
+    ``(n,)`` int64, ``starts``/``stops`` the ``(n, 3)`` extent bounds, rank
+    ``r`` produced rows ``bounds[r]:bounds[r + 1]``.  The payloads are held only
+    as ``groups`` — the ``(rows, stacked)`` groups :func:`stacked_shape_groups`
+    would form from the blocks, same order, same rows, bitwise — gathered from
+    the global field by :meth:`CartesianDecomposition.decompose
+    <repro.grid.decomposition.CartesianDecomposition.decompose>`.
+
+    It is also the ``Sequence`` of ``nranks`` per-rank ``Block`` lists it stands
+    for: the first element access builds every block through the validating
+    :class:`Block` constructor (payloads are views of the stack rows), so
+    list-based callers read it as ``per_rank_blocks`` while
+    ``BlockColumns(arrival)`` never touches a ``Block``.
+
+    An arrival is *input only*.  Every array is marked read-only — a kernel
+    writing in place fails loudly instead of corrupting the snapshot's next
+    replay — and nothing computed from the payload values belongs on it.
+    """
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        homes: np.ndarray,
+        groups: Sequence[ShapeGroup],
+        nranks: int,
+        field_name: str = "dbz",
+    ) -> None:
+        # What ``Block`` and ``BlockExtent`` check per block, on whole columns.
+        n = len(ids)
+        if ids.shape != (n,) or homes.shape != (n,) or not starts.shape == stops.shape == (n, 3):
+            raise ValueError("ids/homes must have shape (n,), starts/stops (n, 3)")
+        if n and (ids.min() < 0 or starts.min() < 0 or (stops <= starts).any()):
+            raise ValueError("block ids must be >= 0 and extents non-empty")
+        if n and (homes[0] < 0 or homes[-1] >= nranks or (np.diff(homes) < 0).any()):
+            raise ValueError(f"homes must be non-decreasing ranks in [0, {nranks})")
+        seen = np.zeros(n, dtype=np.int64)
+        self.groups = tuple(groups)
+        for rows, stacked in self.groups:
+            if stacked.ndim != 4 or len(stacked) != len(rows):
+                raise ValueError(f"block data must be 3-D, one per row: got {stacked.shape}")
+            if (stops[rows] - starts[rows] != stacked.shape[1:]).any():
+                raise ValueError(f"a {stacked.shape[1:]} group holds blocks of another extent")
+            np.add.at(seen, rows, 1)
+            rows.flags.writeable = stacked.flags.writeable = False
+        if (seen != 1).any():
+            raise ValueError("every block must be in exactly one payload group")
+        self.ids, self.starts, self.stops, self.homes = ids, starts, stops, homes
+        self.bounds = np.searchsorted(homes, np.arange(nranks + 1))
+        self.nranks, self.nblocks, self.field_name = int(nranks), n, field_name
+        for array in (ids, starts, stops, homes, self.bounds):
+            array.flags.writeable = False
+
+    @cached_property
+    def _rank_lists(self) -> List[List[Block]]:
+        blocks: List[Optional[Block]] = [None] * self.nblocks
+        ids, homes = self.ids.tolist(), self.homes.tolist()
+        starts, stops = self.starts.tolist(), self.stops.tolist()
+        for rows, stacked in self.groups:
+            for row, data in zip(rows.tolist(), stacked):
+                extent = BlockExtent(tuple(starts[row]), tuple(stops[row]))
+                blocks[row] = Block(
+                    ids[row], extent, data, homes[row], homes[row], field_name=self.field_name
+                )
+        bounds = self.bounds.tolist()
+        return [blocks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def __len__(self) -> int:
+        return self.nranks
+
+    def __getitem__(self, rank):
+        return self._rank_lists[rank]
+
+
 def _template_column(name: str) -> cached_property:
     """A :class:`BlockColumns` int64 column, read off the templates' ``name``
     attribute when a step first asks for it."""
@@ -309,6 +397,10 @@ class BlockColumns:
     (extent, home, field name, and the payload until a reduction replaces
     it); :meth:`to_ranks` is the one place blocks are built from the columns.
 
+    Built from a :class:`DecomposedField` the state *is* the arrival's read-only
+    columns and groups (only the columns a step writes in place are fresh), and
+    the templates are its blocks, built if :meth:`to_ranks` or :meth:`payloads` asks.
+
     Attributes
     ----------
     templates:
@@ -323,20 +415,39 @@ class BlockColumns:
         Rank ``r`` holds rows ``order[bounds[r]:bounds[r + 1]]``, in that order.
     """
 
-    def __init__(self, per_rank_blocks: Sequence[Sequence[Block]]) -> None:
-        self.templates: List[Block] = [b for blocks in per_rank_blocks for b in blocks]
-        n = len(self.templates)
-        counts = [len(blocks) for blocks in per_rank_blocks]
-        self.nranks = len(counts)
-        self.ranks = np.repeat(np.arange(self.nranks, dtype=np.int64), counts)
+    def __init__(
+        self, per_rank_blocks: Union[DecomposedField, Sequence[Sequence[Block]]]
+    ) -> None:
+        self._groups: Optional[List[ShapeGroup]] = None
+        if isinstance(per_rank_blocks, DecomposedField):
+            self._arrival = per_rank_blocks
+            n = per_rank_blocks.nblocks
+            self.nranks = per_rank_blocks.nranks
+            self.ids = per_rank_blocks.ids
+            self.ranks = self.owners = per_rank_blocks.homes
+            self.bounds = per_rank_blocks.bounds
+            self.levels = np.zeros(n, dtype=np.int64)
+            self.npoints, self.nbytes = np.empty((2, n), dtype=np.int64)
+            self._groups = list(per_rank_blocks.groups)
+            for rows, stacked in self._groups:
+                self.npoints[rows], self.nbytes[rows] = stacked[0].size, stacked[0].nbytes
+        else:
+            self.templates = [b for blocks in per_rank_blocks for b in blocks]
+            n = len(self.templates)
+            counts = [len(blocks) for blocks in per_rank_blocks]
+            self.nranks = len(counts)
+            self.ranks = np.repeat(np.arange(self.nranks, dtype=np.int64), counts)
+            self.bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         self.scores: Optional[np.ndarray] = None
         self.order = np.arange(n, dtype=np.int64)
-        self.bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        self._groups: Optional[List[ShapeGroup]] = None
         # Rows whose payload is a group row, no longer the template's array,
         # and rows that differ from their template in any field.
         self._replaced = np.zeros(n, dtype=bool)
         self._dirty = np.zeros(n, dtype=bool)
+
+    @cached_property
+    def templates(self) -> List[Block]:
+        return [block for blocks in self._arrival for block in blocks]
 
     ids = _template_column("block_id")
     owners = _template_column("owner")
@@ -345,7 +456,7 @@ class BlockColumns:
     nbytes = _template_column("data.nbytes")
 
     def __len__(self) -> int:
-        return len(self.templates)
+        return len(self.order)
 
     # -- payloads -------------------------------------------------------------
 
@@ -353,8 +464,9 @@ class BlockColumns:
     def groups(self) -> List[ShapeGroup]:
         """The payloads as ``(rows, stacked)`` shape/dtype groups.
 
-        Stacked from the templates when a batched kernel first asks — a step
-        that plans on the metadata columns alone never pays for it.
+        An arrival's own stacks, or stacked from the templates when a batched
+        kernel first asks — a step that plans on the metadata columns alone
+        never pays for it.
         """
         if self._groups is None:
             self._groups = stacked_shape_groups(self.templates)

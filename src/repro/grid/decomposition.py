@@ -9,10 +9,13 @@ the unit of scoring, reduction, and redistribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.grid.batch import DecomposedField
 from repro.grid.block import Block, BlockExtent
 
 
@@ -230,15 +233,63 @@ class CartesianDecomposition:
 
     # -- data extraction -------------------------------------------------------
 
+    @cached_property
+    def _block_table(self) -> tuple:
+        """``(ids, starts, stops, homes, shape_groups)`` of every block, rank
+        after rank in local order: :meth:`block_extents` for all ranks, from the
+        same per-axis cuts, as arrays built once.  ``shape_groups`` holds ``(shape,
+        rows, (x0, y0, z0))`` per distinct block shape, first appearance first,
+        rows ascending (:func:`~repro.grid.batch.stacked_shape_groups`'s grouping)."""
+        cuts = [
+            np.array(
+                [
+                    [(lo + a, lo + b) for a, b in split_axis(hi - lo, nblk)]
+                    for lo, hi in split_axis(npoints, nsub)
+                ],
+                dtype=np.int64,
+            )
+            for npoints, nsub, nblk in zip(
+                self.global_shape, self.rank_dims, self.blocks_per_subdomain
+            )
+        ]
+        # Block id = rank * blocks_per_rank + local, both row-major.
+        coords = np.indices(self.rank_dims + self.blocks_per_subdomain).reshape(6, -1)
+        starts, stops = np.stack(
+            [cuts[axis][coords[axis], coords[axis + 3]] for axis in range(3)], axis=1
+        ).transpose(2, 0, 1).copy()
+        ids = np.arange(self.nblocks, dtype=np.int64)
+        shapes, first, inverse = np.unique(
+            stops - starts, axis=0, return_index=True, return_inverse=True
+        )
+        shape_groups = []
+        for group in np.argsort(first).tolist():
+            rows = np.flatnonzero(inverse.ravel() == group)
+            shape_groups.append((tuple(shapes[group].tolist()), rows, tuple(starts[rows].T)))
+        return ids, starts, stops, ids // self.blocks_per_rank, shape_groups
+
+    def decompose(self, global_field: np.ndarray, field_name: str = "dbz") -> DecomposedField:
+        """Cut a full-domain field array into every rank's blocks at once.
+
+        The returned arrival reads as ``[extract_blocks(rank, ...) for rank in
+        range(nranks)]`` but holds the payloads pre-stacked: one strided gather
+        per distinct block shape, straight from ``global_field`` (an ndarray or a
+        read-only ``np.memmap``), and no ``Block`` until a caller asks for one.
+        """
+        field = self._checked(global_field)
+        ids, starts, stops, homes, shape_groups = self._block_table
+        groups = [
+            (rows, np.ascontiguousarray(sliding_window_view(field, shape)[corner]))
+            for shape, rows, corner in shape_groups
+        ]
+        return DecomposedField(ids, starts, stops, homes, groups, self.nranks, field_name)
+
     def extract_blocks(
         self, rank: int, global_field: np.ndarray, field_name: str = "dbz"
     ) -> List[Block]:
-        """Cut ``rank``'s blocks out of a full-domain field array."""
-        field = np.asarray(global_field)
-        if tuple(field.shape) != self.global_shape:
-            raise ValueError(
-                f"field shape {field.shape} does not match domain {self.global_shape}"
-            )
+        """Cut ``rank``'s blocks out of a full-domain field array — the per-rank
+        form of :meth:`decompose` and the oracle it is pinned against:
+        ``decompose(field)[rank]`` equals this, field by field."""
+        field = self._checked(global_field)
         blocks = []
         for bid, ext in zip(self.block_ids(rank), self.block_extents(rank)):
             blocks.append(
@@ -255,14 +306,18 @@ class CartesianDecomposition:
 
     def extract_subdomain(self, rank: int, global_field: np.ndarray) -> np.ndarray:
         """Return a copy of ``rank``'s subdomain from a full-domain field array."""
+        field = self._checked(global_field)
+        return np.ascontiguousarray(field[self.subdomain_extent(rank).slices])
+
+    # -- helpers ---------------------------------------------------------------
+
+    def _checked(self, global_field: np.ndarray) -> np.ndarray:
         field = np.asarray(global_field)
         if tuple(field.shape) != self.global_shape:
             raise ValueError(
                 f"field shape {field.shape} does not match domain {self.global_shape}"
             )
-        return np.ascontiguousarray(field[self.subdomain_extent(rank).slices])
-
-    # -- helpers ---------------------------------------------------------------
+        return field
 
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.nranks):

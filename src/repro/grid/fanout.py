@@ -3,7 +3,9 @@
 Every batched hot path has the same outline — the blocks' payloads grouped by
 shape/dtype and stacked into ``(nblocks, sx, sy, sz)`` arrays, a kernel that
 yields one value per row, the values scattered back to block order.  The
-grouping and the stacking happen once per iteration, in the columnar state
+grouping and the stacking happen once per snapshot, in the decomposition
+(:class:`~repro.grid.batch.DecomposedField`), or once per iteration in the
+columnar state built from block lists
 (:class:`~repro.grid.batch.BlockColumns`; list-facing callers use
 :func:`~repro.grid.batch.stacked_shape_groups`); :func:`map_shape_groups`
 takes the stacked groups and is the rest of the outline, written once, with

@@ -4,7 +4,7 @@ The paper evaluates its pipeline on 10 (or 30) iterations *equally spaced in
 time* out of a 572-iteration stored dataset.  :class:`DatasetReplayer`
 reproduces that access pattern: pick ``n`` equally spaced iterations and hand
 each one to the pipeline, either as a full :class:`Domain` or already split
-into per-rank block lists (the way BIL's collective read would deliver it).
+into per-rank blocks (the way BIL's collective read would deliver it).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.grid.block import Block
+from repro.grid.batch import DecomposedField
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
 from repro.io.store import DatasetStore
@@ -41,9 +41,9 @@ class DatasetReplayer:
     """Feeds stored iterations to the in situ visualization kernel.
 
     ``mmap=True`` (raw-layout stores only) replays fields as read-only
-    memory-mapped views instead of materialised arrays — block extraction
-    copies just the subdomain slices it needs, so a replay touches only the
-    pages the decomposition actually reads.
+    memory-mapped views instead of materialised arrays — the decomposition
+    gathers the blocks straight off the map, pre-stacked, one
+    :class:`~repro.grid.batch.DecomposedField` per selected iteration.
     """
 
     def __init__(
@@ -68,15 +68,13 @@ class DatasetReplayer:
         self,
         decomposition: CartesianDecomposition,
         count: int,
-    ) -> Iterator[List[List[Block]]]:
-        """Yield, per selected iteration, the list of per-rank block lists.
+    ) -> Iterator[DecomposedField]:
+        """Yield, per selected iteration, the per-rank block lists (pre-stacked).
 
         This mimics a BIL-style collective read where each rank ends up with
         the blocks of its own subdomain.
         """
         for domain in self.domains(count):
-            field = domain.get_field(self.field_name)
-            yield [
-                decomposition.extract_blocks(rank, field, self.field_name)
-                for rank in range(decomposition.nranks)
-            ]
+            yield decomposition.decompose(
+                domain.get_field(self.field_name), self.field_name
+            )

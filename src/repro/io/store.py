@@ -23,7 +23,7 @@ RAW_ALIGNMENT = 64
 #: converter's recursion depth in interpreter-wide state (gh-106905): two
 #: threads parsing at different stack depths fail each other with ``SystemError:
 #: AST constructor recursion depth mismatch`` — the thread tier's one-in-
-#: thousands ``error`` reply (every replayed iteration reloads the grid axes).
+#: thousands ``error`` reply.
 _NPZ_READ_LOCK = threading.Lock()
 
 
@@ -61,6 +61,7 @@ class DatasetStore:
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
         self._manifest: Optional[DatasetManifest] = None
+        self._grid: Optional[RectilinearGrid] = None
 
     # -- writing -------------------------------------------------------------
 
@@ -164,7 +165,7 @@ class DatasetStore:
         replay cache additionally refuses to evict entries with registered
         in-flight readers.
         """
-        self._manifest = None
+        self._manifest = self._grid = None
         shutil.rmtree(self.root, ignore_errors=True)
 
     def manifest(self) -> DatasetManifest:
@@ -174,10 +175,16 @@ class DatasetStore:
         return self._manifest
 
     def grid(self) -> RectilinearGrid:
-        """Reload the rectilinear grid axes."""
-        manifest = self.manifest()
-        with _NPZ_READ_LOCK, np.load(self.root / manifest.grid_axes_file) as data:
-            return RectilinearGrid(data["x"], data["y"], data["z"])
+        """Return (and cache) the rectilinear grid; its axes are read-only,
+        every loaded iteration shares them."""
+        if self._grid is None:
+            path = self.root / self.manifest().grid_axes_file
+            with _NPZ_READ_LOCK, np.load(path) as data:
+                grid = RectilinearGrid(data["x"], data["y"], data["z"])
+            for axis in (grid.x, grid.y, grid.z):
+                axis.flags.writeable = False
+            self._grid = grid
+        return self._grid
 
     def iterations(self) -> List[int]:
         """Iteration numbers available in the store."""

@@ -136,7 +136,7 @@ def run_scenario_in_worker(
             events.put({"type": "iteration", **iteration_row(result)})
 
         run = pipeline.run(
-            scenario.iteration_blocks(),
+            scenario.stream_iteration_blocks(),
             percent_override=request.get("percent"),
             on_iteration=on_iteration,
         )

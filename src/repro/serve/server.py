@@ -378,7 +378,7 @@ class ServeApp:
                 emit({"type": "iteration", **iteration_row(result)})
 
             run = pipeline.run(
-                scenario.iteration_blocks(),
+                scenario.stream_iteration_blocks(),
                 percent_override=request.percent,
                 on_iteration=on_iteration,
             )

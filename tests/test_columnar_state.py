@@ -3,23 +3,31 @@
 ``IterationContext`` carries the blocks either as per-rank ``Block`` lists
 (what the reference steps and any list-based third-party step read) or as one
 columnar state (``repro.grid.batch.BlockColumns``, what the batched steps read
-and write).  One Hypothesis generator feeds every law below — pymor's idiom of
-one shared body over several implementations, and NIFTy's structural
-equivalences (*any* prefix of the pipeline may run batched and the rest on the
-reference classes; the outcome is the one both pure pipelines give):
+and write).  Two Hypothesis generators feed the laws below — arbitrary block
+lists, and the decomposition's pre-stacked arrival
+(``repro.grid.batch.DecomposedField``) next to the ``extract_blocks`` lists it
+stands for — in pymor's idiom of one shared body over several implementations
+and NIFTy's structural equivalences (*any* prefix of the pipeline may run
+batched and the rest on the reference classes; the outcome is the one both
+pure pipelines give):
 
-(a) ``BlockColumns(x).to_ranks()`` is ``x``;
+(a) ``BlockColumns(x).to_ranks()`` is ``x`` (an arrival's own blocks, equal to
+    the ``extract_blocks`` lists);
 (b) batched ``steps[:k]`` then reference ``steps[k:]`` on one context, for every
-    ``k``, with or without a list-based step spliced in;
+    ``k`` (0 = the ``serial`` pipeline), fed lists or an arrival, with or
+    without a list-based step spliced in;
 (c) every batched class's list-facing ``run`` ≡ its ``execute``;
 (d) the vectorised triangle estimate ≡ ``int(round(...))`` per block;
-(e) a default iteration clones no ``Block`` and builds the state once.
+(e) a default iteration builds and clones no ``Block`` and builds the state
+    once; fed an arrival it copies no payload either;
+(f) an arrival is input only: processed again and again it gives the same
+    outcome and not one of its bytes moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 import pytest
@@ -31,8 +39,9 @@ from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.step import IterationContext, StepReport
-from repro.grid.batch import BlockColumns
+from repro.grid.batch import BlockColumns, DecomposedField
 from repro.grid.block import Block, BlockExtent
+from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.reduction import reduce_block
 from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
@@ -52,6 +61,8 @@ class Case:
     ladder: tuple
     strategy: str
     metric: str
+    #: The same blocks as the decomposition hands them over, if it made them.
+    arrival: Optional[DecomposedField] = None
 
     @property
     def nranks(self) -> int:
@@ -59,6 +70,10 @@ class Case:
 
     def lists(self) -> List[List[Block]]:
         return [list(blocks) for blocks in self.per_rank_blocks]
+
+    def input(self):
+        """What the pipeline is fed: the arrival when there is one."""
+        return self.lists() if self.arrival is None else self.arrival
 
 
 @st.composite
@@ -91,6 +106,31 @@ def cases(draw) -> Case:
         strategy=draw(st.sampled_from(["none", "shuffle", "round_robin"])),
         metric=draw(st.sampled_from(["VAR", "PYVAR"])),
     )
+
+
+@st.composite
+def arrivals(draw) -> Case:
+    """A random field cut by a random small decomposition (uneven cuts, several
+    block shapes, ``pz > 1``): the arrival, and the ``extract_blocks`` lists."""
+    rank_dims = draw(st.tuples(*[st.integers(1, 2)] * 3))
+    bps = draw(st.tuples(*[st.integers(1, 2)] * 3))
+    shape = tuple(p * b * draw(st.integers(1, 3)) + draw(st.integers(0, 2)) for p, b in zip(rank_dims, bps))
+    nranks = rank_dims[0] * rank_dims[1] * rank_dims[2]
+    decomposition = CartesianDecomposition(shape, nranks, bps, rank_dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = rng.normal(size=shape).astype(draw(st.sampled_from([np.float32, np.float64])))
+    return Case(
+        [decomposition.extract_blocks(rank, field) for rank in range(nranks)],
+        percent=draw(st.sampled_from([0.0, 37.5, 50.0, 100.0])),
+        ladder=draw(st.sampled_from(LADDERS)),
+        strategy=draw(st.sampled_from(["none", "shuffle", "round_robin"])),
+        metric=draw(st.sampled_from(["VAR", "PYVAR"])),
+        arrival=decomposition.decompose(field),
+    )
+
+
+#: Every law holds for lists and for arrivals alike.
+inputs = st.one_of(cases(), arrivals())
 
 
 # -- what must be equal ----------------------------------------------------------
@@ -186,9 +226,12 @@ class ReverseEachRank:
         return StepReport.collective(self.name, measured=0.0, modelled=0.0)
 
 
-def run_steps(case: Case, steps: list) -> dict:
+def run_steps(case: Case, steps: list, blocks=None) -> dict:
     context = IterationContext(
-        iteration=2, percent=case.percent, nranks=case.nranks, per_rank_blocks=case.lists()
+        iteration=2,
+        percent=case.percent,
+        nranks=case.nranks,
+        per_rank_blocks=case.input() if blocks is None else blocks,
     )
     for step in steps:
         context.reports[step.name] = step.execute(context)
@@ -199,15 +242,14 @@ def run_steps(case: Case, steps: list) -> dict:
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=cases())
+@given(case=inputs)
 def test_round_trip_returns_the_very_blocks(case):
-    columns = BlockColumns(case.per_rank_blocks)
+    source = case.input()
+    columns = BlockColumns(source)
     out = columns.to_ranks()
     assert blocks_signature(out) == blocks_signature(case.per_rank_blocks)
     # Nothing was written, so nothing is cloned: the same objects come back.
-    assert all(
-        a is b for mine, theirs in zip(out, case.per_rank_blocks) for a, b in zip(mine, theirs)
-    )
+    assert all(a is b for mine, theirs in zip(out, source) for a, b in zip(mine, theirs))
     # The payloads only ever leave as groups that tile the rows exactly once.
     rows = np.sort(np.concatenate([r for r, _ in columns.groups] or [np.empty(0, np.int64)]))
     assert rows.tolist() == list(range(len(columns)))
@@ -222,17 +264,17 @@ def test_round_trip_returns_the_very_blocks(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=cases())
+@given(case=inputs)
 def test_any_prefix_may_run_batched(case):
-    expected = run_steps(case, build_steps(case, batched=False))
-    for k in range(1, 6):
+    expected = run_steps(case, build_steps(case, batched=False), case.lists())
+    for k in range(6):
         comm = BSPCommunicator(case.nranks, cost_model=PlatformModel.blue_waters(case.nranks).network)
         steps = build_steps(case, True, comm)[:k] + build_steps(case, False, comm)[k:]
         assert run_steps(case, steps) == expected, f"batched steps[:{k}]"
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=cases(), position=st.integers(0, 5))
+@given(case=inputs, position=st.integers(0, 5))
 def test_a_list_based_step_may_sit_anywhere(case, position):
     def spliced(batched: bool) -> list:
         steps = build_steps(case, batched)
@@ -326,14 +368,18 @@ def test_vectorised_triangle_estimate_rounds_like_the_per_block_one(per_cell, mo
     assert estimate.tolist() == list(result.per_block_triangles.values())
 
 
-# -- (e) structure: no clone, one state build ------------------------------------------------
+# -- (e) structure: no block, no clone, no payload copy, one state build -------------------
 
 
 def test_default_iteration_clones_no_block_and_builds_the_state_once(
     tiny_scenario, monkeypatch
 ):
-    calls = {"clones": 0, "states": 0}
-    clone_with, init = Block._clone_with, BlockColumns.__init__
+    calls = {"built": 0, "clones": 0, "states": 0}
+    post_init, clone_with, init = Block.__post_init__, Block._clone_with, BlockColumns.__init__
+
+    def counting_post_init(self):
+        calls["built"] += 1
+        post_init(self)
 
     def counting_clone(self, **updates):
         calls["clones"] += 1
@@ -343,23 +389,66 @@ def test_default_iteration_clones_no_block_and_builds_the_state_once(
         calls["states"] += 1
         init(self, per_rank_blocks)
 
+    monkeypatch.setattr(Block, "__post_init__", counting_post_init)
     monkeypatch.setattr(Block, "_clone_with", counting_clone)
     monkeypatch.setattr(BlockColumns, "__init__", counting_init)
 
     pipeline = tiny_scenario.build_pipeline(metric="VAR", redistribution="round_robin")
     assert pipeline.engine.backend == "vectorized" and pipeline.rendering.script.mode == "count"
-    blocks = tiny_scenario.blocks_for(0)
-    context = pipeline.engine.run_iteration(blocks, percent=50.0, iteration=0)
-    assert calls == {"clones": 0, "states": 1}
-    assert context.reports["reduction"].counters["nreduced"] > 0
-    assert context.reports["redistribution"].counters["moved_blocks"] > 0
+    for arrives_stacked in (True, False):
+        # A fresh arrival (the scenario's cached one may have built its blocks
+        # already), or the lists it stands for, built before the counting starts.
+        blocks = tiny_scenario.dataset.per_rank_blocks(tiny_scenario.decomposition, 0)
+        assert isinstance(blocks, DecomposedField)
+        nblocks = blocks.nblocks
+        if not arrives_stacked:
+            blocks = [list(rank_blocks) for rank_blocks in blocks]
+        calls.update(built=0, clones=0, states=0)
+        result, _ = pipeline.process_iteration(blocks, percent_override=50.0)
+        assert calls == {"built": 0, "clones": 0, "states": 1}
+        assert result.nblocks == nblocks and result.nreduced > 0 and result.moved_bytes > 0
 
-    # The edge that asks for Blocks pays for them: at most one clone each.
-    materialised = context.per_rank_blocks
-    nblocks = sum(len(rank_blocks) for rank_blocks in blocks)
-    assert 0 < calls["clones"] <= nblocks and calls["states"] == 1
-    assert sum(len(rank_blocks) for rank_blocks in materialised) == nblocks
-    assert context.per_rank_blocks is materialised and calls["clones"] <= nblocks
-    for rank, rank_blocks in enumerate(materialised):
-        assert all(b.owner == rank and b.score is not None for b in rank_blocks)
-        assert [b.block_id for b in rank_blocks] == sorted(b.block_id for b in rank_blocks)
+        if arrives_stacked:
+            # Ingest copied no payload byte: with nothing to reduce, the groups
+            # the last step read are still the arrival's own stacks.
+            context = pipeline.engine.run_iteration(blocks, percent=0.0, iteration=1)
+            assert calls == {"built": 0, "clones": 0, "states": 2}
+            assert len(context.columns.groups) == len(blocks.groups)
+            for (_, mine), (_, theirs) in zip(context.columns.groups, blocks.groups):
+                assert np.shares_memory(mine, theirs)
+
+        # The edge that asks for Blocks pays for them: an arrival builds each
+        # block once, and every block that changed costs one clone.
+        context = pipeline.engine.run_iteration(blocks, percent=50.0, iteration=2)
+        calls.update(built=0, clones=0, states=0)
+        materialised = context.per_rank_blocks
+        assert calls["built"] == (nblocks if arrives_stacked else 0)
+        assert 0 < calls["clones"] <= nblocks and calls["states"] == 0
+        assert sum(len(rank_blocks) for rank_blocks in materialised) == nblocks
+        assert context.per_rank_blocks is materialised and calls["clones"] <= nblocks
+        for rank, rank_blocks in enumerate(materialised):
+            assert all(b.owner == rank and b.score is not None for b in rank_blocks)
+            assert [b.block_id for b in rank_blocks] == sorted(b.block_id for b in rank_blocks)
+
+
+# -- (f) an arrival is input only ----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=arrivals())
+def test_an_arrival_can_be_processed_again_and_again(case):
+    """The benchmark replays four snapshots ping-pong; a real run sees each
+    once.  Nothing a run does — scoring, a reduction, a redistribution, the
+    reference classes reading ``Block`` views of the stacks — may leave a trace
+    on the arrival, and a kernel that writes in place must fail, not corrupt
+    the snapshot's next replay."""
+    arrival = case.arrival
+    arrays = [arrival.ids, arrival.starts, arrival.stops, arrival.homes, arrival.bounds]
+    arrays += [array for group in arrival.groups for array in group]
+    before = [array.tobytes() for array in arrays]
+    first = run_steps(case, build_steps(case, batched=True))
+    assert run_steps(case, build_steps(case, batched=False)) == first
+    assert run_steps(case, build_steps(case, batched=True)) == first
+    assert first == run_steps(case, build_steps(case, batched=False), case.lists())
+    assert [array.tobytes() for array in arrays] == before
+    assert not any(array.flags.writeable for array in arrays)

@@ -65,6 +65,32 @@ class TestScenario:
     def test_iteration_blocks_count(self, scenario):
         assert len(scenario.iteration_blocks(2)) == 2
 
+    def test_streamed_blocks_are_decomposed_as_the_run_advances(self):
+        """A run fed the generator form reports iteration ``i`` before snapshot
+        ``i + 1`` is read; the list form is the same arrivals, all up front."""
+        scenario = ExperimentScenario.tiny(nranks=4, nsnapshots=3)
+        decomposed = []
+        per_rank_blocks = scenario.dataset.per_rank_blocks
+
+        def recording(decomposition, index, field_name):
+            decomposed.append(index)
+            return per_rank_blocks(decomposition, index, field_name)
+
+        scenario.dataset.per_rank_blocks = recording
+        seen = []
+        run = scenario.build_pipeline().run(
+            scenario.stream_iteration_blocks(),
+            percent_override=50.0,
+            on_iteration=lambda result: seen.append((result.iteration, list(decomposed))),
+        )
+        # Snapshot 0 was decomposed (and cached) by the calibration.
+        assert seen == [(0, []), (1, [1]), (2, [1, 2])]
+        blocks = scenario.iteration_blocks()
+        assert decomposed == [1, 2]
+        assert all(b is scenario.blocks_for(i) for i, b in enumerate(blocks))
+        again = scenario.build_pipeline().run(blocks, percent_override=50.0)
+        assert again.summary() == run.summary()
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ScenarioConfig(ncores=0)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.grid.batch import stacked_shape_groups
 from repro.grid.block import (
     Block,
     BlockExtent,
@@ -226,8 +230,73 @@ class TestCartesianDecomposition:
 
     def test_extract_blocks_wrong_shape(self):
         decomp = CartesianDecomposition((8, 8, 4), nranks=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match domain") as per_rank:
             decomp.extract_blocks(0, np.zeros((4, 4, 4)))
+        with pytest.raises(ValueError, match="does not match domain") as whole:
+            decomp.decompose(np.zeros((4, 4, 4)))
+        assert str(whole.value) == str(per_rank.value)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_decompose_is_extract_blocks_for_every_rank(self, data):
+        """``extract_blocks`` is the oracle of the whole-domain entry point:
+        ``decompose(field)[rank] == extract_blocks(rank, field)``, every
+        ``Block`` field equal, payload bitwise, dtype preserved — with
+        remainders on every axis (both cut levels), ``pz > 1``, any
+        ``blocks_per_subdomain``, both float widths, C-/F-ordered, read-only
+        and memory-mapped fields — and its payload groups are the ones
+        ``stacked_shape_groups`` forms from the oracle's blocks."""
+        rank_dims = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="rank_dims")
+        bps = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="blocks_per_subdomain")
+        shape = tuple(
+            data.draw(st.integers(p * b, p * b + 7), label=f"n{axis}")
+            for axis, (p, b) in enumerate(zip(rank_dims, bps))
+        )
+        nranks = rank_dims[0] * rank_dims[1] * rank_dims[2]
+        # With no override the ranks are factorised, which may not fit the shape.
+        override = data.draw(st.booleans(), label="override") or None
+        try:
+            decomp = CartesianDecomposition(shape, nranks, bps, override and rank_dims)
+        except ValueError:
+            assume(False)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        kind = data.draw(st.sampled_from(["c", "f", "readonly", "memmap"]), label="kind")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        field = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+        with tempfile.TemporaryDirectory() as tmp:
+            if kind == "f":
+                field = np.asfortranarray(field)
+            elif kind == "readonly":
+                field.flags.writeable = False
+            elif kind == "memmap":
+                field.tofile(Path(tmp) / "field.bin")
+                field = np.memmap(Path(tmp) / "field.bin", dtype=dtype, mode="r", shape=shape)
+            arrival = decomp.decompose(field, "w")
+            oracle = [decomp.extract_blocks(rank, field, "w") for rank in range(nranks)]
+            del field  # the arrival owns its payloads: the map may go away
+        assert len(arrival) == nranks and arrival.nblocks == decomp.nblocks
+        for rank in range(nranks):
+            assert len(arrival[rank]) == len(oracle[rank])
+            for mine, theirs in zip(arrival[rank], oracle[rank]):
+                for name in (
+                    "block_id", "extent", "owner", "home", "reduced", "score", "field_name", "level"
+                ):
+                    assert getattr(mine, name) == getattr(theirs, name), name
+                assert type(mine.block_id) is int and type(mine.owner) is int
+                assert mine.data.dtype == theirs.data.dtype == dtype
+                assert mine.data.shape == theirs.data.shape
+                assert mine.data.tobytes() == theirs.data.tobytes()
+                assert mine.data.flags.c_contiguous and not mine.data.flags.writeable
+        expected = stacked_shape_groups([b for blocks in oracle for b in blocks])
+        assert len(arrival.groups) == len(expected)
+        for (rows, stacked), (their_rows, their_stacked) in zip(arrival.groups, expected):
+            assert rows.dtype == their_rows.dtype and rows.tolist() == their_rows.tolist()
+            assert stacked.dtype == their_stacked.dtype and stacked.shape == their_stacked.shape
+            assert stacked.tobytes() == their_stacked.tobytes()
+            assert stacked.flags.c_contiguous
+        arrays = [arrival.ids, arrival.starts, arrival.stops, arrival.homes, arrival.bounds]
+        arrays += [array for group in arrival.groups for array in group]
+        assert not any(array.flags.writeable for array in arrays)
 
     def test_rank_dims_override(self):
         decomp = CartesianDecomposition(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.grid.batch import BlockBatch, partition_by_shape
+from repro.grid.batch import BlockBatch, DecomposedField, partition_by_shape
 from repro.grid.block import Block, BlockExtent
 
 
@@ -196,3 +196,77 @@ class TestPartitionByShape:
 
     def test_empty_input(self):
         assert partition_by_shape([]) == []
+
+
+class TestDecomposedFieldValidation:
+    """The arrival's constructor checks on whole columns what ``Block`` and
+    ``BlockExtent`` check per block."""
+
+    @staticmethod
+    def parts(**overrides):
+        """Constructor arguments of a valid two-rank, three-block arrival."""
+        starts = np.array([[0, 0, 0], [2, 0, 0], [4, 0, 0]], dtype=np.int64)
+        stops = np.array([[2, 3, 2], [4, 3, 2], [5, 3, 2]], dtype=np.int64)
+        parts = {
+            "ids": np.arange(3, dtype=np.int64),
+            "starts": starts,
+            "stops": stops,
+            "homes": np.array([0, 0, 1], dtype=np.int64),
+            "groups": [
+                (np.array([0, 1]), np.zeros((2, 2, 3, 2), dtype=np.float32)),
+                (np.array([2]), np.ones((1, 1, 3, 2), dtype=np.float32)),
+            ],
+            "nranks": 2,
+        }
+        parts.update(overrides)
+        return parts
+
+    def test_valid_parts_read_as_per_rank_block_lists(self):
+        arrival = DecomposedField(**self.parts(), field_name="w")
+        assert len(arrival) == 2 and arrival.nblocks == 3
+        assert [[b.block_id for b in blocks] for blocks in arrival] == [[0, 1], [2]]
+        block = arrival[1][0]
+        assert (block.owner, block.home, block.level, block.field_name) == (1, 1, 0, "w")
+        assert block.extent == BlockExtent((4, 0, 0), (5, 3, 2))
+        assert arrival[-1] is arrival[1]  # built once, the same lists every time
+        # Inputs only: a write into any payload fails loudly.
+        with pytest.raises(ValueError, match="read-only"):
+            block.data[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arrival.groups[0][1][...] = 0.0
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"ids": np.array([0, -1, 2])}, "ids must be >= 0"),
+            ({"stops": np.array([[2, 3, 2], [4, 3, 2], [4, 3, 2]])}, "extents non-empty"),
+            ({"starts": np.array([[0, 0, 0], [2, 0, 0], [4, 0, -1]])}, "ids must be >= 0"),
+            ({"homes": np.array([0, 1, 0])}, "non-decreasing"),
+            ({"homes": np.array([0, 0, 2])}, "non-decreasing ranks in"),
+            ({"homes": np.array([0, 0])}, "shape"),
+            ({"starts": np.zeros((3, 2), dtype=np.int64)}, "shape"),
+            (
+                {"groups": [(np.array([0, 1]), np.zeros((2, 2, 3, 2)))]},
+                "exactly one payload group",
+            ),
+            (
+                {"groups": [(np.array([0, 1, 1]), np.zeros((3, 2, 3, 2))), (np.array([2]), np.zeros((1, 1, 3, 2)))]},
+                "exactly one payload group",
+            ),
+            (
+                {"groups": [(np.array([0, 1, 2]), np.zeros((3, 2, 3, 2)))]},
+                "another extent",
+            ),
+            (
+                {"groups": [(np.array([0, 1]), np.zeros((2, 2, 3))), (np.array([2]), np.zeros((1, 1, 3, 2)))]},
+                "3-D",
+            ),
+            (
+                {"groups": [(np.array([0, 1]), np.zeros((1, 2, 3, 2))), (np.array([2]), np.zeros((1, 1, 3, 2)))]},
+                "one per row",
+            ),
+        ],
+    )
+    def test_invalid_parts_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            DecomposedField(**self.parts(**overrides))

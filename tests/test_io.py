@@ -113,6 +113,18 @@ class TestDatasetStore:
         np.testing.assert_allclose(loaded.get_field("dbz"), 1.0)
         assert locked and all(locked)
         assert not store_module._NPZ_READ_LOCK.locked()
+        # The grid axes are parsed once per store, not once per iteration: a
+        # second load parses no header at all on the raw layout (none but the
+        # iteration's own on npz), and shares the first one's read-only axes.
+        del locked[:]
+        again = store.load_iteration(0)
+        assert len(locked) == (0 if layout == "raw" else 1) and all(locked)
+        assert again.grid is loaded.grid and not again.grid.x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            again.grid.z[0] = -1.0
+        store.delete()  # drops the cached grid with the files
+        with pytest.raises(FileNotFoundError):
+            store.grid()
 
     def test_nbytes_sums_on_disk_files(self, tmp_path):
         store = DatasetStore(tmp_path / "ds")

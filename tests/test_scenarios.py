@@ -27,9 +27,15 @@ from repro.cm1 import (
     make_storm,
 )
 from repro.core.backends import engine_backends
-from repro.experiments.common import ExperimentScenario, cached_scenario
+from repro.experiments.common import (
+    ExperimentScenario,
+    cached_scenario,
+    render_baseline_seconds,
+)
+from repro.grid.block import Block, BlockExtent
 from repro.metrics.base import MetricCost, ScoreMetric
 from repro.metrics.registry import default_registry
+from repro.perfmodel.calibration import PAPER_BASELINES, calibrate_render_model
 from repro.perfmodel.platform import PlatformModel
 from repro.scenarios import (
     ScenarioConfig,
@@ -43,6 +49,7 @@ from repro.scenarios import (
     scenario_specs,
 )
 from repro.scenarios.registry import _REGISTRY
+from repro.viz.catalyst import IsosurfaceScript
 
 #: The same registry ``repro list --json`` reports as parity-verified.
 BACKENDS = engine_backends()
@@ -228,9 +235,73 @@ def _iteration_observables(
     return context.per_rank_pairs, context.sorted_pairs, owners, reports
 
 
+def oracle_reference_workload(scenario: ExperimentScenario) -> dict:
+    """``ExperimentScenario.reference_workload`` as it was before it read the
+    columnar state: ``script.process`` over every rank's ``Block`` list."""
+    script = IsosurfaceScript(level=scenario.config.isosurface_level, mode="count")
+    worst = {"triangles": 0, "points": 0, "blocks": 0}
+    for blocks in scenario.blocks_for(0):
+        result = script.process(blocks, iteration=0)
+        if result.ntriangles >= worst["triangles"]:
+            worst = {
+                "triangles": result.ntriangles,
+                "points": result.npoints,
+                "blocks": len(blocks),
+            }
+    return worst
+
+
+def assert_calibrated_like_the_oracle(scenario: ExperimentScenario) -> None:
+    worst = scenario.reference_workload()
+    assert worst == oracle_reference_workload(scenario)
+    assert all(type(value) is int for value in worst.values())
+    ncores = scenario.nranks
+    assert scenario.platform.render == calibrate_render_model(
+        max_rank_triangles=worst["triangles"],
+        max_rank_points=worst["points"],
+        max_rank_blocks=worst["blocks"],
+        target_seconds=render_baseline_seconds(ncores),
+    )
+    total_bytes = sum(b.nbytes for blocks in scenario.blocks_for(0) for b in blocks)
+    baselines = PAPER_BASELINES["redistribution_comm"]
+    target = baselines.get(ncores, baselines[64] * 64.0 / float(ncores))
+    nranks = max(ncores, 2)
+    assert scenario.platform.network.exchange_bandwidth == (
+        2.0 * total_bytes * (nranks - 1) / nranks / nranks / target
+    )
+
+
+class TiedRanksDataset:
+    """Four ranks with the same isosurface load but 2, 4, 3, 1 blocks: the
+    reference rank of a tie is the last one.  Hands out plain lists."""
+
+    def per_rank_blocks(self, decomposition, index, field_name):
+        active = np.zeros((4, 4, 4), dtype=np.float32)
+        active[:2] = 90.0
+        flat = np.zeros((4, 4, 4), dtype=np.float32)
+        ids = iter(range(100))
+        return [
+            [
+                Block(next(ids), BlockExtent((0, 0, 0), (4, 4, 4)), data, owner=rank, home=rank)
+                for data in [active] * (1 if rank < 3 else 0) + [flat] * extra
+            ]
+            for rank, extra in enumerate([1, 3, 2, 1])
+        ]
+
+
+def test_calibration_tie_goes_to_the_last_rank():
+    scenario = ExperimentScenario(get_scenario("tiny").tiny(), dataset=TiedRanksDataset())
+    worst = scenario.reference_workload()
+    assert worst["triangles"] > 0 and worst["blocks"] == 3 and worst["points"] == 3 * 64
+    assert_calibrated_like_the_oracle(scenario)
+
+
 @pytest.mark.parametrize("name", scenario_names())
 class TestRegistryParitySweep:
     """Every registered workload must run identically on every backend."""
+
+    def test_calibration_on_columns_equals_the_per_rank_oracle(self, name):
+        assert_calibrated_like_the_oracle(tiny_scenario(name))
 
     def test_three_backend_parity(self, name):
         scenario = tiny_scenario(name)
