@@ -116,8 +116,9 @@ def test_vectorized_scoring_speedup(fine_scenario_64, metric_name, repeats):
     # Wall-clock gate: re-measure on transient noise (shared CI runners)
     # before failing; a genuine regression fails all attempts.
     for _attempt in range(3):
-        serial_seconds = _best_of(lambda: serial.run(blocks), repeats=repeats)
-        vector_seconds = _best_of(lambda: vector.run(blocks), repeats=repeats)
+        serial_seconds, vector_seconds = _best_of_interleaved(
+            lambda: serial.run(blocks), lambda: vector.run(blocks), repeats=repeats
+        )
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:
             break
@@ -164,9 +165,9 @@ def test_fpzip_size_kernel_speedup(fine_scenario_64):
     for group in groups:
         assert coder.compressed_size_batch(group).tolist() == oracle(group).tolist()
     for _attempt in range(3):
-        oracle_seconds = _best_of(lambda: [oracle(g) for g in groups])
-        kernel_seconds = _best_of(
-            lambda: [coder.compressed_size_batch(g) for g in groups]
+        oracle_seconds, kernel_seconds = _best_of_interleaved(
+            lambda: [oracle(g) for g in groups],
+            lambda: [coder.compressed_size_batch(g) for g in groups],
         )
         speedup = oracle_seconds / kernel_seconds
         if speedup >= MIN_SIZE_KERNEL_SPEEDUP:
@@ -294,8 +295,9 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
     assert observable(vector) == reference
 
     for _attempt in range(3):
-        serial_seconds = _best_of(lambda: serial.run(blocks, 0))
-        vector_seconds = _best_of(lambda: vector.run(blocks, 0))
+        serial_seconds, vector_seconds = _best_of_interleaved(
+            lambda: serial.run(blocks, 0), lambda: vector.run(blocks, 0)
+        )
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:
             break
@@ -390,8 +392,9 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
         return lambda: pipeline.process_iteration(blocks, percent_override=50.0)
 
     for _attempt in range(3):
-        serial_seconds = _best_of(iteration(serial), repeats=3)
-        vector_seconds = _best_of(iteration(vector), repeats=3)
+        serial_seconds, vector_seconds = _best_of_interleaved(
+            iteration(serial), iteration(vector), repeats=3
+        )
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:
             break

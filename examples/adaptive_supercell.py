@@ -25,8 +25,8 @@ from repro.experiments.common import ExperimentScenario, ScenarioConfig
 
 def run_configuration(scenario, label, redistribution, adaptation, niterations=20):
     """Run one pipeline configuration over the evolving storm."""
-    # The vectorized engine scores all ranks' blocks as stacked BlockBatch
-    # arrays; results are identical to engine="serial", only faster.
+    # The vectorized engine scores all ranks' blocks as stacked payload
+    # groups; results are identical to engine="serial", only faster.
     pipeline = scenario.build_pipeline(
         metric="VAR",
         redistribution=redistribution,

@@ -29,8 +29,8 @@ def main() -> None:
         )
     )
     target = 30.0  # seconds per iteration (modelled platform time)
-    # The engine backend is configurable ("vectorized" scores stacked
-    # BlockBatch arrays, "serial" loops per block); both give identical runs.
+    # The engine backend is configurable ("vectorized" runs each step on
+    # stacked payload groups, "serial" loops per block); both give identical runs.
     pipeline = scenario.build_pipeline(
         metric="VAR",
         redistribution="round_robin",

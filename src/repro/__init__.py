@@ -2,21 +2,25 @@
 
 A from-scratch Python reproduction of Dorier et al., "Adaptive
 Performance-Constrained In Situ Visualization of Atmospheric Simulations"
-(IEEE CLUSTER 2016), including every substrate the paper depends on:
+(IEEE CLUSTER 2016), with every substrate the paper's pipeline depends on:
 
 * :mod:`repro.core` — the adaptive pipeline (score → sort → reduce →
-  redistribute → render → adapt, Algorithm 1), built from composable
-  :class:`~repro.core.step.PipelineStep` objects run by an
-  :class:`~repro.core.engine.ExecutionEngine` with interchangeable
-  ``serial`` / ``vectorized`` / ``process`` backends
-  (``PipelineConfig(engine=...)``);
-* :mod:`repro.grid.batch` — :class:`~repro.grid.batch.BlockColumns`, the
-  columnar iteration state the batched backends run on, fed pre-stacked by the
-  decomposition (``DecomposedField``), and ``BlockBatch``;
+  redistribute → render → adapt, Algorithm 1): composable
+  :class:`~repro.core.step.PipelineStep` objects run by one
+  :class:`~repro.core.engine.ExecutionEngine` on one communicator, with
+  interchangeable ``serial`` / ``vectorized`` / ``process`` backends
+  (``PipelineConfig(engine=...)``) that give bitwise-identical runs;
+* :mod:`repro.grid` — rectilinear grids, the Cartesian domain decomposition,
+  :class:`~repro.grid.block.Block` and the reduction ladder; its
+  :mod:`~repro.grid.batch` module holds the two columnar layouts the batched
+  backends run on — ``DecomposedField``, a snapshot as the decomposition hands
+  it over (pre-stacked), and ``BlockColumns``, the iteration state;
+* :mod:`repro.simmpi` — the pipeline's modelled communication: a
+  latency/bandwidth cost model, the driver-side communicator that issues and
+  prices the sort's gather and broadcast and the redistribution's all-to-all,
+  and the two implementations of that sort;
 * :mod:`repro.cm1` — a synthetic CM1-like supercell simulation and its
   reflectivity (dBZ) diagnostic;
-* :mod:`repro.simmpi` — a simulated MPI runtime with a latency/bandwidth cost
-  model;
 * :mod:`repro.metrics` — the block-scoring metrics (RANGE, VAR, ITL, LEA,
   FPZIP, TRILIN, ...);
 * :mod:`repro.compress` — fpzip/zfp/lz-like floating-point coders;
@@ -24,12 +28,12 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
   Catalyst-like co-processing API;
 * :mod:`repro.perfmodel` — the "Blue Waters seconds" cost model calibrated
   against the paper's published numbers;
-* :mod:`repro.grid`, :mod:`repro.io` — domain decomposition and a BIL-like
-  dataset store;
+* :mod:`repro.io` — a BIL-like dataset store;
 * :mod:`repro.scenarios` — the named workload registry: the paper's two
   Blue Waters configurations plus parameterised storm families the paper
   never ran (squall line, multi-cell cluster, turbulence-only field,
   decaying storm) and weak/strong scaling sweeps derived from any entry;
+* :mod:`repro.serve` — the streaming NDJSON service and its replay cache;
 * :mod:`repro.experiments` — drivers regenerating every table and figure of
   the paper's evaluation section.
 
@@ -57,7 +61,6 @@ from repro.core import (
     adapt_percent,
 )
 from repro.cm1 import CM1Config, CM1Dataset, CM1Simulation
-from repro.grid import BlockBatch
 from repro.perfmodel import PlatformModel
 from repro.metrics import create_metric, default_registry
 from repro.scenarios import (
@@ -68,12 +71,11 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdaptationConfig",
     "AdaptationController",
-    "BlockBatch",
     "ExecutionEngine",
     "InSituPipeline",
     "PipelineConfig",

@@ -211,9 +211,10 @@ class RoundRobin(RedistributionStrategy):
 class RedistributionStep:
     """PipelineStep adapter around a :class:`RedistributionStrategy`.
 
-    The strategies stay independent of the step contract (they are also used
-    directly by the figure-5 experiments); this thin wrapper binds one
-    strategy to a communicator and reports the exchange as a collective.
+    The strategies stay independent of the step contract — they plan an
+    exchange and charge it on whatever communicator they are handed; this thin
+    wrapper binds one strategy to the pipeline's communicator and reports the
+    exchange as a collective.
     """
 
     name = "redistribution"

@@ -8,11 +8,11 @@ The vocabulary follows Section IV-A of the paper:
 * a **block** is a subarray of a subdomain.  The number of blocks per
   subdomain and the size of every block are constant across processes.
 
-:mod:`repro.grid.batch` adds the structure-of-arrays layouts:
-:class:`DecomposedField`, one snapshot as ``decompose`` hands it over
-(pre-stacked), :class:`BlockColumns`, one iteration's blocks as metadata columns
-plus stacked payload groups (the state the batched pipeline steps run on), and
-:class:`BlockBatch`, a lossless batch of equally-shaped blocks.
+:mod:`repro.grid.batch` adds the two structure-of-arrays layouts the pipeline
+runs on: :class:`DecomposedField`, one snapshot as ``decompose`` hands it over
+(pre-stacked), and :class:`BlockColumns`, one iteration's blocks as metadata
+columns plus stacked payload groups (the state the batched pipeline steps run
+on).
 """
 
 from repro.grid.rectilinear import RectilinearGrid
@@ -24,11 +24,9 @@ from repro.grid.block import (
     level_shape,
 )
 from repro.grid.batch import (
-    BlockBatch,
     BlockColumns,
     DecomposedField,
     group_positions_by_shape,
-    partition_by_shape,
 )
 from repro.grid.shm import (
     SharedBatchError,
@@ -62,11 +60,9 @@ __all__ = [
     "REDUCTION_LEVELS",
     "axis_sample_indices",
     "level_shape",
-    "BlockBatch",
     "BlockColumns",
     "DecomposedField",
     "group_positions_by_shape",
-    "partition_by_shape",
     "SharedBatchError",
     "SharedBlockBatch",
     "ShmBatchHandle",

@@ -134,8 +134,6 @@ class Block:
         Rank currently responsible for this block.
     home:
         Rank that originally produced the block (before redistribution).
-    reduced:
-        Whether the payload has been reduced (``level > 0``).
     score:
         Relevance score assigned by the scoring step, if any.
     field_name:
@@ -143,9 +141,7 @@ class Block:
     level:
         Rung of the reduction ladder the payload sits on: 0 = full
         resolution, 1 = strided downsample (:func:`axis_sample_indices`
-        per axis), 2 = 2×2×2 corners.  ``None`` (the default) derives the
-        level from ``reduced`` — 2 when reduced, 0 otherwise — so legacy
-        constructors keep their exact semantics.
+        per axis), 2 = 2×2×2 corners.  :attr:`reduced` is derived from it.
     """
 
     block_id: int
@@ -153,33 +149,29 @@ class Block:
     data: np.ndarray
     owner: int = 0
     home: int = 0
-    reduced: bool = False
     score: Optional[float] = None
     field_name: str = "dbz"
-    level: Optional[int] = None
+    level: int = 0
 
     def __post_init__(self) -> None:
         if self.block_id < 0:
             raise ValueError(f"block_id must be >= 0, got {self.block_id}")
-        if self.level is None:
-            level = 2 if self.reduced else 0
-        else:
-            level = int(self.level)
-            if level not in REDUCTION_LEVELS:
-                raise ValueError(
-                    f"level must be one of {REDUCTION_LEVELS}, got {self.level}"
-                )
-            if (level > 0) != bool(self.reduced):
-                raise ValueError(
-                    f"inconsistent block state: level={level} requires "
-                    f"reduced={level > 0}, got reduced={self.reduced}"
-                )
+        level = int(self.level)
+        if level not in REDUCTION_LEVELS:
+            raise ValueError(
+                f"level must be one of {REDUCTION_LEVELS}, got {self.level}"
+            )
         object.__setattr__(self, "level", level)
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"block data must be 3-D, got shape {data.shape}")
         check_level_payload(level, self.extent.shape, data.shape)
         object.__setattr__(self, "data", data)
+
+    @property
+    def reduced(self) -> bool:
+        """Whether the payload has been reduced (``level > 0``)."""
+        return self.level > 0
 
     @property
     def nbytes(self) -> int:
@@ -225,7 +217,7 @@ class Block:
         level = int(level)
         data = np.asarray(data)
         check_level_payload(level, self.extent.shape, data.shape)
-        return self._clone_with(data=data, reduced=level > 0, level=level)
+        return self._clone_with(data=data, level=level)
 
     def value_range(self) -> Tuple[float, float]:
         """(min, max) of the payload values."""

@@ -7,7 +7,7 @@ parent copies it **once** into a ``multiprocessing.shared_memory`` segment
 and workers map the same physical pages.  :class:`SharedBlockBatch` wraps
 that segment with an explicit lifecycle:
 
-``create``/``from_batch``
+``create``
     Parent-side: allocate a segment, copy the payload in, become the *owner*.
 ``handle()`` / pickling
     Produces a tiny :class:`ShmBatchHandle` (segment name + shape + dtype);
@@ -42,12 +42,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-from repro.grid.batch import BlockBatch
-from repro.grid.block import Block
 
 __all__ = [
     "ShmBatchHandle",
@@ -113,11 +110,9 @@ def purge_owned_segments() -> Tuple[str, ...]:
 class SharedBlockBatch:
     """A stacked payload array living in OS shared memory.
 
-    Instances come in two flavours: *owners* (built by :meth:`create` /
-    :meth:`from_batch`, responsible for :meth:`unlink`) and *views* (built
-    by :meth:`attach` or by unpickling, responsible only for :meth:`close`).
-    ``batch`` metadata (ids, extents, owners, scores, ...) is optional and
-    always travels by value — only the payload crosses zero-copy.
+    Instances come in two flavours: *owners* (built by :meth:`create`,
+    responsible for :meth:`unlink`) and *views* (built by :meth:`attach` or by
+    unpickling, responsible only for :meth:`close`).
     """
 
     def __init__(
@@ -126,7 +121,6 @@ class SharedBlockBatch:
         shape: Tuple[int, ...],
         dtype: np.dtype,
         owner: bool,
-        meta: Optional[BlockBatch] = None,
     ) -> None:
         self._shm: Optional[shared_memory.SharedMemory] = shm
         self._name = shm.name
@@ -134,7 +128,6 @@ class SharedBlockBatch:
         self._dtype = np.dtype(dtype)
         self._owner = bool(owner)
         self._unlinked = False
-        self._meta = meta
         view = np.ndarray(self._shape, dtype=self._dtype, buffer=shm.buf)
         if not owner:
             view.setflags(write=False)
@@ -159,18 +152,6 @@ class SharedBlockBatch:
         return batch
 
     @classmethod
-    def from_batch(cls, batch: BlockBatch) -> "SharedBlockBatch":
-        """Share a :class:`BlockBatch`'s payload, keeping its metadata by value."""
-        shared = cls.create(batch.data)
-        shared._meta = batch
-        return shared
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[Block]) -> "SharedBlockBatch":
-        """Stack equally-shaped ``blocks`` and share the result."""
-        return cls.from_batch(BlockBatch.from_blocks(blocks))
-
-    @classmethod
     def attach(cls, handle: ShmBatchHandle) -> "SharedBlockBatch":
         """Map an existing segment by handle (worker side, read-only view)."""
         try:
@@ -193,22 +174,6 @@ class SharedBlockBatch:
                 "shared batch is closed; its payload view is no longer mapped"
             )
         return self._data
-
-    @property
-    def batch(self) -> BlockBatch:
-        """A :class:`BlockBatch` whose ``data`` is the shared view.
-
-        Only available when built via :meth:`from_batch`/:meth:`from_blocks`
-        (the metadata arrays travel by value through pickling).
-        """
-        if self._meta is None:
-            raise SharedBatchError(
-                "shared batch carries no block metadata (built from a bare "
-                "payload array); use .data instead"
-            )
-        from dataclasses import replace
-
-        return replace(self._meta, data=self.data)
 
     @property
     def owner(self) -> bool:

@@ -1,53 +1,28 @@
-"""A simulated MPI runtime.
+"""The pipeline's modelled communication.
 
-The paper runs on Blue Waters with real MPI; this environment has neither, so
-``repro.simmpi`` provides two complementary substitutes:
+The paper runs on Blue Waters with real MPI; this environment has neither.
+The pipeline communicates three times per iteration — one gather and one
+broadcast for the global sort (Section IV-C), one personalised all-to-all for
+the redistribution — and this package is what it issues and prices them with:
 
-* :class:`BSPCommunicator` — a bulk-synchronous, driver-side communicator.
-  The caller holds per-rank values in Python lists indexed by rank and the
-  communicator implements the MPI collective *semantics* over those lists
-  while charging modelled communication time to per-rank virtual clocks
-  through a latency/bandwidth :class:`NetworkCostModel`.  The core pipeline
-  uses this layer: it scales to hundreds of virtual ranks in a single
-  process and is fully deterministic.
-
-* :class:`SimRuntime` / :class:`RankCommunicator` /
-  :class:`ProcessRankCommunicator` — an SPMD runtime with an mpi4py-like API
-  (``send``/``recv``/``isend``/``bcast``/``gather``/``allreduce``/...).
-  Each virtual rank runs the same function in its own thread
-  (``mode="thread"``, the default) or its own OS process
-  (``mode="process"``, for GIL-bound rank code), which is convenient for
-  writing code that looks like real MPI programs (examples and tests use it
-  at small rank counts).
-
-Both layers share :class:`NetworkCostModel` and :class:`VirtualClocks`.
+* :class:`NetworkCostModel` — the latency/bandwidth price of those three
+  collectives;
+* :class:`BSPCommunicator` — the driver-side communicator: per-rank values
+  live in lists indexed by rank, each collective returns the per-rank results
+  and records its modelled cost.  Single-threaded, deterministic, and cheap at
+  hundreds of virtual ranks;
+* :func:`parallel_sort_pairs` / :func:`parallel_sort_pairs_numpy` — the
+  gather–sort–broadcast of the ``<block id, score>`` pairs, as the ``serial``
+  backend and the batched backends run it.
 """
 
 from repro.simmpi.costmodel import NetworkCostModel
-from repro.simmpi.timing import VirtualClocks
 from repro.simmpi.communicator import BSPCommunicator
-from repro.simmpi.runtime import RankResult, SimRuntime, SPMDError
-from repro.simmpi.rankcomm import RankCommunicator
-from repro.simmpi.processcomm import ProcessRankCommunicator, RemoteRankError
-from repro.simmpi.requests import Request
-from repro.simmpi.sort import (
-    parallel_sort_pairs,
-    parallel_sort_pairs_numpy,
-    sample_sort,
-)
+from repro.simmpi.sort import parallel_sort_pairs, parallel_sort_pairs_numpy
 
 __all__ = [
     "NetworkCostModel",
-    "VirtualClocks",
     "BSPCommunicator",
-    "SimRuntime",
-    "SPMDError",
-    "RankResult",
-    "RankCommunicator",
-    "ProcessRankCommunicator",
-    "RemoteRankError",
-    "Request",
     "parallel_sort_pairs",
     "parallel_sort_pairs_numpy",
-    "sample_sort",
 ]

@@ -1,8 +1,9 @@
 """Latency/bandwidth network cost model.
 
 The model is the classic ``alpha + n * beta`` (Hockney) model: a message of
-``n`` bytes costs ``latency + n / bandwidth`` seconds.  Collectives are priced
-with standard tree/ring algorithm formulas.  Default parameters approximate
+``n`` bytes costs ``latency + n / bandwidth`` seconds.  The collectives the
+pipeline issues — broadcast, gather, personalised all-to-all — are priced with
+standard binomial-tree / busiest-rank formulas.  Default parameters approximate
 the Cray Gemini interconnect of Blue Waters, which is what makes the paper's
 observation reproducible that block redistribution costs ~1 s while rendering
 costs tens to hundreds of seconds.
@@ -51,26 +52,10 @@ class NetworkCostModel:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         return self.latency + nbytes / self.bandwidth
 
-    def p2p_batch(self, nbytes: "np.ndarray") -> "np.ndarray":
-        """Vectorised :meth:`p2p`: per-message costs of a byte-count array.
-
-        Sweeps price thousands of messages per virtual iteration; this prices
-        them all in one NumPy pass, elementwise identical to :meth:`p2p`.
-        """
-        arr = np.asarray(nbytes)
-        if arr.size and arr.min() < 0:
-            raise ValueError(f"nbytes must be >= 0, got {arr.min()}")
-        return self.latency + arr / self.bandwidth
-
     # -- collectives ----------------------------------------------------------
 
     def _log2p(self, nranks: int) -> float:
         return max(1.0, math.ceil(math.log2(max(nranks, 2))))
-
-    def barrier(self, nranks: int) -> float:
-        """Dissemination barrier: ``ceil(log2 P)`` latency-bound rounds."""
-        self._check_ranks(nranks)
-        return self._log2p(nranks) * self.latency + self.per_rank_overhead
 
     def bcast(self, nbytes: int, nranks: int) -> float:
         """Binomial-tree broadcast of ``nbytes`` to ``nranks`` ranks."""
@@ -79,18 +64,6 @@ class NetworkCostModel:
             return 0.0
         rounds = self._log2p(nranks)
         return rounds * self.p2p(nbytes) + self.per_rank_overhead
-
-    def reduce(self, nbytes: int, nranks: int) -> float:
-        """Binomial-tree reduction (same shape as broadcast)."""
-        return self.bcast(nbytes, nranks)
-
-    def allreduce(self, nbytes: int, nranks: int) -> float:
-        """Reduce + broadcast (recursive doubling upper bound)."""
-        self._check_ranks(nranks)
-        if nranks == 1:
-            return 0.0
-        rounds = self._log2p(nranks)
-        return 2.0 * rounds * self.p2p(nbytes) + self.per_rank_overhead
 
     def gather(self, nbytes_per_rank: int, nranks: int) -> float:
         """Gather of ``nbytes_per_rank`` from every rank to the root.
@@ -104,18 +77,6 @@ class NetworkCostModel:
             return 0.0
         total = nbytes_per_rank * (nranks - 1)
         return self._log2p(nranks) * self.latency + total / self.bandwidth + self.per_rank_overhead
-
-    def allgather(self, nbytes_per_rank: int, nranks: int) -> float:
-        """Ring allgather: every rank ends with ``P * nbytes`` of data."""
-        self._check_ranks(nranks)
-        if nranks == 1:
-            return 0.0
-        total = nbytes_per_rank * (nranks - 1)
-        return (nranks - 1) * self.latency + total / self.bandwidth + self.per_rank_overhead
-
-    def scatter(self, nbytes_per_rank: int, nranks: int) -> float:
-        """Scatter from the root (mirror of gather)."""
-        return self.gather(nbytes_per_rank, nranks)
 
     def alltoallv(self, send_matrix_bytes, nranks: int) -> float:
         """Personalised all-to-all given a ``P x P`` byte matrix.

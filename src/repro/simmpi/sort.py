@@ -1,22 +1,19 @@
-"""Distributed sorting of ``<block id, score>`` pairs.
+"""The global sort of ``<block id, score>`` pairs.
 
-The paper globally sorts the score pairs of all blocks by increasing score
-(ties broken by id) and broadcasts the sorted list back to every process
-(Section IV-C).  Both rooted implementations take each rank's pairs as tuples
-or already in wire form, an ``(n, 2)`` float64 array of ``(id, score)`` rows:
+The paper sorts the score pairs of all blocks by increasing score (ties broken
+by id) at one process and broadcasts the sorted list back to every process
+(Section IV-C): one gather, one broadcast.  Two implementations of that scheme
+on a :class:`~repro.simmpi.communicator.BSPCommunicator`, each taking a rank's
+pairs as tuples or already in wire form, an ``(n, 2)`` float64 array of
+``(id, score)`` rows:
 
-* :func:`parallel_sort_pairs` — the paper's gather–sort–broadcast scheme on a
-  :class:`~repro.simmpi.communicator.BSPCommunicator` (rank 0 sorts); this is
-  what the serial engine backend uses and what the cost model prices.
-* :func:`parallel_sort_pairs_numpy` — the same scheme with the root's sort
-  done by ``np.lexsort`` over the gathered arrays instead of a Python
-  ``sorted`` over tuples.  The communication pattern (one gather of per-rank
-  wire arrays, one broadcast of the sorted ``(N, 2)`` array) is identical call
-  for call and byte for byte, so the modelled communication seconds are
-  unchanged and the result list is bitwise equal.  The batched backends' path.
-* :func:`sample_sort` — a classic sample sort that keeps the data distributed,
-  provided for the "larger scale / slower network" future-work ablation the
-  paper mentions in its conclusion.
+* :func:`parallel_sort_pairs` — rank 0 sorts Python tuples; what the ``serial``
+  backend runs, and the reference for the other.
+* :func:`parallel_sort_pairs_numpy` — rank 0 sorts with one ``np.lexsort`` over
+  the gathered arrays; what the batched backends run.  The communication (one
+  gather of per-rank wire arrays, one broadcast of the sorted ``(N, 2)`` array)
+  is identical call for call and byte for byte, so the modelled seconds are
+  the same and the result list is bitwise equal.
 """
 
 from __future__ import annotations
@@ -114,73 +111,3 @@ def parallel_sort_pairs_numpy(
     sorted_arr = np.ascontiguousarray(merged[order])
     shared = pairs_from_wire(comm.bcast(sorted_arr, root=0)[0])
     return [shared for _ in range(comm.nranks)]
-
-
-def sample_sort(
-    comm: BSPCommunicator,
-    per_rank_pairs: Sequence[Sequence[ScorePair]],
-    oversampling: int = 4,
-) -> List[List[ScorePair]]:
-    """Distributed sample sort of ``(block_id, score)`` pairs.
-
-    Unlike :func:`parallel_sort_pairs`, the result stays distributed: rank
-    ``r`` ends up with the ``r``-th contiguous chunk of the global ascending
-    order.  Chunk sizes may differ by a few elements (they are determined by
-    the sampled splitters), but concatenating the per-rank outputs in rank
-    order yields the exact global sort.
-
-    Parameters
-    ----------
-    oversampling:
-        Number of local samples each rank contributes per splitter; larger
-        values give better balance at slightly higher sampling cost.
-    """
-    nranks = comm.nranks
-    if len(per_rank_pairs) != nranks:
-        raise ValueError(f"expected pairs for {nranks} ranks, got {len(per_rank_pairs)}")
-    if oversampling < 1:
-        raise ValueError(f"oversampling must be >= 1, got {oversampling}")
-    local_sorted = [_sort_key(pairs) for pairs in per_rank_pairs]
-    if nranks == 1:
-        return [list(local_sorted[0])]
-
-    # 1. Each rank samples its local data.
-    def take_samples(pairs: Sequence[ScorePair]) -> List[float]:
-        if not pairs:
-            return []
-        count = min(len(pairs), oversampling * (nranks - 1))
-        idx = np.linspace(0, len(pairs) - 1, count).astype(int)
-        return [pairs[i][1] for i in idx]
-
-    samples_per_rank = [take_samples(p) for p in local_sorted]
-    all_samples = comm.allgather(samples_per_rank)[0]
-    flat = sorted(s for rank_samples in all_samples for s in rank_samples)
-    if not flat:
-        return [list(p) for p in local_sorted]
-
-    # 2. Choose nranks-1 splitters from the gathered samples.
-    splitters = [
-        flat[min(len(flat) - 1, (i + 1) * len(flat) // nranks)] for i in range(nranks - 1)
-    ]
-
-    # 3. Partition local data by splitter and exchange.
-    def partition(pairs: Sequence[ScorePair]) -> List[List[ScorePair]]:
-        buckets: List[List[ScorePair]] = [[] for _ in range(nranks)]
-        for pair in pairs:
-            dest = int(np.searchsorted(splitters, pair[1], side="right"))
-            buckets[dest].append(pair)
-        return buckets
-
-    send_lists = [partition(p) for p in local_sorted]
-    recv = comm.alltoallv(send_lists)
-
-    # 4. Each rank merges what it received.
-    out: List[List[ScorePair]] = []
-    for r in range(nranks):
-        merged: List[ScorePair] = []
-        for src in range(nranks):
-            payload = recv[r][src]
-            if payload:
-                merged.extend(payload)
-        out.append(_sort_key(merged))
-    return out

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+import repro.simmpi
 
 
 def _modules_with_all():
@@ -27,3 +30,20 @@ def test_all_names_resolve_and_are_unique(module_name):
     # getattr, not dir(): some modules resolve exports lazily (ENGINE_BACKENDS).
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ exports undefined names: {missing}"
+
+
+def test_simmpi_exports_only_what_the_pipeline_uses():
+    """``repro.simmpi`` is what the pipeline charges its communication with and
+    nothing else: every exported name is referenced by a module outside it."""
+    root = Path(repro.__file__).parent
+    outside = "\n".join(
+        path.read_text()
+        for path in root.rglob("*.py")
+        if path.parent != root / "simmpi"
+    )
+    unused = [
+        name
+        for name in repro.simmpi.__all__
+        if not re.search(rf"\b{name}\b", outside)
+    ]
+    assert not unused, f"repro.simmpi exports names no pipeline module uses: {unused}"

@@ -121,9 +121,9 @@ class TestBlock:
 
     def test_reduced_block_must_be_2x2x2(self):
         ext = BlockExtent((0, 0, 0), (5, 5, 5))
-        Block(0, ext, np.zeros((2, 2, 2)), reduced=True)
+        Block(0, ext, np.zeros((2, 2, 2)), level=2)
         with pytest.raises(ValueError):
-            Block(0, ext, np.zeros((3, 3, 3)), reduced=True)
+            Block(0, ext, np.zeros((3, 3, 3)), level=2)
 
     def test_with_owner_and_score(self):
         ext = BlockExtent((0, 0, 0), (2, 2, 2))
@@ -579,15 +579,15 @@ class TestReductionLadder:
     def test_block_level_validation(self):
         ext = BlockExtent((0, 0, 0), (6, 6, 4))
         data = np.zeros((6, 6, 4))
-        # Legacy constructor: reduced=True without a level means level 2.
-        legacy = Block(0, ext, np.zeros((2, 2, 2)), reduced=True)
-        assert legacy.level == 2
+        corners = Block(0, ext, np.zeros((2, 2, 2)), level=2)
+        assert corners.level == 2 and corners.reduced
         with pytest.raises(ValueError):
             Block(0, ext, data, level=3)
-        # Inconsistent (level, reduced) combinations are rejected.
-        with pytest.raises(ValueError):
+        # ``level`` is the one stored field: ``reduced`` is derived from it and
+        # is not a constructor argument, so the two can never disagree.
+        with pytest.raises(TypeError):
             Block(0, ext, data, reduced=True, level=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Block(0, ext, np.zeros((2, 2, 2)), reduced=False, level=2)
         # Payload shape must match the declared level.
         with pytest.raises(ValueError):

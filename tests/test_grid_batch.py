@@ -1,11 +1,11 @@
-"""Tests for the BlockBatch structure-of-arrays container."""
+"""Tests for the columnar layouts of ``repro.grid.batch`` and the batched ladder kernels."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.grid.batch import BlockBatch, DecomposedField, partition_by_shape
+from repro.grid.batch import BlockColumns, DecomposedField
 from repro.grid.block import Block, BlockExtent
 
 
@@ -19,111 +19,46 @@ def make_block(block_id, shape=(4, 3, 2), offset=0, dtype=np.float32, **kwargs):
     return Block(block_id=block_id, extent=extent, data=data, **kwargs)
 
 
-class TestBlockBatchRoundTrip:
-    def test_lossless_round_trip(self):
-        blocks = [
-            make_block(0, owner=1, home=2, field_name="qv"),
-            make_block(1, offset=4).with_score(3.25),
-            make_block(2, offset=8),
-        ]
-        batch = BlockBatch.from_blocks(blocks)
-        rebuilt = batch.to_blocks()
-        assert len(rebuilt) == len(blocks)
-        for original, copy in zip(blocks, rebuilt):
-            assert copy.block_id == original.block_id
-            assert copy.extent == original.extent
-            assert copy.owner == original.owner
-            assert copy.home == original.home
-            assert copy.reduced == original.reduced
-            assert copy.score == original.score
-            assert copy.field_name == original.field_name
-            assert copy.data.dtype == original.data.dtype
-            np.testing.assert_array_equal(copy.data, original.data)
-
-    def test_round_trip_preserves_nan_score(self):
-        blocks = [make_block(0).with_score(float("nan")), make_block(1, offset=4)]
-        rebuilt = BlockBatch.from_blocks(blocks).to_blocks()
-        assert np.isnan(rebuilt[0].score)
-        assert rebuilt[1].score is None
-
-    def test_round_trip_reduced_blocks(self):
-        block = make_block(0, shape=(4, 4, 4))
-        from repro.grid.reduction import reduce_block
-
-        reduced = reduce_block(block)
-        rebuilt = BlockBatch.from_blocks([reduced]).to_blocks()[0]
-        assert rebuilt.reduced
-        np.testing.assert_array_equal(rebuilt.data, reduced.data)
-
-    def test_payloads_are_copies(self):
-        blocks = [make_block(0)]
-        batch = BlockBatch.from_blocks(blocks)
-        rebuilt = batch.to_blocks()[0]
-        batch.data[0, 0, 0, 0] = 1e9
-        assert rebuilt.data[0, 0, 0] != 1e9
-
-
-class TestBlockBatchProperties:
-    def test_shape_and_counts(self):
-        blocks = [make_block(i, offset=4 * i) for i in range(3)]
-        batch = BlockBatch.from_blocks(blocks)
-        assert batch.nblocks == 3
-        assert batch.block_shape == (4, 3, 2)
-        assert batch.npoints == 3 * 4 * 3 * 2
-        assert batch.nbytes == sum(b.nbytes for b in blocks)
-        assert batch.flat_data.shape == (3, 24)
-
-    def test_with_scores(self):
-        blocks = [make_block(i, offset=4 * i) for i in range(2)]
-        batch = BlockBatch.from_blocks(blocks).with_scores(np.array([1.0, 2.0]))
-        assert batch.score_mask.all()
-        assert [b.score for b in batch.to_blocks()] == [1.0, 2.0]
-
-    def test_with_scores_wrong_shape(self):
-        batch = BlockBatch.from_blocks([make_block(0)])
-        with pytest.raises(ValueError):
-            batch.with_scores(np.array([1.0, 2.0]))
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            BlockBatch.from_blocks([])
-
-    def test_mixed_shapes_rejected(self):
-        blocks = [make_block(0), make_block(1, shape=(5, 3, 2), offset=4)]
-        with pytest.raises(ValueError):
-            BlockBatch.from_blocks(blocks)
-
-
 class TestBatchReductionLadder:
-    """Batched ladder kernels and level metadata through BlockBatch."""
+    """Batched ladder kernels and level metadata through BlockColumns."""
+
+    @staticmethod
+    def round_trip(blocks):
+        """The blocks as one rank's columns, every row written (so every block
+        is rebuilt from the columns), and back."""
+        columns = BlockColumns([blocks])
+        assert len(columns.groups) == 1  # one payload shape, one stacked group
+        columns.set_scores(np.arange(len(blocks), dtype=np.float64))
+        (rebuilt,) = columns.to_ranks()
+        assert all(copy is not block for copy, block in zip(rebuilt, blocks))
+        return columns, rebuilt
 
     def test_levels_round_trip(self):
         from repro.grid.reduction import reduce_block
 
         # A full 3x3x3 block and the level-1 payload of a 4x4x4 block share
-        # the payload shape (3, 3, 3), so they stack into one batch.
+        # the payload shape (3, 3, 3), so they stack into one group.
         full = make_block(0, shape=(3, 3, 3), dtype=np.float64)
         lvl1 = reduce_block(make_block(1, shape=(4, 4, 4), offset=4, dtype=np.float64), level=1)
-        rebuilt = BlockBatch.from_blocks([full, lvl1]).to_blocks()
+        _, rebuilt = self.round_trip([full, lvl1])
         assert [b.level for b in rebuilt] == [0, 1]
         assert [b.reduced for b in rebuilt] == [False, True]
         np.testing.assert_array_equal(rebuilt[1].data, lvl1.data)
 
     def test_mixed_levels_in_one_shape_group(self):
-        """Blocks of different ladder levels can share one batch group.
+        """Blocks of different ladder levels can share one payload group.
 
         A level-2 payload is always 2x2x2, and a level-1 payload of a 3x3x3
-        block is *also* 2x2x2 — the batch groups by payload shape, so both
-        land in the same group and the ``levels`` array must keep them apart.
+        block is *also* 2x2x2 — payloads are grouped by shape, so both land in
+        the same group and the ``levels`` column must keep them apart.
         """
         from repro.grid.reduction import reduce_block
 
         lvl2 = reduce_block(make_block(0, shape=(4, 4, 4), dtype=np.float64), level=2)
         lvl1 = reduce_block(make_block(1, shape=(3, 3, 3), offset=4, dtype=np.float64), level=1)
         assert lvl2.data.shape == lvl1.data.shape == (2, 2, 2)
-        batch = BlockBatch.from_blocks([lvl2, lvl1])
-        assert list(batch.levels) == [2, 1]
-        rebuilt = batch.to_blocks()
+        columns, rebuilt = self.round_trip([lvl2, lvl1])
+        assert columns.levels.tolist() == [2, 1]
         assert [b.level for b in rebuilt] == [2, 1]
         assert all(b.reduced for b in rebuilt)
 
@@ -170,32 +105,6 @@ class TestBatchReductionLadder:
             rebuilt[:, ix[:, None, None], iy[None, :, None], iz[None, None, :]],
             stack[:, ix[:, None, None], iy[None, :, None], iz[None, None, :]],
         )
-
-
-class TestPartitionByShape:
-    def test_groups_cover_all_positions(self):
-        blocks = [
-            make_block(0),
-            make_block(1, shape=(5, 3, 2), offset=4),
-            make_block(2, offset=9),
-            make_block(3, shape=(5, 3, 2), offset=13),
-        ]
-        groups = partition_by_shape(blocks)
-        assert len(groups) == 2
-        covered = sorted(i for indices, _ in groups for i in indices)
-        assert covered == [0, 1, 2, 3]
-        for indices, batch in groups:
-            assert batch.nblocks == len(indices)
-            for row, position in enumerate(indices):
-                np.testing.assert_array_equal(batch.data[row], blocks[position].data)
-
-    def test_groups_split_by_dtype(self):
-        blocks = [make_block(0), make_block(1, offset=4, dtype=np.float64)]
-        groups = partition_by_shape(blocks)
-        assert len(groups) == 2
-
-    def test_empty_input(self):
-        assert partition_by_shape([]) == []
 
 
 class TestDecomposedFieldValidation:

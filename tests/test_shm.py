@@ -35,20 +35,6 @@ def _payload(seed: int = 0, shape=(3, 4, 5, 6)) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=shape)
 
 
-def _blocks(n: int = 3, shape=(4, 4, 4)):
-    sx, sy, sz = shape
-    rng = np.random.default_rng(7)
-    return [
-        Block(
-            block_id=i,
-            extent=BlockExtent((i * sx, 0, 0), ((i + 1) * sx, sy, sz)),
-            data=rng.normal(size=shape),
-            owner=i % 2,
-        )
-        for i in range(n)
-    ]
-
-
 class ExplodingMetric(ScoreMetric):
     """Module-level (picklable) metric that always fails inside the worker."""
 
@@ -177,35 +163,6 @@ class TestSharedBlockBatchLifecycle:
             name = shared.name
             assert name in live_owned_segments()
         assert name not in live_owned_segments()
-
-    def test_from_blocks_carries_metadata(self):
-        blocks = _blocks()
-        with SharedBlockBatch.from_blocks(blocks) as shared:
-            batch = shared.batch
-            assert batch.nblocks == len(blocks)
-            assert list(batch.block_ids) == [b.block_id for b in blocks]
-            stacked = np.stack([b.data for b in blocks])
-            assert np.array_equal(batch.data, stacked)
-            # The batch's payload IS the shared view, not a copy.
-            assert batch.data.ctypes.data == shared.data.ctypes.data
-
-    def test_bare_payload_has_no_batch(self):
-        with SharedBlockBatch.create(_payload()) as shared:
-            with pytest.raises(SharedBatchError, match="no block metadata"):
-                shared.batch
-
-    def test_from_blocks_carries_reduction_levels(self):
-        """Level-1 payloads ship through shm with their ladder level intact."""
-        from repro.grid.reduction import reduce_block
-
-        blocks = [reduce_block(b, level=1) for b in _blocks(shape=(5, 4, 4))]
-        with SharedBlockBatch.from_blocks(blocks) as shared:
-            batch = shared.batch
-            assert list(batch.levels) == [1] * len(blocks)
-            rebuilt = batch.to_blocks()
-            for original, copy in zip(blocks, rebuilt):
-                assert copy.level == 1 and copy.reduced
-                np.testing.assert_array_equal(copy.data, original.data)
 
 
 class TestLeakAccounting:

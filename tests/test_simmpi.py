@@ -1,9 +1,6 @@
-"""Tests for repro.simmpi: cost model, clocks, BSP communicator, SPMD runtime, sort."""
+"""Tests for repro.simmpi: cost model, BSP communicator, the two sort twins."""
 
 from __future__ import annotations
-
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -11,15 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simmpi.communicator import BSPCommunicator, _payload_nbytes
 from repro.simmpi.costmodel import NetworkCostModel
-from repro.simmpi.rankcomm import RankCommunicator
-from repro.simmpi.processcomm import RemoteRankError
-from repro.simmpi.runtime import SimRuntime, SPMDError
-from repro.simmpi.sort import (
-    parallel_sort_pairs,
-    parallel_sort_pairs_numpy,
-    sample_sort,
-)
-from repro.simmpi.timing import VirtualClocks
+from repro.simmpi.sort import parallel_sort_pairs, parallel_sort_pairs_numpy
 
 
 class TestNetworkCostModel:
@@ -34,16 +23,11 @@ class TestNetworkCostModel:
     def test_single_rank_collectives_free(self):
         model = NetworkCostModel()
         assert model.bcast(1000, 1) == 0.0
-        assert model.allgather(1000, 1) == 0.0
-        assert model.allreduce(1000, 1) == 0.0
+        assert model.gather(1000, 1) == 0.0
 
     def test_bcast_grows_with_ranks(self):
         model = NetworkCostModel()
         assert model.bcast(1 << 20, 64) >= model.bcast(1 << 20, 4)
-
-    def test_allreduce_about_twice_bcast(self):
-        model = NetworkCostModel(per_rank_overhead=0.0)
-        assert model.allreduce(1 << 20, 16) == pytest.approx(2 * model.bcast(1 << 20, 16))
 
     def test_gather_scales_with_total_volume(self):
         model = NetworkCostModel()
@@ -73,45 +57,7 @@ class TestNetworkCostModel:
 
 
 class TestNetworkCostModelBatch:
-    """The batch/vectorised pricing paths must match their scalar references."""
-
-    def test_p2p_batch_matches_p2p_elementwise(self):
-        model = NetworkCostModel.blue_waters()
-        sizes = np.array([0, 1, 17, 1024, 1 << 20, 1 << 30], dtype=np.int64)
-        batch = model.p2p_batch(sizes)
-        assert batch.shape == sizes.shape
-        for size, cost in zip(sizes, batch):
-            assert cost == model.p2p(int(size))
-
-    def test_p2p_batch_accepts_lists_and_empty(self):
-        model = NetworkCostModel()
-        assert model.p2p_batch([100])[0] == model.p2p(100)
-        assert model.p2p_batch(np.array([], dtype=np.int64)).size == 0
-
-    def test_p2p_batch_negative_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkCostModel().p2p_batch(np.array([10, -1, 5]))
-
-    def test_barrier_single_rank(self):
-        model = NetworkCostModel(latency=1e-6, per_rank_overhead=1e-5)
-        # _log2p clamps to one dissemination round even for P=1.
-        assert model.barrier(1) == pytest.approx(1e-6 + 1e-5)
-
-    def test_barrier_huge_rank_count(self):
-        model = NetworkCostModel(latency=1e-6, per_rank_overhead=0.0)
-        # ceil(log2(2^20)) = 20 rounds, nothing else.
-        assert model.barrier(1 << 20) == pytest.approx(20 * 1e-6)
-
-    def test_barrier_monotone_in_ranks(self):
-        model = NetworkCostModel()
-        costs = [model.barrier(p) for p in (1, 2, 64, 4096, 1 << 20)]
-        assert costs == sorted(costs)
-
-    def test_scatter_edges_mirror_gather(self):
-        model = NetworkCostModel()
-        assert model.scatter(1 << 20, 1) == 0.0
-        for nranks in (2, 64, 1 << 16):
-            assert model.scatter(1 << 10, nranks) == model.gather(1 << 10, nranks)
+    """The vectorised all-to-all pricing must match its loop reference."""
 
     def test_alltoallv_shape_validated(self):
         with pytest.raises(ValueError):
@@ -162,52 +108,6 @@ class TestNetworkCostModelBatch:
         assert model.alltoallv(matrix, nranks) == model.alltoallv_loop(matrix, nranks)
 
 
-class TestVirtualClocks:
-    def test_advance_and_query(self):
-        clocks = VirtualClocks(4)
-        clocks.advance(1, 2.0)
-        assert clocks.time(1) == 2.0
-        assert clocks.time(0) == 0.0
-        assert clocks.max_time() == 2.0
-
-    def test_advance_all(self):
-        clocks = VirtualClocks(3)
-        clocks.advance_all([1.0, 2.0, 3.0])
-        assert clocks.times() == [1.0, 2.0, 3.0]
-
-    def test_synchronize_jumps_to_max_plus_cost(self):
-        clocks = VirtualClocks(3)
-        clocks.advance_all([1.0, 5.0, 3.0])
-        t = clocks.synchronize(cost=0.5)
-        assert t == pytest.approx(5.5)
-        assert clocks.times() == [5.5, 5.5, 5.5]
-
-    def test_synchronize_subset(self):
-        clocks = VirtualClocks(4)
-        clocks.advance_all([1.0, 2.0, 3.0, 10.0])
-        clocks.synchronize(cost=0.0, ranks=[0, 1, 2])
-        assert clocks.time(0) == 3.0
-        assert clocks.time(3) == 10.0
-
-    def test_imbalance(self):
-        clocks = VirtualClocks(2)
-        clocks.advance_all([1.0, 3.0])
-        assert clocks.imbalance() == pytest.approx(1.5)
-
-    def test_negative_rejected(self):
-        clocks = VirtualClocks(2)
-        with pytest.raises(ValueError):
-            clocks.advance(0, -1.0)
-        with pytest.raises(ValueError):
-            clocks.synchronize(cost=-1.0)
-
-    def test_reset(self):
-        clocks = VirtualClocks(2)
-        clocks.advance(0, 1.0)
-        clocks.reset()
-        assert clocks.max_time() == 0.0
-
-
 class TestBSPCommunicator:
     def test_bcast_delivers_to_all(self):
         comm = BSPCommunicator(4)
@@ -219,26 +119,6 @@ class TestBSPCommunicator:
         out = comm.gather([10, 20, 30], root=1)
         assert out[1] == [10, 20, 30]
         assert out[0] is None and out[2] is None
-
-    def test_allgather(self):
-        comm = BSPCommunicator(3)
-        out = comm.allgather(["a", "b", "c"])
-        assert all(v == ["a", "b", "c"] for v in out)
-
-    def test_scatter(self):
-        comm = BSPCommunicator(3)
-        out = comm.scatter([1, 2, 3], root=0)
-        assert out == [1, 2, 3]
-
-    def test_allreduce_sum_default(self):
-        comm = BSPCommunicator(4)
-        out = comm.allreduce([1, 2, 3, 4])
-        assert out == [10, 10, 10, 10]
-
-    def test_reduce_custom_op(self):
-        comm = BSPCommunicator(3)
-        out = comm.reduce([5, 1, 7], op=max, root=2)
-        assert out[2] == 7 and out[0] is None
 
     def test_alltoallv_exchange(self):
         comm = BSPCommunicator(2)
@@ -254,7 +134,7 @@ class TestBSPCommunicator:
 
     def test_charge_alltoallv_is_what_alltoallv_charges(self):
         """The list form sizes its payloads and delegates to the matrix form:
-        same cost, same clocks, same stats; self-sends are never counted."""
+        same cost, same stats; self-sends are never counted."""
         a, b = np.zeros(10), np.zeros(25)
         by_lists = BSPCommunicator(2)
         by_lists.alltoallv([[a, b], [[a, a], None]])
@@ -265,25 +145,12 @@ class TestBSPCommunicator:
         assert by_matrix.stats["alltoallv"] == {
             "calls": 1.0, "bytes": 360.0, "seconds": cost,
         }
-        assert by_matrix.clocks.times() == by_lists.clocks.times() == [cost, cost]
 
     def test_charge_alltoallv_shape_validated(self):
         comm = BSPCommunicator(3)
         with pytest.raises(ValueError, match="shape"):
             comm.charge_alltoallv(np.zeros((2, 2), dtype=np.int64))
         assert comm.stats == {}
-
-    def test_clock_advances_with_collectives(self):
-        comm = BSPCommunicator(4)
-        before = comm.clocks.max_time()
-        comm.bcast(np.zeros(1000), root=0)
-        assert comm.clocks.max_time() > before
-        assert comm.communication_seconds() > 0
-
-    def test_compute_charges_per_rank(self):
-        comm = BSPCommunicator(2)
-        comm.compute([1.0, 3.0])
-        assert comm.clocks.times() == [1.0, 3.0]
 
     def test_value_count_validated(self):
         comm = BSPCommunicator(3)
@@ -292,10 +159,13 @@ class TestBSPCommunicator:
 
     def test_stats_tracking(self):
         comm = BSPCommunicator(2)
-        comm.barrier()
+        comm.gather([1, 2])
         comm.bcast(1)
-        assert comm.stats["barrier"]["calls"] == 1
+        assert comm.stats["gather"]["calls"] == 1
         assert comm.stats["bcast"]["calls"] == 1
+        assert comm.communication_seconds() == (
+            comm.stats["gather"]["seconds"] + comm.stats["bcast"]["seconds"]
+        ) > 0
         comm.reset_stats()
         assert comm.stats == {}
 
@@ -313,7 +183,7 @@ class TestBSPCommunicator:
 
         extent = BlockExtent((0, 0, 0), (3, 4, 5))
         full = Block(0, extent, np.zeros((3, 4, 5), dtype=np.float32))
-        corners = Block(1, extent, np.zeros((2, 2, 2), dtype=np.float32), reduced=True)
+        corners = Block(1, extent, np.zeros((2, 2, 2), dtype=np.float32), level=2)
         framed = _payload_nbytes([(1, 2.0), (3, 4.0)])
         with monkeypatch.context() as patched:
             patched.setattr(pickle, "dumps", None)
@@ -337,146 +207,6 @@ class TestBSPCommunicator:
 
         with pytest.raises(OSError):
             _payload_nbytes(Exploding())
-
-
-class TestSimRuntimeSPMD:
-    def test_allreduce_across_threads(self):
-        def program(comm):
-            return comm.allreduce(comm.Get_rank() + 1)
-
-        results = SimRuntime(4).run(program)
-        assert results == [10, 10, 10, 10]
-
-    def test_point_to_point_ring(self):
-        def program(comm):
-            rank, size = comm.Get_rank(), comm.Get_size()
-            comm.send(rank, dest=(rank + 1) % size, tag=5)
-            return comm.recv(source=(rank - 1) % size, tag=5)
-
-        results = SimRuntime(4).run(program)
-        assert results == [3, 0, 1, 2]
-
-    def test_isend_irecv(self):
-        def program(comm):
-            rank, size = comm.Get_rank(), comm.Get_size()
-            req_out = comm.isend(rank * 10, dest=(rank + 1) % size)
-            req_in = comm.irecv(source=(rank - 1) % size)
-            req_out.wait()
-            return req_in.wait()
-
-        results = SimRuntime(3).run(program)
-        assert results == [20, 0, 10]
-
-    def test_bcast_scatter_gather(self):
-        def program(comm):
-            rank = comm.Get_rank()
-            value = comm.bcast("payload" if rank == 0 else None, root=0)
-            part = comm.scatter([i * i for i in range(comm.Get_size())] if rank == 0 else None)
-            gathered = comm.gather(part, root=0)
-            return (value, part, gathered)
-
-        results = SimRuntime(3).run(program)
-        assert all(r[0] == "payload" for r in results)
-        assert [r[1] for r in results] == [0, 1, 4]
-        assert results[0][2] == [0, 1, 4]
-        assert results[1][2] is None
-
-    def test_alltoall(self):
-        def program(comm):
-            rank = comm.Get_rank()
-            return comm.alltoall([f"{rank}->{j}" for j in range(comm.Get_size())])
-
-        results = SimRuntime(3).run(program)
-        assert results[1] == ["0->1", "1->1", "2->1"]
-
-    def test_scan(self):
-        def program(comm):
-            return comm.scan(comm.Get_rank() + 1)
-
-        assert SimRuntime(4).run(program) == [1, 3, 6, 10]
-
-    def test_exception_propagates_as_spmd_error(self):
-        def program(comm):
-            if comm.Get_rank() == 1:
-                raise RuntimeError("boom")
-            return comm.Get_rank()
-
-        with pytest.raises(SPMDError):
-            SimRuntime(3, timeout=5.0).run(program)
-
-    def test_single_rank(self):
-        assert SimRuntime(1).run(lambda comm: comm.allreduce(5)) == [5]
-
-    def test_hung_ranks_share_one_join_deadline(self):
-        """N hung ranks fail after ~(timeout + grace), not N times that
-        (regression: each join used to wait its own full timeout)."""
-        import threading
-        import time
-
-        hang = threading.Event()  # released at the end of the test
-
-        def program(comm):
-            if comm.Get_rank() > 0:
-                hang.wait()
-            return comm.Get_rank()
-
-        runtime = SimRuntime(4, timeout=0.3, join_grace=0.2)
-        start = time.monotonic()
-        try:
-            with pytest.raises(SPMDError) as excinfo:
-                runtime.run(program)
-            elapsed = time.monotonic() - start
-            # The old per-thread accumulation took >= 3 * (timeout + grace).
-            assert elapsed < 2 * (runtime.timeout + runtime.join_grace)
-            assert {f.rank for f in excinfo.value.failures} == {1, 2, 3}
-            assert all(
-                isinstance(f.exception, TimeoutError)
-                for f in excinfo.value.failures
-            )
-        finally:
-            hang.set()
-
-    def test_join_grace_validated(self):
-        with pytest.raises(ValueError):
-            SimRuntime(2, join_grace=-1.0)
-
-    def test_raiser_and_hung_rank_reported_together(self):
-        """A hung rank must not mask a recorded exception (regression: the
-        synthetic TimeoutError used to be built from the hung set alone,
-        dropping the raiser that caused the hang in the first place)."""
-        hang = threading.Event()  # released at the end of the test
-
-        def program(comm):
-            rank = comm.Get_rank()
-            if rank == 1:
-                raise ValueError("root cause")
-            if rank == 2:
-                hang.wait()
-            return rank
-
-        runtime = SimRuntime(3, timeout=0.3, join_grace=0.2)
-        try:
-            with pytest.raises(SPMDError) as excinfo:
-                runtime.run(program)
-        finally:
-            hang.set()
-        failures = {f.rank: f.exception for f in excinfo.value.failures}
-        assert set(failures) == {1, 2}
-        assert isinstance(failures[1], ValueError)  # the root cause survives
-        assert isinstance(failures[2], TimeoutError)
-        # Failures arrive sorted by rank for a stable error message.
-        assert [f.rank for f in excinfo.value.failures] == [1, 2]
-
-    def test_raiser_not_duplicated_by_hang_accounting(self):
-        """A rank that raised *and* whose thread is gone is reported once."""
-
-        def program(comm):
-            raise RuntimeError(f"rank {comm.Get_rank()} failed")
-
-        with pytest.raises(SPMDError) as excinfo:
-            SimRuntime(3, timeout=2.0).run(program)
-        assert [f.rank for f in excinfo.value.failures] == [0, 1, 2]
-        assert all(isinstance(f.exception, RuntimeError) for f in excinfo.value.failures)
 
 
 class TestParallelSort:
@@ -508,27 +238,6 @@ class TestParallelSort:
         comm = BSPCommunicator(2)
         with pytest.raises(ValueError):
             parallel_sort_pairs(comm, [[(0, 1.0)]])
-
-    def test_sample_sort_concatenation_is_sorted(self):
-        comm = BSPCommunicator(4)
-        rng = np.random.default_rng(9)
-        per_rank = []
-        bid = 0
-        for _ in range(4):
-            pairs = []
-            for _ in range(20):
-                pairs.append((bid, float(rng.normal())))
-                bid += 1
-            per_rank.append(pairs)
-        out = sample_sort(comm, per_rank)
-        merged = [p for part in out for p in part]
-        flat = [p for pairs in per_rank for p in pairs]
-        assert merged == sorted(flat, key=lambda p: (p[1], p[0]))
-
-    def test_sample_sort_single_rank(self):
-        comm = BSPCommunicator(1)
-        out = sample_sort(comm, [[(1, 2.0), (0, 1.0)]])
-        assert out[0] == [(0, 1.0), (1, 2.0)]
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -615,108 +324,3 @@ class TestParallelSortNumpy:
         per_rank = [pairs[r::nranks] for r in range(nranks)]
         out = parallel_sort_pairs_numpy(comm, per_rank)
         assert out[0] == sorted(pairs, key=lambda p: (p[1], p[0]))
-
-
-# SPMD programs for the process runtime live at module level so they resolve
-# by qualified name in the rank processes regardless of start method.
-
-
-def _prog_allreduce(comm):
-    return comm.allreduce(comm.Get_rank() + 1)
-
-
-def _prog_ring(comm):
-    rank, size = comm.Get_rank(), comm.Get_size()
-    comm.send(rank, dest=(rank + 1) % size, tag=5)
-    return comm.recv(source=(rank - 1) % size, tag=5)
-
-
-def _prog_collectives(comm):
-    rank, size = comm.Get_rank(), comm.Get_size()
-    value = comm.bcast("payload" if rank == 0 else None, root=0)
-    part = comm.scatter([i * i for i in range(size)] if rank == 0 else None)
-    gathered = comm.gather(part, root=0)
-    everyone = comm.alltoall([f"{rank}->{j}" for j in range(size)])
-    prefix = comm.scan(rank + 1)
-    comm.barrier()
-    return (value, part, gathered, everyone, prefix)
-
-
-def _prog_sendrecv_swap(comm):
-    rank = comm.Get_rank()
-    partner = 1 - rank
-    return comm.sendrecv(f"from {rank}", dest=partner, source=partner)
-
-
-def _prog_raise_on_rank_one(comm):
-    if comm.Get_rank() == 1:
-        raise ValueError("rank one exploded")
-    return comm.Get_rank()
-
-
-def _prog_raise_or_hang(comm):
-    rank = comm.Get_rank()
-    if rank == 1:
-        raise ValueError("root cause")
-    if rank == 2:
-        time.sleep(30.0)  # hung until the runtime terminates the process
-    return rank
-
-
-def _prog_unpicklable_return(comm):
-    return threading.Lock()  # cannot cross the process boundary
-
-
-class TestSimRuntimeProcess:
-    """``mode="process"`` must behave like the thread runtime, observably."""
-
-    def test_mode_validated(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            SimRuntime(2, mode="fibers")
-
-    def test_allreduce_matches_thread_mode(self):
-        expected = SimRuntime(4, mode="thread").run(_prog_allreduce)
-        assert SimRuntime(4, mode="process").run(_prog_allreduce) == expected
-
-    def test_point_to_point_ring(self):
-        results = SimRuntime(4, mode="process").run(_prog_ring)
-        assert results == [3, 0, 1, 2]
-
-    def test_sendrecv(self):
-        results = SimRuntime(2, mode="process").run(_prog_sendrecv_swap)
-        assert results == ["from 1", "from 0"]
-
-    def test_collectives_match_thread_mode(self):
-        expected = SimRuntime(3, mode="thread").run(_prog_collectives)
-        assert SimRuntime(3, mode="process").run(_prog_collectives) == expected
-
-    def test_single_rank(self):
-        assert SimRuntime(1, mode="process").run(_prog_allreduce) == [1]
-
-    def test_exception_propagates_with_original_type(self):
-        with pytest.raises(SPMDError) as excinfo:
-            SimRuntime(3, timeout=2.0, join_grace=1.0, mode="process").run(
-                _prog_raise_on_rank_one
-            )
-        failures = {f.rank: f.exception for f in excinfo.value.failures}
-        assert set(failures) == {1}
-        assert isinstance(failures[1], ValueError)
-        assert "rank one exploded" in str(failures[1])
-
-    def test_raiser_and_hung_rank_reported_together(self):
-        """Same merge contract as thread mode: the recorded exception and
-        the hung rank's synthetic TimeoutError arrive in one SPMDError."""
-        runtime = SimRuntime(3, timeout=0.5, join_grace=0.5, mode="process")
-        with pytest.raises(SPMDError) as excinfo:
-            runtime.run(_prog_raise_or_hang)
-        failures = {f.rank: f.exception for f in excinfo.value.failures}
-        assert set(failures) == {1, 2}
-        assert isinstance(failures[1], ValueError)
-        assert isinstance(failures[2], TimeoutError)
-
-    def test_unpicklable_return_reported_as_remote_error(self):
-        with pytest.raises(SPMDError) as excinfo:
-            SimRuntime(1, timeout=2.0, mode="process").run(_prog_unpicklable_return)
-        (failure,) = excinfo.value.failures
-        assert isinstance(failure.exception, RemoteRankError)
-        assert "unpicklable" in str(failure.exception)
