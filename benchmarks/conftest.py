@@ -10,6 +10,9 @@ in a few minutes.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import ExperimentScenario, bench_scale, cached_scenario
@@ -51,3 +54,19 @@ def run_once(benchmark):
         return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return _run
+
+
+@pytest.fixture(scope="session")
+def replaced_kernel():
+    """Loader of an ``oracle_*`` function — a replaced kernel, kept verbatim
+    beside its successor's tests — from ``tests/`` by file path (neither
+    directory is a package): ``replaced_kernel(test_file, name)``."""
+
+    def load(test_file: str, name: str):
+        path = Path(__file__).resolve().parents[1] / "tests" / test_file
+        spec = importlib.util.spec_from_file_location(f"oracle_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return getattr(module, name)
+
+    return load

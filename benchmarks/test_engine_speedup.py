@@ -15,9 +15,7 @@ overhead dominates the serial scoring and rendering loops.
 
 from __future__ import annotations
 
-import importlib.util
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,18 +132,7 @@ def test_vectorized_scoring_speedup(fine_scenario_64, metric_name, repeats):
     )
 
 
-def _replaced_kernel(test_file: str, name: str):
-    """An ``oracle_*`` function — a replaced kernel, kept verbatim beside its
-    successor's tests — loaded from ``tests/`` by file path (neither directory
-    is a package)."""
-    path = Path(__file__).resolve().parents[1] / "tests" / test_file
-    spec = importlib.util.spec_from_file_location(f"oracle_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return getattr(module, name)
-
-
-def test_fpzip_size_kernel_speedup(fine_scenario_64):
+def test_fpzip_size_kernel_speedup(fine_scenario_64, replaced_kernel):
     """The fused residual-code kernel sizes the stacked scenario blocks ≥2x
     faster than the implementation it replaced, with identical sizes.
 
@@ -154,7 +141,7 @@ def test_fpzip_size_kernel_speedup(fine_scenario_64):
     also times), so a regression of the kernel itself — a lost ``out=``, a
     chunk budget that falls out of cache — shows here first.
     """
-    oracle = _replaced_kernel("test_compress.py", "oracle_compressed_size_batch")
+    oracle = replaced_kernel("test_compress.py", "oracle_compressed_size_batch")
     blocks = [b for rank in fine_scenario_64.blocks_for(0) for b in rank]
     groups = [
         np.stack([blocks[i].data for i in indices])
@@ -184,7 +171,7 @@ def test_fpzip_size_kernel_speedup(fine_scenario_64):
     )
 
 
-def test_count_kernel_speedup(fine_scenario_64):
+def test_count_kernel_speedup(fine_scenario_64, replaced_kernel):
     """The byte-code ``count_active_cells_batch`` counts the stacked scenario
     blocks ≥2.5x faster than the min/max kernel it replaced, with identical
     counts.
@@ -193,7 +180,7 @@ def test_count_kernel_speedup(fine_scenario_64):
     and the per-rank pricing ``rendering_speedup`` also times); the two sides
     are timed interleaved.
     """
-    oracle = _replaced_kernel("test_viz.py", "oracle_count_active_cells_batch")
+    oracle = replaced_kernel("test_viz.py", "oracle_count_active_cells_batch")
     blocks = [b for rank in fine_scenario_64.blocks_for(0) for b in rank]
     groups = [stacked for _, stacked in stacked_shape_groups(blocks)]
     level = 45.0

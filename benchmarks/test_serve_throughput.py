@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import socket
 import time
 from pathlib import Path
@@ -41,11 +40,6 @@ N_RUNS = 4
 
 #: The benchmark workload: cached replay + GIL-bound scalar scoring.
 PAYLOAD = {"scenario": "blue_waters_64", "snapshots": 2, "metric": "PYVAR"}
-
-
-def _effective_workers() -> int:
-    """Worker processes that can actually run concurrently on this host."""
-    return min(default_process_workers(), os.cpu_count() or 1)
 
 
 def _required_speedup(workers: int) -> float:
@@ -135,7 +129,7 @@ def test_process_tier_beats_thread_tier_on_concurrent_replays(
     tmp_path: Path, fresh_pool
 ):
     """N concurrent GIL-bound cached replays: process tier vs thread tier."""
-    workers = _effective_workers()
+    workers = default_process_workers()
     gated = workers >= 2
     required = _required_speedup(workers)
 

@@ -7,9 +7,9 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
 * :mod:`repro.core` — the adaptive pipeline (score → sort → reduce →
   redistribute → render → adapt, Algorithm 1): composable
   :class:`~repro.core.step.PipelineStep` objects run by one
-  :class:`~repro.core.engine.ExecutionEngine` on one communicator, with
-  interchangeable ``serial`` / ``vectorized`` / ``process`` backends
-  (``PipelineConfig(engine=...)``) that give bitwise-identical runs;
+  :class:`~repro.core.engine.ExecutionEngine` on one communicator, as the
+  per-block ``serial`` oracle or the batched ``vectorized`` classes
+  (``PipelineConfig(engine=...)``), which give bitwise-identical runs;
 * :mod:`repro.grid` — rectilinear grids, the Cartesian domain decomposition,
   :class:`~repro.grid.block.Block` and the reduction ladder; its
   :mod:`~repro.grid.batch` module holds the two columnar layouts the batched
@@ -71,7 +71,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AdaptationConfig",
@@ -109,9 +109,9 @@ def quickstart_pipeline(
 
     This is the programmatic equivalent of ``examples/quickstart.py``: a small
     synthetic storm, a handful of virtual ranks, and the full six-step
-    pipeline with adaptation enabled.  ``engine`` selects the execution
-    backend ("vectorized", "serial", "process", or the "parallel" alias of
-    "vectorized"); all give identical results.
+    pipeline with adaptation enabled.  ``engine`` selects the step classes
+    ("vectorized", or the "serial" oracle; "parallel" and "process" are
+    aliases of "vectorized"); all give identical results.
     """
     from repro.experiments.common import ExperimentScenario
 

@@ -5,10 +5,10 @@ Three subcommands expose the scenario registry without writing any Python:
 ``list``
     Print the workload catalogue (name, default scale, tags, description),
     optionally filtered by tag, optionally as JSON.  The JSON form also
-    reports ``parity_backends`` — the engine backends every registered
-    scenario is parity-verified against by the registry-driven sweep in
-    ``tests/test_scenarios.py`` (the sweep parameterises over the same two
-    registries this command reads).
+    reports ``parity_backends`` — the engine backend names every registered
+    scenario is parity-verified against by the sweep in
+    ``tests/test_scenarios.py`` (which parameterises over the scenario
+    registry and ``engine_backends()``, as this command does).
 
 ``run``
     Build a registered scenario (with optional rank/snapshot/seed
@@ -250,9 +250,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
         if args.tag is None or args.tag in spec.tags
     ]
     if args.json:
-        # Every registered scenario is parity-verified against every
-        # registered backend by the registry-driven sweep (the sweep and
-        # this command read the same two registries).
+        # Every registered scenario is parity-verified against every backend
+        # name by the sweep in tests/test_scenarios.py.
         parity = list(engine_backends())
         print(
             json.dumps(

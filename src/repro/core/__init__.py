@@ -18,12 +18,11 @@ blocks of every simulation iteration:
 
 Each of the five data steps implements the :class:`PipelineStep` contract
 (:mod:`repro.core.step`): ``execute(context) -> StepReport``.  The
-:class:`ExecutionEngine` (:mod:`repro.core.engine`) resolves each step's
-implementation through the backend registry (:mod:`repro.core.backends`) for
-a ``"serial"`` (oracle), ``"vectorized"`` (default) or ``"process"``
-(process-pool fan-out) backend — selected through ``PipelineConfig.engine``,
-extensible by third-party registrations; ``"parallel"`` is an alias of
-``"vectorized"`` —
+:class:`ExecutionEngine` (:mod:`repro.core.engine`) builds either the
+per-block reference classes (``PipelineConfig.engine = "serial"``, the oracle)
+or the batched ones (``"vectorized"``, the default;
+:mod:`repro.core.backends`) — the batched scoring step takes the process pool
+by itself for metrics that declare they hold the GIL —
 and :class:`InSituPipeline` layers the adaptation controller and the
 :class:`PerformanceMonitor` on top.  The monitor records per-iteration,
 per-step timings in both measured wall-clock and modelled platform seconds,
@@ -32,15 +31,7 @@ plus the per-step payload bytes and counters carried by the step reports.
 
 from repro.core.config import PipelineConfig, AdaptationConfig
 from repro.core.adaptation import adapt_percent, AdaptationController
-from repro.core.backends import (
-    STEP_NAMES,
-    StepBuildContext,
-    build_step,
-    engine_backends,
-    register_step_backend,
-    registered_steps,
-    resolve_step_factory,
-)
+from repro.core.backends import ENGINE_BACKENDS, STEP_NAMES, engine_backends
 from repro.core.step import IterationContext, PipelineStep, StepReport
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
@@ -64,15 +55,6 @@ from repro.core.results import IterationResult, PipelineRunResult
 from repro.core.pipeline import InSituPipeline
 
 
-def __getattr__(name: str):
-    # Live view of the registry-derived backend tuple: a frozen import-time
-    # binding would hide backends registered after this package was imported
-    # (config and engine forward the same way).
-    if name == "ENGINE_BACKENDS":
-        return engine_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "PipelineConfig",
     "AdaptationConfig",
@@ -89,12 +71,7 @@ __all__ = [
     "VectorizedReductionStep",
     "select_blocks_to_reduce",
     "STEP_NAMES",
-    "StepBuildContext",
-    "build_step",
     "engine_backends",
-    "register_step_backend",
-    "registered_steps",
-    "resolve_step_factory",
     "RedistributionStrategy",
     "RedistributionStep",
     "NoRedistribution",

@@ -5,21 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.core.backends import engine_backends
+from repro.core.backends import ENGINE_BACKENDS
 from repro.core.reduction_step import validate_quality_ladder
 from repro.utils.validation import ensure_in_range, ensure_positive
-
-
-def __getattr__(name: str):
-    # ``ENGINE_BACKENDS`` is derived from the backend registry
-    # (:mod:`repro.core.backends`) rather than kept as a second hand-written
-    # tuple: a backend registered by a third party is immediately selectable
-    # and immediately listed here.  Resolved lazily so late registrations are
-    # visible to ``from repro.core.config import ENGINE_BACKENDS`` readers
-    # that re-fetch the attribute.
-    if name == "ENGINE_BACKENDS":
-        return engine_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -98,16 +86,14 @@ class PipelineConfig:
         default ``((2, 1.0),)`` sends every selected block to the corner
         rung — bit-for-bit the pre-ladder binary behavior.
     engine:
-        Backend of the one :class:`~repro.core.engine.ExecutionEngine` — the
-        engine always runs iterations strictly in sequence on one
-        communicator; this field only selects how its five steps are
-        implemented: ``"vectorized"`` (default), ``"serial"`` (the per-block
-        oracle), ``"process"`` (scoring and counting fanned out over a
-        shared-memory process pool, for GIL-bound or Python-heavy scorers),
-        ``"parallel"`` (an alias of ``"vectorized"``, kept for the tracked
-        benchmark's metric names), or any backend a third party registered in
-        :mod:`repro.core.backends` (which, with :mod:`repro.core.engine`,
-        describes each).
+        Which step classes the one
+        :class:`~repro.core.engine.ExecutionEngine` runs — the engine always
+        runs iterations strictly in sequence on one communicator:
+        ``"vectorized"`` (default, the batched classes) or ``"serial"`` (the
+        per-block oracle); ``"parallel"`` and ``"process"`` are accepted as
+        aliases of ``"vectorized"`` (:mod:`repro.core.backends` says why).
+        Taking the process pool is not an option: the scoring step takes it
+        for a metric that declares ``gil_bound`` when it pays.
         All backends produce identical scores, sort orders, reduction and
         redistribution decisions, active-cell/triangle counts, and modelled
         timings; measured wall-clock naturally differs, so runs driven by
@@ -134,9 +120,9 @@ class PipelineConfig:
                 f"redistribution must be 'none', 'shuffle' or 'round_robin', "
                 f"got {self.redistribution!r}"
             )
-        if self.engine not in engine_backends():
+        if self.engine not in ENGINE_BACKENDS:
             raise ValueError(
-                f"engine must be one of {engine_backends()}, got {self.engine!r}"
+                f"engine must be one of {ENGINE_BACKENDS}, got {self.engine!r}"
             )
         if self.render_mode not in ("count", "mesh"):
             raise ValueError(

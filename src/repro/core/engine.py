@@ -1,4 +1,4 @@
-"""The execution engine: an ordered list of PipelineSteps plus a backend.
+"""The execution engine: the five Figure-2 steps in order, on one communicator.
 
 There is one engine and it owns one communicator.  The engine also owns the
 metric and the redistribution strategy, and runs the five concrete steps of
@@ -10,14 +10,12 @@ paper's pipeline is sequential across iterations by construction.  Every
 step that communicates is bound to ``engine.comm``, so ``engine.comm.stats``
 is the complete record of what a run charged to the network.
 
-The steps are not hard-wired: every ``(step, backend)`` pair is resolved
-through the backend registry (:mod:`repro.core.backends`, which lists the
-built-in backends), so third-party backends register factories instead of
-editing this module, and ``ENGINE_BACKENDS`` is derived from the registry.
-The backend also decides the form the context's blocks take
-(:mod:`repro.core.step`): ``"serial"`` runs the reference classes, one block
-at a time over per-rank ``Block`` lists, and never stacks a payload; every
-other backend runs the batched classes on one columnar state
+The backend name chooses between two sets of step classes
+(:func:`repro.core.backends.build_steps`) and with them the form the context's
+blocks take (:mod:`repro.core.step`).  ``"serial"`` runs the reference
+classes, one block at a time over per-rank ``Block`` lists, and never stacks a
+payload.  Every other name (``"vectorized"``, the default, and its aliases)
+runs the batched classes on one columnar state
 (:class:`~repro.grid.batch.BlockColumns`) — the decomposition's pre-stacked
 :class:`~repro.grid.batch.DecomposedField` taken over as it arrives, or built
 from ``Block`` lists by the first step that asks: payloads stacked once, one
@@ -25,7 +23,9 @@ from ``Block`` lists by the first step that asks: payloads stacked once, one
 per group (the coder-size and cell-count kernels work through a group in
 cache-sized row chunks) — and builds no ``Block`` unless mesh-mode rendering
 or a caller reads ``context.per_rank_blocks``.  The redistribution planner is
-one class on every backend and plans on the metadata columns alone.
+one class on every backend and plans on the metadata columns alone.  Whether
+the scoring kernel runs inline or over the process pool is decided per metric
+by :func:`repro.utils.procpool.pool_pays`, not by the name.
 
 All backends produce bitwise-identical decisions and modelled results (ids,
 scores, sort orders, reduction decisions, moved bytes, active-cell and
@@ -37,12 +37,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-from repro.core.backends import (
-    STEP_NAMES,
-    StepBuildContext,
-    build_step,
-    engine_backends,
-)
+from repro.core.backends import ENGINE_BACKENDS, build_steps
 from repro.core.config import PipelineConfig
 from repro.core.redistribution import make_strategy
 from repro.core.results import IterationResult
@@ -54,14 +49,6 @@ from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
 
 __all__ = ["ENGINE_BACKENDS", "ExecutionEngine"]
-
-
-def __getattr__(name: str):
-    # Re-export of the registry-derived backend tuple (kept live so backends
-    # registered after import are visible).
-    if name == "ENGINE_BACKENDS":
-        return engine_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ExecutionEngine:
@@ -81,10 +68,7 @@ class ExecutionEngine:
         over ``platform.network`` is created when omitted.  Either way it is
         the one communicator every step is bound to.
     backend:
-        Override of ``config.engine`` (any backend registered in
-        :mod:`repro.core.backends` — ``"serial"``, ``"vectorized"``,
-        ``"process"``, the ``"parallel"`` alias, or a third-party
-        registration).
+        Override of ``config.engine`` (one of ``ENGINE_BACKENDS``).
     """
 
     def __init__(
@@ -98,9 +82,9 @@ class ExecutionEngine:
         self.config = config
         self.platform = platform
         self.backend = (backend or config.engine).strip().lower()
-        if self.backend not in engine_backends():
+        if self.backend not in ENGINE_BACKENDS:
             raise ValueError(
-                f"engine backend must be one of {engine_backends()}, "
+                f"engine backend must be one of {ENGINE_BACKENDS}, "
                 f"got {self.backend!r}"
             )
         self.nranks = int(nranks) if nranks is not None else int(platform.ncores)
@@ -114,21 +98,11 @@ class ExecutionEngine:
         self.metric = create_metric(config.metric)
         self.strategy = make_strategy(config.redistribution, seed=config.shuffle_seed)
         #: The ordered step sequence of the paper's Figure 2 (the sixth step,
-        #: adaptation, is the controller that *consumes* these results),
-        #: every entry resolved through the backend registry and bound to
-        #: ``self.comm``.
-        context = StepBuildContext(
-            config=config,
-            platform=platform,
-            comm=self.comm,
-            metric=self.metric,
-            strategy=self.strategy,
-            nranks=self.nranks,
-            backend=self.backend,
+        #: adaptation, is the controller that *consumes* these results), the
+        #: collective steps bound to ``self.comm``.
+        self.steps: List[PipelineStep] = build_steps(
+            self.backend, config, platform, self.comm, self.metric, self.strategy
         )
-        self.steps: List[PipelineStep] = [
-            build_step(name, self.backend, context) for name in STEP_NAMES
-        ]
         (
             self.scoring,
             self.sorting,

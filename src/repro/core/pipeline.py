@@ -9,9 +9,8 @@ simulation — or the dataset replayer standing in for it — hands data to the
 in situ layer.
 
 The five data steps live in the one :class:`~repro.core.engine.ExecutionEngine`
-(its backend selected by ``PipelineConfig.engine``: serial, vectorized,
-parallel, or process — the backend picks both the scoring and the rendering
-implementation) and share the engine's one communicator, exposed here as
+(``PipelineConfig.engine`` picks the reference or the batched step classes)
+and share the engine's one communicator, exposed here as
 ``pipeline.comm``; the pipeline adds the adaptation controller and the
 performance monitor on top.  Iterations run strictly one after the other —
 the controller needs iteration ``t``'s time before it can pick iteration

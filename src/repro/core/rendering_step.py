@@ -7,19 +7,17 @@ process drives the total — the load-imbalance effect the redistribution step
 attacks).
 
 Like the scoring step, the rendering step is one reference class and one
-batched class, selected by ``PipelineConfig.engine``: :class:`RenderingStep`
-(``serial``, the oracle) sends every rank's blocks through
-``IsosurfaceScript.process`` one block at a time;
-:class:`VectorizedRenderingStep` (``vectorized``, the default; ``process``
-with ``processes=True``) counts each payload group of the iteration's columnar
-state once in counting mode — one chunked byte-code
-:func:`~repro.viz.marching_cubes.count_active_cells_batch` call per group, no
-float temporaries.  Mesh mode extracts real per-block geometry,
-which cannot be stacked — and pickling meshes back from a worker costs more
-than the extraction — so it materialises the blocks and runs the reference
-per-block extraction.  Both produce identical counts, triangle estimates, and
-modelled seconds — measured wall-clock is the one quantity that legitimately
-differs.
+batched class.  :class:`RenderingStep` (the ``serial`` oracle) sends every
+rank's blocks through ``IsosurfaceScript.process`` one block at a time.
+:class:`VectorizedRenderingStep` (every other backend name) counts each payload
+group of the iteration's columnar state once in counting mode — one chunked
+byte-code :func:`~repro.viz.marching_cubes.count_active_cells_batch` call per
+group, no float temporaries, always inline: the kernel releases the GIL, and
+chunked over the process pool it ran 11–16x slower, so rendering has no
+fan-out.  Mesh mode extracts real per-block geometry, which cannot be stacked,
+so it materialises the blocks and runs the reference per-block extraction.
+Both classes produce identical counts, triangle estimates, and modelled
+seconds — measured wall-clock is the one quantity that legitimately differs.
 """
 
 from __future__ import annotations
@@ -122,8 +120,7 @@ class VectorizedRenderingStep(RenderingStep):
 
     Counting mode — the cheap load proxy the large virtual-rank experiments
     run — batches *across* ranks, on the columnar state: every payload group
-    is counted once (:meth:`~repro.viz.catalyst.IsosurfaceScript.count_groups`;
-    inline, or chunked over the shared process pool with ``processes=True``),
+    is counted once (:meth:`~repro.viz.catalyst.IsosurfaceScript.count_groups`),
     the triangle estimates are one ``np.rint``, the ranks' totals one
     ``per_rank_sum``, and each rank's
     :class:`~repro.viz.catalyst.RenderResult` is built from slices of those
@@ -134,29 +131,13 @@ class VectorizedRenderingStep(RenderingStep):
     needs the blocks themselves and is the reference loop.
     """
 
-    def __init__(
-        self,
-        platform: PlatformModel,
-        isosurface_level: float = 45.0,
-        render_mode: str = "count",
-        render_image: bool = False,
-        processes: bool = False,
-    ) -> None:
-        super().__init__(
-            platform,
-            isosurface_level=isosurface_level,
-            render_mode=render_mode,
-            render_image=render_image,
-        )
-        self.processes = bool(processes)
-
     def _count_columns(
         self, columns: BlockColumns, iteration: int
     ) -> Tuple[List[RenderResult], Dict[str, object]]:
         """Counting-mode results of every rank in one cross-rank pass."""
         script = self.script
         with Timer() as timer:
-            cells = script.count_groups(columns.groups, self.processes)
+            cells = script.count_groups(columns.groups)
             order = columns.order
             triangles = script.triangles_from_cells(cells)
             results = [

@@ -6,15 +6,17 @@ per-point cost times the rank's point count, and the step ends at the global
 sort (a collective), so the slowest rank determines the step's contribution to
 the iteration time.
 
-One reference class and one batched class implement the contract:
-:class:`ScoringStep` (``serial``, the oracle) routes every rank's block list
+One reference class and one batched class implement the contract.
+:class:`ScoringStep` (the ``serial`` oracle) routes every rank's block list
 through ``metric.score_blocks`` (a per-block loop by default, but user metrics
-that override it take effect here) and clones every block to attach its score;
-:class:`VectorizedScoringStep` (``vectorized``, the default; ``process`` with
-``processes=True``) scores all ranks' blocks in one cross-rank pass over the
-iteration's columnar state and writes a ``scores`` column.  Both produce
-bitwise-identical scores, so the execution engine can pick any backend without
-perturbing any downstream decision.
+that override it take effect here) and clones every block to attach its score.
+:class:`VectorizedScoringStep` (every other backend name) scores all ranks'
+blocks in one cross-rank pass over the iteration's columnar state and writes a
+``scores`` column.  Where that pass runs is decided per kernel, by the code:
+inline for the NumPy metrics, over the shared process pool for a metric that
+declares ``gil_bound`` whenever :func:`~repro.utils.procpool.pool_pays` — this
+step is the one reader of that rule.  All of it produces bitwise-identical
+scores, so neither the backend nor the pool can perturb a downstream decision.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.grid.fanout import map_shape_groups
 from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.sort import pairs_from_wire
+from repro.utils.procpool import pool_pays
 from repro.utils.timer import Timer
 
 ScorePair = Tuple[int, float]
@@ -111,12 +114,12 @@ class VectorizedScoringStep(ScoringStep):
     leave as the ``(n_r, 2)`` arrays the sort gathers.  Being the first batched
     step, its span carries the one payload stack of the iteration.
 
-    ``processes=True`` fans the same pass out over the shared process pool,
-    the stacked groups crossing through shared memory.  The metric is then
-    pickled into every task (the built-in metrics are plain dataclasses; user
-    metrics must be module-level classes), and a metric without
-    ``score_batch`` is scored row by row inside the workers — the choice for
-    GIL-bound or Python-heavy scorers (``PYVAR``, ``LZ``, scalar user metrics).
+    A metric declaring ``gil_bound`` has the same pass fanned out over the
+    shared process pool, the stacked groups crossing through shared memory,
+    whenever :func:`~repro.utils.procpool.pool_pays`.  The metric is then
+    pickled into every task (the built-in metrics are plain objects; a user
+    metric that declares it must be a module-level class), and a metric
+    without ``score_batch`` is scored row by row inside the workers.
 
     A metric that overrides ``score_blocks`` without a ``score_batch`` may
     apply cross-block logic (e.g. normalisation over one rank's list), which
@@ -125,12 +128,6 @@ class VectorizedScoringStep(ScoringStep):
     in proportion to their point counts; the modelled per-rank seconds are
     computed exactly as in the serial step.
     """
-
-    def __init__(
-        self, metric: ScoreMetric, platform: PlatformModel, processes: bool = False
-    ) -> None:
-        super().__init__(metric, platform)
-        self.processes = bool(processes)
 
     def _crosses_ranks(self) -> bool:
         """Whether the metric may be scored in one pass over all ranks' blocks."""
@@ -143,15 +140,14 @@ class VectorizedScoringStep(ScoringStep):
         """Write the ``scores`` column in one cross-rank pass; the step's ``info``."""
         metric = self.metric
         with Timer() as timer:
-            if metric.supports_batch or self.processes:
+            pooled = pool_pays(metric.gil_bound)
+            if metric.supports_batch or pooled:
                 kernel = (
                     metric.score_batch
                     if metric.supports_batch
                     else partial(_score_rows, metric)
                 )
-                scores = map_shape_groups(
-                    columns.groups, kernel, np.float64, self.processes
-                )
+                scores = map_shape_groups(columns.groups, kernel, np.float64, pooled)
             else:
                 # Stacking buys nothing when scoring loops per block in this
                 # process anyway; skip the payload copies.

@@ -6,8 +6,8 @@ process knows the scores of all blocks — including those belonging to other
 processes — and can take identical reduction/redistribution decisions without
 further communication.
 
-Two implementations of the contract are provided, selected through the
-backend registry:
+Two implementations of the contract are provided (``"serial"`` builds the
+first, every other backend name the second):
 
 * :class:`SortingStep` — the reference gather–sort–broadcast over Python
   tuples (:func:`~repro.simmpi.sort.parallel_sort_pairs`);

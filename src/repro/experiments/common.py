@@ -272,9 +272,9 @@ class ExperimentScenario:
     ) -> InSituPipeline:
         """Build a pipeline wired to this scenario's platform and rank count.
 
-        ``engine`` selects the execution backend ("serial", "vectorized" or
-        "process"; "parallel" aliases "vectorized"); the default follows
-        :class:`PipelineConfig` (vectorized).
+        ``engine`` selects the step classes ("vectorized", or the "serial"
+        oracle; "parallel" and "process" alias "vectorized"); the default
+        follows :class:`PipelineConfig` (vectorized).
         ``quality_ladder`` forwards a reduction quality ladder (``(level,
         fraction)`` rungs); ``None`` keeps the all-corners default.
         """

@@ -11,17 +11,22 @@ columnar state built from block lists
 takes the stacked groups and is the rest of the outline, written once, with
 the two ways a kernel can be applied:
 
-* inline (the ``vectorized`` backend): one ``kernel(stacked)`` call per group;
-* ``processes=True`` (the ``process`` backend): each group's stacked payload is
-  copied once into a :class:`~repro.grid.shm.SharedBlockBatch` segment — never
-  re-stacked — and contiguous row ranges are applied by the shared process
+* inline (the default; what every NumPy kernel gets, counting included): one
+  ``kernel(stacked)`` call per group;
+* over the shared process pool (``processes=True``): each group's stacked
+  payload is copied once into a :class:`~repro.grid.shm.SharedBlockBatch`
+  segment — never re-stacked — and contiguous row ranges are applied by the
   pool's workers, so the task queue carries only the kernel, a segment handle
   and two integers.
 
-A kernel treats every row independently (the ``score_batch`` /
-``count_active_cells_batch`` contract), so neither the grouping nor the chunk
-boundaries can change a value: both modes return the same array, bit for bit,
-as a per-block loop.
+Which of the two a kernel gets is not this module's decision and not a user
+option: the batched scoring step passes ``processes`` from
+:func:`repro.utils.procpool.pool_pays` (a GIL-bound metric, a second worker,
+a caller that may fork).  A kernel treats every row independently (the
+``score_batch`` / ``count_active_cells_batch`` contract), so neither the
+grouping nor the chunk boundaries can change a value: both bodies return the
+same array, bit for bit, as a per-block loop (``tests/test_fanout.py`` drives
+both directly).
 """
 
 from __future__ import annotations

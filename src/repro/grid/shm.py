@@ -1,10 +1,11 @@
 """Shared-memory payloads for crossing process boundaries zero-copy.
 
-The process backend ships block payloads to ``ProcessPoolExecutor`` workers.
-Pickling a stacked ``(nblocks, sx, sy, sz)`` payload array through the task
-queue would copy it twice (serialise + deserialise) per task; instead the
-parent copies it **once** into a ``multiprocessing.shared_memory`` segment
-and workers map the same physical pages.  :class:`SharedBlockBatch` wraps
+The fan-out's pool body (:func:`repro.grid.fanout.map_shape_groups`) ships
+block payloads to ``ProcessPoolExecutor`` workers.  Pickling a stacked
+``(nblocks, sx, sy, sz)`` payload array through the task queue would copy it
+twice (serialise + deserialise) per task; instead the parent copies it
+**once** into a ``multiprocessing.shared_memory`` segment and workers map the
+same physical pages.  :class:`SharedBlockBatch` wraps
 that segment with an explicit lifecycle:
 
 ``create``
@@ -28,13 +29,15 @@ nothing; see :func:`live_owned_segments`.
 
 Resource-tracker caveat (bpo-39959): ``SharedMemory(name=...)`` registers
 the segment with the attaching process's ``resource_tracker`` as if it were
-the creator.  The process backend runs its workers under the ``fork`` start
-method, where every forked process shares the parent's tracker daemon and
-duplicate registrations collapse into one — so attach-side registration is
-harmless and the creator's ``unlink`` retires the name exactly once.  (On
-spawn-only platforms workers own private trackers and may log harmless
-"leaked shared_memory" warnings at exit; they never unlink a live segment
-because steps dispose their segments before returning.)
+the creator.  The pool's workers are forked, and
+:func:`~repro.utils.procpool.shared_process_pool` starts the parent's tracker
+daemon *before* it forks them, so every worker shares that daemon and
+duplicate registrations collapse into one — attach-side registration is
+harmless and the creator's ``unlink`` retires the name exactly once.  (A
+worker forked before the daemon existed would start a private one that
+unlinks, at worker exit, names it does not own; on spawn-only platforms that
+is the only kind of worker there is, which is one reason
+:func:`~repro.utils.procpool.pool_pays` never takes the pool there.)
 """
 
 from __future__ import annotations

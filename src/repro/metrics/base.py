@@ -49,6 +49,14 @@ class ScoreMetric(abc.ABC):
     #: coder-based FPZIP/ZFP/LZ/LEA scorers, whose batched paths compute
     #: encoded sizes for the whole batch in one pass.
     supports_batch: bool = False
+    #: Whether scoring holds the GIL for most of its time (a Python loop over
+    #: values or chunks), so that worker processes beat one interpreter.  The
+    #: batched scoring step maps such a metric's kernel over the shared process
+    #: pool when :func:`repro.utils.procpool.pool_pays`; the metric is then
+    #: pickled into every task, so declare it only on a module-level class.
+    #: Set from measurement (README, "Where the process pool is taken"), not
+    #: from ``supports_batch``: LZ and ZFP have a batched path and still pay.
+    gil_bound: bool = False
 
     @abc.abstractmethod
     def score_block(self, data: np.ndarray) -> float:

@@ -26,6 +26,11 @@ _COMPRESSOR_COSTS = {
     "zfp": MetricCost(per_point=2.6e-7),
     "lz": MetricCost(per_point=3.5e-7),
 }
+#: Coders whose ``compressed_size_batch`` still spends its time in Python
+#: (measured: the pool wins ≈1.8x on LZ and 1.2–1.35x on ZFP, and loses 3–5x
+#: on FPZIP's cache-chunked kernel); the three scorers are one class, so
+#: ``gil_bound`` is set per instance.
+_GIL_BOUND_COMPRESSORS = frozenset({"zfp", "lz"})
 
 
 class CompressionRatioMetric(ScoreMetric):
@@ -60,6 +65,7 @@ class CompressionRatioMetric(ScoreMetric):
         self.cost = _COMPRESSOR_COSTS.get(
             self.compressor.name, MetricCost(per_point=3.0e-7)
         )
+        self.gil_bound = self.compressor.name in _GIL_BOUND_COMPRESSORS
 
     def score_block(self, data: np.ndarray) -> float:
         arr = self._prepare(data)

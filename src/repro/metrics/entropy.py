@@ -85,6 +85,7 @@ class LocalEntropyMetric(ScoreMetric):
 
     name = "LOCAL_ENTROPY"
     cost = MetricCost(per_point=5.0e-6)
+    gil_bound = True
 
     def __init__(
         self,

@@ -60,8 +60,9 @@ class PythonVarianceMetric(ScoreMetric):
     holding the GIL for the whole call — exactly what a user-supplied
     scalar metric written without NumPy looks like.  Nothing inside one
     interpreter can speed such a metric up (the loop never releases the
-    GIL); the process backend can, which is what the engine benchmarks
-    measure.
+    GIL); worker processes can, so it declares ``gil_bound`` and the batched
+    scoring step scores it over the shared process pool, which is what the
+    GIL-bound gate of ``benchmarks/test_process_scaling.py`` measures.
     ``stride`` subsamples the block to keep the absolute cost at benchmark
     scale; scoring stays deterministic, so all backends agree bitwise.
 
@@ -73,6 +74,7 @@ class PythonVarianceMetric(ScoreMetric):
     name = "PYVAR"
     cost = MetricCost(per_point=4.9e-8)
     supports_batch = False
+    gil_bound = True
 
     def __init__(self, stride: int = 1) -> None:
         if stride < 1:

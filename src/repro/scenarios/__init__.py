@@ -4,8 +4,8 @@ The paper's evaluation is one supercell at two core counts; this package
 makes workloads first-class instead.  A *scenario* is a named, tagged,
 parameterised workload family — storm structure, grid shape, rank count,
 block decomposition — registered in a global registry
-(:func:`register_scenario`, mirroring the step-backend registry of
-:mod:`repro.core.backends`) and resolvable by every consumer:
+(:func:`register_scenario`, the convention of the metric registry) and
+resolvable by every consumer:
 
 * ``repro.experiments.common`` builds :class:`ExperimentScenario` objects
   from registered names (the classic ``blue_waters_64`` / ``tiny``

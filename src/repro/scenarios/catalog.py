@@ -1,7 +1,6 @@
 """The built-in workload catalogue.
 
-Importing :mod:`repro.scenarios` registers these entries (the same
-convention the backend registry uses for its built-in factories).  Three
+Importing :mod:`repro.scenarios` registers these entries.  Three
 entries reproduce the configurations the repository always had — the
 paper's two Blue Waters scales and the unit-test ``tiny`` — and the rest
 exercise the pipeline on storm structures the paper never ran:

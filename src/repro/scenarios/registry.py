@@ -1,7 +1,6 @@
 """The named workload registry.
 
-Mirrors the step-backend registry of :mod:`repro.core.backends`: scenarios
-are registered under a name (directly or as a decorator), listed in
+Scenarios are registered under a name (directly or as a decorator), listed in
 registration order, and resolved by every consumer — the experiment
 scenario constructors, the ``python -m repro`` CLI, the benchmark
 fixtures, and the cross-backend parity sweep in ``tests/test_scenarios.py``

@@ -112,12 +112,6 @@ def run_scenario_in_worker(
         from repro.experiments.common import ExperimentScenario
 
         scenario = ExperimentScenario(config, dataset=dataset)
-        backend = request.get("backend")
-        if backend == "process":
-            # No nested process pools inside a pool worker.  The parity
-            # sweep guarantees the vectorized backend is bitwise-identical,
-            # so the substitution is observable only in config_summary.
-            backend = "vectorized"
         adaptation = None
         if request.get("target") is not None:
             adaptation = AdaptationConfig(
@@ -128,7 +122,8 @@ def run_scenario_in_worker(
             redistribution=request.get("redistribution", "none"),
             adaptation=adaptation,
             render_mode=request.get("render_mode", "count"),
-            engine=backend,
+            # No pool inside this pool worker: pool_pays() refuses it.
+            engine=request.get("backend"),
         )
 
         def on_iteration(result: IterationResult) -> None:

@@ -32,7 +32,8 @@ Two execution tiers (``ServeApp(execution=...)``, CLI ``--execution``):
     — many concurrent requests multiplex over a bounded pool while the
     event loop keeps streaming.  NumPy-heavy runs overlap well; runs
     dominated by *GIL-bound* Python (scalar user metrics like ``PYVAR``)
-    serialise on one core.
+    serialise on one core — a request thread never forks, so the scoring
+    step scores them inline here (:func:`repro.utils.procpool.pool_pays`).
 
 ``"process"``
     Each run executes in a worker process from the shared

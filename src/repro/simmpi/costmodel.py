@@ -88,10 +88,10 @@ class NetworkCostModel:
         The matrix is priced in one NumPy pass — row sums give send volumes,
         column sums give receive volumes — so a 10,000-rank exchange (10⁸
         matrix cells) costs milliseconds instead of the minutes the
-        equivalent Python loop takes.  :meth:`alltoallv_loop` keeps the loop
-        as the reference; both paths return identical floats (byte counts
-        are exact int64 sums and the per-rank cost expression is evaluated
-        in the same order).
+        equivalent Python loop takes.  That loop is kept as the reference
+        (``oracle_alltoallv_loop`` in ``tests/test_simmpi.py``); both return
+        identical floats (byte counts are exact int64 sums and the per-rank
+        cost expression is evaluated in the same order).
         """
         self._check_ranks(nranks)
         m = np.asarray(send_matrix_bytes)
@@ -113,32 +113,6 @@ class NetworkCostModel:
         cost = partners * self.latency + (send_bytes + recv_bytes) / self.bandwidth
         worst = float(cost.max()) if nranks else 0.0
         return max(0.0, worst) + self.per_rank_overhead
-
-    def alltoallv_loop(self, send_matrix_bytes, nranks: int) -> float:
-        """Reference O(P²) Python-loop pricing of :meth:`alltoallv`.
-
-        Kept for the parity tests and benchmarks that gate the vectorised
-        path; new code should call :meth:`alltoallv`.
-        """
-        self._check_ranks(nranks)
-        worst = 0.0
-        for i in range(nranks):
-            send_bytes = 0
-            partners = 0
-            for j in range(nranks):
-                b = int(send_matrix_bytes[i][j]) if i != j else 0
-                if b > 0:
-                    send_bytes += b
-                    partners += 1
-            recv_bytes = 0
-            for j in range(nranks):
-                b = int(send_matrix_bytes[j][i]) if i != j else 0
-                if b > 0:
-                    recv_bytes += b
-                    partners += 1
-            cost = partners * self.latency + (send_bytes + recv_bytes) / self.bandwidth
-            worst = max(worst, cost)
-        return worst + self.per_rank_overhead
 
     def _check_ranks(self, nranks: int) -> None:
         if nranks < 1:

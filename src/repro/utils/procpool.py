@@ -1,17 +1,23 @@
-"""The shared lazy process pool behind the ``process`` backend and serve tier.
+"""The shared lazy process pool, and the one rule that says when to take it.
 
-Processes are the right pool for *GIL-bound* per-block Python work (scalar
-user metrics, pure-Python scoring loops) — GIL-releasing NumPy kernels are
-fastest run inline.  Worker processes are expensive to start, so a single
-module-level pool is shared by every fan-out
-(:func:`repro.grid.fanout.map_shape_groups`) and created lazily on first
-submit.
+Worker processes pay for *GIL-bound* per-block Python — pure-Python scoring
+loops, the Python-heavy coders — which nothing inside one interpreter can
+overlap; a GIL-releasing NumPy kernel is up to 20x faster run inline than
+chunked through shared memory and a task queue.  That is a property of the
+kernel, not a choice a caller should have to make, so the choice is one
+predicate, :func:`pool_pays`: the batched scoring step asks it with its
+metric's ``gil_bound`` declaration and
+:func:`~repro.grid.fanout.map_shape_groups` does as told.  The serve mode's
+process tier and the variant sweep submit to the same pool directly.
 
-The pool uses the ``fork`` start method where available: forked workers
-start in milliseconds and inherit the parent's imports, and every fork
-happens from the driver thread (no step starts threads of its own).
-Payloads cross the boundary through :mod:`repro.grid.shm` segments, so tasks
-themselves only carry handles and small metadata.
+Worker processes are expensive to start, so there is a single module-level
+pool, created lazily on first use.  It uses the ``fork`` start method where
+available: forked workers start in milliseconds and inherit the parent's
+imports.  Every fork happens either during single-threaded start-up
+(:func:`warm_shared_pool`, what ``repro serve`` calls) or from the main
+thread — :func:`pool_pays` refuses any other caller, so no request thread
+ever forks.  Payloads cross the boundary through :mod:`repro.grid.shm`
+segments, so tasks themselves only carry handles and small metadata.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +37,7 @@ import numpy as np
 __all__ = [
     "chunk_bounds",
     "default_process_workers",
+    "pool_pays",
     "shared_manager",
     "shared_process_pool",
     "shutdown_shared_pool",
@@ -42,7 +50,11 @@ _POOL_LOCK = threading.Lock()
 
 
 def default_process_workers() -> int:
-    """Worker count for the shared pool."""
+    """Worker count for the shared pool: the CPUs this process may run on
+    (its affinity mask where the platform has one — a ``taskset -c 0`` run
+    has one worker, whatever the machine), at most 16."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(16, len(os.sched_getaffinity(0)))
     return min(16, os.cpu_count() or 1)
 
 
@@ -51,11 +63,31 @@ def _start_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+def pool_pays(gil_bound: bool) -> bool:
+    """Whether a row kernel should be mapped over the shared pool: it holds
+    the GIL (its metric's ``gil_bound`` declaration), a second worker exists
+    to overlap it, workers are forked (a spawned worker re-imports the program
+    and owns a private resource tracker), and the caller may fork — it is the
+    main thread, and it is not itself a pool worker (no pool inside a pool).
+    Anything else runs the kernel inline."""
+    return (
+        bool(gil_bound)
+        and default_process_workers() > 1
+        and _start_context().get_start_method() == "fork"
+        and threading.current_thread() is threading.main_thread()
+        and multiprocessing.parent_process() is None
+    )
+
+
 def shared_process_pool() -> ProcessPoolExecutor:
     """The process-wide worker pool, created on first use."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
+            # Workers must fork with the parent's resource-tracker daemon
+            # already running, or each starts a private one that unlinks
+            # names it does not own when the worker exits (grid/shm.py).
+            resource_tracker.ensure_running()
             _POOL = ProcessPoolExecutor(
                 max_workers=default_process_workers(), mp_context=_start_context()
             )

@@ -174,28 +174,24 @@ class IsosurfaceScript(VisualizationScript):
         )
         return mesh, int(cells)
 
-    def count_blocks_batched(
-        self, blocks: Sequence[Block], processes: bool = False
-    ) -> np.ndarray:
+    def count_blocks_batched(self, blocks: Sequence[Block]) -> np.ndarray:
         """Active-cell counts of ``blocks``, in block order, via stacked batches
         (the list-facing form of :meth:`count_groups`)."""
-        return self.count_groups(stacked_shape_groups(blocks), processes)
+        return self.count_groups(stacked_shape_groups(blocks))
 
-    def count_groups(
-        self, groups: Sequence[ShapeGroup], processes: bool = False
-    ) -> np.ndarray:
+    def count_groups(self, groups: Sequence[ShapeGroup]) -> np.ndarray:
         """Active-cell counts of the blocks stacked in ``groups``, in block order.
 
         One :func:`~repro.grid.fanout.map_shape_groups` pass: each stacked
         shape/dtype group (all reduced 2×2×2 blocks form one) is counted with
         a single vectorised
-        :func:`~repro.viz.marching_cubes.count_active_cells_batch` call —
-        inline, or chunked over the shared process pool when ``processes`` is
-        set.  Counts are bitwise identical to per-block
+        :func:`~repro.viz.marching_cubes.count_active_cells_batch` call, inline
+        (the kernel releases the GIL; the process pool only slowed it down).
+        Counts are bitwise identical to per-block
         :func:`~repro.viz.marching_cubes.count_active_cells` calls.
         """
         kernel = partial(count_active_cells_batch, level=self.level)
-        return map_shape_groups(groups, kernel, np.int64, processes)
+        return map_shape_groups(groups, kernel, np.int64)
 
     @staticmethod
     def triangles_from_cells(cells: np.ndarray) -> np.ndarray:

@@ -71,3 +71,26 @@ def turbulent_block(rng) -> np.ndarray:
 def constant_block() -> np.ndarray:
     """A constant block (zero information)."""
     return np.full((10, 10, 6), -60.0, dtype=np.float32)
+
+
+@pytest.fixture()
+def two_workers(monkeypatch):
+    """A second pool worker whatever the box, so that ``gil_bound`` metrics
+    take the process pool (``repro.utils.procpool.pool_pays``) on one CPU too."""
+    monkeypatch.setattr("repro.utils.procpool.default_process_workers", lambda: 2)
+
+
+@pytest.fixture()
+def scoring_fanout(monkeypatch, two_workers):
+    """Whether the batched scoring step took the pool: the ``processes``
+    argument of every ``map_shape_groups`` call it makes, in call order."""
+    from repro.grid.fanout import map_shape_groups
+
+    calls = []
+
+    def spy(groups, kernel, dtype, pooled):
+        calls.append(pooled)
+        return map_shape_groups(groups, kernel, dtype, pooled)
+
+    monkeypatch.setattr("repro.core.scoring_step.map_shape_groups", spy)
+    return calls

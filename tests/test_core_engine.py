@@ -5,16 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import backends as backends_module
-from repro.core.backends import (
-    STEP_NAMES,
-    StepBuildContext,
-    build_step,
-    engine_backends,
-    register_step_backend,
-    registered_steps,
-    resolve_step_factory,
-)
+from repro.core.backends import STEP_NAMES, engine_backends
 from repro.core.config import AdaptationConfig, PipelineConfig
 from repro.core.engine import ENGINE_BACKENDS, ExecutionEngine
 from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
@@ -82,7 +73,7 @@ class TestEngineConstruction:
         assert type(serial.scoring) is ScoringStep
         assert type(vector.scoring) is VectorizedScoringStep
         # "parallel" is an alias of "vectorized" (kept for the benchmark's names).
-        assert type(par.scoring) is VectorizedScoringStep and not par.scoring.processes
+        assert type(par.scoring) is VectorizedScoringStep
         assert serial.backend == "serial"
         assert vector.backend == "vectorized"
         assert par.backend == "parallel"
@@ -95,7 +86,6 @@ class TestEngineConstruction:
         assert type(serial.rendering) is RenderingStep
         assert type(vector.rendering) is VectorizedRenderingStep
         assert type(par.rendering) is VectorizedRenderingStep
-        assert not par.rendering.processes
 
     def test_backend_selects_sorting_step(self):
         platform = PlatformModel.blue_waters(4)
@@ -127,6 +117,21 @@ class TestEngineConstruction:
 
     def test_backends_constant(self):
         assert ENGINE_BACKENDS == ("serial", "vectorized", "parallel", "process")
+        assert engine_backends() == ENGINE_BACKENDS
+
+    def test_aliases_build_what_vectorized_builds(self):
+        """``parallel`` and ``process`` are names, not implementations: both
+        build exactly the step classes ``vectorized`` builds (and echo the
+        requested name)."""
+        platform = PlatformModel.blue_waters(4)
+
+        def built(backend):
+            engine = ExecutionEngine(PipelineConfig(engine=backend), platform)
+            assert engine.backend == backend
+            return [type(step) for step in engine.steps]
+
+        assert built("parallel") == built("vectorized") == built("process")
+        assert built("serial") != built("vectorized")
 
     @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
     @pytest.mark.parametrize("supplied", [False, True])
@@ -150,124 +155,6 @@ class TestEngineConstruction:
                 platform,
                 comm=BSPCommunicator(5, cost_model=platform.network),
             )
-
-
-class TestBackendRegistry:
-    """The registry is the single source of step implementations."""
-
-    @pytest.fixture(autouse=True)
-    def _cleanup_custom_backend(self):
-        """Remove any test-registered backend so registrations don't leak."""
-        yield
-        for key in [k for k in backends_module._REGISTRY if k[1] == "warp10"]:
-            del backends_module._REGISTRY[key]
-        if "warp10" in backends_module._BACKEND_ORDER:
-            backends_module._BACKEND_ORDER.remove("warp10")
-
-    def test_engine_backends_derived_from_registry(self):
-        assert engine_backends() == ("serial", "vectorized", "parallel", "process")
-        register_step_backend(
-            "scoring", "warp10", lambda ctx: ScoringStep(ctx.metric, ctx.platform)
-        )
-        assert engine_backends() == (
-            "serial", "vectorized", "parallel", "process", "warp10",
-        )
-        # The config/engine re-exports see the registration too.
-        from repro.core import config as config_module
-        from repro.core import engine as engine_module
-
-        assert config_module.ENGINE_BACKENDS == engine_backends()
-        assert engine_module.ENGINE_BACKENDS == engine_backends()
-
-    def test_every_builtin_step_registered_per_backend(self):
-        for backend in ("serial", "vectorized", "parallel", "process"):
-            assert set(registered_steps(backend)) == set(STEP_NAMES)
-
-    def test_parallel_alias_and_process_overrides(self):
-        """``parallel`` builds exactly what ``vectorized`` builds; ``process``
-        builds the same classes with only scoring and rendering fanned out."""
-        platform = PlatformModel.blue_waters(4)
-
-        def built(backend):
-            engine = ExecutionEngine(PipelineConfig(engine=backend), platform)
-            return {
-                step.name: (type(step), getattr(step, "processes", None))
-                for step in engine.steps
-            }
-
-        vectorized = built("vectorized")
-        assert built("parallel") == vectorized
-        assert built("process") == {
-            **vectorized,
-            "scoring": (VectorizedScoringStep, True),
-            "rendering": (VectorizedRenderingStep, True),
-        }
-        for step_name in STEP_NAMES:
-            assert resolve_step_factory(step_name, "parallel") is (
-                resolve_step_factory(step_name, "vectorized")
-            )
-
-    def test_resolve_unknown_step_raises(self):
-        with pytest.raises(KeyError):
-            resolve_step_factory("composition", "serial")
-
-    def test_third_party_backend_with_serial_fallback(self, tiny_scenario):
-        """A backend registering only one step is selectable; the other steps
-        fall back to the serial reference implementations."""
-
-        class TracingScoringStep(ScoringStep):
-            pass
-
-        register_step_backend(
-            "scoring",
-            "warp10",
-            lambda ctx: TracingScoringStep(ctx.metric, ctx.platform),
-        )
-        config = PipelineConfig(engine="warp10", redistribution="round_robin")
-        engine = ExecutionEngine(
-            config, tiny_scenario.platform, nranks=tiny_scenario.nranks
-        )
-        assert type(engine.scoring) is TracingScoringStep
-        assert type(engine.sorting) is SortingStep
-        assert type(engine.reduction) is ReductionStep
-        assert type(engine.rendering) is RenderingStep
-        # And the engine actually runs with the hybrid step set.
-        context = engine.run_iteration(tiny_scenario.blocks_for(0), 25.0, 0)
-        assert set(context.reports) == set(STEP_NAMES)
-
-    def test_decorator_registration(self):
-        @register_step_backend("scoring", "warp10")
-        def make_scoring(ctx):
-            return ScoringStep(ctx.metric, ctx.platform)
-
-        assert resolve_step_factory("scoring", "warp10") is make_scoring
-        assert "warp10" in engine_backends()
-
-    def test_registration_validates_names(self):
-        with pytest.raises(ValueError):
-            register_step_backend("", "gpu", lambda ctx: None)
-        with pytest.raises(ValueError):
-            register_step_backend("scoring", "  ", lambda ctx: None)
-
-    def test_build_step_uses_context(self, tiny_scenario):
-        from repro.core.redistribution import make_strategy
-        from repro.metrics.registry import create_metric
-        config = PipelineConfig()
-        comm = BSPCommunicator(
-            tiny_scenario.nranks, cost_model=tiny_scenario.platform.network
-        )
-        context = StepBuildContext(
-            config=config,
-            platform=tiny_scenario.platform,
-            comm=comm,
-            metric=create_metric("VAR"),
-            strategy=make_strategy("none"),
-            nranks=tiny_scenario.nranks,
-            backend="serial",
-        )
-        step = build_step("sorting", "serial", context)
-        assert type(step) is SortingStep
-        assert step.comm is comm
 
 
 class TestEngineExecution:
@@ -366,10 +253,11 @@ class TestBackendParity:
 
 
 class Spiky(ScoreMetric):
-    """A user-style scalar metric with no batch implementation (module-level,
-    so the process fan-out can pickle it)."""
+    """A user-style scalar metric with no batch implementation that declares
+    it holds the GIL (module-level, so the process fan-out can pickle it)."""
 
     name = "SPIKY"
+    gil_bound = True
 
     def score_block(self, data):
         return float(np.abs(np.asarray(data)).max())
@@ -379,6 +267,7 @@ class RankNormalized(ScoreMetric):
     """Cross-block semantics: chunking would change the peak."""
 
     name = "RANKNORM"
+    gil_bound = True
 
     def score_block(self, data):
         return float(np.ptp(np.asarray(data)))
@@ -397,34 +286,34 @@ class TestParallelScoringStep:
         # 2 * 3 chunks per shape group, whatever the box's core count.
         monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 3)
 
-    def _assert_fanout_matches_serial(self, metric, scenario):
+    def _assert_step_matches_serial(self, metric, scenario):
         blocks = scenario.blocks_for(0)
         serial = ScoringStep(metric, scenario.platform).run(blocks)[0]
-        fanned = VectorizedScoringStep(metric, scenario.platform, processes=True)
-        assert fanned.run(blocks)[0] == serial
+        assert VectorizedScoringStep(metric, scenario.platform).run(blocks)[0] == serial
         assert live_owned_segments() == ()
 
-    def test_scalar_metric_chunked_identically(self, tiny_scenario):
-        self._assert_fanout_matches_serial(Spiky(), tiny_scenario)
+    def test_scalar_metric_chunked_identically(self, tiny_scenario, scoring_fanout):
+        self._assert_step_matches_serial(Spiky(), tiny_scenario)
+        assert scoring_fanout == [True]
 
-    def test_score_blocks_override_not_chunked(self, tiny_scenario):
-        self._assert_fanout_matches_serial(RankNormalized(), tiny_scenario)
-        # ... nor batched across ranks by the inline step.
-        blocks = tiny_scenario.blocks_for(0)
-        platform = tiny_scenario.platform
-        assert (
-            VectorizedScoringStep(RankNormalized(), platform).run(blocks)[0]
-            == ScoringStep(RankNormalized(), platform).run(blocks)[0]
-        )
+    def test_score_blocks_override_not_chunked(self, tiny_scenario, scoring_fanout):
+        """Cross-block logic is neither chunked nor batched across ranks, even
+        for a metric that declares ``gil_bound``: the per-rank reference step."""
+        self._assert_step_matches_serial(RankNormalized(), tiny_scenario)
+        assert scoring_fanout == []
 
-    def test_batch_metric_chunked_identically(self, tiny_scenario):
+    def test_batch_metric_chunked_identically(self, tiny_scenario, scoring_fanout):
         from repro.metrics.registry import create_metric
 
-        self._assert_fanout_matches_serial(create_metric("FPZIP"), tiny_scenario)
+        metric = create_metric("FPZIP")
+        self._assert_step_matches_serial(metric, tiny_scenario)
+        metric.gil_bound = True  # FPZIP reads False: force its chunked path
+        self._assert_step_matches_serial(metric, tiny_scenario)
+        assert scoring_fanout == [False, True]
 
 
 class TestRenderingBackends:
-    """All rendering backends must be indistinguishable downstream."""
+    """Both rendering classes must be indistinguishable downstream."""
 
     @staticmethod
     def _observable(step, blocks, iteration=0):
@@ -444,12 +333,7 @@ class TestRenderingBackends:
         platform = tiny_scenario.platform
         serial = RenderingStep(platform, render_mode=render_mode)
         vector = VectorizedRenderingStep(platform, render_mode=render_mode)
-        fanned = VectorizedRenderingStep(
-            platform, render_mode=render_mode, processes=True
-        )
-        reference = self._observable(serial, blocks)
-        assert self._observable(vector, blocks) == reference
-        assert self._observable(fanned, blocks) == reference
+        assert self._observable(vector, blocks) == self._observable(serial, blocks)
 
     def test_parity_with_reduced_blocks(self, tiny_scenario):
         from repro.grid.reduction import reduce_block
@@ -461,21 +345,15 @@ class TestRenderingBackends:
         platform = tiny_scenario.platform
         serial = RenderingStep(platform, render_mode="count")
         vector = VectorizedRenderingStep(platform, render_mode="count")
-        fanned = VectorizedRenderingStep(platform, render_mode="count", processes=True)
-        reference = self._observable(serial, blocks)
-        assert self._observable(vector, blocks) == reference
-        assert self._observable(fanned, blocks) == reference
+        assert self._observable(vector, blocks) == self._observable(serial, blocks)
 
     def test_parallel_handles_empty_ranks(self, tiny_scenario):
         platform = tiny_scenario.platform
         blocks = [list(tiny_scenario.blocks_for(0)[0]), [], []]
         for mode in ("count", "mesh"):
             reference = self._observable(RenderingStep(platform, render_mode=mode), blocks)
-            for processes in (False, True):
-                batched = VectorizedRenderingStep(
-                    platform, render_mode=mode, processes=processes
-                )
-                assert self._observable(batched, blocks) == reference
+            batched = VectorizedRenderingStep(platform, render_mode=mode)
+            assert self._observable(batched, blocks) == reference
 
     def test_rank_triangle_totals_summed_once(self, tiny_scenario, monkeypatch):
         """``RenderResult.ntriangles`` re-sums a dict on every read: the

@@ -70,21 +70,22 @@ class TestScoringStep:
             assert score == pytest.approx(metric.score_block(blk.data))
 
     @pytest.mark.parametrize(
-        "step_class, options",
+        "step_class, metric",
         [
-            (ScoringStep, {}),
-            (VectorizedScoringStep, {}),
-            (VectorizedScoringStep, {"processes": True}),
+            (ScoringStep, "VAR"),
+            (VectorizedScoringStep, "VAR"),
+            (VectorizedScoringStep, "PYVAR"),  # gil_bound: over the process pool
         ],
         ids=["ScoringStep", "VectorizedScoringStep", "processes"],
     )
     def test_npoints_counted_once_and_reported(
-        self, step_class, options, per_rank_blocks, platform
+        self, step_class, metric, per_rank_blocks, platform
     ):
         """``run`` hands the point total to ``execute`` in ``info`` (one
-        contract on every backend); scores are plain Python floats."""
+        contract on every class, inline or pooled); scores are plain Python
+        floats."""
         expected = sum(b.data.size for blocks in per_rank_blocks for b in blocks)
-        step = step_class(create_metric("VAR"), platform, **options)
+        step = step_class(create_metric(metric), platform)
         pairs, scored, info = step.run(per_rank_blocks)
         assert info["npoints"] == expected
         assert all(type(score) is float for rank in pairs for _, score in rank)

@@ -303,25 +303,32 @@ class TestRegistryParitySweep:
     def test_calibration_on_columns_equals_the_per_rank_oracle(self, name):
         assert_calibrated_like_the_oracle(tiny_scenario(name))
 
-    def test_three_backend_parity(self, name):
+    def test_three_backend_parity(self, name, scoring_fanout):
+        """``VAR`` scores inline; ``PYVAR`` declares ``gil_bound``, so the
+        batched classes score it over the process pool — at every registered
+        scenario both must agree with the per-block oracle."""
         scenario = tiny_scenario(name)
-        ref_pairs, ref_sorted, ref_owners, ref_reports = _iteration_observables(
-            scenario, "serial"
-        )
-        # Sanity: the iteration did real work on this workload.
-        assert ref_sorted and len(ref_owners) == scenario.nblocks
-        assert set(ref_reports) == {
-            "scoring", "sorting", "reduction", "redistribution", "rendering",
-        }
-        for backend in BACKENDS[1:]:
-            pairs, sorted_pairs, owners, reports = _iteration_observables(
-                scenario, backend
+        for metric in ("VAR", "PYVAR"):
+            ref_pairs, ref_sorted, ref_owners, ref_reports = _iteration_observables(
+                scenario, "serial", metric=metric
             )
-            assert pairs == ref_pairs, backend
-            assert sorted_pairs == ref_sorted, backend
-            assert owners == ref_owners, backend
-            for step, ref in ref_reports.items():
-                assert reports[step] == ref, (backend, step)
+            # Sanity: the iteration did real work on this workload.
+            assert ref_sorted and len(ref_owners) == scenario.nblocks
+            assert set(ref_reports) == {
+                "scoring", "sorting", "reduction", "redistribution", "rendering",
+            }
+            for backend in BACKENDS[1:]:
+                pairs, sorted_pairs, owners, reports = _iteration_observables(
+                    scenario, backend, metric=metric
+                )
+                assert pairs == ref_pairs, (metric, backend)
+                assert sorted_pairs == ref_sorted, (metric, backend)
+                assert owners == ref_owners, (metric, backend)
+                for step, ref in ref_reports.items():
+                    assert reports[step] == ref, (metric, backend, step)
+        # The pool was in fact taken: by every batched backend, for PYVAR only.
+        batched = len(BACKENDS[1:])
+        assert scoring_fanout == [False] * batched + [True] * batched
 
     def test_quality_ladder_backend_parity(self, name):
         """With a non-trivial mipmap ladder (half the selection to level 2,
@@ -355,10 +362,10 @@ class TestRegistryParitySweep:
     "ladder", [None, ((2, 0.5), (1, 0.5))], ids=["corners", "two_rung"]
 )
 def test_fpzip_four_backend_parity_on_tiny(ladder):
-    """The sweep above scores with VAR.  The coder metric is the one whose
-    kernel owns scratch buffers, and the process backend pickles it into
-    every task — so FPZIP scores, order, owners and reports are pinned
-    across all four backends too, with and without the two-rung ladder."""
+    """The sweep above scores with VAR and PYVAR.  The coder metric is the
+    one whose kernel owns scratch buffers — so FPZIP scores, order, owners and
+    reports are pinned across all four backend names too, with and without
+    the two-rung ladder."""
     scenario = tiny_scenario("tiny")
     ref = _iteration_observables(scenario, "serial", ladder, metric="FPZIP")
     assert ref[1] and len({score for _, score in ref[1]}) > 1
@@ -368,12 +375,13 @@ def test_fpzip_four_backend_parity_on_tiny(ladder):
 
 
 class PeakMetric(ScoreMetric):
-    """A user-style scalar metric: no ``score_batch``, module-level so the
-    process backend can pickle it."""
+    """A user-style scalar metric: no ``score_batch``; it declares ``gil_bound``
+    and is module-level so that the pool's tasks can pickle it."""
 
     name = "PEAK"
     cost = MetricCost(per_point=4.9e-8)
     supports_batch = False
+    gil_bound = True
 
     def score_block(self, data):
         return float(np.abs(np.asarray(data)).max())
@@ -381,8 +389,9 @@ class PeakMetric(ScoreMetric):
 
 def test_scalar_user_metric_backend_parity_on_tiny(monkeypatch):
     """A registered user metric without a batch path takes the per-block
-    route on every backend — in the workers on ``process`` — and must still
-    give every backend the same scores, order, owners and reports."""
+    route on every backend — in the pool's workers on the batched ones, since
+    it declares ``gil_bound`` — and must still give every backend the same
+    scores, order, owners and reports."""
     monkeypatch.setitem(default_registry()._factories, "PEAK", PeakMetric)
     scenario = tiny_scenario("tiny")
     ref = _iteration_observables(scenario, "serial", metric="PEAK")

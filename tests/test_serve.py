@@ -474,6 +474,31 @@ class TestServeApp:
 
         asyncio.run(body())
 
+    def test_request_thread_never_forks_a_pool(self, tmp_path, two_workers):
+        """``"backend": "process"`` with a GIL-bound metric on the thread tier
+        used to create the shared pool — a fork — from a request thread with
+        the other request threads running.  The name is an alias now and the
+        rule refuses any caller but the main thread: same rows as
+        ``vectorized``, and no pool exists afterwards."""
+        from repro.utils import procpool
+
+        procpool.shutdown_shared_pool()
+        run = {**TINY_RUN, "metric": "PYVAR"}
+
+        async def body():
+            async with serve_app(tmp_path) as (_, port):
+                _, pooled = await _request(port, "POST", "/run", {**run, "backend": "process"})
+                _, inline = await _request(port, "POST", "/run", {**run, "backend": "vectorized"})
+                rows = lambda raw: [
+                    e for e in _events(raw) if e["type"] == "iteration"
+                ]
+                _assert_run_stream(_events(pooled), iterations=2)
+                assert _events(pooled)[-1]["config"]["engine"] == "process"
+                assert rows(pooled) == rows(inline)
+
+        asyncio.run(body())
+        assert procpool._POOL is None
+
     def test_different_overrides_miss_separately(self, tmp_path):
         async def body():
             async with serve_app(tmp_path) as (app, port):

@@ -1,6 +1,6 @@
 """Tests for repro.grid.shm: shared-memory block batches and leak accounting.
 
-The process backend's correctness story rests on two properties tested here:
+The process pool's correctness story rests on two properties tested here:
 
 * pickling a :class:`SharedBlockBatch` ships a ~100-byte handle, never the
   payload, and the attached view maps the same bytes read-only;
@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ class ExplodingMetric(ScoreMetric):
     name = "EXPLODE"
     cost = MetricCost(per_point=1e-9)
     supports_batch = False
+    gil_bound = True
 
     def score_block(self, data: np.ndarray) -> float:
         raise RuntimeError("metric exploded in worker")
@@ -53,6 +57,7 @@ class RowLoggingMetric(ScoreMetric):
     name = "ROWLOG"
     cost = MetricCost(per_point=1e-9)
     supports_batch = False
+    gil_bound = True
 
     def __init__(self, log_path: str, fail: bool) -> None:
         self.log_path = log_path
@@ -178,20 +183,18 @@ class TestLeakAccounting:
         b.dispose()
         assert live_owned_segments() == before
 
-    def test_worker_exception_leaks_no_segments(self):
+    def test_worker_exception_leaks_no_segments(self, two_workers):
         """A metric that dies inside a worker must not leave segments behind
         (the step disposes its shared batches in a ``finally`` block)."""
         scenario = ExperimentScenario(get_scenario("tiny").tiny())
-        step = VectorizedScoringStep(
-            ExplodingMetric(), scenario.platform, processes=True
-        )
+        step = VectorizedScoringStep(ExplodingMetric(), scenario.platform)
         before = live_owned_segments()
         with pytest.raises(RuntimeError, match="metric exploded"):
             step.run(scenario.blocks_for(0))
         assert live_owned_segments() == before
 
     def test_failed_chunk_waits_for_siblings_before_unlinking(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, two_workers
     ):
         """When one chunk fails, the fan-out cancels the chunks that have not
         started and waits for the ones that have *before* it unlinks their
@@ -210,9 +213,7 @@ class TestLeakAccounting:
         log = tmp_path / "rows.log"
         log.touch()
         shm_before = set(os.listdir("/dev/shm"))
-        failing = VectorizedScoringStep(
-            RowLoggingMetric(str(log), fail=True), platform, processes=True
-        )
+        failing = VectorizedScoringStep(RowLoggingMetric(str(log), fail=True), platform)
         with pytest.raises(RuntimeError, match="row 0 failed"):
             failing.run([blocks])
         logged = log.read_text()
@@ -220,9 +221,7 @@ class TestLeakAccounting:
         assert log.read_text() == logged  # no sibling chunk is still running
         assert live_owned_segments() == ()
         assert set(os.listdir("/dev/shm")) == shm_before
-        healthy = VectorizedScoringStep(
-            RowLoggingMetric(str(log), fail=False), platform, processes=True
-        )
+        healthy = VectorizedScoringStep(RowLoggingMetric(str(log), fail=False), platform)
         assert healthy.run([blocks])[0] == [[(i, float(i)) for i in range(40)]]
         assert live_owned_segments() == ()
 
@@ -246,15 +245,47 @@ class TestLeakAccounting:
         shared.dispose()
         assert purge_owned_segments() == ()
 
-    def test_process_backend_iteration_leaks_no_segments(self):
-        """A full process-backend pipeline iteration cleans up every segment."""
+    def test_process_backend_iteration_leaks_no_segments(self, two_workers):
+        """A full pipeline iteration scored over the pool cleans up every segment."""
         scenario = ExperimentScenario(get_scenario("tiny").tiny())
         before = live_owned_segments()
         pipeline = scenario.build_pipeline(
-            metric="VAR", redistribution="round_robin", engine="process"
+            metric="PYVAR", redistribution="round_robin", engine="process"
         )
         context = pipeline.engine.run_iteration(
             scenario.blocks_for(0), percent=50.0, iteration=0
         )
         assert context.per_rank_pairs  # the iteration did real work
         assert live_owned_segments() == before
+
+    def test_pool_forked_before_the_tracker_shares_the_parents_tracker(self):
+        """A pool warmed before this process ever touched shared memory used to
+        fork its workers without a resource-tracker daemon to inherit; each then
+        started a private one, which at worker exit warned about — and tried to
+        unlink — segments the parent had already retired."""
+        script = (
+            "import repro.utils.procpool as procpool\n"
+            "procpool.default_process_workers = lambda: 2\n"
+            "from repro.core.scoring_step import VectorizedScoringStep\n"
+            "from repro.experiments.common import ExperimentScenario\n"
+            "from repro.metrics.registry import create_metric\n"
+            "from repro.scenarios import get_scenario\n"
+            "scenario = ExperimentScenario(get_scenario('tiny').tiny())\n"
+            "procpool.warm_shared_pool()\n"
+            "step = VectorizedScoringStep(create_metric('PYVAR'), scenario.platform)\n"
+            "step.run(scenario.blocks_for(0))\n"
+            "assert procpool._POOL is not None\n"
+            "procpool.shutdown_shared_pool()\n"
+        )
+        shm_before = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert {n for n in os.listdir("/dev/shm") if n.startswith("psm_")} == shm_before

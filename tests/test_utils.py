@@ -217,3 +217,42 @@ class TestSharedProcpool:
         # The pool is live and every later submit hits a forked worker.
         assert shared_process_pool().submit(int, "7").result(timeout=30) == 7
         assert warm_shared_pool(tasks=1) >= 1
+
+    @pytest.mark.parametrize(
+        "flipped",
+        [None, "gil_bound", "one_worker", "spawn_only", "other_thread", "pool_worker"],
+    )
+    def test_pool_pays_is_the_conjunction_of_its_five_conditions(
+        self, flipped, monkeypatch
+    ):
+        """The pool is taken iff the kernel is GIL-bound, a second worker
+        exists, workers fork, the caller is the main thread and the caller is
+        not a pool worker: all five hold → True; any one flipped alone → False."""
+        import multiprocessing
+        import threading
+
+        from repro.utils import procpool
+
+        workers = 1 if flipped == "one_worker" else 2
+        monkeypatch.setattr(procpool, "default_process_workers", lambda: workers)
+        if flipped == "spawn_only":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        gil_bound = flipped != "gil_bound"
+        if flipped == "other_thread":
+            answers = []
+            thread = threading.Thread(
+                target=lambda: answers.append(procpool.pool_pays(gil_bound))
+            )
+            thread.start()
+            thread.join()
+            answer = answers[0]
+        elif flipped == "pool_worker":
+            # The worker is forked after the patch, so it sees two workers too.
+            procpool.shutdown_shared_pool()
+            answer = procpool.shared_process_pool().submit(
+                procpool.pool_pays, gil_bound
+            ).result(timeout=30)
+            procpool.shutdown_shared_pool()
+        else:
+            answer = procpool.pool_pays(gil_bound)
+        assert answer is (flipped is None)
