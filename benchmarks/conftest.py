@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import ExperimentScenario, bench_scale, cached_scenario
+from repro.experiments.common import bench_scale
+from repro.scenarios.scenario import ExperimentScenario, cached_scenario
 
 
 @pytest.fixture(scope="session")

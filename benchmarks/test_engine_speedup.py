@@ -25,7 +25,7 @@ from repro.compress.fpzip_like import FpzipLikeCompressor
 from repro.core.config import AdaptationConfig
 from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
-from repro.experiments.common import ExperimentScenario, cached_scenario
+from repro.scenarios.scenario import ExperimentScenario, cached_scenario
 from repro.experiments.fig10_adaptation import PAPER_FIG10_TARGETS
 from repro.experiments.fig11_full_pipeline import PAPER_FIG11_TARGETS
 from repro.grid.batch import (

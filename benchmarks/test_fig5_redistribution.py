@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import render_baseline_seconds
+from repro.scenarios.scenario import render_baseline_seconds
 from repro.experiments.fig5_redistribution import format_fig5, run_fig5
 
 

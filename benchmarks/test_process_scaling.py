@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.scoring_step import VectorizedScoringStep
-from repro.experiments.common import ExperimentScenario, cached_scenario
+from repro.scenarios.scenario import ExperimentScenario, cached_scenario
 from repro.grid.batch import BlockColumns
 from repro.grid.fanout import map_shape_groups
 from repro.metrics.statistics import PythonVarianceMetric

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import AdaptationConfig
-from repro.experiments.common import ExperimentScenario, ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig
 
 
 def run_configuration(scenario, label, redistribution, adaptation, niterations=20):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.experiments.common import ExperimentScenario, ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig
 from repro.experiments.fig3_metric_agreement import format_fig3, run_fig3
 from repro.experiments.fig4_scoremaps import format_fig4, run_fig4
 from repro.experiments.table1_metric_cost import format_table, run_table1

@@ -15,7 +15,7 @@ Run with::
 from __future__ import annotations
 
 from repro.core.config import AdaptationConfig
-from repro.experiments.common import ExperimentScenario, ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cm1 import CM1Config, CM1Simulation
-from repro.experiments.common import ExperimentScenario, ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig
 from repro.experiments.fig1_renderings import run_fig1
 from repro.viz.camera import Camera
 from repro.viz.framebuffer import Framebuffer

@@ -64,6 +64,7 @@ from repro.cm1 import CM1Config, CM1Dataset, CM1Simulation
 from repro.perfmodel import PlatformModel
 from repro.metrics import create_metric, default_registry
 from repro.scenarios import (
+    ExperimentScenario,
     ScenarioConfig,
     create_scenario_config,
     register_scenario,
@@ -71,7 +72,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AdaptationConfig",
@@ -113,8 +114,6 @@ def quickstart_pipeline(
     ("vectorized", or the "serial" oracle; "parallel" and "process" are
     aliases of "vectorized"); all give identical results.
     """
-    from repro.experiments.common import ExperimentScenario
-
     scenario = ExperimentScenario.tiny(nranks=nranks, nsnapshots=nsnapshots)
     pipeline = scenario.build_pipeline(
         metric=metric,
@@ -122,6 +121,4 @@ def quickstart_pipeline(
         adaptation=AdaptationConfig(enabled=True, target_seconds=target_seconds),
         engine=engine,
     )
-    for index in range(nsnapshots):
-        pipeline.process_iteration(scenario.blocks_for(index))
-    return pipeline.monitor.to_run_result(pipeline.config_summary())
+    return pipeline.run(scenario.stream_iteration_blocks())

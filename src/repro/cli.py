@@ -1,6 +1,6 @@
 """The ``python -m repro`` command line.
 
-Three subcommands expose the scenario registry without writing any Python:
+Four subcommands expose the scenario registry without writing any Python:
 
 ``list``
     Print the workload catalogue (name, default scale, tags, description),
@@ -11,13 +11,15 @@ Three subcommands expose the scenario registry without writing any Python:
     registry and ``engine_backends()``, as this command does).
 
 ``run``
-    Build a registered scenario (with optional rank/snapshot/seed
-    overrides), run the full six-step pipeline on it through the usual
-    ``ExperimentScenario.build_pipeline`` path, and write a JSON summary —
-    per-iteration timings, per-step aggregates, and the adaptation
-    trajectory.  ``--save-dataset`` additionally persists the generated
-    snapshots as a :class:`~repro.io.store.DatasetStore` (manifest + one
-    ``.npz`` per iteration).
+    Run the full six-step pipeline on a registered scenario (with optional
+    rank/snapshot/seed overrides) and write a JSON summary — per-iteration
+    rows, per-step aggregates, and the adaptation trajectory.  The options
+    are validated by :class:`~repro.serve.procrun.RunRequest` and the run is
+    :func:`~repro.serve.procrun.execute_run`: the validator and the body
+    behind ``repro serve``'s ``POST /run``, so the two report the same rows.
+    ``--save-dataset`` additionally persists the generated snapshots as a
+    :class:`~repro.io.store.DatasetStore` (manifest + one ``.npz`` per
+    iteration).
 
 ``sweep``
     Price a weak/strong-scaling rank sweep of a registered scenario through
@@ -32,24 +34,33 @@ Three subcommands expose the scenario registry without writing any Python:
     NDJSON per-iteration results, and share a disk-backed replay cache —
     see :mod:`repro.serve`.
 
-Exit codes: 0 on success, 2 on usage errors (including an unknown scenario
-name — the error message lists the registered names).
+Exit codes: 0 on success, 2 on usage errors — an unknown scenario name (the
+message lists the registered ones) or an option value the validator refuses
+(``--ranks 0``, ``--percent 150``, ``--target -1``, an unknown metric or
+backend), reported as ``error: ...`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import signal
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.backends import engine_backends
-from repro.core.config import AdaptationConfig
-from repro.metrics.registry import default_registry
-from repro.scenarios import get_scenario, scenario_specs
+from repro.scenarios import (
+    ExperimentScenario,
+    get_scenario,
+    model_scaling_sweep,
+    scenario_specs,
+)
+from repro.serve.procrun import RunRequest, _json_default, execute_run
+from repro.serve.server import serve_forever
 
 __all__ = ["main"]
 
@@ -229,20 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_default(value):
-    """Coerce NumPy scalars/arrays hiding in results into plain JSON types.
-
-    ``tolist`` must be tried first: it handles arrays of any size (and
-    returns a plain scalar for 0-d arrays and NumPy scalars), whereas
-    ``item`` raises on multi-element arrays.
-    """
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"not JSON serialisable: {type(value).__name__}")
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     specs = [
         spec
@@ -304,58 +301,24 @@ def _step_aggregates(iterations) -> Dict[str, Dict[str, float]]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # Imported lazily: pulling in the experiment layer (SciPy, calibration)
-    # only when a run is actually requested keeps ``list`` snappy.
-    from repro.experiments.common import ExperimentScenario
-
     try:
-        spec = get_scenario(args.scenario)
-    except KeyError as exc:
+        request = RunRequest.from_payload(
+            {
+                name: getattr(args, name)
+                for name in (
+                    "scenario", "ranks", "snapshots", "seed", "metric",
+                    "redistribution", "percent", "target", "render_mode", "backend",
+                )
+            }
+        )
+        config = request.scenario_config()
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.metric.strip().upper() not in default_registry():
-        print(
-            f"error: unknown metric {args.metric!r}; available: "
-            f"{', '.join(default_registry().names())}",
-            file=sys.stderr,
-        )
-        return 2
-    backend = None if args.backend is None else args.backend.strip().lower()
-    if backend is not None and backend not in engine_backends():
-        print(
-            f"error: unknown backend {args.backend!r}; available: "
-            f"{', '.join(engine_backends())}",
-            file=sys.stderr,
-        )
-        return 2
-
-    config = spec.build(ncores=args.ranks, nsnapshots=args.snapshots, seed=args.seed)
+    spec = get_scenario(config.name)
     scenario = ExperimentScenario(config)
-    adaptation: Optional[AdaptationConfig] = None
-    if args.target is not None:
-        adaptation = AdaptationConfig(enabled=True, target_seconds=args.target)
-    pipeline = scenario.build_pipeline(
-        metric=args.metric,
-        redistribution=args.redistribution,
-        adaptation=adaptation,
-        render_mode=args.render_mode,
-        engine=backend,
-    )
-    run = pipeline.run(scenario.stream_iteration_blocks(), percent_override=args.percent)
-
-    iteration_rows: List[Dict[str, object]] = [
-        {
-            "iteration": result.iteration,
-            "percent_reduced": result.percent_reduced,
-            "nblocks": result.nblocks,
-            "nreduced": result.nreduced,
-            "moved_bytes": result.moved_bytes,
-            "modelled_steps": dict(result.modelled_steps),
-            "modelled_total": result.modelled_total,
-            "load_imbalance": result.load_imbalance,
-        }
-        for result in run.iterations
-    ]
+    events: List[Dict[str, object]] = []
+    result, run = execute_run(request, scenario, events.append, lambda: None)
     summary = {
         "scenario": {
             "name": spec.name,
@@ -368,10 +331,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "seed": config.seed,
             "storm_family": type(config.storm).__name__ if config.storm else "default",
         },
-        "config": pipeline.config_summary(),
-        "run": run.summary(),
+        "config": result["config"],
+        "run": result["run"],
         "steps": _step_aggregates(run.iterations),
-        "iterations": iteration_rows,
+        "iterations": [
+            {key: value for key, value in event.items() if key != "type"}
+            for event in events
+        ],
     }
     # Status lines go to stderr: when --output is omitted, stdout carries the
     # JSON document and nothing else (the machine-readable contract).
@@ -394,8 +360,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.scenarios.sweep import model_scaling_sweep
-
     try:
         record = model_scaling_sweep(
             args.scenario,
@@ -405,11 +369,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             percent=args.percent,
             parallel=not args.serial,
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output is not None:
         text = json.dumps(record, indent=2, default=_json_default)
@@ -446,11 +407,6 @@ def _sigterm_as_sigint(signum, frame) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import tempfile
-
-    from repro.serve.server import serve_forever
-
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2

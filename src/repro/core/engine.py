@@ -143,23 +143,9 @@ class ExecutionEngine:
         self, context: IterationContext, nblocks: Optional[int] = None
     ) -> IterationResult:
         """Condense a completed context into an :class:`IterationResult`."""
-        reports = context.reports
-        rendering = reports.get("rendering")
-        triangles = (
-            [int(t) for t in rendering.per_rank_counters.get("triangles", [])]
-            if rendering is not None
-            else []
-        )
-        reduction = reports.get("reduction")
-        redistribution = reports.get("redistribution")
         return IterationResult(
             iteration=context.iteration,
             percent_reduced=context.percent,
             nblocks=int(nblocks) if nblocks is not None else context.nblocks,
-            nreduced=int(reduction.counters.get("nreduced", 0.0)) if reduction else 0,
-            modelled_steps={name: r.modelled_max for name, r in reports.items()},
-            measured_steps={name: r.measured_max for name, r in reports.items()},
-            triangles_per_rank=triangles,
-            moved_bytes=float(redistribution.payload_bytes) if redistribution else 0.0,
-            step_reports=dict(reports),
+            step_reports=dict(context.reports),
         )

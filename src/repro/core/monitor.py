@@ -1,25 +1,24 @@
-"""Step 6 support: monitoring the pipeline's own performance.
+"""Step 6 support: the record of the pipeline's own performance.
 
-The monitor collects, for every iteration, the per-step measured and modelled
-times plus auxiliary quantities (per-rank triangle counts, bytes moved).  The
-execution engine feeds it one :class:`~repro.core.step.StepReport` per step
-per iteration (attached to the :class:`IterationResult`); the adaptation
-controller reads the full-pipeline time from here, and experiment drivers
-read everything else — including per-step payload bytes and counters.
+The execution engine condenses every iteration into one
+:class:`~repro.core.results.IterationResult` — the iteration's
+:class:`~repro.core.step.StepReport` per step, from which measured and
+modelled times, moved bytes and per-rank triangle counts are read — and the
+pipeline records it here.  The adaptation controller is fed the full-pipeline
+time of the iteration just recorded; experiment drivers and tests query the
+per-step series, and :meth:`PerformanceMonitor.to_run_result` bundles the
+recorded iterations into the run result every summary is built from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List
 
 from repro.core.results import IterationResult, PipelineRunResult
-from repro.utils.timer import StepTimings
 
 
 class PerformanceMonitor:
-    """Collects per-iteration step timings.
+    """Collects per-iteration results.
 
     The monitor accepts whatever step sequence the engine actually ran: the
     series queries validate step names against the steps *recorded* in the
@@ -35,17 +34,10 @@ class PerformanceMonitor:
     def __init__(self) -> None:
         self._iterations: List[IterationResult] = []
 
-    def _known_steps(self) -> set:
-        """Step names recorded so far, plus the canonical defaults."""
+    def _check_step(self, step: str) -> None:
         known = set(self.STEPS)
         for result in self._iterations:
             known.update(result.step_reports)
-            known.update(result.modelled_steps)
-            known.update(result.measured_steps)
-        return known
-
-    def _check_step(self, step: str) -> None:
-        known = self._known_steps()
         if step not in known:
             raise ValueError(
                 f"unknown step {step!r}; expected one of {tuple(sorted(known))}"
@@ -64,61 +56,22 @@ class PerformanceMonitor:
         """Number of recorded iterations."""
         return len(self._iterations)
 
-    def last(self) -> Optional[IterationResult]:
-        """Most recent iteration result (None before the first iteration)."""
-        return self._iterations[-1] if self._iterations else None
-
-    def iteration(self, index: int) -> IterationResult:
-        """Result of iteration ``index`` (0-based recording order)."""
-        return self._iterations[index]
-
-    def results(self) -> List[IterationResult]:
-        """All recorded iteration results (copy of the list)."""
-        return list(self._iterations)
-
     def to_run_result(self, config_summary: Dict[str, object]) -> PipelineRunResult:
         """Bundle the recorded iterations into a :class:`PipelineRunResult`."""
-        run = PipelineRunResult(config_summary=config_summary)
-        for result in self._iterations:
-            run.add(result)
-        return run
-
-    # -- aggregates ---------------------------------------------------------------
+        return PipelineRunResult(config_summary, list(self._iterations))
 
     def step_series(self, step: str, modelled: bool = True) -> List[float]:
-        """Per-iteration seconds of one step."""
+        """Per-iteration seconds of one step (0.0 where it did not run)."""
         self._check_step(step)
         if modelled:
             return [r.modelled_steps.get(step, 0.0) for r in self._iterations]
         return [r.measured_steps.get(step, 0.0) for r in self._iterations]
 
-    def total_series(self, modelled: bool = True) -> List[float]:
-        """Per-iteration full-pipeline seconds."""
-        if modelled:
-            return [r.modelled_total for r in self._iterations]
-        return [r.measured_total for r in self._iterations]
-
-    def mean_step(self, step: str, modelled: bool = True) -> float:
-        """Mean seconds of one step over the recorded iterations."""
-        series = self.step_series(step, modelled)
-        return float(np.mean(series)) if series else 0.0
-
-    def imbalance_series(self) -> List[float]:
-        """Per-iteration rendering load imbalance (max/mean triangles)."""
-        return [r.load_imbalance for r in self._iterations]
-
-    # -- step-report queries -----------------------------------------------------
-
     def payload_bytes_series(self, step: str) -> List[float]:
-        """Per-iteration bytes moved over the network by one step.
-
-        Iterations recorded without step reports (hand-built results) count
-        as 0 bytes.
-        """
+        """Per-iteration bytes moved over the network by one step."""
         self._check_step(step)
         return [
-            float(r.step_reports[step].payload_bytes) if step in r.step_reports else 0.0
-            for r in self._iterations
+            float(r.step_reports[step].payload_bytes) for r in self._iterations
         ]
 
     def counter_series(self, step: str, counter: str) -> List[float]:
@@ -126,7 +79,5 @@ class PerformanceMonitor:
         self._check_step(step)
         return [
             float(r.step_reports[step].counters.get(counter, 0.0))
-            if step in r.step_reports
-            else 0.0
             for r in self._iterations
         ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -12,26 +12,49 @@ from repro.core.step import StepReport
 
 @dataclass
 class IterationResult:
-    """Outcome of one pipeline iteration.
+    """Outcome of one pipeline iteration: what ran, and each step's report.
 
-    All times are in seconds; ``modelled_*`` are platform-model seconds,
+    The reports are the record; every other quantity is read off them.  All
+    times are in seconds; ``modelled_*`` are platform-model seconds,
     ``measured_*`` are Python wall-clock.
     """
 
     iteration: int
     percent_reduced: float
     nblocks: int
-    nreduced: int
-    #: Per-step modelled seconds: scoring, sorting, reduction, redistribution, rendering.
-    modelled_steps: Dict[str, float] = field(default_factory=dict)
-    measured_steps: Dict[str, float] = field(default_factory=dict)
-    #: Per-rank triangle counts after redistribution (rendering load).
-    triangles_per_rank: List[int] = field(default_factory=list)
-    #: Bytes moved by the redistribution step.
-    moved_bytes: float = 0.0
-    #: Full per-step reports (payload bytes, counters, per-rank series) keyed
-    #: by step name; populated by the execution engine.
+    #: Full per-step reports (times, payload bytes, counters, per-rank
+    #: series) keyed by step name, in execution order.
     step_reports: Dict[str, StepReport] = field(default_factory=dict)
+
+    @property
+    def modelled_steps(self) -> Dict[str, float]:
+        """Per-step modelled seconds (slowest rank), in execution order."""
+        return {name: r.modelled_max for name, r in self.step_reports.items()}
+
+    @property
+    def measured_steps(self) -> Dict[str, float]:
+        """Per-step measured seconds (slowest rank), in execution order."""
+        return {name: r.measured_max for name, r in self.step_reports.items()}
+
+    @property
+    def nreduced(self) -> int:
+        """Blocks the reduction step reduced."""
+        reduction = self.step_reports.get("reduction")
+        return int(reduction.counters.get("nreduced", 0.0)) if reduction else 0
+
+    @property
+    def moved_bytes(self) -> float:
+        """Bytes moved by the redistribution step."""
+        redistribution = self.step_reports.get("redistribution")
+        return float(redistribution.payload_bytes) if redistribution else 0.0
+
+    @property
+    def triangles_per_rank(self) -> List[int]:
+        """Per-rank triangle counts after redistribution (rendering load)."""
+        rendering = self.step_reports.get("rendering")
+        if rendering is None:
+            return []
+        return [int(t) for t in rendering.per_rank_counters.get("triangles", [])]
 
     @property
     def modelled_total(self) -> float:
@@ -51,9 +74,10 @@ class IterationResult:
     @property
     def load_imbalance(self) -> float:
         """max/mean of the per-rank triangle counts (1.0 = perfectly balanced)."""
-        if not self.triangles_per_rank:
+        triangles = self.triangles_per_rank
+        if not triangles:
             return 1.0
-        arr = np.asarray(self.triangles_per_rank, dtype=np.float64)
+        arr = np.asarray(triangles, dtype=np.float64)
         mean = arr.mean()
         if mean <= 0:
             return 1.0
@@ -67,10 +91,6 @@ class PipelineRunResult:
     config_summary: Dict[str, object]
     iterations: List[IterationResult] = field(default_factory=list)
 
-    def add(self, result: IterationResult) -> None:
-        """Append one iteration's result."""
-        self.iterations.append(result)
-
     @property
     def niterations(self) -> int:
         """Number of completed iterations."""
@@ -83,15 +103,6 @@ class PipelineRunResult:
     def modelled_rendering_times(self) -> List[float]:
         """Per-iteration modelled rendering seconds."""
         return [r.modelled_rendering for r in self.iterations]
-
-    def percents(self) -> List[float]:
-        """Per-iteration percentage of reduced blocks."""
-        return [r.percent_reduced for r in self.iterations]
-
-    def mean_modelled_total(self) -> float:
-        """Mean full-pipeline modelled seconds over the run."""
-        totals = self.modelled_totals()
-        return float(np.mean(totals)) if totals else 0.0
 
     def mean_modelled_rendering(self) -> float:
         """Mean rendering modelled seconds over the run."""

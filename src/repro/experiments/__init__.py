@@ -17,11 +17,11 @@ Each module regenerates one artefact of the paper's evaluation section
 :mod:`fig11_full_pipeline` Fig. 11 — full pipeline with adaptation
 =======================  ============================================
 
-:mod:`repro.experiments.common` provides the shared scenario construction and
+:mod:`repro.scenarios.scenario` provides the shared scenario construction and
 platform calibration; the ``benchmarks/`` tree wraps each driver in a
 pytest-benchmark entry that prints the regenerated rows/series.
 """
 
-from repro.experiments.common import ExperimentScenario, ScenarioConfig
-
-__all__ = ["ExperimentScenario", "ScenarioConfig"]
+#: Nothing is re-exported: import the driver modules by name, and the scenario
+#: classes from :mod:`repro.scenarios`.
+__all__: list = []

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import AdaptationConfig
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 
 #: Target run times per core count used by the paper for Figure 10.
 PAPER_FIG10_TARGETS: Dict[int, Sequence[float]] = {

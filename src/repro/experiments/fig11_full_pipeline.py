@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 from repro.experiments.fig10_adaptation import Fig10Result, format_fig10, run_adaptation
 
 #: Target run times per core count used by the paper for Figure 11.

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.reduction_step import ReductionStep
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 from repro.grid.reduction import reconstruct_block
 from repro.viz.framebuffer import Framebuffer
 from repro.viz.slice_render import render_colormap_slice

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 from repro.metrics.comparison import (
     MetricComparison,
     compare_metrics,

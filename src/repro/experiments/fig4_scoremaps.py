@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 from repro.metrics.registry import PAPER_METRICS, create_metric
 from repro.metrics.scoremap import ScoreMap, compute_scoremap
 from repro.viz.slice_render import extract_slice

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 
 
 @dataclass

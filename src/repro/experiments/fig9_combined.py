@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 from repro.experiments.fig6_7_reduction import ReductionSweepResult, run_reduction_sweep
 
 

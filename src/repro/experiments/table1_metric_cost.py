@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 from repro.metrics.registry import PAPER_METRICS, create_metric
 from repro.perfmodel.calibration import (
     PAPER_BLOCK_SHAPE,

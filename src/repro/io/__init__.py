@@ -5,13 +5,14 @@ experiment by replaying a stored dataset (572 iterations written during a
 3-day Blue Waters run) through the in situ kernel, using the Block I/O
 Library (BIL) to reload it.  This package plays the same role: a
 :class:`DatasetStore` persists iterations of :class:`~repro.grid.domain.Domain`
-snapshots to disk (one compressed ``.npz`` per iteration plus a JSON
-manifest), and :class:`DatasetReplayer` feeds them back — optionally
-subdomain-by-subdomain the way a parallel collective read would.
+snapshots to disk (one compressed ``.npz`` per iteration, or raw
+memory-mappable ``.bin`` files, plus a JSON manifest);
+:class:`~repro.cm1.dataset.StoredCM1Dataset` feeds them back, subdomain by
+subdomain the way a parallel collective read would, and
+:func:`~repro.io.replay.equally_spaced` picks which iterations it visits.
 """
 
 from repro.io.manifest import DatasetManifest, IterationRecord
 from repro.io.store import DatasetStore
-from repro.io.replay import DatasetReplayer
 
-__all__ = ["DatasetManifest", "IterationRecord", "DatasetStore", "DatasetReplayer"]
+__all__ = ["DatasetManifest", "IterationRecord", "DatasetStore"]

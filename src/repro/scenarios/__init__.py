@@ -7,14 +7,15 @@ block decomposition — registered in a global registry
 (:func:`register_scenario`, the convention of the metric registry) and
 resolvable by every consumer:
 
-* ``repro.experiments.common`` builds :class:`ExperimentScenario` objects
-  from registered names (the classic ``blue_waters_64`` / ``tiny``
-  constructors now resolve through the registry);
-* ``python -m repro list`` / ``python -m repro run <scenario>`` expose the
-  catalogue on the command line;
-* ``tests/test_scenarios.py`` parameterises its serial/vectorized/parallel
-  parity sweep over :func:`scenario_names`, so every newly registered
-  workload is parity-tested for free;
+* :class:`ExperimentScenario` (:mod:`repro.scenarios.scenario`) makes a
+  resolved config runnable — dataset, decomposition, calibrated platform,
+  ``build_pipeline`` — and its ``blue_waters`` / ``tiny`` / ``from_name``
+  constructors resolve through the registry;
+* ``python -m repro list`` / ``python -m repro run <scenario>`` and
+  ``repro serve``'s ``POST /run`` expose the catalogue;
+* ``tests/test_scenarios.py`` parameterises its backend parity sweep over
+  :func:`scenario_names` and ``engine_backends()``, so every newly
+  registered workload is parity-tested for free;
 * :func:`scaling_variants` derives weak/strong-scaling rank sweeps from any
   registered entry, and :func:`model_scaling_sweep` prices those sweeps
   through the cost models alone — which is how rank counts like the
@@ -35,6 +36,7 @@ from repro.scenarios.registry import (
     scenario_specs,
 )
 from repro.scenarios.scaling import scaling_variants
+from repro.scenarios.scenario import ExperimentScenario
 from repro.scenarios.spec import ScenarioConfig, ScenarioFactory, ScenarioSpec
 from repro.scenarios.sweep import model_scaling_point, model_scaling_sweep
 
@@ -42,6 +44,7 @@ from repro.scenarios.sweep import model_scaling_point, model_scaling_sweep
 import repro.scenarios.catalog  # noqa: E402,F401  (registration side effect)
 
 __all__ = [
+    "ExperimentScenario",
     "ScenarioConfig",
     "ScenarioFactory",
     "ScenarioSpec",

@@ -2,9 +2,7 @@
 
 :class:`ScenarioConfig` is the canonical parameter record of one workload —
 rank count, grid shape, block decomposition, snapshot count, and the storm
-structure driving the synthetic CM1 data.  It used to live in
-:mod:`repro.experiments.common` (which still re-exports it unchanged); it
-moved here so the scenario layer does not depend on the experiment drivers.
+structure driving the synthetic CM1 data.
 
 :class:`ScenarioSpec` is a registry entry wrapping a config *factory* with
 the metadata the CLI and the test sweeps need: a name, a one-line
@@ -51,29 +49,6 @@ class ScenarioConfig:
             raise ValueError(f"ncores must be >= 1, got {self.ncores}")
         if self.nsnapshots < 1:
             raise ValueError(f"nsnapshots must be >= 1, got {self.nsnapshots}")
-
-    # -- registry-backed constructors (kept for call-site compatibility) -----
-
-    @classmethod
-    def blue_waters_64(cls, nsnapshots: int = 10) -> "ScenarioConfig":
-        """The 64-core configuration of the paper at laptop scale."""
-        from repro.scenarios.registry import create_scenario_config
-
-        return create_scenario_config("blue_waters_64", nsnapshots=nsnapshots)
-
-    @classmethod
-    def blue_waters_400(cls, nsnapshots: int = 10) -> "ScenarioConfig":
-        """The 400-core configuration of the paper at laptop scale."""
-        from repro.scenarios.registry import create_scenario_config
-
-        return create_scenario_config("blue_waters_400", nsnapshots=nsnapshots)
-
-    @classmethod
-    def tiny(cls, nranks: int = 4, nsnapshots: int = 2) -> "ScenarioConfig":
-        """A unit-test-sized configuration."""
-        from repro.scenarios.registry import create_scenario_config
-
-        return create_scenario_config("tiny", ncores=nranks, nsnapshots=nsnapshots)
 
 
 #: A scenario factory accepts keyword overrides (``ncores``, ``nsnapshots``,

@@ -13,8 +13,9 @@ memory-maps the stored snapshots instead of re-simulating CM1.  The cache is
 LRU-bounded via ``--cache-max-entries`` / ``--cache-max-bytes``.
 
 :mod:`repro.serve.cache` holds the replay cache, :mod:`repro.serve.server`
-the protocol and request handling, :mod:`repro.serve.procrun` the
-worker-process side of the process execution tier.
+the protocol and the two tiers' transports, :mod:`repro.serve.procrun` the
+request validator and the run body both tiers share with ``python -m repro
+run``, plus the worker-process door of the process tier.
 """
 
 from repro.serve.cache import ReplayCache, scenario_cache_key

@@ -26,11 +26,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.cm1.config import CM1Config
-from repro.cm1.dataset import CM1Dataset
-from repro.experiments.common import ExperimentScenario
 from repro.io.store import DatasetStore
-from repro.scenarios import ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig
+from repro.scenarios.scenario import live_dataset
 
 __all__ = ["ReplayCache", "scenario_cache_key"]
 
@@ -46,20 +44,6 @@ def scenario_cache_key(config: ScenarioConfig) -> str:
     digest = hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:20]
     prefix = config.name or "adhoc"
     return f"{prefix}-{digest}"
-
-
-def _dataset_for(config: ScenarioConfig) -> CM1Dataset:
-    """A live CM1 dataset for ``config`` (the cache-miss data source).
-
-    ``cache=False``: the snapshots are about to be persisted and then
-    replayed from disk, so keeping a second in-memory copy for the life of
-    the save loop would only double peak memory.
-    """
-    if config.storm is not None:
-        cm1 = CM1Config(shape=config.shape, seed=config.seed, storm=config.storm)
-    else:
-        cm1 = CM1Config(shape=config.shape, seed=config.seed)
-    return CM1Dataset(cm1, nsnapshots=config.nsnapshots, cache=False)
 
 
 class _Entry:
@@ -216,7 +200,7 @@ class ReplayCache:
             if not was_hit:
                 # Simulate + persist outside the cache-wide guard (slow),
                 # still under the per-key lock (exactly-once).
-                _dataset_for(config).save(
+                live_dataset(config, cache=False).save(
                     store_dir,
                     extra_metadata={
                         "scenario": config.name or "adhoc",
@@ -249,10 +233,7 @@ class ReplayCache:
         stores exact bytes).
         """
         with self.acquire_store(config) as (store_dir, was_hit):
-            dataset = CM1Dataset.load(
-                store_dir, field_name=config.field_name, mmap=True
-            )
-            yield ExperimentScenario(config, dataset=dataset), was_hit
+            yield ExperimentScenario.from_store(config, store_dir), was_hit
 
     def scenario_for(self, config: ScenarioConfig) -> "Tuple[ExperimentScenario, bool]":
         """Resolve a config to ``(scenario, was_hit)``, cached.

@@ -15,7 +15,13 @@ the protocol is tiny:
 ``POST /run``
     JSON body selecting a registered scenario and optional overrides
     (``ranks``, ``snapshots``, ``seed``, ``metric``, ``redistribution``,
-    ``percent``, ``target``, ``render_mode``, ``backend``, ``timeout_s``).
+    ``percent``, ``target``, ``render_mode``, ``backend``, ``timeout_s``),
+    validated by :class:`~repro.serve.procrun.RunRequest` — the validator
+    ``python -m repro run`` uses.  A request it refuses is answered ``400``
+    (``404`` for an unregistered scenario) before the streaming header, so
+    no ``200`` is ever followed by a validation failure; a ``Content-Length``
+    that is not a plain number is ``400`` and one above
+    :data:`MAX_BODY_BYTES` is ``413``, unread.
     The response streams NDJSON: one ``start`` event (with
     the cache verdict), one ``iteration`` event per completed pipeline
     iteration *as it completes*, and a final ``summary`` event matching
@@ -25,7 +31,9 @@ the protocol is tiny:
     expired), a ``"shutdown"`` (the server is draining), and an
     ``"exception"``.
 
-Two execution tiers (``ServeApp(execution=...)``, CLI ``--execution``):
+Two execution tiers (``ServeApp(execution=...)``, CLI ``--execution``), which
+differ in where :func:`repro.serve.procrun.execute_run` — the one run body,
+also behind ``python -m repro run`` — executes and how its events travel:
 
 ``"thread"`` (default)
     Runs execute on a shared :class:`~concurrent.futures.ThreadPoolExecutor`
@@ -52,6 +60,7 @@ The cache entry stays pinned (eviction-exempt) for the duration of each run.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import queue as queue_module
@@ -59,17 +68,19 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from repro.core.backends import engine_backends
-from repro.core.config import AdaptationConfig
 from repro.grid.shm import purge_owned_segments
-from repro.metrics.registry import default_registry
-from repro.scenarios import get_scenario, scenario_names
+from repro.scenarios import ScenarioConfig, scenario_names
 from repro.serve.cache import ReplayCache, scenario_cache_key
-from repro.serve.procrun import RunCancelled, iteration_row, run_scenario_in_worker
+from repro.serve.procrun import (
+    RunCancelled,
+    RunRequest,
+    _json_default,
+    execute_run,
+    run_scenario_in_worker,
+)
 from repro.utils.procpool import (
     default_process_workers,
     shared_manager,
@@ -95,89 +106,8 @@ STREAM_GRACE_SECONDS = 2.0
 #: Poll interval of the process-tier event drain and the shutdown drain.
 _POLL_SECONDS = 0.05
 
-
-@dataclass(frozen=True)
-class RunRequest:
-    """One validated ``POST /run`` payload."""
-
-    scenario: str
-    ranks: Optional[int] = None
-    snapshots: Optional[int] = None
-    seed: Optional[int] = None
-    metric: str = "VAR"
-    redistribution: str = "none"
-    percent: Optional[float] = None
-    target: Optional[float] = None
-    render_mode: str = "count"
-    backend: Optional[str] = None
-    timeout_s: Optional[float] = None
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "RunRequest":
-        """Build a request from a decoded JSON body; raises ``ValueError``."""
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        scenario = payload.get("scenario")
-        if not isinstance(scenario, str) or not scenario.strip():
-            raise ValueError("'scenario' (a registered name) is required")
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown request fields: {sorted(unknown)}")
-        request = cls(
-            scenario=scenario.strip(),
-            ranks=None if payload.get("ranks") is None else int(payload["ranks"]),
-            snapshots=(
-                None if payload.get("snapshots") is None else int(payload["snapshots"])
-            ),
-            seed=None if payload.get("seed") is None else int(payload["seed"]),
-            metric=str(payload.get("metric", "VAR")),
-            redistribution=str(payload.get("redistribution", "none")),
-            percent=(
-                None if payload.get("percent") is None else float(payload["percent"])
-            ),
-            target=None if payload.get("target") is None else float(payload["target"]),
-            render_mode=str(payload.get("render_mode", "count")),
-            backend=(
-                None
-                if payload.get("backend") is None
-                else str(payload["backend"]).strip().lower()
-            ),
-            timeout_s=(
-                None
-                if payload.get("timeout_s") is None
-                else float(payload["timeout_s"])
-            ),
-        )
-        if request.metric.strip().upper() not in default_registry():
-            raise ValueError(
-                f"unknown metric {request.metric!r}; available: "
-                f"{', '.join(default_registry().names())}"
-            )
-        if request.redistribution not in ("none", "shuffle", "round_robin"):
-            raise ValueError(
-                f"redistribution must be 'none', 'shuffle' or 'round_robin', "
-                f"got {request.redistribution!r}"
-            )
-        if request.render_mode not in ("count", "mesh"):
-            raise ValueError(
-                f"render_mode must be 'count' or 'mesh', got {request.render_mode!r}"
-            )
-        if request.backend is not None and request.backend not in engine_backends():
-            raise ValueError(
-                f"unknown backend {request.backend!r}; available: "
-                f"{', '.join(engine_backends())}"
-            )
-        if request.timeout_s is not None and not request.timeout_s > 0:
-            raise ValueError(f"timeout_s must be > 0, got {request.timeout_s}")
-        return request
-
-
-def _json_default(value):
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"not JSON serialisable: {type(value).__name__}")
+#: Largest request body read; a longer ``Content-Length`` is answered ``413``.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class _RunScope:
@@ -361,42 +291,9 @@ class ServeApp:
         with self.cache.acquire(config) as (scenario, was_hit):
             emit(self._start_event(request, config, was_hit))
             scope.check()
-            adaptation: Optional[AdaptationConfig] = None
-            if request.target is not None:
-                adaptation = AdaptationConfig(
-                    enabled=True, target_seconds=request.target
-                )
-            pipeline = scenario.build_pipeline(
-                metric=request.metric,
-                redistribution=request.redistribution,
-                adaptation=adaptation,
-                render_mode=request.render_mode,
-                engine=request.backend,
-            )
-
-            def on_iteration(result) -> None:
-                scope.check()
-                emit({"type": "iteration", **iteration_row(result)})
-
-            run = pipeline.run(
-                scenario.stream_iteration_blocks(),
-                percent_override=request.percent,
-                on_iteration=on_iteration,
-            )
-            scope.check()
-            return {
-                "type": "summary",
-                "scenario": {
-                    "name": config.name or request.scenario,
-                    "ncores": config.ncores,
-                    "shape": list(config.shape),
-                    "nsnapshots": config.nsnapshots,
-                    "seed": config.seed,
-                },
-                "config": pipeline.config_summary(),
-                "run": run.summary(),
-                "cache": self.cache.stats(),
-            }
+            summary, _ = execute_run(request, scenario, emit, scope.check)
+            summary["cache"] = self.cache.stats()
+            return summary
 
     def _execute_process_run(
         self, request: RunRequest, config, emit, scope: _RunScope
@@ -423,7 +320,7 @@ class ServeApp:
             )
             future = shared_process_pool().submit(
                 run_scenario_in_worker,
-                asdict(request),
+                request,
                 config,
                 str(store_dir),
                 events,
@@ -471,16 +368,12 @@ class ServeApp:
             "execution": self.execution,
         }
 
-    async def stream_run(self, request: RunRequest, write_line) -> None:
+    async def stream_run(
+        self, request: RunRequest, config: ScenarioConfig, write_line
+    ) -> None:
         """Run a request on the pool, awaiting ``write_line`` per event."""
         loop = asyncio.get_running_loop()
         out_queue: asyncio.Queue = asyncio.Queue()
-        spec = get_scenario(request.scenario)  # KeyError -> handled by caller
-        config = spec.build(
-            ncores=request.ranks,
-            nsnapshots=request.snapshots,
-            seed=request.seed,
-        )
         scope = _RunScope(self._timeout_for(request), self._shutdown)
 
         def emit(event: Dict[str, object]) -> None:
@@ -492,13 +385,7 @@ class ServeApp:
                 summary = self._execute_run(request, config, emit, scope)
                 emit(summary)
             except RunCancelled as exc:
-                emit(
-                    {
-                        "type": "error",
-                        "reason": exc.reason,
-                        "error": self._cancel_message(exc.reason, scope),
-                    }
-                )
+                emit(self._cancel_event(exc.reason, scope))
             except Exception as exc:  # surfaced as an error event, and logged
                 _LOG.exception(
                     "run failed with %s (scenario=%s seed=%s metric=%s tier=%s)",
@@ -529,16 +416,7 @@ class ServeApp:
                     if scope.stream_expired():
                         scope.request_cancel("timeout")
                         await write_line(
-                            json.dumps(
-                                {
-                                    "type": "error",
-                                    "reason": "timeout",
-                                    "error": self._cancel_message(
-                                        "timeout", scope
-                                    ),
-                                },
-                                default=_json_default,
-                            )
+                            json.dumps(self._cancel_event("timeout", scope))
                         )
                         return
                     continue
@@ -551,21 +429,25 @@ class ServeApp:
                 # Client gone or stream abandoned: stop the run promptly.
                 if scope.cancelled() is None:
                     scope.request_cancel("disconnect")
-                with _suppress_concurrent_errors():
+                # Waiting for the runner must never mask the original error.
+                with contextlib.suppress(Exception, asyncio.CancelledError):
                     await future
 
     @staticmethod
-    def _cancel_message(reason: str, scope: _RunScope) -> str:
+    def _cancel_event(reason: str, scope: _RunScope) -> Dict[str, object]:
+        """The terminal ``error`` event of a run cancelled for ``reason``."""
         if reason == "timeout":
             bound = scope.timeout_s
-            return (
+            message = (
                 f"run exceeded its deadline of {bound:.3f}s"
                 if bound is not None
                 else "run cancelled by deadline"
             )
-        if reason == "shutdown":
-            return "server is shutting down"
-        return f"run cancelled ({reason})"
+        elif reason == "shutdown":
+            message = "server is shutting down"
+        else:
+            message = f"run cancelled ({reason})"
+        return {"type": "error", "reason": reason, "error": message}
 
     # -- protocol ------------------------------------------------------------
 
@@ -575,11 +457,20 @@ class ServeApp:
         """One HTTP/1.1 exchange (the server always closes after it)."""
         try:
             method, path, headers = await _read_request_head(reader)
-            body = b""
-            length = int(headers.get("content-length", "0") or "0")
-            if length:
-                body = await reader.readexactly(length)
-            await self._dispatch(writer, method, path, body)
+            length = headers.get("content-length") or "0"
+            if not (length.isascii() and length.isdigit()):
+                await _respond_json(
+                    writer, 400, {"error": f"malformed Content-Length {length!r}"}
+                )
+            elif int(length) > MAX_BODY_BYTES:
+                await _respond_json(
+                    writer,
+                    413,
+                    {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"},
+                )
+            else:
+                body = await reader.readexactly(int(length))
+                await self._dispatch(writer, method, path, body)
         except (asyncio.IncompleteReadError, ConnectionResetError, ValueError):
             pass
         finally:
@@ -613,14 +504,15 @@ class ServeApp:
         await _respond_json(writer, 404, {"error": f"no route {method} {path}"})
 
     async def _handle_run(self, writer: asyncio.StreamWriter, body: bytes) -> None:
+        # Everything that can refuse the request does so here, before the
+        # streaming header commits the reply to ``200``.
         try:
             payload = json.loads(body.decode("utf-8") or "null")
             request = RunRequest.from_payload(payload)
-        except (ValueError, UnicodeDecodeError) as exc:
+            config = request.scenario_config()
+        except ValueError as exc:  # includes a body that is not UTF-8 JSON
             await _respond_json(writer, 400, {"error": str(exc)})
             return
-        try:
-            get_scenario(request.scenario)
         except KeyError:
             await _respond_json(
                 writer,
@@ -645,7 +537,7 @@ class ServeApp:
             writer.write(line.encode("utf-8") + b"\n")
             await writer.drain()
 
-        await self.stream_run(request, write_line)
+        await self.stream_run(request, config, write_line)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -675,18 +567,6 @@ class ServeApp:
         purge_owned_segments()
 
 
-class _suppress_concurrent_errors:
-    """``await future`` in cleanup must never mask the original error."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return exc_type is not None and issubclass(
-            exc_type, (Exception, asyncio.CancelledError)
-        )
-
-
 async def _read_request_head(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Dict[str, str]]:
@@ -709,7 +589,12 @@ async def _read_request_head(
 async def _respond_json(
     writer: asyncio.StreamWriter, status: int, payload: Dict[str, object]
 ) -> None:
-    reasons = {200: "OK", 400: "Bad Request", 404: "Not Found"}
+    reasons = {
+        200: "OK",
+        400: "Bad Request",
+        404: "Not Found",
+        413: "Payload Too Large",
+    }
     body = json.dumps(payload, default=_json_default).encode("utf-8") + b"\n"
     writer.write(
         f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"

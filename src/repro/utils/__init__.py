@@ -1,6 +1,6 @@
 """Shared utilities: timers, histograms, validation, deterministic RNG helpers."""
 
-from repro.utils.timer import Timer, StepTimings
+from repro.utils.timer import Timer
 from repro.utils.histogram import fixed_range_histogram, probabilities, shannon_entropy
 from repro.utils.procpool import (
     chunk_bounds,
@@ -18,7 +18,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "Timer",
-    "StepTimings",
     "chunk_bounds",
     "default_process_workers",
     "shared_process_pool",

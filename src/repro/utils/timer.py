@@ -1,19 +1,15 @@
-"""Wall-clock timing helpers used by every pipeline step.
+"""The stopwatch every pipeline step measures itself with.
 
-The pipeline tracks two independent notions of time:
-
-* *measured* time — actual Python wall-clock, obtained with :class:`Timer`;
-* *modelled* time — "platform seconds" produced by :mod:`repro.perfmodel`.
-
-:class:`StepTimings` aggregates both per pipeline step so experiment drivers
-can report either one.
+The pipeline tracks two independent notions of time: *measured* time —
+actual Python wall-clock, obtained with :class:`Timer` — and *modelled* time,
+"platform seconds" produced by :mod:`repro.perfmodel`.  Both end up, per rank,
+in the step's :class:`~repro.core.step.StepReport`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Optional
 
 
 class Timer:
@@ -51,69 +47,9 @@ class Timer:
             self._running = False
         return self._elapsed
 
-    def reset(self) -> None:
-        """Reset accumulated time to zero and stop the stopwatch."""
-        self._start = None
-        self._elapsed = 0.0
-        self._running = False
-
     @property
     def elapsed(self) -> float:
         """Accumulated elapsed seconds (includes the running segment, if any)."""
         if self._running and self._start is not None:
             return self._elapsed + (time.perf_counter() - self._start)
         return self._elapsed
-
-
-@dataclass
-class StepTimings:
-    """Per-step timing record for one pipeline iteration.
-
-    Attributes
-    ----------
-    measured:
-        Wall-clock seconds actually spent in each named step.
-    modelled:
-        Platform-model seconds attributed to each named step.
-    """
-
-    measured: Dict[str, float] = field(default_factory=dict)
-    modelled: Dict[str, float] = field(default_factory=dict)
-
-    def add_measured(self, step: str, seconds: float) -> None:
-        """Accumulate measured wall-clock ``seconds`` under ``step``."""
-        if seconds < 0:
-            raise ValueError(f"negative measured time for step {step!r}: {seconds}")
-        self.measured[step] = self.measured.get(step, 0.0) + seconds
-
-    def add_modelled(self, step: str, seconds: float) -> None:
-        """Accumulate modelled platform ``seconds`` under ``step``."""
-        if seconds < 0:
-            raise ValueError(f"negative modelled time for step {step!r}: {seconds}")
-        self.modelled[step] = self.modelled.get(step, 0.0) + seconds
-
-    def total_measured(self) -> float:
-        """Sum of measured seconds over all steps."""
-        return float(sum(self.measured.values()))
-
-    def total_modelled(self) -> float:
-        """Sum of modelled seconds over all steps."""
-        return float(sum(self.modelled.values()))
-
-    def merge(self, other: "StepTimings") -> "StepTimings":
-        """Return a new record combining ``self`` and ``other``."""
-        out = StepTimings(dict(self.measured), dict(self.modelled))
-        for k, v in other.measured.items():
-            out.add_measured(k, v)
-        for k, v in other.modelled.items():
-            out.add_modelled(k, v)
-        return out
-
-    def steps(self) -> Iterator[str]:
-        """Iterate over the union of step names present in either clock."""
-        seen = dict.fromkeys(list(self.measured) + list(self.modelled))
-        return iter(seen)
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Return a plain-dict snapshot (suitable for JSON serialization)."""
-        return {"measured": dict(self.measured), "modelled": dict(self.modelled)}

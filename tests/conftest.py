@@ -7,7 +7,7 @@ import pytest
 
 from repro.cm1.config import CM1Config
 from repro.cm1.simulation import CM1Simulation
-from repro.experiments.common import ExperimentScenario, ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig
 
 
 @pytest.fixture(scope="session")

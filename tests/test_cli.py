@@ -267,3 +267,14 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode != 0
         assert "tiny" in proc.stderr
+
+    def test_refused_option_value_subprocess_exits_2(self, env):
+        """The real entry point: a value ``RunRequest`` refuses is a usage
+        error, not a traceback (the full table is in ``tests/test_serve.py``)."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "tiny", "--percent", "150"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == "error: percent must be in [0, 100], got 150.0"

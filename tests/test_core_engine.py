@@ -441,9 +441,6 @@ class TestMonitorStepReportQueries:
                 iteration=0,
                 percent_reduced=0.0,
                 nblocks=1,
-                nreduced=0,
-                modelled_steps={"warp": 1.5},
-                measured_steps={"warp": 0.1},
                 step_reports={"warp": report},
             )
         )

@@ -10,6 +10,7 @@ from repro.core.backends import STEP_NAMES, engine_backends
 from repro.core.config import AdaptationConfig, PipelineConfig
 from repro.core.pipeline import InSituPipeline
 from repro.core.results import IterationResult
+from repro.core.step import StepReport
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
 
@@ -295,16 +296,29 @@ class TestIterationResult:
             iteration=0,
             percent_reduced=10.0,
             nblocks=8,
-            nreduced=1,
-            modelled_steps={"rendering": 10.0, "scoring": 1.0},
-            measured_steps={"rendering": 0.1},
-            triangles_per_rank=[10, 30],
+            step_reports={
+                "scoring": StepReport("scoring", modelled_per_rank=[1.0, 0.5]),
+                "reduction": StepReport("reduction", counters={"nreduced": 1.0}),
+                "redistribution": StepReport("redistribution", payload_bytes=64.0),
+                "rendering": StepReport(
+                    "rendering",
+                    measured_per_rank=[0.1, 0.05],
+                    modelled_per_rank=[4.0, 10.0],
+                    per_rank_counters={"triangles": [10.0, 30.0]},
+                ),
+            },
         )
+        assert result.nreduced == 1 and result.moved_bytes == 64.0
+        assert result.triangles_per_rank == [10, 30]
+        assert result.modelled_steps == {
+            "scoring": 1.0, "reduction": 0.0, "redistribution": 0.0, "rendering": 10.0,
+        }
         assert result.modelled_total == pytest.approx(11.0)
         assert result.measured_total == pytest.approx(0.1)
         assert result.modelled_rendering == pytest.approx(10.0)
         assert result.load_imbalance == pytest.approx(1.5)
 
     def test_empty_triangles_imbalance_one(self):
-        result = IterationResult(iteration=0, percent_reduced=0, nblocks=0, nreduced=0)
+        result = IterationResult(iteration=0, percent_reduced=0, nblocks=0)
+        assert result.nreduced == 0 and result.moved_bytes == 0.0
         assert result.load_imbalance == 1.0

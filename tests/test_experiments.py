@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.common import (
-    ExperimentScenario,
-    ScenarioConfig,
-    bench_scale,
-    render_baseline_seconds,
-)
+from repro.experiments.common import bench_scale
 from repro.experiments.fig1_renderings import run_fig1
 from repro.experiments.fig3_metric_agreement import format_fig3, run_fig3
 from repro.experiments.fig4_scoremaps import format_fig4, run_fig4
@@ -26,6 +21,8 @@ from repro.experiments.fig9_combined import format_fig9, run_combined_sweep
 from repro.experiments.fig10_adaptation import format_fig10, run_adaptation
 from repro.experiments.fig11_full_pipeline import run_full_pipeline_adaptation
 from repro.experiments.table1_metric_cost import format_table, run_table1
+from repro.scenarios import ExperimentScenario, ScenarioConfig
+from repro.scenarios.scenario import render_baseline_seconds
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
 from repro.io.manifest import DatasetManifest, IterationRecord
-from repro.io.replay import DatasetReplayer, equally_spaced
+from repro.io.replay import equally_spaced
 from repro.io.store import DatasetStore
 
 
@@ -416,10 +416,11 @@ class TestReplay:
     def test_replayer_per_rank_blocks(self, tmp_path):
         config = CM1Config.tiny()
         dataset = CM1Dataset(config, nsnapshots=3)
-        store = dataset.save(tmp_path / "cm1")
-        replayer = DatasetReplayer(store)
+        dataset.save(tmp_path / "cm1")
+        stored = CM1Dataset.load(tmp_path / "cm1")
         decomp = CartesianDecomposition(config.shape, nranks=2, blocks_per_subdomain=(2, 1, 1))
-        iterations = list(replayer.per_rank_blocks(decomp, count=2))
+        assert stored.select(2) == [0, 2]
+        iterations = [stored.per_rank_blocks(decomp, i) for i in stored.select(2)]
         assert len(iterations) == 2
         assert len(iterations[0]) == 2  # per rank
         total_blocks = sum(len(blocks) for blocks in iterations[0])
@@ -429,15 +430,15 @@ class TestReplay:
         """A raw-layout mmap replay hands out the same blocks as an npz one."""
         config = CM1Config.tiny()
         dataset = CM1Dataset(config, nsnapshots=2)
-        npz_store = dataset.save(tmp_path / "npz")
-        raw_store = dataset.save(tmp_path / "raw", layout="raw")
+        dataset.save(tmp_path / "npz")
+        dataset.save(tmp_path / "raw", layout="raw")
         decomp = CartesianDecomposition(
             config.shape, nranks=2, blocks_per_subdomain=(2, 1, 1)
         )
-        npz_iters = list(DatasetReplayer(npz_store).per_rank_blocks(decomp, count=2))
-        raw_iters = list(
-            DatasetReplayer(raw_store, mmap=True).per_rank_blocks(decomp, count=2)
-        )
+        npz = CM1Dataset.load(tmp_path / "npz")
+        raw = CM1Dataset.load(tmp_path / "raw", mmap=True)
+        npz_iters = [npz.per_rank_blocks(decomp, i) for i in npz.select(2)]
+        raw_iters = [raw.per_rank_blocks(decomp, i) for i in raw.select(2)]
         for npz_ranks, raw_ranks in zip(npz_iters, raw_iters):
             for npz_blocks, raw_blocks in zip(npz_ranks, raw_ranks):
                 assert len(npz_blocks) == len(raw_blocks)

@@ -27,17 +27,13 @@ from repro.cm1 import (
     make_storm,
 )
 from repro.core.backends import engine_backends
-from repro.experiments.common import (
-    ExperimentScenario,
-    cached_scenario,
-    render_baseline_seconds,
-)
 from repro.grid.block import Block, BlockExtent
 from repro.metrics.base import MetricCost, ScoreMetric
 from repro.metrics.registry import default_registry
 from repro.perfmodel.calibration import PAPER_BASELINES, calibrate_render_model
 from repro.perfmodel.platform import PlatformModel
 from repro.scenarios import (
+    ExperimentScenario,
     ScenarioConfig,
     create_scenario_config,
     get_scenario,
@@ -49,6 +45,7 @@ from repro.scenarios import (
     scenario_specs,
 )
 from repro.scenarios.registry import _REGISTRY
+from repro.scenarios.scenario import cached_scenario, render_baseline_seconds
 from repro.viz.catalyst import IsosurfaceScript
 
 #: The same registry ``repro list --json`` reports as parity-verified.
@@ -113,9 +110,9 @@ class TestRegistry:
             _REGISTRY.pop("pytest_tmp_scenario", None)
 
     def test_classic_constructors_resolve_through_registry(self):
-        assert ScenarioConfig.blue_waters_64(nsnapshots=3).name == "blue_waters_64"
-        assert ScenarioConfig.blue_waters_400().ncores == 400
-        tiny = ScenarioConfig.tiny(nranks=2, nsnapshots=1)
+        assert create_scenario_config("blue_waters_64", nsnapshots=3).name == "blue_waters_64"
+        assert create_scenario_config("blue_waters_400").ncores == 400
+        tiny = ExperimentScenario.tiny(nranks=2, nsnapshots=1).config
         assert (tiny.ncores, tiny.nsnapshots, tiny.name) == (2, 1, "tiny")
         assert ExperimentScenario.from_name("tiny", nsnapshots=1).config.name == "tiny"
 

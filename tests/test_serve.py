@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import logging
 import os
@@ -24,7 +25,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.cm1.dataset import StoredCM1Dataset
+from repro.core.backends import engine_backends
 from repro.grid.shm import live_owned_segments
 from repro.io.store import DatasetStore
 from repro.scenarios import get_scenario, scenario_names
@@ -746,6 +749,155 @@ class TestServeAppProcessTier:
 
         asyncio.run(body())
         assert live_owned_segments() == ()
+
+
+# -- three doors, one run ------------------------------------------------------
+
+
+def _parity_cases():
+    """Every backend x metric pair once; the other axes rotate under them."""
+    scenarios = ("tiny", "decaying_storm")
+    redistributions = ("none", "round_robin")
+    modes = (("percent", 50.0), ("target", 30.0))
+    pairs = itertools.product(engine_backends(), ("VAR", "PYVAR", "FPZIP"))
+    return [
+        (
+            scenarios[i % 2],
+            metric,
+            redistributions[(i // 2) % 2],
+            *modes[(i // 3) % 2],
+            backend,
+        )
+        for i, (backend, metric) in enumerate(pairs)
+    ]
+
+
+#: What ``RunRequest`` refuses, as (field, JSON value, CLI spelling or None
+#: where argparse cannot express the value).
+BAD_VALUES = [
+    ("ranks", 0, "0"),
+    ("ranks", -2, "-2"),
+    ("snapshots", 0, "0"),
+    ("percent", 150, "150"),
+    ("percent", -0.5, "-0.5"),
+    ("target", 0, "0"),
+    ("target", -1, "-1"),
+    ("ranks", 2.5, None),
+    ("ranks", True, None),
+    ("snapshots", "two", None),
+    ("snapshots", False, None),
+    ("seed", 1.5, None),
+    ("seed", True, None),
+]
+
+
+class TestThreeDoors:
+    """``repro run``, the thread tier and the process tier are one validator
+    and one run body (``repro.serve.procrun``) behind three transports."""
+
+    @pytest.mark.parametrize(
+        "scenario, metric, redistribution, mode, value, backend", _parity_cases()
+    )
+    def test_same_request_same_answer_at_every_door(
+        self, tmp_path, capsys, scenario, metric, redistribution, mode, value, backend
+    ):
+        """Fails if a door stops calling ``execute_run`` with the request as
+        validated — e.g. ``run_scenario_in_worker`` passing ``vectorized`` for
+        the request's backend, the thread tier dropping ``render_mode``, or
+        ``_cmd_run`` building its rows from a literal of its own."""
+        payload = {
+            "scenario": scenario, "ranks": 4, "snapshots": 2, "metric": metric,
+            "redistribution": redistribution, mode: value, "backend": backend,
+        }
+        argv = ["run", scenario, "--ranks", "4", "--snapshots", "2", "--metric", metric,
+                "--redistribution", redistribution, f"--{mode}", str(value),
+                "--backend", backend]
+        assert main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+
+        async def served(execution):
+            async with serve_app(
+                tmp_path / execution, execution=execution, max_workers=2
+            ) as (_, port):
+                status, raw = await _request(port, "POST", "/run", payload)
+                assert status == 200
+                return _events(raw)
+
+        assert len(document["iterations"]) == 2
+        for execution in ("thread", "process"):
+            events = asyncio.run(served(execution))
+            _assert_run_stream(events, iterations=2)
+            assert events[0]["execution"] == execution
+            rows = [
+                {k: v for k, v in event.items() if k != "type"} for event in events[1:-1]
+            ]
+            summary = events[-1]
+            assert rows == document["iterations"]
+            assert summary["config"] == document["config"]
+            assert summary["config"]["engine"] == backend
+            assert summary["run"] == document["run"]
+            assert summary["scenario"].items() <= document["scenario"].items()
+
+    @pytest.mark.parametrize("field, value, cli_value", BAD_VALUES)
+    def test_bad_value_is_refused_before_anything_runs(
+        self, tmp_path, capsys, caplog, field, value, cli_value
+    ):
+        """Fails if a check leaves ``RunRequest`` for one door's own code (the
+        ``percent`` range tested only in ``_handle_run``; ``ranks >= 1`` left
+        to ``ScenarioConfig``, whose message names ``ncores``), or if the
+        server resolves the scenario after the ``200`` header as it used to."""
+        if cli_value is not None:
+            flag = f"--{field}={cli_value}"
+            assert main(["run", "tiny", flag]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and field in captured.err
+            assert "Traceback" not in captured.err
+
+        async def refused(execution):
+            async with serve_app(
+                tmp_path / execution, execution=execution, max_workers=2
+            ) as (app, port):
+                status, raw = await _request(
+                    port, "POST", "/run", {"scenario": "tiny", field: value}
+                )
+                return status, json.loads(raw), app.cache.stats()
+
+        with caplog.at_level(logging.DEBUG):
+            for execution in ("thread", "process"):
+                status, reply, stats = asyncio.run(refused(execution))
+                assert status == 400
+                assert set(reply) == {"error"} and field in reply["error"]
+                assert stats["misses"] == 0 and stats["entries"] == 0
+        assert [r for r in caplog.records if r.name.startswith("repro")] == []
+
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [("abc", 400), ("-5", 400), ("1e3", 400), ("12 34", 400), (str(64 * 1024 + 1), 413)],
+    )
+    def test_unusable_content_length_is_answered(self, tmp_path, content_length, status):
+        """A head the server cannot take a body for gets a reply, not a silent
+        close — and an oversized body is refused without being read (none is
+        sent here, so a server that tried to read it would hang this test)."""
+
+        async def body():
+            async with serve_app(tmp_path) as (_, port):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(
+                    f"POST /run HTTP/1.1\r\nHost: localhost\r\n"
+                    f"Content-Length: {content_length}\r\n\r\n".encode("latin-1")
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                head, _, payload = raw.partition(b"\r\n\r\n")
+                assert int(head.split()[1]) == status
+                assert "error" in json.loads(payload)
+                # The server is still serving.
+                ok, _ = await _request(port, "GET", "/health")
+                assert ok == 200
+
+        asyncio.run(body())
 
 
 # -- the real subprocess entry point ------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.scoring_step import VectorizedScoringStep
-from repro.experiments.common import ExperimentScenario
+from repro.scenarios import ExperimentScenario
 from repro.grid.block import Block, BlockExtent
 from repro.grid.shm import (
     SharedBatchError,
@@ -267,7 +267,7 @@ class TestLeakAccounting:
             "import repro.utils.procpool as procpool\n"
             "procpool.default_process_workers = lambda: 2\n"
             "from repro.core.scoring_step import VectorizedScoringStep\n"
-            "from repro.experiments.common import ExperimentScenario\n"
+            "from repro.scenarios import ExperimentScenario\n"
             "from repro.metrics.registry import create_metric\n"
             "from repro.scenarios import get_scenario\n"
             "scenario = ExperimentScenario(get_scenario('tiny').tiny())\n"

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.utils.histogram import fixed_range_histogram, probabilities, shannon_entropy
 from repro.utils.random import derive_seed, rng_from_seed
-from repro.utils.timer import StepTimings, Timer
+from repro.utils.timer import Timer
 from repro.utils.validation import (
     ensure_3d,
     ensure_float_array,
@@ -28,13 +28,6 @@ class TestTimer:
         t.start()
         assert t.stop() >= 0.0
 
-    def test_reset(self):
-        t = Timer()
-        t.start()
-        t.stop()
-        t.reset()
-        assert t.elapsed == 0.0
-
     def test_accumulates_over_restarts(self):
         t = Timer()
         t.start()
@@ -47,41 +40,6 @@ class TestTimer:
         t = Timer()
         t.start()
         assert t.elapsed >= 0.0
-
-
-class TestStepTimings:
-    def test_add_and_totals(self):
-        st_ = StepTimings()
-        st_.add_measured("a", 1.0)
-        st_.add_measured("a", 2.0)
-        st_.add_modelled("b", 5.0)
-        assert st_.measured["a"] == pytest.approx(3.0)
-        assert st_.total_measured() == pytest.approx(3.0)
-        assert st_.total_modelled() == pytest.approx(5.0)
-
-    def test_negative_rejected(self):
-        st_ = StepTimings()
-        with pytest.raises(ValueError):
-            st_.add_measured("a", -1.0)
-        with pytest.raises(ValueError):
-            st_.add_modelled("a", -1.0)
-
-    def test_merge(self):
-        a = StepTimings({"x": 1.0}, {"x": 2.0})
-        b = StepTimings({"x": 1.0, "y": 3.0}, {})
-        merged = a.merge(b)
-        assert merged.measured == {"x": 2.0, "y": 3.0}
-        assert merged.modelled == {"x": 2.0}
-
-    def test_steps_union(self):
-        t = StepTimings({"a": 1.0}, {"b": 2.0})
-        assert set(t.steps()) == {"a", "b"}
-
-    def test_as_dict_roundtrip(self):
-        t = StepTimings({"a": 1.0}, {"b": 2.0})
-        d = t.as_dict()
-        assert d["measured"]["a"] == 1.0
-        assert d["modelled"]["b"] == 2.0
 
 
 class TestHistogram:
