@@ -71,3 +71,10 @@ def replaced_kernel():
         return getattr(module, name)
 
     return load
+
+
+@pytest.fixture(scope="session")
+def run_step(replaced_kernel):
+    """The tests' one way to run a single step on a fresh context
+    (``execute_alone`` in ``tests/conftest.py``)."""
+    return replaced_kernel("conftest.py", "execute_alone")

@@ -95,7 +95,9 @@ def _best_of_interleaved(first, second, repeats: int = 5):
 
 
 @pytest.mark.parametrize("metric_name,repeats", [("VAR", 5), ("FPZIP", 2)])
-def test_vectorized_scoring_speedup(fine_scenario_64, metric_name, repeats):
+def test_vectorized_scoring_speedup(
+    fine_scenario_64, metric_name, repeats, run_step
+):
     """Vectorized scoring beats the serial per-block loop by ≥3x.
 
     VAR gates the array-metric path (PR 1); FPZIP gates the coder-metric
@@ -108,14 +110,15 @@ def test_vectorized_scoring_speedup(fine_scenario_64, metric_name, repeats):
         create_metric(metric_name), fine_scenario_64.platform
     )
     # Identical outputs first (the speedup must not come from doing less).
-    serial_pairs, _, _ = serial.run(blocks)
-    vector_pairs, _, _ = vector.run(blocks)
-    assert serial_pairs == vector_pairs
+    serial_pairs = run_step(serial, blocks)[0].per_rank_pairs
+    assert run_step(vector, blocks)[0].per_rank_pairs == serial_pairs
     # Wall-clock gate: re-measure on transient noise (shared CI runners)
     # before failing; a genuine regression fails all attempts.
     for _attempt in range(3):
         serial_seconds, vector_seconds = _best_of_interleaved(
-            lambda: serial.run(blocks), lambda: vector.run(blocks), repeats=repeats
+            lambda: run_step(serial, blocks),
+            lambda: run_step(vector, blocks),
+            repeats=repeats,
         )
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:
@@ -137,7 +140,7 @@ def test_fpzip_size_kernel_speedup(fine_scenario_64, replaced_kernel):
     faster than the implementation it replaced, with identical sizes.
 
     Isolates ``compressed_size_batch`` from the scoring step around it (the
-    stacking, score scatter and block clones that ``scoring_speedup_FPZIP``
+    column state, score column and wire pairs that ``scoring_speedup_FPZIP``
     also times), so a regression of the kernel itself — a lost ``out=``, a
     chunk budget that falls out of cache — shows here first.
     """
@@ -253,7 +256,7 @@ def test_prestacked_arrival_speedup(scenario_64):
     )
 
 
-def test_vectorized_rendering_speedup(fine_scenario_64):
+def test_vectorized_rendering_speedup(fine_scenario_64, run_step):
     """Batched count-mode rendering beats the serial per-block loop by ≥3x.
 
     Rendering is the step the paper's adaptation loop exists to control; the
@@ -269,13 +272,14 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
     vector = VectorizedRenderingStep(platform, render_mode="count")
 
     def observable(step):
-        results, info = step.run(blocks, 0)
+        context, report = run_step(step, blocks)
+        results = context.render_results
         return (
             [r.per_block_active_cells for r in results],
             [r.per_block_triangles for r in results],
             [r.npoints for r in results],
-            info["triangles_per_rank"],
-            info["modelled_per_rank"],
+            report.per_rank_counters,
+            report.modelled_per_rank,
         )
 
     reference = observable(serial)
@@ -283,7 +287,7 @@ def test_vectorized_rendering_speedup(fine_scenario_64):
 
     for _attempt in range(3):
         serial_seconds, vector_seconds = _best_of_interleaved(
-            lambda: serial.run(blocks, 0), lambda: vector.run(blocks, 0)
+            lambda: run_step(serial, blocks), lambda: run_step(vector, blocks)
         )
         speedup = serial_seconds / vector_seconds
         if speedup >= MIN_SPEEDUP:

@@ -117,7 +117,7 @@ def test_weak_scaling_sweep_reaches_10k_ranks_in_minutes():
     )
 
 
-def test_process_beats_threads_on_gil_bound_scoring(fine_scenario_64):
+def test_process_beats_threads_on_gil_bound_scoring(fine_scenario_64, run_step):
     """GIL-bound scalar scoring: the default step (pool) vs its kernel inline.
 
     ``PythonVarianceMetric`` holds the GIL for its entire per-block loop, so
@@ -133,7 +133,7 @@ def test_process_beats_threads_on_gil_bound_scoring(fine_scenario_64):
     step = VectorizedScoringStep(metric, fine_scenario_64.platform)
 
     def default_step():
-        return step.run(blocks)[0]
+        return run_step(step, blocks)[0].per_rank_pairs
 
     def row_kernel(stacked):
         return np.array([metric.score_block(row) for row in stacked], dtype=np.float64)

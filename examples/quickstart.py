@@ -43,21 +43,22 @@ def main() -> None:
     print(f"blocks/iteration: {scenario.nblocks}")
     print(f"time budget     : {target:.1f} s/iteration\n")
     print(f"{'iter':>4} {'reduced %':>10} {'pipeline s':>11} {'rendering s':>12} {'imbalance':>10}")
-    for i in range(12):
-        blocks = scenario.blocks_for(i % len(scenario.dataset))
-        result, _ = pipeline.process_iteration(blocks)
+
+    def print_row(result) -> None:
         print(
-            f"{i:>4} {result.percent_reduced:>10.1f} {result.modelled_total:>11.1f} "
-            f"{result.modelled_rendering:>12.1f} {result.load_imbalance:>10.2f}"
+            f"{result.iteration:>4} {result.percent_reduced:>10.1f} "
+            f"{result.modelled_total:>11.1f} {result.modelled_rendering:>12.1f} "
+            f"{result.load_imbalance:>10.2f}"
         )
 
-    run = pipeline.monitor.to_run_result(pipeline.config_summary())
+    # Twelve iterations over the six snapshots, one row as each completes.
+    feed = (scenario.blocks_for(i % len(scenario.dataset)) for i in range(12))
+    run = pipeline.run(feed, on_iteration=print_row)
     summary = run.summary()
     print("\nmean full-pipeline time: %.1f s (target %.1f s)" % (summary["total_mean"], target))
     print("final reduction percentage: %.1f %%" % summary["percent_final"])
-    moved = pipeline.monitor.payload_bytes_series("redistribution")
-    print("redistribution traffic : %.2f MB total" % (sum(moved) / 1e6))
-
+    moved = sum(r.step_reports["redistribution"].payload_bytes for r in run.iterations)
+    print("redistribution traffic : %.2f MB total" % (moved / 1e6))
 
 if __name__ == "__main__":
     main()

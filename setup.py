@@ -1,11 +1,24 @@
-"""Setup shim.
+"""Install script of the ``repro`` package.
 
-The offline environment used for this reproduction has no ``wheel`` package,
-so PEP 660 editable installs (which build a wheel) fail; keeping a classic
-``setup.py`` lets ``pip install -e .`` fall back to the legacy
-``setup.py develop`` path.  All project metadata lives in ``pyproject.toml``.
+The project metadata lives here, in full: name, version (read from
+``src/repro/__init__.py``), the ``src/`` layout and the one runtime
+requirement.  A classic ``setup.py`` also lets ``pip install -e .`` fall back
+to the legacy ``setup.py develop`` path where no ``wheel`` package is
+installed (PEP 660 editable installs build a wheel).
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

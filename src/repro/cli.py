@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.backends import engine_backends
+from repro.core.redistribution import STRATEGIES
 from repro.scenarios import (
     ExperimentScenario,
     get_scenario,
@@ -61,6 +62,7 @@ from repro.scenarios import (
 )
 from repro.serve.procrun import RunRequest, _json_default, execute_run
 from repro.serve.server import serve_forever
+from repro.viz.catalyst import RENDER_MODES
 
 __all__ = ["main"]
 
@@ -95,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--redistribution",
         default="none",
-        choices=("none", "shuffle", "round_robin"),
+        choices=tuple(STRATEGIES),
         help="redistribution strategy (default: none)",
     )
     run_p.add_argument(
@@ -113,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--render-mode",
         default="count",
-        choices=("count", "mesh"),
+        choices=RENDER_MODES,
         help="rendering mode (default: count)",
     )
     run_p.add_argument("--seed", type=int, default=None, help="scenario seed override")

@@ -17,16 +17,18 @@ blocks of every simulation iteration:
    (:mod:`repro.core.adaptation`, Algorithm 1).
 
 Each of the five data steps implements the :class:`PipelineStep` contract
-(:mod:`repro.core.step`): ``execute(context) -> StepReport``.  The
-:class:`ExecutionEngine` (:mod:`repro.core.engine`) builds either the
-per-block reference classes (``PipelineConfig.engine = "serial"``, the oracle)
-or the batched ones (``"vectorized"``, the default;
+(:mod:`repro.core.step`): ``execute(context) -> StepReport`` is a step's one
+method.  The :class:`ExecutionEngine` (:mod:`repro.core.engine`) builds either
+the per-block reference classes (``PipelineConfig.engine = "serial"``, the
+oracle) or the batched ones (``"vectorized"``, the default;
 :mod:`repro.core.backends`) — the batched scoring step takes the process pool
-by itself for metrics that declare they hold the GIL —
-and :class:`InSituPipeline` layers the adaptation controller and the
-:class:`PerformanceMonitor` on top.  The monitor records per-iteration,
-per-step timings in both measured wall-clock and modelled platform seconds,
-plus the per-step payload bytes and counters carried by the step reports.
+by itself for metrics that declare they hold the GIL — and condenses each
+iteration's step reports into one :class:`IterationResult`.
+:class:`InSituPipeline` layers the adaptation controller on top and records
+the run once, as the list of those results (``pipeline.iterations``; its
+``run`` returns them as a :class:`PipelineRunResult`): per-step measured
+wall-clock and modelled platform seconds, payload bytes and counters, all read
+off the step reports.
 """
 
 from repro.core.config import PipelineConfig, AdaptationConfig
@@ -50,7 +52,6 @@ from repro.core.redistribution import (
 )
 from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.engine import ExecutionEngine
-from repro.core.monitor import PerformanceMonitor
 from repro.core.results import IterationResult, PipelineRunResult
 from repro.core.pipeline import InSituPipeline
 
@@ -82,7 +83,6 @@ __all__ = [
     "VectorizedRenderingStep",
     "ENGINE_BACKENDS",
     "ExecutionEngine",
-    "PerformanceMonitor",
     "IterationResult",
     "PipelineRunResult",
     "InSituPipeline",

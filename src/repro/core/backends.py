@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.redistribution import RedistributionStep
+from repro.core.redistribution import RedistributionStep, make_strategy
 from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
 from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.step import PipelineStep
+from repro.metrics.registry import create_metric
 
 __all__ = ["ENGINE_BACKENDS", "STEP_NAMES", "build_steps", "engine_backends"]
 
@@ -37,11 +38,13 @@ def engine_backends() -> Tuple[str, ...]:
     return ENGINE_BACKENDS
 
 
-def build_steps(backend, config, platform, comm, metric, strategy) -> List[PipelineStep]:
-    """The five steps of ``backend`` in :data:`STEP_NAMES` order, the collective
-    ones bound to ``comm`` (the redistribution planner is one class)."""
-    reference = backend == "serial"
+def build_steps(config, platform, comm) -> List[PipelineStep]:
+    """The five steps of ``config.engine`` in :data:`STEP_NAMES` order, the
+    collective ones bound to ``comm`` (the redistribution planner is one class)."""
+    reference = config.engine == "serial"
     rendering = RenderingStep if reference else VectorizedRenderingStep
+    metric = create_metric(config.metric)
+    strategy = make_strategy(config.redistribution, seed=config.shuffle_seed)
     return [
         (ScoringStep if reference else VectorizedScoringStep)(metric, platform),
         (SortingStep if reference else VectorizedSortingStep)(comm),

@@ -6,8 +6,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.backends import ENGINE_BACKENDS
+from repro.core.redistribution import STRATEGIES
 from repro.core.reduction_step import validate_quality_ladder
 from repro.utils.validation import ensure_in_range, ensure_positive
+from repro.viz.catalyst import RENDER_MODES
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ class PipelineConfig:
         Name of the block-scoring metric (resolved through the default
         metric registry: "VAR", "LEA", "FPZIP", ...).
     redistribution:
-        ``"none"``, ``"shuffle"`` (random), or ``"round_robin"``.
+        ``"none"``, ``"shuffle"`` (random), or ``"round_robin"`` (the keys of
+        :data:`repro.core.redistribution.STRATEGIES`).
     isosurface_level:
         Isovalue of the rendered isosurface (45 dBZ in the paper).
     render_mode:
@@ -115,18 +118,18 @@ class PipelineConfig:
         object.__setattr__(
             self, "quality_ladder", validate_quality_ladder(self.quality_ladder)
         )
-        if self.redistribution not in ("none", "shuffle", "round_robin"):
+        if self.redistribution not in STRATEGIES:
             raise ValueError(
-                f"redistribution must be 'none', 'shuffle' or 'round_robin', "
+                f"redistribution must be one of {tuple(STRATEGIES)}, "
                 f"got {self.redistribution!r}"
             )
         if self.engine not in ENGINE_BACKENDS:
             raise ValueError(
                 f"engine must be one of {ENGINE_BACKENDS}, got {self.engine!r}"
             )
-        if self.render_mode not in ("count", "mesh"):
+        if self.render_mode not in RENDER_MODES:
             raise ValueError(
-                f"render_mode must be 'count' or 'mesh', got {self.render_mode!r}"
+                f"render_mode must be one of {RENDER_MODES}, got {self.render_mode!r}"
             )
         if not self.metric:
             raise ValueError("metric name must not be empty")

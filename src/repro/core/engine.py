@@ -1,14 +1,17 @@
 """The execution engine: the five Figure-2 steps in order, on one communicator.
 
-There is one engine and it owns one communicator.  The engine also owns the
-metric and the redistribution strategy, and runs the five concrete steps of
-the paper's Figure 2 strictly in order — score, sort, reduce, redistribute,
-render — as a uniform :class:`PipelineStep` sequence over one
-:class:`IterationContext` at a time.  Iterations never overlap: Algorithm 1
-picks iteration ``t + 1``'s percentage from iteration ``t``'s time, so the
-paper's pipeline is sequential across iterations by construction.  Every
-step that communicates is bound to ``engine.comm``, so ``engine.comm.stats``
-is the complete record of what a run charged to the network.
+There is one engine and it owns one communicator.  It is built from the
+:class:`~repro.core.config.PipelineConfig` alone — backend name, metric and
+strategy are read from the config, which validated them once — and runs the
+five concrete steps of the paper's Figure 2 strictly in order — score, sort,
+reduce, redistribute, render — as a uniform :class:`PipelineStep` sequence
+over one :class:`IterationContext` at a time, then condenses the context's
+step reports into one :class:`~repro.core.results.IterationResult`.
+Iterations never overlap: Algorithm 1 picks iteration ``t + 1``'s percentage
+from iteration ``t``'s time, so the paper's pipeline is sequential across
+iterations by construction.  Every step that communicates is bound to
+``engine.comm``, so ``engine.comm.stats`` is the complete record of what a
+run charged to the network.
 
 The backend name chooses between two sets of step classes
 (:func:`repro.core.backends.build_steps`) and with them the form the context's
@@ -37,18 +40,16 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-from repro.core.backends import ENGINE_BACKENDS, build_steps
+from repro.core.backends import build_steps
 from repro.core.config import PipelineConfig
-from repro.core.redistribution import make_strategy
 from repro.core.results import IterationResult
 from repro.core.step import IterationContext, PipelineStep
 from repro.grid.batch import DecomposedField
 from repro.grid.block import Block
-from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
 
-__all__ = ["ENGINE_BACKENDS", "ExecutionEngine"]
+__all__ = ["ExecutionEngine"]
 
 
 class ExecutionEngine:
@@ -63,12 +64,6 @@ class ExecutionEngine:
         Cost model converting work counts into modelled platform seconds.
     nranks:
         Number of virtual ranks; defaults to ``platform.ncores``.
-    comm:
-        Optional pre-built communicator; a fresh :class:`BSPCommunicator`
-        over ``platform.network`` is created when omitted.  Either way it is
-        the one communicator every step is bound to.
-    backend:
-        Override of ``config.engine`` (one of ``ENGINE_BACKENDS``).
     """
 
     def __init__(
@@ -76,33 +71,19 @@ class ExecutionEngine:
         config: PipelineConfig,
         platform: PlatformModel,
         nranks: Optional[int] = None,
-        comm: Optional[BSPCommunicator] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.config = config
         self.platform = platform
-        self.backend = (backend or config.engine).strip().lower()
-        if self.backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"engine backend must be one of {ENGINE_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
+        self.backend = config.engine
         self.nranks = int(nranks) if nranks is not None else int(platform.ncores)
         if self.nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {self.nranks}")
-        self.comm = comm or BSPCommunicator(self.nranks, cost_model=platform.network)
-        if self.comm.nranks != self.nranks:
-            raise ValueError(
-                f"communicator has {self.comm.nranks} ranks, expected {self.nranks}"
-            )
-        self.metric = create_metric(config.metric)
-        self.strategy = make_strategy(config.redistribution, seed=config.shuffle_seed)
+        #: The one communicator every step is bound to.
+        self.comm = BSPCommunicator(self.nranks, cost_model=platform.network)
         #: The ordered step sequence of the paper's Figure 2 (the sixth step,
         #: adaptation, is the controller that *consumes* these results), the
         #: collective steps bound to ``self.comm``.
-        self.steps: List[PipelineStep] = build_steps(
-            self.backend, config, platform, self.comm, self.metric, self.strategy
-        )
+        self.steps: List[PipelineStep] = build_steps(config, platform, self.comm)
         (
             self.scoring,
             self.sorting,
@@ -139,13 +120,12 @@ class ExecutionEngine:
             context.reports[step.name] = step.execute(context)
         return context
 
-    def iteration_result(
-        self, context: IterationContext, nblocks: Optional[int] = None
-    ) -> IterationResult:
-        """Condense a completed context into an :class:`IterationResult`."""
+    def iteration_result(self, context: IterationContext) -> IterationResult:
+        """Condense a completed context into an :class:`IterationResult` (an
+        iteration conserves its blocks, so the count is read off the context)."""
         return IterationResult(
             iteration=context.iteration,
             percent_reduced=context.percent,
-            nblocks=int(nblocks) if nblocks is not None else context.nblocks,
+            nblocks=context.nblocks,
             step_reports=dict(context.reports),
         )

@@ -9,12 +9,13 @@ simulation — or the dataset replayer standing in for it — hands data to the
 in situ layer.
 
 The five data steps live in the one :class:`~repro.core.engine.ExecutionEngine`
-(``PipelineConfig.engine`` picks the reference or the batched step classes)
-and share the engine's one communicator, exposed here as
-``pipeline.comm``; the pipeline adds the adaptation controller and the
-performance monitor on top.  Iterations run strictly one after the other —
-the controller needs iteration ``t``'s time before it can pick iteration
-``t + 1``'s percentage.
+(``PipelineConfig.engine`` picks the reference or the batched step classes,
+``pipeline.engine.steps`` holds them) and share the engine's one
+communicator, exposed here as ``pipeline.comm``; the pipeline adds the
+adaptation controller on top and records the run once, as the list of its
+:class:`~repro.core.results.IterationResult` records (``pipeline.iterations``).
+Iterations run strictly one after the other — the controller needs iteration
+``t``'s time before it can pick iteration ``t + 1``'s percentage.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from repro.core.adaptation import AdaptationController
 from repro.core.config import PipelineConfig
 from repro.core.engine import ExecutionEngine
-from repro.core.monitor import PerformanceMonitor
 from repro.core.results import IterationResult, PipelineRunResult
 from repro.grid.batch import DecomposedField
 from repro.grid.block import Block
 from repro.perfmodel.platform import PlatformModel
-from repro.simmpi.communicator import BSPCommunicator
 from repro.viz.catalyst import RenderResult
 
 
@@ -47,10 +46,6 @@ class InSituPipeline:
         anchor the baselines to the paper's numbers.
     nranks:
         Number of virtual ranks; defaults to ``platform.ncores``.
-    comm:
-        Optional pre-built communicator; a fresh :class:`BSPCommunicator`
-        is created when omitted.  Every step charges its collectives to it,
-        so ``pipeline.comm.stats`` describes the run either way.
     """
 
     def __init__(
@@ -58,23 +53,16 @@ class InSituPipeline:
         config: PipelineConfig,
         platform: PlatformModel,
         nranks: Optional[int] = None,
-        comm: Optional[BSPCommunicator] = None,
     ) -> None:
         self.config = config
         self.platform = platform
-        self.engine = ExecutionEngine(config, platform, nranks=nranks, comm=comm)
+        self.engine = ExecutionEngine(config, platform, nranks=nranks)
         self.nranks = self.engine.nranks
+        #: The one communicator every step charges its collectives to.
         self.comm = self.engine.comm
-        # Step handles, kept as attributes for introspection and tests.
-        self.metric = self.engine.metric
-        self.scoring = self.engine.scoring
-        self.sorting = self.engine.sorting
-        self.reduction = self.engine.reduction
-        self.strategy = self.engine.strategy
-        self.rendering = self.engine.rendering
         self.controller = AdaptationController(config.adaptation)
-        self.monitor = PerformanceMonitor()
-        self._iteration_index = 0
+        #: Every iteration processed so far, in order: the run's one record.
+        self.iterations: List[IterationResult] = []
 
     # -- main entry point ---------------------------------------------------------
 
@@ -101,20 +89,16 @@ class InSituPipeline:
             The timing record of the iteration and the per-rank render
             results of the final rendering step.
         """
-        iteration = self._iteration_index
         percent = (
             float(percent_override)
             if percent_override is not None
             else float(self.controller.next_percent)
         )
-        if isinstance(per_rank_blocks, DecomposedField):
-            nblocks = per_rank_blocks.nblocks
-        else:
-            nblocks = sum(len(blocks) for blocks in per_rank_blocks)
-
-        context = self.engine.run_iteration(per_rank_blocks, percent, iteration)
-        result = self.engine.iteration_result(context, nblocks=nblocks)
-        self.monitor.record_iteration(result)
+        context = self.engine.run_iteration(
+            per_rank_blocks, percent, len(self.iterations)
+        )
+        result = self.engine.iteration_result(context)
+        self.iterations.append(result)
         # Step 6 of Figure 2: unless the percentage was forced, the
         # controller observes the full-pipeline time.
         if percent_override is None:
@@ -124,7 +108,6 @@ class InSituPipeline:
                 else result.measured_total
             )
             self.controller.observe(percent, observed)
-        self._iteration_index += 1
         return result, list(context.render_results or [])
 
     # -- convenience -----------------------------------------------------------------
@@ -145,8 +128,9 @@ class InSituPipeline:
 
         An exception raised by the callback (the serve tier's deadline and
         disconnect checks) or by a step propagates unchanged and ends the
-        run between iterations: the monitor keeps the iterations completed
-        so far and a following call continues at the next iteration index.
+        run between iterations: ``pipeline.iterations`` keeps the iterations
+        completed so far and a following call continues at the next iteration
+        index.  The returned run holds every iteration recorded so far.
         """
         for per_rank_blocks in iteration_blocks:
             result, _ = self.process_iteration(
@@ -154,7 +138,7 @@ class InSituPipeline:
             )
             if on_iteration is not None:
                 on_iteration(result)
-        return self.monitor.to_run_result(self.config_summary())
+        return PipelineRunResult(self.config_summary(), list(self.iterations))
 
     def config_summary(self) -> Dict[str, object]:
         """Compact description of the run configuration (for reports)."""

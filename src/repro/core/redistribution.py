@@ -5,9 +5,10 @@ compute the same target assignment without additional coordination, then
 exchange the block payloads with non-blocking point-to-point messages —
 modelled here by one personalised all-to-all.
 
-Strategies return their assignment as a pair of parallel NumPy arrays
-``(block_ids, dest_ranks)``, and the exchange is planned in one global pass
-over the metadata columns of the iteration's columnar state
+Strategies only return their assignment, as a pair of parallel NumPy arrays
+``(block_ids, dest_ranks)``; :class:`RedistributionStep` plans the exchange in
+one global pass over the metadata columns of ``context.columns``, the
+iteration's columnar state
 (:class:`~repro.grid.batch.BlockColumns`) — on every backend, ``serial``
 included: every destination is resolved with one ``np.searchsorted`` over the
 id-sorted assignment, the movers' payload bytes are accumulated into the
@@ -18,8 +19,7 @@ stacked, copied or serialised, and a ``Block`` is re-created only if somebody
 later asks for the lists, and only where its owner changed.
 
 *Wire size* has one definition, payload bytes (``Block.nbytes``): the matrix
-total, ``info["moved_bytes"]``, ``StepReport.payload_bytes`` and the
-communicator's ``stats["alltoallv"]["bytes"]`` are the same number, the one
+total, the step report's ``payload_bytes`` and the communicator's ``stats["alltoallv"]["bytes"]`` are the same number, the one
 the scenario's exchange bandwidth is calibrated on.
 
 Two strategies from the paper are provided, plus the no-op:
@@ -37,13 +37,11 @@ Two strategies from the paper are provided, plus the no-op:
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.core.step import IterationContext, StepReport
-from repro.grid.batch import BlockColumns
-from repro.grid.block import Block
 from repro.simmpi.communicator import BSPCommunicator
 from repro.utils.random import derive_seed, rng_from_seed
 from repro.utils.timer import Timer
@@ -69,61 +67,6 @@ class RedistributionStrategy(abc.ABC):
     ) -> OwnerAssignment:
         """Return the assignment as parallel ``(block_ids, dest_ranks)`` arrays."""
 
-    def redistribute(
-        self,
-        comm: BSPCommunicator,
-        per_rank_blocks: Sequence[Sequence[Block]],
-        sorted_pairs: Sequence[ScorePair],
-        iteration: int,
-    ) -> Tuple[List[List[Block]], Dict[str, float]]:
-        """Exchange blocks so every rank ends up with its assigned set: the
-        new per-rank block lists (sorted by block id) and the timing info of
-        :meth:`redistribute_columns`, whose list-facing form this is."""
-        columns = BlockColumns(per_rank_blocks)
-        info = self.redistribute_columns(comm, columns, sorted_pairs, iteration)
-        return columns.to_ranks(), info
-
-    def redistribute_columns(
-        self,
-        comm: BSPCommunicator,
-        columns: BlockColumns,
-        sorted_pairs: Sequence[ScorePair],
-        iteration: int,
-    ) -> Dict[str, float]:
-        """Plan and charge the exchange on the metadata columns alone.
-
-        Rewrites ``columns``' holder/owner columns and per-rank order (by
-        block id) and returns the timing info (measured wall-clock, modelled
-        communication seconds, exchanged payload bytes and blocks).  Blocks
-        the assignment does not list stay on the rank that holds them; block
-        ids are globally unique.
-        """
-        nranks = comm.nranks
-        assigned_ids, assigned_dests = self.assign_owners(
-            sorted_pairs, nranks, iteration
-        )
-        with Timer() as timer:
-            src = columns.ranks
-            dest = columns.lookup(
-                np.asarray(assigned_ids, dtype=np.int64),
-                np.asarray(assigned_dests, dtype=np.int64),
-                src,
-            )
-            if dest.size and (dest.min() < 0 or dest.max() >= nranks):
-                raise ValueError(f"block destination outside [0, {nranks})")
-            movers = np.flatnonzero(dest != src)
-            mover_bytes = columns.nbytes[movers]
-            matrix = np.zeros((nranks, nranks), dtype=np.int64)
-            np.add.at(matrix, (src[movers], dest[movers]), mover_bytes)
-            modelled = comm.charge_alltoallv(matrix)
-            columns.move(dest, nranks)
-        return {
-            "measured": timer.elapsed,
-            "modelled": modelled,
-            "moved_bytes": float(mover_bytes.sum()),
-            "moved_blocks": float(movers.size),
-        }
-
 
 class NoRedistribution(RedistributionStrategy):
     """Keep the original owners (the paper's "NONE" configuration)."""
@@ -135,26 +78,6 @@ class NoRedistribution(RedistributionStrategy):
     ) -> OwnerAssignment:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-
-    def redistribute_columns(
-        self,
-        comm: BSPCommunicator,
-        columns: BlockColumns,
-        sorted_pairs: Sequence[ScorePair],
-        iteration: int,
-    ) -> Dict[str, float]:
-        # Skip the exchange entirely (no communication, no modelled cost),
-        # but refresh the owner metadata exactly like the exchanging path
-        # does for kept blocks — every strategy leaves ``block.owner`` equal
-        # to the rank that actually holds the block.
-        with Timer() as timer:
-            columns.set_owners(columns.ranks)
-        return {
-            "measured": timer.elapsed,
-            "modelled": 0.0,
-            "moved_bytes": 0.0,
-            "moved_blocks": 0.0,
-        }
 
 
 class RandomShuffle(RedistributionStrategy):
@@ -209,12 +132,12 @@ class RoundRobin(RedistributionStrategy):
 
 
 class RedistributionStep:
-    """PipelineStep adapter around a :class:`RedistributionStrategy`.
+    """The pipeline step around a :class:`RedistributionStrategy`.
 
-    The strategies stay independent of the step contract — they plan an
-    exchange and charge it on whatever communicator they are handed; this thin
-    wrapper binds one strategy to the pipeline's communicator and reports the
-    exchange as a collective.
+    The strategies stay independent of the step contract — they only compute
+    an assignment from the sorted pairs; this step binds one strategy to the
+    pipeline's communicator, plans and charges the exchange, and reports it
+    as a collective.
     """
 
     name = "redistribution"
@@ -224,29 +147,73 @@ class RedistributionStep:
         self.comm = comm
 
     def execute(self, context: IterationContext) -> StepReport:
-        """Exchange the context's blocks (PipelineStep contract)."""
-        info = self.strategy.redistribute_columns(
-            self.comm, context.columns, context.require_sorted(), context.iteration
+        """Plan and charge the exchange on the context's metadata columns alone.
+
+        Rewrites the columns' holder/owner columns and per-rank order (by
+        block id); the report carries the measured wall-clock, the modelled
+        communication seconds, the exchanged payload bytes and the number of
+        blocks that moved.  Blocks the assignment does not list stay on the
+        rank that holds them; block ids are globally unique.
+        :class:`NoRedistribution` skips the exchange entirely (no
+        communication, no modelled cost) but refreshes the owner metadata
+        exactly like the exchanging path does for kept blocks — every strategy
+        leaves ``block.owner`` equal to the rank that actually holds the block.
+        """
+        columns, comm = context.columns, self.comm
+        sorted_pairs = context.require_sorted()
+        if isinstance(self.strategy, NoRedistribution):
+            with Timer() as timer:
+                columns.set_owners(columns.ranks)
+            return StepReport.collective(
+                self.name,
+                measured=timer.elapsed,
+                modelled=0.0,
+                counters={"moved_blocks": 0.0},
+            )
+        nranks = comm.nranks
+        assigned_ids, assigned_dests = self.strategy.assign_owners(
+            sorted_pairs, nranks, context.iteration
         )
+        with Timer() as timer:
+            src = columns.ranks
+            dest = columns.lookup(
+                np.asarray(assigned_ids, dtype=np.int64),
+                np.asarray(assigned_dests, dtype=np.int64),
+                src,
+            )
+            if dest.size and (dest.min() < 0 or dest.max() >= nranks):
+                raise ValueError(f"block destination outside [0, {nranks})")
+            movers = np.flatnonzero(dest != src)
+            mover_bytes = columns.nbytes[movers]
+            matrix = np.zeros((nranks, nranks), dtype=np.int64)
+            np.add.at(matrix, (src[movers], dest[movers]), mover_bytes)
+            modelled = comm.charge_alltoallv(matrix)
+            columns.move(dest, nranks)
         return StepReport.collective(
             self.name,
-            measured=float(info["measured"]),
-            modelled=float(info["modelled"]),
-            payload_bytes=float(info["moved_bytes"]),
-            counters={"moved_blocks": float(info["moved_blocks"])},
+            measured=timer.elapsed,
+            modelled=modelled,
+            payload_bytes=float(mover_bytes.sum()),
+            counters={"moved_blocks": float(movers.size)},
         )
+
+
+#: Every strategy by the name ``PipelineConfig.redistribution``, ``RunRequest``
+#: and ``--redistribution`` accept.
+STRATEGIES: Dict[str, Type[RedistributionStrategy]] = {
+    strategy.name: strategy
+    for strategy in (NoRedistribution, RandomShuffle, RoundRobin)
+}
 
 
 def make_strategy(name: str, seed: int = 2016) -> RedistributionStrategy:
-    """Factory used by the pipeline configuration."""
-    key = name.strip().lower()
-    if key in ("none", "no", "off"):
-        return NoRedistribution()
-    if key in ("shuffle", "random", "random_shuffle"):
+    """The strategy registered as ``name`` (a key of :data:`STRATEGIES`);
+    ``seed`` is the random shuffle's."""
+    if name not in STRATEGIES:
+        raise ValueError(
+            f"unknown redistribution strategy {name!r}; "
+            f"expected one of {tuple(STRATEGIES)}"
+        )
+    if name == RandomShuffle.name:
         return RandomShuffle(seed=seed)
-    if key in ("round_robin", "roundrobin", "rr"):
-        return RoundRobin()
-    raise ValueError(
-        f"unknown redistribution strategy {name!r}; "
-        "expected 'none', 'shuffle' or 'round_robin'"
-    )
+    return STRATEGIES[name]()

@@ -9,11 +9,12 @@ the most aggressive level, better-scored selected blocks keep a level-1
 strided downsample.  Every rank takes the same decision locally, then reduces
 only the blocks it owns.
 
-One reference class and one batched class implement the contract:
-:class:`ReductionStep` (``serial``, the oracle) tests every block against the
-reduced-id set and reduces one :func:`~repro.grid.reduction.reduce_block` call
-at a time; :class:`VectorizedReductionStep` (every other backend) gathers each
-(payload group, target level) of the iteration's columnar state at once.  The
+One reference class and one batched class implement the contract, each with
+``execute(context)`` as its one method: :class:`ReductionStep` (``serial``,
+the oracle) tests every block of ``context.per_rank_blocks`` against the
+ladder decision and reduces one :func:`~repro.grid.reduction.reduce_block`
+call at a time; :class:`VectorizedReductionStep` (every other backend) gathers
+each (payload group, target level) of ``context.columns`` at once.  The
 gather reads a few values per block, so shipping payloads to a pool would cost
 far more than it: there is no fanned-out form.  Both produce bitwise-identical
 reduced payloads and modelled seconds (priced through
@@ -28,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport, share_elapsed, step_info
-from repro.grid.batch import BlockColumns
+from repro.core.step import IterationContext, StepReport, share_elapsed
 from repro.grid.block import Block
 from repro.grid.reduction import reduce_block
 from repro.perfmodel.platform import PlatformModel
@@ -161,24 +161,19 @@ class ReductionStep:
             return nreduced * SECONDS_PER_REDUCED_BLOCK
         return SECONDS_PER_REDUCED_BLOCK * (points_copied / 8.0)
 
-    def run(
-        self,
-        per_rank_blocks: Sequence[Sequence[Block]],
-        sorted_pairs: Sequence[ScorePair],
-        percent: float,
-    ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
-        """Apply the reduction.
+    def execute(self, context: IterationContext) -> StepReport:
+        """Reduce the selected blocks rank by rank, one
+        :func:`~repro.grid.reduction.reduce_block` call each.
 
-        Returns
-        -------
-        (per_rank_blocks, reduced_ids, info)
-            Blocks with the selected ones replaced by their reduced copies,
-            the set of reduced block ids, and measured/modelled timing info
-            (including the per-block ladder decision under
-            ``info["reduction_levels"]``).
+        The blocks with the selected ones replaced by their reduced copies and
+        the ladder decision (``reduction_levels``, ``reduced_ids``) go into
+        ``context``; the report counts the reduced blocks and the payload
+        points they kept.
         """
-        levels = select_reduction_levels(sorted_pairs, percent, self.quality_ladder)
-        reduced_ids = set(levels)
+        per_rank_blocks = context.per_rank_blocks
+        levels = select_reduction_levels(
+            context.require_sorted(), context.percent, self.quality_ladder
+        )
         out: List[List[Block]] = []
         measured: List[float] = []
         modelled: List[float] = []
@@ -201,31 +196,16 @@ class ReductionStep:
             measured.append(timer.elapsed)
             modelled.append(self._reduction_seconds(reduced_count, points_copied))
             points_total += points_copied
-        info = step_info(
-            measured,
-            modelled,
-            nreduced=len(reduced_ids),
-            points_copied=points_total,
-            reduction_levels=levels,
-        )
-        return out, reduced_ids, info
-
-    def execute(self, context: IterationContext) -> StepReport:
-        """Run the step over the context's blocks (PipelineStep contract)."""
-        out, _, info = self.run(
-            context.per_rank_blocks, context.require_sorted(), context.percent
-        )
         context.per_rank_blocks = out
-        return self._record(context, info)
-
-    def _record(self, context: IterationContext, info: Dict[str, object]) -> StepReport:
-        """Write the ladder decision into ``context``; the step's report."""
-        context.reduction_levels = info["reduction_levels"]
-        context.reduced_ids = set(context.reduction_levels)
-        return StepReport.per_rank(
+        context.reduction_levels, context.reduced_ids = levels, set(levels)
+        return StepReport(
             self.name,
-            info,
-            {"nreduced": info["nreduced"], "points_copied": info["points_copied"]},
+            measured_per_rank=measured,
+            modelled_per_rank=modelled,
+            counters={
+                "nreduced": float(len(levels)),
+                "points_copied": float(points_total),
+            },
         )
 
 
@@ -245,11 +225,13 @@ class VectorizedReductionStep(ReductionStep):
     exactly as in the serial step.
     """
 
-    def _reduce_columns(
-        self, columns: BlockColumns, sorted_pairs: Sequence[ScorePair], percent: float
-    ) -> Dict[str, object]:
-        """Reduce the selected rows in one cross-rank pass; the step's ``info``."""
-        levels = select_reduction_levels(sorted_pairs, percent, self.quality_ladder)
+    def execute(self, context: IterationContext) -> StepReport:
+        """Reduce the selected rows of the context's columns in one cross-rank
+        pass; the ladder decision goes into ``context``."""
+        columns = context.columns
+        levels = select_reduction_levels(
+            context.require_sorted(), context.percent, self.quality_ladder
+        )
         with Timer() as timer:
             targets = columns.lookup(
                 np.fromiter(levels.keys(), np.int64, len(levels)),
@@ -260,32 +242,16 @@ class VectorizedReductionStep(ReductionStep):
         selected = targets > 0
         rank_counts = columns.per_rank_sum(selected)
         rank_points = columns.per_rank_sum(np.where(selected, columns.npoints, 0))
-        return step_info(
-            share_elapsed(timer.elapsed, rank_counts),
-            [
+        context.reduction_levels, context.reduced_ids = levels, set(levels)
+        return StepReport(
+            self.name,
+            measured_per_rank=share_elapsed(timer.elapsed, rank_counts),
+            modelled_per_rank=[
                 self._reduction_seconds(count, points)
                 for count, points in zip(rank_counts, rank_points)
             ],
-            nreduced=len(levels),
-            points_copied=sum(rank_points),
-            reduction_levels=levels,
+            counters={
+                "nreduced": float(len(levels)),
+                "points_copied": float(sum(rank_points)),
+            },
         )
-
-    def run(
-        self,
-        per_rank_blocks: Sequence[Sequence[Block]],
-        sorted_pairs: Sequence[ScorePair],
-        percent: float,
-    ) -> Tuple[List[List[Block]], Set[int], Dict[str, object]]:
-        """Reduce every rank's selected blocks in one cross-rank pass
-        (list-facing form of :meth:`execute`)."""
-        columns = BlockColumns(per_rank_blocks)
-        info = self._reduce_columns(columns, sorted_pairs, percent)
-        return columns.to_ranks(), set(info["reduction_levels"]), info
-
-    def execute(self, context: IterationContext) -> StepReport:
-        """Reduce the context's columns (PipelineStep contract)."""
-        info = self._reduce_columns(
-            context.columns, context.require_sorted(), context.percent
-        )
-        return self._record(context, info)

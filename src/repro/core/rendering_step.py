@@ -7,10 +7,11 @@ process drives the total — the load-imbalance effect the redistribution step
 attacks).
 
 Like the scoring step, the rendering step is one reference class and one
-batched class.  :class:`RenderingStep` (the ``serial`` oracle) sends every
-rank's blocks through ``IsosurfaceScript.process`` one block at a time.
-:class:`VectorizedRenderingStep` (every other backend name) counts each payload
-group of the iteration's columnar state once in counting mode — one chunked
+batched class, each with ``execute(context)`` as its one method.
+:class:`RenderingStep` (the ``serial`` oracle) sends every rank's blocks in
+``context.per_rank_blocks`` through ``IsosurfaceScript.process`` one block at
+a time.  :class:`VectorizedRenderingStep` (every other backend name) counts
+each payload group of ``context.columns`` once in counting mode — one chunked
 byte-code :func:`~repro.viz.marching_cubes.count_active_cells_batch` call per
 group, no float temporaries, always inline: the kernel releases the GIL, and
 chunked over the process pool it ran 11–16x slower, so rendering has no
@@ -22,11 +23,7 @@ seconds — measured wall-clock is the one quantity that legitimately differs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from repro.core.step import IterationContext, StepReport, share_elapsed, step_info
-from repro.grid.batch import BlockColumns
-from repro.grid.block import Block
+from repro.core.step import IterationContext, StepReport, share_elapsed
 from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
 from repro.viz.catalyst import CatalystPipeline, IsosurfaceScript, RenderResult
@@ -52,66 +49,34 @@ class RenderingStep:
         )
         self.pipeline = CatalystPipeline([self.script])
 
-    def run(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> Tuple[List[RenderResult], Dict[str, object]]:
-        """Render every rank's blocks.
-
-        Returns
-        -------
-        (per_rank_results, info)
-            One :class:`RenderResult` per rank and a timing summary with the
-            per-rank and maximum modelled rendering seconds, plus per-rank
-            triangle counts (used for load-imbalance analyses).
-        """
-        results = [
-            self.pipeline.coprocess(blocks, iteration)[0] for blocks in per_rank_blocks
-        ]
-        return results, self._info(
-            results,
-            [len(blocks) for blocks in per_rank_blocks],
-            [result.ntriangles for result in results],
-        )
-
-    def _info(
-        self,
-        results: Sequence[RenderResult],
-        rank_nblocks: Sequence[int],
-        triangles: List[int],
-    ) -> Dict[str, object]:
-        """Timing summary of one iteration's per-rank results; ``triangles``
-        are the ranks' totals (``result.ntriangles`` re-sums a dict per read)."""
-        modelled = [
-            self.platform.render.rank_seconds(
-                ntriangles=ntriangles, npoints=result.npoints, nblocks=nblocks
-            )
-            for nblocks, ntriangles, result in zip(rank_nblocks, triangles, results)
-        ]
-        return step_info(
-            [result.measured_seconds for result in results],
-            modelled,
-            triangles_per_rank=triangles,
-            total_triangles=int(sum(triangles)),
-        )
-
     def execute(self, context: IterationContext) -> StepReport:
-        """Render the context's blocks (PipelineStep contract)."""
-        results, info = self.run(context.per_rank_blocks, context.iteration)
-        return self._record(context, results, info)
+        """Render every rank's blocks through the script, one
+        ``coprocess`` call per rank.
 
-    def _record(
-        self,
-        context: IterationContext,
-        results: List[RenderResult],
-        info: Dict[str, object],
-    ) -> StepReport:
-        """Write the results into ``context``; the step's report."""
+        One :class:`RenderResult` per rank goes into ``context``; the report
+        carries the per-rank modelled rendering seconds and triangle counts
+        (used for load-imbalance analyses) and their total.
+        """
+        per_rank_blocks = context.per_rank_blocks
+        results = [
+            self.pipeline.coprocess(blocks, context.iteration)[0]
+            for blocks in per_rank_blocks
+        ]
         context.render_results = results
-        return StepReport.per_rank(
+        triangles = [result.ntriangles for result in results]
+        return StepReport(
             self.name,
-            info,
-            {"total_triangles": info["total_triangles"]},
-            {"triangles": info["triangles_per_rank"]},
+            measured_per_rank=[result.measured_seconds for result in results],
+            modelled_per_rank=[
+                self.platform.render.rank_seconds(
+                    ntriangles=ntriangles, npoints=result.npoints, nblocks=len(blocks)
+                )
+                for blocks, ntriangles, result in zip(
+                    per_rank_blocks, triangles, results
+                )
+            ],
+            counters={"total_triangles": float(sum(triangles))},
+            per_rank_counters={"triangles": [float(t) for t in triangles]},
         )
 
 
@@ -131,11 +96,12 @@ class VectorizedRenderingStep(RenderingStep):
     needs the blocks themselves and is the reference loop.
     """
 
-    def _count_columns(
-        self, columns: BlockColumns, iteration: int
-    ) -> Tuple[List[RenderResult], Dict[str, object]]:
-        """Counting-mode results of every rank in one cross-rank pass."""
-        script = self.script
+    def execute(self, context: IterationContext) -> StepReport:
+        """Count-mode results of every rank in one cross-rank pass over the
+        context's columns (mesh mode: the reference loop)."""
+        if self.script.mode != "count":
+            return super().execute(context)
+        script, columns = self.script, context.columns
         with Timer() as timer:
             cells = script.count_groups(columns.groups)
             order = columns.order
@@ -143,7 +109,7 @@ class VectorizedRenderingStep(RenderingStep):
             results = [
                 RenderResult(
                     script_name=script.name,
-                    iteration=iteration,
+                    iteration=context.iteration,
                     npoints=npoints,
                     per_block_triangles=dict(zip(ids, rank_triangles)),
                     per_block_active_cells=dict(zip(ids, rank_cells)),
@@ -158,21 +124,19 @@ class VectorizedRenderingStep(RenderingStep):
         shares = share_elapsed(timer.elapsed, [result.npoints for result in results])
         for result, seconds in zip(results, shares):
             result.measured_seconds = seconds
-        return results, self._info(
-            results, columns.rank_sizes(), columns.per_rank_sum(triangles)
+        context.render_results = results
+        rank_triangles = columns.per_rank_sum(triangles)
+        return StepReport(
+            self.name,
+            measured_per_rank=shares,
+            modelled_per_rank=[
+                self.platform.render.rank_seconds(
+                    ntriangles=ntriangles, npoints=result.npoints, nblocks=nblocks
+                )
+                for nblocks, ntriangles, result in zip(
+                    columns.rank_sizes(), rank_triangles, results
+                )
+            ],
+            counters={"total_triangles": float(sum(rank_triangles))},
+            per_rank_counters={"triangles": [float(t) for t in rank_triangles]},
         )
-
-    def run(
-        self, per_rank_blocks: Sequence[Sequence[Block]], iteration: int
-    ) -> Tuple[List[RenderResult], Dict[str, object]]:
-        """Render every rank's blocks (list-facing form of :meth:`execute`)."""
-        if self.script.mode != "count":
-            return super().run(per_rank_blocks, iteration)
-        return self._count_columns(BlockColumns(per_rank_blocks), iteration)
-
-    def execute(self, context: IterationContext) -> StepReport:
-        """Render the context's columns (PipelineStep contract)."""
-        if self.script.mode != "count":
-            return super().execute(context)
-        results, info = self._count_columns(context.columns, context.iteration)
-        return self._record(context, results, info)

@@ -1,4 +1,13 @@
-"""Result records of pipeline runs."""
+"""The one record of a pipeline run.
+
+The engine condenses every iteration into one :class:`IterationResult` — the
+iteration's :class:`~repro.core.step.StepReport` per step, from which measured
+and modelled times, moved bytes and per-rank triangle counts are read — and
+:class:`~repro.core.pipeline.InSituPipeline` appends it to its
+``iterations`` list; :class:`PipelineRunResult` is that list with the run's
+configuration summary, what every summary (``repro run``, the serve mode's
+``summary`` event, the figure reproductions) is built from.
+"""
 
 from __future__ import annotations
 

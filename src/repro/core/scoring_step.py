@@ -6,13 +6,14 @@ per-point cost times the rank's point count, and the step ends at the global
 sort (a collective), so the slowest rank determines the step's contribution to
 the iteration time.
 
-One reference class and one batched class implement the contract.
-:class:`ScoringStep` (the ``serial`` oracle) routes every rank's block list
-through ``metric.score_blocks`` (a per-block loop by default, but user metrics
-that override it take effect here) and clones every block to attach its score.
+One reference class and one batched class implement the contract, each with
+``execute(context)`` as its one method.  :class:`ScoringStep` (the ``serial``
+oracle) routes every rank's block list in ``context.per_rank_blocks`` through
+``metric.score_blocks`` (a per-block loop by default, but user metrics that
+override it take effect here) and clones every block to attach its score.
 :class:`VectorizedScoringStep` (every other backend name) scores all ranks'
-blocks in one cross-rank pass over the iteration's columnar state and writes a
-``scores`` column.  Where that pass runs is decided per kernel, by the code:
+blocks in one cross-rank pass over ``context.columns`` and writes a ``scores``
+column.  Where that pass runs is decided per kernel, by the code:
 inline for the NumPy metrics, over the shared process pool for a metric that
 declares ``gil_bound`` whenever :func:`~repro.utils.procpool.pool_pays` — this
 step is the one reader of that rule.  All of it produces bitwise-identical
@@ -22,17 +23,15 @@ scores, so neither the backend nor the pool can perturb a downstream decision.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport, share_elapsed, step_info
-from repro.grid.batch import BlockColumns
+from repro.core.step import IterationContext, StepReport, share_elapsed
 from repro.grid.block import Block
 from repro.grid.fanout import map_shape_groups
 from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
-from repro.simmpi.sort import pairs_from_wire
 from repro.utils.procpool import pool_pays
 from repro.utils.timer import Timer
 
@@ -48,25 +47,17 @@ class ScoringStep:
         self.metric = metric
         self.platform = platform
 
-    def run(
-        self, per_rank_blocks: Sequence[Sequence[Block]]
-    ) -> Tuple[List[List[ScorePair]], List[List[Block]], Dict[str, object]]:
-        """Score every rank's blocks.
-
-        Returns
-        -------
-        (per_rank_pairs, per_rank_blocks, info)
-            ``per_rank_pairs[r]`` is the list of ``(block_id, score)`` pairs of
-            rank ``r``; ``per_rank_blocks`` is the input with scores attached
-            to the blocks; ``info`` holds measured and modelled per-rank
-            seconds and the total number of points scored (``npoints``).
-        """
+    def execute(self, context: IterationContext) -> StepReport:
+        """Score every rank's blocks, one ``metric.score_blocks`` call per rank:
+        the ``(block_id, score)`` pairs and the blocks with their scores
+        attached go into ``context``; the report counts the blocks and the
+        points scored."""
         per_rank_pairs: List[List[ScorePair]] = []
         scored_blocks: List[List[Block]] = []
         measured: List[float] = []
         modelled: List[float] = []
         total_points = 0
-        for blocks in per_rank_blocks:
+        for blocks in context.per_rank_blocks:
             with Timer() as timer:
                 raw = self.metric.score_blocks([b.data for b in blocks])
                 scores = [float(s) for s in raw]
@@ -84,17 +75,14 @@ class ScoringStep:
             modelled.append(
                 self.platform.scoring_seconds(self.metric, npoints, len(blocks))
             )
-        info = step_info(measured, modelled, npoints=total_points)
-        return per_rank_pairs, scored_blocks, info
-
-    def execute(self, context: IterationContext) -> StepReport:
-        """Run the step over the context's blocks (PipelineStep contract)."""
-        pairs, scored, info = self.run(context.per_rank_blocks)
-        context.per_rank_pairs = pairs
-        context.per_rank_blocks = scored
-        nblocks = sum(len(p) for p in pairs)
-        return StepReport.per_rank(
-            self.name, info, {"nblocks": nblocks, "npoints": info["npoints"]}
+        context.per_rank_pairs = per_rank_pairs
+        context.per_rank_blocks = scored_blocks
+        nblocks = sum(len(pairs) for pairs in per_rank_pairs)
+        return StepReport(
+            self.name,
+            measured_per_rank=measured,
+            modelled_per_rank=modelled,
+            counters={"nblocks": float(nblocks), "npoints": float(total_points)},
         )
 
 
@@ -136,9 +124,12 @@ class VectorizedScoringStep(ScoringStep):
             type(metric).score_blocks is ScoreMetric.score_blocks
         )
 
-    def _score_columns(self, columns: BlockColumns) -> Dict[str, object]:
-        """Write the ``scores`` column in one cross-rank pass; the step's ``info``."""
-        metric = self.metric
+    def execute(self, context: IterationContext) -> StepReport:
+        """Write the context's ``scores`` column in one cross-rank pass; the
+        pairs stay in wire form for the sort."""
+        if not self._crosses_ranks():
+            return super().execute(context)
+        metric, columns = self.metric, context.columns
         with Timer() as timer:
             pooled = pool_pays(metric.gil_bound)
             if metric.supports_batch or pooled:
@@ -153,36 +144,17 @@ class VectorizedScoringStep(ScoringStep):
                 # process anyway; skip the payload copies.
                 scores = metric.score_blocks(columns.payloads())
             columns.set_scores(scores)
-        rank_points = columns.per_rank_sum(columns.npoints)
-        modelled = [
-            self.platform.scoring_seconds(metric, npoints, nblocks)
-            for npoints, nblocks in zip(rank_points, columns.rank_sizes())
-        ]
-        return step_info(
-            share_elapsed(timer.elapsed, rank_points),
-            modelled,
-            npoints=sum(rank_points),
-        )
-
-    def run(
-        self, per_rank_blocks: Sequence[Sequence[Block]]
-    ) -> Tuple[List[List[ScorePair]], List[List[Block]], Dict[str, object]]:
-        """Score every rank's blocks in one cross-rank pass (list-facing form
-        of :meth:`execute`: columns in, the same body, lists out)."""
-        if not self._crosses_ranks():
-            return super().run(per_rank_blocks)
-        columns = BlockColumns(per_rank_blocks)
-        info = self._score_columns(columns)
-        pairs = [pairs_from_wire(wire) for wire in columns.pair_arrays()]
-        return pairs, columns.to_ranks(), info
-
-    def execute(self, context: IterationContext) -> StepReport:
-        """Score the context's columns (PipelineStep contract)."""
-        if not self._crosses_ranks():
-            return super().execute(context)
-        columns = context.columns
-        info = self._score_columns(columns)
         context.set_pair_arrays(columns.pair_arrays())
-        return StepReport.per_rank(
-            self.name, info, {"nblocks": len(columns), "npoints": info["npoints"]}
+        rank_points = columns.per_rank_sum(columns.npoints)
+        return StepReport(
+            self.name,
+            measured_per_rank=share_elapsed(timer.elapsed, rank_points),
+            modelled_per_rank=[
+                self.platform.scoring_seconds(metric, npoints, nblocks)
+                for npoints, nblocks in zip(rank_points, columns.rank_sizes())
+            ],
+            counters={
+                "nblocks": float(len(columns)),
+                "npoints": float(sum(rank_points)),
+            },
         )

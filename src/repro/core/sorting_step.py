@@ -6,8 +6,9 @@ process knows the scores of all blocks — including those belonging to other
 processes — and can take identical reduction/redistribution decisions without
 further communication.
 
-Two implementations of the contract are provided (``"serial"`` builds the
-first, every other backend name the second):
+Two implementations of the contract are provided — one ``execute(context)``
+body, the second class replacing only the root's sort (``"serial"`` builds
+the first, every other backend name the second):
 
 * :class:`SortingStep` — the reference gather–sort–broadcast over Python
   tuples (:func:`~repro.simmpi.sort.parallel_sort_pairs`);
@@ -16,8 +17,8 @@ first, every other backend name the second):
   (:func:`~repro.simmpi.sort.parallel_sort_pairs_numpy`); after a batched
   scoring step it gathers the ``(n_r, 2)`` wire arrays as they are, so the
   pairs become tuples once per iteration, on the way out.  The communication
-  payloads are identical byte for byte, so ``StepReport.modelled`` and
-  ``payload_bytes`` are unchanged, and the sorted list is bitwise equal.
+  payloads are identical byte for byte, so the report's modelled seconds
+  and ``payload_bytes`` are unchanged, and the sorted list is bitwise equal.
   Every batched backend uses this implementation: the sort is a rooted
   collective, so there is no per-rank work to fan out over a pool.
 
@@ -29,7 +30,7 @@ backend that breaks the invariant fails loudly here instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.step import IterationContext, StepReport
 from repro.simmpi.communicator import BSPCommunicator
@@ -88,41 +89,26 @@ class SortingStep:
             )
         return reference
 
-    def run(
-        self, per_rank_pairs: Sequence[Sequence[ScorePair]]
-    ) -> Tuple[List[ScorePair], Dict[str, float]]:
-        """Sort the pairs globally.
+    def execute(self, context: IterationContext) -> StepReport:
+        """Sort the context's pairs globally.
 
-        Returns
-        -------
-        (sorted_pairs, info)
-            ``sorted_pairs`` is the global ascending (score, id) order (the
-            same list every rank holds after the broadcast); ``info`` carries
-            measured wall-clock, and the modelled seconds and payload bytes
-            this step's own collectives (one gather, one broadcast) were
-            charged — their sum, so the numbers are the same on a fresh and
-            on a long-used communicator.
+        ``context.sorted_pairs`` becomes the global ascending (score, id)
+        order (the same list every rank holds after the broadcast).  The
+        report carries the measured wall-clock, and the modelled seconds and
+        payload bytes this step's own collectives (one gather, one broadcast)
+        were charged — their sum, so the numbers are the same on a fresh and
+        on a long-used communicator.
         """
+        per_rank_pairs = context.pairs_for_sort()
         with self.comm.charges() as charged, Timer() as timer:
             per_rank_sorted = self._sort(per_rank_pairs)
-        sorted_pairs = self._require_rank_agreement(per_rank_sorted)
-        info = {
-            "measured": timer.elapsed,
-            "modelled": sum(seconds for _, _, seconds in charged),
-            "payload_bytes": sum(nbytes for _, nbytes, _ in charged),
-        }
-        return sorted_pairs, info
-
-    def execute(self, context: IterationContext) -> StepReport:
-        """Run the step over the context's pairs (PipelineStep contract)."""
-        sorted_pairs, info = self.run(context.pairs_for_sort())
-        context.sorted_pairs = sorted_pairs
+        context.sorted_pairs = self._require_rank_agreement(per_rank_sorted)
         return StepReport.collective(
             self.name,
-            measured=float(info["measured"]),
-            modelled=float(info["modelled"]),
-            payload_bytes=float(info["payload_bytes"]),
-            counters={"npairs": float(len(sorted_pairs))},
+            measured=timer.elapsed,
+            modelled=sum(seconds for _, _, seconds in charged),
+            payload_bytes=sum(nbytes for _, nbytes, _ in charged),
+            counters={"npairs": float(len(context.sorted_pairs))},
         )
 
 

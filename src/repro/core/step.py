@@ -3,16 +3,17 @@
 Every stage of the paper's Figure 2 (score, sort, reduce, redistribute,
 render) is a :class:`PipelineStep`: an object with a ``name`` and an
 ``execute`` method that advances one :class:`IterationContext` and returns a
-:class:`StepReport`.  The :class:`~repro.core.engine.ExecutionEngine` runs an
-ordered list of steps; :class:`~repro.core.monitor.PerformanceMonitor`
-consumes the reports.  Because the contract is uniform, steps can be swapped
-(serial vs. vectorised scoring) or extended without touching the
-orchestration code.  The sequence is a linear chain — each step consumes
-context state the previous one wrote — and the engine runs it in list order,
-one iteration at a time; there is no separate dependency table to keep in step
-with the code.  What the batched steps share beyond the contract is written
-once here (:func:`share_elapsed`, :func:`step_info`,
-:meth:`StepReport.per_rank`).
+:class:`StepReport` — its only method, so a step's body writes the context and
+builds its report directly, and the report is the one record of what the step
+did.  The :class:`~repro.core.engine.ExecutionEngine` runs an ordered list of
+steps and condenses an iteration's reports into one
+:class:`~repro.core.results.IterationResult`.  Because the contract is
+uniform, steps can be swapped (serial vs. vectorised scoring) or extended
+without touching the orchestration code.  The sequence is a linear chain —
+each step consumes context state the previous one wrote — and the engine runs
+it in list order, one iteration at a time; there is no separate dependency
+table to keep in step with the code.  What the batched steps share beyond the
+contract is written once here (:func:`share_elapsed`).
 
 The context carries the iteration's blocks in one of two forms, exactly one of
 them authoritative at a time: the per-rank lists of
@@ -102,26 +103,6 @@ class StepReport:
         return max(self.modelled_per_rank) if self.modelled_per_rank else 0.0
 
     @classmethod
-    def per_rank(
-        cls,
-        step: str,
-        info: Dict[str, object],
-        counters: Dict[str, float],
-        per_rank_counters: Optional[Dict[str, Sequence[float]]] = None,
-    ) -> "StepReport":
-        """Report of a per-rank step from its ``run``'s :func:`step_info`."""
-        return cls(
-            step=step,
-            measured_per_rank=list(info["measured_per_rank"]),
-            modelled_per_rank=list(info["modelled_per_rank"]),
-            counters={name: float(value) for name, value in counters.items()},
-            per_rank_counters={
-                name: [float(value) for value in series]
-                for name, series in (per_rank_counters or {}).items()
-            },
-        )
-
-    @classmethod
     def collective(
         cls,
         step: str,
@@ -138,20 +119,6 @@ class StepReport:
             payload_bytes=float(payload_bytes),
             counters=dict(counters or {}),
         )
-
-
-def step_info(
-    measured: List[float], modelled: List[float], **extra: object
-) -> Dict[str, object]:
-    """The ``info`` dict a per-rank step's ``run`` returns: the per-rank
-    measured/modelled seconds, their maxima, and the step's own ``extra``."""
-    return {
-        "measured_per_rank": measured,
-        "modelled_per_rank": modelled,
-        "measured_max": max(measured) if measured else 0.0,
-        "modelled_max": max(modelled) if modelled else 0.0,
-        **extra,
-    }
 
 
 def share_elapsed(elapsed: float, weights: Sequence[float]) -> List[float]:

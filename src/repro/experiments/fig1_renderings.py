@@ -16,9 +16,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.reduction_step import ReductionStep
 from repro.scenarios import ExperimentScenario
-from repro.grid.reduction import reconstruct_block
+from repro.grid.reduction import reconstruct_block, reduce_block
 from repro.viz.framebuffer import Framebuffer
 from repro.viz.slice_render import render_colormap_slice
 from repro.viz.volume import volume_max_projection
@@ -53,13 +52,9 @@ def _filtered_field(scenario: ExperimentScenario, snapshot_index: int) -> np.nda
     """Full-domain field where every block has been reduced then re-expanded."""
     shape = scenario.config.shape
     out = np.zeros(shape, dtype=np.float64)
-    reduction = ReductionStep()
-    per_rank = scenario.blocks_for(snapshot_index)
-    pairs = [(b.block_id, 0.0) for blocks in per_rank for b in blocks]
-    reduced, _, _ = reduction.run(per_rank, sorted(pairs), percent=100.0)
-    for blocks in reduced:
+    for blocks in scenario.blocks_for(snapshot_index):
         for block in blocks:
-            out[block.extent.slices] = reconstruct_block(block)
+            out[block.extent.slices] = reconstruct_block(reduce_block(block))
     return out
 
 

@@ -36,10 +36,12 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.backends import engine_backends
 from repro.core.config import AdaptationConfig
+from repro.core.redistribution import STRATEGIES
 from repro.core.results import IterationResult, PipelineRunResult
 from repro.grid.shm import purge_owned_segments
 from repro.metrics.registry import default_registry
 from repro.scenarios import ExperimentScenario, ScenarioConfig, get_scenario
+from repro.viz.catalyst import RENDER_MODES
 
 __all__ = [
     "RunCancelled",
@@ -108,18 +110,18 @@ class RunRequest:
                 f"unknown metric {self.metric!r}; available: "
                 f"{', '.join(default_registry().names())}"
             )
-        if self.redistribution not in ("none", "shuffle", "round_robin"):
+        if self.redistribution not in STRATEGIES:
             raise ValueError(
-                f"redistribution must be 'none', 'shuffle' or 'round_robin', "
+                f"redistribution must be one of {tuple(STRATEGIES)}, "
                 f"got {self.redistribution!r}"
             )
         if self.percent is not None and not 0.0 <= self.percent <= 100.0:
             raise ValueError(f"percent must be in [0, 100], got {self.percent}")
         if self.target is not None and not self.target > 0:
             raise ValueError(f"target must be > 0, got {self.target}")
-        if self.render_mode not in ("count", "mesh"):
+        if self.render_mode not in RENDER_MODES:
             raise ValueError(
-                f"render_mode must be 'count' or 'mesh', got {self.render_mode!r}"
+                f"render_mode must be one of {RENDER_MODES}, got {self.render_mode!r}"
             )
         if self.backend is not None and self.backend not in engine_backends():
             raise ValueError(

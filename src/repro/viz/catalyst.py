@@ -46,6 +46,10 @@ from repro.viz.rasterizer import rasterize_mesh
 #: averages out to roughly five triangles per active cell in practice.
 TRIANGLES_PER_ACTIVE_CELL = 5.0
 
+#: The isosurface script's modes, by the name ``PipelineConfig.render_mode``,
+#: ``RunRequest`` and ``--render-mode`` accept.
+RENDER_MODES = ("count", "mesh")
+
 
 @dataclass
 class RenderResult:
@@ -118,8 +122,8 @@ class IsosurfaceScript(VisualizationScript):
         render_image: bool = False,
         image_size: tuple = (400, 300),
     ) -> None:
-        if mode not in ("mesh", "count"):
-            raise ValueError(f"mode must be 'mesh' or 'count', got {mode!r}")
+        if mode not in RENDER_MODES:
+            raise ValueError(f"mode must be one of {RENDER_MODES}, got {mode!r}")
         if render_image and mode != "mesh":
             raise ValueError("render_image requires mode='mesh'")
         self.level = float(level)

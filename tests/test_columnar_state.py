@@ -16,7 +16,10 @@ pure pipelines give):
 (b) batched ``steps[:k]`` then reference ``steps[k:]`` on one context, for every
     ``k`` (0 = the ``serial`` pipeline), fed lists or an arrival, with or
     without a list-based step spliced in;
-(c) every batched class's list-facing ``run`` ≡ its ``execute``;
+(c) one stage at a time: after the same reference prefix, every stage's
+    batched class leaves the context and the communicator as its reference
+    class does, in count and in mesh mode — over the generated cases and over
+    named edges (pre-reduced blocks, empty ranks, a two-rung ladder);
 (d) the vectorised triangle estimate ≡ ``int(round(...))`` per block;
 (e) a default iteration builds and clones no ``Block`` and builds the state
     once; fed an arrival it copies no payload either;
@@ -33,7 +36,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.redistribution import RedistributionStep, make_strategy
+from repro.core.backends import STEP_NAMES
+from repro.core.redistribution import STRATEGIES, RedistributionStep, make_strategy
 from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
 from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
@@ -47,6 +51,7 @@ from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
 from repro.viz import catalyst
+from repro.viz.catalyst import RENDER_MODES
 
 #: Full-block payload shapes, including length-1 axes and non-cubic blocks.
 SHAPES = [(4, 4, 4), (5, 3, 2), (1, 4, 3), (3, 1, 1), (2, 2, 2), (6, 5, 4), (1, 1, 1)]
@@ -103,7 +108,7 @@ def cases(draw) -> Case:
         per_rank_blocks,
         percent=draw(st.sampled_from([0.0, 37.5, 50.0, 100.0])),
         ladder=draw(st.sampled_from(LADDERS)),
-        strategy=draw(st.sampled_from(["none", "shuffle", "round_robin"])),
+        strategy=draw(st.sampled_from(list(STRATEGIES))),
         metric=draw(st.sampled_from(["VAR", "PYVAR"])),
     )
 
@@ -123,7 +128,7 @@ def arrivals(draw) -> Case:
         [decomposition.extract_blocks(rank, field) for rank in range(nranks)],
         percent=draw(st.sampled_from([0.0, 37.5, 50.0, 100.0])),
         ladder=draw(st.sampled_from(LADDERS)),
-        strategy=draw(st.sampled_from(["none", "shuffle", "round_robin"])),
+        strategy=draw(st.sampled_from(list(STRATEGIES))),
         metric=draw(st.sampled_from(["VAR", "PYVAR"])),
         arrival=decomposition.decompose(field),
     )
@@ -176,18 +181,23 @@ def render_signature(results) -> list:
             r.npoints,
             list(r.per_block_triangles.items()),  # key order included
             list(r.per_block_active_cells.items()),
+            None
+            if r.mesh is None
+            else (r.mesh.vertices.tobytes(), r.mesh.triangles.tobytes()),
         )
         for r in results
     ]
 
 
 def outcome(context: IterationContext) -> dict:
+    """Everything the steps run so far left on ``context``."""
+    levels, results = context.reduction_levels, context.render_results
     return {
         "pairs": context.per_rank_pairs,
         "sorted": context.sorted_pairs,
         "reduced_ids": context.reduced_ids,
-        "levels": list(context.reduction_levels.items()),
-        "render": render_signature(context.render_results),
+        "levels": None if levels is None else list(levels.items()),
+        "render": None if results is None else render_signature(results),
         "reports": {n: report_signature(r) for n, r in context.reports.items()},
         "blocks": blocks_signature(context.per_rank_blocks),
     }
@@ -196,7 +206,9 @@ def outcome(context: IterationContext) -> dict:
 # -- the two pipelines -----------------------------------------------------------
 
 
-def build_steps(case: Case, batched: bool, comm: BSPCommunicator = None) -> list:
+def build_steps(
+    case: Case, batched: bool, comm: BSPCommunicator = None, render_mode: str = "count"
+) -> list:
     """The five Figure-2 steps, batched or reference, on one communicator (a
     fresh one unless given), as the engine builds them."""
     platform = PlatformModel.blue_waters(case.nranks)
@@ -212,7 +224,7 @@ def build_steps(case: Case, batched: bool, comm: BSPCommunicator = None) -> list
         sorting(comm),
         reduction(platform, quality_ladder=case.ladder),
         RedistributionStep(make_strategy(case.strategy, seed=5), comm),
-        rendering(platform, isosurface_level=ISOVALUE, render_mode="count"),
+        rendering(platform, isosurface_level=ISOVALUE, render_mode=render_mode),
     ]
 
 
@@ -283,72 +295,52 @@ def test_a_list_based_step_may_sit_anywhere(case, position):
     assert run_steps(case, spliced(True)) == run_steps(case, spliced(False))
 
 
-# -- (c) run(lists) ≡ execute(context) ---------------------------------------------------
+# -- (c) one stage at a time ----------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=cases())
-def test_list_facing_run_equals_execute(case):
-    scoring, sorting, reduction, redistribution, rendering = build_steps(case, batched=True)
-    lists = case.lists
+def stage_outcome(case: Case, stage: int, batched: bool, render_mode: str) -> tuple:
+    """The reference ``steps[:stage]``, then ``steps[stage]`` batched or not, on
+    one communicator: the context's outcome and what the communicator charged."""
+    network = PlatformModel.blue_waters(case.nranks).network
+    comm = BSPCommunicator(case.nranks, cost_model=network)
+    reference = build_steps(case, False, comm, render_mode)
+    step = build_steps(case, batched, comm, render_mode)[stage]
+    return run_steps(case, reference[:stage] + [step]), comm.stats
 
-    def fresh(**state) -> IterationContext:
-        return IterationContext(2, case.percent, case.nranks, lists(), **state)
 
-    # scoring
-    pairs, scored, info = scoring.run(lists())
-    context = fresh()
-    report = scoring.execute(context)
-    assert context.per_rank_pairs == pairs
-    assert blocks_signature(context.per_rank_blocks) == blocks_signature(scored)
-    assert report.modelled_per_rank == info["modelled_per_rank"]
-    assert report.counters["npoints"] == info["npoints"]
-
-    # sorting (tuples in ≡ wire arrays in)
-    sorted_pairs, info = sorting.run(pairs)
-    context = fresh(per_rank_pairs=pairs)
-    report = sorting.execute(context)
-    assert context.sorted_pairs == sorted_pairs
-    assert report.modelled_per_rank == [info["modelled"]]
-    assert report.payload_bytes == info["payload_bytes"]
-
-    # reduction
-    reduced, reduced_ids, info = reduction.run(scored, sorted_pairs, case.percent)
-    context = fresh(sorted_pairs=sorted_pairs)
-    context.per_rank_blocks = scored
-    report = reduction.execute(context)
-    assert blocks_signature(context.per_rank_blocks) == blocks_signature(reduced)
-    assert context.reduced_ids == reduced_ids == set(info["reduction_levels"])
-    assert context.reduction_levels == info["reduction_levels"]
-    assert report.modelled_per_rank == info["modelled_per_rank"]
-    assert report.counters == {
-        "nreduced": float(info["nreduced"]),
-        "points_copied": float(info["points_copied"]),
-    }
-
-    # redistribution
-    moved, info = redistribution.strategy.redistribute(
-        BSPCommunicator(case.nranks), reduced, sorted_pairs, 2
+@pytest.mark.parametrize("stage", range(5), ids=STEP_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(case=inputs, render_mode=st.sampled_from(RENDER_MODES))
+def test_each_stage_batched_equals_reference(stage, case, render_mode):
+    assert stage_outcome(case, stage, True, render_mode) == stage_outcome(
+        case, stage, False, render_mode
     )
-    context = fresh(sorted_pairs=sorted_pairs)
-    context.per_rank_blocks = reduced
-    redistribution.comm = BSPCommunicator(case.nranks)
-    report = redistribution.execute(context)
-    assert blocks_signature(context.per_rank_blocks) == blocks_signature(moved)
-    assert report.modelled_per_rank == [info["modelled"]]
-    assert report.payload_bytes == info["moved_bytes"]
-    assert report.counters == {"moved_blocks": info["moved_blocks"]}
 
-    # rendering
-    results, info = rendering.run(moved, 2)
-    context = fresh()
-    context.per_rank_blocks = moved
-    report = rendering.execute(context)
-    assert render_signature(context.render_results) == render_signature(results)
-    assert report.modelled_per_rank == info["modelled_per_rank"]
-    assert report.per_rank_counters == {
-        "triangles": [float(t) for t in info["triangles_per_rank"]]
-    }
+
+def edge_case(edge: str, scenario) -> Case:
+    """The tiny scenario's first snapshot, bent into one of the named edges."""
+    blocks = [list(rank_blocks) for rank_blocks in scenario.blocks_for(0)]
+    ladder, percent = LADDERS[0], 100.0
+    if edge == "pre-reduced":
+        blocks = [
+            [reduce_block(b, i % 3) for i, b in enumerate(rank_blocks)]
+            for rank_blocks in blocks
+        ]
+    elif edge == "empty ranks":
+        blocks, percent = [blocks[0], [], []], 50.0
+    else:  # a two-rung ladder
+        ladder, percent = LADDERS[1], 60.0
+    return Case(blocks, percent, ladder, strategy="round_robin", metric="VAR")
+
+
+@pytest.mark.parametrize("stage", range(5), ids=STEP_NAMES)
+@pytest.mark.parametrize("render_mode", RENDER_MODES)
+@pytest.mark.parametrize("edge", ["pre-reduced", "empty ranks", "two-rung ladder"])
+def test_each_stage_on_the_named_edges(edge, render_mode, stage, tiny_scenario):
+    case = edge_case(edge, tiny_scenario)
+    assert stage_outcome(case, stage, True, render_mode) == stage_outcome(
+        case, stage, False, render_mode
+    )
 
 
 # -- (d) the vectorised triangle estimate --------------------------------------------------
@@ -394,7 +386,8 @@ def test_default_iteration_clones_no_block_and_builds_the_state_once(
     monkeypatch.setattr(BlockColumns, "__init__", counting_init)
 
     pipeline = tiny_scenario.build_pipeline(metric="VAR", redistribution="round_robin")
-    assert pipeline.engine.backend == "vectorized" and pipeline.rendering.script.mode == "count"
+    assert pipeline.engine.backend == "vectorized"
+    assert pipeline.engine.rendering.script.mode == "count"
     for arrives_stacked in (True, False):
         # A fresh arrival (the scenario's cached one may have built its blocks
         # already), or the lists it stands for, built before the counting starts.

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.backends import STEP_NAMES, engine_backends
+from repro.core.backends import ENGINE_BACKENDS, STEP_NAMES, engine_backends
 from repro.core.config import AdaptationConfig, PipelineConfig
-from repro.core.engine import ENGINE_BACKENDS, ExecutionEngine
+from repro.core.engine import ExecutionEngine
+from repro.core.pipeline import InSituPipeline
 from repro.core.reduction_step import ReductionStep, VectorizedReductionStep
 from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
@@ -16,7 +17,6 @@ from repro.core.step import IterationContext, PipelineStep, StepReport
 from repro.grid.shm import live_owned_segments
 from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
-from repro.simmpi.communicator import BSPCommunicator
 
 
 class TestStepReport:
@@ -56,7 +56,11 @@ class TestIterationContext:
 
 class TestEngineConstruction:
     def test_invalid_backend(self):
+        """The backend is the config's ``engine``, validated there once: the
+        engine takes no second name to override it."""
         with pytest.raises(ValueError):
+            PipelineConfig(engine="gpu")
+        with pytest.raises(TypeError):
             ExecutionEngine(
                 PipelineConfig(), PlatformModel.blue_waters(4), backend="gpu"
             )
@@ -134,27 +138,22 @@ class TestEngineConstruction:
         assert built("serial") != built("vectorized")
 
     @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
-    @pytest.mark.parametrize("supplied", [False, True])
-    def test_every_step_shares_the_engine_communicator(self, backend, supplied):
+    @pytest.mark.parametrize("via_pipeline", [False, True])
+    def test_every_step_shares_the_engine_communicator(self, backend, via_pipeline):
+        """One communicator per engine, built by the engine (there is no
+        ``comm=`` to hand it one) and exposed as ``pipeline.comm``."""
         platform = PlatformModel.blue_waters(4)
-        comm = BSPCommunicator(4, cost_model=platform.network) if supplied else None
-        engine = ExecutionEngine(
-            PipelineConfig(engine=backend), platform, comm=comm
-        )
-        if supplied:
-            assert engine.comm is comm
+        config = PipelineConfig(engine=backend)
+        if via_pipeline:
+            pipeline = InSituPipeline(config, platform)
+            engine = pipeline.engine
+            assert pipeline.comm is engine.comm
+        else:
+            engine = ExecutionEngine(config, platform)
+        assert engine.comm.nranks == engine.nranks == 4
         bound = [step for step in engine.steps if hasattr(step, "comm")]
         assert {step.name for step in bound} == {"sorting", "redistribution"}
         assert all(step.comm is engine.comm for step in bound)
-
-    def test_supplied_communicator_rank_count_is_validated(self):
-        platform = PlatformModel.blue_waters(4)
-        with pytest.raises(ValueError):
-            ExecutionEngine(
-                PipelineConfig(),
-                platform,
-                comm=BSPCommunicator(5, cost_model=platform.network),
-            )
 
 
 class TestEngineExecution:
@@ -286,79 +285,51 @@ class TestParallelScoringStep:
         # 2 * 3 chunks per shape group, whatever the box's core count.
         monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 3)
 
-    def _assert_step_matches_serial(self, metric, scenario):
-        blocks = scenario.blocks_for(0)
-        serial = ScoringStep(metric, scenario.platform).run(blocks)[0]
-        assert VectorizedScoringStep(metric, scenario.platform).run(blocks)[0] == serial
+    @staticmethod
+    def _assert_step_matches_serial(metric, scenario, run_step):
+        def pairs(step_class):
+            step = step_class(metric, scenario.platform)
+            return run_step(step, scenario.blocks_for(0))[0].per_rank_pairs
+
+        assert pairs(VectorizedScoringStep) == pairs(ScoringStep)
         assert live_owned_segments() == ()
 
-    def test_scalar_metric_chunked_identically(self, tiny_scenario, scoring_fanout):
-        self._assert_step_matches_serial(Spiky(), tiny_scenario)
+    def test_scalar_metric_chunked_identically(
+        self, tiny_scenario, scoring_fanout, run_step
+    ):
+        self._assert_step_matches_serial(Spiky(), tiny_scenario, run_step)
         assert scoring_fanout == [True]
 
-    def test_score_blocks_override_not_chunked(self, tiny_scenario, scoring_fanout):
+    def test_score_blocks_override_not_chunked(
+        self, tiny_scenario, scoring_fanout, run_step
+    ):
         """Cross-block logic is neither chunked nor batched across ranks, even
         for a metric that declares ``gil_bound``: the per-rank reference step."""
-        self._assert_step_matches_serial(RankNormalized(), tiny_scenario)
+        self._assert_step_matches_serial(RankNormalized(), tiny_scenario, run_step)
         assert scoring_fanout == []
 
-    def test_batch_metric_chunked_identically(self, tiny_scenario, scoring_fanout):
+    def test_batch_metric_chunked_identically(
+        self, tiny_scenario, scoring_fanout, run_step
+    ):
         from repro.metrics.registry import create_metric
 
         metric = create_metric("FPZIP")
-        self._assert_step_matches_serial(metric, tiny_scenario)
+        self._assert_step_matches_serial(metric, tiny_scenario, run_step)
         metric.gil_bound = True  # FPZIP reads False: force its chunked path
-        self._assert_step_matches_serial(metric, tiny_scenario)
+        self._assert_step_matches_serial(metric, tiny_scenario, run_step)
         assert scoring_fanout == [False, True]
 
 
 class TestRenderingBackends:
-    """Both rendering classes must be indistinguishable downstream."""
+    """What the batched rendering class does not do (the two classes' parity
+    is the stage law of ``tests/test_columnar_state.py``)."""
 
-    @staticmethod
-    def _observable(step, blocks, iteration=0):
-        results, info = step.run(blocks, iteration)
-        return (
-            [r.per_block_active_cells for r in results],
-            [r.per_block_triangles for r in results],
-            [r.npoints for r in results],
-            info["triangles_per_rank"],
-            info["modelled_per_rank"],
-            info["total_triangles"],
-        )
-
-    @pytest.mark.parametrize("render_mode", ["count", "mesh"])
-    def test_backend_parity(self, tiny_scenario, render_mode):
-        blocks = tiny_scenario.blocks_for(0)
-        platform = tiny_scenario.platform
-        serial = RenderingStep(platform, render_mode=render_mode)
-        vector = VectorizedRenderingStep(platform, render_mode=render_mode)
-        assert self._observable(vector, blocks) == self._observable(serial, blocks)
-
-    def test_parity_with_reduced_blocks(self, tiny_scenario):
-        from repro.grid.reduction import reduce_block
-
-        blocks = [
-            [reduce_block(b) if i % 2 else b for i, b in enumerate(rank_blocks)]
-            for rank_blocks in tiny_scenario.blocks_for(0)
-        ]
-        platform = tiny_scenario.platform
-        serial = RenderingStep(platform, render_mode="count")
-        vector = VectorizedRenderingStep(platform, render_mode="count")
-        assert self._observable(vector, blocks) == self._observable(serial, blocks)
-
-    def test_parallel_handles_empty_ranks(self, tiny_scenario):
-        platform = tiny_scenario.platform
-        blocks = [list(tiny_scenario.blocks_for(0)[0]), [], []]
-        for mode in ("count", "mesh"):
-            reference = self._observable(RenderingStep(platform, render_mode=mode), blocks)
-            batched = VectorizedRenderingStep(platform, render_mode=mode)
-            assert self._observable(batched, blocks) == reference
-
-    def test_rank_triangle_totals_summed_once(self, tiny_scenario, monkeypatch):
+    def test_rank_triangle_totals_summed_once(
+        self, tiny_scenario, monkeypatch, run_step
+    ):
         """``RenderResult.ntriangles`` re-sums a dict on every read: the
-        reference step reads it once per rank, the batched step hands ``_info``
-        one ``per_rank_sum`` of the array it already has and never reads it."""
+        reference step reads it once per rank, the batched step reports one
+        ``per_rank_sum`` of the array it already has and never reads it."""
         from repro.viz.catalyst import RenderResult
 
         reads = []
@@ -370,13 +341,13 @@ class TestRenderingBackends:
         )
         blocks = tiny_scenario.blocks_for(0)
         platform = tiny_scenario.platform
-        _, reference = RenderingStep(platform, render_mode="count").run(blocks, 0)
+        _, reference = run_step(RenderingStep(platform), blocks)
         assert len(reads) == len(blocks)
         del reads[:]
-        _, info = VectorizedRenderingStep(platform, render_mode="count").run(blocks, 0)
+        _, batched = run_step(VectorizedRenderingStep(platform), blocks)
         assert reads == []
-        assert info["triangles_per_rank"] == reference["triangles_per_rank"]
-        assert info["modelled_per_rank"] == reference["modelled_per_rank"]
+        assert batched.per_rank_counters == reference.per_rank_counters
+        assert batched.modelled_per_rank == reference.modelled_per_rank
 
 
 def test_backends_identical_in_mesh_mode(tiny_scenario):
@@ -404,31 +375,29 @@ def test_backends_identical_in_mesh_mode(tiny_scenario):
 
 
 class TestMonitorStepReportQueries:
+    """Per-step series read off the run's one record, ``pipeline.iterations``."""
+
     def test_payload_and_counter_series(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline(metric="VAR", redistribution="round_robin")
         for i in range(2):
             pipeline.process_iteration(tiny_scenario.blocks_for(i), percent_override=50.0)
-        moved = pipeline.monitor.payload_bytes_series("redistribution")
+        reports = [result.step_reports for result in pipeline.iterations]
+        moved = [r["redistribution"].payload_bytes for r in reports]
         assert len(moved) == 2 and all(m > 0 for m in moved)
-        reduced = pipeline.monitor.counter_series("reduction", "nreduced")
+        assert moved == [result.moved_bytes for result in pipeline.iterations]
+        reduced = [r["reduction"].counters["nreduced"] for r in reports]
         assert all(r > 0 for r in reduced)
-        with pytest.raises(ValueError):
-            pipeline.monitor.payload_bytes_series("warp")
-        with pytest.raises(ValueError):
-            pipeline.monitor.counter_series("warp", "x")
+        assert all(tuple(r) == STEP_NAMES for r in reports)
 
     def test_config_summary_reports_engine(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline(engine="serial")
         assert pipeline.config_summary()["engine"] == "serial"
 
     def test_monitor_accepts_custom_recorded_steps(self):
-        """Steps recorded by a custom engine are first-class: the series
-        queries must validate against what was recorded, not a hard-coded
-        step tuple."""
-        from repro.core.monitor import PerformanceMonitor
-        from repro.core.results import IterationResult
+        """A step a custom engine recorded is first-class in the run record:
+        every query reads whatever reports an iteration carries."""
+        from repro.core.results import IterationResult, PipelineRunResult
 
-        monitor = PerformanceMonitor()
         report = StepReport(
             step="warp",
             measured_per_rank=[0.1],
@@ -436,23 +405,12 @@ class TestMonitorStepReportQueries:
             payload_bytes=64.0,
             counters={"jumps": 2.0},
         )
-        monitor.record_iteration(
-            IterationResult(
-                iteration=0,
-                percent_reduced=0.0,
-                nblocks=1,
-                step_reports={"warp": report},
-            )
+        result = IterationResult(
+            iteration=0, percent_reduced=0.0, nblocks=1, step_reports={"warp": report}
         )
-        assert monitor.step_series("warp") == [1.5]
-        assert monitor.step_series("warp", modelled=False) == [0.1]
-        assert monitor.payload_bytes_series("warp") == [64.0]
-        assert monitor.counter_series("warp", "jumps") == [2.0]
-        # The canonical steps stay queryable, and unknown names still raise.
-        assert monitor.step_series("rendering") == [0.0]
-        with pytest.raises(ValueError):
-            monitor.step_series("hyperdrive")
-        with pytest.raises(ValueError):
-            monitor.payload_bytes_series("hyperdrive")
-        with pytest.raises(ValueError):
-            monitor.counter_series("hyperdrive", "x")
+        assert result.modelled_steps == {"warp": 1.5}
+        assert result.measured_steps == {"warp": 0.1}
+        assert result.modelled_total == 1.5 and result.moved_bytes == 0.0
+        run = PipelineRunResult({}, [result])
+        assert run.modelled_totals() == [1.5]
+        assert run.summary()["rendering_mean"] == 0.0

@@ -214,28 +214,28 @@ class TestPlannerAgainstOracle:
         assert matrix_bytes == recorded == report.payload_bytes
 
 
-def _tiny_exchange():
+def _tiny_exchange(strategy, comm, run_step):
+    """The report of ``strategy``'s exchange of six blocks over three ranks."""
     blocks = [
         Block(i, EXTENT, np.zeros(EXTENT.shape, dtype=np.float32), owner=i % 2)
         for i in range(6)
     ]
-    per_rank_blocks = [blocks[0::2], blocks[1::2], []]
     pairs = [(i, float(i)) for i in range(6)]
-    return per_rank_blocks, pairs
+    step = RedistributionStep(strategy, comm)
+    return run_step(step, [blocks[0::2], blocks[1::2], []], sorted_pairs=pairs)[1]
 
 
-def test_modelled_seconds_do_not_depend_on_communicator_history():
+def test_modelled_seconds_do_not_depend_on_communicator_history(run_step):
     """Regression: the exchange's cost used to be read back as
     ``(S + c) - S`` off the communicator's running total, so the same
     exchange reported different floats after unrelated collectives."""
-    per_rank_blocks, pairs = _tiny_exchange()
     fresh = BSPCommunicator(3)
     used = BSPCommunicator(3)
     for _ in range(7):
         used.gather([np.zeros(3), np.zeros(5), np.zeros(7)])
-    _, on_fresh = RoundRobin().redistribute(fresh, per_rank_blocks, pairs, 0)
-    _, on_used = RoundRobin().redistribute(used, per_rank_blocks, pairs, 0)
-    assert on_fresh["modelled"] == on_used["modelled"] > 0.0
+    on_fresh = _tiny_exchange(RoundRobin(), fresh, run_step)
+    on_used = _tiny_exchange(RoundRobin(), used, run_step)
+    assert on_fresh.modelled_max == on_used.modelled_max > 0.0
 
 
 @pytest.mark.parametrize("step_cls", [SortingStep, VectorizedSortingStep])
@@ -263,24 +263,21 @@ def test_sorting_seconds_do_not_depend_on_communicator_history(step_cls):
     )
 
 
-def test_out_of_range_destination_rejected():
+def test_out_of_range_destination_rejected(run_step):
     class Astray(RoundRobin):
         def assign_owners(self, sorted_pairs, nranks, iteration):
             ids, dests = super().assign_owners(sorted_pairs, nranks, iteration)
             return ids, dests + nranks
 
-    per_rank_blocks, pairs = _tiny_exchange()
     with pytest.raises(ValueError, match="destination"):
-        Astray().redistribute(BSPCommunicator(3), per_rank_blocks, pairs, 0)
+        _tiny_exchange(Astray(), BSPCommunicator(3), run_step)
 
 
-def test_no_pickling_on_the_redistribution_path(monkeypatch):
+def test_no_pickling_on_the_redistribution_path(monkeypatch, run_step):
     import pickle
 
     def forbidden(*args, **kwargs):
         raise AssertionError("pickle.dumps reached from redistribution")
 
     monkeypatch.setattr(pickle, "dumps", forbidden)
-    per_rank_blocks, pairs = _tiny_exchange()
-    _, info = RoundRobin().redistribute(BSPCommunicator(3), per_rank_blocks, pairs, 0)
-    assert info["moved_bytes"] > 0
+    assert _tiny_exchange(RoundRobin(), BSPCommunicator(3), run_step).payload_bytes > 0

@@ -1,10 +1,13 @@
-"""Every name a ``repro`` module exports through ``__all__`` must resolve."""
+"""Every name a ``repro`` module exports through ``__all__`` must resolve, and
+``setup.py`` must describe the package it installs."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,17 @@ def test_simmpi_exports_only_what_the_pipeline_uses():
         if not re.search(rf"\b{name}\b", outside)
     ]
     assert not unused, f"repro.simmpi exports names no pipeline module uses: {unused}"
+
+
+def test_setup_py_carries_the_package_metadata():
+    """``setup.py`` is the whole install metadata: it names the package and
+    reads the version from ``repro.__version__``."""
+    root = Path(repro.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=root,
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["repro", repro.__version__]

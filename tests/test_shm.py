@@ -183,22 +183,22 @@ class TestLeakAccounting:
         b.dispose()
         assert live_owned_segments() == before
 
-    def test_worker_exception_leaks_no_segments(self, two_workers):
+    def test_worker_exception_leaks_no_segments(self, two_workers, run_step):
         """A metric that dies inside a worker must not leave segments behind
         (the step disposes its shared batches in a ``finally`` block)."""
         scenario = ExperimentScenario(get_scenario("tiny").tiny())
         step = VectorizedScoringStep(ExplodingMetric(), scenario.platform)
         before = live_owned_segments()
         with pytest.raises(RuntimeError, match="metric exploded"):
-            step.run(scenario.blocks_for(0))
+            run_step(step, scenario.blocks_for(0))
         assert live_owned_segments() == before
 
     def test_failed_chunk_waits_for_siblings_before_unlinking(
-        self, tmp_path, monkeypatch, two_workers
+        self, tmp_path, monkeypatch, two_workers, run_step
     ):
         """When one chunk fails, the fan-out cancels the chunks that have not
         started and waits for the ones that have *before* it unlinks their
-        segment: nothing is still scoring once ``run`` has raised, and the
+        segment: nothing is still scoring once ``execute`` has raised, and the
         pool is healthy for the next run."""
         monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 4)
         platform = ExperimentScenario(get_scenario("tiny").tiny()).platform
@@ -215,14 +215,15 @@ class TestLeakAccounting:
         shm_before = set(os.listdir("/dev/shm"))
         failing = VectorizedScoringStep(RowLoggingMetric(str(log), fail=True), platform)
         with pytest.raises(RuntimeError, match="row 0 failed"):
-            failing.run([blocks])
+            run_step(failing, [blocks])
         logged = log.read_text()
         time.sleep(0.3)
         assert log.read_text() == logged  # no sibling chunk is still running
         assert live_owned_segments() == ()
         assert set(os.listdir("/dev/shm")) == shm_before
         healthy = VectorizedScoringStep(RowLoggingMetric(str(log), fail=False), platform)
-        assert healthy.run([blocks])[0] == [[(i, float(i)) for i in range(40)]]
+        context, _ = run_step(healthy, [blocks])
+        assert context.per_rank_pairs == [[(i, float(i)) for i in range(40)]]
         assert live_owned_segments() == ()
 
     def test_purge_owned_segments_disposes_everything(self):
@@ -267,13 +268,15 @@ class TestLeakAccounting:
             "import repro.utils.procpool as procpool\n"
             "procpool.default_process_workers = lambda: 2\n"
             "from repro.core.scoring_step import VectorizedScoringStep\n"
+            "from repro.core.step import IterationContext\n"
             "from repro.scenarios import ExperimentScenario\n"
             "from repro.metrics.registry import create_metric\n"
             "from repro.scenarios import get_scenario\n"
             "scenario = ExperimentScenario(get_scenario('tiny').tiny())\n"
             "procpool.warm_shared_pool()\n"
             "step = VectorizedScoringStep(create_metric('PYVAR'), scenario.platform)\n"
-            "step.run(scenario.blocks_for(0))\n"
+            "blocks = scenario.blocks_for(0)\n"
+            "step.execute(IterationContext(0, 0.0, len(blocks), blocks))\n"
             "assert procpool._POOL is not None\n"
             "procpool.shutdown_shared_pool()\n"
         )
