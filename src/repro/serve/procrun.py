@@ -21,11 +21,12 @@ and report every iteration — so they share everything but the transport:
     is deliberately tiny — the request, the resolved config and the *path* of
     the replay cache's store, never snapshot arrays: the worker re-opens the
     raw layout through read-only ``np.memmap`` views, so parent and workers
-    share one page cache.  Two proxies of the shared
-    :func:`~repro.utils.procpool.shared_manager` connect it to the server:
-    the ``events`` queue its ``emit`` puts onto, and the ``cancel`` event the
-    server sets (timeout, shutdown, client gone), which its ``check`` reads
-    together with a wall-clock deadline.
+    share one page cache.  One per-run channel — two proxies of the shared
+    :func:`~repro.utils.procpool.shared_manager`, reused from run to run —
+    connects it to the server: the ``events`` queue its ``emit`` puts onto
+    and that it closes with :data:`END_OF_STREAM`, and the ``cancel`` event
+    the server sets (timeout, shutdown, client gone), which its ``check``
+    reads together with a wall-clock deadline.
 """
 
 from __future__ import annotations
@@ -44,12 +45,17 @@ from repro.scenarios import ExperimentScenario, ScenarioConfig, get_scenario
 from repro.viz.catalyst import RENDER_MODES
 
 __all__ = [
+    "END_OF_STREAM",
     "RunCancelled",
     "RunRequest",
     "execute_run",
     "iteration_row",
     "run_scenario_in_worker",
 ]
+
+#: The last item a worker puts on its run's ``events`` queue, whether the run
+#: finished, failed or was cancelled.  Every other item is an event dict.
+END_OF_STREAM = None
 
 
 class RunCancelled(Exception):
@@ -256,7 +262,9 @@ def run_scenario_in_worker(
     ``store_dir`` is the raw-layout replay store the parent pinned for the
     duration of this run.  ``deadline`` is an absolute ``time.time()`` value
     or ``None`` — wall-clock rather than monotonic so that it means the same
-    in every process.
+    in every process.  Whatever the outcome, the last thing put on
+    ``events`` is :data:`END_OF_STREAM`, after this worker's segments are
+    purged: the parent stops relaying on it, then reads the future.
     """
 
     def check() -> None:
@@ -270,3 +278,4 @@ def run_scenario_in_worker(
     finally:
         # A cancelled/failed run must not leak shm segments in this worker.
         purge_owned_segments()
+        events.put(END_OF_STREAM)

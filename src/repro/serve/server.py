@@ -49,7 +49,10 @@ also behind ``python -m repro run`` — executes and how its events travel:
     data is never pickled to workers: the worker re-opens the replay
     cache's raw-layout store by path through read-only memory maps (see
     :mod:`repro.serve.procrun`), and iteration events stream back over a
-    manager queue, so NDJSON latency-to-first-event stays flat.
+    manager queue, so NDJSON latency-to-first-event stays flat.  The stream
+    ends on the worker's end-of-stream mark, not on a poll time-out, and its
+    manager channel (event queue + cancel flag) is reused by the next run
+    unless this one was cancelled or lost its worker.
 
 Scenario data resolves through the :class:`~repro.serve.cache.ReplayCache`:
 the first request for a config simulates CM1 and persists the snapshots,
@@ -69,12 +72,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.grid.shm import purge_owned_segments
 from repro.scenarios import ScenarioConfig, scenario_names
 from repro.serve.cache import ReplayCache, scenario_cache_key
 from repro.serve.procrun import (
+    END_OF_STREAM,
     RunCancelled,
     RunRequest,
     _json_default,
@@ -103,7 +107,8 @@ EXECUTION_TIERS = ("thread", "process")
 #: iterations); this watchdog only catches a run stuck inside one iteration.
 STREAM_GRACE_SECONDS = 2.0
 
-#: Poll interval of the process-tier event drain and the shutdown drain.
+#: Poll interval of the process tier's cancellation / dead-worker poll and of
+#: the shutdown drain.
 _POLL_SECONDS = 0.05
 
 #: Largest request body read; a longer ``Content-Length`` is answered ``413``.
@@ -129,18 +134,31 @@ class _RunScope:
         self._cancel = threading.Event()
         self._reason: Optional[str] = None
         self._remote_cancel = None  # manager Event proxy (process tier)
+        self._remote_lock = threading.Lock()
 
     def attach_remote_cancel(self, remote) -> None:
-        self._remote_cancel = remote
-        if self.cancelled() is not None:
-            remote.set()
+        with self._remote_lock:
+            self._remote_cancel = remote
+            if self.cancelled() is not None:
+                remote.set()
+
+    def detach_remote_cancel(self) -> bool:
+        """Stop mirroring into the remote flag; ``True`` if never cancelled.
+
+        After a ``True`` no later :meth:`request_cancel` can reach the flag,
+        so its channel is clean for another run.
+        """
+        with self._remote_lock:
+            self._remote_cancel = None
+            return self.cancelled() is None
 
     def request_cancel(self, reason: str) -> None:
         if self._reason is None:
             self._reason = reason
         self._cancel.set()
-        if self._remote_cancel is not None:
-            self._remote_cancel.set()
+        with self._remote_lock:
+            if self._remote_cancel is not None:
+                self._remote_cancel.set()
 
     def cancelled(self) -> Optional[str]:
         """The cancel reason if this run should stop, else ``None``."""
@@ -226,6 +244,8 @@ class ServeApp:
         self._submitted = 0
         self._active = 0
         self._completed = 0
+        #: Process tier: clean per-run channels, see :meth:`_take_channel`.
+        self._free_channels: List[Tuple[object, object]] = []
         if execution == "process":
             # Fork the worker processes (and the manager daemon) during
             # single-threaded startup, not from the first request thread.
@@ -301,33 +321,36 @@ class ServeApp:
         """Dispatch one run to a worker process and relay its event stream.
 
         The cache entry stays pinned (``acquire_store``) while the worker
-        re-opens the store by path; iteration events arrive over a manager
-        queue and are forwarded as they land.  Cancellation mirrors the
-        scope into the worker through a manager Event — the worker aborts
-        between iterations and its ``finally`` purges any shm segments.
+        re-opens the store by path; iteration events arrive over the run's
+        channel queue and are forwarded as they land, until the worker's
+        :data:`~repro.serve.procrun.END_OF_STREAM` mark.  Cancellation mirrors
+        the scope into the worker through the channel's Event — the worker
+        aborts between iterations and its ``finally`` purges any shm
+        segments.  The poll only notices a cancellation or a worker that died
+        before its mark.
         """
         with self.cache.acquire_store(config) as (store_dir, was_hit):
             emit(self._start_event(request, config, was_hit))
-            scope.check()
-            manager = shared_manager()
-            events = manager.Queue()
-            remote_cancel = manager.Event()
+            channel = self._take_channel()
+            events, remote_cancel = channel
             scope.attach_remote_cancel(remote_cancel)
-            deadline_wall = (
-                None
-                if scope.deadline is None
-                else time.time() + max(0.0, scope.deadline - time.monotonic())
-            )
-            future = shared_process_pool().submit(
-                run_scenario_in_worker,
-                request,
-                config,
-                str(store_dir),
-                events,
-                remote_cancel,
-                deadline_wall,
-            )
+            ended = False
             try:
+                scope.check()
+                deadline_wall = (
+                    None
+                    if scope.deadline is None
+                    else time.time() + max(0.0, scope.deadline - time.monotonic())
+                )
+                future = shared_process_pool().submit(
+                    run_scenario_in_worker,
+                    request,
+                    config,
+                    str(store_dir),
+                    events,
+                    remote_cancel,
+                    deadline_wall,
+                )
                 while True:
                     reason = scope.cancelled()
                     if reason is not None:
@@ -337,24 +360,37 @@ class ServeApp:
                     try:
                         event = events.get(timeout=_POLL_SECONDS)
                     except queue_module.Empty:
-                        if future.done():
-                            while True:  # worker returned: drain stragglers
-                                try:
-                                    event = events.get_nowait()
-                                except queue_module.Empty:
-                                    break
-                                emit(event)
-                            break
+                        if future.done() and future.exception() is not None:
+                            break  # the worker died before its mark
                         continue
+                    if event is END_OF_STREAM:
+                        ended = True
+                        break
                     emit(event)
                 summary = future.result()
                 summary["cache"] = self.cache.stats()
                 return summary
             finally:
+                # Only a stream read to its mark, of a run never cancelled,
+                # leaves the channel empty and its flag clear.
+                if scope.detach_remote_cancel() and ended:
+                    self._free_channels.append(channel)
                 # A cancelled parent never leaks segments of its own, and a
                 # cancelled worker purges its side (procrun's finally).
                 if scope.cancelled() is not None:
                     purge_owned_segments()
+
+    def _take_channel(self) -> Tuple[object, object]:
+        """A clean ``(events queue, cancel event)`` pair of manager proxies.
+
+        Reused from :attr:`_free_channels` when one is free, else created:
+        the list grows to the peak number of concurrent process-tier runs.
+        """
+        try:
+            return self._free_channels.pop()
+        except IndexError:
+            manager = shared_manager()
+            return manager.Queue(), manager.Event()
 
     def _start_event(
         self, request: RunRequest, config, was_hit: bool

@@ -99,8 +99,9 @@ def shared_manager() -> "multiprocessing.managers.SyncManager":
 
     Pool tasks cannot carry raw ``multiprocessing.Queue``/``Event`` objects
     (they only cross process boundaries by inheritance), so cross-process
-    control channels — the serve tier's per-run event streams and cancel
-    flags — go through proxies served by this single manager process.
+    control channels — the serve tier's per-run channels (an event queue and
+    a cancel flag each), reused from run to run — go through proxies served
+    by this single manager process.
     """
     global _MANAGER
     with _POOL_LOCK:

@@ -750,6 +750,120 @@ class TestServeAppProcessTier:
         asyncio.run(body())
         assert live_owned_segments() == ()
 
+    def test_reply_ends_on_the_workers_mark_not_a_poll(self, tmp_path, monkeypatch):
+        """The relay stops on the worker's end-of-stream mark: with a 2 s
+        poll, a reply that waited out one last poll would take over 2 s."""
+        monkeypatch.setattr("repro.serve.server._POLL_SECONDS", 2.0)
+
+        async def body():
+            async with serve_app(tmp_path, execution="process") as (_, port):
+                await _request(port, "POST", "/run", TINY_RUN)  # the miss
+                start = time.monotonic()
+                _, raw = await _request(port, "POST", "/run", TINY_RUN)
+                return time.monotonic() - start, _events(raw)
+
+        seconds, events = asyncio.run(body())
+        _assert_run_stream(events, iterations=2)
+        assert seconds < 1.0, f"the reply took {seconds:.2f}s"
+
+    def test_worker_dying_mid_run_ends_the_stream(self, tmp_path, monkeypatch):
+        """A worker that exits before its end-of-stream mark: the dead-worker
+        poll sees the broken future, and the reply ends with an ``exception``
+        error event instead of hanging."""
+        from repro.utils import procpool
+
+        monkeypatch.setattr(
+            "repro.serve.server.run_scenario_in_worker", _exit_in_worker
+        )
+
+        async def body():
+            async with serve_app(tmp_path, execution="process") as (_, port):
+                start = time.monotonic()
+                _, raw = await asyncio.wait_for(
+                    _request(port, "POST", "/run", TINY_RUN), timeout=30
+                )
+                return time.monotonic() - start, _events(raw)
+
+        try:
+            seconds, events = asyncio.run(body())
+        finally:
+            procpool.shutdown_shared_pool()  # a broken pool stays broken
+        assert [e["type"] for e in events] == ["start", "error"]
+        assert events[-1]["reason"] == "exception"
+        assert seconds < 5.0, f"the stream took {seconds:.2f}s to end"
+
+    def test_channel_reuse_never_leaks_state_between_runs(self, tmp_path):
+        """A channel read to its end-of-stream mark serves the next run; a
+        cancelled run's channel (its cancel flag set) is dropped.  Returning
+        every channel to the free list unconditionally fails this test: the
+        run after the timeout inherits the set flag and ends in a timeout."""
+
+        async def body():
+            async with serve_app(tmp_path, execution="process") as (app, port):
+                taken = []
+                take = app._take_channel
+
+                def spy():
+                    taken.append(take())
+                    return taken[-1]
+
+                app._take_channel = spy
+                _, raw = await _request(
+                    port, "POST", "/run", {**TINY_RUN, "timeout_s": 1e-4}
+                )
+                replies = [_events(raw)]
+                for _ in range(3):
+                    _, raw = await _request(port, "POST", "/run", TINY_RUN)
+                    replies.append(_events(raw))
+                return replies, taken, taken[0][1].is_set()
+
+        (timed_out, *replies), taken, flag_set = asyncio.run(body())
+        assert timed_out[-1]["reason"] == "timeout"
+        for events in replies:
+            _assert_run_stream(events, iterations=2)
+        cancelled, first, *rest = taken
+        assert flag_set
+        assert first is not cancelled
+        assert all(channel is first for channel in rest)
+
+    def test_concurrent_runs_never_share_a_channel(self, tmp_path):
+        """Six runner threads take and return channels at once, with a short
+        switch interval: every reply is its own clean stream, and the free
+        list ends with no channel twice (a channel handed to two runs at
+        once would mix their streams)."""
+
+        async def body():
+            async with serve_app(
+                tmp_path, execution="process", max_workers=6
+            ) as (app, port):
+                await _request(port, "POST", "/run", TINY_RUN)  # the miss
+                for _ in range(3):
+                    results = await asyncio.wait_for(
+                        asyncio.gather(
+                            *[_request(port, "POST", "/run", TINY_RUN) for _ in range(6)]
+                        ),
+                        timeout=60,
+                    )
+                    for _, raw in results:
+                        _assert_run_stream(_events(raw), iterations=2)
+                return list(app._free_channels)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            free = asyncio.run(body())
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(free) <= 6
+        assert len({id(channel) for channel in free}) == len(free)
+
+
+def _exit_in_worker(*args):
+    """Stands in for ``run_scenario_in_worker``: the worker dies mid-run.
+
+    Module level, so that forked pool workers unpickle it by name."""
+    os._exit(1)
+
 
 # -- three doors, one run ------------------------------------------------------
 
