@@ -1,10 +1,12 @@
 """Install script of the ``repro`` package.
 
 The project metadata lives here, in full: name, version (read from
-``src/repro/__init__.py``), the ``src/`` layout and the one runtime
-requirement.  A classic ``setup.py`` also lets ``pip install -e .`` fall back
-to the legacy ``setup.py develop`` path where no ``wheel`` package is
-installed (PEP 660 editable installs build a wheel).
+``src/repro/__init__.py``), the ``src/`` layout and the two runtime
+requirements: numpy everywhere, and scipy for the Gaussian smoothing of the
+synthetic CM1 turbulence (``repro.cm1.microphysics``).  A classic
+``setup.py`` also lets ``pip install -e .`` fall back to the legacy
+``setup.py develop`` path where no ``wheel`` package is installed (PEP 660
+editable installs build a wheel).
 """
 
 import re
@@ -20,5 +22,5 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
 )

@@ -5,20 +5,45 @@ computation phase for every experiment.  :class:`CM1Dataset` offers the same
 workflow: generate ``n`` snapshots once (optionally persisting them through
 :class:`~repro.io.store.DatasetStore`), then iterate over them as many times
 as the experiments need.
+
+The paper evaluates its pipeline on 10 (or 30) iterations *equally spaced in
+time* out of that stored dataset.  :func:`equally_spaced` is that selection;
+:class:`StoredCM1Dataset` (what ``CM1Dataset.load`` returns) applies it and
+hands each selected iteration to the pipeline already split into per-rank
+blocks, the way BIL's collective read would deliver it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.cm1.config import CM1Config
 from repro.cm1.simulation import CM1Simulation
 from repro.grid.batch import DecomposedField
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
-from repro.io.replay import equally_spaced
 from repro.io.store import DatasetStore
+
+
+def equally_spaced(available: Sequence[int], count: int) -> List[int]:
+    """Pick ``count`` equally spaced entries from ``available`` (keeping order).
+
+    Mirrors the paper's "10 iterations, equally spaced in time" selection.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    available = list(available)
+    if not available:
+        raise ValueError("no iterations available")
+    if count >= len(available):
+        return list(available)
+    idx = np.linspace(0, len(available) - 1, count).round().astype(int)
+    # De-duplicate while preserving order (possible when count ~ len).
+    seen = dict.fromkeys(int(i) for i in idx)
+    return [available[i] for i in seen]
 
 
 class CM1Dataset:

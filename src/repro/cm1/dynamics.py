@@ -39,7 +39,14 @@ class WindField:
         zn: np.ndarray,
         iteration: int,
     ) -> Dict[str, np.ndarray]:
-        """Return ``{"u", "v", "w", "theta"}`` on the normalised mesh."""
+        """Return ``{"u", "v", "w", "theta"}`` on the normalised mesh.
+
+        ``xn, yn, zn`` are broadcastable normalised coordinates, typically the
+        open mesh ``np.meshgrid(..., indexing="ij", sparse=True)``: the vortex
+        is computed on ``(nx, ny, 1)``, the environmental profiles on
+        ``(1, 1, nz)``, and every field comes back with the full shape
+        ``np.broadcast(xn, yn, zn).shape``.
+        """
         geo = self.storm.geometry(iteration)
         env = self.storm.envelopes(xn, yn, zn, iteration)
         cx, cy = geo.center

@@ -42,8 +42,27 @@ def correlated_noise(
         smooth = white
     std = smooth.std()
     if std > 0:
-        smooth = smooth / std
-    return smooth.astype(np.float64)
+        smooth /= std
+    return smooth
+
+
+def perturb(
+    envelope: np.ndarray, noise: np.ndarray, turbulence: float, peak: float
+) -> np.ndarray:
+    """``peak * clip(envelope * (1 + turbulence * noise), 0)``, in place.
+
+    A multiplicative perturbation confined to where the envelope is
+    significant, so the far field stays exactly quiet.  ``noise`` is a
+    float64 field the caller owns (a :func:`correlated_noise` draw), at least
+    as large as ``envelope``: it is overwritten with the result and returned.
+    ``envelope`` is only read.
+    """
+    noise *= turbulence
+    noise += 1.0
+    noise *= envelope
+    np.clip(noise, 0.0, None, out=noise)
+    noise *= peak
+    return noise
 
 
 class Microphysics:
@@ -69,6 +88,9 @@ class Microphysics:
     ) -> Dict[str, np.ndarray]:
         """Return ``{"qr", "qs", "qg"}`` mixing-ratio fields on the mesh.
 
+        ``xn, yn, zn`` are broadcastable normalised coordinates, typically the
+        open mesh ``np.meshgrid(..., indexing="ij", sparse=True)``; every field
+        comes back with the full shape ``np.broadcast(xn, yn, zn).shape``.
         The fields are non-negative, zero (to machine precision) far from the
         storm, and turbulent inside it.
         """
@@ -83,17 +105,15 @@ class Microphysics:
         turb_s = correlated_noise(shape, sigma * 1.5, derive_seed(self.seed, "qs", iteration))
         turb_g = correlated_noise(shape, sigma * 0.7, derive_seed(self.seed, "qg", iteration))
 
-        def perturb(envelope: np.ndarray, noise: np.ndarray) -> np.ndarray:
-            # Multiplicative perturbation confined to where the envelope is
-            # significant, so the far field stays exactly quiet.
-            pert = 1.0 + cfg.turbulence * noise
-            return np.clip(envelope * pert, 0.0, None)
-
-        core = env["core"] * (1.0 - 0.85 * env["weak_echo"])
+        # core * (1 - 0.85 * weak_echo), in one buffer.
+        core = env["weak_echo"] * -0.85
+        core += 1.0
+        core *= env["core"]
         hook = env["hook"]
         anvil = env["anvil"]
 
-        qr = self.QR_MAX * perturb(core + 0.8 * hook, turb_r)
-        qs = self.QS_MAX * perturb(anvil + 0.15 * core, turb_s)
-        qg = self.QG_MAX * perturb(0.75 * core + 0.5 * hook, turb_g)
+        t = cfg.turbulence
+        qr = perturb(core + 0.8 * hook, turb_r, t, self.QR_MAX)
+        qs = perturb(anvil + 0.15 * core, turb_s, t, self.QS_MAX)
+        qg = perturb(0.75 * core + 0.5 * hook, turb_g, t, self.QG_MAX)
         return {"qr": qr, "qs": qs, "qg": qg}

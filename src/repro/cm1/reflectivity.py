@@ -48,7 +48,8 @@ def equivalent_reflectivity(
     """Sum the per-species equivalent reflectivity factors (mm^6/m^3).
 
     Unknown species names in ``mixing_ratios`` are ignored so callers can pass
-    a full state dictionary.
+    a full state dictionary.  The species arrays may have different
+    broadcastable shapes; they are never written to.
     """
     if rho_air <= 0:
         raise ValueError(f"rho_air must be > 0, got {rho_air}")
@@ -57,9 +58,17 @@ def equivalent_reflectivity(
         q = mixing_ratios.get(name)
         if q is None:
             continue
-        content = np.clip(np.asarray(q, dtype=np.float64), 0.0, None) * rho_air
-        z = a * np.power(content, b)
-        z_total = z if z_total is None else z_total + z
+        # a * (rho_air * clip(q, 0)) ** b, in one fresh buffer.
+        z = np.clip(np.asarray(q, dtype=np.float64), 0.0, None, out=np.empty(np.shape(q)))
+        z *= rho_air
+        np.power(z, b, out=z)
+        z *= a
+        if z_total is None:
+            z_total = z
+        elif z_total.shape == np.broadcast_shapes(z_total.shape, z.shape):
+            z_total += z
+        else:
+            z_total = z_total + z
     if z_total is None:
         raise ValueError(
             f"no known hydrometeor species found; expected one of {list(_SPECIES_COEFFS)}"
@@ -88,10 +97,13 @@ def reflectivity_dbz(
     numpy.ndarray
         dBZ field with the same shape as the inputs (float64).
     """
-    z = equivalent_reflectivity(mixing_ratios, rho_air)
-    # Floor at the value corresponding to DBZ_MIN to avoid log10(0).
+    # The Z field is a fresh buffer: 10 * log10(max(Z, floor)) is computed
+    # in place.  The floor is the value of DBZ_MIN, which avoids log10(0).
+    dbz = equivalent_reflectivity(mixing_ratios, rho_air)
     z_floor = 10.0 ** (DBZ_MIN / 10.0)
-    dbz = 10.0 * np.log10(np.maximum(z, z_floor))
+    np.maximum(dbz, z_floor, out=dbz)
+    np.log10(dbz, out=dbz)
+    dbz *= 10.0
     if clip:
-        dbz = np.clip(dbz, DBZ_MIN, DBZ_MAX)
+        np.clip(dbz, DBZ_MIN, DBZ_MAX, out=dbz)
     return dbz

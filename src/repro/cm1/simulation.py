@@ -49,25 +49,30 @@ class CM1Simulation:
         self.storm = make_storm(self.config.storm)
         self.microphysics = Microphysics(self.storm, seed=self.config.seed)
         self.wind = WindField(self.storm)
-        self._mesh_cache: Optional[tuple] = None
 
     # -- coordinates -----------------------------------------------------------
 
     def _normalised_mesh(self) -> tuple:
-        """Normalised coordinate mesh, cached (it never changes)."""
-        if self._mesh_cache is None:
-            x, y, z = self.grid.x, self.grid.y, self.grid.z
+        """Open normalised coordinate mesh: arrays of shape ``(nx, 1, 1)``,
+        ``(1, ny, 1)`` and ``(1, 1, nz)``.
 
-            def normalise(axis: np.ndarray) -> np.ndarray:
-                span = axis[-1] - axis[0]
-                if span <= 0:
-                    return np.zeros_like(axis)
-                return (axis - axis[0]) / span
+        Every envelope broadcasts over it, so only the terms that need all
+        three axes are ever evaluated on the full grid.
+        """
 
-            self._mesh_cache = np.meshgrid(
-                normalise(x), normalise(y), normalise(z), indexing="ij"
-            )
-        return self._mesh_cache
+        def normalise(axis: np.ndarray) -> np.ndarray:
+            span = axis[-1] - axis[0]
+            if span <= 0:
+                return np.zeros_like(axis)
+            return (axis - axis[0]) / span
+
+        return np.meshgrid(
+            normalise(self.grid.x),
+            normalise(self.grid.y),
+            normalise(self.grid.z),
+            indexing="ij",
+            sparse=True,
+        )
 
     # -- snapshot generation ---------------------------------------------------------
 

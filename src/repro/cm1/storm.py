@@ -14,7 +14,10 @@ smooth envelope functions:
 * an **anvil** — upper-level reflectivity spread downwind of the core.
 
 These envelopes are combined by the microphysics into hydrometeor mixing
-ratios.  All functions are vectorised over full coordinate meshes.
+ratios.  All functions broadcast over an open coordinate mesh
+(``np.meshgrid(..., indexing="ij", sparse=True)``): horizontal terms are
+evaluated on ``(nx, ny, 1)``, vertical profiles on ``(1, 1, nz)``, and only
+their products fill the full grid.
 
 Beyond the paper's single supercell, this module provides parameterised
 generators for other storm *families* — a squall line
@@ -100,16 +103,19 @@ class SupercellStorm:
         Parameters
         ----------
         xn, yn, zn:
-            Broadcastable normalised coordinates in [0, 1] (typically the
-            output of ``np.meshgrid(..., indexing="ij")`` on normalised axes).
+            Broadcastable normalised coordinates in [0, 1], typically the
+            open mesh ``np.meshgrid(..., indexing="ij", sparse=True)`` on
+            normalised axes (a dense mesh gives the same values).
         iteration:
             Snapshot index.
 
         Returns
         -------
         dict
-            ``{"core", "hook", "weak_echo", "anvil", "updraft"}`` — arrays
-            broadcast to the mesh shape, each in [0, 1].
+            ``{"core", "hook", "weak_echo", "anvil", "updraft"}`` — each in
+            [0, 1] and each of the full shape ``np.broadcast(xn, yn, zn).shape``
+            even when it does not vary along some axis (callers combine them
+            with ``out=`` ufuncs).  Every family keeps this contract.
         """
         geo = self.geometry(iteration)
         cfg = self.config

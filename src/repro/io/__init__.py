@@ -9,7 +9,7 @@ snapshots to disk (one compressed ``.npz`` per iteration, or raw
 memory-mappable ``.bin`` files, plus a JSON manifest);
 :class:`~repro.cm1.dataset.StoredCM1Dataset` feeds them back, subdomain by
 subdomain the way a parallel collective read would, and
-:func:`~repro.io.replay.equally_spaced` picks which iterations it visits.
+:func:`~repro.cm1.dataset.equally_spaced` picks which iterations it visits.
 """
 
 from repro.io.manifest import DatasetManifest, IterationRecord

@@ -4,15 +4,115 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 
 from repro.cm1.config import CM1Config, StormConfig
 from repro.cm1.dynamics import WindField
-from repro.cm1.microphysics import Microphysics, correlated_noise
-from repro.cm1.reflectivity import DBZ_MAX, DBZ_MIN, equivalent_reflectivity, reflectivity_dbz
+from repro.cm1.microphysics import Microphysics, correlated_noise, perturb
+from repro.cm1.reflectivity import (
+    _SPECIES_COEFFS,
+    DBZ_MAX,
+    DBZ_MIN,
+    RHO_AIR,
+    equivalent_reflectivity,
+    reflectivity_dbz,
+)
 from repro.cm1.simulation import CM1Simulation
 from repro.cm1.state import ModelState
-from repro.cm1.storm import SupercellStorm
+from repro.cm1.storm import STORM_FAMILIES, SupercellStorm
+from repro.grid.rectilinear import RectilinearGrid
+from repro.utils.random import rng_from_seed
+
+# -- the replaced bodies, kept verbatim as oracles ------------------------------
+
+
+def oracle_dense_mesh(grid: RectilinearGrid) -> list:
+    """``CM1Simulation._normalised_mesh`` before the open mesh: three dense
+    ``(nx, ny, nz)`` float64 coordinate meshes."""
+    x, y, z = grid.x, grid.y, grid.z
+
+    def normalise(axis: np.ndarray) -> np.ndarray:
+        span = axis[-1] - axis[0]
+        if span <= 0:
+            return np.zeros_like(axis)
+        return (axis - axis[0]) / span
+
+    return np.meshgrid(normalise(x), normalise(y), normalise(z), indexing="ij")
+
+
+def oracle_correlated_noise(shape, sigma_points, seed):
+    """``correlated_noise`` before it divided in place."""
+    rng = rng_from_seed(seed)
+    white = rng.standard_normal(shape)
+    if sigma_points > 0:
+        smooth = ndimage.gaussian_filter(white, sigma=sigma_points, mode="nearest")
+    else:
+        smooth = white
+    std = smooth.std()
+    if std > 0:
+        smooth = smooth / std
+    return smooth.astype(np.float64)
+
+
+def oracle_perturb(envelope, noise, turbulence, peak):
+    """The ``perturb`` closure of ``Microphysics.mixing_ratios`` before it
+    worked in the noise buffer, with the peak factor its caller applied."""
+    pert = 1.0 + turbulence * noise
+    return peak * np.clip(envelope * pert, 0.0, None)
+
+
+def oracle_equivalent_reflectivity(mixing_ratios, rho_air=RHO_AIR):
+    """``equivalent_reflectivity`` before its in-place passes."""
+    if rho_air <= 0:
+        raise ValueError(f"rho_air must be > 0, got {rho_air}")
+    z_total = None
+    for name, (a, b) in _SPECIES_COEFFS.items():
+        q = mixing_ratios.get(name)
+        if q is None:
+            continue
+        content = np.clip(np.asarray(q, dtype=np.float64), 0.0, None) * rho_air
+        z = a * np.power(content, b)
+        z_total = z if z_total is None else z_total + z
+    if z_total is None:
+        raise ValueError(
+            f"no known hydrometeor species found; expected one of {list(_SPECIES_COEFFS)}"
+        )
+    return z_total
+
+
+def oracle_reflectivity_dbz(mixing_ratios, rho_air=RHO_AIR, clip=True):
+    """``reflectivity_dbz`` before its in-place passes."""
+    z = oracle_equivalent_reflectivity(mixing_ratios, rho_air)
+    # Floor at the value corresponding to DBZ_MIN to avoid log10(0).
+    z_floor = 10.0 ** (DBZ_MIN / 10.0)
+    dbz = 10.0 * np.log10(np.maximum(z, z_floor))
+    if clip:
+        dbz = np.clip(dbz, DBZ_MIN, DBZ_MAX)
+    return dbz
+
+
+def assert_same_bits(got, want):
+    """Same shape, dtype and bytes.  NaN positions must agree but not their
+    payloads: IEEE leaves the payload of an operation on two NaNs to the
+    hardware, so even the oracle's is not fixed."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+#: Values an in-place rewrite can get wrong, salted into the law inputs.
+SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf, -1e-3)
+
+
+def salted(rng, shape, dtype, scale):
+    """Normal values of ``scale``, about a third replaced by ``SPECIALS``."""
+    values = rng.normal(0.0, scale, shape)
+    hits = rng.random(shape) < 0.3
+    values[hits] = rng.choice(SPECIALS, int(hits.sum()))
+    return values.astype(dtype)
 
 
 class TestConfigs:
@@ -234,3 +334,162 @@ class TestModelStateAndSimulation:
         a = CM1Simulation(CM1Config.tiny(seed=5)).snapshot(1).get_field("dbz")
         b = CM1Simulation(CM1Config.tiny(seed=5)).snapshot(1).get_field("dbz")
         np.testing.assert_array_equal(a, b)
+
+
+#: Optional fields a snapshot can carry; u/v/w/theta go through WindField.winds.
+EXTRA_FIELDS = ("qr", "qs", "qg", "u", "v", "w", "theta")
+
+
+def simulation_on(shape, storm, fields, dense):
+    """A ``CM1Simulation`` of ``shape``, on the open mesh or on the dense oracle."""
+    config = CM1Config(
+        shape=tuple(max(n, 4) for n in shape), seed=11, storm=storm, fields=fields
+    )
+    sim = CM1Simulation(config)
+    if min(shape) < 4:
+        # CM1Config refuses axes under 4 points (its stretched grid needs
+        # them); the law also covers length-1 axes, so a uniform grid of the
+        # drawn shape and that shape are swapped in.
+        object.__setattr__(config, "shape", shape)
+        sim.grid = RectilinearGrid.uniform(shape)
+    if dense:
+        sim._normalised_mesh = lambda: oracle_dense_mesh(sim.grid)
+    return sim
+
+
+def float64_parts(sim, iteration):
+    """The float64 fields a snapshot is made of: envelopes, mixing ratios, winds."""
+    mesh = sim._normalised_mesh()
+    parts = {f"env.{k}": v for k, v in sim.storm.envelopes(*mesh, iteration).items()}
+    parts.update(sim.microphysics.mixing_ratios(*mesh, iteration))
+    parts.update(sim.wind.winds(*mesh, iteration))
+    return parts
+
+
+class TestOpenMeshLaw:
+    @pytest.mark.parametrize(
+        "storm", [family() for family in STORM_FAMILIES], ids=lambda s: type(s).__name__
+    )
+    @settings(deadline=None, max_examples=20)
+    @given(
+        shape=st.tuples(*[st.just(1) | st.integers(min_value=4, max_value=24)] * 3),
+        iteration=st.integers(min_value=0, max_value=15),
+        extra=st.sets(st.sampled_from(EXTRA_FIELDS)),
+    )
+    def test_open_mesh_state_equals_dense_mesh_state(self, storm, shape, iteration, extra):
+        """Every registered storm family, on the open mesh, gives the state
+        the dense mesh gives, bitwise, and every envelope has the full shape.
+
+        Fails with ``TurbulenceFieldStorm``'s ``zero`` built from ``xn.shape``
+        (an envelope of shape ``(nx, 1, 1)``) and with ``mixing_ratios``
+        drawing its noise in ``xn.shape``.  Both sides run the same envelope
+        arithmetic, so a rewrite that changes the bytes on any mesh (updraft's
+        ``exp(-udist2)`` as the product of an x and a y exponential) is not
+        this law's to catch.
+        """
+        fields = ("dbz",) + tuple(sorted(extra))
+        sim = simulation_on(shape, storm, fields, dense=False)
+        oracle = simulation_on(shape, storm, fields, dense=True)
+
+        xn, yn, zn = sim._normalised_mesh()
+        nx, ny, nz = shape
+        assert (xn.shape, yn.shape, zn.shape) == ((nx, 1, 1), (1, ny, 1), (1, 1, nz))
+        for name, env in sim.storm.envelopes(xn, yn, zn, iteration).items():
+            assert env.shape == np.broadcast(xn, yn, zn).shape, name
+
+        got, want = float64_parts(sim, iteration), float64_parts(oracle, iteration)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+        got, want = sim.state(iteration), oracle.state(iteration)
+        assert got.names() == want.names() and set(got.names()) == set(fields)
+        for name in want.names():
+            assert got.get(name).tobytes() == want.get(name).tobytes(), name
+
+
+#: Broadcastable species shapes, full and partial.
+SPECIES_SHAPES = ((4, 5, 6), (1, 1, 1), (4, 1, 6), (1, 5, 1))
+
+
+class TestInPlacePasses:
+    """The in-place CM1 passes equal the bodies they replaced (kept above as
+    oracles) and never write to an array the caller still holds."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        shape=st.tuples(*[st.integers(min_value=1, max_value=9)] * 3),
+        sigma=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_correlated_noise_equals_oracle(self, shape, sigma, seed):
+        got = correlated_noise(shape, sigma, seed)
+        assert got.dtype == np.float64
+        assert_same_bits(got, oracle_correlated_noise(shape, sigma, seed))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        envelope_shape=st.sampled_from(SPECIES_SHAPES),
+        turbulence=st.sampled_from([0.0, 0.35, 1.2, 2.0]),
+        peak=st.sampled_from([Microphysics.QR_MAX, Microphysics.QS_MAX, Microphysics.QG_MAX]),
+    )
+    def test_perturb_equals_oracle_in_the_noise_buffer(
+        self, seed, dtype, envelope_shape, turbulence, peak
+    ):
+        """The result is the noise buffer, overwritten; the envelope is only read."""
+        rng = np.random.default_rng(seed)
+        envelope = salted(rng, envelope_shape, dtype, 1.0)
+        noise = salted(rng, (4, 5, 6), np.float64, 1.0)
+        before = envelope.tobytes()
+        with np.errstate(invalid="ignore"):
+            want = oracle_perturb(envelope, noise, turbulence, peak)
+            buffer = noise.copy()
+            got = perturb(envelope, buffer, turbulence, peak)
+        assert got is buffer
+        assert_same_bits(got, want)
+        assert envelope.tobytes() == before
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shapes=st.fixed_dictionaries(
+            {},
+            optional={name: st.sampled_from(SPECIES_SHAPES) for name in ("qr", "qs", "qg", "qx")},
+        ),
+        rho_air=st.sampled_from([1.0, 1.2]),
+        clip=st.booleans(),
+    )
+    @example(
+        seed=0, dtype=np.float64, shapes={"qr": (1, 1, 1), "qg": (4, 5, 6)}, rho_air=1.0, clip=True
+    )
+    def test_reflectivity_equals_oracle_and_leaves_inputs(
+        self, seed, dtype, shapes, rho_air, clip
+    ):
+        """Fails with ``np.clip(q, 0, None, out=q)`` (the caller's ratios are
+        clipped) and with an unconditional ``z_total += z`` (a ``(1, 1, 1)``
+        rain field cannot take a ``(4, 5, 6)`` graupel sum in place)."""
+        rng = np.random.default_rng(seed)
+        ratios = {name: salted(rng, shape, dtype, 5e-3) for name, shape in shapes.items()}
+        before = {name: q.tobytes() for name, q in ratios.items()}
+        if not set(ratios) - {"qx"}:
+            with pytest.raises(ValueError):
+                equivalent_reflectivity(ratios, rho_air)
+            return
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pairs = (
+                (
+                    equivalent_reflectivity(ratios, rho_air),
+                    oracle_equivalent_reflectivity(ratios, rho_air),
+                ),
+                (
+                    reflectivity_dbz(ratios, rho_air, clip),
+                    oracle_reflectivity_dbz(ratios, rho_air, clip),
+                ),
+            )
+        for got, want in pairs:
+            assert_same_bits(got, want)
+            assert not any(np.shares_memory(got, q) for q in ratios.values())
+        assert {name: q.tobytes() for name, q in ratios.items()} == before

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.cm1.config import CM1Config
-from repro.cm1.dataset import CM1Dataset, StoredCM1Dataset
+from repro.cm1.dataset import CM1Dataset, StoredCM1Dataset, equally_spaced
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
 from repro.io.manifest import DatasetManifest, IterationRecord
-from repro.io.replay import equally_spaced
 from repro.io.store import DatasetStore
 
 
