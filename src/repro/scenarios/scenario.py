@@ -158,12 +158,20 @@ class ExperimentScenario:
         return self.decomposition.nblocks
 
     def blocks_for(self, snapshot_index: int) -> Sequence[Sequence[Block]]:
-        """Per-rank block lists of one snapshot (cached; pre-stacked by the dataset)."""
-        if snapshot_index not in self._blocks_cache:
-            self._blocks_cache[snapshot_index] = self.dataset.per_rank_blocks(
-                self.decomposition, snapshot_index, self.config.field_name
+        """Per-rank block lists of one snapshot (cached; pre-stacked by the dataset).
+
+        Threads sharing the scenario share one arrival per snapshot: two that
+        decompose the same snapshot together both return the copy stored first.
+        """
+        blocks = self._blocks_cache.get(snapshot_index)
+        if blocks is None:
+            blocks = self._blocks_cache.setdefault(
+                snapshot_index,
+                self.dataset.per_rank_blocks(
+                    self.decomposition, snapshot_index, self.config.field_name
+                ),
             )
-        return self._blocks_cache[snapshot_index]
+        return blocks
 
     def stream_iteration_blocks(self, count: Optional[int] = None) -> Iterator[Sequence]:
         """Yield the blocks of ``count`` equally spaced snapshots (default: all),

@@ -15,6 +15,14 @@ lock, honours in-flight readers (an entry a run is currently replaying is
 never evicted — pin one with :meth:`ReplayCache.acquire` /
 :meth:`ReplayCache.acquire_store`), and is counted alongside hits and misses
 in :meth:`ReplayCache.stats`, which ``GET /health`` surfaces.
+
+A hit through :meth:`ReplayCache.acquire` does not re-open the store either:
+each entry keeps the :class:`~repro.scenarios.ExperimentScenario` it was first
+opened as — calibrated platform and decomposed snapshots included — and hands
+that same object to every later hit.  An entry stays *resident* while it is
+pinned and while it is the most recently acquired entry; every other release
+drops its scenario, and eviction drops it with the entry.  Resident arrivals
+therefore take at most (entries in use + 1) × nsnapshots × field bytes of RAM.
 """
 
 from __future__ import annotations
@@ -47,13 +55,18 @@ def scenario_cache_key(config: ScenarioConfig) -> str:
 
 
 class _Entry:
-    """Book-keeping for one cached store (guarded by the cache lock)."""
+    """Book-keeping for one cached store (guarded by the cache lock).
 
-    __slots__ = ("nbytes", "readers")
+    ``scenario`` is the store as :meth:`ReplayCache.acquire` opened it while
+    the entry is resident, else ``None``.
+    """
+
+    __slots__ = ("nbytes", "readers", "scenario")
 
     def __init__(self, nbytes: int) -> None:
         self.nbytes = int(nbytes)
         self.readers = 0
+        self.scenario: Optional[ExperimentScenario] = None
 
 
 class ReplayCache:
@@ -158,6 +171,12 @@ class ReplayCache:
                 entry.readers -= 1
             # A release may make an over-bounds cache evictable again.
             self._evict_locked()
+            # Only pinned entries and the most recently acquired one stay
+            # resident.
+            latest = next(reversed(self._entries), None)
+            for other, held in self._entries.items():
+                if held.readers == 0 and other != latest:
+                    held.scenario = None
 
     # -- public surface ------------------------------------------------------
 
@@ -231,9 +250,24 @@ class ReplayCache:
         ``mmap=True`` — fields come straight off the raw-layout store,
         zero-copy, bitwise-identical to the live simulation (the raw layout
         stores exact bytes).
+
+        The store is opened once per residency, under the per-key lock, and
+        every hit while the entry stays resident (pinned, or the most
+        recently acquired entry) gets that same scenario, with its calibrated
+        platform and its decomposed snapshots — read-only arrivals, safe to
+        share between concurrent runs.  Resident scenarios hold at most
+        (entries in use + 1) × nsnapshots × field bytes.  A key evicted and
+        simulated again is opened afresh.
         """
+        key = scenario_cache_key(config)
         with self.acquire_store(config) as (store_dir, was_hit):
-            yield ExperimentScenario.from_store(config, store_dir), was_hit
+            with self._lock_for(key):
+                with self._guard:
+                    entry = self._entries[key]  # pinned, so never evicted
+                if entry.scenario is None:
+                    entry.scenario = ExperimentScenario.from_store(config, store_dir)
+                scenario = entry.scenario
+            yield scenario, was_hit
 
     def scenario_for(self, config: ScenarioConfig) -> "Tuple[ExperimentScenario, bool]":
         """Resolve a config to ``(scenario, was_hit)``, cached.
@@ -242,19 +276,27 @@ class ReplayCache:
         fair game as soon as this returns, so callers that stream a long
         replay under a bounded cache should hold :meth:`acquire` open
         instead.  (Safe either way on POSIX: the mmap keeps the deleted
-        file's inode alive; eviction only unlinks names.)
+        file's inode alive; eviction only unlinks names.)  The entry stays
+        resident until another entry is acquired and released; the returned
+        scenario stays valid after that, only no longer shared.
         """
         with self.acquire(config) as (scenario, was_hit):
             return scenario, was_hit
 
     def stats(self) -> Dict[str, Optional[int]]:
-        """Hit/miss/eviction counters and occupancy (snapshot, not a view)."""
+        """Hit/miss/eviction counters and occupancy (snapshot, not a view).
+
+        ``resident`` counts the entries holding an open scenario.
+        """
         with self._guard:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "entries": len(self._entries),
+                "resident": sum(
+                    entry.scenario is not None for entry in self._entries.values()
+                ),
                 "bytes": sum(entry.nbytes for entry in self._entries.values()),
                 "max_entries": self.max_entries,
                 "max_bytes": self.max_bytes,

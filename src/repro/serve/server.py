@@ -6,8 +6,9 @@ the protocol is tiny:
 
 ``GET /health``
     ``{"status": "ok", "execution": ..., "cache": {...}, "executor": {...}}``
-    — liveness plus cache counters (hits/misses/evictions/occupancy) and
-    executor depth (active runs, queued runs, worker count, execution tier).
+    — liveness plus cache counters (hits/misses/evictions/occupancy, and
+    ``resident``: entries holding an open scenario) and executor depth
+    (active runs, queued runs, worker count, execution tier).
 
 ``GET /scenarios``
     The registered workload names.
@@ -38,10 +39,14 @@ also behind ``python -m repro run`` — executes and how its events travel:
 ``"thread"`` (default)
     Runs execute on a shared :class:`~concurrent.futures.ThreadPoolExecutor`
     — many concurrent requests multiplex over a bounded pool while the
-    event loop keeps streaming.  NumPy-heavy runs overlap well; runs
-    dominated by *GIL-bound* Python (scalar user metrics like ``PYVAR``)
-    serialise on one core — a request thread never forks, so the scoring
-    step scores them inline here (:func:`repro.utils.procpool.pool_pays`).
+    event loop keeps streaming.  A hit runs the pipeline and nothing else:
+    :meth:`~repro.serve.cache.ReplayCache.acquire` hands every run of a
+    resident key the same opened scenario, so the store is not re-opened,
+    the platform not re-calibrated and no snapshot decomposed twice.
+    NumPy-heavy runs overlap well; runs dominated by *GIL-bound* Python
+    (scalar user metrics like ``PYVAR``) serialise on one core — a request
+    thread never forks, so the scoring step scores them inline here
+    (:func:`repro.utils.procpool.pool_pays`).
 
 ``"process"``
     Each run executes in a worker process from the shared

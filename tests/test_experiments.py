@@ -7,6 +7,10 @@ the shapes and invariants are checked quickly on every test run.
 
 from __future__ import annotations
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -58,6 +62,25 @@ class TestScenario:
         a = scenario.blocks_for(0)
         b = scenario.blocks_for(0)
         assert a is b
+
+    def test_threads_decomposing_one_snapshot_share_one_arrival(self):
+        """Fails if ``blocks_for`` checks the cache and then overwrites it:
+        the threads, all inside the decomposition at once and leaving it one
+        after another, would each return their own copy."""
+        scenario = ExperimentScenario.tiny(nranks=4, nsnapshots=2)
+        threads = 4
+        barrier = threading.Barrier(threads, timeout=60)
+        per_rank_blocks = scenario.dataset.per_rank_blocks
+
+        def together(decomposition, index, field_name):
+            arrival = per_rank_blocks(decomposition, index, field_name)
+            time.sleep(0.01 * barrier.wait())  # leave in a fixed order
+            return arrival
+
+        scenario.dataset.per_rank_blocks = together
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            arrivals = list(pool.map(lambda _: scenario.blocks_for(1), range(threads)))
+        assert all(arrival is scenario.blocks_for(1) for arrival in arrivals)
 
     def test_iteration_blocks_count(self, scenario):
         assert len(scenario.iteration_blocks(2)) == 2

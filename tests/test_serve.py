@@ -17,8 +17,10 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,9 @@ from repro.cm1.dataset import StoredCM1Dataset
 from repro.core.backends import engine_backends
 from repro.grid.shm import live_owned_segments
 from repro.io.store import DatasetStore
-from repro.scenarios import get_scenario, scenario_names
+from repro.scenarios import ExperimentScenario, get_scenario, scenario_names
 from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key
+from repro.serve.procrun import execute_run
 
 TINY_RUN = {"scenario": "tiny", "snapshots": 2, "percent": 40.0}
 
@@ -113,8 +116,6 @@ class TestReplayCache:
         monkeypatch.setattr(simulation.CM1Simulation, "snapshot", counting)
         cache = ReplayCache(tmp_path / "cache")
         config = _tiny_config(nsnapshots=2)
-
-        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             verdicts = [
@@ -199,8 +200,6 @@ class TestReplayCacheEviction:
         """Hammer a max_entries=1 cache from many threads across two
         configs: every run must stream valid data (pinned entries are never
         deleted under a reader) and the cache must end within its bound."""
-        from concurrent.futures import ThreadPoolExecutor
-
         cache = ReplayCache(tmp_path / "cache", max_entries=1)
         configs = [
             _tiny_config(nsnapshots=1),
@@ -221,6 +220,97 @@ class TestReplayCacheEviction:
         for index, value in enumerate(results):
             assert value == expected[index % 2]
         assert cache.stats()["entries"] <= 1
+
+
+def _rows_and_run(request, scenario):
+    """The iteration rows and the summary ``run`` block of one run."""
+    events = []
+    summary, _ = execute_run(request, scenario, events.append, lambda: None)
+    return [e for e in events if e["type"] == "iteration"], summary["run"]
+
+
+class TestResidentScenario:
+    """A hit reuses its entry's opened scenario while the entry is resident."""
+
+    @pytest.mark.parametrize("backend", engine_backends())
+    def test_shared_scenario_answers_like_a_fresh_one(self, tmp_path, backend):
+        """Four concurrent runs on one acquired scenario, twice per key, give
+        the solo answer of a freshly opened store, bitwise.  Fails if
+        residency is keyed by ``config.name`` (the second seed replays the
+        first seed's snapshots) or if a step writes into the arrival's
+        ``homes`` in place (later runs start from another run's owners)."""
+        cache = ReplayCache(tmp_path / "cache")
+        modes = [{"percent": 0.0}, {"percent": 50.0}, {"percent": 100.0}, {"target": 30.0}]
+        requests = [
+            [
+                RunRequest(scenario="tiny", snapshots=3, seed=seed, metric=metric,
+                           redistribution="round_robin", backend=backend, **mode)
+                for seed in (11, 12)
+            ]
+            for metric in ("VAR", "FPZIP")
+            for mode in modes
+        ]
+        threads = 4
+        barrier = threading.Barrier(threads, timeout=60)
+
+        def together(request, scenario):
+            barrier.wait()
+            return _rows_and_run(request, scenario)
+
+        for same_but_seed in requests:
+            oracles = []
+            for request in same_but_seed:
+                config = request.scenario_config()
+                cache.scenario_for(config)  # make sure the store exists
+                # The replaced hit body: the store opened afresh, one run alone.
+                fresh = ExperimentScenario.from_store(config, cache.store_path(config))
+                oracles.append(_rows_and_run(request, fresh))
+            assert oracles[0] != oracles[1]
+            for request, oracle in zip(same_but_seed, oracles):
+                opened = []
+                for _ in range(2):
+                    with cache.acquire(request.scenario_config()) as (scenario, was_hit):
+                        assert was_hit
+                        opened.append(scenario)
+                        with ThreadPoolExecutor(max_workers=threads) as pool:
+                            answers = list(
+                                pool.map(together, [request] * threads, [scenario] * threads)
+                            )
+                    assert answers == [oracle] * threads
+                assert opened[0] is opened[1]
+
+    def test_at_most_pinned_entries_and_the_latest_stay_resident(self, tmp_path):
+        """Fails if a release never clears an entry's scenario (all five stay
+        resident) or if the latest entry loses it (C is re-opened)."""
+        cache = ReplayCache(tmp_path / "cache")
+        configs = [_tiny_config(nsnapshots=1, seed=300 + i) for i in range(5)]
+        for config in configs:
+            cache.scenario_for(config)
+            cache.scenario_for(config)
+        assert cache.stats()["resident"] == 1
+        a, b, c = configs[:3]
+        with cache.acquire(a) as (pinned, _):
+            first_b, _ = cache.scenario_for(b)
+            first_c, _ = cache.scenario_for(c)
+            assert cache.stats()["resident"] == 2  # A (pinned) and C (latest)
+            assert cache.scenario_for(c)[0] is first_c
+            assert cache.scenario_for(b)[0] is not first_b
+            assert cache.scenario_for(a)[0] is pinned
+        assert cache.stats()["resident"] == 1
+
+    def test_evicted_key_is_opened_afresh(self, tmp_path):
+        """Fails if an opened scenario outlives its entry (say a module-level
+        memo keyed by the cache key): the re-simulated store must not be
+        replayed through the evicted one's object."""
+        cache = ReplayCache(tmp_path / "cache", max_entries=1)
+        a = _tiny_config(nsnapshots=1)
+        before, _ = cache.scenario_for(a)
+        cache.scenario_for(_tiny_config(nsnapshots=1, seed=101))  # evicts A
+        after, was_hit = cache.scenario_for(a)
+        assert was_hit is False
+        assert after is not before
+        stats = cache.stats()
+        assert stats["evictions"] == 2 and stats["resident"] == 1
 
 
 # -- request validation -------------------------------------------------------
@@ -1097,6 +1187,14 @@ class TestServeSubprocess:
             assert events[0]["cache"] == "hit"
             assert events[-1]["cache"]["hits"] == 1
             assert events[-1]["cache"]["misses"] == 1
+            assert events[-1]["cache"]["resident"] == 1
+            # A second key: the first one is released and not the latest,
+            # so it no longer holds an open scenario.
+            _assert_run_stream(
+                _post_run_events(port, {**TINY_RUN, "seed": 4242}), iterations=2
+            )
+            cache = _get_json(port, "/health")["cache"]
+            assert cache["entries"] == 2 and cache["resident"] <= 1
         finally:
             proc.terminate()
             proc.wait(timeout=30)
