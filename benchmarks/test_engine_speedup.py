@@ -402,14 +402,14 @@ def test_fig11_full_pipeline_speedup(fine_scenario_64):
 
 
 def test_fig11_multisnapshot_streaming_speedup(tmp_path):
-    """The streaming execution path — a raw-layout mmap replay feeding the
+    """The streaming execution path — an mmap replay of the stored dataset feeding the
     engine — beats the one-shot path (live CM1 simulation feeding the same
     engine) ≥1.3x end to end on a multi-snapshot fig11 run.
 
     Both sides do the complete job of "turn a scenario config into per-
     iteration fig11 results": the baseline simulates every CM1 snapshot
     (the behaviour of ``python -m repro run``); the gated path replays the
-    snapshots through read-only ``np.memmap`` views of a raw-layout
+    snapshots through read-only ``np.memmap`` views of a
     :class:`DatasetStore` — zero deserialisation, no re-simulation.  The
     five steps run strictly in sequence on both sides, so the ratio
     measures the replay and nothing else.
@@ -434,7 +434,7 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
 
     # Warm the replay store once; persisting is charged to neither side
     # (serve mode pays it on the first request only).
-    ExperimentScenario(config).dataset.save(store_dir, layout="raw")
+    ExperimentScenario(config).dataset.save(store_dir)
 
     def rows(run):
         return [

@@ -72,7 +72,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AdaptationConfig",

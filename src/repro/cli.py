@@ -18,8 +18,9 @@ Four subcommands expose the scenario registry without writing any Python:
     :func:`~repro.serve.procrun.execute_run`: the validator and the body
     behind ``repro serve``'s ``POST /run``, so the two report the same rows.
     ``--save-dataset`` additionally persists the generated snapshots as a
-    :class:`~repro.io.store.DatasetStore` (manifest + one ``.npz`` per
-    iteration).
+    :class:`~repro.io.store.DatasetStore` (manifest + one flat ``.bin`` per
+    iteration), which ``ExperimentScenario.from_store`` replays through
+    read-only memory maps.
 
 ``sweep``
     Price a weak/strong-scaling rank sweep of a registered scenario through

@@ -3,8 +3,8 @@
 The paper replays a stored 572-iteration dataset instead of running CM1's
 computation phase for every experiment.  :class:`CM1Dataset` offers the same
 workflow: generate ``n`` snapshots once (optionally persisting them through
-:class:`~repro.io.store.DatasetStore`), then iterate over them as many times
-as the experiments need.
+:class:`~repro.io.store.DatasetStore`, one memory-mappable flat file per
+snapshot), then iterate over them as many times as the experiments need.
 
 The paper evaluates its pipeline on 10 (or 30) iterations *equally spaced in
 time* out of that stored dataset.  :func:`equally_spaced` is that selection;
@@ -114,15 +114,19 @@ class CM1Dataset:
         self,
         directory: Path,
         extra_metadata: Optional[dict] = None,
-        layout: str = "npz",
+        layout: str = "raw",
     ) -> DatasetStore:
         """Persist every snapshot into a :class:`DatasetStore` at ``directory``.
 
         ``extra_metadata`` entries are merged into the manifest metadata —
-        the CLI records the scenario name this way.  ``layout="raw"`` writes
-        the mmap-friendly flat-binary format (the replay cache uses it so
-        repeated runs load snapshots zero-copy instead of re-simulating).
+        the CLI records the scenario name this way.  The store has one
+        layout, memory-mappable flat files, so the replay cache and
+        ``CM1Dataset.load(..., mmap=True)`` read what this writes zero-copy.
+        ``layout`` names that layout and accepts only ``"raw"``: it stays
+        because the tracked benchmark's probes still pass it.
         """
+        if layout != "raw":
+            raise ValueError(f"the only dataset layout is 'raw', got {layout!r}")
         metadata = {
             "generator": "repro.cm1.CM1Dataset",
             "shape": list(self.config.shape),
@@ -131,7 +135,7 @@ class CM1Dataset:
         }
         metadata.update(extra_metadata or {})
         store = DatasetStore(Path(directory))
-        store.create(self.simulation.grid, metadata=metadata, layout=layout)
+        store.create(self.simulation.grid, metadata=metadata)
         for domain in self:
             store.append(domain)
         return store
@@ -152,8 +156,9 @@ class StoredCM1Dataset:
     Mirrors the :class:`CM1Dataset` access surface (``snapshot``,
     ``select``, ``per_rank_blocks``) so experiment scenarios can be backed
     by a stored dataset instead of a live simulation.  With ``mmap=True``
-    (raw-layout stores) snapshot fields are read-only memory-mapped views —
-    the decomposition gathers the blocks straight off the map.
+    snapshot fields are read-only memory-mapped views — the decomposition
+    gathers the blocks straight off the map; otherwise each load reads them
+    into owned arrays.
     """
 
     def __init__(

@@ -66,16 +66,10 @@ class PipelineConfig:
     render_mode:
         ``"count"`` (cheap load proxy, default for large rank counts) or
         ``"mesh"`` (real marching-cubes geometry).
-    field_name:
-        Field the pipeline visualises.
     adaptation:
         Algorithm 1 configuration.
     shuffle_seed:
         Seed shared by all ranks for the random-shuffle strategy.
-    use_modelled_time:
-        When True (default) the controller reacts to modelled platform
-        seconds; when False it reacts to measured wall-clock (useful for
-        pure-software runs without the platform model).
     quality_ladder:
         How the reduction step distributes the selected (lowest-scored)
         blocks over the reduction ladder, as ordered ``(level, fraction)``
@@ -99,18 +93,15 @@ class PipelineConfig:
         for a metric that declares ``gil_bound`` when it pays.
         All backends produce identical scores, sort orders, reduction and
         redistribution decisions, active-cell/triangle counts, and modelled
-        timings; measured wall-clock naturally differs, so runs driven by
-        ``use_modelled_time=False`` are backend- and machine-dependent.
+        timings; only measured wall-clock differs.
     """
 
     metric: str = "VAR"
     redistribution: str = "none"
     isosurface_level: float = 45.0
     render_mode: str = "count"
-    field_name: str = "dbz"
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     shuffle_seed: int = 2016
-    use_modelled_time: bool = True
     engine: str = "vectorized"
     quality_ladder: Tuple[Tuple[int, float], ...] = ((2, 1.0),)
 
@@ -133,5 +124,3 @@ class PipelineConfig:
             )
         if not self.metric:
             raise ValueError("metric name must not be empty")
-        if not self.field_name:
-            raise ValueError("field_name must not be empty")

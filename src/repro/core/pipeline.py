@@ -100,14 +100,9 @@ class InSituPipeline:
         result = self.engine.iteration_result(context)
         self.iterations.append(result)
         # Step 6 of Figure 2: unless the percentage was forced, the
-        # controller observes the full-pipeline time.
+        # controller observes the full-pipeline time, in modelled seconds.
         if percent_override is None:
-            observed = (
-                result.modelled_total
-                if self.config.use_modelled_time
-                else result.measured_total
-            )
-            self.controller.observe(percent, observed)
+            self.controller.observe(percent, result.modelled_total)
         return result, list(context.render_results or [])
 
     # -- convenience -----------------------------------------------------------------

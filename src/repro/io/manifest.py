@@ -1,4 +1,4 @@
-"""Dataset manifest: what iterations and fields a stored dataset contains."""
+"""Dataset manifest: the grid, iterations and fields a stored dataset contains."""
 
 from __future__ import annotations
 
@@ -8,37 +8,30 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 MANIFEST_FILENAME = "manifest.json"
-FORMAT_VERSION = 1
-
-#: Supported on-disk layouts: ``"npz"`` (one compressed archive per
-#: iteration, the historical default) and ``"raw"`` (one flat binary file
-#: per iteration with manifest-recorded per-field byte offsets, loadable
-#: zero-copy through ``np.memmap``).
-LAYOUTS = ("npz", "raw")
+#: Version 2 records the grid axes in the manifest and knows one layout (one
+#: flat ``.bin`` per iteration); version-1 stores are refused, not migrated.
+FORMAT_VERSION = 2
 
 
 @dataclass
 class IterationRecord:
-    """One stored iteration.
+    """One stored iteration: a flat binary file of contiguous field slabs.
 
-    ``dtypes`` maps field names to NumPy dtype strings (``np.dtype.str``,
-    e.g. ``"<f8"``) as stored on disk, so a load reproduces each field's
-    dtype exactly.  Records written before dtypes were tracked leave the
-    mapping empty; such fields load with whatever dtype the ``.npz`` holds
-    (historically float32).
-
-    ``offsets`` maps field names to byte offsets inside ``filename`` — only
-    populated by the ``"raw"`` layout, where each field is one contiguous
-    C-order array slab (aligned for mmap-friendly access) and the manifest
-    is the sole source of truth for where it starts.
+    ``dtypes`` maps every field name to its NumPy dtype string as stored on
+    disk (``np.dtype.str``, e.g. ``"<f8"``), so a load reproduces each
+    field's dtype exactly.  ``offsets`` maps every field name to the byte
+    offset of its C-order slab inside ``filename`` (aligned for mmap-friendly
+    access); the manifest is the sole source of truth for where it starts.
+    ``nbytes`` is the file's size, which the replay cache checks before it
+    adopts a store.
     """
 
     iteration: int
     filename: str
     fields: List[str]
-    nbytes: int = 0
-    dtypes: Dict[str, str] = field(default_factory=dict)
-    offsets: Dict[str, int] = field(default_factory=dict)
+    nbytes: int
+    dtypes: Dict[str, str]
+    offsets: Dict[str, int]
 
     def validate(self) -> None:
         """Basic consistency checks; raises ``ValueError`` on problems."""
@@ -48,16 +41,12 @@ class IterationRecord:
             raise ValueError("filename must not be empty")
         if not self.fields:
             raise ValueError("an iteration record must list at least one field")
-        unknown = set(self.dtypes) - set(self.fields)
-        if unknown:
-            raise ValueError(
-                f"dtypes recorded for unknown fields {sorted(unknown)}"
-            )
-        unknown_offsets = set(self.offsets) - set(self.fields)
-        if unknown_offsets:
-            raise ValueError(
-                f"offsets recorded for unknown fields {sorted(unknown_offsets)}"
-            )
+        for name, mapping in (("dtypes", self.dtypes), ("offsets", self.offsets)):
+            if set(mapping) != set(self.fields):
+                raise ValueError(
+                    f"{name} must name exactly the fields {sorted(self.fields)}, "
+                    f"got {sorted(mapping)}"
+                )
         if any(offset < 0 for offset in self.offsets.values()):
             raise ValueError("field offsets must be >= 0")
 
@@ -70,30 +59,25 @@ class DatasetManifest:
     ----------
     shape:
         Grid shape shared by every field of every iteration.
-    grid_axes_file:
-        Name of the ``.npz`` file holding the rectilinear axes (x, y, z).
+    axes:
+        The rectilinear grid's ``"x"``, ``"y"`` and ``"z"`` coordinates as
+        float lists (JSON floats round-trip float64 bitwise).
     iterations:
         Records of the stored iterations, in storage order.
     metadata:
         Free-form provenance (config used to generate the data, seed, ...).
-    layout:
-        On-disk layout of the iteration files (one of :data:`LAYOUTS`).
-        Manifests written before layouts existed carry no key and default to
-        ``"npz"``, so old stores keep loading unchanged.
     """
 
     shape: Tuple[int, int, int]
-    grid_axes_file: str = "grid_axes.npz"
+    axes: Dict[str, List[float]]
     iterations: List[IterationRecord] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
-    layout: str = "npz"
     version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.layout not in LAYOUTS:
-            raise ValueError(
-                f"layout must be one of {LAYOUTS}, got {self.layout!r}"
-            )
+        lengths = tuple(len(self.axes[name]) for name in ("x", "y", "z"))
+        if lengths != tuple(self.shape):
+            raise ValueError(f"axis lengths {lengths} do not match shape {self.shape}")
 
     def add_iteration(self, record: IterationRecord) -> None:
         """Append a record, enforcing strictly increasing iteration numbers."""
@@ -127,20 +111,28 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
-        """Parse a manifest from its JSON representation."""
+        """Parse a manifest from its JSON representation.
+
+        Raises ``ValueError`` for another format version and for a record
+        missing one of its fields.
+        """
         payload = json.loads(text)
         version = int(payload.get("version", 0))
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported manifest version {version}, expected {FORMAT_VERSION}"
             )
-        iterations = [IterationRecord(**rec) for rec in payload.get("iterations", [])]
+        try:
+            iterations = [IterationRecord(**rec) for rec in payload["iterations"]]
+        except TypeError as exc:
+            raise ValueError(f"malformed iteration record: {exc}") from None
+        for record in iterations:
+            record.validate()
         return cls(
             shape=tuple(int(v) for v in payload["shape"]),
-            grid_axes_file=payload.get("grid_axes_file", "grid_axes.npz"),
+            axes=payload["axes"],
             iterations=iterations,
             metadata=payload.get("metadata", {}),
-            layout=payload.get("layout", "npz"),
             version=version,
         )
 

@@ -1,9 +1,8 @@
-"""On-disk dataset store (compressed ``.npz`` or mmap-friendly raw layout)."""
+"""On-disk dataset store: one memory-mappable flat file per iteration."""
 
 from __future__ import annotations
 
 import shutil
-import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -11,48 +10,32 @@ import numpy as np
 
 from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
-from repro.io.manifest import LAYOUTS, DatasetManifest, IterationRecord
+from repro.io.manifest import DatasetManifest, IterationRecord
 
-#: Byte alignment of each field slab in the raw layout.  64 bytes covers
+#: Byte alignment of each field slab in an iteration file.  64 bytes covers
 #: every dtype the store sees and matches cache-line / SIMD-load alignment,
 #: so a memory-mapped field behaves like a freshly allocated array.
 RAW_ALIGNMENT = 64
-
-#: Held around every ``.npz`` read.  ``np.load`` parses each ``.npy`` header
-#: with ``ast.literal_eval``, and CPython before 3.11.8 / 3.12.2 keeps the AST
-#: converter's recursion depth in interpreter-wide state (gh-106905): two
-#: threads parsing at different stack depths fail each other with ``SystemError:
-#: AST constructor recursion depth mismatch`` — the thread tier's one-in-
-#: thousands ``error`` reply.
-_NPZ_READ_LOCK = threading.Lock()
 
 
 class DatasetStore:
     """Persist and reload :class:`~repro.grid.domain.Domain` iterations.
 
-    Two layouts, recorded in the manifest:
-
-    ``"npz"`` (default)::
+    One layout::
 
         <root>/
-            manifest.json
-            grid_axes.npz            # x, y, z axes
-            iter_0000005000.npz      # one file per iteration, fields as arrays
-
-    ``"raw"``::
-
-        <root>/
-            manifest.json
-            grid_axes.npz
+            manifest.json            # grid shape and axes, one record per
+                                     # iteration (dtypes, offsets, nbytes)
             iter_0000005000.bin      # one flat file per iteration: each field
                                      # a contiguous C-order slab at a 64-byte-
                                      # aligned offset recorded in the manifest
 
-    The raw layout trades compression for zero-copy reads:
+    Fields are stored uncompressed so they can be read zero-copy:
     ``load_iteration(..., mmap=True)`` maps each field straight off disk
     with ``np.memmap`` (no deserialisation, no copy, pages faulted in on
     first touch), which is what lets cached replays and benchmark gates skip
-    re-simulating CM1.
+    re-simulating CM1.  Opening a store parses the JSON manifest and nothing
+    else.
 
     The store is append-only: iterations must be written in increasing order,
     mirroring how a running simulation emits them.
@@ -65,26 +48,14 @@ class DatasetStore:
 
     # -- writing -------------------------------------------------------------
 
-    def create(
-        self,
-        grid: RectilinearGrid,
-        metadata: Optional[Dict] = None,
-        layout: str = "npz",
-    ) -> None:
-        """Initialise an empty store for domains on ``grid``.
-
-        ``layout`` selects the on-disk format (one of
-        :data:`~repro.io.manifest.LAYOUTS`); it applies to every iteration
-        appended later and is recorded in the manifest.
-        """
+    def create(self, grid: RectilinearGrid, metadata: Optional[Dict] = None) -> None:
+        """Initialise an empty store for domains on ``grid``."""
         if self.exists():
             raise FileExistsError(f"a dataset already exists at {self.root}")
-        if layout not in LAYOUTS:
-            raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
-        self.root.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(self.root / "grid_axes.npz", x=grid.x, y=grid.y, z=grid.z)
         self._manifest = DatasetManifest(
-            shape=grid.shape, metadata=metadata or {}, layout=layout
+            shape=grid.shape,
+            axes={"x": grid.x.tolist(), "y": grid.y.tolist(), "z": grid.z.tolist()},
+            metadata=metadata or {},
         )
         self._manifest.save(self.root)
 
@@ -103,13 +74,8 @@ class DatasetStore:
         if not domain.fields:
             raise ValueError("cannot store a domain with no fields")
         arrays = {name: np.asarray(arr) for name, arr in domain.fields.items()}
-        if manifest.layout == "raw":
-            filename = f"iter_{domain.iteration:010d}.bin"
-            offsets = self._write_raw(self.root / filename, arrays)
-        else:
-            filename = f"iter_{domain.iteration:010d}.npz"
-            np.savez_compressed(self.root / filename, **arrays)
-            offsets = {}
+        filename = f"iter_{domain.iteration:010d}.bin"
+        offsets = self._write_raw(self.root / filename, arrays)
         record = IterationRecord(
             iteration=domain.iteration,
             filename=filename,
@@ -143,12 +109,12 @@ class DatasetStore:
         return (self.root / "manifest.json").exists()
 
     def nbytes(self) -> int:
-        """Total on-disk bytes of the store (manifest, grid, every iteration).
+        """Total on-disk bytes of the store (manifest and every iteration).
 
         Measured from the filesystem rather than the manifest's per-record
-        ``nbytes`` so it also accounts for the manifest and grid files —
-        this is the number the replay cache's ``max_bytes`` bound charges a
-        cached entry for.
+        ``nbytes`` so it also accounts for the manifest itself — this is the
+        number the replay cache's ``max_bytes`` bound charges a cached entry
+        for.
         """
         if not self.root.exists():
             return 0
@@ -178,9 +144,8 @@ class DatasetStore:
         """Return (and cache) the rectilinear grid; its axes are read-only,
         every loaded iteration shares them."""
         if self._grid is None:
-            path = self.root / self.manifest().grid_axes_file
-            with _NPZ_READ_LOCK, np.load(path) as data:
-                grid = RectilinearGrid(data["x"], data["y"], data["z"])
+            axes = self.manifest().axes
+            grid = RectilinearGrid(axes["x"], axes["y"], axes["z"])
             for axis in (grid.x, grid.y, grid.z):
                 axis.flags.writeable = False
             self._grid = grid
@@ -189,11 +154,6 @@ class DatasetStore:
     def iterations(self) -> List[int]:
         """Iteration numbers available in the store."""
         return [rec.iteration for rec in self.manifest().iterations]
-
-    @property
-    def layout(self) -> str:
-        """On-disk layout of the store ("npz" or "raw")."""
-        return self.manifest().layout
 
     def load_iteration(
         self,
@@ -211,11 +171,9 @@ class DatasetStore:
             Optional subset of field names to load; all stored fields when
             omitted.
         mmap:
-            When True and the store uses the ``"raw"`` layout, fields are
-            returned as read-only ``np.memmap`` views straight off disk —
-            zero copy, zero deserialisation.  Compressed ``"npz"`` stores
-            cannot be mapped (the archive is zipped), so the flag raises
-            there rather than silently degrading.
+            When True, fields are returned as read-only ``np.memmap`` views
+            straight off disk — zero copy, zero deserialisation; when False,
+            as owned arrays read into memory.
         """
         manifest = self.manifest()
         record = manifest.find(iteration)
@@ -225,56 +183,18 @@ class DatasetStore:
         missing = wanted - set(record.fields)
         if missing:
             raise KeyError(f"fields {sorted(missing)} not stored for iteration {iteration}")
-        if mmap and manifest.layout != "raw":
-            raise ValueError(
-                f"mmap loads require the 'raw' layout, this store uses "
-                f"{manifest.layout!r}"
-            )
-        grid = self.grid()
-        if manifest.layout == "raw":
-            out = self._load_raw_fields(record, sorted(wanted), manifest.shape, mmap)
-        else:
-            out = self._load_npz_fields(record, sorted(wanted))
-        return Domain(grid=grid, fields=out, iteration=iteration)
-
-    def _load_npz_fields(
-        self, record: IterationRecord, names: List[str]
-    ) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {}
-        with _NPZ_READ_LOCK, np.load(self.root / record.filename) as data:
-            for name in names:
-                arr = np.asarray(data[name])
-                stored_dtype = record.dtypes.get(name)
-                if stored_dtype is not None and arr.dtype != np.dtype(stored_dtype):
-                    arr = arr.astype(np.dtype(stored_dtype))
-                out[name] = arr
-        return out
-
-    def _load_raw_fields(
-        self,
-        record: IterationRecord,
-        names: List[str],
-        shape: tuple,
-        mmap: bool,
-    ) -> Dict[str, np.ndarray]:
         path = self.root / record.filename
+        shape = tuple(manifest.shape)
         out: Dict[str, np.ndarray] = {}
-        for name in names:
-            stored_dtype = record.dtypes.get(name)
-            offset = record.offsets.get(name)
-            if stored_dtype is None or offset is None:
-                raise ValueError(
-                    f"raw-layout record for iteration {record.iteration} lacks "
-                    f"dtype/offset for field {name!r}"
-                )
-            dtype = np.dtype(stored_dtype)
+        for name in sorted(wanted):
+            dtype = np.dtype(record.dtypes[name])
+            offset = record.offsets[name]
             if mmap:
                 out[name] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=offset, shape=tuple(shape)
+                    path, dtype=dtype, mode="r", offset=offset, shape=shape
                 )
             else:
-                count = int(np.prod(shape))
                 out[name] = np.fromfile(
-                    path, dtype=dtype, count=count, offset=offset
-                ).reshape(tuple(shape))
-        return out
+                    path, dtype=dtype, count=int(np.prod(shape)), offset=offset
+                ).reshape(shape)
+        return Domain(grid=self.grid(), fields=out, iteration=iteration)

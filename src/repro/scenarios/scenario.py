@@ -130,7 +130,7 @@ class ExperimentScenario:
 
     @classmethod
     def from_store(cls, config: ScenarioConfig, store_dir) -> "ExperimentScenario":
-        """Scenario replaying the raw-layout store at ``store_dir`` through
+        """Scenario replaying the dataset store at ``store_dir`` through
         read-only memory maps: zero-copy, bitwise the live simulation."""
         dataset = CM1Dataset.load(store_dir, field_name=config.field_name, mmap=True)
         return cls(config, dataset=dataset)
@@ -282,7 +282,6 @@ class ExperimentScenario:
             redistribution=redistribution,
             isosurface_level=self.config.isosurface_level,
             render_mode=render_mode,
-            field_name=self.config.field_name,
             adaptation=adaptation
             if adaptation is not None
             else AdaptationConfig(enabled=False, target_seconds=1.0),

@@ -7,7 +7,7 @@ GIL-free worker processes with zero-copy mmap data handoff under
 ``--execution process`` — streams one JSON line per completed iteration
 (NDJSON), enforces per-request deadlines (``timeout_s`` and the server's
 ``--max-run-seconds`` cap), and caches each resolved scenario's snapshots on
-disk as a raw-layout :class:`~repro.io.store.DatasetStore` keyed by the full
+disk as a :class:`~repro.io.store.DatasetStore` keyed by the full
 :class:`~repro.scenarios.ScenarioConfig` — so a repeated request
 memory-maps the stored snapshots instead of re-simulating CM1.  The cache is
 LRU-bounded via ``--cache-max-entries`` / ``--cache-max-bytes``.

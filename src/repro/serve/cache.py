@@ -4,7 +4,7 @@ The PR 5 cache-key fix made a fully resolved
 :class:`~repro.scenarios.ScenarioConfig` the sound identity of a workload —
 two configs that hash equal describe the same data.  This module turns that
 identity into an *on-disk* cache: the first run of a config simulates CM1
-and persists every snapshot as a raw-layout
+and persists every snapshot as a
 :class:`~repro.io.store.DatasetStore`; every later run (within or across
 server processes) replays the stored snapshots through read-only
 ``np.memmap`` views and never touches the simulation again.
@@ -28,6 +28,7 @@ therefore take at most (entries in use + 1) × nsnapshots × field bytes of RAM.
 from __future__ import annotations
 
 import hashlib
+import logging
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -39,6 +40,8 @@ from repro.scenarios import ExperimentScenario, ScenarioConfig
 from repro.scenarios.scenario import live_dataset
 
 __all__ = ["ReplayCache", "scenario_cache_key"]
+
+_LOG = logging.getLogger("repro.serve")
 
 
 def scenario_cache_key(config: ScenarioConfig) -> str:
@@ -52,6 +55,48 @@ def scenario_cache_key(config: ScenarioConfig) -> str:
     digest = hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:20]
     prefix = config.name or "adhoc"
     return f"{prefix}-{digest}"
+
+
+def _unservable(store: DatasetStore) -> Optional[str]:
+    """Why a cache directory cannot be replayed as it stands, else ``None``.
+
+    A servable entry's manifest loads at the current format version, records
+    the ``nsnapshots`` iterations its metadata announces, and every iteration
+    file is present at its recorded size.  A server killed mid-``save``
+    leaves a manifest that fails the count; a previous release's entry fails
+    the version.
+    """
+    try:
+        manifest = store.manifest()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return f"unreadable manifest ({exc})"
+    expected = manifest.metadata.get("nsnapshots")
+    if manifest.niterations != expected:
+        return f"{manifest.niterations} of {expected} iterations recorded"
+    for record in manifest.iterations:
+        path = store.root / record.filename
+        size = path.stat().st_size if path.is_file() else None
+        if size != record.nbytes:
+            return f"{record.filename} holds {size} bytes, not {record.nbytes}"
+    return None
+
+
+def _adoptable(store: DatasetStore) -> bool:
+    """True if ``store`` is servable; otherwise delete it with one warning.
+
+    Every directory under the cache root is the cache's own, so an entry
+    that fails :func:`_unservable` is removed and its key's next request
+    misses and rebuilds it.
+    """
+    problem = _unservable(store)
+    if problem is None:
+        return True
+    _LOG.warning(
+        "replay cache: dropping entry %s: %s; it is rebuilt on its next request",
+        store.root.name, problem,
+    )
+    store.delete()
+    return False
 
 
 class _Entry:
@@ -78,7 +123,9 @@ class ReplayCache:
         Directory the per-config dataset stores live under (one
         subdirectory per cache key).  Stores already present under it —
         from a previous server process — are adopted on construction in
-        mtime order (oldest = least recently used).
+        mtime order (oldest = least recently used) if they are complete at
+        the current format version; any other entry is deleted with a
+        ``WARNING`` on the ``repro.serve`` logger and rebuilt on demand.
     max_entries, max_bytes:
         Optional bounds on the number of cached stores / their total
         on-disk bytes.  When either is exceeded, least-recently-used
@@ -124,7 +171,7 @@ class ReplayCache:
         found = []
         for child in self.root.iterdir():
             store = DatasetStore(child)
-            if child.is_dir() and store.exists():
+            if child.is_dir() and store.exists() and _adoptable(store):
                 found.append((child.stat().st_mtime, child.name, store.nbytes()))
         with self._guard:
             for _, key, nbytes in sorted(found):
@@ -206,11 +253,10 @@ class ReplayCache:
         with self._lock_for(key):
             with self._guard:
                 entry = self._entries.get(key)
-                if entry is None and DatasetStore(store_dir).exists():
+                store = DatasetStore(store_dir)
+                if entry is None and store.exists() and _adoptable(store):
                     # Left by another process (or pre-seeded): adopt it.
-                    entry = self._entries[key] = _Entry(
-                        DatasetStore(store_dir).nbytes()
-                    )
+                    entry = self._entries[key] = _Entry(store.nbytes())
                 was_hit = entry is not None
                 if was_hit:
                     self.hits += 1
@@ -225,7 +271,6 @@ class ReplayCache:
                         "scenario": config.name or "adhoc",
                         "cache_key": key,
                     },
-                    layout="raw",
                 )
                 with self._guard:
                     entry = self._entries[key] = _Entry(
@@ -247,9 +292,9 @@ class ReplayCache:
 
         Hit or miss, the scenario replays the persisted snapshots through a
         :class:`~repro.cm1.dataset.StoredCM1Dataset` opened with
-        ``mmap=True`` — fields come straight off the raw-layout store,
-        zero-copy, bitwise-identical to the live simulation (the raw layout
-        stores exact bytes).
+        ``mmap=True`` — fields come straight off the store, zero-copy,
+        bitwise-identical to the live simulation (the store keeps exact
+        bytes).
 
         The store is opened once per residency, under the per-key lock, and
         every hit while the entry stays resident (pinned, or the most

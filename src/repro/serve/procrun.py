@@ -20,7 +20,7 @@ and report every iteration — so they share everything but the transport:
     :func:`~repro.utils.procpool.shared_process_pool`.  The task shipped to it
     is deliberately tiny — the request, the resolved config and the *path* of
     the replay cache's store, never snapshot arrays: the worker re-opens the
-    raw layout through read-only ``np.memmap`` views, so parent and workers
+    store through read-only ``np.memmap`` views, so parent and workers
     share one page cache.  One per-run channel — two proxies of the shared
     :func:`~repro.utils.procpool.shared_manager`, reused from run to run —
     connects it to the server: the ``events`` queue its ``emit`` puts onto
@@ -259,7 +259,7 @@ def run_scenario_in_worker(
 ) -> Dict[str, object]:
     """Execute one run inside a pool worker; returns the summary event.
 
-    ``store_dir`` is the raw-layout replay store the parent pinned for the
+    ``store_dir`` is the replay store the parent pinned for the
     duration of this run.  ``deadline`` is an absolute ``time.time()`` value
     or ``None`` — wall-clock rather than monotonic so that it means the same
     in every process.  Whatever the outcome, the last thing put on

@@ -52,7 +52,7 @@ also behind ``python -m repro run`` — executes and how its events travel:
     Each run executes in a worker process from the shared
     :func:`~repro.utils.procpool.shared_process_pool`, GIL-free.  Snapshot
     data is never pickled to workers: the worker re-opens the replay
-    cache's raw-layout store by path through read-only memory maps (see
+    cache's store by path through read-only memory maps (see
     :mod:`repro.serve.procrun`), and iteration events stream back over a
     manager queue, so NDJSON latency-to-first-event stays flat.  The stream
     ends on the worker's end-of-stream mark, not on a poll time-out, and its

@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.cli import main
 from repro.io.store import DatasetStore
-from repro.scenarios import scenario_names
+from repro.scenarios import ExperimentScenario, scenario_names
+from repro.serve.procrun import RunRequest, _json_default, execute_run
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +119,35 @@ class TestRun:
         assert store.exists()
         assert len(store.iterations()) == 2
         assert store.manifest().metadata["scenario"] == "tiny"
+
+    def test_saved_dataset_replays_through_the_mmap_path(self, capsys, tmp_path):
+        """What ``--save-dataset`` writes is the store the replay cache
+        serves: ``ExperimentScenario.from_store`` maps it and ``execute_run``
+        over it reports the CLI's iteration rows and ``run`` block, bitwise."""
+        store_dir = tmp_path / "store"
+        argv = ["--snapshots", "3", "--percent", "40", "--redistribution", "round_robin"]
+        code, out, _ = run_cli(
+            capsys, "run", "tiny", *argv, "--save-dataset", str(store_dir)
+        )
+        assert code == 0
+        summary = json.loads(out)
+        request = RunRequest.from_payload(
+            {"scenario": "tiny", "snapshots": 3, "percent": 40.0,
+             "redistribution": "round_robin"}
+        )
+        scenario = ExperimentScenario.from_store(request.scenario_config(), store_dir)
+        assert isinstance(
+            scenario.dataset.snapshot(0).get_field("dbz").base, np.memmap
+        )
+        events = []
+        result, _ = execute_run(request, scenario, events.append, lambda: None)
+        replayed = json.loads(json.dumps(
+            {"iterations": [{k: v for k, v in e.items() if k != "type"} for e in events],
+             "run": result["run"]},
+            default=_json_default,
+        ))
+        assert replayed["iterations"] == summary["iterations"]
+        assert replayed["run"] == summary["run"]
 
     def test_unknown_scenario_fails_and_names_available(self, capsys):
         code, _, err = run_cli(capsys, "run", "not_a_scenario")

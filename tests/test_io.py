@@ -2,69 +2,129 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cm1.config import CM1Config
 from repro.cm1.dataset import CM1Dataset, StoredCM1Dataset, equally_spaced
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
-from repro.io.manifest import DatasetManifest, IterationRecord
-from repro.io.store import DatasetStore
+from repro.grid.reduction import reduce_to_level
+from repro.io.manifest import FORMAT_VERSION, DatasetManifest, IterationRecord
+from repro.io.store import RAW_ALIGNMENT, DatasetStore
+
+
+def _record(iteration, filename="a.bin", fields=("dbz",), nbytes=0):
+    """A complete record: every field has a dtype and an offset."""
+    return IterationRecord(
+        iteration, filename, list(fields), nbytes,
+        dtypes={name: "<f4" for name in fields},
+        offsets={name: 64 * i for i, name in enumerate(fields)},
+    )
+
+
+def _manifest(shape=(4, 4, 2)):
+    grid = RectilinearGrid.uniform(shape)
+    axes = {"x": grid.x.tolist(), "y": grid.y.tolist(), "z": grid.z.tolist()}
+    return DatasetManifest(shape=shape, axes=axes)
 
 
 class TestManifest:
     def test_json_roundtrip(self):
-        manifest = DatasetManifest(shape=(4, 4, 2))
-        manifest.add_iteration(IterationRecord(5, "iter_5.npz", ["dbz"], 100))
+        manifest = _manifest()
+        manifest.add_iteration(_record(5, "iter_5.bin", nbytes=100))
         restored = DatasetManifest.from_json(manifest.to_json())
         assert restored.shape == (4, 4, 2)
+        assert restored.axes == manifest.axes
         assert restored.iterations[0].iteration == 5
+        assert restored.iterations[0].nbytes == 100
 
     def test_iterations_must_increase(self):
-        manifest = DatasetManifest(shape=(4, 4, 2))
-        manifest.add_iteration(IterationRecord(5, "a.npz", ["dbz"]))
+        manifest = _manifest()
+        manifest.add_iteration(_record(5, "a.bin"))
         with pytest.raises(ValueError):
-            manifest.add_iteration(IterationRecord(5, "b.npz", ["dbz"]))
+            manifest.add_iteration(_record(5, "b.bin"))
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            IterationRecord(-1, "a.npz", ["dbz"]).validate()
+            _record(-1).validate()
         with pytest.raises(ValueError):
-            IterationRecord(1, "", ["dbz"]).validate()
+            _record(1, "").validate()
         with pytest.raises(ValueError):
-            IterationRecord(1, "a.npz", []).validate()
+            _record(1, fields=()).validate()
+        ghost = _record(1)
+        ghost.dtypes["ghost"] = "<f4"
         with pytest.raises(ValueError):
-            IterationRecord(1, "a.npz", ["dbz"], dtypes={"ghost": "<f4"}).validate()
+            ghost.validate()
+        negative = _record(1)
+        negative.offsets["dbz"] = -64
+        with pytest.raises(ValueError):
+            negative.validate()
 
     def test_record_dtypes_roundtrip(self):
-        manifest = DatasetManifest(shape=(4, 4, 2))
-        manifest.add_iteration(
-            IterationRecord(1, "a.npz", ["dbz"], dtypes={"dbz": "<f8"})
-        )
+        manifest = _manifest()
+        record = _record(1)
+        record.dtypes["dbz"] = "<f8"
+        manifest.add_iteration(record)
         restored = DatasetManifest.from_json(manifest.to_json())
         assert restored.iterations[0].dtypes == {"dbz": "<f8"}
 
-    def test_record_without_dtypes_accepted(self):
-        """Manifests written before dtypes were tracked still load."""
-        manifest = DatasetManifest(shape=(4, 4, 2))
-        manifest.add_iteration(IterationRecord(1, "a.npz", ["dbz"]))
-        text = manifest.to_json().replace('"dtypes": {},', "")
-        restored = DatasetManifest.from_json(text)
-        assert restored.iterations[0].dtypes == {}
+    @pytest.mark.parametrize("key", ["dtypes", "offsets"])
+    def test_record_without_dtypes_or_offsets_rejected(self, key):
+        """Both mappings are required: a record missing either, or leaving a
+        field out of it, is refused rather than loaded with a guessed dtype
+        or offset."""
+        manifest = _manifest()
+        manifest.add_iteration(_record(1))
+        payload = json.loads(manifest.to_json())
+        del payload["iterations"][0][key]
+        with pytest.raises(ValueError, match=key):
+            DatasetManifest.from_json(json.dumps(payload))
+        payload = json.loads(manifest.to_json())
+        payload["iterations"][0][key] = {}
+        with pytest.raises(ValueError, match=key):
+            DatasetManifest.from_json(json.dumps(payload))
 
     def test_find(self):
-        manifest = DatasetManifest(shape=(4, 4, 2))
-        manifest.add_iteration(IterationRecord(3, "a.npz", ["dbz"]))
+        manifest = _manifest()
+        manifest.add_iteration(_record(3))
         assert manifest.find(3) is not None
         assert manifest.find(4) is None
 
     def test_unsupported_version(self):
-        manifest = DatasetManifest(shape=(4, 4, 2))
-        text = manifest.to_json().replace('"version": 1', '"version": 99')
+        manifest = _manifest()
+        text = manifest.to_json().replace(
+            f'"version": {FORMAT_VERSION}', '"version": 99'
+        )
         with pytest.raises(ValueError):
             DatasetManifest.from_json(text)
+
+    def test_version1_manifest_refused_naming_both_versions(self, tmp_path):
+        """A store written before the axes moved into the manifest is refused
+        with a message naming its version and the current one."""
+        assert FORMAT_VERSION == 2
+        store = DatasetStore(tmp_path / "ds")
+        store.create(RectilinearGrid.uniform((4, 4, 2)))
+        path = tmp_path / "ds" / "manifest.json"
+        payload = json.loads(path.read_text())
+        del payload["axes"]
+        payload.update(version=1, layout="raw", grid_axes_file="grid_axes.npz")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            ValueError, match="unsupported manifest version 1, expected 2"
+        ):
+            DatasetStore(tmp_path / "ds").iterations()
+
+    def test_axis_lengths_must_match_shape(self):
+        with pytest.raises(ValueError):
+            DatasetManifest(shape=(4, 4, 3), axes=_manifest((4, 4, 2)).axes)
 
     def test_load_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -87,43 +147,30 @@ class TestDatasetStore:
         np.testing.assert_allclose(loaded.get_field("dbz"), 2.0)
         assert loaded.iteration == 2
 
-    @pytest.mark.parametrize("layout", ["npz", "raw"])
-    def test_npy_headers_parsed_under_the_read_lock(self, tmp_path, monkeypatch, layout):
-        """``np.load`` runs ``ast.literal_eval`` on every ``.npy`` header, which
-        is not thread-safe before CPython 3.11.8 (gh-106905: the thread tier's
-        rare ``AST constructor recursion depth mismatch`` error reply), so the
-        store parses none outside its read lock."""
-        import ast
-
-        from repro.io import store as store_module
-
+    def test_grid_axes_come_from_the_manifest_read_only_and_shared(self, tmp_path):
+        """The grid is built once per store from the manifest's axes: every
+        loaded iteration shares it, its axes are read-only, and deleting the
+        store drops it with the files."""
         store = DatasetStore(tmp_path / "ds")
-        store.create(RectilinearGrid.uniform((6, 6, 4)), layout=layout)
+        store.create(RectilinearGrid.uniform((6, 6, 4)))
         store.append(self._domain(0, 1.0))
-        locked = []
-        literal_eval = ast.literal_eval
-
-        def probe(source):
-            locked.append(store_module._NPZ_READ_LOCK.locked())
-            return literal_eval(source)
-
-        monkeypatch.setattr(ast, "literal_eval", probe)
         loaded = store.load_iteration(0)
-        np.testing.assert_allclose(loaded.get_field("dbz"), 1.0)
-        assert locked and all(locked)
-        assert not store_module._NPZ_READ_LOCK.locked()
-        # The grid axes are parsed once per store, not once per iteration: a
-        # second load parses no header at all on the raw layout (none but the
-        # iteration's own on npz), and shares the first one's read-only axes.
-        del locked[:]
         again = store.load_iteration(0)
-        assert len(locked) == (0 if layout == "raw" else 1) and all(locked)
         assert again.grid is loaded.grid and not again.grid.x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             again.grid.z[0] = -1.0
         store.delete()  # drops the cached grid with the files
         with pytest.raises(FileNotFoundError):
             store.grid()
+
+    def test_new_store_holds_only_the_manifest_and_iteration_files(self, tmp_path):
+        store = DatasetStore(tmp_path / "ds")
+        store.create(RectilinearGrid.uniform((6, 6, 4)))
+        store.append(self._domain(0, 1.0))
+        store.append(self._domain(3, 2.0))
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+            "iter_0000000000.bin", "iter_0000000003.bin", "manifest.json",
+        ]
 
     def test_nbytes_sums_on_disk_files(self, tmp_path):
         store = DatasetStore(tmp_path / "ds")
@@ -158,7 +205,7 @@ class TestDatasetStore:
         store under a reader only unlinks names; the open mapping stays
         valid until the reader drops it."""
         store = DatasetStore(tmp_path / "ds")
-        store.create(RectilinearGrid.uniform((6, 6, 4)), layout="raw")
+        store.create(RectilinearGrid.uniform((6, 6, 4)))
         store.append(self._domain(0, 3.0))
         loaded = store.load_iteration(0, mmap=True)
         field = loaded.get_field("dbz")
@@ -194,11 +241,13 @@ class TestDatasetStore:
             store.load_iteration(0, fields=["nonexistent"])
 
     def test_grid_roundtrip(self, tmp_path):
-        store = DatasetStore(tmp_path / "ds")
+        """The stretched CM1 axes survive the JSON manifest bitwise."""
         grid = RectilinearGrid.cm1_like((8, 8, 6))
-        store.create(grid)
-        loaded = store.grid()
-        np.testing.assert_allclose(loaded.x, grid.x)
+        DatasetStore(tmp_path / "ds").create(grid)
+        loaded = DatasetStore(tmp_path / "ds").grid()
+        for axis in ("x", "y", "z"):
+            assert getattr(loaded, axis).dtype == np.float64
+            assert getattr(loaded, axis).tobytes() == getattr(grid, axis).tobytes()
 
     def test_dtype_preserved_roundtrip(self, tmp_path):
         """float64 fields must round-trip bit-exactly (no silent float32 cast),
@@ -247,10 +296,9 @@ class TestRawLayout:
     def test_raw_roundtrip_bitwise(self, tmp_path):
         grid = RectilinearGrid.uniform((6, 6, 4))
         store = DatasetStore(tmp_path / "ds")
-        store.create(grid, layout="raw")
+        store.create(grid)
         domain = self._domain(grid)
         store.append(domain)
-        assert store.layout == "raw"
         loaded = store.load_iteration(0)
         for name in ("dbz", "aux"):
             np.testing.assert_array_equal(
@@ -259,11 +307,9 @@ class TestRawLayout:
             assert loaded.get_field(name).dtype == domain.get_field(name).dtype
 
     def test_raw_offsets_recorded_and_aligned(self, tmp_path):
-        from repro.io.store import RAW_ALIGNMENT
-
         grid = RectilinearGrid.uniform((6, 6, 4))
         store = DatasetStore(tmp_path / "ds")
-        store.create(grid, layout="raw")
+        store.create(grid)
         store.append(self._domain(grid))
         record = store.manifest().find(0)
         assert set(record.offsets) == {"dbz", "aux"}
@@ -274,7 +320,7 @@ class TestRawLayout:
     def test_raw_mmap_load_is_zero_copy(self, tmp_path):
         grid = RectilinearGrid.uniform((6, 6, 4))
         store = DatasetStore(tmp_path / "ds")
-        store.create(grid, layout="raw")
+        store.create(grid)
         domain = self._domain(grid)
         store.append(domain)
         loaded = store.load_iteration(0, mmap=True)
@@ -286,44 +332,115 @@ class TestRawLayout:
             assert isinstance(field.base, np.memmap)
             np.testing.assert_array_equal(field, domain.get_field(name))
 
-    def test_mmap_on_npz_store_rejected(self, tmp_path):
-        grid = RectilinearGrid.uniform((6, 6, 4))
-        store = DatasetStore(tmp_path / "ds")
-        store.create(grid)  # default npz layout
-        store.append(self._domain(grid))
-        with pytest.raises(ValueError):
-            store.load_iteration(0, mmap=True)
-
     def test_unknown_layout_rejected(self, tmp_path):
-        store = DatasetStore(tmp_path / "ds")
-        with pytest.raises(ValueError):
-            store.create(RectilinearGrid.uniform((6, 6, 4)), layout="parquet")
+        """``CM1Dataset.save`` keeps a ``layout`` keyword that accepts only
+        ``"raw"``; the store itself takes no layout at all."""
+        dataset = CM1Dataset(CM1Config.tiny(), nsnapshots=1)
+        for layout in ("npz", "parquet"):
+            with pytest.raises(ValueError, match="raw"):
+                dataset.save(tmp_path / "ds", layout=layout)
+        assert not (tmp_path / "ds").exists()
+        assert len(dataset.save(tmp_path / "ds", layout="raw").iterations()) == 1
+        with pytest.raises(TypeError):
+            DatasetStore(tmp_path / "other").create(
+                RectilinearGrid.uniform((6, 6, 4)), layout="raw"
+            )
 
     def test_layout_survives_manifest_reload(self, tmp_path):
+        """A fresh handle finds every field's dtype and offset in the
+        manifest on disk and maps the fields from them."""
         grid = RectilinearGrid.uniform((6, 6, 4))
         store = DatasetStore(tmp_path / "ds")
-        store.create(grid, layout="raw")
-        store.append(self._domain(grid))
+        store.create(grid)
+        record = store.append(self._domain(grid))
         fresh = DatasetStore(tmp_path / "ds")
-        assert fresh.layout == "raw"
+        assert fresh.manifest().find(0) == record
         loaded = fresh.load_iteration(0, mmap=True)
         assert isinstance(loaded.get_field("dbz").base, np.memmap)
 
-    def test_manifest_without_layout_defaults_to_npz(self, tmp_path):
-        """Manifests written before the raw layout existed still load."""
-        manifest = DatasetManifest(shape=(4, 4, 2))
-        text = manifest.to_json().replace('"layout": "npz",', "")
-        restored = DatasetManifest.from_json(text)
-        assert restored.layout == "npz"
+
+@st.composite
+def stored_iterations(draw):
+    """A grid and one iteration's fields as the store may be handed them:
+    payloads of one reduction-ladder level (so shapes with length-1 axes and
+    2x2x2 corners), one to three fields each float32 or float64, on uniform
+    axes of arbitrary extent or stretched ``cm1_like`` ones."""
+    full = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    level = draw(st.sampled_from([0, 1, 2]))
+    dtypes = draw(st.lists(st.sampled_from(["<f4", "<f8"]), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = {
+        f"f{i}": reduce_to_level(rng.normal(size=full).astype(dtype), level)
+        for i, dtype in enumerate(dtypes)
+    }
+    shape = fields["f0"].shape
+    if draw(st.booleans()) and min(shape[:2]) >= 4:
+        grid = RectilinearGrid.cm1_like(shape)
+    else:
+        extent = st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False)
+        grid = RectilinearGrid.uniform(shape, tuple(draw(extent) for _ in range(3)))
+    return grid, fields
+
+
+def _portrait(fields):
+    """Everything a stored field is: dtype, shape and bytes, by name."""
+    return {
+        name: (arr.dtype.str, arr.shape, np.ascontiguousarray(arr).tobytes())
+        for name, arr in fields.items()
+    }
+
+
+class TestStoreLaw:
+    """One store law over the one layout: ``append`` then ``load_iteration``
+    is the identity, structurally (the NIFTy idiom: compare a portrait of
+    every leaf, not a few spot values).
+
+    Fails when the axes are written as float32 or rounded, when the
+    alignment padding is dropped, or when a recorded offset is off by one.
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=stored_iterations(), iteration=st.integers(0, 10**6))
+    def test_append_then_load_is_the_identity(self, case, iteration):
+        grid, fields = case
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "ds"
+            writer = DatasetStore(root)
+            writer.create(grid)
+            record = writer.append(Domain(grid=grid, fields=fields, iteration=iteration))
+            assert record.nbytes == (root / record.filename).stat().st_size
+            assert all(offset % RAW_ALIGNMENT == 0 for offset in record.offsets.values())
+            # A fresh handle, so everything comes off disk; none of it is an
+            # .npy / .npz parse.
+            with mock.patch.object(np, "load", side_effect=AssertionError("np.load")):
+                store = DatasetStore(root)
+                loaded = {
+                    mmap: store.load_iteration(iteration, mmap=mmap) for mmap in (False, True)
+                }
+            for mmap, domain in loaded.items():
+                assert _portrait(domain.fields) == _portrait(fields)
+                for axis in ("x", "y", "z"):
+                    got, want = getattr(domain.grid, axis), getattr(grid, axis)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for arr in loaded[True].fields.values():
+                assert not arr.flags.writeable
 
 
 class TestCornerBlockReplay:
     """Round-trips of *reduced* data: 2x2x2 corner blocks, mixed dtypes.
 
     The reduction step replaces a block's payload with its 8 corner values;
-    a store holding reduced snapshots therefore persists 2x2x2 fields.  They
-    must survive both layouts bit-exactly — in every per-field dtype — and
-    reconstruct identically through trilinear expansion.
+    a store holding reduced snapshots therefore persists 2x2x2 fields.  The
+    store law (:class:`TestStoreLaw`) round-trips payloads of every ladder
+    level bitwise; here the mapped corners also reconstruct identically
+    through trilinear expansion.
+
+    The ``layout`` parameter names where a payload comes from before it is
+    appended: ``"raw"`` hands the store the arrays the reduction produced,
+    ``"npz"`` first passes them through a NumPy ``.npz`` archive, the form a
+    version-1 store kept its iterations in.  Both must land in the one store
+    layout bit-exactly, so an old archive's arrays can be moved into a
+    version-2 store without loss.
     """
 
     def _corner_fields(self):
@@ -337,18 +454,58 @@ class TestCornerBlockReplay:
             "corners_f32": reduce_to_corners(full_f32).astype(np.float32),
         }
 
+    @staticmethod
+    def _from_layout(fields, layout, tmp_path):
+        """``fields`` as a store is handed them when they come from ``layout``."""
+        if layout == "raw":
+            return dict(fields)
+        path = tmp_path / "archive.npz"
+        np.savez_compressed(path, **fields)
+        with np.load(path) as archive:
+            return {name: archive[name] for name in fields}
+
     @pytest.mark.parametrize("layout", ["npz", "raw"])
     def test_corner_blocks_roundtrip_both_layouts(self, tmp_path, layout):
         grid = RectilinearGrid.uniform((2, 2, 2))
         fields = self._corner_fields()
         store = DatasetStore(tmp_path / "ds")
-        store.create(grid, layout=layout)
+        store.create(grid)
+        store.append(
+            Domain(grid=grid, fields=self._from_layout(fields, layout, tmp_path), iteration=0)
+        )
+        for mmap in (False, True):
+            loaded = store.load_iteration(0, mmap=mmap)
+            assert loaded.get_field("corners_f64").dtype == np.float64
+            assert loaded.get_field("corners_f32").dtype == np.float32
+            for name, original in fields.items():
+                np.testing.assert_array_equal(loaded.get_field(name), original)
+
+    @pytest.mark.parametrize("layout", ["npz", "raw"])
+    def test_level1_payload_roundtrip_both_layouts(self, tmp_path, layout):
+        """Intermediate (level-1) reduction payloads persist bit-exactly.
+
+        The mipmap ladder's middle rung produces odd shapes like 4x4x3; they
+        must round-trip from either source, copied or mapped, and reconstruct
+        identically through the level-1 expansion.
+        """
+        from repro.grid.reduction import expand_from_level
+
+        rng = np.random.default_rng(9)
+        full_shape = (7, 6, 5)
+        full = rng.normal(size=full_shape)
+        payload = reduce_to_level(full, 1)
+        grid = RectilinearGrid.uniform(payload.shape)
+        store = DatasetStore(tmp_path / "ds")
+        store.create(grid)
+        fields = self._from_layout({"lvl1": payload}, layout, tmp_path)
         store.append(Domain(grid=grid, fields=fields, iteration=0))
-        loaded = store.load_iteration(0)
-        assert loaded.get_field("corners_f64").dtype == np.float64
-        assert loaded.get_field("corners_f32").dtype == np.float32
-        for name, original in fields.items():
-            np.testing.assert_array_equal(loaded.get_field(name), original)
+        for mmap in (False, True):
+            replayed = store.load_iteration(0, mmap=mmap).get_field("lvl1")
+            np.testing.assert_array_equal(replayed, payload)
+            np.testing.assert_array_equal(
+                expand_from_level(np.asarray(replayed, dtype=np.float64), 1, full_shape),
+                expand_from_level(payload, 1, full_shape),
+            )
 
     def test_corner_blocks_mmap_expand_matches_original(self, tmp_path):
         from repro.grid.reduction import expand_from_corners
@@ -356,7 +513,7 @@ class TestCornerBlockReplay:
         grid = RectilinearGrid.uniform((2, 2, 2))
         fields = self._corner_fields()
         store = DatasetStore(tmp_path / "ds")
-        store.create(grid, layout="raw")
+        store.create(grid)
         store.append(Domain(grid=grid, fields=fields, iteration=0))
         loaded = store.load_iteration(0, mmap=True)
         for name, original in fields.items():
@@ -368,32 +525,6 @@ class TestCornerBlockReplay:
                 expand_from_corners(np.asarray(replayed, dtype=np.float64), (8, 8, 6)),
                 expand_from_corners(np.asarray(original, dtype=np.float64), (8, 8, 6)),
             )
-
-    @pytest.mark.parametrize("layout", ["npz", "raw"])
-    def test_level1_payload_roundtrip_both_layouts(self, tmp_path, layout):
-        """Intermediate (level-1) reduction payloads persist bit-exactly.
-
-        The mipmap ladder's middle rung produces odd shapes like 4x4x3; both
-        store layouts must round-trip them and reconstruct identically
-        through the level-1 expansion.
-        """
-        from repro.grid.reduction import expand_from_level, reduce_to_level
-
-        rng = np.random.default_rng(9)
-        full_shape = (7, 6, 5)
-        full = rng.normal(size=full_shape)
-        payload = reduce_to_level(full, 1)
-        grid = RectilinearGrid.uniform(payload.shape)
-        store = DatasetStore(tmp_path / "ds")
-        store.create(grid, layout=layout)
-        store.append(Domain(grid=grid, fields={"lvl1": payload}, iteration=0))
-        loaded = store.load_iteration(0, mmap=(layout == "raw"))
-        replayed = loaded.get_field("lvl1")
-        np.testing.assert_array_equal(replayed, payload)
-        np.testing.assert_array_equal(
-            expand_from_level(np.asarray(replayed, dtype=np.float64), 1, full_shape),
-            expand_from_level(payload, 1, full_shape),
-        )
 
 
 class TestReplay:
@@ -425,23 +556,22 @@ class TestReplay:
         total_blocks = sum(len(blocks) for blocks in iterations[0])
         assert total_blocks == decomp.nblocks
 
-    def test_mmap_replayer_matches_npz_replayer(self, tmp_path):
-        """A raw-layout mmap replay hands out the same blocks as an npz one."""
+    def test_mmap_replayer_matches_copying_replayer(self, tmp_path):
+        """A mapped replay hands out the same blocks as one that reads each
+        snapshot into owned arrays."""
         config = CM1Config.tiny()
-        dataset = CM1Dataset(config, nsnapshots=2)
-        dataset.save(tmp_path / "npz")
-        dataset.save(tmp_path / "raw", layout="raw")
+        CM1Dataset(config, nsnapshots=2).save(tmp_path / "ds")
         decomp = CartesianDecomposition(
             config.shape, nranks=2, blocks_per_subdomain=(2, 1, 1)
         )
-        npz = CM1Dataset.load(tmp_path / "npz")
-        raw = CM1Dataset.load(tmp_path / "raw", mmap=True)
-        npz_iters = [npz.per_rank_blocks(decomp, i) for i in npz.select(2)]
-        raw_iters = [raw.per_rank_blocks(decomp, i) for i in raw.select(2)]
-        for npz_ranks, raw_ranks in zip(npz_iters, raw_iters):
-            for npz_blocks, raw_blocks in zip(npz_ranks, raw_ranks):
-                assert len(npz_blocks) == len(raw_blocks)
-                for a, b in zip(npz_blocks, raw_blocks):
+        copied = CM1Dataset.load(tmp_path / "ds")
+        mapped = CM1Dataset.load(tmp_path / "ds", mmap=True)
+        copied_iters = [copied.per_rank_blocks(decomp, i) for i in copied.select(2)]
+        mapped_iters = [mapped.per_rank_blocks(decomp, i) for i in mapped.select(2)]
+        for copied_ranks, mapped_ranks in zip(copied_iters, mapped_iters):
+            for copied_blocks, mapped_blocks in zip(copied_ranks, mapped_ranks):
+                assert len(copied_blocks) == len(mapped_blocks)
+                for a, b in zip(copied_blocks, mapped_blocks):
                     assert a.extent == b.extent
                     np.testing.assert_array_equal(a.data, b.data)
 
@@ -470,7 +600,8 @@ class TestCM1Dataset:
         assert len(stored) == 2
         original = dataset.snapshot(0).get_field("dbz")
         loaded = stored.snapshot(0).get_field("dbz")
-        np.testing.assert_allclose(original, loaded, rtol=1e-6)
+        assert loaded.dtype == original.dtype
+        np.testing.assert_array_equal(original, loaded)
 
     def test_load_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):

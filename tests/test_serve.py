@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -74,10 +75,9 @@ class TestReplayCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["evictions"] == 0 and stats["entries"] == 1
-        # The hit replays a raw-layout store through read-only memory maps.
+        # The hit replays the store through read-only memory maps.
         assert isinstance(scenario.dataset, StoredCM1Dataset)
-        store = DatasetStore(cache.store_path(config))
-        assert store.layout == "raw"
+        assert scenario.dataset.mmap
 
     def test_hit_serves_mmap_backed_fields(self, tmp_path):
         cache = ReplayCache(tmp_path / "cache")
@@ -220,6 +220,88 @@ class TestReplayCacheEviction:
         for index, value in enumerate(results):
             assert value == expected[index % 2]
         assert cache.stats()["entries"] <= 1
+
+
+def _cut_manifest(entry):
+    """What a server killed mid-``save`` leaves: fewer iterations recorded
+    than the metadata announces."""
+    path = entry / "manifest.json"
+    payload = json.loads(path.read_text())
+    payload["iterations"] = payload["iterations"][:2]
+    path.write_text(json.dumps(payload))
+
+
+def _version_1(entry):
+    """A previous release's entry."""
+    path = entry / "manifest.json"
+    payload = json.loads(path.read_text())
+    payload["version"] = 1
+    path.write_text(json.dumps(payload))
+
+
+def _last_bin(entry):
+    return sorted(entry.glob("iter_*.bin"))[-1]
+
+
+def _drop_bin(entry):
+    _last_bin(entry).unlink()
+
+
+def _truncate_bin(entry):
+    path = _last_bin(entry)
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 8)
+
+
+class TestCacheAdoption:
+    """A cache directory is adopted only if it can be served as it stands.
+
+    Fails when an entry is adopted on ``exists()`` alone, when the version
+    is checked but not the iteration count, and when the count is checked but
+    not the file sizes.
+    """
+
+    REQUEST = RunRequest(scenario="tiny", snapshots=3, percent=40.0)
+
+    @pytest.fixture(scope="class")
+    def good_entry(self, tmp_path_factory):
+        cache = ReplayCache(tmp_path_factory.mktemp("good"))
+        config = self.REQUEST.scenario_config()
+        cache.scenario_for(config)
+        return cache.store_path(config)
+
+    @pytest.mark.parametrize("when", ["on_construction", "on_demand"])
+    @pytest.mark.parametrize(
+        "spoil", [_cut_manifest, _version_1, _drop_bin, _truncate_bin],
+        ids=["partial_manifest", "version_1", "missing_bin", "truncated_bin"],
+    )
+    def test_bad_entry_is_dropped_and_rebuilt(
+        self, tmp_path, caplog, good_entry, spoil, when
+    ):
+        config = self.REQUEST.scenario_config()
+        key = scenario_cache_key(config)
+        root = tmp_path / "cache"
+        root.mkdir()
+        if when == "on_demand":
+            cache = ReplayCache(root)
+        shutil.copytree(good_entry, root / key)
+        spoil(root / key)
+        with caplog.at_level(logging.WARNING, logger="repro.serve"):
+            if when == "on_construction":
+                cache = ReplayCache(root)
+                assert cache.stats()["entries"] == 0
+            with cache.acquire(config) as (scenario, was_hit):
+                assert was_hit is False
+                rows, run = _rows_and_run(self.REQUEST, scenario)
+        assert len(rows) == run["iterations"] == config.nsnapshots == 3
+        warnings = [r for r in caplog.records if r.name == "repro.serve"]
+        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+        assert key in warnings[0].getMessage()
+        stats = cache.stats()
+        assert stats["misses"] == 1 and stats["hits"] == 0 and stats["entries"] == 1
+        # The rebuilt entry is whole: a fresh cache adopts it as a hit.
+        with ReplayCache(root).acquire(config) as (_, was_hit):
+            assert was_hit is True
 
 
 def _rows_and_run(request, scenario):
@@ -1198,6 +1280,25 @@ class TestServeSubprocess:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+
+    def test_stale_cache_entry_is_rebuilt_at_start_up(self, env, tmp_path):
+        """A previous release's entry under the requested key is dropped when
+        the server adopts its cache directory: the first reply is a miss that
+        streams every iteration, and the cache then holds one entry."""
+        config = RunRequest.from_payload(TINY_RUN).scenario_config()
+        entry = tmp_path / "cache" / scenario_cache_key(config)
+        ExperimentScenario(config).dataset.save(entry)
+        _version_1(entry)
+        proc, port = _spawn_serve(env, "--cache-dir", str(tmp_path / "cache"))
+        try:
+            events = _post_run_events(port, TINY_RUN)
+            _assert_run_stream(events, iterations=TINY_RUN["snapshots"])
+            assert events[0]["cache"] == "miss"
+            assert _get_json(port, "/health")["cache"]["entries"] == 1
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+            proc.stderr.close()
 
     def test_process_tier_with_bounded_cache_evicts(self, env, tmp_path):
         """The CI smoke: ``--execution process --cache-max-entries 1``,
