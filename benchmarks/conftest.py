@@ -11,12 +11,25 @@ in a few minutes.
 from __future__ import annotations
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import bench_scale
 from repro.scenarios.scenario import ExperimentScenario, cached_scenario
+
+#: Environment variable selecting the benchmark scale ("small" or "full").
+SCALE_ENV_VAR = "REPRO_BENCH_SCALE"
+
+
+def bench_scale() -> str:
+    """Benchmark scale selected through the environment (default "small")."""
+    value = os.environ.get(SCALE_ENV_VAR, "small").strip().lower()
+    if value not in ("small", "full"):
+        raise ValueError(
+            f"{SCALE_ENV_VAR} must be 'small' or 'full', got {value!r}"
+        )
+    return value
 
 
 @pytest.fixture(scope="session")

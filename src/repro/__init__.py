@@ -40,7 +40,7 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
 The registered workloads are also runnable from the command line::
 
     python -m repro list
-    python -m repro run squall_line --backend vectorized --output out.json
+    python -m repro run squall_line --output out.json
 
 Quickstart
 ----------
@@ -72,7 +72,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "AdaptationConfig",

@@ -4,11 +4,7 @@ Four subcommands expose the scenario registry without writing any Python:
 
 ``list``
     Print the workload catalogue (name, default scale, tags, description),
-    optionally filtered by tag, optionally as JSON.  The JSON form also
-    reports ``parity_backends`` — the engine backend names every registered
-    scenario is parity-verified against by the sweep in
-    ``tests/test_scenarios.py`` (which parameterises over the scenario
-    registry and ``engine_backends()``, as this command does).
+    optionally filtered by tag, optionally as JSON.
 
 ``run``
     Run the full six-step pipeline on a registered scenario (with optional
@@ -33,12 +29,17 @@ Four subcommands expose the scenario registry without writing any Python:
     Run the scenario pipeline as a local asyncio HTTP service: concurrent
     ``POST /run`` requests multiplex over a shared worker pool, stream
     NDJSON per-iteration results, and share a disk-backed replay cache —
-    see :mod:`repro.serve`.
+    see :mod:`repro.serve`.  Its flag values are checked once, by
+    :class:`~repro.serve.server.ServeApp` and its replay cache.
+
+No option chooses between two implementations that give the same answer;
+``sweep`` prices its points in order, in this process.
 
 Exit codes: 0 on success, 2 on usage errors — an unknown scenario name (the
 message lists the registered ones) or an option value the validator refuses
-(``--ranks 0``, ``--percent 150``, ``--target -1``, an unknown metric or
-backend), reported as ``error: ...`` on stderr.
+(``--ranks 0``, ``--percent 150``, ``--target -1``, an unknown metric,
+``serve --workers 0``), reported as ``error: ...`` on stderr; argparse
+refuses an option no subcommand has.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.core.backends import engine_backends
 from repro.core.redistribution import STRATEGIES
 from repro.scenarios import (
     ExperimentScenario,
@@ -62,7 +62,7 @@ from repro.scenarios import (
     scenario_specs,
 )
 from repro.serve.procrun import RunRequest, _json_default, execute_run
-from repro.serve.server import serve_forever
+from repro.serve.server import ServeApp, serve_forever
 from repro.viz.catalyst import RENDER_MODES
 
 __all__ = ["main"]
@@ -83,11 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one registered scenario")
     run_p.add_argument("scenario", help="registered scenario name (see 'list')")
-    run_p.add_argument(
-        "--backend",
-        default=None,
-        help=f"engine backend ({', '.join(engine_backends())}; default: config)",
-    )
     run_p.add_argument("--ranks", type=int, default=None, help="virtual rank count")
     run_p.add_argument(
         "--snapshots", type=int, default=None, help="number of snapshots to process"
@@ -158,11 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=50.0,
         help="reduction percentage priced at every point (default: 50)",
-    )
-    sweep_p.add_argument(
-        "--serial",
-        action="store_true",
-        help="price points in-process instead of over the process pool",
     )
     sweep_p.add_argument(
         "--json",
@@ -250,9 +240,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         if args.tag is None or args.tag in spec.tags
     ]
     if args.json:
-        # Every registered scenario is parity-verified against every backend
-        # name by the sweep in tests/test_scenarios.py.
-        parity = list(engine_backends())
         print(
             json.dumps(
                 [
@@ -262,7 +249,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
                         "tags": list(spec.tags),
                         "default_ranks": spec.default_ranks,
                         "default_snapshots": spec.default_snapshots,
-                        "parity_backends": parity,
                     }
                     for spec in specs
                 ],
@@ -310,7 +296,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 name: getattr(args, name)
                 for name in (
                     "scenario", "ranks", "snapshots", "seed", "metric",
-                    "redistribution", "percent", "target", "render_mode", "backend",
+                    "redistribution", "percent", "target", "render_mode",
                 )
             }
         )
@@ -370,7 +356,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             mode=args.mode,
             metric=args.metric,
             percent=args.percent,
-            parallel=not args.serial,
         )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -410,48 +395,36 @@ def _sigterm_as_sigint(signum, frame) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.max_run_seconds is not None and not args.max_run_seconds > 0:
-        print(
-            f"error: --max-run-seconds must be > 0, got {args.max_run_seconds}",
-            file=sys.stderr,
-        )
-        return 2
-    for flag, value in (
-        ("--cache-max-entries", args.cache_max_entries),
-        ("--cache-max-bytes", args.cache_max_bytes),
-    ):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
-            return 2
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        cache_dir = Path(tempfile.mkdtemp(prefix="repro-serve-cache-"))
-        print(f"replay cache at {cache_dir}", file=sys.stderr)
     # ``proc.terminate()`` / a container stop must drain and run ``app.close()``
     # and the pool's atexit teardown exactly like Ctrl-C, or the process
     # tier's workers and manager are orphaned.  Forked children keep the
-    # default disposition so the pool can still terminate them.
+    # default disposition so the pool can still terminate them; the process
+    # tier forks them while ``ServeApp`` is built, so this comes first.
     signal.signal(signal.SIGTERM, _sigterm_as_sigint)
     os.register_at_fork(
         after_in_child=lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL)
     )
+    cache_dir = args.cache_dir
+    if cache_dir is None:
+        cache_dir = Path(tempfile.mkdtemp(prefix="repro-serve-cache-"))
+        print(f"replay cache at {cache_dir}", file=sys.stderr)
     try:
-        asyncio.run(
-            serve_forever(
-                args.host,
-                args.port,
-                cache_dir,
-                max_workers=args.workers,
-                execution=args.execution,
-                max_run_seconds=args.max_run_seconds,
-                cache_max_entries=args.cache_max_entries,
-                cache_max_bytes=args.cache_max_bytes,
-                shutdown_grace=args.shutdown_grace,
-            )
+        app = ServeApp(
+            cache_dir,
+            max_workers=args.workers,
+            execution=args.execution,
+            max_run_seconds=args.max_run_seconds,
+            cache_max_entries=args.cache_max_entries,
+            cache_max_bytes=args.cache_max_bytes,
+            shutdown_grace=args.shutdown_grace,
         )
+    except ValueError as exc:  # a flag value the app or its cache refuses
+        print(f"error: {exc}", file=sys.stderr)
+        if args.cache_dir is None:
+            cache_dir.rmdir()
+        return 2
+    try:
+        asyncio.run(serve_forever(app, args.host, args.port))
     except KeyboardInterrupt:
         print("serve: interrupted, shutting down", file=sys.stderr)
     return 0

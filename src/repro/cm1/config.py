@@ -203,7 +203,7 @@ class CM1Config:
         Base seed for all stochastic components (turbulence phases).
     fields:
         Names of the fields produced per snapshot.  ``"dbz"`` is always
-        produced; the others are optional extras used by multivariate scoring.
+        produced; the others are optional extras.
     """
 
     shape: Tuple[int, int, int] = (220, 220, 38)

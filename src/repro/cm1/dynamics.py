@@ -2,7 +2,7 @@
 
 The paper mentions streamline visualization of wind vectors as one of the 3-D
 scenarios scientists use (Section IV-B); the wind field here provides that
-capability for the examples and for multivariate scoring.  The construction is
+capability for the examples.  The construction is
 a storm-relative flow: low-level inflow, a rotating updraft column (Rankine
 vortex) collocated with the mesocyclone, and upper-level outflow feeding the
 anvil.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.scenarios import ExperimentScenario
-from repro.experiments.fig10_adaptation import Fig10Result, format_fig10, run_adaptation
+from repro.experiments.fig10_adaptation import Fig10Result, run_adaptation
 
 #: Target run times per core count used by the paper for Figure 11.
 PAPER_FIG11_TARGETS: Dict[int, Sequence[float]] = {
@@ -38,8 +38,3 @@ def run_full_pipeline_adaptation(
         metric=metric,
         redistribution=redistribution,
     )
-
-
-def format_fig11(result: Fig10Result) -> str:
-    """Text rendering of the Figure 11 traces."""
-    return format_fig10(result, label="Figure 11")

@@ -15,7 +15,7 @@ subset the paper reports on is reproduced here under the same names:
 ========  =====================================================
 
 plus the variants the paper mentions but does not plot (ZFP- and LZ-based
-scorers, local entropy, multivariate combinations).  All metrics return
+scorers, local entropy).  All metrics return
 "higher = more relevant" scores and expose three equivalent scoring paths:
 ``score_block`` (one block), ``score_blocks`` (a sequence), and
 ``score_batch`` (a stacked ``(nblocks, sx, sy, sz)`` array).  The
@@ -37,7 +37,6 @@ from repro.metrics.entropy import HistogramEntropyMetric, LocalEntropyMetric
 from repro.metrics.bytewise import BytewiseEntropyMetric
 from repro.metrics.interpolation import TrilinearErrorMetric
 from repro.metrics.compression import CompressionRatioMetric
-from repro.metrics.multifield import MultiFieldScorer
 from repro.metrics.registry import MetricRegistry, default_registry, create_metric
 from repro.metrics.scoremap import ScoreMap, compute_scoremap
 from repro.metrics.comparison import (
@@ -59,7 +58,6 @@ __all__ = [
     "BytewiseEntropyMetric",
     "TrilinearErrorMetric",
     "CompressionRatioMetric",
-    "MultiFieldScorer",
     "MetricRegistry",
     "default_registry",
     "create_metric",

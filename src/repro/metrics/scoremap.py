@@ -9,7 +9,7 @@ what they care about (the vortex region, in their case).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -93,12 +93,3 @@ def compute_scoremap(
             sl = block.extent.slices
             image[sl[0], sl[1]] = score
     return ScoreMap(metric_name=metric.name, image=image, block_scores=block_scores)
-
-
-def scoremaps_for_metrics(
-    metrics: Sequence[ScoreMetric],
-    decomposition: CartesianDecomposition,
-    field: np.ndarray,
-) -> List[ScoreMap]:
-    """Compute one scoremap per metric (the full Figure 4 panel)."""
-    return [compute_scoremap(m, decomposition, field) for m in metrics]

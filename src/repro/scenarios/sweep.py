@@ -32,14 +32,14 @@ weak-scaling sweep reach 10,000 virtual ranks in seconds:
   post-redistribution owners with ``np.bincount`` and priced with the
   :class:`RenderCostModel` coefficients, vectorised over ranks.
 
-Sweep points are independent, so :func:`model_scaling_sweep` fans them out
-over the shared process pool (:func:`repro.utils.procpool.shared_process_pool`)
-when more than one worker is available.
+:func:`model_scaling_sweep` prices its points in order, in this process: one
+10,000-rank point is most of a sweep's time, so fanning the points out over a
+process pool saved little.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
 from repro.scenarios.scaling import scaling_variants
 from repro.scenarios.spec import ScenarioConfig
-from repro.utils.procpool import default_process_workers, shared_process_pool
 
 __all__ = ["model_scaling_point", "model_scaling_sweep"]
 
@@ -217,34 +216,21 @@ def model_scaling_sweep(
     metric: str = "VAR",
     percent: float = 50.0,
     nsnapshots: Optional[int] = None,
-    parallel: bool = True,
 ) -> Dict[str, object]:
     """Price a weak/strong-scaling rank sweep of the registered scenario ``name``.
 
     Builds one :class:`ScenarioConfig` per entry of ``ranks`` via
     :func:`scaling_variants` and prices each with
-    :func:`model_scaling_point`.  Points are independent, so with
-    ``parallel=True`` (and more than one pool worker) they are fanned out
-    over the shared process pool; results always come back in ``ranks``
-    order.
+    :func:`model_scaling_point`, in ``ranks`` order.
 
     Returns a dict with the sweep parameters and the per-point records.
     """
     variants = scaling_variants(name, ranks, mode=mode, nsnapshots=nsnapshots)
-    if parallel and len(variants) > 1 and default_process_workers() > 1:
-        pool = shared_process_pool()
-        futures = [
-            pool.submit(model_scaling_point, config, metric, percent)
-            for config in variants
-        ]
-        points: List[Dict[str, object]] = [f.result() for f in futures]
-    else:
-        points = [model_scaling_point(config, metric, percent) for config in variants]
     return {
         "scenario": name,
         "mode": mode,
         "metric": metric,
         "percent": float(percent),
         "ranks": [int(r) for r in ranks],
-        "points": points,
+        "points": [model_scaling_point(config, metric, percent) for config in variants],
     }

@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.backends import engine_backends
 from repro.core.config import AdaptationConfig
 from repro.core.redistribution import STRATEGIES
 from repro.core.results import IterationResult, PipelineRunResult
@@ -103,7 +102,6 @@ class RunRequest:
     percent: Optional[float] = None
     target: Optional[float] = None
     render_mode: str = "count"
-    backend: Optional[str] = None
     timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -129,11 +127,6 @@ class RunRequest:
             raise ValueError(
                 f"render_mode must be one of {RENDER_MODES}, got {self.render_mode!r}"
             )
-        if self.backend is not None and self.backend not in engine_backends():
-            raise ValueError(
-                f"unknown backend {self.backend!r}; available: "
-                f"{', '.join(engine_backends())}"
-            )
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
 
@@ -148,7 +141,6 @@ class RunRequest:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
-        backend = payload.get("backend")
         return cls(
             scenario=scenario.strip(),
             ranks=_numeric("ranks", payload.get("ranks"), int),
@@ -159,7 +151,6 @@ class RunRequest:
             percent=_numeric("percent", payload.get("percent"), float),
             target=_numeric("target", payload.get("target"), float),
             render_mode=str(payload.get("render_mode", "count")),
-            backend=None if backend is None else str(backend).strip().lower(),
             timeout_s=_numeric("timeout_s", payload.get("timeout_s"), float),
         )
 
@@ -221,7 +212,6 @@ def execute_run(
         redistribution=request.redistribution,
         adaptation=adaptation,
         render_mode=request.render_mode,
-        engine=request.backend,
     )
 
     def on_iteration(result: IterationResult) -> None:

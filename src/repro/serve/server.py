@@ -16,7 +16,7 @@ the protocol is tiny:
 ``POST /run``
     JSON body selecting a registered scenario and optional overrides
     (``ranks``, ``snapshots``, ``seed``, ``metric``, ``redistribution``,
-    ``percent``, ``target``, ``render_mode``, ``backend``, ``timeout_s``),
+    ``percent``, ``target``, ``render_mode``, ``timeout_s``),
     validated by :class:`~repro.serve.procrun.RunRequest` — the validator
     ``python -m repro run`` uses.  A request it refuses is answered ``400``
     (``404`` for an unregistered scenario) before the streaming header, so
@@ -31,6 +31,9 @@ the protocol is tiny:
     request's ``timeout_s`` or the server's ``--max-run-seconds`` cap
     expired), a ``"shutdown"`` (the server is draining), and an
     ``"exception"``.
+
+On every route, a request head (request line and headers) longer than
+:data:`MAX_HEAD_BYTES` is answered ``431``.
 
 Two execution tiers (``ServeApp(execution=...)``, CLI ``--execution``), which
 differ in where :func:`repro.serve.procrun.execute_run` — the one run body,
@@ -118,6 +121,10 @@ _POLL_SECONDS = 0.05
 
 #: Largest request body read; a longer ``Content-Length`` is answered ``413``.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Largest request head (request line + headers) read: the stream limit the
+#: server listens with.  A longer one is answered ``431``.
+MAX_HEAD_BYTES = 64 * 1024
 
 
 class _RunScope:
@@ -228,6 +235,8 @@ class ServeApp:
             raise ValueError(
                 f"execution must be one of {EXECUTION_TIERS}, got {execution!r}"
             )
+        if max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_run_seconds is not None and not max_run_seconds > 0:
             raise ValueError(
                 f"max_run_seconds must be > 0, got {max_run_seconds}"
@@ -497,7 +506,15 @@ class ServeApp:
     ) -> None:
         """One HTTP/1.1 exchange (the server always closes after it)."""
         try:
-            method, path, headers = await _read_request_head(reader)
+            try:
+                method, path, headers = await _read_request_head(reader)
+            except asyncio.LimitOverrunError:
+                await _respond_json(
+                    writer,
+                    431,
+                    {"error": f"request head exceeds {MAX_HEAD_BYTES} bytes"},
+                )
+                return
             length = headers.get("content-length") or "0"
             if not (length.isascii() and length.isdigit()):
                 await _respond_json(
@@ -584,7 +601,9 @@ class ServeApp:
 
     async def start(self, host: str, port: int) -> asyncio.AbstractServer:
         """Bind and return the listening server (``port=0`` picks a free one)."""
-        return await asyncio.start_server(self.handle_connection, host, port)
+        return await asyncio.start_server(
+            self.handle_connection, host, port, limit=MAX_HEAD_BYTES
+        )
 
     def close(self, grace_s: Optional[float] = None) -> None:
         """Shut down, cancelling in-flight runs within a bounded grace.
@@ -611,7 +630,8 @@ class ServeApp:
 async def _read_request_head(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Dict[str, str]]:
-    """Parse the request line + headers; raises ``ValueError`` on garbage."""
+    """Parse the request line + headers; raises ``ValueError`` on garbage
+    and ``asyncio.LimitOverrunError`` on a head past the stream limit."""
     head = await reader.readuntil(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split()
@@ -635,6 +655,7 @@ async def _respond_json(
         400: "Bad Request",
         404: "Not Found",
         413: "Payload Too Large",
+        431: "Request Header Fields Too Large",
     }
     body = json.dumps(payload, default=_json_default).encode("utf-8") + b"\n"
     writer.write(
@@ -648,34 +669,14 @@ async def _respond_json(
     await writer.drain()
 
 
-async def serve_forever(
-    host: str,
-    port: int,
-    cache_dir: Path,
-    max_workers: int = 8,
-    execution: str = "thread",
-    max_run_seconds: Optional[float] = None,
-    cache_max_entries: Optional[int] = None,
-    cache_max_bytes: Optional[int] = None,
-    shutdown_grace: float = 10.0,
-    ready_message: bool = True,
-) -> None:
-    """Run the service until cancelled (the ``python -m repro serve`` body)."""
-    app = ServeApp(
-        cache_dir,
-        max_workers=max_workers,
-        execution=execution,
-        max_run_seconds=max_run_seconds,
-        cache_max_entries=cache_max_entries,
-        cache_max_bytes=cache_max_bytes,
-        shutdown_grace=shutdown_grace,
-    )
-    server = await app.start(host, port)
+async def serve_forever(app: ServeApp, host: str, port: int) -> None:
+    """Serve ``app`` on ``host:port`` until cancelled, then close it, also
+    when the bind fails (the ``python -m repro serve`` body)."""
     try:
+        server = await app.start(host, port)
         bound = server.sockets[0].getsockname()
-        if ready_message:
-            print(f"repro serve listening on {bound[0]}:{bound[1]}", file=sys.stderr)
-            sys.stderr.flush()
+        print(f"repro serve listening on {bound[0]}:{bound[1]}", file=sys.stderr)
+        sys.stderr.flush()
         async with server:
             await server.serve_forever()
     finally:

@@ -8,7 +8,7 @@ kernel, not a choice a caller should have to make, so the choice is one
 predicate, :func:`pool_pays`: the batched scoring step asks it with its
 metric's ``gil_bound`` declaration and
 :func:`~repro.grid.fanout.map_shape_groups` does as told.  The serve mode's
-process tier and the variant sweep submit to the same pool directly.
+process tier is the one other caller: it submits whole runs to the same pool.
 
 Worker processes are expensive to start, so there is a single module-level
 pool, created lazily on first use.  It uses the ``fork`` start method where

@@ -43,7 +43,9 @@ class TestList:
         catalogue = json.loads(out)
         assert {entry["name"] for entry in catalogue} == set(scenario_names())
         for entry in catalogue:
-            assert {"name", "description", "tags", "default_ranks"} <= set(entry)
+            assert set(entry) == {
+                "name", "description", "tags", "default_ranks", "default_snapshots",
+            }
 
     def test_tag_filter(self, capsys):
         code, out, _ = run_cli(capsys, "list", "--tag", "storm-family", "--json")
@@ -51,15 +53,6 @@ class TestList:
         names = {entry["name"] for entry in json.loads(out)}
         assert "squall_line" in names
         assert "blue_waters_64" not in names
-
-    def test_json_reports_parity_verified_backends(self, capsys):
-        """Every entry advertises the backends the parity sweep verifies —
-        the same registry ``repro run --backend`` resolves against."""
-        _, out, _ = run_cli(capsys, "list", "--json")
-        for entry in json.loads(out):
-            assert entry["parity_backends"] == [
-                "serial", "vectorized", "parallel", "process",
-            ]
 
 
 class TestRun:
@@ -84,16 +77,22 @@ class TestRun:
         assert json.loads(out)["scenario"]["name"] == "tiny"
 
     def test_percent_and_backend_flags(self, capsys):
+        """``--percent`` fixes the reduction; ``--backend`` is gone, and
+        argparse refuses it instead of ignoring it."""
         code, out, _ = run_cli(
             capsys,
             "run", "tiny", "--snapshots", "1", "--percent", "50",
-            "--backend", "serial", "--redistribution", "round_robin",
+            "--redistribution", "round_robin",
         )
         assert code == 0
         summary = json.loads(out)
-        assert summary["config"]["engine"] == "serial"
+        assert summary["config"]["engine"] == "vectorized"
         assert summary["iterations"][0]["percent_reduced"] == 50.0
         assert summary["iterations"][0]["nreduced"] > 0
+        with pytest.raises(SystemExit) as refused:
+            main(["run", "tiny", "--percent", "50", "--backend", "serial"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --backend serial" in capsys.readouterr().err
 
     def test_target_enables_adaptation(self, capsys):
         code, out, _ = run_cli(
@@ -155,39 +154,19 @@ class TestRun:
         for name in ("blue_waters_64", "tiny", "squall_line"):
             assert name in err
 
-    def test_backend_flag_is_case_insensitive(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "tiny", "--snapshots", "1", "--backend", "SERIAL"
-        )
-        assert code == 0
-        assert json.loads(out)["config"]["engine"] == "serial"
-
     def test_unknown_metric_and_backend_fail(self, capsys):
         code, _, err = run_cli(capsys, "run", "tiny", "--metric", "NOPE")
-        assert code != 0 and "VAR" in err
-        code, _, err = run_cli(capsys, "run", "tiny", "--backend", "quantum")
-        assert code != 0 and "vectorized" in err
-
-    def test_unknown_backend_error_offers_process(self, capsys):
-        code, _, err = run_cli(capsys, "run", "tiny", "--backend", "bogus")
-        assert code != 0
-        assert "process" in err  # the new backend is advertised
-
-    def test_process_backend_end_to_end(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "tiny", "--snapshots", "1", "--backend", "process"
-        )
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["config"]["engine"] == "process"
-        assert summary["iterations"][0]["nblocks"] > 0
+        assert code == 2 and "VAR" in err
+        with pytest.raises(SystemExit) as refused:
+            main(["run", "tiny", "--backend", "quantum"])
+        assert refused.value.code == 2
 
 
 class TestSweep:
     def test_sweep_json_to_stdout(self, capsys):
         """``--json`` prints the machine-readable record, mirroring ``run``."""
         code, out, _ = run_cli(
-            capsys, "sweep", "tiny", "--ranks", "4", "16", "--serial", "--json"
+            capsys, "sweep", "tiny", "--ranks", "4", "16", "--json"
         )
         assert code == 0
         sweep = json.loads(out)
@@ -202,7 +181,7 @@ class TestSweep:
     def test_sweep_human_readable_by_default(self, capsys):
         """Without ``--json`` the output is a table, not a JSON document."""
         code, out, _ = run_cli(
-            capsys, "sweep", "tiny", "--ranks", "4", "16", "--serial"
+            capsys, "sweep", "tiny", "--ranks", "4", "16"
         )
         assert code == 0
         with pytest.raises(json.JSONDecodeError):
@@ -216,7 +195,7 @@ class TestSweep:
         output = tmp_path / "sweep" / "tiny.json"
         code, out, err = run_cli(
             capsys,
-            "sweep", "tiny", "--ranks", "4", "--serial",
+            "sweep", "tiny", "--ranks", "4",
             "--output", str(output),
         )
         assert code == 0
@@ -229,7 +208,7 @@ class TestSweep:
         output = tmp_path / "tiny.json"
         code, out, _ = run_cli(
             capsys,
-            "sweep", "tiny", "--ranks", "4", "--serial",
+            "sweep", "tiny", "--ranks", "4",
             "--json", "--output", str(output),
         )
         assert code == 0
@@ -238,7 +217,7 @@ class TestSweep:
     def test_sweep_strong_mode_flag(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "sweep", "tiny", "--ranks", "4", "--mode", "strong", "--serial",
+            "sweep", "tiny", "--ranks", "4", "--mode", "strong",
             "--json",
         )
         assert code == 0
@@ -254,10 +233,33 @@ class TestSweep:
         code, _, err = run_cli(
             capsys,
             "sweep", "tiny", "--ranks", "4", "1024", "--mode", "strong",
-            "--serial",
         )
         assert code != 0
         assert "1024" in err
+
+    def test_serial_flag_is_refused(self, capsys):
+        """``--serial`` went with the pool path it turned off: argparse exits
+        2 instead of ignoring it.  Fails if the flag is accepted again."""
+        with pytest.raises(SystemExit) as refused:
+            main(["sweep", "tiny", "--ranks", "4", "--serial"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --serial" in capsys.readouterr().err
+
+    def test_sweep_creates_no_pool(self, capsys, monkeypatch):
+        """Points are priced in order, in this process.  Fails if the sweep
+        fans them out over the shared process pool again (on a box with
+        more than one usable CPU, as the old fan-out required)."""
+        from repro.utils import procpool
+
+        procpool.shutdown_shared_pool()
+
+        def forbidden():
+            raise AssertionError("the sweep started a process pool")
+
+        monkeypatch.setattr(procpool, "_start_context", forbidden)
+        code, _, _ = run_cli(capsys, "sweep", "tiny", "--ranks", "4", "16", "64", "--json")
+        assert code == 0
+        assert procpool._POOL is None
 
 
 class TestModuleEntryPoint:
@@ -309,3 +311,26 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.strip() == "error: percent must be in [0, 100], got 150.0"
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--workers=0", "max_workers must be >= 1, got 0"),
+            ("--max-run-seconds=0", "max_run_seconds must be > 0, got 0.0"),
+            ("--cache-max-entries=0", "max_entries must be >= 1, got 0"),
+            ("--cache-max-bytes=-5", "max_bytes must be >= 1, got -5"),
+        ],
+        ids=["workers", "max_run_seconds", "cache_max_entries", "cache_max_bytes"],
+    )
+    def test_refused_serve_flag_exits_2(self, env, tmp_path, flag, message):
+        """``repro serve`` leaves its flag values to ``ServeApp`` and its
+        replay cache: one ``error:`` line naming the value, exit 2, nothing
+        listening.  Fails if ``ServeApp`` stops checking ``max_workers``
+        itself (the thread pool's own message names no value)."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "cache"), flag],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]

@@ -7,14 +7,15 @@ the shapes and invariants are checked quickly on every test run.
 
 from __future__ import annotations
 
+import importlib.util
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.experiments.common import bench_scale
 from repro.experiments.fig1_renderings import run_fig1
 from repro.experiments.fig3_metric_agreement import format_fig3, run_fig3
 from repro.experiments.fig4_scoremaps import format_fig4, run_fig4
@@ -37,8 +38,19 @@ def scenario():
     )
 
 
+def _benchmarks_conftest():
+    """``benchmarks/conftest.py``, loaded by path (neither directory is a
+    package): ``bench_scale`` lives there, beside its one user."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("benchmarks_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestScenario:
     def test_bench_scale_default(self, monkeypatch):
+        bench_scale = _benchmarks_conftest().bench_scale
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
         assert bench_scale() == "small"
         monkeypatch.setenv("REPRO_BENCH_SCALE", "full")

@@ -18,7 +18,6 @@ from repro.metrics.comparison import (
 from repro.metrics.compression import CompressionRatioMetric
 from repro.metrics.entropy import HistogramEntropyMetric, LocalEntropyMetric
 from repro.metrics.interpolation import TrilinearErrorMetric
-from repro.metrics.multifield import MultiFieldScorer
 from repro.metrics.registry import PAPER_METRICS, MetricRegistry, create_metric, default_registry
 from repro.metrics.scoremap import compute_scoremap
 from repro.metrics.statistics import RangeMetric, StdDevMetric, VarianceMetric
@@ -169,39 +168,6 @@ class TestRegistry:
     def test_create_many(self):
         metrics = default_registry().create_many(["VAR", "LEA"])
         assert [m.name for m in metrics] == ["VAR", "LEA"]
-
-
-class TestMultiField:
-    def test_combined_scores(self, smooth_block, turbulent_block):
-        scorer = MultiFieldScorer({"dbz": VarianceMetric(), "w": RangeMetric()})
-        scores = scorer.score_blocks(
-            {"dbz": [smooth_block, turbulent_block], "w": [smooth_block, turbulent_block]}
-        )
-        assert len(scores) == 2
-        assert scores[1] > scores[0]
-
-    def test_max_mode(self, smooth_block, turbulent_block):
-        scorer = MultiFieldScorer({"dbz": VarianceMetric()}, mode="max")
-        scores = scorer.score_blocks({"dbz": [smooth_block, turbulent_block]})
-        assert scores[1] == pytest.approx(1.0)
-
-    def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            MultiFieldScorer({"dbz": VarianceMetric()}, weights={"other": 1.0})
-
-    def test_missing_field_data(self):
-        scorer = MultiFieldScorer({"dbz": VarianceMetric(), "w": RangeMetric()})
-        with pytest.raises(ValueError):
-            scorer.score_blocks({"dbz": [np.zeros((2, 2, 2))]})
-
-    def test_inconsistent_lengths(self):
-        scorer = MultiFieldScorer({"a": VarianceMetric(), "b": RangeMetric()})
-        with pytest.raises(ValueError):
-            scorer.score_blocks({"a": [np.zeros((2, 2, 2))], "b": []})
-
-    def test_empty_input(self):
-        scorer = MultiFieldScorer({"a": VarianceMetric()})
-        assert scorer.score_blocks({"a": []}) == []
 
 
 class TestComparisonAndScoremap:

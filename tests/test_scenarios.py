@@ -48,7 +48,7 @@ from repro.scenarios.registry import _REGISTRY
 from repro.scenarios.scenario import cached_scenario, render_baseline_seconds
 from repro.viz.catalyst import IsosurfaceScript
 
-#: The same registry ``repro list --json`` reports as parity-verified.
+#: Every engine name ``PipelineConfig`` accepts; the first is the per-block oracle.
 BACKENDS = engine_backends()
 
 #: The four storm families this PR introduces, all required to be registered.
@@ -580,19 +580,22 @@ class TestModelScalingSweep:
             model_scaling_point(config, active_fraction=2.0)
 
     def test_sweep_orders_points_by_ranks(self):
-        sweep = model_scaling_sweep(
-            "tiny", ranks=(4, 16), mode="weak", parallel=False
-        )
+        sweep = model_scaling_sweep("tiny", ranks=(4, 16), mode="weak")
         assert sweep["scenario"] == "tiny"
         assert sweep["ranks"] == [4, 16]
         assert [p["ncores"] for p in sweep["points"]] == [4, 16]
         # Weak scaling: per-rank points constant, so total points grow 4x.
         assert sweep["points"][1]["npoints"] == 4 * sweep["points"][0]["npoints"]
 
-    def test_sweep_parallel_matches_serial(self):
-        serial = model_scaling_sweep("tiny", ranks=(4, 16), parallel=False)
-        fanned = model_scaling_sweep("tiny", ranks=(4, 16), parallel=True)
-        assert fanned == serial
+    def test_sweep_is_its_points_priced_in_order(self):
+        """The record's points are ``model_scaling_point`` of each variant,
+        in ``ranks`` order.  Fails if the points come back reversed."""
+        ranks = (16, 4, 64)
+        sweep = model_scaling_sweep("tiny", ranks, mode="weak", metric="FPZIP", percent=30.0)
+        assert sweep["points"] == [
+            model_scaling_point(config, "FPZIP", 30.0)
+            for config in scaling_variants("tiny", ranks, mode="weak")
+        ]
 
     def test_weak_scaling_catalog_entries_registered(self):
         names = scenario_names()

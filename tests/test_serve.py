@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import itertools
 import json
 import logging
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -34,7 +36,7 @@ from repro.core.backends import engine_backends
 from repro.grid.shm import live_owned_segments
 from repro.io.store import DatasetStore
 from repro.scenarios import ExperimentScenario, get_scenario, scenario_names
-from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key
+from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key, serve_forever
 from repro.serve.procrun import execute_run
 
 TINY_RUN = {"scenario": "tiny", "snapshots": 2, "percent": 40.0}
@@ -317,7 +319,8 @@ class TestResidentScenario:
     @pytest.mark.parametrize("backend", engine_backends())
     def test_shared_scenario_answers_like_a_fresh_one(self, tmp_path, backend):
         """Four concurrent runs on one acquired scenario, twice per key, give
-        the solo answer of a freshly opened store, bitwise.  Fails if
+        the solo answer of a freshly opened store under each engine, bitwise
+        (a request names no engine: the door runs the default one).  Fails if
         residency is keyed by ``config.name`` (the second seed replays the
         first seed's snapshots) or if a step writes into the arrival's
         ``homes`` in place (later runs start from another run's owners)."""
@@ -326,7 +329,7 @@ class TestResidentScenario:
         requests = [
             [
                 RunRequest(scenario="tiny", snapshots=3, seed=seed, metric=metric,
-                           redistribution="round_robin", backend=backend, **mode)
+                           redistribution="round_robin", **mode)
                 for seed in (11, 12)
             ]
             for metric in ("VAR", "FPZIP")
@@ -346,7 +349,12 @@ class TestResidentScenario:
                 cache.scenario_for(config)  # make sure the store exists
                 # The replaced hit body: the store opened afresh, one run alone.
                 fresh = ExperimentScenario.from_store(config, cache.store_path(config))
-                oracles.append(_rows_and_run(request, fresh))
+                fresh.build_pipeline = functools.partial(fresh.build_pipeline, engine=backend)
+                rows, run = _rows_and_run(request, fresh)
+                # Only the engine's name differs: the door runs the default.
+                assert run["config"]["engine"] == backend
+                run["config"]["engine"] = "vectorized"
+                oracles.append((rows, run))
             assert oracles[0] != oracles[1]
             for request, oracle in zip(same_but_seed, oracles):
                 opened = []
@@ -409,10 +417,10 @@ class TestRunRequest:
             {
                 "scenario": "tiny", "ranks": 4, "snapshots": 3, "seed": 7,
                 "metric": "VAR", "redistribution": "shuffle", "percent": 40.0,
-                "render_mode": "mesh", "backend": "serial",
+                "render_mode": "mesh",
             }
         )
-        assert request.ranks == 4 and request.backend == "serial"
+        assert request.ranks == 4 and request.render_mode == "mesh"
 
     def test_removed_pipelined_field_is_unknown(self):
         """No silent-ignore shim: the field went away with the engine."""
@@ -507,7 +515,7 @@ def _assert_run_stream(events, iterations):
     }
     assert summary["run"]["config"] == summary["config"]
     assert "pipelined" not in summary["config"]
-    assert summary["config"]["engine"] in ("serial", "vectorized", "parallel", "process")
+    assert summary["config"]["engine"] == "vectorized"
 
 
 class TestServeApp:
@@ -531,6 +539,18 @@ class TestServeApp:
 
         asyncio.run(body())
 
+    def test_bind_failure_still_closes_the_app(self, tmp_path):
+        """A port already in use: ``serve_forever`` raises and still closes
+        the app it was given.  Fails if ``app.start`` moves back before the
+        ``try``."""
+        app = ServeApp(tmp_path / "cache")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                asyncio.run(serve_forever(app, "127.0.0.1", taken.getsockname()[1]))
+        assert app._shutdown.is_set()
+
     def test_unknown_scenario_404_names_available(self, tmp_path):
         async def body():
             async with serve_app(tmp_path) as (_, port):
@@ -552,13 +572,15 @@ class TestServeApp:
                 )
                 assert status == 400
                 assert "metric" in json.loads(raw)["error"]
-                status, raw = await _request(
-                    port, "POST", "/run", {"scenario": "tiny", "pipelined": True}
-                )
-                assert status == 400
-                assert json.loads(raw)["error"] == (
-                    "unknown request fields: ['pipelined']"
-                )
+                # Removed fields are refused by name, never ignored.
+                for field, value in (("pipelined", True), ("backend", "serial")):
+                    status, raw = await _request(
+                        port, "POST", "/run", {"scenario": "tiny", field: value}
+                    )
+                    assert status == 400
+                    assert json.loads(raw)["error"] == (
+                        f"unknown request fields: ['{field}']"
+                    )
 
         asyncio.run(body())
 
@@ -650,28 +672,22 @@ class TestServeApp:
         asyncio.run(body())
 
     def test_request_thread_never_forks_a_pool(self, tmp_path, two_workers):
-        """``"backend": "process"`` with a GIL-bound metric on the thread tier
-        used to create the shared pool — a fork — from a request thread with
-        the other request threads running.  The name is an alias now and the
-        rule refuses any caller but the main thread: same rows as
-        ``vectorized``, and no pool exists afterwards."""
+        """A GIL-bound metric on the thread tier used to create the shared
+        pool (a fork) from a request thread with the other request threads
+        running.  The rule refuses any caller but the main thread: the run
+        scores inline and no pool exists afterwards."""
         from repro.utils import procpool
 
         procpool.shutdown_shared_pool()
-        run = {**TINY_RUN, "metric": "PYVAR"}
 
         async def body():
             async with serve_app(tmp_path) as (_, port):
-                _, pooled = await _request(port, "POST", "/run", {**run, "backend": "process"})
-                _, inline = await _request(port, "POST", "/run", {**run, "backend": "vectorized"})
-                rows = lambda raw: [
-                    e for e in _events(raw) if e["type"] == "iteration"
-                ]
-                _assert_run_stream(_events(pooled), iterations=2)
-                assert _events(pooled)[-1]["config"]["engine"] == "process"
-                assert rows(pooled) == rows(inline)
+                _, raw = await _request(
+                    port, "POST", "/run", {**TINY_RUN, "metric": "PYVAR"}
+                )
+                return _events(raw)
 
-        asyncio.run(body())
+        _assert_run_stream(asyncio.run(body()), iterations=2)
         assert procpool._POOL is None
 
     def test_different_overrides_miss_separately(self, tmp_path):
@@ -811,13 +827,13 @@ class TestServeApp:
         inside its grace period instead of waiting the run out."""
         from repro.metrics.statistics import VarianceMetric
 
-        original = VarianceMetric.score_block
+        original = VarianceMetric.score_batch
 
-        def slow(self, data):
-            time.sleep(0.05)
-            return original(self, data)
+        def slow(self, batch):
+            time.sleep(2.5)
+            return original(self, batch)
 
-        monkeypatch.setattr(VarianceMetric, "score_block", slow)
+        monkeypatch.setattr(VarianceMetric, "score_batch", slow)
 
         async def body():
             app = ServeApp(tmp_path / "cache")
@@ -825,20 +841,10 @@ class TestServeApp:
             port = server.sockets[0].getsockname()[1]
             loop = asyncio.get_running_loop()
             async with server:
-                # 12 snapshots x 64 blocks x 50 ms: minutes of run if not
-                # cancelled.  backend=serial routes scoring through the
-                # patched scalar path.
+                # 12 snapshots, each scored in one held batch call: half a
+                # minute of run if not cancelled.
                 request = asyncio.ensure_future(
-                    _request(
-                        port,
-                        "POST",
-                        "/run",
-                        {
-                            "scenario": "tiny",
-                            "snapshots": 12,
-                            "backend": "serial",
-                        },
-                    )
+                    _request(port, "POST", "/run", {"scenario": "tiny", "snapshots": 12})
                 )
                 deadline = time.monotonic() + 60
                 while time.monotonic() < deadline:
@@ -1041,20 +1047,15 @@ def _exit_in_worker(*args):
 
 
 def _parity_cases():
-    """Every backend x metric pair once; the other axes rotate under them."""
-    scenarios = ("tiny", "decaying_storm")
-    redistributions = ("none", "round_robin")
+    """Every scenario x metric x redistribution once; the mode alternates
+    with the scenario and with PYVAR, so each mode meets each of them."""
     modes = (("percent", 50.0), ("target", 30.0))
-    pairs = itertools.product(engine_backends(), ("VAR", "PYVAR", "FPZIP"))
     return [
-        (
-            scenarios[i % 2],
-            metric,
-            redistributions[(i // 2) % 2],
-            *modes[(i // 3) % 2],
-            backend,
+        (scenario, metric, redistribution,
+         *modes[(scenario == "tiny") == (metric == "PYVAR")])
+        for scenario, metric, redistribution in itertools.product(
+            ("tiny", "decaying_storm"), ("VAR", "PYVAR", "FPZIP"), ("none", "round_robin")
         )
-        for i, (backend, metric) in enumerate(pairs)
     ]
 
 
@@ -1082,22 +1083,22 @@ class TestThreeDoors:
     and one run body (``repro.serve.procrun``) behind three transports."""
 
     @pytest.mark.parametrize(
-        "scenario, metric, redistribution, mode, value, backend", _parity_cases()
+        "scenario, metric, redistribution, mode, value", _parity_cases()
     )
     def test_same_request_same_answer_at_every_door(
-        self, tmp_path, capsys, scenario, metric, redistribution, mode, value, backend
+        self, tmp_path, capsys, scenario, metric, redistribution, mode, value
     ):
         """Fails if a door stops calling ``execute_run`` with the request as
-        validated — e.g. ``run_scenario_in_worker`` passing ``vectorized`` for
-        the request's backend, the thread tier dropping ``render_mode``, or
-        ``_cmd_run`` building its rows from a literal of its own."""
+        validated — e.g. ``run_scenario_in_worker`` replacing the request's
+        ``redistribution`` with the default, the thread tier dropping
+        ``render_mode``, or ``_cmd_run`` building its rows from a literal of
+        its own."""
         payload = {
             "scenario": scenario, "ranks": 4, "snapshots": 2, "metric": metric,
-            "redistribution": redistribution, mode: value, "backend": backend,
+            "redistribution": redistribution, mode: value,
         }
         argv = ["run", scenario, "--ranks", "4", "--snapshots", "2", "--metric", metric,
-                "--redistribution", redistribution, f"--{mode}", str(value),
-                "--backend", backend]
+                "--redistribution", redistribution, f"--{mode}", str(value)]
         assert main(argv) == 0
         document = json.loads(capsys.readouterr().out)
 
@@ -1120,7 +1121,6 @@ class TestThreeDoors:
             summary = events[-1]
             assert rows == document["iterations"]
             assert summary["config"] == document["config"]
-            assert summary["config"]["engine"] == backend
             assert summary["run"] == document["run"]
             assert summary["scenario"].items() <= document["scenario"].items()
 
@@ -1184,6 +1184,34 @@ class TestThreeDoors:
                 assert ok == 200
 
         asyncio.run(body())
+
+    def test_oversized_request_head_is_answered_431(self, tmp_path, caplog):
+        """A head longer than the server's stream limit used to escape the
+        handler as ``asyncio.LimitOverrunError``: asyncio logged an unhandled
+        exception and the client read zero bytes.  Fails without the
+        handler's 431 branch."""
+
+        async def body():
+            async with serve_app(tmp_path) as (_, port):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(
+                    b"GET /health HTTP/1.1\r\nHost: localhost\r\nX-Pad: "
+                    + b"a" * 70_000
+                    + b"\r\n\r\n"
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                ok, _ = await _request(port, "GET", "/health")
+                return raw, ok
+
+        with caplog.at_level(logging.ERROR):
+            raw, ok = asyncio.run(body())
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert json.loads(payload) == {"error": "request head exceeds 65536 bytes"}
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert ok == 200
 
 
 # -- the real subprocess entry point ------------------------------------------
