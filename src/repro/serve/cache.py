@@ -41,7 +41,7 @@ from repro.scenarios.scenario import live_dataset
 
 __all__ = ["ReplayCache", "scenario_cache_key"]
 
-_LOG = logging.getLogger("repro.serve")
+_LOG = logging.getLogger(__name__)
 
 
 def scenario_cache_key(config: ScenarioConfig) -> str:
@@ -125,7 +125,7 @@ class ReplayCache:
         from a previous server process — are adopted on construction in
         mtime order (oldest = least recently used) if they are complete at
         the current format version; any other entry is deleted with a
-        ``WARNING`` on the ``repro.serve`` logger and rebuilt on demand.
+        ``WARNING`` on the ``repro.serve.cache`` logger and rebuilt on demand.
     max_entries, max_bytes:
         Optional bounds on the number of cached stores / their total
         on-disk bytes.  When either is exceeded, least-recently-used
@@ -232,8 +232,17 @@ class ReplayCache:
         return self.root / scenario_cache_key(config)
 
     def peek(self, config: ScenarioConfig) -> bool:
-        """True if a replay for ``config`` is already cached on disk."""
-        return DatasetStore(self.store_path(config)).exists()
+        """True if a replay for ``config`` is cached and whole on disk.
+
+        That is a registered entry, or a store :func:`_unservable` finds
+        nothing wrong with — never an entry still being written.  Unlike
+        adoption, a peek deletes nothing.
+        """
+        key = scenario_cache_key(config)
+        with self._guard:
+            if key in self._entries:
+                return True
+        return _unservable(DatasetStore(self.root / key)) is None
 
     @contextmanager
     def acquire_store(
@@ -246,7 +255,7 @@ class ReplayCache:
         exactly one of them reports the miss).  While the context is open
         the entry counts as *read* and is exempt from LRU eviction — this is
         the handle the serve tier holds for the whole duration of a run,
-        including process-tier runs whose worker re-opens the store by path.
+        including process-tier runs whose worker opens the store by path.
         """
         key = scenario_cache_key(config)
         store_dir = self.root / key

@@ -19,9 +19,17 @@ and report every iteration — so they share everything but the transport:
     The process tier's door, run inside a worker of the shared
     :func:`~repro.utils.procpool.shared_process_pool`.  The task shipped to it
     is deliberately tiny — the request, the resolved config and the *path* of
-    the replay cache's store, never snapshot arrays: the worker re-opens the
+    the replay cache's store, never snapshot arrays: the worker opens the
     store through read-only ``np.memmap`` views, so parent and workers
-    share one page cache.  One per-run channel — two proxies of the shared
+    share one page cache.  Each worker keeps the scenario it last opened —
+    calibrated platform and decomposed snapshots included — and runs the
+    next request for the same config, path and manifest stamp
+    (``st_dev``, ``st_ino``, ``st_mtime_ns``, ``st_size`` of
+    ``manifest.json``) over it without opening anything; any other request
+    drops it *before* opening its own store, so a worker holds at most one
+    store.  A store deleted and rebuilt at the same path has a new manifest
+    inode and is opened afresh; an evicted store's maps live until that
+    worker's next run.  One per-run channel — two proxies of the shared
     :func:`~repro.utils.procpool.shared_manager`, reused from run to run —
     connects it to the server: the ``events`` queue its ``emit`` puts onto
     and that it closes with :data:`END_OF_STREAM`, and the ``cancel`` event
@@ -31,6 +39,7 @@ and report every iteration — so they share everything but the transport:
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
@@ -55,6 +64,13 @@ __all__ = [
 #: The last item a worker puts on its run's ``events`` queue, whether the run
 #: finished, failed or was cancelled.  Every other item is an event dict.
 END_OF_STREAM = None
+
+
+#: This worker's resident scenario: ``(config, store_dir, stamp, scenario)``
+#: of the store it opened last, or ``None`` (see :func:`_resident_scenario`).
+_RESIDENT: Optional[
+    Tuple[ScenarioConfig, str, Tuple[int, ...], ExperimentScenario]
+] = None
 
 
 class RunCancelled(Exception):
@@ -239,6 +255,31 @@ def execute_run(
     return summary, run
 
 
+def _manifest_stamp(store_dir: str) -> Tuple[int, ...]:
+    """Device, inode, mtime and size of the store's manifest — what a store
+    deleted and rebuilt at the same path does not keep."""
+    stat = os.stat(os.path.join(store_dir, "manifest.json"))
+    return (stat.st_dev, stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
+
+def _resident_scenario(config: ScenarioConfig, store_dir: str) -> ExperimentScenario:
+    """The worker's scenario for ``config`` at ``store_dir``, opened at most
+    once per residency.
+
+    Runs never write into a scenario, so the held one serves every later run
+    of the same config, path and manifest stamp.  Anything else drops it
+    first and opens the store afresh: never two opened stores at once.
+    """
+    global _RESIDENT
+    stamp = _manifest_stamp(store_dir)
+    if _RESIDENT is not None and _RESIDENT[:3] == (config, store_dir, stamp):
+        return _RESIDENT[3]
+    _RESIDENT = None
+    scenario = ExperimentScenario.from_store(config, store_dir)
+    _RESIDENT = (config, store_dir, stamp, scenario)
+    return scenario
+
+
 def run_scenario_in_worker(
     request: RunRequest,
     config: ScenarioConfig,
@@ -250,9 +291,10 @@ def run_scenario_in_worker(
     """Execute one run inside a pool worker; returns the summary event.
 
     ``store_dir`` is the replay store the parent pinned for the
-    duration of this run.  ``deadline`` is an absolute ``time.time()`` value
-    or ``None`` — wall-clock rather than monotonic so that it means the same
-    in every process.  Whatever the outcome, the last thing put on
+    duration of this run; it is opened only if this worker does not hold it
+    already (:func:`_resident_scenario`).  ``deadline`` is an absolute
+    ``time.time()`` value or ``None`` — wall-clock rather than monotonic so
+    that it means the same in every process.  Whatever the outcome, the last thing put on
     ``events`` is :data:`END_OF_STREAM`, after this worker's segments are
     purged: the parent stops relaying on it, then reads the future.
     """
@@ -263,7 +305,7 @@ def run_scenario_in_worker(
 
     try:
         check()
-        scenario = ExperimentScenario.from_store(config, store_dir)
+        scenario = _resident_scenario(config, store_dir)
         return execute_run(request, scenario, events.put, check)[0]
     finally:
         # A cancelled/failed run must not leak shm segments in this worker.

@@ -54,13 +54,16 @@ also behind ``python -m repro run`` — executes and how its events travel:
 ``"process"``
     Each run executes in a worker process from the shared
     :func:`~repro.utils.procpool.shared_process_pool`, GIL-free.  Snapshot
-    data is never pickled to workers: the worker re-opens the replay
-    cache's store by path through read-only memory maps (see
-    :mod:`repro.serve.procrun`), and iteration events stream back over a
-    manager queue, so NDJSON latency-to-first-event stays flat.  The stream
-    ends on the worker's end-of-stream mark, not on a poll time-out, and its
-    manager channel (event queue + cancel flag) is reused by the next run
-    unless this one was cancelled or lost its worker.
+    data is never pickled to workers: the worker opens the replay cache's
+    store by path through read-only memory maps, and keeps the scenario it
+    opened, so a hit on the store a worker ran last runs the pipeline and
+    nothing else — as on the thread tier, but per worker, holding at most
+    one store each (see :mod:`repro.serve.procrun`).  Iteration events
+    stream back over a manager queue, so NDJSON latency-to-first-event
+    stays flat.  The stream ends on the worker's end-of-stream mark, not on
+    a poll time-out, and its manager channel (event queue + cancel flag) is
+    reused by the next run unless this one was cancelled or lost its
+    worker.
 
 Scenario data resolves through the :class:`~repro.serve.cache.ReplayCache`:
 the first request for a config simulates CM1 and persists the snapshots,
@@ -105,7 +108,7 @@ __all__ = ["EXECUTION_TIERS", "RunRequest", "ServeApp", "serve_forever"]
 _SENTINEL = object()
 #: Silent on every healthy request; with no handler configured the stdlib's
 #: last-resort handler writes ERROR records to stderr.
-_LOG = logging.getLogger("repro.serve")
+_LOG = logging.getLogger(__name__)
 
 #: Valid values of ``ServeApp(execution=...)`` / ``serve --execution``.
 EXECUTION_TIERS = ("thread", "process")
@@ -335,8 +338,9 @@ class ServeApp:
         """Dispatch one run to a worker process and relay its event stream.
 
         The cache entry stays pinned (``acquire_store``) while the worker
-        re-opens the store by path; iteration events arrive over the run's
-        channel queue and are forwarded as they land, until the worker's
+        runs over the store at its path (opening it unless it holds it
+        already); iteration events arrive over the run's channel queue and
+        are forwarded as they land, until the worker's
         :data:`~repro.serve.procrun.END_OF_STREAM` mark.  Cancellation mirrors
         the scope into the worker through the channel's Event — the worker
         aborts between iterations and its ``finally`` purges any shm

@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import os
+import queue as queue_module
 import shutil
 import signal
 import socket
@@ -23,6 +24,7 @@ import sys
 import threading
 import time
 import urllib.request
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -37,7 +39,8 @@ from repro.grid.shm import live_owned_segments
 from repro.io.store import DatasetStore
 from repro.scenarios import ExperimentScenario, get_scenario, scenario_names
 from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key, serve_forever
-from repro.serve.procrun import execute_run
+from repro.serve import procrun
+from repro.serve.procrun import END_OF_STREAM, execute_run, run_scenario_in_worker
 
 TINY_RUN = {"scenario": "tiny", "snapshots": 2, "percent": 40.0}
 
@@ -80,6 +83,25 @@ class TestReplayCache:
         # The hit replays the store through read-only memory maps.
         assert isinstance(scenario.dataset, StoredCM1Dataset)
         assert scenario.dataset.mmap
+
+    def test_peek_never_reports_an_entry_still_being_written(self, tmp_path, monkeypatch):
+        """Fails with ``peek`` as ``DatasetStore.exists()``: a miss's manifest
+        is on disk from ``create()`` on, with 0 of its iterations."""
+        cache = ReplayCache(tmp_path / "cache")
+        config = _tiny_config(nsnapshots=3)
+        seen = []
+        append = DatasetStore.append
+
+        def peeking_append(store, domain):
+            seen.append(cache.peek(config))
+            return append(store, domain)
+
+        monkeypatch.setattr(DatasetStore, "append", peeking_append)
+        with cache.acquire_store(config) as (store_dir, was_hit):
+            assert was_hit is False
+        assert seen == [False] * config.nsnapshots
+        assert cache.peek(config)
+        assert ReplayCache(tmp_path / "cache").peek(config)  # adopted from disk
 
     def test_hit_serves_mmap_backed_fields(self, tmp_path):
         cache = ReplayCache(tmp_path / "cache")
@@ -296,7 +318,7 @@ class TestCacheAdoption:
                 assert was_hit is False
                 rows, run = _rows_and_run(self.REQUEST, scenario)
         assert len(rows) == run["iterations"] == config.nsnapshots == 3
-        warnings = [r for r in caplog.records if r.name == "repro.serve"]
+        warnings = [r for r in caplog.records if r.name == "repro.serve.cache"]
         assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
         assert key in warnings[0].getMessage()
         stats = cache.stats()
@@ -401,6 +423,120 @@ class TestResidentScenario:
         assert after is not before
         stats = cache.stats()
         assert stats["evictions"] == 2 and stats["resident"] == 1
+
+
+def _run_in_worker(request, store_dir):
+    """The process tier's worker body, in-process: ``(rows, summary)``."""
+    events = queue_module.Queue()
+    summary = run_scenario_in_worker(
+        request, request.scenario_config(), str(store_dir), events,
+        threading.Event(), None,
+    )
+    streamed = list(iter(events.get_nowait, END_OF_STREAM))
+    return [e for e in streamed if e["type"] == "iteration"], summary
+
+
+def _fresh_answer(request, store_dir):
+    """The replaced worker body: the store opened afresh for one run."""
+    scenario = ExperimentScenario.from_store(request.scenario_config(), str(store_dir))
+    rows = []  # execute_run emits only iteration events
+    summary, _ = execute_run(request, scenario, rows.append, lambda: None)
+    return rows, summary
+
+
+class TestWorkerResidentScenario:
+    """A process-tier worker keeps the scenario it opened last.
+
+    Each law names the hand mutation of ``procrun._resident_scenario`` that
+    fails it: no slot (every run opens the store), no stamp check (the key is
+    config and path only), the slot keyed on ``config.name`` alone, and
+    open-then-drop (``from_store`` before the held scenario is released).
+    """
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(procrun, "_RESIDENT", None)
+
+    def _spy_on_opens(self, monkeypatch):
+        """Record every ``from_store`` call as ``(seed, store_dir, held)``:
+        ``held`` says whether the scenario tracked by :meth:`_track_slot`
+        was still alive at entry."""
+        calls = []
+        from_store = ExperimentScenario.from_store
+        self.tracked = lambda: None
+
+        def spy(config, store_dir):
+            calls.append((config.seed, store_dir, self.tracked() is not None))
+            return from_store(config, store_dir)
+
+        monkeypatch.setattr(ExperimentScenario, "from_store", staticmethod(spy))
+        return calls
+
+    def _track_slot(self):
+        """Track the slot's scenario through a weakref: the test holds none."""
+        self.tracked = weakref.ref(procrun._RESIDENT[3])
+
+    @staticmethod
+    def _request(seed):
+        return RunRequest(scenario="tiny", snapshots=2, seed=seed, percent=40.0,
+                          redistribution="round_robin")
+
+    def test_one_config_is_opened_once(self, tmp_path, monkeypatch):
+        """Fails with no slot: the second run opens the store again."""
+        request = self._request(21)
+        with ReplayCache(tmp_path).acquire_store(request.scenario_config()) as (store, _):
+            oracle = _fresh_answer(request, store)
+            calls = self._spy_on_opens(monkeypatch)
+            answers = [_run_in_worker(request, store) for _ in range(2)]
+        assert answers == [oracle, oracle]
+        assert [call[:2] for call in calls] == [(21, str(store))]
+
+    def test_a_rebuilt_store_is_opened_afresh(self, tmp_path, monkeypatch):
+        """The store evicted and simulated again at the same path gets a new
+        manifest inode.  Fails with no stamp check: the worker keeps running
+        over the deleted store's maps."""
+        request, other = self._request(22), self._request(23)
+        cache = ReplayCache(tmp_path, max_entries=1)
+        config = request.scenario_config()
+        calls = self._spy_on_opens(monkeypatch)
+        with cache.acquire_store(config) as (store, _):
+            first = _run_in_worker(request, store)
+        with cache.acquire_store(other.scenario_config()):
+            pass  # evicts the first store
+        with cache.acquire_store(config) as (rebuilt, was_hit):
+            assert was_hit is False and rebuilt == store
+            assert _run_in_worker(request, store) == first
+        assert [call[:2] for call in calls] == [(22, str(store))] * 2
+
+    def test_a_second_seed_is_a_different_scenario(self, tmp_path, monkeypatch):
+        """Fails with the slot keyed on ``config.name``: seed 25 would replay
+        seed 24's snapshots."""
+        cache = ReplayCache(tmp_path)
+        answers = {}
+        for seed in (24, 25):
+            request = self._request(seed)
+            with cache.acquire_store(request.scenario_config()) as (store, _):
+                answers[seed] = (request, store, _fresh_answer(request, store))
+        assert answers[24][2] != answers[25][2]
+        calls = self._spy_on_opens(monkeypatch)
+        for seed in (24, 25, 25):
+            request, store, oracle = answers[seed]
+            assert _run_in_worker(request, store) == oracle
+        assert [call[0] for call in calls] == [24, 25]
+
+    def test_a_switch_drops_the_held_scenario_before_opening(self, tmp_path, monkeypatch):
+        """A worker never holds two opened stores.  Fails with open-then-drop:
+        the old scenario is still alive when ``from_store`` is entered."""
+        cache = ReplayCache(tmp_path)
+        first, second = self._request(26), self._request(27)
+        calls = self._spy_on_opens(monkeypatch)
+        with cache.acquire_store(first.scenario_config()) as (store, _):
+            _run_in_worker(first, store)
+        self._track_slot()
+        with cache.acquire_store(second.scenario_config()) as (store, _):
+            _run_in_worker(second, store)
+        assert [(seed, held) for seed, _, held in calls] == [(26, False), (27, False)]
+        assert procrun._RESIDENT[0] == second.scenario_config()
 
 
 # -- request validation -------------------------------------------------------
@@ -748,7 +884,7 @@ class TestServeApp:
             "reason": "exception",
             "error": "synthetic metric failure",
         }
-        (record,) = [r for r in caplog.records if r.name == "repro.serve"]
+        (record,) = [r for r in caplog.records if r.name == "repro.serve.server"]
         assert record.levelno == logging.ERROR
         assert record.exc_info[0] is ZeroDivisionError
         message = record.getMessage()
