@@ -397,7 +397,7 @@ def _sigterm_as_sigint(signum, frame) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # ``proc.terminate()`` / a container stop must drain and run ``app.close()``
     # and the pool's atexit teardown exactly like Ctrl-C, or the process
-    # tier's workers and manager are orphaned.  Forked children keep the
+    # tier's workers are orphaned.  Forked children keep the
     # default disposition so the pool can still terminate them; the process
     # tier forks them while ``ServeApp`` is built, so this comes first.
     signal.signal(signal.SIGTERM, _sigterm_as_sigint)

@@ -18,8 +18,8 @@ and report every iteration — so they share everything but the transport:
 :func:`run_scenario_in_worker`
     The process tier's door, run inside a worker of the shared
     :func:`~repro.utils.procpool.shared_process_pool`.  The task shipped to it
-    is deliberately tiny — the request, the resolved config and the *path* of
-    the replay cache's store, never snapshot arrays: the worker opens the
+    is deliberately tiny — the request, the resolved config, the *path* of
+    the replay cache's store and a run id, never snapshot arrays: the worker opens the
     store through read-only ``np.memmap`` views, so parent and workers
     share one page cache.  Each worker keeps the scenario it last opened —
     calibrated platform and decomposed snapshots included — and runs the
@@ -29,12 +29,13 @@ and report every iteration — so they share everything but the transport:
     drops it *before* opening its own store, so a worker holds at most one
     store.  A store deleted and rebuilt at the same path has a new manifest
     inode and is opened afresh; an evicted store's maps live until that
-    worker's next run.  One per-run channel — two proxies of the shared
-    :func:`~repro.utils.procpool.shared_manager`, reused from run to run —
-    connects it to the server: the ``events`` queue its ``emit`` puts onto
-    and that it closes with :data:`END_OF_STREAM`, and the ``cancel`` event
-    the server sets (timeout, shutdown, client gone), which its ``check``
-    reads together with a wall-clock deadline.
+    worker's next run.  It talks to the server over the channel its pool
+    generation gave it (:func:`~repro.utils.procpool.worker_channel`): every
+    message on its slot's pipe is ``(run_id, item)``, tagged with the run id
+    the server assigned — first its slot number, then one ``iteration``
+    event per iteration, last :data:`END_OF_STREAM` — and its ``check``
+    stops the run when its slot's cancel word equals that run id (timeout,
+    shutdown, client gone) or the wall-clock deadline passed.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.core.results import IterationResult, PipelineRunResult
 from repro.grid.shm import purge_owned_segments
 from repro.metrics.registry import default_registry
 from repro.scenarios import ExperimentScenario, ScenarioConfig, get_scenario
+from repro.utils.procpool import worker_channel
 from repro.viz.catalyst import RENDER_MODES
 
 __all__ = [
@@ -61,8 +63,9 @@ __all__ = [
     "run_scenario_in_worker",
 ]
 
-#: The last item a worker puts on its run's ``events`` queue, whether the run
-#: finished, failed or was cancelled.  Every other item is an event dict.
+#: The last item a worker sends for a run, whether the run finished, failed or
+#: was cancelled.  The first is the worker's slot number; every other item is
+#: an event dict.
 END_OF_STREAM = None
 
 
@@ -284,30 +287,40 @@ def run_scenario_in_worker(
     request: RunRequest,
     config: ScenarioConfig,
     store_dir: str,
-    events,
-    cancel,
+    run_id: int,
     deadline: Optional[float],
 ) -> Dict[str, object]:
     """Execute one run inside a pool worker; returns the summary event.
 
     ``store_dir`` is the replay store the parent pinned for the
     duration of this run; it is opened only if this worker does not hold it
-    already (:func:`_resident_scenario`).  ``deadline`` is an absolute
-    ``time.time()`` value or ``None`` — wall-clock rather than monotonic so
-    that it means the same in every process.  Whatever the outcome, the last thing put on
-    ``events`` is :data:`END_OF_STREAM`, after this worker's segments are
-    purged: the parent stops relaying on it, then reads the future.
+    already (:func:`_resident_scenario`).  ``run_id`` (>= 1) tags every
+    message on this worker's pipe, and the run is cancelled only when the
+    slot's cancel word equals it, so a word left by an earlier run never
+    cancels a later one.  ``deadline`` is an absolute ``time.time()`` value
+    or ``None`` — wall-clock rather than monotonic so that it means the same
+    in every process.  The first message announces the slot; whatever the
+    outcome, the last is :data:`END_OF_STREAM`, sent after this worker's
+    segments are purged: the parent stops relaying on it, then reads the
+    future.
     """
+    slot, sender, cancel = worker_channel()
+
+    def emit(item) -> None:
+        sender.send((run_id, item))
 
     def check() -> None:
-        if cancel.is_set() or (deadline is not None and time.time() > deadline):
+        if cancel[slot] == run_id or (deadline is not None and time.time() > deadline):
             raise RunCancelled("timeout")
 
     try:
+        emit(slot)
         check()
         scenario = _resident_scenario(config, store_dir)
-        return execute_run(request, scenario, events.put, check)[0]
+        return execute_run(request, scenario, emit, check)[0]
     finally:
-        # A cancelled/failed run must not leak shm segments in this worker.
-        purge_owned_segments()
-        events.put(END_OF_STREAM)
+        try:
+            # A cancelled/failed run must not leak shm segments in this worker.
+            purge_owned_segments()
+        finally:
+            emit(END_OF_STREAM)

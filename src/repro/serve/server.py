@@ -59,11 +59,14 @@ also behind ``python -m repro run`` — executes and how its events travel:
     opened, so a hit on the store a worker ran last runs the pipeline and
     nothing else — as on the thread tier, but per worker, holding at most
     one store each (see :mod:`repro.serve.procrun`).  Iteration events
-    stream back over a manager queue, so NDJSON latency-to-first-event
-    stays flat.  The stream ends on the worker's end-of-stream mark, not on
-    a poll time-out, and its manager channel (event queue + cancel flag) is
-    reused by the next run unless this one was cancelled or lost its
-    worker.
+    stream back as they complete over the pipe of the worker's slot, which
+    its pool generation created before the worker forked, so NDJSON
+    latency-to-first-event stays flat.  One router thread per generation
+    reads every worker pipe and hands each event to the run whose id it
+    carries; the stream ends on the worker's end-of-stream mark, not on a
+    poll time-out, or when the run's future says its worker died.  A cancel
+    writes the run's id into its slot's cancel word, which only that run
+    obeys.
 
 Scenario data resolves through the :class:`~repro.serve.cache.ReplayCache`:
 the first request for a config simulates CM1 and persists the snapshots,
@@ -75,6 +78,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import logging
 import queue as queue_module
@@ -82,8 +86,10 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.grid.shm import purge_owned_segments
 from repro.scenarios import ScenarioConfig, scenario_names
@@ -97,15 +103,17 @@ from repro.serve.procrun import (
     run_scenario_in_worker,
 )
 from repro.utils.procpool import (
+    WorkerChannels,
     default_process_workers,
-    shared_manager,
-    shared_process_pool,
+    shared_pool_channels,
     warm_shared_pool,
 )
 
 __all__ = ["EXECUTION_TIERS", "RunRequest", "ServeApp", "serve_forever"]
 
 _SENTINEL = object()
+#: What a process-tier run's future puts on its inbox when it completes.
+_WORKER_DONE = object()
 #: Silent on every healthy request; with no handler configured the stdlib's
 #: last-resort handler writes ERROR records to stderr.
 _LOG = logging.getLogger(__name__)
@@ -135,8 +143,8 @@ class _RunScope:
 
     Shared between the streaming coroutine (which enforces the hard stream
     deadline), the runner thread (which checks cooperatively between
-    iterations via :meth:`check`), and — in the process tier — a manager
-    Event proxy mirrored into the worker process.
+    iterations via :meth:`check`), and — in the process tier — the worker
+    running it, through the cancel word of its slot.
     """
 
     def __init__(
@@ -148,32 +156,31 @@ class _RunScope:
         self._shutdown = shutdown
         self._cancel = threading.Event()
         self._reason: Optional[str] = None
-        self._remote_cancel = None  # manager Event proxy (process tier)
-        self._remote_lock = threading.Lock()
+        #: Process tier: ``(cancel words, slot, run id)`` of the worker.
+        self._worker: Optional[Tuple[Sequence[int], int, int]] = None
+        self._worker_lock = threading.Lock()
 
-    def attach_remote_cancel(self, remote) -> None:
-        with self._remote_lock:
-            self._remote_cancel = remote
+    def attach_worker(self, cancel: Sequence[int], slot: int, run_id: int) -> None:
+        """Mirror cancels into the worker at ``slot``, from now on and at once
+        if this run is already cancelled."""
+        with self._worker_lock:
+            self._worker = (cancel, slot, run_id)
             if self.cancelled() is not None:
-                remote.set()
+                cancel[slot] = run_id
 
-    def detach_remote_cancel(self) -> bool:
-        """Stop mirroring into the remote flag; ``True`` if never cancelled.
-
-        After a ``True`` no later :meth:`request_cancel` can reach the flag,
-        so its channel is clean for another run.
-        """
-        with self._remote_lock:
-            self._remote_cancel = None
-            return self.cancelled() is None
+    def detach_worker(self) -> None:
+        """Stop mirroring: the slot may be running a later run by now."""
+        with self._worker_lock:
+            self._worker = None
 
     def request_cancel(self, reason: str) -> None:
         if self._reason is None:
             self._reason = reason
         self._cancel.set()
-        with self._remote_lock:
-            if self._remote_cancel is not None:
-                self._remote_cancel.set()
+        with self._worker_lock:
+            if self._worker is not None:
+                cancel, slot, run_id = self._worker
+                cancel[slot] = run_id
 
     def cancelled(self) -> Optional[str]:
         """The cancel reason if this run should stop, else ``None``."""
@@ -261,12 +268,9 @@ class ServeApp:
         self._submitted = 0
         self._active = 0
         self._completed = 0
-        #: Process tier: clean per-run channels, see :meth:`_take_channel`.
-        self._free_channels: List[Tuple[object, object]] = []
         if execution == "process":
-            # Fork the worker processes (and the manager daemon) during
-            # single-threaded startup, not from the first request thread.
-            shared_manager()
+            # Fork the worker processes during single-threaded startup, not
+            # from the first request thread.
             warm_shared_pool()
 
     # -- run accounting ------------------------------------------------------
@@ -335,24 +339,25 @@ class ServeApp:
     def _execute_process_run(
         self, request: RunRequest, config, emit, scope: _RunScope
     ) -> Dict[str, object]:
-        """Dispatch one run to a worker process and relay its event stream.
+        """Dispatch one run to a worker process and wait for its stream's end.
 
         The cache entry stays pinned (``acquire_store``) while the worker
         runs over the store at its path (opening it unless it holds it
-        already); iteration events arrive over the run's channel queue and
-        are forwarded as they land, until the worker's
-        :data:`~repro.serve.procrun.END_OF_STREAM` mark.  Cancellation mirrors
-        the scope into the worker through the channel's Event — the worker
-        aborts between iterations and its ``finally`` purges any shm
-        segments.  The poll only notices a cancellation or a worker that died
-        before its mark.
+        already).  The run is registered with its generation's router under
+        a fresh run id, and the router passes each of its worker's events
+        to ``emit`` as it lands.  This thread waits on the run's inbox for
+        the worker's :data:`~repro.serve.procrun.END_OF_STREAM` mark — or
+        for the future's done-callback showing that the worker died before
+        it.  A cancel reaches the worker through its slot's cancel word (the
+        router attaches the slot to the scope); the worker aborts between
+        iterations and its ``finally`` purges any shm segments.  The poll
+        only notices a cancellation.
         """
         with self.cache.acquire_store(config) as (store_dir, was_hit):
             emit(self._start_event(request, config, was_hit))
-            channel = self._take_channel()
-            events, remote_cancel = channel
-            scope.attach_remote_cancel(remote_cancel)
-            ended = False
+            pool, channels = shared_pool_channels()
+            router = _router_for(channels)
+            run_id, inbox = router.open(scope, emit)
             try:
                 scope.check()
                 deadline_wall = (
@@ -360,15 +365,15 @@ class ServeApp:
                     if scope.deadline is None
                     else time.time() + max(0.0, scope.deadline - time.monotonic())
                 )
-                future = shared_process_pool().submit(
+                future = pool.submit(
                     run_scenario_in_worker,
                     request,
                     config,
                     str(store_dir),
-                    events,
-                    remote_cancel,
+                    run_id,
                     deadline_wall,
                 )
+                future.add_done_callback(lambda _: inbox.put(_WORKER_DONE))
                 while True:
                     reason = scope.cancelled()
                     if reason is not None:
@@ -376,39 +381,25 @@ class ServeApp:
                         future.cancel()  # no-op once running; frees a queued task
                         raise RunCancelled(reason)
                     try:
-                        event = events.get(timeout=_POLL_SECONDS)
+                        mark = inbox.get(timeout=_POLL_SECONDS)
                     except queue_module.Empty:
-                        if future.done() and future.exception() is not None:
-                            break  # the worker died before its mark
                         continue
-                    if event is END_OF_STREAM:
-                        ended = True
+                    # A run that returned or raised sent its mark before its
+                    # future completed; a broken pool means it never will.
+                    if mark is END_OF_STREAM or isinstance(
+                        future.exception(), BrokenProcessPool
+                    ):
                         break
-                    emit(event)
                 summary = future.result()
                 summary["cache"] = self.cache.stats()
                 return summary
             finally:
-                # Only a stream read to its mark, of a run never cancelled,
-                # leaves the channel empty and its flag clear.
-                if scope.detach_remote_cancel() and ended:
-                    self._free_channels.append(channel)
+                router.close(run_id)
+                scope.detach_worker()
                 # A cancelled parent never leaks segments of its own, and a
                 # cancelled worker purges its side (procrun's finally).
                 if scope.cancelled() is not None:
                     purge_owned_segments()
-
-    def _take_channel(self) -> Tuple[object, object]:
-        """A clean ``(events queue, cancel event)`` pair of manager proxies.
-
-        Reused from :attr:`_free_channels` when one is free, else created:
-        the list grows to the peak number of concurrent process-tier runs.
-        """
-        try:
-            return self._free_channels.pop()
-        except IndexError:
-            manager = shared_manager()
-            return manager.Queue(), manager.Event()
 
     def _start_event(
         self, request: RunRequest, config, was_hit: bool
@@ -629,6 +620,84 @@ class ServeApp:
             time.sleep(_POLL_SECONDS)
         self.executor.shutdown(wait=False, cancel_futures=True)
         purge_owned_segments()
+
+
+class _EventRouter:
+    """Hands one pool generation's worker messages to the runs awaiting them.
+
+    Every message on a worker pipe is ``(run_id, item)``.  The router's
+    thread waits on all of the generation's pipes at once and hands
+    ``item`` to the run registered under ``run_id`` — dropping it when that
+    run was given up on.  A run's first item is its worker's slot number:
+    the router attaches the slot to the run's scope, so a cancel reaches the
+    worker, or cancels the worker at once when nobody waits for the run any
+    more.  Events go straight to the run's ``emit``, the end-of-stream mark
+    to its inbox.  The thread ends when every pipe reads EOF, that is once
+    the generation's pool was shut down.
+    """
+
+    def __init__(self, channels: WorkerChannels) -> None:
+        self.channels = channels
+        self._runs: Dict[int, Tuple[Callable, queue_module.SimpleQueue, _RunScope]] = {}
+        self._ids = itertools.count(1)  # 0 is a cancel word nobody wrote
+        self._lock = threading.Lock()
+        threading.Thread(
+            target=self._route, name="repro-serve-router", daemon=True
+        ).start()
+
+    def open(self, scope: _RunScope, emit: Callable) -> Tuple[int, queue_module.SimpleQueue]:
+        """Register a run: its id, and the inbox its end-of-stream mark lands on."""
+        inbox: queue_module.SimpleQueue = queue_module.SimpleQueue()
+        with self._lock:
+            run_id = next(self._ids)
+            self._runs[run_id] = (emit, inbox, scope)
+        return run_id, inbox
+
+    def close(self, run_id: int) -> None:
+        """Forget a run; nothing of its worker reaches it after this returns."""
+        with self._lock:
+            self._runs.pop(run_id, None)
+
+    def _route(self) -> None:
+        readers = list(self.channels.readers)
+        while readers:
+            for reader in wait(readers):
+                try:
+                    run_id, item = reader.recv()
+                except EOFError:
+                    readers.remove(reader)
+                    reader.close()
+                    continue
+                with self._lock:  # so nothing follows the run's close
+                    run = self._runs.get(run_id)
+                    if run is None:
+                        if isinstance(item, int):  # given up on: stop its worker
+                            self.channels.cancel[item] = run_id
+                        continue
+                    emit, inbox, scope = run
+                    if isinstance(item, int):  # the worker announces its slot
+                        scope.attach_worker(self.channels.cancel, item, run_id)
+                    elif item is END_OF_STREAM:
+                        inbox.put(item)
+                    else:
+                        emit(item)
+
+
+_ROUTER: Optional[_EventRouter] = None
+_ROUTER_LOCK = threading.Lock()
+
+
+def _router_for(channels: WorkerChannels) -> _EventRouter:
+    """The router of ``channels``' generation, started on its first run.
+
+    A pool shut down and created again is a new generation with new pipes,
+    so it gets a new router; the old one ends on its pipes' EOF.
+    """
+    global _ROUTER
+    with _ROUTER_LOCK:
+        if _ROUTER is None or _ROUTER.channels is not channels:
+            _ROUTER = _EventRouter(channels)
+        return _ROUTER
 
 
 async def _read_request_head(

@@ -18,35 +18,48 @@ imports.  Every fork happens either during single-threaded start-up
 thread — :func:`pool_pays` refuses any other caller, so no request thread
 ever forks.  Payloads cross the boundary through :mod:`repro.grid.shm`
 segments, so tasks themselves only carry handles and small metadata.
+
+Each pool generation — what :func:`shared_process_pool` creates and
+:func:`shutdown_shared_pool` ends — also owns its workers' channels
+(:class:`WorkerChannels`), made before any worker forks and handed to each
+worker by the pool initializer; the serve mode's process tier streams its
+runs' events over them.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import multiprocessing.managers
 import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import resource_tracker
-from typing import List, Optional, Tuple
+from multiprocessing.connection import Connection
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
+    "WorkerChannels",
     "chunk_bounds",
     "default_process_workers",
     "pool_pays",
-    "shared_manager",
+    "shared_pool_channels",
     "shared_process_pool",
     "shutdown_shared_pool",
     "warm_shared_pool",
+    "worker_channel",
 ]
 
 _POOL: Optional[ProcessPoolExecutor] = None
-_MANAGER: Optional["multiprocessing.managers.SyncManager"] = None
+#: The channels of ``_POOL``'s generation; set and cleared together with it.
+_CHANNELS: Optional["WorkerChannels"] = None
 _POOL_LOCK = threading.Lock()
+
+#: In a pool worker: ``(slot, sender, cancel)`` — its slot number, the write
+#: end of its slot's pipe and its generation's cancel words; ``None`` elsewhere.
+_WORKER_CHANNEL: Optional[Tuple[int, Connection, Sequence[int]]] = None
 
 
 def default_process_workers() -> int:
@@ -79,35 +92,80 @@ def pool_pays(gil_bound: bool) -> bool:
     )
 
 
-def shared_process_pool() -> ProcessPoolExecutor:
-    """The process-wide worker pool, created on first use."""
-    global _POOL
+class WorkerChannels:
+    """One pool generation's worker channels: a pipe and a word per slot.
+
+    ``readers[i]`` is the parent's read end of slot ``i``'s
+    ``Pipe(duplex=False)`` — one writer per pipe, so no lock is shared
+    between workers — and ``cancel[i]`` its word of a shared
+    ``RawArray("q", width)`` (0 until the parent writes one).  Each worker
+    takes the next free slot in the pool initializer (:func:`_adopt_channel`),
+    keeps that pipe's write end and reads its slot through
+    :func:`worker_channel`.  :func:`shutdown_shared_pool` closes the
+    parent's write ends once the workers have exited, so each reader then
+    reads EOF; whoever reads the pipes closes the readers.
+    """
+
+    def __init__(self, context: multiprocessing.context.BaseContext, width: int) -> None:
+        pipes = [context.Pipe(duplex=False) for _ in range(width)]
+        self.readers: Tuple[Connection, ...] = tuple(reader for reader, _ in pipes)
+        self._writers: Tuple[Connection, ...] = tuple(writer for _, writer in pipes)
+        self.cancel = context.RawArray("q", width)
+        self._next_slot = context.Value("i", 0)
+
+    def initargs(self) -> tuple:
+        """What the pool initializer receives in every worker."""
+        return (self._writers, self.cancel, self._next_slot)
+
+    def close_writers(self) -> None:
+        for writer in self._writers:
+            writer.close()
+
+
+def _adopt_channel(writers, cancel, next_slot) -> None:
+    """Pool initializer: take the next slot and keep only its pipe's write end."""
+    global _WORKER_CHANNEL
+    with next_slot.get_lock():
+        slot = next_slot.value
+        next_slot.value += 1
+    for index, writer in enumerate(writers):
+        if index != slot:
+            writer.close()
+    _WORKER_CHANNEL = (slot, writers[slot], cancel)
+
+
+def worker_channel() -> Tuple[int, Connection, Sequence[int]]:
+    """This pool worker's ``(slot, sender, cancel)``; ``RuntimeError`` outside one."""
+    if _WORKER_CHANNEL is None:
+        raise RuntimeError("worker_channel() is only available in a shared-pool worker")
+    return _WORKER_CHANNEL
+
+
+def shared_pool_channels() -> Tuple[ProcessPoolExecutor, WorkerChannels]:
+    """The process-wide worker pool and its generation's channels, created
+    together on first use."""
+    global _POOL, _CHANNELS
     with _POOL_LOCK:
         if _POOL is None:
             # Workers must fork with the parent's resource-tracker daemon
             # already running, or each starts a private one that unlinks
             # names it does not own when the worker exits (grid/shm.py).
             resource_tracker.ensure_running()
+            context = _start_context()
+            width = default_process_workers()
+            _CHANNELS = WorkerChannels(context, width)
             _POOL = ProcessPoolExecutor(
-                max_workers=default_process_workers(), mp_context=_start_context()
+                max_workers=width,
+                mp_context=context,
+                initializer=_adopt_channel,
+                initargs=_CHANNELS.initargs(),
             )
-        return _POOL
+        return _POOL, _CHANNELS
 
 
-def shared_manager() -> "multiprocessing.managers.SyncManager":
-    """The process-wide :class:`multiprocessing.Manager`, created on first use.
-
-    Pool tasks cannot carry raw ``multiprocessing.Queue``/``Event`` objects
-    (they only cross process boundaries by inheritance), so cross-process
-    control channels — the serve tier's per-run channels (an event queue and
-    a cancel flag each), reused from run to run — go through proxies served
-    by this single manager process.
-    """
-    global _MANAGER
-    with _POOL_LOCK:
-        if _MANAGER is None:
-            _MANAGER = multiprocessing.Manager()
-        return _MANAGER
+def shared_process_pool() -> ProcessPoolExecutor:
+    """The process-wide worker pool, created on first use."""
+    return shared_pool_channels()[0]
 
 
 def warm_shared_pool(tasks: Optional[int] = None) -> int:
@@ -129,15 +187,16 @@ def warm_shared_pool(tasks: Optional[int] = None) -> int:
 
 
 def shutdown_shared_pool() -> None:
-    """Tear down the shared pool and manager (tests / interpreter exit)."""
-    global _POOL, _MANAGER
+    """Tear down the shared pool and close its generation's write ends
+    (tests / interpreter exit); the next use starts a new generation."""
+    global _POOL, _CHANNELS
     with _POOL_LOCK:
         pool, _POOL = _POOL, None
-        manager, _MANAGER = _MANAGER, None
+        channels, _CHANNELS = _CHANNELS, None
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
-    if manager is not None:
-        manager.shutdown()
+    if channels is not None:
+        channels.close_writers()
 
 
 atexit.register(shutdown_shared_pool)

@@ -14,8 +14,8 @@ import functools
 import itertools
 import json
 import logging
+import multiprocessing
 import os
-import queue as queue_module
 import shutil
 import signal
 import socket
@@ -23,10 +23,12 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import urllib.request
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.scenarios import ExperimentScenario, get_scenario, scenario_names
 from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key, serve_forever
 from repro.serve import procrun
 from repro.serve.procrun import END_OF_STREAM, execute_run, run_scenario_in_worker
+from repro.utils import procpool
 
 TINY_RUN = {"scenario": "tiny", "snapshots": 2, "percent": 40.0}
 
@@ -426,13 +429,16 @@ class TestResidentScenario:
 
 
 def _run_in_worker(request, store_dir):
-    """The process tier's worker body, in-process: ``(rows, summary)``."""
-    events = queue_module.Queue()
-    summary = run_scenario_in_worker(
-        request, request.scenario_config(), str(store_dir), events,
-        threading.Event(), None,
-    )
-    streamed = list(iter(events.get_nowait, END_OF_STREAM))
+    """The process tier's worker body, in-process on slot 0 as run 1:
+    ``(rows, summary)``."""
+    sent = []
+    channel = (0, types.SimpleNamespace(send=sent.append), [0])
+    with mock.patch.object(procpool, "_WORKER_CHANNEL", channel):
+        summary = run_scenario_in_worker(
+            request, request.scenario_config(), str(store_dir), 1, None
+        )
+    assert sent[0] == (1, 0) and sent[-1] == (1, END_OF_STREAM)
+    streamed = [item for _, item in sent[1:-1]]
     return [e for e in streamed if e["type"] == "iteration"], summary
 
 
@@ -1106,70 +1112,107 @@ class TestServeAppProcessTier:
         assert events[-1]["reason"] == "exception"
         assert seconds < 5.0, f"the stream took {seconds:.2f}s to end"
 
-    def test_channel_reuse_never_leaks_state_between_runs(self, tmp_path):
-        """A channel read to its end-of-stream mark serves the next run; a
-        cancelled run's channel (its cancel flag set) is dropped.  Returning
-        every channel to the free list unconditionally fails this test: the
-        run after the timeout inherits the set flag and ends in a timeout."""
+    def test_a_stale_cancel_word_never_cancels_a_later_run(self, tmp_path, monkeypatch):
+        """One worker, so one slot: a run cancelled in its worker leaves its
+        id in the slot's cancel word, and the three runs after it on that
+        slot all stream cleanly.  Fails with a worker ``check`` that fires on
+        any non-zero word.  The cancelled run sleeps in its worker, so the
+        deadline passes after it was dispatched (with ``timeout_s: 1e-4`` the
+        server cancels it before dispatch and no word is written)."""
+        execute = procrun.execute_run
+
+        def slow_when_bounded(request, *args):
+            if request.timeout_s is not None:
+                time.sleep(1.0)
+            return execute(request, *args)
+
+        procpool.shutdown_shared_pool()
+        monkeypatch.setattr(procpool, "default_process_workers", lambda: 1)
+        monkeypatch.setattr(procrun, "execute_run", slow_when_bounded)
 
         async def body():
-            async with serve_app(tmp_path, execution="process") as (app, port):
-                taken = []
-                take = app._take_channel
-
-                def spy():
-                    taken.append(take())
-                    return taken[-1]
-
-                app._take_channel = spy
-                _, raw = await _request(
-                    port, "POST", "/run", {**TINY_RUN, "timeout_s": 1e-4}
-                )
-                replies = [_events(raw)]
-                for _ in range(3):
-                    _, raw = await _request(port, "POST", "/run", TINY_RUN)
+            async with serve_app(tmp_path, execution="process") as (_, port):
+                replies = []
+                for payload in [TINY_RUN, {**TINY_RUN, "timeout_s": 0.25}] + [TINY_RUN] * 3:
+                    _, raw = await _request(port, "POST", "/run", payload)
                     replies.append(_events(raw))
-                return replies, taken, taken[0][1].is_set()
+                return replies, list(procpool.shared_pool_channels()[1].cancel)
 
-        (timed_out, *replies), taken, flag_set = asyncio.run(body())
+        try:
+            (miss, timed_out, *replies), words = asyncio.run(
+                asyncio.wait_for(body(), timeout=60)
+            )
+        finally:
+            procpool.shutdown_shared_pool()  # no one-worker pool for later tests
         assert timed_out[-1]["reason"] == "timeout"
-        for events in replies:
+        assert words == [2]  # the cancelled run, the server's second
+        for events in [miss, *replies]:
             _assert_run_stream(events, iterations=2)
-        cancelled, first, *rest = taken
-        assert flag_set
-        assert first is not cancelled
-        assert all(channel is first for channel in rest)
 
-    def test_concurrent_runs_never_share_a_channel(self, tmp_path):
-        """Six runner threads take and return channels at once, with a short
-        switch interval: every reply is its own clean stream, and the free
-        list ends with no channel twice (a channel handed to two runs at
-        once would mix their streams)."""
+    def test_concurrent_runs_each_get_their_own_stream(self, tmp_path):
+        """Six concurrent runs, three rounds, with a short switch interval:
+        every reply is its own clean stream — each run asks for its own
+        percent, and its rows must carry it.  Fails when events are routed
+        by worker slot instead of by run id."""
+        percents = [30.0 + 5 * i for i in range(6)]
 
         async def body():
             async with serve_app(
                 tmp_path, execution="process", max_workers=6
-            ) as (app, port):
+            ) as (_, port):
                 await _request(port, "POST", "/run", TINY_RUN)  # the miss
+                rounds = []
                 for _ in range(3):
-                    results = await asyncio.wait_for(
-                        asyncio.gather(
-                            *[_request(port, "POST", "/run", TINY_RUN) for _ in range(6)]
-                        ),
-                        timeout=60,
+                    rounds.append(
+                        await asyncio.gather(*[
+                            _request(port, "POST", "/run", {**TINY_RUN, "percent": p})
+                            for p in percents
+                        ])
                     )
-                    for _, raw in results:
-                        _assert_run_stream(_events(raw), iterations=2)
-                return list(app._free_channels)
+                return rounds
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            free = asyncio.run(body())
+            rounds = asyncio.run(asyncio.wait_for(body(), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert 1 <= len(free) <= 6
-        assert len({id(channel) for channel in free}) == len(free)
+        for results in rounds:
+            for percent, (status, raw) in zip(percents, results):
+                events = _events(raw)
+                assert status == 200
+                _assert_run_stream(events, iterations=2)
+                rows = [e for e in events if e["type"] == "iteration"]
+                assert [row["percent_reduced"] for row in rows] == [percent] * 2
+
+    def test_runs_stream_on_a_new_pool_generation(self, tmp_path):
+        """A pool shut down and created again has new pipes: a run on it
+        still streams.  Fails with a router bound to the first generation's
+        pipes — the run's events are never read and the reply hangs."""
+
+        async def one_run(cache_root):
+            async with serve_app(cache_root, execution="process") as (_, port):
+                _, raw = await _request(port, "POST", "/run", TINY_RUN)
+                return _events(raw)
+
+        first = asyncio.run(asyncio.wait_for(one_run(tmp_path / "a"), timeout=60))
+        procpool.shutdown_shared_pool()
+        second = asyncio.run(asyncio.wait_for(one_run(tmp_path / "b"), timeout=30))
+        for events in (first, second):
+            _assert_run_stream(events, iterations=2)
+
+    def test_the_process_tier_forks_no_manager(self, tmp_path):
+        """The server's only ``multiprocessing`` children are the pool's
+        workers: no manager process relays the events."""
+        procpool.shutdown_shared_pool()
+        app = ServeApp(tmp_path / "cache", execution="process")
+        try:
+            children = {child.pid for child in multiprocessing.active_children()}
+            pool = procpool.shared_process_pool()
+            assert len(children) == procpool.default_process_workers()
+            assert children == set(pool._processes)
+        finally:
+            app.close()
 
 
 def _exit_in_worker(*args):
@@ -1518,7 +1561,7 @@ class TestServeSubprocess:
         )
         try:
             _assert_run_stream(_post_run_events(port, TINY_RUN), iterations=2)
-            assert len(_live_group_members(proc.pid)) > 1  # workers + manager
+            assert len(_live_group_members(proc.pid)) > 1  # the pool's workers
             proc.terminate()
             assert proc.wait(timeout=30) == 0
             settle = time.monotonic() + 2.0

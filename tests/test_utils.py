@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -147,21 +150,45 @@ class TestValidation:
             ensure_in_range(1.5, (0, 1))
 
 
-class TestSharedProcpool:
-    def test_shared_manager_is_singleton_and_usable(self):
-        from repro.utils.procpool import shared_manager
+def _send_on_my_pipe(tag):
+    """Pool task: send ``tag`` on this worker's pipe; ``(pid, slot)``."""
+    from repro.utils.procpool import worker_channel
 
-        manager = shared_manager()
-        assert shared_manager() is manager
-        # The proxies the serve tier relies on: a queue and an event that
-        # survive a pickle round-trip into pool tasks.
-        queue = manager.Queue()
-        queue.put({"type": "iteration", "i": 0})
-        assert queue.get(timeout=10) == {"type": "iteration", "i": 0}
-        event = manager.Event()
-        assert not event.is_set()
-        event.set()
-        assert event.is_set()
+    slot, sender, _ = worker_channel()
+    sender.send(tag)
+    time.sleep(0.02)  # keep this worker busy so the next task may take another
+    return os.getpid(), slot
+
+
+class TestSharedProcpool:
+    def test_each_worker_owns_one_slot_of_its_generation(self):
+        """Every worker of a pool generation keeps one slot: what it sends
+        arrives on that slot's reader, two workers never share a slot, and
+        once the pool is shut down every reader reads EOF."""
+        from repro.utils import procpool
+
+        with pytest.raises(RuntimeError):
+            procpool.worker_channel()  # the parent is no pool worker
+        procpool.shutdown_shared_pool()
+        pool, channels = procpool.shared_pool_channels()
+        assert procpool.shared_pool_channels() == (pool, channels)
+        width = len(channels.readers)
+        assert width == procpool.default_process_workers() == len(channels.cancel)
+        futures = [pool.submit(_send_on_my_pipe, tag) for tag in range(4 * width)]
+        slots = {}
+        for tag, future in enumerate(futures):
+            pid, slot = future.result(timeout=30)
+            assert slots.setdefault(pid, slot) == slot
+            assert channels.readers[slot].poll(10)
+            assert channels.readers[slot].recv() == tag
+        assert len(set(slots.values())) == len(slots)
+        assert set(slots.values()) <= set(range(width))
+        procpool.shutdown_shared_pool()
+        for reader in channels.readers:
+            assert reader.poll(10)  # readable: at EOF, not empty
+            with pytest.raises(EOFError):
+                reader.recv()
+            reader.close()
 
     def test_warm_shared_pool_forks_workers_up_front(self):
         from repro.utils.procpool import (
