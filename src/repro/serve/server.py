@@ -1,39 +1,10 @@
 """The asyncio scenario-run service behind ``python -m repro serve``.
 
-A deliberately small stdlib-only HTTP/1.1 server (``asyncio.start_server``
-plus hand-rolled request parsing — no web framework in the image), because
-the protocol is tiny:
-
-``GET /health``
-    ``{"status": "ok", "execution": ..., "cache": {...}, "executor": {...}}``
-    — liveness plus cache counters (hits/misses/evictions/occupancy, and
-    ``resident``: entries holding an open scenario) and executor depth
-    (active runs, queued runs, worker count, execution tier).
-
-``GET /scenarios``
-    The registered workload names.
-
-``POST /run``
-    JSON body selecting a registered scenario and optional overrides
-    (``ranks``, ``snapshots``, ``seed``, ``metric``, ``redistribution``,
-    ``percent``, ``target``, ``render_mode``, ``timeout_s``),
-    validated by :class:`~repro.serve.procrun.RunRequest` — the validator
-    ``python -m repro run`` uses.  A request it refuses is answered ``400``
-    (``404`` for an unregistered scenario) before the streaming header, so
-    no ``200`` is ever followed by a validation failure; a ``Content-Length``
-    that is not a plain number is ``400`` and one above
-    :data:`MAX_BODY_BYTES` is ``413``, unread.
-    The response streams NDJSON: one ``start`` event (with
-    the cache verdict), one ``iteration`` event per completed pipeline
-    iteration *as it completes*, and a final ``summary`` event matching
-    ``python -m repro run``'s machine-readable contract — or a terminal
-    ``error`` event whose ``reason`` distinguishes a ``"timeout"`` (the
-    request's ``timeout_s`` or the server's ``--max-run-seconds`` cap
-    expired), a ``"shutdown"`` (the server is draining), and an
-    ``"exception"``.
-
-On every route, a request head (request line and headers) longer than
-:data:`MAX_HEAD_BYTES` is answered ``431``.
+A deliberately small stdlib-only HTTP/1.1 server (``asyncio.start_server``,
+no web framework in the image).  Every protocol decision — the routes, the
+refusals and the NDJSON framing — is a pure function of
+:mod:`repro.serve.protocol`; :meth:`ServeApp.handle_connection` only moves
+bytes between the socket and them, and streams an accepted run.
 
 Two execution tiers (``ServeApp(execution=...)``, CLI ``--execution``), which
 differ in where :func:`repro.serve.procrun.execute_run` — the one run body,
@@ -79,7 +50,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import json
 import logging
 import queue as queue_module
 import sys
@@ -92,13 +62,13 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.grid.shm import purge_owned_segments
-from repro.scenarios import ScenarioConfig, scenario_names
+from repro.scenarios import ScenarioConfig
+from repro.serve import protocol
 from repro.serve.cache import ReplayCache, scenario_cache_key
 from repro.serve.procrun import (
     END_OF_STREAM,
     RunCancelled,
     RunRequest,
-    _json_default,
     execute_run,
     run_scenario_in_worker,
 )
@@ -121,21 +91,15 @@ _LOG = logging.getLogger(__name__)
 #: Valid values of ``ServeApp(execution=...)`` / ``serve --execution``.
 EXECUTION_TIERS = ("thread", "process")
 
-#: Seconds past a request deadline before the *streaming* side force-closes
-#: the response.  The cooperative cancel normally fires first (between
-#: iterations); this watchdog only catches a run stuck inside one iteration.
+#: Seconds past a request deadline before the *streaming* side writes the
+#: ``timeout`` event and closes the response.  The cooperative cancel normally
+#: fires first (between iterations); this watchdog only catches a run stuck
+#: inside one iteration.
 STREAM_GRACE_SECONDS = 2.0
 
 #: Poll interval of the process tier's cancellation / dead-worker poll and of
 #: the shutdown drain.
 _POLL_SECONDS = 0.05
-
-#: Largest request body read; a longer ``Content-Length`` is answered ``413``.
-MAX_BODY_BYTES = 64 * 1024
-
-#: Largest request head (request line + headers) read: the stream limit the
-#: server listens with.  A longer one is answered ``431``.
-MAX_HEAD_BYTES = 64 * 1024
 
 
 class _RunScope:
@@ -199,12 +163,12 @@ class _RunScope:
             self.request_cancel(reason)
             raise RunCancelled(reason)
 
-    def stream_expired(self) -> bool:
-        """Whether the streaming side should give up on the runner."""
-        return (
-            self.deadline is not None
-            and time.monotonic() > self.deadline + STREAM_GRACE_SECONDS
-        )
+    def stream_wait(self) -> Optional[float]:
+        """Seconds the streaming side still waits for the runner (the
+        watchdog), or ``None`` for a run without a deadline."""
+        if self.deadline is None:
+            return None
+        return max(0.0, self.deadline + STREAM_GRACE_SECONDS - time.monotonic())
 
 
 class ServeApp:
@@ -273,23 +237,8 @@ class ServeApp:
             # from the first request thread.
             warm_shared_pool()
 
-    # -- run accounting ------------------------------------------------------
-
-    def _run_submitted(self) -> None:
-        with self._runs_lock:
-            self._submitted += 1
-
-    def _run_started(self) -> None:
-        with self._runs_lock:
-            self._active += 1
-
-    def _run_finished(self) -> None:
-        with self._runs_lock:
-            self._active -= 1
-            self._completed += 1
-
-    def executor_stats(self) -> Dict[str, object]:
-        """Executor depth for ``GET /health``."""
+    def health(self) -> Dict[str, object]:
+        """The ``GET /health`` document: cache counters and executor depth."""
         with self._runs_lock:
             active = self._active
             queued = max(0, self._submitted - self._completed - active)
@@ -300,11 +249,16 @@ class ServeApp:
             else self.max_workers
         )
         return {
+            "status": "ok",
             "execution": self.execution,
-            "workers": workers,
-            "active": active,
-            "queued": queued,
-            "completed": completed,
+            "cache": self.cache.stats(),
+            "executor": {
+                "execution": self.execution,
+                "workers": workers,
+                "active": active,
+                "queued": queued,
+                "completed": completed,
+            },
         }
 
     def _timeout_for(self, request: RunRequest) -> Optional[float]:
@@ -416,16 +370,27 @@ class ServeApp:
     async def stream_run(
         self, request: RunRequest, config: ScenarioConfig, write_line
     ) -> None:
-        """Run a request on the pool, awaiting ``write_line`` per event."""
+        """Run a request on the pool, awaiting ``write_line`` per NDJSON line.
+
+        A run wedged inside one iteration past its deadline plus
+        :data:`STREAM_GRACE_SECONDS` gets the ``timeout`` event and the
+        stream returns without it: the run stays counted as active until its
+        thread ends, so :meth:`close` still drains it, and what it emits
+        afterwards is dropped.
+        """
         loop = asyncio.get_running_loop()
         out_queue: asyncio.Queue = asyncio.Queue()
         scope = _RunScope(self._timeout_for(request), self._shutdown)
 
-        def emit(event: Dict[str, object]) -> None:
-            loop.call_soon_threadsafe(out_queue.put_nowait, event)
+        def emit(item) -> None:
+            # Once the stream gave up nobody reads the queue, and the loop
+            # may be closed by the time a wedged runner gets here.
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(out_queue.put_nowait, item)
 
         def runner() -> None:
-            self._run_started()
+            with self._runs_lock:
+                self._active += 1
             try:
                 summary = self._execute_run(request, config, emit, scope)
                 emit(summary)
@@ -442,162 +407,86 @@ class ServeApp:
                 )
                 emit({"type": "error", "reason": "exception", "error": str(exc)})
             finally:
-                self._run_finished()
-                loop.call_soon_threadsafe(out_queue.put_nowait, _SENTINEL)
+                with self._runs_lock:
+                    self._active -= 1
+                    self._completed += 1
+                emit(_SENTINEL)
 
-        self._run_submitted()
-        future = loop.run_in_executor(self.executor, runner)
-        finished = False
+        with self._runs_lock:
+            self._submitted += 1
+        self.executor.submit(runner)  # it reports its own failures as events
         try:
             while True:
+                wait = scope.stream_wait()
                 try:
-                    event = await asyncio.wait_for(
-                        out_queue.get(), timeout=_POLL_SECONDS * 5
-                    )
+                    event = await asyncio.wait_for(out_queue.get(), wait)
                 except asyncio.TimeoutError:
-                    # Watchdog: the cooperative cancel normally ends the
-                    # stream via the runner's error event; this only fires
-                    # for a run wedged inside a single iteration.
-                    if scope.stream_expired():
-                        scope.request_cancel("timeout")
-                        await write_line(
-                            json.dumps(self._cancel_event("timeout", scope))
-                        )
-                        return
-                    continue
+                    scope.request_cancel("timeout")
+                    event = self._cancel_event("timeout", scope)
+                    await write_line(protocol.encode_event(event))
+                    return
                 if event is _SENTINEL:
-                    finished = True
-                    break
-                await write_line(json.dumps(event, default=_json_default))
-        finally:
-            if not finished:
-                # Client gone or stream abandoned: stop the run promptly.
-                if scope.cancelled() is None:
-                    scope.request_cancel("disconnect")
-                # Waiting for the runner must never mask the original error.
-                with contextlib.suppress(Exception, asyncio.CancelledError):
-                    await future
+                    return
+                await write_line(protocol.encode_event(event))
+        except BaseException:
+            # Client gone or handler cancelled: stop the run promptly.
+            if scope.cancelled() is None:
+                scope.request_cancel("disconnect")
+            raise
 
     @staticmethod
     def _cancel_event(reason: str, scope: _RunScope) -> Dict[str, object]:
         """The terminal ``error`` event of a run cancelled for ``reason``."""
-        if reason == "timeout":
-            bound = scope.timeout_s
-            message = (
-                f"run exceeded its deadline of {bound:.3f}s"
-                if bound is not None
-                else "run cancelled by deadline"
-            )
+        bound = scope.timeout_s
+        if reason == "timeout" and bound is not None:
+            message = f"run exceeded its deadline of {bound:.3f}s"
+        elif reason == "timeout":
+            message = "run cancelled by deadline"
         elif reason == "shutdown":
             message = "server is shutting down"
         else:
             message = f"run cancelled ({reason})"
         return {"type": "error", "reason": reason, "error": message}
 
-    # -- protocol ------------------------------------------------------------
+    # -- transport -----------------------------------------------------------
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One HTTP/1.1 exchange (the server always closes after it)."""
         try:
-            try:
-                method, path, headers = await _read_request_head(reader)
-            except asyncio.LimitOverrunError:
-                await _respond_json(
-                    writer,
-                    431,
-                    {"error": f"request head exceeds {MAX_HEAD_BYTES} bytes"},
-                )
-                return
-            length = headers.get("content-length") or "0"
-            if not (length.isascii() and length.isdigit()):
-                await _respond_json(
-                    writer, 400, {"error": f"malformed Content-Length {length!r}"}
-                )
-            elif int(length) > MAX_BODY_BYTES:
-                await _respond_json(
-                    writer,
-                    413,
-                    {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"},
-                )
-            else:
-                body = await reader.readexactly(int(length))
-                await self._dispatch(writer, method, path, body)
-        except (asyncio.IncompleteReadError, ConnectionResetError, ValueError):
-            pass
+            with contextlib.suppress(asyncio.IncompleteReadError, ConnectionResetError):
+                try:
+                    head = await reader.readuntil(protocol.HEAD_END)
+                    reply = protocol.parse_head(head)
+                except asyncio.LimitOverrunError:
+                    reply = protocol.HEAD_TOO_LARGE
+                if isinstance(reply, protocol.Head):
+                    body = await reader.readexactly(reply.length)
+                    reply = protocol.route(reply, body, self.health)
+                if isinstance(reply, protocol.RunPlan):
+                    writer.write(protocol.STREAM_HEADER)
+                    await writer.drain()
+
+                    async def write_line(line: bytes) -> None:
+                        writer.write(line)
+                        await writer.drain()
+
+                    await self.stream_run(reply.request, reply.config, write_line)
+                else:
+                    writer.write(reply.encode())
+                    await writer.drain()
         finally:
-            try:
+            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch(
-        self, writer: asyncio.StreamWriter, method: str, path: str, body: bytes
-    ) -> None:
-        if method == "GET" and path == "/health":
-            await _respond_json(
-                writer,
-                200,
-                {
-                    "status": "ok",
-                    "execution": self.execution,
-                    "cache": self.cache.stats(),
-                    "executor": self.executor_stats(),
-                },
-            )
-            return
-        if method == "GET" and path == "/scenarios":
-            await _respond_json(writer, 200, {"scenarios": scenario_names()})
-            return
-        if method == "POST" and path == "/run":
-            await self._handle_run(writer, body)
-            return
-        await _respond_json(writer, 404, {"error": f"no route {method} {path}"})
-
-    async def _handle_run(self, writer: asyncio.StreamWriter, body: bytes) -> None:
-        # Everything that can refuse the request does so here, before the
-        # streaming header commits the reply to ``200``.
-        try:
-            payload = json.loads(body.decode("utf-8") or "null")
-            request = RunRequest.from_payload(payload)
-            config = request.scenario_config()
-        except ValueError as exc:  # includes a body that is not UTF-8 JSON
-            await _respond_json(writer, 400, {"error": str(exc)})
-            return
-        except KeyError:
-            await _respond_json(
-                writer,
-                404,
-                {
-                    "error": f"unknown scenario {request.scenario!r}",
-                    "available": scenario_names(),
-                },
-            )
-            return
-
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: close\r\n"
-            b"\r\n"
-        )
-        await writer.drain()
-
-        async def write_line(line: str) -> None:
-            writer.write(line.encode("utf-8") + b"\n")
-            await writer.drain()
-
-        await self.stream_run(request, config, write_line)
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self, host: str, port: int) -> asyncio.AbstractServer:
         """Bind and return the listening server (``port=0`` picks a free one)."""
         return await asyncio.start_server(
-            self.handle_connection, host, port, limit=MAX_HEAD_BYTES
+            self.handle_connection, host, port, limit=protocol.MAX_HEAD_BYTES
         )
 
     def close(self, grace_s: Optional[float] = None) -> None:
@@ -698,48 +587,6 @@ def _router_for(channels: WorkerChannels) -> _EventRouter:
         if _ROUTER is None or _ROUTER.channels is not channels:
             _ROUTER = _EventRouter(channels)
         return _ROUTER
-
-
-async def _read_request_head(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, Dict[str, str]]:
-    """Parse the request line + headers; raises ``ValueError`` on garbage
-    and ``asyncio.LimitOverrunError`` on a head past the stream limit."""
-    head = await reader.readuntil(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed request line: {lines[0]!r}")
-    method, path, _version = parts
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return method.upper(), path, headers
-
-
-async def _respond_json(
-    writer: asyncio.StreamWriter, status: int, payload: Dict[str, object]
-) -> None:
-    reasons = {
-        200: "OK",
-        400: "Bad Request",
-        404: "Not Found",
-        413: "Payload Too Large",
-        431: "Request Header Fields Too Large",
-    }
-    body = json.dumps(payload, default=_json_default).encode("utf-8") + b"\n"
-    writer.write(
-        f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n"
-        f"\r\n".encode("latin-1")
-        + body
-    )
-    await writer.drain()
 
 
 async def serve_forever(app: ServeApp, host: str, port: int) -> None:

@@ -27,11 +27,13 @@ import types
 import urllib.request
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from http import HTTPStatus
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.cli import main
@@ -41,7 +43,7 @@ from repro.grid.shm import live_owned_segments
 from repro.io.store import DatasetStore
 from repro.scenarios import ExperimentScenario, get_scenario, scenario_names
 from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key, serve_forever
-from repro.serve import procrun
+from repro.serve import procrun, protocol
 from repro.serve.procrun import END_OF_STREAM, execute_run, run_scenario_in_worker
 from repro.utils import procpool
 
@@ -673,14 +675,6 @@ class TestServeApp:
 
         asyncio.run(body())
 
-    def test_unknown_route_404(self, tmp_path):
-        async def body():
-            async with serve_app(tmp_path) as (_, port):
-                status, _ = await _request(port, "GET", "/nope")
-                assert status == 404
-
-        asyncio.run(body())
-
     def test_bind_failure_still_closes_the_app(self, tmp_path):
         """A port already in use: ``serve_forever`` raises and still closes
         the app it was given.  Fails if ``app.start`` moves back before the
@@ -692,39 +686,6 @@ class TestServeApp:
             with pytest.raises(OSError):
                 asyncio.run(serve_forever(app, "127.0.0.1", taken.getsockname()[1]))
         assert app._shutdown.is_set()
-
-    def test_unknown_scenario_404_names_available(self, tmp_path):
-        async def body():
-            async with serve_app(tmp_path) as (_, port):
-                status, raw = await _request(
-                    port, "POST", "/run", {"scenario": "not_a_scenario"}
-                )
-                assert status == 404
-                payload = json.loads(raw)
-                assert payload["available"] == list(scenario_names())
-                assert "tiny" in payload["available"]
-
-        asyncio.run(body())
-
-    def test_bad_payload_400(self, tmp_path):
-        async def body():
-            async with serve_app(tmp_path) as (_, port):
-                status, raw = await _request(
-                    port, "POST", "/run", {"scenario": "tiny", "metric": "NOPE"}
-                )
-                assert status == 400
-                assert "metric" in json.loads(raw)["error"]
-                # Removed fields are refused by name, never ignored.
-                for field, value in (("pipelined", True), ("backend", "serial")):
-                    status, raw = await _request(
-                        port, "POST", "/run", {"scenario": "tiny", field: value}
-                    )
-                    assert status == 400
-                    assert json.loads(raw)["error"] == (
-                        f"unknown request fields: ['{field}']"
-                    )
-
-        asyncio.run(body())
 
     def test_single_run_streams_per_iteration_json(self, tmp_path):
         async def body():
@@ -962,6 +923,59 @@ class TestServeApp:
                 _assert_run_stream(_events(raw), iterations=2)
 
         asyncio.run(body())
+
+    def test_watchdog_closes_the_reply_of_a_wedged_run(self, tmp_path, monkeypatch, caplog):
+        """A run stuck inside one iteration, never calling ``check``: the
+        reply gets its ``timeout`` event and reaches EOF at deadline + grace,
+        not when the run ends.  The run stays active until its thread ends,
+        so ``close`` drains it, and its events after the stream gave up —
+        here after the loop closed — are dropped without raising.  Fails if
+        ``stream_run`` waits for the runner before the response closes."""
+        release = threading.Event()
+        late_emits = []
+
+        def wedged(request, scenario, emit, check):
+            release.wait(4.0)
+            emit({"type": "iteration", "iteration": 0})
+            late_emits.append("returned")
+            return {"type": "summary"}, None
+
+        monkeypatch.setattr("repro.serve.server.execute_run", wedged)
+        monkeypatch.setattr("repro.serve.server.STREAM_GRACE_SECONDS", 0.3)
+        app = ServeApp(tmp_path / "cache")
+        # Simulated up front, so no cooperative check can expire the run
+        # before it wedges: only the watchdog can end this reply.
+        with app.cache.acquire(RunRequest.from_payload(TINY_RUN).scenario_config()):
+            pass
+
+        async def body():
+            server = await app.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                start = time.monotonic()
+                status, raw = await _request(port, "POST", "/run", {**TINY_RUN, "timeout_s": 0.3})
+                seconds = time.monotonic() - start
+                _, health = await _request(port, "GET", "/health")
+            return status, _events(raw), seconds, json.loads(health)["executor"]
+
+        with caplog.at_level(logging.DEBUG):
+            try:
+                status, events, seconds, executor = asyncio.run(body())
+            finally:
+                release.set()
+                app.close()
+        assert seconds < 2.0, f"the reply closed {seconds:.2f}s in, after the run"
+        assert status == 200
+        assert [(e["type"], e.get("reason")) for e in events] == [
+            ("start", None), ("error", "timeout"),
+        ]
+        assert events[-1]["error"] == "run exceeded its deadline of 0.300s"
+        assert executor["active"] == 1
+        assert late_emits == ["returned"]
+        assert app.health()["executor"] | {"workers": None} == {
+            "execution": "thread", "workers": None, "active": 0, "queued": 0, "completed": 1,
+        }
+        assert [r for r in caplog.records if r.name.startswith("repro")] == []
 
     def test_close_cancels_inflight_run_within_grace(self, tmp_path, monkeypatch):
         """Shutdown mid-run: the in-flight run aborts at its next iteration
@@ -1304,93 +1318,203 @@ class TestThreeDoors:
             assert summary["scenario"].items() <= document["scenario"].items()
 
     @pytest.mark.parametrize("field, value, cli_value", BAD_VALUES)
-    def test_bad_value_is_refused_before_anything_runs(
-        self, tmp_path, capsys, caplog, field, value, cli_value
-    ):
-        """Fails if a check leaves ``RunRequest`` for one door's own code (the
-        ``percent`` range tested only in ``_handle_run``; ``ranks >= 1`` left
-        to ``ScenarioConfig``, whose message names ``ncores``), or if the
-        server resolves the scenario after the ``200`` header as it used to."""
-        if cli_value is not None:
-            flag = f"--{field}={cli_value}"
-            assert main(["run", "tiny", flag]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ") and field in captured.err
-            assert "Traceback" not in captured.err
+    def test_bad_value_is_refused_before_anything_runs(self, capsys, field, value, cli_value):
+        """``repro run``'s half of the refusal table (``TestRefusalTable`` is
+        the served half): exit 2 with one error line naming the field, and
+        nothing on stdout.  Fails if a check leaves ``RunRequest`` for
+        ``ScenarioConfig``, whose message names ``ncores``."""
+        if cli_value is None:  # argparse refuses the spelling itself
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", "tiny", f"--{field}={value}"])
+            assert exit_info.value.code == 2
+            return
+        assert main(["run", "tiny", f"--{field}={cli_value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
+        assert "Traceback" not in captured.err
 
-        async def refused(execution):
-            async with serve_app(
-                tmp_path / execution, execution=execution, max_workers=2
-            ) as (app, port):
-                status, raw = await _request(
-                    port, "POST", "/run", {"scenario": "tiny", field: value}
-                )
-                return status, json.loads(raw), app.cache.stats()
 
-        with caplog.at_level(logging.DEBUG):
-            for execution in ("thread", "process"):
-                status, reply, stats = asyncio.run(refused(execution))
-                assert status == 400
-                assert set(reply) == {"error"} and field in reply["error"]
-                assert stats["misses"] == 0 and stats["entries"] == 0
-        assert [r for r in caplog.records if r.name.startswith("repro")] == []
+# -- the refusal table: one class, the pure core and two live servers ---------
+
+
+def _post(payload=None, body=None, content_length=None):
+    """A raw ``POST /run``: ``payload`` as JSON, or ``body`` as is."""
+    body = json.dumps(payload).encode("utf-8") if body is None else body
+    length = len(body) if content_length is None else content_length
+    return f"POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode() + body
+
+
+def _error_names(word):
+    return lambda reply: set(reply) == {"error"} and word in reply["error"]
+
+
+def _error_is(message):
+    return lambda reply: reply == {"error": message}
+
+
+def _unknown_scenario(reply):
+    return reply == {
+        "error": "unknown scenario 'not_a_scenario'", "available": list(scenario_names()),
+    }
+
+
+#: Every row of README's refusal table as ``(id, raw request, status, check
+#: of the JSON reply)``.
+REFUSALS = [
+    ("unknown-scenario", _post({"scenario": "not_a_scenario"}), 404, _unknown_scenario),
+    ("unknown-metric", _post({"scenario": "tiny", "metric": "NOPE"}), 400, _error_names("metric")),
+    ("unknown-redistribution", _post({"scenario": "tiny", "redistribution": "x"}), 400,
+     _error_names("redistribution")),
+    ("unknown-render-mode", _post({"scenario": "tiny", "render_mode": "x"}), 400,
+     _error_names("render_mode")),
+    *[
+        (f"removed-{field}", _post({"scenario": "tiny", field: value}), 400,
+         _error_is(f"unknown request fields: ['{field}']"))
+        for field, value in (("backend", "serial"), ("pipelined", True))
+    ],
+    *[
+        (f"{field}={value!r}", _post({"scenario": "tiny", field: value}), 400, _error_names(field))
+        for field, value, _ in BAD_VALUES
+    ],
+    ("unknown-field", _post({"scenario": "tiny", "colour": 1}), 400,
+     _error_is("unknown request fields: ['colour']")),
+    ("body-not-an-object", _post([1, 2]), 400, _error_is("request body must be a JSON object")),
+    ("body-not-json", _post(body=b"{not json"), 400, _error_names("Expecting")),
+    ("body-not-utf8", _post(body=b"\xff\xfe"), 400, _error_names("utf-8")),
+    ("timeout_s<=0", _post({"scenario": "tiny", "timeout_s": 0}), 400, _error_names("timeout_s")),
+    *[
+        (f"content-length={length!r}", _post(body=b"", content_length=length), 400,
+         _error_is(f"malformed Content-Length {length!r}"))
+        for length in ("abc", "-5", "1e3", "12 34")
+    ],
+    # No body is sent: a server that tried to read it would hang the row.
+    ("content-length-above-64KiB", _post(body=b"", content_length=64 * 1024 + 1), 413,
+     _error_is("request body exceeds 65536 bytes")),
+    ("head-above-64KiB", b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 431,
+     _error_is("request head exceeds 65536 bytes")),
+    ("garbage-request-line", b"GARBAGE\r\n\r\n", 400,
+     _error_is("malformed request line: 'GARBAGE'")),
+    ("request-line-without-version", b"GET /health\r\n\r\n", 400,
+     _error_is("malformed request line: 'GET /health'")),
+    ("empty-head", b"\r\n\r\n", 400, _error_is("malformed request line: ''")),
+    ("unknown-route", b"GET /nope HTTP/1.1\r\n\r\n", 404, _error_is("no route GET /nope")),
+]
+
+
+def _pure_exchange(raw: bytes) -> bytes:
+    """The protocol core alone: the bytes ``handle_connection`` would write."""
+    head, end, rest = raw.partition(protocol.HEAD_END)
+    reply = protocol.parse_head(head + end)
+    if isinstance(reply, protocol.Head):
+        reply = protocol.route(reply, rest[: reply.length], lambda: {"status": "ok"})
+    return protocol.STREAM_HEADER if isinstance(reply, protocol.RunPlan) else reply.encode()
+
+
+class _LiveServer:
+    """A ``ServeApp`` serving on a loop of its own thread, spoken to over
+    blocking sockets."""
+
+    def __init__(self, cache_dir, execution):
+        self.app = ServeApp(cache_dir, execution=execution, max_workers=2)
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
+        self.thread.start()
+        self.server = self._call(self.app.start("127.0.0.1", 0))
+        self.port = self.server.sockets[0].getsockname()[1]
+
+    def _call(self, coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, self.loop).result(30)
+
+    def exchange(self, raw: bytes) -> bytes:
+        with socket.create_connection(("127.0.0.1", self.port), timeout=10) as conn:
+            conn.sendall(raw)
+            return conn.makefile("rb").read()
+
+    def close(self):
+        self.loop.call_soon_threadsafe(self.server.close)
+        self._call(self.server.wait_closed())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+        self.loop.close()
+        self.app.close()
+
+
+def _reply(raw: bytes):
+    """``(status line, JSON body)`` of a whole reply."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0].decode("latin-1"), json.loads(body)
+
+
+class TestRefusalTable:
+    """One table, three implementations (pymor's shared test class): the pure
+    ``parse_head``/``route`` core and live servers of both tiers answer every
+    row alike, so the asyncio shell adds nothing.  A refusal comes before the
+    streaming header — never a ``200``, a ``start`` event, a cache miss or a
+    log record — and a live server keeps serving.  Fails if a check moves
+    past the ``200`` header (the scenario resolved after it, as it once was),
+    or if the shell swallows a refusal (a malformed request line used to get
+    zero bytes)."""
+
+    @pytest.fixture(scope="class", params=["pure", "thread", "process"])
+    def server(self, request, tmp_path_factory):
+        if request.param == "pure":
+            yield None
+            return
+        live = _LiveServer(tmp_path_factory.mktemp(request.param), request.param)
+        try:
+            yield live
+        finally:
+            live.close()
 
     @pytest.mark.parametrize(
-        "content_length, status",
-        [("abc", 400), ("-5", 400), ("1e3", 400), ("12 34", 400), (str(64 * 1024 + 1), 413)],
+        "raw, status, check", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS]
     )
-    def test_unusable_content_length_is_answered(self, tmp_path, content_length, status):
-        """A head the server cannot take a body for gets a reply, not a silent
-        close — and an oversized body is refused without being read (none is
-        sent here, so a server that tried to read it would hang this test)."""
-
-        async def body():
-            async with serve_app(tmp_path) as (_, port):
-                reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                writer.write(
-                    f"POST /run HTTP/1.1\r\nHost: localhost\r\n"
-                    f"Content-Length: {content_length}\r\n\r\n".encode("latin-1")
-                )
-                await writer.drain()
-                raw = await asyncio.wait_for(reader.read(), timeout=10)
-                writer.close()
-                head, _, payload = raw.partition(b"\r\n\r\n")
-                assert int(head.split()[1]) == status
-                assert "error" in json.loads(payload)
-                # The server is still serving.
-                ok, _ = await _request(port, "GET", "/health")
-                assert ok == 200
-
-        asyncio.run(body())
-
-    def test_oversized_request_head_is_answered_431(self, tmp_path, caplog):
-        """A head longer than the server's stream limit used to escape the
-        handler as ``asyncio.LimitOverrunError``: asyncio logged an unhandled
-        exception and the client read zero bytes.  Fails without the
-        handler's 431 branch."""
-
-        async def body():
-            async with serve_app(tmp_path) as (_, port):
-                reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                writer.write(
-                    b"GET /health HTTP/1.1\r\nHost: localhost\r\nX-Pad: "
-                    + b"a" * 70_000
-                    + b"\r\n\r\n"
-                )
-                await writer.drain()
-                raw = await asyncio.wait_for(reader.read(), timeout=10)
-                writer.close()
-                ok, _ = await _request(port, "GET", "/health")
-                return raw, ok
-
-        with caplog.at_level(logging.ERROR):
-            raw, ok = asyncio.run(body())
-        head, _, payload = raw.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0] == b"HTTP/1.1 431 Request Header Fields Too Large"
-        assert json.loads(payload) == {"error": "request head exceeds 65536 bytes"}
+    def test_row_is_refused(self, server, caplog, raw, status, check):
+        exchange = _pure_exchange if server is None else server.exchange
+        with caplog.at_level(logging.DEBUG):
+            status_line, reply = _reply(exchange(raw))
+            if server is not None:
+                health_line, health = _reply(server.exchange(b"GET /health HTTP/1.1\r\n\r\n"))
+                assert health_line == "HTTP/1.1 200 OK"
+                assert health["cache"]["misses"] == 0 and health["cache"]["entries"] == 0
+        assert status_line == f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"
+        assert check(reply), reply
+        assert [r for r in caplog.records if r.name.startswith("repro")] == []
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
-        assert ok == 200
+
+
+def _heads():
+    """Heads near the grammar: a request line of 0-4 tokens and headers,
+    among them ``Content-Length`` with any value."""
+    token = st.binary(max_size=8)
+    length = st.one_of(token, st.integers(0, 2 * protocol.MAX_BODY_BYTES).map(lambda n: b"%d" % n))
+    header = st.one_of(token, length.map(lambda value: b"Content-Length: " + value))
+    return st.builds(
+        lambda line, headers: b"\r\n".join([line, *headers]) + b"\r\n\r\n",
+        st.lists(token, max_size=4).map(b" ".join),
+        st.lists(header, max_size=3),
+    )
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        _heads(),
+        st.integers(-3, 3).map(lambda d: b"G" * (protocol.MAX_HEAD_BYTES + d)),
+    )
+)
+def test_parse_head_answers_any_bytes(raw):
+    """Fuzzed request heads: a ``Head`` with a readable length, or a 400,
+    413 or 431 that encodes — never an exception."""
+    reply = protocol.parse_head(raw)
+    if isinstance(reply, protocol.Head):
+        assert 0 <= reply.length <= protocol.MAX_BODY_BYTES
+    else:
+        assert reply.status in (400, 413, 431)
+        assert reply.encode().startswith(b"HTTP/1.1 %d " % reply.status)
 
 
 # -- the real subprocess entry point ------------------------------------------
