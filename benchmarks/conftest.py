@@ -91,3 +91,11 @@ def run_step(replaced_kernel):
     """The tests' one way to run a single step on a fresh context
     (``execute_alone`` in ``tests/conftest.py``)."""
     return replaced_kernel("conftest.py", "execute_alone")
+
+
+@pytest.fixture(scope="session")
+def shm_leak_check(replaced_kernel):
+    """The tests' one leak check (``shm_segments_since`` in
+    ``tests/conftest.py``): ``new_segments = shm_leak_check()`` starts it,
+    ``new_segments()`` is the set of ``psm_*`` entries new under ``/dev/shm``."""
+    return replaced_kernel("conftest.py", "shm_segments_since")

@@ -14,8 +14,8 @@ ideal batch speedup is W, so the required ratio is
 ``min(MIN_SERVE_SPEEDUP, 0.6 * W)`` — on a single-core runner both tiers
 degenerate to serial execution and the ratio is printed, not enforced.  Streamed-event parity between the tiers is asserted before any
 timing (the process tier must change *where* runs execute, never what they
-produce), and a timeout-cancelled run on each tier must leave zero owned
-shm segments behind.
+produce), and a timeout-cancelled run on each tier must leave no new
+shared-memory segment under ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.grid.shm import live_owned_segments
 from repro.serve.server import ServeApp
 from repro.utils.procpool import default_process_workers, shutdown_shared_pool
 
@@ -81,8 +80,9 @@ def _comparable(events: list) -> list:
     return out
 
 
-async def _drive_tier(app: ServeApp, check_timeout_leak: bool) -> dict:
-    """Warm the cache, run one parity request, then time the batch."""
+async def _drive_tier(app: ServeApp, new_shm_segments) -> dict:
+    """Warm the cache, run one parity request, time the batch, then check
+    that a timeout-cancelled run leaks no segment."""
     loop = asyncio.get_running_loop()
     server = await app.start("127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
@@ -104,16 +104,13 @@ async def _drive_tier(app: ServeApp, check_timeout_leak: bool) -> dict:
             assert events[-1]["type"] == "summary", events[-1]
             assert events[0]["cache"] == "hit"
 
-        if check_timeout_leak:
-            cancelled = await loop.run_in_executor(
-                None, _post_run, port, {**PAYLOAD, "timeout_s": 0.01}
-            )
-            assert cancelled[-1]["type"] == "error", cancelled[-1]
-            assert cancelled[-1]["reason"] == "timeout"
-            assert live_owned_segments() == (), (
-                "timeout-cancelled run leaked shm segments: "
-                f"{live_owned_segments()}"
-            )
+        cancelled = await loop.run_in_executor(
+            None, _post_run, port, {**PAYLOAD, "timeout_s": 0.01}
+        )
+        assert cancelled[-1]["type"] == "error", cancelled[-1]
+        assert cancelled[-1]["reason"] == "timeout"
+        leaked = new_shm_segments()
+        assert leaked == set(), f"timeout-cancelled run leaked shm segments: {leaked}"
     app.close(grace_s=5.0)
     return {"seconds": seconds, "events": _comparable(parity)}
 
@@ -126,9 +123,10 @@ def fresh_pool():
 
 
 def test_process_tier_beats_thread_tier_on_concurrent_replays(
-    tmp_path: Path, fresh_pool
+    tmp_path: Path, fresh_pool, shm_leak_check
 ):
     """N concurrent GIL-bound cached replays: process tier vs thread tier."""
+    new_shm_segments = shm_leak_check()
     workers = default_process_workers()
     gated = workers >= 2
     required = _required_speedup(workers)
@@ -144,10 +142,10 @@ def test_process_tier_beats_thread_tier_on_concurrent_replays(
 
     for _attempt in range(3):
         thread_result = asyncio.run(
-            _drive_tier(thread_app, check_timeout_leak=True)
+            _drive_tier(thread_app, new_shm_segments)
         )
         process_result = asyncio.run(
-            _drive_tier(process_app, check_timeout_leak=True)
+            _drive_tier(process_app, new_shm_segments)
         )
         speedup = thread_result["seconds"] / process_result["seconds"]
         if not gated or speedup >= required:

@@ -13,11 +13,12 @@ oracle) routes every rank's block list in ``context.per_rank_blocks`` through
 override it take effect here) and clones every block to attach its score.
 :class:`VectorizedScoringStep` (every other backend name) scores all ranks'
 blocks in one cross-rank pass over ``context.columns`` and writes a ``scores``
-column.  Where that pass runs is decided per kernel, by the code:
-inline for the NumPy metrics, over the shared process pool for a metric that
-declares ``gil_bound`` whenever :func:`~repro.utils.procpool.pool_pays` — this
-step is the one reader of that rule.  All of it produces bitwise-identical
-scores, so neither the backend nor the pool can perturb a downstream decision.
+column.  Where that pass runs is decided per kernel, by the code: inline for
+the NumPy metrics, over the shared process pool — row chunks pickled into its
+tasks — for a metric that declares ``gil_bound`` whenever
+:func:`~repro.utils.procpool.pool_pays`; this step is the one reader of that
+rule.  All of it produces bitwise-identical scores, so neither the backend nor
+the pool can perturb a downstream decision.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ class VectorizedScoringStep(ScoringStep):
     step, its span carries the one payload stack of the iteration.
 
     A metric declaring ``gil_bound`` has the same pass fanned out over the
-    shared process pool, the stacked groups crossing through shared memory,
-    whenever :func:`~repro.utils.procpool.pool_pays`.  The metric is then
-    pickled into every task (the built-in metrics are plain objects; a user
-    metric that declares it must be a module-level class), and a metric
-    without ``score_batch`` is scored row by row inside the workers.
+    shared process pool whenever :func:`~repro.utils.procpool.pool_pays`.
+    The metric is then pickled into every task with its chunk of rows (the
+    built-in metrics are plain objects; a user metric that declares it must
+    be a module-level class), and a metric without ``score_batch`` is scored
+    row by row inside the workers.
 
     A metric that overrides ``score_blocks`` without a ``score_batch`` may
     apply cross-block logic (e.g. normalisation over one rank's list), which

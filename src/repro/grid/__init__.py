@@ -16,70 +16,31 @@ on).
 """
 
 from repro.grid.rectilinear import RectilinearGrid
-from repro.grid.block import (
-    Block,
-    BlockExtent,
-    REDUCTION_LEVELS,
-    axis_sample_indices,
-    level_shape,
-)
-from repro.grid.batch import (
-    BlockColumns,
-    DecomposedField,
-    group_positions_by_shape,
-)
-from repro.grid.shm import (
-    SharedBatchError,
-    SharedBlockBatch,
-    ShmBatchHandle,
-    live_owned_segments,
-)
-from repro.grid.domain import Domain, Subdomain
+from repro.grid.block import Block, axis_sample_indices
+from repro.grid.batch import BlockColumns, DecomposedField
+from repro.grid.domain import Domain
 from repro.grid.decomposition import (
     CartesianDecomposition,
     factorize_ranks,
     split_axis,
 )
 from repro.grid.reduction import (
-    reduce_to_corners,
-    reduce_to_corners_batch,
-    reduce_to_level,
+    reduce_block,
     reduce_to_level_batch,
     reduction_error_batch,
-    expand_from_corners,
-    expand_from_level,
-    expand_from_level_batch,
-    reduce_block,
-    trilinear_sample,
 )
 
 __all__ = [
     "RectilinearGrid",
     "Block",
-    "BlockExtent",
-    "REDUCTION_LEVELS",
     "axis_sample_indices",
-    "level_shape",
     "BlockColumns",
     "DecomposedField",
-    "group_positions_by_shape",
-    "SharedBatchError",
-    "SharedBlockBatch",
-    "ShmBatchHandle",
-    "live_owned_segments",
     "Domain",
-    "Subdomain",
     "CartesianDecomposition",
     "factorize_ranks",
     "split_axis",
-    "reduce_to_corners",
-    "reduce_to_corners_batch",
-    "reduce_to_level",
     "reduce_to_level_batch",
     "reduction_error_batch",
-    "expand_from_corners",
-    "expand_from_level",
-    "expand_from_level_batch",
     "reduce_block",
-    "trilinear_sample",
 ]

@@ -14,10 +14,10 @@ the two ways a kernel can be applied:
 * inline (the default; what every NumPy kernel gets, counting included): one
   ``kernel(stacked)`` call per group;
 * over the shared process pool (``processes=True``): each group's stacked
-  payload is copied once into a :class:`~repro.grid.shm.SharedBlockBatch`
-  segment — never re-stacked — and contiguous row ranges are applied by the
-  pool's workers, so the task queue carries only the kernel, a segment handle
-  and two integers.
+  payload is cut into contiguous row chunks — never re-stacked — and every
+  chunk is pickled into its pool task beside the kernel.  The kernels that
+  take the pool are GIL-bound, so the copy is small beside the scoring it
+  overlaps; a chunk's values come back the same way.
 
 Which of the two a kernel gets is not this module's decision and not a user
 option: the batched scoring step passes ``processes`` from
@@ -37,7 +37,6 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from repro.grid.batch import ShapeGroup
-from repro.grid.shm import SharedBlockBatch, ShmBatchHandle
 from repro.utils.procpool import (
     chunk_bounds,
     default_process_workers,
@@ -50,17 +49,6 @@ __all__ = ["map_shape_groups"]
 RowKernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _apply_to_shared_rows(
-    kernel: RowKernel, handle: ShmBatchHandle, lo: int, hi: int
-) -> np.ndarray:
-    """Pool worker: ``kernel`` over rows ``[lo, hi)`` of a shared stacked payload."""
-    view = SharedBlockBatch.attach(handle)
-    try:
-        return np.asarray(kernel(view.data[lo:hi]))
-    finally:
-        view.close()
-
-
 def map_shape_groups(
     groups: Sequence[ShapeGroup],
     kernel: RowKernel,
@@ -70,9 +58,9 @@ def map_shape_groups(
     """``kernel``'s per-block values over the blocks whose payloads are stacked
     in ``groups`` (together they hold positions ``0 .. n - 1``), in block order.
 
-    With ``processes=True`` the kernel is pickled into every task, so it must
-    be a module-level function, a ``functools.partial`` of one, or a bound
-    method of a picklable object.  The shared pool is always
+    With ``processes=True`` the kernel is pickled into every task beside its
+    rows, so it must be a module-level function, a ``functools.partial`` of
+    one, or a bound method of a picklable object.  The shared pool is always
     :func:`~repro.utils.procpool.default_process_workers` wide and every group
     is split into at most twice that many chunks.
     """
@@ -83,23 +71,17 @@ def map_shape_groups(
         return out
     pool = shared_process_pool()
     nchunks = 2 * default_process_workers()
-    segments: List[SharedBlockBatch] = []
     pending: List[Tuple[np.ndarray, Future]] = []
     try:
         for positions, stacked in groups:
-            segment = SharedBlockBatch.create(stacked)
-            segments.append(segment)
-            handle = segment.handle()
             for lo, hi in chunk_bounds(len(positions), nchunks):
-                future = pool.submit(_apply_to_shared_rows, kernel, handle, lo, hi)
+                future = pool.submit(kernel, stacked[lo:hi])
                 pending.append((positions[lo:hi], future))
         for chunk, future in pending:
             out[chunk] = future.result()
     finally:
-        # A failed chunk must not unlink the segments under its siblings:
-        # cancel what has not started and wait for what has, then dispose.
+        # A failed chunk leaves no sibling running behind the caller's back:
+        # cancel what has not started and wait for what has.
         started = [future for _, future in pending if not future.cancel()]
         wait(started)
-        for segment in segments:
-            segment.dispose()
     return out

@@ -12,7 +12,6 @@ subdomain the way a parallel collective read would, and
 :func:`~repro.cm1.dataset.equally_spaced` picks which iterations it visits.
 """
 
-from repro.io.manifest import DatasetManifest, IterationRecord
 from repro.io.store import DatasetStore
 
-__all__ = ["DatasetManifest", "IterationRecord", "DatasetStore"]
+__all__ = ["DatasetStore"]

@@ -14,16 +14,6 @@ the run body both tiers share with ``python -m repro run``, plus the
 worker-process door of the process tier.
 """
 
-from repro.serve.cache import ReplayCache, scenario_cache_key
-from repro.serve.procrun import RunCancelled
-from repro.serve.server import EXECUTION_TIERS, RunRequest, ServeApp, serve_forever
+from repro.serve.server import RunRequest, ServeApp, serve_forever
 
-__all__ = [
-    "EXECUTION_TIERS",
-    "ReplayCache",
-    "RunCancelled",
-    "RunRequest",
-    "ServeApp",
-    "scenario_cache_key",
-    "serve_forever",
-]
+__all__ = ["RunRequest", "ServeApp", "serve_forever"]

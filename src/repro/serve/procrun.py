@@ -48,7 +48,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.config import AdaptationConfig
 from repro.core.redistribution import STRATEGIES
 from repro.core.results import IterationResult, PipelineRunResult
-from repro.grid.shm import purge_owned_segments
 from repro.metrics.registry import default_registry
 from repro.scenarios import ExperimentScenario, ScenarioConfig, get_scenario
 from repro.utils.procpool import worker_channel
@@ -300,9 +299,8 @@ def run_scenario_in_worker(
     cancels a later one.  ``deadline`` is an absolute ``time.time()`` value
     or ``None`` — wall-clock rather than monotonic so that it means the same
     in every process.  The first message announces the slot; whatever the
-    outcome, the last is :data:`END_OF_STREAM`, sent after this worker's
-    segments are purged: the parent stops relaying on it, then reads the
-    future.
+    outcome, the last is :data:`END_OF_STREAM`: the parent stops relaying on
+    it, then reads the future.
     """
     slot, sender, cancel = worker_channel()
 
@@ -319,8 +317,4 @@ def run_scenario_in_worker(
         scenario = _resident_scenario(config, store_dir)
         return execute_run(request, scenario, emit, check)[0]
     finally:
-        try:
-            # A cancelled/failed run must not leak shm segments in this worker.
-            purge_owned_segments()
-        finally:
-            emit(END_OF_STREAM)
+        emit(END_OF_STREAM)

@@ -61,7 +61,6 @@ from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.grid.shm import purge_owned_segments
 from repro.scenarios import ScenarioConfig
 from repro.serve import protocol
 from repro.serve.cache import ReplayCache, scenario_cache_key
@@ -304,8 +303,7 @@ class ServeApp:
         for the future's done-callback showing that the worker died before
         it.  A cancel reaches the worker through its slot's cancel word (the
         router attaches the slot to the scope); the worker aborts between
-        iterations and its ``finally`` purges any shm segments.  The poll
-        only notices a cancellation.
+        iterations.  The poll only notices a cancellation.
         """
         with self.cache.acquire_store(config) as (store_dir, was_hit):
             emit(self._start_event(request, config, was_hit))
@@ -350,10 +348,6 @@ class ServeApp:
             finally:
                 router.close(run_id)
                 scope.detach_worker()
-                # A cancelled parent never leaks segments of its own, and a
-                # cancelled worker purges its side (procrun's finally).
-                if scope.cancelled() is not None:
-                    purge_owned_segments()
 
     def _start_event(
         self, request: RunRequest, config, was_hit: bool
@@ -508,7 +502,6 @@ class ServeApp:
                 break
             time.sleep(_POLL_SECONDS)
         self.executor.shutdown(wait=False, cancel_futures=True)
-        purge_owned_segments()
 
 
 class _EventRouter:

@@ -2,11 +2,10 @@
 
 Worker processes pay for *GIL-bound* per-block Python — pure-Python scoring
 loops, the Python-heavy coders — which nothing inside one interpreter can
-overlap; a GIL-releasing NumPy kernel is up to 20x faster run inline than
-chunked through shared memory and a task queue.  That is a property of the
-kernel, not a choice a caller should have to make, so the choice is one
-predicate, :func:`pool_pays`: the batched scoring step asks it with its
-metric's ``gil_bound`` declaration and
+overlap; a GIL-releasing NumPy kernel runs up to 20x faster inline than chunked
+over the pool.  That is a property of the kernel, not a choice a caller should
+have to make, so the choice is one predicate, :func:`pool_pays`: the batched
+scoring step asks it with its metric's ``gil_bound`` declaration and
 :func:`~repro.grid.fanout.map_shape_groups` does as told.  The serve mode's
 process tier is the one other caller: it submits whole runs to the same pool.
 
@@ -16,8 +15,10 @@ available: forked workers start in milliseconds and inherit the parent's
 imports.  Every fork happens either during single-threaded start-up
 (:func:`warm_shared_pool`, what ``repro serve`` calls) or from the main
 thread — :func:`pool_pays` refuses any other caller, so no request thread
-ever forks.  Payloads cross the boundary through :mod:`repro.grid.shm`
-segments, so tasks themselves only carry handles and small metadata.
+ever forks.  A task carries its payload pickled — a scoring task its chunk
+of stacked rows, a serve run only the path of the store its worker maps — so
+the pool creates no shared-memory segment and starts no resource-tracker
+daemon: a warmed pool's only child processes are its workers.
 
 Each pool generation — what :func:`shared_process_pool` creates and
 :func:`shutdown_shared_pool` ends — also owns its workers' channels
@@ -34,7 +35,6 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection
 from typing import List, Optional, Sequence, Tuple
 
@@ -79,10 +79,10 @@ def _start_context() -> multiprocessing.context.BaseContext:
 def pool_pays(gil_bound: bool) -> bool:
     """Whether a row kernel should be mapped over the shared pool: it holds
     the GIL (its metric's ``gil_bound`` declaration), a second worker exists
-    to overlap it, workers are forked (a spawned worker re-imports the program
-    and owns a private resource tracker), and the caller may fork — it is the
-    main thread, and it is not itself a pool worker (no pool inside a pool).
-    Anything else runs the kernel inline."""
+    to overlap it, workers are forked (a spawned worker re-imports the
+    program), and the caller may fork — it is the main thread, and it is not
+    itself a pool worker (no pool inside a pool).  Anything else runs the
+    kernel inline."""
     return (
         bool(gil_bound)
         and default_process_workers() > 1
@@ -147,10 +147,6 @@ def shared_pool_channels() -> Tuple[ProcessPoolExecutor, WorkerChannels]:
     global _POOL, _CHANNELS
     with _POOL_LOCK:
         if _POOL is None:
-            # Workers must fork with the parent's resource-tracker daemon
-            # already running, or each starts a private one that unlinks
-            # names it does not own when the worker exits (grid/shm.py).
-            resource_tracker.ensure_running()
             context = _start_context()
             width = default_process_workers()
             _CHANNELS = WorkerChannels(context, width)

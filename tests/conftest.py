@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,29 @@ def run_step():
     """:func:`execute_alone` (a test module cannot import ``conftest`` by name
     when several test directories have one)."""
     return execute_alone
+
+
+def shm_segments_since():
+    """Start a leak check: returns a callable giving the ``psm_*`` entries
+    under ``/dev/shm`` (``multiprocessing.shared_memory`` segments) that were
+    not there when this was called.  Tests reach it as the ``shm_leak_check``
+    fixture."""
+
+    def segments():
+        root = Path("/dev/shm")
+        if not root.is_dir():
+            return set()
+        return {name for name in os.listdir(root) if name.startswith("psm_")}
+
+    before = segments()
+    return lambda: segments() - before
+
+
+@pytest.fixture(scope="session")
+def shm_leak_check():
+    """:func:`shm_segments_since`: ``new_segments = shm_leak_check()`` before
+    the code under test, ``assert new_segments() == set()`` after it."""
+    return shm_segments_since
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.step import IterationContext, PipelineStep, StepReport
-from repro.grid.shm import live_owned_segments
 from repro.metrics.base import ScoreMetric
 from repro.perfmodel.platform import PlatformModel
 
@@ -281,18 +280,18 @@ class TestParallelScoringStep:
     """The process fan-out's chunking must never perturb scores."""
 
     @pytest.fixture(autouse=True)
-    def _several_chunks_per_group(self, monkeypatch):
+    def _several_chunks_per_group(self, monkeypatch, shm_leak_check):
         # 2 * 3 chunks per shape group, whatever the box's core count.
         monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 3)
+        self.new_shm_segments = shm_leak_check()
 
-    @staticmethod
-    def _assert_step_matches_serial(metric, scenario, run_step):
+    def _assert_step_matches_serial(self, metric, scenario, run_step):
         def pairs(step_class):
             step = step_class(metric, scenario.platform)
             return run_step(step, scenario.blocks_for(0))[0].per_rank_pairs
 
         assert pairs(VectorizedScoringStep) == pairs(ScoringStep)
-        assert live_owned_segments() == ()
+        assert self.new_shm_segments() == set()
 
     def test_scalar_metric_chunked_identically(
         self, tiny_scenario, scoring_fanout, run_step

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.simmpi
 
 
 def _modules_with_all():
@@ -35,21 +34,26 @@ def test_all_names_resolve_and_are_unique(module_name):
     assert not missing, f"{module_name}.__all__ exports undefined names: {missing}"
 
 
-def test_simmpi_exports_only_what_the_pipeline_uses():
-    """``repro.simmpi`` is what the pipeline charges its communication with and
-    nothing else: every exported name is referenced by a module outside it."""
+@pytest.mark.parametrize(
+    "package_name", ["repro.simmpi", "repro.grid", "repro.io", "repro.serve"]
+)
+def test_package_exports_only_what_other_modules_use(package_name):
+    """A package re-exports what the rest of ``repro`` uses and nothing else:
+    every name in its ``__all__`` is referenced by a module outside it (a
+    test imports anything else from the defining module)."""
     root = Path(repro.__file__).parent
+    package = root / package_name.split(".")[1]
     outside = "\n".join(
         path.read_text()
         for path in root.rglob("*.py")
-        if path.parent != root / "simmpi"
+        if package not in path.parents
     )
     unused = [
         name
-        for name in repro.simmpi.__all__
+        for name in importlib.import_module(package_name).__all__
         if not re.search(rf"\b{name}\b", outside)
     ]
-    assert not unused, f"repro.simmpi exports names no pipeline module uses: {unused}"
+    assert not unused, f"{package_name} exports names no other module uses: {unused}"
 
 
 def test_setup_py_carries_the_package_metadata():

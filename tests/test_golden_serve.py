@@ -2,11 +2,13 @@
 
 For each tier and each of ``tiny`` and ``decaying_storm`` (3 snapshots, 50 %,
 ``round_robin``) one fresh server answers four requests in order — a VAR
-miss, a VAR hit and two PYVAR hits — and ``repro run`` answers the same
-(scenario, metric) pairs.  Every NDJSON line and every top-level block of a
-``repro run`` document is pinned by its sha256 (plus one digest of the whole
-document), so a refactor that claims "no behaviour change" is checked byte
-for byte, and a mismatch names the case and the first event that differs.
+miss, a VAR hit and two PYVAR hits — and ``repro run`` answers VAR, PYVAR
+and LZ on each scenario, the last two through the scoring step's pool
+fan-out wherever it may be taken (``repro.utils.procpool.pool_pays``).
+Every NDJSON line and every top-level block of a ``repro run`` document is
+pinned by its sha256 (plus one digest of the whole document), so a refactor
+that claims "no behaviour change" is checked byte for byte, and a mismatch
+names the case and the first event that differs.
 
 The record is keyed by numpy ``major.minor``: float formatting of the
 modelled seconds may move with numpy, so an unrecorded version skips.
@@ -41,7 +43,7 @@ TIERS = ("thread", "process")
 SCENARIOS = ("tiny", "decaying_storm")
 #: The requests each fresh server answers, in order.
 REQUESTS = (("VAR", "miss"), ("VAR", "hit"), ("PYVAR", "hit"), ("PYVAR", "hit-2"))
-METRICS = ("VAR", "PYVAR")
+METRICS = ("VAR", "PYVAR", "LZ")
 
 
 def _payload(scenario: str, metric: str) -> Dict[str, object]:

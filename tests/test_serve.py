@@ -39,10 +39,10 @@ import repro
 from repro.cli import main
 from repro.cm1.dataset import StoredCM1Dataset
 from repro.core.backends import engine_backends
-from repro.grid.shm import live_owned_segments
 from repro.io.store import DatasetStore
 from repro.scenarios import ExperimentScenario, get_scenario, scenario_names
-from repro.serve import ReplayCache, RunRequest, ServeApp, scenario_cache_key, serve_forever
+from repro.serve import RunRequest, ServeApp, serve_forever
+from repro.serve.cache import ReplayCache, scenario_cache_key
 from repro.serve import procrun, protocol
 from repro.serve.procrun import END_OF_STREAM, execute_run, run_scenario_in_worker
 from repro.utils import procpool
@@ -880,9 +880,10 @@ class TestServeApp:
 
         asyncio.run(body())
 
-    def test_request_timeout_streams_timeout_error(self, tmp_path):
+    def test_request_timeout_streams_timeout_error(self, tmp_path, shm_leak_check):
         """A tiny ``timeout_s`` cancels the run with the distinct reason —
-        and the cancelled run leaves no owned shm segments behind."""
+        and the cancelled run leaves no shared-memory segment behind."""
+        new_shm_segments = shm_leak_check()
 
         async def body():
             async with serve_app(tmp_path) as (_, port):
@@ -896,7 +897,7 @@ class TestServeApp:
                 assert "deadline" in events[-1]["error"]
 
         asyncio.run(body())
-        assert live_owned_segments() == ()
+        assert new_shm_segments() == set()
 
     def test_server_side_max_run_seconds_caps_requests(self, tmp_path):
         """The server cap applies even when the request asks for longer."""
@@ -1070,7 +1071,9 @@ class TestServeAppProcessTier:
 
         asyncio.run(body())
 
-    def test_timeout_cancels_worker_without_leaking_shm(self, tmp_path):
+    def test_timeout_cancels_worker_without_leaking_shm(self, tmp_path, shm_leak_check):
+        new_shm_segments = shm_leak_check()
+
         async def body():
             async with serve_app(tmp_path, execution="process") as (_, port):
                 status, raw = await _request(
@@ -1082,7 +1085,7 @@ class TestServeAppProcessTier:
                 assert events[-1]["reason"] == "timeout"
 
         asyncio.run(body())
-        assert live_owned_segments() == ()
+        assert new_shm_segments() == set()
 
     def test_reply_ends_on_the_workers_mark_not_a_poll(self, tmp_path, monkeypatch):
         """The relay stops on the worker's end-of-stream mark: with a 2 s
