@@ -51,6 +51,11 @@ MIN_SIZE_KERNEL_SPEEDUP = 2.0
 #: replaced (5.5–6x measured on these blocks, 7–9x on `blue_waters_64`'s).
 MIN_COUNT_KERNEL_SPEEDUP = 2.5
 
+#: Minimum oracle/kernel wall-clock ratio of VAR's batched scoring: the
+#: row-chunked ``row_variance`` against the whole-batch ``np.var`` it replaced
+#: (1.25–1.48x measured cycling 4 `blue_waters_64` snapshots).
+MIN_VAR_KERNEL_SPEEDUP = 1.15
+
 #: Minimum wall-clock ratio of one snapshot's hand-off to the columnar state:
 #: per-rank ``extract_blocks`` + the ingest pass over the ``Block`` objects
 #: against ``decompose`` + the arrival's ready-made columns and groups (6.4x
@@ -207,6 +212,44 @@ def test_count_kernel_speedup(fine_scenario_64, replaced_kernel):
     assert speedup >= MIN_COUNT_KERNEL_SPEEDUP, (
         f"count kernel speedup {speedup:.2f}x below required "
         f"{MIN_COUNT_KERNEL_SPEEDUP}x (oracle {oracle_seconds:.4f}s, kernel "
+        f"{kernel_seconds:.4f}s)"
+    )
+
+
+def test_var_kernel_speedup(scenario_64, replaced_kernel):
+    """VAR's chunked ``score_batch`` scores the stacked payload groups of 4
+    ``blue_waters_64`` snapshots ≥1.15x faster than the whole-batch ``np.var``
+    it replaced, with bitwise the same scores.
+
+    The snapshots are cycled so neither side keeps one snapshot's payloads
+    warm in cache for the next call; the two sides are timed interleaved.
+    """
+    oracle = replaced_kernel("test_metric_batch_parity.py", "oracle_var_score_batch")
+    metric = create_metric("VAR")
+    groups = [
+        stacked
+        for snapshot in range(4)
+        for _, stacked in scenario_64.blocks_for(snapshot).groups
+    ]
+    # Bitwise the same scores first (the speedup must not come from doing less).
+    for group in groups:
+        assert metric.score_batch(group).tobytes() == oracle(group).tobytes()
+    for _attempt in range(3):
+        oracle_seconds, kernel_seconds = _best_of_interleaved(
+            lambda: [oracle(g) for g in groups],
+            lambda: [metric.score_batch(g) for g in groups],
+        )
+        speedup = oracle_seconds / kernel_seconds
+        if speedup >= MIN_VAR_KERNEL_SPEEDUP:
+            break
+    print(
+        f"\nVAR of {len(groups)} stacked groups: replaced np.var "
+        f"{oracle_seconds * 1e3:.1f} ms, row chunks {kernel_seconds * 1e3:.1f} ms, "
+        f"speedup {speedup:.2f}x"
+    )
+    assert speedup >= MIN_VAR_KERNEL_SPEEDUP, (
+        f"VAR kernel speedup {speedup:.2f}x below required "
+        f"{MIN_VAR_KERNEL_SPEEDUP}x (oracle {oracle_seconds:.4f}s, kernel "
         f"{kernel_seconds:.4f}s)"
     )
 

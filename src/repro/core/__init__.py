@@ -40,7 +40,7 @@ from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.core.reduction_step import (
     ReductionStep,
     VectorizedReductionStep,
-    select_blocks_to_reduce,
+    ladder_counts,
 )
 from repro.core.redistribution import (
     RedistributionStrategy,
@@ -70,7 +70,7 @@ __all__ = [
     "VectorizedSortingStep",
     "ReductionStep",
     "VectorizedReductionStep",
-    "select_blocks_to_reduce",
+    "ladder_counts",
     "STEP_NAMES",
     "engine_backends",
     "RedistributionStrategy",

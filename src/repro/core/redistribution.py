@@ -6,7 +6,8 @@ exchange the block payloads with non-blocking point-to-point messages —
 modelled here by one personalised all-to-all.
 
 Strategies only return their assignment, as a pair of parallel NumPy arrays
-``(block_ids, dest_ranks)``; :class:`RedistributionStep` plans the exchange in
+``(block_ids, dest_ranks)``, dealt from the sorted ``(N, 2)`` wire array (or
+tuples, which deal the same); :class:`RedistributionStep` plans the exchange in
 one global pass over the metadata columns of ``context.columns``, the
 iteration's columnar state
 (:class:`~repro.grid.batch.BlockColumns`) — on every backend, ``serial``
@@ -37,20 +38,24 @@ Two strategies from the paper are provided, plus the no-op:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Sequence, Tuple, Type
+from typing import Dict, Tuple, Type
 
 import numpy as np
 
-from repro.core.step import IterationContext, StepReport
+from repro.core.step import IterationContext, SortedOrder, StepReport
 from repro.simmpi.communicator import BSPCommunicator
 from repro.utils.random import derive_seed, rng_from_seed
 from repro.utils.timer import Timer
 
-ScorePair = Tuple[int, float]
-
 #: A strategy's assignment: parallel ``(block_ids, dest_ranks)`` int64 arrays
 #: (ids need not be sorted; blocks not listed stay with their current rank).
 OwnerAssignment = Tuple[np.ndarray, np.ndarray]
+
+
+def _sorted_ids(sorted_pairs: SortedOrder) -> np.ndarray:
+    """The int64 block ids of a sorted order, in that order."""
+    wire = np.asarray(sorted_pairs, dtype=np.float64).reshape(-1, 2)
+    return wire[:, 0].astype(np.int64)
 
 
 class RedistributionStrategy(abc.ABC):
@@ -61,7 +66,7 @@ class RedistributionStrategy(abc.ABC):
     @abc.abstractmethod
     def assign_owners(
         self,
-        sorted_pairs: Sequence[ScorePair],
+        sorted_pairs: SortedOrder,
         nranks: int,
         iteration: int,
     ) -> OwnerAssignment:
@@ -74,7 +79,7 @@ class NoRedistribution(RedistributionStrategy):
     name = "none"
 
     def assign_owners(
-        self, sorted_pairs: Sequence[ScorePair], nranks: int, iteration: int
+        self, sorted_pairs: SortedOrder, nranks: int, iteration: int
     ) -> OwnerAssignment:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
@@ -89,18 +94,12 @@ class RandomShuffle(RedistributionStrategy):
         self.seed = int(seed)
 
     def assign_owners(
-        self, sorted_pairs: Sequence[ScorePair], nranks: int, iteration: int
+        self, sorted_pairs: SortedOrder, nranks: int, iteration: int
     ) -> OwnerAssignment:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        nblocks = len(sorted_pairs)
-        block_ids = np.sort(
-            np.fromiter(
-                (block_id for block_id, _ in sorted_pairs),
-                dtype=np.int64,
-                count=nblocks,
-            )
-        )
+        block_ids = np.sort(_sorted_ids(sorted_pairs))
+        nblocks = len(block_ids)
         # Constant number of blocks per process: deal rank labels then shuffle.
         labels = np.arange(nblocks, dtype=np.int64) % nranks
         rng = rng_from_seed(derive_seed(self.seed, "shuffle", iteration))
@@ -114,16 +113,12 @@ class RoundRobin(RedistributionStrategy):
     name = "round_robin"
 
     def assign_owners(
-        self, sorted_pairs: Sequence[ScorePair], nranks: int, iteration: int
+        self, sorted_pairs: SortedOrder, nranks: int, iteration: int
     ) -> OwnerAssignment:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        nblocks = len(sorted_pairs)
-        block_ids = np.fromiter(
-            (block_id for block_id, _ in sorted_pairs),
-            dtype=np.int64,
-            count=nblocks,
-        )
+        block_ids = _sorted_ids(sorted_pairs)
+        nblocks = len(block_ids)
         # sorted_pairs is ascending; the paper deals from the highest score,
         # so the block at ascending index i sits at dealing position
         # nblocks - 1 - i.
@@ -160,7 +155,7 @@ class RedistributionStep:
         leaves ``block.owner`` equal to the rank that actually holds the block.
         """
         columns, comm = context.columns, self.comm
-        sorted_pairs = context.require_sorted()
+        sorted_wire = context.require_sorted_array()
         if isinstance(self.strategy, NoRedistribution):
             with Timer() as timer:
                 columns.set_owners(columns.ranks)
@@ -172,7 +167,7 @@ class RedistributionStep:
             )
         nranks = comm.nranks
         assigned_ids, assigned_dests = self.strategy.assign_owners(
-            sorted_pairs, nranks, context.iteration
+            sorted_wire, nranks, context.iteration
         )
         with Timer() as timer:
             src = columns.ranks

@@ -4,7 +4,7 @@ Given the globally sorted ``<id, score>`` list (identical on every rank) and
 the percentage ``p``, the ``p``% blocks with the lowest scores are reduced —
 by default all the way to 2×2×2 corner blocks, or, when the pipeline's
 ``quality_ladder`` has several rungs, spread over the reduction ladder by
-score quantile (:func:`select_reduction_levels`): the very lowest scores get
+score quantile (:func:`ladder_counts`): the very lowest scores get
 the most aggressive level, better-scored selected blocks keep a level-1
 strided downsample.  Every rank takes the same decision locally, then reduces
 only the blocks it owns.
@@ -13,11 +13,12 @@ One reference class and one batched class implement the contract, each with
 ``execute(context)`` as its one method: :class:`ReductionStep` (``serial``,
 the oracle) tests every block of ``context.per_rank_blocks`` against the
 ladder decision and reduces one :func:`~repro.grid.reduction.reduce_block`
-call at a time; :class:`VectorizedReductionStep` (every other backend) gathers
-each (payload group, target level) of ``context.columns`` at once.  The
-gather reads a few values per block, so shipping payloads to a pool would cost
-far more than it: there is no fanned-out form.  Both produce bitwise-identical
-reduced payloads and modelled seconds (priced through
+call at a time; :class:`VectorizedReductionStep` (every other backend) takes
+the selection as a prefix of the sorted wire array and gathers each (payload
+group, target level) of ``context.columns`` at once.  The gather reads a few
+values per block, so shipping payloads to a pool would cost far more than it:
+there is no fanned-out form.  Both produce bitwise-identical reduced payloads
+and modelled seconds (priced through
 :attr:`~repro.perfmodel.platform.PlatformModel.seconds_per_reduced_block`);
 measured wall-clock is the one quantity that legitimately differs.
 """
@@ -25,7 +26,7 @@ measured wall-clock is the one quantity that legitimately differs.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,46 +88,50 @@ def validate_quality_ladder(ladder: Sequence[Sequence[float]]) -> QualityLadder:
     return tuple(rungs)
 
 
+def ladder_counts(
+    nblocks: int, percent: float, ladder: QualityLadder = DEFAULT_QUALITY_LADDER
+) -> List[Tuple[int, int]]:
+    """``(level, count)`` per rung: how many of ``nblocks`` blocks, taken in
+    ascending (score, id) order, each rung of the ladder reduces.
+
+    The ``percent``% lowest-scored blocks are selected.  The count is rounded
+    half-up (``floor(x + 0.5)``): under Python's banker's ``round()`` 5% of 10
+    blocks reduced 0 blocks while 5% of 30 reduced 2, and the same percentage
+    must round the same way whatever the count's parity.  Within that prefix
+    the ladder's rungs are applied in order: the first rung's fraction of the
+    selection (rounded half-up) gets that rung's level, and so on, the last
+    rung absorbing the rounding remainder.  Every rank computes this from the
+    globally sorted order, so the decision is identical everywhere without
+    communication.
+    """
+    if not (0.0 <= percent <= 100.0):
+        raise ValueError(f"percent must be in [0, 100], got {percent}")
+    ladder = validate_quality_ladder(ladder)
+    count = left = min(int(math.floor(nblocks * percent / 100.0 + 0.5)), nblocks)
+    counts: List[Tuple[int, int]] = []
+    for level, fraction in ladder[:-1]:
+        take = min(int(math.floor(count * fraction + 0.5)), left)
+        counts.append((level, take))
+        left -= take
+    return counts + [(ladder[-1][0], left)]
+
+
 def select_reduction_levels(
     sorted_pairs: Sequence[ScorePair],
     percent: float,
     ladder: QualityLadder = DEFAULT_QUALITY_LADDER,
 ) -> Dict[int, int]:
-    """Map each selected block id to its target reduction-ladder level.
-
-    ``sorted_pairs`` must be in ascending (score, id) order — the output of
-    the sorting step; the ``percent``% lowest-scored blocks are selected.  The
-    count is rounded half-up (``floor(x + 0.5)``): under Python's banker's
-    ``round()`` 5% of 10 blocks reduced 0 blocks while 5% of 30 reduced 2, and
-    the same percentage must round the same way whatever the count's parity.
-    Within that prefix the ladder's rungs are applied in order: the first
-    rung's fraction of the selection (rounded half-up) gets that rung's level,
-    and so on, the last rung absorbing the rounding remainder.  Every rank
-    computes this from the globally sorted list, so the decision is identical
-    everywhere without communication.
+    """Map each selected block id to its target reduction-ladder level: the
+    rungs of :func:`ladder_counts` take consecutive runs of ``sorted_pairs``,
+    which must be in ascending (score, id) order (the sorting step's output).
     """
-    if not (0.0 <= percent <= 100.0):
-        raise ValueError(f"percent must be in [0, 100], got {percent}")
-    ladder = validate_quality_ladder(ladder)
-    nblocks = len(sorted_pairs)
-    count = min(int(math.floor(nblocks * percent / 100.0 + 0.5)), nblocks)
     levels: Dict[int, int] = {}
     offset = 0
-    for rung_index, (level, fraction) in enumerate(ladder):
-        if rung_index == len(ladder) - 1:
-            take = count - offset
-        else:
-            take = min(int(math.floor(count * fraction + 0.5)), count - offset)
+    for level, take in ladder_counts(len(sorted_pairs), percent, ladder):
         for block_id, _ in sorted_pairs[offset : offset + take]:
             levels[block_id] = level
         offset += take
     return levels
-
-
-def select_blocks_to_reduce(sorted_pairs: Sequence[ScorePair], percent: float) -> Set[int]:
-    """Ids of the ``percent``% lowest-scored blocks: the ids
-    :func:`select_reduction_levels` maps, whatever the ladder."""
-    return set(select_reduction_levels(sorted_pairs, percent))
 
 
 class ReductionStep:
@@ -213,11 +218,12 @@ class VectorizedReductionStep(ReductionStep):
     """Reduces the selected blocks of all ranks in shape-grouped batches.
 
     The batch spans *across* ranks, on the columnar state: the ladder decision
-    is looked up per row, and :meth:`~repro.grid.batch.BlockColumns.reduce_to`
-    gathers the retained values of every (payload group, target level) at once
-    (bitwise equal to :func:`~repro.grid.reduction.reduce_block` per block;
-    rows already at or beyond their target are left as they are, the same
-    no-op).  A typical iteration has one gather per rung and full-block shape.
+    is the prefix of the sorted wire array :func:`ladder_counts` marks, as id
+    and level arrays looked up per row, and
+    :meth:`~repro.grid.batch.BlockColumns.reduce_to` gathers the retained
+    values of every (payload group, target level) at once (bitwise equal to
+    :func:`~repro.grid.reduction.reduce_block` per block; rows already at or
+    beyond their target are left as they are, the same no-op).
 
     Measured wall-clock of the single pass is attributed to ranks
     proportionally to their selected-block counts (the convention the
@@ -227,22 +233,20 @@ class VectorizedReductionStep(ReductionStep):
 
     def execute(self, context: IterationContext) -> StepReport:
         """Reduce the selected rows of the context's columns in one cross-rank
-        pass; the ladder decision goes into ``context``."""
+        pass; the ladder decision goes into ``context`` as arrays."""
         columns = context.columns
-        levels = select_reduction_levels(
-            context.require_sorted(), context.percent, self.quality_ladder
-        )
+        wire = context.require_sorted_array()
+        rungs = ladder_counts(len(wire), context.percent, self.quality_ladder)
         with Timer() as timer:
-            targets = columns.lookup(
-                np.fromiter(levels.keys(), np.int64, len(levels)),
-                np.fromiter(levels.values(), np.int64, len(levels)),
-                0,
-            )
+            rung_levels, takes = np.array(rungs, dtype=np.int64).T
+            ids = wire[: takes.sum(), 0].astype(np.int64)
+            levels = np.repeat(rung_levels, takes)
+            targets = columns.lookup(ids, levels, 0)
             columns.reduce_to(targets)
         selected = targets > 0
         rank_counts = columns.per_rank_sum(selected)
         rank_points = columns.per_rank_sum(np.where(selected, columns.npoints, 0))
-        context.reduction_levels, context.reduced_ids = levels, set(levels)
+        context.set_reduction_arrays(ids, levels)
         return StepReport(
             self.name,
             measured_per_rank=share_elapsed(timer.elapsed, rank_counts),
@@ -251,7 +255,7 @@ class VectorizedReductionStep(ReductionStep):
                 for count, points in zip(rank_counts, rank_points)
             ],
             counters={
-                "nreduced": float(len(levels)),
+                "nreduced": float(len(ids)),
                 "points_copied": float(sum(rank_points)),
             },
         )

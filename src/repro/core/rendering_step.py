@@ -88,8 +88,8 @@ class VectorizedRenderingStep(RenderingStep):
     is counted once (:meth:`~repro.viz.catalyst.IsosurfaceScript.count_groups`),
     the triangle estimates are one ``np.rint``, the ranks' totals one
     ``per_rank_sum``, and each rank's
-    :class:`~repro.viz.catalyst.RenderResult` is built from slices of those
-    arrays in the rank's block order.  Counts, triangle estimates, and
+    :class:`~repro.viz.catalyst.RenderResult` holds slices of those arrays in
+    the rank's block order, no per-block dict.  Counts, triangle estimates and
     modelled seconds are bitwise identical to :class:`RenderingStep`'s; the
     single pass's elapsed time is attributed to ranks proportionally to their
     payload point counts (the convention the scoring step set).  Mesh mode
@@ -111,13 +111,14 @@ class VectorizedRenderingStep(RenderingStep):
                     script_name=script.name,
                     iteration=context.iteration,
                     npoints=npoints,
-                    per_block_triangles=dict(zip(ids, rank_triangles)),
-                    per_block_active_cells=dict(zip(ids, rank_cells)),
+                    block_ids=ids,
+                    block_triangles=rank_triangles,
+                    block_cells=rank_cells,
                 )
                 for ids, rank_triangles, rank_cells, npoints in zip(
-                    columns.split(columns.ids[order].tolist()),
-                    columns.split(triangles[order].tolist()),
-                    columns.split(cells[order].tolist()),
+                    columns.split(columns.ids[order]),
+                    columns.split(triangles[order]),
+                    columns.split(cells[order]),
                     columns.per_rank_sum(columns.npoints),
                 )
             ]

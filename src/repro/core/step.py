@@ -25,8 +25,9 @@ other on first access, so a ``serial`` engine never stacks a payload, a
 default engine never builds a ``Block``, and a pipeline mixing both kinds of
 step converts at the hand-offs.  An iteration that arrives pre-stacked
 (:class:`~repro.grid.batch.DecomposedField`) starts on the columns, one that
-arrives as lists on the lists.  The score pairs likewise exist as tuples
-(``context.per_rank_pairs``) or as the arrays the sort gathers.
+arrives as lists on the lists.  The score pairs, sorted order and reduction
+decision stay the arrays the batched steps pass on; their tuples, dict and set
+are built only when a list-based caller reads them.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
     Union,
     runtime_checkable,
@@ -55,6 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.viz.catalyst import RenderResult
 
 ScorePair = Tuple[int, float]
+#: A sorted order as the sort hands it on: tuples, or the ``(N, 2)`` wire array.
+SortedOrder = Union[Sequence[ScorePair], np.ndarray]
 
 
 @dataclass
@@ -128,6 +131,31 @@ def share_elapsed(elapsed: float, weights: Sequence[float]) -> List[float]:
     return [elapsed * (weight / total) if total else 0.0 for weight in weights]
 
 
+class _ListView:
+    """An :class:`IterationContext` attribute in list form: built on first read
+    from the arrays a batched step stored under ``arrays``; assigning it makes
+    the list form authoritative and drops the arrays."""
+
+    def __init__(self, arrays: str, build: Callable) -> None:
+        self.arrays, self.build = arrays, build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, context, owner=None):
+        if context is None:
+            return self
+        value, arrays = getattr(context, self.slot), getattr(context, self.arrays)
+        if value is None and arrays is not None:
+            value = self.build(arrays)
+            setattr(context, self.slot, value)
+        return value
+
+    def __set__(self, context, value) -> None:
+        setattr(context, self.slot, value)
+        setattr(context, self.arrays, None)
+
+
 class IterationContext:
     """Mutable state threaded through the steps of one iteration.
 
@@ -141,7 +169,20 @@ class IterationContext:
     view builds it from the other, once, and makes it the authoritative one;
     assigning ``per_rank_blocks`` discards the columns.  A ``DecomposedField``
     passed as ``per_rank_blocks`` becomes the columns; its blocks stay unbuilt.
+    The four list views below work the same way over the ``set_*`` arrays.
     """
+
+    #: Per-rank ``(block_id, score)`` tuples.
+    per_rank_pairs = _ListView(
+        "_pair_arrays", lambda arrays: [pairs_from_wire(wire) for wire in arrays]
+    )
+    #: The global ascending ``(score, id)`` order as ``(block_id, score)`` tuples.
+    sorted_pairs = _ListView("_sorted_array", pairs_from_wire)
+    #: Target ladder level per reduced block id, in selection order.
+    reduction_levels = _ListView(
+        "_reduction", lambda arrays: dict(zip(*(column.tolist() for column in arrays)))
+    )
+    reduced_ids = _ListView("_reduction", lambda arrays: set(arrays[0].tolist()))
 
     def __init__(
         self,
@@ -151,10 +192,6 @@ class IterationContext:
         per_rank_blocks: Union[DecomposedField, List[List["Block"]]],
         per_rank_pairs: Optional[List[List[ScorePair]]] = None,
         sorted_pairs: Optional[List[ScorePair]] = None,
-        reduced_ids: Optional[Set[int]] = None,
-        reduction_levels: Optional[Dict[int, int]] = None,
-        render_results: Optional[List["RenderResult"]] = None,
-        reports: Optional[Dict[str, StepReport]] = None,
     ) -> None:
         self.iteration = iteration
         self.percent = percent
@@ -163,15 +200,11 @@ class IterationContext:
         self._columns: Optional[BlockColumns] = None
         if isinstance(per_rank_blocks, DecomposedField):
             self._columns, self._blocks = BlockColumns(per_rank_blocks), None
-        self._pairs = per_rank_pairs
-        self._pair_arrays: Optional[List[np.ndarray]] = None
+        self.per_rank_pairs = per_rank_pairs
         self.sorted_pairs = sorted_pairs
-        self.reduced_ids = reduced_ids
-        #: Target ladder level per reduced block id (the reduction step's
-        #: quality ladder decision; ``set(reduction_levels) == reduced_ids``).
-        self.reduction_levels = reduction_levels
-        self.render_results = render_results
-        self.reports: Dict[str, StepReport] = {} if reports is None else reports
+        self._reduced_ids = self._reduction_levels = self._reduction = None
+        self.render_results: Optional[List["RenderResult"]] = None
+        self.reports: Dict[str, StepReport] = {}
 
     @property
     def per_rank_blocks(self) -> List[List["Block"]]:
@@ -199,22 +232,19 @@ class IterationContext:
             return len(self._columns)
         return sum(len(blocks) for blocks in self._blocks)
 
-    @property
-    def per_rank_pairs(self) -> Optional[List[List[ScorePair]]]:
-        """Per-rank ``(block_id, score)`` tuples (built once from the wire
-        arrays when a batched scoring step left those)."""
-        if self._pairs is None and self._pair_arrays is not None:
-            self._pairs = [pairs_from_wire(wire) for wire in self._pair_arrays]
-        return self._pairs
-
-    @per_rank_pairs.setter
-    def per_rank_pairs(self, per_rank_pairs: List[List[ScorePair]]) -> None:
-        self._pairs, self._pair_arrays = per_rank_pairs, None
-
     def set_pair_arrays(self, arrays: List[np.ndarray]) -> None:
         """Record the score pairs in wire form: one ``(n_r, 2)`` float64
         ``(id, score)`` array per rank, what the sort gathers."""
-        self._pairs, self._pair_arrays = None, arrays
+        self._per_rank_pairs, self._pair_arrays = None, arrays
+
+    def set_sorted_array(self, wire: np.ndarray) -> None:
+        """Record the sorted order as the broadcast ``(N, 2)`` wire array."""
+        self._sorted_pairs, self._sorted_array = None, wire
+
+    def set_reduction_arrays(self, ids: np.ndarray, levels: np.ndarray) -> None:
+        """Record the reduced ids, in selection order, and their target levels."""
+        self._reduction_levels = self._reduced_ids = None
+        self._reduction = (ids, levels)
 
     def pairs_for_sort(self) -> Sequence[Sequence[ScorePair]]:
         """The score pairs as they are at hand — wire arrays or tuples, the
@@ -232,6 +262,14 @@ class IterationContext:
         if self.sorted_pairs is None:
             raise RuntimeError("sorting step must run before this step")
         return self.sorted_pairs
+
+    def require_sorted_array(self) -> np.ndarray:
+        """The sorted order as the ``(N, 2)`` wire array (built once from the
+        tuples when a list-based sort ran), raising if sorting has not run."""
+        if self._sorted_array is None:
+            wire = np.asarray(self.require_sorted(), dtype=np.float64)
+            self._sorted_array = wire.reshape(-1, 2)
+        return self._sorted_array
 
 
 @runtime_checkable

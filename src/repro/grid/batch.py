@@ -283,9 +283,10 @@ class BlockColumns:
         """Deepen every row to at least ladder level ``targets[row]``.
 
         One :func:`~repro.grid.reduction.reduce_to_level_batch` gather per
-        (group, target level); rows already at or beyond their target keep
-        their payload.  The groups are re-formed by resulting shape/dtype, so
-        all corner payloads end up in one 2×2×2 group.
+        (group, target level), handed the rows to take (the corner rung reads
+        only the corners); rows already at or beyond their target keep their
+        payload.  The groups are re-formed by resulting shape/dtype, so all
+        corner payloads end up in one 2×2×2 group.
         """
         todo = targets > self.levels
         if not todo.any():
@@ -295,8 +296,9 @@ class BlockColumns:
             goal = np.where(todo[rows], targets[rows], 0)
             for level in np.unique(goal).tolist():
                 local = np.flatnonzero(goal == level)
-                part = stacked if local.size == rows.size else stacked[local]
-                part = reduce_to_level_batch(part, level)
+                part = reduce_to_level_batch(
+                    stacked, level, None if local.size == rows.size else local
+                )
                 pieces.setdefault((part.shape[1:], part.dtype), []).append(
                     (rows[local], part)
                 )

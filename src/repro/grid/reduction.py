@@ -18,7 +18,7 @@ retained points — corners included — are reproduced exactly.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -234,35 +234,38 @@ def reduce_to_corners_batch(data: np.ndarray) -> np.ndarray:
     shape ``(nblocks, 2, 2, 2)`` with identical values to reducing the blocks
     one at a time.
     """
-    arr = np.asarray(data)
-    if arr.ndim != 4:
-        raise ValueError(f"batch data must be 4-D, got shape {arr.shape}")
-    ix = np.array([0, arr.shape[1] - 1])
-    iy = np.array([0, arr.shape[2] - 1])
-    iz = np.array([0, arr.shape[3] - 1])
-    return np.ascontiguousarray(
-        arr[:, ix[:, None, None], iy[None, :, None], iz[None, None, :]]
-    )
+    return reduce_to_level_batch(data, 2)
 
 
-def reduce_to_level_batch(data: np.ndarray, level: int) -> np.ndarray:
-    """Ladder reduction of a stacked ``(nblocks, sx, sy, sz)`` batch.
+def reduce_to_level_batch(
+    data: np.ndarray, level: int, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Ladder reduction of the ``rows`` of a stacked ``(nblocks, sx, sy, sz)``
+    batch (every block when ``rows`` is ``None``).
 
-    Vectorised counterpart of :func:`reduce_to_level` — one fancy-index
-    gather for the whole group, values bitwise those of reducing the blocks
-    one at a time.  Level 2 delegates to :func:`reduce_to_corners_batch`.
+    Vectorised counterpart of :func:`reduce_to_level`, values bitwise those of
+    reducing the blocks one at a time.  Level 2 reads the corners through a
+    strided view and only then takes ``rows``, so a subset of a group never
+    copies its full payloads; an axis of length 1 takes the fancy-index gather
+    instead (``[0, n - 1]`` repeats index 0 there, which no slice step can),
+    as level 1 always does.
     """
-    if level == 0:
-        return np.asarray(data)
-    if level == 2:
-        return reduce_to_corners_batch(data)
-    if level != 1:
-        raise ValueError(f"level must be 0, 1 or 2, got {level}")
     arr = np.asarray(data)
+    if level == 0:
+        return arr if rows is None else arr[rows]
+    if level not in (1, 2):
+        raise ValueError(f"level must be 0, 1 or 2, got {level}")
     if arr.ndim != 4:
         raise ValueError(f"batch data must be 4-D, got shape {arr.shape}")
+    _, sx, sy, sz = arr.shape
+    if level == 2 and min(sx, sy, sz) > 1:
+        corners = arr[:, :: sx - 1, :: sy - 1, :: sz - 1]
+        return np.ascontiguousarray(corners if rows is None else corners[rows])
+    if rows is not None:
+        arr = arr[rows]
     ix, iy, iz = (
-        np.asarray(axis_sample_indices(n), dtype=np.int64) for n in arr.shape[1:]
+        np.asarray([0, n - 1] if level == 2 else axis_sample_indices(n), dtype=np.int64)
+        for n in (sx, sy, sz)
     )
     return np.ascontiguousarray(
         arr[:, ix[:, None, None], iy[None, :, None], iz[None, None, :]]

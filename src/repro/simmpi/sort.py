@@ -13,7 +13,7 @@ pairs as tuples or already in wire form, an ``(n, 2)`` float64 array of
   the gathered arrays; what the batched backends run.  The communication (one
   gather of per-rank wire arrays, one broadcast of the sorted ``(N, 2)`` array)
   is identical call for call and byte for byte, so the modelled seconds are
-  the same and the result list is bitwise equal.
+  the same; every rank holds the broadcast array, bitwise the reference's list.
 """
 
 from __future__ import annotations
@@ -82,15 +82,16 @@ def parallel_sort_pairs(
 
 def parallel_sort_pairs_numpy(
     comm: BSPCommunicator, per_rank_pairs: Sequence[Sequence[ScorePair]]
-) -> List[List[ScorePair]]:
+) -> List[np.ndarray]:
     """NumPy variant of :func:`parallel_sort_pairs` (``np.lexsort`` at root).
 
     Same scheme, same communication payloads (so the cost model charges
-    exactly the same modelled seconds), bitwise-identical sorted output — only
-    the root's sort runs as one ``np.lexsort`` instead of a Python ``sorted``
-    over a quarter-million tuples, and the sorted list is materialised *once*:
-    every rank receives the same list object, mirroring the broadcast's shared
-    buffer (the list is treated as read-only downstream).
+    exactly the same modelled seconds) — only the root's sort runs as one
+    ``np.lexsort`` instead of a Python ``sorted`` over a quarter-million
+    tuples, and no tuple is built: every rank receives the broadcast sorted
+    ``(N, 2)`` float64 wire array, the same object (the broadcast's shared
+    buffer, read-only downstream).  ``pairs_from_wire`` of it is bitwise the
+    reference's sorted list.
     """
     if len(per_rank_pairs) != comm.nranks:
         raise ValueError(
@@ -108,6 +109,4 @@ def parallel_sort_pairs_numpy(
     merged = np.concatenate(root_arrays, axis=0) if root_arrays else np.empty((0, 2))
     # lexsort's last key is primary: ascending score, ties broken by id.
     order = np.lexsort((merged[:, 0], merged[:, 1]))
-    sorted_arr = np.ascontiguousarray(merged[order])
-    shared = pairs_from_wire(comm.bcast(sorted_arr, root=0)[0])
-    return [shared for _ in range(comm.nranks)]
+    return comm.bcast(np.ascontiguousarray(merged[order]), root=0)

@@ -12,8 +12,9 @@ the same shape of API for the reproduction:
   which one virtual rank calls per iteration with its list of blocks.
 
 Every script returns a :class:`RenderResult` carrying the quantities the rest
-of the system needs: per-block triangle counts (rendering load), active cell
-counts, and optionally the extracted mesh / rendered image.
+of the system needs: per-block triangle counts (rendering load) and active
+cell counts, as arrays in block order, and optionally the extracted mesh /
+rendered image.
 """
 
 from __future__ import annotations
@@ -53,16 +54,19 @@ RENDER_MODES = ("count", "mesh")
 
 @dataclass
 class RenderResult:
-    """Output of one script for one rank and one iteration."""
+    """Output of one script for one rank and one iteration (per-block loads
+    as parallel int64 arrays in block order, the ``per_block_*`` dicts views)."""
 
     script_name: str
     iteration: int
     #: Number of payload points processed (reduced blocks contribute 8).
     npoints: int = 0
+    #: Ids of the blocks the isosurface script processed.
+    block_ids: np.ndarray = field(default_factory=partial(np.empty, 0, np.int64))
     #: Per-block triangle counts (isosurface scripts only).
-    per_block_triangles: Dict[int, int] = field(default_factory=dict)
+    block_triangles: np.ndarray = field(default_factory=partial(np.empty, 0, np.int64))
     #: Per-block isosurface-crossing cell counts.
-    per_block_active_cells: Dict[int, int] = field(default_factory=dict)
+    block_cells: np.ndarray = field(default_factory=partial(np.empty, 0, np.int64))
     #: Extracted geometry, if the script was asked to keep it.
     mesh: Optional[TriangleMesh] = None
     #: Rendered image, if the script was asked to produce one.
@@ -75,14 +79,24 @@ class RenderResult:
     measured_seconds: float = 0.0
 
     @property
+    def per_block_triangles(self) -> Dict[int, int]:
+        """Triangle count per block id, in block order."""
+        return dict(zip(self.block_ids.tolist(), self.block_triangles.tolist()))
+
+    @property
+    def per_block_active_cells(self) -> Dict[int, int]:
+        """Isosurface-crossing cell count per block id, in block order."""
+        return dict(zip(self.block_ids.tolist(), self.block_cells.tolist()))
+
+    @property
     def ntriangles(self) -> int:
         """Total triangles across the rank's blocks."""
-        return int(sum(self.per_block_triangles.values()))
+        return int(self.block_triangles.sum())
 
     @property
     def active_cells(self) -> int:
         """Total isosurface-crossing cells across the rank's blocks."""
-        return int(sum(self.per_block_active_cells.values()))
+        return int(self.block_cells.sum())
 
 
 class VisualizationScript:
@@ -203,13 +217,10 @@ class IsosurfaceScript(VisualizationScript):
         (``int(round(...))`` per element: both round half to even)."""
         return np.rint(cells * TRIANGLES_PER_ACTIVE_CELL).astype(np.int64)
 
-    def record_count(self, result: RenderResult, block_id: int, cells: int) -> None:
-        """Record one block's counting-mode load estimate."""
-        cells = int(cells)
-        result.per_block_active_cells[block_id] = cells
-        result.per_block_triangles[block_id] = int(
-            round(cells * TRIANGLES_PER_ACTIVE_CELL)
-        )
+    @staticmethod
+    def triangles_from_count(cells: int) -> int:
+        """Counting-mode triangle estimate of one block's active-cell count."""
+        return int(round(cells * TRIANGLES_PER_ACTIVE_CELL))
 
     def finalize_mesh(self, result: RenderResult, meshes: Sequence[TriangleMesh]) -> None:
         """Merge per-block meshes (in block order) and optionally rasterize."""
@@ -228,19 +239,24 @@ class IsosurfaceScript(VisualizationScript):
         """Reference per-block loop (the serial rendering backend)."""
         result = RenderResult(script_name=self.name, iteration=iteration)
         meshes: List[TriangleMesh] = []
+        ids, triangles, counts = [], [], []
         with Timer() as timer:
             for block in blocks:
                 result.npoints += int(block.data.size)
+                ids.append(block.block_id)
                 if self.mode == "count":
                     cells = count_active_cells(
                         np.asarray(block.data, dtype=np.float64), self.level
                     )
-                    self.record_count(result, block.block_id, cells)
-                    continue
-                mesh, cells = self.extract_block(block)
-                result.per_block_active_cells[block.block_id] = cells
-                result.per_block_triangles[block.block_id] = mesh.ntriangles
-                meshes.append(mesh)
+                    triangles.append(self.triangles_from_count(cells))
+                else:
+                    mesh, cells = self.extract_block(block)
+                    triangles.append(mesh.ntriangles)
+                    meshes.append(mesh)
+                counts.append(int(cells))
+            result.block_ids, result.block_triangles, result.block_cells = (
+                np.array(values, dtype=np.int64) for values in (ids, triangles, counts)
+            )
             if self.mode == "mesh":
                 self.finalize_mesh(result, meshes)
         result.measured_seconds = timer.elapsed

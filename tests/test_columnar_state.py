@@ -352,12 +352,10 @@ def test_vectorised_triangle_estimate_rounds_like_the_per_block_one(per_cell, mo
     monkeypatch.setattr(catalyst, "TRIANGLES_PER_ACTIVE_CELL", per_cell)
     script = catalyst.IsosurfaceScript(mode="count")
     cells = np.arange(1001, dtype=np.int64)
-    result = catalyst.RenderResult(script_name=script.name, iteration=0)
-    for block_id, count in enumerate(cells.tolist()):
-        script.record_count(result, block_id, count)
+    per_block = [script.triangles_from_count(count) for count in cells.tolist()]
     estimate = script.triangles_from_cells(cells)
     assert estimate.dtype == np.int64
-    assert estimate.tolist() == list(result.per_block_triangles.values())
+    assert estimate.tolist() == per_block
 
 
 # -- (e) structure: no block, no clone, no payload copy, one state build -------------------

@@ -326,7 +326,7 @@ class TestRenderingBackends:
     def test_rank_triangle_totals_summed_once(
         self, tiny_scenario, monkeypatch, run_step
     ):
-        """``RenderResult.ntriangles`` re-sums a dict on every read: the
+        """``RenderResult.ntriangles`` re-sums an array on every read: the
         reference step reads it once per rank, the batched step reports one
         ``per_rank_sum`` of the array it already has and never reads it."""
         from repro.viz.catalyst import RenderResult

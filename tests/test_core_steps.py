@@ -20,18 +20,46 @@ from repro.core.reduction_step import (
     DEFAULT_QUALITY_LADDER,
     ReductionStep,
     VectorizedReductionStep,
-    select_blocks_to_reduce,
+    ladder_counts,
     select_reduction_levels,
     validate_quality_ladder,
 )
 from repro.core.rendering_step import RenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
-from repro.core.sorting_step import SortingStep
+from repro.core.sorting_step import SortingStep, VectorizedSortingStep
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.reduction import reduce_block
 from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
 from repro.simmpi.communicator import BSPCommunicator
+
+
+def oracle_select_reduction_levels(
+    sorted_pairs, percent, ladder=DEFAULT_QUALITY_LADDER
+):
+    """The replaced body of ``select_reduction_levels``, kept verbatim as the
+    oracle of the ladder law (``ladder_counts`` now holds the rounding)."""
+    if not (0.0 <= percent <= 100.0):
+        raise ValueError(f"percent must be in [0, 100], got {percent}")
+    ladder = validate_quality_ladder(ladder)
+    nblocks = len(sorted_pairs)
+    count = min(int(math.floor(nblocks * percent / 100.0 + 0.5)), nblocks)
+    levels = {}
+    offset = 0
+    for rung_index, (level, fraction) in enumerate(ladder):
+        if rung_index == len(ladder) - 1:
+            take = count - offset
+        else:
+            take = min(int(math.floor(count * fraction + 0.5)), count - offset)
+        for block_id, _ in sorted_pairs[offset : offset + take]:
+            levels[block_id] = level
+        offset += take
+    return levels
+
+
+def selected_ids(sorted_pairs, percent):
+    """Ids of the ``percent``% lowest-scored blocks (any ladder selects them)."""
+    return set(select_reduction_levels(sorted_pairs, percent))
 
 
 def owners_dict(assignment):
@@ -131,31 +159,70 @@ class TestSortingStep:
             )
 
 
+    @staticmethod
+    def _agreement(per_rank_sorted):
+        return SortingStep._require_rank_agreement(per_rank_sorted)
+
+    def test_equal_wire_arrays_agree(self):
+        """Equal but distinct wire arrays pass (their ``==`` is elementwise,
+        so a bare ``pairs == reference`` cannot decide)."""
+        wire = np.array([[3.0, 0.25], [1.0, 0.5], [0.0, 2.0]])
+        copies = [wire.copy() for _ in range(4)]
+        assert self._agreement(copies) is copies[0]
+
+    def test_diverging_wire_arrays_rejected(self):
+        wire = np.array([[3.0, 0.25], [1.0, 0.5], [0.0, 2.0]])
+        swapped = wire[[0, 2, 1]]
+        diverging = "rank 2 disagrees with rank 0 at position 1"
+        with pytest.raises(RuntimeError, match=diverging):
+            self._agreement([wire, wire.copy(), swapped])
+        with pytest.raises(RuntimeError, match="rank 1 holds 2 pairs"):
+            self._agreement([wire, wire[:2]])
+
+    def test_batched_sort_leaves_the_wire_array(
+        self, per_rank_blocks, platform, run_step
+    ):
+        """The batched sort records the broadcast array; the tuples are built
+        from it only when read, equal to the reference sort's."""
+        comm = BSPCommunicator(4, cost_model=platform.network)
+        pairs = run_step(ScoringStep(create_metric("VAR"), platform), per_rank_blocks)[
+            0
+        ].per_rank_pairs
+        batched, _ = run_step(
+            VectorizedSortingStep(comm), per_rank_blocks, per_rank_pairs=pairs
+        )
+        reference, _ = run_step(SortingStep(comm), per_rank_blocks, per_rank_pairs=pairs)
+        wire = batched.require_sorted_array()
+        assert wire.shape == (len(reference.sorted_pairs), 2)
+        assert "_sorted_pairs" in vars(batched) and batched._sorted_pairs is None
+        assert batched.sorted_pairs == reference.sorted_pairs
+
+
 class TestReductionSelection:
     def test_zero_and_full_percent(self):
         pairs = [(i, float(i)) for i in range(10)]
-        assert select_blocks_to_reduce(pairs, 0.0) == set()
-        assert select_blocks_to_reduce(pairs, 100.0) == set(range(10))
+        assert selected_ids(pairs, 0.0) == set()
+        assert selected_ids(pairs, 100.0) == set(range(10))
 
     def test_fifty_percent_takes_lowest_scores(self):
         pairs = [(i, float(i)) for i in range(10)]
-        assert select_blocks_to_reduce(pairs, 50.0) == {0, 1, 2, 3, 4}
+        assert selected_ids(pairs, 50.0) == {0, 1, 2, 3, 4}
 
     def test_percent_out_of_range(self):
         with pytest.raises(ValueError):
-            select_blocks_to_reduce([], 150.0)
+            selected_ids([], 150.0)
         with pytest.raises(ValueError):
-            select_blocks_to_reduce([], -1.0)
+            selected_ids([], -1.0)
 
     def test_empty_pairs(self):
-        assert select_blocks_to_reduce([], 0.0) == set()
-        assert select_blocks_to_reduce([], 50.0) == set()
-        assert select_blocks_to_reduce([], 100.0) == set()
+        assert selected_ids([], 0.0) == set()
+        assert selected_ids([], 50.0) == set()
+        assert selected_ids([], 100.0) == set()
 
     def test_full_percent_selects_everything(self):
         pairs = [(i, float(i % 3)) for i in range(7)]
         pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
-        assert select_blocks_to_reduce(pairs, 100.0) == set(range(7))
+        assert selected_ids(pairs, 100.0) == set(range(7))
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -165,7 +232,7 @@ class TestReductionSelection:
     def test_selection_size_property(self, nblocks, percent):
         pairs = [(i, float(i % 7)) for i in range(nblocks)]
         pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
-        selected = select_blocks_to_reduce(pairs, percent)
+        selected = selected_ids(pairs, percent)
         expected = min(nblocks, math.floor(nblocks * percent / 100.0 + 0.5))
         assert len(selected) == expected
 
@@ -175,7 +242,7 @@ class TestReductionSelection:
         while 5% of 30 selected 2)."""
         def count(nblocks, percent):
             pairs = [(i, float(i)) for i in range(nblocks)]
-            return len(select_blocks_to_reduce(pairs, percent))
+            return len(selected_ids(pairs, percent))
 
         assert count(10, 5.0) == 1   # 0.5 -> 1 (banker's round gave 0)
         assert count(30, 5.0) == 2   # 1.5 -> 2
@@ -273,7 +340,7 @@ class TestQualityLadder:
         pairs = [(i, float(i)) for i in range(10)]
         for percent in (0.0, 5.0, 35.0, 50.0, 100.0):
             levels = select_reduction_levels(pairs, percent, DEFAULT_QUALITY_LADDER)
-            assert set(levels) == select_blocks_to_reduce(pairs, percent)
+            assert levels == oracle_select_reduction_levels(pairs, percent)
             assert all(level == 2 for level in levels.values())
 
     def test_rungs_applied_over_ascending_prefix(self):
@@ -321,6 +388,88 @@ class TestQualityLadder:
     def test_invalid_ladder_rejected_at_step_construction(self, platform):
         with pytest.raises(ValueError):
             ReductionStep(platform, quality_ladder=((3, 1.0),))
+
+
+class TestLadderAndDealLaw:
+    """``ladder_counts`` plus the prefix of the sorted wire array is the
+    replaced ``select_reduction_levels`` (the oracle above), and every strategy
+    deals the same owners from the wire array as from tuples.  The hand
+    mutation it catches: ``round()`` in place of ``floor(x + 0.5)`` in
+    ``ladder_counts`` (5 % of 10 blocks then selects 0)."""
+
+    @staticmethod
+    def _prefix_levels(sorted_pairs, percent, ladder):
+        """The batched step's decision: the rungs' runs of the wire array."""
+        wire = np.asarray(sorted_pairs, dtype=np.float64).reshape(-1, 2)
+        rungs = ladder_counts(len(wire), percent, ladder)
+        ids = wire[: sum(take for _, take in rungs), 0].astype(np.int64)
+        levels = np.repeat([level for level, _ in rungs], [take for _, take in rungs])
+        return dict(zip(ids.tolist(), levels.tolist()))
+
+    @staticmethod
+    def _sorted(nblocks, seed):
+        """``nblocks`` ascending (score, id) pairs: distinct random ids, tied scores."""
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(nblocks * 3)[:nblocks].tolist()
+        scores = rng.integers(0, 9, nblocks).astype(float).tolist()
+        return sorted(zip(ids, scores), key=lambda p: (p[1], p[0]))
+
+    @pytest.mark.parametrize(
+        "nblocks, percent, expected",
+        [(10, 5.0, 1), (30, 5.0, 2), (10, 25.0, 3), (10, 35.0, 4), (10, 45.0, 5),
+         (10, 24.0, 2), (10, 26.0, 3), (0, 50.0, 0), (7, 100.0, 7), (10, 0.0, 0)],
+    )
+    def test_named_cases(self, nblocks, percent, expected):
+        pairs = self._sorted(nblocks, 0)
+        for ladder in (DEFAULT_QUALITY_LADDER, ((2, 0.5), (1, 0.5))):
+            levels = self._prefix_levels(pairs, percent, ladder)
+            assert levels == oracle_select_reduction_levels(pairs, percent, ladder)
+            stepped = select_reduction_levels(pairs, percent, ladder)
+            assert list(levels.items()) == list(stepped.items())
+            assert len(levels) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        nblocks=st.integers(min_value=0, max_value=120),
+        percent=st.one_of(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.integers(min_value=0, max_value=20).map(lambda k: k * 5.0),
+        ),
+        ladder=st.sampled_from(
+            [((2, 1.0),), ((1, 1.0),), ((2, 0.5), (1, 0.5)), ((1, 0.25), (2, 0.75)),
+             ((2, 0.3), (1, 0.7)), ((1, 0.45), (2, 0.55))]
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_prefix_equals_the_oracle(self, nblocks, percent, ladder, seed):
+        pairs = self._sorted(nblocks, seed)
+        expected = oracle_select_reduction_levels(pairs, percent, ladder)
+        assert self._prefix_levels(pairs, percent, ladder) == expected
+        assert list(select_reduction_levels(pairs, percent, ladder).items()) == list(
+            expected.items()
+        )
+
+    def test_percent_out_of_range(self):
+        for percent in (-1.0, 150.0):
+            with pytest.raises(ValueError):
+                ladder_counts(10, percent)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        nblocks=st.integers(min_value=0, max_value=80),
+        nranks=st.integers(min_value=1, max_value=9),
+        iteration=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_wire_array_deals_like_tuples(self, nblocks, nranks, iteration, seed):
+        pairs = self._sorted(nblocks, seed)
+        wire = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+        for strategy in (RoundRobin(), RandomShuffle(seed=seed)):
+            from_tuples = strategy.assign_owners(pairs, nranks, iteration)
+            from_wire = strategy.assign_owners(wire, nranks, iteration)
+            for a, b in zip(from_tuples, from_wire):
+                assert a.dtype == b.dtype == np.int64
+                assert a.tolist() == b.tolist()
 
 
 class TestRedistribution:

@@ -73,6 +73,27 @@ class TestBatchReductionLadder:
             np.testing.assert_array_equal(batched[i], reduce_to_level(stack[i], level))
 
     @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "shape", [(6, 5, 4), (1, 4, 3), (4, 1, 1), (1, 1, 1), (2, 2, 2)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_subset_matches_scalar(self, level, shape, dtype):
+        """``rows`` taken by the kernel (the corner rung reads a strided view
+        first, length-1 axes fancy-index) equal reducing those blocks one at a
+        time, on a read-only stack, in ``rows`` order."""
+        from repro.grid.reduction import reduce_to_level, reduce_to_level_batch
+
+        stack = np.random.default_rng(14).normal(size=(7,) + shape).astype(dtype)
+        stack.flags.writeable = False
+        subsets = [[5, 0, 3], [6], list(range(7)), []]
+        for rows in (np.array(subset, dtype=np.int64) for subset in subsets):
+            batched = reduce_to_level_batch(stack, level, rows)
+            assert batched.dtype == dtype and len(batched) == len(rows)
+            assert batched.flags.c_contiguous
+            for got, row in zip(batched, rows.tolist()):
+                assert got.tobytes() == reduce_to_level(stack[row], level).tobytes()
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
     def test_batched_expand_matches_scalar(self, level):
         from repro.grid.reduction import (
             expand_from_level,

@@ -14,10 +14,14 @@ from __future__ import annotations
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.metrics import statistics
+from repro.metrics.base import ScoreMetric
 from repro.metrics.registry import default_registry
 from repro.utils.histogram import fixed_range_histogram, fixed_range_histogram_batch
 
@@ -60,6 +64,101 @@ class TestScorePathParity:
         scalar = [metric.score_block(v) for v in views]
         batched = metric.score_batch(np.stack(views))
         assert np.asarray(batched, dtype=np.float64).tolist() == scalar
+
+
+def oracle_var_score_batch(batch):
+    """The replaced ``VarianceMetric.score_batch`` body: one ``np.var`` over
+    the whole flattened batch (five full passes over it)."""
+    arr = ScoreMetric._prepare_batch(batch)
+    flat = arr.reshape(arr.shape[0], -1)
+    return np.var(flat, axis=1).astype(np.float64)
+
+
+def oracle_std_score_batch(batch):
+    """The replaced ``StdDevMetric.score_batch`` body."""
+    arr = ScoreMetric._prepare_batch(batch)
+    flat = arr.reshape(arr.shape[0], -1)
+    return np.std(flat, axis=1).astype(np.float64)
+
+
+ORACLES = {"VAR": oracle_var_score_batch, "STD": oracle_std_score_batch}
+
+
+class TestRowVarianceLaw:
+    """VAR and STD score in row chunks (``statistics.row_variance``); a batch
+    scores bitwise like ``score_blocks`` and per-block ``score_block``, and
+    like the replaced ``np.var`` body, whatever the chunk boundaries.  The
+    hand mutation it catches: the chunk mean accumulated with
+    ``dtype=np.float64`` (float32 batches then drift by an ulp)."""
+
+    @staticmethod
+    def _bits(scores):
+        return np.asarray(scores, dtype=np.float64).tobytes()
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        name=st.sampled_from(sorted(ORACLES)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shape=st.tuples(*[st.sampled_from([1, 2, 5, 13]) for _ in range(3)]),
+        chunk_bytes=st.sampled_from([1, 96, 1024, 4096, statistics._CHUNK_BYTES]),
+        rows=st.sampled_from(["1", "chunk-1", "chunk", "chunk+1", "2chunk+1"]),
+        layout=st.sampled_from(["contiguous", "row-strided", "strided", "read-only"]),
+        specials=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_batch_equals_blocks_bitwise(
+        self, name, dtype, shape, chunk_bytes, rows, layout, specials, seed
+    ):
+        count = int(np.prod(shape))
+        chunk = max(1, chunk_bytes // (count * np.dtype(dtype).itemsize))
+        nrows = {
+            "1": 1, "chunk-1": max(1, chunk - 1), "chunk": chunk,
+            "chunk+1": chunk + 1, "2chunk+1": 2 * chunk + 1,
+        }[rows]
+        nrows = min(nrows, 600)
+        rng = np.random.default_rng(seed)
+        source = rng.uniform(-60.0, 80.0, size=(2 * nrows,) + tuple(2 * n for n in shape))
+        source = source.astype(dtype)
+        for value in specials:
+            source.flat[rng.integers(source.size)] = value
+        head = source[:, : shape[0], : shape[1], : shape[2]]
+        if layout == "strided":
+            batch = source[::2, ::2, ::2, ::2]
+        elif layout == "row-strided":
+            batch = np.ascontiguousarray(head)[::2]
+        else:
+            batch = np.ascontiguousarray(head[:nrows])
+        batch.flags.writeable = layout != "read-only"
+        before = batch.copy()
+        metric = default_registry().create(name)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with mock.patch.object(statistics, "_CHUNK_BYTES", chunk_bytes):
+                batched = metric.score_batch(batch)
+            expected = [
+                ORACLES[name](batch),
+                metric.score_blocks(list(batch)),
+                [metric.score_block(b) for b in batch],
+            ]
+        assert batched.dtype == np.float64 and batched.shape == (nrows,)
+        for scores in expected:
+            assert self._bits(batched) == self._bits(scores)
+        assert before.tobytes() == batch.tobytes()  # the batch is only read
+
+    def test_real_chunk_boundaries_of_a_paper_sized_block(self):
+        """55x55x38 float32 blocks (the paper's) at the module's chunk size:
+        chunk-1, chunk and chunk+1 rows, a one-row tail included."""
+        count = 55 * 55 * 38
+        chunk = max(1, statistics._CHUNK_BYTES // (count * 4))
+        rng = np.random.default_rng(7)
+        full = rng.uniform(-60.0, 80.0, size=(chunk + 1, 55, 55, 38)).astype(np.float32)
+        for name, oracle in ORACLES.items():
+            metric = default_registry().create(name)
+            for nrows in {max(1, chunk - 1), chunk, chunk + 1}:
+                batch = full[:nrows]
+                assert self._bits(metric.score_batch(batch)) == self._bits(oracle(batch))
+                assert self._bits(metric.score_batch(batch)) == self._bits(
+                    [metric.score_block(b) for b in batch]
+                )
 
 
 class TestSupportsBatchFlags:

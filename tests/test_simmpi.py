@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simmpi.communicator import BSPCommunicator, _payload_nbytes
 from repro.simmpi.costmodel import NetworkCostModel
-from repro.simmpi.sort import parallel_sort_pairs, parallel_sort_pairs_numpy
+from repro.simmpi.sort import (
+    pairs_from_wire,
+    parallel_sort_pairs,
+    parallel_sort_pairs_numpy,
+)
 
 
 def oracle_alltoallv_loop(model: NetworkCostModel, send_matrix_bytes, nranks: int) -> float:
@@ -301,7 +305,9 @@ class TestParallelSortNumpy:
         python_comm = BSPCommunicator(4)
         numpy_comm = BSPCommunicator(4)
         python_out = parallel_sort_pairs(python_comm, per_rank)
-        numpy_out = parallel_sort_pairs_numpy(numpy_comm, per_rank)
+        numpy_out = [
+            pairs_from_wire(o) for o in parallel_sort_pairs_numpy(numpy_comm, per_rank)
+        ]
         assert numpy_out[0] == python_out[0]
         assert all(o == python_out[0] for o in numpy_out)
         # Same tuple element types (int ids, float scores), not np scalars.
@@ -312,7 +318,7 @@ class TestParallelSortNumpy:
         assert numpy_comm.stats == python_comm.stats
 
     def test_shared_result_list_across_ranks(self):
-        """Every rank holds literally the same list, mirroring the broadcast
+        """Every rank holds literally the same wire array, the broadcast
         buffer — what makes the sorting step's agreement check O(nranks)."""
         comm = BSPCommunicator(3)
         out = parallel_sort_pairs_numpy(comm, self._random_pairs(3, 4))
@@ -321,12 +327,12 @@ class TestParallelSortNumpy:
     def test_handles_empty_ranks(self):
         comm = BSPCommunicator(3)
         out = parallel_sort_pairs_numpy(comm, [[(0, 1.0)], [], [(1, 0.5)]])
-        assert out[0] == [(1, 0.5), (0, 1.0)]
+        assert pairs_from_wire(out[0]) == [(1, 0.5), (0, 1.0)]
 
     def test_all_empty(self):
         comm = BSPCommunicator(2)
         out = parallel_sort_pairs_numpy(comm, [[], []])
-        assert out == [[], []]
+        assert [pairs_from_wire(o) for o in out] == [[], []]
 
     def test_wrong_rank_count(self):
         comm = BSPCommunicator(2)
@@ -348,4 +354,4 @@ class TestParallelSortNumpy:
         pairs = [(i, float(s)) for i, s in enumerate(scores)]
         per_rank = [pairs[r::nranks] for r in range(nranks)]
         out = parallel_sort_pairs_numpy(comm, per_rank)
-        assert out[0] == sorted(pairs, key=lambda p: (p[1], p[0]))
+        assert pairs_from_wire(out[0]) == sorted(pairs, key=lambda p: (p[1], p[0]))
