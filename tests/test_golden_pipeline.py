@@ -7,7 +7,10 @@ default-engine pipeline runs both iterations.  Per iteration the record pins
 one sha256 each of: the scores column (its bytes), the sorted order, the
 reduction decision (ids and levels, in selection order), the payload groups
 (rows, dtype, shape and bytes, group by group), the per-block render counts
-of every rank, and every ``StepReport`` field except measured seconds.  A
+of every rank, and every ``StepReport`` field except measured seconds.  Four
+more ``tiny`` VAR cases (both ladders, both strategies) render in mesh mode
+and also pin every rank's extracted ``mesh.vertices`` and ``mesh.triangles``
+bytes, so the geometry a reduced block feeds the extractor is checked too.  A
 refactor of the batched steps that claims "no behaviour change" is checked
 byte for byte, and a mismatch names the case, the iteration and the part.
 
@@ -48,6 +51,8 @@ CASES = [
     for metric in METRICS
     for ladder in LADDERS
     for strategy in STRATEGIES
+] + [
+    f"tiny/VAR/{ladder}/{strategy}/mesh" for ladder in LADDERS for strategy in STRATEGIES
 ]
 
 
@@ -69,9 +74,22 @@ def _groups_digest(groups) -> str:
     return digest.hexdigest()
 
 
+def _meshes_digest(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(np.ascontiguousarray(result.mesh.vertices).tobytes())
+        digest.update(np.ascontiguousarray(result.mesh.triangles).tobytes())
+    return digest.hexdigest()
+
+
 def _iteration_digests(context) -> List[List[str]]:
     """``[part, sha256]`` for every pinned part of one completed iteration."""
     columns = context.columns
+    scores = columns.scores
+    if scores is None:
+        # Mesh mode rendered from the blocks, so the columns were rebuilt from
+        # them, and the blocks carry the scores.
+        scores = np.array([block.score for block in columns.templates], np.float64)
     reports = {
         name: {
             "modelled_per_rank": report.modelled_per_rank,
@@ -89,22 +107,28 @@ def _iteration_digests(context) -> List[List[str]]:
         ]
         for result in context.render_results
     ]
-    return [
-        ["scores", _sha(np.ascontiguousarray(columns.scores).tobytes())],
+    digests = [
+        ["scores", _sha(np.ascontiguousarray(scores).tobytes())],
         ["sorted", _sha_json([list(pair) for pair in context.sorted_pairs])],
         ["reduced", _sha_json(list(context.reduction_levels.items()))],
         ["groups", _groups_digest(columns.groups)],
         ["render", _sha_json(render)],
         ["reports", _sha_json(reports)],
     ]
+    if context.render_results[0].mesh is not None:
+        digests.append(["meshes", _meshes_digest(context.render_results)])
+    return digests
 
 
 def case_digests(case: str) -> List[List[str]]:
     """Every iteration's digests of one case, generated now."""
-    scenario_name, metric, ladder, strategy = case.split("/")
+    scenario_name, metric, ladder, strategy, *mode = case.split("/")
     scenario = cached_scenario(name=scenario_name, nsnapshots=len(PERCENTS))
     pipeline = scenario.build_pipeline(
-        metric=metric, redistribution=strategy, quality_ladder=LADDERS[ladder]
+        metric=metric,
+        redistribution=strategy,
+        quality_ladder=LADDERS[ladder],
+        render_mode=mode[0] if mode else "count",
     )
     digests = []
     for iteration, percent in enumerate(PERCENTS):
