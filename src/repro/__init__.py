@@ -24,8 +24,8 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
 * :mod:`repro.metrics` — the block-scoring metrics (RANGE, VAR, ITL, LEA,
   FPZIP, TRILIN, ...);
 * :mod:`repro.compress` — fpzip/zfp/lz-like floating-point coders;
-* :mod:`repro.viz` — marching cubes, a software rasterizer, and a
-  Catalyst-like co-processing API;
+* :mod:`repro.viz` — marching cubes, the in situ isosurface script the
+  rendering step calls, and a software rasterizer;
 * :mod:`repro.perfmodel` — the "Blue Waters seconds" cost model calibrated
   against the paper's published numbers;
 * :mod:`repro.io` — a BIL-like dataset store;

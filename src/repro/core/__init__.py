@@ -11,7 +11,7 @@ blocks of every simulation iteration:
    (:mod:`repro.core.reduction_step`);
 4. **Redistribute** blocks across processes for load balance
    (:mod:`repro.core.redistribution`);
-5. **Render** the blocks through the Catalyst-like visualization pipeline
+5. **Render** the blocks through the 45 dBZ isosurface script
    (:mod:`repro.core.rendering_step`);
 6. **Adapt** ``p`` from the measured run time and the target
    (:mod:`repro.core.adaptation`, Algorithm 1).

@@ -26,7 +26,7 @@ measured wall-clock is the one quantity that legitimately differs.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,12 +37,6 @@ from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
 
 ScorePair = Tuple[int, float]
-
-#: Default modelled cost of reducing one block (a strided copy of 8 values);
-#: used when the step is built without a platform model.  Engine-built steps
-#: derive the coefficient from ``PlatformModel.seconds_per_reduced_block``
-#: (same default), exactly like scoring and rendering derive their costs.
-SECONDS_PER_REDUCED_BLOCK = 2.0e-6
 
 #: The default quality ladder: every selected block goes to the corner rung,
 #: which is bit-for-bit the pre-ladder binary behavior.
@@ -138,33 +132,20 @@ class ReductionStep:
     """Reduces the selected blocks on every rank (per-block reference loop).
 
     ``platform`` supplies the modelled per-reduced-block cost
-    (:meth:`~repro.perfmodel.platform.PlatformModel.reduction_seconds`); when
-    omitted the step falls back to :data:`SECONDS_PER_REDUCED_BLOCK`, which is
-    also the platform's default, so modelled figures are identical either way.
+    (:meth:`~repro.perfmodel.platform.PlatformModel.reduction_seconds`), priced
+    by each rank's payload points kept, in corner-block units of 8 — a level-1
+    downsample by its real copy volume, all-corners as one gather per block.
     """
 
     name = "reduction"
 
     def __init__(
         self,
-        platform: Optional[PlatformModel] = None,
+        platform: PlatformModel,
         quality_ladder: QualityLadder = DEFAULT_QUALITY_LADDER,
     ) -> None:
         self.platform = platform
         self.quality_ladder = validate_quality_ladder(quality_ladder)
-
-    def _reduction_seconds(
-        self, nreduced: int, points_copied: Optional[int] = None
-    ) -> float:
-        """Modelled seconds for one rank to reduce ``nreduced`` blocks, scaled
-        by ``points_copied`` (the payload points of its reduced blocks, in
-        corner-block units of 8) when given — which prices a level-1 downsample
-        by its real copy volume, and all-corners bitwise as before."""
-        if self.platform is not None:
-            return self.platform.reduction_seconds(nreduced, points_copied)
-        if points_copied is None:
-            return nreduced * SECONDS_PER_REDUCED_BLOCK
-        return SECONDS_PER_REDUCED_BLOCK * (points_copied / 8.0)
 
     def execute(self, context: IterationContext) -> StepReport:
         """Reduce the selected blocks rank by rank, one
@@ -199,7 +180,9 @@ class ReductionStep:
                         new_blocks.append(block)
             out.append(new_blocks)
             measured.append(timer.elapsed)
-            modelled.append(self._reduction_seconds(reduced_count, points_copied))
+            modelled.append(
+                self.platform.reduction_seconds(reduced_count, points_copied)
+            )
             points_total += points_copied
         context.per_rank_blocks = out
         context.reduction_levels, context.reduced_ids = levels, set(levels)
@@ -251,7 +234,7 @@ class VectorizedReductionStep(ReductionStep):
             self.name,
             measured_per_rank=share_elapsed(timer.elapsed, rank_counts),
             modelled_per_rank=[
-                self._reduction_seconds(count, points)
+                self.platform.reduction_seconds(count, points)
                 for count, points in zip(rank_counts, rank_points)
             ],
             counters={

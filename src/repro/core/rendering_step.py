@@ -1,10 +1,11 @@
-"""Step 5: rendering through the Catalyst-like visualization pipeline.
+"""Step 5: rendering through the in situ isosurface script.
 
-Each rank runs the isosurface script over the blocks it currently owns.  The
-step's modelled time is the *maximum* of the per-rank modelled rendering
-times (the rendering ends with a synchronous composition, so the slowest
-process drives the total — the load-imbalance effect the redistribution step
-attacks).
+Each rank runs the isosurface script
+(:class:`~repro.viz.catalyst.IsosurfaceScript`) over the blocks it currently
+owns.  The step's modelled time is the *maximum* of the per-rank modelled
+rendering times (the rendering ends with a synchronous composition, so the
+slowest process drives the total — the load-imbalance effect the
+redistribution step attacks).
 
 Like the scoring step, the rendering step is one reference class and one
 batched class, each with ``execute(context)`` as its one method.
@@ -26,11 +27,11 @@ from __future__ import annotations
 from repro.core.step import IterationContext, StepReport, share_elapsed
 from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
-from repro.viz.catalyst import CatalystPipeline, IsosurfaceScript, RenderResult
+from repro.viz.catalyst import IsosurfaceScript, RenderResult
 
 
 class RenderingStep:
-    """Runs the visualization scripts on every rank and prices the work."""
+    """Runs the isosurface script on every rank and prices the work."""
 
     name = "rendering"
 
@@ -39,19 +40,15 @@ class RenderingStep:
         platform: PlatformModel,
         isosurface_level: float = 45.0,
         render_mode: str = "count",
-        render_image: bool = False,
     ) -> None:
         self.platform = platform
         self.script = IsosurfaceScript(
-            level=isosurface_level,
-            mode="mesh" if render_mode == "mesh" else "count",
-            render_image=render_image and render_mode == "mesh",
+            level=isosurface_level, mode="mesh" if render_mode == "mesh" else "count"
         )
-        self.pipeline = CatalystPipeline([self.script])
 
     def execute(self, context: IterationContext) -> StepReport:
         """Render every rank's blocks through the script, one
-        ``coprocess`` call per rank.
+        :meth:`~repro.viz.catalyst.IsosurfaceScript.process` call per rank.
 
         One :class:`RenderResult` per rank goes into ``context``; the report
         carries the per-rank modelled rendering seconds and triangle counts
@@ -59,8 +56,7 @@ class RenderingStep:
         """
         per_rank_blocks = context.per_rank_blocks
         results = [
-            self.pipeline.coprocess(blocks, context.iteration)[0]
-            for blocks in per_rank_blocks
+            self.script.process(blocks, context.iteration) for blocks in per_rank_blocks
         ]
         context.render_results = results
         triangles = [result.ntriangles for result in results]
@@ -108,7 +104,6 @@ class VectorizedRenderingStep(RenderingStep):
             triangles = script.triangles_from_cells(cells)
             results = [
                 RenderResult(
-                    script_name=script.name,
                     iteration=context.iteration,
                     npoints=npoints,
                     block_ids=ids,

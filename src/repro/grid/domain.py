@@ -1,20 +1,18 @@
-"""Domain and subdomain containers.
+"""The domain container.
 
 A :class:`Domain` bundles the rectilinear grid geometry with one or more named
 full-domain field arrays (the way a single CM1 iteration looks once written
-out).  A :class:`Subdomain` is the view of one process: its extent, its grid
-slice, and its share of the fields, divided into blocks.
+out).  A process's share of a field is cut out by
+:class:`~repro.grid.decomposition.CartesianDecomposition`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.grid.block import Block, BlockExtent, axis_sample_indices
-from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.rectilinear import RectilinearGrid
 
 
@@ -64,108 +62,3 @@ class Domain:
     def get_field(self, name: str) -> np.ndarray:
         """Return the array for field ``name`` (raises ``KeyError`` if absent)."""
         return self.fields[name]
-
-    def decompose(
-        self,
-        nranks: int,
-        blocks_per_subdomain: Tuple[int, int, int] = (2, 2, 1),
-    ) -> "CartesianDecomposition":
-        """Build the regular decomposition of this domain over ``nranks``."""
-        return CartesianDecomposition(self.shape, nranks, blocks_per_subdomain)
-
-    def subdomain(
-        self,
-        decomposition: CartesianDecomposition,
-        rank: int,
-        field_name: str = "dbz",
-    ) -> "Subdomain":
-        """Return rank ``rank``'s subdomain view of field ``field_name``."""
-        if tuple(decomposition.global_shape) != self.shape:
-            raise ValueError(
-                f"decomposition shape {decomposition.global_shape} does not match "
-                f"domain shape {self.shape}"
-            )
-        extent = decomposition.subdomain_extent(rank)
-        blocks = decomposition.extract_blocks(rank, self.get_field(field_name), field_name)
-        return Subdomain(
-            rank=rank,
-            extent=extent,
-            grid=self.grid.subgrid(extent.slices),
-            blocks=blocks,
-            field_name=field_name,
-            iteration=self.iteration,
-        )
-
-
-@dataclass
-class Subdomain:
-    """The portion of the domain handled by one process.
-
-    Attributes
-    ----------
-    rank:
-        Owning process rank.
-    extent:
-        Global index extent of the subdomain.
-    grid:
-        Grid geometry restricted to the subdomain.
-    blocks:
-        Blocks the subdomain is divided into (initially all full).
-    field_name:
-        Name of the field carried by the blocks.
-    iteration:
-        Simulation iteration number.
-    """
-
-    rank: int
-    extent: BlockExtent
-    grid: RectilinearGrid
-    blocks: List[Block]
-    field_name: str = "dbz"
-    iteration: int = 0
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """Shape of the subdomain in grid points."""
-        return self.extent.shape
-
-    @property
-    def nblocks(self) -> int:
-        """Number of blocks in the subdomain."""
-        return len(self.blocks)
-
-    def block_by_id(self, block_id: int) -> Optional[Block]:
-        """Return the block with ``block_id`` if present, else ``None``."""
-        for blk in self.blocks:
-            if blk.block_id == block_id:
-                return blk
-        return None
-
-    def assemble(self, fill_value: float = 0.0) -> np.ndarray:
-        """Reassemble the subdomain array from its (full) blocks.
-
-        Reduced blocks contribute only their retained sample values (8
-        corners at level 2, every strided sample at level 1); the remaining
-        interior points take ``fill_value``.  Mostly useful in tests.
-        """
-        out = np.full(self.shape, fill_value, dtype=np.float64)
-        off = self.extent.start
-        for blk in self.blocks:
-            sl = tuple(
-                slice(lo - o, hi - o)
-                for lo, hi, o in zip(blk.extent.start, blk.extent.stop, off)
-            )
-            if not blk.reduced:
-                out[sl] = blk.data
-            elif blk.level == 1:
-                axes = tuple(
-                    np.asarray(axis_sample_indices(n), dtype=np.intp) + (lo - o)
-                    for n, lo, o in zip(blk.extent.shape, blk.extent.start, off)
-                )
-                out[np.ix_(*axes)] = blk.data
-            else:
-                for corner, (ci, cj, ck) in zip(
-                    blk.data.reshape(-1), blk.extent.corner_indices()
-                ):
-                    out[ci - off[0], cj - off[1], ck - off[2]] = corner
-        return out

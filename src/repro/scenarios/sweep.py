@@ -17,7 +17,8 @@ weak-scaling sweep reach 10,000 virtual ranks in seconds:
   :func:`repro.simmpi.sort.parallel_sort_pairs`: one gather of per-rank
   ``(nblocks, 2)`` float64 pair arrays plus one broadcast of the global
   sorted array, priced by :class:`NetworkCostModel`;
-* **reduction** — the lowest-scoring ``percent``% of blocks are reduced to
+* **reduction** — the lowest-scoring ``percent``% of blocks, counted by the
+  pipeline's :func:`~repro.core.reduction_step.ladder_counts`, are reduced to
   corner values; block scores are drawn from a seeded synthetic
   distribution (the sweep has no data to score), so the per-rank reduced
   counts are deterministic per config seed;
@@ -44,6 +45,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.cm1.state import FIELD_DTYPE
+from repro.core.reduction_step import ladder_counts
 from repro.grid.decomposition import factorize_ranks, split_axis
 from repro.metrics.registry import create_metric
 from repro.perfmodel.platform import PlatformModel
@@ -132,7 +134,8 @@ def model_scaling_point(
     # -- reduction: lowest-percent blocks by a seeded synthetic score --------
     rng = np.random.default_rng(config.seed)
     scores = rng.random(nblocks)
-    nreduced = int(round(nblocks * percent / 100.0))
+    # The pipeline's own count (rounded half-up), all to the corner rung.
+    ((_, nreduced),) = ladder_counts(nblocks, percent)
     owners = np.arange(nblocks, dtype=np.int64) // blocks_per_rank
     if nreduced:
         reduced_ids = np.argpartition(scores, nreduced - 1)[:nreduced]

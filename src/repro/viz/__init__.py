@@ -1,57 +1,35 @@
-"""Visualization substrate: marching cubes, software rendering, Catalyst-like API.
+"""Visualization substrate: marching cubes, the in situ isosurface script, and
+the software rendering behind Figure 1 and the examples.
 
 The paper renders a 45 dBZ isosurface of the reflectivity through ParaView
 Catalyst (marching cubes + mesh rendering), plus 2-D colormaps.  This package
-provides the equivalent building blocks in pure NumPy:
+provides the equivalent building blocks in pure NumPy, one module each:
 
-* :func:`marching_cubes` — isosurface extraction (full 256-case tables);
-* :class:`TriangleMesh` — the extracted geometry;
-* :class:`Camera`, :class:`Framebuffer`, :func:`rasterize_mesh` — a z-buffered
-  Lambert-shaded software rasterizer producing actual images;
+* :mod:`~repro.viz.marching_cubes` — isosurface extraction (full 256-case
+  tables) and the active-cell counts of counting mode;
+* :mod:`~repro.viz.catalyst` — :class:`IsosurfaceScript`, the one script the
+  core pipeline's rendering step calls per rank, and its
+  :class:`RenderResult`;
+* :mod:`~repro.viz.mesh`, :mod:`~repro.viz.camera`,
+  :mod:`~repro.viz.framebuffer`, :mod:`~repro.viz.rasterizer` — the extracted
+  geometry and a z-buffered Lambert-shaded software rasterizer producing
+  actual images (``examples/render_reflectivity.py``);
 * :func:`render_colormap_slice`, :func:`volume_max_projection` — the 2-D
-  colormap and volume-rendering-style scenarios of Figure 1;
-* :class:`CatalystPipeline` and the script classes — an in situ co-processing
-  API shaped like ParaView Catalyst's Python pipelines, which is what the core
-  pipeline's rendering step drives.
+  colormap and volume-rendering-style images of Figure 1.
+
+The package re-exports only the names other ``repro`` modules use; import
+anything else from its defining module.
 """
 
-from repro.viz.mesh import TriangleMesh
-from repro.viz.marching_cubes import (
-    marching_cubes,
-    extract_isosurface,
-    count_active_cells,
-    count_active_cells_batch,
-)
-from repro.viz.camera import Camera
 from repro.viz.framebuffer import Framebuffer
-from repro.viz.rasterizer import rasterize_mesh
-from repro.viz.colormap import grayscale, viridis_like, apply_colormap
 from repro.viz.slice_render import render_colormap_slice
-from repro.viz.volume import volume_max_projection, composite_volume
-from repro.viz.catalyst import (
-    CatalystPipeline,
-    IsosurfaceScript,
-    ColormapScript,
-    RenderResult,
-)
+from repro.viz.volume import volume_max_projection
+from repro.viz.catalyst import IsosurfaceScript, RenderResult
 
 __all__ = [
-    "TriangleMesh",
-    "marching_cubes",
-    "extract_isosurface",
-    "count_active_cells",
-    "count_active_cells_batch",
-    "Camera",
     "Framebuffer",
-    "rasterize_mesh",
-    "grayscale",
-    "viridis_like",
-    "apply_colormap",
     "render_colormap_slice",
     "volume_max_projection",
-    "composite_volume",
-    "CatalystPipeline",
     "IsosurfaceScript",
-    "ColormapScript",
     "RenderResult",
 ]

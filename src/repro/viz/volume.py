@@ -1,10 +1,9 @@
-"""Volume-rendering-style projections.
+"""A volume-rendering-style projection.
 
-The paper's Figure 1(a,b) shows a volume rendering of the reflectivity.  Two
-simple projections are provided: maximum-intensity projection and front-to-
-back alpha compositing along a principal axis.  Both are fully vectorised and
-serve the example scripts and the Figure 1 reproduction; the expensive
-scenario the adaptive pipeline controls remains the isosurface rendering.
+The paper's Figure 1(a,b) shows a volume rendering of the reflectivity; the
+Figure 1 reproduction draws it as a maximum-intensity projection along a
+principal axis, fully vectorised.  The expensive scenario the adaptive
+pipeline controls remains the isosurface rendering.
 """
 
 from __future__ import annotations
@@ -33,43 +32,3 @@ def volume_max_projection(
         return np.zeros_like(mip)
     return np.clip((mip - lo) / (hi - lo), 0.0, 1.0)
 
-
-def composite_volume(
-    field: np.ndarray,
-    axis: int = 2,
-    vmin: Optional[float] = None,
-    vmax: Optional[float] = None,
-    opacity_scale: float = 0.05,
-) -> np.ndarray:
-    """Front-to-back alpha compositing of ``field`` along ``axis``.
-
-    Opacity of each sample is proportional to its normalised value, so quiet
-    regions are transparent and the storm interior accumulates intensity —
-    a cheap stand-in for the isosurface-based volume rendering in Figure 1.
-    """
-    if opacity_scale <= 0:
-        raise ValueError(f"opacity_scale must be > 0, got {opacity_scale}")
-    f = np.asarray(field, dtype=np.float64)
-    if f.ndim != 3:
-        raise ValueError(f"field must be 3-D, got shape {f.shape}")
-    if not (0 <= axis <= 2):
-        raise ValueError(f"axis must be 0, 1, or 2, got {axis}")
-    lo = float(f.min()) if vmin is None else float(vmin)
-    hi = float(f.max()) if vmax is None else float(vmax)
-    if hi <= lo:
-        shape = list(f.shape)
-        shape.pop(axis)
-        return np.zeros(shape, dtype=np.float64)
-    norm = np.clip((f - lo) / (hi - lo), 0.0, 1.0)
-    # Move the compositing axis first for a simple front-to-back loop.
-    moved = np.moveaxis(norm, axis, 0)
-    accum_color = np.zeros(moved.shape[1:], dtype=np.float64)
-    accum_alpha = np.zeros(moved.shape[1:], dtype=np.float64)
-    for slab in moved:
-        alpha = np.clip(slab * opacity_scale, 0.0, 1.0)
-        weight = (1.0 - accum_alpha) * alpha
-        accum_color += weight * slab
-        accum_alpha += weight
-        if np.all(accum_alpha > 0.995):
-            break
-    return np.clip(accum_color, 0.0, 1.0)

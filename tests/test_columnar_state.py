@@ -176,7 +176,6 @@ def report_signature(report: StepReport) -> tuple:
 def render_signature(results) -> list:
     return [
         (
-            r.script_name,
             r.iteration,
             r.npoints,
             list(r.per_block_triangles.items()),  # key order included

@@ -253,13 +253,13 @@ class TestReductionSelection:
         assert count(10, 24.0) == 2
         assert count(10, 26.0) == 3
 
-    def test_reduction_step_reduces_selected(self, per_rank_blocks, run_step):
+    def test_reduction_step_reduces_selected(self, per_rank_blocks, platform, run_step):
         all_pairs = sorted(
             [(b.block_id, float(b.block_id)) for blocks in per_rank_blocks for b in blocks],
             key=lambda p: (p[1], p[0]),
         )
         context, report = run_step(
-            ReductionStep(), per_rank_blocks, 50.0, sorted_pairs=all_pairs
+            ReductionStep(platform), per_rank_blocks, 50.0, sorted_pairs=all_pairs
         )
         reduced_ids = context.reduced_ids
         assert report.counters["nreduced"] == len(reduced_ids)
@@ -298,19 +298,6 @@ class TestReductionBackends:
             assert report.modelled_per_rank == [
                 platform.reduction_seconds(len(blocks)) for blocks in pre_reduced
             ]
-
-    def test_platform_derived_cost_matches_default(
-        self, per_rank_blocks, platform, run_step
-    ):
-        """The platform's default coefficient reproduces the historical
-        hard-coded SECONDS_PER_REDUCED_BLOCK figures exactly."""
-        from repro.core.reduction_step import SECONDS_PER_REDUCED_BLOCK
-
-        assert platform.seconds_per_reduced_block == SECONDS_PER_REDUCED_BLOCK
-        pairs = _pairs(per_rank_blocks)
-        _, a = run_step(ReductionStep(platform), per_rank_blocks, 50.0, sorted_pairs=pairs)
-        _, b = run_step(ReductionStep(), per_rank_blocks, 50.0, sorted_pairs=pairs)
-        assert a.modelled_per_rank == b.modelled_per_rank
 
 
 class TestQualityLadder:

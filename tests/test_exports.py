@@ -35,7 +35,8 @@ def test_all_names_resolve_and_are_unique(module_name):
 
 
 @pytest.mark.parametrize(
-    "package_name", ["repro.simmpi", "repro.grid", "repro.io", "repro.serve"]
+    "package_name",
+    ["repro.simmpi", "repro.grid", "repro.io", "repro.serve", "repro.viz"],
 )
 def test_package_exports_only_what_other_modules_use(package_name):
     """A package re-exports what the rest of ``repro`` uses and nothing else:

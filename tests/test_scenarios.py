@@ -572,6 +572,20 @@ class TestModelScalingSweep:
         assert point["moved_blocks"] > 0
         assert point["moved_bytes"] == point["moved_blocks"] * sizes.pop()
 
+    @pytest.mark.parametrize("percent", [3.125, 9.375, 15.625, 21.875])
+    def test_point_reduces_as_many_blocks_as_the_pipeline(self, percent):
+        """At a percent whose block count lands on .5 the point prices the
+        count the pipeline reduces, rounded half-up (regression: banker's
+        ``round()`` priced 0 of 16 blocks at 3.125 %, the pipeline reduces 1)."""
+        config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
+        scenario = ExperimentScenario(config)
+        context = scenario.build_pipeline().engine.run_iteration(
+            scenario.blocks_for(0), percent, 0
+        )
+        point = model_scaling_point(config, percent=percent)
+        assert point["nblocks"] == len(context.columns) == 16
+        assert point["nreduced"] == context.reports["reduction"].counters["nreduced"]
+
     def test_point_validates_arguments(self):
         config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
         with pytest.raises(ValueError, match="percent"):

@@ -1,8 +1,7 @@
-"""Tests for the visualization substrate (marching cubes, rasterizer, catalyst API)."""
+"""Tests for the visualization substrate (marching cubes, rasterizer, isosurface script)."""
 
 from __future__ import annotations
 
-import importlib
 import tracemalloc
 from unittest import mock
 
@@ -12,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.grid.block import Block, BlockExtent
 from repro.grid.reduction import reduce_block
+import repro.viz.marching_cubes as marching_cubes_module
 from repro.viz.camera import Camera
-from repro.viz.catalyst import CatalystPipeline, ColormapScript, IsosurfaceScript
+from repro.viz.catalyst import IsosurfaceScript
 from repro.viz.colormap import apply_colormap, grayscale, viridis_like
 from repro.viz.framebuffer import Framebuffer
 from repro.viz.marching_cubes import (
@@ -25,10 +25,7 @@ from repro.viz.marching_cubes import (
 from repro.viz.mesh import TriangleMesh
 from repro.viz.rasterizer import rasterize_mesh
 from repro.viz.slice_render import extract_slice, render_colormap_slice
-from repro.viz.volume import composite_volume, volume_max_projection
-
-# The package attribute of that name is the ``marching_cubes`` function.
-marching_cubes_module = importlib.import_module("repro.viz.marching_cubes")
+from repro.viz.volume import volume_max_projection
 
 
 def sphere_field(n=24, radius=0.6):
@@ -390,16 +387,9 @@ class TestColormapSliceVolume:
         assert mip.shape == tiny_field.shape[:2]
         assert mip.max() > 0.5
 
-    def test_composite_volume(self, tiny_field):
-        img = composite_volume(tiny_field, vmin=-60, vmax=80)
-        assert img.shape == tiny_field.shape[:2]
-        assert 0.0 <= img.min() and img.max() <= 1.0
-
     def test_volume_validation(self):
         with pytest.raises(ValueError):
             volume_max_projection(np.zeros((3, 3)), axis=0)
-        with pytest.raises(ValueError):
-            composite_volume(np.zeros((3, 3, 3)), opacity_scale=0.0)
 
 
 class TestCatalyst:
@@ -427,19 +417,9 @@ class TestCatalyst:
         assert reduced.ntriangles <= full.ntriangles
         assert reduced.npoints < full.npoints
 
-    def test_isosurface_render_image(self, tiny_field):
-        blocks, _ = self._blocks(tiny_field)
-        script = IsosurfaceScript(level=45.0, mode="mesh", render_image=True, image_size=(64, 48))
-        result = script.process(blocks, 0)
-        if result.ntriangles > 0:
-            assert result.image is not None
-            assert result.image.shape == (48, 64)
-
     def test_isosurface_validation(self):
         with pytest.raises(ValueError):
             IsosurfaceScript(mode="bad")
-        with pytest.raises(ValueError):
-            IsosurfaceScript(mode="count", render_image=True)
 
     def test_count_blocks_batched_matches_process(self, tiny_field):
         """The batched count path is indistinguishable from the per-block loop,
@@ -483,95 +463,3 @@ class TestCatalyst:
             lo, hi = result.mesh.bounds()
             assert lo[2] >= 5.0 - 1e-9
             assert hi[2] <= 5.0 + 1e-9  # never reaches z = 6 (outside extent)
-
-    def test_colormap_script(self, tiny_field):
-        blocks, decomp = self._blocks(tiny_field)
-        script = ColormapScript(level_index=2, global_shape=tiny_field.shape)
-        script.fit_bounds([blocks])
-        result = script.process(blocks, 0)
-        assert result.image is not None
-        assert result.image.shape == tiny_field.shape[:2]
-        assert result.coverage is not None
-        assert result.coverage.shape == tiny_field.shape[:2]
-
-    def test_colormap_script_validation(self, tiny_field):
-        with pytest.raises(ValueError):
-            ColormapScript(level_index=100, global_shape=tiny_field.shape)
-
-    def test_colormap_requires_global_bounds(self, tiny_field):
-        blocks, _ = self._blocks(tiny_field)
-        script = ColormapScript(level_index=2, global_shape=tiny_field.shape)
-        with pytest.raises(RuntimeError):
-            script.process(blocks, 0)
-
-    def test_colormap_fit_bounds_keeps_explicit_bounds(self, tiny_field):
-        blocks, _ = self._blocks(tiny_field)
-        script = ColormapScript(
-            level_index=2, global_shape=tiny_field.shape, vmin=-10.0, vmax=90.0
-        )
-        assert script.fit_bounds([blocks]) == (-10.0, 90.0)
-        partial = ColormapScript(
-            level_index=2, global_shape=tiny_field.shape, vmin=-10.0
-        )
-        vmin, vmax = partial.fit_bounds([blocks])
-        assert vmin == -10.0  # explicit bound kept
-        assert np.isfinite(vmax) and vmax > vmin  # fitted from the data
-
-    def test_colormap_fit_bounds_requires_coverage(self, tiny_field):
-        blocks, _ = self._blocks(tiny_field)
-        covered = [
-            b for b in blocks if not (b.extent.start[2] <= 2 < b.extent.stop[2])
-        ]
-        script = ColormapScript(level_index=2, global_shape=tiny_field.shape)
-        with pytest.raises(ValueError):
-            script.fit_bounds([covered])
-
-    def test_colormap_compositing_consistent_across_ranks(self, tiny_field):
-        """Regression: per-rank partial images composited with shared global
-        bounds reproduce the full-domain colormap exactly (no seams at rank
-        boundaries, which per-rank min/max normalisation used to create)."""
-        from repro.grid.decomposition import CartesianDecomposition
-
-        nranks = 2
-        decomp = CartesianDecomposition(
-            tiny_field.shape, nranks=nranks, blocks_per_subdomain=(2, 2, 1)
-        )
-        per_rank = [decomp.extract_blocks(r, tiny_field) for r in range(nranks)]
-        script = ColormapScript(level_index=2, global_shape=tiny_field.shape)
-        vmin, vmax = script.fit_bounds(per_rank)
-        composite = np.zeros(tiny_field.shape[:2], dtype=np.float64)
-        covered = np.zeros(tiny_field.shape[:2], dtype=bool)
-        for rank in range(nranks):
-            result = script.process(per_rank[rank], 0)
-            assert result.coverage is not None
-            composite[result.coverage] = result.image[result.coverage]
-            covered |= result.coverage
-        assert covered.all()  # the ranks tile the whole domain
-        expected = apply_colormap(
-            np.asarray(tiny_field[:, :, 2], dtype=np.float64),
-            cmap="gray",
-            vmin=vmin,
-            vmax=vmax,
-        )
-        np.testing.assert_array_equal(composite, expected)
-
-    def test_pipeline_requires_scripts(self):
-        with pytest.raises(RuntimeError):
-            CatalystPipeline().coprocess([], 0)
-
-    def test_pipeline_add_script_type_checked(self):
-        pipeline = CatalystPipeline()
-        with pytest.raises(TypeError):
-            pipeline.add_script(object())
-
-    def test_pipeline_runs_all_scripts(self, tiny_field):
-        blocks, _ = self._blocks(tiny_field)
-        pipeline = CatalystPipeline(
-            [
-                IsosurfaceScript(level=45.0, mode="count"),
-                ColormapScript(2, tiny_field.shape, vmin=-60.0, vmax=80.0),
-            ]
-        )
-        results = pipeline.coprocess(blocks, 3)
-        assert len(results) == 2
-        assert all(r.iteration == 3 for r in results)
