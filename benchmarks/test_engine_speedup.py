@@ -51,6 +51,12 @@ MIN_SIZE_KERNEL_SPEEDUP = 2.0
 #: replaced (5.5–6x measured on these blocks, 7–9x on `blue_waters_64`'s).
 MIN_COUNT_KERNEL_SPEEDUP = 2.5
 
+#: Minimum oracle/kernel wall-clock ratio of the count kernel's reach pass: the
+#: kernel that fully classifies only the blocks with a point at or above the
+#: isovalue against the byte-code kernel that classified every block
+#: (1.58–1.76x measured on these blocks, 1.78–1.84x on `blue_waters_64`'s).
+MIN_REACH_PASS_SPEEDUP = 1.3
+
 #: Minimum oracle/kernel wall-clock ratio of VAR's batched scoring: the
 #: row-chunked ``row_variance`` against the whole-batch ``np.var`` it replaced
 #: (1.25–1.48x measured cycling 4 `blue_waters_64` snapshots).
@@ -212,6 +218,39 @@ def test_count_kernel_speedup(fine_scenario_64, replaced_kernel):
     assert speedup >= MIN_COUNT_KERNEL_SPEEDUP, (
         f"count kernel speedup {speedup:.2f}x below required "
         f"{MIN_COUNT_KERNEL_SPEEDUP}x (oracle {oracle_seconds:.4f}s, kernel "
+        f"{kernel_seconds:.4f}s)"
+    )
+
+
+def test_count_reach_pass_speedup(fine_scenario_64, replaced_kernel):
+    """Counting a whole snapshot, ``count_active_cells_batch`` — which runs the
+    byte-code classification only over the blocks that reach the isovalue —
+    is ≥1.3x faster than the byte-code kernel it replaced, which classified
+    every block, with identical counts.  The two sides are timed interleaved.
+    """
+    oracle = replaced_kernel("test_viz.py", "oracle_bytecode_count_active_cells_batch")
+    groups = [stacked for _, stacked in fine_scenario_64.blocks_for(0).groups]
+    level = 45.0
+    # Identical counts first (the speedup must not come from doing less).
+    for group in groups:
+        counts = count_active_cells_batch(group, level)
+        assert counts.tolist() == oracle(group, level).tolist()
+    for _attempt in range(3):
+        oracle_seconds, kernel_seconds = _best_of_interleaved(
+            lambda: [oracle(g, level) for g in groups],
+            lambda: [count_active_cells_batch(g, level) for g in groups],
+        )
+        speedup = oracle_seconds / kernel_seconds
+        if speedup >= MIN_REACH_PASS_SPEEDUP:
+            break
+    print(
+        f"\nactive cells of {sum(len(g) for g in groups)} stacked blocks: "
+        f"every block classified {oracle_seconds * 1e3:.2f} ms, "
+        f"reaching blocks only {kernel_seconds * 1e3:.2f} ms, speedup {speedup:.2f}x"
+    )
+    assert speedup >= MIN_REACH_PASS_SPEEDUP, (
+        f"count reach-pass speedup {speedup:.2f}x below required "
+        f"{MIN_REACH_PASS_SPEEDUP}x (oracle {oracle_seconds:.4f}s, kernel "
         f"{kernel_seconds:.4f}s)"
     )
 

@@ -15,7 +15,8 @@ the oracle) tests every block of ``context.per_rank_blocks`` against the
 ladder decision and reduces one :func:`~repro.grid.reduction.reduce_block`
 call at a time; :class:`VectorizedReductionStep` (every other backend) takes
 the selection as a prefix of the sorted wire array and gathers each (payload
-group, target level) of ``context.columns`` at once.  The gather reads a few
+group, deeper target level) of ``context.columns`` at once, leaving the rows a
+group keeps in their stack.  The gather reads a few
 values per block, so shipping payloads to a pool would cost far more than it:
 there is no fanned-out form.  Both produce bitwise-identical reduced payloads
 and modelled seconds (priced through
@@ -204,9 +205,11 @@ class VectorizedReductionStep(ReductionStep):
     is the prefix of the sorted wire array :func:`ladder_counts` marks, as id
     and level arrays looked up per row, and
     :meth:`~repro.grid.batch.BlockColumns.reduce_to` gathers the retained
-    values of every (payload group, target level) at once (bitwise equal to
-    :func:`~repro.grid.reduction.reduce_block` per block; rows already at or
-    beyond their target are left as they are, the same no-op).
+    values of every (payload group, deeper target level) at once (bitwise
+    equal to :func:`~repro.grid.reduction.reduce_block` per block; rows already
+    at or beyond their target are left as they are, the same no-op).  Only the
+    deepened rows are copied: the rows a group keeps stay in the stack they
+    arrived in, named by position (``(rows, stacked, take)``).
 
     Measured wall-clock of the single pass is attributed to ranks
     proportionally to their selected-block counts (the convention the

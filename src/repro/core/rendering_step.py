@@ -14,7 +14,9 @@ batched class, each with ``execute(context)`` as its one method.
 a time.  :class:`VectorizedRenderingStep` (every other backend name) counts
 each payload group of ``context.columns`` once in counting mode — one chunked
 byte-code :func:`~repro.viz.marching_cubes.count_active_cells_batch` call per
-group, no float temporaries, always inline: the kernel releases the GIL, and
+group, the kept rows of a reduced group read where they lie and only the
+blocks that reach the isovalue classified, no float temporaries, always
+inline: the kernel releases the GIL, and
 chunked over the process pool it ran 11–16x slower, so rendering has no
 fan-out.  Mesh mode extracts real per-block geometry, which cannot be stacked,
 so it materialises the blocks and runs the reference per-block extraction.

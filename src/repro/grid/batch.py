@@ -25,7 +25,10 @@ Blocks of mixed shapes or dtypes cannot share one stacked array:
 :func:`stacked_shape_groups` the one place a block list's payloads are stacked
 for the hot paths.  A post-reduction iteration has a handful of groups —
 typically the full-block shapes plus one 2×2×2 group holding every corner
-block.
+block.  A reduction copies only the rows that change level: the rows a group
+keeps stay in the stack they arrived in, the group naming them by position
+(``(rows, stacked, take)``), so a kept row of an arrival is read from the
+arrival's own read-only array until the iteration ends.
 """
 
 from __future__ import annotations
@@ -53,8 +56,11 @@ __all__ = [
 ]
 
 #: ``(rows, stacked)``: the int64 positions of a shape/dtype group's blocks and
-#: their payloads as one ``(len(rows), sx, sy, sz)`` array.
-ShapeGroup = Tuple[np.ndarray, np.ndarray]
+#: their payloads as one ``(len(rows), sx, sy, sz)`` array.  In the state of a
+#: reduced iteration a group may also be ``(rows, stacked, take)``: the rows'
+#: payloads are ``stacked[take]``, rows of a stack the group does not copy
+#: (``take`` the sorted int64 positions in it; see :meth:`BlockColumns.reduce_to`).
+ShapeGroup = Tuple[np.ndarray, ...]
 
 
 def group_positions_by_shape(blocks: Sequence[Block]) -> List[List[int]]:
@@ -190,7 +196,8 @@ class BlockColumns:
 
     Row ``i`` describes one block.  Rows never move: an exchange rewrites the
     ``ranks``/``owners`` columns and the per-rank ``order``, a reduction the
-    ``levels`` column and the payload groups, scoring the ``scores`` column.
+    ``levels`` column and the payload groups (new arrays for the deepened rows
+    only), scoring the ``scores`` column.
     The ingested :class:`Block` objects are kept as immutable *templates*
     (extent, home, field name, and the payload until a reduction replaces
     it); :meth:`to_ranks` is the one place blocks are built from the columns.
@@ -260,45 +267,60 @@ class BlockColumns:
 
     @property
     def groups(self) -> List[ShapeGroup]:
-        """The payloads as ``(rows, stacked)`` shape/dtype groups.
+        """The payloads as shape/dtype groups, ``(rows, stacked)`` or, after a
+        reduction kept some of a group's rows, ``(rows, stacked, take)``.
 
         An arrival's own stacks, or stacked from the templates when a batched
         kernel first asks — a step that plans on the metadata columns alone
-        never pays for it.
+        never pays for it.  Scoring runs before any reduction and only ever
+        sees the dense pairs.
         """
         if self._groups is None:
             self._groups = stacked_shape_groups(self.templates)
         return self._groups
 
     def payloads(self) -> List[np.ndarray]:
-        """Every row's current payload (the template's array unless replaced)."""
+        """Every row's current payload (the template's array unless replaced;
+        a replaced row of a ``take`` group is ``stacked[take[local]]``)."""
         out = [block.data for block in self.templates]
         if self._replaced.any():
-            for rows, stacked in self._groups:
-                for local in np.flatnonzero(self._replaced[rows]).tolist():
-                    out[rows[local]] = stacked[local]
+            for rows, stacked, *take in self._groups:
+                local = np.flatnonzero(self._replaced[rows])
+                at = take[0][local] if take else local
+                for row, position in zip(rows[local].tolist(), at.tolist()):
+                    out[row] = stacked[position]
         return out
 
     def reduce_to(self, targets: np.ndarray) -> None:
         """Deepen every row to at least ladder level ``targets[row]``.
 
-        One :func:`~repro.grid.reduction.reduce_to_level_batch` gather per
-        (group, target level), handed the rows to take (the corner rung reads
-        only the corners); rows already at or beyond their target keep their
-        payload.  The groups are re-formed by resulting shape/dtype, so all
-        corner payloads end up in one 2×2×2 group.
+        Only the rows that change level get new arrays: one
+        :func:`~repro.grid.reduction.reduce_to_level_batch` gather per
+        (group, target level), handed the rows' positions in the group's stack
+        (the corner rung reads only the corners).  The rows a group keeps are
+        not copied: a group that keeps every row stays as it is, one that keeps
+        some becomes ``(rows[local], stacked, take[local])`` over the same
+        stack (``take`` is ``local`` for a dense group).  The new arrays are
+        grouped by shape/dtype, so all corner payloads end up in one 2×2×2
+        group.
         """
         todo = targets > self.levels
         if not todo.any():
             return
-        pieces: Dict[tuple, List[ShapeGroup]] = {}
-        for rows, stacked in self.groups:
+        pieces: Dict[object, List[ShapeGroup]] = {}
+        for index, (rows, stacked, *take) in enumerate(self.groups):
             goal = np.where(todo[rows], targets[rows], 0)
-            for level in np.unique(goal).tolist():
+            for level in np.flatnonzero(np.bincount(goal)).tolist():
                 local = np.flatnonzero(goal == level)
-                part = reduce_to_level_batch(
-                    stacked, level, None if local.size == rows.size else local
-                )
+                whole = local.size == rows.size
+                at = take[0][local] if take else (None if whole else local)
+                if level == 0:
+                    # Keyed by the group alone: kept rows never join a copy.
+                    pieces[index] = [
+                        (rows, stacked, *take) if whole else (rows[local], stacked, at)
+                    ]
+                    continue
+                part = reduce_to_level_batch(stacked, level, at)
                 pieces.setdefault((part.shape[1:], part.dtype), []).append(
                     (rows[local], part)
                 )
@@ -311,7 +333,7 @@ class BlockColumns:
         self.levels = np.where(todo, targets, self.levels)
         self._replaced |= todo
         self._dirty |= todo
-        for rows, stacked in self._groups:
+        for rows, stacked, *_ in self._groups:
             self.npoints[rows] = stacked[0].size
             self.nbytes[rows] = stacked[0].nbytes
 

@@ -109,13 +109,6 @@ class BlockExtent:
             for lo1, hi1, lo2, hi2 in zip(self.start, self.stop, other.start, other.stop)
         )
 
-    def corner_indices(self) -> Tuple[Tuple[int, int, int], ...]:
-        """Global indices of the 8 corner points (last point is ``stop - 1``)."""
-        xs = (self.start[0], self.stop[0] - 1)
-        ys = (self.start[1], self.stop[1] - 1)
-        zs = (self.start[2], self.stop[2] - 1)
-        return tuple((i, j, k) for i in xs for j in ys for k in zs)
-
 
 @dataclass(frozen=True)
 class Block:

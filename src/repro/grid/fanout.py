@@ -1,18 +1,18 @@
-"""The one fan-out: a row-wise kernel mapped over stacked shape groups.
+"""The one fan-out: a row-wise scoring kernel mapped over stacked shape groups.
 
-Every batched hot path has the same outline — the blocks' payloads grouped by
-shape/dtype and stacked into ``(nblocks, sx, sy, sz)`` arrays, a kernel that
-yields one value per row, the values scattered back to block order.  The
-grouping and the stacking happen once per snapshot, in the decomposition
-(:class:`~repro.grid.batch.DecomposedField`), or once per iteration in the
-columnar state built from block lists
+Batched scoring has the outline every stacked hot path shares — the blocks'
+payloads grouped by shape/dtype and stacked into ``(nblocks, sx, sy, sz)``
+arrays, a kernel that yields one value per row, the values scattered back to
+block order.  The grouping and the stacking happen once per snapshot, in the
+decomposition (:class:`~repro.grid.batch.DecomposedField`), or once per
+iteration in the columnar state built from block lists
 (:class:`~repro.grid.batch.BlockColumns`; list-facing callers use
 :func:`~repro.grid.batch.stacked_shape_groups`); :func:`map_shape_groups`
 takes the stacked groups and is the rest of the outline, written once, with
 the two ways a kernel can be applied:
 
-* inline (the default; what every NumPy kernel gets, counting included): one
-  ``kernel(stacked)`` call per group;
+* inline (the default; what every NumPy kernel gets): one ``kernel(stacked)``
+  call per group;
 * over the shared process pool (``processes=True``): each group's stacked
   payload is cut into contiguous row chunks — never re-stacked — and every
   chunk is pickled into its pool task beside the kernel.  The kernels that
@@ -22,11 +22,14 @@ the two ways a kernel can be applied:
 Which of the two a kernel gets is not this module's decision and not a user
 option: the batched scoring step passes ``processes`` from
 :func:`repro.utils.procpool.pool_pays` (a GIL-bound metric, a second worker,
-a caller that may fork).  A kernel treats every row independently (the
-``score_batch`` / ``count_active_cells_batch`` contract), so neither the
-grouping nor the chunk boundaries can change a value: both bodies return the
-same array, bit for bit, as a per-block loop (``tests/test_fanout.py`` drives
-both directly).
+a caller that may fork).  Scoring runs before any reduction, so its groups
+are always the dense ``(rows, stacked)`` pairs; counting runs after one and
+loops its groups itself
+(:meth:`~repro.viz.catalyst.IsosurfaceScript.count_groups`), never over the
+pool.  A kernel treats every row independently (the ``score_batch``
+contract), so neither the grouping nor the chunk boundaries can change a
+value: both bodies return the same array, bit for bit, as a per-block loop
+(``tests/test_fanout.py`` drives both directly).
 """
 
 from __future__ import annotations

@@ -144,10 +144,6 @@ class RectilinearGrid:
         """Return the full 3-D coordinate mesh (memory: 3 × npoints floats)."""
         return np.meshgrid(self.x, self.y, self.z, indexing=indexing)
 
-    def subgrid(self, slices: Tuple[slice, slice, slice]) -> "RectilinearGrid":
-        """Return the grid restricted to the given index slices."""
-        return RectilinearGrid(self.x[slices[0]], self.y[slices[1]], self.z[slices[2]])
-
     def cell_volumes(self) -> np.ndarray:
         """Volumes of the ``(nx-1, ny-1, nz-1)`` cells of the grid."""
         dx, dy, dz = self.spacing()

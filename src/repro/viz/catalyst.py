@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.grid.batch import ShapeGroup, stacked_shape_groups
 from repro.grid.block import Block, axis_sample_indices
-from repro.grid.fanout import map_shape_groups
 from repro.utils.timer import Timer
 from repro.viz.marching_cubes import (
     count_active_cells,
@@ -158,16 +157,18 @@ class IsosurfaceScript:
     def count_groups(self, groups: Sequence[ShapeGroup]) -> np.ndarray:
         """Active-cell counts of the blocks stacked in ``groups``, in block order.
 
-        One :func:`~repro.grid.fanout.map_shape_groups` pass: each stacked
-        shape/dtype group (all reduced 2×2×2 blocks form one) is counted with
-        a single vectorised
-        :func:`~repro.viz.marching_cubes.count_active_cells_batch` call, inline
-        (the kernel releases the GIL; the process pool only slowed it down).
-        Counts are bitwise identical to per-block
+        One :func:`~repro.viz.marching_cubes.count_active_cells_batch` call per
+        shape/dtype group (all reduced 2×2×2 blocks form one), handed the
+        group's ``take`` when a reduction left its kept rows in their stack,
+        so they are read in place.  Always inline: the kernel releases the
+        GIL, and the process pool only slowed it down.  Counts are bitwise
+        identical to per-block
         :func:`~repro.viz.marching_cubes.count_active_cells` calls.
         """
-        kernel = partial(count_active_cells_batch, level=self.level)
-        return map_shape_groups(groups, kernel, np.int64)
+        out = np.empty(sum(len(rows) for rows, *_ in groups), dtype=np.int64)
+        for rows, stacked, *take in groups:
+            out[rows] = count_active_cells_batch(stacked, self.level, *take)
+        return out
 
     @staticmethod
     def triangles_from_cells(cells: np.ndarray) -> np.ndarray:

@@ -117,52 +117,86 @@ def count_active_cells(field: np.ndarray, level: float) -> int:
     return int(np.count_nonzero(_active_cell_mask(f, level)))
 
 
-#: Payload bytes per row chunk of :func:`count_active_cells_batch`: the two byte
-#: scratch buffers stay in L2, yet the ~10 ufunc dispatches per chunk amortise.
-#: A measured constant, not a knob — one ``blue_waters_64`` snapshot (2 048
-#: blocks, 1.84 M float32), interleaved medians: 32 KB → 4.8 ms, 64 KB → 3.1,
-#: 128 KB → 2.2, 256 KB → 1.9, 512 KB → 1.8, 1 MB → 2.0, 4 MB → 3.0, unchunked
-#: → 2.7 (16.4 before) on a 2 MB L2; the scratch peaks at 0.05× the payload.
+#: Payload bytes per row chunk of :func:`count_active_cells_batch`: the gather
+#: buffer and the two byte scratch buffers stay in L2, yet the ~10 ufunc
+#: dispatches per chunk amortise.  A measured constant, not a knob — one
+#: ``blue_waters_64`` snapshot (2 048 blocks, 1.84 M float32), best of 7, median
+#: of 5, on a 2 MB L2: 64 KB → 1.72 ms, 128 KB → 1.18, 256 KB → 1.03, 512 KB →
+#: 0.87, 1 MB → 0.94, 4 MB → 0.87.  512 KB would be faster, but its gather
+#: buffer would take the scratch peak from 0.13× to 0.25× the payload.
 _CHUNK_BYTES = 256 * 1024
 
 
-def count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
-    """Per-block active-cell counts of a stacked ``(nblocks, sx, sy, sz)`` batch.
+def count_active_cells_batch(
+    batch: np.ndarray, level: float, take: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-block active-cell counts of the rows ``take`` (every row when
+    ``None``) of a stacked ``(nblocks, sx, sy, sz)`` batch, in ``take`` order.
 
-    Batched counterpart of :func:`count_active_cells` — every entry is bitwise
-    ``count_active_cells(batch[i], level)`` — as one byte-code pipeline over
-    cache-sized row chunks (:data:`_CHUNK_BYTES`).  Each point is classified
-    once, ``3 + (x >= level) - (x < level)``: 2 = below, 4 = at or above,
-    3 = neither (NaN).  Three shifted ORs over the *flat* chunk (``+1``,
-    ``+sz``, ``+sy*sz``) leave at every cell's first corner the OR of its
-    eight corner codes, which is 6 exactly when some corner is below, some at
-    or above and none NaN (a 3 sets the low bit): the scalar test
-    ``min < level <= max`` under NaN-propagating ``minimum``/``maximum``.  The
-    flat shifts run across row, plane and block ends; what they mix there
-    lands only on positions that are not cells (last plane/row/column), and
-    those are compared against 255, which no OR of codes reaches.  float32
-    payloads are compared in float32 when ``level`` is exactly representable
-    there (the cast to float64 preserves order), everything else in float64,
-    converted buffer-wise by the ufunc; ``batch`` is only read.
+    Batched counterpart of :func:`count_active_cells` — entry ``i`` is bitwise
+    ``count_active_cells(batch[take[i]], level)`` — in two passes over
+    cache-sized row chunks (:data:`_CHUNK_BYTES`), each chunk of ``take``
+    gathered into one reused buffer (``np.take(..., mode="clip")``: the
+    default ``"raise"`` buffers ``out=`` and took 2.4–2.6x as long), so the
+    rows are read where they lie.
+
+    1. *Reach.*  One ``x >= level`` per point and an OR per row: a block none
+       of whose points reaches the level has no active cell (NaN compares
+       false, so a NaN row is unreached, as the scalar test leaves it).
+    2. *Classify.*  Only the reaching rows, gathered into full chunks, go
+       through the byte-code pipeline.  Each point is classified once,
+       ``3 + (x >= level) - (x < level)``: 2 = below, 4 = at or above, 3 =
+       neither (NaN).  Three shifted ORs over the *flat* chunk (``+1``,
+       ``+sz``, ``+sy*sz``) leave at every cell's first corner the OR of its
+       eight corner codes, which is 6 exactly when some corner is below, some
+       at or above and none NaN (a 3 sets the low bit): the scalar test
+       ``min < level <= max`` under NaN-propagating ``minimum``/``maximum``.
+       The flat shifts run across row, plane and block ends; what they mix
+       there lands only on positions that are not cells (last
+       plane/row/column), and those are compared against 255, which no OR of
+       codes reaches.
+
+    float32 payloads are compared in float32 when ``level`` is exactly
+    representable there (the cast to float64 preserves order), everything
+    else in float64, converted buffer-wise by the ufunc; ``batch`` is only
+    read.
     """
     arr = np.asarray(batch)
     if arr.ndim != 4:
         raise ValueError(f"batch must be 4-D, got shape {arr.shape}")
-    nblocks, sx, sy, sz = arr.shape
-    counts = np.zeros(nblocks, dtype=np.int64)
-    if nblocks == 0 or min(sx, sy, sz) < 2:
+    _, sx, sy, sz = arr.shape
+    nrows = len(arr) if take is None else len(take)
+    counts = np.zeros(nrows, dtype=np.int64)
+    if nrows == 0 or min(sx, sy, sz) < 2:
         return counts
     level = float(level)
     narrow = arr.dtype == np.float32 and float(np.float32(level)) == level
     loop = "ff->?" if narrow else "dd->?"
     count = sx * sy * sz
+    rows = max(1, min(nrows, _CHUNK_BYTES // (count * arr.itemsize)))
+    buffer = np.empty((rows, sx, sy, sz), dtype=arr.dtype)
+    scratch = np.empty((2, rows * count), dtype=np.uint8)
+
+    def gather(positions: np.ndarray) -> np.ndarray:
+        return np.take(arr, positions, axis=0, out=buffer[: len(positions)], mode="clip")
+
+    reach = np.empty(nrows, dtype=bool)
+    for lo in range(0, nrows, rows):
+        chunk = arr[lo : lo + rows] if take is None else gather(take[lo : lo + rows])
+        at_or_above = scratch[0, : chunk.size].view(bool)
+        np.greater_equal(chunk, level, out=at_or_above.reshape(chunk.shape), signature=loop)
+        np.logical_or.reduce(
+            at_or_above.reshape(-1, count), axis=1, out=reach[lo : lo + len(chunk)]
+        )
+    hits = np.flatnonzero(reach)
+    if not hits.size:
+        return counts
+    positions = hits if take is None else take[hits]
     want = np.full((sx, sy, sz), 255, dtype=np.uint8)
     want[:-1, :-1, :-1] = 6
     want = want.reshape(count)
-    rows = max(1, min(nblocks, _CHUNK_BYTES // (count * arr.itemsize)))
-    scratch = np.empty((2, rows * count), dtype=np.uint8)
-    for lo in range(0, nblocks, rows):
-        chunk = arr[lo : lo + rows]
+    for lo in range(0, len(hits), rows):
+        chunk = gather(positions[lo : lo + rows])
         code, spare = scratch[:, : chunk.size]
         np.less(chunk, level, out=spare.view(bool).reshape(chunk.shape), signature=loop)
         np.greater_equal(
@@ -176,7 +210,7 @@ def count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
             code, spare = spare, code
         active = spare.view(bool).reshape(-1, count)
         np.equal(code.reshape(-1, count), want, out=active)
-        counts[lo : lo + rows] = active.sum(axis=1, dtype=np.min_scalar_type(count))
+        counts[hits[lo : lo + rows]] = active.sum(axis=1, dtype=np.min_scalar_type(count))
     return counts
 
 

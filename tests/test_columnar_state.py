@@ -24,7 +24,13 @@ pure pipelines give):
 (e) a default iteration builds and clones no ``Block`` and builds the state
     once; fed an arrival it copies no payload either;
 (f) an arrival is input only: processed again and again it gives the same
-    outcome and not one of its bytes moves.
+    outcome and not one of its bytes moves;
+(g) a reduction copies only the rows that change level: the rows a group keeps
+    stay in their stack (an arrival's own array), and two reductions in a row
+    leave what one reduction to the deeper target leaves (NIFTy's ``amend``).
+
+After every batched reduction (b), (c) and (f) also check that the payload
+groups tile the rows exactly once, ``stacked[take]`` holding each row's bytes.
 """
 
 from __future__ import annotations
@@ -237,6 +243,30 @@ class ReverseEachRank:
         return StepReport.collective(self.name, measured=0.0, modelled=0.0)
 
 
+def assert_groups_tile(columns: BlockColumns, payloads: list) -> None:
+    """The payloads only ever leave as groups that tile the rows exactly once,
+    row ``r``'s bytes (``stacked[take]`` for a group that kept its rows in
+    their stack, ``take`` sorted int64) being ``payloads[r]``'s."""
+    rows = np.sort(np.concatenate([r for r, *_ in columns.groups] or [np.empty(0, np.int64)]))
+    assert rows.tolist() == list(range(len(columns)))
+    for group_rows, stacked, *take in columns.groups:
+        if take:
+            assert take[0].dtype == np.int64 and (np.diff(take[0]) > 0).all()
+            stacked = stacked[take[0]]
+        assert len(stacked) == len(group_rows)
+        for row, payload in zip(group_rows.tolist(), stacked):
+            assert payload.dtype == payloads[row].dtype
+            assert payload.tobytes() == np.ascontiguousarray(payloads[row]).tobytes()
+
+
+def reduced_payloads(columns: BlockColumns) -> list:
+    """Each row's ingested block reduced one at a time to the row's level."""
+    return [
+        reduce_block(block, level).data
+        for block, level in zip(columns.templates, columns.levels.tolist())
+    ]
+
+
 def run_steps(case: Case, steps: list, blocks=None) -> dict:
     context = IterationContext(
         iteration=2,
@@ -246,6 +276,8 @@ def run_steps(case: Case, steps: list, blocks=None) -> dict:
     )
     for step in steps:
         context.reports[step.name] = step.execute(context)
+        if isinstance(step, VectorizedReductionStep):
+            assert_groups_tile(context.columns, reduced_payloads(context.columns))
     return outcome(context)
 
 
@@ -261,14 +293,7 @@ def test_round_trip_returns_the_very_blocks(case):
     assert blocks_signature(out) == blocks_signature(case.per_rank_blocks)
     # Nothing was written, so nothing is cloned: the same objects come back.
     assert all(a is b for mine, theirs in zip(out, source) for a, b in zip(mine, theirs))
-    # The payloads only ever leave as groups that tile the rows exactly once.
-    rows = np.sort(np.concatenate([r for r, _ in columns.groups] or [np.empty(0, np.int64)]))
-    assert rows.tolist() == list(range(len(columns)))
-    flat = [b for blocks in case.per_rank_blocks for b in blocks]
-    for group_rows, stacked in columns.groups:
-        assert stacked.dtype == flat[group_rows[0]].data.dtype
-        for row, payload in zip(group_rows.tolist(), stacked):
-            assert payload.tobytes() == np.ascontiguousarray(flat[row].data).tobytes()
+    assert_groups_tile(columns, [b.data for blocks in case.per_rank_blocks for b in blocks])
 
 
 # -- (b) every-prefix hand-off --------------------------------------------------------
@@ -442,3 +467,50 @@ def test_an_arrival_can_be_processed_again_and_again(case):
     assert first == run_steps(case, build_steps(case, batched=False), case.lists())
     assert [array.tobytes() for array in arrays] == before
     assert not any(array.flags.writeable for array in arrays)
+
+
+# -- (g) a reduction copies only the rows that change level --------------------------------
+
+
+def draw_targets(data, nblocks: int) -> np.ndarray:
+    """One ladder target per row, mostly partial: some rows kept, some deepened."""
+    return np.array(
+        data.draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=nblocks, max_size=nblocks)),
+        dtype=np.int64,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=arrivals(), data=st.data())
+def test_a_reduction_leaves_kept_rows_in_the_arrival(case, data):
+    """Identity law: after a (partial) reduction of an arrival, the stack of
+    every group holding level-0 rows *is* one of the arrival's own arrays —
+    read-only, never copied — and only the deepened rows got new arrays."""
+    arrival = case.arrival
+    columns = BlockColumns(arrival)
+    columns.reduce_to(draw_targets(data, arrival.nblocks))
+    own = [stacked for _, stacked in arrival.groups]
+    for rows, stacked, *_ in columns.groups:
+        kept = columns.levels[rows] == 0
+        assert kept.all() or not kept.any(), "a group mixes kept and deepened rows"
+        assert any(stacked is array for array in own) == kept.all()
+    assert_groups_tile(columns, reduced_payloads(columns))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=arrivals(), data=st.data())
+def test_two_reductions_amend_like_one(case, data):
+    """Amend law: ``reduce_to(a)`` then ``reduce_to(b)`` leaves the payloads,
+    levels, ``npoints`` and ``nbytes`` that ``reduce_to(max(a, b))`` leaves —
+    rows ``b`` deepens out of a group ``a`` left in its stack included."""
+    a, b = draw_targets(data, case.arrival.nblocks), draw_targets(data, case.arrival.nblocks)
+    twice, once = BlockColumns(case.arrival), BlockColumns(case.arrival)
+    twice.reduce_to(a)
+    twice.reduce_to(b)
+    once.reduce_to(np.maximum(a, b))
+    for name in ("levels", "npoints", "nbytes"):
+        assert getattr(twice, name).tolist() == getattr(once, name).tolist(), name
+    assert [(p.dtype.str, p.shape, p.tobytes()) for p in twice.payloads()] == [
+        (p.dtype.str, p.shape, p.tobytes()) for p in once.payloads()
+    ]
+    assert_groups_tile(twice, reduced_payloads(once))

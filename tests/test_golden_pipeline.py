@@ -66,8 +66,9 @@ def _sha_json(value) -> str:
 
 def _groups_digest(groups) -> str:
     digest = hashlib.sha256()
-    for rows, stacked in groups:
-        stacked = np.ascontiguousarray(stacked)
+    for rows, stacked, *take in groups:
+        # A group that kept its rows in their stack pins those rows' bytes.
+        stacked = np.ascontiguousarray(stacked[take[0]] if take else stacked)
         digest.update(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
         digest.update(f"{stacked.dtype.str}{stacked.shape}".encode("ascii"))
         digest.update(stacked.tobytes())

@@ -50,11 +50,6 @@ class TestRectilinearGrid:
         assert dx[0] > dx[len(dx) // 2]
         assert dx[-1] > dx[len(dx) // 2]
 
-    def test_subgrid(self):
-        grid = RectilinearGrid.uniform((10, 10, 10))
-        sub = grid.subgrid((slice(2, 5), slice(0, 3), slice(4, 10)))
-        assert sub.shape == (3, 3, 6)
-
     def test_cell_volumes_positive(self):
         grid = RectilinearGrid.cm1_like((12, 12, 6))
         vols = grid.cell_volumes()
@@ -105,12 +100,6 @@ class TestBlockExtent:
         c = BlockExtent((4, 4, 4), (6, 6, 6))
         assert a.overlaps(b)
         assert not a.overlaps(c)
-
-    def test_corner_indices(self):
-        ext = BlockExtent((0, 0, 0), (3, 3, 3))
-        corners = ext.corner_indices()
-        assert len(corners) == 8
-        assert (0, 0, 0) in corners and (2, 2, 2) in corners
 
 
 class TestBlock:

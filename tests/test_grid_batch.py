@@ -80,18 +80,24 @@ class TestBatchReductionLadder:
     def test_row_subset_matches_scalar(self, level, shape, dtype):
         """``rows`` taken by the kernel (the corner rung reads a strided view
         first, length-1 axes fancy-index) equal reducing those blocks one at a
-        time, on a read-only stack, in ``rows`` order."""
+        time, on a read-only stack, in ``rows`` order — also when the rows are
+        local positions of a group held as ``stacked[take]`` and the kernel is
+        handed ``take[rows]``, as ``BlockColumns.reduce_to`` deepens them."""
         from repro.grid.reduction import reduce_to_level, reduce_to_level_batch
 
-        stack = np.random.default_rng(14).normal(size=(7,) + shape).astype(dtype)
+        stack = np.random.default_rng(14).normal(size=(9,) + shape).astype(dtype)
         stack.flags.writeable = False
         subsets = [[5, 0, 3], [6], list(range(7)), []]
-        for rows in (np.array(subset, dtype=np.int64) for subset in subsets):
-            batched = reduce_to_level_batch(stack, level, rows)
-            assert batched.dtype == dtype and len(batched) == len(rows)
-            assert batched.flags.c_contiguous
-            for got, row in zip(batched, rows.tolist()):
-                assert got.tobytes() == reduce_to_level(stack[row], level).tobytes()
+        for take in (None, np.array([0, 2, 3, 4, 5, 7, 8], dtype=np.int64)):
+            held = stack[:7] if take is None else stack[take]
+            for rows in (np.array(subset, dtype=np.int64) for subset in subsets):
+                batched = reduce_to_level_batch(
+                    stack, level, rows if take is None else take[rows]
+                )
+                assert batched.dtype == dtype and len(batched) == len(rows)
+                assert batched.flags.c_contiguous
+                for got, row in zip(batched, rows.tolist()):
+                    assert got.tobytes() == reduce_to_level(held[row], level).tobytes()
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_batched_expand_matches_scalar(self, level):

@@ -71,6 +71,50 @@ def oracle_count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarr
     return np.count_nonzero(active, axis=(1, 2, 3)).astype(np.int64)
 
 
+#: Payload bytes per row chunk of :func:`oracle_bytecode_count_active_cells_batch`,
+#: the budget the kernel had when it was replaced.
+_CHUNK_BYTES = 256 * 1024
+
+
+def oracle_bytecode_count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
+    """``count_active_cells_batch`` as it was before the reach pass: the
+    byte-code pipeline run over every row, in place.  Kept verbatim as the
+    oracle (``benchmarks/test_engine_speedup.py`` loads it from here)."""
+    arr = np.asarray(batch)
+    if arr.ndim != 4:
+        raise ValueError(f"batch must be 4-D, got shape {arr.shape}")
+    nblocks, sx, sy, sz = arr.shape
+    counts = np.zeros(nblocks, dtype=np.int64)
+    if nblocks == 0 or min(sx, sy, sz) < 2:
+        return counts
+    level = float(level)
+    narrow = arr.dtype == np.float32 and float(np.float32(level)) == level
+    loop = "ff->?" if narrow else "dd->?"
+    count = sx * sy * sz
+    want = np.full((sx, sy, sz), 255, dtype=np.uint8)
+    want[:-1, :-1, :-1] = 6
+    want = want.reshape(count)
+    rows = max(1, min(nblocks, _CHUNK_BYTES // (count * arr.itemsize)))
+    scratch = np.empty((2, rows * count), dtype=np.uint8)
+    for lo in range(0, nblocks, rows):
+        chunk = arr[lo : lo + rows]
+        code, spare = scratch[:, : chunk.size]
+        np.less(chunk, level, out=spare.view(bool).reshape(chunk.shape), signature=loop)
+        np.greater_equal(
+            chunk, level, out=code.view(bool).reshape(chunk.shape), signature=loop
+        )
+        np.subtract(code, spare, out=code)  # uint8 wraps: 255, 0, 1
+        np.add(code, 3, out=code)
+        for shift in (1, sz, sy * sz):
+            # Ping-pong: an in-place shifted OR would alias input and output.
+            np.bitwise_or(code[:-shift], code[shift:], out=spare[:-shift])
+            code, spare = spare, code
+        active = spare.view(bool).reshape(-1, count)
+        np.equal(code.reshape(-1, count), want, out=active)
+        counts[lo : lo + rows] = active.sum(axis=1, dtype=np.min_scalar_type(count))
+    return counts
+
+
 def _salted_batch(seed, nblocks, shape, dtype, level):
     """``nblocks`` stacked blocks scattered around ``level``, a third of the
     points overwritten with the values a comparison kernel can get wrong: NaN,
@@ -88,6 +132,32 @@ def _salted_batch(seed, nblocks, shape, dtype, level):
             salt += [np.nextafter(level, np.inf), np.nextafter(level, -np.inf)]
         hits = rng.integers(0, max(1, batch.size), size=batch.size // 3)
         batch.reshape(-1)[hits] = rng.choice(np.array(salt).astype(dtype), size=hits.size)
+    return batch
+
+
+def _reach_rows(seed, nblocks, shape, dtype, level):
+    """A salted batch (:func:`_salted_batch`) whose rows are each made one of
+    the cases the reach pass decides: no point at or above ``level``, a
+    maximum of exactly the smallest ``dtype`` value at or above it (``level``
+    itself when ``dtype`` represents it), every point at or above it, all NaN,
+    all +inf, all -inf, or left salted."""
+    batch = _salted_batch(seed, nblocks, shape, dtype, level)
+    rng = np.random.default_rng(seed + 1)
+    at = dtype(level)
+    if float(at) < level:
+        at = np.nextafter(at, dtype(np.inf))
+    below = np.nextafter(at, dtype(-np.inf))
+    for row in batch:
+        kind = rng.integers(0, 7)
+        if kind == 0:
+            np.minimum(row, below, out=row)
+        elif kind == 1:
+            np.minimum(row, below, out=row)
+            row.reshape(-1)[rng.integers(0, row.size)] = at
+        elif kind == 2:
+            np.fmax(row, at, out=row)
+        elif kind < 6:
+            row[...] = (np.nan, np.inf, -np.inf)[kind - 3]
     return batch
 
 
@@ -276,11 +346,67 @@ class TestMarchingCubes:
         ]
         assert batch.tobytes() == before
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        nblocks=st.integers(min_value=0, max_value=30),
+        shape=st.tuples(*[st.integers(min_value=1, max_value=6)] * 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        # Finite levels, plus levels float32 cannot represent.
+        level=st.floats(min_value=-1e3, max_value=1e3)
+        | st.sampled_from([0.0, 45.0, 0.1, float(np.nextafter(0.25, 1.0))]),
+        layout=st.sampled_from(["c", "row_strided", "transposed", "read_only"]),
+        chunk_rows=st.sampled_from([0.0, 1.0, 2.5, None]),
+        data=st.data(),
+    )
+    def test_count_batch_take_equals_gathered_oracle_and_scalar(
+        self, seed, nblocks, shape, dtype, level, layout, chunk_rows, data
+    ):
+        """The rows ``take`` counted where they lie == the same call on
+        ``batch[take]`` == the byte-code kernel the reach pass went into == the
+        scalar 8-corner float64 path, bitwise, over rows with no point at or
+        above the level, rows whose maximum is the level itself, rows wholly
+        at or above it, NaN and ±inf rows; an empty ``take`` included."""
+        batch = _in_layout(_reach_rows(seed, nblocks, shape, dtype, level), layout)
+        positions = data.draw(st.sets(st.integers(0, max(0, nblocks - 1)), max_size=nblocks))
+        take = np.array(sorted(positions), dtype=np.int64)
+        before = batch.tobytes()
+        row_bytes = int(np.prod(shape)) * batch.itemsize
+        chunk_bytes = (
+            marching_cubes_module._CHUNK_BYTES
+            if chunk_rows is None
+            else max(1, int(chunk_rows * row_bytes))
+        )
+        with mock.patch.object(marching_cubes_module, "_CHUNK_BYTES", chunk_bytes):
+            got = count_active_cells_batch(batch, level, take)
+            gathered = count_active_cells_batch(batch[take], level)
+        assert got.dtype == np.int64 and got.shape == take.shape
+        assert got.tolist() == gathered.tolist()
+        assert got.tolist() == oracle_bytecode_count_active_cells_batch(batch[take], level).tolist()
+        assert got.tolist() == [
+            count_active_cells(np.asarray(batch[row], dtype=np.float64), level)
+            for row in take.tolist()
+        ]
+        assert batch.tobytes() == before
+
+    def test_count_batch_take_edges(self):
+        """An empty ``take`` counts nothing, a length-1 axis has no cell, and a
+        row whose maximum is exactly the level is counted (the reach pass is
+        ``>=``)."""
+        empty = np.empty(0, dtype=np.int64)
+        assert count_active_cells_batch(np.zeros((3, 4, 4, 4)), 0.5, empty).tolist() == []
+        flat = np.ones((3, 4, 1, 4))
+        assert count_active_cells_batch(flat, 0.5, np.array([0, 2])).tolist() == [0, 0]
+        batch = np.zeros((3, 2, 2, 2), dtype=np.float32)
+        batch[1, 1, 1, 1] = 45.0
+        assert count_active_cells_batch(batch, 45.0, np.array([1, 2])).tolist() == [1, 0]
+
     def test_count_batch_scratch_is_chunk_sized(self):
         """Structural guard (no wall-clock): the kernel's peak allocation is a
-        small fraction of the payload — 0.05x measured, 2.74x for the replaced
-        kernel — so a lost ``out=``, an ``astype`` of the whole batch or a
-        dropped chunk loop fails here on any machine."""
+        small fraction of the payload — 0.13x measured (0.05x before the reach
+        pass's gather buffer), 2.74x for the min/max kernel — so a lost
+        ``out=``, an ``astype`` of the whole batch or a dropped chunk loop fails
+        here on any machine."""
         rng = np.random.default_rng(3)
         batch = rng.normal(45.0, 20.0, size=(864, 14, 14, 5)).astype(np.float32)
         was_tracing = tracemalloc.is_tracing()
