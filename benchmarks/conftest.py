@@ -1,11 +1,10 @@
-"""Shared configuration for the figure/table reproduction benchmarks.
+"""Shared configuration for the reproduction ledger and the speed gates.
 
-Each benchmark module regenerates one artefact of the paper's evaluation
-section, prints the regenerated rows/series, and asserts the qualitative
-shape the paper reports.  ``REPRO_BENCH_SCALE=full`` switches to the paper's
-iteration counts (10 iterations per configuration, 30 for the adaptive runs);
-the default "small" scale uses fewer iterations so the whole suite completes
-in a few minutes.
+``test_ledger.py`` checks the paper's numbers, one row each, and the other
+modules gate the speed of the program.  ``REPRO_BENCH_SCALE=full`` switches
+the ledger to the paper's iteration counts (10 iterations per fixed-percent
+configuration, 30 for the adaptive runs); the default "small" scale uses
+fewer iterations so the whole suite completes in a few minutes.
 """
 
 from __future__ import annotations
@@ -33,41 +32,15 @@ def bench_scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def scale_params():
-    """Iteration counts for the selected benchmark scale."""
-    if bench_scale() == "full":
-        return {
-            "sweep_iterations": 10,
-            "adaptation_iterations": 30,
-            "fast_metric_only": False,
-        }
-    return {
-        "sweep_iterations": 3,
-        "adaptation_iterations": 12,
-        "fast_metric_only": True,
-    }
+def scale() -> str:
+    """The benchmark scale (:func:`bench_scale`) the ledger runs at."""
+    return bench_scale()
 
 
 @pytest.fixture(scope="session")
 def scenario_64() -> ExperimentScenario:
     """The paper's 64-core configuration (laptop-scale data, calibrated model)."""
     return cached_scenario(name="blue_waters_64", nsnapshots=10)
-
-
-@pytest.fixture(scope="session")
-def scenario_400() -> ExperimentScenario:
-    """The paper's 400-core configuration (laptop-scale data, calibrated model)."""
-    return cached_scenario(name="blue_waters_400", nsnapshots=10)
-
-
-@pytest.fixture()
-def run_once(benchmark):
-    """Run a driver exactly once under pytest-benchmark timing."""
-
-    def _run(func, *args, **kwargs):
-        return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return _run
 
 
 @pytest.fixture(scope="session")

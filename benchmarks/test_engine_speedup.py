@@ -26,8 +26,7 @@ from repro.core.config import AdaptationConfig
 from repro.core.rendering_step import RenderingStep, VectorizedRenderingStep
 from repro.core.scoring_step import ScoringStep, VectorizedScoringStep
 from repro.scenarios.scenario import ExperimentScenario, cached_scenario
-from repro.experiments.fig10_adaptation import PAPER_FIG10_TARGETS
-from repro.experiments.fig11_full_pipeline import PAPER_FIG11_TARGETS
+from repro.experiments.runs import PAPER_TARGETS
 from repro.grid.batch import (
     BlockColumns,
     group_positions_by_shape,
@@ -559,7 +558,7 @@ def test_fig11_step_reports_identical_on_every_field(fine_scenario_64):
             metric="VAR",
             redistribution="round_robin",
             adaptation=AdaptationConfig(
-                enabled=True, target_seconds=PAPER_FIG11_TARGETS[64][0]
+                enabled=True, target_seconds=PAPER_TARGETS["round_robin", 64][0]
             ),
             engine=engine,
         )
@@ -617,8 +616,8 @@ def _adaptive_trace(scenario, redistribution, target, engine, niterations=4):
 @pytest.mark.parametrize(
     "redistribution,target",
     [
-        ("none", PAPER_FIG10_TARGETS[64][1]),
-        ("round_robin", PAPER_FIG11_TARGETS[64][0]),
+        ("none", PAPER_TARGETS["none", 64][1]),
+        ("round_robin", PAPER_TARGETS["round_robin", 64][0]),
     ],
     ids=["fig10", "fig11"],
 )
@@ -634,8 +633,8 @@ def test_backends_identical_on_paper_scenarios(scenario_64, redistribution, targ
 @pytest.mark.parametrize(
     "redistribution,target",
     [
-        ("none", PAPER_FIG10_TARGETS[64][1]),
-        ("round_robin", PAPER_FIG11_TARGETS[64][0]),
+        ("none", PAPER_TARGETS["none", 64][1]),
+        ("round_robin", PAPER_TARGETS["round_robin", 64][0]),
     ],
     ids=["fig10", "fig11"],
 )

@@ -238,11 +238,6 @@ class CM1Config:
         return cls(shape=(2200, 2200, 380))
 
     @classmethod
-    def laptop_scale(cls) -> "CM1Config":
-        """Default laptop-scale configuration (1/10 resolution per axis)."""
-        return cls(shape=(220, 220, 38))
-
-    @classmethod
     def tiny(cls, seed: int = 2016) -> "CM1Config":
         """A very small configuration for unit tests (fast to generate)."""
         return cls(shape=(44, 44, 12), seed=seed)

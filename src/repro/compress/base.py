@@ -63,10 +63,6 @@ class Compressor(abc.ABC):
         """Compression ratio of ``block`` (no need to keep the payload)."""
         return self.compress(block).ratio
 
-    def compressed_size(self, block: np.ndarray) -> int:
-        """Compressed size of ``block`` in bytes."""
-        return self.compress(block).compressed_nbytes
-
     def compressed_size_batch(self, batch: np.ndarray) -> np.ndarray:
         """Compressed payload sizes of a stacked ``(nblocks, sx, sy, sz)`` batch.
 

@@ -304,11 +304,6 @@ class CartesianDecomposition:
             )
         return blocks
 
-    def extract_subdomain(self, rank: int, global_field: np.ndarray) -> np.ndarray:
-        """Return a copy of ``rank``'s subdomain from a full-domain field array."""
-        field = self._checked(global_field)
-        return np.ascontiguousarray(field[self.subdomain_extent(rank).slices])
-
     # -- helpers ---------------------------------------------------------------
 
     def _checked(self, global_field: np.ndarray) -> np.ndarray:

@@ -84,10 +84,6 @@ class ScoreMetric(abc.ABC):
             dtype=np.float64,
         )
 
-    def modelled_seconds(self, npoints: int) -> float:
-        """Modelled cost to score one block of ``npoints`` values."""
-        return self.cost.seconds(npoints)
-
     # -- shared validation ---------------------------------------------------
 
     @staticmethod

@@ -1,13 +1,14 @@
 """Calibration of the performance model against the paper's published numbers.
 
-Three groups of reference values are encoded here:
+Three groups of reference values are encoded here — the model's calibration
+inputs, and nothing else (every paper number a run is checked against lives
+in the reproduction ledger, ``benchmarks/test_ledger.py``):
 
 * **Table I** — seconds to score 16,000 blocks of 55×55×38 floats with each
   metric, on 64 and on 400 cores.  Dividing by the per-core number of points
   gives the per-point coefficients used by :class:`repro.metrics.base.MetricCost`.
-* **Rendering baselines** (Sections II-C, V-C, V-D) — 160 s on 64 cores and
-  50 s on 400 cores to render everything with no redistribution; ~1 s when
-  every block is reduced; 4×/5× speedup from redistribution alone.
+* **Rendering baseline** (Sections II-C, V-C, V-D) — 160 s on 64 cores and
+  50 s on 400 cores to render everything with no redistribution.
 * **Redistribution communication** (Section V-C) — about 1.2 s on 64 cores
   and 0.6 s on 400 cores.
 
@@ -40,17 +41,13 @@ TABLE1_SECONDS: Dict[str, Dict[int, float]] = {
 PAPER_BLOCK_SHAPE = (55, 55, 38)
 PAPER_NBLOCKS = 16_000
 
-#: Headline timing baselines from the paper (seconds).
+#: The paper's timing baselines the scenarios calibrate to (seconds).
 PAPER_BASELINES: Dict[str, Dict[int, float]] = {
     # Rendering everything, no redistribution, no reduction (Fig. 5 "NONE",
     # Fig. 6 "0 percent").
     "render_none": {64: 160.0, 400: 50.0},
-    # Rendering when every block is reduced to 2x2x2 (Section II-C, Fig. 6).
-    "render_all_reduced": {64: 1.0, 400: 1.0},
     # Redistribution communication time at 0 percent reduced (Section V-C).
     "redistribution_comm": {64: 1.2, 400: 0.6},
-    # Speedup of rendering from redistribution alone (Section V-C).
-    "redistribution_speedup": {64: 4.0, 400: 5.0},
 }
 
 

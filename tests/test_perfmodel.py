@@ -103,7 +103,6 @@ class TestCalibration:
     def test_paper_baselines_present(self):
         assert PAPER_BASELINES["render_none"][64] == 160.0
         assert PAPER_BASELINES["render_none"][400] == 50.0
-        assert PAPER_BASELINES["redistribution_speedup"][400] == 5.0
 
 
 class TestPlatformModel:
