@@ -8,8 +8,8 @@ echo region associated with storm onset.
 Running the real CM1 (Fortran, petascale data) is out of scope here, so this
 package provides a synthetic but physically structured substitute:
 
-* a time-evolving **supercell storm** description (updraft core, mesocyclone
-  rotation, hook echo, anvil, storm motion) — :mod:`repro.cm1.storm` — plus
+* a time-evolving **supercell storm** description (precipitation core,
+  weak echo vault, hook echo, anvil, storm motion) — :mod:`repro.cm1.storm` — plus
   parameterised **storm families** sharing its envelope contract: a squall
   line, a multi-cell cluster, a turbulence-only field, and a decaying storm
   (dispatched from their configs by :func:`~repro.cm1.storm.make_storm`);
@@ -17,10 +17,10 @@ package provides a synthetic but physically structured substitute:
   from the storm structure plus seeded turbulence — :mod:`repro.cm1.microphysics`;
 * the **reflectivity diagnostic** converting mixing ratios to dBZ in the
   physical [-60, 80] range — :mod:`repro.cm1.reflectivity`;
-* a **wind field** (inflow + rotating updraft) — :mod:`repro.cm1.dynamics`;
-* a stepping :class:`~repro.cm1.simulation.CM1Simulation` and a replayable
-  :class:`~repro.cm1.dataset.CM1Dataset` standing in for the paper's stored
-  572-iteration Blue Waters dataset.
+* a stepping :class:`~repro.cm1.simulation.CM1Simulation`, whose snapshots
+  carry the one field the pipeline visualises, the float32 reflectivity, and
+  a replayable :class:`~repro.cm1.dataset.CM1Dataset` standing in for the
+  paper's stored 572-iteration Blue Waters dataset.
 
 What matters for the reproduction is preserved: the interesting region is a
 small, localised, turbulent fraction of a large mostly-quiet domain, its
@@ -35,18 +35,7 @@ from repro.cm1.config import (
     StormConfig,
     TurbulenceFieldConfig,
 )
-from repro.cm1.storm import (
-    DecayingStorm,
-    MultiCellStorm,
-    SquallLineStorm,
-    SupercellStorm,
-    TurbulenceFieldStorm,
-    make_storm,
-)
-from repro.cm1.state import ModelState
-from repro.cm1.microphysics import Microphysics
-from repro.cm1.reflectivity import reflectivity_dbz, DBZ_MIN, DBZ_MAX
-from repro.cm1.dynamics import WindField
+from repro.cm1.reflectivity import DBZ_MIN, DBZ_MAX
 from repro.cm1.simulation import CM1Simulation
 from repro.cm1.dataset import CM1Dataset
 
@@ -57,18 +46,8 @@ __all__ = [
     "MultiCellConfig",
     "TurbulenceFieldConfig",
     "DecayingStormConfig",
-    "SupercellStorm",
-    "SquallLineStorm",
-    "MultiCellStorm",
-    "TurbulenceFieldStorm",
-    "DecayingStorm",
-    "make_storm",
-    "ModelState",
-    "Microphysics",
-    "reflectivity_dbz",
     "DBZ_MIN",
     "DBZ_MAX",
-    "WindField",
     "CM1Simulation",
     "CM1Dataset",
 ]

@@ -201,9 +201,6 @@ class CM1Config:
         Number of internal model iterations between two produced snapshots.
     seed:
         Base seed for all stochastic components (turbulence phases).
-    fields:
-        Names of the fields produced per snapshot.  ``"dbz"`` is always
-        produced; the others are optional extras.
     """
 
     shape: Tuple[int, int, int] = (220, 220, 38)
@@ -213,7 +210,6 @@ class CM1Config:
     iteration_stride: int = 1
     seed: int = 2016
     storm: StormConfig = field(default_factory=StormConfig)
-    fields: Tuple[str, ...] = ("dbz",)
 
     def __post_init__(self) -> None:
         if len(self.shape) != 3 or any(int(s) < 4 for s in self.shape):
@@ -224,18 +220,6 @@ class CM1Config:
             raise ValueError("start_iteration must be >= 0")
         if self.iteration_stride < 1:
             raise ValueError("iteration_stride must be >= 1")
-        if "dbz" not in self.fields:
-            object.__setattr__(self, "fields", ("dbz",) + tuple(self.fields))
-
-    @classmethod
-    def paper_scale(cls) -> "CM1Config":
-        """The paper's dataset dimensions (2200×2200×380).
-
-        Provided for documentation and for computing exact per-block sizes in
-        the cost model; actually materialising a field at this size needs
-        ~7.4 GB and is not done in tests.
-        """
-        return cls(shape=(2200, 2200, 380))
 
     @classmethod
     def tiny(cls, seed: int = 2016) -> "CM1Config":

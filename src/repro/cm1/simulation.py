@@ -8,18 +8,19 @@ storm — and an "I/O / in situ phase" where the produced
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.cm1.config import CM1Config
-from repro.cm1.dynamics import WindField
 from repro.cm1.microphysics import Microphysics
 from repro.cm1.reflectivity import reflectivity_dbz
-from repro.cm1.state import ModelState
 from repro.cm1.storm import make_storm
 from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
+
+#: Storage dtype of the reflectivity field, hence of every full block payload.
+FIELD_DTYPE = np.dtype(np.float32)
 
 
 class CM1Simulation:
@@ -28,8 +29,8 @@ class CM1Simulation:
     Parameters
     ----------
     config:
-        Run configuration.  ``config.fields`` selects which fields each
-        snapshot carries; ``"dbz"`` is always present.
+        Run configuration.  Every snapshot carries the one field the
+        pipeline visualises, the reflectivity ``"dbz"``.
 
     Examples
     --------
@@ -48,7 +49,6 @@ class CM1Simulation:
         )
         self.storm = make_storm(self.config.storm)
         self.microphysics = Microphysics(self.storm, seed=self.config.seed)
-        self.wind = WindField(self.storm)
 
     # -- coordinates -----------------------------------------------------------
 
@@ -82,35 +82,15 @@ class CM1Simulation:
             raise ValueError(f"snapshot_index must be >= 0, got {snapshot_index}")
         return self.config.start_iteration + snapshot_index * self.config.iteration_stride
 
-    def state(self, snapshot_index: int) -> ModelState:
-        """Compute the full model state for ``snapshot_index``."""
-        xn, yn, zn = self._normalised_mesh()
-        state = ModelState(
-            iteration=self.model_iteration(snapshot_index), shape=self.config.shape
-        )
-        ratios = self.microphysics.mixing_ratios(xn, yn, zn, snapshot_index)
-        dbz = reflectivity_dbz(ratios)
-        state.add("dbz", dbz)
-        wanted = set(self.config.fields)
-        for name, arr in ratios.items():
-            if name in wanted:
-                state.add(name, arr)
-        if wanted & {"u", "v", "w", "theta"}:
-            winds = self.wind.winds(xn, yn, zn, snapshot_index)
-            for name, arr in winds.items():
-                if name in wanted:
-                    state.add(name, arr)
-        return state
-
     def snapshot(self, snapshot_index: int) -> Domain:
-        """Produce the :class:`Domain` for ``snapshot_index``."""
-        state = self.state(snapshot_index)
-        fields: Dict[str, np.ndarray] = {
-            name: state.get(name)
-            for name in state.names()
-            if name in self.config.fields
-        }
-        return Domain(grid=self.grid, fields=fields, iteration=state.iteration)
+        """Produce the :class:`Domain` for ``snapshot_index``: the float32
+        reflectivity of the mixing ratios on the open mesh."""
+        iteration = self.model_iteration(snapshot_index)
+        ratios = self.microphysics.mixing_ratios(
+            *self._normalised_mesh(), snapshot_index
+        )
+        dbz = np.asarray(reflectivity_dbz(ratios), dtype=FIELD_DTYPE)
+        return Domain(grid=self.grid, fields={"dbz": dbz}, iteration=iteration)
 
     def iterate(self, nsnapshots: int, start: int = 0) -> Iterator[Domain]:
         """Yield ``nsnapshots`` successive snapshots starting at ``start``."""

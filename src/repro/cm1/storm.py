@@ -24,7 +24,7 @@ generators for other storm *families* — a squall line
 (:class:`SquallLineStorm`), a multi-cell cluster (:class:`MultiCellStorm`),
 a turbulence-only field (:class:`TurbulenceFieldStorm`), and a decaying
 supercell (:class:`DecayingStorm`) — all sharing the supercell's envelope
-contract, so microphysics, winds, and every downstream pipeline step work
+contract, so the microphysics and every downstream pipeline step work
 unchanged on any family.  :func:`make_storm` dispatches a
 :class:`~repro.cm1.config.StormConfig` (or subclass) to its generator.
 """
@@ -112,7 +112,7 @@ class SupercellStorm:
         Returns
         -------
         dict
-            ``{"core", "hook", "weak_echo", "anvil", "updraft"}`` — each in
+            ``{"core", "hook", "weak_echo", "anvil"}`` — each in
             [0, 1] and each of the full shape ``np.broadcast(xn, yn, zn).shape``
             even when it does not vary along some axis (callers combine them
             with ``out=`` ufuncs).  Every family keeps this contract.
@@ -163,38 +163,13 @@ class SupercellStorm:
             * zhigh
         )
 
-        # Updraft envelope (used by the wind field): narrow column through the
-        # core, tilted slightly downshear with height.
-        ux = cx + 0.15 * r * zn
-        uy = cy
-        udist2 = ((xn - ux) ** 2 + (yn - uy) ** 2) / max((0.45 * r) ** 2, 1e-12)
-        updraft = np.exp(-udist2) * np.sin(np.pi * np.clip(zn, 0.0, 1.0))
-
         scale = geo.intensity
         return {
             "core": scale * core,
             "hook": scale * hook,
             "weak_echo": weak_echo,
             "anvil": scale * anvil,
-            "updraft": scale * updraft,
         }
-
-    def interest_mask(
-        self,
-        xn: np.ndarray,
-        yn: np.ndarray,
-        zn: np.ndarray,
-        iteration: int,
-        threshold: float = 0.05,
-    ) -> np.ndarray:
-        """Boolean mask of the region of scientific interest.
-
-        Used by tests to check that the interesting region is a small fraction
-        of the domain and that content-based metrics give it high scores.
-        """
-        env = self.envelopes(xn, yn, zn, iteration)
-        combined = env["core"] + env["hook"] + env["anvil"]
-        return combined > threshold
 
 
 class SquallLineStorm(SupercellStorm):
@@ -256,20 +231,12 @@ class SquallLineStorm(SupercellStorm):
             * zhigh
         )
 
-        # Sheet-like updraft along the leading edge, tilted rearward.
-        updraft = (
-            along
-            * np.exp(-(((t - 0.5 * cfg.line_width * zn) / (0.8 * cfg.line_width)) ** 2))
-            * np.sin(np.pi * np.clip(zn, 0.0, 1.0))
-        )
-
         scale = geo.intensity
         return {
             "core": scale * core,
             "hook": scale * hook,
             "weak_echo": weak_echo,
             "anvil": scale * anvil,
-            "updraft": scale * updraft,
         }
 
 
@@ -364,7 +331,7 @@ class TurbulenceFieldStorm(SupercellStorm):
 
     The core envelope is a flat plateau filling ``config.fill_fraction`` of
     the horizontal domain (smooth taper at the borders) through most of the
-    vertical column; hook, vault, anvil, and updraft are all zero.  The
+    vertical column; hook, vault and anvil are all zero.  The
     microphysics' turbulence then dominates the field completely, which
     makes every block carry a similar score — the degenerate input for the
     sort/reduce/redistribute machinery.
@@ -415,7 +382,6 @@ class TurbulenceFieldStorm(SupercellStorm):
             "hook": zero,
             "weak_echo": zero,
             "anvil": zero,
-            "updraft": zero,
         }
 
 

@@ -75,24 +75,3 @@ def lorenzo_reconstruct(residuals: np.ndarray) -> np.ndarray:
         # Cumulative sum with wrap-around in the original dtype.
         np.cumsum(out, axis=axis, dtype=out.dtype, out=out)
     return out
-
-
-def delta_residuals(values: np.ndarray) -> np.ndarray:
-    """Simple 1-D delta prediction over the flattened array (baseline predictor)."""
-    v = np.asarray(values)
-    if v.dtype not in (np.uint32, np.uint64):
-        raise ValueError(f"expected uint32/uint64 input, got {v.dtype}")
-    flat = v.reshape(-1)
-    out = flat.copy()
-    out[1:] = flat[1:] - flat[:-1]
-    return out.reshape(v.shape)
-
-
-def delta_reconstruct(residuals: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`delta_residuals`."""
-    r = np.asarray(residuals)
-    if r.dtype not in (np.uint32, np.uint64):
-        raise ValueError(f"expected uint32/uint64 input, got {r.dtype}")
-    flat = r.reshape(-1).copy()
-    np.cumsum(flat, dtype=flat.dtype, out=flat)
-    return flat.reshape(r.shape)

@@ -28,7 +28,8 @@ cache-sized row chunks) — and builds no ``Block`` unless mesh-mode rendering
 or a caller reads ``context.per_rank_blocks``.  The redistribution planner is
 one class on every backend and plans on the metadata columns alone.  Whether
 the scoring kernel runs inline or over the process pool is decided per metric
-by :func:`repro.utils.procpool.pool_pays`, not by the name.
+by :func:`repro.utils.procpool.pool_pays`, not by the name; either way the
+kernel is ``metric.score_batch``, the metric's one batched entry point.
 
 All backends produce bitwise-identical decisions and modelled results (ids,
 scores, sort orders, reduction decisions, moved bytes, active-cell and

@@ -71,11 +71,6 @@ class IterationResult:
         return float(sum(self.modelled_steps.values()))
 
     @property
-    def measured_total(self) -> float:
-        """Full-pipeline measured seconds for the iteration."""
-        return float(sum(self.measured_steps.values()))
-
-    @property
     def modelled_rendering(self) -> float:
         """Modelled rendering seconds (the quantity plotted in Figs. 5–10)."""
         return float(self.modelled_steps.get("rendering", 0.0))
@@ -112,11 +107,6 @@ class PipelineRunResult:
     def modelled_rendering_times(self) -> List[float]:
         """Per-iteration modelled rendering seconds."""
         return [r.modelled_rendering for r in self.iterations]
-
-    def mean_modelled_rendering(self) -> float:
-        """Mean rendering modelled seconds over the run."""
-        times = self.modelled_rendering_times()
-        return float(np.mean(times)) if times else 0.0
 
     def summary(self) -> Dict[str, object]:
         """Compact dictionary summary (used by the experiment drivers)."""

@@ -8,22 +8,21 @@ the iteration time.
 
 One reference class and one batched class implement the contract, each with
 ``execute(context)`` as its one method.  :class:`ScoringStep` (the ``serial``
-oracle) routes every rank's block list in ``context.per_rank_blocks`` through
-``metric.score_blocks`` (a per-block loop by default, but user metrics that
-override it take effect here) and clones every block to attach its score.
-:class:`VectorizedScoringStep` (every other backend name) scores all ranks'
-blocks in one cross-rank pass over ``context.columns`` and writes a ``scores``
-column.  Where that pass runs is decided per kernel, by the code: inline for
-the NumPy metrics, over the shared process pool — row chunks pickled into its
-tasks — for a metric that declares ``gil_bound`` whenever
-:func:`~repro.utils.procpool.pool_pays`; this step is the one reader of that
-rule.  All of it produces bitwise-identical scores, so neither the backend nor
-the pool can perturb a downstream decision.
+oracle) scores every block of ``context.per_rank_blocks`` with
+``metric.score_block`` and clones it to attach its score.
+:class:`VectorizedScoringStep` (every other backend name) makes one
+:func:`~repro.grid.fanout.map_shape_groups` pass of ``metric.score_batch``
+over the payload groups of ``context.columns``, all ranks at once, and writes
+a ``scores`` column.  The pass runs inline, or over the shared process pool —
+row chunks pickled into its tasks — for a metric that declares ``gil_bound``
+whenever :func:`~repro.utils.procpool.pool_pays`; this step is the one reader
+of that rule.  A score is a function of one block, so both classes, and every
+chunking, give bitwise-identical scores, and neither the backend nor the pool
+can perturb a downstream decision.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -49,7 +48,7 @@ class ScoringStep:
         self.platform = platform
 
     def execute(self, context: IterationContext) -> StepReport:
-        """Score every rank's blocks, one ``metric.score_blocks`` call per rank:
+        """Score every rank's blocks, one ``metric.score_block`` call per block:
         the ``(block_id, score)`` pairs and the blocks with their scores
         attached go into ``context``; the report counts the blocks and the
         points scored."""
@@ -60,14 +59,11 @@ class ScoringStep:
         total_points = 0
         for blocks in context.per_rank_blocks:
             with Timer() as timer:
-                raw = self.metric.score_blocks([b.data for b in blocks])
-                scores = [float(s) for s in raw]
-                pairs = [
-                    (block.block_id, score) for block, score in zip(blocks, scores)
-                ]
                 scored = [
-                    block.with_score(score) for block, score in zip(blocks, scores)
+                    block.with_score(float(self.metric.score_block(block.data)))
+                    for block in blocks
                 ]
+                pairs = [(block.block_id, block.score) for block in scored]
             npoints = sum(int(block.data.size) for block in blocks)
             total_points += npoints
             per_rank_pairs.append(pairs)
@@ -87,12 +83,6 @@ class ScoringStep:
         )
 
 
-def _score_rows(metric: ScoreMetric, stacked: np.ndarray) -> np.ndarray:
-    """Row-wise kernel of a metric without ``score_batch``: one ``score_block``
-    call per row.  This loop is the GIL-bound work the process pool exists for."""
-    return np.array([metric.score_block(row) for row in stacked], dtype=np.float64)
-
-
 class VectorizedScoringStep(ScoringStep):
     """Scores all ranks' blocks as stacked structure-of-arrays batches.
 
@@ -107,43 +97,20 @@ class VectorizedScoringStep(ScoringStep):
     shared process pool whenever :func:`~repro.utils.procpool.pool_pays`.
     The metric is then pickled into every task with its chunk of rows (the
     built-in metrics are plain objects; a user metric that declares it must
-    be a module-level class), and a metric without ``score_batch`` is scored
-    row by row inside the workers.
-
-    A metric that overrides ``score_blocks`` without a ``score_batch`` may
-    apply cross-block logic (e.g. normalisation over one rank's list), which
-    neither the cross-rank pass nor chunking preserves; it is routed through
-    the per-rank reference step.  Measured wall-clock is attributed to ranks
-    in proportion to their point counts; the modelled per-rank seconds are
+    be a module-level class).  Measured wall-clock is attributed to ranks in
+    proportion to their point counts; the modelled per-rank seconds are
     computed exactly as in the serial step.
     """
-
-    def _crosses_ranks(self) -> bool:
-        """Whether the metric may be scored in one pass over all ranks' blocks."""
-        metric = self.metric
-        return metric.supports_batch or (
-            type(metric).score_blocks is ScoreMetric.score_blocks
-        )
 
     def execute(self, context: IterationContext) -> StepReport:
         """Write the context's ``scores`` column in one cross-rank pass; the
         pairs stay in wire form for the sort."""
-        if not self._crosses_ranks():
-            return super().execute(context)
         metric, columns = self.metric, context.columns
         with Timer() as timer:
-            pooled = pool_pays(metric.gil_bound)
-            if metric.supports_batch or pooled:
-                kernel = (
-                    metric.score_batch
-                    if metric.supports_batch
-                    else partial(_score_rows, metric)
-                )
-                scores = map_shape_groups(columns.groups, kernel, np.float64, pooled)
-            else:
-                # Stacking buys nothing when scoring loops per block in this
-                # process anyway; skip the payload copies.
-                scores = metric.score_blocks(columns.payloads())
+            scores = map_shape_groups(
+                columns.groups, metric.score_batch, np.float64,
+                pool_pays(metric.gil_bound),
+            )
             columns.set_scores(scores)
         context.set_pair_arrays(columns.pair_arrays())
         rank_points = columns.per_rank_sum(columns.npoints)

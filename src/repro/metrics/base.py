@@ -1,4 +1,12 @@
-"""Metric interface and cost description."""
+"""Metric interface and cost description.
+
+A score is a function of one block that every process computes alike: the
+sort gathers every rank's scores and orders them globally, so nothing about
+a block's neighbours, its rank or its batch may enter it.  The contract is
+two methods and one declaration: :meth:`ScoreMetric.score_block`,
+:meth:`ScoreMetric.score_batch` (by default the loop over ``score_block``)
+and :attr:`ScoreMetric.gil_bound`.
+"""
 
 from __future__ import annotations
 
@@ -42,47 +50,34 @@ class ScoreMetric(abc.ABC):
     name: str = "METRIC"
     #: Modelled evaluation cost (Blue Waters seconds); see :class:`MetricCost`.
     cost: MetricCost = MetricCost(per_point=5.0e-8)
-    #: Whether :meth:`score_batch` is a true vectorised implementation, i.e.
-    #: stacking blocks into a batch buys real work sharing (False means it
-    #: falls back to a per-block loop, so engines skip the stacking copies).
-    #: All built-in metrics except LOCAL_ENTROPY provide one — including the
-    #: coder-based FPZIP/ZFP/LZ/LEA scorers, whose batched paths compute
-    #: encoded sizes for the whole batch in one pass.
-    supports_batch: bool = False
     #: Whether scoring holds the GIL for most of its time (a Python loop over
     #: values or chunks), so that worker processes beat one interpreter.  The
-    #: batched scoring step maps such a metric's kernel over the shared process
-    #: pool when :func:`repro.utils.procpool.pool_pays`; the metric is then
-    #: pickled into every task, so declare it only on a module-level class.
-    #: Set from measurement (README, "Where the process pool is taken"), not
-    #: from ``supports_batch``: LZ and ZFP have a batched path and still pay.
+    #: batched scoring step maps such a metric's :meth:`score_batch` over the
+    #: shared process pool when :func:`repro.utils.procpool.pool_pays`; the
+    #: metric is then pickled into every task, so declare it only on a
+    #: module-level class.  Set from measurement (README, "Where the process
+    #: pool is taken"): LZ and ZFP have a batched kernel and still pay.
     gil_bound: bool = False
 
     @abc.abstractmethod
     def score_block(self, data: np.ndarray) -> float:
         """Score one 3-D block of values."""
 
-    def score_blocks(self, blocks: Iterable[np.ndarray]) -> List[float]:
-        """Score a sequence of blocks (override for vectorised variants)."""
-        return [self.score_block(b) for b in blocks]
-
     def score_batch(self, batch: np.ndarray) -> np.ndarray:
         """Score a stacked ``(nblocks, sx, sy, sz)`` batch of blocks.
 
-        Array-friendly metrics override this with a single vectorised pass
-        over the batch; the default delegates to :meth:`score_blocks` (so a
-        user metric that overrides only ``score_blocks`` behaves identically
-        under both execution engines).  Either way the result is bitwise
-        identical to scoring the blocks one at a time (the vectorised
-        overrides are written to share the exact arithmetic of their scalar
-        counterparts), so the engines can be swapped without perturbing
-        reduction decisions.
+        The default is the row loop over :meth:`score_block`.  Array-friendly
+        metrics override it with one pass over the batch written to share the
+        exact arithmetic of their :meth:`score_block`, so the result is
+        bitwise identical to scoring the blocks one at a time whatever the
+        engine, the pool's chunking or the rows stacked together.
         """
         arr = self._prepare_batch(batch)
-        return np.array(
-            self.score_blocks([arr[i] for i in range(arr.shape[0])]),
-            dtype=np.float64,
-        )
+        return np.array([self.score_block(row) for row in arr], dtype=np.float64)
+
+    def score_blocks(self, blocks: Iterable[np.ndarray]) -> List[float]:
+        """Score a sequence of blocks: the loop over :meth:`score_block`."""
+        return [self.score_block(b) for b in blocks]
 
     # -- shared validation ---------------------------------------------------
 

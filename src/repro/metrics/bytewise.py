@@ -36,71 +36,13 @@ def bytewise_entropies(data: np.ndarray) -> np.ndarray:
     return entropies
 
 
-def bytewise_entropies_batch(batch: np.ndarray) -> np.ndarray:
-    """Per-byte-position entropies of every block of a 4-D stacked batch.
-
-    Returns ``(nblocks, itemsize)`` entropies computed from one offset
-    ``bincount`` over the whole batch; row ``i`` equals
-    ``bytewise_entropies(batch[i])`` bitwise (same counts, same
-    :func:`shannon_entropy` arithmetic).
-    """
-    arr = np.asarray(batch)
-    if arr.ndim != 4:
-        raise ValueError(f"batch must be 4-D (nblocks, sx, sy, sz), got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(np.float32)
-    nblocks = arr.shape[0]
-    flat = np.ascontiguousarray(arr).reshape(nblocks, -1)
-    itemsize = flat.dtype.itemsize
-    nvalues = flat.shape[1]
-    entropies = np.empty((nblocks, itemsize), dtype=np.float64)
-    if nblocks == 0:
-        return entropies
-    if nvalues == 0:
-        entropies.fill(0.0)
-        return entropies
-    as_bytes = flat.view(np.uint8).reshape(nblocks, nvalues, itemsize)
-    # One bincount per byte position, each over all blocks at once: every
-    # block gets its own 256-wide segment via the offsets.  Working one byte
-    # plane at a time keeps the int64 index temporary at (nblocks, nvalues)
-    # rather than materialising the whole (nblocks, nvalues, itemsize) batch
-    # in int64 — this runs on the engines' scoring hot path.
-    block_offsets = np.arange(nblocks, dtype=np.int64)[:, None] * 256
-    for b in range(itemsize):
-        idx = as_bytes[:, :, b].astype(np.int64) + block_offsets
-        counts = np.bincount(idx.ravel(), minlength=nblocks * 256).reshape(
-            nblocks, 256
-        )
-        # Per-row scalar shannon_entropy on purpose: the entropy sums a
-        # zero-filtered, variable-length probability array, so no uniform
-        # axis reduction reproduces the scalar path bitwise (same trade-off
-        # as ITL's batched histograms).
-        for i in range(nblocks):
-            entropies[i, b] = shannon_entropy(counts[i])
-    return entropies
-
-
 class BytewiseEntropyMetric(ScoreMetric):
     """LEA score: sum of the per-byte-position entropies of the block."""
 
     name = "LEA"
     # Table I: 2.03 s on 64 cores -> ~7.1e-8 s per point.
     cost = MetricCost(per_point=7.1e-8)
-    supports_batch = True
 
     def score_block(self, data: np.ndarray) -> float:
         arr = self._prepare(data)
         return float(bytewise_entropies(arr).sum())
-
-    def score_batch(self, batch: np.ndarray) -> np.ndarray:
-        """LEA scores of a stacked batch from one bincount over all blocks.
-
-        The per-(block, byte) histograms are identical to the scalar path's,
-        and each block's entropies are summed as the same-length float64
-        array, so the scores are bitwise equal to :meth:`score_block`.
-        """
-        arr = self._prepare_batch(batch)
-        entropies = bytewise_entropies_batch(arr)
-        # Each row is summed exactly as the scalar path sums its 1-D entropy
-        # array (same length, same pairwise order).
-        return np.array([float(row.sum()) for row in entropies], dtype=np.float64)

@@ -36,31 +36,13 @@ _GIL_BOUND_COMPRESSORS = frozenset({"zfp", "lz"})
 class CompressionRatioMetric(ScoreMetric):
     """Score = compressed size / original size (inverse compression ratio).
 
-    Parameters
-    ----------
-    compressor:
-        Any :class:`~repro.compress.base.Compressor`; defaults to the
-        fpzip-like coder, which is the variant whose results the paper plots.
-    subsample:
-        Optional stride applied to the block before compression to bound the
-        scoring cost of the pure-Python coders on large blocks (``None``
-        disables subsampling).  The stride sampling is deterministic, so
-        scores remain comparable across blocks of equal size.
+    ``compressor`` is any :class:`~repro.compress.base.Compressor`; it
+    defaults to the fpzip-like coder, the variant whose results the paper
+    plots.
     """
 
-    #: ``score_batch`` delegates to the compressor's vectorised
-    #: ``compressed_size_batch``, so stacking blocks is worthwhile.
-    supports_batch = True
-
-    def __init__(
-        self,
-        compressor: Optional[Compressor] = None,
-        subsample: Optional[int] = None,
-    ) -> None:
+    def __init__(self, compressor: Optional[Compressor] = None) -> None:
         self.compressor = compressor or FpzipLikeCompressor()
-        if subsample is not None and subsample < 1:
-            raise ValueError(f"subsample must be >= 1 or None, got {subsample}")
-        self.subsample = subsample
         self.name = self.compressor.name.upper()
         self.cost = _COMPRESSOR_COSTS.get(
             self.compressor.name, MetricCost(per_point=3.0e-7)
@@ -68,11 +50,7 @@ class CompressionRatioMetric(ScoreMetric):
         self.gil_bound = self.compressor.name in _GIL_BOUND_COMPRESSORS
 
     def score_block(self, data: np.ndarray) -> float:
-        arr = self._prepare(data)
-        if self.subsample is not None and self.subsample > 1:
-            s = self.subsample
-            arr = np.ascontiguousarray(arr[::s, ::s, ::s])
-        result = self.compressor.compress(arr)
+        result = self.compressor.compress(self._prepare(data))
         if result.original_nbytes == 0:
             return 0.0
         return float(result.compressed_nbytes / result.original_nbytes)
@@ -86,9 +64,6 @@ class CompressionRatioMetric(ScoreMetric):
         Python and payload-assembly overhead disappears.
         """
         arr = self._prepare_batch(batch)
-        if self.subsample is not None and self.subsample > 1:
-            s = self.subsample
-            arr = np.ascontiguousarray(arr[:, ::s, ::s, ::s])
         if arr.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
         sizes = self.compressor.compressed_size_batch(arr)
@@ -105,16 +80,16 @@ class CompressionRatioMetric(ScoreMetric):
     # -- convenience constructors ------------------------------------------
 
     @classmethod
-    def fpzip(cls, subsample: Optional[int] = None) -> "CompressionRatioMetric":
+    def fpzip(cls) -> "CompressionRatioMetric":
         """FPZIP-based scorer (the variant reported in the paper's figures)."""
-        return cls(FpzipLikeCompressor(), subsample=subsample)
+        return cls(FpzipLikeCompressor())
 
     @classmethod
-    def zfp(cls, precision: int = 16, subsample: Optional[int] = None) -> "CompressionRatioMetric":
-        """ZFP-based scorer (paper: "results similar to FPZIP")."""
-        return cls(ZfpLikeCompressor(precision=precision), subsample=subsample)
+    def zfp(cls) -> "CompressionRatioMetric":
+        """ZFP-based scorer at 16 bit planes (paper: "results similar to FPZIP")."""
+        return cls(ZfpLikeCompressor(precision=16))
 
     @classmethod
-    def lz(cls, subsample: Optional[int] = None) -> "CompressionRatioMetric":
+    def lz(cls) -> "CompressionRatioMetric":
         """LZ/binary-mask-based scorer (paper: "results similar to FPZIP")."""
-        return cls(LzLikeCompressor(), subsample=subsample)
+        return cls(LzLikeCompressor())

@@ -43,7 +43,6 @@ class HistogramEntropyMetric(ScoreMetric):
     name = "ITL"
     # Table I: 13.30 s on 64 cores -> ~4.6e-7 s per point.
     cost = MetricCost(per_point=4.63e-7)
-    supports_batch = True
 
     def __init__(
         self,

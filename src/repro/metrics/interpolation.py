@@ -22,7 +22,6 @@ class TrilinearErrorMetric(ScoreMetric):
     name = "TRILIN"
     # Table I: 14.30 s on 64 cores -> ~5.0e-7 s per point.
     cost = MetricCost(per_point=4.98e-7)
-    supports_batch = True
 
     def score_block(self, data: np.ndarray) -> float:
         arr = self._prepare(data)

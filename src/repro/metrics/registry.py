@@ -8,7 +8,7 @@ expects domain scientists to extend the system.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List
 
 from repro.metrics.base import ScoreMetric
 from repro.metrics.bytewise import BytewiseEntropyMetric
@@ -59,10 +59,6 @@ class MetricRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name.strip().upper() in self._factories
-
-    def create_many(self, names: Iterable[str]) -> List[ScoreMetric]:
-        """Instantiate several metrics at once."""
-        return [self.create(n) for n in names]
 
 
 def _build_default_registry() -> MetricRegistry:

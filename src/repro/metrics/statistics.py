@@ -56,7 +56,6 @@ class RangeMetric(ScoreMetric):
     name = "RANGE"
     # Calibrated from Table I: 7.03 s for 64 cores' share of 16,000 55x55x38 blocks.
     cost = MetricCost(per_point=2.45e-7)
-    supports_batch = True
 
     def score_block(self, data: np.ndarray) -> float:
         arr = self._prepare(data)
@@ -74,7 +73,6 @@ class VarianceMetric(ScoreMetric):
     name = "VAR"
     # Table I: 1.41 s on 64 cores -> ~4.9e-8 s per point.
     cost = MetricCost(per_point=4.9e-8)
-    supports_batch = True
 
     def score_block(self, data: np.ndarray) -> float:
         arr = self._prepare(data)
@@ -95,7 +93,7 @@ class PythonVarianceMetric(ScoreMetric):
     GIL); worker processes can, so it declares ``gil_bound`` and the batched
     scoring step scores it over the shared process pool, which is what the
     GIL-bound gate of ``benchmarks/test_process_scaling.py`` measures.
-    ``stride`` subsamples the block to keep the absolute cost at benchmark
+    ``stride`` thins the block to keep the absolute cost at benchmark
     scale; scoring stays deterministic, so all backends agree bitwise.
 
     Registered as ``"PYVAR"`` so serve/CLI request payloads can select it —
@@ -105,7 +103,6 @@ class PythonVarianceMetric(ScoreMetric):
 
     name = "PYVAR"
     cost = MetricCost(per_point=4.9e-8)
-    supports_batch = False
     gil_bound = True
 
     def __init__(self, stride: int = 1) -> None:
@@ -131,7 +128,6 @@ class StdDevMetric(ScoreMetric):
 
     name = "STD"
     cost = MetricCost(per_point=4.9e-8)
-    supports_batch = True
 
     def score_block(self, data: np.ndarray) -> float:
         arr = self._prepare(data)

@@ -131,14 +131,3 @@ class PlatformModel:
             render=RenderCostModel(),
             metric_costs=costs,
         )
-
-    def with_render(self, render: RenderCostModel) -> "PlatformModel":
-        """Return a copy of the platform with a re-calibrated render model."""
-        return PlatformModel(
-            name=self.name,
-            ncores=self.ncores,
-            network=self.network,
-            render=render,
-            metric_costs=dict(self.metric_costs),
-            seconds_per_reduced_block=self.seconds_per_reduced_block,
-        )

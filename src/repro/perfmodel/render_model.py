@@ -17,7 +17,6 @@ with the full pipeline's rendering step costing the *maximum* over ranks
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Sequence
 
 from repro.utils.validation import ensure_positive
 
@@ -63,29 +62,6 @@ class RenderCostModel:
             + self.per_block * nblocks
             + self.per_point * npoints
             + self.per_triangle * ntriangles
-        )
-
-    def block_seconds(self, ntriangles: int, npoints: int) -> float:
-        """Modelled cost attributable to a single block (no per-rank overhead)."""
-        if min(ntriangles, npoints) < 0:
-            raise ValueError("work counts must be >= 0")
-        return self.per_block + self.per_point * npoints + self.per_triangle * ntriangles
-
-    def makespan(
-        self, per_rank_work: Sequence[Mapping[str, int]]
-    ) -> float:
-        """Rendering time of the whole step: the slowest rank's time.
-
-        ``per_rank_work[r]`` must provide ``"triangles"``, ``"points"`` and
-        ``"blocks"`` counts for rank ``r``.
-        """
-        if not per_rank_work:
-            raise ValueError("per_rank_work must not be empty")
-        return max(
-            self.rank_seconds(
-                int(w.get("triangles", 0)), int(w.get("points", 0)), int(w.get("blocks", 0))
-            )
-            for w in per_rank_work
         )
 
     # -- calibration helpers -----------------------------------------------------

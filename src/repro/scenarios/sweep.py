@@ -44,7 +44,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.cm1.state import FIELD_DTYPE
+from repro.cm1.simulation import FIELD_DTYPE
 from repro.core.reduction_step import ladder_counts
 from repro.grid.decomposition import factorize_ranks, split_axis
 from repro.metrics.registry import create_metric

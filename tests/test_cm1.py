@@ -1,4 +1,4 @@
-"""Tests for the synthetic CM1 model (storm, microphysics, reflectivity, winds)."""
+"""Tests for the synthetic CM1 model (storm, microphysics, reflectivity)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from repro.cm1.config import CM1Config, StormConfig
-from repro.cm1.dynamics import WindField
 from repro.cm1.microphysics import Microphysics, correlated_noise, perturb
 from repro.cm1.reflectivity import (
     _SPECIES_COEFFS,
@@ -19,7 +18,6 @@ from repro.cm1.reflectivity import (
     reflectivity_dbz,
 )
 from repro.cm1.simulation import CM1Simulation
-from repro.cm1.state import ModelState
 from repro.cm1.storm import STORM_FAMILIES, SupercellStorm
 from repro.grid.rectilinear import RectilinearGrid
 from repro.utils.random import rng_from_seed
@@ -119,11 +117,6 @@ class TestConfigs:
     def test_tiny_config_valid(self):
         cfg = CM1Config.tiny()
         assert cfg.shape == (44, 44, 12)
-        assert "dbz" in cfg.fields
-
-    def test_dbz_always_in_fields(self):
-        cfg = CM1Config(shape=(8, 8, 8), fields=("qr",))
-        assert "dbz" in cfg.fields and "qr" in cfg.fields
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -140,9 +133,6 @@ class TestConfigs:
             StormConfig(core_height=1.5)
         with pytest.raises(ValueError):
             StormConfig(radius_growth_per_iteration=-0.1)
-
-    def test_paper_scale_shape(self):
-        assert CM1Config.paper_scale().shape == (2200, 2200, 380)
 
 
 class TestStorm:
@@ -169,7 +159,7 @@ class TestStorm:
 
     def test_envelopes_in_unit_range(self):
         env = self.storm.envelopes(*self.mesh, iteration=5)
-        for name in ("core", "hook", "weak_echo", "anvil", "updraft"):
+        for name in ("core", "hook", "weak_echo", "anvil"):
             assert env[name].min() >= 0.0
             assert env[name].max() <= 1.5  # intensity-scaled envelopes stay bounded
 
@@ -183,8 +173,8 @@ class TestStorm:
         assert abs(yn - geo.center[1]) < 0.15
 
     def test_interest_mask_is_localized(self):
-        mask = self.storm.interest_mask(*self.mesh, iteration=5)
-        fraction = mask.mean()
+        env = self.storm.envelopes(*self.mesh, iteration=5)
+        fraction = (env["core"] + env["hook"] + env["anvil"] > 0.05).mean()
         assert 0.0 < fraction < 0.5
 
 
@@ -264,48 +254,13 @@ class TestReflectivity:
         assert DBZ_MIN <= float(dbz.item()) <= DBZ_MAX
 
 
-class TestWindField:
-    def test_wind_components_present_and_bounded(self):
-        storm = SupercellStorm(StormConfig())
-        wind = WindField(storm)
-        n = 20
-        x = np.linspace(0, 1, n)
-        mesh = np.meshgrid(x, x, np.linspace(0, 1, 8), indexing="ij")
-        fields = wind.winds(*mesh, iteration=4)
-        assert set(fields) == {"u", "v", "w", "theta"}
-        assert np.abs(fields["w"]).max() <= WindField.W_MAX + 1e-6
-        assert fields["w"].max() > 1.0  # there is an updraft
-        assert np.all(np.isfinite(fields["u"]))
-
-    def test_rotation_produces_opposite_winds_across_center(self):
-        storm = SupercellStorm(StormConfig(initial_center=(0.5, 0.5)))
-        wind = WindField(storm)
-        n = 41
-        x = np.linspace(0, 1, n)
-        mesh = np.meshgrid(x, x, np.array([0.2]), indexing="ij")
-        fields = wind.winds(*mesh, iteration=5)
-        v = fields["v"][:, n // 2, 0]
-        # Meridional wind has opposite rotational contributions east/west of the core.
-        assert (v[n // 4] - v[3 * n // 4]) != pytest.approx(0.0, abs=1e-9)
-
-
 class TestModelStateAndSimulation:
-    def test_state_add_and_get(self):
-        state = ModelState(iteration=0, shape=(4, 4, 4))
-        state.add("dbz", np.zeros((4, 4, 4)))
-        assert "dbz" in state
-        assert state.get("dbz").dtype == np.float32
-        assert state.nbytes() > 0
-
-    def test_state_shape_validated(self):
-        state = ModelState(iteration=0, shape=(4, 4, 4))
-        with pytest.raises(ValueError):
-            state.add("dbz", np.zeros((4, 4, 5)))
-
     def test_snapshot_fields_and_iteration(self, tiny_simulation):
         domain = tiny_simulation.snapshot(2)
         assert domain.iteration == tiny_simulation.config.start_iteration + 2
+        assert domain.field_names() == ["dbz"]
         assert domain.get_field("dbz").shape == tiny_simulation.config.shape
+        assert domain.get_field("dbz").dtype == np.float32
 
     def test_snapshot_dbz_range_and_locality(self, tiny_field):
         assert tiny_field.min() >= DBZ_MIN
@@ -319,12 +274,6 @@ class TestModelStateAndSimulation:
         b = tiny_simulation.snapshot(5).get_field("dbz")
         assert not np.allclose(a, b)
 
-    def test_extra_fields_generated_on_request(self):
-        cfg = CM1Config(shape=(24, 24, 8), fields=("dbz", "qr", "w"))
-        sim = CM1Simulation(cfg)
-        domain = sim.snapshot(0)
-        assert set(domain.field_names()) == {"dbz", "qr", "w"}
-
     def test_iterate_yields_requested_count(self, tiny_simulation):
         domains = list(tiny_simulation.iterate(3))
         assert len(domains) == 3
@@ -336,15 +285,9 @@ class TestModelStateAndSimulation:
         np.testing.assert_array_equal(a, b)
 
 
-#: Optional fields a snapshot can carry; u/v/w/theta go through WindField.winds.
-EXTRA_FIELDS = ("qr", "qs", "qg", "u", "v", "w", "theta")
-
-
-def simulation_on(shape, storm, fields, dense):
+def simulation_on(shape, storm, dense):
     """A ``CM1Simulation`` of ``shape``, on the open mesh or on the dense oracle."""
-    config = CM1Config(
-        shape=tuple(max(n, 4) for n in shape), seed=11, storm=storm, fields=fields
-    )
+    config = CM1Config(shape=tuple(max(n, 4) for n in shape), seed=11, storm=storm)
     sim = CM1Simulation(config)
     if min(shape) < 4:
         # CM1Config refuses axes under 4 points (its stretched grid needs
@@ -358,11 +301,10 @@ def simulation_on(shape, storm, fields, dense):
 
 
 def float64_parts(sim, iteration):
-    """The float64 fields a snapshot is made of: envelopes, mixing ratios, winds."""
+    """The float64 fields a snapshot is made of: envelopes and mixing ratios."""
     mesh = sim._normalised_mesh()
     parts = {f"env.{k}": v for k, v in sim.storm.envelopes(*mesh, iteration).items()}
     parts.update(sim.microphysics.mixing_ratios(*mesh, iteration))
-    parts.update(sim.wind.winds(*mesh, iteration))
     return parts
 
 
@@ -374,22 +316,21 @@ class TestOpenMeshLaw:
     @given(
         shape=st.tuples(*[st.just(1) | st.integers(min_value=4, max_value=24)] * 3),
         iteration=st.integers(min_value=0, max_value=15),
-        extra=st.sets(st.sampled_from(EXTRA_FIELDS)),
     )
-    def test_open_mesh_state_equals_dense_mesh_state(self, storm, shape, iteration, extra):
-        """Every registered storm family, on the open mesh, gives the state
-        the dense mesh gives, bitwise, and every envelope has the full shape.
+    def test_open_mesh_state_equals_dense_mesh_state(self, storm, shape, iteration):
+        """Every registered storm family, on the open mesh, gives the
+        envelopes, mixing ratios and reflectivity the dense mesh gives,
+        bitwise, and every envelope has the full shape.
 
         Fails with ``TurbulenceFieldStorm``'s ``zero`` built from ``xn.shape``
         (an envelope of shape ``(nx, 1, 1)``) and with ``mixing_ratios``
         drawing its noise in ``xn.shape``.  Both sides run the same envelope
-        arithmetic, so a rewrite that changes the bytes on any mesh (updraft's
-        ``exp(-udist2)`` as the product of an x and a y exponential) is not
-        this law's to catch.
+        arithmetic, so a rewrite that changes the bytes on any mesh (the
+        core's ``exp(-(rho / r) ** 2)`` as a product of an x and a y exponential) is
+        not this law's to catch.
         """
-        fields = ("dbz",) + tuple(sorted(extra))
-        sim = simulation_on(shape, storm, fields, dense=False)
-        oracle = simulation_on(shape, storm, fields, dense=True)
+        sim = simulation_on(shape, storm, dense=False)
+        oracle = simulation_on(shape, storm, dense=True)
 
         xn, yn, zn = sim._normalised_mesh()
         nx, ny, nz = shape
@@ -402,10 +343,9 @@ class TestOpenMeshLaw:
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
-        got, want = sim.state(iteration), oracle.state(iteration)
-        assert got.names() == want.names() and set(got.names()) == set(fields)
-        for name in want.names():
-            assert got.get(name).tobytes() == want.get(name).tobytes(), name
+        got, want = sim.snapshot(iteration), oracle.snapshot(iteration)
+        assert got.field_names() == want.field_names() == ["dbz"]
+        assert got.get_field("dbz").tobytes() == want.get_field("dbz").tobytes()
 
 
 #: Broadcastable species shapes, full and partial.

@@ -28,8 +28,6 @@ from repro.compress.lz_like import (
     lz77_decompress,
 )
 from repro.compress.predictors import (
-    delta_reconstruct,
-    delta_residuals,
     lorenzo_reconstruct,
     lorenzo_residuals,
 )
@@ -184,10 +182,6 @@ class TestPredictors:
     def test_lorenzo_requires_uint(self):
         with pytest.raises(ValueError):
             lorenzo_residuals(np.zeros((2, 2, 2), dtype=np.float32))
-
-    def test_delta_roundtrip(self):
-        values = float_to_ordered_uint(np.random.default_rng(2).normal(size=(4, 4, 4)).astype(np.float32))
-        np.testing.assert_array_equal(delta_reconstruct(delta_residuals(values)), values)
 
 
 class TestFpzipLike:

@@ -261,21 +261,6 @@ class Spiky(ScoreMetric):
         return float(np.abs(np.asarray(data)).max())
 
 
-class RankNormalized(ScoreMetric):
-    """Cross-block semantics: chunking would change the peak."""
-
-    name = "RANKNORM"
-    gil_bound = True
-
-    def score_block(self, data):
-        return float(np.ptp(np.asarray(data)))
-
-    def score_blocks(self, blocks):
-        raw = [self.score_block(b) for b in blocks]
-        peak = max(raw) or 1.0
-        return [r / peak for r in raw]
-
-
 class TestParallelScoringStep:
     """The process fan-out's chunking must never perturb scores."""
 
@@ -298,14 +283,6 @@ class TestParallelScoringStep:
     ):
         self._assert_step_matches_serial(Spiky(), tiny_scenario, run_step)
         assert scoring_fanout == [True]
-
-    def test_score_blocks_override_not_chunked(
-        self, tiny_scenario, scoring_fanout, run_step
-    ):
-        """Cross-block logic is neither chunked nor batched across ranks, even
-        for a metric that declares ``gil_bound``: the per-rank reference step."""
-        self._assert_step_matches_serial(RankNormalized(), tiny_scenario, run_step)
-        assert scoring_fanout == []
 
     def test_batch_metric_chunked_identically(
         self, tiny_scenario, scoring_fanout, run_step

@@ -109,7 +109,6 @@ class TestPipelineIntegration:
         pipeline = tiny_scenario.build_pipeline()
         run = pipeline.run([tiny_scenario.blocks_for(0), tiny_scenario.blocks_for(1)], percent_override=0.0)
         assert run.niterations == 2
-        assert run.mean_modelled_rendering() > 0
 
     def test_config_summary_contents(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline(metric="LEA", redistribution="shuffle")
@@ -268,7 +267,6 @@ class TestIterationResult:
             "scoring": 1.0, "reduction": 0.0, "redistribution": 0.0, "rendering": 10.0,
         }
         assert result.modelled_total == pytest.approx(11.0)
-        assert result.measured_total == pytest.approx(0.1)
         assert result.modelled_rendering == pytest.approx(10.0)
         assert result.load_imbalance == pytest.approx(1.5)
 

@@ -36,7 +36,15 @@ def test_all_names_resolve_and_are_unique(module_name):
 
 @pytest.mark.parametrize(
     "package_name",
-    ["repro.simmpi", "repro.grid", "repro.io", "repro.serve", "repro.viz"],
+    [
+        "repro.simmpi",
+        "repro.grid",
+        "repro.io",
+        "repro.serve",
+        "repro.viz",
+        "repro.metrics",
+        "repro.cm1",
+    ],
 )
 def test_package_exports_only_what_other_modules_use(package_name):
     """A package re-exports what the rest of ``repro`` uses and nothing else:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.scoring_step import VectorizedScoringStep, _score_rows
+from repro.core.scoring_step import VectorizedScoringStep
 from repro.grid.batch import stacked_shape_groups
 from repro.grid.block import Block, BlockExtent
 from repro.grid.fanout import map_shape_groups
@@ -46,9 +46,7 @@ PYVAR = create_metric("PYVAR")
 #: ``(row-wise kernel, result dtype, the per-block function it must equal)``.
 KERNELS = {
     "VAR.score_batch": (VAR.score_batch, np.float64, VAR.score_block),
-    "PYVAR.score_block rows": (
-        partial(_score_rows, PYVAR), np.float64, PYVAR.score_block,
-    ),
+    "PYVAR.score_batch": (PYVAR.score_batch, np.float64, PYVAR.score_block),
     "count_active_cells_batch": (
         partial(count_active_cells_batch, level=COUNT_LEVEL),
         np.int64,
@@ -101,7 +99,6 @@ class ExplodingMetric(ScoreMetric):
 
     name = "EXPLODE"
     cost = MetricCost(per_point=1e-9)
-    supports_batch = False
     gil_bound = True
 
     def score_block(self, data: np.ndarray) -> float:
@@ -114,7 +111,6 @@ class RowLoggingMetric(ScoreMetric):
 
     name = "ROWLOG"
     cost = MetricCost(per_point=1e-9)
-    supports_batch = False
     gil_bound = True
 
     def __init__(self, log_path: str, fail: bool) -> None:

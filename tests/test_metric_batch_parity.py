@@ -1,12 +1,15 @@
-"""Vectorized-vs-scalar parity: every metric must score identically via
-``score_block``, ``score_blocks``, and ``score_batch`` on the same blocks.
+"""The scoring contract: for every registered metric, ``score_batch`` equals
+the ``score_block`` loop, bitwise, on the same blocks.
 
 This is the invariant the execution engines rely on: the reduction and
 redistribution decisions are driven by score *order*, so even a one-ulp
 difference between the scalar and the batched path could flip a decision and
-make the backends diverge.  The vectorised implementations are written to
-share the exact arithmetic of their scalar counterparts; these tests pin that
-down with strict (bitwise) equality.
+make the backends diverge.  A score is a function of one block, so the law
+holds whatever the layout of the batch (length-1 axes, strided, read-only),
+whatever values it holds (NaN and ±inf score alike, or the coders refuse them
+alike) and however the process pool cuts it into chunks.  The implementations
+come from the registry (pymor's idiom), so a new metric is checked by
+registering it.
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.grid.batch import stacked_shape_groups
+from repro.grid.block import Block, BlockExtent
+from repro.grid.fanout import map_shape_groups
 from repro.metrics import statistics
 from repro.metrics.base import ScoreMetric
 from repro.metrics.registry import default_registry
 from repro.utils.histogram import fixed_range_histogram, fixed_range_histogram_batch
 
-#: Metrics expected to provide a true vectorised score_batch (every built-in
-#: metric except LOCAL_ENTROPY, including the coder-based scorers whose
-#: batched paths compute encoded sizes for the whole stack in one pass).
-VECTORIZED = {"RANGE", "VAR", "STD", "ITL", "TRILIN", "LEA", "FPZIP", "ZFP", "LZ"}
+#: The coder-based scorers: their coders refuse non-finite values.
+CODERS = {"FPZIP", "ZFP", "LZ"}
 
 
 def random_blocks(dtype, shape=(7, 6, 5), nblocks=12, seed=99):
@@ -64,6 +68,86 @@ class TestScorePathParity:
         scalar = [metric.score_block(v) for v in views]
         batched = metric.score_batch(np.stack(views))
         assert np.asarray(batched, dtype=np.float64).tolist() == scalar
+
+
+    @pytest.mark.parametrize("layout", ["length-1 axes", "strided", "read-only"])
+    def test_batch_equals_block_loop_on_every_layout(self, name, dtype, layout):
+        metric = default_registry().create(name)
+        batch = layout_batch(layout, dtype, seed=len(name))
+        before = batch.copy()
+        expected = [metric.score_block(b) for b in batch]
+        assert bits(metric.score_batch(batch)) == bits(expected)
+        assert bits(metric.score_blocks(list(batch))) == bits(expected)
+        assert before.tobytes() == batch.tobytes()  # the batch is only read
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_values_score_alike_or_raise_alike(self, name, dtype, special):
+        metric = default_registry().create(name)
+        batch = layout_batch("read-only", dtype, seed=3, special=special)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if name in CODERS:
+                with pytest.raises(ValueError, match="non-finite"):
+                    metric.score_batch(batch)
+                for block in batch[::2]:
+                    with pytest.raises(ValueError, match="non-finite"):
+                        metric.score_block(block)
+                return
+            expected = [metric.score_block(b) for b in batch]
+            assert bits(metric.score_batch(batch)) == bits(expected)
+
+    def test_pool_chunks_equal_block_loop(self, name, dtype, monkeypatch):
+        """``score_batch`` over the process pool's row chunks (2 * 3 per shape
+        group, one of 1 row) equals the per-block loop in block order."""
+        monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 3)
+        metric = default_registry().create(name)
+        rng = np.random.default_rng(11)
+        shapes = [(4, 3, 2)] * 7 + [(1, 5, 3)] * 5 + [(2, 2, 2)]
+        blocks = [
+            Block(i, BlockExtent((0, 0, 0), shape), rng.uniform(-60.0, 80.0, shape).astype(dtype))
+            for i, shape in enumerate(shapes)
+        ]
+        expected = [metric.score_block(b.data) for b in blocks]
+        groups = stacked_shape_groups(blocks)
+        scores = map_shape_groups(groups, metric.score_batch, np.float64, True)
+        assert bits(scores) == bits(expected)
+
+    @settings(deadline=None, max_examples=15)
+    @given(
+        shape=st.tuples(*[st.sampled_from([1, 2, 5]) for _ in range(3)]).filter(
+            lambda shape: np.prod(shape) > 1
+        ),
+        value=st.floats(-60.0, 80.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_constant_block_never_outscores_a_noisy_one(self, name, dtype, shape, value, seed):
+        metric = default_registry().create(name)
+        noisy = np.random.default_rng(seed).uniform(-60.0, 80.0, shape).astype(dtype)
+        constant = np.full(shape, value, dtype=dtype)
+        scores = metric.score_batch(np.stack([constant, noisy]))
+        assert scores[0] <= scores[1]
+
+
+def bits(scores):
+    """The float64 bytes of a score sequence (bitwise comparison, NaN included)."""
+    return np.asarray(scores, dtype=np.float64).tobytes()
+
+
+def layout_batch(layout, dtype, seed, special=None, nblocks=6):
+    """A ``(nblocks, sx, sy, sz)`` batch laid out as ``layout``: C-contiguous
+    with length-1 axes, a strided view into a larger array, or read-only.
+    ``special`` is written into one point of every other block."""
+    shape = (1, 5, 1) if layout == "length-1 axes" else (5, 4, 3)
+    rng = np.random.default_rng(seed)
+    source = rng.uniform(-60.0, 80.0, (2 * nblocks,) + tuple(2 * n for n in shape))
+    source = source.astype(dtype)
+    if layout == "strided":
+        batch = source[::2, ::2, ::2, ::2]
+    else:
+        batch = np.ascontiguousarray(source[:nblocks, : shape[0], : shape[1], : shape[2]])
+    if special is not None:
+        batch[::2, 0, -1, 0] = special
+    batch.flags.writeable = layout != "read-only"
+    return batch
 
 
 def oracle_var_score_batch(batch):
@@ -162,12 +246,6 @@ class TestRowVarianceLaw:
 
 
 class TestSupportsBatchFlags:
-    def test_vectorized_metrics_flagged(self):
-        registry = default_registry()
-        for name in registry.names():
-            metric = registry.create(name)
-            assert metric.supports_batch == (name in VECTORIZED)
-
     def test_batch_rejects_wrong_ndim(self):
         metric = default_registry().create("VAR")
         with pytest.raises(ValueError):
@@ -175,33 +253,10 @@ class TestSupportsBatchFlags:
 
 
 class TestCustomMetricOverrides:
-    def test_score_blocks_override_reaches_score_batch(self):
-        """A user metric overriding only score_blocks must behave identically
-        under the vectorized engine (whose fallback goes through score_blocks)."""
-        from repro.metrics.base import ScoreMetric
-
-        class RankNormalized(ScoreMetric):
-            name = "RANKNORM"
-
-            def score_block(self, data):
-                return float(np.ptp(np.asarray(data)))
-
-            def score_blocks(self, blocks):
-                raw = [self.score_block(b) for b in blocks]
-                peak = max(raw) or 1.0
-                return [r / peak for r in raw]  # cross-block normalisation
-
-        metric = RankNormalized()
-        blocks = random_blocks(np.float64, nblocks=5)
-        listed = metric.score_blocks(blocks)
-        batched = metric.score_batch(np.stack(blocks))
-        assert np.asarray(batched).tolist() == listed
-        assert max(listed) == 1.0  # the override actually ran
-
     def test_array_like_batch_accepted(self):
         # _prepare_batch accepts anything np.asarray can make 4-D, including
-        # nested lists; the vectorised implementations must not assume .shape.
-        for name in sorted(VECTORIZED):
+        # nested lists; no score_batch may assume .shape.
+        for name in default_registry().names():
             metric = default_registry().create(name)
             blocks = random_blocks(np.float64, shape=(3, 3, 2), nblocks=2)
             nested = [b.tolist() for b in blocks]

@@ -129,14 +129,6 @@ class TestCompressionMetric:
         for metric in (CompressionRatioMetric.zfp(), CompressionRatioMetric.lz()):
             assert metric.score_block(turbulent_block) > metric.score_block(smooth_block)
 
-    def test_subsample(self, turbulent_block):
-        metric = CompressionRatioMetric.fpzip(subsample=2)
-        assert metric.score_block(turbulent_block) > 0
-
-    def test_invalid_subsample(self):
-        with pytest.raises(ValueError):
-            CompressionRatioMetric(subsample=0)
-
 
 class TestRegistry:
     def test_paper_metrics_all_available(self):
@@ -164,10 +156,6 @@ class TestRegistry:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             MetricRegistry().register("  ", RangeMetric)
-
-    def test_create_many(self):
-        metrics = default_registry().create_many(["VAR", "LEA"])
-        assert [m.name for m in metrics] == ["VAR", "LEA"]
 
 
 class TestComparisonAndScoremap:

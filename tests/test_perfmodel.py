@@ -26,24 +26,6 @@ class TestRenderCostModel:
         model = RenderCostModel(per_rank_overhead=0.9)
         assert model.rank_seconds(0, 0, 0) == pytest.approx(0.9)
 
-    def test_block_seconds_excludes_rank_overhead(self):
-        model = RenderCostModel(per_rank_overhead=5.0)
-        assert model.block_seconds(0, 0) < 5.0
-
-    def test_makespan_is_max(self):
-        model = RenderCostModel()
-        work = [
-            {"triangles": 100, "points": 10, "blocks": 1},
-            {"triangles": 10_000, "points": 10, "blocks": 1},
-        ]
-        assert model.makespan(work) == pytest.approx(
-            model.rank_seconds(10_000, 10, 1)
-        )
-
-    def test_makespan_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RenderCostModel().makespan([])
-
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             RenderCostModel().rank_seconds(-1, 0, 0)
@@ -124,13 +106,6 @@ class TestPlatformModel:
         assert platform.scoring_seconds(metric, 1000, 1) == pytest.approx(
             metric.cost.per_point * 1000
         )
-
-    def test_with_render_replaces_model(self):
-        platform = PlatformModel.blue_waters(64)
-        new_render = RenderCostModel(per_triangle=1.0)
-        updated = platform.with_render(new_render)
-        assert updated.render.per_triangle == 1.0
-        assert updated.metric_costs == platform.metric_costs
 
     def test_slow_cluster_network_slower(self):
         slow = PlatformModel.slow_cluster(64)

@@ -15,14 +15,16 @@ import pytest
 from repro.cm1 import (
     CM1Config,
     CM1Simulation,
-    DecayingStorm,
     DecayingStormConfig,
     MultiCellConfig,
-    MultiCellStorm,
     SquallLineConfig,
+    TurbulenceFieldConfig,
+)
+from repro.cm1.storm import (
+    DecayingStorm,
+    MultiCellStorm,
     SquallLineStorm,
     SupercellStorm,
-    TurbulenceFieldConfig,
     TurbulenceFieldStorm,
     make_storm,
 )
@@ -372,12 +374,11 @@ def test_fpzip_four_backend_parity_on_tiny(ladder):
 
 
 class PeakMetric(ScoreMetric):
-    """A user-style scalar metric: no ``score_batch``; it declares ``gil_bound``
-    and is module-level so that the pool's tasks can pickle it."""
+    """A user-style scalar metric: no ``score_batch`` of its own; it declares
+    ``gil_bound`` and is module-level so that the pool's tasks can pickle it."""
 
     name = "PEAK"
     cost = MetricCost(per_point=4.9e-8)
-    supports_batch = False
     gil_bound = True
 
     def score_block(self, data):
