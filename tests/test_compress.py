@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress import fpzip_like
+from repro.compress import fpzip_like, zfp_like
 from repro.compress.bitplane import (
     byte_lengths,
     float_to_ordered_uint,
@@ -109,6 +109,115 @@ def oracle_compressed_size_batch(batch):
 
     fixed = fpzip_like._HEADER.size + 4 * max_bytes + (count + 1) // 2
     return fixed + lengths.sum(axis=1, dtype=np.int64)
+
+
+# The zfp-like coder's two quantisations and the lz-like coder's single-block
+# byte planes exactly as they stood before each coder got one encoder for one
+# block and a stack alike: the per-block pad/cell split, the quantising half
+# of ``ZfpLikeCompressor.compress``, ``ZfpLikeCompressor.compressed_size_batch``
+# (its own copy of the quantisation, ``precision`` fixed at 16) and
+# ``LzLikeCompressor._to_planes``, kept verbatim as the reference the encoders
+# are tested against.
+
+_ZFP_CELL = 4
+_ZFP_PRECISION = 16
+
+
+def oracle_zfp_pad_to_multiple(arr, multiple):
+    pads = [(0, (-s) % multiple) for s in arr.shape]
+    if any(p[1] for p in pads):
+        arr = np.pad(arr, pads, mode="edge")
+    return arr
+
+
+def oracle_zfp_to_cells(arr):
+    nx, ny, nz = arr.shape
+    cells = arr.reshape(
+        nx // _ZFP_CELL, _ZFP_CELL, ny // _ZFP_CELL, _ZFP_CELL, nz // _ZFP_CELL, _ZFP_CELL
+    )
+    cells = cells.transpose(0, 2, 4, 1, 3, 5)
+    return cells.reshape(-1, _ZFP_CELL, _ZFP_CELL, _ZFP_CELL)
+
+
+def oracle_zfp_pad_to_multiple_batch(arr, multiple):
+    pads = [(0, 0)] + [(0, (-s) % multiple) for s in arr.shape[1:]]
+    if any(p[1] for p in pads):
+        arr = np.pad(arr, pads, mode="edge")
+    return arr
+
+
+def oracle_zfp_to_cells_batch(arr):
+    nb, nx, ny, nz = arr.shape
+    cells = arr.reshape(
+        nb, nx // _ZFP_CELL, _ZFP_CELL, ny // _ZFP_CELL, _ZFP_CELL, nz // _ZFP_CELL, _ZFP_CELL
+    )
+    cells = cells.transpose(0, 1, 3, 5, 2, 4, 6)
+    return cells.reshape(nb, -1, _ZFP_CELL, _ZFP_CELL, _ZFP_CELL)
+
+
+def oracle_zfp_codes(block):
+    """The quantising half of ``compress``: a block's per-cell exponents
+    (clipped int32) and its zigzag-mapped transform coefficients (uint64)."""
+    prepared = ZfpLikeCompressor._prepare(block)
+    arr = prepared.astype(np.float64)
+    padded = oracle_zfp_pad_to_multiple(arr, _ZFP_CELL)
+    cells = oracle_zfp_to_cells(padded)
+    ncells = cells.shape[0]
+
+    maxabs = np.abs(cells).reshape(ncells, -1).max(axis=1)
+    exponents = np.zeros(ncells, dtype=np.int32)
+    nonzero = maxabs > 0
+    exponents[nonzero] = np.ceil(np.log2(maxabs[nonzero])).astype(np.int32)
+    exponents = np.clip(exponents, -127, 127)
+    scale = np.ldexp(1.0, (_ZFP_PRECISION - 2) - exponents)  # leave headroom
+    ints = np.rint(cells * scale[:, None, None, None]).astype(np.int64)
+
+    coeffs = ZfpLikeCompressor._forward_transform(ints)
+
+    flat = coeffs.reshape(-1)
+    zz = zigzag_encode(flat.astype(np.int64), 64)
+    return exponents, zz
+
+
+def oracle_zfp_compressed_size_batch(batch):
+    arr = ZfpLikeCompressor._prepare_batch(batch).astype(np.float64)
+    nblocks = arr.shape[0]
+    if nblocks == 0:
+        return np.zeros(0, dtype=np.int64)
+    padded = oracle_zfp_pad_to_multiple_batch(arr, _ZFP_CELL)
+    cells = oracle_zfp_to_cells_batch(padded)
+    ncells = cells.shape[1]
+    flat_cells = cells.reshape(nblocks * ncells, _ZFP_CELL, _ZFP_CELL, _ZFP_CELL)
+
+    maxabs = np.abs(flat_cells).reshape(nblocks * ncells, -1).max(axis=1)
+    exponents = np.zeros(nblocks * ncells, dtype=np.int32)
+    nonzero = maxabs > 0
+    exponents[nonzero] = np.ceil(np.log2(maxabs[nonzero])).astype(np.int32)
+    exponents = np.clip(exponents, -127, 127)
+    scale = np.ldexp(1.0, (_ZFP_PRECISION - 2) - exponents)
+    ints = np.rint(flat_cells * scale[:, None, None, None]).astype(np.int64)
+
+    coeffs = ZfpLikeCompressor._forward_transform(ints)
+
+    zz = zigzag_encode(coeffs.reshape(nblocks, -1).astype(np.int64), 64)
+    lengths = byte_lengths(zz, 8)
+    ncoeffs = ncells * _ZFP_CELL**3
+    fixed = zfp_like._HEADER.size + 32 + ncells + (ncoeffs + 1) // 2
+    return fixed + lengths.sum(axis=1, dtype=np.int64)
+
+
+def oracle_lz_to_planes(arr):
+    raw = arr.reshape(-1)
+    nbytes_per = raw.dtype.itemsize
+    as_bytes = raw.view(np.uint8).reshape(raw.size, nbytes_per)
+    planes = []
+    for b in range(nbytes_per):
+        plane = as_bytes[:, b]
+        # XOR-delta within the plane: repeated values become zero runs.
+        delta = plane.copy()
+        delta[1:] = plane[1:] ^ plane[:-1]
+        planes.append(delta.tobytes())
+    return b"".join(planes), nbytes_per
 
 
 class TestBitplane:
@@ -581,6 +690,84 @@ class TestResidualCodeKernel:
             byte_lengths(np.zeros(3, dtype=np.uint32), 0)
 
 
+# -- the encoders' oracle law --------------------------------------------------
+
+#: Edge values inside float32's range (signed zeros, a float32 denormal, ±max):
+#: float32 is what the simulation hands the coders, and beyond that range the
+#: zfp-like coder's int64 quantisation overflows.
+_CODER_SPECIALS = {
+    np.float16: _SPECIALS[np.float16],
+    np.float32: _SPECIALS[np.float32],
+    np.float64: _SPECIALS[np.float32].astype(np.float64),
+}
+
+
+def _coder_batch(seed, shape, dtype, nblocks, layout):
+    """``nblocks`` stacked blocks cycling noisy / ramp / constant / subnormal
+    float32 / specials-sprinkled content, laid out C-contiguous, as a strided
+    view or read-only."""
+    rng = np.random.default_rng(seed)
+    count = int(np.prod(shape))
+    blocks = []
+    for i in range(nblocks):
+        kind = (seed + i) % 5
+        if kind == 0:
+            block = rng.uniform(-60.0, 80.0, size=shape)
+        elif kind == 1:
+            block = np.linspace(-3.0, 7.0, count).reshape(shape)
+        elif kind == 2:
+            block = np.full(shape, rng.uniform(-60.0, 80.0))
+        elif kind == 3:
+            block = rng.uniform(-1.0, 1.0, size=shape).astype(np.float32) * np.float32(1e-40)
+        else:
+            block = rng.normal(size=shape)
+            hits = rng.integers(0, count, size=max(1, count // 3))
+            block.reshape(-1)[hits] = rng.choice(_CODER_SPECIALS[dtype], size=hits.size)
+        blocks.append(block.astype(dtype))
+    batch = np.stack(blocks) if blocks else np.zeros((0,) + shape, dtype=dtype)
+    if layout == "strided":
+        batch = np.repeat(batch, 2, axis=-1)[..., ::2]
+    elif layout == "read-only":
+        batch.flags.writeable = False
+    return batch
+
+
+_LAYOUTS = ["C", "strided", "read-only"]
+
+
+class TestEncoderOracles:
+    """ZFP's and LZ's encoders against the code they replaced, by property."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        shape=st.tuples(*[st.integers(min_value=1, max_value=9)] * 3),
+        dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+        nblocks=st.sampled_from([0, 1, 2, 3, 5]),
+        layout=st.sampled_from(_LAYOUTS),
+    )
+    def test_codes_and_sizes_equal_the_oracles(self, seed, shape, dtype, nblocks, layout):
+        batch = _coder_batch(seed, shape, dtype, nblocks, layout)
+        zfp = ZfpLikeCompressor()
+        assert (
+            zfp.compressed_size_batch(batch).tolist()
+            == oracle_zfp_compressed_size_batch(batch).tolist()
+        )
+        header = zfp_like._HEADER.size + 32
+        for block in batch:
+            exponents, codes = oracle_zfp_codes(block)
+            payload = zfp.compress(block).payload
+            cells = payload[header : header + exponents.size]
+            nibbles = payload[header + exponents.size :][: (codes.size + 1) // 2]
+            assert cells == exponents.astype(np.int8).tobytes()
+            assert nibbles == pack_nibbles(byte_lengths(codes, 8))
+
+        prepared = LzLikeCompressor._prepare_batch(batch)
+        if nblocks:
+            streams = LzLikeCompressor._to_planes_batch(prepared)
+            assert streams == [oracle_lz_to_planes(b)[0] for b in prepared]
+
+
 def _wire_format_blocks():
     """Three fixed blocks built from exact arithmetic only (no RNG, no libm)."""
     lattice = ((np.arange(120, dtype=np.int64) * 2654435761) % 1000 - 500) / 8.0
@@ -594,16 +781,34 @@ def _wire_format_blocks():
 
 
 def test_wire_format_pinned():
-    """sha256 of ``compress(x).payload``, recorded before the fused kernel
-    replaced steps 1–3: the payload format did not move by a byte."""
-    recorded = [
-        (494, "01fa2721c127b707ccb0cdbaa06e317e03b72b370df5bfb76f8e6462ba8e630e"),
-        (109, "de3f82463e89012c2cbcebd7166e99756239e1edc99c246faac3e1fc3b7a89dc"),
-        (72, "b27ee9a695e5d5120b81a4366714120ddfb072d5520af12f0cb196e71dd66f54"),
-    ]
-    comp = FpzipLikeCompressor()
-    for block, (nbytes, digest) in zip(_wire_format_blocks(), recorded):
-        result = comp.compress(block)
-        assert len(result.payload) == nbytes
-        assert hashlib.sha256(result.payload).hexdigest() == digest
-        assert comp.decompress(result).tobytes() == block.tobytes()
+    """sha256 of ``compress(x).payload`` for each coder: FPZIP's recorded
+    before the fused kernel replaced steps 1–3, ZFP's and LZ's before each got
+    one encoder for a block and a stack alike.  No payload moved by a byte."""
+    recorded = {
+        FpzipLikeCompressor: [
+            (494, "01fa2721c127b707ccb0cdbaa06e317e03b72b370df5bfb76f8e6462ba8e630e"),
+            (109, "de3f82463e89012c2cbcebd7166e99756239e1edc99c246faac3e1fc3b7a89dc"),
+            (72, "b27ee9a695e5d5120b81a4366714120ddfb072d5520af12f0cb196e71dd66f54"),
+        ],
+        ZfpLikeCompressor: [
+            (414, "5515fc044b9a100e2566e85ec72790e31aa88be7d9ec759f8bb2e105f8a5062a"),
+            (118, "b86081da84da36ed98e203e7774294c14a4f27c93d662284089b6fc1ed3cfde0"),
+            (88, "e29113c6b495f047e766b152df2de4b6435f89a833c9a92e925f31d1624d2160"),
+        ],
+        LzLikeCompressor: [
+            (244, "00ad5c48a608272b747966b4f65edd18b2bf9bcff1f7e49b5786bcc35d4c3dfd"),
+            (66, "7172237a8dc430956258cf6c68d59b0a59ee9442d0322b3d53ec053e82f7cdbb"),
+            (55, "a58883103e356295b8dc36e21e5d6f2f0818bd2733aeadb6d27c30794d90c2e3"),
+        ],
+    }
+    for make, pins in recorded.items():
+        comp = make()
+        for block, (nbytes, digest) in zip(_wire_format_blocks(), pins):
+            # The float64 block's ±max lie outside ZFP's int64 range (its
+            # quantisation overflows): those bytes pin numpy's out-of-range cast.
+            with np.errstate(invalid="ignore"):
+                result = comp.compress(block)
+            assert len(result.payload) == nbytes
+            assert hashlib.sha256(result.payload).hexdigest() == digest
+            if make is not ZfpLikeCompressor:
+                assert comp.decompress(result).tobytes() == block.tobytes()
