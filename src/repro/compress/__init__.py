@@ -14,34 +14,20 @@ available here, so this package implements pure-NumPy coders with the same
 * :class:`LzLikeCompressor` — byte-plane splitting masks (à la Bautista-Gomez
   & Cappello 2013) followed by a from-scratch LZ77 coder.
 
-All compressors share the :class:`Compressor` interface; ``ratio(block)`` is
-what the scoring metric consumes.
+All compressors share the :class:`Compressor` interface.  The scoring metric
+(:class:`~repro.metrics.compression.CompressionRatioMetric`) consumes
+``compress`` per block and ``compressed_size_batch`` per stack, dividing the
+encoded size by the original one.
 """
 
-from repro.compress.base import CompressionResult, Compressor
-from repro.compress.predictors import lorenzo_residuals, lorenzo_reconstruct
-from repro.compress.bitplane import (
-    float_to_ordered_uint,
-    ordered_uint_to_float,
-    zigzag_encode,
-    zigzag_decode,
-)
+from repro.compress.base import Compressor
 from repro.compress.fpzip_like import FpzipLikeCompressor
 from repro.compress.zfp_like import ZfpLikeCompressor
-from repro.compress.lz_like import LzLikeCompressor, lz77_compress, lz77_decompress
+from repro.compress.lz_like import LzLikeCompressor
 
 __all__ = [
     "Compressor",
-    "CompressionResult",
-    "lorenzo_residuals",
-    "lorenzo_reconstruct",
-    "float_to_ordered_uint",
-    "ordered_uint_to_float",
-    "zigzag_encode",
-    "zigzag_decode",
     "FpzipLikeCompressor",
     "ZfpLikeCompressor",
     "LzLikeCompressor",
-    "lz77_compress",
-    "lz77_decompress",
 ]

@@ -37,16 +37,15 @@ class CompressionResult:
         """Size of the encoded payload in bytes."""
         return len(self.payload)
 
-    @property
-    def ratio(self) -> float:
-        """Compression ratio ``original / compressed`` (higher = more compressible)."""
-        if self.compressed_nbytes == 0:
-            return float("inf")
-        return self.original_nbytes / self.compressed_nbytes
-
 
 class Compressor(abc.ABC):
-    """Abstract floating-point block compressor."""
+    """Abstract floating-point block compressor.
+
+    A coder turns floats into codes one way, shared by its three methods:
+    :meth:`compress` encodes one block, :meth:`compressed_size_batch` gives
+    the payload sizes of a stack (what the scoring metric divides by the
+    original size), and :meth:`decompress` inverts :meth:`compress`.
+    """
 
     #: Short name used by the metric registry (e.g. ``"fpzip"``).
     name: str = "compressor"
@@ -59,25 +58,15 @@ class Compressor(abc.ABC):
     def decompress(self, result: CompressionResult) -> np.ndarray:
         """Reconstruct a block from a :class:`CompressionResult`."""
 
-    def ratio(self, block: np.ndarray) -> float:
-        """Compression ratio of ``block`` (no need to keep the payload)."""
-        return self.compress(block).ratio
-
+    @abc.abstractmethod
     def compressed_size_batch(self, batch: np.ndarray) -> np.ndarray:
         """Compressed payload sizes of a stacked ``(nblocks, sx, sy, sz)`` batch.
 
         Returns an int64 array such that ``compressed_size_batch(batch)[i]``
-        equals ``compress(batch[i]).compressed_nbytes`` exactly.  The base
-        implementation compresses block by block; coders whose encoding cost
-        can be computed without materialising the payload override this with
-        a vectorised single-pass implementation (the scoring hot path of the
-        compressor-based metrics).
+        equals ``compress(batch[i]).compressed_nbytes`` exactly, computed
+        without materialising a payload where the coder can (the scoring hot
+        path of the compressor-based metrics).
         """
-        arr = self._prepare_batch(batch)
-        return np.array(
-            [self.compress(arr[i]).compressed_nbytes for i in range(arr.shape[0])],
-            dtype=np.int64,
-        )
 
     # -- shared validation -------------------------------------------------
 

@@ -4,7 +4,9 @@
   reflect numerical closeness of the floats);
 * zigzag mapping of signed residuals to unsigned ints (small magnitudes map
   to small codes);
-* byte-length classification used by the length-grouped codec.
+* byte-length classification and the length-grouped container the
+  fpzip-like and zfp-like coders store their codes in (:func:`pack_codes`,
+  :func:`unpack_codes`).
 
 Steps 1 and 3 of the fpzip-like coder's kernel
 (:func:`repro.compress.fpzip_like.residual_codes`) live here: both maps are
@@ -18,6 +20,7 @@ reduction: 8.7 vs 6.5 ms per ``blue_waters_64`` snapshot).
 
 from __future__ import annotations
 
+import struct
 from typing import Optional, Tuple
 
 import numpy as np
@@ -139,3 +142,47 @@ def unpack_nibbles(data: bytes, count: int) -> np.ndarray:
     if count > out.size:
         raise ValueError(f"requested {count} nibbles but only {out.size} stored")
     return out[:count]
+
+
+def pack_codes(codes: np.ndarray, max_bytes: int) -> Tuple[bytes, bytes, bytes]:
+    """The byte-length-grouped container of unsigned ``codes``.
+
+    Returns ``(sizes, nibbles, body)``: ``sizes`` is a table of ``max_bytes``
+    little-endian uint32, the byte size of each length group 1..``max_bytes``;
+    ``nibbles`` every code's byte length, two per byte (:func:`pack_nibbles`);
+    ``body`` the groups in turn, each holding its codes' significant
+    little-endian bytes in input order, so decoding scatters them back
+    deterministically.  Zero codes take no body bytes at all.
+    """
+    flat = np.asarray(codes).reshape(-1)
+    lengths = byte_lengths(flat, max_bytes)
+    flat_bytes = flat.astype(f"<u{max_bytes}").view(np.uint8)
+    flat_bytes = flat_bytes.reshape(flat.size, max_bytes)
+    groups = [flat_bytes[lengths == n, :n].tobytes() for n in range(1, max_bytes + 1)]
+    sizes = struct.pack(f"<{max_bytes}I", *(len(g) for g in groups))
+    return sizes, pack_nibbles(lengths), b"".join(groups)
+
+
+def unpack_codes(
+    payload: bytes, offset: int, sizes_at: int, count: int, max_bytes: int
+) -> Tuple[np.ndarray, int]:
+    """Inverse of :func:`pack_codes`: the ``count`` codes whose nibble stream
+    starts at ``offset`` in ``payload`` (the body follows it) and whose size
+    table starts at ``sizes_at``.  Returns the codes (unsigned, ``max_bytes``
+    wide) and the offset just past the body."""
+    sizes = struct.unpack_from(f"<{max_bytes}I", payload, sizes_at)
+    nibble_bytes = (count + 1) // 2
+    lengths = unpack_nibbles(payload[offset : offset + nibble_bytes], count)
+    offset += nibble_bytes
+    codes = np.zeros(count, dtype=f"u{max_bytes}")
+    for nbytes, size in enumerate(sizes, start=1):
+        group = payload[offset : offset + size]
+        offset += size
+        mask = lengths == nbytes
+        selected = int(np.count_nonzero(mask))
+        if selected == 0:
+            continue
+        padded = np.zeros((selected, max_bytes), dtype=np.uint8)
+        padded[:, :nbytes] = np.frombuffer(group, dtype=np.uint8).reshape(selected, nbytes)
+        codes[mask] = padded.view(f"<u{max_bytes}").reshape(selected)
+    return codes, offset

@@ -7,7 +7,8 @@ Pipeline (mirroring Lindstrom & Isenburg's FPZIP at a coarse granularity):
 3. zigzag-map residuals to unsigned codes (small magnitude → small code);
 4. entropy-light encoding: store each code's byte length (packed nibbles) and
    its significant little-endian bytes, grouped by length so the whole codec
-   stays vectorised.
+   stays vectorised (:func:`~repro.compress.bitplane.pack_codes`, the
+   container the zfp-like coder shares).
 
 Steps 1–3 are one kernel, :func:`residual_codes`, shared by ``compress`` (one
 block) and ``compressed_size_batch`` (a stack).  It works inside two scratch
@@ -36,8 +37,8 @@ from repro.compress.bitplane import (
     byte_lengths,
     float_to_ordered_uint,
     ordered_uint_to_float,
-    pack_nibbles,
-    unpack_nibbles,
+    pack_codes,
+    unpack_codes,
     zigzag_decode,
     zigzag_encode,
 )
@@ -45,14 +46,6 @@ from repro.compress.predictors import lorenzo_reconstruct, lorenzo_residuals
 
 _MAGIC = b"FPZL"
 _HEADER = struct.Struct("<4sBBHIII")  # magic, dtype code, reserved, pad, nx, ny, nz
-
-
-def _dtype_code(dtype: np.dtype) -> int:
-    if np.dtype(dtype) == np.float32:
-        return 4
-    if np.dtype(dtype) == np.float64:
-        return 8
-    raise ValueError(f"unsupported dtype {dtype}")
 
 
 def _code_dtype(code: int) -> np.dtype:
@@ -97,32 +90,15 @@ class FpzipLikeCompressor(Compressor):
     def compress(self, block: np.ndarray) -> CompressionResult:
         """Encode ``block`` losslessly; see the module docstring for the format."""
         arr = self._prepare(block)
-        dtype = arr.dtype
-        bits = 32 if dtype == np.float32 else 64
-        max_bytes = bits // 8
-
-        flat = residual_codes(arr).reshape(-1)
-        lengths = byte_lengths(flat, max_bytes)
-        length_stream = pack_nibbles(lengths)
-
-        # Group values by byte length; within a group keep original order so
-        # decompression can scatter them back deterministically.
-        flat_bytes = flat.astype("<u4" if bits == 32 else "<u8").view(np.uint8)
-        flat_bytes = flat_bytes.reshape(flat.size, max_bytes)
-        groups = []
-        for nbytes in range(1, max_bytes + 1):
-            groups.append(flat_bytes[lengths == nbytes, :nbytes].tobytes())
-
+        sizes, nibbles, body = pack_codes(residual_codes(arr), arr.dtype.itemsize)
         header = _HEADER.pack(
-            _MAGIC, _dtype_code(dtype), 0, 0, arr.shape[0], arr.shape[1], arr.shape[2]
+            _MAGIC, arr.dtype.itemsize, 0, 0, arr.shape[0], arr.shape[1], arr.shape[2]
         )
-        group_sizes = struct.pack(f"<{max_bytes}I", *(len(g) for g in groups))
-        payload = header + group_sizes + length_stream + b"".join(groups)
         return CompressionResult(
-            payload=payload,
+            payload=header + sizes + nibbles + body,
             original_nbytes=int(arr.nbytes),
             shape=tuple(arr.shape),
-            dtype=str(dtype),
+            dtype=str(arr.dtype),
         )
 
     def compressed_size_batch(self, batch: np.ndarray) -> np.ndarray:
@@ -159,33 +135,10 @@ class FpzipLikeCompressor(Compressor):
         if magic != _MAGIC:
             raise ValueError("not an fpzip-like payload")
         dtype = _code_dtype(dcode)
-        bits = 32 if dtype == np.float32 else 64
-        max_bytes = bits // 8
-        offset = _HEADER.size
-        group_sizes = struct.unpack_from(f"<{max_bytes}I", payload, offset)
-        offset += 4 * max_bytes
-
-        count = nx * ny * nz
-        nibble_bytes = (count + 1) // 2
-        lengths = unpack_nibbles(payload[offset : offset + nibble_bytes], count)
-        offset += nibble_bytes
-
-        flat = np.zeros(count, dtype=np.uint32 if bits == 32 else np.uint64)
-        for nbytes in range(1, max_bytes + 1):
-            size = group_sizes[nbytes - 1]
-            group = payload[offset : offset + size]
-            offset += size
-            mask = lengths == nbytes
-            n_in_group = int(mask.sum())
-            if n_in_group == 0:
-                continue
-            raw = np.frombuffer(group, dtype=np.uint8).reshape(n_in_group, nbytes)
-            padded = np.zeros((n_in_group, max_bytes), dtype=np.uint8)
-            padded[:, :nbytes] = raw
-            values = padded.view("<u4" if bits == 32 else "<u8").reshape(n_in_group)
-            flat[mask] = values
-
-        residuals = zigzag_decode(flat, bits).view(np.uint32 if bits == 32 else np.uint64)
-        codes = lorenzo_reconstruct(residuals.reshape(nx, ny, nz))
-        values = ordered_uint_to_float(codes, dtype)
-        return values.reshape(nx, ny, nz)
+        max_bytes = dtype.itemsize
+        codes, _ = unpack_codes(
+            payload, _HEADER.size + 4 * max_bytes, _HEADER.size, nx * ny * nz, max_bytes
+        )
+        residuals = zigzag_decode(codes, 8 * max_bytes).view(codes.dtype)
+        ordered = lorenzo_reconstruct(residuals.reshape(nx, ny, nz))
+        return ordered_uint_to_float(ordered, dtype).reshape(nx, ny, nz)

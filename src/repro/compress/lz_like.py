@@ -12,16 +12,15 @@ This module provides:
 * :class:`LzLikeCompressor` — XOR-delta per byte plane followed by LZ77 on the
   plane-concatenated stream.
 
-Pure-Python LZ77 is not fast; the compressor therefore supports scoring from
-a deterministic sample of the block (``sample_limit``), which is how the LZ
-metric keeps its cost comparable to the other metrics.
+The LZ metric scores the whole block.  The byte planes of a whole batch are
+built in one vectorised pass (``compress`` builds a batch of one); the LZ77
+token stream is sequential per block and stays in (NumPy-assisted) Python,
+which makes this the costliest of the three coders.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Tuple
-
 import numpy as np
 
 from repro.compress.base import CompressionResult, Compressor
@@ -193,48 +192,19 @@ def lz77_decompress(payload: bytes) -> bytes:
 
 
 class LzLikeCompressor(Compressor):
-    """Byte-plane masking + LZ77 coder.
-
-    Parameters
-    ----------
-    sample_limit:
-        Maximum number of float values actually fed to the LZ77 coder when
-        scoring.  ``None`` compresses the whole block (used by the round-trip
-        tests); the default keeps per-block scoring costs bounded, the ratio
-        being estimated from a deterministic stride sample.
-    """
+    """Byte-plane masking + LZ77 coder."""
 
     name = "lz"
 
-    def __init__(self, sample_limit: int | None = 16384) -> None:
-        if sample_limit is not None and sample_limit < 64:
-            raise ValueError(f"sample_limit must be >= 64 or None, got {sample_limit}")
-        self.sample_limit = sample_limit
-
     # -- byte-plane (binary mask) reorganisation --------------------------------
-
-    @staticmethod
-    def _to_planes(arr: np.ndarray) -> Tuple[bytes, int]:
-        """Split the float buffer into XOR-delta byte planes."""
-        raw = arr.reshape(-1)
-        nbytes_per = raw.dtype.itemsize
-        as_bytes = raw.view(np.uint8).reshape(raw.size, nbytes_per)
-        planes = []
-        for b in range(nbytes_per):
-            plane = as_bytes[:, b]
-            # XOR-delta within the plane: repeated values become zero runs.
-            delta = plane.copy()
-            delta[1:] = plane[1:] ^ plane[:-1]
-            planes.append(delta.tobytes())
-        return b"".join(planes), nbytes_per
 
     @staticmethod
     def _to_planes_batch(arr: np.ndarray) -> list:
         """Per-block XOR-delta byte-plane streams of a 4-D batch.
 
-        One vectorised pass builds every block's plane-concatenated stream;
-        ``_to_planes_batch(batch)[i]`` equals ``_to_planes(batch[i])[0]``
-        byte for byte.
+        One vectorised pass builds every block's plane-concatenated stream:
+        byte plane ``b`` of a block holds byte ``b`` of each of its values,
+        XORed with the previous value's, so repeated values become zero runs.
         """
         nblocks = arr.shape[0]
         flat = np.ascontiguousarray(arr).reshape(nblocks, -1)
@@ -258,17 +228,11 @@ class LzLikeCompressor(Compressor):
     # -- public API ------------------------------------------------------------------
 
     def compress(self, block: np.ndarray) -> CompressionResult:
-        """Compress the full block losslessly (no sampling)."""
+        """Compress the full block losslessly."""
         arr = self._prepare(block)
-        if arr.dtype == np.float64:
-            dcode = 8
-        else:
-            dcode = 4
-        stream, nplanes = self._to_planes(arr)
-        compressed = lz77_compress(stream)
-        header = _HEADER.pack(
-            _MAGIC, dcode, nplanes, 0, arr.shape[0], arr.shape[1], arr.shape[2], arr.size
-        )
+        compressed = lz77_compress(self._to_planes_batch(arr[None])[0])
+        width = arr.dtype.itemsize  # the dtype code and the plane count
+        header = _HEADER.pack(_MAGIC, width, width, 0, *arr.shape, arr.size)
         return CompressionResult(
             payload=header + compressed,
             original_nbytes=int(arr.nbytes),
@@ -304,14 +268,3 @@ class LzLikeCompressor(Compressor):
         stream = lz77_decompress(payload[_HEADER.size :])
         values = self._from_planes(stream, nvalues, nplanes, dtype)
         return values.reshape(nx, ny, nz)
-
-    def ratio(self, block: np.ndarray) -> float:
-        """Estimated compression ratio, computed on a deterministic sample."""
-        arr = self._prepare(block)
-        flat = arr.reshape(-1)
-        if self.sample_limit is not None and flat.size > self.sample_limit:
-            stride = int(np.ceil(flat.size / self.sample_limit))
-            flat = np.ascontiguousarray(flat[::stride])
-        sample = flat.reshape(flat.size, 1, 1)
-        result = self.compress(sample)
-        return result.ratio

@@ -9,13 +9,17 @@ and bit-plane coding.  This implementation follows the same structure:
    (block-floating-point) giving signed integers;
 3. apply a separable smoothing/decorrelation transform (the zfp lifting
    transform approximated by a fixed integer filter);
-4. keep only the top ``precision`` bit planes of the transformed
-   coefficients; store the number of non-empty planes per cell (content
-   adaptivity: smooth cells need very few planes).
+4. keep the top :data:`_PRECISION` bit planes — a constant, as the coder
+   needs no tuning — and store every zigzag-mapped coefficient with its
+   minimal byte length in the container the fpzip-like coder shares
+   (:func:`~repro.compress.bitplane.pack_codes`): smooth cells need very few
+   bytes.
 
-The coder is lossy; :meth:`decompress` reconstructs the block within a bound
-that shrinks as ``precision`` grows.  Tests exercise the error bound and the
-monotone size/precision relationship.
+Steps 1–3 and the zigzag map are one encoder, :meth:`ZfpLikeCompressor._codes`,
+run over a stack: ``compress`` calls it on a stack of one block and
+``compressed_size_batch`` on the whole batch.  The coder is lossy;
+:meth:`~ZfpLikeCompressor.decompress` reconstructs the block within
+:meth:`~ZfpLikeCompressor.error_bound`.
 """
 
 from __future__ import annotations
@@ -26,46 +30,32 @@ from typing import Tuple
 import numpy as np
 
 from repro.compress.base import CompressionResult, Compressor
+from repro.compress.bitplane import (
+    byte_lengths,
+    pack_codes,
+    unpack_codes,
+    zigzag_decode,
+    zigzag_encode,
+)
 
 _MAGIC = b"ZFPL"
-_HEADER = struct.Struct("<4sBBHIII")
+_HEADER = struct.Struct("<4sBBHIII")  # magic, 8, precision, pad, nx, ny, nz
 _CELL = 4
+#: Bit planes kept per cell (the payload header records it).
+_PRECISION = 16
 
 
-def _pad_to_multiple(arr: np.ndarray, multiple: int) -> np.ndarray:
-    pads = [(0, (-s) % multiple) for s in arr.shape]
+def _cells(stack: np.ndarray) -> np.ndarray:
+    """Pad a ``(n, nx, ny, nz)`` stack to multiples of 4 along each spatial
+    axis (edge values) and split it into ``(n * ncells, 4, 4, 4)`` cells,
+    block by block, each block's cells in C order of their position."""
+    pads = [(0, 0)] + [(0, (-s) % _CELL) for s in stack.shape[1:]]
     if any(p[1] for p in pads):
-        arr = np.pad(arr, pads, mode="edge")
-    return arr
-
-
-def _to_cells(arr: np.ndarray) -> np.ndarray:
-    """Reshape a padded array into (ncells, 4, 4, 4)."""
-    nx, ny, nz = arr.shape
-    cells = arr.reshape(nx // _CELL, _CELL, ny // _CELL, _CELL, nz // _CELL, _CELL)
-    cells = cells.transpose(0, 2, 4, 1, 3, 5)
-    return cells.reshape(-1, _CELL, _CELL, _CELL)
-
-
-def _pad_to_multiple_batch(arr: np.ndarray, multiple: int) -> np.ndarray:
-    """Batch variant of :func:`_pad_to_multiple` (spatial axes 1..3 only)."""
-    pads = [(0, 0)] + [(0, (-s) % multiple) for s in arr.shape[1:]]
-    if any(p[1] for p in pads):
-        arr = np.pad(arr, pads, mode="edge")
-    return arr
-
-
-def _to_cells_batch(arr: np.ndarray) -> np.ndarray:
-    """Reshape a padded ``(nblocks, nx, ny, nz)`` batch into (nblocks, ncells, 4, 4, 4).
-
-    Cell order within each block matches :func:`_to_cells` exactly.
-    """
-    nb, nx, ny, nz = arr.shape
-    cells = arr.reshape(
-        nb, nx // _CELL, _CELL, ny // _CELL, _CELL, nz // _CELL, _CELL
-    )
+        stack = np.pad(stack, pads, mode="edge")
+    nb, nx, ny, nz = stack.shape
+    cells = stack.reshape(nb, nx // _CELL, _CELL, ny // _CELL, _CELL, nz // _CELL, _CELL)
     cells = cells.transpose(0, 1, 3, 5, 2, 4, 6)
-    return cells.reshape(nb, -1, _CELL, _CELL, _CELL)
+    return cells.reshape(-1, _CELL, _CELL, _CELL)
 
 
 def _from_cells(cells: np.ndarray, padded_shape: Tuple[int, int, int]) -> np.ndarray:
@@ -76,21 +66,9 @@ def _from_cells(cells: np.ndarray, padded_shape: Tuple[int, int, int]) -> np.nda
 
 
 class ZfpLikeCompressor(Compressor):
-    """Fixed-precision transform coder (zfp-like).
-
-    Parameters
-    ----------
-    precision:
-        Number of bit planes kept per cell (1–30).  Higher precision means
-        lower error and larger output.
-    """
+    """Fixed-precision transform coder (zfp-like), :data:`_PRECISION` bit planes."""
 
     name = "zfp"
-
-    def __init__(self, precision: int = 16) -> None:
-        if not (1 <= int(precision) <= 30):
-            raise ValueError(f"precision must be in [1, 30], got {precision}")
-        self.precision = int(precision)
 
     # -- forward / inverse cell transform -------------------------------------
 
@@ -135,167 +113,103 @@ class ZfpLikeCompressor(Compressor):
         a[..., 0], a[..., 1], a[..., 2], a[..., 3] = x0, x1, x2, x3
         return np.moveaxis(a, -1, axis)
 
-    # -- public API --------------------------------------------------------------
-
-    def compress(self, block: np.ndarray) -> CompressionResult:
-        """Encode ``block`` with fixed-precision bit-plane truncation."""
-        prepared = self._prepare(block)
-        # Like the other coders, the recorded original size is that of the
-        # *prepared* (float32/float64) block — the buffer actually encoded —
-        # so ratios are comparable across compressors for any input dtype.
-        original_nbytes = int(prepared.nbytes)
-        arr = prepared.astype(np.float64)
-        shape = tuple(arr.shape)
-        padded = _pad_to_multiple(arr, _CELL)
-        cells = _to_cells(padded)
-        ncells = cells.shape[0]
+    @staticmethod
+    def _codes(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The coder's one encoder: a prepared ``(n, nx, ny, nz)`` stack →
+        per-cell exponents ``(n, ncells)`` (int32) and zigzag-mapped transform
+        coefficients ``(n, ncells * 64)`` (uint64), block by block."""
+        n = stack.shape[0]
+        ncells = int(np.prod([-(-s // _CELL) for s in stack.shape[1:]]))
+        cells = _cells(stack.astype(np.float64))
 
         # Block-floating-point: common exponent per cell (clipped to the int8
         # range it is stored in, so compress and decompress use the same scale).
-        maxabs = np.abs(cells).reshape(ncells, -1).max(axis=1)
-        exponents = np.zeros(ncells, dtype=np.int32)
+        maxabs = np.abs(cells).reshape(-1, _CELL**3).max(axis=1)
+        exponents = np.zeros(len(cells), dtype=np.int32)
         nonzero = maxabs > 0
         exponents[nonzero] = np.ceil(np.log2(maxabs[nonzero])).astype(np.int32)
         exponents = np.clip(exponents, -127, 127)
-        scale = np.ldexp(1.0, (self.precision - 2) - exponents)  # leave headroom
+        scale = np.ldexp(1.0, (_PRECISION - 2) - exponents)  # leave headroom
         ints = np.rint(cells * scale[:, None, None, None]).astype(np.int64)
 
-        coeffs = self._forward_transform(ints)
+        # Smooth cells concentrate their energy in a handful of coefficients,
+        # so their AC coefficients need 0–1 bytes and the cell compresses
+        # well; noisy cells keep 2–3 bytes per coefficient — this is where
+        # the coder's content sensitivity (its use as a relevance score)
+        # comes from.
+        coeffs = ZfpLikeCompressor._forward_transform(ints)
+        codes = zigzag_encode(coeffs.reshape(n, ncells * _CELL**3), 64)
+        return exponents.reshape(n, ncells), codes
 
-        # Serialise: per-cell exponent (int8), then every transformed
-        # coefficient zigzag-mapped and stored with its minimal byte length
-        # (a nibble per coefficient records the length).  Smooth cells
-        # concentrate their energy in a handful of coefficients, so their
-        # AC coefficients need 0–1 bytes and the cell compresses well; noisy
-        # cells keep 2–3 bytes per coefficient — this is where the coder's
-        # content sensitivity (and its use as a relevance score) comes from.
-        exp_bytes = exponents.astype(np.int8).tobytes()
-        from repro.compress.bitplane import (  # local import to avoid a cycle at module load
-            byte_lengths,
-            pack_nibbles,
-            zigzag_encode,
-        )
+    # -- public API --------------------------------------------------------------
 
-        flat = coeffs.reshape(-1)
-        zz = zigzag_encode(flat.astype(np.int64), 64)
-        lengths = byte_lengths(zz, 8)
-        length_stream = pack_nibbles(lengths)
-        flat_bytes = zz.astype("<u8").view(np.uint8).reshape(flat.size, 8)
-        body_parts = []
-        for w in range(1, 9):
-            mask = lengths == w
-            if not np.any(mask):
-                body_parts.append(b"")
-                continue
-            body_parts.append(np.ascontiguousarray(flat_bytes[mask, :w]).tobytes())
+    def compress(self, block: np.ndarray) -> CompressionResult:
+        """Encode ``block`` with fixed-precision bit-plane truncation.
 
-        header = _HEADER.pack(_MAGIC, 8, self.precision, 0, *shape)
-        sizes = struct.pack("<8I", *(len(p) for p in body_parts))
-        payload = header + sizes + exp_bytes + length_stream + b"".join(body_parts)
+        Payload: header, the container's size table, one int8 exponent per
+        cell, then the container's nibble stream and body.
+        """
+        prepared = self._prepare(block)
+        exponents, codes = self._codes(prepared[None])
+        sizes, nibbles, body = pack_codes(codes, 8)
+        header = _HEADER.pack(_MAGIC, 8, _PRECISION, 0, *prepared.shape)
+        payload = header + sizes + exponents.astype(np.int8).tobytes() + nibbles + body
+        # Like the other coders, the recorded original size is that of the
+        # *prepared* (float32/float64) block — the buffer actually encoded —
+        # so ratios are comparable across compressors for any input dtype.
         return CompressionResult(
             payload=payload,
-            original_nbytes=original_nbytes,
-            shape=shape,
+            original_nbytes=int(prepared.nbytes),
+            shape=tuple(prepared.shape),
             dtype=str(np.asarray(block).dtype),
         )
 
     def compressed_size_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Encoded sizes of a stacked batch, without materialising payloads.
-
-        Mirrors :meth:`compress` exactly — pad, cell split, block-floating-
-        point quantisation, lifting transform, zigzag, byte-length
-        classification — but runs every stage over the whole
-        ``(nblocks * ncells, 4, 4, 4)`` cell stack at once and only sums the
-        byte lengths instead of gathering payload bytes.
-        """
-        arr = self._prepare_batch(batch).astype(np.float64)
-        nblocks = arr.shape[0]
-        if nblocks == 0:
-            return np.zeros(0, dtype=np.int64)
-        padded = _pad_to_multiple_batch(arr, _CELL)
-        cells = _to_cells_batch(padded)
-        ncells = cells.shape[1]
-        flat_cells = cells.reshape(nblocks * ncells, _CELL, _CELL, _CELL)
-
-        maxabs = np.abs(flat_cells).reshape(nblocks * ncells, -1).max(axis=1)
-        exponents = np.zeros(nblocks * ncells, dtype=np.int32)
-        nonzero = maxabs > 0
-        exponents[nonzero] = np.ceil(np.log2(maxabs[nonzero])).astype(np.int32)
-        exponents = np.clip(exponents, -127, 127)
-        scale = np.ldexp(1.0, (self.precision - 2) - exponents)
-        ints = np.rint(flat_cells * scale[:, None, None, None]).astype(np.int64)
-
-        coeffs = self._forward_transform(ints)
-
-        from repro.compress.bitplane import byte_lengths, zigzag_encode
-
-        zz = zigzag_encode(coeffs.reshape(nblocks, -1).astype(np.int64), 64)
-        lengths = byte_lengths(zz, 8)
-        ncoeffs = ncells * _CELL**3
-        fixed = _HEADER.size + 32 + ncells + (ncoeffs + 1) // 2
-        return fixed + lengths.sum(axis=1, dtype=np.int64)
+        """Encoded sizes of a stacked batch, without materialising payloads:
+        :meth:`_codes` over the whole batch, then the fixed part of the
+        payload plus each block's code byte lengths."""
+        exponents, codes = self._codes(self._prepare_batch(batch))
+        fixed = _HEADER.size + 32 + exponents.shape[1] + (codes.shape[1] + 1) // 2
+        return fixed + byte_lengths(codes, 8).sum(axis=1, dtype=np.int64)
 
     def decompress(self, result: CompressionResult) -> np.ndarray:
-        """Reconstruct the block (lossy, error bounded by the precision)."""
+        """Reconstruct the block (lossy, within :meth:`error_bound`)."""
         payload = result.payload
         magic, _, precision, _, nx, ny, nz = _HEADER.unpack_from(payload, 0)
         if magic != _MAGIC:
             raise ValueError("not a zfp-like payload")
-        offset = _HEADER.size
-        sizes = struct.unpack_from("<8I", payload, offset)
-        offset += 32
         padded_shape = tuple(s + ((-s) % _CELL) for s in (nx, ny, nz))
-        ncells = (
-            (padded_shape[0] // _CELL)
-            * (padded_shape[1] // _CELL)
-            * (padded_shape[2] // _CELL)
-        )
-        exponents = np.frombuffer(payload, dtype=np.int8, count=ncells, offset=offset).astype(
-            np.int32
-        )
-        offset += ncells
-
-        from repro.compress.bitplane import unpack_nibbles, zigzag_decode
-
-        ncoeffs = ncells * _CELL**3
-        nibble_bytes = (ncoeffs + 1) // 2
-        lengths = unpack_nibbles(payload[offset : offset + nibble_bytes], ncoeffs)
-        offset += nibble_bytes
-
-        zz = np.zeros(ncoeffs, dtype=np.uint64)
-        for w in range(1, 9):
-            size = sizes[w - 1]
-            chunk = payload[offset : offset + size]
-            offset += size
-            mask = lengths == w
-            n_sel = int(mask.sum())
-            if n_sel == 0:
-                continue
-            raw = np.frombuffer(chunk, dtype=np.uint8).reshape(n_sel, w)
-            full = np.zeros((n_sel, 8), dtype=np.uint8)
-            full[:, :w] = raw
-            zz[mask] = full.view("<u8").reshape(-1)
-
-        flat = zigzag_decode(zz, 64)
-        coeffs = flat.reshape(ncells, _CELL, _CELL, _CELL)
+        ncells = int(np.prod(padded_shape)) // _CELL**3
+        offset = _HEADER.size + 32
+        exponents = np.frombuffer(payload, dtype=np.int8, count=ncells, offset=offset)
+        codes, _ = unpack_codes(payload, offset + ncells, _HEADER.size, ncells * _CELL**3, 8)
+        coeffs = zigzag_decode(codes, 64).reshape(ncells, _CELL, _CELL, _CELL)
         ints = self._inverse_transform(coeffs)
-        scale = np.ldexp(1.0, (precision - 2) - exponents)
+        scale = np.ldexp(1.0, (precision - 2) - exponents.astype(np.int32))
         with np.errstate(divide="ignore", invalid="ignore"):
             cells = ints.astype(np.float64) / scale[:, None, None, None]
         padded = _from_cells(cells, padded_shape)
         out = padded[:nx, :ny, :nz]
-        return out.astype(np.dtype(result.dtype))
+        dtype = np.dtype(result.dtype)
+        if dtype.kind == "f":
+            # Rounding to the kept bit planes can carry a value within half a
+            # step of the dtype's largest one past it: saturate, not overflow.
+            limit = np.finfo(dtype).max
+            out = np.clip(out, -limit, limit)
+        return out.astype(dtype)
 
     def error_bound(self, block: np.ndarray) -> float:
-        """Worst-case absolute reconstruction error for ``block`` at this precision.
+        """Worst-case absolute reconstruction error for ``block``.
 
-        The block-floating-point quantisation step for a cell with exponent
-        ``e`` is ``2**(e - (precision - 2))``; the separable transform can
-        amplify rounding by at most a small constant, folded in here.
+        The block-floating-point quantisation step for a cell with stored
+        (clipped) exponent ``e`` is ``2**(e - (precision - 2))``; the
+        separable transform can amplify rounding by at most a small constant,
+        folded in here.  The clip matters below ``2**-127``: a subnormal
+        float32 cell is quantised on the coarser step of exponent −127.
         """
         arr = self._prepare(block).astype(np.float64)
         maxabs = float(np.abs(arr).max())
         if maxabs == 0.0:
             return 0.0
-        exponent = int(np.ceil(np.log2(maxabs)))
-        return 8.0 * 2.0 ** (exponent - (self.precision - 2))
+        exponent = int(np.clip(np.ceil(np.log2(maxabs)), -127, 127))
+        return 8.0 * 2.0 ** (exponent - (_PRECISION - 2))

@@ -41,17 +41,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.grid.block import Block, BlockExtent, check_level_payload
-from repro.grid.reduction import (  # re-exported: the ladder's batched twins
-    expand_from_level_batch,
-    reduce_to_level_batch,
-)
+from repro.grid.reduction import reduce_to_level_batch
 
 __all__ = [
     "BlockColumns",
     "DecomposedField",
-    "expand_from_level_batch",
     "group_positions_by_shape",
-    "reduce_to_level_batch",
     "stacked_shape_groups",
 ]
 

@@ -277,36 +277,6 @@ def reduce_to_level_batch(
     )
 
 
-def expand_from_level_batch(
-    payload: np.ndarray, level: int, shape: Tuple[int, int, int]
-) -> np.ndarray:
-    """Rebuild a stacked batch of equally-shaped blocks from ladder payloads.
-
-    Vectorised counterpart of :func:`expand_from_level`: the per-axis
-    interpolation weights are shared across the batch, and the per-element
-    arithmetic is :func:`_lerp_corners`'s, so row ``i`` is bitwise equal to
-    ``expand_from_level(payload[i], level, shape)``.
-    """
-    arr = np.asarray(payload)
-    if arr.ndim != 4:
-        raise ValueError(f"batch payload must be 4-D, got shape {arr.shape}")
-    if level == 0:
-        return arr
-    if level == 1:
-        return _expand_level1(arr, shape)
-    if level != 2:
-        raise ValueError(f"level must be 0, 1 or 2, got {level}")
-    n = arr.shape[0]
-    nx, ny, nz = (int(s) for s in shape)
-    arr = np.asarray(arr, dtype=np.float64)
-    u = np.linspace(0.0, 1.0, nx) if nx > 1 else np.zeros(1)
-    v = np.linspace(0.0, 1.0, ny) if ny > 1 else np.zeros(1)
-    w = np.linspace(0.0, 1.0, nz) if nz > 1 else np.zeros(1)
-    uu, vv, ww = np.meshgrid(u, v, w, indexing="ij")
-    c = arr.reshape(n, 8)[:, :, None, None, None]
-    return _lerp_corners(*(c[:, i] for i in range(8)), uu, vv, ww)
-
-
 def reduction_error_batch(data: np.ndarray, level: int = 2) -> np.ndarray:
     """Per-block reduction MSE of a stacked ``(nblocks, ...)`` batch.
 

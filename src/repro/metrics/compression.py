@@ -87,7 +87,7 @@ class CompressionRatioMetric(ScoreMetric):
     @classmethod
     def zfp(cls) -> "CompressionRatioMetric":
         """ZFP-based scorer at 16 bit planes (paper: "results similar to FPZIP")."""
-        return cls(ZfpLikeCompressor(precision=16))
+        return cls(ZfpLikeCompressor())
 
     @classmethod
     def lz(cls) -> "CompressionRatioMetric":

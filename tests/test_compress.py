@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from unittest import mock
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress import fpzip_like, zfp_like
+from repro.compress import Compressor, fpzip_like, zfp_like
 from repro.compress.bitplane import (
     byte_lengths,
     float_to_ordered_uint,
@@ -32,6 +33,7 @@ from repro.compress.predictors import (
     lorenzo_residuals,
 )
 from repro.compress.zfp_like import ZfpLikeCompressor
+from repro.metrics.registry import default_registry
 
 
 # -- oracles ------------------------------------------------------------------
@@ -293,104 +295,6 @@ class TestPredictors:
             lorenzo_residuals(np.zeros((2, 2, 2), dtype=np.float32))
 
 
-class TestFpzipLike:
-    def test_lossless_roundtrip_float32(self, turbulent_block):
-        comp = FpzipLikeCompressor()
-        result = comp.compress(turbulent_block)
-        back = comp.decompress(result)
-        np.testing.assert_array_equal(back, turbulent_block)
-        assert back.dtype == turbulent_block.dtype
-
-    def test_lossless_roundtrip_float64(self):
-        data = np.random.default_rng(3).normal(size=(7, 6, 5))
-        comp = FpzipLikeCompressor()
-        np.testing.assert_array_equal(comp.decompress(comp.compress(data)), data)
-
-    def test_smooth_compresses_better_than_turbulent(self, smooth_block, turbulent_block):
-        comp = FpzipLikeCompressor()
-        assert comp.ratio(smooth_block) > comp.ratio(turbulent_block)
-
-    def test_constant_block_high_ratio(self, constant_block):
-        assert FpzipLikeCompressor().ratio(constant_block) > 3.0
-
-    def test_rejects_non_finite(self):
-        comp = FpzipLikeCompressor()
-        data = np.full((3, 3, 3), np.nan, dtype=np.float32)
-        with pytest.raises(ValueError):
-            comp.compress(data)
-
-    def test_rejects_wrong_payload(self):
-        comp = FpzipLikeCompressor()
-        result = comp.compress(np.zeros((3, 3, 3), dtype=np.float32))
-        bad = type(result)(
-            payload=b"XXXX" + result.payload[4:],
-            original_nbytes=result.original_nbytes,
-            shape=result.shape,
-            dtype=result.dtype,
-        )
-        with pytest.raises(ValueError):
-            comp.decompress(bad)
-
-    @settings(deadline=None, max_examples=20)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        nx=st.integers(min_value=2, max_value=8),
-        ny=st.integers(min_value=2, max_value=8),
-        nz=st.integers(min_value=2, max_value=8),
-    )
-    def test_roundtrip_property(self, seed, nx, ny, nz):
-        """fpzip-like coding is lossless for arbitrary finite float32 blocks."""
-        data = (np.random.default_rng(seed).normal(size=(nx, ny, nz)) * 10).astype(np.float32)
-        comp = FpzipLikeCompressor()
-        np.testing.assert_array_equal(comp.decompress(comp.compress(data)), data)
-
-
-class TestZfpLike:
-    def test_reconstruction_within_bound(self, smooth_block):
-        comp = ZfpLikeCompressor(precision=18)
-        result = comp.compress(smooth_block)
-        back = comp.decompress(result)
-        bound = comp.error_bound(smooth_block)
-        assert np.abs(back - smooth_block.astype(np.float64)).max() <= bound
-
-    def test_higher_precision_lower_error(self, turbulent_block):
-        low = ZfpLikeCompressor(precision=8)
-        high = ZfpLikeCompressor(precision=24)
-        err_low = np.abs(low.decompress(low.compress(turbulent_block)) - turbulent_block).max()
-        err_high = np.abs(high.decompress(high.compress(turbulent_block)) - turbulent_block).max()
-        assert err_high <= err_low
-
-    def test_smooth_compresses_better(self, smooth_block, turbulent_block):
-        comp = ZfpLikeCompressor(precision=16)
-        assert comp.ratio(smooth_block) > comp.ratio(turbulent_block)
-
-    def test_constant_block_near_exact(self, constant_block):
-        comp = ZfpLikeCompressor(precision=16)
-        back = comp.decompress(comp.compress(constant_block))
-        np.testing.assert_allclose(back, constant_block, atol=1e-6)
-
-    def test_invalid_precision(self):
-        with pytest.raises(ValueError):
-            ZfpLikeCompressor(precision=0)
-        with pytest.raises(ValueError):
-            ZfpLikeCompressor(precision=40)
-
-    def test_non_multiple_of_four_shapes(self):
-        data = np.random.default_rng(5).normal(size=(5, 7, 3))
-        comp = ZfpLikeCompressor(precision=20)
-        back = comp.decompress(comp.compress(data))
-        assert back.shape == data.shape
-        assert np.abs(back - data).max() <= comp.error_bound(data)
-
-    @settings(deadline=None, max_examples=15)
-    @given(seed=st.integers(min_value=0, max_value=1000))
-    def test_error_bound_property(self, seed):
-        data = np.random.default_rng(seed).uniform(-60, 80, size=(6, 6, 6))
-        comp = ZfpLikeCompressor(precision=16)
-        back = comp.decompress(comp.compress(data))
-        assert np.abs(back - data).max() <= comp.error_bound(data)
-
-
 class TestLz77:
     def test_roundtrip_simple(self):
         data = b"abcabcabcabcabc" * 10
@@ -414,28 +318,6 @@ class TestLz77:
         assert lz77_decompress(lz77_compress(data)) == data
 
 
-class TestLzLikeCompressor:
-    def test_lossless_roundtrip(self, turbulent_block):
-        comp = LzLikeCompressor()
-        small = turbulent_block[:6, :6, :4]
-        back = comp.decompress(comp.compress(small))
-        np.testing.assert_array_equal(back, small)
-
-    def test_smooth_better_ratio(self, smooth_block, turbulent_block):
-        comp = LzLikeCompressor()
-        assert comp.ratio(smooth_block) > comp.ratio(turbulent_block)
-
-    def test_sample_limit_bounds_cost(self):
-        comp = LzLikeCompressor(sample_limit=256)
-        data = np.random.default_rng(0).normal(size=(20, 20, 10)).astype(np.float32)
-        ratio = comp.ratio(data)
-        assert ratio > 0
-
-    def test_invalid_sample_limit(self):
-        with pytest.raises(ValueError):
-            LzLikeCompressor(sample_limit=2)
-
-
 class TestHashAll:
     @settings(deadline=None, max_examples=30)
     @given(st.binary(min_size=0, max_size=300))
@@ -445,22 +327,6 @@ class TestHashAll:
         assert hashes == [_hash4(data, p) for p in range(len(hashes))]
 
 
-def _batch_blocks(dtype, shape=(6, 5, 4), nblocks=7, seed=11):
-    """A mix of turbulent, smooth, and constant blocks (stackable)."""
-    rng = np.random.default_rng(seed)
-    blocks = [
-        rng.uniform(-60.0, 80.0, size=shape).astype(dtype)
-        for _ in range(nblocks - 2)
-    ]
-    ramp = np.add.outer(
-        np.add.outer(np.linspace(0.0, 1.0, shape[0]), np.linspace(0.0, 2.0, shape[1])),
-        np.linspace(0.0, 0.5, shape[2]),
-    )
-    blocks.append(ramp.astype(dtype))
-    blocks.append(np.full(shape, 2.5, dtype=dtype))
-    return blocks
-
-
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize(
     "make",
@@ -468,28 +334,12 @@ def _batch_blocks(dtype, shape=(6, 5, 4), nblocks=7, seed=11):
     ids=["fpzip", "zfp", "lz"],
 )
 class TestCompressedSizeBatch:
-    """The vectorised size path must agree with per-block compress exactly."""
-
-    def test_sizes_match_per_block_compress(self, make, dtype):
-        comp = make()
-        blocks = _batch_blocks(dtype)
-        sizes = comp.compressed_size_batch(np.stack(blocks))
-        expected = [comp.compress(b).compressed_nbytes for b in blocks]
-        assert sizes.tolist() == expected
+    """The size path's edge cases (its sizes are :class:`TestCoderLaw`'s)."""
 
     def test_empty_batch(self, make, dtype):
         comp = make()
         sizes = comp.compressed_size_batch(np.zeros((0, 4, 4, 4), dtype=dtype))
         assert sizes.shape == (0,)
-
-    def test_non_contiguous_batch(self, make, dtype):
-        comp = make()
-        rng = np.random.default_rng(4)
-        field = rng.uniform(-60.0, 80.0, size=(5, 12, 10, 8)).astype(dtype)
-        batch = field[:, 2:8, 1:6, ::2]  # strided view
-        sizes = comp.compressed_size_batch(batch)
-        expected = [comp.compress(batch[i]).compressed_nbytes for i in range(5)]
-        assert sizes.tolist() == expected
 
     def test_non_finite_rejected(self, make, dtype):
         comp = make()
@@ -736,7 +586,11 @@ _LAYOUTS = ["C", "strided", "read-only"]
 
 
 class TestEncoderOracles:
-    """ZFP's and LZ's encoders against the code they replaced, by property."""
+    """ZFP's and LZ's encoders against the code they replaced, by property.
+
+    Named mutation: ``_codes`` taking ``np.floor`` of ``log2`` instead of
+    ``np.ceil`` changes the exponents and the codes, and fails this law.
+    """
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -749,23 +603,132 @@ class TestEncoderOracles:
     def test_codes_and_sizes_equal_the_oracles(self, seed, shape, dtype, nblocks, layout):
         batch = _coder_batch(seed, shape, dtype, nblocks, layout)
         zfp = ZfpLikeCompressor()
-        assert (
-            zfp.compressed_size_batch(batch).tolist()
-            == oracle_zfp_compressed_size_batch(batch).tolist()
-        )
+        sizes = zfp.compressed_size_batch(batch)
+        assert sizes.tolist() == oracle_zfp_compressed_size_batch(batch).tolist()
+        exponents, codes = zfp._codes(zfp._prepare_batch(batch))
+        assert exponents.dtype == np.int32 and codes.dtype == np.uint64
         header = zfp_like._HEADER.size + 32
-        for block in batch:
-            exponents, codes = oracle_zfp_codes(block)
+        for i, block in enumerate(batch):
+            oracle_exponents, oracle_codes = oracle_zfp_codes(block)
+            assert exponents[i].tobytes() == oracle_exponents.tobytes()
+            assert codes[i].tobytes() == oracle_codes.tobytes()
+            # ``compress`` serialises the same codes.
             payload = zfp.compress(block).payload
-            cells = payload[header : header + exponents.size]
-            nibbles = payload[header + exponents.size :][: (codes.size + 1) // 2]
-            assert cells == exponents.astype(np.int8).tobytes()
-            assert nibbles == pack_nibbles(byte_lengths(codes, 8))
+            cells = payload[header : header + exponents.shape[1]]
+            nibbles = payload[header + exponents.shape[1] :][: (codes.shape[1] + 1) // 2]
+            assert cells == oracle_exponents.astype(np.int8).tobytes()
+            assert nibbles == pack_nibbles(byte_lengths(oracle_codes, 8))
 
         prepared = LzLikeCompressor._prepare_batch(batch)
         if nblocks:
             streams = LzLikeCompressor._to_planes_batch(prepared)
             assert streams == [oracle_lz_to_planes(b)[0] for b in prepared]
+
+
+#: The compressor-based scorers of the metric registry, and whether each
+#: one's coder is lossless.
+CODER_METRICS = {"FPZIP": True, "ZFP": False, "LZ": True}
+
+
+def registered_coder(name):
+    """The coder the registry's ``name`` metric scores with (pymor's idiom:
+    the implementations under test come from the registry)."""
+    return default_registry().create(name).compressor
+
+
+_SHAPES = st.tuples(*[st.integers(min_value=1, max_value=9)] * 3)
+_DTYPES = st.sampled_from([np.float16, np.float32, np.float64])
+
+
+@pytest.mark.parametrize("name", sorted(CODER_METRICS))
+class TestCoderLaw:
+    """The laws every coder keeps, over length-1 axes, float16/32/64,
+    subnormal float32 and edge values (inside float32's range), and C,
+    strided and read-only stacks."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 10_000), shape=_SHAPES, dtype=_DTYPES, layout=st.sampled_from(_LAYOUTS))
+    def test_decode_inverts_encode(self, name, seed, shape, dtype, layout):
+        """decode∘encode is the identity (lossless coders, on the prepared
+        float32/float64 block) or within ``error_bound`` (ZFP)."""
+        coder = registered_coder(name)
+        for block in _coder_batch(seed, shape, dtype, 5, layout):
+            back = coder.decompress(coder.compress(block))
+            assert back.shape == block.shape
+            if CODER_METRICS[name]:
+                encoded = Compressor._prepare(block)
+                assert back.dtype == encoded.dtype
+                assert back.tobytes() == encoded.tobytes()
+            else:
+                assert back.dtype == block.dtype
+                error = np.abs(back.astype(np.float64) - block.astype(np.float64)).max()
+                assert error <= coder.error_bound(block)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=_SHAPES,
+        dtype=_DTYPES,
+        nblocks=st.sampled_from([0, 1, 2, 5]),
+        layout=st.sampled_from(_LAYOUTS),
+    )
+    def test_batch_sizes_are_payload_lengths(self, name, seed, shape, dtype, nblocks, layout):
+        coder = registered_coder(name)
+        batch = _coder_batch(seed, shape, dtype, nblocks, layout)
+        sizes = coder.compressed_size_batch(batch)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == [len(coder.compress(block).payload) for block in batch]
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=st.tuples(*[st.integers(min_value=4, max_value=9)] * 3),
+        dtype=_DTYPES,
+    )
+    def test_smooth_never_larger_than_noisy(self, name, seed, shape, dtype):
+        """A trilinear ramp never encodes larger than uniform noise of the
+        same shape: the content sensitivity the scoring metric relies on.
+        Blocks hold at least one 4×4×4 cell: two noisy values can happen to
+        code shorter than two ramp values."""
+        coder = registered_coder(name)
+        axes = [np.linspace(0.0, 1.0 + k, n) for k, n in enumerate(shape)]
+        smooth = np.add.outer(np.add.outer(axes[0], axes[1]), axes[2])
+        noisy = np.random.default_rng(seed).uniform(-60.0, 80.0, size=shape)
+        small, large = coder.compressed_size_batch(np.stack([smooth, noisy]).astype(dtype))
+        assert small <= large
+
+    def test_refuses_non_finite_blocks_and_foreign_payloads(self, name):
+        coder = registered_coder(name)
+        with pytest.raises(ValueError):
+            coder.compress(np.full((3, 3, 3), np.nan, dtype=np.float32))
+        result = coder.compress(np.zeros((3, 3, 3), dtype=np.float32))
+        foreign = dataclasses.replace(result, payload=b"XXXX" + result.payload[4:])
+        with pytest.raises(ValueError):
+            coder.decompress(foreign)
+
+
+class TestZfpLike:
+    def test_constant_block_near_exact(self, constant_block):
+        comp = ZfpLikeCompressor()
+        back = comp.decompress(comp.compress(constant_block))
+        np.testing.assert_allclose(back, constant_block, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            (np.arange(64, dtype=np.float32).reshape(4, 4, 4) - 30) * np.float32(3e-42),
+            np.array([[[0.36, np.finfo(np.float32).max]]], dtype=np.float32),
+        ],
+        ids=["subnormal", "max"],
+    )
+    def test_extreme_float32_blocks_within_bound(self, block):
+        """The bound follows the stored exponent, clipped at ±127 — a cell of
+        float32 denormals is quantised on the coarser step of −127 — and a
+        value rounded past float32's largest decodes to it, not to inf."""
+        comp = ZfpLikeCompressor()
+        back = comp.decompress(comp.compress(block))
+        error = np.abs(back.astype(np.float64) - block.astype(np.float64)).max()
+        assert error <= comp.error_bound(block)
 
 
 def _wire_format_blocks():

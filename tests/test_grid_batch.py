@@ -99,40 +99,6 @@ class TestBatchReductionLadder:
                 for got, row in zip(batched, rows.tolist()):
                     assert got.tobytes() == reduce_to_level(held[row], level).tobytes()
 
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_batched_expand_matches_scalar(self, level):
-        from repro.grid.reduction import (
-            expand_from_level,
-            expand_from_level_batch,
-            reduce_to_level_batch,
-        )
-
-        rng = np.random.default_rng(12)
-        shape = (6, 5, 4)
-        stack = rng.normal(size=(4,) + shape)
-        payload = reduce_to_level_batch(stack, level)
-        batched = expand_from_level_batch(payload, level, shape)
-        for i in range(stack.shape[0]):
-            np.testing.assert_array_equal(
-                batched[i], expand_from_level(payload[i], level, shape)
-            )
-
-    @pytest.mark.parametrize("shape", [(1, 4, 3), (4, 1, 3), (1, 1, 1)])
-    def test_batched_degenerate_axis_roundtrip(self, shape):
-        """Length-1 axes survive the batched level-1 round-trip exactly."""
-        from repro.grid.block import axis_sample_indices
-        from repro.grid.reduction import expand_from_level_batch, reduce_to_level_batch
-
-        rng = np.random.default_rng(13)
-        stack = rng.normal(size=(3,) + shape)
-        payload = reduce_to_level_batch(stack, 1)
-        rebuilt = expand_from_level_batch(payload, 1, shape)
-        ix, iy, iz = (np.asarray(axis_sample_indices(n)) for n in shape)
-        np.testing.assert_array_equal(
-            rebuilt[:, ix[:, None, None], iy[None, :, None], iz[None, None, :]],
-            stack[:, ix[:, None, None], iy[None, :, None], iz[None, None, :]],
-        )
-
 
 class TestDecomposedFieldValidation:
     """The arrival's constructor checks on whole columns what ``Block`` and
