@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.grid.block import Block, axis_sample_indices, level_shape
+from repro.grid.block import Block, axis_sample_indices
 from repro.utils.validation import ensure_3d
 
 
