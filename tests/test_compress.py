@@ -637,18 +637,25 @@ def registered_coder(name):
 
 
 _SHAPES = st.tuples(*[st.integers(min_value=1, max_value=9)] * 3)
-_DTYPES = st.sampled_from([np.float16, np.float32, np.float64])
+_CELL_SHAPES = st.tuples(*[st.integers(min_value=4, max_value=9)] * 3)
 
 
+def _ramp(shape):
+    """A trilinear ramp over ``shape``."""
+    axes = [np.linspace(0.0, 1.0 + k, n) for k, n in enumerate(shape)]
+    return np.add.outer(np.add.outer(axes[0], axes[1]), axes[2])
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64], ids=lambda t: t.__name__)
 @pytest.mark.parametrize("name", sorted(CODER_METRICS))
 class TestCoderLaw:
-    """The laws every coder keeps, over length-1 axes, float16/32/64,
-    subnormal float32 and edge values (inside float32's range), and C,
-    strided and read-only stacks."""
+    """The laws every coder keeps, for each of float16/32/64, over length-1
+    axes, subnormal float32 and edge values (inside float32's range), and
+    C, strided and read-only stacks."""
 
-    @settings(deadline=None, max_examples=25)
-    @given(seed=st.integers(0, 10_000), shape=_SHAPES, dtype=_DTYPES, layout=st.sampled_from(_LAYOUTS))
-    def test_decode_inverts_encode(self, name, seed, shape, dtype, layout):
+    @settings(deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 10_000), shape=_SHAPES, layout=st.sampled_from(_LAYOUTS))
+    def test_decode_inverts_encode(self, name, dtype, seed, shape, layout):
         """decode∘encode is the identity (lossless coders, on the prepared
         float32/float64 block) or within ``error_bound`` (ZFP)."""
         coder = registered_coder(name)
@@ -664,44 +671,47 @@ class TestCoderLaw:
                 error = np.abs(back.astype(np.float64) - block.astype(np.float64)).max()
                 assert error <= coder.error_bound(block)
 
-    @settings(deadline=None, max_examples=25)
+    @settings(deadline=None, max_examples=10)
     @given(
         seed=st.integers(0, 10_000),
         shape=_SHAPES,
-        dtype=_DTYPES,
         nblocks=st.sampled_from([0, 1, 2, 5]),
         layout=st.sampled_from(_LAYOUTS),
     )
-    def test_batch_sizes_are_payload_lengths(self, name, seed, shape, dtype, nblocks, layout):
+    def test_batch_sizes_are_payload_lengths(self, name, dtype, seed, shape, nblocks, layout):
         coder = registered_coder(name)
         batch = _coder_batch(seed, shape, dtype, nblocks, layout)
         sizes = coder.compressed_size_batch(batch)
         assert sizes.dtype == np.int64
         assert sizes.tolist() == [len(coder.compress(block).payload) for block in batch]
 
-    @settings(deadline=None, max_examples=25)
-    @given(
-        seed=st.integers(0, 10_000),
-        shape=st.tuples(*[st.integers(min_value=4, max_value=9)] * 3),
-        dtype=_DTYPES,
-    )
-    def test_smooth_never_larger_than_noisy(self, name, seed, shape, dtype):
+    @settings(deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 10_000), shape=_CELL_SHAPES)
+    def test_smooth_never_larger_than_noisy(self, name, dtype, seed, shape):
         """A trilinear ramp never encodes larger than uniform noise of the
         same shape: the content sensitivity the scoring metric relies on.
         Blocks hold at least one 4×4×4 cell: two noisy values can happen to
         code shorter than two ramp values."""
         coder = registered_coder(name)
-        axes = [np.linspace(0.0, 1.0 + k, n) for k, n in enumerate(shape)]
-        smooth = np.add.outer(np.add.outer(axes[0], axes[1]), axes[2])
         noisy = np.random.default_rng(seed).uniform(-60.0, 80.0, size=shape)
-        small, large = coder.compressed_size_batch(np.stack([smooth, noisy]).astype(dtype))
+        small, large = coder.compressed_size_batch(np.stack([_ramp(shape), noisy]).astype(dtype))
         assert small <= large
 
-    def test_refuses_non_finite_blocks_and_foreign_payloads(self, name):
+    @settings(deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 10_000), shape=_CELL_SHAPES)
+    def test_constant_never_larger_than_smooth(self, name, dtype, seed, shape):
+        """A constant block, which carries no information, never encodes
+        larger than a trilinear ramp of the same shape."""
+        coder = registered_coder(name)
+        constant = np.full(shape, np.random.default_rng(seed).uniform(-60.0, 80.0))
+        small, large = coder.compressed_size_batch(np.stack([constant, _ramp(shape)]).astype(dtype))
+        assert small <= large
+
+    def test_refuses_non_finite_blocks_and_foreign_payloads(self, name, dtype):
         coder = registered_coder(name)
         with pytest.raises(ValueError):
-            coder.compress(np.full((3, 3, 3), np.nan, dtype=np.float32))
-        result = coder.compress(np.zeros((3, 3, 3), dtype=np.float32))
+            coder.compress(np.full((3, 3, 3), np.nan, dtype=dtype))
+        result = coder.compress(np.zeros((3, 3, 3), dtype=dtype))
         foreign = dataclasses.replace(result, payload=b"XXXX" + result.payload[4:])
         with pytest.raises(ValueError):
             coder.decompress(foreign)
