@@ -1,14 +1,13 @@
-"""Process-pool and scaling-sweep performance gates.
+"""Process-pool and communication-pricing performance gates.
 
-Three gates (assertions only — numbers are recorded and trended by ``bench/``,
+Two gates (assertions only — numbers are recorded and trended by ``bench/``,
 the one tracked benchmark):
 
-* the vectorised :meth:`NetworkCostModel.alltoallv` must price a 4096-rank
+* the vectorised :meth:`NetworkCostModel.alltoallv` must price a 400-rank
   byte matrix ≥10x faster than the Python loop it replaced
-  (``oracle_alltoallv_loop``, loaded from ``tests/test_simmpi.py``) — the
-  optimisation that keeps 10,000-virtual-rank sweeps out of O(P²) Python;
-* a cost-model-driven weak-scaling sweep of ``blue_waters_64`` must reach
-  10,000 virtual ranks well inside five minutes;
+  (``oracle_alltoallv_loop``, loaded from ``tests/test_simmpi.py``) — 400
+  ranks is ``blue_waters_400``, the largest redistribution exchange the
+  pipeline prices;
 * on a GIL-bound scalar metric (:class:`PythonVarianceMetric` — the shape
   of a user-supplied scorer written without NumPy), the scoring step *as built
   by default* — which takes the process pool because the metric declares
@@ -30,15 +29,11 @@ from repro.scenarios.scenario import ExperimentScenario, cached_scenario
 from repro.grid.batch import BlockColumns
 from repro.grid.fanout import map_shape_groups
 from repro.metrics.statistics import PythonVarianceMetric
-from repro.scenarios.sweep import model_scaling_sweep
 from repro.simmpi.costmodel import NetworkCostModel
 from repro.utils.procpool import default_process_workers
 
-#: Required vectorised/loop ratio for the alltoallv pricing at P=4096.
+#: Required vectorised/loop ratio for the alltoallv pricing at P=400.
 MIN_ALLTOALLV_SPEEDUP = 10.0
-
-#: Wall-clock budget (seconds) for the 10k-virtual-rank weak-scaling sweep.
-SWEEP_BUDGET_SECONDS = 300.0
 
 #: Required inline/pool ratio for GIL-bound scoring on multi-core hosts.
 #: (The gate used to demand 1.2x over a thread pool, which itself ran this
@@ -53,8 +48,12 @@ def fine_scenario_64() -> ExperimentScenario:
 
 
 def test_vectorized_alltoallv_speedup(replaced_kernel):
-    """One NumPy pass over a 4096² byte matrix beats the Python loop ≥10x."""
-    nranks = 4096
+    """One NumPy pass over a 400² byte matrix beats the Python loop ≥10x.
+
+    400 ranks is the pipeline's own largest exchange: ``blue_waters_400``'s
+    redistribution prices a 400×400 byte matrix every iteration.
+    """
+    nranks = 400
     oracle_alltoallv_loop = replaced_kernel("test_simmpi.py", "oracle_alltoallv_loop")
     model = NetworkCostModel.blue_waters()
     rng = np.random.default_rng(2016)
@@ -78,42 +77,6 @@ def test_vectorized_alltoallv_speedup(replaced_kernel):
         f"vectorized alltoallv speedup {speedup:.1f}x below required "
         f"{MIN_ALLTOALLV_SPEEDUP}x (loop {loop_seconds:.2f}s, "
         f"vectorized {vec_seconds:.3f}s)"
-    )
-
-
-def test_weak_scaling_sweep_reaches_10k_ranks_in_minutes():
-    """The model-driven weak-scaling sweep prices 10,000 virtual ranks fast.
-
-    The sweep runs the full pricing path — decomposition math, platform
-    scoring/reduction costs, the gather+bcast sorting collective, the dense
-    10⁸-cell redistribution matrix through the vectorised alltoallv, and the
-    rendering proxy — and must finish far inside the five-minute budget.
-    """
-    start = time.perf_counter()
-    sweep = model_scaling_sweep(
-        "blue_waters_64", ranks=(64, 1024, 10000), mode="weak"
-    )
-    elapsed = time.perf_counter() - start
-
-    points = sweep["points"]
-    assert [p["ncores"] for p in points] == [64, 1024, 10000]
-    assert points[-1]["nblocks"] == 10000 * 2 * 2 * 8
-    for point in points:
-        steps = point["modelled_steps"]
-        assert set(steps) == {
-            "scoring", "sorting", "reduction", "redistribution", "rendering",
-        }
-        assert all(value >= 0.0 for value in steps.values())
-        assert point["modelled_total"] == pytest.approx(sum(steps.values()))
-    # Weak scaling: modelled totals stay within the same order of magnitude
-    # (communication grows slowly with P; per-rank compute is constant).
-    totals = [p["modelled_total"] for p in points]
-    assert max(totals) < 2.0 * min(totals)
-
-    print(f"\nweak-scaling sweep to 10k ranks: {elapsed:.1f}s")
-    assert elapsed < SWEEP_BUDGET_SECONDS, (
-        f"10k-rank weak-scaling sweep took {elapsed:.0f}s, "
-        f"budget {SWEEP_BUDGET_SECONDS:.0f}s"
     )
 
 

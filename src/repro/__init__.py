@@ -32,7 +32,7 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
 * :mod:`repro.scenarios` — the named workload registry: the paper's two
   Blue Waters configurations plus parameterised storm families the paper
   never ran (squall line, multi-cell cluster, turbulence-only field,
-  decaying storm) and weak/strong scaling sweeps derived from any entry;
+  decaying storm);
 * :mod:`repro.serve` — the streaming NDJSON service and its replay cache;
 * :mod:`repro.experiments` — drivers regenerating every table and figure of
   the paper's evaluation section.
@@ -68,11 +68,10 @@ from repro.scenarios import (
     ScenarioConfig,
     create_scenario_config,
     register_scenario,
-    scaling_variants,
     scenario_names,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "AdaptationConfig",
@@ -91,7 +90,6 @@ __all__ = [
     "create_scenario_config",
     "default_registry",
     "register_scenario",
-    "scaling_variants",
     "scenario_names",
     "quickstart_pipeline",
     "__version__",

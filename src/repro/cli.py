@@ -1,6 +1,6 @@
 """The ``python -m repro`` command line.
 
-Four subcommands expose the scenario registry without writing any Python:
+Three subcommands expose the scenario registry without writing any Python:
 
 ``list``
     Print the workload catalogue (name, default scale, tags, description),
@@ -18,13 +18,6 @@ Four subcommands expose the scenario registry without writing any Python:
     iteration), which ``ExperimentScenario.from_store`` replays through
     read-only memory maps.
 
-``sweep``
-    Price a weak/strong-scaling rank sweep of a registered scenario through
-    the cost models alone (no data generated), which is what makes rank
-    counts like 10,000 tractable — see :mod:`repro.scenarios.sweep`.
-    Human-readable table by default; ``--json`` / ``--output`` produce the
-    machine-readable record, mirroring ``run``'s contract.
-
 ``serve``
     Run the scenario pipeline as a local asyncio HTTP service: concurrent
     ``POST /run`` requests multiplex over a shared worker pool, stream
@@ -32,8 +25,7 @@ Four subcommands expose the scenario registry without writing any Python:
     see :mod:`repro.serve`.  Its flag values are checked once, by
     :class:`~repro.serve.server.ServeApp` and its replay cache.
 
-No option chooses between two implementations that give the same answer;
-``sweep`` prices its points in order, in this process.
+No option chooses between two implementations that give the same answer.
 
 Exit codes: 0 on success, 2 on usage errors — an unknown scenario name (the
 message lists the registered ones) or an option value the validator refuses
@@ -55,12 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.redistribution import STRATEGIES
-from repro.scenarios import (
-    ExperimentScenario,
-    get_scenario,
-    model_scaling_sweep,
-    scenario_specs,
-)
+from repro.scenarios import ExperimentScenario, get_scenario, scenario_specs
 from repro.serve.procrun import RunRequest, _json_default, execute_run
 from repro.serve.server import ServeApp, serve_forever
 from repro.viz.catalyst import RENDER_MODES
@@ -126,44 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="persist the generated snapshots as a DatasetStore at this directory",
-    )
-
-    sweep_p = sub.add_parser(
-        "sweep", help="price a scaling sweep through the cost models"
-    )
-    sweep_p.add_argument("scenario", help="registered scenario name (see 'list')")
-    sweep_p.add_argument(
-        "--ranks",
-        type=int,
-        nargs="+",
-        default=(64, 256, 1024, 4096, 10000),
-        help="virtual rank counts to price (default: 64 256 1024 4096 10000)",
-    )
-    sweep_p.add_argument(
-        "--mode",
-        default="weak",
-        choices=("weak", "strong"),
-        help="scaling mode (default: weak)",
-    )
-    sweep_p.add_argument(
-        "--metric", default="VAR", help="block-scoring metric (default: VAR)"
-    )
-    sweep_p.add_argument(
-        "--percent",
-        type=float,
-        default=50.0,
-        help="reduction percentage priced at every point (default: 50)",
-    )
-    sweep_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable sweep record to stdout",
-    )
-    sweep_p.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="write the JSON sweep record to this file",
     )
 
     serve_p = sub.add_parser(
@@ -348,44 +297,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        record = model_scaling_sweep(
-            args.scenario,
-            ranks=args.ranks,
-            mode=args.mode,
-            metric=args.metric,
-            percent=args.percent,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.output is not None:
-        text = json.dumps(record, indent=2, default=_json_default)
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(text + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-        if not args.json:
-            return 0
-    if args.json:
-        print(json.dumps(record, indent=2, default=_json_default))
-        return 0
-    # Human-readable default: one line per priced rank count.
-    print(
-        f"{record['scenario']} {record['mode']}-scaling sweep "
-        f"(metric {record['metric']}, {record['percent']:.0f}% reduced)"
-    )
-    print(f"{'ranks':>8}  {'modelled total':>14}  dominant step")
-    for point in record["points"]:
-        steps = {k: float(v) for k, v in point.get("modelled_steps", {}).items()}
-        dominant = max(steps, key=steps.get) if steps else "-"
-        print(
-            f"{int(point['ncores']):>8}  {float(point['modelled_total']):>13.3f}s"
-            f"  {dominant}"
-        )
-    return 0
-
-
 def _sigterm_as_sigint(signum, frame) -> None:
     """Run SIGINT's current handler for SIGTERM (one shutdown path for both)."""
     handler = signal.getsignal(signal.SIGINT)
@@ -436,8 +347,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "list":
             return _cmd_list(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         if args.command == "serve":
             return _cmd_serve(args)
         return _cmd_run(args)

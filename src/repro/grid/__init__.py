@@ -19,11 +19,7 @@ from repro.grid.rectilinear import RectilinearGrid
 from repro.grid.block import Block, axis_sample_indices
 from repro.grid.batch import BlockColumns, DecomposedField
 from repro.grid.domain import Domain
-from repro.grid.decomposition import (
-    CartesianDecomposition,
-    factorize_ranks,
-    split_axis,
-)
+from repro.grid.decomposition import CartesianDecomposition, factorize_ranks
 from repro.grid.reduction import (
     reduce_block,
     reduce_to_level_batch,
@@ -39,7 +35,6 @@ __all__ = [
     "Domain",
     "CartesianDecomposition",
     "factorize_ranks",
-    "split_axis",
     "reduce_to_level_batch",
     "reduction_error_batch",
     "reduce_block",

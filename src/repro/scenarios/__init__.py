@@ -15,11 +15,7 @@ resolvable by every consumer:
   ``repro serve``'s ``POST /run`` expose the catalogue;
 * ``tests/test_scenarios.py`` parameterises its backend parity sweep over
   :func:`scenario_names` and ``engine_backends()``, so every newly
-  registered workload is parity-tested for free;
-* :func:`scaling_variants` derives weak/strong-scaling rank sweeps from any
-  registered entry, and :func:`model_scaling_sweep` prices those sweeps
-  through the cost models alone — which is how rank counts like the
-  registered ``blue_waters_weak_10k`` (10,000 virtual ranks) stay tractable.
+  registered workload is parity-tested for free.
 
 Importing this package registers the built-in catalogue
 (:mod:`repro.scenarios.catalog`): the paper's two Blue Waters scales, the
@@ -35,10 +31,8 @@ from repro.scenarios.registry import (
     scenario_names,
     scenario_specs,
 )
-from repro.scenarios.scaling import scaling_variants
 from repro.scenarios.scenario import ExperimentScenario
-from repro.scenarios.spec import ScenarioConfig, ScenarioFactory, ScenarioSpec
-from repro.scenarios.sweep import model_scaling_point, model_scaling_sweep
+from repro.scenarios.spec import ScenarioConfig
 
 # Importing the catalogue registers the built-in workloads.
 import repro.scenarios.catalog  # noqa: E402,F401  (registration side effect)
@@ -46,14 +40,9 @@ import repro.scenarios.catalog  # noqa: E402,F401  (registration side effect)
 __all__ = [
     "ExperimentScenario",
     "ScenarioConfig",
-    "ScenarioFactory",
-    "ScenarioSpec",
     "create_scenario_config",
     "get_scenario",
-    "model_scaling_point",
-    "model_scaling_sweep",
     "register_scenario",
-    "scaling_variants",
     "scenario_names",
     "scenario_specs",
 ]

@@ -110,37 +110,6 @@ register_scenario(
 )
 
 register_scenario(
-    "blue_waters_weak_1024",
-    # The 64-core supercell weak-scaled to 1024 ranks (sqrt(1024/64) = 4x
-    # per horizontal axis).  Far beyond what the data path can materialise —
-    # these entries exist for the cost-model-driven sweeps
-    # (repro.scenarios.sweep); parity tests shrink them to tiny scale like
-    # any other entry.
-    _family_factory(
-        ncores=1024,
-        shape=(880, 880, 38),
-        blocks_per_subdomain=(2, 2, 8),
-        nsnapshots=1,
-        storm=experiment_storm(),
-    ),
-    description="Weak-scaled supercell at 1024 virtual ranks (model-driven sweeps)",
-    tags=("paper", "supercell", "scaling", "weak"),
-)
-
-register_scenario(
-    "blue_waters_weak_10k",
-    _family_factory(
-        ncores=10000,
-        shape=(2750, 2750, 38),
-        blocks_per_subdomain=(2, 2, 8),
-        nsnapshots=1,
-        storm=experiment_storm(),
-    ),
-    description="Weak-scaled supercell at 10,000 virtual ranks (model-driven sweeps)",
-    tags=("paper", "supercell", "scaling", "weak"),
-)
-
-register_scenario(
     "squall_line",
     _family_factory(
         ncores=16,

@@ -9,7 +9,7 @@ the metadata the CLI and the test sweeps need: a name, a one-line
 description, tags, and default rank/snapshot counts.  ``spec.build(...)``
 produces a :class:`ScenarioConfig` with any subset of the parameters
 overridden — which is how one registered workload family serves paper-scale
-benchmarks, tiny-scale parity tests, and scaling sweeps alike.
+benchmarks and tiny-scale parity tests alike.
 """
 
 from __future__ import annotations

@@ -86,10 +86,12 @@ class NetworkCostModel:
         send + receive volume) plus one latency per distinct partner.
 
         The matrix is priced in one NumPy pass — row sums give send volumes,
-        column sums give receive volumes — so a 10,000-rank exchange (10⁸
-        matrix cells) costs milliseconds instead of the minutes the
-        equivalent Python loop takes.  That loop is kept as the reference
-        (``oracle_alltoallv_loop`` in ``tests/test_simmpi.py``); both return
+        column sums give receive volumes — so the pipeline's largest
+        exchange, ``blue_waters_400``'s 400-rank redistribution (160,000
+        matrix cells), costs about a millisecond per iteration instead of the
+        fifth of a second the equivalent Python loop takes.  That loop is kept
+        as the reference (``oracle_alltoallv_loop`` in
+        ``tests/test_simmpi.py``); both return
         identical floats (byte counts are exact int64 sums and the per-rank
         cost expression is evaluated in the same order).
         """
@@ -101,8 +103,8 @@ class NetworkCostModel:
             )
         # Match the scalar path exactly: entries truncate to int, the
         # diagonal never counts, and only positive entries carry volume.
-        # Masked sums instead of a mutated copy: at 10k ranks the matrix is
-        # 800 MB, so every avoided full-matrix write is a real win.
+        # Masked sums instead of a mutated copy: no full-matrix copy is made
+        # and the caller's matrix is never written.
         if not np.issubdtype(m.dtype, np.integer):
             m = m.astype(np.int64)  # truncate like int()
         positive = m > 0

@@ -162,104 +162,14 @@ class TestRun:
         assert refused.value.code == 2
 
 
-class TestSweep:
-    def test_sweep_json_to_stdout(self, capsys):
-        """``--json`` prints the machine-readable record, mirroring ``run``."""
-        code, out, _ = run_cli(
-            capsys, "sweep", "tiny", "--ranks", "4", "16", "--json"
-        )
-        assert code == 0
-        sweep = json.loads(out)
-        assert sweep["scenario"] == "tiny"
-        assert sweep["mode"] == "weak"
-        assert [p["ncores"] for p in sweep["points"]] == [4, 16]
-        for point in sweep["points"]:
-            assert set(point["modelled_steps"]) == {
-                "scoring", "sorting", "reduction", "redistribution", "rendering",
-            }
-
-    def test_sweep_human_readable_by_default(self, capsys):
-        """Without ``--json`` the output is a table, not a JSON document."""
-        code, out, _ = run_cli(
-            capsys, "sweep", "tiny", "--ranks", "4", "16"
-        )
-        assert code == 0
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(out)
-        lines = out.strip().splitlines()
-        assert "weak-scaling sweep" in lines[0]
-        assert "ranks" in lines[1] and "dominant step" in lines[1]
-        assert len(lines) == 2 + 2  # header rows + one line per rank count
-
-    def test_sweep_writes_output_file(self, capsys, tmp_path):
-        output = tmp_path / "sweep" / "tiny.json"
-        code, out, err = run_cli(
-            capsys,
-            "sweep", "tiny", "--ranks", "4",
-            "--output", str(output),
-        )
-        assert code == 0
-        assert "wrote" in err
-        assert json.loads(output.read_text())["ranks"] == [4]
-        assert out == ""  # --output alone keeps stdout empty
-
-    def test_sweep_json_and_output_combine(self, capsys, tmp_path):
-        """``--json --output`` writes the file AND prints the same record."""
-        output = tmp_path / "tiny.json"
-        code, out, _ = run_cli(
-            capsys,
-            "sweep", "tiny", "--ranks", "4",
-            "--json", "--output", str(output),
-        )
-        assert code == 0
-        assert json.loads(out) == json.loads(output.read_text())
-
-    def test_sweep_strong_mode_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "sweep", "tiny", "--ranks", "4", "--mode", "strong",
-            "--json",
-        )
-        assert code == 0
-        assert json.loads(out)["mode"] == "strong"
-
-    def test_sweep_unknown_scenario_exits_2_and_names_available(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "not_a_scenario", "--ranks", "4")
-        assert code == 2
-        for name in ("tiny", "blue_waters_64"):
-            assert name in err  # available scenarios are listed
-
-    def test_sweep_infeasible_ranks_fail_cleanly(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "sweep", "tiny", "--ranks", "4", "1024", "--mode", "strong",
-        )
-        assert code != 0
-        assert "1024" in err
-
-    def test_serial_flag_is_refused(self, capsys):
-        """``--serial`` went with the pool path it turned off: argparse exits
-        2 instead of ignoring it.  Fails if the flag is accepted again."""
-        with pytest.raises(SystemExit) as refused:
-            main(["sweep", "tiny", "--ranks", "4", "--serial"])
-        assert refused.value.code == 2
-        assert "unrecognized arguments: --serial" in capsys.readouterr().err
-
-    def test_sweep_creates_no_pool(self, capsys, monkeypatch):
-        """Points are priced in order, in this process.  Fails if the sweep
-        fans them out over the shared process pool again (on a box with
-        more than one usable CPU, as the old fan-out required)."""
-        from repro.utils import procpool
-
-        procpool.shutdown_shared_pool()
-
-        def forbidden():
-            raise AssertionError("the sweep started a process pool")
-
-        monkeypatch.setattr(procpool, "_start_context", forbidden)
-        code, _, _ = run_cli(capsys, "sweep", "tiny", "--ranks", "4", "16", "64", "--json")
-        assert code == 0
-        assert procpool._POOL is None
+def test_sweep_subcommand_is_refused(capsys):
+    """The cost-model scaling sweep is gone with its subcommand: argparse
+    exits 2 and names the invalid choice.  Fails if ``sweep`` is accepted
+    again."""
+    with pytest.raises(SystemExit) as refused:
+        main(["sweep", "tiny"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

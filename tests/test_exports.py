@@ -45,6 +45,7 @@ def test_all_names_resolve_and_are_unique(module_name):
         "repro.metrics",
         "repro.cm1",
         "repro.compress",
+        "repro.scenarios",
     ],
 )
 def test_package_exports_only_what_other_modules_use(package_name):

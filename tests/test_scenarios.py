@@ -33,16 +33,12 @@ from repro.grid.block import Block, BlockExtent
 from repro.metrics.base import MetricCost, ScoreMetric
 from repro.metrics.registry import default_registry
 from repro.perfmodel.calibration import PAPER_BASELINES, calibrate_render_model
-from repro.perfmodel.platform import PlatformModel
 from repro.scenarios import (
     ExperimentScenario,
     ScenarioConfig,
     create_scenario_config,
     get_scenario,
-    model_scaling_point,
-    model_scaling_sweep,
     register_scenario,
-    scaling_variants,
     scenario_names,
     scenario_specs,
 )
@@ -458,168 +454,3 @@ class TestCachedScenario:
     def test_requires_name_or_ncores(self):
         with pytest.raises(TypeError):
             cached_scenario()
-
-
-class TestScalingVariants:
-    def test_strong_scaling_keeps_shape(self):
-        variants = scaling_variants("tiny", ranks=(1, 2, 4), mode="strong")
-        assert [v.ncores for v in variants] == [1, 2, 4]
-        assert all(v.shape == (44, 44, 12) for v in variants)
-        assert [v.name for v in variants] == [
-            "tiny[strong@1]", "tiny[strong@2]", "tiny[strong@4]",
-        ]
-
-    def test_weak_scaling_grows_horizontal_grid(self):
-        variants = scaling_variants("tiny", ranks=(4, 16), mode="weak")
-        base, grown = variants
-        assert base.shape == (44, 44, 12)
-        assert grown.shape == (88, 88, 12)  # sqrt(16/4) = 2x per horizontal axis
-        # Per-rank point counts stay constant under weak scaling.
-        per_rank = lambda v: v.shape[0] * v.shape[1] * v.shape[2] / v.ncores
-        assert per_rank(grown) == pytest.approx(per_rank(base))
-
-    def test_variants_are_runnable(self):
-        variant = scaling_variants("tiny", ranks=(2,), mode="weak", nsnapshots=1)[0]
-        scenario = ExperimentScenario(variant)
-        pipeline = scenario.build_pipeline(metric="VAR")
-        result, _ = pipeline.process_iteration(scenario.blocks_for(0))
-        assert result.nblocks == scenario.nblocks
-
-    def test_weak_scaling_rounds_half_up_at_5_boundary(self):
-        """Regression: weak-scaling extents exactly on .5 must round up.
-
-        With base shape 15 at 4 ranks, the 9-rank variant scales by
-        sqrt(9/4) = 1.5 exactly, landing 15 * 1.5 = 22.5 on a .5 boundary.
-        Banker's round() returns 22 (nearest even), silently shrinking the
-        per-rank load; half-up rounding must give 23.
-        """
-        register_scenario(
-            "pytest_weak_boundary",
-            lambda **o: ScenarioConfig(
-                ncores=4, shape=(15, 15, 12), blocks_per_subdomain=(1, 1, 1), **o
-            ),
-            description="weak-scaling .5-boundary fixture",
-        )
-        try:
-            variant = scaling_variants("pytest_weak_boundary", ranks=(9,), mode="weak")[0]
-            assert round(22.5) == 22  # the trap this test guards against
-            assert variant.shape == (23, 23, 12)
-        finally:
-            _REGISTRY.pop("pytest_weak_boundary", None)
-
-    def test_strong_scaling_refuses_infeasible_rank_counts(self):
-        # tiny's 44-point axes cannot host 1024 ranks' block columns; a
-        # silently grown grid would make the sweep incomparable, so the
-        # helper must refuse instead.
-        with pytest.raises(ValueError, match="1024 ranks"):
-            scaling_variants("tiny", ranks=(4, 1024), mode="strong")
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError, match="mode"):
-            scaling_variants("tiny", ranks=(2,), mode="sideways")
-        with pytest.raises(ValueError, match="ranks"):
-            scaling_variants("tiny", ranks=())
-        with pytest.raises(KeyError):
-            scaling_variants("unregistered", ranks=(2,))
-
-
-class TestModelScalingSweep:
-    """The cost-model sweep: analytic pricing of iterations without data."""
-
-    def test_point_structure_and_work_counts(self):
-        config = scaling_variants("blue_waters_64", ranks=(64,), mode="weak")[0]
-        point = model_scaling_point(config)
-        bx, by, bz = config.blocks_per_subdomain
-        nx, ny, nz = config.shape
-        assert point["ncores"] == 64
-        assert point["nblocks"] == 64 * bx * by * bz
-        assert point["npoints"] == nx * ny * nz
-        assert point["metric"] == "VAR"
-        steps = point["modelled_steps"]
-        assert set(steps) == {
-            "scoring", "sorting", "reduction", "redistribution", "rendering",
-        }
-        assert all(v >= 0.0 for v in steps.values())
-        assert point["modelled_total"] == pytest.approx(sum(steps.values()))
-
-    def test_point_deterministic_per_seed(self):
-        config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
-        assert model_scaling_point(config) == model_scaling_point(config)
-
-    def test_percent_extremes(self):
-        config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
-        none_reduced = model_scaling_point(config, percent=0.0)
-        assert none_reduced["nreduced"] == 0
-        assert none_reduced["modelled_steps"]["reduction"] == pytest.approx(
-            PlatformModel.blue_waters(4).reduction_seconds(0)
-        )
-        all_reduced = model_scaling_point(config, percent=100.0)
-        assert all_reduced["nreduced"] == all_reduced["nblocks"]
-        # No survivors -> nothing to redistribute.
-        assert all_reduced["moved_bytes"] == 0
-        assert all_reduced["modelled_steps"]["redistribution"] == 0.0
-
-    def test_block_bytes_match_the_data_path(self):
-        """The sweep prices a moved full block at what the engine moves for
-        it (regression: it assumed float64 fields, the data path is float32)."""
-        config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
-        sizes = {
-            b.nbytes
-            for blocks in ExperimentScenario(config).blocks_for(0)
-            for b in blocks
-        }
-        assert len(sizes) == 1  # tiny divides evenly: every block is alike
-        point = model_scaling_point(config, percent=0.0)
-        assert point["moved_blocks"] > 0
-        assert point["moved_bytes"] == point["moved_blocks"] * sizes.pop()
-
-    @pytest.mark.parametrize("percent", [3.125, 9.375, 15.625, 21.875])
-    def test_point_reduces_as_many_blocks_as_the_pipeline(self, percent):
-        """At a percent whose block count lands on .5 the point prices the
-        count the pipeline reduces, rounded half-up (regression: banker's
-        ``round()`` priced 0 of 16 blocks at 3.125 %, the pipeline reduces 1)."""
-        config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
-        scenario = ExperimentScenario(config)
-        context = scenario.build_pipeline().engine.run_iteration(
-            scenario.blocks_for(0), percent, 0
-        )
-        point = model_scaling_point(config, percent=percent)
-        assert point["nblocks"] == len(context.columns) == 16
-        assert point["nreduced"] == context.reports["reduction"].counters["nreduced"]
-
-    def test_point_validates_arguments(self):
-        config = scaling_variants("tiny", ranks=(4,), mode="weak")[0]
-        with pytest.raises(ValueError, match="percent"):
-            model_scaling_point(config, percent=150.0)
-        with pytest.raises(ValueError, match="active_fraction"):
-            model_scaling_point(config, active_fraction=2.0)
-
-    def test_sweep_orders_points_by_ranks(self):
-        sweep = model_scaling_sweep("tiny", ranks=(4, 16), mode="weak")
-        assert sweep["scenario"] == "tiny"
-        assert sweep["ranks"] == [4, 16]
-        assert [p["ncores"] for p in sweep["points"]] == [4, 16]
-        # Weak scaling: per-rank points constant, so total points grow 4x.
-        assert sweep["points"][1]["npoints"] == 4 * sweep["points"][0]["npoints"]
-
-    def test_sweep_is_its_points_priced_in_order(self):
-        """The record's points are ``model_scaling_point`` of each variant,
-        in ``ranks`` order.  Fails if the points come back reversed."""
-        ranks = (16, 4, 64)
-        sweep = model_scaling_sweep("tiny", ranks, mode="weak", metric="FPZIP", percent=30.0)
-        assert sweep["points"] == [
-            model_scaling_point(config, "FPZIP", 30.0)
-            for config in scaling_variants("tiny", ranks, mode="weak")
-        ]
-
-    def test_weak_scaling_catalog_entries_registered(self):
-        names = scenario_names()
-        assert "blue_waters_weak_1024" in names
-        assert "blue_waters_weak_10k" in names
-        assert get_scenario("blue_waters_weak_1024").default_ranks == 1024
-        assert get_scenario("blue_waters_weak_10k").default_ranks == 10000
-        # Their full-scale configs exist purely for the model-driven sweep,
-        # but (like every registry entry) they must be priceable directly.
-        config = create_scenario_config("blue_waters_weak_10k")
-        point = model_scaling_point(config)
-        assert point["nblocks"] == 10000 * np.prod(config.blocks_per_subdomain)
