@@ -29,7 +29,8 @@ No option chooses between two implementations that give the same answer.
 
 Exit codes: 0 on success, 2 on usage errors — an unknown scenario name (the
 message lists the registered ones) or an option value the validator refuses
-(``--ranks 0``, ``--percent 150``, ``--target -1``, an unknown metric,
+(``--ranks 0``, a ``--ranks`` the scenario's grid cannot host,
+``--percent 150``, ``--target -1``, an unknown metric,
 ``serve --workers 0``), reported as ``error: ...`` on stderr; argparse
 refuses an option no subcommand has.
 """

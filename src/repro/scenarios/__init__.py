@@ -31,7 +31,7 @@ from repro.scenarios.registry import (
     scenario_names,
     scenario_specs,
 )
-from repro.scenarios.scenario import ExperimentScenario
+from repro.scenarios.scenario import ExperimentScenario, scenario_decomposition
 from repro.scenarios.spec import ScenarioConfig
 
 # Importing the catalogue registers the built-in workloads.
@@ -43,6 +43,7 @@ __all__ = [
     "create_scenario_config",
     "get_scenario",
     "register_scenario",
+    "scenario_decomposition",
     "scenario_names",
     "scenario_specs",
 ]

@@ -45,6 +45,7 @@ __all__ = [
     "cached_scenario",
     "live_dataset",
     "render_baseline_seconds",
+    "scenario_decomposition",
 ]
 
 
@@ -81,6 +82,22 @@ class ExchangeCalibratedNetwork(NetworkCostModel):
         return effective.alltoallv(send_matrix_bytes, nranks)
 
 
+def scenario_decomposition(config: ScenarioConfig) -> CartesianDecomposition:
+    """The block decomposition ``config`` runs on.
+
+    CM1 decomposes horizontally, so each vertical column stays on one rank.
+    ``ValueError`` when the grid cannot host ``config.ncores`` ranks' block
+    columns.
+    """
+    px, py = factorize_ranks(config.ncores, ndims=2)
+    return CartesianDecomposition(
+        global_shape=config.shape,
+        nranks=config.ncores,
+        blocks_per_subdomain=config.blocks_per_subdomain,
+        rank_dims_override=(px, py, 1),
+    )
+
+
 def render_baseline_seconds(ncores: int) -> float:
     """The paper's no-reduction/no-redistribution rendering baseline for ``ncores``."""
     baselines = PAPER_BASELINES["render_none"]
@@ -105,14 +122,7 @@ class ExperimentScenario:
         self.dataset = (
             dataset if dataset is not None else live_dataset(config, cache=True)
         )
-        # CM1 decomposes horizontally; keep the vertical column on one rank.
-        px, py = factorize_ranks(config.ncores, ndims=2)
-        self.decomposition = CartesianDecomposition(
-            global_shape=config.shape,
-            nranks=config.ncores,
-            blocks_per_subdomain=config.blocks_per_subdomain,
-            rank_dims_override=(px, py, 1),
-        )
+        self.decomposition = scenario_decomposition(config)
         self._blocks_cache: Dict[int, Sequence[Sequence[Block]]] = {}
         self.platform = self._calibrated_platform()
 

@@ -49,7 +49,12 @@ from repro.core.config import AdaptationConfig
 from repro.core.redistribution import STRATEGIES
 from repro.core.results import IterationResult, PipelineRunResult
 from repro.metrics.registry import default_registry
-from repro.scenarios import ExperimentScenario, ScenarioConfig, get_scenario
+from repro.scenarios import (
+    ExperimentScenario,
+    ScenarioConfig,
+    get_scenario,
+    scenario_decomposition,
+)
 from repro.utils.procpool import worker_channel
 from repro.viz.catalyst import RENDER_MODES
 
@@ -173,10 +178,19 @@ class RunRequest:
         )
 
     def scenario_config(self) -> ScenarioConfig:
-        """The workload this request runs; ``KeyError`` for an unregistered name."""
-        return get_scenario(self.scenario).build(
+        """The workload this request runs; ``KeyError`` for an unregistered
+        name, ``ValueError`` for a rank count the workload's grid cannot host."""
+        config = get_scenario(self.scenario).build(
             ncores=self.ranks, nsnapshots=self.snapshots, seed=self.seed
         )
+        try:
+            scenario_decomposition(config)
+        except ValueError as exc:
+            raise ValueError(
+                f"ranks={config.ncores} do not fit the {config.shape} grid of "
+                f"{self.scenario!r}: {exc}"
+            ) from None
+        return config
 
 
 def _json_default(value):

@@ -39,11 +39,13 @@ from repro.scenarios import (
     create_scenario_config,
     get_scenario,
     register_scenario,
+    scenario_decomposition,
     scenario_names,
     scenario_specs,
 )
 from repro.scenarios.registry import _REGISTRY
 from repro.scenarios.scenario import cached_scenario, render_baseline_seconds
+from repro.scenarios.spec import TINY_SHAPE
 from repro.viz.catalyst import IsosurfaceScript
 
 #: Every engine name ``PipelineConfig`` accepts; the first is the per-block oracle.
@@ -113,6 +115,60 @@ class TestRegistry:
         tiny = ExperimentScenario.tiny(nranks=2, nsnapshots=1).config
         assert (tiny.ncores, tiny.nsnapshots, tiny.name) == (2, 1, "tiny")
         assert ExperimentScenario.from_name("tiny", nsnapshots=1).config.name == "tiny"
+
+
+@pytest.mark.parametrize("name", scenario_names())
+class TestCatalogueDefaults:
+    """Every registered workload, built without overrides, is the scale its
+    spec advertises and a grid that hosts it; none of it generates data."""
+
+    def test_defaults_match_the_spec(self, name):
+        spec = get_scenario(name)
+        config = create_scenario_config(name)
+        assert config.name == name
+        assert config.ncores == spec.default_ranks
+        assert config.nsnapshots == spec.default_snapshots
+
+    def test_default_grid_hosts_its_ranks(self, name):
+        """Each rank owns the same number of blocks, and the blocks tile the
+        whole grid.  Fails if a catalogue entry's rank count outgrows its
+        grid (``repro run`` would then refuse the entry's own defaults)."""
+        config = create_scenario_config(name)
+        decomposition = scenario_decomposition(config)
+        per_rank = int(np.prod(config.blocks_per_subdomain))
+        assert decomposition.blocks_per_rank == per_rank
+        assert decomposition.nblocks == config.ncores * per_rank
+        extents = decomposition.all_block_extents().values()
+        assert sum(extent.npoints for extent in extents) == int(np.prod(config.shape))
+        assert decomposition.rank_dims[2] == 1  # CM1 keeps each column on one rank
+
+    def test_tiny_keeps_the_family(self, name):
+        """``spec.tiny()`` shrinks only the grid and the rank/snapshot counts,
+        so tiny-scale parity tests run the family's storm and blocking."""
+        full, tiny = create_scenario_config(name), get_scenario(name).tiny()
+        assert tiny.shape == TINY_SHAPE
+        assert (tiny.ncores, tiny.nsnapshots) == (4, 2)
+        assert tiny.storm == full.storm
+        assert tiny.blocks_per_subdomain == full.blocks_per_subdomain
+        assert scenario_decomposition(tiny).nblocks == 4 * int(
+            np.prod(full.blocks_per_subdomain)
+        )
+
+
+@pytest.mark.parametrize("engine", ["serial", "vectorized"])
+@pytest.mark.parametrize("percent, nreduced", [(3.125, 1), (9.375, 2), (15.625, 3), (21.875, 4)])
+def test_engine_reduces_half_up_at_half_block_percents(engine, percent, nreduced):
+    """On ``tiny``'s 16 blocks each percent lands on half a block; both step
+    classes reduce the half-up count of the lowest-scored blocks.  Fails if
+    either engine rounds like ``round()`` (0 blocks at 3.125 %, 2 at 15.625 %)."""
+    scenario = tiny_scenario("tiny")
+    assert scenario.nblocks == 16
+    context = scenario.build_pipeline(engine=engine).engine.run_iteration(
+        scenario.blocks_for(0), percent, 0
+    )
+    assert context.reports["reduction"].counters["nreduced"] == nreduced
+    lowest = {block_id for block_id, _ in context.sorted_pairs[:nreduced]}
+    assert context.reduced_ids == lowest
 
 
 class TestStormFamilies:

@@ -1265,6 +1265,7 @@ BAD_VALUES = [
     ("percent", -0.5, "-0.5"),
     ("target", 0, "0"),
     ("target", -1, "-1"),
+    ("ranks", 1024, "1024"),  # tiny's 44-point axes cannot host 32x32 ranks
     ("ranks", 2.5, None),
     ("ranks", True, None),
     ("snapshots", "two", None),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.scenarios import scenario_specs
 from repro.simmpi.communicator import BSPCommunicator, _payload_nbytes
 from repro.simmpi.costmodel import NetworkCostModel
 from repro.simmpi.sort import (
@@ -124,6 +125,21 @@ class TestNetworkCostModelBatch:
         before = matrix.copy()
         model.alltoallv(matrix, 4)
         assert np.array_equal(matrix, before)
+
+    @pytest.mark.parametrize(
+        "nranks", sorted({spec.default_ranks for spec in scenario_specs()})
+    )
+    def test_alltoallv_matches_loop_at_catalogue_rank_counts(self, nranks):
+        """At every rank count a registered workload runs, a redistribution-
+        like exchange (each rank sends whole blocks to a few partners, some
+        to itself) prices identically to the loop."""
+        model = NetworkCostModel.blue_waters()
+        rng = np.random.default_rng(nranks)
+        block_bytes = 22 * 22 * 38 * 4
+        partners = rng.random((nranks, nranks)) < min(1.0, 8.0 / nranks)
+        matrix = np.where(partners, rng.integers(1, 4, (nranks, nranks)) * block_bytes, 0)
+        assert matrix[~np.eye(nranks, dtype=bool)].any()
+        assert model.alltoallv(matrix, nranks) == oracle_alltoallv_loop(model, matrix, nranks)
 
     @settings(deadline=None, max_examples=30)
     @given(
