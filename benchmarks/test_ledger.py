@@ -12,10 +12,10 @@ runs, and a kind:
 * ``reproduced`` — the value emerges from the data and the model.
 
 One parametrised test runs over the rows.  Each run the rows read — the
-fixed-percent sweeps, the adaptive runs and the Fig. 1, Fig. 3, Fig. 4 and
-Table I drivers — is computed once per scenario, on first read, and shared by
-every row that reads it.  Each row prints its ledger line; ``pytest -s``
-shows the whole ledger.
+fixed-percent sweeps, the adaptive runs, the Fig. 1 and Table I drivers and
+the one scoring of a snapshot that Figs. 3 and 4 read — is computed once per
+scenario, on first read, and shared by every row that reads it.  Each row
+prints its ledger line; ``pytest -s`` shows the whole ledger.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import pytest
 
 from repro.core.backends import STEP_NAMES
 from repro.experiments.fig1_renderings import run_fig1
-from repro.experiments.fig3_metric_agreement import run_fig3
-from repro.experiments.fig4_scoremaps import run_fig4
+from repro.experiments.metric_maps import score_snapshot
 from repro.experiments.runs import (
     PAPER_TARGETS,
     adaptive_run,
@@ -121,12 +120,9 @@ class Runs:
         return self._once("fig1", lambda: run_fig1(self.scenario))
 
     @property
-    def fig3(self):
-        return self._once("fig3", lambda: run_fig3(self.scenario, max_blocks=384))
-
-    @property
-    def fig4(self):
-        return self._once("fig4", lambda: run_fig4(self.scenario))
+    def maps(self):
+        """Figs. 3 and 4: snapshot 0 scored by each paper metric."""
+        return self._once("maps", lambda: score_snapshot(self.scenario))
 
     @property
     def table1(self):
@@ -196,10 +192,8 @@ def _corner_share_error(r: Runs) -> float:
 
 
 def _storm_contrast(r: Runs) -> float:
-    field = np.asarray(r.scenario.dataset.snapshot(0).get_field("dbz"))
-    storm = field.max(axis=2) > 0.0
-    norms = [smap.normalised() for smap in r.fig4.scoremaps.values()]
-    return min(norm[storm].mean() - norm[~storm].mean() for norm in norms)
+    storm = r.maps.column_max > 0.0
+    return min(norm[storm].mean() - norm[~storm].mean() for norm in r.maps.normalised)
 
 
 def _fig7_means(r: Runs) -> np.ndarray:
@@ -254,22 +248,22 @@ LEDGER = (
         lambda r: r.table1["LEA"].measured_seconds / r.table1["TRILIN"].measured_seconds),
     # -- Fig. 3: the metrics agree broadly, not perfectly ----------------------
     Row("fig3-pairs", "Fig. 3", 64, "metric pairs compared",
-        15.0, ("==", 15), lambda r: len(r.fig3.comparisons)),
+        15.0, ("==", 15), lambda r: len(r.maps.spearman)),
     Row("fig3-quiet-prefix", "Fig. 3", 64, "fewest minimum-score blocks of any metric",
-        None, (">=", 1), lambda r: min(r.fig3.quiet_prefix_size.values())),
+        None, (">=", 1), lambda r: min(r.maps.quiet_prefix.values())),
     Row("fig3-var-trilin", "Fig. 3", 64, "Spearman rank correlation, VAR vs TRILIN",
-        None, (">", 0.5), lambda r: r.fig3.pair("VAR", "TRILIN").spearman),
+        None, (">", 0.5), lambda r: r.maps.spearman["VAR", "TRILIN"]),
     Row("fig3-some-disagree", "Fig. 3", 64, "lowest pairwise Spearman correlation",
-        None, ("<", 0.999), lambda r: min(c.spearman for c in r.fig3.comparisons)),
+        None, ("<", 0.999), lambda r: min(r.maps.spearman.values())),
     Row("fig3-all-agree", "Fig. 3", 64, "lowest pairwise Spearman correlation",
-        None, (">", 0.0), lambda r: min(c.spearman for c in r.fig3.comparisons)),
+        None, (">", 0.0), lambda r: min(r.maps.spearman.values())),
     # -- Fig. 4: every scoremap lights up the storm ----------------------------
     Row("fig4-storm-contrast", "Fig. 4", 64,
         "least storm-minus-background mean normalised score of a metric",
         None, (">", 0.0), _storm_contrast),
     Row("fig4-high-score-area", "Fig. 4", 64, "largest top-decile-score area fraction",
         None, ("<", 0.5),
-        lambda r: max(smap.high_score_fraction(0.9) for smap in r.fig4.scoremaps.values())),
+        lambda r: float(r.maps.top_decile.mean(axis=(1, 2)).max())),
     # -- Fig. 5: redistribution alone, p = 0 -----------------------------------
     *(
         row

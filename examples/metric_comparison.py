@@ -22,10 +22,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.scenarios import ExperimentScenario, ScenarioConfig
-from repro.experiments.fig3_metric_agreement import format_fig3, run_fig3
-from repro.experiments.fig4_scoremaps import format_fig4, run_fig4
+from repro.experiments.metric_maps import format_metric_maps, score_snapshot
 from repro.experiments.table1_metric_cost import format_table, run_table1
 from repro.viz.framebuffer import Framebuffer
+from repro.viz.slice_render import extract_slice
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -38,14 +38,13 @@ def main() -> None:
 
     print(format_table(run_table1(scenario, max_blocks=64)))
     print()
-    print(format_fig3(run_fig3(scenario, max_blocks=128)))
-    print()
-    fig4 = run_fig4(scenario)
-    print(format_fig4(fig4))
-    Framebuffer.save_array_pgm(fig4.original_slice, OUTPUT_DIR / "scoremap_original_dbz.pgm")
-    for name, smap in fig4.scoremaps.items():
+    maps = score_snapshot(scenario)
+    print(format_metric_maps(maps))
+    field = scenario.dataset.snapshot(0).get_field(scenario.config.field_name)
+    Framebuffer.save_array_pgm(extract_slice(field), OUTPUT_DIR / "scoremap_original_dbz.pgm")
+    for name, image in zip(maps.names, maps.images):
         path = OUTPUT_DIR / f"scoremap_{name.lower()}.pgm"
-        Framebuffer.save_array_pgm(smap.image, path)
+        Framebuffer.save_array_pgm(image, path)
         print(f"  wrote {path}")
 
 

@@ -71,7 +71,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "AdaptationConfig",

@@ -43,6 +43,9 @@ _HEADER = struct.Struct("<4sBBHIII")  # magic, 8, precision, pad, nx, ny, nz
 _CELL = 4
 #: Bit planes kept per cell (the payload header records it).
 _PRECISION = 16
+#: Largest quantised magnitude the lifting can take: a coefficient sums 64 of
+#: them, and ``64 * 2**57`` is ``2**63``.
+_LIFT_LIMIT = 2.0**57
 
 
 def _cells(stack: np.ndarray) -> np.ndarray:
@@ -130,7 +133,12 @@ class ZfpLikeCompressor(Compressor):
         exponents[nonzero] = np.ceil(np.log2(maxabs[nonzero])).astype(np.int32)
         exponents = np.clip(exponents, -127, 127)
         scale = np.ldexp(1.0, (_PRECISION - 2) - exponents)  # leave headroom
-        ints = np.rint(cells * scale[:, None, None, None]).astype(np.int64)
+        quantised = np.rint(cells * scale[:, None, None, None])
+        # Only float64 cells from 2**170 (about 1.5e51) reach the limit: their
+        # exponent is clipped to 127, so their quantised values keep growing.
+        if np.abs(quantised).max(initial=0.0) >= _LIFT_LIMIT:
+            raise ValueError("block values exceed the coder's int64 range")
+        ints = quantised.astype(np.int64)
 
         # Smooth cells concentrate their energy in a handful of coefficients,
         # so their AC coefficients need 0–1 bytes and the cell compresses

@@ -7,8 +7,8 @@ Each module regenerates artefacts of the paper's evaluation section
 ===========================  ================================================
 :mod:`fig1_renderings`       Fig. 1 — original vs filtered renderings
 :mod:`table1_metric_cost`    Table I — metric scoring cost on 64/400 cores
-:mod:`fig3_metric_agreement` Fig. 3 — pairwise metric rank agreement
-:mod:`fig4_scoremaps`        Fig. 4 — scoremaps vs the original dBZ field
+:mod:`metric_maps`           Figs. 3 and 4 — pairwise metric rank agreement
+                             and scoremaps, from one scoring of a snapshot
 :mod:`runs`                  Figs. 5–9 — one fixed-percent sweep
                              (:func:`~runs.fixed_percent_sweep`); Figs. 10
                              and 11 — one adaptive run

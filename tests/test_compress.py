@@ -740,6 +740,30 @@ class TestZfpLike:
         error = np.abs(back.astype(np.float64) - block.astype(np.float64)).max()
         assert error <= comp.error_bound(block)
 
+    @staticmethod
+    def _float64_ramp(magnitude):
+        return np.linspace(-magnitude, magnitude, 64).reshape(4, 4, 4)
+
+    def test_float64_block_below_the_int64_lifting_limit_codes_within_bound(self):
+        """A float64 cell's exponent is clipped to 127, so its quantised
+        values grow with it; at 1e51 they still fit the int64 lifting."""
+        comp, block = ZfpLikeCompressor(), self._float64_ramp(1e51)
+        back = comp.decompress(comp.compress(block))
+        assert np.abs(back - block).max() <= comp.error_bound(block)
+        sizes = comp.compressed_size_batch(np.stack([np.zeros_like(block), block]))
+        assert sizes[1] == len(comp.compress(block).payload)
+
+    @pytest.mark.parametrize("magnitude", [1e52, 1e53])
+    def test_float64_blocks_beyond_the_int64_lifting_are_refused(self, magnitude):
+        """From 2**170 the lifting overflows int64: 1e52 used to decode 6e51
+        off (bound 8.3e34), 1e53 to garbage.  Such a block is refused, alone
+        or in a batch, like a non-finite one."""
+        comp, block = ZfpLikeCompressor(), self._float64_ramp(magnitude)
+        with pytest.raises(ValueError, match="int64 range"):
+            comp.compress(block)
+        with pytest.raises(ValueError, match="int64 range"):
+            comp.compressed_size_batch(np.stack([np.zeros_like(block), block]))
+
 
 def _wire_format_blocks():
     """Three fixed blocks built from exact arithmetic only (no RNG, no libm)."""
@@ -756,7 +780,8 @@ def _wire_format_blocks():
 def test_wire_format_pinned():
     """sha256 of ``compress(x).payload`` for each coder: FPZIP's recorded
     before the fused kernel replaced steps 1–3, ZFP's and LZ's before each got
-    one encoder for a block and a stack alike.  No payload moved by a byte."""
+    one encoder for a block and a stack alike.  No payload moved by a byte;
+    ZFP refuses the float64 block holding ±max, whose quantisation overflows."""
     recorded = {
         FpzipLikeCompressor: [
             (494, "01fa2721c127b707ccb0cdbaa06e317e03b72b370df5bfb76f8e6462ba8e630e"),
@@ -765,7 +790,7 @@ def test_wire_format_pinned():
         ],
         ZfpLikeCompressor: [
             (414, "5515fc044b9a100e2566e85ec72790e31aa88be7d9ec759f8bb2e105f8a5062a"),
-            (118, "b86081da84da36ed98e203e7774294c14a4f27c93d662284089b6fc1ed3cfde0"),
+            None,
             (88, "e29113c6b495f047e766b152df2de4b6435f89a833c9a92e925f31d1624d2160"),
         ],
         LzLikeCompressor: [
@@ -776,11 +801,13 @@ def test_wire_format_pinned():
     }
     for make, pins in recorded.items():
         comp = make()
-        for block, (nbytes, digest) in zip(_wire_format_blocks(), pins):
-            # The float64 block's ±max lie outside ZFP's int64 range (its
-            # quantisation overflows): those bytes pin numpy's out-of-range cast.
-            with np.errstate(invalid="ignore"):
-                result = comp.compress(block)
+        for block, pin in zip(_wire_format_blocks(), pins):
+            if pin is None:
+                with pytest.raises(ValueError, match="int64 range"):
+                    comp.compress(block)
+                continue
+            nbytes, digest = pin
+            result = comp.compress(block)
             assert len(result.payload) == nbytes
             assert hashlib.sha256(result.payload).hexdigest() == digest
             if make is not ZfpLikeCompressor:

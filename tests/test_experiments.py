@@ -24,8 +24,6 @@ import pytest
 from repro.core.backends import STEP_NAMES
 from repro.core.config import AdaptationConfig
 from repro.experiments.fig1_renderings import run_fig1
-from repro.experiments.fig3_metric_agreement import format_fig3, run_fig3
-from repro.experiments.fig4_scoremaps import format_fig4, run_fig4
 from repro.experiments.runs import (
     PAPER_TARGETS,
     adaptive_run,
@@ -454,38 +452,6 @@ class TestFig1:
         assert result.volume_filtered.max() > 0.2
         paths = result.save(tmp_path)
         assert len(paths) == 4 and all(p.exists() for p in paths.values())
-
-
-class TestFig3:
-    def test_pairs_and_quiet_prefix(self, scenario):
-        result = run_fig3(scenario, metrics=("VAR", "RANGE", "LEA", "TRILIN"), max_blocks=96)
-        assert len(result.comparisons) == 6  # C(4,2)
-        for comp in result.comparisons:
-            assert -1.0 <= comp.spearman <= 1.0
-        # Metrics broadly agree on ordering (positive rank correlation).
-        var_range = result.pair("VAR", "RANGE")
-        assert var_range.spearman > 0.3
-        assert "Figure 3" in format_fig3(result)
-
-    def test_quiet_blocks_exist(self, scenario):
-        result = run_fig3(scenario, metrics=("VAR", "RANGE"), max_blocks=96)
-        assert all(q >= 1 for q in result.quiet_prefix_size.values())
-
-
-class TestFig4:
-    def test_scoremaps_overlap_storm(self, scenario):
-        result = run_fig4(scenario, metrics=("VAR", "TRILIN", "LEA"))
-        assert set(result.scoremaps) == {"VAR", "TRILIN", "LEA"}
-        for name, overlap in result.storm_overlap.items():
-            assert 0.0 <= overlap <= 1.0
-        # Every metric scores the storm's footprint higher, on average, than
-        # the quiet background (the paper's scoremaps show the same contrast).
-        field = np.asarray(scenario.dataset.snapshot(0).get_field("dbz"))
-        storm_cols = field.max(axis=2) > 0.0
-        for name in ("VAR", "TRILIN", "LEA"):
-            norm = result.scoremaps[name].normalised()
-            assert norm[storm_cols].mean() > norm[~storm_cols].mean()
-        assert "Figure 4" in format_fig4(result)
 
 
 class TestFig5:

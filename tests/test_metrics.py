@@ -1,4 +1,4 @@
-"""Tests for the block-scoring metrics, registry, scoremaps and comparisons."""
+"""Tests for the block-scoring metrics and their registry."""
 
 from __future__ import annotations
 
@@ -6,20 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.grid.decomposition import CartesianDecomposition
 from repro.metrics.base import MetricCost
 from repro.metrics.bytewise import BytewiseEntropyMetric, bytewise_entropies
-from repro.metrics.comparison import (
-    compare_metrics,
-    rank_blocks,
-    score_blocks_with_metrics,
-    spearman_rank_correlation,
-)
 from repro.metrics.compression import CompressionRatioMetric
 from repro.metrics.entropy import HistogramEntropyMetric, LocalEntropyMetric
 from repro.metrics.interpolation import TrilinearErrorMetric
 from repro.metrics.registry import PAPER_METRICS, MetricRegistry, create_metric, default_registry
-from repro.metrics.scoremap import compute_scoremap
 from repro.metrics.statistics import RangeMetric, StdDevMetric, VarianceMetric
 
 
@@ -156,63 +148,3 @@ class TestRegistry:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             MetricRegistry().register("  ", RangeMetric)
-
-
-class TestComparisonAndScoremap:
-    def test_rank_blocks_tie_break_by_id(self):
-        ranks = rank_blocks({3: 1.0, 1: 1.0, 2: 0.5})
-        assert ranks[2] == 0 and ranks[1] == 1 and ranks[3] == 2
-
-    def test_spearman_perfect_and_inverse(self):
-        assert spearman_rank_correlation([0, 1, 2, 3], [0, 1, 2, 3]) == pytest.approx(1.0)
-        assert spearman_rank_correlation([0, 1, 2, 3], [3, 2, 1, 0]) == pytest.approx(-1.0)
-
-    def test_spearman_validation(self):
-        with pytest.raises(ValueError):
-            spearman_rank_correlation([1], [1])
-        with pytest.raises(ValueError):
-            spearman_rank_correlation([1, 2], [1, 2, 3])
-
-    def test_compare_metrics_pairs_count(self, tiny_field):
-        decomp = CartesianDecomposition(tiny_field.shape, nranks=4, blocks_per_subdomain=(2, 2, 1))
-        blocks = [b for r in range(4) for b in decomp.extract_blocks(r, tiny_field)]
-        metrics = [VarianceMetric(), RangeMetric(), BytewiseEntropyMetric()]
-        scores = score_blocks_with_metrics(metrics, blocks)
-        comparisons = compare_metrics(scores)
-        assert len(comparisons) == 3  # C(3, 2)
-        for comp in comparisons:
-            assert comp.nblocks == len(blocks)
-            assert -1.0 <= comp.spearman <= 1.0
-            assert 0.0 <= comp.agreement_fraction(0.2) <= 1.0
-
-    def test_compare_metrics_requires_same_blocks(self):
-        with pytest.raises(ValueError):
-            compare_metrics({"A": {0: 1.0}, "B": {1: 1.0}})
-
-    def test_compare_metrics_requires_two(self):
-        with pytest.raises(ValueError):
-            compare_metrics({"A": {0: 1.0}})
-
-    def test_scoremap_highlights_storm(self, tiny_field):
-        decomp = CartesianDecomposition(tiny_field.shape, nranks=4, blocks_per_subdomain=(2, 2, 1))
-        smap = compute_scoremap(VarianceMetric(), decomp, tiny_field)
-        assert smap.image.shape == tiny_field.shape[:2]
-        assert len(smap.block_scores) == decomp.nblocks
-        norm = smap.normalised()
-        assert norm.min() == 0.0 and norm.max() == pytest.approx(1.0)
-        # Scores are higher, on average, over the storm's footprint than over
-        # the quiet background (the variance is concentrated at the storm).
-        storm_cols = tiny_field.max(axis=2) > 0.0
-        assert storm_cols.any() and (~storm_cols).any()
-        assert norm[storm_cols].mean() > norm[~storm_cols].mean()
-
-    def test_scoremap_shape_mismatch(self, tiny_field):
-        decomp = CartesianDecomposition((10, 10, 10), nranks=1)
-        with pytest.raises(ValueError):
-            compute_scoremap(VarianceMetric(), decomp, tiny_field)
-
-    def test_scoremap_high_score_fraction(self, tiny_field):
-        decomp = CartesianDecomposition(tiny_field.shape, nranks=2, blocks_per_subdomain=(2, 2, 1))
-        smap = compute_scoremap(RangeMetric(), decomp, tiny_field)
-        frac = smap.high_score_fraction(0.8)
-        assert 0.0 <= frac <= 1.0
