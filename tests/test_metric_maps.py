@@ -12,12 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 import pytest
 
-from repro.experiments.metric_maps import format_metric_maps, score_snapshot
+from repro.experiments.metric_maps import (
+    STORM_DBZ,
+    MetricMaps,
+    format_metric_maps,
+    score_snapshot,
+)
 from repro.grid.decomposition import CartesianDecomposition
 from repro.metrics.base import ScoreMetric
 from repro.metrics.registry import PAPER_METRICS, create_metric
@@ -223,3 +229,69 @@ def test_maps_on_a_16_rank_scenario():
         assert norm[storm].mean() > norm[~storm].mean()
     text = format_metric_maps(maps)
     assert "Figure 3" in text and "storm" in text
+
+
+# -- the derivations on chosen scores ---------------------------------------------
+
+
+def _tiny_maps(scores, column_max=None) -> MetricMaps:
+    """Maps of ``scores`` (metrics x 16 blocks) over the tiny scenario's
+    arrival, whose 16 blocks tile its 44 x 44 columns in disjoint 11 x 11
+    footprints, row ``i`` holding block id ``i``."""
+    arrival = cached_scenario(name="tiny", nsnapshots=2).blocks_for(0)
+    scores = np.asarray(scores, dtype=np.float64)
+    if column_max is None:
+        column_max = np.zeros((44, 44))
+    return MetricMaps(tuple(f"M{m}" for m in range(len(scores))), scores, arrival, column_max)
+
+
+def test_ranks_order_ties_by_block_id():
+    """Rows whose scores tie take ranks in block-id order, not row order."""
+    arrival = SimpleNamespace(ids=np.array([3, 1, 2]))
+    maps = MetricMaps(("A",), np.array([[1.0, 1.0, 0.5]]), arrival, np.zeros((1, 1)))
+    assert maps.ranks.tolist() == [[2, 1, 0]]
+
+
+def test_spearman_is_one_for_one_order_and_minus_one_for_its_reverse():
+    order = np.arange(16.0)
+    maps = _tiny_maps([order, 2.0 * order + 1.0, -order])
+    assert maps.spearman == {("M0", "M1"): 1.0, ("M0", "M2"): -1.0, ("M1", "M2"): -1.0}
+
+
+def test_quiet_prefix_counts_the_blocks_at_the_minimum_score():
+    scores = np.arange(16.0) + 1.0
+    with_ties = scores.copy()
+    with_ties[[3, 7, 11]] = 0.0
+    with_ties[12] = 1e-12  # np.isclose to 0
+    assert _tiny_maps([scores, with_ties]).quiet_prefix == {"M0": 1, "M1": 4}
+
+
+def test_images_paint_each_footprint_with_its_block_score():
+    scores = 10.0 + np.arange(16.0)
+    maps = _tiny_maps([scores])
+    assert maps.images.shape == (1, 44, 44)
+    arrival = maps.arrival
+    for row, ((x0, y0, _), (x1, y1, _)) in enumerate(zip(arrival.starts, arrival.stops)):
+        assert (maps.images[0, x0:x1, y0:y1] == scores[row]).all()
+        assert (maps.normalised[0, x0:x1, y0:y1] == row / 15).all()
+
+
+def test_a_constant_scoremap_normalises_to_zeros_and_keeps_no_area():
+    maps = _tiny_maps([np.full(16, 7.0)], column_max=np.full((44, 44), STORM_DBZ + 1.0))
+    assert (maps.normalised == 0.0).all()
+    assert not maps.top_decile.any()
+    assert maps.storm_overlap == {"M0": 0.0}
+
+
+def test_storm_overlap_is_the_top_decile_share_inside_the_storm():
+    """Block 5 covers the storm; a metric scoring it highest keeps only storm
+    columns in its top decile, one scoring block 10 highest keeps none."""
+    column_max = np.zeros((44, 44))
+    column_max[0:11, 33:44] = STORM_DBZ + 1.0  # block 5's footprint
+    storm_high = np.zeros(16)
+    storm_high[5] = 1.0
+    quiet_high = np.zeros(16)
+    quiet_high[10] = 1.0
+    maps = _tiny_maps([storm_high, quiet_high], column_max)
+    assert maps.top_decile.sum(axis=(1, 2)).tolist() == [121, 121]
+    assert maps.storm_overlap == {"M0": 1.0, "M1": 0.0}
