@@ -33,7 +33,7 @@ from repro.grid.batch import (
     stacked_shape_groups,
 )
 from repro.metrics.registry import create_metric
-from repro.scenarios import get_scenario
+from repro.scenarios import create_scenario_config
 from repro.viz.marching_cubes import count_active_cells_batch
 
 #: Minimum serial/vectorized wall-clock ratio the engine must deliver on the
@@ -498,7 +498,7 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
     The speedup must not come from doing less: every per-iteration result
     of the replayed run is asserted identical to the simulated run first.
     """
-    config = get_scenario("blue_waters_64").build(nsnapshots=4)
+    config = create_scenario_config("blue_waters_64", nsnapshots=4)
     store_dir = tmp_path / "fig11-replay"
 
     def run_on(scenario):

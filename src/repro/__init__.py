@@ -29,15 +29,15 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
 * :mod:`repro.perfmodel` — the "Blue Waters seconds" cost model calibrated
   against the paper's published numbers;
 * :mod:`repro.io` — a BIL-like dataset store;
-* :mod:`repro.scenarios` — the named workload registry: the paper's two
-  Blue Waters configurations plus parameterised storm families the paper
-  never ran (squall line, multi-cell cluster, turbulence-only field,
-  decaying storm);
+* :mod:`repro.scenarios` — the workload catalogue, one table of named
+  configs: the paper's two Blue Waters configurations plus storm families
+  the paper never ran (squall line, multi-cell cluster, turbulence-only
+  field, decaying storm);
 * :mod:`repro.serve` — the streaming NDJSON service and its replay cache;
 * :mod:`repro.experiments` — drivers regenerating every table and figure of
   the paper's evaluation section.
 
-The registered workloads are also runnable from the command line::
+The catalogue's workloads are also runnable from the command line::
 
     python -m repro list
     python -m repro run squall_line --output out.json
@@ -62,16 +62,15 @@ from repro.core import (
 )
 from repro.cm1 import CM1Config, CM1Dataset, CM1Simulation
 from repro.perfmodel import PlatformModel
-from repro.metrics import create_metric, default_registry
+from repro.metrics import create_metric
 from repro.scenarios import (
     ExperimentScenario,
     ScenarioConfig,
     create_scenario_config,
-    register_scenario,
     scenario_names,
 )
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "AdaptationConfig",
@@ -88,8 +87,6 @@ __all__ = [
     "ScenarioConfig",
     "create_metric",
     "create_scenario_config",
-    "default_registry",
-    "register_scenario",
     "scenario_names",
     "quickstart_pipeline",
     "__version__",
@@ -112,7 +109,9 @@ def quickstart_pipeline(
     ("vectorized", or the "serial" oracle; "parallel" and "process" are
     aliases of "vectorized"); all give identical results.
     """
-    scenario = ExperimentScenario.tiny(nranks=nranks, nsnapshots=nsnapshots)
+    scenario = ExperimentScenario(
+        create_scenario_config("tiny", ncores=nranks, nsnapshots=nsnapshots)
+    )
     pipeline = scenario.build_pipeline(
         metric=metric,
         redistribution=redistribution,

@@ -1,13 +1,13 @@
 """The ``python -m repro`` command line.
 
-Three subcommands expose the scenario registry without writing any Python:
+Three subcommands expose the workload catalogue without writing any Python:
 
 ``list``
     Print the workload catalogue (name, default scale, tags, description),
     optionally filtered by tag, optionally as JSON.
 
 ``run``
-    Run the full six-step pipeline on a registered scenario (with optional
+    Run the full six-step pipeline on a catalogue scenario (with optional
     rank/snapshot/seed overrides) and write a JSON summary — per-iteration
     rows, per-step aggregates, and the adaptation trajectory.  The options
     are validated by :class:`~repro.serve.procrun.RunRequest` and the run is
@@ -28,7 +28,7 @@ Three subcommands expose the scenario registry without writing any Python:
 No option chooses between two implementations that give the same answer.
 
 Exit codes: 0 on success, 2 on usage errors — an unknown scenario name (the
-message lists the registered ones) or an option value the validator refuses
+message lists the catalogue's names) or an option value the validator refuses
 (``--ranks 0``, a ``--ranks`` the scenario's grid cannot host,
 ``--percent 150``, ``--target -1``, an unknown metric,
 ``serve --workers 0``), reported as ``error: ...`` on stderr; argparse
@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.redistribution import STRATEGIES
-from repro.scenarios import ExperimentScenario, get_scenario, scenario_specs
+from repro.scenarios import CATALOGUE, ExperimentScenario
 from repro.serve.procrun import RunRequest, _json_default, execute_run
 from repro.serve.server import ServeApp, serve_forever
 from repro.viz.catalyst import RENDER_MODES
@@ -184,36 +184,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    specs = [
-        spec
-        for spec in scenario_specs()
-        if args.tag is None or args.tag in spec.tags
+    rows = [
+        (name, config, description, tags)
+        for name, (config, description, tags) in CATALOGUE.items()
+        if args.tag is None or args.tag in tags
     ]
     if args.json:
         print(
             json.dumps(
                 [
                     {
-                        "name": spec.name,
-                        "description": spec.description,
-                        "tags": list(spec.tags),
-                        "default_ranks": spec.default_ranks,
-                        "default_snapshots": spec.default_snapshots,
+                        "name": name,
+                        "description": description,
+                        "tags": list(tags),
+                        "default_ranks": config.ncores,
+                        "default_snapshots": config.nsnapshots,
                     }
-                    for spec in specs
+                    for name, config, description, tags in rows
                 ],
                 indent=2,
             )
         )
         return 0
-    if not specs:
+    if not rows:
         print(f"no scenarios tagged {args.tag!r}")
         return 0
-    width = max(len(spec.name) for spec in specs)
-    for spec in specs:
-        scale = f"{spec.default_ranks}r/{spec.default_snapshots}s"
-        tags = ",".join(spec.tags)
-        print(f"{spec.name:<{width}}  {scale:>8}  [{tags}]  {spec.description}")
+    width = max(len(name) for name, *_ in rows)
+    for name, config, description, tags in rows:
+        scale = f"{config.ncores}r/{config.nsnapshots}s"
+        print(f"{name:<{width}}  {scale:>8}  [{','.join(tags)}]  {description}")
     return 0
 
 
@@ -254,15 +253,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    spec = get_scenario(config.name)
+    _, description, tags = CATALOGUE[config.name]
     scenario = ExperimentScenario(config)
     events: List[Dict[str, object]] = []
     result, run = execute_run(request, scenario, events.append, lambda: None)
     summary = {
         "scenario": {
-            "name": spec.name,
-            "description": spec.description,
-            "tags": list(spec.tags),
+            "name": config.name,
+            "description": description,
+            "tags": list(tags),
             "ncores": config.ncores,
             "shape": list(config.shape),
             "blocks_per_subdomain": list(config.blocks_per_subdomain),
@@ -289,7 +288,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(text)
     if args.save_dataset is not None:
         store = scenario.dataset.save(
-            args.save_dataset, extra_metadata={"scenario": spec.name}
+            args.save_dataset, extra_metadata={"scenario": config.name}
         )
         print(
             f"saved dataset ({len(store.iterations())} iterations) to {store.root}",

@@ -47,7 +47,7 @@ class Compressor(abc.ABC):
     original size), and :meth:`decompress` inverts :meth:`compress`.
     """
 
-    #: Short name used by the metric registry (e.g. ``"fpzip"``).
+    #: Short name of the coder (e.g. ``"fpzip"``).
     name: str = "compressor"
 
     @abc.abstractmethod

@@ -56,8 +56,8 @@ class PipelineConfig:
     Attributes
     ----------
     metric:
-        Name of the block-scoring metric (resolved through the default
-        metric registry: "VAR", "LEA", "FPZIP", ...).
+        Name of the block-scoring metric (a key of
+        :data:`repro.metrics.registry.METRICS`: "VAR", "LEA", "FPZIP", ...).
     redistribution:
         ``"none"``, ``"shuffle"`` (random), or ``"round_robin"`` (the keys of
         :data:`repro.core.redistribution.STRATEGIES`).

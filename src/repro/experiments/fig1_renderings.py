@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.scenarios import ExperimentScenario
+from repro.scenarios import ExperimentScenario, create_scenario_config
 from repro.grid.reduction import reconstruct_block, reduce_block
 from repro.viz.framebuffer import Framebuffer
 from repro.viz.slice_render import render_colormap_slice
@@ -64,7 +64,9 @@ def run_fig1(
     level_index: Optional[int] = None,
 ) -> Fig1Result:
     """Reproduce the Figure 1 panels and the original-vs-filtered cost gap."""
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=1)
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=1)
+    )
     field = scenario.dataset.snapshot(snapshot_index).get_field(scenario.config.field_name)
     field = np.asarray(field, dtype=np.float64)
     filtered = _filtered_field(scenario, snapshot_index)

@@ -91,7 +91,12 @@ class MetricMaps:
     @cached_property
     def images(self) -> np.ndarray:
         """``(metrics, nx, ny)`` scoremaps: each pixel the score of the block
-        whose footprint covers it, the last such block in arrival order."""
+        whose footprint covers it, the last such block in arrival order.
+
+        That block is the top one of the column, so a pixel shows one layer of
+        its footprint's blocks: 1 of 8 on ``blue_waters_64``, whose blocks
+        stack 8 deep (``blocks_per_subdomain`` (2, 2, 8)).  The storm-overlap
+        and contrast readings judge that layer only."""
         shown = np.empty(self.column_max.shape, dtype=np.int64)
         starts = self.arrival.starts[:, :2].tolist()
         stops = self.arrival.stops[:, :2].tolist()

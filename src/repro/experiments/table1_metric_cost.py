@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.scenarios import ExperimentScenario
+from repro.scenarios import ExperimentScenario, create_scenario_config
 from repro.metrics.registry import PAPER_METRICS, create_metric
 from repro.perfmodel.calibration import (
     PAPER_BLOCK_SHAPE,
@@ -60,7 +60,9 @@ def run_table1(
         Number of laptop-scale blocks actually scored for the measured column
         (keeps the pure-Python compressor metrics affordable).
     """
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=1)
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=1)
+    )
     blocks = scenario.all_blocks(0)[: max(1, int(max_blocks))]
     points_per_core = {n: paper_points_per_core(n) for n in (64, 400)}
     # One untimed block per metric, then the best of three interleaved passes:

@@ -171,16 +171,6 @@ class Block:
         """Payload size in bytes (what redistribution actually transfers)."""
         return int(self.data.nbytes)
 
-    @property
-    def npoints_payload(self) -> int:
-        """Number of points currently stored in the payload."""
-        return int(self.data.size)
-
-    @property
-    def npoints_full(self) -> int:
-        """Number of points the block covers in the domain (reduced or not)."""
-        return self.extent.npoints
-
     def _clone_with(self, **updates: object) -> "Block":
         """Copy of the block with some fields replaced, skipping re-validation.
 
@@ -211,7 +201,3 @@ class Block:
         data = np.asarray(data)
         check_level_payload(level, self.extent.shape, data.shape)
         return self._clone_with(data=data, level=level)
-
-    def value_range(self) -> Tuple[float, float]:
-        """(min, max) of the payload values."""
-        return (float(self.data.min()), float(self.data.max()))

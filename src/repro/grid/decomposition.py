@@ -154,14 +154,6 @@ class CartesianDecomposition:
         px, py, pz = self.rank_dims
         return (rank // (py * pz), (rank // pz) % py, rank % pz)
 
-    def rank_from_coords(self, coords: Tuple[int, int, int]) -> int:
-        """Inverse of :meth:`rank_coords`."""
-        px, py, pz = self.rank_dims
-        cx, cy, cz = coords
-        if not (0 <= cx < px and 0 <= cy < py and 0 <= cz < pz):
-            raise ValueError(f"coords {coords} out of process grid {self.rank_dims}")
-        return cx * py * pz + cy * pz + cz
-
     def subdomain_extent(self, rank: int) -> BlockExtent:
         """Global index extent of the subdomain owned by ``rank``."""
         coords = self.rank_coords(rank)
@@ -216,12 +208,6 @@ class CartesianDecomposition:
         if not (0 <= block_id < self.nblocks):
             raise ValueError(f"block_id {block_id} out of range [0, {self.nblocks})")
         return block_id // self.blocks_per_rank
-
-    def block_extent(self, block_id: int) -> BlockExtent:
-        """Extent of ``block_id`` in global index space."""
-        rank = self.owner_of_block(block_id)
-        local = block_id - rank * self.blocks_per_rank
-        return self.block_extents(rank)[local]
 
     def all_block_extents(self) -> Dict[int, BlockExtent]:
         """Mapping block id -> extent for the whole domain."""

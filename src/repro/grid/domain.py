@@ -51,10 +51,6 @@ class Domain:
         """Shape of the domain (number of grid points per axis)."""
         return self.grid.shape
 
-    def add_field(self, name: str, values: np.ndarray) -> None:
-        """Add (or replace) a named field array."""
-        self.fields[name] = self._validate_field(name, values)
-
     def field_names(self) -> List[str]:
         """Names of the fields stored in this domain snapshot."""
         return list(self.fields.keys())

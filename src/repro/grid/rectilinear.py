@@ -135,16 +135,3 @@ class RectilinearGrid:
             float(self.y[-1] - self.y[0]),
             float(self.z[-1] - self.z[0]),
         )
-
-    def spacing(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-axis spacing arrays (each of length ``n-1``)."""
-        return (np.diff(self.x), np.diff(self.y), np.diff(self.z))
-
-    def meshgrid(self, indexing: str = "ij"):
-        """Return the full 3-D coordinate mesh (memory: 3 × npoints floats)."""
-        return np.meshgrid(self.x, self.y, self.z, indexing=indexing)
-
-    def cell_volumes(self) -> np.ndarray:
-        """Volumes of the ``(nx-1, ny-1, nz-1)`` cells of the grid."""
-        dx, dy, dz = self.spacing()
-        return dx[:, None, None] * dy[None, :, None] * dz[None, None, :]

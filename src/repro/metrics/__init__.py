@@ -24,17 +24,18 @@ declaration (:class:`ScoreMetric`): ``score_block`` (one block),
 loop over ``score_block``) and ``gil_bound``.  RANGE, VAR, STD, ITL, TRILIN
 and the coder-based FPZIP/ZFP/LZ override ``score_batch`` with one pass over
 the batch that gives bitwise the scores of the loop; LEA, LOCAL_ENTROPY and
-PYVAR keep the loop.  :func:`create_metric` builds a metric by name.
+PYVAR keep the loop.  :data:`METRICS` is the name → factory table and
+:func:`create_metric` builds a metric by name.
 Figures 3 and 4 (rank agreement, scoremaps) score with these metrics in
 :mod:`repro.experiments.metric_maps`.
 """
 
 from repro.metrics.base import ScoreMetric, MetricCost
-from repro.metrics.registry import default_registry, create_metric
+from repro.metrics.registry import METRICS, create_metric
 
 __all__ = [
+    "METRICS",
     "ScoreMetric",
     "MetricCost",
-    "default_registry",
     "create_metric",
 ]

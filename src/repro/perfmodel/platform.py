@@ -114,20 +114,3 @@ class PlatformModel:
             render=RenderCostModel(),
             metric_costs=costs,
         )
-
-    @classmethod
-    def slow_cluster(cls, ncores: int) -> "PlatformModel":
-        """A commodity-cluster configuration (slower network), for ablations.
-
-        The paper's conclusion asks whether more elaborate redistribution is
-        needed "on platforms with lower network performance"; this preset is
-        what the corresponding ablation benchmark uses.
-        """
-        costs = {name: metric_cost_from_table1(name, 64) for name in TABLE1_SECONDS}
-        return cls(
-            name=f"slow-cluster-{ncores}",
-            ncores=ncores,
-            network=NetworkCostModel.slow_cluster(),
-            render=RenderCostModel(),
-            metric_costs=costs,
-        )

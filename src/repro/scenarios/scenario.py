@@ -1,7 +1,7 @@
-"""A registered workload made runnable: data, decomposition, calibrated platform.
+"""A catalogue workload made runnable: data, decomposition, calibrated platform.
 
 Workload *parameters* live in :class:`~repro.scenarios.spec.ScenarioConfig`
-and the registry; this module adds what a run needs on top of a config.  An
+and the catalogue; this module adds what a run needs on top of a config.  An
 :class:`ExperimentScenario` bundles:
 
 * a synthetic CM1 dataset at laptop scale (the paper's 2200×2200×380 grid
@@ -15,9 +15,9 @@ and the registry; this module adds what a run needs on top of a config.  An
   (160 s on 64 cores, 50 s on 400 cores) — after which every other number the
   drivers report emerges from the data and the model.
 
-The named constructors (``blue_waters``, ``tiny``, ``from_name``) resolve
-through the registry, and :func:`cached_scenario` memoises construction keyed
-by the full resolved config.
+A scenario is built from a resolved config,
+``ExperimentScenario(create_scenario_config(name, **overrides))``, and
+:func:`cached_scenario` memoises that construction keyed by the full config.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.grid.block import Block
 from repro.grid.decomposition import CartesianDecomposition, factorize_ranks
 from repro.perfmodel.calibration import PAPER_BASELINES, calibrate_render_model
 from repro.perfmodel.platform import PlatformModel
-from repro.scenarios.registry import create_scenario_config
+from repro.scenarios.catalog import create_scenario_config
 from repro.scenarios.spec import ScenarioConfig
 from repro.simmpi.costmodel import NetworkCostModel
 from repro.viz.catalyst import IsosurfaceScript
@@ -126,34 +126,12 @@ class ExperimentScenario:
         self._blocks_cache: Dict[int, Sequence[Sequence[Block]]] = {}
         self.platform = self._calibrated_platform()
 
-    # -- construction helpers ------------------------------------------------------
-
-    @classmethod
-    def from_name(cls, name: str, **overrides) -> "ExperimentScenario":
-        """Scenario built from a registered workload name.
-
-        Keyword overrides (``ncores``, ``nsnapshots``, ``shape``, ``seed``,
-        ...) replace the registered family's defaults; ``None`` values are
-        ignored, so CLI arguments forward directly.
-        """
-        return cls(create_scenario_config(name, **overrides))
-
     @classmethod
     def from_store(cls, config: ScenarioConfig, store_dir) -> "ExperimentScenario":
         """Scenario replaying the dataset store at ``store_dir`` through
         read-only memory maps: zero-copy, bitwise the live simulation."""
         dataset = CM1Dataset.load(store_dir, field_name=config.field_name, mmap=True)
         return cls(config, dataset=dataset)
-
-    @classmethod
-    def blue_waters(cls, ncores: int = 64, nsnapshots: int = 10) -> "ExperimentScenario":
-        """Scenario matching one of the paper's two configurations."""
-        return cls(_config_for_cores(ncores, nsnapshots))
-
-    @classmethod
-    def tiny(cls, nranks: int = 4, nsnapshots: int = 2) -> "ExperimentScenario":
-        """Unit-test-sized scenario."""
-        return cls.from_name("tiny", ncores=nranks, nsnapshots=nsnapshots)
 
     # -- data access --------------------------------------------------------------
 
@@ -302,16 +280,6 @@ class ExperimentScenario:
         return InSituPipeline(config, self.platform, nranks=self.nranks)
 
 
-def _config_for_cores(ncores: int, nsnapshots: Optional[int]) -> ScenarioConfig:
-    """64 and 400 cores are the paper's two registered configurations; any
-    other count is a generic supercell scenario."""
-    name = {64: "blue_waters_64", 400: "blue_waters_400"}.get(ncores)
-    if name is not None:
-        return create_scenario_config(name, nsnapshots=nsnapshots)
-    snapshots = {} if nsnapshots is None else {"nsnapshots": nsnapshots}
-    return ScenarioConfig(ncores=ncores, **snapshots)
-
-
 @lru_cache(maxsize=8)
 def _scenario_for_config(config: ScenarioConfig) -> ExperimentScenario:
     """Memoised scenario construction keyed by the *full* config.
@@ -325,25 +293,16 @@ def _scenario_for_config(config: ScenarioConfig) -> ExperimentScenario:
 
 
 def cached_scenario(
-    ncores: Optional[int] = None,
-    nsnapshots: Optional[int] = None,
-    name: Optional[str] = None,
+    name: str, ncores: Optional[int] = None, nsnapshots: Optional[int] = None
 ) -> ExperimentScenario:
     """Memoised scenario construction shared by the benchmark modules.
 
     Building a scenario generates the synthetic dataset and calibrates the
     platform, which takes a few seconds at the 400-rank scale; the benchmarks
     for different figures share the same scenario through this cache.
-
-    ``name`` selects a registered workload (with optional ``ncores`` /
-    ``nsnapshots`` overrides).  Without a name, 64 and 400 cores resolve to
-    the paper's two configurations, any other count to a generic supercell
-    scenario.
+    ``name`` selects a catalogue workload, ``ncores`` / ``nsnapshots``
+    override its scale.
     """
-    if name is not None:
-        config = create_scenario_config(name, ncores=ncores, nsnapshots=nsnapshots)
-    elif ncores is not None:
-        config = _config_for_cores(ncores, nsnapshots)
-    else:
-        raise TypeError("cached_scenario requires a scenario name or ncores")
-    return _scenario_for_config(config)
+    return _scenario_for_config(
+        create_scenario_config(name, ncores=ncores, nsnapshots=nsnapshots)
+    )

@@ -1,26 +1,20 @@
-"""Scenario specifications: workload parameters plus registry metadata.
+"""The parameter record of one workload.
 
 :class:`ScenarioConfig` is the canonical parameter record of one workload —
 rank count, grid shape, block decomposition, snapshot count, and the storm
-structure driving the synthetic CM1 data.
-
-:class:`ScenarioSpec` is a registry entry wrapping a config *factory* with
-the metadata the CLI and the test sweeps need: a name, a one-line
-description, tags, and default rank/snapshot counts.  ``spec.build(...)``
-produces a :class:`ScenarioConfig` with any subset of the parameters
-overridden — which is how one registered workload family serves paper-scale
-benchmarks and tiny-scale parity tests alike.
+structure driving the synthetic CM1 data.  The named ones are the rows of
+:data:`~repro.scenarios.catalog.CATALOGUE`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-__all__ = ["TINY_SHAPE", "ScenarioConfig", "ScenarioFactory", "ScenarioSpec"]
+__all__ = ["TINY_SHAPE", "ScenarioConfig"]
 
-#: The unit-test grid: shared by the registered ``tiny`` workload and by
-#: :meth:`ScenarioSpec.tiny`, which shrinks any workload to this scale.
+#: The unit-test grid of the catalogue's ``tiny`` workload; tests shrink any
+#: workload to it.
 TINY_SHAPE: Tuple[int, int, int] = (44, 44, 12)
 
 
@@ -41,7 +35,7 @@ class ScenarioConfig:
     seed: int = 2016
     #: Optional storm-structure override (None = CM1Config's default supercell).
     storm: Optional[object] = None
-    #: Registry name the config was built from ("" for ad-hoc configs).
+    #: Catalogue name the config was built from ("" for ad-hoc configs).
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -50,52 +44,3 @@ class ScenarioConfig:
         if self.nsnapshots < 1:
             raise ValueError(f"nsnapshots must be >= 1, got {self.nsnapshots}")
 
-
-#: A scenario factory accepts keyword overrides (``ncores``, ``nsnapshots``,
-#: ``shape``, ``blocks_per_subdomain``, ``seed``, ...) and returns the
-#: resolved :class:`ScenarioConfig`.
-ScenarioFactory = Callable[..., ScenarioConfig]
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One registered workload family.
-
-    Attributes
-    ----------
-    name:
-        Registry key (lower-case, unique).
-    factory:
-        Builds the family's :class:`ScenarioConfig`; keyword overrides are
-        forwarded verbatim.
-    description:
-        One-line description shown by ``python -m repro list``.
-    tags:
-        Free-form labels ("paper", "storm-family", "stress", ...).
-    default_ranks, default_snapshots:
-        Scale the factory produces when called without overrides.
-    """
-
-    name: str
-    factory: ScenarioFactory
-    description: str = ""
-    tags: Tuple[str, ...] = ()
-    default_ranks: int = 64
-    default_snapshots: int = 10
-
-    def build(self, **overrides) -> ScenarioConfig:
-        """Build the scenario config, applying non-None keyword overrides."""
-        clean = {key: value for key, value in overrides.items() if value is not None}
-        config = self.factory(**clean)
-        if config.name != self.name:
-            config = replace(config, name=self.name)
-        return config
-
-    def tiny(self, nranks: int = 4, nsnapshots: int = 2) -> ScenarioConfig:
-        """The family at unit-test scale: a 44×44×12 grid on ``nranks`` ranks.
-
-        Only the grid and rank/snapshot counts shrink; the storm structure
-        and the family's block decomposition are preserved, so tiny-scale
-        tests exercise the same workload shape the full scenario has.
-        """
-        return self.build(ncores=nranks, nsnapshots=nsnapshots, shape=TINY_SHAPE)

@@ -1,7 +1,7 @@
 """The run: one validated request, one body, and the pool worker's door to it.
 
 ``python -m repro run``, the serve mode's thread tier and its process tier
-answer the same question — run this registered scenario with these options
+answer the same question — run this catalogue scenario with these options
 and report every iteration — so they share everything but the transport:
 
 :class:`RunRequest`
@@ -48,11 +48,11 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.config import AdaptationConfig
 from repro.core.redistribution import STRATEGIES
 from repro.core.results import IterationResult, PipelineRunResult
-from repro.metrics.registry import default_registry
+from repro.metrics.registry import METRICS
 from repro.scenarios import (
     ExperimentScenario,
     ScenarioConfig,
-    get_scenario,
+    create_scenario_config,
     scenario_decomposition,
 )
 from repro.utils.procpool import worker_channel
@@ -132,10 +132,10 @@ class RunRequest:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.metric.strip().upper() not in default_registry():
+        if self.metric.strip().upper() not in METRICS:
             raise ValueError(
                 f"unknown metric {self.metric!r}; available: "
-                f"{', '.join(default_registry().names())}"
+                f"{', '.join(sorted(METRICS))}"
             )
         if self.redistribution not in STRATEGIES:
             raise ValueError(
@@ -178,10 +178,10 @@ class RunRequest:
         )
 
     def scenario_config(self) -> ScenarioConfig:
-        """The workload this request runs; ``KeyError`` for an unregistered
-        name, ``ValueError`` for a rank count the workload's grid cannot host."""
-        config = get_scenario(self.scenario).build(
-            ncores=self.ranks, nsnapshots=self.snapshots, seed=self.seed
+        """The workload this request runs; ``KeyError`` for a name not in the
+        catalogue, ``ValueError`` for a rank count the workload's grid cannot host."""
+        config = create_scenario_config(
+            self.scenario, ncores=self.ranks, nsnapshots=self.snapshots, seed=self.seed
         )
         try:
             scenario_decomposition(config)

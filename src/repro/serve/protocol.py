@@ -8,7 +8,7 @@ the body length, :func:`route` the reply or the run:
 ``GET /health``
     The app's ``health`` document (``status``, cache counters, executor depth).
 ``GET /scenarios``
-    The registered workload names.
+    The catalogue's workload names.
 ``POST /run``
     A JSON body validated by :class:`~repro.serve.procrun.RunRequest` (the
     validator ``python -m repro run`` uses) and its scenario resolved, both
@@ -20,7 +20,7 @@ the body length, :func:`route` the reply or the run:
 
 Refusals: a request line that is not ``METHOD PATH VERSION``, a
 ``Content-Length`` that is not a plain number and a refused ``/run`` body are
-``400``; an unregistered scenario (naming the registered ones) and any other
+``400``; an unknown scenario (naming the catalogue's) and any other
 route ``404``; a body above :data:`MAX_BODY_BYTES` ``413``, unread; a head
 above :data:`MAX_HEAD_BYTES` ``431``.
 """

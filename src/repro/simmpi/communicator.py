@@ -193,10 +193,6 @@ class BSPCommunicator:
         """Total modelled seconds spent in communication so far."""
         return float(sum(e["seconds"] for e in self.stats.values()))
 
-    def reset_stats(self) -> None:
-        """Clear the per-operation statistics."""
-        self.stats.clear()
-
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self._nranks):
             raise ValueError(f"rank {rank} out of range [0, {self._nranks})")

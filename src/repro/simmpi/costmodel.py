@@ -126,8 +126,3 @@ class NetworkCostModel:
     def blue_waters(cls) -> "NetworkCostModel":
         """Parameters approximating the Blue Waters Cray Gemini interconnect."""
         return cls(latency=1.5e-6, bandwidth=6.0e9, per_rank_overhead=5.0e-6)
-
-    @classmethod
-    def slow_cluster(cls) -> "NetworkCostModel":
-        """A commodity-ethernet-like platform (used by the ablation benches)."""
-        return cls(latency=5.0e-5, bandwidth=1.0e9, per_rank_overhead=2.0e-5)

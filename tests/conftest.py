@@ -12,7 +12,8 @@ from repro.cm1.config import CM1Config
 from repro.cm1.simulation import CM1Simulation
 from repro.core.step import IterationContext
 from repro.grid.batch import DecomposedField
-from repro.scenarios import ExperimentScenario, ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig, create_scenario_config
+from repro.scenarios.spec import TINY_SHAPE
 
 
 def execute_alone(step, per_rank_blocks, percent=0.0, iteration=0, **state):
@@ -58,6 +59,23 @@ def shm_leak_check():
     return shm_segments_since
 
 
+def tiny_config(name, nranks=4, nsnapshots=2):
+    """The catalogue workload ``name`` at unit-test scale: the 44×44×12 grid
+    on ``nranks`` ranks and ``nsnapshots`` snapshots.  Only the grid and the
+    counts shrink; the storm and the block decomposition stay the row's, so a
+    tiny-scale test runs the workload's shape.  Tests reach it as the
+    ``at_tiny_scale`` fixture."""
+    return create_scenario_config(
+        name, ncores=nranks, nsnapshots=nsnapshots, shape=TINY_SHAPE
+    )
+
+
+@pytest.fixture(scope="session")
+def at_tiny_scale():
+    """:func:`tiny_config`."""
+    return tiny_config
+
+
 @pytest.fixture(scope="session")
 def tiny_simulation() -> CM1Simulation:
     """A very small synthetic CM1 simulation shared across tests."""
@@ -79,7 +97,7 @@ def tiny_field(tiny_domain) -> np.ndarray:
 @pytest.fixture(scope="session")
 def tiny_scenario() -> ExperimentScenario:
     """A 4-rank experiment scenario shared across integration tests."""
-    return ExperimentScenario.tiny(nranks=4, nsnapshots=3)
+    return ExperimentScenario(create_scenario_config("tiny", nsnapshots=3))
 
 
 @pytest.fixture(scope="session")

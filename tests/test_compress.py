@@ -33,7 +33,7 @@ from repro.compress.predictors import (
     lorenzo_residuals,
 )
 from repro.compress.zfp_like import ZfpLikeCompressor
-from repro.metrics.registry import default_registry
+from repro.metrics.registry import create_metric
 
 
 # -- oracles ------------------------------------------------------------------
@@ -625,15 +625,15 @@ class TestEncoderOracles:
             assert streams == [oracle_lz_to_planes(b)[0] for b in prepared]
 
 
-#: The compressor-based scorers of the metric registry, and whether each
+#: The compressor-based scorers of the metric table, and whether each
 #: one's coder is lossless.
 CODER_METRICS = {"FPZIP": True, "ZFP": False, "LZ": True}
 
 
 def registered_coder(name):
-    """The coder the registry's ``name`` metric scores with (pymor's idiom:
-    the implementations under test come from the registry)."""
-    return default_registry().create(name).compressor
+    """The coder the table's ``name`` metric scores with (pymor's idiom:
+    the implementations under test come from the metric table)."""
+    return create_metric(name).compressor
 
 
 _SHAPES = st.tuples(*[st.integers(min_value=1, max_value=9)] * 3)

@@ -32,7 +32,7 @@ from repro.experiments.runs import (
 )
 from repro.experiments.table1_metric_cost import format_table, run_table1
 from repro.metrics.registry import PAPER_METRICS
-from repro.scenarios import ExperimentScenario, ScenarioConfig
+from repro.scenarios import ExperimentScenario, ScenarioConfig, create_scenario_config
 from repro.scenarios.scenario import render_baseline_seconds
 
 
@@ -127,7 +127,9 @@ def run_fig5(
         When True only the VAR-driven round-robin is run in addition to NONE
         and SHUFFLE (used by the small benchmark scale to bound run time).
     """
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=max(niterations, 1))
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=max(niterations, 1))
+    )
     iteration_blocks = scenario.iteration_blocks(niterations)
     rows: List[Fig5Row] = []
 
@@ -163,7 +165,9 @@ def run_reduction_sweep(
     redistribution: str = "none",
 ) -> ReductionSweepResult:
     """Run the pipeline at each fixed percentage (Figures 6, 7 and 9)."""
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=max(niterations, 1))
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=max(niterations, 1))
+    )
     iteration_blocks = scenario.iteration_blocks(niterations)
     result = ReductionSweepResult(
         ncores=scenario.nranks, percentages=[float(p) for p in percentages]
@@ -188,7 +192,9 @@ def run_comm_sweep(
     strategies: Sequence[str] = ("round_robin", "shuffle"),
 ) -> CommSweepResult:
     """Reproduce Figure 8 (the paper uses the LEA metric for this experiment)."""
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=max(niterations, 1))
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=max(niterations, 1))
+    )
     iteration_blocks = scenario.iteration_blocks(niterations)
     result = CommSweepResult(
         ncores=scenario.nranks, percentages=[float(p) for p in percentages]
@@ -215,7 +221,9 @@ def run_combined_sweep(
     strategies: Sequence[str] = ("none", "round_robin", "shuffle"),
 ) -> CombinedSweepResult:
     """Reproduce Figure 9."""
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=max(niterations, 1))
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=max(niterations, 1))
+    )
     result = CombinedSweepResult(ncores=scenario.nranks)
     for strategy in strategies:
         result.sweeps[strategy] = run_reduction_sweep(
@@ -236,7 +244,9 @@ def run_adaptation(
     redistribution: str = "none",
 ) -> Fig10Result:
     """Reproduce Figure 10 (or Figure 11 when ``redistribution`` is enabled)."""
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=10)
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=10)
+    )
     if targets is None:
         targets = PAPER_FIG10_TARGETS.get(scenario.nranks, (60.0, 20.0))
     # The paper replays 30 iterations; cycle over the available snapshots.
@@ -267,7 +277,9 @@ def run_full_pipeline_adaptation(
     redistribution: str = "round_robin",
 ) -> Fig10Result:
     """Reproduce Figure 11."""
-    scenario = scenario or ExperimentScenario.blue_waters(64, nsnapshots=10)
+    scenario = scenario or ExperimentScenario(
+        create_scenario_config("blue_waters_64", nsnapshots=10)
+    )
     if targets is None:
         targets = PAPER_FIG11_TARGETS.get(scenario.nranks, (25.0, 10.0))
     return run_adaptation(
@@ -372,7 +384,7 @@ class TestScenario:
         """Fails if ``blocks_for`` checks the cache and then overwrites it:
         the threads, all inside the decomposition at once and leaving it one
         after another, would each return their own copy."""
-        scenario = ExperimentScenario.tiny(nranks=4, nsnapshots=2)
+        scenario = ExperimentScenario(create_scenario_config("tiny"))
         threads = 4
         barrier = threading.Barrier(threads, timeout=60)
         per_rank_blocks = scenario.dataset.per_rank_blocks
@@ -393,7 +405,7 @@ class TestScenario:
     def test_streamed_blocks_are_decomposed_as_the_run_advances(self):
         """A run fed the generator form reports iteration ``i`` before snapshot
         ``i + 1`` is read; the list form is the same arrivals, all up front."""
-        scenario = ExperimentScenario.tiny(nranks=4, nsnapshots=3)
+        scenario = ExperimentScenario(create_scenario_config("tiny", nsnapshots=3))
         decomposed = []
         per_rank_blocks = scenario.dataset.per_rank_blocks
 

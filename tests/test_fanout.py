@@ -33,7 +33,7 @@ from repro.grid.fanout import map_shape_groups
 from repro.grid.reduction import reduce_block
 from repro.metrics.base import MetricCost, ScoreMetric
 from repro.metrics.registry import create_metric
-from repro.scenarios import ExperimentScenario, get_scenario
+from repro.scenarios import ExperimentScenario, create_scenario_config
 from repro.viz.marching_cubes import count_active_cells, count_active_cells_batch
 
 #: Full-block payload shapes, including length-1 axes and non-cubic blocks.
@@ -129,7 +129,7 @@ class RowLoggingMetric(ScoreMetric):
 
 class TestPoolBody:
     def test_worker_exception_propagates(self, scoring_fanout, run_step):
-        scenario = ExperimentScenario(get_scenario("tiny").tiny())
+        scenario = ExperimentScenario(create_scenario_config("tiny"))
         step = VectorizedScoringStep(ExplodingMetric(), scenario.platform)
         with pytest.raises(RuntimeError, match="metric exploded"):
             run_step(step, scenario.blocks_for(0))
@@ -142,7 +142,7 @@ class TestPoolBody:
         started and waits for the ones that have: nothing is still scoring
         once ``execute`` has raised, and the pool scores the next run."""
         monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 4)
-        platform = ExperimentScenario(get_scenario("tiny").tiny()).platform
+        platform = ExperimentScenario(create_scenario_config("tiny")).platform
         blocks = [
             Block(
                 block_id=i,
@@ -166,7 +166,7 @@ class TestPoolBody:
     def test_pooled_pyvar_iteration(self, scoring_fanout):
         """A full pipeline iteration scored over the pool equals the serial
         engine's."""
-        scenario = ExperimentScenario(get_scenario("tiny").tiny())
+        scenario = ExperimentScenario(create_scenario_config("tiny"))
 
         def pairs(engine):
             pipeline = scenario.build_pipeline(
@@ -190,8 +190,8 @@ class TestPoolBody:
             "from repro.core.scoring_step import VectorizedScoringStep\n"
             "from repro.core.step import IterationContext\n"
             "from repro.metrics.registry import create_metric\n"
-            "from repro.scenarios import ExperimentScenario, get_scenario\n"
-            "scenario = ExperimentScenario(get_scenario('tiny').tiny())\n"
+            "from repro.scenarios import ExperimentScenario, create_scenario_config\n"
+            "scenario = ExperimentScenario(create_scenario_config('tiny'))\n"
             "procpool.warm_shared_pool()\n"
             "step = VectorizedScoringStep(create_metric('PYVAR'), scenario.platform)\n"
             "blocks = scenario.blocks_for(0)\n"

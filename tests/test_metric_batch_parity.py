@@ -1,4 +1,4 @@
-"""The scoring contract: for every registered metric, ``score_batch`` equals
+"""The scoring contract: for every metric in ``METRICS``, ``score_batch`` equals
 the ``score_block`` loop, bitwise, on the same blocks.
 
 This is the invariant the execution engines rely on: the reduction and
@@ -8,8 +8,8 @@ make the backends diverge.  A score is a function of one block, so the law
 holds whatever the layout of the batch (length-1 axes, strided, read-only),
 whatever values it holds (NaN and ±inf score alike, or the coders refuse them
 alike) and however the process pool cuts it into chunks.  The implementations
-come from the registry (pymor's idiom), so a new metric is checked by
-registering it.
+come from the metric table (pymor's idiom), so a new metric is checked by
+adding its row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.grid.block import Block, BlockExtent
 from repro.grid.fanout import map_shape_groups
 from repro.metrics import statistics
 from repro.metrics.base import ScoreMetric
-from repro.metrics.registry import default_registry
+from repro.metrics.registry import METRICS, create_metric
 from repro.utils.histogram import fixed_range_histogram, fixed_range_histogram_batch
 
 #: The coder-based scorers: their coders refuse non-finite values.
@@ -42,11 +42,11 @@ def random_blocks(dtype, shape=(7, 6, 5), nblocks=12, seed=99):
     ]
 
 
-@pytest.mark.parametrize("name", default_registry().names())
+@pytest.mark.parametrize("name", sorted(METRICS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestScorePathParity:
     def test_three_paths_identical(self, name, dtype):
-        metric = default_registry().create(name)
+        metric = create_metric(name)
         blocks = random_blocks(dtype)
         batch = np.stack(blocks)
         scalar = [metric.score_block(b) for b in blocks]
@@ -58,7 +58,7 @@ class TestScorePathParity:
     def test_non_contiguous_blocks_identical(self, name, dtype):
         # Blocks carved out of a larger field are views; the batched path
         # stacks them into contiguous rows.  Scores must still match exactly.
-        metric = default_registry().create(name)
+        metric = create_metric(name)
         rng = np.random.default_rng(5)
         field = rng.uniform(-60.0, 80.0, size=(16, 14, 12)).astype(dtype)
         views = [
@@ -72,7 +72,7 @@ class TestScorePathParity:
 
     @pytest.mark.parametrize("layout", ["length-1 axes", "strided", "read-only"])
     def test_batch_equals_block_loop_on_every_layout(self, name, dtype, layout):
-        metric = default_registry().create(name)
+        metric = create_metric(name)
         batch = layout_batch(layout, dtype, seed=len(name))
         before = batch.copy()
         expected = [metric.score_block(b) for b in batch]
@@ -82,7 +82,7 @@ class TestScorePathParity:
 
     @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf], ids=str)
     def test_non_finite_values_score_alike_or_raise_alike(self, name, dtype, special):
-        metric = default_registry().create(name)
+        metric = create_metric(name)
         batch = layout_batch("read-only", dtype, seed=3, special=special)
         with np.errstate(invalid="ignore", over="ignore"):
             if name in CODERS:
@@ -99,7 +99,7 @@ class TestScorePathParity:
         """``score_batch`` over the process pool's row chunks (2 * 3 per shape
         group, one of 1 row) equals the per-block loop in block order."""
         monkeypatch.setattr("repro.grid.fanout.default_process_workers", lambda: 3)
-        metric = default_registry().create(name)
+        metric = create_metric(name)
         rng = np.random.default_rng(11)
         shapes = [(4, 3, 2)] * 7 + [(1, 5, 3)] * 5 + [(2, 2, 2)]
         blocks = [
@@ -120,7 +120,7 @@ class TestScorePathParity:
         seed=st.integers(0, 2**16),
     )
     def test_constant_block_never_outscores_a_noisy_one(self, name, dtype, shape, value, seed):
-        metric = default_registry().create(name)
+        metric = create_metric(name)
         noisy = np.random.default_rng(seed).uniform(-60.0, 80.0, shape).astype(dtype)
         constant = np.full(shape, value, dtype=dtype)
         scores = metric.score_batch(np.stack([constant, noisy]))
@@ -214,7 +214,7 @@ class TestRowVarianceLaw:
             batch = np.ascontiguousarray(head[:nrows])
         batch.flags.writeable = layout != "read-only"
         before = batch.copy()
-        metric = default_registry().create(name)
+        metric = create_metric(name)
         with np.errstate(invalid="ignore", over="ignore"):
             with mock.patch.object(statistics, "_CHUNK_BYTES", chunk_bytes):
                 batched = metric.score_batch(batch)
@@ -236,7 +236,7 @@ class TestRowVarianceLaw:
         rng = np.random.default_rng(7)
         full = rng.uniform(-60.0, 80.0, size=(chunk + 1, 55, 55, 38)).astype(np.float32)
         for name, oracle in ORACLES.items():
-            metric = default_registry().create(name)
+            metric = create_metric(name)
             for nrows in {max(1, chunk - 1), chunk, chunk + 1}:
                 batch = full[:nrows]
                 assert self._bits(metric.score_batch(batch)) == self._bits(oracle(batch))
@@ -247,7 +247,7 @@ class TestRowVarianceLaw:
 
 class TestSupportsBatchFlags:
     def test_batch_rejects_wrong_ndim(self):
-        metric = default_registry().create("VAR")
+        metric = create_metric("VAR")
         with pytest.raises(ValueError):
             metric.score_batch(np.zeros((4, 4, 4)))
 
@@ -256,8 +256,8 @@ class TestCustomMetricOverrides:
     def test_array_like_batch_accepted(self):
         # _prepare_batch accepts anything np.asarray can make 4-D, including
         # nested lists; no score_batch may assume .shape.
-        for name in default_registry().names():
-            metric = default_registry().create(name)
+        for name in sorted(METRICS):
+            metric = create_metric(name)
             blocks = random_blocks(np.float64, shape=(3, 3, 2), nblocks=2)
             nested = [b.tolist() for b in blocks]
             expected = [metric.score_block(b) for b in blocks]
@@ -270,7 +270,7 @@ class TestFloat16Parity:
         batched path must divide by the same promoted size as the scalar
         path (regression: it used to divide by the un-promoted nbytes)."""
         for name in ("FPZIP", "ZFP", "LZ", "LEA"):
-            metric = default_registry().create(name)
+            metric = create_metric(name)
             blocks = random_blocks(np.float16, nblocks=4)
             scalar = [metric.score_block(b) for b in blocks]
             batched = metric.score_batch(np.stack(blocks))
@@ -284,7 +284,7 @@ class TestFpzipReentrancy:
     belong to the call."""
 
     def test_one_metric_shared_by_four_threads(self):
-        metric = default_registry().create("FPZIP")
+        metric = create_metric("FPZIP")
         shapes = [(7, 6, 5), (9, 4, 5), (7, 6, 5), (3, 8, 8)]
         batches = [
             np.stack(random_blocks(np.float32, shape=shape, nblocks=40, seed=seed))
@@ -308,7 +308,7 @@ class TestFpzipReentrancy:
             assert answers == [single_threaded] * rounds
 
     def test_metric_stays_small_on_the_wire(self):
-        metric = default_registry().create("FPZIP")
+        metric = create_metric("FPZIP")
         assert len(pickle.dumps(metric)) < 1024
         batch = np.stack(random_blocks(np.float32))
         before = metric.score_batch(batch).tolist()
@@ -335,7 +335,7 @@ class TestNanHandling:
         assert fixed_range_histogram_batch(values, 4, (0.0, 8.0))[1].sum() == 0
 
     def test_itl_scores_nan_blocks_identically(self):
-        metric = default_registry().create("ITL")
+        metric = create_metric("ITL")
         blocks = random_blocks(np.float64, nblocks=3)
         blocks[1][0, 0, 0] = np.nan
         scalar = [metric.score_block(b) for b in blocks]

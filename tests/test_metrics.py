@@ -1,4 +1,4 @@
-"""Tests for the block-scoring metrics and their registry."""
+"""Tests for the block-scoring metrics and their name table."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.metrics.bytewise import BytewiseEntropyMetric, bytewise_entropies
 from repro.metrics.compression import CompressionRatioMetric
 from repro.metrics.entropy import HistogramEntropyMetric, LocalEntropyMetric
 from repro.metrics.interpolation import TrilinearErrorMetric
-from repro.metrics.registry import PAPER_METRICS, MetricRegistry, create_metric, default_registry
+from repro.metrics.registry import METRICS, PAPER_METRICS, create_metric
 from repro.metrics.statistics import RangeMetric, StdDevMetric, VarianceMetric
 
 
@@ -124,27 +124,16 @@ class TestCompressionMetric:
 
 class TestRegistry:
     def test_paper_metrics_all_available(self):
-        registry = default_registry()
-        for name in PAPER_METRICS:
-            assert name in registry
-            assert registry.create(name).name == name
+        assert set(PAPER_METRICS) <= set(METRICS)
+        for name in METRICS:
+            assert create_metric(name).name == name
 
     def test_case_insensitive(self):
         assert create_metric("var").name == "VAR"
 
     def test_unknown_metric(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as raised:
             create_metric("NOPE")
-
-    def test_register_custom_and_overwrite(self):
-        registry = MetricRegistry()
-        registry.register("CUSTOM", RangeMetric)
-        assert registry.create("CUSTOM").name == "RANGE"
-        with pytest.raises(ValueError):
-            registry.register("CUSTOM", VarianceMetric)
-        registry.register("CUSTOM", VarianceMetric, overwrite=True)
-        assert isinstance(registry.create("CUSTOM"), VarianceMetric)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            MetricRegistry().register("  ", RangeMetric)
+        assert raised.value.args[0] == (
+            f"unknown metric 'NOPE'; available: {', '.join(sorted(METRICS))}"
+        )

@@ -107,11 +107,6 @@ class TestPlatformModel:
             metric.cost.per_point * 1000
         )
 
-    def test_slow_cluster_network_slower(self):
-        slow = PlatformModel.slow_cluster(64)
-        fast = PlatformModel.blue_waters(64)
-        assert slow.network.p2p(1 << 20) > fast.network.p2p(1 << 20)
-
     def test_invalid_ncores(self):
         with pytest.raises(ValueError):
             PlatformModel(name="x", ncores=0)

@@ -1,13 +1,15 @@
-"""Tests of the scenario subsystem: registry, storm families, parity sweep.
+"""Tests of the scenario subsystem: catalogue, storm families, parity sweep.
 
-The centrepiece is the registry-driven cross-backend parity sweep: it
-parameterises over *every* registered scenario (``scenario_names()``), so a
-newly registered workload automatically gets parity coverage on every
-registered backend (``engine_backends()``) at tiny scale without anyone
-writing a test for it.
+The centrepiece is the catalogue-driven cross-backend parity sweep: it
+parameterises over *every* catalogue row (``scenario_names()``), so a
+workload added as a row automatically gets parity coverage on every
+engine name (``engine_backends()``) at tiny scale without anyone writing a
+test for it.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,19 +33,15 @@ from repro.cm1.storm import (
 from repro.core.backends import engine_backends
 from repro.grid.block import Block, BlockExtent
 from repro.metrics.base import MetricCost, ScoreMetric
-from repro.metrics.registry import default_registry
+from repro.metrics.registry import METRICS
 from repro.perfmodel.calibration import PAPER_BASELINES, calibrate_render_model
 from repro.scenarios import (
+    CATALOGUE,
     ExperimentScenario,
-    ScenarioConfig,
     create_scenario_config,
-    get_scenario,
-    register_scenario,
     scenario_decomposition,
     scenario_names,
-    scenario_specs,
 )
-from repro.scenarios.registry import _REGISTRY
 from repro.scenarios.scenario import cached_scenario, render_baseline_seconds
 from repro.scenarios.spec import TINY_SHAPE
 from repro.viz.catalyst import IsosurfaceScript
@@ -51,20 +49,25 @@ from repro.viz.catalyst import IsosurfaceScript
 #: Every engine name ``PipelineConfig`` accepts; the first is the per-block oracle.
 BACKENDS = engine_backends()
 
-#: The four storm families this PR introduces, all required to be registered.
+#: The four storm families the paper never ran, all required in the catalogue.
 NEW_FAMILIES = ("squall_line", "multicell_cluster", "turbulence_field", "decaying_storm")
 
-_TINY_CACHE = {}
+
+@pytest.fixture(scope="module")
+def tiny_of(at_tiny_scale):
+    """``tiny_of(name)``: the catalogue workload ``name`` as an
+    :class:`ExperimentScenario` at unit-test scale, built once per module."""
+    cache = {}
+
+    def build(name: str) -> ExperimentScenario:
+        if name not in cache:
+            cache[name] = ExperimentScenario(at_tiny_scale(name))
+        return cache[name]
+
+    return build
 
 
-def tiny_scenario(name: str) -> ExperimentScenario:
-    """Tiny-scale ExperimentScenario of a registered workload (cached)."""
-    if name not in _TINY_CACHE:
-        _TINY_CACHE[name] = ExperimentScenario(get_scenario(name).tiny())
-    return _TINY_CACHE[name]
-
-
-class TestRegistry:
+class TestCatalogue:
     def test_catalogue_size_and_contents(self):
         names = scenario_names()
         assert len(names) >= 7
@@ -73,14 +76,15 @@ class TestRegistry:
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="blue_waters_64"):
-            get_scenario("definitely_not_registered")
+            create_scenario_config("definitely_not_registered")
 
-    def test_specs_carry_metadata(self):
-        for spec in scenario_specs():
-            assert spec.name
-            assert spec.description
-            assert spec.default_ranks >= 1
-            assert spec.default_snapshots >= 1
+    def test_rows_carry_metadata(self):
+        for name, (config, description, tags) in CATALOGUE.items():
+            assert config.name == name
+            assert description and tags
+
+    def test_lookup_ignores_case_and_surrounding_space(self):
+        assert create_scenario_config(" Blue_Waters_64 ") == CATALOGUE["blue_waters_64"][0]
 
     def test_build_applies_overrides_and_stamps_name(self):
         config = create_scenario_config("squall_line", ncores=4, nsnapshots=3, seed=7)
@@ -90,44 +94,18 @@ class TestRegistry:
         assert config.name == "squall_line"
         # None overrides are ignored (CLI arguments forward directly).
         default = create_scenario_config("squall_line", ncores=None)
-        assert default.ncores == get_scenario("squall_line").default_ranks
-
-    def test_register_decorator_and_overwrite(self):
-        @register_scenario("pytest_tmp_scenario", description="x", tags=("tmp",))
-        def _factory(**overrides):
-            return ScenarioConfig(ncores=2, shape=(44, 44, 12), **overrides)
-
-        try:
-            assert "pytest_tmp_scenario" in scenario_names()
-            assert create_scenario_config("pytest_tmp_scenario").ncores == 2
-            # Re-registration overwrites (the documented extension contract).
-            register_scenario(
-                "pytest_tmp_scenario",
-                lambda **o: ScenarioConfig(ncores=3, shape=(44, 44, 12), **o),
-            )
-            assert create_scenario_config("pytest_tmp_scenario").ncores == 3
-        finally:
-            _REGISTRY.pop("pytest_tmp_scenario", None)
-
-    def test_classic_constructors_resolve_through_registry(self):
-        assert create_scenario_config("blue_waters_64", nsnapshots=3).name == "blue_waters_64"
-        assert create_scenario_config("blue_waters_400").ncores == 400
-        tiny = ExperimentScenario.tiny(nranks=2, nsnapshots=1).config
-        assert (tiny.ncores, tiny.nsnapshots, tiny.name) == (2, 1, "tiny")
-        assert ExperimentScenario.from_name("tiny", nsnapshots=1).config.name == "tiny"
+        assert default == CATALOGUE["squall_line"][0]
 
 
 @pytest.mark.parametrize("name", scenario_names())
 class TestCatalogueDefaults:
-    """Every registered workload, built without overrides, is the scale its
-    spec advertises and a grid that hosts it; none of it generates data."""
+    """Every catalogue workload, built without overrides, is its row and a
+    grid that hosts it; none of it generates data."""
 
-    def test_defaults_match_the_spec(self, name):
-        spec = get_scenario(name)
+    def test_defaults_are_the_row(self, name):
         config = create_scenario_config(name)
+        assert config == CATALOGUE[name][0]
         assert config.name == name
-        assert config.ncores == spec.default_ranks
-        assert config.nsnapshots == spec.default_snapshots
 
     def test_default_grid_hosts_its_ranks(self, name):
         """Each rank owns the same number of blocks, and the blocks tile the
@@ -142,10 +120,10 @@ class TestCatalogueDefaults:
         assert sum(extent.npoints for extent in extents) == int(np.prod(config.shape))
         assert decomposition.rank_dims[2] == 1  # CM1 keeps each column on one rank
 
-    def test_tiny_keeps_the_family(self, name):
-        """``spec.tiny()`` shrinks only the grid and the rank/snapshot counts,
-        so tiny-scale parity tests run the family's storm and blocking."""
-        full, tiny = create_scenario_config(name), get_scenario(name).tiny()
+    def test_tiny_keeps_the_family(self, name, at_tiny_scale):
+        """``at_tiny_scale`` shrinks only the grid and the rank/snapshot
+        counts, so tiny-scale parity tests run the family's storm and blocking."""
+        full, tiny = create_scenario_config(name), at_tiny_scale(name)
         assert tiny.shape == TINY_SHAPE
         assert (tiny.ncores, tiny.nsnapshots) == (4, 2)
         assert tiny.storm == full.storm
@@ -157,11 +135,11 @@ class TestCatalogueDefaults:
 
 @pytest.mark.parametrize("engine", ["serial", "vectorized"])
 @pytest.mark.parametrize("percent, nreduced", [(3.125, 1), (9.375, 2), (15.625, 3), (21.875, 4)])
-def test_engine_reduces_half_up_at_half_block_percents(engine, percent, nreduced):
+def test_engine_reduces_half_up_at_half_block_percents(engine, percent, nreduced, tiny_of):
     """On ``tiny``'s 16 blocks each percent lands on half a block; both step
     classes reduce the half-up count of the lowest-scored blocks.  Fails if
     either engine rounds like ``round()`` (0 blocks at 3.125 %, 2 at 15.625 %)."""
-    scenario = tiny_scenario("tiny")
+    scenario = tiny_of("tiny")
     assert scenario.nblocks == 16
     context = scenario.build_pipeline(engine=engine).engine.run_iteration(
         scenario.blocks_for(0), percent, 0
@@ -185,7 +163,7 @@ class TestStormFamilies:
     def test_families_produce_distinct_fields(self):
         fields = {}
         for name in ("tiny",) + NEW_FAMILIES:
-            storm = tiny_scenario(name).config.storm
+            storm = create_scenario_config(name).storm
             sim = CM1Simulation(
                 CM1Config(
                     shape=(44, 44, 12), **({} if storm is None else {"storm": storm})
@@ -221,8 +199,8 @@ class TestStormFamilies:
         assert centers(a) == centers(b)
         assert centers(a) != centers(c)
 
-    def test_turbulence_field_scores_near_uniform(self):
-        scenario = tiny_scenario("turbulence_field")
+    def test_turbulence_field_scores_near_uniform(self, tiny_of):
+        scenario = tiny_of("turbulence_field")
         pipeline = scenario.build_pipeline(metric="VAR")
         context = pipeline.engine.run_iteration(scenario.blocks_for(0), 0.0, 0)
         scores = np.array(
@@ -231,7 +209,7 @@ class TestStormFamilies:
         assert scores.min() > 0
         # Near-uniform: far tighter spread than the supercell workload.
         cv_turb = scores.std() / scores.mean()
-        supercell = tiny_scenario("tiny")
+        supercell = tiny_of("tiny")
         ctx2 = supercell.build_pipeline(metric="VAR").engine.run_iteration(
             supercell.blocks_for(0), 0.0, 0
         )
@@ -239,8 +217,8 @@ class TestStormFamilies:
         cv_storm = s2.std() / s2.mean()
         assert cv_turb < 0.5 * cv_storm
 
-    def test_decaying_storm_load_falls_over_snapshots(self):
-        scenario = tiny_scenario("decaying_storm")
+    def test_decaying_storm_load_falls_over_snapshots(self, tiny_of):
+        scenario = tiny_of("decaying_storm")
         config = scenario.config
         sim = CM1Simulation(
             CM1Config(shape=config.shape, seed=config.seed, storm=config.storm)
@@ -341,24 +319,24 @@ class TiedRanksDataset:
 
 
 def test_calibration_tie_goes_to_the_last_rank():
-    scenario = ExperimentScenario(get_scenario("tiny").tiny(), dataset=TiedRanksDataset())
+    scenario = ExperimentScenario(create_scenario_config("tiny"), dataset=TiedRanksDataset())
     worst = scenario.reference_workload()
     assert worst["triangles"] > 0 and worst["blocks"] == 3 and worst["points"] == 3 * 64
     assert_calibrated_like_the_oracle(scenario)
 
 
 @pytest.mark.parametrize("name", scenario_names())
-class TestRegistryParitySweep:
-    """Every registered workload must run identically on every backend."""
+class TestCatalogueParitySweep:
+    """Every catalogue workload must run identically on every backend."""
 
-    def test_calibration_on_columns_equals_the_per_rank_oracle(self, name):
-        assert_calibrated_like_the_oracle(tiny_scenario(name))
+    def test_calibration_on_columns_equals_the_per_rank_oracle(self, name, tiny_of):
+        assert_calibrated_like_the_oracle(tiny_of(name))
 
-    def test_three_backend_parity(self, name, scoring_fanout):
+    def test_three_backend_parity(self, name, scoring_fanout, tiny_of):
         """``VAR`` scores inline; ``PYVAR`` declares ``gil_bound``, so the
-        batched classes score it over the process pool — at every registered
+        batched classes score it over the process pool — at every catalogue
         scenario both must agree with the per-block oracle."""
-        scenario = tiny_scenario(name)
+        scenario = tiny_of(name)
         for metric in ("VAR", "PYVAR"):
             ref_pairs, ref_sorted, ref_owners, ref_reports = _iteration_observables(
                 scenario, "serial", metric=metric
@@ -381,13 +359,13 @@ class TestRegistryParitySweep:
         batched = len(BACKENDS[1:])
         assert scoring_fanout == [False] * batched + [True] * batched
 
-    def test_quality_ladder_backend_parity(self, name):
+    def test_quality_ladder_backend_parity(self, name, tiny_of):
         """With a non-trivial mipmap ladder (half the selection to level 2,
         half to level 1) every backend must still agree bitwise on every
         decision-bearing output — including the new points_copied counter
         and the level-dependent payload bytes."""
         ladder = ((2, 0.5), (1, 0.5))
-        scenario = tiny_scenario(name)
+        scenario = tiny_of(name)
         ref = _iteration_observables(scenario, "serial", quality_ladder=ladder)
         ref_pairs, ref_sorted, ref_owners, ref_reports = ref
         assert ref_reports["reduction"][2]["points_copied"] > 0
@@ -412,12 +390,12 @@ class TestRegistryParitySweep:
 @pytest.mark.parametrize(
     "ladder", [None, ((2, 0.5), (1, 0.5))], ids=["corners", "two_rung"]
 )
-def test_fpzip_four_backend_parity_on_tiny(ladder):
+def test_fpzip_four_backend_parity_on_tiny(ladder, tiny_of):
     """The sweep above scores with VAR and PYVAR.  The coder metric is the
     one whose kernel owns scratch buffers — so FPZIP scores, order, owners and
     reports are pinned across all four backend names too, with and without
     the two-rung ladder."""
-    scenario = tiny_scenario("tiny")
+    scenario = tiny_of("tiny")
     ref = _iteration_observables(scenario, "serial", ladder, metric="FPZIP")
     assert ref[1] and len({score for _, score in ref[1]}) > 1
     for backend in BACKENDS[1:]:
@@ -437,23 +415,23 @@ class PeakMetric(ScoreMetric):
         return float(np.abs(np.asarray(data)).max())
 
 
-def test_scalar_user_metric_backend_parity_on_tiny(monkeypatch):
-    """A registered user metric without a batch path takes the per-block
+def test_scalar_user_metric_backend_parity_on_tiny(monkeypatch, tiny_of):
+    """A user metric added to the table without a batch path takes the per-block
     route on every backend — in the pool's workers on the batched ones, since
     it declares ``gil_bound`` — and must still give every backend the same
     scores, order, owners and reports."""
-    monkeypatch.setitem(default_registry()._factories, "PEAK", PeakMetric)
-    scenario = tiny_scenario("tiny")
+    monkeypatch.setitem(METRICS, "PEAK", PeakMetric)
+    scenario = tiny_of("tiny")
     ref = _iteration_observables(scenario, "serial", metric="PEAK")
     assert len({score for _, score in ref[1]}) > 1
     for backend in BACKENDS[1:]:
         assert _iteration_observables(scenario, backend, metric="PEAK") == ref, backend
 
 
-def test_mesh_mode_backend_parity_on_tiny():
+def test_mesh_mode_backend_parity_on_tiny(tiny_of):
     """Mesh mode extracts real geometry per block on every backend (nothing
     to stack, nothing worth pickling back from a worker): same triangles."""
-    scenario = tiny_scenario("tiny")
+    scenario = tiny_of("tiny")
     ref = _iteration_observables(scenario, "serial", render_mode="mesh")
     assert ref[3]["rendering"][2]["total_triangles"] > 0
     for backend in BACKENDS[1:]:
@@ -462,10 +440,9 @@ def test_mesh_mode_backend_parity_on_tiny():
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["multicell_cluster", "squall_line"])
-    def test_same_name_and_seed_bitwise_identical(self, name):
-        spec = get_scenario(name)
-        a = ExperimentScenario(spec.tiny())
-        b = ExperimentScenario(spec.tiny())
+    def test_same_name_and_seed_bitwise_identical(self, name, at_tiny_scale):
+        a = ExperimentScenario(at_tiny_scale(name))
+        b = ExperimentScenario(at_tiny_scale(name))
         for blocks_a, blocks_b in zip(a.blocks_for(1), b.blocks_for(1)):
             assert len(blocks_a) == len(blocks_b)
             for block_a, block_b in zip(blocks_a, blocks_b):
@@ -475,12 +452,9 @@ class TestDeterminism:
         reports_b = _iteration_observables(b, "vectorized")
         assert reports_a == reports_b
 
-    def test_different_seeds_differ(self):
-        spec = get_scenario("multicell_cluster")
-        base = ExperimentScenario(spec.tiny())
-        other = ExperimentScenario(spec.build(
-            ncores=4, nsnapshots=2, shape=(44, 44, 12), seed=12345
-        ))
+    def test_different_seeds_differ(self, at_tiny_scale):
+        base = ExperimentScenario(at_tiny_scale("multicell_cluster"))
+        other = ExperimentScenario(replace(at_tiny_scale("multicell_cluster"), seed=12345))
         field_a = np.asarray(base.dataset.snapshot(0).get_field("dbz"))
         field_b = np.asarray(other.dataset.snapshot(0).get_field("dbz"))
         assert field_a.shape == field_b.shape
@@ -489,24 +463,14 @@ class TestDeterminism:
 
 class TestCachedScenario:
     def test_distinct_scenarios_same_scale_do_not_collide(self):
-        tiny = cached_scenario(ncores=4, nsnapshots=2, name="tiny")
-        turb = cached_scenario(ncores=4, nsnapshots=2, name="turbulence_field")
+        tiny = cached_scenario(name="tiny", ncores=4, nsnapshots=2)
+        turb = cached_scenario(name="turbulence_field", ncores=4, nsnapshots=2)
         assert tiny is not turb
         assert tiny.config.name == "tiny"
         assert turb.config.name == "turbulence_field"
         assert tiny.config.storm != turb.config.storm
 
     def test_identical_requests_share_one_scenario(self):
-        a = cached_scenario(ncores=4, nsnapshots=2, name="tiny")
-        b = cached_scenario(ncores=4, nsnapshots=2, name="tiny")
+        a = cached_scenario(name="tiny", ncores=4, nsnapshots=2)
+        b = cached_scenario(name="tiny", ncores=4, nsnapshots=2)
         assert a is b
-
-    def test_legacy_positional_call_still_resolves_paper_names(self):
-        scenario = cached_scenario(64, 1)
-        assert scenario.config.name == "blue_waters_64"
-        assert scenario.config.nsnapshots == 1
-        assert cached_scenario(64, 1) is scenario
-
-    def test_requires_name_or_ncores(self):
-        with pytest.raises(TypeError):
-            cached_scenario()

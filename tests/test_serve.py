@@ -40,7 +40,7 @@ from repro.cli import main
 from repro.cm1.dataset import StoredCM1Dataset
 from repro.core.backends import engine_backends
 from repro.io.store import DatasetStore
-from repro.scenarios import ExperimentScenario, get_scenario, scenario_names
+from repro.scenarios import ExperimentScenario, create_scenario_config, scenario_names
 from repro.serve import RunRequest, ServeApp, serve_forever
 from repro.serve.cache import ReplayCache, scenario_cache_key
 from repro.serve import procrun, protocol
@@ -51,7 +51,7 @@ TINY_RUN = {"scenario": "tiny", "snapshots": 2, "percent": 40.0}
 
 
 def _tiny_config(**overrides):
-    return get_scenario("tiny").build(**overrides)
+    return create_scenario_config("tiny", **overrides)
 
 
 # -- cache key + replay cache -------------------------------------------------
