@@ -177,6 +177,17 @@ class TestCartesianDecomposition:
         decomp = CartesianDecomposition((16, 16, 8), nranks=4, blocks_per_subdomain=(2, 2, 1))
         assert decomp.validate_coverage()
 
+    @pytest.mark.parametrize("override", [None, (4, 1, 2)])
+    def test_rank_coords_cover_the_process_grid_once(self, override):
+        """Row-major: the last axis varies fastest, and the ranks fill the
+        process grid with one rank per cell."""
+        decomp = CartesianDecomposition((16, 16, 8), nranks=8, rank_dims_override=override)
+        px, py, pz = decomp.rank_dims
+        coords = [decomp.rank_coords(rank) for rank in range(8)]
+        assert coords == [(x, y, z) for x in range(px) for y in range(py) for z in range(pz)]
+        with pytest.raises(ValueError):
+            decomp.rank_coords(8)
+
     def test_block_ids_and_owner(self):
         decomp = CartesianDecomposition((16, 16, 8), nranks=4, blocks_per_subdomain=(2, 1, 1))
         assert decomp.nblocks == 8

@@ -86,6 +86,26 @@ class TestCatalogue:
     def test_lookup_ignores_case_and_surrounding_space(self):
         assert create_scenario_config(" Blue_Waters_64 ") == CATALOGUE["blue_waters_64"][0]
 
+    def test_the_registry_entry_points_are_gone(self):
+        """A scenario is built one way, ``ExperimentScenario(config)``, and a
+        metric by name through ``create_metric``: the plug-in registries and
+        the named constructors no longer resolve."""
+        import repro
+        import repro.metrics.registry as metric_registry
+        import repro.scenarios as scenarios
+
+        with pytest.raises(ImportError):
+            import repro.scenarios.registry  # noqa: F401
+        for name in ("ScenarioSpec", "ScenarioFactory", "register_scenario",
+                     "get_scenario", "scenario_specs"):
+            assert not hasattr(scenarios, name)
+        for name in ("register_scenario", "default_registry"):
+            assert not hasattr(repro, name)
+        for name in ("MetricRegistry", "default_registry"):
+            assert not hasattr(metric_registry, name)
+        for name in ("from_name", "blue_waters", "tiny"):
+            assert not hasattr(ExperimentScenario, name)
+
     def test_build_applies_overrides_and_stamps_name(self):
         config = create_scenario_config("squall_line", ncores=4, nsnapshots=3, seed=7)
         assert config.ncores == 4
