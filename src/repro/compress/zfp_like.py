@@ -31,8 +31,8 @@ import numpy as np
 
 from repro.compress.base import CompressionResult, Compressor
 from repro.compress.bitplane import (
-    byte_lengths,
     pack_codes,
+    row_code_bytes,
     unpack_codes,
     zigzag_decode,
     zigzag_encode,
@@ -178,7 +178,7 @@ class ZfpLikeCompressor(Compressor):
         payload plus each block's code byte lengths."""
         exponents, codes = self._codes(self._prepare_batch(batch))
         fixed = _HEADER.size + 32 + exponents.shape[1] + (codes.shape[1] + 1) // 2
-        return fixed + byte_lengths(codes, 8).sum(axis=1, dtype=np.int64)
+        return np.add(row_code_bytes(codes, 8), fixed, dtype=np.int64)
 
     def decompress(self, result: CompressionResult) -> np.ndarray:
         """Reconstruct the block (lossy, within :meth:`error_bound`)."""

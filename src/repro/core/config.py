@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.backends import ENGINE_BACKENDS
 from repro.core.redistribution import STRATEGIES

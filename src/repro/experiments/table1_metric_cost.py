@@ -16,16 +16,11 @@ the six representative metrics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.scenarios import ExperimentScenario, create_scenario_config
 from repro.metrics.registry import PAPER_METRICS, create_metric
-from repro.perfmodel.calibration import (
-    PAPER_BLOCK_SHAPE,
-    PAPER_NBLOCKS,
-    TABLE1_SECONDS,
-    paper_points_per_core,
-)
+from repro.perfmodel.calibration import TABLE1_SECONDS, paper_points_per_core
 from repro.utils.timer import Timer
 
 

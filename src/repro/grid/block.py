@@ -98,10 +98,6 @@ class BlockExtent:
         """Index slices selecting this extent from a global array."""
         return tuple(slice(lo, hi) for lo, hi in zip(self.start, self.stop))
 
-    def contains(self, point: Tuple[int, int, int]) -> bool:
-        """True if the global index ``point`` lies inside the extent."""
-        return all(lo <= p < hi for p, lo, hi in zip(point, self.start, self.stop))
-
     def overlaps(self, other: "BlockExtent") -> bool:
         """True if the two extents share at least one point."""
         return all(

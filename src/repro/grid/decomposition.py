@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -202,12 +202,6 @@ class CartesianDecomposition:
         self._check_rank(rank)
         base = rank * self.blocks_per_rank
         return list(range(base, base + self.blocks_per_rank))
-
-    def owner_of_block(self, block_id: int) -> int:
-        """Rank that initially owns ``block_id``."""
-        if not (0 <= block_id < self.nblocks):
-            raise ValueError(f"block_id {block_id} out of range [0, {self.nblocks})")
-        return block_id // self.blocks_per_rank
 
     def all_block_extents(self) -> Dict[int, BlockExtent]:
         """Mapping block id -> extent for the whole domain."""

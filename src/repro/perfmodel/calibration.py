@@ -21,7 +21,7 @@ experiment re-uses the fitted model and its results emerge from the data.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict
 
 from repro.metrics.base import MetricCost
 from repro.perfmodel.render_model import RenderCostModel

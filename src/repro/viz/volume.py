@@ -8,7 +8,7 @@ pipeline controls remains the isosurface rendering.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -16,6 +16,8 @@ from repro.compress.bitplane import (
     float_to_ordered_uint,
     ordered_uint_to_float,
     pack_nibbles,
+    row_code_bytes,
+    row_zigzag_bytes,
     unpack_nibbles,
     zigzag_decode,
     zigzag_encode,
@@ -111,6 +113,69 @@ def oracle_compressed_size_batch(batch):
 
     fixed = fpzip_like._HEADER.size + 4 * max_bytes + (count + 1) // 2
     return fixed + lengths.sum(axis=1, dtype=np.int64)
+
+
+# ``residual_codes``' zigzag step, ``byte_lengths`` and the chunked size path
+# exactly as they stood before the size path lost its temporaries (a fresh
+# sign-word array per chunk, a zero-filled length array plus one bool
+# temporary per threshold, an int64 row sum), kept verbatim as the reference
+# the kernel is tested — and, in ``benchmarks/``, timed — against.
+
+
+def oracle_chunked_zigzag_encode(values, bits, out=None):
+    if bits not in (32, 64):
+        raise ValueError(f"bits must be 32 or 64, got {bits}")
+    itype = np.int32 if bits == 32 else np.int64
+    utype = np.uint32 if bits == 32 else np.uint64
+    v = np.asarray(values, dtype=itype)
+    if out is None:
+        out = np.empty(v.shape, dtype=utype)
+    signs = v >> (bits - 1)
+    doubled = np.left_shift(v, 1, out=out.view(itype))
+    np.bitwise_xor(doubled, signs, out=doubled)
+    return out
+
+
+def oracle_chunked_byte_lengths(codes, max_bytes):
+    if max_bytes < 1:
+        raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
+    c = np.asarray(codes)
+    if c.dtype.kind != "u":
+        raise ValueError(f"expected unsigned integer codes, got {c.dtype}")
+    lengths = np.zeros(c.shape, dtype=np.uint8)
+    # 256^k beyond the dtype's own width is a length no code can reach.
+    for k in range(min(max_bytes, c.dtype.itemsize)):
+        lengths += c >= c.dtype.type(256**k)
+    return lengths
+
+
+def oracle_residual_codes(values, scratch=None):
+    width = values.dtype.itemsize
+    if scratch is None:
+        scratch = tuple(np.empty(values.shape, f"u{width}") for _ in range(2))
+    a, b = scratch
+    codes = float_to_ordered_uint(values, out=a)
+    residuals = lorenzo_residuals(codes, scratch=(a, b))
+    return oracle_chunked_zigzag_encode(residuals.view(f"i{width}"), 8 * width, out=b)
+
+
+def oracle_chunked_compressed_size_batch(batch):
+    arr = FpzipLikeCompressor._prepare_batch(batch)
+    nblocks = arr.shape[0]
+    max_bytes = arr.dtype.itemsize
+    count = int(np.prod(arr.shape[1:]))
+    fixed = fpzip_like._HEADER.size + 4 * max_bytes + (count + 1) // 2
+    sizes = np.full(nblocks, fixed, dtype=np.int64)
+    rows = max(1, min(nblocks, fpzip_like._CHUNK_BYTES // max(1, count * max_bytes)))
+    a = np.empty((rows,) + arr.shape[1:], dtype=f"u{max_bytes}")
+    b = np.empty_like(a)
+    for lo in range(0, nblocks, rows):
+        chunk = arr[lo : lo + rows]
+        n = chunk.shape[0]
+        codes = oracle_residual_codes(chunk, (a[:n], b[:n])).reshape(n, count)
+        lengths = oracle_chunked_byte_lengths(codes, max_bytes)
+        sizes[lo : lo + n] += lengths.sum(axis=1, dtype=np.int64)
+    return sizes
 
 
 # The zfp-like coder's two quantisations and the lz-like coder's single-block
@@ -462,6 +527,8 @@ class TestResidualCodeKernel:
         # New sizes == the replaced implementation's == the real payloads'.
         assert sizes.dtype == np.int64
         assert sizes.tolist() == oracle_compressed_size_batch(batch).tolist()
+        with mock.patch.object(fpzip_like, "_CHUNK_BYTES", chunk_bytes):
+            assert sizes.tolist() == oracle_chunked_compressed_size_batch(batch).tolist()
         assert sizes.tolist() == [len(r.payload) for r in results]
         # Chunk-boundary independence: any split of the batch concatenates.
         assert np.concatenate(pieces).tolist() == sizes.tolist()
@@ -506,6 +573,77 @@ class TestResidualCodeKernel:
                 with pytest.raises(ValueError):
                     comp.compressed_size_batch(poisoned)
 
+    @pytest.mark.parametrize(
+        "shape,dtype", [((1, 41, 41, 41), np.float64), ((1, 26, 26, 26), np.float32)]
+    )
+    def test_row_sums_past_two_bytes(self, shape, dtype):
+        """A noise block whose code bytes sum past 2^16 (float32: 17 576
+        points, nearly all with 4-byte codes): the law's small blocks never
+        get there, so only this case sees a row accumulator narrower than
+        uint32 wrap."""
+        block = np.random.default_rng(44).uniform(-60.0, 80.0, size=shape).astype(dtype)
+        max_bytes = block.dtype.itemsize
+        codes = residual_codes(block).reshape(1, -1)
+        total = int(byte_lengths(codes, max_bytes).sum(dtype=np.int64))
+        assert total > 2**16
+
+        row = row_code_bytes(codes, max_bytes)
+        assert row.dtype == np.uint32 and row.tolist() == [total]
+        sizes = FpzipLikeCompressor().compressed_size_batch(block)
+        assert sizes.tolist() == oracle_compressed_size_batch(block).tolist()
+        assert sizes.tolist() == oracle_chunked_compressed_size_batch(block).tolist()
+        assert sizes.tolist() == [len(FpzipLikeCompressor().compress(block[0]).payload)]
+
+    @pytest.mark.parametrize("itype", [np.int32, np.int64])
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_row_zigzag_bytes_equal_the_codes(self, itype, data):
+        """Summed from the folded residuals, the byte lengths are those of
+        the zigzag codes, on and around every byte boundary of the codes."""
+        info, width = np.iinfo(itype), np.dtype(itype).itemsize
+        edges = sorted(
+            {
+                min(max(sign * 2 ** (8 * k - 1) + d, info.min), info.max)
+                for k in range(1, width + 1)
+                for sign in (1, -1)
+                for d in (-2, -1, 0, 1)
+            }
+            | {0, -1, info.min, info.max}
+        )
+        nrows = data.draw(st.integers(min_value=1, max_value=3))
+        ncols = data.draw(st.integers(min_value=0, max_value=24))
+        values = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(edges), st.integers(info.min, info.max)),
+                min_size=nrows * ncols,
+                max_size=nrows * ncols,
+            )
+        )
+        residuals = np.array(values, dtype=itype).reshape(nrows, ncols)
+        codes = oracle_zigzag_encode(residuals, 8 * width)
+        expected = oracle_byte_lengths(codes, width).sum(axis=1, dtype=np.int64)
+        scratch = (np.empty(codes.shape, np.uint8), np.empty(codes.shape, bool))
+        row = row_zigzag_bytes(residuals, np.empty_like(residuals), scratch)
+        assert row.dtype == np.uint32
+        assert row.tolist() == expected.tolist()
+
+    def test_row_code_bytes_refuses_what_it_cannot_sum(self):
+        with pytest.raises(ValueError, match="2-D"):
+            row_code_bytes(np.zeros(4, dtype=np.uint32), 4)
+        with pytest.raises(ValueError, match="unsigned"):
+            row_code_bytes(np.zeros((1, 4), dtype=np.int32), 4)
+        with pytest.raises(ValueError, match="int32/int64"):
+            row_zigzag_bytes(np.zeros((1, 4), dtype=np.uint32), None, None)
+        with pytest.raises(ValueError, match="2-D"):
+            row_zigzag_bytes(np.zeros(4, dtype=np.int32), None, None)
+        # 2^29 eight-byte codes could sum to 2^32: refused before any pass
+        # or scratch allocation (the codes are a broadcast view of one zero).
+        wide = np.broadcast_to(np.zeros(1, dtype=np.uint64), (1, 2**29))
+        with pytest.raises(ValueError, match="uint32"):
+            row_code_bytes(wide, 8)
+        with pytest.raises(ValueError, match="uint32"):
+            row_zigzag_bytes(wide.view(np.int64), None, None)
+
     @pytest.mark.parametrize("max_bytes", [4, 8])
     @pytest.mark.parametrize("utype", [np.uint32, np.uint64])
     @settings(deadline=None, max_examples=40)
@@ -532,6 +670,8 @@ class TestResidualCodeKernel:
         lengths = byte_lengths(codes, max_bytes)
         assert lengths.dtype == np.uint8
         np.testing.assert_array_equal(lengths, oracle_byte_lengths(codes, max_bytes))
+        row = row_code_bytes(codes.reshape(1, -1), max_bytes)
+        assert row.tolist() == [int(oracle_byte_lengths(codes, max_bytes).sum())]
 
     def test_byte_lengths_rejects_signed_codes(self):
         with pytest.raises(ValueError):

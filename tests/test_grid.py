@@ -83,11 +83,6 @@ class TestBlockExtent:
         with pytest.raises(ValueError):
             BlockExtent((-1, 0, 0), (1, 1, 1))
 
-    def test_contains(self):
-        ext = BlockExtent((0, 0, 0), (2, 2, 2))
-        assert ext.contains((1, 1, 1))
-        assert not ext.contains((2, 0, 0))
-
     def test_overlaps(self):
         a = BlockExtent((0, 0, 0), (4, 4, 4))
         b = BlockExtent((3, 3, 3), (6, 6, 6))
@@ -188,12 +183,12 @@ class TestCartesianDecomposition:
         with pytest.raises(ValueError):
             decomp.rank_coords(8)
 
-    def test_block_ids_and_owner(self):
+    def test_block_ids_split_the_range_rank_by_rank(self):
         decomp = CartesianDecomposition((16, 16, 8), nranks=4, blocks_per_subdomain=(2, 1, 1))
         assert decomp.nblocks == 8
-        for rank in range(4):
-            for bid in decomp.block_ids(rank):
-                assert decomp.owner_of_block(bid) == rank
+        assert [decomp.block_ids(rank) for rank in range(4)] == [
+            [0, 1], [2, 3], [4, 5], [6, 7]
+        ]
 
     def test_extract_blocks_content(self):
         """Every rank's blocks carry the field's values and tile the rank's
@@ -317,8 +312,6 @@ class TestCartesianDecomposition:
         decomp = CartesianDecomposition((8, 8, 4), nranks=2)
         with pytest.raises(ValueError):
             decomp.block_ids(5)
-        with pytest.raises(ValueError):
-            decomp.owner_of_block(1000)
 
     @settings(deadline=None, max_examples=20)
     @given(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cm1.config import CM1Config
-from repro.cm1.dataset import CM1Dataset, StoredCM1Dataset, equally_spaced
+from repro.cm1.dataset import CM1Dataset, equally_spaced
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
