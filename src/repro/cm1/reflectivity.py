@@ -17,6 +17,10 @@ relies on:
 * the logarithmic transform compresses the quiet background to a constant
   floor (-60 dBZ) while the storm interior spans tens of dBZ, reproducing the
   strong contrast between interesting and uninteresting blocks.
+
+Both functions are elementwise over their inputs, so a caller may convert a
+snapshot slab by slab (as :meth:`~repro.cm1.simulation.CM1Simulation.snapshot`
+does) and get the bytes the whole grid gives.
 """
 
 from __future__ import annotations
@@ -29,11 +33,9 @@ import numpy as np
 DBZ_MIN: float = -60.0
 DBZ_MAX: float = 80.0
 
-#: Reference air density (kg/m^3) used to convert mixing ratio to content.
-RHO_AIR: float = 1.0
-
 # Z = a * (rho * q)^b  with q in kg/kg and rho in kg/m^3 (so rho*q in kg/m^3,
-# converted to g/m^3 inside).  Coefficients follow the classic Smith et al.
+# converted to g/m^3 inside).  The air density is taken as 1 kg/m^3, so the
+# content is q itself.  Coefficients follow the classic Smith et al.
 # formulation used by CM1 and WRF's dbzcalc for rain, dry snow, and hail.
 _SPECIES_COEFFS = {
     "qr": (3.63e9, 1.75),   # rain
@@ -42,25 +44,20 @@ _SPECIES_COEFFS = {
 }
 
 
-def equivalent_reflectivity(
-    mixing_ratios: Dict[str, np.ndarray], rho_air: float = RHO_AIR
-) -> np.ndarray:
+def equivalent_reflectivity(mixing_ratios: Dict[str, np.ndarray]) -> np.ndarray:
     """Sum the per-species equivalent reflectivity factors (mm^6/m^3).
 
     Unknown species names in ``mixing_ratios`` are ignored so callers can pass
     a full state dictionary.  The species arrays may have different
     broadcastable shapes; they are never written to.
     """
-    if rho_air <= 0:
-        raise ValueError(f"rho_air must be > 0, got {rho_air}")
     z_total: np.ndarray | None = None
     for name, (a, b) in _SPECIES_COEFFS.items():
         q = mixing_ratios.get(name)
         if q is None:
             continue
-        # a * (rho_air * clip(q, 0)) ** b, in one fresh buffer.
+        # a * clip(q, 0) ** b, in one fresh buffer.
         z = np.clip(np.asarray(q, dtype=np.float64), 0.0, None, out=np.empty(np.shape(q)))
-        z *= rho_air
         np.power(z, b, out=z)
         z *= a
         if z_total is None:
@@ -76,21 +73,14 @@ def equivalent_reflectivity(
     return z_total
 
 
-def reflectivity_dbz(
-    mixing_ratios: Dict[str, np.ndarray],
-    rho_air: float = RHO_AIR,
-    clip: bool = True,
-) -> np.ndarray:
-    """Convert mixing ratios to radar reflectivity in dBZ.
+def reflectivity_dbz(mixing_ratios: Dict[str, np.ndarray]) -> np.ndarray:
+    """Convert mixing ratios to radar reflectivity in dBZ, clipped to the
+    physical [-60, 80] dBZ range.
 
     Parameters
     ----------
     mixing_ratios:
         Mapping with any of ``"qr"``, ``"qs"``, ``"qg"`` arrays (kg/kg).
-    rho_air:
-        Air density used for the mixing-ratio → content conversion.
-    clip:
-        Clip the result to the physical [-60, 80] dBZ range (default True).
 
     Returns
     -------
@@ -99,11 +89,10 @@ def reflectivity_dbz(
     """
     # The Z field is a fresh buffer: 10 * log10(max(Z, floor)) is computed
     # in place.  The floor is the value of DBZ_MIN, which avoids log10(0).
-    dbz = equivalent_reflectivity(mixing_ratios, rho_air)
+    dbz = equivalent_reflectivity(mixing_ratios)
     z_floor = 10.0 ** (DBZ_MIN / 10.0)
     np.maximum(dbz, z_floor, out=dbz)
     np.log10(dbz, out=dbz)
     dbz *= 10.0
-    if clip:
-        np.clip(dbz, DBZ_MIN, DBZ_MAX, out=dbz)
+    np.clip(dbz, DBZ_MIN, DBZ_MAX, out=dbz)
     return dbz

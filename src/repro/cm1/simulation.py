@@ -4,6 +4,16 @@
 "computation phase" — here, generating the next snapshot of the synthetic
 storm — and an "I/O / in situ phase" where the produced
 :class:`~repro.grid.domain.Domain` is handed to the visualization pipeline.
+
+A snapshot is generated slab by slab.  Only the noise is global: the three
+turbulence fields are drawn, filtered and normalised on the whole grid.
+Everything else — envelopes, mixing ratios, reflectivity, dBZ and the
+float32 cast — is elementwise over any mesh slab, so it runs on x-slabs of
+about :data:`_SLAB_BYTES` of float64 each, written straight into the float32
+``dbz`` grid.  The bytes are those of the whole grid at once.  The transient
+memory peaks at four float64 grids while the noise is drawn (the three
+fields and the one temporary of ``std``), where the whole-grid passes took
+ten.
 """
 
 from __future__ import annotations
@@ -21,6 +31,15 @@ from repro.grid.rectilinear import RectilinearGrid
 
 #: Storage dtype of the reflectivity field, hence of every full block payload.
 FIELD_DTYPE = np.dtype(np.float32)
+
+# Float64 bytes of one x-slab of a snapshot's elementwise passes (whole
+# x-planes, at least one).  256 KB keeps a slab's dozen temporaries in cache:
+# a blue_waters_64 snapshot (2-CPU x86-64 box, one pinned CPU, median of 20
+# interleaved) took 405 ms, against 411 / 426 ms with 1 MB / 4 MB slabs and
+# 496 ms for the whole grid at once; 64 KB slabs were slower again (417-425
+# ms in shorter runs).  From 4 MB on, the slab temporaries outgrow the
+# noise's peak (5.5 float64 grids against 4.0).
+_SLAB_BYTES = 256 * 1024
 
 
 class CM1Simulation:
@@ -56,8 +75,9 @@ class CM1Simulation:
         """Open normalised coordinate mesh: arrays of shape ``(nx, 1, 1)``,
         ``(1, ny, 1)`` and ``(1, 1, nz)``.
 
-        Every envelope broadcasts over it, so only the terms that need all
-        three axes are ever evaluated on the full grid.
+        Every envelope broadcasts over it (or over an x-slab of it), so only
+        the terms that need all three axes are ever evaluated on the full
+        shape.
         """
 
         def normalise(axis: np.ndarray) -> np.ndarray:
@@ -84,12 +104,23 @@ class CM1Simulation:
 
     def snapshot(self, snapshot_index: int) -> Domain:
         """Produce the :class:`Domain` for ``snapshot_index``: the float32
-        reflectivity of the mixing ratios on the open mesh."""
+        reflectivity of the mixing ratios on the open mesh.
+
+        The turbulence is drawn on the whole grid; the mixing ratios and
+        their reflectivity are computed one x-slab at a time and cast into
+        the float32 field.
+        """
         iteration = self.model_iteration(snapshot_index)
-        ratios = self.microphysics.mixing_ratios(
-            *self._normalised_mesh(), snapshot_index
-        )
-        dbz = np.asarray(reflectivity_dbz(ratios), dtype=FIELD_DTYPE)
+        xn, yn, zn = self._normalised_mesh()
+        shape = np.broadcast(xn, yn, zn).shape
+        turbulence = self.microphysics.turbulence(shape, snapshot_index)
+        dbz = np.empty(shape, FIELD_DTYPE)
+        rows = max(1, _SLAB_BYTES // (shape[1] * shape[2] * 8))
+        for lo in range(0, shape[0], rows):
+            ratios = self.microphysics.mixing_ratios(
+                xn[lo : lo + rows], yn, zn, snapshot_index, turbulence[:, lo : lo + rows]
+            )
+            dbz[lo : lo + rows] = reflectivity_dbz(ratios)
         return Domain(grid=self.grid, fields={"dbz": dbz}, iteration=iteration)
 
     def iterate(self, nsnapshots: int, start: int = 0) -> Iterator[Domain]:

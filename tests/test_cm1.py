@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,14 +16,17 @@ from repro.cm1.reflectivity import (
     _SPECIES_COEFFS,
     DBZ_MAX,
     DBZ_MIN,
-    RHO_AIR,
     equivalent_reflectivity,
     reflectivity_dbz,
 )
-from repro.cm1.simulation import CM1Simulation
+from repro.cm1 import simulation as simulation_module
+from repro.cm1.simulation import FIELD_DTYPE, CM1Simulation
 from repro.cm1.storm import STORM_FAMILIES, SupercellStorm
+from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
-from repro.utils.random import rng_from_seed
+from repro.scenarios.catalog import create_scenario_config
+from repro.scenarios.scenario import live_dataset
+from repro.utils.random import derive_seed, rng_from_seed
 
 # -- the replaced bodies, kept verbatim as oracles ------------------------------
 
@@ -53,6 +59,45 @@ def oracle_correlated_noise(shape, sigma_points, seed):
     return smooth.astype(np.float64)
 
 
+def oracle_mixing_ratios(self, xn, yn, zn, iteration):
+    """``Microphysics.mixing_ratios`` before the slab loop: it drew the
+    whole-grid noise itself (here through ``oracle_correlated_noise``)."""
+    cfg: StormConfig = self.storm.config
+    env = self.storm.envelopes(xn, yn, zn, iteration)
+    shape = np.broadcast(xn, yn, zn).shape
+    geo = self.storm.geometry(iteration)
+
+    # Turbulence correlation length in grid points along the first axis.
+    sigma = max(1.0, cfg.turbulence_scale * geo.radius * shape[0])
+    turb_r = oracle_correlated_noise(shape, sigma, derive_seed(self.seed, "qr", iteration))
+    turb_s = oracle_correlated_noise(shape, sigma * 1.5, derive_seed(self.seed, "qs", iteration))
+    turb_g = oracle_correlated_noise(shape, sigma * 0.7, derive_seed(self.seed, "qg", iteration))
+
+    # core * (1 - 0.85 * weak_echo), in one buffer.
+    core = env["weak_echo"] * -0.85
+    core += 1.0
+    core *= env["core"]
+    hook = env["hook"]
+    anvil = env["anvil"]
+
+    t = cfg.turbulence
+    qr = perturb(core + 0.8 * hook, turb_r, t, self.QR_MAX)
+    qs = perturb(anvil + 0.15 * core, turb_s, t, self.QS_MAX)
+    qg = perturb(0.75 * core + 0.5 * hook, turb_g, t, self.QG_MAX)
+    return {"qr": qr, "qs": qs, "qg": qg}
+
+
+def oracle_snapshot(self, snapshot_index):
+    """``CM1Simulation.snapshot`` before the slab loop: every pass on the
+    whole grid, cast to float32 at the end."""
+    iteration = self.model_iteration(snapshot_index)
+    ratios = oracle_mixing_ratios(
+        self.microphysics, *self._normalised_mesh(), snapshot_index
+    )
+    dbz = np.asarray(reflectivity_dbz(ratios), dtype=FIELD_DTYPE)
+    return Domain(grid=self.grid, fields={"dbz": dbz}, iteration=iteration)
+
+
 def oracle_perturb(envelope, noise, turbulence, peak):
     """The ``perturb`` closure of ``Microphysics.mixing_ratios`` before it
     worked in the noise buffer, with the peak factor its caller applied."""
@@ -60,8 +105,9 @@ def oracle_perturb(envelope, noise, turbulence, peak):
     return peak * np.clip(envelope * pert, 0.0, None)
 
 
-def oracle_equivalent_reflectivity(mixing_ratios, rho_air=RHO_AIR):
-    """``equivalent_reflectivity`` before its in-place passes."""
+def oracle_equivalent_reflectivity(mixing_ratios, rho_air=1.0):
+    """``equivalent_reflectivity`` before its in-place passes, with the air
+    density it took (1.0, the only value any caller passed)."""
     if rho_air <= 0:
         raise ValueError(f"rho_air must be > 0, got {rho_air}")
     z_total = None
@@ -79,8 +125,9 @@ def oracle_equivalent_reflectivity(mixing_ratios, rho_air=RHO_AIR):
     return z_total
 
 
-def oracle_reflectivity_dbz(mixing_ratios, rho_air=RHO_AIR, clip=True):
-    """``reflectivity_dbz`` before its in-place passes."""
+def oracle_reflectivity_dbz(mixing_ratios, rho_air=1.0, clip=True):
+    """``reflectivity_dbz`` before its in-place passes, with the density and
+    clipping it took (the only values any caller passed)."""
     z = oracle_equivalent_reflectivity(mixing_ratios, rho_air)
     # Floor at the value corresponding to DBZ_MIN to avoid log10(0).
     z_floor = 10.0 ** (DBZ_MIN / 10.0)
@@ -178,6 +225,12 @@ class TestStorm:
         assert 0.0 < fraction < 0.5
 
 
+def ratios_on(micro, mesh, iteration):
+    """The mixing ratios on a whole mesh: its turbulence drawn first."""
+    turbulence = micro.turbulence(np.broadcast(*mesh).shape, iteration)
+    return micro.mixing_ratios(*mesh, iteration, turbulence)
+
+
 class TestMicrophysics:
     def test_mixing_ratios_nonnegative_and_localized(self):
         storm = SupercellStorm(StormConfig())
@@ -185,7 +238,7 @@ class TestMicrophysics:
         n = 24
         x = np.linspace(0, 1, n)
         mesh = np.meshgrid(x, x, np.linspace(0, 1, 8), indexing="ij")
-        ratios = micro.mixing_ratios(*mesh, iteration=3)
+        ratios = ratios_on(micro, mesh, iteration=3)
         for name in ("qr", "qs", "qg"):
             q = ratios[name]
             assert q.min() >= 0.0
@@ -198,8 +251,8 @@ class TestMicrophysics:
         n = 16
         x = np.linspace(0, 1, n)
         mesh = np.meshgrid(x, x, x[:6], indexing="ij")
-        a = Microphysics(storm, seed=7).mixing_ratios(*mesh, iteration=2)
-        b = Microphysics(storm, seed=7).mixing_ratios(*mesh, iteration=2)
+        a = ratios_on(Microphysics(storm, seed=7), mesh, iteration=2)
+        b = ratios_on(Microphysics(storm, seed=7), mesh, iteration=2)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
@@ -208,8 +261,8 @@ class TestMicrophysics:
         n = 16
         x = np.linspace(0, 1, n)
         mesh = np.meshgrid(x, x, x[:6], indexing="ij")
-        a = Microphysics(storm, seed=7).mixing_ratios(*mesh, iteration=2)
-        b = Microphysics(storm, seed=8).mixing_ratios(*mesh, iteration=2)
+        a = ratios_on(Microphysics(storm, seed=7), mesh, iteration=2)
+        b = ratios_on(Microphysics(storm, seed=8), mesh, iteration=2)
         assert not np.allclose(a["qr"], b["qr"])
 
     def test_correlated_noise_unit_variance(self):
@@ -242,10 +295,6 @@ class TestReflectivity:
     def test_unknown_species_only_rejected(self):
         with pytest.raises(ValueError):
             reflectivity_dbz({"qx": np.ones((1, 1, 1))})
-
-    def test_invalid_density(self):
-        with pytest.raises(ValueError):
-            reflectivity_dbz({"qr": np.ones((1, 1, 1))}, rho_air=0.0)
 
     @settings(deadline=None, max_examples=30)
     @given(q=st.floats(min_value=0.0, max_value=0.05, allow_nan=False))
@@ -304,7 +353,7 @@ def float64_parts(sim, iteration):
     """The float64 fields a snapshot is made of: envelopes and mixing ratios."""
     mesh = sim._normalised_mesh()
     parts = {f"env.{k}": v for k, v in sim.storm.envelopes(*mesh, iteration).items()}
-    parts.update(sim.microphysics.mixing_ratios(*mesh, iteration))
+    parts.update(ratios_on(sim.microphysics, mesh, iteration))
     return parts
 
 
@@ -323,8 +372,9 @@ class TestOpenMeshLaw:
         bitwise, and every envelope has the full shape.
 
         Fails with ``TurbulenceFieldStorm``'s ``zero`` built from ``xn.shape``
-        (an envelope of shape ``(nx, 1, 1)``) and with ``mixing_ratios``
-        drawing its noise in ``xn.shape``.  Both sides run the same envelope
+        (an envelope of shape ``(nx, 1, 1)``) and with ``turbulence`` drawn
+        in ``xn.shape``.  The dense side's snapshot is the whole-grid oracle
+        ``oracle_snapshot``.  Both sides run the same envelope
         arithmetic, so a rewrite that changes the bytes on any mesh (the
         core's ``exp(-(rho / r) ** 2)`` as a product of an x and a y exponential) is
         not this law's to catch.
@@ -343,9 +393,70 @@ class TestOpenMeshLaw:
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
-        got, want = sim.snapshot(iteration), oracle.snapshot(iteration)
+        got, want = sim.snapshot(iteration), oracle_snapshot(oracle, iteration)
         assert got.field_names() == want.field_names() == ["dbz"]
         assert got.get_field("dbz").tobytes() == want.get_field("dbz").tobytes()
+
+
+class TestSlabLaw:
+    @pytest.mark.parametrize("planes", [1, 3, None], ids=["one-plane", "three-planes", "whole-grid"])
+    @pytest.mark.parametrize(
+        "storm", [family() for family in STORM_FAMILIES], ids=lambda s: type(s).__name__
+    )
+    @settings(deadline=None, max_examples=15)
+    @given(
+        shape=st.tuples(
+            st.just(1) | st.integers(min_value=4, max_value=80),
+            *[st.just(1) | st.integers(min_value=4, max_value=12)] * 2,
+        ),
+        iteration=st.integers(min_value=0, max_value=15),
+    )
+    # Past about 40 x-planes the turbulence's sigma rises above its floor of
+    # one point, and only there does a sigma taken per slab show.
+    @example(shape=(72, 6, 5), iteration=0)
+    def test_snapshot_equals_the_whole_grid_oracle(self, planes, storm, shape, iteration):
+        """Every storm family's slab-by-slab snapshot is the whole-grid
+        oracle's, byte for byte, at slabs of one plane, three planes and the
+        whole grid.
+
+        Fails with the noise drawn per slab, with the turbulence's sigma
+        taken from a slab's ``shape[0]`` and with a slab written one plane
+        off.
+        """
+        sim = simulation_on(shape, storm, dense=False)
+        nx, ny, nz = shape
+        slab_bytes = (planes or nx) * ny * nz * 8
+        want = oracle_snapshot(sim, iteration)
+        with mock.patch.object(simulation_module, "_SLAB_BYTES", slab_bytes):
+            got = sim.snapshot(iteration)
+        assert got.iteration == want.iteration
+        assert got.field_names() == want.field_names() == ["dbz"]
+        dbz = got.get_field("dbz")
+        assert (dbz.dtype, dbz.shape) == (FIELD_DTYPE, shape)
+        assert dbz.tobytes() == want.get_field("dbz").tobytes()
+
+
+class TestSnapshotMemory:
+    def test_one_snapshot_peaks_under_four_and_a_half_grids(self):
+        """The numpy allocations of one ``blue_waters_64`` snapshot peak at
+        no more than 4.5 float64 grids.  The peak, 4.0, is the three
+        turbulence fields and the one temporary grid of the normalising
+        ``std``; the float32 field and slab-sized temporaries come after it.
+        The whole-grid passes peaked at 10 grids; a slab loop that builds
+        whole-grid envelopes fails too.
+
+        ``tracemalloc`` counts what numpy allocates, not the process's RSS,
+        so the bound is deterministic.
+        """
+        sim = live_dataset(create_scenario_config("blue_waters_64"), cache=False).simulation
+        grid_bytes = np.prod(sim.config.shape) * 8
+        tracemalloc.start()
+        try:
+            sim.snapshot(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * grid_bytes, f"{peak / grid_bytes:.2f} float64 grids"
 
 
 #: Broadcastable species shapes, full and partial.
@@ -363,9 +474,14 @@ class TestInPlacePasses:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_correlated_noise_equals_oracle(self, shape, sigma, seed):
+        """The same field whether drawn fresh or into a caller's buffer."""
+        want = oracle_correlated_noise(shape, sigma, seed)
         got = correlated_noise(shape, sigma, seed)
         assert got.dtype == np.float64
-        assert_same_bits(got, oracle_correlated_noise(shape, sigma, seed))
+        assert_same_bits(got, want)
+        buffer = np.full(shape, np.nan)
+        assert correlated_noise(shape, sigma, seed, buffer) is buffer
+        assert_same_bits(buffer, want)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -399,15 +515,9 @@ class TestInPlacePasses:
             {},
             optional={name: st.sampled_from(SPECIES_SHAPES) for name in ("qr", "qs", "qg", "qx")},
         ),
-        rho_air=st.sampled_from([1.0, 1.2]),
-        clip=st.booleans(),
     )
-    @example(
-        seed=0, dtype=np.float64, shapes={"qr": (1, 1, 1), "qg": (4, 5, 6)}, rho_air=1.0, clip=True
-    )
-    def test_reflectivity_equals_oracle_and_leaves_inputs(
-        self, seed, dtype, shapes, rho_air, clip
-    ):
+    @example(seed=0, dtype=np.float64, shapes={"qr": (1, 1, 1), "qg": (4, 5, 6)})
+    def test_reflectivity_equals_oracle_and_leaves_inputs(self, seed, dtype, shapes):
         """Fails with ``np.clip(q, 0, None, out=q)`` (the caller's ratios are
         clipped) and with an unconditional ``z_total += z`` (a ``(1, 1, 1)``
         rain field cannot take a ``(4, 5, 6)`` graupel sum in place)."""
@@ -416,18 +526,12 @@ class TestInPlacePasses:
         before = {name: q.tobytes() for name, q in ratios.items()}
         if not set(ratios) - {"qx"}:
             with pytest.raises(ValueError):
-                equivalent_reflectivity(ratios, rho_air)
+                equivalent_reflectivity(ratios)
             return
         with np.errstate(invalid="ignore", divide="ignore"):
             pairs = (
-                (
-                    equivalent_reflectivity(ratios, rho_air),
-                    oracle_equivalent_reflectivity(ratios, rho_air),
-                ),
-                (
-                    reflectivity_dbz(ratios, rho_air, clip),
-                    oracle_reflectivity_dbz(ratios, rho_air, clip),
-                ),
+                (equivalent_reflectivity(ratios), oracle_equivalent_reflectivity(ratios)),
+                (reflectivity_dbz(ratios), oracle_reflectivity_dbz(ratios)),
             )
         for got, want in pairs:
             assert_same_bits(got, want)
