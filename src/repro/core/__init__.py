@@ -24,11 +24,12 @@ oracle) or the batched ones (``"vectorized"``, the default;
 :mod:`repro.core.backends`) — the batched scoring step takes the process pool
 by itself for metrics that declare they hold the GIL — and condenses each
 iteration's step reports into one :class:`IterationResult`.
-:class:`InSituPipeline` layers the adaptation controller on top and records
-the run once, as the list of those results (``pipeline.iterations``; its
-``run`` returns them as a :class:`PipelineRunResult`): per-step measured
-wall-clock and modelled platform seconds, payload bytes and counters, all read
-off the step reports.
+:class:`InSituPipeline` layers the adaptation controller on top and hands
+each result to its caller without keeping it (``run`` returns one call's
+results as a :class:`PipelineRunResult`): per-step measured wall-clock and
+modelled platform seconds, payload bytes and counters, all read off the step
+reports.  Between iterations the pipeline keeps an iteration counter and
+Algorithm 1's last two (percentage, time) points, nothing that grows.
 """
 
 from repro.core.config import PipelineConfig, AdaptationConfig

@@ -12,7 +12,7 @@ caused by rendering-time randomness).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.core.config import AdaptationConfig
 
@@ -75,9 +75,10 @@ class _Observation:
 class AdaptationController:
     """Stateful wrapper around :func:`adapt_percent`.
 
-    Keeps the two most recent (percentage, run time) observations, as the
-    paper's algorithm requires, and applies the optional user bound on the
-    maximum percentage.
+    Keeps the two most recent (percentage, run time) observations, the only
+    ones the paper's algorithm reads, and nothing older: its memory stays
+    the same however long the simulation runs.  It applies the optional user
+    bound on the maximum percentage.
 
     The initial state follows the paper: the (virtual) iteration before the
     first one is taken to be "everything reduced at zero cost"
@@ -87,10 +88,9 @@ class AdaptationController:
 
     def __init__(self, config: AdaptationConfig) -> None:
         self.config = config
-        self._prev: Optional[_Observation] = _Observation(percent=100.0, seconds=0.0)
+        self._prev = _Observation(percent=100.0, seconds=0.0)
         self._curr: Optional[_Observation] = None
         self._next_percent: float = float(config.initial_percent)
-        self.history: List[Tuple[float, float]] = []
 
     @property
     def next_percent(self) -> float:
@@ -111,7 +111,6 @@ class AdaptationController:
             raise ValueError(f"percent must be in [0, 100], got {percent}")
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
-        self.history.append((float(percent), float(seconds)))
         if not self.config.enabled:
             self._next_percent = float(percent)
             return self._next_percent
@@ -121,7 +120,6 @@ class AdaptationController:
             self._curr = _Observation(percent, seconds)
         else:
             self._prev, self._curr = self._curr, _Observation(percent, seconds)
-        assert self._prev is not None
         p_next = adapt_percent(
             self.config.target_seconds,
             self._prev.seconds,
@@ -131,14 +129,3 @@ class AdaptationController:
         )
         self._next_percent = float(min(p_next, self.config.max_percent))
         return self._next_percent
-
-    def converged(self, tolerance: float = 0.15, window: int = 3) -> bool:
-        """True if the last ``window`` observed run times are within ``tolerance``
-        (relative) of the target."""
-        if not self.config.enabled:
-            return False
-        if len(self.history) < window:
-            return False
-        target = self.config.target_seconds
-        recent = self.history[-window:]
-        return all(abs(t - target) <= tolerance * target for _, t in recent)

@@ -12,8 +12,10 @@ The five data steps live in the one :class:`~repro.core.engine.ExecutionEngine`
 (``PipelineConfig.engine`` picks the reference or the batched step classes,
 ``pipeline.engine.steps`` holds them) and share the engine's one
 communicator, exposed here as ``pipeline.comm``; the pipeline adds the
-adaptation controller on top and records the run once, as the list of its
-:class:`~repro.core.results.IterationResult` records (``pipeline.iterations``).
+adaptation controller on top.  Between iterations it keeps only what the
+next one reads — an iteration counter and the controller's two points — so
+its memory does not grow with the simulation's length: each
+:class:`~repro.core.results.IterationResult` goes to the caller.
 Iterations run strictly one after the other — the controller needs iteration
 ``t``'s time before it can pick iteration ``t + 1``'s percentage.
 """
@@ -61,8 +63,9 @@ class InSituPipeline:
         #: The one communicator every step charges its collectives to.
         self.comm = self.engine.comm
         self.controller = AdaptationController(config.adaptation)
-        #: Every iteration processed so far, in order: the run's one record.
-        self.iterations: List[IterationResult] = []
+        #: Index of the next iteration: with the controller's two points, all
+        #: the state one iteration leaves for the next.
+        self._next_iteration = 0
 
     # -- main entry point ---------------------------------------------------------
 
@@ -95,10 +98,10 @@ class InSituPipeline:
             else float(self.controller.next_percent)
         )
         context = self.engine.run_iteration(
-            per_rank_blocks, percent, len(self.iterations)
+            per_rank_blocks, percent, self._next_iteration
         )
         result = self.engine.iteration_result(context)
-        self.iterations.append(result)
+        self._next_iteration += 1
         # Step 6 of Figure 2: unless the percentage was forced, the
         # controller observes the full-pipeline time, in modelled seconds.
         if percent_override is None:
@@ -113,27 +116,34 @@ class InSituPipeline:
         percent_override: Optional[float] = None,
         on_iteration: Optional[Callable[[IterationResult], None]] = None,
     ) -> PipelineRunResult:
-        """Process several iterations and return the aggregated run result.
+        """Process several iterations and return this call's run result.
 
         ``iteration_blocks`` yields each iteration's ``process_iteration``
         input as the run advances (a generator decomposes snapshot ``i + 1``
         after iteration ``i`` was reported).  ``on_iteration`` is called with each
-        :class:`IterationResult` as soon as it is recorded, in iteration
+        :class:`IterationResult` as soon as it is computed, in iteration
         order — the hook the serve mode's streaming responses use.
 
-        An exception raised by the callback (the serve tier's deadline and
-        disconnect checks) or by a step propagates unchanged and ends the
-        run between iterations: ``pipeline.iterations`` keeps the iterations
-        completed so far and a following call continues at the next iteration
-        index.  The returned run holds every iteration recorded so far.
+        The returned :class:`PipelineRunResult` holds this call's iterations
+        only; the pipeline keeps none.  A following call continues at the
+        next iteration index with the controller where this call left it, so
+        ``run(a)`` then ``run(b)`` give, concatenated, what ``run(a + b)``
+        gives on a fresh pipeline, measured seconds aside.  An exception
+        raised by the callback (the serve tier's deadline and disconnect
+        checks) or by a step propagates unchanged and ends the run between
+        iterations; the iterations completed so far reached only
+        ``on_iteration``, and a following call still continues at the next
+        index.
         """
+        results: List[IterationResult] = []
         for per_rank_blocks in iteration_blocks:
             result, _ = self.process_iteration(
                 per_rank_blocks, percent_override=percent_override
             )
+            results.append(result)
             if on_iteration is not None:
                 on_iteration(result)
-        return PipelineRunResult(self.config_summary(), list(self.iterations))
+        return PipelineRunResult(self.config_summary(), results)
 
     def config_summary(self) -> Dict[str, object]:
         """Compact description of the run configuration (for reports)."""

@@ -1,12 +1,13 @@
-"""The one record of a pipeline run.
+"""What a pipeline run hands its caller.
 
 The engine condenses every iteration into one :class:`IterationResult` — the
 iteration's :class:`~repro.core.step.StepReport` per step, from which measured
 and modelled times, moved bytes and per-rank triangle counts are read — and
-:class:`~repro.core.pipeline.InSituPipeline` appends it to its
-``iterations`` list; :class:`PipelineRunResult` is that list with the run's
-configuration summary, what every summary (``repro run``, the serve mode's
-``summary`` event, the figure reproductions) is built from.
+:meth:`~repro.core.pipeline.InSituPipeline.process_iteration` returns it
+without keeping it.  :class:`PipelineRunResult` is the list one
+:meth:`~repro.core.pipeline.InSituPipeline.run` call collected, with the
+run's configuration summary: what every summary (``repro run``, the serve
+mode's ``summary`` event, the figure reproductions) is built from.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class IterationResult:
 
 @dataclass
 class PipelineRunResult:
-    """Outcome of a multi-iteration pipeline run."""
+    """Outcome of one :meth:`~repro.core.pipeline.InSituPipeline.run` call."""
 
     config_summary: Dict[str, object]
     iterations: List[IterationResult] = field(default_factory=list)
@@ -100,18 +101,10 @@ class PipelineRunResult:
         """Number of completed iterations."""
         return len(self.iterations)
 
-    def modelled_totals(self) -> List[float]:
-        """Per-iteration full-pipeline modelled seconds."""
-        return [r.modelled_total for r in self.iterations]
-
-    def modelled_rendering_times(self) -> List[float]:
-        """Per-iteration modelled rendering seconds."""
-        return [r.modelled_rendering for r in self.iterations]
-
     def summary(self) -> Dict[str, object]:
         """Compact dictionary summary (used by the experiment drivers)."""
-        rendering = self.modelled_rendering_times()
-        totals = self.modelled_totals()
+        rendering = [r.modelled_rendering for r in self.iterations]
+        totals = [r.modelled_total for r in self.iterations]
         return {
             "config": dict(self.config_summary),
             "iterations": self.niterations,

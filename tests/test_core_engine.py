@@ -351,16 +351,18 @@ def test_backends_identical_in_mesh_mode(tiny_scenario):
 
 
 class TestMonitorStepReportQueries:
-    """Per-step series read off the run's one record, ``pipeline.iterations``."""
+    """Per-step series read off the results ``process_iteration`` returns."""
 
     def test_payload_and_counter_series(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline(metric="VAR", redistribution="round_robin")
-        for i in range(2):
-            pipeline.process_iteration(tiny_scenario.blocks_for(i), percent_override=50.0)
-        reports = [result.step_reports for result in pipeline.iterations]
+        results = [
+            pipeline.process_iteration(tiny_scenario.blocks_for(i), percent_override=50.0)[0]
+            for i in range(2)
+        ]
+        reports = [result.step_reports for result in results]
         moved = [r["redistribution"].payload_bytes for r in reports]
         assert len(moved) == 2 and all(m > 0 for m in moved)
-        assert moved == [result.moved_bytes for result in pipeline.iterations]
+        assert moved == [result.moved_bytes for result in results]
         reduced = [r["reduction"].counters["nreduced"] for r in reports]
         assert all(r > 0 for r in reduced)
         assert all(tuple(r) == STEP_NAMES for r in reports)
@@ -388,5 +390,5 @@ class TestMonitorStepReportQueries:
         assert result.measured_steps == {"warp": 0.1}
         assert result.modelled_total == 1.5 and result.moved_bytes == 0.0
         run = PipelineRunResult({}, [result])
-        assert run.modelled_totals() == [1.5]
+        assert [r.modelled_total for r in run.iterations] == [1.5]
         assert run.summary()["rendering_mean"] == 0.0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 import repro
@@ -9,6 +12,7 @@ from repro.core.backends import STEP_NAMES
 from repro.core.config import AdaptationConfig, PipelineConfig
 from repro.core.results import IterationResult
 from repro.core.step import StepReport
+from repro.scenarios import ExperimentScenario
 
 
 class TestPipelineConfig:
@@ -82,14 +86,16 @@ class TestPipelineIntegration:
 
     def test_monitor_records_iterations(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline()
-        for i in range(2):
-            pipeline.process_iteration(tiny_scenario.blocks_for(i), percent_override=0.0)
-        assert len(pipeline.iterations) == 2
-        assert all(r.modelled_steps["rendering"] > 0 for r in pipeline.iterations)
-        # A run returns every iteration recorded so far, this call's or not.
-        run = pipeline.run([])
-        assert run.iterations == pipeline.iterations and run.niterations == 2
-        assert run.summary()["iterations"] == 2
+        results = [
+            pipeline.process_iteration(tiny_scenario.blocks_for(i), percent_override=0.0)[0]
+            for i in range(2)
+        ]
+        assert [r.iteration for r in results] == [0, 1]
+        assert all(r.modelled_steps["rendering"] > 0 for r in results)
+        # A run returns this call's iterations, numbered after the earlier ones.
+        run = pipeline.run([tiny_scenario.blocks_for(2)], percent_override=0.0)
+        assert [r.iteration for r in run.iterations] == [2] and run.niterations == 1
+        assert run.summary()["iterations"] == 1
 
     def test_adaptation_moves_percent_toward_target(self, tiny_scenario):
         adaptation = AdaptationConfig(enabled=True, target_seconds=5.0)
@@ -120,7 +126,7 @@ class TestPipelineIntegration:
     def test_quickstart_helper(self):
         run = repro.quickstart_pipeline(nranks=4, nsnapshots=2)
         assert run.niterations == 2
-        assert all(t > 0 for t in run.modelled_totals())
+        assert all(r.modelled_total > 0 for r in run.iterations)
 
     def test_mesh_render_mode(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline(render_mode="mesh")
@@ -151,9 +157,9 @@ class TestRunCallbacks:
         seen = []
 
         def on_iteration(result):
-            # At callback time the iteration is fully processed and recorded.
+            # At callback time the iteration is fully processed.
             assert tuple(result.step_reports) == STEP_NAMES
-            assert len(pipeline.iterations) == result.iteration + 1
+            assert result.iteration == len(seen)
             seen.append(result.iteration)
 
         run = pipeline.run(
@@ -171,8 +177,10 @@ class TestRunCallbacks:
         pipeline = tiny_scenario.build_pipeline(redistribution="round_robin")
         calls = _record_step_calls(pipeline)
         error = Cancel("stop at 1")
+        seen = []
 
         def cancel_at_one(result):
+            seen.append(result.iteration)
             if result.iteration == 1:
                 raise error
 
@@ -185,10 +193,10 @@ class TestRunCallbacks:
         assert raised.value is error
         # Iterations 0 and 1 ran every step; no step of iteration 2 started.
         assert calls == [(i, name) for i in (0, 1) for name in STEP_NAMES]
-        assert len(pipeline.iterations) == 2
+        assert seen == [0, 1]
         # The pipeline is still usable and continues at the next index.
         run = pipeline.run([tiny_scenario.blocks_for(2)], percent_override=50.0)
-        assert [r.iteration for r in run.iterations] == [0, 1, 2]
+        assert [r.iteration for r in run.iterations] == [2]
 
     def test_raising_step_leaves_completed_iterations(self, tiny_scenario):
         pipeline = tiny_scenario.build_pipeline(redistribution="round_robin")
@@ -210,10 +218,99 @@ class TestRunCallbacks:
                 on_iteration=lambda result: completed.append(result.iteration),
             )
         assert completed == [0]
-        assert len(pipeline.iterations) == 1
         assert calls[len(STEP_NAMES):] == [
             (1, "scoring"), (1, "sorting"), (1, "reduction"),
         ]
+        # The failed iteration left no trace: the next call runs index 1.
+        reduction.execute = inner
+        run = pipeline.run([tiny_scenario.blocks_for(1)], percent_override=50.0)
+        assert [r.iteration for r in run.iterations] == [1]
+
+
+def _outcome(result):
+    """Every field of an iteration's result but its measured wall-clock."""
+    return (
+        result.iteration,
+        result.percent_reduced,
+        result.nblocks,
+        [
+            (name, r.modelled_per_rank, r.payload_bytes, r.counters, r.per_rank_counters)
+            for name, r in result.step_reports.items()
+        ],
+    )
+
+
+#: Iterations of the resumption law's reference run.
+RESUMED_ITERATIONS = 4
+
+
+@pytest.fixture(scope="module", params=["tiny", "decaying_storm"])
+def resumed_scenario(request, at_tiny_scale):
+    return ExperimentScenario(at_tiny_scale(request.param, nsnapshots=RESUMED_ITERATIONS))
+
+
+class TestResumptionLaw:
+    """``run(feed[:k])`` then ``run(feed[k:])`` on one pipeline give,
+    concatenated, what ``run(feed)`` gives on a fresh one, and leave the
+    controller at the same next percentage: the iteration counter and the
+    controller's two points are all the state an iteration leaves behind.
+    Rebuilding the controller, or resetting the counter, at the top of
+    ``run`` fails it."""
+
+    @pytest.mark.parametrize("k", range(RESUMED_ITERATIONS + 1))
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+    def test_split_run_equals_one_run(self, resumed_scenario, adaptive, k):
+        scenario = resumed_scenario
+        feed = [scenario.blocks_for(i) for i in range(RESUMED_ITERATIONS)]
+
+        def build():
+            # A target inside the modelled range, so every adaptive step moves p.
+            adaptation = AdaptationConfig(
+                enabled=adaptive, target_seconds=1000.0, initial_percent=40.0
+            )
+            return scenario.build_pipeline(redistribution="round_robin", adaptation=adaptation)
+
+        whole = build()
+        expected = [_outcome(r) for r in whole.run(feed).iterations]
+        if adaptive:
+            assert len({outcome[1] for outcome in expected}) == RESUMED_ITERATIONS
+
+        pipeline = build()
+        first = pipeline.run(feed[:k]).iterations
+        second = pipeline.run(feed[k:]).iterations
+        assert len(first) == k
+        assert [_outcome(r) for r in first + second] == expected
+        assert pipeline.controller.next_percent == whole.controller.next_percent
+
+
+def test_retained_memory_does_not_grow_with_iterations(tiny_scenario):
+    """What ``tracemalloc`` sees retained after 500 ``process_iteration``
+    calls exceeds what it saw after 50 by at most 32 KB.
+
+    It reads 1–14 KB: allocator free-list noise, the same at a few thousand
+    calls.  Keeping every ``IterationResult`` reads ≈ 1 860 KB, and keeping
+    every controller observation 59–66 KB.  One result is ≈ 4.3 KB on
+    ``tiny``, inside the noise, so the bound is a fixed 32 KB rather than
+    "less than one result"; 64 KB would let the kept observations pass about
+    one run in two.
+    """
+    adaptation = AdaptationConfig(enabled=True, target_seconds=1000.0)
+    pipeline = tiny_scenario.build_pipeline(redistribution="round_robin", adaptation=adaptation)
+    feed = [tiny_scenario.blocks_for(i) for i in range(len(tiny_scenario.dataset))]
+
+    def retained_after(calls):
+        for i in range(calls):
+            pipeline.process_iteration(feed[i % len(feed)])
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        after_50 = retained_after(50)
+        after_500 = retained_after(450)
+    finally:
+        tracemalloc.stop()
+    assert after_500 - after_50 <= 32 * 1024, f"{(after_500 - after_50) / 1024:.1f} KB"
 
 
 class TestOneCommunicator:
