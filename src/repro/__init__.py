@@ -70,7 +70,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "AdaptationConfig",

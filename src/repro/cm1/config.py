@@ -220,8 +220,3 @@ class CM1Config:
             raise ValueError("start_iteration must be >= 0")
         if self.iteration_stride < 1:
             raise ValueError("iteration_stride must be >= 1")
-
-    @classmethod
-    def tiny(cls, seed: int = 2016) -> "CM1Config":
-        """A very small configuration for unit tests (fast to generate)."""
-        return cls(shape=(44, 44, 12), seed=seed)

@@ -53,7 +53,7 @@ class CM1Simulation:
 
     Examples
     --------
-    >>> sim = CM1Simulation(CM1Config.tiny())
+    >>> sim = CM1Simulation(CM1Config(shape=(44, 44, 12)))
     >>> domain = sim.snapshot(0)
     >>> sorted(domain.fields)
     ['dbz']

@@ -36,21 +36,10 @@ _WINDOW = 1 << 14
 _HASH_BITS = 15
 
 
-def _hash4(data: bytes, pos: int) -> int:
-    """Hash of the 4 bytes starting at ``pos`` (assumes pos+4 <= len)."""
-    value = (
-        data[pos]
-        | (data[pos + 1] << 8)
-        | (data[pos + 2] << 16)
-        | (data[pos + 3] << 24)
-    )
-    return (value * 2654435761) >> (32 - _HASH_BITS) & ((1 << _HASH_BITS) - 1)
-
-
 def _hash_all(data: bytes) -> list:
     """Hashes of every 4-byte window of ``data`` in one vectorised pass.
 
-    ``_hash_all(data)[pos] == _hash4(data, pos)`` for every valid position;
+    Entry ``pos`` hashes the little-endian 4-byte value at ``pos``;
     precomputing them removes the per-position byte assembly that used to
     dominate the compression loop.  Returned as a plain list because scalar
     list indexing is considerably faster than NumPy scalar indexing inside

@@ -152,10 +152,10 @@ class ReductionStep:
         """Reduce the selected blocks rank by rank, one
         :func:`~repro.grid.reduction.reduce_block` call each.
 
-        The blocks with the selected ones replaced by their reduced copies and
-        the ladder decision (``reduction_levels``, ``reduced_ids``) go into
-        ``context``; the report counts the reduced blocks and the payload
-        points they kept.
+        The blocks with the selected ones replaced by their reduced copies go
+        into ``context``, so the ladder decision is each block's ``level``;
+        the report counts the reduced blocks and the payload points they
+        kept.
         """
         per_rank_blocks = context.per_rank_blocks
         levels = select_reduction_levels(
@@ -186,7 +186,6 @@ class ReductionStep:
             )
             points_total += points_copied
         context.per_rank_blocks = out
-        context.reduction_levels, context.reduced_ids = levels, set(levels)
         return StepReport(
             self.name,
             measured_per_rank=measured,
@@ -219,7 +218,7 @@ class VectorizedReductionStep(ReductionStep):
 
     def execute(self, context: IterationContext) -> StepReport:
         """Reduce the selected rows of the context's columns in one cross-rank
-        pass; the ladder decision goes into ``context`` as arrays."""
+        pass; the ladder decision is the rows' ``levels`` afterwards."""
         columns = context.columns
         wire = context.require_sorted_array()
         rungs = ladder_counts(len(wire), context.percent, self.quality_ladder)
@@ -232,7 +231,6 @@ class VectorizedReductionStep(ReductionStep):
         selected = targets > 0
         rank_counts = columns.per_rank_sum(selected)
         rank_points = columns.per_rank_sum(np.where(selected, columns.npoints, 0))
-        context.set_reduction_arrays(ids, levels)
         return StepReport(
             self.name,
             measured_per_rank=share_elapsed(timer.elapsed, rank_counts),

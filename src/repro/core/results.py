@@ -42,11 +42,6 @@ class IterationResult:
         return {name: r.modelled_max for name, r in self.step_reports.items()}
 
     @property
-    def measured_steps(self) -> Dict[str, float]:
-        """Per-step measured seconds (slowest rank), in execution order."""
-        return {name: r.measured_max for name, r in self.step_reports.items()}
-
-    @property
     def nreduced(self) -> int:
         """Blocks the reduction step reduced."""
         reduction = self.step_reports.get("reduction")

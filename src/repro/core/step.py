@@ -25,9 +25,9 @@ other on first access, so a ``serial`` engine never stacks a payload, a
 default engine never builds a ``Block``, and a pipeline mixing both kinds of
 step converts at the hand-offs.  An iteration that arrives pre-stacked
 (:class:`~repro.grid.batch.DecomposedField`) starts on the columns, one that
-arrives as lists on the lists.  The score pairs, sorted order and reduction
-decision stay the arrays the batched steps pass on; their tuples, dict and set
-are built only when a list-based caller reads them.
+arrives as lists on the lists.  The score pairs and the sorted order stay the
+arrays the batched steps pass on; their tuples are built only when a
+list-based caller reads them.
 """
 
 from __future__ import annotations
@@ -90,11 +90,6 @@ class StepReport:
     payload_bytes: float = 0.0
     counters: Dict[str, float] = field(default_factory=dict)
     per_rank_counters: Dict[str, List[float]] = field(default_factory=dict)
-
-    @property
-    def measured_max(self) -> float:
-        """Slowest rank's measured seconds (0.0 for an empty report)."""
-        return max(self.measured_per_rank) if self.measured_per_rank else 0.0
 
     @property
     def modelled_max(self) -> float:
@@ -169,7 +164,7 @@ class IterationContext:
     view builds it from the other, once, and makes it the authoritative one;
     assigning ``per_rank_blocks`` discards the columns.  A ``DecomposedField``
     passed as ``per_rank_blocks`` becomes the columns; its blocks stay unbuilt.
-    The four list views below work the same way over the ``set_*`` arrays.
+    The two list views below work the same way over the ``set_*`` arrays.
     """
 
     #: Per-rank ``(block_id, score)`` tuples.
@@ -178,11 +173,6 @@ class IterationContext:
     )
     #: The global ascending ``(score, id)`` order as ``(block_id, score)`` tuples.
     sorted_pairs = _ListView("_sorted_array", pairs_from_wire)
-    #: Target ladder level per reduced block id, in selection order.
-    reduction_levels = _ListView(
-        "_reduction", lambda arrays: dict(zip(*(column.tolist() for column in arrays)))
-    )
-    reduced_ids = _ListView("_reduction", lambda arrays: set(arrays[0].tolist()))
 
     def __init__(
         self,
@@ -202,7 +192,6 @@ class IterationContext:
             self._columns, self._blocks = BlockColumns(per_rank_blocks), None
         self.per_rank_pairs = per_rank_pairs
         self.sorted_pairs = sorted_pairs
-        self._reduced_ids = self._reduction_levels = self._reduction = None
         self.render_results: Optional[List["RenderResult"]] = None
         self.reports: Dict[str, StepReport] = {}
 
@@ -240,11 +229,6 @@ class IterationContext:
     def set_sorted_array(self, wire: np.ndarray) -> None:
         """Record the sorted order as the broadcast ``(N, 2)`` wire array."""
         self._sorted_pairs, self._sorted_array = None, wire
-
-    def set_reduction_arrays(self, ids: np.ndarray, levels: np.ndarray) -> None:
-        """Record the reduced ids, in selection order, and their target levels."""
-        self._reduction_levels = self._reduced_ids = None
-        self._reduction = (ids, levels)
 
     def pairs_for_sort(self) -> Sequence[Sequence[ScorePair]]:
         """The score pairs as they are at hand — wire arrays or tuples, the

@@ -98,13 +98,6 @@ class BlockExtent:
         """Index slices selecting this extent from a global array."""
         return tuple(slice(lo, hi) for lo, hi in zip(self.start, self.stop))
 
-    def overlaps(self, other: "BlockExtent") -> bool:
-        """True if the two extents share at least one point."""
-        return all(
-            lo1 < hi2 and lo2 < hi1
-            for lo1, hi1, lo2, hi2 in zip(self.start, self.stop, other.start, other.stop)
-        )
-
 
 @dataclass(frozen=True)
 class Block:
@@ -130,7 +123,7 @@ class Block:
     level:
         Rung of the reduction ladder the payload sits on: 0 = full
         resolution, 1 = strided downsample (:func:`axis_sample_indices`
-        per axis), 2 = 2×2×2 corners.  :attr:`reduced` is derived from it.
+        per axis), 2 = 2×2×2 corners.
     """
 
     block_id: int
@@ -158,11 +151,6 @@ class Block:
         object.__setattr__(self, "data", data)
 
     @property
-    def reduced(self) -> bool:
-        """Whether the payload has been reduced (``level > 0``)."""
-        return self.level > 0
-
-    @property
     def nbytes(self) -> int:
         """Payload size in bytes (what redistribution actually transfers)."""
         return int(self.data.nbytes)
@@ -180,12 +168,6 @@ class Block:
         clone.__dict__.update(self.__dict__)
         clone.__dict__.update(updates)
         return clone
-
-    def with_owner(self, owner: int) -> "Block":
-        """Return a copy of the block assigned to a different ``owner`` rank."""
-        if owner < 0:
-            raise ValueError(f"owner must be >= 0, got {owner}")
-        return self._clone_with(owner=int(owner))
 
     def with_score(self, score: float) -> "Block":
         """Return a copy of the block with ``score`` attached."""

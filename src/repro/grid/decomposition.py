@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -203,14 +203,6 @@ class CartesianDecomposition:
         base = rank * self.blocks_per_rank
         return list(range(base, base + self.blocks_per_rank))
 
-    def all_block_extents(self) -> Dict[int, BlockExtent]:
-        """Mapping block id -> extent for the whole domain."""
-        out: Dict[int, BlockExtent] = {}
-        for rank in range(self.nranks):
-            for bid, ext in zip(self.block_ids(rank), self.block_extents(rank)):
-                out[bid] = ext
-        return out
-
     # -- data extraction -------------------------------------------------------
 
     @cached_property
@@ -297,20 +289,3 @@ class CartesianDecomposition:
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.nranks):
             raise ValueError(f"rank {rank} out of range [0, {self.nranks})")
-
-    def validate_coverage(self) -> bool:
-        """Check that blocks tile the domain exactly (no gaps, no overlaps).
-
-        Intended for tests; O(nblocks^2) in the worst case for the overlap
-        check so only use on small decompositions.
-        """
-        extents = list(self.all_block_extents().values())
-        total = sum(e.npoints for e in extents)
-        nx, ny, nz = self.global_shape
-        if total != nx * ny * nz:
-            return False
-        for i, a in enumerate(extents):
-            for b in extents[i + 1 :]:
-                if a.overlaps(b):
-                    return False
-        return True

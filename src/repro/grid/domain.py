@@ -9,7 +9,7 @@ out).  A process's share of a field is cut out by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class Domain:
     def shape(self) -> Tuple[int, int, int]:
         """Shape of the domain (number of grid points per axis)."""
         return self.grid.shape
-
-    def field_names(self) -> List[str]:
-        """Names of the fields stored in this domain snapshot."""
-        return list(self.fields.keys())
 
     def get_field(self, name: str) -> np.ndarray:
         """Return the array for field ``name`` (raises ``KeyError`` if absent)."""

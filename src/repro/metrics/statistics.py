@@ -93,8 +93,7 @@ class PythonVarianceMetric(ScoreMetric):
     GIL); worker processes can, so it declares ``gil_bound`` and the batched
     scoring step scores it over the shared process pool, which is what the
     GIL-bound gate of ``benchmarks/test_process_scaling.py`` measures.
-    ``stride`` thins the block to keep the absolute cost at benchmark
-    scale; scoring stays deterministic, so all backends agree bitwise.
+    Every point is read, in ``ravel`` order, so all backends agree bitwise.
 
     Registered as ``"PYVAR"`` so serve/CLI request payloads can select it —
     not as a scoring recommendation, but as the reference workload for the
@@ -105,17 +104,12 @@ class PythonVarianceMetric(ScoreMetric):
     cost = MetricCost(per_point=4.9e-8)
     gil_bound = True
 
-    def __init__(self, stride: int = 1) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.stride = int(stride)
-
     def score_block(self, data: np.ndarray) -> float:
         arr = self._prepare(data)
         count = 0
         mean = 0.0
         m2 = 0.0
-        for value in arr.ravel()[:: self.stride].tolist():
+        for value in arr.ravel().tolist():
             count += 1
             delta = value - mean
             mean += delta / count

@@ -8,7 +8,7 @@ configurations the paper evaluates (64 and 400 cores) as ready-made presets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.metrics.base import MetricCost, ScoreMetric
 from repro.perfmodel.calibration import TABLE1_SECONDS, metric_cost_from_table1
@@ -36,9 +36,10 @@ class PlatformModel:
         their class-level calibrated cost.
     seconds_per_reduced_block:
         Modelled cost of reducing one block to its 8 corner values (a strided
-        copy of 8 values); the reduction step prices its work through
-        :meth:`reduction_seconds` exactly like scoring and rendering price
-        theirs through the platform.
+        copy of 8 values): the unit in which :meth:`reduction_seconds`
+        prices the points a reduction keeps.  The reduction step prices its
+        work through it exactly like scoring and rendering price theirs
+        through the platform.
     """
 
     name: str
@@ -73,24 +74,15 @@ class PlatformModel:
 
     # -- reduction cost --------------------------------------------------------
 
-    def reduction_seconds(
-        self, nreduced_per_rank: int, points_copied: Optional[int] = None
-    ) -> float:
+    def reduction_seconds(self, nreduced_per_rank: int, points_copied: int) -> float:
         """Modelled seconds for one rank to reduce its selected blocks.
 
-        Without ``points_copied`` every reduced block is priced as one corner
-        gather (the pre-ladder behavior).  With it, cost scales with the
-        actual payload points retained, in corner-block units of 8 points —
-        a level-1 strided downsample copies more than a corner block and is
-        priced accordingly.  When every reduced block is a corner block the
-        two forms are bitwise identical
-        (``points_copied == 8 * nreduced_per_rank``).
+        Cost scales with the payload points the reduced blocks retain, in
+        corner-block units of 8 points: a corner block costs
+        :attr:`seconds_per_reduced_block`, and a level-1 strided downsample,
+        which copies more, is priced accordingly.
         """
-        if nreduced_per_rank < 0:
-            raise ValueError("work counts must be >= 0")
-        if points_copied is None:
-            return self.seconds_per_reduced_block * nreduced_per_rank
-        if points_copied < 0:
+        if nreduced_per_rank < 0 or points_copied < 0:
             raise ValueError("work counts must be >= 0")
         return self.seconds_per_reduced_block * (points_copied / 8.0)
 

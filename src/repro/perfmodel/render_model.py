@@ -69,13 +69,3 @@ class RenderCostModel:
     def with_per_triangle(self, per_triangle: float) -> "RenderCostModel":
         """Return a copy with a different per-triangle coefficient."""
         return replace(self, per_triangle=float(per_triangle))
-
-    def scaled(self, factor: float) -> "RenderCostModel":
-        """Return a copy with all data-dependent coefficients scaled by ``factor``."""
-        ensure_positive(factor, "factor")
-        return replace(
-            self,
-            per_triangle=self.per_triangle * factor,
-            per_point=self.per_point * factor,
-            per_block=self.per_block * factor,
-        )

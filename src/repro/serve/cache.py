@@ -1,20 +1,23 @@
 """Replay cache: resolved scenario configs to mmap-backed dataset stores.
 
-The PR 5 cache-key fix made a fully resolved
-:class:`~repro.scenarios.ScenarioConfig` the sound identity of a workload —
-two configs that hash equal describe the same data.  This module turns that
-identity into an *on-disk* cache: the first run of a config simulates CM1
-and persists every snapshot as a
+A fully resolved :class:`~repro.scenarios.ScenarioConfig` is the sound
+identity of a workload — two configs that hash equal describe the same data.
+This module turns that identity into an *on-disk* cache: the first run of a
+config simulates CM1 and persists every snapshot as a
 :class:`~repro.io.store.DatasetStore`; every later run (within or across
 server processes) replays the stored snapshots through read-only
 ``np.memmap`` views and never touches the simulation again.
 
+Every request goes through one of two context managers, each pinning its
+entry while open: :meth:`ReplayCache.acquire_store` yields the store's
+directory (a process-tier worker opens it by path), and
+:meth:`ReplayCache.acquire` yields the opened scenario.
+
 Long-lived servers need the cache *bounded*: ``max_entries`` / ``max_bytes``
 cap it with LRU eviction.  Eviction is decided under the cache's internal
-lock, honours in-flight readers (an entry a run is currently replaying is
-never evicted — pin one with :meth:`ReplayCache.acquire` /
-:meth:`ReplayCache.acquire_store`), and is counted alongside hits and misses
-in :meth:`ReplayCache.stats`, which ``GET /health`` surfaces.
+lock, honours in-flight readers (a pinned entry is never evicted), and is
+counted alongside hits and misses in :meth:`ReplayCache.stats`, which
+``GET /health`` surfaces.
 
 A hit through :meth:`ReplayCache.acquire` does not re-open the store either:
 each entry keeps the :class:`~repro.scenarios.ExperimentScenario` it was first
@@ -227,23 +230,6 @@ class ReplayCache:
 
     # -- public surface ------------------------------------------------------
 
-    def store_path(self, config: ScenarioConfig) -> Path:
-        """Directory the dataset store for ``config`` lives in (or will)."""
-        return self.root / scenario_cache_key(config)
-
-    def peek(self, config: ScenarioConfig) -> bool:
-        """True if a replay for ``config`` is cached and whole on disk.
-
-        That is a registered entry, or a store :func:`_unservable` finds
-        nothing wrong with — never an entry still being written.  Unlike
-        adoption, a peek deletes nothing.
-        """
-        key = scenario_cache_key(config)
-        with self._guard:
-            if key in self._entries:
-                return True
-        return _unservable(DatasetStore(self.root / key)) is None
-
     @contextmanager
     def acquire_store(
         self, config: ScenarioConfig
@@ -322,20 +308,6 @@ class ReplayCache:
                     entry.scenario = ExperimentScenario.from_store(config, store_dir)
                 scenario = entry.scenario
             yield scenario, was_hit
-
-    def scenario_for(self, config: ScenarioConfig) -> "Tuple[ExperimentScenario, bool]":
-        """Resolve a config to ``(scenario, was_hit)``, cached.
-
-        Unpinned convenience over :meth:`acquire` — the entry is eviction
-        fair game as soon as this returns, so callers that stream a long
-        replay under a bounded cache should hold :meth:`acquire` open
-        instead.  (Safe either way on POSIX: the mmap keeps the deleted
-        file's inode alive; eviction only unlinks names.)  The entry stays
-        resident until another entry is acquired and released; the returned
-        scenario stays valid after that, only no longer shared.
-        """
-        with self.acquire(config) as (scenario, was_hit):
-            return scenario, was_hit
 
     def stats(self) -> Dict[str, Optional[int]]:
         """Hit/miss/eviction counters and occupancy (snapshot, not a view).

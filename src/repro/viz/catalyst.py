@@ -76,11 +76,6 @@ class RenderResult:
         """Total triangles across the rank's blocks."""
         return int(self.block_triangles.sum())
 
-    @property
-    def active_cells(self) -> int:
-        """Total isosurface-crossing cells across the rank's blocks."""
-        return int(self.block_cells.sum())
-
 
 class IsosurfaceScript:
     """Isosurface extraction of a block list.

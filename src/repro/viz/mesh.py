@@ -72,19 +72,6 @@ class TriangleMesh:
             normals = normals / norms
         return normals
 
-    def triangle_areas(self) -> np.ndarray:
-        """Per-triangle areas."""
-        tv = self.triangle_vertices()
-        if tv.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        e1 = tv[:, 1] - tv[:, 0]
-        e2 = tv[:, 2] - tv[:, 0]
-        return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-
-    def area(self) -> float:
-        """Total surface area."""
-        return float(self.triangle_areas().sum())
-
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(min_corner, max_corner) of the vertex cloud (zeros when empty)."""
         if self.nvertices == 0:
@@ -124,8 +111,3 @@ class TriangleMesh:
         if not verts:
             return cls()
         return cls(vertices=np.vstack(verts), triangles=np.vstack(tris))
-
-    def translated(self, offset: np.ndarray) -> "TriangleMesh":
-        """Return a copy of the mesh translated by ``offset`` (3-vector)."""
-        offset = np.asarray(offset, dtype=np.float64).reshape(3)
-        return TriangleMesh(vertices=self.vertices + offset, triangles=self.triangles.copy())

@@ -76,10 +76,21 @@ def at_tiny_scale():
     return tiny_config
 
 
+#: A very small CM1 configuration, fast to generate: the tiny grid, the
+#: default storm and seed.
+TINY_CM1 = CM1Config(shape=TINY_SHAPE)
+
+
+@pytest.fixture(scope="session")
+def tiny_cm1() -> CM1Config:
+    """:data:`TINY_CM1`."""
+    return TINY_CM1
+
+
 @pytest.fixture(scope="session")
 def tiny_simulation() -> CM1Simulation:
     """A very small synthetic CM1 simulation shared across tests."""
-    return CM1Simulation(CM1Config.tiny())
+    return CM1Simulation(TINY_CM1)
 
 
 @pytest.fixture(scope="session")

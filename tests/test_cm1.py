@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -161,9 +162,8 @@ def salted(rng, shape, dtype, scale):
 
 
 class TestConfigs:
-    def test_tiny_config_valid(self):
-        cfg = CM1Config.tiny()
-        assert cfg.shape == (44, 44, 12)
+    def test_tiny_config_valid(self, tiny_cm1):
+        assert tiny_cm1.shape == (44, 44, 12)
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -307,7 +307,7 @@ class TestModelStateAndSimulation:
     def test_snapshot_fields_and_iteration(self, tiny_simulation):
         domain = tiny_simulation.snapshot(2)
         assert domain.iteration == tiny_simulation.config.start_iteration + 2
-        assert domain.field_names() == ["dbz"]
+        assert list(domain.fields) == ["dbz"]
         assert domain.get_field("dbz").shape == tiny_simulation.config.shape
         assert domain.get_field("dbz").dtype == np.float32
 
@@ -328,9 +328,10 @@ class TestModelStateAndSimulation:
         assert len(domains) == 3
         assert domains[0].iteration < domains[2].iteration
 
-    def test_snapshot_deterministic(self):
-        a = CM1Simulation(CM1Config.tiny(seed=5)).snapshot(1).get_field("dbz")
-        b = CM1Simulation(CM1Config.tiny(seed=5)).snapshot(1).get_field("dbz")
+    def test_snapshot_deterministic(self, tiny_cm1):
+        config = replace(tiny_cm1, seed=5)
+        a = CM1Simulation(config).snapshot(1).get_field("dbz")
+        b = CM1Simulation(config).snapshot(1).get_field("dbz")
         np.testing.assert_array_equal(a, b)
 
 
@@ -394,7 +395,7 @@ class TestOpenMeshLaw:
             assert got[name].tobytes() == want[name].tobytes(), name
 
         got, want = sim.snapshot(iteration), oracle_snapshot(oracle, iteration)
-        assert got.field_names() == want.field_names() == ["dbz"]
+        assert list(got.fields) == list(want.fields) == ["dbz"]
         assert got.get_field("dbz").tobytes() == want.get_field("dbz").tobytes()
 
 
@@ -430,7 +431,7 @@ class TestSlabLaw:
         with mock.patch.object(simulation_module, "_SLAB_BYTES", slab_bytes):
             got = sim.snapshot(iteration)
         assert got.iteration == want.iteration
-        assert got.field_names() == want.field_names() == ["dbz"]
+        assert list(got.fields) == list(want.fields) == ["dbz"]
         dbz = got.get_field("dbz")
         assert (dbz.dtype, dbz.shape) == (FIELD_DTYPE, shape)
         assert dbz.tobytes() == want.get_field("dbz").tobytes()

@@ -154,7 +154,6 @@ def block_signature(block: Block) -> tuple:
         block.owner,
         block.home,
         block.level,
-        block.reduced,
         repr(block.score),  # NaN-safe
         block.field_name,
         block.data.dtype.str,
@@ -195,13 +194,12 @@ def render_signature(results) -> list:
 
 
 def outcome(context: IterationContext) -> dict:
-    """Everything the steps run so far left on ``context``."""
-    levels, results = context.reduction_levels, context.render_results
+    """Everything the steps run so far left on ``context`` (the reduction's
+    decision is each block's ``level``)."""
+    results = context.render_results
     return {
         "pairs": context.per_rank_pairs,
         "sorted": context.sorted_pairs,
-        "reduced_ids": context.reduced_ids,
-        "levels": None if levels is None else list(levels.items()),
         "render": None if results is None else render_signature(results),
         "reports": {n: report_signature(r) for n, r in context.reports.items()},
         "blocks": blocks_signature(context.per_rank_blocks),

@@ -24,8 +24,8 @@ from repro.compress.bitplane import (
 )
 from repro.compress.fpzip_like import FpzipLikeCompressor, residual_codes
 from repro.compress.lz_like import (
+    _HASH_BITS,
     LzLikeCompressor,
-    _hash4,
     _hash_all,
     lz77_compress,
     lz77_decompress,
@@ -287,6 +287,17 @@ def oracle_lz_to_planes(arr):
     return b"".join(planes), nbytes_per
 
 
+def oracle_hash4(data: bytes, pos: int) -> int:
+    """Hash of the 4 bytes starting at ``pos`` (assumes pos+4 <= len)."""
+    value = (
+        data[pos]
+        | (data[pos + 1] << 8)
+        | (data[pos + 2] << 16)
+        | (data[pos + 3] << 24)
+    )
+    return (value * 2654435761) >> (32 - _HASH_BITS) & ((1 << _HASH_BITS) - 1)
+
+
 class TestBitplane:
     def test_ordered_uint_preserves_order_float32(self):
         values = np.array([-1e10, -1.0, -1e-20, 0.0, 1e-20, 1.0, 1e10], dtype=np.float32)
@@ -389,7 +400,7 @@ class TestHashAll:
     def test_matches_scalar_hash(self, data):
         hashes = _hash_all(data)
         assert len(hashes) == max(0, len(data) - 3)
-        assert hashes == [_hash4(data, p) for p in range(len(hashes))]
+        assert hashes == [oracle_hash4(data, p) for p in range(len(hashes))]
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])

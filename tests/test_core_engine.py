@@ -25,12 +25,10 @@ class TestStepReport:
             measured_per_rank=[0.1, 0.3, 0.2],
             modelled_per_rank=[1.0, 4.0, 2.0],
         )
-        assert report.measured_max == pytest.approx(0.3)
         assert report.modelled_max == pytest.approx(4.0)
 
     def test_empty_maxima(self):
         report = StepReport(step="x")
-        assert report.measured_max == 0.0
         assert report.modelled_max == 0.0
 
     def test_collective(self):
@@ -240,7 +238,12 @@ class TestBackendParity:
             context = pipeline.engine.run_iteration(blocks, 25.0, 0)
             traces[engine] = (
                 context.sorted_pairs,
-                sorted(context.reduced_ids),
+                sorted(
+                    block.block_id
+                    for rank in context.per_rank_blocks
+                    for block in rank
+                    if block.level > 0
+                ),
                 [
                     [(b.block_id, b.score) for b in rank]
                     for rank in context.per_rank_blocks
@@ -342,7 +345,7 @@ def test_backends_identical_in_mesh_mode(tiny_scenario):
         return (
             tuple(result.triangles_per_rank),
             result.modelled_total,
-            tuple(r.active_cells for r in renders),
+            tuple(r.block_cells.tolist() for r in renders),
         )
 
     serial = trace("serial")
@@ -387,7 +390,7 @@ class TestMonitorStepReportQueries:
             iteration=0, percent_reduced=0.0, nblocks=1, step_reports={"warp": report}
         )
         assert result.modelled_steps == {"warp": 1.5}
-        assert result.measured_steps == {"warp": 0.1}
+        assert result.step_reports["warp"].measured_per_rank == [0.1]
         assert result.modelled_total == 1.5 and result.moved_bytes == 0.0
         run = PipelineRunResult({}, [result])
         assert [r.modelled_total for r in run.iterations] == [1.5]

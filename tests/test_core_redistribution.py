@@ -2,13 +2,13 @@
 
 ``oracle_redistribute`` is the per-rank list-of-lists planner the global pass
 in ``repro.core.redistribution`` replaced: it builds ``send_lists``, exchanges
-them through the public ``BSPCommunicator.alltoallv``, transposes, and sorts
-every rank's list.  It lives here because only these tests use it.
+them through the list all-to-all ``oracle_alltoallv``, transposes, and sorts
+every rank's list.  Both live here because only these tests use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 import numpy as np
@@ -30,6 +30,28 @@ from repro.simmpi.costmodel import NetworkCostModel
 EXTENT = BlockExtent((0, 0, 0), (5, 4, 3))
 
 
+def oracle_alltoallv(comm, send_lists):
+    """``BSPCommunicator.alltoallv`` as it stood in ``src/``: the list form of
+    the personalised all-to-all.
+
+    ``send_lists[i][j]`` is the list of blocks rank ``i`` sends to rank ``j``
+    (``None`` meaning nothing); returns ``recv[j][i]``.  A payload is sized
+    as its blocks' ``nbytes`` and the byte matrix is charged through
+    ``comm.charge_alltoallv``.
+    """
+    nranks = comm.nranks
+    matrix = np.zeros((nranks, nranks), dtype=np.int64)
+    recv = [[None] * nranks for _ in range(nranks)]
+    for i, row in enumerate(send_lists):
+        for j, payload in enumerate(row):
+            if payload is None:
+                continue
+            matrix[i, j] = sum(block.nbytes for block in payload)
+            recv[j][i] = payload
+    comm.charge_alltoallv(matrix)
+    return recv
+
+
 def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_pairs, iteration):
     """The planner as it stood before the global pass, rank by rank.
 
@@ -38,7 +60,7 @@ def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_pairs, iteration
     nranks = comm.nranks
     if isinstance(strategy, NoRedistribution):
         out = [
-            [b if b.owner == rank else b.with_owner(rank) for b in blocks]
+            [b if b.owner == rank else replace(b, owner=rank) for b in blocks]
             for rank, blocks in enumerate(per_rank_blocks)
         ]
         return out, {"modelled": 0.0, "moved_bytes": 0.0, "moved_blocks": 0.0}
@@ -68,7 +90,7 @@ def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_pairs, iteration
             dest = np.full(len(blocks), rank, dtype=np.int64)
         staying = dest == rank
         kept[rank] = [
-            blocks[i] if blocks[i].owner == rank else blocks[i].with_owner(rank)
+            blocks[i] if blocks[i].owner == rank else replace(blocks[i], owner=rank)
             for i in np.flatnonzero(staying)
         ]
         movers = np.flatnonzero(~staying)
@@ -82,12 +104,12 @@ def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_pairs, iteration
         bounds = np.concatenate(([0], np.cumsum(counts)))
         for dest_rank in np.flatnonzero(counts):
             send_lists[rank][dest_rank] = [
-                blocks[i].with_owner(int(dest_rank))
+                replace(blocks[i], owner=int(dest_rank))
                 for i in grouped[bounds[dest_rank] : bounds[dest_rank + 1]]
             ]
         moved_blocks += int(movers.size)
         moved_bytes += int(sum(blocks[i].nbytes for i in movers))
-    received = comm.alltoallv(send_lists)
+    received = oracle_alltoallv(comm, send_lists)
     new_blocks = []
     for rank in range(nranks):
         mine = list(kept[rank])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,12 +262,12 @@ class TestReductionSelection:
         context, report = run_step(
             ReductionStep(platform), per_rank_blocks, 50.0, sorted_pairs=all_pairs
         )
-        reduced_ids = context.reduced_ids
-        assert report.counters["nreduced"] == len(reduced_ids)
+        selected = selected_ids(all_pairs, 50.0)
+        assert report.counters["nreduced"] == len(selected) > 0
         for blocks in context.per_rank_blocks:
             for blk in blocks:
-                assert blk.reduced == (blk.block_id in reduced_ids)
-                if blk.reduced:
+                assert (blk.level > 0) == (blk.block_id in selected)
+                if blk.level > 0:
                     assert blk.data.shape == (2, 2, 2)
 
 
@@ -294,9 +295,11 @@ class TestReductionBackends:
             for before, after in zip(pre_reduced, context.per_rank_blocks):
                 # Reducing a reduced block is a no-op returning the block.
                 assert all(a is b for a, b in zip(after, before))
-            # The modelled cost still counts the selected blocks, as serial does.
+            # The modelled cost still counts the selected blocks' corner
+            # points, as serial does.
             assert report.modelled_per_rank == [
-                platform.reduction_seconds(len(blocks)) for blocks in pre_reduced
+                platform.reduction_seconds(len(blocks), 8 * len(blocks))
+                for blocks in pre_reduced
             ]
 
 
@@ -367,9 +370,14 @@ class TestQualityLadder:
         pairs = _pairs(per_rank_blocks)
         step = ReductionStep(platform, quality_ladder=((2, 0.5), (1, 0.5)))
         context, report = run_step(step, per_rank_blocks, 50.0, sorted_pairs=pairs)
-        assert context.reduction_levels is not None
-        assert set(context.reduction_levels) == context.reduced_ids
-        assert report.counters["nreduced"] == len(context.reduced_ids)
+        levels = {
+            blk.block_id: blk.level
+            for blocks in context.per_rank_blocks
+            for blk in blocks
+            if blk.level > 0
+        }
+        assert levels == select_reduction_levels(pairs, 50.0, step.quality_ladder)
+        assert report.counters["nreduced"] == len(levels)
         assert report.counters["points_copied"] > 0
 
     def test_invalid_ladder_rejected_at_step_construction(self, platform):
@@ -488,7 +496,7 @@ class TestRedistribution:
         like the exchanging strategies do (regression: it used to return the
         blocks untouched, so stale owners survived the step)."""
         stale = [
-            [b.with_owner((rank + 1) % 4) for b in blocks]
+            [replace(b, owner=(rank + 1) % 4) for b in blocks]
             for rank, blocks in enumerate(per_rank_blocks)
         ]
         out, report, comm = self._exchange(NoRedistribution(), stale, platform, run_step)

@@ -108,10 +108,18 @@ def _iteration_digests(context) -> List[List[str]]:
         ]
         for result in context.render_results
     ]
+    # The reduction's effect: the sorted order's first ``nreduced`` ids, in
+    # selection order, each with the ladder level its row holds now.
+    nreduced = int(context.reports["reduction"].counters["nreduced"])
+    level_of = dict(zip(columns.ids.tolist(), columns.levels.tolist()))
+    reduced = [
+        [block_id, level_of[block_id]]
+        for block_id, _ in context.sorted_pairs[:nreduced]
+    ]
     digests = [
         ["scores", _sha(np.ascontiguousarray(scores).tobytes())],
         ["sorted", _sha_json([list(pair) for pair in context.sorted_pairs])],
-        ["reduced", _sha_json(list(context.reduction_levels.items()))],
+        ["reduced", _sha_json(reduced)],
         ["groups", _groups_digest(columns.groups)],
         ["render", _sha_json(render)],
         ["reports", _sha_json(reports)],

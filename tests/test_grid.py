@@ -83,13 +83,6 @@ class TestBlockExtent:
         with pytest.raises(ValueError):
             BlockExtent((-1, 0, 0), (1, 1, 1))
 
-    def test_overlaps(self):
-        a = BlockExtent((0, 0, 0), (4, 4, 4))
-        b = BlockExtent((3, 3, 3), (6, 6, 6))
-        c = BlockExtent((4, 4, 4), (6, 6, 6))
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
 
 class TestBlock:
     def test_full_block_shape_checked(self):
@@ -103,12 +96,12 @@ class TestBlock:
         with pytest.raises(ValueError):
             Block(0, ext, np.zeros((3, 3, 3)), level=2)
 
-    def test_with_owner_and_score(self):
+    def test_with_score(self):
         ext = BlockExtent((0, 0, 0), (2, 2, 2))
         blk = Block(1, ext, np.zeros((2, 2, 2)))
-        blk2 = blk.with_owner(3).with_score(4.5)
-        assert blk2.owner == 3 and blk2.score == 4.5
-        assert blk.owner == 0  # original unchanged
+        blk2 = blk.with_score(4.5)
+        assert blk2.score == 4.5
+        assert blk.score is None  # original unchanged
 
     def test_nbytes(self):
         ext = BlockExtent((0, 0, 0), (4, 4, 4))
@@ -167,10 +160,30 @@ class TestFactorization:
         assert max(sizes) - min(sizes) <= 1
 
 
+def assert_tiles(decomp: CartesianDecomposition) -> None:
+    """The tiling law: decomposing a field whose values are their own flat
+    indices puts every index in exactly one block, at that block's extent."""
+    field = np.arange(np.prod(decomp.global_shape)).reshape(decomp.global_shape)
+    arrival = decomp.decompose(field)
+    blocks = [block for rank in range(decomp.nranks) for block in arrival[rank]]
+    for block in blocks:
+        np.testing.assert_array_equal(block.data, field[block.extent.slices])
+    indices = np.sort(np.concatenate([block.data.ravel() for block in blocks]))
+    np.testing.assert_array_equal(indices, field.ravel())
+
+
 class TestCartesianDecomposition:
     def test_coverage(self):
-        decomp = CartesianDecomposition((16, 16, 8), nranks=4, blocks_per_subdomain=(2, 2, 1))
-        assert decomp.validate_coverage()
+        """Even and uneven splits, of the ranks and of each subdomain."""
+        for shape, nranks, bps in [
+            ((16, 16, 8), 4, (2, 2, 1)),
+            ((17, 13, 9), 6, (2, 3, 1)),
+            ((10, 7, 5), 3, (3, 2, 2)),
+            ((9, 9, 4), 1, (4, 4, 3)),
+        ]:
+            assert_tiles(
+                CartesianDecomposition(shape, nranks=nranks, blocks_per_subdomain=bps)
+            )
 
     @pytest.mark.parametrize("override", [None, (4, 1, 2)])
     def test_rank_coords_cover_the_process_grid_once(self, override):
@@ -259,7 +272,7 @@ class TestCartesianDecomposition:
             assert len(arrival[rank]) == len(oracle[rank])
             for mine, theirs in zip(arrival[rank], oracle[rank]):
                 for name in (
-                    "block_id", "extent", "owner", "home", "reduced", "score", "field_name", "level"
+                    "block_id", "extent", "owner", "home", "score", "field_name", "level"
                 ):
                     assert getattr(mine, name) == getattr(theirs, name), name
                 assert type(mine.block_id) is int and type(mine.owner) is int
@@ -319,9 +332,9 @@ class TestCartesianDecomposition:
         bps=st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]),
     )
     def test_blocks_tile_domain_property(self, nranks, bps):
-        decomp = CartesianDecomposition((24, 24, 12), nranks=nranks, blocks_per_subdomain=bps)
-        total_points = sum(e.npoints for e in decomp.all_block_extents().values())
-        assert total_points == 24 * 24 * 12
+        assert_tiles(
+            CartesianDecomposition((24, 24, 12), nranks=nranks, blocks_per_subdomain=bps)
+        )
 
 
 class TestDomain:
@@ -330,7 +343,7 @@ class TestDomain:
             Domain(tiny_domain.grid, {"bad": np.zeros((2, 2, 2))})
 
     def test_field_names(self, tiny_domain):
-        assert "dbz" in tiny_domain.field_names()
+        assert "dbz" in tiny_domain.fields
 
 
 class TestReduction:
@@ -374,7 +387,7 @@ class TestReduction:
         ext = BlockExtent((0, 0, 0), (6, 6, 4))
         blk = Block(0, ext, np.random.default_rng(1).normal(size=(6, 6, 4)))
         red = reduce_block(blk)
-        assert red.reduced and red.data.shape == (2, 2, 2)
+        assert red.level == 2 and red.data.shape == (2, 2, 2)
         # Reducing twice is a no-op.
         assert reduce_block(red) is red
         rebuilt = reconstruct_block(red)
@@ -525,9 +538,9 @@ class TestReductionLadder:
         ext = BlockExtent((0, 0, 0), (6, 6, 4))
         data = np.random.default_rng(7).normal(size=(6, 6, 4))
         blk = Block(0, ext, data)
-        assert blk.level == 0 and not blk.reduced
+        assert blk.level == 0
         lvl1 = reduce_block(blk, level=1)
-        assert lvl1.level == 1 and lvl1.reduced
+        assert lvl1.level == 1
         assert lvl1.data.shape == level_shape(1, (6, 6, 4))
         # Deepening 1 -> 2 is bitwise identical to reducing the full block.
         lvl2_via_1 = reduce_block(lvl1, level=2)
@@ -542,11 +555,11 @@ class TestReductionLadder:
         ext = BlockExtent((0, 0, 0), (6, 6, 4))
         data = np.zeros((6, 6, 4))
         corners = Block(0, ext, np.zeros((2, 2, 2)), level=2)
-        assert corners.level == 2 and corners.reduced
+        assert corners.level == 2
         with pytest.raises(ValueError):
             Block(0, ext, data, level=3)
-        # ``level`` is the one stored field: ``reduced`` is derived from it and
-        # is not a constructor argument, so the two can never disagree.
+        # ``level`` is the one stored field: there is no ``reduced`` flag to
+        # disagree with it.
         with pytest.raises(TypeError):
             Block(0, ext, data, reduced=True, level=0)
         with pytest.raises(TypeError):

@@ -42,7 +42,7 @@ class TestBatchReductionLadder:
         lvl1 = reduce_block(make_block(1, shape=(4, 4, 4), offset=4, dtype=np.float64), level=1)
         _, rebuilt = self.round_trip([full, lvl1])
         assert [b.level for b in rebuilt] == [0, 1]
-        assert [b.reduced for b in rebuilt] == [False, True]
+        assert [b.level > 0 for b in rebuilt] == [False, True]
         np.testing.assert_array_equal(rebuilt[1].data, lvl1.data)
 
     def test_mixed_levels_in_one_shape_group(self):
@@ -60,7 +60,7 @@ class TestBatchReductionLadder:
         columns, rebuilt = self.round_trip([lvl2, lvl1])
         assert columns.levels.tolist() == [2, 1]
         assert [b.level for b in rebuilt] == [2, 1]
-        assert all(b.reduced for b in rebuilt)
+        assert all(b.level > 0 for b in rebuilt)
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_batched_reduce_matches_scalar(self, level):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cm1.config import CM1Config
 from repro.cm1.dataset import CM1Dataset, equally_spaced
 from repro.grid.decomposition import CartesianDecomposition
 from repro.grid.domain import Domain
@@ -332,10 +331,10 @@ class TestRawLayout:
             assert isinstance(field.base, np.memmap)
             np.testing.assert_array_equal(field, domain.get_field(name))
 
-    def test_unknown_layout_rejected(self, tmp_path):
+    def test_unknown_layout_rejected(self, tmp_path, tiny_cm1):
         """``CM1Dataset.save`` keeps a ``layout`` keyword that accepts only
         ``"raw"``; the store itself takes no layout at all."""
-        dataset = CM1Dataset(CM1Config.tiny(), nsnapshots=1)
+        dataset = CM1Dataset(tiny_cm1, nsnapshots=1)
         for layout in ("npz", "parquet"):
             with pytest.raises(ValueError, match="raw"):
                 dataset.save(tmp_path / "ds", layout=layout)
@@ -543,8 +542,8 @@ class TestReplay:
         with pytest.raises(ValueError):
             equally_spaced([1], 0)
 
-    def test_replayer_per_rank_blocks(self, tmp_path):
-        config = CM1Config.tiny()
+    def test_replayer_per_rank_blocks(self, tmp_path, tiny_cm1):
+        config = tiny_cm1
         dataset = CM1Dataset(config, nsnapshots=3)
         dataset.save(tmp_path / "cm1")
         stored = CM1Dataset.load(tmp_path / "cm1")
@@ -556,10 +555,10 @@ class TestReplay:
         total_blocks = sum(len(blocks) for blocks in iterations[0])
         assert total_blocks == decomp.nblocks
 
-    def test_mmap_replayer_matches_copying_replayer(self, tmp_path):
+    def test_mmap_replayer_matches_copying_replayer(self, tmp_path, tiny_cm1):
         """A mapped replay hands out the same blocks as one that reads each
         snapshot into owned arrays."""
-        config = CM1Config.tiny()
+        config = tiny_cm1
         CM1Dataset(config, nsnapshots=2).save(tmp_path / "ds")
         decomp = CartesianDecomposition(
             config.shape, nranks=2, blocks_per_subdomain=(2, 1, 1)
@@ -577,24 +576,24 @@ class TestReplay:
 
 
 class TestCM1Dataset:
-    def test_len_iter_and_cache(self):
-        dataset = CM1Dataset(CM1Config.tiny(), nsnapshots=3)
+    def test_len_iter_and_cache(self, tiny_cm1):
+        dataset = CM1Dataset(tiny_cm1, nsnapshots=3)
         assert len(dataset) == 3
         snapshots = list(dataset)
         assert len(snapshots) == 3
         assert dataset.snapshot(1) is snapshots[1]  # cached object identity
 
-    def test_index_bounds(self):
-        dataset = CM1Dataset(CM1Config.tiny(), nsnapshots=2)
+    def test_index_bounds(self, tiny_cm1):
+        dataset = CM1Dataset(tiny_cm1, nsnapshots=2)
         with pytest.raises(IndexError):
             dataset.snapshot(2)
 
-    def test_select_equally_spaced(self):
-        dataset = CM1Dataset(CM1Config.tiny(), nsnapshots=10)
+    def test_select_equally_spaced(self, tiny_cm1):
+        dataset = CM1Dataset(tiny_cm1, nsnapshots=10)
         assert dataset.select(3) == [0, 4, 9] or len(dataset.select(3)) == 3
 
-    def test_save_and_load_roundtrip(self, tmp_path):
-        dataset = CM1Dataset(CM1Config.tiny(), nsnapshots=2)
+    def test_save_and_load_roundtrip(self, tmp_path, tiny_cm1):
+        dataset = CM1Dataset(tiny_cm1, nsnapshots=2)
         dataset.save(tmp_path / "saved")
         stored = CM1Dataset.load(tmp_path / "saved")
         assert len(stored) == 2
@@ -607,8 +606,8 @@ class TestCM1Dataset:
         with pytest.raises(FileNotFoundError):
             CM1Dataset.load(tmp_path / "nope")
 
-    def test_per_rank_blocks_cover_domain(self):
-        config = CM1Config.tiny()
+    def test_per_rank_blocks_cover_domain(self, tiny_cm1):
+        config = tiny_cm1
         dataset = CM1Dataset(config, nsnapshots=1)
         decomp = CartesianDecomposition(config.shape, nranks=4, blocks_per_subdomain=(2, 2, 1))
         per_rank = dataset.per_rank_blocks(decomp, 0)

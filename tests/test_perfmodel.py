@@ -33,12 +33,6 @@ class TestRenderCostModel:
         with pytest.raises(ValueError):
             RenderCostModel(per_triangle=0.0)
 
-    def test_scaled(self):
-        model = RenderCostModel()
-        double = model.scaled(2.0)
-        assert double.per_triangle == pytest.approx(2 * model.per_triangle)
-        assert double.per_rank_overhead == model.per_rank_overhead
-
 
 class TestCalibration:
     def test_table1_coefficients_consistent_across_scales(self):

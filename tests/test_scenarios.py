@@ -136,8 +136,12 @@ class TestCatalogueDefaults:
         per_rank = int(np.prod(config.blocks_per_subdomain))
         assert decomposition.blocks_per_rank == per_rank
         assert decomposition.nblocks == config.ncores * per_rank
-        extents = decomposition.all_block_extents().values()
-        assert sum(extent.npoints for extent in extents) == int(np.prod(config.shape))
+        npoints = sum(
+            extent.npoints
+            for rank in range(decomposition.nranks)
+            for extent in decomposition.block_extents(rank)
+        )
+        assert npoints == int(np.prod(config.shape))
         assert decomposition.rank_dims[2] == 1  # CM1 keeps each column on one rank
 
     def test_tiny_keeps_the_family(self, name, at_tiny_scale):
@@ -166,7 +170,8 @@ def test_engine_reduces_half_up_at_half_block_percents(engine, percent, nreduced
     )
     assert context.reports["reduction"].counters["nreduced"] == nreduced
     lowest = {block_id for block_id, _ in context.sorted_pairs[:nreduced]}
-    assert context.reduced_ids == lowest
+    columns = context.columns
+    assert set(columns.ids[columns.levels > 0].tolist()) == lowest
 
 
 class TestStormFamilies:

@@ -54,6 +54,18 @@ def _tiny_config(**overrides):
     return create_scenario_config("tiny", **overrides)
 
 
+def _resolve(cache, config):
+    """``(scenario, was_hit)`` of one unpinned request: ``cache.acquire``
+    opened and closed again."""
+    with cache.acquire(config) as resolved:
+        return resolved
+
+
+def _store(cache, config) -> DatasetStore:
+    """The store ``cache`` keeps, or would keep, for ``config``."""
+    return DatasetStore(cache.root / scenario_cache_key(config))
+
+
 # -- cache key + replay cache -------------------------------------------------
 
 
@@ -76,11 +88,11 @@ class TestReplayCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ReplayCache(tmp_path / "cache")
         config = _tiny_config(nsnapshots=2)
-        assert not cache.peek(config)
-        _, was_hit = cache.scenario_for(config)
+        assert not _store(cache, config).exists()
+        _, was_hit = _resolve(cache, config)
         assert was_hit is False
-        assert cache.peek(config)
-        scenario, was_hit = cache.scenario_for(config)
+        assert _store(cache, config).exists()
+        scenario, was_hit = _resolve(cache, config)
         assert was_hit is True
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
@@ -89,30 +101,11 @@ class TestReplayCache:
         assert isinstance(scenario.dataset, StoredCM1Dataset)
         assert scenario.dataset.mmap
 
-    def test_peek_never_reports_an_entry_still_being_written(self, tmp_path, monkeypatch):
-        """Fails with ``peek`` as ``DatasetStore.exists()``: a miss's manifest
-        is on disk from ``create()`` on, with 0 of its iterations."""
-        cache = ReplayCache(tmp_path / "cache")
-        config = _tiny_config(nsnapshots=3)
-        seen = []
-        append = DatasetStore.append
-
-        def peeking_append(store, domain):
-            seen.append(cache.peek(config))
-            return append(store, domain)
-
-        monkeypatch.setattr(DatasetStore, "append", peeking_append)
-        with cache.acquire_store(config) as (store_dir, was_hit):
-            assert was_hit is False
-        assert seen == [False] * config.nsnapshots
-        assert cache.peek(config)
-        assert ReplayCache(tmp_path / "cache").peek(config)  # adopted from disk
-
     def test_hit_serves_mmap_backed_fields(self, tmp_path):
         cache = ReplayCache(tmp_path / "cache")
         config = _tiny_config(nsnapshots=1)
-        cache.scenario_for(config)  # warm
-        scenario, was_hit = cache.scenario_for(config)
+        _resolve(cache, config)  # warm
+        scenario, was_hit = _resolve(cache, config)
         assert was_hit is True
         field = scenario.dataset.snapshot(0).get_field(config.field_name)
         # Domain validation wraps the memmap in an ndarray view; the backing
@@ -123,8 +116,8 @@ class TestReplayCache:
     def test_replayed_data_matches_live_simulation(self, tmp_path):
         cache = ReplayCache(tmp_path / "cache")
         config = _tiny_config(nsnapshots=2)
-        live, _ = cache.scenario_for(config)
-        replay, was_hit = cache.scenario_for(config)
+        live, _ = _resolve(cache, config)
+        replay, was_hit = _resolve(cache, config)
         assert was_hit is True
         for index in range(config.nsnapshots):
             np.testing.assert_array_equal(
@@ -149,7 +142,7 @@ class TestReplayCache:
         with ThreadPoolExecutor(max_workers=4) as pool:
             verdicts = [
                 f.result()[1]
-                for f in [pool.submit(cache.scenario_for, config) for _ in range(4)]
+                for f in [pool.submit(_resolve, cache, config) for _ in range(4)]
             ]
         assert sorted(verdicts) == [False, True, True, True]
         # Exactly one simulation of each snapshot: the per-key lock made the
@@ -170,12 +163,12 @@ class TestReplayCacheEviction:
         a = _tiny_config(nsnapshots=1)
         b = _tiny_config(nsnapshots=1, seed=101)
         c = _tiny_config(nsnapshots=1, seed=102)
-        cache.scenario_for(a)
-        cache.scenario_for(b)
-        cache.scenario_for(a)  # touch: A becomes most recently used
-        cache.scenario_for(c)  # over bound: B (LRU) must go, not A
-        assert cache.peek(a) and cache.peek(c)
-        assert not cache.peek(b)
+        _resolve(cache, a)
+        _resolve(cache, b)
+        _resolve(cache, a)  # touch: A becomes most recently used
+        _resolve(cache, c)  # over bound: B (LRU) must go, not A
+        assert _store(cache, a).exists() and _store(cache, c).exists()
+        assert not _store(cache, b).exists()
         stats = cache.stats()
         assert stats["evictions"] == 1 and stats["entries"] == 2
 
@@ -183,17 +176,17 @@ class TestReplayCacheEviction:
         cache = ReplayCache(tmp_path / "cache", max_entries=1)
         a = _tiny_config(nsnapshots=1)
         b = _tiny_config(nsnapshots=1, seed=101)
-        cache.scenario_for(a)
-        cache.scenario_for(b)  # evicts A
-        _, was_hit = cache.scenario_for(a)
+        _resolve(cache, a)
+        _resolve(cache, b)  # evicts A
+        _, was_hit = _resolve(cache, a)
         assert was_hit is False  # the store really was deleted
         assert cache.stats()["misses"] == 3
 
     def test_max_bytes_accounting_matches_raw_store(self, tmp_path):
         cache = ReplayCache(tmp_path / "cache")
         config = _tiny_config(nsnapshots=2)
-        cache.scenario_for(config)
-        store = DatasetStore(cache.store_path(config))
+        _resolve(cache, config)
+        store = _store(cache, config)
         nbytes = store.nbytes()
         # The charged bytes are exactly the raw-layout store's on-disk size.
         assert cache.stats()["bytes"] == nbytes
@@ -203,9 +196,9 @@ class TestReplayCacheEviction:
         # A bound sized for exactly one such entry holds one and evicts on
         # the second insert.
         bounded = ReplayCache(tmp_path / "bounded", max_bytes=nbytes)
-        bounded.scenario_for(config)
+        _resolve(bounded, config)
         assert bounded.stats()["evictions"] == 0
-        bounded.scenario_for(_tiny_config(nsnapshots=2, seed=77))
+        _resolve(bounded, _tiny_config(nsnapshots=2, seed=77))
         stats = bounded.stats()
         assert stats["evictions"] == 1
         assert stats["entries"] == 1
@@ -218,12 +211,12 @@ class TestReplayCacheEviction:
         with cache.acquire_store(a) as (store_a, _):
             # B pushes the cache over its bound while A is pinned: the only
             # evictable entry is B itself; A must survive untouched.
-            cache.scenario_for(b)
+            _resolve(cache, b)
             assert DatasetStore(store_a).exists()
-            assert cache.peek(a)
-            assert not cache.peek(b)
+            assert _store(cache, a).exists()
+            assert not _store(cache, b).exists()
             assert cache.stats()["evictions"] == 1
-        assert cache.peek(a)  # still present after release (cache fits now)
+        assert _store(cache, a).exists()  # still present after release (cache fits now)
 
     def test_concurrent_bounded_replays_all_succeed(self, tmp_path):
         """Hammer a max_entries=1 cache from many threads across two
@@ -296,8 +289,8 @@ class TestCacheAdoption:
     def good_entry(self, tmp_path_factory):
         cache = ReplayCache(tmp_path_factory.mktemp("good"))
         config = self.REQUEST.scenario_config()
-        cache.scenario_for(config)
-        return cache.store_path(config)
+        _resolve(cache, config)
+        return _store(cache, config).root
 
     @pytest.mark.parametrize("when", ["on_construction", "on_demand"])
     @pytest.mark.parametrize(
@@ -373,9 +366,9 @@ class TestResidentScenario:
             oracles = []
             for request in same_but_seed:
                 config = request.scenario_config()
-                cache.scenario_for(config)  # make sure the store exists
+                _resolve(cache, config)  # make sure the store exists
                 # The replaced hit body: the store opened afresh, one run alone.
-                fresh = ExperimentScenario.from_store(config, cache.store_path(config))
+                fresh = ExperimentScenario.from_store(config, _store(cache, config).root)
                 fresh.build_pipeline = functools.partial(fresh.build_pipeline, engine=backend)
                 rows, run = _rows_and_run(request, fresh)
                 # Only the engine's name differs: the door runs the default.
@@ -402,17 +395,17 @@ class TestResidentScenario:
         cache = ReplayCache(tmp_path / "cache")
         configs = [_tiny_config(nsnapshots=1, seed=300 + i) for i in range(5)]
         for config in configs:
-            cache.scenario_for(config)
-            cache.scenario_for(config)
+            _resolve(cache, config)
+            _resolve(cache, config)
         assert cache.stats()["resident"] == 1
         a, b, c = configs[:3]
         with cache.acquire(a) as (pinned, _):
-            first_b, _ = cache.scenario_for(b)
-            first_c, _ = cache.scenario_for(c)
+            first_b, _ = _resolve(cache, b)
+            first_c, _ = _resolve(cache, c)
             assert cache.stats()["resident"] == 2  # A (pinned) and C (latest)
-            assert cache.scenario_for(c)[0] is first_c
-            assert cache.scenario_for(b)[0] is not first_b
-            assert cache.scenario_for(a)[0] is pinned
+            assert _resolve(cache, c)[0] is first_c
+            assert _resolve(cache, b)[0] is not first_b
+            assert _resolve(cache, a)[0] is pinned
         assert cache.stats()["resident"] == 1
 
     def test_evicted_key_is_opened_afresh(self, tmp_path):
@@ -421,9 +414,9 @@ class TestResidentScenario:
         replayed through the evicted one's object."""
         cache = ReplayCache(tmp_path / "cache", max_entries=1)
         a = _tiny_config(nsnapshots=1)
-        before, _ = cache.scenario_for(a)
-        cache.scenario_for(_tiny_config(nsnapshots=1, seed=101))  # evicts A
-        after, was_hit = cache.scenario_for(a)
+        before, _ = _resolve(cache, a)
+        _resolve(cache, _tiny_config(nsnapshots=1, seed=101))  # evicts A
+        after, was_hit = _resolve(cache, a)
         assert was_hit is False
         assert after is not before
         stats = cache.stats()

@@ -34,6 +34,18 @@ def sphere_field(n=24, radius=0.6):
     return np.sqrt(xx**2 + yy**2 + zz**2) - radius, x
 
 
+def mesh_area(mesh: TriangleMesh) -> float:
+    """Total surface area: ``TriangleMesh.area`` (over its per-triangle
+    areas) as it stood in ``src/``, the measure the marching-cubes surfaces
+    are checked by."""
+    tv = mesh.triangle_vertices()
+    if tv.shape[0] == 0:
+        return 0.0
+    e1 = tv[:, 1] - tv[:, 0]
+    e2 = tv[:, 2] - tv[:, 0]
+    return float((0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)).sum())
+
+
 def oracle_count_active_cells_batch(batch: np.ndarray, level: float) -> np.ndarray:
     """``count_active_cells_batch`` as it was before the byte-code kernel: three
     separable float min/max passes over whole-batch temporaries.  Kept verbatim
@@ -181,7 +193,7 @@ class TestTriangleMesh:
         mesh = TriangleMesh.from_triangle_soup(soup)
         assert mesh.ntriangles == 3
         assert mesh.nvertices == 9
-        assert mesh.area() == pytest.approx(1.5)
+        assert mesh_area(mesh) == pytest.approx(1.5)
 
     def test_merge(self):
         soup = np.random.default_rng(0).normal(size=(2, 3, 3))
@@ -193,7 +205,7 @@ class TestTriangleMesh:
     def test_empty_mesh(self):
         mesh = TriangleMesh()
         assert mesh.is_empty
-        assert mesh.area() == 0.0
+        assert mesh_area(mesh) == 0.0
         lo, hi = mesh.bounds()
         np.testing.assert_array_equal(lo, hi)
 
@@ -207,11 +219,6 @@ class TestTriangleMesh:
         norms = np.linalg.norm(mesh.triangle_normals(), axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-9)
 
-    def test_translated(self):
-        soup = np.zeros((1, 3, 3))
-        mesh = TriangleMesh.from_triangle_soup(soup).translated([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(mesh.vertices[0], [1.0, 2.0, 3.0])
-
 
 class TestMarchingCubes:
     def test_empty_when_level_outside_range(self):
@@ -224,7 +231,7 @@ class TestMarchingCubes:
         mesh = marching_cubes(field, 0.0, coords=(x, x, x))
         expected = 4.0 * np.pi * 0.6**2
         assert mesh.ntriangles > 100
-        assert mesh.area() == pytest.approx(expected, rel=0.08)
+        assert mesh_area(mesh) == pytest.approx(expected, rel=0.08)
 
     def test_vertices_lie_on_isosurface(self):
         field, x = sphere_field(n=24, radius=0.5)
@@ -248,7 +255,7 @@ class TestMarchingCubes:
         x = np.linspace(0, 1, n)
         field = np.tile(x[None, None, :], (n, n, 1))
         mesh = marching_cubes(field, 0.55, coords=(x, x, x))
-        assert mesh.area() == pytest.approx(1.0, rel=1e-6)
+        assert mesh_area(mesh) == pytest.approx(1.0, rel=1e-6)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -529,7 +536,7 @@ class TestCatalyst:
         blocks, _ = self._blocks(tiny_field)
         count_result = IsosurfaceScript(level=45.0, mode="count").process(blocks, 0)
         mesh_result = IsosurfaceScript(level=45.0, mode="mesh").process(blocks, 0)
-        assert count_result.active_cells == mesh_result.active_cells
+        np.testing.assert_array_equal(count_result.block_cells, mesh_result.block_cells)
         # The counting estimate tracks the real triangle count within a small factor.
         if mesh_result.ntriangles > 0:
             ratio = count_result.ntriangles / mesh_result.ntriangles
