@@ -285,6 +285,26 @@ def test_sorting_seconds_do_not_depend_on_communicator_history(step_cls):
     )
 
 
+def test_oracle_alltoallv_transposes_and_charges_the_block_bytes():
+    """The exchange oracle itself: ``recv[j][i]`` is what rank ``i`` sent
+    to ``j``, and the charge is the payloads' bytes, self-sends excluded."""
+    full = Block(0, EXTENT, np.zeros(EXTENT.shape, dtype=np.float32))
+    corners = Block(1, EXTENT, np.zeros((2, 2, 2), dtype=np.float32), level=2)
+    send = [[[full], [corners], None], [None, None, [full, corners]], [[corners], None, None]]
+    comm = BSPCommunicator(3)
+    recv = oracle_alltoallv(comm, send)
+    for i in range(3):
+        for j in range(3):
+            assert recv[j][i] is send[i][j]
+    by_matrix = BSPCommunicator(3)
+    by_matrix.charge_alltoallv(
+        np.array([[full.nbytes, corners.nbytes, 0], [0, 0, full.nbytes + corners.nbytes],
+                  [corners.nbytes, 0, 0]])
+    )
+    assert comm.stats == by_matrix.stats
+    assert comm.stats["alltoallv"]["bytes"] == corners.nbytes * 3 + full.nbytes
+
+
 def test_out_of_range_destination_rejected(run_step):
     class Astray(RoundRobin):
         def assign_owners(self, sorted_pairs, nranks, iteration):

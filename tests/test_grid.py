@@ -172,6 +172,56 @@ def assert_tiles(decomp: CartesianDecomposition) -> None:
     np.testing.assert_array_equal(indices, field.ravel())
 
 
+class _Tiling:
+    """A stand-in decomposition cutting one rank's blocks at ``extents``,
+    with ``misplace`` naming a block whose payload is read one cell off."""
+
+    nranks = 1
+
+    def __init__(self, global_shape, extents, misplace=None):
+        self.global_shape = global_shape
+        self.extents = extents
+        self.misplace = misplace
+
+    def decompose(self, field):
+        blocks = []
+        for bid, extent in enumerate(self.extents):
+            data = field[extent.slices]
+            if bid == self.misplace:
+                data = np.roll(data, 1)
+            blocks.append(Block(bid, extent, data))
+        return [blocks]
+
+
+class TestTilingLaw:
+    """``assert_tiles`` must fail on each way a decomposition can go wrong."""
+
+    SHAPE = (6, 4, 2)
+
+    def test_the_law_holds_for_an_exact_tiling(self):
+        assert_tiles(
+            _Tiling(
+                self.SHAPE,
+                [BlockExtent((0, 0, 0), (4, 4, 2)), BlockExtent((4, 0, 0), (6, 4, 2))],
+            )
+        )
+
+    def test_the_law_sees_an_overlap(self):
+        extents = [BlockExtent((0, 0, 0), (4, 4, 2)), BlockExtent((3, 0, 0), (6, 4, 2))]
+        with pytest.raises(AssertionError):
+            assert_tiles(_Tiling(self.SHAPE, extents))
+
+    def test_the_law_sees_a_gap(self):
+        extents = [BlockExtent((0, 0, 0), (3, 4, 2)), BlockExtent((4, 0, 0), (6, 4, 2))]
+        with pytest.raises(AssertionError):
+            assert_tiles(_Tiling(self.SHAPE, extents))
+
+    def test_the_law_sees_a_payload_off_its_extent(self):
+        extents = [BlockExtent((0, 0, 0), (4, 4, 2)), BlockExtent((4, 0, 0), (6, 4, 2))]
+        with pytest.raises(AssertionError):
+            assert_tiles(_Tiling(self.SHAPE, extents, misplace=1))
+
+
 class TestCartesianDecomposition:
     def test_coverage(self):
         """Even and uneven splits, of the ranks and of each subdomain."""

@@ -108,3 +108,22 @@ class TestPlatformModel:
         platform = PlatformModel.blue_waters(64)
         with pytest.raises(ValueError):
             platform.scoring_seconds(create_metric("VAR"), -1, 0)
+
+    def test_reduction_seconds_prices_points_in_corner_block_units(self):
+        """A corner block (8 points) costs ``seconds_per_reduced_block``; a
+        level-1 downsample retaining more points costs proportionally more."""
+        platform = PlatformModel.blue_waters(64)
+        per_block = platform.seconds_per_reduced_block
+        assert per_block > 0
+        assert platform.reduction_seconds(1, 8) == per_block
+        assert platform.reduction_seconds(3, 24) == 3 * per_block
+        assert platform.reduction_seconds(1, 60) == per_block * 60 / 8.0
+        assert platform.reduction_seconds(0, 0) == 0.0
+
+    def test_reduction_seconds_requires_the_points_copied(self):
+        platform = PlatformModel.blue_waters(64)
+        with pytest.raises(TypeError):
+            platform.reduction_seconds(4)
+        for counts in [(-1, 8), (1, -8)]:
+            with pytest.raises(ValueError):
+                platform.reduction_seconds(*counts)

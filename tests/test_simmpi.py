@@ -175,6 +175,28 @@ class TestBSPCommunicator:
             "calls": 1.0, "bytes": 360.0, "seconds": cost,
         }
 
+    def test_charge_alltoallv_self_sends_record_no_bytes(self):
+        comm = BSPCommunicator(3)
+        cost = comm.charge_alltoallv(np.diag([64, 128, 256]))
+        assert cost == comm.cost_model.alltoallv(np.diag([64, 128, 256]), 3)
+        assert comm.stats["alltoallv"]["bytes"] == 0
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.int32, np.dtype([("id", np.int64), ("score", np.float64)])]
+    )
+    def test_gather_and_bcast_price_arrays_by_nbytes(self, dtype):
+        """Payloads are arrays: ``(id, score)`` wire records and plain
+        vectors alike cost their ``nbytes``, whatever the dtype."""
+        comm = BSPCommunicator(2)
+        values = [np.zeros(3, dtype=dtype), np.zeros(5, dtype=dtype)]
+        comm.gather(values)
+        comm.bcast(values[0])
+        itemsize = np.dtype(dtype).itemsize
+        assert comm.stats["gather"]["bytes"] == 2 * 5 * itemsize
+        assert comm.stats["bcast"]["bytes"] == 3 * itemsize
+        assert comm.stats["gather"]["seconds"] == comm.cost_model.gather(5 * itemsize, 2)
+        assert comm.stats["bcast"]["seconds"] == comm.cost_model.bcast(3 * itemsize, 2)
+
     def test_charge_alltoallv_shape_validated(self):
         comm = BSPCommunicator(3)
         with pytest.raises(ValueError, match="shape"):

@@ -183,3 +183,24 @@ def test_the_scan_sees_a_test_only_method():
         "store.py:Store.walk",
         "store.py:exported",
     ]
+
+
+def test_adapter_targets_count_only_in_the_adapter():
+    """A ``"module:attr"`` string is a read in ``bench/adapter.py``, which
+    resolves the program by name, and an ordinary string anywhere else."""
+    module = "def resolved():\n    return 1\n"
+    target = "TARGET = 'pkg.mod:resolved'\n"
+    assert unread_definitions({"mod.py": module}, {"bench/adapter.py": target}) == []
+    assert unread_definitions({"mod.py": module}, {"bench/other.py": target}) == [
+        "mod.py:resolved"
+    ]
+
+
+def test_every_allowlisted_name_is_a_src_definition():
+    """An entry for a name that was renamed or deleted is stale, not kept."""
+    defined = {
+        f"{module}:{qualname}"
+        for module, source in _sources(SRC, SRC).items()
+        for qualname in _definitions(ast.parse(source))
+    }
+    assert sorted(ALLOWED - defined) == []
