@@ -120,8 +120,8 @@ def test_vectorized_scoring_speedup(
         create_metric(metric_name), fine_scenario_64.platform
     )
     # Identical outputs first (the speedup must not come from doing less).
-    serial_pairs = run_step(serial, blocks)[0].per_rank_pairs
-    assert run_step(vector, blocks)[0].per_rank_pairs == serial_pairs
+    serial_pairs = [wire.tobytes() for wire in run_step(serial, blocks)[0].pair_arrays]
+    assert [wire.tobytes() for wire in run_step(vector, blocks)[0].pair_arrays] == serial_pairs
     # Wall-clock gate: re-measure on transient noise (shared CI runners)
     # before failing; a genuine regression fails all attempts.
     for _attempt in range(3):

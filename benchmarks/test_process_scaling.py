@@ -96,7 +96,7 @@ def test_process_beats_threads_on_gil_bound_scoring(fine_scenario_64, run_step):
     step = VectorizedScoringStep(metric, fine_scenario_64.platform)
 
     def default_step():
-        return run_step(step, blocks)[0].per_rank_pairs
+        return run_step(step, blocks)[0].pair_arrays
 
     def row_kernel(stacked):
         return np.array([metric.score_block(row) for row in stacked], dtype=np.float64)
@@ -107,7 +107,8 @@ def test_process_beats_threads_on_gil_bound_scoring(fine_scenario_64, run_step):
         return columns.ids.tolist(), scores.tolist()
 
     # Bitwise parity before timing.
-    step_scores = dict(pair for pairs in default_step() for pair in pairs)
+    pairs = np.concatenate(default_step())
+    step_scores = dict(zip(pairs[:, 0].astype(np.int64).tolist(), pairs[:, 1].tolist()))
     assert step_scores == dict(zip(*inline()))
 
     def interleaved_best(repeats=3):

@@ -14,22 +14,25 @@ iterations by construction.  Every step that communicates is bound to
 run charged to the network.
 
 The backend name chooses between two sets of step classes
-(:func:`repro.core.backends.build_steps`) and with them the form the context's
-blocks take (:mod:`repro.core.step`).  ``"serial"`` runs the reference
-classes, one block at a time over per-rank ``Block`` lists, and never stacks a
-payload.  Every other name (``"vectorized"``, the default, and its aliases)
-runs the batched classes on one columnar state
-(:class:`~repro.grid.batch.BlockColumns`) — the decomposition's pre-stacked
-:class:`~repro.grid.batch.DecomposedField` taken over as it arrives, or built
-from ``Block`` lists by the first step that asks: payloads stacked once, one
-``score_batch`` / ``reduce_to_level_batch`` / ``count_active_cells_batch`` call
-per group (the coder-size and cell-count kernels work through a group in
+(:func:`repro.core.backends.build_steps`); the context is the same for both:
+one columnar state (:class:`~repro.grid.batch.BlockColumns`, see
+:mod:`repro.core.step`), the score pairs and the sorted order as wire arrays.
+``"serial"`` runs the reference classes, which read per-rank ``Block`` lists
+off the columns (``to_ranks``), work one block at a time and write the
+columns back from their lists; they never stack a payload.  Every other name
+(``"vectorized"``, the default, and its aliases) runs the batched classes on
+the columns as they are — the decomposition's pre-stacked
+:class:`~repro.grid.batch.DecomposedField` taken over as it arrives, or
+stacked from ``Block`` lists by the first kernel that asks: one
+``score_batch`` / ``reduce_to_level_batch`` / ``count_active_cells_batch``
+call per group (the coder-size and cell-count kernels work through a group in
 cache-sized row chunks) — and builds no ``Block`` unless mesh-mode rendering
-or a caller reads ``context.per_rank_blocks``.  The redistribution planner is
-one class on every backend and plans on the metadata columns alone.  Whether
-the scoring kernel runs inline or over the process pool is decided per metric
-by :func:`repro.utils.procpool.pool_pays`, not by the name; either way the
-kernel is ``metric.score_batch``, the metric's one batched entry point.
+or a caller asks ``context.columns.to_ranks()``.  The redistribution planner
+is one class on every backend and plans on the metadata columns alone.
+Whether the scoring kernel runs inline or over the process pool is decided
+per metric by :func:`repro.utils.procpool.pool_pays`, not by the name; either
+way the kernel is ``metric.score_batch``, the metric's one batched entry
+point.
 
 All backends produce bitwise-identical decisions and modelled results (ids,
 scores, sort orders, reduction decisions, moved bytes, active-cell and
@@ -102,7 +105,7 @@ class ExecutionEngine:
         iteration: int,
     ) -> IterationContext:
         """Validate one iteration's input, run every step on it in order and
-        return the completed context (lists are copied, an arrival is immutable)."""
+        return the completed context (the input is only read)."""
         if len(per_rank_blocks) != self.nranks:
             raise ValueError(
                 f"expected blocks for {self.nranks} ranks, got {len(per_rank_blocks)}"
@@ -113,9 +116,7 @@ class ExecutionEngine:
             iteration=int(iteration),
             percent=float(percent),
             nranks=self.nranks,
-            per_rank_blocks=per_rank_blocks
-            if isinstance(per_rank_blocks, DecomposedField)
-            else [list(blocks) for blocks in per_rank_blocks],
+            per_rank_blocks=per_rank_blocks,
         )
         for step in self.steps:
             context.reports[step.name] = step.execute(context)
@@ -127,6 +128,6 @@ class ExecutionEngine:
         return IterationResult(
             iteration=context.iteration,
             percent_reduced=context.percent,
-            nblocks=context.nblocks,
+            nblocks=len(context.columns),
             step_reports=dict(context.reports),
         )

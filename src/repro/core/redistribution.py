@@ -6,8 +6,8 @@ exchange the block payloads with non-blocking point-to-point messages —
 modelled here by one personalised all-to-all.
 
 Strategies only return their assignment, as a pair of parallel NumPy arrays
-``(block_ids, dest_ranks)``, dealt from the sorted ``(N, 2)`` wire array (or
-tuples, which deal the same); :class:`RedistributionStep` plans the exchange in
+``(block_ids, dest_ranks)``, dealt from the sorted ``(N, 2)`` wire array;
+:class:`RedistributionStep` plans the exchange in
 one global pass over the metadata columns of ``context.columns``, the
 iteration's columnar state
 (:class:`~repro.grid.batch.BlockColumns`) — on every backend, ``serial``
@@ -17,7 +17,7 @@ id-sorted assignment, the movers' payload bytes are accumulated into the
 (``charge_alltoallv``), and the holder/owner columns and each rank's order (one
 ``np.lexsort`` by destination, block id) are rewritten.  No payload is
 stacked, copied or serialised, and a ``Block`` is re-created only if somebody
-later asks for the lists, and only where its owner changed.
+later asks ``columns.to_ranks()``, and only where its owner changed.
 
 *Wire size* has one definition, payload bytes (``Block.nbytes``): the matrix
 total, the step report's ``payload_bytes`` and the communicator's ``stats["alltoallv"]["bytes"]`` are the same number, the one
@@ -42,7 +42,7 @@ from typing import Dict, Tuple, Type
 
 import numpy as np
 
-from repro.core.step import IterationContext, SortedOrder, StepReport
+from repro.core.step import IterationContext, StepReport
 from repro.simmpi.communicator import BSPCommunicator
 from repro.utils.random import derive_seed, rng_from_seed
 from repro.utils.timer import Timer
@@ -50,12 +50,6 @@ from repro.utils.timer import Timer
 #: A strategy's assignment: parallel ``(block_ids, dest_ranks)`` int64 arrays
 #: (ids need not be sorted; blocks not listed stay with their current rank).
 OwnerAssignment = Tuple[np.ndarray, np.ndarray]
-
-
-def _sorted_ids(sorted_pairs: SortedOrder) -> np.ndarray:
-    """The int64 block ids of a sorted order, in that order."""
-    wire = np.asarray(sorted_pairs, dtype=np.float64).reshape(-1, 2)
-    return wire[:, 0].astype(np.int64)
 
 
 class RedistributionStrategy(abc.ABC):
@@ -66,11 +60,12 @@ class RedistributionStrategy(abc.ABC):
     @abc.abstractmethod
     def assign_owners(
         self,
-        sorted_pairs: SortedOrder,
+        sorted_array: np.ndarray,
         nranks: int,
         iteration: int,
     ) -> OwnerAssignment:
-        """Return the assignment as parallel ``(block_ids, dest_ranks)`` arrays."""
+        """Return the assignment as parallel ``(block_ids, dest_ranks)`` arrays,
+        dealt from the ascending ``(N, 2)`` sorted wire array."""
 
 
 class NoRedistribution(RedistributionStrategy):
@@ -79,7 +74,7 @@ class NoRedistribution(RedistributionStrategy):
     name = "none"
 
     def assign_owners(
-        self, sorted_pairs: SortedOrder, nranks: int, iteration: int
+        self, sorted_array: np.ndarray, nranks: int, iteration: int
     ) -> OwnerAssignment:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
@@ -94,11 +89,11 @@ class RandomShuffle(RedistributionStrategy):
         self.seed = int(seed)
 
     def assign_owners(
-        self, sorted_pairs: SortedOrder, nranks: int, iteration: int
+        self, sorted_array: np.ndarray, nranks: int, iteration: int
     ) -> OwnerAssignment:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        block_ids = np.sort(_sorted_ids(sorted_pairs))
+        block_ids = np.sort(sorted_array[:, 0].astype(np.int64))
         nblocks = len(block_ids)
         # Constant number of blocks per process: deal rank labels then shuffle.
         labels = np.arange(nblocks, dtype=np.int64) % nranks
@@ -113,13 +108,13 @@ class RoundRobin(RedistributionStrategy):
     name = "round_robin"
 
     def assign_owners(
-        self, sorted_pairs: SortedOrder, nranks: int, iteration: int
+        self, sorted_array: np.ndarray, nranks: int, iteration: int
     ) -> OwnerAssignment:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        block_ids = _sorted_ids(sorted_pairs)
+        block_ids = sorted_array[:, 0].astype(np.int64)
         nblocks = len(block_ids)
-        # sorted_pairs is ascending; the paper deals from the highest score,
+        # sorted_array is ascending; the paper deals from the highest score,
         # so the block at ascending index i sits at dealing position
         # nblocks - 1 - i.
         dests = (nblocks - 1 - np.arange(nblocks, dtype=np.int64)) % nranks
@@ -130,7 +125,7 @@ class RedistributionStep:
     """The pipeline step around a :class:`RedistributionStrategy`.
 
     The strategies stay independent of the step contract — they only compute
-    an assignment from the sorted pairs; this step binds one strategy to the
+    an assignment from the sorted array; this step binds one strategy to the
     pipeline's communicator, plans and charges the exchange, and reports it
     as a collective.
     """

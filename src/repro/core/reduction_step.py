@@ -10,16 +10,17 @@ strided downsample.  Every rank takes the same decision locally, then reduces
 only the blocks it owns.
 
 One reference class and one batched class implement the contract, each with
-``execute(context)`` as its one method: :class:`ReductionStep` (``serial``,
-the oracle) tests every block of ``context.per_rank_blocks`` against the
-ladder decision and reduces one :func:`~repro.grid.reduction.reduce_block`
-call at a time; :class:`VectorizedReductionStep` (every other backend) takes
-the selection as a prefix of the sorted wire array and gathers each (payload
-group, deeper target level) of ``context.columns`` at once, leaving the rows a
-group keeps in their stack.  The gather reads a few
-values per block, so shipping payloads to a pool would cost far more than it:
-there is no fanned-out form.  Both produce bitwise-identical reduced payloads
-and modelled seconds (priced through
+``execute(context)`` as its one method, and both read the selection off the
+prefix of the sorted wire array (``context.sorted_array``):
+:class:`ReductionStep` (``serial``, the oracle) tests every block of
+``context.columns.to_ranks()`` against the ladder decision, reduces one
+:func:`~repro.grid.reduction.reduce_block` call at a time and writes the
+columns back from its lists; :class:`VectorizedReductionStep` (every other
+backend) gathers each (payload group, deeper target level) of
+``context.columns`` at once, leaving the rows a group keeps in their stack.
+The gather reads a few values per block, so shipping payloads to a pool would
+cost far more than it: there is no fanned-out form.  Both produce
+bitwise-identical reduced payloads and modelled seconds (priced through
 :attr:`~repro.perfmodel.platform.PlatformModel.seconds_per_reduced_block`);
 measured wall-clock is the one quantity that legitimately differs.
 """
@@ -32,12 +33,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.step import IterationContext, StepReport, share_elapsed
+from repro.grid.batch import BlockColumns
 from repro.grid.block import Block
 from repro.grid.reduction import reduce_block
 from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
-
-ScorePair = Tuple[int, float]
 
 #: The default quality ladder: every selected block goes to the corner rung,
 #: which is bit-for-bit the pre-ladder binary behavior.
@@ -112,21 +112,19 @@ def ladder_counts(
 
 
 def select_reduction_levels(
-    sorted_pairs: Sequence[ScorePair],
+    sorted_array: np.ndarray,
     percent: float,
     ladder: QualityLadder = DEFAULT_QUALITY_LADDER,
 ) -> Dict[int, int]:
     """Map each selected block id to its target reduction-ladder level: the
-    rungs of :func:`ladder_counts` take consecutive runs of ``sorted_pairs``,
-    which must be in ascending (score, id) order (the sorting step's output).
+    rungs of :func:`ladder_counts` take consecutive runs of the ids of
+    ``sorted_array``, an ``(N, 2)`` wire array in ascending (score, id) order
+    (the sorting step's output).
     """
-    levels: Dict[int, int] = {}
-    offset = 0
-    for level, take in ladder_counts(len(sorted_pairs), percent, ladder):
-        for block_id, _ in sorted_pairs[offset : offset + take]:
-            levels[block_id] = level
-        offset += take
-    return levels
+    rungs = ladder_counts(len(sorted_array), percent, ladder)
+    levels = [level for level, take in rungs for _ in range(take)]
+    ids = sorted_array[: len(levels), 0].astype(np.int64)
+    return dict(zip(ids.tolist(), levels))
 
 
 class ReductionStep:
@@ -157,15 +155,14 @@ class ReductionStep:
         the report counts the reduced blocks and the payload points they
         kept.
         """
-        per_rank_blocks = context.per_rank_blocks
         levels = select_reduction_levels(
-            context.require_sorted(), context.percent, self.quality_ladder
+            context.require_sorted_array(), context.percent, self.quality_ladder
         )
         out: List[List[Block]] = []
         measured: List[float] = []
         modelled: List[float] = []
         points_total = 0
-        for blocks in per_rank_blocks:
+        for blocks in context.columns.to_ranks():
             reduced_count = 0
             points_copied = 0
             with Timer() as timer:
@@ -185,7 +182,7 @@ class ReductionStep:
                 self.platform.reduction_seconds(reduced_count, points_copied)
             )
             points_total += points_copied
-        context.per_rank_blocks = out
+        context.columns = BlockColumns(out)
         return StepReport(
             self.name,
             measured_per_rank=measured,

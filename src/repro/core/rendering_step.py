@@ -9,17 +9,18 @@ redistribution step attacks).
 
 Like the scoring step, the rendering step is one reference class and one
 batched class, each with ``execute(context)`` as its one method.
-:class:`RenderingStep` (the ``serial`` oracle) sends every rank's blocks in
-``context.per_rank_blocks`` through ``IsosurfaceScript.process`` one block at
-a time.  :class:`VectorizedRenderingStep` (every other backend name) counts
-each payload group of ``context.columns`` once in counting mode — one chunked
+:class:`RenderingStep` (the ``serial`` oracle) sends every rank's blocks of
+``context.columns.to_ranks()`` through ``IsosurfaceScript.process`` one block
+at a time, and writes the columns back from those lists.
+:class:`VectorizedRenderingStep` (every other backend name) counts each
+payload group of ``context.columns`` once in counting mode — one chunked
 byte-code :func:`~repro.viz.marching_cubes.count_active_cells_batch` call per
 group, the kept rows of a reduced group read where they lie and only the
 blocks that reach the isovalue classified, no float temporaries, always
 inline: the kernel releases the GIL, and
 chunked over the process pool it ran 11–16x slower, so rendering has no
 fan-out.  Mesh mode extracts real per-block geometry, which cannot be stacked,
-so it materialises the blocks and runs the reference per-block extraction.
+so it is the reference per-block extraction, conversions included.
 Both classes produce identical counts, triangle estimates, and modelled
 seconds — measured wall-clock is the one quantity that legitimately differs.
 """
@@ -27,6 +28,7 @@ seconds — measured wall-clock is the one quantity that legitimately differs.
 from __future__ import annotations
 
 from repro.core.step import IterationContext, StepReport, share_elapsed
+from repro.grid.batch import BlockColumns
 from repro.perfmodel.platform import PlatformModel
 from repro.utils.timer import Timer
 from repro.viz.catalyst import IsosurfaceScript, RenderResult
@@ -56,10 +58,13 @@ class RenderingStep:
         carries the per-rank modelled rendering seconds and triangle counts
         (used for load-imbalance analyses) and their total.
         """
-        per_rank_blocks = context.per_rank_blocks
+        per_rank_blocks = context.columns.to_ranks()
         results = [
             self.script.process(blocks, context.iteration) for blocks in per_rank_blocks
         ]
+        # As every reference step does, leave the columns built from the lists
+        # it read: one row per block in rank order, the scores on the blocks.
+        context.columns = BlockColumns(per_rank_blocks)
         context.render_results = results
         triangles = [result.ntriangles for result in results]
         return StepReport(

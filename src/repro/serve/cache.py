@@ -117,6 +117,17 @@ class _Entry:
         self.scenario: Optional[ExperimentScenario] = None
 
 
+class _KeyLock:
+    """One key's lock and the number of threads holding or waiting on it
+    (guarded by the cache lock)."""
+
+    __slots__ = ("lock", "users")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.users = 0
+
+
 class ReplayCache:
     """Disk-backed scenario cache keyed by resolved config identity.
 
@@ -140,6 +151,8 @@ class ReplayCache:
     Thread safety: all entry points may be called concurrently from worker
     threads; a per-key lock ensures that two simultaneous requests for the
     same config simulate at most once (the second waits, then replays).
+    A key's lock lives only while some thread holds or waits on it, so the
+    locks never outnumber the requests in flight.
     ``hits`` / ``misses`` / ``evictions`` count resolved requests and
     evicted stores and are surfaced in the serve responses.
     """
@@ -161,7 +174,7 @@ class ReplayCache:
         self.misses = 0
         self.evictions = 0
         self._guard = threading.Lock()
-        self._key_locks: Dict[str, threading.Lock] = {}
+        self._key_locks: Dict[str, _KeyLock] = {}
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._adopt_existing()
 
@@ -181,12 +194,25 @@ class ReplayCache:
                 self._entries[key] = _Entry(nbytes)
             self._evict_locked()
 
-    def _lock_for(self, key: str) -> threading.Lock:
+    @contextmanager
+    def _key_lock(self, key: str) -> Iterator[None]:
+        """Hold ``key``'s lock.  The lock is made by its first user and
+        dropped by its last: a thread that fetched it before the holder let
+        go still counts, so every thread contending for a key waits on the
+        same lock."""
         with self._guard:
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = self._key_locks[key] = threading.Lock()
-            return lock
+            held = self._key_locks.get(key)
+            if held is None:
+                held = self._key_locks[key] = _KeyLock()
+            held.users += 1
+        try:
+            with held.lock:
+                yield
+        finally:
+            with self._guard:
+                held.users -= 1
+                if not held.users:
+                    del self._key_locks[key]
 
     def _over_bounds_locked(self) -> bool:
         if self.max_entries is not None and len(self._entries) > self.max_entries:
@@ -245,7 +271,7 @@ class ReplayCache:
         """
         key = scenario_cache_key(config)
         store_dir = self.root / key
-        with self._lock_for(key):
+        with self._key_lock(key):
             with self._guard:
                 entry = self._entries.get(key)
                 store = DatasetStore(store_dir)
@@ -301,7 +327,7 @@ class ReplayCache:
         """
         key = scenario_cache_key(config)
         with self.acquire_store(config) as (store_dir, was_hit):
-            with self._lock_for(key):
+            with self._key_lock(key):
                 with self._guard:
                     entry = self._entries[key]  # pinned, so never evicted
                 if entry.scenario is None:

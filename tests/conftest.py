@@ -11,18 +11,15 @@ import pytest
 from repro.cm1.config import CM1Config
 from repro.cm1.simulation import CM1Simulation
 from repro.core.step import IterationContext
-from repro.grid.batch import DecomposedField
 from repro.scenarios import ExperimentScenario, ScenarioConfig, create_scenario_config
 from repro.scenarios.spec import TINY_SHAPE
 
 
 def execute_alone(step, per_rank_blocks, percent=0.0, iteration=0, **state):
     """``step.execute`` alone, on a fresh ``IterationContext`` over
-    ``per_rank_blocks`` (lists are copied, an arrival is taken as it is) and
-    any further context ``state`` (``sorted_pairs=...``): the context after
-    the step, and its report.  Tests reach it as the ``run_step`` fixture."""
-    if not isinstance(per_rank_blocks, DecomposedField):
-        per_rank_blocks = [list(blocks) for blocks in per_rank_blocks]
+    ``per_rank_blocks`` (lists or an arrival) and any further context
+    ``state`` (``sorted_array=...``): the context after the step, and its
+    report.  Tests reach it as the ``run_step`` fixture."""
     context = IterationContext(
         iteration, percent, len(per_rank_blocks), per_rank_blocks, **state
     )

@@ -1,9 +1,10 @@
-"""The two representations of an iteration's blocks, pinned against each other.
+"""The batched steps against the reference steps, on one columnar state.
 
-``IterationContext`` carries the blocks either as per-rank ``Block`` lists
-(what the reference steps and any list-based third-party step read) or as one
-columnar state (``repro.grid.batch.BlockColumns``, what the batched steps read
-and write).  Two Hypothesis generators feed the laws below — arbitrary block
+``IterationContext`` carries the blocks as one columnar state
+(``repro.grid.batch.BlockColumns``) that the batched steps read and write; the
+reference steps (and any list-based third-party step) read per-rank ``Block``
+lists off it with ``to_ranks()`` and write it back with
+``BlockColumns(lists)``.  Two Hypothesis generators feed the laws below — arbitrary block
 lists, and the decomposition's pre-stacked arrival
 (``repro.grid.batch.DecomposedField``) next to the ``extract_blocks`` lists it
 stands for — in pymor's idiom of one shared body over several implementations
@@ -15,7 +16,8 @@ pure pipelines give):
     the ``extract_blocks`` lists);
 (b) batched ``steps[:k]`` then reference ``steps[k:]`` on one context, for every
     ``k`` (0 = the ``serial`` pipeline), fed lists or an arrival, with or
-    without a list-based step spliced in;
+    without a list-based step spliced in; the pairs and the sorted order are
+    compared as the bytes of their wire arrays;
 (c) one stage at a time: after the same reference prefix, every stage's
     batched class leaves the context and the communicator as its reference
     class does, in count and in mesh mode — over the generated cases and over
@@ -193,16 +195,22 @@ def render_signature(results) -> list:
     ]
 
 
+def wire_signature(wire) -> Optional[tuple]:
+    """A wire array's dtype, shape and bytes (NaN-safe, bitwise)."""
+    return None if wire is None else (wire.dtype.str, wire.shape, wire.tobytes())
+
+
 def outcome(context: IterationContext) -> dict:
     """Everything the steps run so far left on ``context`` (the reduction's
     decision is each block's ``level``)."""
     results = context.render_results
+    pairs = context.pair_arrays
     return {
-        "pairs": context.per_rank_pairs,
-        "sorted": context.sorted_pairs,
+        "pairs": None if pairs is None else [wire_signature(wire) for wire in pairs],
+        "sorted": wire_signature(context.sorted_array),
         "render": None if results is None else render_signature(results),
         "reports": {n: report_signature(r) for n, r in context.reports.items()},
-        "blocks": blocks_signature(context.per_rank_blocks),
+        "blocks": blocks_signature(context.columns.to_ranks()),
     }
 
 
@@ -232,12 +240,14 @@ def build_steps(
 
 
 class ReverseEachRank:
-    """A list-based third-party step: reads the block lists, assigns new ones."""
+    """A list-based third-party step: reads the block lists off the columns,
+    writes the columns back from new ones."""
 
     name = "reverse"
 
     def execute(self, context: IterationContext) -> StepReport:
-        context.per_rank_blocks = [blocks[::-1] for blocks in context.per_rank_blocks]
+        per_rank_blocks = context.columns.to_ranks()
+        context.columns = BlockColumns([blocks[::-1] for blocks in per_rank_blocks])
         return StepReport.collective(self.name, measured=0.0, modelled=0.0)
 
 
@@ -434,11 +444,10 @@ def test_default_iteration_clones_no_block_and_builds_the_state_once(
         # block once, and every block that changed costs one clone.
         context = pipeline.engine.run_iteration(blocks, percent=50.0, iteration=2)
         calls.update(built=0, clones=0, states=0)
-        materialised = context.per_rank_blocks
+        materialised = context.columns.to_ranks()
         assert calls["built"] == (nblocks if arrives_stacked else 0)
         assert 0 < calls["clones"] <= nblocks and calls["states"] == 0
         assert sum(len(rank_blocks) for rank_blocks in materialised) == nblocks
-        assert context.per_rank_blocks is materialised and calls["clones"] <= nblocks
         for rank, rank_blocks in enumerate(materialised):
             assert all(b.owner == rank and b.score is not None for b in rank_blocks)
             assert [b.block_id for b in rank_blocks] == sorted(b.block_id for b in rank_blocks)

@@ -48,7 +48,7 @@ class TestIterationContext:
         with pytest.raises(RuntimeError):
             context.require_pairs()
         with pytest.raises(RuntimeError):
-            context.require_sorted()
+            context.require_sorted_array()
 
 
 class TestEngineConstruction:
@@ -236,18 +236,16 @@ class TestBackendParity:
                 metric=metric, redistribution=redistribution, engine=engine
             )
             context = pipeline.engine.run_iteration(blocks, 25.0, 0)
+            per_rank_blocks = context.columns.to_ranks()
             traces[engine] = (
-                context.sorted_pairs,
+                context.sorted_array.tobytes(),
                 sorted(
                     block.block_id
-                    for rank in context.per_rank_blocks
+                    for rank in per_rank_blocks
                     for block in rank
                     if block.level > 0
                 ),
-                [
-                    [(b.block_id, b.score) for b in rank]
-                    for rank in context.per_rank_blocks
-                ],
+                [[(b.block_id, b.score) for b in rank] for rank in per_rank_blocks],
             )
         assert traces["serial"] == traces["vectorized"]
         assert traces["serial"] == traces["parallel"]
@@ -276,7 +274,8 @@ class TestParallelScoringStep:
     def _assert_step_matches_serial(self, metric, scenario, run_step):
         def pairs(step_class):
             step = step_class(metric, scenario.platform)
-            return run_step(step, scenario.blocks_for(0))[0].per_rank_pairs
+            wires = run_step(step, scenario.blocks_for(0))[0].pair_arrays
+            return [wire.tobytes() for wire in wires]
 
         assert pairs(VectorizedScoringStep) == pairs(ScoringStep)
         assert self.new_shm_segments() == set()

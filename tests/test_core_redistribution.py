@@ -30,6 +30,11 @@ from repro.simmpi.costmodel import NetworkCostModel
 EXTENT = BlockExtent((0, 0, 0), (5, 4, 3))
 
 
+def wire(pairs):
+    """``(id, score)`` tuples as the ``(n, 2)`` float64 wire array the steps pass on."""
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2)
+
+
 def oracle_alltoallv(comm, send_lists):
     """``BSPCommunicator.alltoallv`` as it stood in ``src/``: the list form of
     the personalised all-to-all.
@@ -52,7 +57,7 @@ def oracle_alltoallv(comm, send_lists):
     return recv
 
 
-def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_pairs, iteration):
+def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_array, iteration):
     """The planner as it stood before the global pass, rank by rank.
 
     ``comm`` must be fresh: the modelled seconds are read off its ``stats``.
@@ -64,7 +69,7 @@ def oracle_redistribute(strategy, comm, per_rank_blocks, sorted_pairs, iteration
             for rank, blocks in enumerate(per_rank_blocks)
         ]
         return out, {"modelled": 0.0, "moved_bytes": 0.0, "moved_blocks": 0.0}
-    assigned_ids, assigned_dests = strategy.assign_owners(sorted_pairs, nranks, iteration)
+    assigned_ids, assigned_dests = strategy.assign_owners(sorted_array, nranks, iteration)
     assigned_ids = np.asarray(assigned_ids, dtype=np.int64)
     assigned_dests = np.asarray(assigned_dests, dtype=np.int64)
     order = np.argsort(assigned_ids, kind="stable")
@@ -142,7 +147,7 @@ class RecordingNetwork(NetworkCostModel):
 class Layout:
     nranks: int
     per_rank_blocks: List[List[Block]]
-    sorted_pairs: list
+    sorted_array: np.ndarray
 
 
 @st.composite
@@ -175,7 +180,7 @@ def layouts(draw) -> Layout:
     sorted_pairs = sorted(
         ((i, float(s)) for i, s in zip(listed, scores)), key=lambda p: (p[1], p[0])
     )
-    return Layout(nranks, per_rank_blocks, sorted_pairs)
+    return Layout(nranks, per_rank_blocks, wire(sorted_pairs))
 
 
 def signature(per_rank_blocks):
@@ -200,16 +205,16 @@ class TestPlannerAgainstOracle:
             iteration=iteration,
             percent=0.0,
             nranks=layout.nranks,
-            per_rank_blocks=[list(blocks) for blocks in layout.per_rank_blocks],
-            sorted_pairs=layout.sorted_pairs,
+            per_rank_blocks=layout.per_rank_blocks,
+            sorted_array=layout.sorted_array,
         )
         report = RedistributionStep(strategy, comm).execute(context)
-        out = context.per_rank_blocks
+        out = context.columns.to_ranks()
         expected, info = oracle_redistribute(
             strategy,
             BSPCommunicator(layout.nranks),
             layout.per_rank_blocks,
-            layout.sorted_pairs,
+            layout.sorted_array,
             iteration,
         )
 
@@ -242,9 +247,9 @@ def _tiny_exchange(strategy, comm, run_step):
         Block(i, EXTENT, np.zeros(EXTENT.shape, dtype=np.float32), owner=i % 2)
         for i in range(6)
     ]
-    pairs = [(i, float(i)) for i in range(6)]
+    pairs = wire([(i, float(i)) for i in range(6)])
     step = RedistributionStep(strategy, comm)
-    return run_step(step, [blocks[0::2], blocks[1::2], []], sorted_pairs=pairs)[1]
+    return run_step(step, [blocks[0::2], blocks[1::2], []], sorted_array=pairs)[1]
 
 
 def test_modelled_seconds_do_not_depend_on_communicator_history(run_step):
@@ -264,14 +269,14 @@ def test_modelled_seconds_do_not_depend_on_communicator_history(run_step):
 def test_sorting_seconds_do_not_depend_on_communicator_history(step_cls):
     """The sorting twin: its gather + broadcast used to be read back as a
     difference of the communicator's running total."""
-    per_rank_pairs = [[(0, 2.0), (3, 0.5)], [(1, 0.5)], [(2, 1.0), (4, 3.0)]]
+    pair_arrays = [wire([(0, 2.0), (3, 0.5)]), wire([(1, 0.5)]), wire([(2, 1.0), (4, 3.0)])]
     fresh = BSPCommunicator(3)
     used = BSPCommunicator(3)
     for _ in range(7):
         used.gather([np.zeros(3), np.zeros(5), np.zeros(7)])
     on_fresh, on_used = (
         step_cls(comm).execute(
-            IterationContext(0, 50.0, 3, [[], [], []], per_rank_pairs=per_rank_pairs)
+            IterationContext(0, 50.0, 3, [[], [], []], pair_arrays=pair_arrays)
         )
         for comm in (fresh, used)
     )
@@ -307,8 +312,8 @@ def test_oracle_alltoallv_transposes_and_charges_the_block_bytes():
 
 def test_out_of_range_destination_rejected(run_step):
     class Astray(RoundRobin):
-        def assign_owners(self, sorted_pairs, nranks, iteration):
-            ids, dests = super().assign_owners(sorted_pairs, nranks, iteration)
+        def assign_owners(self, sorted_array, nranks, iteration):
+            ids, dests = super().assign_owners(sorted_array, nranks, iteration)
             return ids, dests + nranks
 
     with pytest.raises(ValueError, match="destination"):

@@ -58,9 +58,14 @@ def oracle_select_reduction_levels(
     return levels
 
 
+def wire(pairs):
+    """``(id, score)`` tuples as the ``(n, 2)`` float64 wire array the steps pass on."""
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2)
+
+
 def selected_ids(sorted_pairs, percent):
     """Ids of the ``percent``% lowest-scored blocks (any ladder selects them)."""
-    return set(select_reduction_levels(sorted_pairs, percent))
+    return set(select_reduction_levels(wire(sorted_pairs), percent))
 
 
 def owners_dict(assignment):
@@ -84,11 +89,11 @@ class TestScoringStep:
     def test_scores_every_block(self, per_rank_blocks, platform, run_step):
         step = ScoringStep(create_metric("VAR"), platform)
         context, report = run_step(step, per_rank_blocks)
-        pairs = context.per_rank_pairs
+        pairs = context.pair_arrays
         assert len(pairs) == 4
         total = sum(len(p) for p in pairs)
         assert total == sum(len(b) for b in per_rank_blocks)
-        for rank_blocks in context.per_rank_blocks:
+        for rank_blocks in context.columns.to_ranks():
             for blk in rank_blocks:
                 assert blk.score is not None
         assert report.modelled_max > 0
@@ -96,7 +101,7 @@ class TestScoringStep:
     def test_scores_match_metric(self, per_rank_blocks, platform, run_step):
         metric = create_metric("RANGE")
         context, _ = run_step(ScoringStep(metric, platform), per_rank_blocks)
-        for (bid, score), blk in zip(context.per_rank_pairs[0], per_rank_blocks[0]):
+        for (bid, score), blk in zip(context.pair_arrays[0].tolist(), per_rank_blocks[0]):
             assert bid == blk.block_id
             assert score == pytest.approx(metric.score_block(blk.data))
 
@@ -113,12 +118,13 @@ class TestScoringStep:
         self, step_class, metric, per_rank_blocks, platform, run_step
     ):
         """The report counts every block and every point once (one contract
-        on every class, inline or pooled); scores are plain Python floats."""
+        on every class, inline or pooled); the pairs leave as ``(n_r, 2)``
+        float64 wire arrays, the scores as plain Python floats."""
         expected = sum(b.data.size for blocks in per_rank_blocks for b in blocks)
         step = step_class(create_metric(metric), platform)
         context, report = run_step(step, per_rank_blocks)
-        pairs, scored = context.per_rank_pairs, context.per_rank_blocks
-        assert all(type(score) is float for rank in pairs for _, score in rank)
+        pairs, scored = context.pair_arrays, context.columns.to_ranks()
+        assert all(p.dtype == np.float64 and p.shape == (len(b), 2) for p, b in zip(pairs, scored))
         assert all(type(b.score) is float for rank in scored for b in rank)
         assert report.counters == {
             "nblocks": float(sum(len(b) for b in per_rank_blocks)),
@@ -130,13 +136,11 @@ class TestSortingStep:
     def test_global_sort(self, per_rank_blocks, platform, run_step):
         comm = BSPCommunicator(4, cost_model=platform.network)
         scoring = ScoringStep(create_metric("VAR"), platform)
-        pairs = run_step(scoring, per_rank_blocks)[0].per_rank_pairs
-        context, report = run_step(
-            SortingStep(comm), per_rank_blocks, per_rank_pairs=pairs
-        )
-        scores = [s for _, s in context.sorted_pairs]
+        pairs = run_step(scoring, per_rank_blocks)[0].pair_arrays
+        context, report = run_step(SortingStep(comm), per_rank_blocks, pair_arrays=pairs)
+        scores = context.sorted_array[:, 1].tolist()
         assert scores == sorted(scores)
-        assert len(context.sorted_pairs) == sum(len(p) for p in pairs)
+        assert len(context.sorted_array) == sum(len(p) for p in pairs)
         assert report.modelled_max >= 0
 
     def test_diverging_rank_lists_rejected(self, platform, run_step):
@@ -145,18 +149,16 @@ class TestSortingStep:
         corrupt every downstream decision."""
 
         class BrokenSortingStep(SortingStep):
-            def _sort(self, per_rank_pairs):
-                good = [(0, 0.5), (1, 1.5)]
-                return [list(good) for _ in range(self.comm.nranks - 1)] + [
-                    [(1, 1.5), (0, 0.5)]
-                ]
+            def _sort(self, pair_arrays):
+                good = wire([(0, 0.5), (1, 1.5)])
+                return [good.copy() for _ in range(self.comm.nranks - 1)] + [good[::-1]]
 
         comm = BSPCommunicator(4, cost_model=platform.network)
         with pytest.raises(RuntimeError, match="diverging"):
             run_step(
                 BrokenSortingStep(comm),
                 [[], [], [], []],
-                per_rank_pairs=[[(0, 0.5)], [(1, 1.5)], [], []],
+                pair_arrays=[wire([(0, 0.5)]), wire([(1, 1.5)]), wire([]), wire([])],
             )
 
 
@@ -183,20 +185,17 @@ class TestSortingStep:
     def test_batched_sort_leaves_the_wire_array(
         self, per_rank_blocks, platform, run_step
     ):
-        """The batched sort records the broadcast array; the tuples are built
-        from it only when read, equal to the reference sort's."""
+        """Both sorts record the broadcast ``(N, 2)`` array, bitwise equal."""
         comm = BSPCommunicator(4, cost_model=platform.network)
         pairs = run_step(ScoringStep(create_metric("VAR"), platform), per_rank_blocks)[
             0
-        ].per_rank_pairs
-        batched, _ = run_step(
-            VectorizedSortingStep(comm), per_rank_blocks, per_rank_pairs=pairs
-        )
-        reference, _ = run_step(SortingStep(comm), per_rank_blocks, per_rank_pairs=pairs)
-        wire = batched.require_sorted_array()
-        assert wire.shape == (len(reference.sorted_pairs), 2)
-        assert "_sorted_pairs" in vars(batched) and batched._sorted_pairs is None
-        assert batched.sorted_pairs == reference.sorted_pairs
+        ].pair_arrays
+        batched, _ = run_step(VectorizedSortingStep(comm), per_rank_blocks, pair_arrays=pairs)
+        reference, _ = run_step(SortingStep(comm), per_rank_blocks, pair_arrays=pairs)
+        sorted_array = batched.require_sorted_array()
+        assert sorted_array.dtype == np.float64
+        assert sorted_array.shape == (sum(len(p) for p in pairs), 2)
+        assert sorted_array.tobytes() == reference.require_sorted_array().tobytes()
 
 
 class TestReductionSelection:
@@ -260,11 +259,11 @@ class TestReductionSelection:
             key=lambda p: (p[1], p[0]),
         )
         context, report = run_step(
-            ReductionStep(platform), per_rank_blocks, 50.0, sorted_pairs=all_pairs
+            ReductionStep(platform), per_rank_blocks, 50.0, sorted_array=wire(all_pairs)
         )
         selected = selected_ids(all_pairs, 50.0)
         assert report.counters["nreduced"] == len(selected) > 0
-        for blocks in context.per_rank_blocks:
+        for blocks in context.columns.to_ranks():
             for blk in blocks:
                 assert (blk.level > 0) == (blk.block_id in selected)
                 if blk.level > 0:
@@ -289,10 +288,10 @@ class TestReductionBackends:
         pre_reduced = [
             [reduce_block(b) for b in blocks] for blocks in per_rank_blocks
         ]
-        pairs = _pairs(per_rank_blocks)
+        pairs = wire(_pairs(per_rank_blocks))
         for step in (ReductionStep(platform), VectorizedReductionStep(platform)):
-            context, report = run_step(step, pre_reduced, 100.0, sorted_pairs=pairs)
-            for before, after in zip(pre_reduced, context.per_rank_blocks):
+            context, report = run_step(step, pre_reduced, 100.0, sorted_array=pairs)
+            for before, after in zip(pre_reduced, context.columns.to_ranks()):
                 # Reducing a reduced block is a no-op returning the block.
                 assert all(a is b for a, b in zip(after, before))
             # The modelled cost still counts the selected blocks' corner
@@ -329,13 +328,13 @@ class TestQualityLadder:
     def test_default_ladder_matches_binary_selection(self):
         pairs = [(i, float(i)) for i in range(10)]
         for percent in (0.0, 5.0, 35.0, 50.0, 100.0):
-            levels = select_reduction_levels(pairs, percent, DEFAULT_QUALITY_LADDER)
+            levels = select_reduction_levels(wire(pairs), percent, DEFAULT_QUALITY_LADDER)
             assert levels == oracle_select_reduction_levels(pairs, percent)
             assert all(level == 2 for level in levels.values())
 
     def test_rungs_applied_over_ascending_prefix(self):
         """The lowest scores take the first rung; the last absorbs remainder."""
-        pairs = [(i, float(i)) for i in range(10)]
+        pairs = wire([(i, float(i)) for i in range(10)])
         levels = select_reduction_levels(pairs, 100.0, ((2, 0.5), (1, 0.5)))
         assert {i for i, l in levels.items() if l == 2} == {0, 1, 2, 3, 4}
         assert {i for i, l in levels.items() if l == 1} == {5, 6, 7, 8, 9}
@@ -346,11 +345,11 @@ class TestQualityLadder:
 
     def test_ladder_produces_mixed_levels(self, per_rank_blocks, platform, run_step):
         ladder = ((2, 0.5), (1, 0.5))
-        pairs = _pairs(per_rank_blocks)
+        pairs = wire(_pairs(per_rank_blocks))
         step = ReductionStep(platform, quality_ladder=ladder)
-        context, report = run_step(step, per_rank_blocks, 100.0, sorted_pairs=pairs)
+        context, report = run_step(step, per_rank_blocks, 100.0, sorted_array=pairs)
         by_level = {}
-        for blocks in context.per_rank_blocks:
+        for blocks in context.columns.to_ranks():
             for blk in blocks:
                 by_level.setdefault(blk.level, []).append(blk)
         assert set(by_level) == {1, 2}
@@ -361,18 +360,18 @@ class TestQualityLadder:
         # Level-1 blocks copy more points than corner blocks, and the cost
         # model prices that: the mixed ladder costs more than all-corners.
         _, corners = run_step(
-            ReductionStep(platform), per_rank_blocks, 100.0, sorted_pairs=pairs
+            ReductionStep(platform), per_rank_blocks, 100.0, sorted_array=pairs
         )
         assert report.counters["points_copied"] > corners.counters["points_copied"]
         assert report.modelled_max > corners.modelled_max
 
     def test_execute_records_levels_in_context(self, per_rank_blocks, platform, run_step):
-        pairs = _pairs(per_rank_blocks)
+        pairs = wire(_pairs(per_rank_blocks))
         step = ReductionStep(platform, quality_ladder=((2, 0.5), (1, 0.5)))
-        context, report = run_step(step, per_rank_blocks, 50.0, sorted_pairs=pairs)
+        context, report = run_step(step, per_rank_blocks, 50.0, sorted_array=pairs)
         levels = {
             blk.block_id: blk.level
-            for blocks in context.per_rank_blocks
+            for blocks in context.columns.to_ranks()
             for blk in blocks
             if blk.level > 0
         }
@@ -387,17 +386,16 @@ class TestQualityLadder:
 
 class TestLadderAndDealLaw:
     """``ladder_counts`` plus the prefix of the sorted wire array is the
-    replaced ``select_reduction_levels`` (the oracle above), and every strategy
-    deals the same owners from the wire array as from tuples.  The hand
+    replaced ``select_reduction_levels`` (the oracle above).  The hand
     mutation it catches: ``round()`` in place of ``floor(x + 0.5)`` in
     ``ladder_counts`` (5 % of 10 blocks then selects 0)."""
 
     @staticmethod
     def _prefix_levels(sorted_pairs, percent, ladder):
         """The batched step's decision: the rungs' runs of the wire array."""
-        wire = np.asarray(sorted_pairs, dtype=np.float64).reshape(-1, 2)
-        rungs = ladder_counts(len(wire), percent, ladder)
-        ids = wire[: sum(take for _, take in rungs), 0].astype(np.int64)
+        sorted_array = wire(sorted_pairs)
+        rungs = ladder_counts(len(sorted_array), percent, ladder)
+        ids = sorted_array[: sum(take for _, take in rungs), 0].astype(np.int64)
         levels = np.repeat([level for level, _ in rungs], [take for _, take in rungs])
         return dict(zip(ids.tolist(), levels.tolist()))
 
@@ -419,7 +417,7 @@ class TestLadderAndDealLaw:
         for ladder in (DEFAULT_QUALITY_LADDER, ((2, 0.5), (1, 0.5))):
             levels = self._prefix_levels(pairs, percent, ladder)
             assert levels == oracle_select_reduction_levels(pairs, percent, ladder)
-            stepped = select_reduction_levels(pairs, percent, ladder)
+            stepped = select_reduction_levels(wire(pairs), percent, ladder)
             assert list(levels.items()) == list(stepped.items())
             assert len(levels) == expected
 
@@ -440,7 +438,7 @@ class TestLadderAndDealLaw:
         pairs = self._sorted(nblocks, seed)
         expected = oracle_select_reduction_levels(pairs, percent, ladder)
         assert self._prefix_levels(pairs, percent, ladder) == expected
-        assert list(select_reduction_levels(pairs, percent, ladder).items()) == list(
+        assert list(select_reduction_levels(wire(pairs), percent, ladder).items()) == list(
             expected.items()
         )
 
@@ -448,23 +446,6 @@ class TestLadderAndDealLaw:
         for percent in (-1.0, 150.0):
             with pytest.raises(ValueError):
                 ladder_counts(10, percent)
-
-    @settings(deadline=None, max_examples=60)
-    @given(
-        nblocks=st.integers(min_value=0, max_value=80),
-        nranks=st.integers(min_value=1, max_value=9),
-        iteration=st.integers(min_value=0, max_value=5),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_wire_array_deals_like_tuples(self, nblocks, nranks, iteration, seed):
-        pairs = self._sorted(nblocks, seed)
-        wire = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
-        for strategy in (RoundRobin(), RandomShuffle(seed=seed)):
-            from_tuples = strategy.assign_owners(pairs, nranks, iteration)
-            from_wire = strategy.assign_owners(wire, nranks, iteration)
-            for a, b in zip(from_tuples, from_wire):
-                assert a.dtype == b.dtype == np.int64
-                assert a.tolist() == b.tolist()
 
 
 class TestRedistribution:
@@ -477,9 +458,9 @@ class TestRedistribution:
         context, report = run_step(
             RedistributionStep(strategy, comm),
             per_rank_blocks,
-            sorted_pairs=_pairs(per_rank_blocks),
+            sorted_array=wire(_pairs(per_rank_blocks)),
         )
-        return context.per_rank_blocks, report, comm
+        return context.columns.to_ranks(), report, comm
 
     def test_none_strategy_keeps_everything(self, per_rank_blocks, platform, run_step):
         out, report, _ = self._exchange(
@@ -507,39 +488,39 @@ class TestRedistribution:
         assert comm.stats == {}
 
     def test_assignment_arrays_form(self):
-        pairs = [(i, float(i)) for i in range(8)]
+        pairs = wire([(i, float(i)) for i in range(8)])
         for strategy in (NoRedistribution(), RandomShuffle(seed=1), RoundRobin()):
             block_ids, dests = strategy.assign_owners(pairs, nranks=4, iteration=0)
             assert block_ids.dtype == np.int64 and dests.dtype == np.int64
             assert block_ids.shape == dests.shape
 
     def test_round_robin_assignment_order(self):
-        pairs = [(i, float(i)) for i in range(8)]  # ascending scores
+        pairs = wire([(i, float(i)) for i in range(8)])  # ascending scores
         owners = owners_dict(RoundRobin().assign_owners(pairs, nranks=4, iteration=0))
         # Highest score (id 7) goes to rank 0, next (id 6) to rank 1, ...
         assert owners[7] == 0 and owners[6] == 1 and owners[5] == 2 and owners[4] == 3
         assert owners[3] == 0
 
     def test_round_robin_counts_balanced(self):
-        pairs = [(i, float(i)) for i in range(16)]
+        pairs = wire([(i, float(i)) for i in range(16)])
         owners = owners_dict(RoundRobin().assign_owners(pairs, nranks=4, iteration=0))
         counts = np.bincount(list(owners.values()), minlength=4)
         assert counts.max() - counts.min() <= 1
 
     def test_shuffle_same_seed_same_assignment(self):
-        pairs = [(i, float(i)) for i in range(20)]
+        pairs = wire([(i, float(i)) for i in range(20)])
         a = owners_dict(RandomShuffle(seed=5).assign_owners(pairs, 4, iteration=3))
         b = owners_dict(RandomShuffle(seed=5).assign_owners(pairs, 4, iteration=3))
         assert a == b
 
     def test_shuffle_counts_constant_per_rank(self):
-        pairs = [(i, float(i)) for i in range(20)]
+        pairs = wire([(i, float(i)) for i in range(20)])
         owners = owners_dict(RandomShuffle(seed=1).assign_owners(pairs, 4, iteration=0))
         counts = np.bincount(list(owners.values()), minlength=4)
         assert counts.max() - counts.min() <= 1
 
     def test_shuffle_differs_across_iterations(self):
-        pairs = [(i, float(i)) for i in range(40)]
+        pairs = wire([(i, float(i)) for i in range(40)])
         a = owners_dict(RandomShuffle(seed=5).assign_owners(pairs, 4, iteration=0))
         b = owners_dict(RandomShuffle(seed=5).assign_owners(pairs, 4, iteration=1))
         assert a != b

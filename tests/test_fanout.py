@@ -161,7 +161,8 @@ class TestPoolBody:
         assert log.read_text() == logged  # no sibling chunk is still running
         healthy = VectorizedScoringStep(RowLoggingMetric(str(log), fail=False), platform)
         context, _ = run_step(healthy, [blocks])
-        assert context.per_rank_pairs == [[(i, float(i)) for i in range(40)]]
+        expected = np.array([(i, float(i)) for i in range(40)], dtype=np.float64)
+        assert [wire.tobytes() for wire in context.pair_arrays] == [expected.tobytes()]
 
     def test_pooled_pyvar_iteration(self, scoring_fanout):
         """A full pipeline iteration scored over the pool equals the serial
@@ -175,7 +176,7 @@ class TestPoolBody:
             context = pipeline.engine.run_iteration(
                 scenario.blocks_for(0), percent=50.0, iteration=0
             )
-            return context.per_rank_pairs
+            return [wire.tobytes() for wire in context.pair_arrays]
 
         pooled = pairs("vectorized")
         assert scoring_fanout == [True]

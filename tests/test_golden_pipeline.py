@@ -56,6 +56,12 @@ CASES = [
 ]
 
 
+def pairs_from_wire(wire: np.ndarray) -> List[tuple]:
+    """The ``(id, score)`` tuples of an ``(n, 2)`` float64 wire array, as the
+    record's ``sorted`` and ``reduced`` parts were taken."""
+    return list(zip(wire[:, 0].astype(np.int64).tolist(), wire[:, 1].tolist()))
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -112,13 +118,11 @@ def _iteration_digests(context) -> List[List[str]]:
     # selection order, each with the ladder level its row holds now.
     nreduced = int(context.reports["reduction"].counters["nreduced"])
     level_of = dict(zip(columns.ids.tolist(), columns.levels.tolist()))
-    reduced = [
-        [block_id, level_of[block_id]]
-        for block_id, _ in context.sorted_pairs[:nreduced]
-    ]
+    sorted_pairs = pairs_from_wire(context.sorted_array)
+    reduced = [[block_id, level_of[block_id]] for block_id, _ in sorted_pairs[:nreduced]]
     digests = [
         ["scores", _sha(np.ascontiguousarray(scores).tobytes())],
-        ["sorted", _sha_json([list(pair) for pair in context.sorted_pairs])],
+        ["sorted", _sha_json([list(pair) for pair in sorted_pairs])],
         ["reduced", _sha_json(reduced)],
         ["groups", _groups_digest(columns.groups)],
         ["render", _sha_json(render)],

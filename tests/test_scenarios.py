@@ -169,7 +169,7 @@ def test_engine_reduces_half_up_at_half_block_percents(engine, percent, nreduced
         scenario.blocks_for(0), percent, 0
     )
     assert context.reports["reduction"].counters["nreduced"] == nreduced
-    lowest = {block_id for block_id, _ in context.sorted_pairs[:nreduced]}
+    lowest = set(context.sorted_array[:nreduced, 0].astype(np.int64).tolist())
     columns = context.columns
     assert set(columns.ids[columns.levels > 0].tolist()) == lowest
 
@@ -228,9 +228,7 @@ class TestStormFamilies:
         scenario = tiny_of("turbulence_field")
         pipeline = scenario.build_pipeline(metric="VAR")
         context = pipeline.engine.run_iteration(scenario.blocks_for(0), 0.0, 0)
-        scores = np.array(
-            [score for pairs in context.per_rank_pairs for (_, score) in pairs]
-        )
+        scores = np.concatenate(context.pair_arrays)[:, 1]
         assert scores.min() > 0
         # Near-uniform: far tighter spread than the supercell workload.
         cv_turb = scores.std() / scores.mean()
@@ -238,7 +236,7 @@ class TestStormFamilies:
         ctx2 = supercell.build_pipeline(metric="VAR").engine.run_iteration(
             supercell.blocks_for(0), 0.0, 0
         )
-        s2 = np.array([s for pairs in ctx2.per_rank_pairs for (_, s) in pairs])
+        s2 = np.concatenate(ctx2.pair_arrays)[:, 1]
         cv_storm = s2.std() / s2.mean()
         assert cv_turb < 0.5 * cv_storm
 
@@ -274,7 +272,7 @@ def _iteration_observables(
     )
     owners = {
         block.block_id: block.owner
-        for blocks in context.per_rank_blocks
+        for blocks in context.columns.to_ranks()
         for block in blocks
     }
     reports = {
@@ -286,7 +284,15 @@ def _iteration_observables(
         )
         for name, report in context.reports.items()
     }
-    return context.per_rank_pairs, context.sorted_pairs, owners, reports
+    # The pairs and the sorted order, bitwise: the bytes of their wire arrays.
+    pairs = [wire.tobytes() for wire in context.pair_arrays]
+    return pairs, context.sorted_array.tobytes(), owners, reports
+
+
+def _sorted_scores(sorted_bytes: bytes) -> list:
+    """The scores, in sorted order, of the wire bytes ``_iteration_observables``
+    returns."""
+    return np.frombuffer(sorted_bytes, dtype=np.float64).reshape(-1, 2)[:, 1].tolist()
 
 
 def oracle_reference_workload(scenario: ExperimentScenario) -> dict:
@@ -422,7 +428,7 @@ def test_fpzip_four_backend_parity_on_tiny(ladder, tiny_of):
     the two-rung ladder."""
     scenario = tiny_of("tiny")
     ref = _iteration_observables(scenario, "serial", ladder, metric="FPZIP")
-    assert ref[1] and len({score for _, score in ref[1]}) > 1
+    assert ref[1] and len(set(_sorted_scores(ref[1]))) > 1
     for backend in BACKENDS[1:]:
         observed = _iteration_observables(scenario, backend, ladder, metric="FPZIP")
         assert observed == ref, backend
@@ -448,7 +454,7 @@ def test_scalar_user_metric_backend_parity_on_tiny(monkeypatch, tiny_of):
     monkeypatch.setitem(METRICS, "PEAK", PeakMetric)
     scenario = tiny_of("tiny")
     ref = _iteration_observables(scenario, "serial", metric="PEAK")
-    assert len({score for _, score in ref[1]}) > 1
+    assert len(set(_sorted_scores(ref[1]))) > 1
     for backend in BACKENDS[1:]:
         assert _iteration_observables(scenario, backend, metric="PEAK") == ref, backend
 

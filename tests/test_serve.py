@@ -41,6 +41,7 @@ from repro.cm1.dataset import StoredCM1Dataset
 from repro.core.backends import engine_backends
 from repro.io.store import DatasetStore
 from repro.scenarios import ExperimentScenario, create_scenario_config, scenario_names
+from repro.scenarios.scenario import live_dataset
 from repro.serve import RunRequest, ServeApp, serve_forever
 from repro.serve.cache import ReplayCache, scenario_cache_key
 from repro.serve import procrun, protocol
@@ -148,6 +149,122 @@ class TestReplayCache:
         # Exactly one simulation of each snapshot: the per-key lock made the
         # other three requests wait, then replay from disk.
         assert sorted(calls) == [0, 1]
+
+    def test_key_locks_do_not_outlive_their_requests(self, tmp_path, monkeypatch):
+        """Bound law: a key's lock is dropped once no thread holds or waits on
+        it, so distinct configs acquired and released one after another, through
+        both doors, leave no lock behind (one used to stay per config ever
+        requested)."""
+        dataset = live_dataset(_tiny_config(nsnapshots=1), cache=False)
+        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config, cache: dataset)
+        cache = ReplayCache(tmp_path / "cache")
+        for seed in range(24):
+            door = cache.acquire if seed % 2 else cache.acquire_store
+            with door(_tiny_config(nsnapshots=1, seed=seed)):
+                pass
+            assert cache._key_locks == {}
+        assert cache.stats()["misses"] == 24
+
+    def test_key_locks_under_contention(self, tmp_path, monkeypatch):
+        """Stress law: eight threads, more than the cores, racing twelve
+        requests over four configs with a shortened switch interval: each
+        config is saved once, every other request hits, and no key lock is
+        left once they are done (a lost update of a lock's user count would
+        leave one behind or drop one a thread still waits on)."""
+        dataset = live_dataset(_tiny_config(nsnapshots=1), cache=False)
+        saves = []
+
+        class Persisting:
+            def save(self, store_dir, extra_metadata):
+                saves.append(store_dir.name)
+                dataset.save(store_dir, extra_metadata=extra_metadata)
+
+        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config, cache: Persisting())
+        cache = ReplayCache(tmp_path / "cache")
+        configs = [_tiny_config(nsnapshots=1, seed=seed) for seed in range(4)] * 3
+
+        def request(config):
+            with cache.acquire_store(config) as (_, was_hit):
+                return was_hit
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                verdicts = list(pool.map(request, configs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(saves) == sorted({scenario_cache_key(c) for c in configs})
+        assert verdicts.count(False) == 4 and verdicts.count(True) == 8
+        assert cache._key_locks == {}
+
+    def test_a_waiter_keeps_the_key_lock_alive(self, tmp_path, monkeypatch):
+        """Race law: a thread that fetched a key's lock while the holder was
+        inside a miss waits on the lock every later thread waits on, so one
+        save serves them all.  The first miss fails (a full disk), the second
+        thread takes the miss over, and a third one arriving meanwhile must
+        wait for it rather than simulate beside it, which a lock dropped on
+        the first release, waiter or not, would let it do."""
+        config = _tiny_config(nsnapshots=1)
+        key = scenario_cache_key(config)
+        dataset = live_dataset(config, cache=False)
+        first_inside, fail_first = threading.Event(), threading.Event()
+        retry_inside, finish_retry = threading.Event(), threading.Event()
+        saves = []
+
+        class Persisting:
+            def save(self, store_dir, extra_metadata):
+                if not saves:
+                    saves.append("failed")
+                    first_inside.set()
+                    fail_first.wait(10)
+                    raise OSError("no space left on device")
+                saves.append("saved")
+                retry_inside.set()
+                finish_retry.wait(10)
+                dataset.save(store_dir, extra_metadata=extra_metadata)
+
+        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config, cache: Persisting())
+        cache = ReplayCache(tmp_path / "cache")
+        verdicts = {}
+
+        def request(name):
+            try:
+                with cache.acquire_store(config) as (_, was_hit):
+                    verdicts[name] = was_hit
+            except OSError:
+                verdicts[name] = "failed"
+
+        def users():
+            with cache._guard:
+                held = cache._key_locks.get(key)
+                return 0 if held is None else held.users
+
+        def wait_until(condition):
+            deadline = time.monotonic() + 10
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        threads = {
+            name: threading.Thread(target=request, args=(name,))
+            for name in ("first", "second", "third")
+        }
+        threads["first"].start()
+        assert first_inside.wait(10)
+        threads["second"].start()
+        wait_until(lambda: users() == 2)  # the second fetched the lock
+        fail_first.set()
+        assert retry_inside.wait(10)  # the second took the miss over
+        threads["third"].start()
+        wait_until(lambda: users() == 2 or len(saves) > 2)
+        finish_retry.set()
+        for thread in threads.values():
+            thread.join(10)
+            assert not thread.is_alive()
+        assert saves == ["failed", "saved"]
+        assert verdicts == {"first": "failed", "second": False, "third": True}
+        assert cache._key_locks == {}
 
 
 class TestReplayCacheEviction:

@@ -9,11 +9,23 @@ from hypothesis import given, settings, strategies as st
 from repro.scenarios import CATALOGUE
 from repro.simmpi.communicator import BSPCommunicator
 from repro.simmpi.costmodel import NetworkCostModel
-from repro.simmpi.sort import (
-    pairs_from_wire,
-    parallel_sort_pairs,
-    parallel_sort_pairs_numpy,
-)
+from repro.simmpi.sort import parallel_sort_pairs, parallel_sort_pairs_numpy
+
+
+def wire(pairs):
+    """``(id, score)`` tuples as the ``(n, 2)`` float64 wire array the sorts take."""
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2)
+
+
+def wires(per_rank):
+    """Every rank's tuples as its wire array."""
+    return [wire(pairs) for pairs in per_rank]
+
+
+def pairs_from_wire(sorted_array):
+    """The ``(id, score)`` tuples of an ``(n, 2)`` float64 wire array."""
+    ids, scores = sorted_array[:, 0].astype(np.int64), sorted_array[:, 1]
+    return list(zip(ids.tolist(), scores.tolist()))
 
 
 def oracle_alltoallv_loop(model: NetworkCostModel, send_matrix_bytes, nranks: int) -> float:
@@ -229,23 +241,22 @@ class TestParallelSort:
                 pairs.append((bid, float(rng.integers(0, 10))))
                 bid += 1
             per_rank.append(pairs)
-        out = parallel_sort_pairs(comm, per_rank)
+        out = parallel_sort_pairs(comm, wires(per_rank))
         flat = [p for pairs in per_rank for p in pairs]
         expected = sorted(flat, key=lambda p: (p[1], p[0]))
-        assert out[0] == expected
-        # Every rank receives the same sorted list.
-        assert all(o == expected for o in out)
+        # Every rank receives the same sorted array.
+        assert all(pairs_from_wire(o) == expected for o in out)
 
     def test_sort_handles_empty_rank(self):
         comm = BSPCommunicator(3)
         per_rank = [[(0, 1.0)], [], [(1, 0.5)]]
-        out = parallel_sort_pairs(comm, per_rank)
-        assert out[0] == [(1, 0.5), (0, 1.0)]
+        out = parallel_sort_pairs(comm, wires(per_rank))
+        assert pairs_from_wire(out[0]) == [(1, 0.5), (0, 1.0)]
 
     def test_sort_wrong_rank_count(self):
         comm = BSPCommunicator(2)
         with pytest.raises(ValueError):
-            parallel_sort_pairs(comm, [[(0, 1.0)]])
+            parallel_sort_pairs(comm, wires([[(0, 1.0)]]))
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -259,8 +270,8 @@ class TestParallelSort:
         comm = BSPCommunicator(nranks)
         pairs = [(i, float(s)) for i, s in enumerate(scores)]
         per_rank = [pairs[r::nranks] for r in range(nranks)]
-        out = parallel_sort_pairs(comm, per_rank)
-        assert out[0] == sorted(pairs, key=lambda p: (p[1], p[0]))
+        out = parallel_sort_pairs(comm, wires(per_rank))
+        assert pairs_from_wire(out[0]) == sorted(pairs, key=lambda p: (p[1], p[0]))
 
 
 class TestParallelSortNumpy:
@@ -280,18 +291,14 @@ class TestParallelSortNumpy:
         return per_rank
 
     def test_matches_python_path_bitwise(self):
-        per_rank = self._random_pairs(4, 5)
+        per_rank = wires(self._random_pairs(4, 5))
         python_comm = BSPCommunicator(4)
         numpy_comm = BSPCommunicator(4)
         python_out = parallel_sort_pairs(python_comm, per_rank)
-        numpy_out = [
-            pairs_from_wire(o) for o in parallel_sort_pairs_numpy(numpy_comm, per_rank)
-        ]
-        assert numpy_out[0] == python_out[0]
-        assert all(o == python_out[0] for o in numpy_out)
-        # Same tuple element types (int ids, float scores), not np scalars.
-        for bid, score in numpy_out[0]:
-            assert type(bid) is int and type(score) is float
+        numpy_out = parallel_sort_pairs_numpy(numpy_comm, per_rank)
+        assert python_out[0].dtype == numpy_out[0].dtype == np.float64
+        assert python_out[0].shape == numpy_out[0].shape == (20, 2)
+        assert all(o.tobytes() == python_out[0].tobytes() for o in numpy_out)
         # Identical communication: same ops, same calls, same bytes, and
         # therefore identical modelled seconds.
         assert numpy_comm.stats == python_comm.stats
@@ -300,23 +307,23 @@ class TestParallelSortNumpy:
         """Every rank holds literally the same wire array, the broadcast
         buffer — what makes the sorting step's agreement check O(nranks)."""
         comm = BSPCommunicator(3)
-        out = parallel_sort_pairs_numpy(comm, self._random_pairs(3, 4))
+        out = parallel_sort_pairs_numpy(comm, wires(self._random_pairs(3, 4)))
         assert all(o is out[0] for o in out)
 
     def test_handles_empty_ranks(self):
         comm = BSPCommunicator(3)
-        out = parallel_sort_pairs_numpy(comm, [[(0, 1.0)], [], [(1, 0.5)]])
+        out = parallel_sort_pairs_numpy(comm, wires([[(0, 1.0)], [], [(1, 0.5)]]))
         assert pairs_from_wire(out[0]) == [(1, 0.5), (0, 1.0)]
 
     def test_all_empty(self):
         comm = BSPCommunicator(2)
-        out = parallel_sort_pairs_numpy(comm, [[], []])
+        out = parallel_sort_pairs_numpy(comm, wires([[], []]))
         assert [pairs_from_wire(o) for o in out] == [[], []]
 
     def test_wrong_rank_count(self):
         comm = BSPCommunicator(2)
         with pytest.raises(ValueError):
-            parallel_sort_pairs_numpy(comm, [[(0, 1.0)]])
+            parallel_sort_pairs_numpy(comm, wires([[(0, 1.0)]]))
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -332,5 +339,5 @@ class TestParallelSortNumpy:
         comm = BSPCommunicator(nranks)
         pairs = [(i, float(s)) for i, s in enumerate(scores)]
         per_rank = [pairs[r::nranks] for r in range(nranks)]
-        out = parallel_sort_pairs_numpy(comm, per_rank)
+        out = parallel_sort_pairs_numpy(comm, wires(per_rank))
         assert pairs_from_wire(out[0]) == sorted(pairs, key=lambda p: (p[1], p[0]))
