@@ -300,7 +300,7 @@ def test_prestacked_arrival_speedup(scenario_64):
     of 8 shapes), same columns and bitwise the same groups first; the two sides
     are timed interleaved."""
     decomposition = scenario_64.decomposition
-    field = scenario_64.dataset.snapshot(0).get_field(scenario_64.config.field_name)
+    field = scenario_64.field(0)
     names = ("ids", "owners", "levels", "npoints", "nbytes")
 
     def per_block():
@@ -515,7 +515,7 @@ def test_fig11_multisnapshot_streaming_speedup(tmp_path):
 
     # Warm the replay store once; persisting is charged to neither side
     # (serve mode pays it on the first request only).
-    ExperimentScenario(config).dataset.save(store_dir)
+    ExperimentScenario(config).save(store_dir)
 
     def rows(run):
         return [

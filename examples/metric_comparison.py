@@ -40,7 +40,7 @@ def main() -> None:
     print()
     maps = score_snapshot(scenario)
     print(format_metric_maps(maps))
-    field = scenario.dataset.snapshot(0).get_field(scenario.config.field_name)
+    field = scenario.field(0)
     Framebuffer.save_array_pgm(extract_slice(field), OUTPUT_DIR / "scoremap_original_dbz.pgm")
     for name, image in zip(maps.names, maps.images):
         path = OUTPUT_DIR / f"scoremap_{name.lower()}.pgm"

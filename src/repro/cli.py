@@ -287,9 +287,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print(text)
     if args.save_dataset is not None:
-        store = scenario.dataset.save(
-            args.save_dataset, extra_metadata={"scenario": config.name}
-        )
+        store = scenario.save(args.save_dataset, extra_metadata={"scenario": config.name})
         print(
             f"saved dataset ({len(store.iterations())} iterations) to {store.root}",
             file=sys.stderr,

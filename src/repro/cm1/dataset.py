@@ -16,7 +16,7 @@ blocks, the way BIL's collective read would deliver it.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +115,7 @@ class CM1Dataset:
         directory: Path,
         extra_metadata: Optional[dict] = None,
         layout: str = "raw",
+        domains: Optional[Iterable[Domain]] = None,
     ) -> DatasetStore:
         """Persist every snapshot into a :class:`DatasetStore` at ``directory``.
 
@@ -123,7 +124,10 @@ class CM1Dataset:
         layout, memory-mappable flat files, so the replay cache and
         ``CM1Dataset.load(..., mmap=True)`` read what this writes zero-copy.
         ``layout`` names that layout and accepts only ``"raw"``: it stays
-        because the tracked benchmark's probes still pass it.
+        because the tracked benchmark's probes still pass it.  ``domains``
+        hands over the snapshots to write, in order, for a caller that already
+        holds them (a scenario assembles them from its arrivals); by default
+        they are generated.
         """
         if layout != "raw":
             raise ValueError(f"the only dataset layout is 'raw', got {layout!r}")
@@ -136,7 +140,7 @@ class CM1Dataset:
         metadata.update(extra_metadata or {})
         store = DatasetStore(Path(directory))
         store.create(self.simulation.grid, metadata=metadata)
-        for domain in self:
+        for domain in self if domains is None else domains:
             store.append(domain)
         return store
 

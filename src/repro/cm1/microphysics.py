@@ -14,6 +14,11 @@ the whole grid.  Everything else is elementwise:
 :meth:`Microphysics.mixing_ratios` evaluates the envelopes and perturbs the
 turbulence on any mesh slab it is handed, so a caller may walk the grid slab
 by slab and get the bytes the whole grid gives.
+
+SciPy is imported inside :func:`correlated_noise`, the one place that filters,
+so ``import repro`` maps none of it: a process that only replays stored
+snapshots, such as a pool worker of ``repro serve --execution process``, never
+loads SciPy, and a process that draws CM1 loads it on its first snapshot.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.cm1.storm import SupercellStorm
 from repro.utils.random import derive_seed, rng_from_seed
@@ -47,6 +51,8 @@ def correlated_noise(
         Optional C-contiguous float64 array of ``shape`` to draw into; it is
         returned.  The field is the same either way.
     """
+    from scipy import ndimage  # here, not at the top: see the module docstring
+
     # One buffer: the filter runs in place, as scipy runs its second and
     # third axis passes anyway.
     noise = rng_from_seed(seed).standard_normal(shape, out=out)

@@ -115,7 +115,6 @@ class ExecutionEngine:
         context = IterationContext(
             iteration=int(iteration),
             percent=float(percent),
-            nranks=self.nranks,
             per_rank_blocks=per_rank_blocks,
         )
         for step in self.steps:

@@ -144,14 +144,12 @@ class IterationContext:
         self,
         iteration: int,
         percent: float,
-        nranks: int,
         per_rank_blocks: Union[DecomposedField, Sequence[Sequence["Block"]]],
         pair_arrays: Optional[List[np.ndarray]] = None,
         sorted_array: Optional[np.ndarray] = None,
     ) -> None:
         self.iteration = iteration
         self.percent = percent
-        self.nranks = nranks
         self.columns = BlockColumns(per_rank_blocks)
         self.pair_arrays = pair_arrays
         self.sorted_array = sorted_array

@@ -67,8 +67,7 @@ def run_fig1(
     scenario = scenario or ExperimentScenario(
         create_scenario_config("blue_waters_64", nsnapshots=1)
     )
-    field = scenario.dataset.snapshot(snapshot_index).get_field(scenario.config.field_name)
-    field = np.asarray(field, dtype=np.float64)
+    field = scenario.field(snapshot_index).astype(np.float64)
     filtered = _filtered_field(scenario, snapshot_index)
 
     # Modelled rendering cost of both variants (p = 0 and p = 100).

@@ -140,9 +140,8 @@ def score_snapshot(
         map_shape_groups(arrival.groups, m.score_batch, np.float64, pool_pays(m.gil_bound))
         for m in scorers
     ])
-    field = scenario.dataset.snapshot(0).get_field(scenario.config.field_name)
     return MetricMaps(
-        tuple(m.name for m in scorers), scores, arrival, np.asarray(field).max(axis=2)
+        tuple(m.name for m in scorers), scores, arrival, arrival.field().max(axis=2)
     )
 
 

@@ -9,7 +9,9 @@ on two layouts that replace the loop by array passes:
 * :class:`DecomposedField` — one snapshot as the decomposition hands it to the
   pipeline (the *arrival*): a read-only per-block geometry table plus the
   payloads already gathered into stacked shape/dtype groups.  It reads as the
-  per-rank ``Block`` lists it stands for, built only if an element is accessed.
+  per-rank ``Block`` lists it stands for, built only if an element is accessed,
+  and it gives the global field back (:meth:`DecomposedField.field`), so a
+  holder of the arrival needs no other copy of the snapshot.
 * :class:`BlockColumns` — the iteration state of the batched pipeline steps:
   *all* ranks' blocks as flat metadata columns (ids, holding rank, owners,
   ladder levels, scores) plus the payloads as a short list of stacked
@@ -39,6 +41,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.grid.block import Block, BlockExtent, check_level_payload
 from repro.grid.reduction import reduce_to_level_batch
@@ -119,6 +122,10 @@ class DecomposedField(abc.Sequence):
     An arrival is *input only*.  Every array is marked read-only — a kernel
     writing in place fails loudly instead of corrupting the snapshot's next
     replay — and nothing computed from the payload values belongs on it.
+
+    Since the blocks of a decomposition tile its domain, the arrival is also the
+    one copy of its snapshot a holder needs: :meth:`field` assembles the global
+    field back, bitwise the one ``decompose`` cut.
     """
 
     def __init__(
@@ -175,6 +182,21 @@ class DecomposedField(abc.Sequence):
 
     def __getitem__(self, rank):
         return self._rank_lists[rank]
+
+    def field(self) -> np.ndarray:
+        """The global field the blocks tile, as a new writeable array: the
+        inverse of :meth:`CartesianDecomposition.decompose
+        <repro.grid.decomposition.CartesianDecomposition.decompose>`, one
+        strided scatter per shape group.  ``ValueError`` when the blocks do not
+        cover ``[0, max(stops))`` point for point."""
+        shape = tuple(self.stops.max(axis=0).tolist())
+        if (self.stops - self.starts).prod(axis=1).sum() != np.prod(shape):
+            raise ValueError(f"the blocks do not tile a {shape} field")
+        out = np.empty(shape, dtype=self.groups[0][1].dtype)
+        for rows, stacked in self.groups:
+            window = sliding_window_view(out, stacked.shape[1:], writeable=True)
+            window[tuple(self.starts[rows].T)] = stacked
+        return out
 
 
 def _template_column(name: str) -> cached_property:

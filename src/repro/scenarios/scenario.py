@@ -26,13 +26,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.cm1.config import CM1Config
 from repro.cm1.dataset import CM1Dataset
 from repro.core.config import AdaptationConfig, PipelineConfig
 from repro.core.pipeline import InSituPipeline
-from repro.grid.batch import BlockColumns
+from repro.grid.batch import BlockColumns, DecomposedField
 from repro.grid.block import Block
 from repro.grid.decomposition import CartesianDecomposition, factorize_ranks
+from repro.grid.domain import Domain
+from repro.io.store import DatasetStore
 from repro.perfmodel.calibration import PAPER_BASELINES, calibrate_render_model
 from repro.perfmodel.platform import PlatformModel
 from repro.scenarios.catalog import create_scenario_config
@@ -49,15 +53,15 @@ __all__ = [
 ]
 
 
-def live_dataset(config: ScenarioConfig, cache: bool) -> CM1Dataset:
-    """The CM1 simulation a scenario config describes, as a dataset.
-
-    ``cache=False`` is for a caller that persists each snapshot and replays it
-    from disk: a second in-memory copy would only double its peak memory.
+def live_dataset(config: ScenarioConfig) -> CM1Dataset:
+    """The CM1 simulation a scenario config describes, as a dataset that keeps
+    no snapshot: each caller holds what it needs (a scenario its arrivals, the
+    replay cache the store it writes), so a second in-memory copy would only
+    double the peak memory.
     """
     storm = {} if config.storm is None else {"storm": config.storm}
     cm1 = CM1Config(shape=config.shape, seed=config.seed, **storm)
-    return CM1Dataset(cm1, nsnapshots=config.nsnapshots, cache=cache)
+    return CM1Dataset(cm1, nsnapshots=config.nsnapshots, cache=False)
 
 
 @dataclass(frozen=True)
@@ -115,15 +119,20 @@ class ExperimentScenario:
     (``select``, ``per_rank_blocks``) — typically a
     :class:`~repro.cm1.dataset.StoredCM1Dataset` opened with ``mmap=True``,
     which is how the serve mode's replay cache avoids re-simulating CM1.
+
+    A scenario keeps each snapshot once, as the arrival :meth:`blocks_for`
+    caches: the live dataset keeps no ``Domain``, and a full-grid reader asks
+    :meth:`field`, which assembles the grid back from the arrival.  Building a
+    live ``decaying_storm`` scenario and its whole feed retains 1.006x its
+    ``nsnapshots`` fields under ``tracemalloc``; with the ``Domain`` cache it
+    kept 2.0x (``tests/test_cm1.py::TestLiveScenarioMemory``).
     """
 
     def __init__(self, config: ScenarioConfig, dataset=None) -> None:
         self.config = config
-        self.dataset = (
-            dataset if dataset is not None else live_dataset(config, cache=True)
-        )
+        self.dataset = dataset if dataset is not None else live_dataset(config)
         self.decomposition = scenario_decomposition(config)
-        self._blocks_cache: Dict[int, Sequence[Sequence[Block]]] = {}
+        self._blocks_cache: Dict[int, DecomposedField] = {}
         self.platform = self._calibrated_platform()
 
     @classmethod
@@ -145,7 +154,7 @@ class ExperimentScenario:
         """Total number of blocks per iteration."""
         return self.decomposition.nblocks
 
-    def blocks_for(self, snapshot_index: int) -> Sequence[Sequence[Block]]:
+    def blocks_for(self, snapshot_index: int) -> DecomposedField:
         """Per-rank block lists of one snapshot (cached; pre-stacked by the dataset).
 
         Threads sharing the scenario share one arrival per snapshot: two that
@@ -160,6 +169,27 @@ class ExperimentScenario:
                 ),
             )
         return blocks
+
+    def field(self, snapshot_index: int) -> np.ndarray:
+        """The global field of one snapshot, assembled from its cached arrival
+        (:meth:`~repro.grid.batch.DecomposedField.field`): bitwise the dataset's
+        field, a new array the caller owns, and no CM1 step re-run."""
+        return self.blocks_for(snapshot_index).field()
+
+    def save(self, directory, extra_metadata: Optional[dict] = None) -> DatasetStore:
+        """Persist every snapshot of the live dataset to a store at ``directory``,
+        byte for byte what ``self.dataset.save`` writes, from the assembled
+        fields instead of a second CM1 run."""
+        simulation = self.dataset.simulation
+        domains = (
+            Domain(
+                grid=simulation.grid,
+                fields={self.config.field_name: self.field(index)},
+                iteration=simulation.model_iteration(index),
+            )
+            for index in range(self.config.nsnapshots)
+        )
+        return self.dataset.save(directory, extra_metadata, domains=domains)
 
     def stream_iteration_blocks(self, count: Optional[int] = None) -> Iterator[Sequence]:
         """Yield the blocks of ``count`` equally spaced snapshots (default: all),

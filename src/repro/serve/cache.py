@@ -286,7 +286,7 @@ class ReplayCache:
             if not was_hit:
                 # Simulate + persist outside the cache-wide guard (slow),
                 # still under the per-key lock (exactly-once).
-                live_dataset(config, cache=False).save(
+                live_dataset(config).save(
                     store_dir,
                     extra_metadata={
                         "scenario": config.name or "adhoc",

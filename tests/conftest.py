@@ -20,9 +20,7 @@ def execute_alone(step, per_rank_blocks, percent=0.0, iteration=0, **state):
     ``per_rank_blocks`` (lists or an arrival) and any further context
     ``state`` (``sorted_array=...``): the context after the step, and its
     report.  Tests reach it as the ``run_step`` fixture."""
-    context = IterationContext(
-        iteration, percent, len(per_rank_blocks), per_rank_blocks, **state
-    )
+    context = IterationContext(iteration, percent, per_rank_blocks, **state)
     return context, step.execute(context)
 
 

@@ -15,6 +15,7 @@ import repro
 from repro.cli import main
 from repro.io.store import DatasetStore
 from repro.scenarios import ExperimentScenario, scenario_names
+from repro.scenarios.scenario import live_dataset
 from repro.serve.procrun import RunRequest, _json_default, execute_run
 
 
@@ -118,6 +119,26 @@ class TestRun:
         assert store.exists()
         assert len(store.iterations()) == 2
         assert store.manifest().metadata["scenario"] == "tiny"
+
+    def test_saved_dataset_is_the_generated_store_byte_for_byte(self, capsys, tmp_path):
+        """``--save-dataset`` writes the fields the run's scenario assembles
+        from its arrivals, and the store is what ``CM1Dataset.save`` writes
+        from a fresh CM1 run of the same config: the same files, every
+        ``.bin`` and ``manifest.json`` equal byte for byte."""
+        code, _, _ = run_cli(
+            capsys, "run", "tiny", "--snapshots", "3", "--save-dataset", str(tmp_path / "cli")
+        )
+        assert code == 0
+        config = RunRequest.from_payload({"scenario": "tiny", "snapshots": 3}).scenario_config()
+        live_dataset(config).save(tmp_path / "cm1", extra_metadata={"scenario": "tiny"})
+        written = {
+            side: {path.name: path.read_bytes() for path in (tmp_path / side).iterdir()}
+            for side in ("cli", "cm1")
+        }
+        assert written["cli"].keys() == written["cm1"].keys()
+        assert len(written["cli"]) == 4 and "manifest.json" in written["cli"]
+        for name, data in written["cli"].items():
+            assert data == written["cm1"][name], name
 
     def test_saved_dataset_replays_through_the_mmap_path(self, capsys, tmp_path):
         """What ``--save-dataset`` writes is the store the replay cache

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from repro.cm1.config import CM1Config, StormConfig
+from repro.cm1.dataset import CM1Dataset
 from repro.cm1.microphysics import Microphysics, correlated_noise, perturb
 from repro.cm1.reflectivity import (
     _SPECIES_COEFFS,
@@ -25,6 +31,7 @@ from repro.cm1.simulation import FIELD_DTYPE, CM1Simulation
 from repro.cm1.storm import STORM_FAMILIES, SupercellStorm
 from repro.grid.domain import Domain
 from repro.grid.rectilinear import RectilinearGrid
+from repro.scenarios import ExperimentScenario
 from repro.scenarios.catalog import create_scenario_config
 from repro.scenarios.scenario import live_dataset
 from repro.utils.random import derive_seed, rng_from_seed
@@ -449,7 +456,7 @@ class TestSnapshotMemory:
         ``tracemalloc`` counts what numpy allocates, not the process's RSS,
         so the bound is deterministic.
         """
-        sim = live_dataset(create_scenario_config("blue_waters_64"), cache=False).simulation
+        sim = live_dataset(create_scenario_config("blue_waters_64")).simulation
         grid_bytes = np.prod(sim.config.shape) * 8
         tracemalloc.start()
         try:
@@ -458,6 +465,101 @@ class TestSnapshotMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * grid_bytes, f"{peak / grid_bytes:.2f} float64 grids"
+
+
+class TestLiveScenarioMemory:
+    """A live scenario keeps each snapshot once: its cached arrival.
+
+    Building a live ``decaying_storm`` scenario (12 snapshots of 88×88×24
+    float32) and its whole feed retains at most 1.15 × nsnapshots × field
+    bytes plus 256 KB under ``tracemalloc``.  The reading is 1.006× (52 KB
+    over the arrivals: block tables, platform, the CM1 model); a dataset that
+    also caches each ``Domain`` keeps 2.0× and fails the bound, which the
+    second test pins.  ``tracemalloc`` counts what numpy allocates, not the
+    process's RSS, so the bound is deterministic.
+    """
+
+    SLACK_BYTES = 256 * 1024
+
+    @staticmethod
+    def retained(build) -> tuple:
+        """``(retained bytes, bound)`` of ``build(config)``'s scenario and feed."""
+        config = create_scenario_config("decaying_storm")
+        field_bytes = int(np.prod(config.shape)) * np.dtype(np.float32).itemsize
+        # Load SciPy first: its import is not what the scenario keeps.
+        correlated_noise((2, 2, 2), 1.0, 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scenario = build(config)
+            feed = scenario.iteration_blocks()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(feed) == config.nsnapshots
+        bound = 1.15 * config.nsnapshots * field_bytes + TestLiveScenarioMemory.SLACK_BYTES
+        return after - before, bound
+
+    def test_a_live_scenario_and_its_feed_keep_each_snapshot_once(self):
+        retained, bound = self.retained(ExperimentScenario)
+        assert retained <= bound, f"{retained} B retained, bound {bound:.0f} B"
+
+    def test_the_bound_sees_a_second_copy_of_each_snapshot(self):
+        def with_domain_cache(config):
+            cached = CM1Dataset(live_dataset(config).config, config.nsnapshots, cache=True)
+            return ExperimentScenario(config, dataset=cached)
+
+        retained, bound = self.retained(with_domain_cache)
+        assert retained > bound, f"{retained} B retained, bound {bound:.0f} B"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestLazyScipy:
+    """SciPy is loaded where CM1 draws its noise, not by ``import repro``: a
+    serve pool worker, which only replays stores, never maps it."""
+
+    def test_importing_the_package_and_its_entry_points_loads_no_scipy(self):
+        """In a fresh interpreter, ``import repro, repro.serve.server,
+        repro.cli`` leaves ``scipy`` out of ``sys.modules``, and one tiny
+        snapshot brings it in.  Fails with ``from scipy import ndimage`` back
+        at the top of ``cm1/microphysics.py``."""
+        script = (
+            "import sys\n"
+            "import repro, repro.serve.server, repro.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "from repro.cm1 import CM1Config, CM1Simulation\n"
+            "from repro.scenarios.spec import TINY_SHAPE\n"
+            "CM1Simulation(CM1Config(shape=TINY_SHAPE)).snapshot(0)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
+
+    def test_no_module_of_src_imports_scipy_at_module_level(self):
+        """Every ``scipy`` import under ``src/`` sits inside a function, so no
+        module the package grows later maps it on import either."""
+        top_level = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                names = (
+                    [alias.name for alias in node.names]
+                    if isinstance(node, ast.Import)
+                    else [node.module or ""]
+                    if isinstance(node, ast.ImportFrom)
+                    else []
+                )
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    top_level.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert not top_level, top_level
 
 
 #: Broadcastable species shapes, full and partial.

@@ -279,7 +279,6 @@ def run_steps(case: Case, steps: list, blocks=None) -> dict:
     context = IterationContext(
         iteration=2,
         percent=case.percent,
-        nranks=case.nranks,
         per_rank_blocks=case.input() if blocks is None else blocks,
     )
     for step in steps:

@@ -42,9 +42,7 @@ class TestStepReport:
 
 class TestIterationContext:
     def test_requires_raise_before_steps(self):
-        context = IterationContext(
-            iteration=0, percent=0.0, nranks=1, per_rank_blocks=[[]]
-        )
+        context = IterationContext(iteration=0, percent=0.0, per_rank_blocks=[[]])
         with pytest.raises(RuntimeError):
             context.require_pairs()
         with pytest.raises(RuntimeError):

@@ -204,7 +204,6 @@ class TestPlannerAgainstOracle:
         context = IterationContext(
             iteration=iteration,
             percent=0.0,
-            nranks=layout.nranks,
             per_rank_blocks=layout.per_rank_blocks,
             sorted_array=layout.sorted_array,
         )
@@ -276,7 +275,7 @@ def test_sorting_seconds_do_not_depend_on_communicator_history(step_cls):
         used.gather([np.zeros(3), np.zeros(5), np.zeros(7)])
     on_fresh, on_used = (
         step_cls(comm).execute(
-            IterationContext(0, 50.0, 3, [[], [], []], pair_arrays=pair_arrays)
+            IterationContext(0, 50.0, [[], [], []], pair_arrays=pair_arrays)
         )
         for comm in (fresh, used)
     )

@@ -196,7 +196,7 @@ class TestPoolBody:
             "procpool.warm_shared_pool()\n"
             "step = VectorizedScoringStep(create_metric('PYVAR'), scenario.platform)\n"
             "blocks = scenario.blocks_for(0)\n"
-            "step.execute(IterationContext(0, 0.0, len(blocks), blocks))\n"
+            "step.execute(IterationContext(0, 0.0, blocks))\n"
             "assert procpool._POOL is not None\n"
             "procpool.shutdown_shared_pool()\n"
         )

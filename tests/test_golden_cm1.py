@@ -45,7 +45,7 @@ def _distinct_simulations() -> Dict[str, CM1Simulation]:
     """The first catalogue name of each distinct CM1 config → its simulation."""
     simulations: Dict[str, CM1Simulation] = {}
     for name, (config, _, _) in CATALOGUE.items():
-        simulation = live_dataset(config, cache=False).simulation
+        simulation = live_dataset(config).simulation
         if all(simulation.config != other.config for other in simulations.values()):
             simulations[name] = simulation
     return simulations

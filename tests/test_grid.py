@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.grid.batch import stacked_shape_groups
+from repro.grid.batch import DecomposedField, stacked_shape_groups
 from repro.grid.block import (
     Block,
     BlockExtent,
@@ -30,6 +30,8 @@ from repro.grid.reduction import (
     reduction_error,
     trilinear_sample,
 )
+from repro.scenarios import scenario_names
+from repro.scenarios.scenario import scenario_decomposition
 
 
 class TestRectilinearGrid:
@@ -385,6 +387,72 @@ class TestCartesianDecomposition:
         assert_tiles(
             CartesianDecomposition((24, 24, 12), nranks=nranks, blocks_per_subdomain=bps)
         )
+
+
+def assert_round_trips(decomp: CartesianDecomposition, field: np.ndarray) -> None:
+    """``decompose(field).field()`` is ``field`` bitwise, in a new writeable
+    array, and the arrival it was read from stays read-only and unwritten."""
+    arrival = decomp.decompose(field)
+    before = [stacked.tobytes() for _, stacked in arrival.groups]
+    assembled = arrival.field()
+    assert assembled.dtype == field.dtype and assembled.shape == field.shape
+    assert assembled.tobytes() == np.ascontiguousarray(field).tobytes()
+    assert assembled.flags.writeable and assembled.flags.c_contiguous
+    assert not any(np.shares_memory(assembled, stacked) for _, stacked in arrival.groups)
+    assert [stacked.tobytes() for _, stacked in arrival.groups] == before
+    assert not any(stacked.flags.writeable for _, stacked in arrival.groups)
+
+
+def salted_field(shape, dtype, seed) -> np.ndarray:
+    """Random values with a NaN, a signed zero and an infinity among them, so
+    that only a bitwise copy compares equal."""
+    field = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    flat = field.reshape(-1)
+    flat[:: max(1, flat.size // 3)][:3] = (np.nan, -0.0, np.inf)[: min(3, flat.size)]
+    return field
+
+
+class TestFieldRoundTrip:
+    """``DecomposedField.field`` is the inverse of ``decompose``.  Fails with a
+    ``starts`` one cell off in the scatter (a block lands on its neighbour)."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_catalogue_decomposition_round_trips(self, name, at_tiny_scale):
+        config = at_tiny_scale(name)
+        decomp = scenario_decomposition(config)
+        assert_round_trips(decomp, salted_field(config.shape, np.float32, len(name)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_uneven_rank_and_block_splits_round_trip(self, data):
+        """Remainders on every axis, at both cut levels, both float widths and
+        an F-ordered field."""
+        rank_dims = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="rank_dims")
+        bps = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="blocks_per_subdomain")
+        shape = tuple(
+            data.draw(st.integers(p * b, p * b + 7), label=f"n{axis}")
+            for axis, (p, b) in enumerate(zip(rank_dims, bps))
+        )
+        nranks = rank_dims[0] * rank_dims[1] * rank_dims[2]
+        decomp = CartesianDecomposition(shape, nranks, bps, rank_dims)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        field = salted_field(shape, dtype, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="fortran"):
+            field = np.asfortranarray(field)
+        assert_round_trips(decomp, field)
+
+    def test_blocks_that_leave_a_gap_are_refused(self):
+        stacked = np.zeros((2, 2, 4, 2), dtype=np.float32)
+        arrival = DecomposedField(
+            np.arange(2),
+            np.array([[0, 0, 0], [3, 0, 0]]),
+            np.array([[2, 4, 2], [5, 4, 2]]),
+            np.zeros(2, dtype=np.int64),
+            [(np.arange(2), stacked)],
+            nranks=1,
+        )
+        with pytest.raises(ValueError, match="do not tile"):
+            arrival.field()
 
 
 class TestDomain:

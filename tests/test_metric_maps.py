@@ -172,7 +172,7 @@ def test_maps_equal_the_replaced_analyses(name):
     then take the unstable sort's order."""
     scenario = cached_scenario(name=name, nsnapshots=2)
     maps = score_snapshot(scenario)
-    field = scenario.dataset.snapshot(0).get_field(scenario.config.field_name)
+    field = scenario.field(0)
     assert field.dtype == np.float32
     metrics = [create_metric(metric) for metric in PAPER_METRICS]
     per_metric = score_blocks_with_metrics(metrics, scenario.all_blocks(0))

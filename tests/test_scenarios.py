@@ -486,8 +486,7 @@ class TestDeterminism:
     def test_different_seeds_differ(self, at_tiny_scale):
         base = ExperimentScenario(at_tiny_scale("multicell_cluster"))
         other = ExperimentScenario(replace(at_tiny_scale("multicell_cluster"), seed=12345))
-        field_a = np.asarray(base.dataset.snapshot(0).get_field("dbz"))
-        field_b = np.asarray(other.dataset.snapshot(0).get_field("dbz"))
+        field_a, field_b = base.field(0), other.field(0)
         assert field_a.shape == field_b.shape
         assert not np.array_equal(field_a, field_b)
 

@@ -117,12 +117,13 @@ class TestReplayCache:
     def test_replayed_data_matches_live_simulation(self, tmp_path):
         cache = ReplayCache(tmp_path / "cache")
         config = _tiny_config(nsnapshots=2)
-        live, _ = _resolve(cache, config)
+        _resolve(cache, config)  # warm
         replay, was_hit = _resolve(cache, config)
         assert was_hit is True
+        live = ExperimentScenario(config)
         for index in range(config.nsnapshots):
             np.testing.assert_array_equal(
-                live.dataset.snapshot(index).get_field(config.field_name),
+                live.field(index),
                 replay.dataset.snapshot(index).get_field(config.field_name),
             )
 
@@ -155,8 +156,8 @@ class TestReplayCache:
         it, so distinct configs acquired and released one after another, through
         both doors, leave no lock behind (one used to stay per config ever
         requested)."""
-        dataset = live_dataset(_tiny_config(nsnapshots=1), cache=False)
-        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config, cache: dataset)
+        dataset = live_dataset(_tiny_config(nsnapshots=1))
+        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config: dataset)
         cache = ReplayCache(tmp_path / "cache")
         for seed in range(24):
             door = cache.acquire if seed % 2 else cache.acquire_store
@@ -171,7 +172,7 @@ class TestReplayCache:
         config is saved once, every other request hits, and no key lock is
         left once they are done (a lost update of a lock's user count would
         leave one behind or drop one a thread still waits on)."""
-        dataset = live_dataset(_tiny_config(nsnapshots=1), cache=False)
+        dataset = live_dataset(_tiny_config(nsnapshots=1))
         saves = []
 
         class Persisting:
@@ -179,7 +180,7 @@ class TestReplayCache:
                 saves.append(store_dir.name)
                 dataset.save(store_dir, extra_metadata=extra_metadata)
 
-        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config, cache: Persisting())
+        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config: Persisting())
         cache = ReplayCache(tmp_path / "cache")
         configs = [_tiny_config(nsnapshots=1, seed=seed) for seed in range(4)] * 3
 
@@ -207,7 +208,7 @@ class TestReplayCache:
         the first release, waiter or not, would let it do."""
         config = _tiny_config(nsnapshots=1)
         key = scenario_cache_key(config)
-        dataset = live_dataset(config, cache=False)
+        dataset = live_dataset(config)
         first_inside, fail_first = threading.Event(), threading.Event()
         retry_inside, finish_retry = threading.Event(), threading.Event()
         saves = []
@@ -224,7 +225,7 @@ class TestReplayCache:
                 finish_retry.wait(10)
                 dataset.save(store_dir, extra_metadata=extra_metadata)
 
-        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config, cache: Persisting())
+        monkeypatch.setattr("repro.serve.cache.live_dataset", lambda config: Persisting())
         cache = ReplayCache(tmp_path / "cache")
         verdicts = {}
 
@@ -1732,7 +1733,7 @@ class TestServeSubprocess:
         streams every iteration, and the cache then holds one entry."""
         config = RunRequest.from_payload(TINY_RUN).scenario_config()
         entry = tmp_path / "cache" / scenario_cache_key(config)
-        ExperimentScenario(config).dataset.save(entry)
+        ExperimentScenario(config).save(entry)
         _version_1(entry)
         proc, port = _spawn_serve(env, "--cache-dir", str(tmp_path / "cache"))
         try:
