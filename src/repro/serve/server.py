@@ -33,11 +33,19 @@ also behind ``python -m repro run`` — executes and how its events travel:
     stream back as they complete over the pipe of the worker's slot, which
     its pool generation created before the worker forked, so NDJSON
     latency-to-first-event stays flat.  One router thread per generation
-    reads every worker pipe and hands each event to the run whose id it
-    carries; the stream ends on the worker's end-of-stream mark, not on a
-    poll time-out, or when the run's future says its worker died.  A cancel
+    reads every worker pipe and puts each event on the inbox of the run
+    whose id it carries; the stream ends on the worker's end-of-stream mark,
+    not on a poll time-out, or when the run's future says its worker died.  A cancel
     writes the run's id into its slot's cancel word, which only that run
     obeys.
+
+Who writes a stream: the event loop reads the request, answers a refusal and
+writes an accepted run's reply head; then the run's runner thread writes every
+event through one :class:`_Stream` — on the process tier it reads them off the
+run's inbox, so a slow client blocks only its own runner, never the router.
+The loop is woken once per run, at its end, and keeps the watchdog: when the
+wait expires it writes the ``timeout`` event under the stream's lock and
+closes the stream.  A failed send cancels the run (``"disconnect"``).
 
 Scenario data resolves through the :class:`~repro.serve.cache.ReplayCache`:
 the first request for a config simulates CM1 and persists the snapshots,
@@ -51,7 +59,9 @@ import asyncio
 import contextlib
 import itertools
 import logging
+import os
 import queue as queue_module
+import socket
 import sys
 import threading
 import time
@@ -59,7 +69,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.scenarios import ScenarioConfig
 from repro.serve import protocol
@@ -80,7 +90,6 @@ from repro.utils.procpool import (
 
 __all__ = ["EXECUTION_TIERS", "RunRequest", "ServeApp", "serve_forever"]
 
-_SENTINEL = object()
 #: What a process-tier run's future puts on its inbox when it completes.
 _WORKER_DONE = object()
 #: Silent on every healthy request; with no handler configured the stdlib's
@@ -99,6 +108,10 @@ STREAM_GRACE_SECONDS = 2.0
 #: Poll interval of the process tier's cancellation / dead-worker poll and of
 #: the shutdown drain.
 _POLL_SECONDS = 0.05
+
+#: Seconds a send waits on a full socket buffer (a client that stopped
+#: reading; a run's few kilobytes never fill it) before the run counts it gone.
+_SEND_SECONDS = 10.0
 
 
 class _RunScope:
@@ -168,6 +181,41 @@ class _RunScope:
         if self.deadline is None:
             return None
         return max(0.0, self.deadline + STREAM_GRACE_SECONDS - time.monotonic())
+
+
+class _Stream:
+    """The one writer of a run's NDJSON reply, on whichever thread has an event.
+
+    ``sock`` duplicates the connection's socket; its send timeout keeps the
+    shared descriptor non-blocking for asyncio.  The lock keeps lines whole,
+    and nothing is written after :meth:`close`.
+    """
+
+    def __init__(self, sock: socket.socket, scope: _RunScope) -> None:
+        sock.settimeout(_SEND_SECONDS)
+        self._sock = sock
+        self._scope = scope
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def emit(self, event: Dict[str, object]) -> None:
+        line = protocol.encode_event(event)
+        with self._lock:
+            if self._closed:
+                return
+            try:
+                self._sock.sendall(line)
+            except OSError:  # client gone: stop the run at its next boundary
+                self._closed = True
+                self._scope.request_cancel("disconnect")
+
+    def close(self, last: Optional[Dict[str, object]] = None) -> None:
+        """End the stream, after ``last`` if it is still open."""
+        with self._lock:
+            if last is not None and not self._closed:
+                with contextlib.suppress(OSError):
+                    self._sock.sendall(protocol.encode_event(last))
+            self._closed = True
 
 
 class ServeApp:
@@ -292,40 +340,41 @@ class ServeApp:
     def _execute_process_run(
         self, request: RunRequest, config, emit, scope: _RunScope
     ) -> Dict[str, object]:
-        """Dispatch one run to a worker process and wait for its stream's end.
+        """Dispatch one run to a worker process and write its stream here.
 
         The cache entry stays pinned (``acquire_store``) while the worker
         runs over the store at its path (opening it unless it holds it
         already).  The run is registered with its generation's router under
-        a fresh run id, and the router passes each of its worker's events
-        to ``emit`` as it lands.  This thread waits on the run's inbox for
-        the worker's :data:`~repro.serve.procrun.END_OF_STREAM` mark — or
-        for the future's done-callback showing that the worker died before
-        it.  A cancel reaches the worker through its slot's cancel word (the
-        router attaches the slot to the scope); the worker aborts between
+        a fresh run id, and the router puts each of its worker's messages on
+        the run's inbox.  This thread passes every event on to ``emit`` until
+        the worker's :data:`~repro.serve.procrun.END_OF_STREAM` mark — or the
+        future's done-callback showing that the worker died before it.  A
+        cancel reaches the worker through its slot's cancel word (the router
+        attaches the slot to the scope); the worker aborts between
         iterations.  The poll only notices a cancellation.
         """
         with self.cache.acquire_store(config) as (store_dir, was_hit):
-            emit(self._start_event(request, config, was_hit))
             pool, channels = shared_pool_channels()
             router = _router_for(channels)
-            run_id, inbox = router.open(scope, emit)
+            run_id, inbox = router.open(scope)
             try:
-                scope.check()
                 deadline_wall = (
                     None
                     if scope.deadline is None
                     else time.time() + max(0.0, scope.deadline - time.monotonic())
                 )
-                future = pool.submit(
-                    run_scenario_in_worker,
-                    request,
-                    config,
-                    str(store_dir),
-                    run_id,
-                    deadline_wall,
-                )
-                future.add_done_callback(lambda _: inbox.put(_WORKER_DONE))
+                try:
+                    future = pool.submit(
+                        run_scenario_in_worker,
+                        request,
+                        config,
+                        str(store_dir),
+                        run_id,
+                        deadline_wall,
+                    )
+                    future.add_done_callback(lambda _: inbox.put(_WORKER_DONE))
+                finally:  # after the dispatch, which its send (a GIL switch) would hold back
+                    emit(self._start_event(request, config, was_hit))
                 while True:
                     reason = scope.cancelled()
                     if reason is not None:
@@ -333,14 +382,16 @@ class ServeApp:
                         future.cancel()  # no-op once running; frees a queued task
                         raise RunCancelled(reason)
                     try:
-                        mark = inbox.get(timeout=_POLL_SECONDS)
+                        item = inbox.get(timeout=_POLL_SECONDS)
                     except queue_module.Empty:
                         continue
+                    if item is END_OF_STREAM:
+                        break
+                    if item is not _WORKER_DONE:
+                        emit(item)
                     # A run that returned or raised sent its mark before its
                     # future completed; a broken pool means it never will.
-                    if mark is END_OF_STREAM or isinstance(
-                        future.exception(), BrokenProcessPool
-                    ):
+                    elif isinstance(future.exception(), BrokenProcessPool):
                         break
                 summary = future.result()
                 summary["cache"] = self.cache.stats()
@@ -362,9 +413,10 @@ class ServeApp:
         }
 
     async def stream_run(
-        self, request: RunRequest, config: ScenarioConfig, write_line
+        self, request: RunRequest, config: ScenarioConfig, sock: socket.socket
     ) -> None:
-        """Run a request on the pool, awaiting ``write_line`` per NDJSON line.
+        """Run a request on the pool; its runner writes each NDJSON line to
+        ``sock`` through a :class:`_Stream`, and the loop awaits the run's end.
 
         A run wedged inside one iteration past its deadline plus
         :data:`STREAM_GRACE_SECONDS` gets the ``timeout`` event and the
@@ -372,24 +424,16 @@ class ServeApp:
         thread ends, so :meth:`close` still drains it, and what it emits
         afterwards is dropped.
         """
-        loop = asyncio.get_running_loop()
-        out_queue: asyncio.Queue = asyncio.Queue()
         scope = _RunScope(self._timeout_for(request), self._shutdown)
-
-        def emit(item) -> None:
-            # Once the stream gave up nobody reads the queue, and the loop
-            # may be closed by the time a wedged runner gets here.
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(out_queue.put_nowait, item)
+        stream = _Stream(sock, scope)
 
         def runner() -> None:
             with self._runs_lock:
                 self._active += 1
             try:
-                summary = self._execute_run(request, config, emit, scope)
-                emit(summary)
+                stream.emit(self._execute_run(request, config, stream.emit, scope))
             except RunCancelled as exc:
-                emit(self._cancel_event(exc.reason, scope))
+                stream.emit(self._cancel_event(exc.reason, scope))
             except Exception as exc:  # surfaced as an error event, and logged
                 _LOG.exception(
                     "run failed with %s (scenario=%s seed=%s metric=%s tier=%s)",
@@ -399,34 +443,27 @@ class ServeApp:
                     request.metric,
                     self.execution,
                 )
-                emit({"type": "error", "reason": "exception", "error": str(exc)})
+                stream.emit({"type": "error", "reason": "exception", "error": str(exc)})
             finally:
                 with self._runs_lock:
                     self._active -= 1
                     self._completed += 1
-                emit(_SENTINEL)
 
         with self._runs_lock:
             self._submitted += 1
-        self.executor.submit(runner)  # it reports its own failures as events
+        ended = asyncio.wrap_future(self.executor.submit(runner))
         try:
-            while True:
-                wait = scope.stream_wait()
-                try:
-                    event = await asyncio.wait_for(out_queue.get(), wait)
-                except asyncio.TimeoutError:
-                    scope.request_cancel("timeout")
-                    event = self._cancel_event("timeout", scope)
-                    await write_line(protocol.encode_event(event))
-                    return
-                if event is _SENTINEL:
-                    return
-                await write_line(protocol.encode_event(event))
+            done, _ = await asyncio.wait([ended], timeout=scope.stream_wait())
+            if not done:
+                scope.request_cancel("timeout")
+                stream.close(self._cancel_event("timeout", scope))
         except BaseException:
-            # Client gone or handler cancelled: stop the run promptly.
+            # Handler cancelled: stop the run promptly.
             if scope.cancelled() is None:
                 scope.request_cancel("disconnect")
             raise
+        finally:
+            stream.close()
 
     @staticmethod
     def _cancel_event(reason: str, scope: _RunScope) -> Dict[str, object]:
@@ -448,32 +485,32 @@ class ServeApp:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One HTTP/1.1 exchange (the server always closes after it)."""
-        try:
-            with contextlib.suppress(asyncio.IncompleteReadError, ConnectionResetError):
-                try:
-                    head = await reader.readuntil(protocol.HEAD_END)
-                    reply = protocol.parse_head(head)
-                except asyncio.LimitOverrunError:
-                    reply = protocol.HEAD_TOO_LARGE
-                if isinstance(reply, protocol.Head):
-                    body = await reader.readexactly(reply.length)
-                    reply = protocol.route(reply, body, self.health)
-                if isinstance(reply, protocol.RunPlan):
-                    writer.write(protocol.STREAM_HEADER)
-                    await writer.drain()
-
-                    async def write_line(line: bytes) -> None:
-                        writer.write(line)
+        # A run's duplicate socket closes after the writer's: the client's EOF
+        # then follows every line a runner thread wrote.
+        with contextlib.ExitStack() as last:
+            try:
+                with contextlib.suppress(asyncio.IncompleteReadError, ConnectionResetError):
+                    try:
+                        head = await reader.readuntil(protocol.HEAD_END)
+                        reply = protocol.parse_head(head)
+                    except asyncio.LimitOverrunError:
+                        reply = protocol.HEAD_TOO_LARGE
+                    if isinstance(reply, protocol.Head):
+                        body = await reader.readexactly(reply.length)
+                        reply = protocol.route(reply, body, self.health)
+                    if isinstance(reply, protocol.RunPlan):
+                        writer.write(protocol.STREAM_HEADER)
                         await writer.drain()
-
-                    await self.stream_run(reply.request, reply.config, write_line)
-                else:
-                    writer.write(reply.encode())
-                    await writer.drain()
-        finally:
-            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-                writer.close()
-                await writer.wait_closed()
+                        fd = os.dup(writer.get_extra_info("socket").fileno())
+                        sock = last.enter_context(socket.socket(fileno=fd))
+                        await self.stream_run(reply.request, reply.config, sock)
+                    else:
+                        writer.write(reply.encode())
+                        await writer.drain()
+            finally:
+                with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                    writer.close()
+                    await writer.wait_closed()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -508,31 +545,31 @@ class _EventRouter:
     """Hands one pool generation's worker messages to the runs awaiting them.
 
     Every message on a worker pipe is ``(run_id, item)``.  The router's
-    thread waits on all of the generation's pipes at once and hands
-    ``item`` to the run registered under ``run_id`` — dropping it when that
-    run was given up on.  A run's first item is its worker's slot number:
-    the router attaches the slot to the run's scope, so a cancel reaches the
-    worker, or cancels the worker at once when nobody waits for the run any
-    more.  Events go straight to the run's ``emit``, the end-of-stream mark
-    to its inbox.  The thread ends when every pipe reads EOF, that is once
-    the generation's pool was shut down.
+    thread waits on all of the generation's pipes at once and puts ``item``
+    on the inbox of the run registered under ``run_id`` (its runner thread
+    writes the events to the client) — dropping it when that run was given
+    up on.  A run's first item is its worker's slot number: the router
+    attaches the slot to the run's scope, so a cancel reaches the worker, or
+    cancels the worker at once when nobody waits for the run any more.  The
+    thread ends when every pipe reads EOF, that is once the generation's
+    pool was shut down.
     """
 
     def __init__(self, channels: WorkerChannels) -> None:
         self.channels = channels
-        self._runs: Dict[int, Tuple[Callable, queue_module.SimpleQueue, _RunScope]] = {}
+        self._runs: Dict[int, Tuple[queue_module.SimpleQueue, _RunScope]] = {}
         self._ids = itertools.count(1)  # 0 is a cancel word nobody wrote
         self._lock = threading.Lock()
         threading.Thread(
             target=self._route, name="repro-serve-router", daemon=True
         ).start()
 
-    def open(self, scope: _RunScope, emit: Callable) -> Tuple[int, queue_module.SimpleQueue]:
-        """Register a run: its id, and the inbox its end-of-stream mark lands on."""
+    def open(self, scope: _RunScope) -> Tuple[int, queue_module.SimpleQueue]:
+        """Register a run: its id, and the inbox its worker's items land on."""
         inbox: queue_module.SimpleQueue = queue_module.SimpleQueue()
         with self._lock:
             run_id = next(self._ids)
-            self._runs[run_id] = (emit, inbox, scope)
+            self._runs[run_id] = (inbox, scope)
         return run_id, inbox
 
     def close(self, run_id: int) -> None:
@@ -556,13 +593,11 @@ class _EventRouter:
                         if isinstance(item, int):  # given up on: stop its worker
                             self.channels.cancel[item] = run_id
                         continue
-                    emit, inbox, scope = run
+                    inbox, scope = run
                     if isinstance(item, int):  # the worker announces its slot
                         scope.attach_worker(self.channels.cancel, item, run_id)
-                    elif item is END_OF_STREAM:
-                        inbox.put(item)
                     else:
-                        emit(item)
+                        inbox.put(item)
 
 
 _ROUTER: Optional[_EventRouter] = None

@@ -19,6 +19,7 @@ import os
 import shutil
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -43,6 +44,7 @@ from repro.io.store import DatasetStore
 from repro.scenarios import ExperimentScenario, create_scenario_config, scenario_names
 from repro.scenarios.scenario import live_dataset
 from repro.serve import RunRequest, ServeApp, serve_forever
+from repro.serve.server import EXECUTION_TIERS
 from repro.serve.cache import ReplayCache, scenario_cache_key
 from repro.serve import procrun, protocol
 from repro.serve.procrun import END_OF_STREAM, execute_run, run_scenario_in_worker
@@ -1089,6 +1091,53 @@ class TestServeApp:
         }
         assert [r for r in caplog.records if r.name.startswith("repro")] == []
 
+    def test_nothing_a_wedged_run_emits_follows_the_watchdogs_line(
+        self, tmp_path, monkeypatch
+    ):
+        """One writer at a time: once the watchdog wrote its ``timeout`` line,
+        the wedged run wakes and emits into the same reply, whose connection
+        is held open until it is done.  None of it may reach the client:
+        every line parses and the last is the ``timeout`` event.  Fails with
+        a writer that ignores its closed flag."""
+        watchdog, burst = threading.Event(), threading.Event()
+
+        def wedged(request, scenario, emit, check):
+            watchdog.wait(10.0)
+            for index in range(50):
+                emit({"type": "iteration", "iteration": index})
+            burst.set()
+            return {"type": "summary"}, None
+
+        stream_run = ServeApp.stream_run
+
+        async def held_open(self, *args):
+            await stream_run(self, *args)
+            watchdog.set()
+            await asyncio.to_thread(burst.wait, 10.0)
+
+        monkeypatch.setattr("repro.serve.server.execute_run", wedged)
+        monkeypatch.setattr("repro.serve.server.STREAM_GRACE_SECONDS", 0.3)
+        monkeypatch.setattr(ServeApp, "stream_run", held_open)
+        app = ServeApp(tmp_path / "cache")
+        with app.cache.acquire(RunRequest.from_payload(TINY_RUN).scenario_config()):
+            pass
+
+        async def body():
+            server = await app.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                return await _request(port, "POST", "/run", {**TINY_RUN, "timeout_s": 0.3})
+
+        try:
+            status, raw = asyncio.run(body())
+        finally:
+            app.close()
+        assert burst.is_set()
+        assert status == 200 and raw.endswith(b"\n")
+        assert [(e["type"], e.get("reason")) for e in _events(raw)] == [
+            ("start", None), ("error", "timeout"),
+        ]
+
     def test_close_cancels_inflight_run_within_grace(self, tmp_path, monkeypatch):
         """Shutdown mid-run: the in-flight run aborts at its next iteration
         boundary with a ``shutdown`` error event and ``close`` returns well
@@ -1341,6 +1390,126 @@ class TestServeAppProcessTier:
             assert children == set(pool._processes)
         finally:
             app.close()
+
+
+def _post_head(payload):
+    body = json.dumps(payload).encode("utf-8")
+    head = f"POST /run HTTP/1.1\r\nHost: localhost\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+class TestOneWriterPerStream:
+    """The thread that has an event writes it to the client's socket: the
+    event loop is woken once per run, not once per event, and a failed send
+    is what cancels the run of a client that went away."""
+
+    @pytest.mark.parametrize("execution", EXECUTION_TIERS)
+    def test_a_run_wakes_the_loop_no_more_for_more_events(self, tmp_path, execution):
+        """A 12-snapshot hit schedules no more cross-thread callbacks on the
+        event loop than a 1-snapshot hit.  Fails when events travel to the
+        loop through ``call_soon_threadsafe``, one callback per event."""
+
+        async def body():
+            async with serve_app(tmp_path, execution=execution) as (_, port):
+                loop = asyncio.get_running_loop()
+                scheduled = []
+                schedule = loop.call_soon_threadsafe
+
+                def counting(callback, *args, **kwargs):
+                    scheduled.append(callback)
+                    return schedule(callback, *args, **kwargs)
+
+                loop.call_soon_threadsafe = counting
+                counts = {}
+                for snapshots in (1, 12):
+                    payload = {**TINY_RUN, "snapshots": snapshots}
+                    await _request(port, "POST", "/run", payload)  # the miss
+                    scheduled.clear()
+                    status, raw = await _request(port, "POST", "/run", payload)
+                    assert status == 200
+                    _assert_run_stream(_events(raw), iterations=snapshots)
+                    counts[snapshots] = len(scheduled)
+                return counts
+
+        counts = asyncio.run(asyncio.wait_for(body(), timeout=60))
+        assert 1 <= counts[12] <= counts[1], counts
+
+    @pytest.mark.parametrize("execution", EXECUTION_TIERS)
+    def test_a_client_gone_mid_stream_cancels_its_run(
+        self, tmp_path, monkeypatch, caplog, capsys, shm_leak_check, execution
+    ):
+        """The client aborts its connection after the first ``iteration``
+        line of a 12-snapshot run.  The run stops at its next boundary with
+        reason ``disconnect``, nothing is logged, ``/health`` counts it
+        completed and none active, the worker is free and no segment is
+        left, and the next identical request streams every event.  Fails
+        with a writer that swallows the failed send without cancelling."""
+        new_shm_segments = shm_leak_check()
+        emitted = multiprocessing.RawValue("i", 0)  # shared with forked workers
+        row = procrun.iteration_row
+
+        def slow_row(result):
+            emitted.value += 1
+            time.sleep(0.05)
+            return row(result)
+
+        reasons = []
+        cancel_event = ServeApp._cancel_event
+
+        def spy(reason, scope):
+            reasons.append(reason)
+            return cancel_event(reason, scope)
+
+        procpool.shutdown_shared_pool()  # the workers fork with the slow rows
+        monkeypatch.setattr(procrun, "iteration_row", slow_row)
+        monkeypatch.setattr(ServeApp, "_cancel_event", staticmethod(spy))
+        run = {**TINY_RUN, "snapshots": 12}
+
+        async def body():
+            async with serve_app(tmp_path, execution=execution) as (app, port):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(_post_head(run))
+                await reader.readuntil(protocol.HEAD_END)
+                read = [json.loads(await reader.readline())]
+                while read[-1]["type"] != "iteration":
+                    read.append(json.loads(await reader.readline()))
+                # Linger 0: the close resets the connection at once.
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                writer.transport.abort()
+                deadline = time.monotonic() + 30
+                while app.health()["executor"]["completed"] < 1:
+                    assert time.monotonic() < deadline, "the run never ended"
+                    await asyncio.sleep(0.01)
+                if execution == "process":
+                    pool = procpool.shared_pool_channels()[0]
+                    while pool._pending_work_items:
+                        assert time.monotonic() < deadline, "the worker stayed busy"
+                        await asyncio.sleep(0.01)
+                rows = emitted.value
+                _, health = await _request(port, "GET", "/health")
+                status, raw = await _request(port, "POST", "/run", run)
+                return read, rows, json.loads(health)["executor"], status, _events(raw)
+
+        with caplog.at_level(logging.DEBUG):
+            try:
+                read, rows, executor, status, events = asyncio.run(
+                    asyncio.wait_for(body(), timeout=60)
+                )
+            finally:
+                procpool.shutdown_shared_pool()  # no workers with slow rows later
+        assert [e["type"] for e in read] == ["start", "iteration"]
+        assert reasons == ["disconnect"]
+        assert rows <= 3, f"the run went on for {rows} of 12 iterations"
+        assert executor["active"] == 0 and executor["completed"] == 1
+        # (asyncio's debug mode logs the reset at DEBUG: the test caused it)
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert [r for r in caplog.records if r.name.startswith("repro")] == []
+        assert "Traceback" not in capsys.readouterr().err
+        assert new_shm_segments() == set()
+        assert status == 200 and events[0]["cache"] == "hit"
+        _assert_run_stream(events, iterations=12)
 
 
 def _exit_in_worker(*args):
