@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,9 @@ def replaced_kernel():
         path = Path(__file__).resolve().parents[1] / "tests" / test_file
         spec = importlib.util.spec_from_file_location(f"oracle_{path.stem}", path)
         module = importlib.util.module_from_spec(spec)
+        # Registered as importing would: a dataclass resolves its string
+        # annotations through ``sys.modules[cls.__module__]``.
+        sys.modules[spec.name] = module
         spec.loader.exec_module(module)
         return getattr(module, name)
 

@@ -23,7 +23,7 @@ Performance-Constrained In Situ Visualization of Atmospheric Simulations"
   reflectivity (dBZ) diagnostic;
 * :mod:`repro.metrics` — the block-scoring metrics (RANGE, VAR, ITL, LEA,
   FPZIP, TRILIN, ...);
-* :mod:`repro.compress` — fpzip/zfp/lz-like floating-point coders;
+* :mod:`repro.compress` — the encoded sizes of the fpzip- and lz-like coders;
 * :mod:`repro.viz` — marching cubes, the in situ isosurface script the
   rendering step calls, and a software rasterizer;
 * :mod:`repro.perfmodel` — the "Blue Waters seconds" cost model calibrated
@@ -70,7 +70,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "AdaptationConfig",

@@ -1,4 +1,4 @@
-"""Byte-mask + LZ77 floating-point coder (lz-like).
+"""Byte-mask + LZ77 floating-point coder (lz-like), as the size it encodes to.
 
 The paper's "LZ" scorer follows Bautista-Gomez & Cappello (2013): improve
 dictionary compression of floats by first splitting them into byte planes
@@ -7,15 +7,16 @@ repetitive runs, then run a dictionary coder over the reorganised stream.
 
 This module provides:
 
-* :func:`lz77_compress` / :func:`lz77_decompress` — a from-scratch LZ77 with a
-  hash-chain match finder and a compact (literal-run, match) token format;
+* :func:`lz77_compress` — a from-scratch LZ77 with a hash-chain match finder
+  and a compact (literal-run, match) token format;
 * :class:`LzLikeCompressor` — XOR-delta per byte plane followed by LZ77 on the
-  plane-concatenated stream.
+  plane-concatenated stream; a payload is a header and that token stream.
 
 The LZ metric scores the whole block.  The byte planes of a whole batch are
-built in one vectorised pass (``compress`` builds a batch of one); the LZ77
-token stream is sequential per block and stays in (NumPy-assisted) Python,
-which makes this the costliest of the three coders.
+built in one vectorised pass; the LZ77 token stream is sequential per block
+and stays in (NumPy-assisted) Python, which makes this the costlier of the
+two coders.  The encoder that writes the payload and the decoder that reads
+it back (with the LZ77 decoder) are the oracle of ``tests/test_compress.py``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from __future__ import annotations
 import struct
 import numpy as np
 
-from repro.compress.base import CompressionResult, Compressor
+from repro.compress.base import Compressor
 
-_MAGIC = b"LZBM"
-_HEADER = struct.Struct("<4sBBHIIIQ")  # magic, dtype code, planes, pad, nx, ny, nz, nvalues
+#: The payload's header: magic, dtype code, planes, pad, nx, ny, nz, nvalues.
+_HEADER = struct.Struct("<4sBBHIIIQ")
 
 _MIN_MATCH = 4
 # The match token stores ``length - MIN_MATCH + 1`` in one byte, so the
@@ -144,42 +145,6 @@ def lz77_compress(data: bytes) -> bytes:
     return bytes(out)
 
 
-def lz77_decompress(payload: bytes) -> bytes:
-    """Inverse of :func:`lz77_compress`."""
-    out = bytearray()
-    pos = 0
-    n = len(payload)
-    while pos < n:
-        # varint literal length
-        shift = 0
-        count = 0
-        while True:
-            byte = payload[pos]
-            pos += 1
-            count |= (byte & 0x7F) << shift
-            if byte & 0x80:
-                shift += 7
-            else:
-                break
-        out.extend(payload[pos : pos + count])
-        pos += count
-        if pos >= n:
-            break
-        token = payload[pos]
-        pos += 1
-        (dist,) = struct.unpack_from("<H", payload, pos)
-        pos += 2
-        if token == 0:
-            break
-        length = token + _MIN_MATCH - 1
-        start = len(out) - dist
-        if start < 0:
-            raise ValueError("corrupt LZ77 stream: distance beyond output")
-        for i in range(length):
-            out.append(out[start + i])
-    return bytes(out)
-
-
 class LzLikeCompressor(Compressor):
     """Byte-plane masking + LZ77 coder."""
 
@@ -205,38 +170,14 @@ class LzLikeCompressor(Compressor):
         delta[:, :, 1:] = planes[:, :, 1:] ^ planes[:, :, :-1]
         return [delta[i].tobytes() for i in range(nblocks)]
 
-    @staticmethod
-    def _from_planes(data: bytes, nvalues: int, nplanes: int, dtype: np.dtype) -> np.ndarray:
-        planes = np.frombuffer(data, dtype=np.uint8).reshape(nplanes, nvalues)
-        undeltaed = np.empty_like(planes)
-        for p in range(nplanes):
-            undeltaed[p] = np.bitwise_xor.accumulate(planes[p])
-        as_bytes = undeltaed.T.copy()
-        return as_bytes.reshape(-1).view(dtype)[:nvalues].copy()
-
-    # -- public API ------------------------------------------------------------------
-
-    def compress(self, block: np.ndarray) -> CompressionResult:
-        """Compress the full block losslessly."""
-        arr = self._prepare(block)
-        compressed = lz77_compress(self._to_planes_batch(arr[None])[0])
-        width = arr.dtype.itemsize  # the dtype code and the plane count
-        header = _HEADER.pack(_MAGIC, width, width, 0, *arr.shape, arr.size)
-        return CompressionResult(
-            payload=header + compressed,
-            original_nbytes=int(arr.nbytes),
-            shape=tuple(arr.shape),
-            dtype=str(arr.dtype),
-        )
-
     def compressed_size_batch(self, batch: np.ndarray) -> np.ndarray:
         """Encoded sizes of a stacked batch.
 
         The byte-plane reorganisation (the vectorisable half of the coder) is
         done for the whole batch at once; the LZ77 token stream itself is
         inherently sequential per block, so each stream is measured with the
-        NumPy-accelerated :func:`lz77_compress`.  Sizes equal
-        ``compress(batch[i]).compressed_nbytes`` exactly.
+        NumPy-accelerated :func:`lz77_compress`.  Sizes equal the encoded
+        payloads' lengths exactly.
         """
         arr = self._prepare_batch(batch)
         nblocks = arr.shape[0]
@@ -246,14 +187,3 @@ class LzLikeCompressor(Compressor):
         return np.array(
             [_HEADER.size + len(lz77_compress(s)) for s in streams], dtype=np.int64
         )
-
-    def decompress(self, result: CompressionResult) -> np.ndarray:
-        """Bit-exact reconstruction of the original block."""
-        payload = result.payload
-        magic, dcode, nplanes, _, nx, ny, nz, nvalues = _HEADER.unpack_from(payload, 0)
-        if magic != _MAGIC:
-            raise ValueError("not an lz-like payload")
-        dtype = np.dtype(np.float64 if dcode == 8 else np.float32)
-        stream = lz77_decompress(payload[_HEADER.size :])
-        values = self._from_planes(stream, nvalues, nplanes, dtype)
-        return values.reshape(nx, ny, nz)

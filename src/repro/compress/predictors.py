@@ -7,8 +7,9 @@ fields predict almost perfectly (tiny residuals, small output); turbulent
 fields do not, which is exactly the content sensitivity the scoring metric
 needs.
 
-:func:`lorenzo_residuals` is step 2 of the coder's kernel
-(:func:`repro.compress.fpzip_like.residual_codes`), on one block or a stack.
+:func:`lorenzo_residuals` is step 2 of the coder's size path
+(:meth:`repro.compress.fpzip_like.FpzipLikeCompressor.compressed_size_batch`),
+on one block or a stack.
 """
 
 from __future__ import annotations
@@ -61,17 +62,3 @@ def lorenzo_residuals(
         dst[plane] = src[plane]
         src = dst
     return b
-
-
-def lorenzo_reconstruct(residuals: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`lorenzo_residuals` (cumulative sums along each axis)."""
-    r = np.asarray(residuals)
-    if r.ndim != 3:
-        raise ValueError(f"expected a 3-D array, got shape {r.shape}")
-    if r.dtype not in (np.uint32, np.uint64):
-        raise ValueError(f"expected uint32/uint64 input, got {r.dtype}")
-    out = r.copy()
-    for axis in range(3):
-        # Cumulative sum with wrap-around in the original dtype.
-        np.cumsum(out, axis=axis, dtype=out.dtype, out=out)
-    return out

@@ -56,7 +56,7 @@ class ScoreMetric(abc.ABC):
     #: shared process pool when :func:`repro.utils.procpool.pool_pays`; the
     #: metric is then pickled into every task, so declare it only on a
     #: module-level class.  Set from measurement (README, "Where the process
-    #: pool is taken"): LZ and ZFP have a batched kernel and still pay.
+    #: pool is taken"): LZ has a batched kernel and still pays.
     gil_bound: bool = False
 
     @abc.abstractmethod

@@ -6,7 +6,7 @@
 * ``VAR`` scores a block by the variance of its values, which fixes that
   blind spot and is the cheapest metric of the whole family (Table I).  A
   batch is scored by :func:`row_variance` in cache-sized row chunks, bitwise
-  ``np.var(flat, axis=1)``; ``STD`` is its square root.
+  ``np.var(flat, axis=1)``.
 * ``PythonVarianceMetric`` is a deliberately pure-Python scalar scorer — the
   stand-in for the user-supplied metrics the paper expects domain scientists
   to plug in, used by the engine benchmarks to measure GIL-bound scoring.
@@ -115,18 +115,3 @@ class PythonVarianceMetric(ScoreMetric):
             mean += delta / count
             m2 += delta * (value - mean)
         return m2 / count if count else 0.0
-
-
-class StdDevMetric(ScoreMetric):
-    """Score = standard deviation (a variant of VAR on the same cost curve)."""
-
-    name = "STD"
-    cost = MetricCost(per_point=4.9e-8)
-
-    def score_block(self, data: np.ndarray) -> float:
-        arr = self._prepare(data)
-        return float(np.std(arr))
-
-    def score_batch(self, batch: np.ndarray) -> np.ndarray:
-        arr = self._prepare_batch(batch)
-        return np.sqrt(row_variance(arr.reshape(arr.shape[0], -1))).astype(np.float64)

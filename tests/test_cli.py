@@ -176,8 +176,10 @@ class TestRun:
             assert name in err
 
     def test_unknown_metric_and_backend_fail(self, capsys):
-        code, _, err = run_cli(capsys, "run", "tiny", "--metric", "NOPE")
-        assert code == 2 and "VAR" in err
+        # A metric the table no longer has (ZFP) is refused like one it never had.
+        for metric in ("NOPE", "ZFP"):
+            code, _, err = run_cli(capsys, "run", "tiny", "--metric", metric)
+            assert code == 2 and "VAR" in err and f"unknown metric {metric!r}" in err
         with pytest.raises(SystemExit) as refused:
             main(["run", "tiny", "--backend", "quantum"])
         assert refused.value.code == 2

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.metrics.base import MetricCost
 from repro.metrics.bytewise import BytewiseEntropyMetric, bytewise_entropies
 from repro.metrics.compression import CompressionRatioMetric
-from repro.metrics.entropy import HistogramEntropyMetric, LocalEntropyMetric
+from repro.metrics.entropy import HistogramEntropyMetric
 from repro.metrics.interpolation import TrilinearErrorMetric
 from repro.metrics.registry import METRICS, PAPER_METRICS, create_metric
-from repro.metrics.statistics import RangeMetric, StdDevMetric, VarianceMetric
+from repro.metrics.statistics import RangeMetric, VarianceMetric
 
 
 class TestMetricCost:
@@ -39,11 +39,6 @@ class TestBasicMetrics:
         metric = VarianceMetric()
         assert metric.score_block(turbulent_block) > metric.score_block(smooth_block)
 
-    def test_std_is_sqrt_var(self, turbulent_block):
-        var = VarianceMetric().score_block(turbulent_block)
-        std = StdDevMetric().score_block(turbulent_block)
-        assert std == pytest.approx(np.sqrt(var), rel=1e-6)
-
     def test_histogram_entropy_constant_zero(self, constant_block):
         assert HistogramEntropyMetric().score_block(constant_block) == pytest.approx(0.0)
 
@@ -63,10 +58,6 @@ class TestBasicMetrics:
             HistogramEntropyMetric(bins=1)
         with pytest.raises(ValueError):
             HistogramEntropyMetric(value_range=(5.0, 5.0))
-
-    def test_local_entropy_runs_and_orders(self, smooth_block, turbulent_block):
-        metric = LocalEntropyMetric(bins=16, stride=3)
-        assert metric.score_block(turbulent_block) > metric.score_block(smooth_block)
 
     def test_lea_constant_zero(self, constant_block):
         assert BytewiseEntropyMetric().score_block(constant_block) == pytest.approx(0.0)
@@ -117,9 +108,9 @@ class TestCompressionMetric:
         score = metric.score_block(turbulent_block)
         assert 0.0 < score <= 1.5
 
-    def test_zfp_and_lz_variants(self, smooth_block, turbulent_block):
-        for metric in (CompressionRatioMetric.zfp(), CompressionRatioMetric.lz()):
-            assert metric.score_block(turbulent_block) > metric.score_block(smooth_block)
+    def test_lz_variant(self, smooth_block, turbulent_block):
+        metric = CompressionRatioMetric.lz()
+        assert metric.score_block(turbulent_block) > metric.score_block(smooth_block)
 
 
 class TestRegistry:
@@ -127,6 +118,13 @@ class TestRegistry:
         assert set(PAPER_METRICS) <= set(METRICS)
         for name in METRICS:
             assert create_metric(name).name == name
+
+    def test_the_table_is_the_papers_six_and_two_extras(self):
+        """``METRICS`` is exactly the paper's six plus LZ and PYVAR, each
+        kept for the reason its row's comment gives; a metric that no
+        figure, ledger row, workload or example reads has no row."""
+        assert len(PAPER_METRICS) == len(set(PAPER_METRICS)) == 6
+        assert sorted(METRICS) == sorted(PAPER_METRICS + ("LZ", "PYVAR"))
 
     def test_case_insensitive(self):
         assert create_metric("var").name == "VAR"

@@ -41,6 +41,7 @@ from repro.cli import main
 from repro.cm1.dataset import StoredCM1Dataset
 from repro.core.backends import engine_backends
 from repro.io.store import DatasetStore
+from repro.metrics.registry import METRICS
 from repro.scenarios import ExperimentScenario, create_scenario_config, scenario_names
 from repro.scenarios.scenario import live_dataset
 from repro.serve import RunRequest, ServeApp, serve_forever
@@ -1648,6 +1649,9 @@ def _unknown_scenario(reply):
 REFUSALS = [
     ("unknown-scenario", _post({"scenario": "not_a_scenario"}), 404, _unknown_scenario),
     ("unknown-metric", _post({"scenario": "tiny", "metric": "NOPE"}), 400, _error_names("metric")),
+    # A metric the table no longer has is refused like one it never had.
+    ("removed-metric", _post({"scenario": "tiny", "metric": "ZFP"}), 400,
+     _error_is(f"unknown metric 'ZFP'; available: {', '.join(sorted(METRICS))}")),
     ("unknown-redistribution", _post({"scenario": "tiny", "redistribution": "x"}), 400,
      _error_names("redistribution")),
     ("unknown-render-mode", _post({"scenario": "tiny", "render_mode": "x"}), 400,
@@ -1804,23 +1808,34 @@ def test_parse_head_answers_any_bytes(raw):
 # -- the real subprocess entry point ------------------------------------------
 
 
+@contextlib.contextmanager
 def _spawn_serve(env, *extra_args, **popen_kwargs):
-    """Start ``python -m repro serve`` and return ``(proc, port)``."""
+    """Run ``python -m repro serve`` for the ``with`` block, which gets
+    ``(proc, port)``.  On the way out the server is terminated if it still
+    runs and waited for, and its stderr pipe is closed."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", *extra_args],
         stderr=subprocess.PIPE, text=True, env=env, **popen_kwargs,
     )
-    port = None
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        line = proc.stderr.readline()
-        if not line and proc.poll() is not None:
-            pytest.fail(f"serve exited early (rc={proc.returncode})")
-        if "repro serve listening on" in line:
-            port = int(line.rsplit(":", 1)[1])
-            break
-    assert port is not None, "server never reported its port"
-    return proc, port
+    try:
+        port = None
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            line = proc.stderr.readline()
+            if not line and proc.poll() is not None:
+                pytest.fail(f"serve exited early (rc={proc.returncode})")
+            if "repro serve listening on" in line:
+                port = int(line.rsplit(":", 1)[1])
+                break
+        assert port is not None, "server never reported its port"
+        yield proc, port
+    finally:
+        try:
+            if proc.poll() is None:
+                proc.terminate()
+            proc.wait(timeout=30)
+        finally:
+            proc.stderr.close()
 
 
 def _live_group_members(pgid):
@@ -1872,10 +1887,9 @@ class TestServeSubprocess:
         return env
 
     def test_serve_cli_streams_and_caches(self, env, tmp_path):
-        proc, port = _spawn_serve(
+        with _spawn_serve(
             env, "--cache-dir", str(tmp_path / "cache"), "--workers", "2"
-        )
-        try:
+        ) as (_, port):
             events = _post_run_events(port, TINY_RUN)
             _assert_run_stream(events, iterations=2)
             assert events[0]["cache"] == "miss"
@@ -1892,9 +1906,6 @@ class TestServeSubprocess:
             )
             cache = _get_json(port, "/health")["cache"]
             assert cache["entries"] == 2 and cache["resident"] <= 1
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
 
     def test_stale_cache_entry_is_rebuilt_at_start_up(self, env, tmp_path):
         """A previous release's entry under the requested key is dropped when
@@ -1904,28 +1915,22 @@ class TestServeSubprocess:
         entry = tmp_path / "cache" / scenario_cache_key(config)
         ExperimentScenario(config).save(entry)
         _version_1(entry)
-        proc, port = _spawn_serve(env, "--cache-dir", str(tmp_path / "cache"))
-        try:
+        with _spawn_serve(env, "--cache-dir", str(tmp_path / "cache")) as (_, port):
             events = _post_run_events(port, TINY_RUN)
             _assert_run_stream(events, iterations=TINY_RUN["snapshots"])
             assert events[0]["cache"] == "miss"
             assert _get_json(port, "/health")["cache"]["entries"] == 1
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
-            proc.stderr.close()
 
     def test_process_tier_with_bounded_cache_evicts(self, env, tmp_path):
         """The CI smoke: ``--execution process --cache-max-entries 1``,
         three requests (two identical), an eviction visible in /health."""
-        proc, port = _spawn_serve(
+        with _spawn_serve(
             env,
             "--cache-dir", str(tmp_path / "cache"),
             "--workers", "2",
             "--execution", "process",
             "--cache-max-entries", "1",
-        )
-        try:
+        ) as (_, port):
             health = _get_json(port, "/health")
             assert health["execution"] == "process"
             assert health["cache"]["max_entries"] == 1
@@ -1945,9 +1950,6 @@ class TestServeSubprocess:
             assert health["cache"]["hits"] >= 1
             assert health["executor"]["execution"] == "process"
             assert health["executor"]["completed"] == 3
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
 
     @pytest.mark.skipif(
         not Path("/proc/self/stat").exists(), reason="needs a Linux /proc"
@@ -1960,28 +1962,27 @@ class TestServeSubprocess:
         shm_before = set(os.listdir(shm)) if shm.is_dir() else set()
         # Its own session, so the server and everything it forks share one
         # process group that can be inspected (and swept) afterwards.
-        proc, port = _spawn_serve(
+        with _spawn_serve(
             env,
             "--cache-dir", str(tmp_path / "cache"),
             "--workers", "2",
             "--execution", "process",
             start_new_session=True,
-        )
-        try:
-            _assert_run_stream(_post_run_events(port, TINY_RUN), iterations=2)
-            assert len(_live_group_members(proc.pid)) > 1  # the pool's workers
-            proc.terminate()
-            assert proc.wait(timeout=30) == 0
-            settle = time.monotonic() + 2.0
-            while _live_group_members(proc.pid) and time.monotonic() < settle:
-                time.sleep(0.02)
-            assert _live_group_members(proc.pid) == []
-            if shm.is_dir():
-                assert set(os.listdir(shm)) - shm_before == set()
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
+        ) as (proc, port):
+            try:
+                _assert_run_stream(_post_run_events(port, TINY_RUN), iterations=2)
+                assert len(_live_group_members(proc.pid)) > 1  # the pool's workers
+                proc.terminate()
+                assert proc.wait(timeout=30) == 0
+                settle = time.monotonic() + 2.0
+                while _live_group_members(proc.pid) and time.monotonic() < settle:
+                    time.sleep(0.02)
+                assert _live_group_members(proc.pid) == []
+                if shm.is_dir():
+                    assert set(os.listdir(shm)) - shm_before == set()
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
 
     def test_sigint_mid_run_exits_promptly(self, env, tmp_path):
         """The shutdown fix: SIGINT while a run is streaming must cancel the
@@ -1990,12 +1991,11 @@ class TestServeSubprocess:
         """
         import socket as socket_module
 
-        proc, port = _spawn_serve(
+        with _spawn_serve(
             env,
             "--cache-dir", str(tmp_path / "cache"),
             "--shutdown-grace", "15",
-        )
-        try:
+        ) as (proc, port):
             # Warm the cache with the cheap vectorised metric: the cache key
             # is the scenario config, so the slow PYVAR run below replays
             # the same snapshots as a hit and spends its time purely in
@@ -2040,7 +2040,3 @@ class TestServeSubprocess:
             # iterations a full run streams.
             total = seen + rest
             assert total.count(b'"iteration"') < 140
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=30)
