@@ -698,6 +698,24 @@ class TestCompressedSizeBatch:
         with pytest.raises(ValueError):
             make().compressed_size_batch(np.zeros((4, 4, 4), dtype=dtype))
 
+    def test_a_row_sizes_alone_as_in_the_stack(self, make, dtype):
+        """A size is a function of its block alone: each row of a stack sizes
+        as a stack of one (how a coder metric scores one block), and a
+        reversed stack gives the reversed sizes."""
+        comp = make()
+        batch = _coder_batch(17, (5, 4, 3), dtype, 10, "C")
+        sizes = comp.compressed_size_batch(batch)
+        alone = [int(comp.compressed_size_batch(batch[i : i + 1])[0]) for i in range(len(batch))]
+        assert sizes.tolist() == alone
+        assert comp.compressed_size_batch(batch[::-1]).tolist() == alone[::-1]
+
+    def test_the_batch_is_only_read(self, make, dtype):
+        comp = make()
+        batch = _coder_batch(23, (6, 5, 4), dtype, 6, "C")
+        before = batch.copy()
+        comp.compressed_size_batch(batch)
+        assert before.tobytes() == batch.tobytes()
+
 
 class TestLorenzoBatch:
     """``lorenzo_residuals`` differences the last three axes of any stack."""

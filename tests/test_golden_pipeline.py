@@ -1,7 +1,7 @@
 """Golden pipeline iterations: what the batched engine decides, pinned.
 
 For each of ``tiny``, ``decaying_storm`` and ``blue_waters_64`` (2 snapshots,
-60 % then 35 %), each of the VAR and FPZIP metrics, the corner ladder and
+60 % then 35 %), each of the VAR, RANGE and FPZIP metrics, the corner ladder and
 a two-rung ladder, and the ``round_robin`` and ``shuffle`` strategies, one
 default-engine pipeline runs both iterations.  Per iteration the record pins
 one sha256 each of: the scores column (its bytes), the sorted order, the
@@ -39,7 +39,7 @@ RECORD_COMMAND = "PYTHONPATH=src python tests/test_golden_pipeline.py"
 NUMPY = ".".join(np.__version__.split(".")[:2])
 
 SCENARIOS = ("tiny", "decaying_storm", "blue_waters_64")
-METRICS = ("VAR", "FPZIP")
+METRICS = ("VAR", "RANGE", "FPZIP")
 LADDERS = {"corners": ((2, 1.0),), "two_rung": ((2, 0.5), (1, 0.5))}
 STRATEGIES = ("round_robin", "shuffle")
 #: The fixed reduction percentage of each iteration.

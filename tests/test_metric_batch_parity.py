@@ -43,7 +43,7 @@ def random_blocks(dtype, shape=(7, 6, 5), nblocks=12, seed=99):
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 class TestScorePathParity:
     def test_three_paths_identical(self, name, dtype):
         metric = create_metric(name)
