@@ -70,7 +70,7 @@ from repro.scenarios import (
     scenario_names,
 )
 
-__version__ = "14.0.0"
+__version__ = "14.1.0"
 
 __all__ = [
     "AdaptationConfig",

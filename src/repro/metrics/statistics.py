@@ -6,7 +6,9 @@
 * ``VAR`` scores a block by the variance of its values, which fixes that
   blind spot and is the cheapest metric of the whole family (Table I).  A
   batch is scored by :func:`row_variance` in cache-sized row chunks, bitwise
-  ``np.var(flat, axis=1)``.
+  ``np.var(flat, axis=1)``.  A float16 block is scored as its float32 cast:
+  float16 sums overflow at 65 504, so a field-ranged block's variance would
+  read ``inf``.
 * ``PythonVarianceMetric`` is a deliberately pure-Python scalar scorer — the
   stand-in for the user-supplied metrics the paper expects domain scientists
   to plug in, used by the engine benchmarks to measure GIL-bound scoring.
@@ -50,6 +52,11 @@ def row_variance(flat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _summable(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or its float32 cast when float16 sums would overflow."""
+    return arr.astype(np.float32) if arr.dtype == np.float16 else arr
+
+
 class RangeMetric(ScoreMetric):
     """Score = max(block) - min(block)."""
 
@@ -75,11 +82,10 @@ class VarianceMetric(ScoreMetric):
     cost = MetricCost(per_point=4.9e-8)
 
     def score_block(self, data: np.ndarray) -> float:
-        arr = self._prepare(data)
-        return float(np.var(arr))
+        return float(np.var(_summable(self._prepare(data))))
 
     def score_batch(self, batch: np.ndarray) -> np.ndarray:
-        arr = self._prepare_batch(batch)
+        arr = _summable(self._prepare_batch(batch))
         return row_variance(arr.reshape(arr.shape[0], -1)).astype(np.float64)
 
 

@@ -17,9 +17,35 @@ also behind ``python -m repro run`` — executes and how its events travel:
     :meth:`~repro.serve.cache.ReplayCache.acquire` hands every run of a
     resident key the same opened scenario, so the store is not re-opened,
     the platform not re-calibrated and no snapshot decomposed twice.
-    NumPy-heavy runs overlap well; runs dominated by *GIL-bound* Python
-    (scalar user metrics like ``PYVAR``) serialise on one core — a request
-    thread never forks, so the scoring step scores them inline here
+
+    The tier's Python runs on one CPU, the last of the process's
+    (:data:`~repro.utils.procpool.PROCESS_CPUS`), chosen when the app is
+    built: each runner thread binds itself as it starts, and
+    :func:`serve_forever` binds the event loop's thread while it serves.
+    Two runs in one interpreter take turns holding the GIL, and on two cores
+    every NumPy call that releases it hands it to a thread on the other core
+    — a cross-core wake that costs more than the overlap it buys (CPython's
+    convoy effect).  Measured in-process on a 2-CPU box (VAR, 50 %,
+    ``round_robin``, one resident scenario, p50 per hit):
+
+    ====================  ==========  ==================  ==================
+    scenario              one run     two in flight       two in flight,
+                          alone       (both cores)        bound to one CPU
+    ====================  ==========  ==================  ==================
+    ``decaying_storm``    12–15 ms    33–38 ms            26–31 ms
+    ``blue_waters_64``    24–26 ms    47–53 ms            48–55 ms
+    ====================  ==========  ==================  ==================
+
+    Rejected: a turnstile passing one iteration at a time between threads
+    (each turn is a cross-core wake), one lock around whole runs (a second
+    client's first event waits a whole run), ``sys.setswitchinterval`` (no
+    effect), binding misses too and binding the process tier (both lose
+    throughput).  So a miss widens its runner to every CPU while
+    :meth:`~repro.serve.cache.ReplayCache.acquire` simulates CM1, and the
+    process tier binds nothing.  Two thread-tier servers on one host share
+    that CPU.  Python that holds the GIL throughout (scalar user metrics
+    like ``PYVAR``) serialises here either way: a request thread never
+    forks, so the scoring step scores it inline
     (:func:`repro.utils.procpool.pool_pays`).
 
 ``"process"``
@@ -44,8 +70,11 @@ writes an accepted run's reply head; then the run's runner thread writes every
 event through one :class:`_Stream` — on the process tier it reads them off the
 run's inbox, so a slow client blocks only its own runner, never the router.
 The loop is woken once per run, at its end, and keeps the watchdog: when the
-wait expires it writes the ``timeout`` event under the stream's lock and
-closes the stream.  A failed send cancels the run (``"disconnect"``).
+wait expires it ends the stream without waiting for the runner, which may be
+blocked in a send to a client that stopped reading.  It writes the
+``timeout`` event only if the stream's lock is free, then shuts the socket
+down, so the client reads EOF and a blocked send fails at once.  A failed
+send cancels the run (``"disconnect"``).
 
 Scenario data resolves through the :class:`~repro.serve.cache.ReplayCache`:
 the first request for a config simulates CM1 and persists the snapshots,
@@ -69,7 +98,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from repro.scenarios import ScenarioConfig
 from repro.serve import protocol
@@ -82,6 +111,7 @@ from repro.serve.procrun import (
     run_scenario_in_worker,
 )
 from repro.utils.procpool import (
+    PROCESS_CPUS,
     WorkerChannels,
     default_process_workers,
     shared_pool_channels,
@@ -183,12 +213,30 @@ class _RunScope:
         return max(0.0, self.deadline + STREAM_GRACE_SECONDS - time.monotonic())
 
 
+@contextlib.contextmanager
+def _confined(cpus: Optional[AbstractSet[int]]) -> Iterator[None]:
+    """Run the calling thread on ``cpus`` inside the block (``None``: leave
+    it as it is), then give it back its own mask.  On Linux pid 0 is the
+    calling thread, not the process."""
+    if cpus is None:
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
 class _Stream:
     """The one writer of a run's NDJSON reply, on whichever thread has an event.
 
     ``sock`` duplicates the connection's socket; its send timeout keeps the
-    shared descriptor non-blocking for asyncio.  The lock keeps lines whole,
-    and nothing is written after :meth:`close`.
+    shared descriptor non-blocking for asyncio.  A line goes out only from
+    the thread that holds the lock, so lines stay whole, and nothing is
+    written after the stream is closed.  The event loop never waits for that
+    lock (:meth:`abandon`).
     """
 
     def __init__(self, sock: socket.socket, scope: _RunScope) -> None:
@@ -209,13 +257,29 @@ class _Stream:
                 self._closed = True
                 self._scope.request_cancel("disconnect")
 
-    def close(self, last: Optional[Dict[str, object]] = None) -> None:
-        """End the stream, after ``last`` if it is still open."""
-        with self._lock:
-            if last is not None and not self._closed:
-                with contextlib.suppress(OSError):
-                    self._sock.sendall(protocol.encode_event(last))
+    def abandon(self, last: Optional[Dict[str, object]] = None) -> None:
+        """End the stream from the event loop while its runner may still run.
+
+        A runner blocked in ``sendall`` on a client that stopped reading
+        holds the lock for up to :data:`_SEND_SECONDS`, so the loop only
+        tries it: when it is free, ``last`` goes out in one non-blocking
+        send (a client whose buffer is full gets none of it, or a cut line).
+        Either way the stream is marked closed and the socket shut down: the
+        client reads EOF now, and a blocked send fails at once.
+        """
+        if self._lock.acquire(blocking=False):
+            try:
+                if last is not None and not self._closed:
+                    self._sock.settimeout(0)
+                    with contextlib.suppress(OSError):
+                        self._sock.send(protocol.encode_event(last))
+                self._closed = True
+            finally:
+                self._lock.release()
+        else:  # a runner is sending: its send fails on the shutdown
             self._closed = True
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
 
 
 class ServeApp:
@@ -271,8 +335,22 @@ class ServeApp:
             max_bytes=cache_max_bytes,
         )
         self.max_workers = int(max_workers)
+        #: The thread tier's one CPU, as a set: the last of the process's.
+        #: ``None`` on the process tier, on a platform that cannot bind a
+        #: thread and in a process with one CPU.
+        self.cpus: Optional[FrozenSet[int]] = None
+        if (
+            execution == "thread"
+            and hasattr(os, "sched_setaffinity")
+            and len(PROCESS_CPUS) > 1
+        ):
+            self.cpus = frozenset({max(PROCESS_CPUS)})
         self.executor = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-serve"
+            max_workers=self.max_workers,
+            thread_name_prefix="repro-serve",
+            # Each runner thread binds itself (pid 0) as it starts.
+            initializer=None if self.cpus is None else os.sched_setaffinity,
+            initargs=(0, self.cpus),
         )
         self._shutdown = threading.Event()
         self._runs_lock = threading.Lock()
@@ -330,7 +408,10 @@ class ServeApp:
         """
         if self.execution == "process":
             return self._execute_process_run(request, config, emit, scope)
-        with self.cache.acquire(config) as (scenario, was_hit):
+        with contextlib.ExitStack() as held:
+            # A miss simulates CM1 on every CPU, beside the bound hits.
+            with _confined(None if self.cpus is None else PROCESS_CPUS):
+                scenario, was_hit = held.enter_context(self.cache.acquire(config))
             emit(self._start_event(request, config, was_hit))
             scope.check()
             summary, _ = execute_run(request, scenario, emit, scope.check)
@@ -418,11 +499,14 @@ class ServeApp:
         """Run a request on the pool; its runner writes each NDJSON line to
         ``sock`` through a :class:`_Stream`, and the loop awaits the run's end.
 
-        A run wedged inside one iteration past its deadline plus
-        :data:`STREAM_GRACE_SECONDS` gets the ``timeout`` event and the
-        stream returns without it: the run stays counted as active until its
-        thread ends, so :meth:`close` still drains it, and what it emits
-        afterwards is dropped.
+        A run wedged past its deadline plus :data:`STREAM_GRACE_SECONDS` —
+        inside one iteration, or in a send to a client that stopped reading
+        — is abandoned (:meth:`_Stream.abandon`): the client gets the
+        ``timeout`` event if no send is in progress, and EOF, and the stream
+        returns without waiting for the runner.  The run stays counted as
+        active until its thread ends, so :meth:`close` still drains it, and
+        what it emits afterwards is dropped.  ``sock`` is this call's: it
+        closes once the runner is done, never while a send may be using it.
         """
         scope = _RunScope(self._timeout_for(request), self._shutdown)
         stream = _Stream(sock, scope)
@@ -451,19 +535,24 @@ class ServeApp:
 
         with self._runs_lock:
             self._submitted += 1
-        ended = asyncio.wrap_future(self.executor.submit(runner))
+        try:
+            future = self.executor.submit(runner)
+        except BaseException:
+            sock.close()
+            raise
+        future.add_done_callback(lambda _: sock.close())
+        ended = asyncio.wrap_future(future)
         try:
             done, _ = await asyncio.wait([ended], timeout=scope.stream_wait())
             if not done:
                 scope.request_cancel("timeout")
-                stream.close(self._cancel_event("timeout", scope))
+                stream.abandon(self._cancel_event("timeout", scope))
         except BaseException:
             # Handler cancelled: stop the run promptly.
             if scope.cancelled() is None:
                 scope.request_cancel("disconnect")
+            stream.abandon()
             raise
-        finally:
-            stream.close()
 
     @staticmethod
     def _cancel_event(reason: str, scope: _RunScope) -> Dict[str, object]:
@@ -485,32 +574,32 @@ class ServeApp:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One HTTP/1.1 exchange (the server always closes after it)."""
-        # A run's duplicate socket closes after the writer's: the client's EOF
-        # then follows every line a runner thread wrote.
-        with contextlib.ExitStack() as last:
-            try:
-                with contextlib.suppress(asyncio.IncompleteReadError, ConnectionResetError):
-                    try:
-                        head = await reader.readuntil(protocol.HEAD_END)
-                        reply = protocol.parse_head(head)
-                    except asyncio.LimitOverrunError:
-                        reply = protocol.HEAD_TOO_LARGE
-                    if isinstance(reply, protocol.Head):
-                        body = await reader.readexactly(reply.length)
-                        reply = protocol.route(reply, body, self.health)
-                    if isinstance(reply, protocol.RunPlan):
-                        writer.write(protocol.STREAM_HEADER)
-                        await writer.drain()
-                        fd = os.dup(writer.get_extra_info("socket").fileno())
-                        sock = last.enter_context(socket.socket(fileno=fd))
-                        await self.stream_run(reply.request, reply.config, sock)
-                    else:
-                        writer.write(reply.encode())
-                        await writer.drain()
-            finally:
-                with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-                    writer.close()
-                    await writer.wait_closed()
+        try:
+            with contextlib.suppress(asyncio.IncompleteReadError, ConnectionResetError):
+                try:
+                    head = await reader.readuntil(protocol.HEAD_END)
+                    reply = protocol.parse_head(head)
+                except asyncio.LimitOverrunError:
+                    reply = protocol.HEAD_TOO_LARGE
+                if isinstance(reply, protocol.Head):
+                    body = await reader.readexactly(reply.length)
+                    reply = protocol.route(reply, body, self.health)
+                if isinstance(reply, protocol.RunPlan):
+                    writer.write(protocol.STREAM_HEADER)
+                    await writer.drain()
+                    # The run's runner writes on a duplicate, which stream_run
+                    # closes once the runner is done.
+                    fd = os.dup(writer.get_extra_info("socket").fileno())
+                    await self.stream_run(
+                        reply.request, reply.config, socket.socket(fileno=fd)
+                    )
+                else:
+                    writer.write(reply.encode())
+                    await writer.drain()
+        finally:
+            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                writer.close()
+                await writer.wait_closed()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -619,13 +708,16 @@ def _router_for(channels: WorkerChannels) -> _EventRouter:
 
 async def serve_forever(app: ServeApp, host: str, port: int) -> None:
     """Serve ``app`` on ``host:port`` until cancelled, then close it, also
-    when the bind fails (the ``python -m repro serve`` body)."""
-    try:
-        server = await app.start(host, port)
-        bound = server.sockets[0].getsockname()
-        print(f"repro serve listening on {bound[0]}:{bound[1]}", file=sys.stderr)
-        sys.stderr.flush()
-        async with server:
-            await server.serve_forever()
-    finally:
-        app.close()
+    when the bind fails (the ``python -m repro serve`` body).  On the thread
+    tier the event loop's thread runs on the app's CPU meanwhile, beside its
+    runners, and gets its own mask back on return."""
+    with _confined(app.cpus):
+        try:
+            server = await app.start(host, port)
+            bound = server.sockets[0].getsockname()
+            print(f"repro serve listening on {bound[0]}:{bound[1]}", file=sys.stderr)
+            sys.stderr.flush()
+            async with server:
+                await server.serve_forever()
+        finally:
+            app.close()

@@ -36,11 +36,12 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.connection import Connection
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
+    "PROCESS_CPUS",
     "WorkerChannels",
     "chunk_bounds",
     "default_process_workers",
@@ -61,14 +62,23 @@ _POOL_LOCK = threading.Lock()
 #: end of its slot's pipe and its generation's cancel words; ``None`` elsewhere.
 _WORKER_CHANNEL: Optional[Tuple[int, Connection, Sequence[int]]] = None
 
+#: The CPUs this process may run on, read once at import: its affinity mask
+#: where the platform has one (a ``taskset -c 0`` run has one CPU, whatever
+#: the machine).  On Linux ``os.sched_getaffinity(0)`` is the *calling
+#: thread's* mask, and a thread-tier serve runner confines its own to one CPU
+#: (:mod:`repro.serve.server`), so the process's answer is the one read
+#: before any thread could.
+PROCESS_CPUS: FrozenSet[int] = frozenset(
+    os.sched_getaffinity(0)
+    if hasattr(os, "sched_getaffinity")
+    else range(os.cpu_count() or 1)
+)
+
 
 def default_process_workers() -> int:
     """Worker count for the shared pool: the CPUs this process may run on
-    (its affinity mask where the platform has one — a ``taskset -c 0`` run
-    has one worker, whatever the machine), at most 16."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(16, len(os.sched_getaffinity(0)))
-    return min(16, os.cpu_count() or 1)
+    (:data:`PROCESS_CPUS`), at most 16 — the same answer on every thread."""
+    return min(16, len(PROCESS_CPUS))
 
 
 def _start_context() -> multiprocessing.context.BaseContext:

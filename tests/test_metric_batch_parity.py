@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pickle
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -268,6 +269,22 @@ class TestFloat16Parity:
             scalar = [metric.score_block(b) for b in blocks]
             batched = metric.score_batch(np.stack(blocks))
             assert np.asarray(batched, dtype=np.float64).tolist() == scalar, name
+
+    def test_var_scores_float16_as_its_float32_cast(self):
+        """A float16 sum overflows at 65 504, so a field-ranged block
+        (−60…80) must not be summed in float16: both paths score it finite,
+        without an overflow warning, and equal to the VAR of its float32
+        cast.  Fails if either path drops the promotion (``inf``)."""
+        metric = create_metric("VAR")
+        blocks = random_blocks(np.float16, nblocks=4)
+        widened = [b.astype(np.float32) for b in blocks]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [metric.score_block(b) for b in blocks]
+            batched = metric.score_batch(np.stack(blocks))
+        assert np.isfinite(scalar).all()
+        assert scalar == [metric.score_block(b) for b in widened]
+        assert batched.tolist() == metric.score_batch(np.stack(widened)).tolist()
 
 
 class TestFpzipReentrancy:

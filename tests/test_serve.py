@@ -47,7 +47,7 @@ from repro.scenarios.scenario import live_dataset
 from repro.serve import RunRequest, ServeApp, serve_forever
 from repro.serve.server import EXECUTION_TIERS
 from repro.serve.cache import ReplayCache, scenario_cache_key
-from repro.serve import procrun, protocol
+from repro.serve import procrun, protocol, server as server_module
 from repro.serve.procrun import END_OF_STREAM, execute_run, run_scenario_in_worker
 from repro.utils import procpool
 
@@ -794,12 +794,15 @@ class TestServeApp:
         the app it was given.  Fails if ``app.start`` moves back before the
         ``try``."""
         app = ServeApp(tmp_path / "cache")
+        mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
             taken.listen()
             with pytest.raises(OSError):
                 asyncio.run(serve_forever(app, "127.0.0.1", taken.getsockname()[1]))
         assert app._shutdown.is_set()
+        if mask is not None:  # the loop's thread is this one: it is given back
+            assert os.sched_getaffinity(0) == mask
 
     def test_single_run_streams_per_iteration_json(self, tmp_path):
         async def body():
@@ -1511,6 +1514,155 @@ class TestOneWriterPerStream:
         assert new_shm_segments() == set()
         assert status == 200 and events[0]["cache"] == "hit"
         _assert_run_stream(events, iterations=12)
+
+
+    @pytest.mark.parametrize("execution", EXECUTION_TIERS)
+    def test_the_loop_never_waits_on_a_client_that_stopped_reading(
+        self, tmp_path, monkeypatch, execution
+    ):
+        """A client sends a request and never reads: with small socket
+        buffers the run's runner blocks in a send, holding the stream's
+        lock, past the run's 1 s deadline.  The watchdog ends the stream
+        without taking that lock.  ``/health`` from a second client answers
+        within 100 ms at every probe, the run ends (``active`` back to 0)
+        and the next identical request streams in full.  Fails when the
+        loop writes the ``timeout`` line under the lock, waiting out the
+        runner's 10 s send."""
+        monkeypatch.setattr("repro.serve.server.STREAM_GRACE_SECONDS", 0.2)
+        init = server_module._Stream.__init__
+
+        def small_buffer(self, sock, scope):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            init(self, sock, scope)
+
+        monkeypatch.setattr(server_module._Stream, "__init__", small_buffer)
+        run = {**TINY_RUN, "snapshots": 40}
+
+        def stop_reading(app, port):
+            with socket.socket() as stuck:
+                stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+                stuck.connect(("127.0.0.1", port))
+                stuck.sendall(_post_head({**run, "timeout_s": 1.0}))
+                start, probes = time.monotonic(), []
+                while time.monotonic() - start < 2.5:
+                    sent = time.monotonic()
+                    _get_json(port, "/health")
+                    probes.append(time.monotonic() - sent)
+                    time.sleep(0.05)
+                deadline = time.monotonic() + 30
+                while app.health()["executor"]["active"] > 0:
+                    assert time.monotonic() < deadline, "the run never ended"
+                    time.sleep(0.01)
+                events = _post_run_events(port, run)
+                stuck.settimeout(10)
+                received = b"".join(iter(lambda: stuck.recv(65536), b""))
+            return probes, events, received
+
+        async def body():
+            async with serve_app(tmp_path, execution=execution) as (app, port):
+                await _request(port, "POST", "/run", run)  # the miss
+                return await asyncio.to_thread(stop_reading, app, port)
+
+        probes, events, received = asyncio.run(asyncio.wait_for(body(), timeout=60))
+        assert max(probes) < 0.1, f"/health took {max(probes):.3f}s"
+        _assert_run_stream(events, iterations=40)
+        assert events[0]["cache"] == "hit"
+        # The stuck client got EOF before the run's summary.
+        assert b'"type": "summary"' not in received
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(procpool.PROCESS_CPUS) < 2,
+    reason="needs thread affinity and a second CPU",
+)
+class TestThreadTierOnOneCPU:
+    """The thread tier runs its Python on one CPU, the last of the process's,
+    so its runs never hand the GIL between cores; a miss still simulates on
+    every CPU, the process tier binds nothing, and no caller's thread keeps
+    a mask it did not have."""
+
+    @pytest.mark.parametrize("execution", EXECUTION_TIERS)
+    def test_runs_iterate_on_one_cpu_and_simulate_on_every_cpu(
+        self, tmp_path, monkeypatch, execution
+    ):
+        """A miss then a hit, reading the runner's mask where it emits each
+        event and where the miss saves its CM1 snapshots.  Thread tier: every
+        event on the app's one CPU, the save on every CPU.  Process tier:
+        every CPU throughout.  Fails without the widening around
+        ``ReplayCache.acquire``, or with the process tier bound."""
+        from repro.cm1.dataset import CM1Dataset
+
+        emitted, saved = [], []
+        emit, save = server_module._Stream.emit, CM1Dataset.save
+
+        def emit_spy(self, event):
+            emitted.append((event["type"], os.sched_getaffinity(0)))
+            emit(self, event)
+
+        def save_spy(self, *args, **kwargs):
+            saved.append(os.sched_getaffinity(0))
+            return save(self, *args, **kwargs)
+
+        monkeypatch.setattr(server_module._Stream, "emit", emit_spy)
+        monkeypatch.setattr(CM1Dataset, "save", save_spy)
+
+        async def body():
+            async with serve_app(tmp_path, execution=execution) as (app, port):
+                for verdict in ("miss", "hit"):
+                    status, raw = await _request(port, "POST", "/run", TINY_RUN)
+                    assert status == 200 and _events(raw)[0]["cache"] == verdict
+                return app.cpus
+
+        cpus = asyncio.run(body())
+        every = set(procpool.PROCESS_CPUS)
+        runner = every if execution == "process" else {max(every)}
+        assert cpus == (None if execution == "process" else frozenset(runner))
+        assert saved == [every]
+        assert [kind for kind, _ in emitted] == (
+            ["start", "iteration", "iteration", "summary"] * 2
+        )
+        assert all(mask == runner for _, mask in emitted), emitted
+
+    def test_no_caller_keeps_a_mask(self, tmp_path, monkeypatch):
+        """The calling thread's mask is the same after an in-process
+        thread-tier app served a run and closed, and after ``serve_forever``
+        returned, whose loop ran on the app's CPU meanwhile.  Fails without
+        the restore in ``serve_forever``."""
+        before = os.sched_getaffinity(0)
+
+        async def in_process():
+            async with serve_app(tmp_path / "a") as (_, port):
+                status, _ = await _request(port, "POST", "/run", TINY_RUN)
+                assert status == 200
+
+        asyncio.run(in_process())
+        assert os.sched_getaffinity(0) == before
+
+        app = ServeApp(tmp_path / "b")
+        ports, during = [], []
+        start = app.start
+
+        async def recording_start(host, port):
+            server = await start(host, port)
+            ports.append(server.sockets[0].getsockname()[1])
+            during.append(os.sched_getaffinity(0))
+            return server
+
+        monkeypatch.setattr(app, "start", recording_start)
+
+        async def served():
+            task = asyncio.create_task(serve_forever(app, "127.0.0.1", 0))
+            while not ports:
+                await asyncio.sleep(0.01)
+            status, _ = await _request(ports[0], "POST", "/run", TINY_RUN)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return status
+
+        assert asyncio.run(served()) == 200
+        assert during == [set(app.cpus)]
+        assert os.sched_getaffinity(0) == before
 
 
 def _exit_in_worker(*args):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from repro.utils.validation import (
     ensure_in_range,
     ensure_positive,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestTimer:
@@ -189,6 +194,45 @@ class TestSharedProcpool:
             with pytest.raises(EOFError):
                 reader.recv()
             reader.close()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs thread affinity and a second CPU",
+    )
+    def test_default_process_workers_answers_for_the_process(self):
+        """On Linux ``sched_getaffinity(0)`` is the calling thread's mask: a
+        thread bound to one CPU (a thread-tier serve runner) must still get
+        the main thread's worker count.  Fails if the count reads the
+        calling thread's mask."""
+        import threading
+
+        from repro.utils.procpool import default_process_workers
+
+        answers = []
+
+        def bound():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            answers.append(default_process_workers())
+
+        thread = threading.Thread(target=bound)
+        thread.start()
+        thread.join()
+        assert answers == [default_process_workers()] and answers[0] >= 2
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs affinity")
+    def test_a_one_cpu_process_gets_one_worker(self):
+        """A process started on one CPU (``taskset -c 0``) gets one worker."""
+        one_cpu = min(os.sched_getaffinity(0))
+        done = subprocess.run(
+            [
+                sys.executable, "-c",
+                "from repro.utils.procpool import default_process_workers as w; print(w())",
+            ],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.split() == ["1"]
 
     def test_warm_shared_pool_forks_workers_up_front(self):
         from repro.utils.procpool import (
