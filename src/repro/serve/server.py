@@ -43,7 +43,11 @@ also behind ``python -m repro run`` — executes and how its events travel:
     throughput).  So a miss widens its runner to every CPU while
     :meth:`~repro.serve.cache.ReplayCache.acquire` simulates CM1, and the
     process tier binds nothing.  Two thread-tier servers on one host share
-    that CPU.  Python that holds the GIL throughout (scalar user metrics
+    that CPU.  Through the real server, the bound loop is what brings a
+    run's first event forward (runners bound alone: later than unbound),
+    and ``blue_waters_64`` hits lose nothing (README, "Execution tiers").
+    Measured on 2 CPUs only: hosts with more, where unbound runs could also
+    overlap their GIL-free NumPy, are unverified.  Python that holds the GIL throughout (scalar user metrics
     like ``PYVAR``) serialises here either way: a request thread never
     forks, so the scoring step scores it inline
     (:func:`repro.utils.procpool.pool_pays`).
@@ -71,10 +75,10 @@ event through one :class:`_Stream` — on the process tier it reads them off the
 run's inbox, so a slow client blocks only its own runner, never the router.
 The loop is woken once per run, at its end, and keeps the watchdog: when the
 wait expires it ends the stream without waiting for the runner, which may be
-blocked in a send to a client that stopped reading.  It writes the
-``timeout`` event only if the stream's lock is free, then shuts the socket
-down, so the client reads EOF and a blocked send fails at once.  A failed
-send cancels the run (``"disconnect"``).
+blocked in a send to a client that stopped reading.  A helper thread writes
+the ``timeout`` event once no send is in progress; the loop awaits it for at
+most one more grace, then shuts the socket down, so the client reads EOF and
+a blocked send fails at once.  A failed send cancels the run (``"disconnect"``).
 
 Scenario data resolves through the :class:`~repro.serve.cache.ReplayCache`:
 the first request for a config simulates CM1 and persists the snapshots,
@@ -233,10 +237,12 @@ class _Stream:
     """The one writer of a run's NDJSON reply, on whichever thread has an event.
 
     ``sock`` duplicates the connection's socket; its send timeout keeps the
-    shared descriptor non-blocking for asyncio.  A line goes out only from
-    the thread that holds the lock, so lines stay whole, and nothing is
-    written after the stream is closed.  The event loop never waits for that
-    lock (:meth:`abandon`).
+    shared descriptor non-blocking for asyncio.  A line goes out whole, only
+    from the thread that holds ``_lock``; nothing goes out after the stream
+    is closed, and nothing at all once it has ended.  ``_fd`` orders the
+    loop's shutdown and the close once the runner is done; it is never held
+    across a send.  The event loop never waits for ``_lock``
+    (:meth:`abandon`).
     """
 
     def __init__(self, sock: socket.socket, scope: _RunScope) -> None:
@@ -244,7 +250,9 @@ class _Stream:
         self._sock = sock
         self._scope = scope
         self._lock = threading.Lock()
-        self._closed = False
+        self._fd = threading.Lock()
+        self._closed = False  # the runner writes no further line
+        self._ended = False  # no line at all: terminal line out, send failed, shut
 
     def emit(self, event: Dict[str, object]) -> None:
         line = protocol.encode_event(event)
@@ -254,32 +262,49 @@ class _Stream:
             try:
                 self._sock.sendall(line)
             except OSError:  # client gone: stop the run at its next boundary
-                self._closed = True
+                self._closed = self._ended = True
                 self._scope.request_cancel("disconnect")
+                return
+            self._ended = event["type"] in ("summary", "error")
 
-    def abandon(self, last: Optional[Dict[str, object]] = None) -> None:
+    async def abandon(self, last: Dict[str, object]) -> None:
         """End the stream from the event loop while its runner may still run.
 
-        A runner blocked in ``sendall`` on a client that stopped reading
-        holds the lock for up to :data:`_SEND_SECONDS`, so the loop only
-        tries it: when it is free, ``last`` goes out in one non-blocking
-        send (a client whose buffer is full gets none of it, or a cut line).
-        Either way the stream is marked closed and the socket shut down: the
-        client reads EOF now, and a blocked send fails at once.
+        The runner writes no further line; one it is sending finishes.  Then
+        a helper thread sends ``last``, whole, unless the run's own terminal
+        line went out or a send failed.  The loop awaits it for at most
+        :data:`STREAM_GRACE_SECONDS`, then shuts the socket down: the client
+        reads EOF, and a send still blocked on a client that stopped reading
+        fails at once (that client may see a cut line; one that keeps
+        reading sees whole lines).
         """
-        if self._lock.acquire(blocking=False):
-            try:
-                if last is not None and not self._closed:
-                    self._sock.settimeout(0)
-                    with contextlib.suppress(OSError):
-                        self._sock.send(protocol.encode_event(last))
-                self._closed = True
-            finally:
-                self._lock.release()
-        else:  # a runner is sending: its send fails on the shutdown
-            self._closed = True
-        with contextlib.suppress(OSError):
+        self._closed = True
+        line = protocol.encode_event(last)
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(
+                asyncio.to_thread(self._write_last, line), STREAM_GRACE_SECONDS
+            )
+        self.shutdown()
+
+    def _write_last(self, line: bytes) -> None:
+        with self._lock:
+            if not self._ended:
+                self._ended = True
+                with contextlib.suppress(OSError):
+                    self._sock.sendall(line)
+
+    def shutdown(self) -> None:
+        """Close the stream without a line: the client reads EOF, and a
+        send blocked on it fails at once."""
+        self._closed = self._ended = True
+        with self._fd, contextlib.suppress(OSError):  # EBADF once released
             self._sock.shutdown(socket.SHUT_RDWR)
+
+    def release(self) -> None:
+        """Close the socket (the runner's done-callback: no send uses it)."""
+        with self._lock, self._fd:
+            self._closed = self._ended = True
+            self._sock.close()
 
 
 class ServeApp:
@@ -404,7 +429,9 @@ class ServeApp:
         completed iteration; the returned dict is the final summary event.
         Raises :class:`RunCancelled` when the scope's deadline expires or a
         cancellation (shutdown, disconnect) is requested — always between
-        iterations, so partial NDJSON output stays well-formed.
+        iterations, so partial NDJSON output stays well-formed; so does a
+        stream the watchdog ends, for a client that keeps reading
+        (:meth:`_Stream.abandon`).
         """
         if self.execution == "process":
             return self._execute_process_run(request, config, emit, scope)
@@ -502,11 +529,12 @@ class ServeApp:
         A run wedged past its deadline plus :data:`STREAM_GRACE_SECONDS` —
         inside one iteration, or in a send to a client that stopped reading
         — is abandoned (:meth:`_Stream.abandon`): the client gets the
-        ``timeout`` event if no send is in progress, and EOF, and the stream
-        returns without waiting for the runner.  The run stays counted as
-        active until its thread ends, so :meth:`close` still drains it, and
-        what it emits afterwards is dropped.  ``sock`` is this call's: it
-        closes once the runner is done, never while a send may be using it.
+        ``timeout`` event whole if it keeps reading, then EOF, and the
+        stream returns without waiting for the runner.  The run stays
+        counted as active until its thread ends, so :meth:`close` still
+        drains it, and what it emits afterwards is dropped.  ``sock`` is
+        this call's: it closes once the runner is done, never while a send
+        may be using it.
         """
         scope = _RunScope(self._timeout_for(request), self._shutdown)
         stream = _Stream(sock, scope)
@@ -538,20 +566,20 @@ class ServeApp:
         try:
             future = self.executor.submit(runner)
         except BaseException:
-            sock.close()
+            stream.release()
             raise
-        future.add_done_callback(lambda _: sock.close())
+        future.add_done_callback(lambda _: stream.release())
         ended = asyncio.wrap_future(future)
         try:
             done, _ = await asyncio.wait([ended], timeout=scope.stream_wait())
             if not done:
                 scope.request_cancel("timeout")
-                stream.abandon(self._cancel_event("timeout", scope))
+                await stream.abandon(self._cancel_event("timeout", scope))
         except BaseException:
             # Handler cancelled: stop the run promptly.
             if scope.cancelled() is None:
                 scope.request_cancel("disconnect")
-            stream.abandon()
+            stream.shutdown()
             raise
 
     @staticmethod

@@ -1525,9 +1525,9 @@ class TestOneWriterPerStream:
         lock, past the run's 1 s deadline.  The watchdog ends the stream
         without taking that lock.  ``/health`` from a second client answers
         within 100 ms at every probe, the run ends (``active`` back to 0)
-        and the next identical request streams in full.  Fails when the
-        loop writes the ``timeout`` line under the lock, waiting out the
-        runner's 10 s send."""
+        within 5 s and the next identical request streams in full.  Fails
+        when the loop writes the ``timeout`` line under the lock, waiting
+        out the runner's 10 s send, or waits for the line without bound."""
         monkeypatch.setattr("repro.serve.server.STREAM_GRACE_SECONDS", 0.2)
         init = server_module._Stream.__init__
 
@@ -1549,9 +1549,10 @@ class TestOneWriterPerStream:
                     _get_json(port, "/health")
                     probes.append(time.monotonic() - sent)
                     time.sleep(0.05)
-                deadline = time.monotonic() + 30
+                # Well inside the runner's 10 s send time-out: the socket
+                # was shut down one grace after the watchdog fired.
                 while app.health()["executor"]["active"] > 0:
-                    assert time.monotonic() < deadline, "the run never ended"
+                    assert time.monotonic() < start + 5, "the run outlived its grace"
                     time.sleep(0.01)
                 events = _post_run_events(port, run)
                 stuck.settimeout(10)
@@ -1569,6 +1570,100 @@ class TestOneWriterPerStream:
         assert events[0]["cache"] == "hit"
         # The stuck client got EOF before the run's summary.
         assert b'"type": "summary"' not in received
+
+    def test_a_slow_reader_gets_the_timeout_line_whole(self, monkeypatch):
+        """A runner streams 300 lines through small buffers to a client that
+        keeps reading 256 bytes every 10 ms, so the runner is blocked in a
+        send, holding the stream's lock, when the loop abandons the stream.
+        The client still reads only whole lines: a prefix of the runner's,
+        in order, then the ``timeout`` event, then EOF.  Fails when the loop
+        tries the lock once and sends without looking at the buffer: the
+        line is dropped, or cut."""
+        monkeypatch.setattr("repro.serve.server.STREAM_GRACE_SECONDS", 2.0)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = socket.socket()
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+            client.connect(listener.getsockname())
+            sock, _ = listener.accept()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        stream = server_module._Stream(sock, server_module._RunScope(None, threading.Event()))
+        timeout = {"type": "error", "reason": "timeout", "error": "run exceeded 1 s"}
+        received = []
+
+        def runner():
+            for index in range(300):
+                stream.emit({"type": "iteration", "iteration": index, "pad": "x" * 200})
+
+        def read_slowly():
+            while chunk := client.recv(256):
+                received.append(chunk)
+                time.sleep(0.01)
+
+        async def watchdog():
+            await asyncio.sleep(0.3)
+            await stream.abandon(timeout)
+
+        threads = [threading.Thread(target=runner), threading.Thread(target=read_slowly)]
+        with client:
+            for thread in threads:
+                thread.start()
+            asyncio.run(watchdog())
+            threads[0].join(timeout=30)
+            stream.release()
+            threads[1].join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        *lines, rest = b"".join(received).split(b"\n")
+        assert rest == b"", "the stream ends inside a line"
+        events = [json.loads(line) for line in lines]
+        assert events[-1] == timeout
+        assert [e["iteration"] for e in events[:-1]] == list(range(len(events) - 1))
+        assert len(events) - 1 < 300
+
+    def test_no_line_follows_the_runs_own_terminal_line(self):
+        """The runner has written its summary but not yet closed the socket
+        when the loop abandons the stream: the client reads the summary,
+        then EOF.  Fails when the loop's ``timeout`` line may follow any
+        line but a failed one."""
+        sock, client = socket.socketpair()
+        stream = server_module._Stream(sock, server_module._RunScope(None, threading.Event()))
+        summary = {"type": "summary", "run": {"iterations": 2}}
+        with client:
+            stream.emit(summary)
+            asyncio.run(stream.abandon({"type": "error", "reason": "timeout", "error": ""}))
+            stream.release()
+            received = b"".join(iter(lambda: client.recv(65536), b""))
+        assert _events(received) == [summary]
+
+    @pytest.mark.parametrize("execution", EXECUTION_TIERS)
+    def test_a_run_ending_at_the_watchdog_keeps_its_stream(
+        self, tmp_path, monkeypatch, caplog, execution
+    ):
+        """The watchdog's wait reports its time-out only after the run has
+        ended and its runner closed the socket: a run finishing just at
+        deadline plus grace.  The client reads the whole stream ending in
+        the summary, with no ``timeout`` line after it, nothing is logged,
+        and ``/health`` counts the run completed.  Fails when the loop
+        touches the socket the runner closed (``EBADF`` out of the
+        handler)."""
+        wait = asyncio.wait
+
+        async def expired_after_the_end(futures, timeout=None):
+            await wait(futures)
+            return set(), set(futures)
+
+        monkeypatch.setattr(server_module.asyncio, "wait", expired_after_the_end)
+
+        async def body():
+            async with serve_app(tmp_path, execution=execution) as (app, port):
+                reply = await _request(port, "POST", "/run", {**TINY_RUN, "timeout_s": 30.0})
+                return reply, app.health()["executor"]
+
+        with caplog.at_level(logging.WARNING):
+            (status, raw), executor = asyncio.run(asyncio.wait_for(body(), timeout=60))
+        assert status == 200
+        _assert_run_stream(_events(raw), iterations=TINY_RUN["snapshots"])
+        assert executor["active"] == 0 and executor["completed"] == 1
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 @pytest.mark.skipif(
