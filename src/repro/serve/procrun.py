@@ -17,25 +17,26 @@ and report every iteration — so they share everything but the transport:
     deadline / cancellation hook) between iterations, returns the summary.
 :func:`run_scenario_in_worker`
     The process tier's door, run inside a worker of the shared
-    :func:`~repro.utils.procpool.shared_process_pool`.  The task shipped to it
-    is deliberately tiny — the request, the resolved config, the *path* of
-    the replay cache's store and a run id, never snapshot arrays: the worker opens the
-    store through read-only ``np.memmap`` views, so parent and workers
-    share one page cache.  Each worker keeps the scenario it last opened —
-    calibrated platform and decomposed snapshots included — and runs the
-    next request for the same config, path and manifest stamp
-    (``st_dev``, ``st_ino``, ``st_mtime_ns``, ``st_size`` of
-    ``manifest.json``) over it without opening anything; any other request
-    drops it *before* opening its own store, so a worker holds at most one
-    store.  A store deleted and rebuilt at the same path has a new manifest
-    inode and is opened afresh; an evicted store's maps live until that
-    worker's next run.  It talks to the server over the channel its pool
-    generation gave it (:func:`~repro.utils.procpool.worker_channel`): every
-    message on its slot's pipe is ``(run_id, item)``, tagged with the run id
-    the server assigned — first its slot number, then one ``iteration``
-    event per iteration, last :data:`END_OF_STREAM` — and its ``check``
-    stops the run when its slot's cancel word equals that run id (timeout,
-    shutdown, client gone) or the wall-clock deadline passed.
+    :func:`~repro.utils.procpool.shared_process_pool`.  The task shipped to
+    it is deliberately tiny — the request, the resolved config, the *path*
+    of the replay cache's store, a mailbox and a run id, never snapshot
+    arrays: the worker opens the store through read-only ``np.memmap``
+    views, so parent and workers share one page cache.  Each worker keeps
+    the scenario it last opened — calibrated platform and decomposed
+    snapshots included — and runs the next request for the same config, path
+    and manifest stamp (``st_dev``, ``st_ino``, ``st_mtime_ns``, ``st_size``
+    of ``manifest.json``) over it without opening anything; any other
+    request drops it *before* opening its own store, so a worker holds at
+    most one store.  A store deleted and rebuilt at the same path has a new
+    manifest inode and is opened afresh; an evicted store's maps live until
+    that worker's next run.  It talks to the server through the mailbox the
+    task names, one of its pool generation's
+    (:func:`~repro.utils.procpool.worker_channel`): every message on the
+    box's pipe is ``(run_id, item)``, tagged with the run id the server
+    assigned — one ``iteration`` event per iteration, last
+    :data:`END_OF_STREAM` — and its ``check`` stops the run when the box's
+    cancel word equals that run id (timeout, shutdown, client gone) or the
+    wall-clock deadline passed.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ __all__ = [
 ]
 
 #: The last item a worker sends for a run, whether the run finished, failed or
-#: was cancelled.  The first is the worker's slot number; every other item is
-#: an event dict.
+#: was cancelled; every other item is an event dict.
 END_OF_STREAM = None
 
 
@@ -300,6 +300,7 @@ def run_scenario_in_worker(
     request: RunRequest,
     config: ScenarioConfig,
     store_dir: str,
+    box: int,
     run_id: int,
     deadline: Optional[float],
 ) -> Dict[str, object]:
@@ -307,26 +308,27 @@ def run_scenario_in_worker(
 
     ``store_dir`` is the replay store the parent pinned for the
     duration of this run; it is opened only if this worker does not hold it
-    already (:func:`_resident_scenario`).  ``run_id`` (>= 1) tags every
-    message on this worker's pipe, and the run is cancelled only when the
-    slot's cancel word equals it, so a word left by an earlier run never
-    cancels a later one.  ``deadline`` is an absolute ``time.time()`` value
-    or ``None`` — wall-clock rather than monotonic so that it means the same
-    in every process.  The first message announces the slot; whatever the
-    outcome, the last is :data:`END_OF_STREAM`: the parent stops relaying on
-    it, then reads the future.
+    already (:func:`_resident_scenario`).  ``box`` is the mailbox the parent
+    took for this run and reads; ``run_id`` (>= 1) tags every message on its
+    pipe, and the run is cancelled only when the box's cancel word equals
+    it, so a word left by an earlier run never cancels a later one.
+    ``deadline`` is an absolute ``time.time()`` value or ``None`` —
+    wall-clock rather than monotonic so that it means the same in every
+    process.  Whatever the outcome, the last message is
+    :data:`END_OF_STREAM`: the parent stops reading on it, then reads the
+    future.
     """
-    slot, sender, cancel = worker_channel()
+    senders, cancel = worker_channel()
+    sender = senders[box]
 
     def emit(item) -> None:
         sender.send((run_id, item))
 
     def check() -> None:
-        if cancel[slot] == run_id or (deadline is not None and time.time() > deadline):
+        if cancel[box] == run_id or (deadline is not None and time.time() > deadline):
             raise RunCancelled("timeout")
 
     try:
-        emit(slot)
         check()
         scenario = _resident_scenario(config, store_dir)
         return execute_run(request, scenario, emit, check)[0]

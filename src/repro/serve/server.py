@@ -47,10 +47,10 @@ also behind ``python -m repro run`` — executes and how its events travel:
     run's first event forward (runners bound alone: later than unbound),
     and ``blue_waters_64`` hits lose nothing (README, "Execution tiers").
     Measured on 2 CPUs only: hosts with more, where unbound runs could also
-    overlap their GIL-free NumPy, are unverified.  Python that holds the GIL throughout (scalar user metrics
-    like ``PYVAR``) serialises here either way: a request thread never
-    forks, so the scoring step scores it inline
-    (:func:`repro.utils.procpool.pool_pays`).
+    overlap their GIL-free NumPy, are unverified.  Python that holds the
+    GIL throughout (scalar user metrics like ``PYVAR``) serialises here
+    either way: a request thread never forks, so the scoring step scores it
+    inline (:func:`repro.utils.procpool.pool_pays`).
 
 ``"process"``
     Each run executes in a worker process from the shared
@@ -59,26 +59,34 @@ also behind ``python -m repro run`` — executes and how its events travel:
     store by path through read-only memory maps, and keeps the scenario it
     opened, so a hit on the store a worker ran last runs the pipeline and
     nothing else — as on the thread tier, but per worker, holding at most
-    one store each (see :mod:`repro.serve.procrun`).  Iteration events
-    stream back as they complete over the pipe of the worker's slot, which
-    its pool generation created before the worker forked, so NDJSON
-    latency-to-first-event stays flat.  One router thread per generation
-    reads every worker pipe and puts each event on the inbox of the run
-    whose id it carries; the stream ends on the worker's end-of-stream mark,
-    not on a poll time-out, or when the run's future says its worker died.  A cancel
-    writes the run's id into its slot's cancel word, which only that run
-    obeys.
+    one store each (see :mod:`repro.serve.procrun`).  Before it dispatches,
+    a run takes a free *mailbox* of its pool generation — a pipe, created
+    before the workers forked, and a cancel word — with a fresh run id, and
+    its task names both; runs waiting for a box get one in arrival order.
+    Iteration events stream back over the box's pipe as they complete,
+    tagged with the run id, so NDJSON latency-to-first-event stays flat.
+    The run's runner thread reads the pipe itself; the stream ends on the
+    worker's end-of-stream mark, not on a poll time-out, or when the run's
+    future says its worker died.  A cancel writes the run's id into the
+    box's cancel word, which only that run obeys, and its runner reads on
+    to the mark, so a worker blocked on a full pipe is never left there.
+    The box goes back once its runner has read the worker's last message
+    (the mark, or nothing from a worker that died), so a pipe has one
+    writer and one reader at a time.
 
 Who writes a stream: the event loop reads the request, answers a refusal and
 writes an accepted run's reply head; then the run's runner thread writes every
-event through one :class:`_Stream` — on the process tier it reads them off the
-run's inbox, so a slow client blocks only its own runner, never the router.
-The loop is woken once per run, at its end, and keeps the watchdog: when the
-wait expires it ends the stream without waiting for the runner, which may be
-blocked in a send to a client that stopped reading.  A helper thread writes
-the ``timeout`` event once no send is in progress; the loop awaits it for at
-most one more grace, then shuts the socket down, so the client reads EOF and
-a blocked send fails at once.  A failed send cancels the run (``"disconnect"``).
+event through one :class:`_Stream`.  On the process tier it reads them off the
+run's mailbox, so a slow client slows only its own runner and its worker: the
+pipe and the socket buffers hold what is in flight, nothing queues without
+bound, and a client that stopped reading has its run cancelled by the send
+time-out or the watchdog, which frees the worker.  The loop is woken once per
+run, at its end, and keeps the watchdog: when the wait expires it ends the
+stream without waiting for the runner, which may be blocked in a send to a
+client that stopped reading.  A helper thread writes the ``timeout`` event
+once no send is in progress; the loop awaits it for at most one more grace,
+then shuts the socket down, so the client reads EOF and a blocked send fails
+at once.  A failed send cancels the run (``"disconnect"``).
 
 Scenario data resolves through the :class:`~repro.serve.cache.ReplayCache`:
 the first request for a config simulates CM1 and persists the snapshots,
@@ -90,17 +98,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import itertools
 import logging
 import os
-import queue as queue_module
 import socket
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import AbstractSet, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
@@ -116,7 +120,6 @@ from repro.serve.procrun import (
 )
 from repro.utils.procpool import (
     PROCESS_CPUS,
-    WorkerChannels,
     default_process_workers,
     shared_pool_channels,
     warm_shared_pool,
@@ -124,8 +127,6 @@ from repro.utils.procpool import (
 
 __all__ = ["EXECUTION_TIERS", "RunRequest", "ServeApp", "serve_forever"]
 
-#: What a process-tier run's future puts on its inbox when it completes.
-_WORKER_DONE = object()
 #: Silent on every healthy request; with no handler configured the stdlib's
 #: last-resort handler writes ERROR records to stderr.
 _LOG = logging.getLogger(__name__)
@@ -154,7 +155,7 @@ class _RunScope:
     Shared between the streaming coroutine (which enforces the hard stream
     deadline), the runner thread (which checks cooperatively between
     iterations via :meth:`check`), and — in the process tier — the worker
-    running it, through the cancel word of its slot.
+    running it, through the cancel word of its mailbox.
     """
 
     def __init__(
@@ -166,20 +167,20 @@ class _RunScope:
         self._shutdown = shutdown
         self._cancel = threading.Event()
         self._reason: Optional[str] = None
-        #: Process tier: ``(cancel words, slot, run id)`` of the worker.
+        #: Process tier: ``(cancel words, box, run id)`` of the worker.
         self._worker: Optional[Tuple[Sequence[int], int, int]] = None
         self._worker_lock = threading.Lock()
 
-    def attach_worker(self, cancel: Sequence[int], slot: int, run_id: int) -> None:
-        """Mirror cancels into the worker at ``slot``, from now on and at once
-        if this run is already cancelled."""
+    def attach_worker(self, cancel: Sequence[int], box: int, run_id: int) -> None:
+        """Mirror cancels into the cancel word of mailbox ``box``, from now on
+        and at once if this run is already cancelled."""
         with self._worker_lock:
-            self._worker = (cancel, slot, run_id)
+            self._worker = (cancel, box, run_id)
             if self.cancelled() is not None:
-                cancel[slot] = run_id
+                cancel[box] = run_id
 
     def detach_worker(self) -> None:
-        """Stop mirroring: the slot may be running a later run by now."""
+        """Stop mirroring: the box may carry a later run by now."""
         with self._worker_lock:
             self._worker = None
 
@@ -189,8 +190,8 @@ class _RunScope:
         self._cancel.set()
         with self._worker_lock:
             if self._worker is not None:
-                cancel, slot, run_id = self._worker
-                cancel[slot] = run_id
+                cancel, box, run_id = self._worker
+                cancel[box] = run_id
 
     def cancelled(self) -> Optional[str]:
         """The cancel reason if this run should stop, else ``None``."""
@@ -257,7 +258,7 @@ class _Stream:
     def emit(self, event: Dict[str, object]) -> None:
         line = protocol.encode_event(event)
         with self._lock:
-            if self._closed:
+            if self._closed or self._ended:
                 return
             try:
                 self._sock.sendall(line)
@@ -431,7 +432,10 @@ class ServeApp:
         cancellation (shutdown, disconnect) is requested — always between
         iterations, so partial NDJSON output stays well-formed; so does a
         stream the watchdog ends, for a client that keeps reading
-        (:meth:`_Stream.abandon`).
+        (:meth:`_Stream.abandon`).  A process-tier run cancelled after its
+        dispatch instead emits its ``error`` event at once and returns it:
+        its runner may read the worker's pipe for one more iteration before
+        it is done.
         """
         if self.execution == "process":
             return self._execute_process_run(request, config, emit, scope)
@@ -452,20 +456,33 @@ class ServeApp:
 
         The cache entry stays pinned (``acquire_store``) while the worker
         runs over the store at its path (opening it unless it holds it
-        already).  The run is registered with its generation's router under
-        a fresh run id, and the router puts each of its worker's messages on
-        the run's inbox.  This thread passes every event on to ``emit`` until
-        the worker's :data:`~repro.serve.procrun.END_OF_STREAM` mark — or the
-        future's done-callback showing that the worker died before it.  A
-        cancel reaches the worker through its slot's cancel word (the router
-        attaches the slot to the scope); the worker aborts between
-        iterations.  The poll only notices a cancellation.
+        already).  The run takes a free mailbox of its pool generation with
+        a fresh run id — while every box is taken it writes ``start`` and
+        waits in line, as its task would have queued in the pool — and its
+        task names both.  This thread reads the box's pipe and passes each
+        event of its run on to ``emit`` until the worker's
+        :data:`~repro.serve.procrun.END_OF_STREAM` mark, or until the future
+        says the worker died before it; a message tagged with another run's
+        id is skipped, though none is left when a box goes back.  A cancel
+        reaches the worker through the box's cancel word; the worker aborts
+        between iterations, and this thread reads on, discarding, to its
+        mark, so a worker blocked on a full pipe gets there.  The box goes
+        back once the worker will send nothing more.  The poll only notices
+        a cancellation or a dead worker.
         """
         with self.cache.acquire_store(config) as (store_dir, was_hit):
             pool, channels = shared_pool_channels()
-            router = _router_for(channels)
-            run_id, inbox = router.open(scope)
+            start = self._start_event(request, config, was_hit)
+            taken = channels.take()
+            if taken is None:
+                emit(start)
+                start = None
+                taken = channels.take(None, scope.check)
+            box, run_id = taken
+            future = None
+            ended = False  # this run's END_OF_STREAM read
             try:
+                scope.attach_worker(channels.cancel, box, run_id)
                 deadline_wall = (
                     None
                     if scope.deadline is None
@@ -477,36 +494,49 @@ class ServeApp:
                         request,
                         config,
                         str(store_dir),
+                        box,
                         run_id,
                         deadline_wall,
                     )
-                    future.add_done_callback(lambda _: inbox.put(_WORKER_DONE))
                 finally:  # after the dispatch, which its send (a GIL switch) would hold back
-                    emit(self._start_event(request, config, was_hit))
+                    if start is not None:
+                        emit(start)
+                reader = channels.readers[box]
                 while True:
                     reason = scope.cancelled()
                     if reason is not None:
                         scope.request_cancel(reason)  # mirrors to the worker
                         future.cancel()  # no-op once running; frees a queued task
-                        raise RunCancelled(reason)
-                    try:
-                        item = inbox.get(timeout=_POLL_SECONDS)
-                    except queue_module.Empty:
-                        continue
-                    if item is END_OF_STREAM:
-                        break
-                    if item is not _WORKER_DONE:
+                        cancelled = self._cancel_event(reason, scope)
+                        emit(cancelled)  # now, not after the drain below
+                        return cancelled  # the stream drops the runner's repeat
+                    if reader.poll(_POLL_SECONDS):
+                        tag, item = reader.recv()
+                        if tag != run_id:  # what an earlier run on this box left
+                            continue
+                        if item is END_OF_STREAM:
+                            ended = True
+                            break
                         emit(item)
-                    # A run that returned or raised sent its mark before its
-                    # future completed; a broken pool means it never will.
-                    elif isinstance(future.exception(), BrokenProcessPool):
+                    # A worker's sends are in the pipe before its future is
+                    # done: done with nothing to read, it died before the mark.
+                    elif future.done() and not reader.poll():
                         break
                 summary = future.result()
                 summary["cache"] = self.cache.stats()
                 return summary
             finally:
-                router.close(run_id)
                 scope.detach_worker()
+                # A worker blocked on a full pipe never reaches its cancel
+                # check: read on to its mark (one iteration at most), so the
+                # box goes back with nothing more to come through it.
+                while future is not None and not (
+                    ended or future.done() and not reader.poll()
+                ):
+                    if reader.poll(_POLL_SECONDS):
+                        tag, item = reader.recv()
+                        ended = tag == run_id and item is END_OF_STREAM
+                channels.give_back(box)
 
     def _start_event(
         self, request: RunRequest, config, was_hit: bool
@@ -656,82 +686,6 @@ class ServeApp:
                 break
             time.sleep(_POLL_SECONDS)
         self.executor.shutdown(wait=False, cancel_futures=True)
-
-
-class _EventRouter:
-    """Hands one pool generation's worker messages to the runs awaiting them.
-
-    Every message on a worker pipe is ``(run_id, item)``.  The router's
-    thread waits on all of the generation's pipes at once and puts ``item``
-    on the inbox of the run registered under ``run_id`` (its runner thread
-    writes the events to the client) — dropping it when that run was given
-    up on.  A run's first item is its worker's slot number: the router
-    attaches the slot to the run's scope, so a cancel reaches the worker, or
-    cancels the worker at once when nobody waits for the run any more.  The
-    thread ends when every pipe reads EOF, that is once the generation's
-    pool was shut down.
-    """
-
-    def __init__(self, channels: WorkerChannels) -> None:
-        self.channels = channels
-        self._runs: Dict[int, Tuple[queue_module.SimpleQueue, _RunScope]] = {}
-        self._ids = itertools.count(1)  # 0 is a cancel word nobody wrote
-        self._lock = threading.Lock()
-        threading.Thread(
-            target=self._route, name="repro-serve-router", daemon=True
-        ).start()
-
-    def open(self, scope: _RunScope) -> Tuple[int, queue_module.SimpleQueue]:
-        """Register a run: its id, and the inbox its worker's items land on."""
-        inbox: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        with self._lock:
-            run_id = next(self._ids)
-            self._runs[run_id] = (inbox, scope)
-        return run_id, inbox
-
-    def close(self, run_id: int) -> None:
-        """Forget a run; nothing of its worker reaches it after this returns."""
-        with self._lock:
-            self._runs.pop(run_id, None)
-
-    def _route(self) -> None:
-        readers = list(self.channels.readers)
-        while readers:
-            for reader in wait(readers):
-                try:
-                    run_id, item = reader.recv()
-                except EOFError:
-                    readers.remove(reader)
-                    reader.close()
-                    continue
-                with self._lock:  # so nothing follows the run's close
-                    run = self._runs.get(run_id)
-                    if run is None:
-                        if isinstance(item, int):  # given up on: stop its worker
-                            self.channels.cancel[item] = run_id
-                        continue
-                    inbox, scope = run
-                    if isinstance(item, int):  # the worker announces its slot
-                        scope.attach_worker(self.channels.cancel, item, run_id)
-                    else:
-                        inbox.put(item)
-
-
-_ROUTER: Optional[_EventRouter] = None
-_ROUTER_LOCK = threading.Lock()
-
-
-def _router_for(channels: WorkerChannels) -> _EventRouter:
-    """The router of ``channels``' generation, started on its first run.
-
-    A pool shut down and created again is a new generation with new pipes,
-    so it gets a new router; the old one ends on its pipes' EOF.
-    """
-    global _ROUTER
-    with _ROUTER_LOCK:
-        if _ROUTER is None or _ROUTER.channels is not channels:
-            _ROUTER = _EventRouter(channels)
-        return _ROUTER
 
 
 async def serve_forever(app: ServeApp, host: str, port: int) -> None:

@@ -21,22 +21,24 @@ the pool creates no shared-memory segment and starts no resource-tracker
 daemon: a warmed pool's only child processes are its workers.
 
 Each pool generation — what :func:`shared_process_pool` creates and
-:func:`shutdown_shared_pool` ends — also owns its workers' channels
-(:class:`WorkerChannels`), made before any worker forks and handed to each
-worker by the pool initializer; the serve mode's process tier streams its
-runs' events over them.
+:func:`shutdown_shared_pool` ends — also owns its mailboxes
+(:class:`WorkerChannels`), made before any worker forks and handed to every
+worker by the pool initializer; the serve mode's process tier streams each
+run's events through the mailbox its task names.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
+import itertools
 import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.connection import Connection
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +60,12 @@ _POOL: Optional[ProcessPoolExecutor] = None
 _CHANNELS: Optional["WorkerChannels"] = None
 _POOL_LOCK = threading.Lock()
 
-#: In a pool worker: ``(slot, sender, cancel)`` — its slot number, the write
-#: end of its slot's pipe and its generation's cancel words; ``None`` elsewhere.
-_WORKER_CHANNEL: Optional[Tuple[int, Connection, Sequence[int]]] = None
+#: How often :meth:`WorkerChannels.take` calls its ``check`` while it waits.
+_STEP_SECONDS = 0.05
+
+#: In a pool worker: ``(senders, cancel)`` — the write end of every mailbox's
+#: pipe and its generation's cancel words; ``None`` elsewhere.
+_WORKER_CHANNEL: Optional[Tuple[Sequence[Connection], Sequence[int]]] = None
 
 #: The CPUs this process may run on, read once at import: its affinity mask
 #: where the platform has one (a ``taskset -c 0`` run has one CPU, whatever
@@ -103,17 +108,18 @@ def pool_pays(gil_bound: bool) -> bool:
 
 
 class WorkerChannels:
-    """One pool generation's worker channels: a pipe and a word per slot.
+    """One pool generation's mailboxes: a pipe and a cancel word per box.
 
-    ``readers[i]`` is the parent's read end of slot ``i``'s
-    ``Pipe(duplex=False)`` — one writer per pipe, so no lock is shared
-    between workers — and ``cancel[i]`` its word of a shared
-    ``RawArray("q", width)`` (0 until the parent writes one).  Each worker
-    takes the next free slot in the pool initializer (:func:`_adopt_channel`),
-    keeps that pipe's write end and reads its slot through
-    :func:`worker_channel`.  :func:`shutdown_shared_pool` closes the
-    parent's write ends once the workers have exited, so each reader then
-    reads EOF; whoever reads the pipes closes the readers.
+    ``readers[i]`` is the parent's read end of box ``i``'s
+    ``Pipe(duplex=False)`` and ``cancel[i]`` its word of a shared
+    ``RawArray("q", width)`` (0 until the parent writes one).  Every worker
+    keeps every write end (:func:`_adopt_channel`); a task names the box it
+    writes to.  A run takes a free box with a fresh run id (:meth:`take`,
+    first come first served; ids start at 1) and gives it back
+    (:meth:`give_back`) once its reader has read the last message of the
+    task that wrote to it, so a pipe has one writer and one reader at a
+    time.  :func:`shutdown_shared_pool` closes both ends once the workers
+    have exited.
     """
 
     def __init__(self, context: multiprocessing.context.BaseContext, width: int) -> None:
@@ -121,31 +127,59 @@ class WorkerChannels:
         self.readers: Tuple[Connection, ...] = tuple(reader for reader, _ in pipes)
         self._writers: Tuple[Connection, ...] = tuple(writer for _, writer in pipes)
         self.cancel = context.RawArray("q", width)
-        self._next_slot = context.Value("i", 0)
+        self._free = list(range(width))
+        self._line: Deque[object] = collections.deque()  # one ticket per waiting take()
+        self._free_changed = threading.Condition()
+        self._run_ids = itertools.count(1)  # 0 is a cancel word nobody wrote
 
     def initargs(self) -> tuple:
         """What the pool initializer receives in every worker."""
-        return (self._writers, self.cancel, self._next_slot)
+        return (self._writers, self.cancel)
 
-    def close_writers(self) -> None:
-        for writer in self._writers:
-            writer.close()
+    def take(
+        self, timeout: Optional[float] = 0.0, check: Callable[[], None] = lambda: None
+    ) -> Optional[Tuple[int, int]]:
+        """A free box and a fresh run id, in arrival order.
+
+        A caller waits in line behind those that came before it, up to
+        ``timeout`` seconds (``None``: without bound), calling ``check`` each
+        time it wakes, at least every :data:`_STEP_SECONDS`; a ``check`` that
+        raises leaves the line.  ``None`` when no box came to it in time.
+        """
+        ticket = object()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._free_changed:
+            self._line.append(ticket)
+            try:
+                while not (self._free and self._line[0] is ticket):
+                    left = _STEP_SECONDS if deadline is None else deadline - time.monotonic()
+                    if left <= 0:
+                        return None
+                    self._free_changed.wait(min(left, _STEP_SECONDS))
+                    check()
+                return self._free.pop(), next(self._run_ids)
+            finally:
+                self._line.remove(ticket)
+                self._free_changed.notify_all()  # the next in line may be served
+
+    def give_back(self, box: int) -> None:
+        with self._free_changed:
+            self._free.append(box)
+            self._free_changed.notify_all()
+
+    def close(self) -> None:
+        for connection in self._writers + self.readers:
+            connection.close()
 
 
-def _adopt_channel(writers, cancel, next_slot) -> None:
-    """Pool initializer: take the next slot and keep only its pipe's write end."""
+def _adopt_channel(writers, cancel) -> None:
+    """Pool initializer: keep every mailbox's write end."""
     global _WORKER_CHANNEL
-    with next_slot.get_lock():
-        slot = next_slot.value
-        next_slot.value += 1
-    for index, writer in enumerate(writers):
-        if index != slot:
-            writer.close()
-    _WORKER_CHANNEL = (slot, writers[slot], cancel)
+    _WORKER_CHANNEL = (writers, cancel)
 
 
-def worker_channel() -> Tuple[int, Connection, Sequence[int]]:
-    """This pool worker's ``(slot, sender, cancel)``; ``RuntimeError`` outside one."""
+def worker_channel() -> Tuple[Sequence[Connection], Sequence[int]]:
+    """This pool worker's ``(senders, cancel)``; ``RuntimeError`` outside one."""
     if _WORKER_CHANNEL is None:
         raise RuntimeError("worker_channel() is only available in a shared-pool worker")
     return _WORKER_CHANNEL
@@ -193,8 +227,8 @@ def warm_shared_pool(tasks: Optional[int] = None) -> int:
 
 
 def shutdown_shared_pool() -> None:
-    """Tear down the shared pool and close its generation's write ends
-    (tests / interpreter exit); the next use starts a new generation."""
+    """Tear down the shared pool and close its generation's pipes (tests /
+    interpreter exit); the next use starts a new generation."""
     global _POOL, _CHANNELS
     with _POOL_LOCK:
         pool, _POOL = _POOL, None
@@ -202,7 +236,7 @@ def shutdown_shared_pool() -> None:
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
     if channels is not None:
-        channels.close_writers()
+        channels.close()
 
 
 atexit.register(shutdown_shared_pool)

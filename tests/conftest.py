@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import glob
+import multiprocessing
 import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +18,7 @@ from repro.cm1.simulation import CM1Simulation
 from repro.core.step import IterationContext
 from repro.scenarios import ExperimentScenario, ScenarioConfig, create_scenario_config
 from repro.scenarios.spec import TINY_SHAPE
+from repro.utils import procpool
 
 
 def execute_alone(step, per_rank_blocks, percent=0.0, iteration=0, **state):
@@ -52,6 +58,86 @@ def shm_leak_check():
     """:func:`shm_segments_since`: ``new_segments = shm_leak_check()`` before
     the code under test, ``assert new_segments() == set()`` after it."""
     return shm_segments_since
+
+
+#: Descriptors a test module may leave open beyond its baseline: none.  The
+#: shared pool's pipes close with it, and nothing else in ``src/`` keeps one.
+#: Not counted at all: the ``multiprocessing`` heap's arena
+#: (``/dev/shm/pym-*``, a descriptor and its map's duplicate), which the first
+#: pool generation's cancel words allocate for the life of the process.
+FD_TOLERANCE = 0
+
+
+def _child_pids():
+    """Every child of this process, zombies included, from each thread's
+    ``/proc`` children list (empty where the kernel has none)."""
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as children:
+                pids.update(int(pid) for pid in children.read().split())
+        except FileNotFoundError:  # the thread ended meanwhile
+            pass
+    return pids | {child.pid for child in multiprocessing.active_children()}
+
+
+def _open_fds():
+    """How many descriptors this process has open, the heap's arena aside."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else ():
+        with contextlib.suppress(OSError):  # the listing's own, closed by now
+            count += "/pym-" not in os.readlink(f"/proc/self/fd/{fd}")
+    return count
+
+
+def leaks_since():
+    """Start a hygiene check: returns a callable ``leaks(grace=1.0)`` listing
+    what was left behind since this call — live non-daemon threads (each
+    given up to ``grace`` seconds in all to end), child processes, ``psm_*``
+    segments and descriptors beyond :data:`FD_TOLERANCE`.  Tests reach it as
+    the ``hygiene_check`` fixture."""
+    threads = set(threading.enumerate())
+    children = _child_pids()
+    fds = _open_fds()
+    segments = shm_segments_since()
+
+    def leaks(grace=1.0):
+        deadline = time.monotonic() + grace
+        left = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in threads and not thread.daemon
+        ]
+        for thread in left:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        found = [f"thread {t.name!r} still running" for t in left if t.is_alive()]
+        found += [f"child process {pid} left" for pid in sorted(_child_pids() - children)]
+        found += [f"shared-memory segment {name} left" for name in sorted(segments())]
+        extra = _open_fds() - fds
+        if extra > FD_TOLERANCE:
+            found.append(f"{extra} descriptors open beyond the baseline")
+        return found
+
+    return leaks
+
+
+@pytest.fixture(scope="session")
+def hygiene_check():
+    """:func:`leaks_since`."""
+    return leaks_since
+
+
+@pytest.fixture(scope="module", autouse=True)
+def module_hygiene():
+    """After each test module: no thread, child process, shared-memory
+    segment or descriptor left behind (:func:`leaks_since`).  The shared
+    process pool is process-wide by design, so it is shut down first —
+    cleanup, not a hidden leak: its workers and pipes go with it."""
+    leaks = leaks_since()
+    yield
+    procpool.shutdown_shared_pool()
+    found = leaks()
+    assert not found, f"the module left behind: {found}"
 
 
 def tiny_config(name, nranks=4, nsnapshots=2):

@@ -545,16 +545,16 @@ class TestResidentScenario:
 
 
 def _run_in_worker(request, store_dir):
-    """The process tier's worker body, in-process on slot 0 as run 1:
+    """The process tier's worker body, in-process on box 0 as run 1:
     ``(rows, summary)``."""
     sent = []
-    channel = (0, types.SimpleNamespace(send=sent.append), [0])
+    channel = ([types.SimpleNamespace(send=sent.append)], [0])
     with mock.patch.object(procpool, "_WORKER_CHANNEL", channel):
         summary = run_scenario_in_worker(
-            request, request.scenario_config(), str(store_dir), 1, None
+            request, request.scenario_config(), str(store_dir), 0, 1, None
         )
-    assert sent[0] == (1, 0) and sent[-1] == (1, END_OF_STREAM)
-    streamed = [item for _, item in sent[1:-1]]
+    assert sent[-1] == (1, END_OF_STREAM)
+    streamed = [item for _, item in sent[:-1]]
     return [e for e in streamed if e["type"] == "iteration"], summary
 
 
@@ -1293,13 +1293,12 @@ class TestServeAppProcessTier:
         assert events[-1]["reason"] == "exception"
         assert seconds < 5.0, f"the stream took {seconds:.2f}s to end"
 
-    def test_a_stale_cancel_word_never_cancels_a_later_run(self, tmp_path, monkeypatch):
-        """One worker, so one slot: a run cancelled in its worker leaves its
-        id in the slot's cancel word, and the three runs after it on that
-        slot all stream cleanly.  Fails with a worker ``check`` that fires on
-        any non-zero word.  The cancelled run sleeps in its worker, so the
-        deadline passes after it was dispatched (with ``timeout_s: 1e-4`` the
-        server cancels it before dispatch and no word is written)."""
+    @pytest.fixture()
+    def one_slow_worker(self, monkeypatch):
+        """A one-worker pool, so one box, whose runs sleep 1 s when they are
+        bounded: such a run's deadline passes after it was dispatched (with
+        ``timeout_s: 1e-4`` the server cancels it before dispatch and no
+        word is written)."""
         execute = procrun.execute_run
 
         def slow_when_bounded(request, *args):
@@ -1310,6 +1309,16 @@ class TestServeAppProcessTier:
         procpool.shutdown_shared_pool()
         monkeypatch.setattr(procpool, "default_process_workers", lambda: 1)
         monkeypatch.setattr(procrun, "execute_run", slow_when_bounded)
+        yield
+        procpool.shutdown_shared_pool()  # no one-worker pool for later tests
+
+    def test_a_stale_cancel_word_never_cancels_a_later_run(
+        self, tmp_path, one_slow_worker
+    ):
+        """One box: a run cancelled in its worker leaves its id in the box's
+        cancel word, and the three runs after it on that box all stream
+        cleanly.  Fails with a worker ``check`` that fires on any non-zero
+        word."""
 
         async def body():
             async with serve_app(tmp_path, execution="process") as (_, port):
@@ -1319,22 +1328,159 @@ class TestServeAppProcessTier:
                     replies.append(_events(raw))
                 return replies, list(procpool.shared_pool_channels()[1].cancel)
 
-        try:
-            (miss, timed_out, *replies), words = asyncio.run(
-                asyncio.wait_for(body(), timeout=60)
-            )
-        finally:
-            procpool.shutdown_shared_pool()  # no one-worker pool for later tests
+        (miss, timed_out, *replies), words = asyncio.run(
+            asyncio.wait_for(body(), timeout=60)
+        )
         assert timed_out[-1]["reason"] == "timeout"
         assert words == [2]  # the cancelled run, the server's second
         for events in [miss, *replies]:
             _assert_run_stream(events, iterations=2)
 
+    def test_a_box_stays_taken_until_its_worker_is_done(
+        self, tmp_path, one_slow_worker
+    ):
+        """A run that timed out leaves its box taken while its worker still
+        sleeps: right after the ``timeout`` line no box is free, and box 0
+        comes back once the worker ends.  Fails when the runner gives the box
+        back as it stops reading its run, before it reads on to the worker's
+        end-of-stream mark."""
+
+        async def body():
+            async with serve_app(tmp_path, execution="process") as (_, port):
+                await _request(port, "POST", "/run", TINY_RUN)  # the miss
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(_post_head({**TINY_RUN, "timeout_s": 0.25}))
+                await reader.readuntil(protocol.HEAD_END)
+                events = [json.loads(await reader.readline())]
+                while events[-1]["type"] != "error":
+                    events.append(json.loads(await reader.readline()))
+                channels = procpool.shared_pool_channels()[1]
+                during = channels.take()
+                after = await asyncio.to_thread(channels.take, 10.0)
+                if after is not None:
+                    channels.give_back(after[0])
+                rest = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return events, during, after, rest
+
+        events, during, after, rest = asyncio.run(asyncio.wait_for(body(), timeout=60))
+        assert events[-1]["reason"] == "timeout" and rest == b""
+        assert during is None
+        assert after is not None and after[0] == 0
+
+    @pytest.fixture()
+    def stuck_client(self, monkeypatch):
+        """A two-worker pool whose iteration rows carry 16 KiB of padding,
+        runner sockets with a 4 KiB send buffer and a 0.2 s stream grace.
+        Yields ``stop_reading(port, run)``: a connected socket that posted
+        ``run`` and reads nothing, so within a few iterations the run's runner
+        blocks in a send and its worker in a send into the box's full pipe."""
+        row = procrun.iteration_row
+        init = server_module._Stream.__init__
+
+        def small_buffer(self, sock, scope):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            init(self, sock, scope)
+
+        procpool.shutdown_shared_pool()  # the workers fork with the padded rows
+        monkeypatch.setattr(procpool, "default_process_workers", lambda: 2)
+        monkeypatch.setattr(
+            procrun, "iteration_row", lambda result: {**row(result), "pad": "x" * 16384}
+        )
+        monkeypatch.setattr(server_module._Stream, "__init__", small_buffer)
+        monkeypatch.setattr("repro.serve.server.STREAM_GRACE_SECONDS", 0.2)
+
+        def stop_reading(port, run):
+            stuck = socket.socket()
+            stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+            stuck.connect(("127.0.0.1", port))
+            stuck.sendall(_post_head(run))
+            return stuck
+
+        yield stop_reading
+        procpool.shutdown_shared_pool()  # no workers with padded rows later
+
+    @staticmethod
+    def _wait_for_active(app, count, seconds=10.0):
+        deadline = time.monotonic() + seconds
+        while app.health()["executor"]["active"] != count:
+            assert time.monotonic() < deadline, f"active never became {count}"
+            time.sleep(0.01)
+
+    def test_a_client_that_stopped_reading_frees_its_worker(
+        self, tmp_path, stuck_client
+    ):
+        """A client stops reading a 40-snapshot run with a 1 s deadline, so
+        its worker blocks on the box's full pipe.  Once the watchdog has
+        ended the run, every box can be taken again within 10 s and the pool
+        shuts down.  Fails when the runner stops reading the pipe as it
+        leaves: the worker never reaches its cancel check, and its box and
+        the pool's shutdown wait on it for good."""
+        run = {**TINY_RUN, "snapshots": 40}
+
+        def body(app, port):
+            with stuck_client(port, {**run, "timeout_s": 1.0}):
+                self._wait_for_active(app, 1)
+                self._wait_for_active(app, 0)
+            pool, channels = procpool.shared_pool_channels()
+            boxes = [channels.take(10.0) for _ in channels.readers]
+            shutdown = threading.Thread(target=procpool.shutdown_shared_pool)
+            shutdown.start()
+            shutdown.join(30)
+            stuck = shutdown.is_alive()
+            if stuck:  # let the shutdown return, and the suite go on
+                for process in list(pool._processes.values()):
+                    process.kill()
+                shutdown.join(30)
+            return boxes, stuck
+
+        async def run_body():
+            async with serve_app(tmp_path, execution="process") as (app, port):
+                await _request(port, "POST", "/run", run)  # the miss
+                return await asyncio.to_thread(body, app, port)
+
+        boxes, stuck = asyncio.run(asyncio.wait_for(run_body(), timeout=90))
+        assert None not in boxes
+        assert sorted(box for box, _ in boxes) == [0, 1]
+        assert not stuck, "the pool's shutdown waited on a blocked worker"
+
+    def test_a_client_that_stopped_reading_holds_only_its_own_worker(
+        self, tmp_path, stuck_client
+    ):
+        """Two workers: while one client has stopped reading a run with a
+        2 s deadline, its runner and worker blocked in sends, a second
+        client's run streams in full within 1 s (some 0.07 s on a 2-CPU
+        host) and the stuck run is still active after it.  Fails when the
+        two runs must share one box."""
+        run = {**TINY_RUN, "snapshots": 40}
+
+        def body(app, port):
+            with stuck_client(port, {**run, "timeout_s": 2.0}):
+                self._wait_for_active(app, 1)
+                time.sleep(0.3)  # the stuck run fills its socket and pipe
+                start = time.monotonic()
+                events = _post_run_events(port, run)
+                seconds = time.monotonic() - start
+                active = app.health()["executor"]["active"]
+                self._wait_for_active(app, 0)
+            return events, seconds, active
+
+        async def run_body():
+            async with serve_app(tmp_path, execution="process") as (app, port):
+                await _request(port, "POST", "/run", run)  # the miss
+                return await asyncio.to_thread(body, app, port)
+
+        events, seconds, active = asyncio.run(asyncio.wait_for(run_body(), timeout=90))
+        _assert_run_stream(events, iterations=40)
+        assert seconds < 1.0, f"the second run took {seconds:.2f}s"
+        assert active == 1, "the stuck run ended before the second one"
+
     def test_concurrent_runs_each_get_their_own_stream(self, tmp_path):
         """Six concurrent runs, three rounds, with a short switch interval:
         every reply is its own clean stream — each run asks for its own
-        percent, and its rows must carry it.  Fails when events are routed
-        by worker slot instead of by run id."""
+        percent, and its rows must carry it.  Fails when two runs share a
+        mailbox at once."""
         percents = [30.0 + 5 * i for i in range(6)]
 
         async def body():
@@ -1368,7 +1514,7 @@ class TestServeAppProcessTier:
 
     def test_runs_stream_on_a_new_pool_generation(self, tmp_path):
         """A pool shut down and created again has new pipes: a run on it
-        still streams.  Fails with a router bound to the first generation's
+        still streams.  Fails with a runner reading the first generation's
         pipes — the run's events are never read and the reply hangs."""
 
         async def one_run(cache_root):
@@ -2235,11 +2381,13 @@ class TestServeSubprocess:
         """The shutdown fix: SIGINT while a run is streaming must cancel the
         run at its next iteration boundary and exit inside the grace period,
         not wait out the remaining iterations (or hang in executor teardown).
+        A server still running 20 s after SIGINT is sent SIGABRT, and the
+        thread stacks ``faulthandler`` dumps are the failure message.
         """
         import socket as socket_module
 
         with _spawn_serve(
-            env,
+            {**env, "PYTHONFAULTHANDLER": "1"},
             "--cache-dir", str(tmp_path / "cache"),
             "--shutdown-grace", "15",
         ) as (proc, port):
@@ -2277,7 +2425,15 @@ class TestServeSubprocess:
                         break
                     rest += chunk
 
-            rc = proc.wait(timeout=20)
+            try:
+                rc = proc.wait(timeout=20)
+            except subprocess.TimeoutExpired:
+                proc.send_signal(signal.SIGABRT)
+                proc.wait(timeout=30)
+                pytest.fail(
+                    "serve still ran 20 s after SIGINT mid-run; its stderr, "
+                    "thread stacks last:\n" + proc.stderr.read()
+                )
             exit_seconds = time.monotonic() - start
             assert exit_seconds < 15.0, (
                 f"serve took {exit_seconds:.1f}s to exit after SIGINT mid-run"

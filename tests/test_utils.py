@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -155,21 +154,21 @@ class TestValidation:
             ensure_in_range(1.5, (0, 1))
 
 
-def _send_on_my_pipe(tag):
-    """Pool task: send ``tag`` on this worker's pipe; ``(pid, slot)``."""
+def _send_to_box(box, tag):
+    """Pool task: send ``tag`` into mailbox ``box``; returns ``tag``."""
     from repro.utils.procpool import worker_channel
 
-    slot, sender, _ = worker_channel()
-    sender.send(tag)
-    time.sleep(0.02)  # keep this worker busy so the next task may take another
-    return os.getpid(), slot
+    senders, _ = worker_channel()
+    senders[box].send(tag)
+    return tag
 
 
 class TestSharedProcpool:
-    def test_each_worker_owns_one_slot_of_its_generation(self):
-        """Every worker of a pool generation keeps one slot: what it sends
-        arrives on that slot's reader, two workers never share a slot, and
-        once the pool is shut down every reader reads EOF."""
+    def test_a_mailbox_carries_what_its_task_sends(self):
+        """What a task sends into box ``i`` arrives on ``readers[i]`` only, a
+        taken box is not handed out again until it is given back, and once
+        the pool is shut down every reader of its generation is closed.
+        Fails when the shutdown leaves the readers open."""
         from repro.utils import procpool
 
         with pytest.raises(RuntimeError):
@@ -179,21 +178,65 @@ class TestSharedProcpool:
         assert procpool.shared_pool_channels() == (pool, channels)
         width = len(channels.readers)
         assert width == procpool.default_process_workers() == len(channels.cancel)
-        futures = [pool.submit(_send_on_my_pipe, tag) for tag in range(4 * width)]
-        slots = {}
-        for tag, future in enumerate(futures):
-            pid, slot = future.result(timeout=30)
-            assert slots.setdefault(pid, slot) == slot
-            assert channels.readers[slot].poll(10)
-            assert channels.readers[slot].recv() == tag
-        assert len(set(slots.values())) == len(slots)
-        assert set(slots.values()) <= set(range(width))
+        taken = [channels.take() for _ in range(width)]
+        assert channels.take() is None
+        assert sorted(box for box, _ in taken) == list(range(width))
+        assert sorted(run_id for _, run_id in taken) == list(range(1, width + 1))
+        for box, _ in taken:
+            tags = [(box, n) for n in range(3)]
+            futures = [pool.submit(_send_to_box, box, tag) for tag in tags]
+            assert [future.result(timeout=30) for future in futures] == tags
+            for index, reader in enumerate(channels.readers):
+                if index == box:
+                    assert sorted(reader.recv() for _ in tags) == tags
+                assert not reader.poll()  # every send is in before its result
+        box, _ = taken[0]
+        channels.give_back(box)
+        assert channels.take() == (box, width + 1)
+        assert channels.take() is None
         procpool.shutdown_shared_pool()
-        for reader in channels.readers:
-            assert reader.poll(10)  # readable: at EOF, not empty
-            with pytest.raises(EOFError):
-                reader.recv()
-            reader.close()
+        assert all(reader.closed for reader in channels.readers)
+
+    def test_waiting_takers_get_a_box_in_arrival_order(self):
+        """One box, taken; three takers line up one after another.  Given
+        back, it goes to the first, and while it holds the box a newcomer's
+        ``take()`` gets nothing; each passes it on, and they get it in the
+        order they came.  Fails with a ``take`` that serves whoever asks
+        first once a box is free."""
+        import multiprocessing
+        import threading
+        import time
+
+        from repro.utils.procpool import WorkerChannels
+
+        channels = WorkerChannels(multiprocessing.get_context(), 1)
+        order, release = [], threading.Event()
+
+        def wait_in_line(name):
+            box, _ = channels.take(10.0)
+            order.append(name)
+            release.wait(10.0)
+            channels.give_back(box)
+
+        try:
+            box, _ = channels.take()
+            takers = [threading.Thread(target=wait_in_line, args=(n,)) for n in range(3)]
+            for count, taker in enumerate(takers, 1):
+                taker.start()
+                while len(channels._line) < count:
+                    time.sleep(0.001)
+            channels.give_back(box)
+            while not order:
+                assert channels.take() is None  # the newcomer waits its turn
+                time.sleep(0.001)
+            assert channels.take() is None
+            release.set()
+            for taker in takers:
+                taker.join(10.0)
+            assert order == [0, 1, 2]
+        finally:
+            release.set()
+            channels.close()
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
